@@ -12,7 +12,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard cluster-smoke check bench clean
+.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard cluster-smoke bench-smoke check bench clean
 
 all: check
 
@@ -78,7 +78,9 @@ chaos-smoke:
 # alloc-guard pins the telemetry hot paths at zero allocations per
 # recorded event: both the disabled (nil-registry) and the warm enabled
 # paths must report 0 allocs/op, or the zero-cost guarantee of DESIGN.md
-# decision 13 is broken.
+# decision 13 is broken. It also pins the embedding hot path (DESIGN.md
+# decision 19) at hundredths of an allocation per row: leaf scan, merge,
+# shuffle, join probe and one expand hop on embedding-shaped rows.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -94,7 +96,19 @@ alloc-guard:
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
 
+	$(GO) test ./internal/operators -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
+		/^BenchmarkRow/ { print; v = -1; for (i = 2; i <= NF; i++) if ($$i == "allocs/row") v = $$(i-1) + 0; \
+			max = ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
+			seen++; if (v < 0 || v > max) bad = 1 } \
+		END { if (bad || seen != 5) { print "alloc-guard: embedding hot path over budget (allocs per row: shuffle and join probe <= 0.05; leaf scan, merge and expand hop <= 0.1; five kernels)"; exit 1 } }'
+
 check: build vet lint race alloc-guard
+
+# bench-smoke builds and tests the benchmark harness. bench/ is a module of
+# its own, outside ./..., so nothing else notices when an engine change stops
+# it compiling or moves its dataset pin.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # cluster-smoke builds the real cypherd and cypherworker binaries, spawns
 # a coordinator plus two worker OS processes over a generated dataset,

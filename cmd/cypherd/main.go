@@ -206,6 +206,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	defer sess.Close()
 	vertices, edges := sess.GraphSize()
 	logger.Info("graph loaded", "dir", *graphDir, "vertices", vertices, "edges", edges)
 

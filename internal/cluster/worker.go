@@ -994,12 +994,13 @@ func decodeEmbeddings(b []byte) ([]embedding.Embedding, error) {
 		return nil, fmt.Errorf("cluster: result row count %d exceeds payload (%d bytes)", n, len(b))
 	}
 	out := make([]embedding.Embedding, n)
+	// One arena holds the bytes of every row of the partition.
+	arena := make([]byte, len(b))
 	for i := range out {
-		rest, err := out[i].DecodeWireInto(b)
-		if err != nil {
+		var err error
+		if b, arena, err = out[i].DecodeWireArena(b, arena); err != nil {
 			return nil, fmt.Errorf("cluster: result row %d/%d: %w", i, n, err)
 		}
-		b = rest
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("cluster: result partition has %d trailing bytes", len(b))

@@ -162,6 +162,15 @@ func DropGraphStats(g *epgm.LogicalGraph) {
 	statsMu.Unlock()
 }
 
+// GraphStatsMemoized reports how many graphs have statistics in the memo.
+// A holder that retires graphs (a session on SwapGraph and Close) is tested
+// against it: the count must not grow with the graphs it has let go of.
+func GraphStatsMemoized() int {
+	statsMu.Lock()
+	defer statsMu.Unlock()
+	return len(statsMemo)
+}
+
 // StatsCollections reports how many times GraphStats actually collected
 // statistics (memo misses) over the process lifetime; the regression test
 // for repeated collection asserts on its delta.

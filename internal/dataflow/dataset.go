@@ -11,12 +11,57 @@ type Sized interface {
 // Sized — roughly the wire size of a small fixed-width record.
 const defaultElementSize = 16
 
-// sizeOf returns the accounted byte size of an element.
-func sizeOf(v any) int64 {
-	if s, ok := v.(Sized); ok {
-		return int64(s.SizeBytes())
+// sizing is how the elements of a Dataset[T] are accounted, resolved once
+// per transformation, not once per element: converting an element to an
+// interface to ask whether it is Sized allocates a copy of it, and the
+// engine sizes every element it shuffles, builds a join table over or
+// materializes under a governor.
+type sizing[T any] struct {
+	// byPointer: T has a SizeBytes method that *T has too (every Sized
+	// struct type). A *T converts to an interface without allocating.
+	byPointer bool
+	// fixed: no element of T is Sized. Neither flag is set for pointer and
+	// interface element types, whose values convert without allocating and
+	// are asked one by one.
+	fixed bool
+}
+
+func sizingOf[T any]() sizing[T] {
+	var zero T
+	if any(zero) == nil {
+		return sizing[T]{} // interface type: the dynamic type decides
+	}
+	if _, ok := any(zero).(Sized); !ok {
+		return sizing[T]{fixed: true}
+	}
+	_, ok := any(&zero).(Sized)
+	return sizing[T]{byPointer: ok}
+}
+
+// of returns the accounted byte size of the element t points to.
+func (s sizing[T]) of(t *T) int64 {
+	switch {
+	case s.byPointer:
+		return int64(any(t).(Sized).SizeBytes())
+	case s.fixed:
+		return defaultElementSize
+	}
+	if sized, ok := any(*t).(Sized); ok {
+		return int64(sized.SizeBytes())
 	}
 	return defaultElementSize
+}
+
+// sum returns the accounted byte size of all of part's elements.
+func (s sizing[T]) sum(part []T) int64 {
+	if s.fixed {
+		return defaultElementSize * int64(len(part))
+	}
+	var n int64
+	for i := range part {
+		n += s.of(&part[i])
+	}
+	return n
 }
 
 // A Dataset is an immutable, partitioned collection of elements, the
@@ -141,18 +186,30 @@ func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 // is the transformation the paper's FilterAndProject operators fuse their
 // Select→Project→Transform steps into (§3.1).
 func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
+	return FlatMapWith(d, func() func(T, func(U)) { return f })
+}
+
+// FlatMapWith is FlatMap for a row function that keeps state: newF is called
+// once per partition attempt and the function it returns is called by that
+// attempt's goroutine only. Whatever the function closes over - a slab its
+// output rows are carved from, scratch slices - therefore needs no lock, and
+// because a retried attempt gets a fresh function, nothing a failed attempt
+// built is reused. JoinWith follows the same contract.
+func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U))) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
 	}
 	env.beginStage("FlatMap", false)
 	out := make([][]U, len(d.parts))
+	sz := sizingOf[U]()
 	env.runParts(len(d.parts), func(p int) {
+		f := newF()
 		var res []U
 		var mem int64
 		emit := func(u U) { res = append(res, u) }
 		if env.governor != nil {
-			emit = func(u U) { res = append(res, u); mem += sizeOf(u) }
+			emit = func(u U) { res = append(res, u); mem += sz.of(&res[len(res)-1]) }
 		}
 		for i, t := range d.parts[p] {
 			if i&cancelCheckMask == cancelCheckMask {
@@ -189,6 +246,7 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 	}
 	env.beginStage("MapPartition", false)
 	out := make([][]U, len(d.parts))
+	sz := sizingOf[U]()
 	env.runParts(len(d.parts), func(p int) {
 		var res []U
 		var mem int64
@@ -204,7 +262,7 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 					return
 				}
 				res = append(res, u)
-				mem += sizeOf(u)
+				mem += sz.of(&res[len(res)-1])
 				if len(res)&cancelCheckMask == 0 {
 					if !env.chargeMem(p, mem) {
 						dead, res = true, nil
@@ -254,11 +312,7 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 		if env.governor != nil {
 			// Only the copying path materializes new memory; the aliasing
 			// fast paths above reuse the input partitions byte for byte.
-			var mem int64
-			for _, t := range merged {
-				mem += sizeOf(t)
-			}
-			if !env.chargeMem(p, mem) {
+			if !env.chargeMem(p, sizingOf[T]().sum(merged)) {
 				return Empty[T](env)
 			}
 		}

@@ -1,5 +1,10 @@
 package dataflow
 
+import (
+	"math"
+	"math/bits"
+)
+
 // JoinHint selects the physical join strategy, mirroring the choice Flink's
 // optimizer makes between repartitioning both inputs and broadcasting the
 // smaller one.
@@ -29,19 +34,27 @@ func Join[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey f
 // output rows on the partition their key hashes to).
 func JoinTagged[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	joiner func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
+	return JoinWith(l, r, lkey, rkey, func() func(L, R, func(U)) { return joiner }, hint, tag)
+}
+
+// JoinWith is JoinTagged for a joiner that keeps state: newJoiner is called
+// once per partition attempt (see FlatMapWith). The key functions stay
+// shared and must stay pure.
+func JoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
+	newJoiner func() func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
 	if mismatch(l.env, r.env, "Join") || l.env.Failed() {
 		return Empty[U](l.env)
 	}
 	switch hint {
 	case BroadcastLeft:
-		return broadcastJoin(l, r, lkey, rkey, joiner)
+		return broadcastJoin(l, r, lkey, rkey, newJoiner)
 	default:
-		return repartitionJoin(l, r, lkey, rkey, joiner, tag)
+		return repartitionJoin(l, r, lkey, rkey, newJoiner, tag)
 	}
 }
 
 func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	joiner func(L, R, func(U)), tag uint64) *Dataset[U] {
+	newJoiner func() func(L, R, func(U)), tag uint64) *Dataset[U] {
 	env := l.env
 	ls := shuffleTagged(l, lkey, tag)
 	rs := shuffleTagged(r, rkey, tag)
@@ -49,7 +62,7 @@ func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uin
 	w := len(ls.parts)
 	out := make([][]U, w)
 	env.runParts(w, func(p int) {
-		res := hashJoinPartition(env, p, ls.parts[p], rs.parts[p], lkey, rkey, joiner)
+		res := hashJoinPartition(env, p, ls.parts[p], rs.parts[p], lkey, rkey, newJoiner())
 		env.traceRowsIn(p, int64(len(ls.parts[p])+len(rs.parts[p])))
 		env.traceRowsOut(p, int64(len(res)))
 		out[p] = res
@@ -58,7 +71,7 @@ func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uin
 }
 
 func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	joiner func(L, R, func(U))) *Dataset[U] {
+	newJoiner func() func(L, R, func(U))) *Dataset[U] {
 	env := l.env
 	build := broadcast(l)
 	env.beginStage("Join", false)
@@ -72,7 +85,7 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 		if env.transport != nil && !env.transport.Owns(p) {
 			return
 		}
-		res := hashJoinPartition(env, p, build, r.parts[p], lkey, rkey, joiner)
+		res := hashJoinPartition(env, p, build, r.parts[p], lkey, rkey, newJoiner())
 		env.traceRowsIn(p, int64(len(build)+len(r.parts[p])))
 		env.traceRowsOut(p, int64(len(res)))
 		out[p] = res
@@ -96,6 +109,7 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 	env.beginStage("CoGroup", false)
 	w := len(ls.parts)
 	out := make([][]U, w)
+	lsz, rsz, usz := sizingOf[L](), sizingOf[R](), sizingOf[U]()
 	env.runParts(w, func(p int) {
 		var mem int64
 		leftGroups := map[uint64][]L{}
@@ -116,7 +130,7 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 			}
 			leftGroups[k] = append(leftGroups[k], lv)
 			if env.governor != nil {
-				mem += sizeOf(lv)
+				mem += lsz.of(&ls.parts[p][i])
 			}
 		}
 		rightGroups := map[uint64][]R{}
@@ -139,13 +153,13 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 			}
 			rightGroups[k] = append(rightGroups[k], rv)
 			if env.governor != nil {
-				mem += sizeOf(rv)
+				mem += rsz.of(&rs.parts[p][i])
 			}
 		}
 		var res []U
 		emit := func(u U) { res = append(res, u) }
 		if env.governor != nil {
-			emit = func(u U) { res = append(res, u); mem += sizeOf(u) }
+			emit = func(u U) { res = append(res, u); mem += usz.of(&res[len(res)-1]) }
 		}
 		for i, k := range order {
 			if i&cancelCheckMask == cancelCheckMask {
@@ -182,15 +196,60 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 	return &Dataset[U]{env: env, parts: out}
 }
 
+// joinTable is the build side of a hash join: for every slot of a
+// power-of-two table the chain of build rows whose key hashes there, kept as
+// indices into the build slice (1-based, 0 ends a chain) - three flat arrays
+// whatever the number of distinct keys. Chains ascend, so a key's rows come
+// out in the order they went in.
+type joinTable struct {
+	keys  []uint64 // key of each build row
+	head  []int32  // per slot: first row of its chain
+	next  []int32  // per build row: the next row of its chain
+	shift uint     // 64 - log2(len(head))
+}
+
+// slot spreads keys by Fibonacci hashing, which takes the high bits of the
+// product. The shuffle in front of a repartition join already fixed
+// mix64(key) modulo the worker count for every key of a partition, so slots
+// must not be taken from those bits.
+func (t *joinTable) slot(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> t.shift }
+
+func newJoinTable(rows int) joinTable {
+	if rows >= math.MaxInt32 {
+		panic("dataflow: join build side exceeds 2^31-1 rows in one partition")
+	}
+	slotBits := 0
+	if rows > 0 {
+		slotBits = bits.Len(uint(2*rows - 1)) // at most half full
+	}
+	return joinTable{
+		keys:  make([]uint64, rows),
+		head:  make([]int32, 1<<slotBits),
+		next:  make([]int32, rows),
+		shift: uint(64 - slotBits),
+	}
+}
+
+// link threads every row into its slot's chain, last row first so that each
+// chain ends up in ascending row order.
+func (t *joinTable) link() {
+	for i := len(t.keys) - 1; i >= 0; i-- {
+		s := t.slot(t.keys[i])
+		t.next[i] = t.head[s]
+		t.head[s] = int32(i + 1)
+	}
+}
+
 // hashJoinPartition builds a hash table over the left side and probes it
 // with the right side. If the build side exceeds the worker's simulated
 // memory budget, the excess — and a proportional share of the probe side —
 // is charged as spill, modelling a grace hash join's partition files.
 func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 	lkey func(L) uint64, rkey func(R) uint64, joiner func(L, R, func(U))) []U {
-	table := make(map[uint64][]L, len(left))
+	table := newJoinTable(len(left))
+	lsz := sizingOf[L]()
 	var buildBytes, buildCharged int64
-	for i, lv := range left {
+	for i := range left {
 		if i&cancelCheckMask == cancelCheckMask {
 			if env.aborted() {
 				return nil
@@ -202,21 +261,18 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 			}
 			buildCharged = buildBytes
 		}
-		k := lkey(lv)
-		table[k] = append(table[k], lv)
-		buildBytes += sizeOf(lv)
+		table.keys[i] = lkey(left[i])
+		buildBytes += lsz.of(&left[i])
 	}
 	if !env.chargeMem(p, buildBytes-buildCharged) {
 		return nil
 	}
+	table.link()
 	if mem := env.cfg.MemoryPerWorker; mem > 0 && buildBytes > mem {
 		// Grace hash join: the overflow fraction of both sides goes to disk
 		// once on write and once on read.
 		overflow := float64(buildBytes-mem) / float64(buildBytes)
-		var probeBytes int64
-		for _, rv := range right {
-			probeBytes += sizeOf(rv)
-		}
+		probeBytes := sizingOf[R]().sum(right)
 		spilled := int64(overflow*float64(buildBytes)) + int64(overflow*float64(probeBytes))
 		env.chargeSpill(p, 2*spilled)
 	}
@@ -224,7 +280,8 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 	var mem int64
 	emit := func(u U) { res = append(res, u) }
 	if env.governor != nil {
-		emit = func(u U) { res = append(res, u); mem += sizeOf(u) }
+		usz := sizingOf[U]()
+		emit = func(u U) { res = append(res, u); mem += usz.of(&res[len(res)-1]) }
 	}
 	// ops counts probes plus emitted pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
@@ -242,7 +299,11 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 			mem = 0
 		}
 		ops++
-		for _, lv := range table[rkey(rv)] {
+		k := rkey(rv)
+		for i := table.head[table.slot(k)]; i != 0; i = table.next[i-1] {
+			if table.keys[i-1] != k {
+				continue
+			}
 			if ops&cancelCheckMask == cancelCheckMask {
 				if env.aborted() {
 					return res
@@ -253,7 +314,7 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 				mem = 0
 			}
 			ops++
-			joiner(lv, rv, emit)
+			joiner(left[i-1], rv, emit)
 		}
 	}
 	if !env.chargeMem(p, mem) {

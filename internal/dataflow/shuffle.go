@@ -1,5 +1,7 @@
 package dataflow
 
+import "sync"
+
 // mix64 is the splitmix64 finalizer, used to spread keys over partitions.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -55,80 +57,149 @@ func shuffleTagged[T any](d *Dataset[T], key func(T) uint64, tag uint64) *Datase
 		}
 		return d
 	}
-	// buckets[src][dst]
-	buckets := make([][][]T, w)
-	moved := make([][]int64, w) // bytes sent from src destined to dst
-	env.runParts(w, func(p int) {
-		b := make([][]T, w)
-		mv := make([]int64, w)
-		for i, t := range d.parts[p] {
-			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
-				return
-			}
-			q := int(mix64(key(t)) % uint64(w))
-			b[q] = append(b[q], t)
-			if q != p {
-				mv[q] += sizeOf(t)
-			}
-		}
-		env.chargeCPU(p, int64(len(d.parts[p])))
-		env.traceRowsIn(p, int64(len(d.parts[p])))
-		buckets[p] = b
-		moved[p] = mv
-	})
-	out, ok := gatherExchange(env, buckets, moved)
+	out, ok := exchange(d, func(_, _ int, t T) int { return int(mix64(key(t)) % uint64(w)) })
 	if !ok {
 		return Empty[T](env)
 	}
 	return &Dataset[T]{env: env, parts: out, partTag: tag}
 }
 
-// gatherExchange concatenates per-source destination buckets into the
-// destination partitions and charges received network bytes. It reports
-// failure (aborted partitions leave nil buckets behind) instead of
-// indexing into them. With a transport installed the concatenation spans
-// processes: remote buckets travel encoded and only owned destinations are
-// assembled (remoteExchange keeps the same source-order concatenation, so
-// the distributed result is bit-identical).
-func gatherExchange[T any](env *Env, buckets [][][]T, moved [][]int64) ([][]T, bool) {
+// route is what the first pass of an exchange records about one source
+// partition: where each element goes, and per destination how many elements
+// and how many accounted bytes. The sender's own destination is sized only
+// under a governor, which charges the whole output; the network model bills
+// what crosses partitions.
+type route struct {
+	dest  []uint32
+	count []int
+	bytes []int64
+}
+
+// exchange moves every element of d to the partition dest names for it
+// (given the element's partition and index there), in two passes. The first,
+// one stage of partition attempts like any other, routes: it records every
+// element's destination and counts and sizes what goes where. With every
+// destination's size known, the second places each element straight into
+// its final position - source partitions in order, elements in source
+// order, the deterministic concatenation every exchange has always
+// produced - so a destination partition is allocated once, at its exact
+// size, and written once; then the received network bytes are charged.
+// exchange reports failure (an aborted attempt leaves its route empty)
+// instead of indexing into it. With a transport installed the exchange spans
+// processes: the elements of each owned source are placed into exactly
+// sized per-destination buckets, remote buckets travel encoded and only
+// owned destinations are assembled (remoteExchange keeps the same
+// source-order concatenation, so the distributed result is bit-identical).
+func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) {
+	env := d.env
+	w := len(d.parts)
+	routes := make([]route, w)
+	sz := sizingOf[T]()
+	env.runParts(w, func(p int) {
+		part := d.parts[p]
+		r := route{dest: make([]uint32, len(part)), count: make([]int, w), bytes: make([]int64, w)}
+		for i := range part {
+			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
+				return
+			}
+			q := dest(p, i, part[i])
+			r.dest[i] = uint32(q)
+			r.count[q]++
+			if q != p || env.governor != nil {
+				r.bytes[q] += sz.of(&part[i])
+			}
+		}
+		env.chargeCPU(p, int64(len(part)))
+		env.traceRowsIn(p, int64(len(part)))
+		routes[p] = r
+	})
 	if env.Failed() {
 		return nil, false
 	}
-	if env.transport != nil {
+
+	// buckets[p][q] is where source p's elements for destination q go: a
+	// window of destination q's partition or, when the buckets are to be
+	// shipped, of one array per source.
+	buckets := make([][][]T, w)
+	var out [][]T
+	if env.transport == nil {
+		out = make([][]T, w)
+		for q := range out {
+			n := 0
+			for p := range routes {
+				n += routes[p].count[q]
+			}
+			out[q] = make([]T, n)
+		}
+	}
+	filled := make([]int, w) // of out[q], as its windows are handed out
+	for p, part := range d.parts {
+		if env.transport != nil && !env.transport.Owns(p) {
+			continue
+		}
+		var flat []T
+		if out == nil {
+			flat = make([]T, len(part))
+		}
+		buckets[p] = make([][]T, w)
+		for q, n := range routes[p].count {
+			if out != nil {
+				buckets[p][q] = out[q][filled[q] : filled[q]+n : filled[q]+n]
+				filled[q] += n
+			} else {
+				buckets[p][q], flat = flat[:n:n], flat[n:]
+			}
+		}
+	}
+	placeAll(d.parts, routes, buckets)
+	if out == nil {
 		return remoteExchange(env, buckets)
 	}
-	w := len(buckets)
-	out := make([][]T, w)
-	for q := 0; q < w; q++ {
-		var n int
-		var bytes int64
-		for p := 0; p < w; p++ {
-			n += len(buckets[p][q])
-			bytes += moved[p][q]
-		}
-		part := make([]T, 0, n)
-		for p := 0; p < w; p++ {
-			part = append(part, buckets[p][q]...)
-		}
-		if env.governor != nil {
-			// The destination partition is a fresh materialization of the
-			// whole exchange output (the send-side buckets are transient), so
-			// it is charged in full — not just the cross-partition share the
-			// network model bills. Partition granularity is enough here: a
-			// shuffle's output can never exceed its input.
-			var mem int64
-			for _, t := range part {
-				mem += sizeOf(t)
-			}
-			if !env.chargeMem(q, mem) {
-				return nil, false
+	for q := range out {
+		var net, mem int64
+		for p := range routes {
+			mem += routes[p].bytes[q]
+			if p != q {
+				net += routes[p].bytes[q]
 			}
 		}
-		out[q] = part
-		env.chargeNet(q, bytes)
-		env.traceRowsOut(q, int64(n))
+		// The destination partition is a fresh materialization of the whole
+		// exchange output, so it is charged in full - not just the
+		// cross-partition share the network model bills. Partition
+		// granularity is enough here: a shuffle's output can never exceed its
+		// input.
+		if !env.chargeMem(q, mem) {
+			return nil, false
+		}
+		env.chargeNet(q, net)
+		env.traceRowsOut(q, int64(len(out[q])))
 	}
 	return out, true
+}
+
+// placeAll copies every element into its bucket, one goroutine per source
+// partition. The windows are disjoint, so the writers share nothing; the
+// loop is a copy that calls no user code and cannot fail, which is why it
+// runs outside runParts (it is not a stage, and a fault plan must not see
+// it as a second attempt of one).
+func placeAll[T any](parts [][]T, routes []route, buckets [][][]T) {
+	var wg sync.WaitGroup
+	for p := range parts {
+		if buckets[p] == nil || len(parts[p]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(part []T, dest []uint32, bucket [][]T) {
+			defer wg.Done()
+			next := make([]int, len(bucket))
+			for i := range part {
+				q := dest[i]
+				bucket[q][next[q]] = part[i]
+				next[q]++
+			}
+		}(parts[p], routes[p].dest, buckets[p])
+	}
+	wg.Wait()
 }
 
 // Rebalance redistributes elements round-robin so all partitions have equal
@@ -161,27 +232,7 @@ func Rebalance[T any](d *Dataset[T]) *Dataset[T] {
 		offs[p] = total
 		total += int(counts[p])
 	}
-	buckets := make([][][]T, w)
-	moved := make([][]int64, w)
-	env.runParts(w, func(p int) {
-		b := make([][]T, w)
-		mv := make([]int64, w)
-		for i, t := range d.parts[p] {
-			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
-				return
-			}
-			q := (offs[p] + i) % w
-			b[q] = append(b[q], t)
-			if q != p {
-				mv[q] += sizeOf(t)
-			}
-		}
-		env.chargeCPU(p, int64(len(d.parts[p])))
-		env.traceRowsIn(p, int64(len(d.parts[p])))
-		buckets[p] = b
-		moved[p] = mv
-	})
-	out, ok := gatherExchange(env, buckets, moved)
+	out, ok := exchange(d, func(p, i int, _ T) int { return (offs[p] + i) % w })
 	if !ok {
 		return Empty[T](env)
 	}
@@ -214,10 +265,7 @@ func broadcast[T any](d *Dataset[T]) []T {
 	} else {
 		all = d.Collect()
 	}
-	var bytes int64
-	for _, t := range all {
-		bytes += sizeOf(t)
-	}
+	bytes := sizingOf[T]().sum(all)
 	// One replica is what this process actually materializes (the slice is
 	// shared by every partition goroutine), so one replica is what the
 	// governor charges — the per-worker fan-out below is network cost only.

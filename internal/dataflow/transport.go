@@ -66,6 +66,18 @@ type WireDecoder interface {
 	DecodeWireInto(b []byte) ([]byte, error)
 }
 
+// WireArenaDecoder is implemented, next to WireDecoder, by element types
+// whose decoded form owns byte storage. decodeBucket hands their elements
+// one arena as long as the bucket's wire bytes: each carves the bytes it
+// keeps off the front, capacity-clipped so that neighbours cannot reach one
+// another, and returns the rest (falling back to an allocation of its own
+// should the arena run out). A bucket then costs one allocation for all of
+// its elements' bytes, and the elements still never alias the receive
+// buffer, which the transport reuses.
+type WireArenaDecoder interface {
+	DecodeWireArena(b, arena []byte) (rest, arenaRest []byte, err error)
+}
+
 // encodeBucket encodes one bucket as a uint32 count followed by each
 // element's wire form.
 func encodeBucket[T any](bucket []T) ([]byte, error) {
@@ -96,16 +108,23 @@ func decodeBucket[T any](b []byte) ([]T, error) {
 		return nil, fmt.Errorf("dataflow: bucket count %d exceeds payload (%d bytes)", n, len(b))
 	}
 	out := make([]T, n)
+	var arena []byte
+	if _, ok := any(&out[0]).(WireArenaDecoder); ok {
+		arena = make([]byte, len(b))
+	}
 	for i := range out {
-		dec, ok := any(&out[i]).(WireDecoder)
-		if !ok {
+		var err error
+		switch dec := any(&out[i]).(type) {
+		case WireArenaDecoder:
+			b, arena, err = dec.DecodeWireArena(b, arena)
+		case WireDecoder:
+			b, err = dec.DecodeWireInto(b)
+		default:
 			return nil, fmt.Errorf("dataflow: element type %T is not wire-decodable for a remote exchange", out[i])
 		}
-		rest, err := dec.DecodeWireInto(b)
 		if err != nil {
 			return nil, fmt.Errorf("dataflow: bucket element %d/%d: %w", i, n, err)
 		}
-		b = rest
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("dataflow: bucket has %d trailing bytes", len(b))
@@ -113,7 +132,7 @@ func decodeBucket[T any](b []byte) ([]T, error) {
 	return out, nil
 }
 
-// remoteExchange is gatherExchange's distributed path: owned buckets are
+// remoteExchange is exchange's distributed path: owned buckets are
 // encoded and handed to the transport, remote buckets arrive encoded, and
 // each owned destination partition is assembled in source-partition order —
 // the same concatenation order as the in-process path, which is what makes
@@ -156,6 +175,7 @@ func remoteExchange[T any](env *Env, buckets [][][]T) ([][]T, bool) {
 		return nil, false
 	}
 	out := make([][]T, w)
+	sz := sizingOf[T]()
 	for q := 0; q < w; q++ {
 		if !t.Owns(q) {
 			continue
@@ -175,9 +195,7 @@ func remoteExchange[T any](env *Env, buckets [][][]T) ([][]T, bool) {
 				}
 			}
 			if p != q {
-				for _, e := range bucket {
-					bytes += sizeOf(e)
-				}
+				bytes += sz.sum(bucket)
 			}
 			parts[p] = bucket
 			n += len(bucket)
@@ -186,14 +204,8 @@ func remoteExchange[T any](env *Env, buckets [][][]T) ([][]T, bool) {
 		for p := 0; p < w; p++ {
 			part = append(part, parts[p]...)
 		}
-		if env.governor != nil {
-			var mem int64
-			for _, e := range part {
-				mem += sizeOf(e)
-			}
-			if !env.chargeMem(q, mem) {
-				return nil, false
-			}
+		if env.governor != nil && !env.chargeMem(q, sz.sum(part)) {
+			return nil, false
 		}
 		out[q] = part
 		env.chargeNet(q, bytes)

@@ -6,6 +6,15 @@
 // projections. Embeddings are the elements shuffled between workers, so the
 // encoding doubles as the wire format and the engine's byte accounting is
 // exact.
+//
+// A row is one contiguous buffer: a fixed prefix with the lengths of idData
+// and pathData, then the three arrays back to back. Id columns are
+// fixed-width, so column access is constant time; property access "walks the
+// length information of the preceding entries" as in the paper, which here
+// means stepping over each preceding value by its encoded size — nothing in
+// front of the wanted value is decoded. The operators carve row buffers from
+// a Slab owned by one partition attempt (see Slab); the methods on Embedding
+// are the same routines without one, one allocation per row.
 package embedding
 
 import (
@@ -27,141 +36,191 @@ const (
 // 8-byte identifier or offset, giving constant-time column access.
 const entrySize = 9
 
+// prefixSize is the width of a row buffer's prefix: the idData length and
+// the pathData length, each a big-endian uint32. propData takes the rest of
+// the buffer. The prefix is bookkeeping of the in-memory layout only: it is
+// neither accounted (SizeBytes) nor shipped (AppendWire).
+const prefixSize = 8
+
 // Embedding is one row of a pattern-matching intermediate result. The zero
 // value is an empty embedding ready for appends. Embeddings have value
-// semantics: operations that grow an embedding return a new one and never
-// mutate shared backing arrays in place.
+// semantics: a row is never changed once built, operations that grow one
+// return a new one, and a row's buffer has no spare capacity, so nothing
+// appended to one row can reach the bytes of another.
 type Embedding struct {
-	idData   []byte
-	pathData []byte
-	propData []byte
+	buf []byte // prefix | idData | pathData | propData; nil when empty
+}
+
+// lens returns the lengths of idData and pathData.
+func (e Embedding) lens() (id, path int) {
+	if len(e.buf) == 0 {
+		return 0, 0
+	}
+	return int(binary.BigEndian.Uint32(e.buf)), int(binary.BigEndian.Uint32(e.buf[4:]))
+}
+
+// arrays returns the three arrays as views of the buffer.
+func (e Embedding) arrays() (idData, pathData, propData []byte) {
+	if len(e.buf) == 0 {
+		return nil, nil, nil
+	}
+	id, path := e.lens()
+	body := e.buf[prefixSize:]
+	return body[:id], body[id : id+path], body[id+path:]
+}
+
+// idData is behind every column access and reads only its own length.
+func (e Embedding) idData() []byte {
+	if len(e.buf) == 0 {
+		return nil
+	}
+	return e.buf[prefixSize : prefixSize+int(binary.BigEndian.Uint32(e.buf))]
+}
+
+func (e Embedding) pathData() []byte {
+	_, pathData, _ := e.arrays()
+	return pathData
+}
+
+func (e Embedding) propData() []byte {
+	_, _, propData := e.arrays()
+	return propData
+}
+
+// entry returns column i's flag and 8-byte payload.
+func (e Embedding) entry(i int) (flag byte, payload uint64) {
+	ent := e.idData()[i*entrySize : (i+1)*entrySize]
+	return ent[0], binary.BigEndian.Uint64(ent[1:])
 }
 
 // Columns returns the number of idData entries.
-func (e Embedding) Columns() int { return len(e.idData) / entrySize }
+func (e Embedding) Columns() int {
+	id, _ := e.lens()
+	return id / entrySize
+}
 
 // IsPath reports whether column i holds a variable-length path rather than
 // a single identifier.
-func (e Embedding) IsPath(i int) bool { return e.idData[i*entrySize] == flagPath }
+func (e Embedding) IsPath(i int) bool { return e.idData()[i*entrySize] == flagPath }
 
 // IsNullAt reports whether column i holds no binding (an unmatched
 // OPTIONAL MATCH variable).
-func (e Embedding) IsNullAt(i int) bool { return e.idData[i*entrySize] == flagNull }
+func (e Embedding) IsNullAt(i int) bool { return e.idData()[i*entrySize] == flagNull }
 
 // ID returns the graph element identifier at column i. It panics if the
 // column holds a path; callers consult the metadata first.
 func (e Embedding) ID(i int) epgm.ID {
-	off := i * entrySize
-	if e.idData[off] == flagPath {
+	flag, payload := e.entry(i)
+	if flag == flagPath {
 		panic(fmt.Sprintf("embedding: column %d holds a path, not an id", i))
 	}
-	return epgm.ID(binary.BigEndian.Uint64(e.idData[off+1 : off+entrySize]))
+	return epgm.ID(payload)
+}
+
+// path returns the encoded identifiers (8 bytes each) of the path at
+// column i.
+func (e Embedding) path(i int) []byte {
+	flag, p := e.entry(i)
+	if flag != flagPath {
+		panic(fmt.Sprintf("embedding: column %d holds an id, not a path", i))
+	}
+	paths := e.pathData()[p:]
+	n := int(binary.BigEndian.Uint32(paths))
+	return paths[4 : 4+8*n]
 }
 
 // Path returns the identifier list of the path at column i: the alternating
 // edge and vertex identifiers between the path's endpoints (the paper's
 // "via" field). It panics if the column holds a plain id.
 func (e Embedding) Path(i int) []epgm.ID {
-	off := i * entrySize
-	if e.idData[off] != flagPath {
-		panic(fmt.Sprintf("embedding: column %d holds an id, not a path", i))
-	}
-	p := int(binary.BigEndian.Uint64(e.idData[off+1 : off+entrySize]))
-	n := int(binary.BigEndian.Uint32(e.pathData[p : p+4]))
-	ids := make([]epgm.ID, n)
-	for j := 0; j < n; j++ {
-		ids[j] = epgm.ID(binary.BigEndian.Uint64(e.pathData[p+4+8*j:]))
+	enc := e.path(i)
+	ids := make([]epgm.ID, len(enc)/8)
+	for j := range ids {
+		ids[j] = epgm.ID(binary.BigEndian.Uint64(enc[8*j:]))
 	}
 	return ids
 }
 
 // PathLen returns the number of identifiers in the path at column i without
 // materializing them.
-func (e Embedding) PathLen(i int) int {
-	off := i * entrySize
-	p := int(binary.BigEndian.Uint64(e.idData[off+1 : off+entrySize]))
-	return int(binary.BigEndian.Uint32(e.pathData[p : p+4]))
+func (e Embedding) PathLen(i int) int { return len(e.path(i)) / 8 }
+
+// PathID returns the j-th identifier of the path at column i, so that a
+// caller can walk a path in place.
+func (e Embedding) PathID(i, j int) epgm.ID {
+	return epgm.ID(binary.BigEndian.Uint64(e.path(i)[8*j:]))
 }
 
 // PropCount returns the number of property values stored in propData.
 func (e Embedding) PropCount() int {
-	n, off := 0, 0
-	for off < len(e.propData) {
-		_, sz, err := epgm.DecodePropertyValue(e.propData[off:])
+	props := e.propData()
+	n := 0
+	for len(props) > 0 {
+		sz, err := epgm.EncodedValueSize(props)
 		if err != nil {
 			panic("embedding: corrupt propData: " + err.Error())
 		}
-		off += sz
+		props = props[sz:]
 		n++
 	}
 	return n
 }
 
-// Prop returns the property value at property column i. As in the paper,
-// access walks the length information of the preceding entries.
-func (e Embedding) Prop(i int) epgm.PropertyValue {
-	off := 0
+// prop returns the encoded bytes of the property value at property column
+// i, found by stepping over the values in front of it.
+func (e Embedding) prop(i int) []byte {
+	props := e.propData()
 	for j := 0; ; j++ {
-		v, sz, err := epgm.DecodePropertyValue(e.propData[off:])
+		sz, err := epgm.EncodedValueSize(props)
 		if err != nil {
 			panic(fmt.Sprintf("embedding: property column %d out of range: %v", i, err))
 		}
 		if j == i {
-			return v
+			return props[:sz]
 		}
-		off += sz
+		props = props[sz:]
 	}
 }
 
-// SizeBytes implements dataflow.Sized with the exact wire size.
-func (e Embedding) SizeBytes() int { return len(e.idData) + len(e.pathData) + len(e.propData) }
+// Prop returns the property value at property column i. As in the paper,
+// access walks the length information of the preceding entries; only the
+// value asked for is decoded.
+func (e Embedding) Prop(i int) epgm.PropertyValue {
+	v, _, err := epgm.DecodePropertyValue(e.prop(i))
+	if err != nil {
+		panic(fmt.Sprintf("embedding: property column %d: %v", i, err))
+	}
+	return v
+}
+
+// SizeBytes implements dataflow.Sized with the exact wire size: the three
+// arrays, without the buffer's prefix.
+func (e Embedding) SizeBytes() int { return max(len(e.buf)-prefixSize, 0) }
 
 // AppendID returns a copy of e with an identifier column appended.
 func (e Embedding) AppendID(id epgm.ID) Embedding {
-	idData := make([]byte, len(e.idData), len(e.idData)+entrySize)
-	copy(idData, e.idData)
-	idData = append(idData, flagID)
-	idData = binary.BigEndian.AppendUint64(idData, uint64(id))
-	return Embedding{idData: idData, pathData: e.pathData, propData: e.propData}
+	row, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
+	putEntry(row.buf[idAt:], flagID, uint64(id))
+	return row
 }
 
 // AppendNull returns a copy of e with an unbound column appended.
 func (e Embedding) AppendNull() Embedding {
-	idData := make([]byte, len(e.idData), len(e.idData)+entrySize)
-	copy(idData, e.idData)
-	idData = append(idData, flagNull)
-	idData = binary.BigEndian.AppendUint64(idData, 0)
-	return Embedding{idData: idData, pathData: e.pathData, propData: e.propData}
+	row, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
+	putEntry(row.buf[idAt:], flagNull, 0)
+	return row
 }
 
 // AppendPath returns a copy of e with a path column appended.
 func (e Embedding) AppendPath(ids []epgm.ID) Embedding {
-	idData := make([]byte, len(e.idData), len(e.idData)+entrySize)
-	copy(idData, e.idData)
-	idData = append(idData, flagPath)
-	idData = binary.BigEndian.AppendUint64(idData, uint64(len(e.pathData)))
-
-	pathData := make([]byte, len(e.pathData), len(e.pathData)+4+8*len(ids))
-	copy(pathData, e.pathData)
-	pathData = binary.BigEndian.AppendUint32(pathData, uint32(len(ids)))
-	for _, id := range ids {
-		pathData = binary.BigEndian.AppendUint64(pathData, uint64(id))
-	}
-	return Embedding{idData: idData, pathData: pathData, propData: e.propData}
+	return (*Slab)(nil).AppendPath(e, ids, 0, false)
 }
 
 // AppendProps returns a copy of e with property values appended to propData.
 func (e Embedding) AppendProps(values ...epgm.PropertyValue) Embedding {
-	sz := 0
-	for _, v := range values {
-		sz += v.EncodedSize()
-	}
-	propData := make([]byte, len(e.propData), len(e.propData)+sz)
-	copy(propData, e.propData)
-	for _, v := range values {
-		propData = v.Encode(propData)
-	}
-	return Embedding{idData: e.idData, pathData: e.pathData, propData: propData}
+	row, _, _, propAt := (*Slab)(nil).extend(e, 0, 0, encodedSize(values))
+	encodeProps(row.buf, propAt, values)
+	return row
 }
 
 // Merge combines two embeddings after a join: all of o's columns except the
@@ -171,59 +230,14 @@ func (e Embedding) AppendProps(values ...epgm.PropertyValue) Embedding {
 // ascending. Merging is append-only for ids and properties, exactly as the
 // paper describes; only o's path offsets need adjustment.
 func (e Embedding) Merge(o Embedding, dropColumns []int) Embedding {
-	keep := o.Columns() - len(dropColumns)
-	idData := make([]byte, len(e.idData), len(e.idData)+keep*entrySize)
-	copy(idData, e.idData)
-	pathData := make([]byte, len(e.pathData), len(e.pathData)+len(o.pathData))
-	copy(pathData, e.pathData)
-	pathBase := uint64(len(e.pathData))
-	pathData = append(pathData, o.pathData...)
-
-	di := 0
-	for c := 0; c < o.Columns(); c++ {
-		if di < len(dropColumns) && dropColumns[di] == c {
-			di++
-			continue
-		}
-		off := c * entrySize
-		flag := o.idData[off]
-		payload := binary.BigEndian.Uint64(o.idData[off+1 : off+entrySize])
-		if flag == flagPath {
-			payload += pathBase
-		}
-		idData = append(idData, flag)
-		idData = binary.BigEndian.AppendUint64(idData, payload)
-	}
-
-	propData := make([]byte, len(e.propData), len(e.propData)+len(o.propData))
-	copy(propData, e.propData)
-	propData = append(propData, o.propData...)
-	return Embedding{idData: idData, pathData: pathData, propData: propData}
+	return (*Slab)(nil).Merge(e, o, dropColumns)
 }
 
 // Project returns an embedding that keeps only the given id columns (in the
 // given order) and property columns. It is the physical counterpart of
 // ProjectEmbeddings.
 func (e Embedding) Project(idColumns []int, propColumns []int) Embedding {
-	var out Embedding
-	for _, c := range idColumns {
-		switch {
-		case e.IsNullAt(c):
-			out = out.AppendNull()
-		case e.IsPath(c):
-			out = out.AppendPath(e.Path(c))
-		default:
-			out = out.AppendID(e.ID(c))
-		}
-	}
-	if len(propColumns) > 0 {
-		values := make([]epgm.PropertyValue, len(propColumns))
-		for i, pc := range propColumns {
-			values[i] = e.Prop(pc)
-		}
-		out = out.AppendProps(values...)
-	}
-	return out
+	return (*Slab)(nil).Project(e, idColumns, propColumns)
 }
 
 // IDsAt returns the identifiers at the given columns. Path columns

@@ -1,0 +1,209 @@
+package embedding
+
+import (
+	"encoding/binary"
+
+	"gradoop/internal/epgm"
+)
+
+// Slab chunk sizes in bytes. A slab starts small, because most partitions of
+// a selective query build a handful of rows, and doubles up to a size at
+// which one chunk per few hundred rows makes the allocator's share
+// negligible while a chunk kept alive by a single surviving row stays cheap.
+const (
+	minChunk = 1 << 10
+	maxChunk = 64 << 10
+)
+
+// chunks carves runs of T off the front of a chunk and allocates a new chunk
+// when the current one runs out. Chunks are never written again or handed
+// out twice, so a run is zeroed, and every run is clipped to its own length
+// (cap == len): an append to one reallocates instead of writing into its
+// neighbour.
+type chunks[T any] struct {
+	free []T // what is left of the current chunk
+	next int // size of the chunk to allocate next
+}
+
+// alloc returns n zeroed elements with cap == len, from chunks that double
+// from lo to hi elements.
+func (c *chunks[T]) alloc(n, lo, hi int) []T {
+	if n > hi/4 {
+		return make([]T, n)
+	}
+	if n > len(c.free) {
+		size := max(c.next, lo)
+		for size < 4*n {
+			size *= 2
+		}
+		c.free = make([]T, size)
+		c.next = min(2*size, hi)
+	}
+	run := c.free[:n:n]
+	c.free = c.free[n:]
+	return run
+}
+
+// A Slab hands out the buffers of the rows one partition attempt builds, and
+// the identifier lists that go with them, so that a row costs a pointer
+// bump, not a trip to the allocator.
+//
+// A row is immutable once built, and with no spare capacity behind its
+// buffer an append to one row reallocates instead of writing into its
+// neighbour in the chunk.
+//
+// A slab belongs to one goroutine - the dataflow engine creates a row
+// function's state once per partition attempt, so a retried attempt starts
+// on a slab of its own and nothing a failed attempt built is reused. The
+// slab keeps no list of its chunks: a chunk lives exactly as long as some
+// row carved from it is reachable, which also means a consumer that keeps
+// one row in a hundred keeps the whole chunk.
+//
+// The row-building methods accept a nil *Slab and then allocate each buffer
+// on its own; that is what the value-semantic methods on Embedding do.
+type Slab struct {
+	rows chunks[byte]
+	ids  chunks[epgm.ID]
+}
+
+// alloc returns n zeroed bytes with cap == len.
+func (s *Slab) alloc(n int) []byte {
+	if s == nil {
+		return make([]byte, n)
+	}
+	return s.rows.alloc(n, minChunk, maxChunk)
+}
+
+// IDs returns a zeroed list of n identifiers with cap == len - the via list
+// of a path state, written once when the state is built.
+func (s *Slab) IDs(n int) []epgm.ID {
+	return s.ids.alloc(n, minChunk/8, maxChunk/8)
+}
+
+func putEntry(dst []byte, flag byte, payload uint64) {
+	dst[0] = flag
+	binary.BigEndian.PutUint64(dst[1:entrySize], payload)
+}
+
+// extend starts a row that holds e's three arrays grown by addID, addPath
+// and addProp bytes: it returns the new row with e's arrays copied to the
+// front of their sections and the prefix set, plus the offsets in its buffer
+// at which the added bytes of each section go.
+func (s *Slab) extend(e Embedding, addID, addPath, addProp int) (row Embedding, idAt, pathAt, propAt int) {
+	idData, pathData, propData := e.arrays()
+	id, path, prop := len(idData)+addID, len(pathData)+addPath, len(propData)+addProp
+	if id+path+prop == 0 {
+		return Embedding{}, 0, 0, 0
+	}
+	buf := s.alloc(prefixSize + id + path + prop)
+	binary.BigEndian.PutUint32(buf, uint32(id))
+	binary.BigEndian.PutUint32(buf[4:], uint32(path))
+	idAt = prefixSize + copy(buf[prefixSize:], idData)
+	pathAt = prefixSize + id + copy(buf[prefixSize+id:], pathData)
+	propAt = prefixSize + id + path + copy(buf[prefixSize+id+path:], propData)
+	return Embedding{buf: buf}, idAt, pathAt, propAt
+}
+
+// Row builds a row of plain identifier columns and property values in one
+// write - what the leaf operators emit.
+func (s *Slab) Row(ids []epgm.ID, props []epgm.PropertyValue) Embedding {
+	row, idAt, _, propAt := s.extend(Embedding{}, len(ids)*entrySize, 0, encodedSize(props))
+	for i, id := range ids {
+		putEntry(row.buf[idAt+i*entrySize:], flagID, uint64(id))
+	}
+	encodeProps(row.buf, propAt, props)
+	return row
+}
+
+func encodedSize(values []epgm.PropertyValue) int {
+	n := 0
+	for _, v := range values {
+		n += v.EncodedSize()
+	}
+	return n
+}
+
+// encodeProps writes values into buf from offset at on; the room is there.
+func encodeProps(buf []byte, at int, values []epgm.PropertyValue) {
+	dst := buf[:at]
+	for _, v := range values {
+		dst = v.Encode(dst)
+	}
+}
+
+// AppendPath returns e with a path column appended and, when bindEnd is
+// set, an identifier column for end after it - the far endpoint a
+// variable-length expansion binds together with its path, in the same write.
+func (s *Slab) AppendPath(e Embedding, path []epgm.ID, end epgm.ID, bindEnd bool) Embedding {
+	_, pathLen := e.lens()
+	idBytes := entrySize
+	if bindEnd {
+		idBytes += entrySize
+	}
+	row, idAt, pathAt, _ := s.extend(e, idBytes, 4+8*len(path), 0)
+	putEntry(row.buf[idAt:], flagPath, uint64(pathLen))
+	if bindEnd {
+		putEntry(row.buf[idAt+entrySize:], flagID, uint64(end))
+	}
+	binary.BigEndian.PutUint32(row.buf[pathAt:], uint32(len(path)))
+	for i, id := range path {
+		binary.BigEndian.PutUint64(row.buf[pathAt+4+8*i:], uint64(id))
+	}
+	return row
+}
+
+// Merge is Embedding.Merge: l, then r's columns other than dropColumns,
+// r's path offsets rebased, then both property lists.
+func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {
+	rIDs, rPaths, rProps := r.arrays()
+	_, pathBase := l.lens()
+	row, idAt, pathAt, propAt := s.extend(l, len(rIDs)-len(dropColumns)*entrySize, len(rPaths), len(rProps))
+	copy(row.buf[pathAt:], rPaths)
+	copy(row.buf[propAt:], rProps)
+	di := 0
+	for c := 0; c*entrySize < len(rIDs); c++ {
+		if di < len(dropColumns) && dropColumns[di] == c {
+			di++
+			continue
+		}
+		ent := rIDs[c*entrySize : (c+1)*entrySize]
+		payload := binary.BigEndian.Uint64(ent[1:])
+		if ent[0] == flagPath {
+			payload += uint64(pathBase)
+		}
+		putEntry(row.buf[idAt:], ent[0], payload)
+		idAt += entrySize
+	}
+	return row
+}
+
+// Project is Embedding.Project: the given id columns, in the given order,
+// and the given property columns, sized first and then written once.
+func (s *Slab) Project(e Embedding, idColumns, propColumns []int) Embedding {
+	pathLen, propLen := 0, 0
+	for _, c := range idColumns {
+		if e.IsPath(c) {
+			pathLen += 4 + len(e.path(c))
+		}
+	}
+	for _, pc := range propColumns {
+		propLen += len(e.prop(pc))
+	}
+	row, idAt, pathAt, propAt := s.extend(Embedding{}, len(idColumns)*entrySize, pathLen, propLen)
+	pathStart := pathAt
+	for _, c := range idColumns {
+		flag, payload := e.entry(c)
+		if flag == flagPath {
+			enc := e.path(c)
+			payload = uint64(pathAt - pathStart)
+			binary.BigEndian.PutUint32(row.buf[pathAt:], uint32(len(enc)/8))
+			pathAt += 4 + copy(row.buf[pathAt+4:], enc)
+		}
+		putEntry(row.buf[idAt:], flag, payload)
+		idAt += entrySize
+	}
+	for _, pc := range propColumns {
+		propAt += copy(row.buf[propAt:], e.prop(pc))
+	}
+	return row
+}

@@ -248,6 +248,35 @@ func (v PropertyValue) Encode(dst []byte) []byte {
 	return dst
 }
 
+// EncodedValueSize returns the number of bytes the encoded value at the
+// start of b occupies, without decoding it - what lets an embedding step
+// over the property values in front of the one it wants.
+func EncodedValueSize(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("epgm: decode property value: empty input")
+	}
+	n := 0
+	switch t := PropertyType(b[0]); t {
+	case TypeNull:
+		n = 1
+	case TypeBool:
+		n = 2
+	case TypeInt64, TypeFloat64:
+		n = 9
+	case TypeString:
+		if len(b) < 5 {
+			return 0, fmt.Errorf("epgm: decode string: truncated header")
+		}
+		n = 5 + int(binary.BigEndian.Uint32(b[1:5]))
+	default:
+		return 0, fmt.Errorf("epgm: decode property value: unknown type %d", b[0])
+	}
+	if len(b) < n {
+		return 0, fmt.Errorf("epgm: decode %s: truncated (want %d bytes)", PropertyType(b[0]), n)
+	}
+	return n, nil
+}
+
 // DecodePropertyValue reads one encoded value from b and returns it with
 // the number of bytes consumed.
 func DecodePropertyValue(b []byte) (PropertyValue, int, error) {

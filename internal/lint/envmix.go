@@ -8,7 +8,7 @@ import (
 )
 
 // EnvMixAnalyzer flags binary dataflow transformations (Union, Join,
-// JoinTagged, CoGroup) whose operands provably come from different
+// JoinTagged, JoinWith, CoGroup) whose operands provably come from different
 // execution environments — two distinct NewEnv/NewEnvContext call sites
 // flowing into one combination. The engine catches this at runtime with
 // ErrEnvMismatch and fails the job; envmix catches the same class at
@@ -27,6 +27,7 @@ var binaryDataflowFuncs = map[string][2]int{
 	"Union":      {0, 1},
 	"Join":       {0, 1},
 	"JoinTagged": {0, 1},
+	"JoinWith":   {0, 1},
 	"CoGroup":    {0, 1},
 }
 
@@ -41,12 +42,12 @@ var datasetSourceFuncs = map[string]bool{
 // datasetDeriveFuncs derive a dataset from the dataset passed as the first
 // argument, preserving its environment.
 var datasetDeriveFuncs = map[string]bool{
-	"Map": true, "Filter": true, "FlatMap": true, "MapPartition": true,
+	"Map": true, "Filter": true, "FlatMap": true, "FlatMapWith": true, "MapPartition": true,
 	"Rebalance": true, "PartitionByKey": true, "DistinctBy": true,
 	"Distinct": true, "ReduceByKey": true, "CountByKey": true,
 	"GroupBy": true, "BulkIteration": true,
 	// The binary ops derive from their left operand.
-	"Union": true, "Join": true, "JoinTagged": true, "CoGroup": true,
+	"Union": true, "Join": true, "JoinTagged": true, "JoinWith": true, "CoGroup": true,
 }
 
 func runEnvMix(pass *analysis.Pass) (any, error) {

@@ -30,6 +30,11 @@ var PartitionCaptureAnalyzer = &analysis.Analyzer{
 var udfFuncs = map[string]bool{
 	"Map": true, "Filter": true, "FlatMap": true, "MapPartition": true,
 	"Join": true, "JoinTagged": true, "CoGroup": true, "GroupBy": true,
+	// The With variants take a factory that runs once per partition attempt.
+	// What the factory declares is that attempt's own state and may be
+	// written by the function it returns; what it captures is as shared as
+	// for any other UDF.
+	"FlatMapWith": true, "JoinWith": true,
 	"ReduceByKey": true, "CountByKey": true, "DistinctBy": true,
 	"PartitionByKey": true,
 	// BulkIteration is deliberately absent: its body runs once per superstep

@@ -74,3 +74,30 @@ func atomicCounter(d *dataflow.Dataset[int]) {
 	})
 	_ = n.Load()
 }
+
+// perAttemptState is what the With variants exist for: the factory runs
+// once per partition attempt, so state it declares belongs to one goroutine
+// and the row function may write it.
+func perAttemptState(d *dataflow.Dataset[int]) {
+	dataflow.FlatMapWith(d, func() func(int, func(int)) {
+		seen := 0
+		return func(v int, emit func(int)) {
+			seen++
+			emit(v + seen)
+		}
+	})
+}
+
+// sharedThroughFactory captures a variable from outside the factory; every
+// attempt's row function writes the same one.
+func sharedThroughFactory(l, r *dataflow.Dataset[int]) {
+	pairs := 0
+	key := func(v int) uint64 { return uint64(v) }
+	dataflow.JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+		return func(x, y int, emit func(int)) {
+			pairs++ // want `UDF passed to dataflow\.JoinWith writes captured variable "pairs"`
+			emit(x + y)
+		}
+	}, dataflow.RepartitionHash, 0)
+	_ = pairs
+}

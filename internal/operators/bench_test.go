@@ -1,0 +1,149 @@
+package operators
+
+import (
+	"runtime"
+	"testing"
+
+	"gradoop/internal/cypher"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
+)
+
+// Allocation kernels on embedding-shaped rows (make alloc-guard): each runs
+// one engine step over benchRows rows on four partitions and reports heap
+// allocations per input row. The hot path carves rows from per-partition
+// slabs and sizes, routes and joins them without boxing, so what is left
+// per step is a fixed handful per partition (slab chunks, the output
+// slices, the join table's three arrays) - hundredths of an allocation per
+// row. The Makefile holds the thresholds.
+
+const benchRows = 20_000
+
+// reportAllocsPerRow runs step b.N times and reports mallocs per input row.
+func reportAllocsPerRow(b *testing.B, rows int, step func()) {
+	b.Helper()
+	step() // warm-up: lazily built metadata is not the step's cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(rows), "allocs/row")
+}
+
+// benchGraph is a ring of persons with two chords each: every vertex has
+// three outgoing knows edges, enough fan-out for joins and hops to emit.
+func benchGraph(env *dataflow.Env, n int) (*dataflow.Dataset[epgm.Vertex], *dataflow.Dataset[epgm.Edge]) {
+	vs := make([]epgm.Vertex, n)
+	for i := range vs {
+		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person", Properties: epgm.Properties{}.
+			Set("firstName", epgm.PVString("Alice")).Set("birthday", epgm.PVInt(int64(1980+i%30)))}
+	}
+	es := make([]epgm.Edge, 0, 3*n)
+	for i := range vs {
+		for _, hop := range []int{1, 7, 31} {
+			es = append(es, epgm.Edge{ID: epgm.ID(1_000_000 + len(es)), Label: "knows",
+				Source: vs[i].ID, Target: vs[(i+hop)%n].ID,
+				Properties: epgm.Properties{}.Set("since", epgm.PVInt(int64(2000+i%20)))})
+		}
+	}
+	return dataflow.FromSlice(env, vs), dataflow.FromSlice(env, es)
+}
+
+// materialized is an operator over rows computed beforehand, so that a
+// kernel measures its own step and not the leaves under it.
+type materialized struct {
+	rows *dataflow.Dataset[embedding.Embedding]
+	meta *embedding.Meta
+}
+
+func materialize(op Operator) materialized { return materialized{rows: op.Evaluate(), meta: op.Meta()} }
+
+func (m materialized) Evaluate() *dataflow.Dataset[embedding.Embedding] { return m.rows }
+func (m materialized) Meta() *embedding.Meta                            { return m.meta }
+func (m materialized) Description() string                              { return "materialized" }
+func (m materialized) Children() []Operator                             { return nil }
+
+func knowsEdge(v, src, tgt string) *cypher.QueryEdge {
+	return &cypher.QueryEdge{Var: v, Types: []string{"knows"}, Source: src, Target: tgt,
+		MinHops: 1, MaxHops: 1, Projection: []string{"since"}}
+}
+
+func BenchmarkRowLeafScan(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, es := benchGraph(env, benchRows/4)
+	vertices := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}})
+	edges := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b"))
+	reportAllocsPerRow(b, benchRows, func() {
+		vertices.Evaluate()
+		edges.Evaluate()
+	})
+}
+
+func BenchmarkRowMerge(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
+	_, es := benchGraph(env, benchRows/3)
+	rows := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")).Evaluate().Collect()
+	drop := []int{0}
+	reportAllocsPerRow(b, len(rows), func() {
+		var slab embedding.Slab
+		cols := 0
+		for i := 1; i < len(rows); i++ {
+			cols += slab.Merge(rows[i-1], rows[i], drop).Columns()
+		}
+		if cols != 5*(len(rows)-1) {
+			b.Fatal("wrong merge")
+		}
+	})
+}
+
+func BenchmarkRowShuffle(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	_, es := benchGraph(env, benchRows/3)
+	rows := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")).Evaluate()
+	target := []int{2}
+	reportAllocsPerRow(b, benchRows, func() {
+		dataflow.PartitionByKey(rows, func(e embedding.Embedding) uint64 { return keyOf(e, target) })
+	})
+}
+
+// BenchmarkRowJoinProbe is a repartition join of two edge scans on the
+// shared middle vertex under full isomorphism: both inputs are shuffled,
+// every candidate pair has its keys and morphism checked on the inputs, and
+// only the survivors are merged.
+func BenchmarkRowJoinProbe(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	_, es := benchGraph(env, benchRows/6)
+	left := materialize(NewFilterAndProjectEdges(es, knowsEdge("e1", "a", "b")))
+	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e2", "b", "c")))
+	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, dataflow.RepartitionHash)
+	reportAllocsPerRow(b, benchRows, func() {
+		if join.Evaluate().Count() == 0 {
+			b.Fatal("join emitted nothing")
+		}
+	})
+}
+
+// BenchmarkRowExpandHop is one hop of a variable-length expansion: select
+// the triples, seed the working set, join the two on the frontier vertex,
+// finalize the paths into rows.
+func BenchmarkRowExpandHop(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, es := benchGraph(env, benchRows/4)
+	in := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}))
+	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
+	expand, err := NewExpandEmbeddings(in, es, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reportAllocsPerRow(b, benchRows, func() {
+		if expand.Evaluate().Count() == 0 {
+			b.Fatal("expansion emitted nothing")
+		}
+	})
+}

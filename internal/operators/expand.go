@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 
 	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
@@ -145,24 +146,26 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 			break
 		}
 		env.MarkIteration(iter)
-		expanded := dataflow.Join(triples, working,
+		expanded := dataflow.JoinWith(triples, working,
 			func(t edgeTriple) uint64 { return uint64(t.S) },
 			func(s pathState) uint64 { return uint64(s.end) },
-			func(t edgeTriple, s pathState, emit func(pathState)) {
-				if t.S != s.end {
-					return
+			func() func(edgeTriple, pathState, func(pathState)) {
+				// Via lists are written once, here, and clipped to their length,
+				// so extending a path copies it and never grows in place.
+				var slab embedding.Slab
+				return func(t edgeTriple, s pathState, emit func(pathState)) {
+					if t.S != s.end || !op.hopAllowed(s, t) {
+						return
+					}
+					via := slab.IDs(len(s.via) + 1 + min(len(s.via), 1))
+					n := copy(via, s.via)
+					if n > 0 {
+						via[n] = s.end
+					}
+					via[len(via)-1] = t.E
+					emit(pathState{base: s.base, via: via, end: t.T})
 				}
-				if !op.hopAllowed(s, t) {
-					return
-				}
-				via := make([]epgm.ID, 0, len(s.via)+2)
-				via = append(via, s.via...)
-				if len(s.via) > 0 {
-					via = append(via, s.end)
-				}
-				via = append(via, t.E)
-				emit(pathState{base: s.base, via: via, end: t.T})
-			}, dataflow.RepartitionHash)
+			}, dataflow.RepartitionHash, 0)
 		if iter >= qe.MinHops {
 			results = dataflow.Union(results, op.finalize(expanded))
 		}
@@ -183,10 +186,8 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 				return false
 			}
 		}
-		for _, id := range edgeIDs(s.base, inMeta) {
-			if id == t.E {
-				return false
-			}
+		if bindsEdge(s.base, inMeta, t.E) {
+			return false
 		}
 	}
 	if op.Morph.Vertex == Isomorphism {
@@ -218,26 +219,25 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 		endCol, _ = op.In.Meta().Column(op.endVar)
 	}
 	reverse := op.Reverse
-	return dataflow.FlatMap(states, func(s pathState, emit func(embedding.Embedding)) {
-		if bindTarget && s.base.ID(endCol) != s.end {
-			return
-		}
-		via := s.via
-		if reverse && len(via) > 1 {
-			// A reverse expansion walked the path from its target; the via
-			// entries are stored source-to-target (Table 2b), so flip them.
-			flipped := make([]epgm.ID, len(via))
-			for i, id := range via {
-				flipped[len(via)-1-i] = id
+	return dataflow.FlatMapWith(states, func() func(pathState, func(embedding.Embedding)) {
+		var sc scratch
+		return func(s pathState, emit func(embedding.Embedding)) {
+			if bindTarget && s.base.ID(endCol) != s.end {
+				return
 			}
-			via = flipped
-		}
-		e := s.base.AppendPath(via)
-		if !bindTarget {
-			e = e.AppendID(s.end)
-		}
-		if ValidMorphism(e, meta, morph) {
-			emit(e)
+			via := s.via
+			if reverse && len(via) > 1 {
+				// A reverse expansion walked the path from its target; the via
+				// entries are stored source-to-target (Table 2b), so flip them.
+				sc.ids = append(sc.ids[:0], via...)
+				slices.Reverse(sc.ids)
+				via = sc.ids
+			}
+			// The path and the far endpoint go on in one write.
+			e := sc.slab.AppendPath(s.base, via, s.end, !bindTarget)
+			if sc.valid(e, meta, morph) {
+				emit(e)
+			}
 		}
 	})
 }

@@ -107,8 +107,11 @@ func (op *ProjectEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 	in := op.In.Evaluate()
 	idCols, propCols := op.idCols, op.propCols
 	return traced(op, in.Env(), func() *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.Map(in, func(e embedding.Embedding) embedding.Embedding {
-			return e.Project(idCols, propCols)
+		return dataflow.FlatMapWith(in, func() func(embedding.Embedding, func(embedding.Embedding)) {
+			var slab embedding.Slab
+			return func(e embedding.Embedding, emit func(embedding.Embedding)) {
+				emit(slab.Project(e, idCols, propCols))
+			}
 		})
 	})
 }

@@ -104,18 +104,19 @@ func (op *JoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 func (op *JoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
-	meta := op.outputMeta
+	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	return dataflow.JoinTagged(left, right,
+	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
-		func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
-			if !sameKeys(l, r, lc, rc) {
-				return
-			}
-			merged := l.Merge(r, drop)
-			if ValidMorphism(merged, meta, morph) {
-				emit(merged)
+		func() func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+			var sc scratch
+			return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+				// Keys and morphism are checked on the two inputs: a rejected
+				// candidate is never materialized.
+				if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
+					emit(sc.slab.Merge(l, r, drop))
+				}
 			}
 		}, op.Hint, partitionTag(op.joinVars))
 }
@@ -149,17 +150,19 @@ func (op *CartesianProduct) Description() string { return "CartesianProduct" }
 func (op *CartesianProduct) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 	left := op.Left.Evaluate()
 	right := op.Right.Evaluate()
-	meta := op.outputMeta
+	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	return traced(op, left.Env(), func() *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.Join(left, right,
+		return dataflow.JoinWith(left, right,
 			func(embedding.Embedding) uint64 { return 0 },
 			func(embedding.Embedding) uint64 { return 0 },
-			func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
-				merged := l.Merge(r, nil)
-				if ValidMorphism(merged, meta, morph) {
-					emit(merged)
+			func() func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+				var sc scratch
+				return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+					if sc.validPair(l, lm, r, rm, nil, morph) {
+						emit(sc.slab.Merge(l, r, nil))
+					}
 				}
-			}, dataflow.BroadcastLeft)
+			}, dataflow.BroadcastLeft, 0)
 	})
 }

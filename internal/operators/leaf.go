@@ -51,24 +51,29 @@ func (op *FilterAndProjectVertices) Evaluate() *dataflow.Dataset[embedding.Embed
 
 func (op *FilterAndProjectVertices) evaluate() *dataflow.Dataset[embedding.Embedding] {
 	qv := op.Vertex
-	return dataflow.FlatMap(op.In, func(v epgm.Vertex, emit func(embedding.Embedding)) {
-		if !cypher.MatchesLabel(v.Label, qv.Labels) {
-			return
-		}
-		if !cypher.EvalElement(qv.Predicates, qv.Var, v.Properties) {
-			return
-		}
-		var e embedding.Embedding
-		e = e.AppendID(v.ID)
-		if len(qv.Projection) > 0 {
-			values := make([]epgm.PropertyValue, len(qv.Projection))
-			for i, key := range qv.Projection {
-				values[i] = v.Properties.Get(key)
+	return dataflow.FlatMapWith(op.In, func() func(epgm.Vertex, func(embedding.Embedding)) {
+		var sc scratch
+		return func(v epgm.Vertex, emit func(embedding.Embedding)) {
+			if !cypher.MatchesLabel(v.Label, qv.Labels) {
+				return
 			}
-			e = e.AppendProps(values...)
+			if !cypher.EvalElement(qv.Predicates, qv.Var, v.Properties) {
+				return
+			}
+			ids := [1]epgm.ID{v.ID}
+			emit(sc.slab.Row(ids[:], sc.project(v.Properties, qv.Projection)))
 		}
-		emit(e)
 	})
+}
+
+// project collects the values of the projected keys into the attempt's
+// reused value buffer.
+func (sc *scratch) project(props epgm.Properties, keys []string) []epgm.PropertyValue {
+	sc.props = sc.props[:0]
+	for _, key := range keys {
+		sc.props = append(sc.props, props.Get(key))
+	}
+	return sc.props
 }
 
 // FilterAndProjectEdges is the leaf operator for a simple (1-hop) query
@@ -122,35 +127,29 @@ func (op *FilterAndProjectEdges) Evaluate() *dataflow.Dataset[embedding.Embeddin
 func (op *FilterAndProjectEdges) evaluate() *dataflow.Dataset[embedding.Embedding] {
 	qe := op.Edge
 	loop := op.loop
-	return dataflow.FlatMap(op.In, func(de epgm.Edge, emit func(embedding.Embedding)) {
-		if !cypher.MatchesLabel(de.Label, qe.Types) {
-			return
-		}
-		if !cypher.EvalElement(qe.Predicates, qe.Var, de.Properties) {
-			return
-		}
-		if loop && de.Source != de.Target {
-			return
-		}
-		build := func(src, tgt epgm.ID) {
-			var e embedding.Embedding
-			e = e.AppendID(src)
-			e = e.AppendID(de.ID)
-			if !loop {
-				e = e.AppendID(tgt)
+	return dataflow.FlatMapWith(op.In, func() func(epgm.Edge, func(embedding.Embedding)) {
+		var sc scratch
+		return func(de epgm.Edge, emit func(embedding.Embedding)) {
+			if !cypher.MatchesLabel(de.Label, qe.Types) {
+				return
 			}
-			if len(qe.Projection) > 0 {
-				values := make([]epgm.PropertyValue, len(qe.Projection))
-				for i, key := range qe.Projection {
-					values[i] = de.Properties.Get(key)
-				}
-				e = e.AppendProps(values...)
+			if !cypher.EvalElement(qe.Predicates, qe.Var, de.Properties) {
+				return
 			}
-			emit(e)
-		}
-		build(de.Source, de.Target)
-		if qe.Undirected && de.Source != de.Target {
-			build(de.Target, de.Source)
+			if loop && de.Source != de.Target {
+				return
+			}
+			props := sc.project(de.Properties, qe.Projection)
+			ids := [3]epgm.ID{de.Source, de.ID, de.Target}
+			cols := ids[:]
+			if loop {
+				cols = ids[:2]
+			}
+			emit(sc.slab.Row(cols, props))
+			if qe.Undirected && de.Source != de.Target {
+				ids[0], ids[2] = de.Target, de.Source
+				emit(sc.slab.Row(cols, props))
+			}
 		}
 	})
 }

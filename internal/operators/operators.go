@@ -5,6 +5,8 @@
 package operators
 
 import (
+	"slices"
+
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
@@ -71,71 +73,114 @@ type Operator interface {
 	Children() []Operator
 }
 
-// vertexIDs collects the data-vertex identifiers bound by an embedding:
-// every vertex column plus the interior vertices of every path column
-// (odd positions of the alternating edge/vertex id list).
-func vertexIDs(e embedding.Embedding, meta *embedding.Meta) []epgm.ID {
-	var out []epgm.ID
+// scratch is the state the row function of one partition attempt keeps
+// (dataflow.FlatMapWith, JoinWith): the slab its output rows are carved from
+// and buffers it reuses from row to row. One goroutine owns it, so nothing
+// in it is locked.
+type scratch struct {
+	slab  embedding.Slab
+	ids   []epgm.ID            // the identifiers of a morphism check, a flipped path
+	props []epgm.PropertyValue // the projected values of a leaf row
+}
+
+// appendBound appends to dst the data vertices (kind VertexEntry) or data
+// edges (kind EdgeEntry) an embedding binds, read in place: every column of
+// that kind, plus from every path column its interior vertices (the odd
+// positions of the alternating edge/vertex id list) or its edges (the even
+// ones). Null columns bind nothing, and the columns listed in skip (sorted
+// ascending) are left out.
+func appendBound(dst []epgm.ID, e embedding.Embedding, meta *embedding.Meta, skip []int, kind embedding.EntryKind) []epgm.ID {
+	first := 1
+	if kind == embedding.EdgeEntry {
+		first = 0
+	}
 	for c := 0; c < meta.Columns(); c++ {
+		if len(skip) > 0 && skip[0] == c {
+			skip = skip[1:]
+			continue
+		}
 		if e.IsNullAt(c) {
 			continue
 		}
 		switch meta.Kind(c) {
-		case embedding.VertexEntry:
-			out = append(out, e.ID(c))
+		case kind:
+			dst = append(dst, e.ID(c))
 		case embedding.PathEntry:
-			path := e.Path(c)
-			for i := 1; i < len(path); i += 2 {
-				out = append(out, path[i])
+			for j, n := first, e.PathLen(c); j < n; j += 2 {
+				dst = append(dst, e.PathID(c, j))
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// edgeIDs collects the data-edge identifiers bound by an embedding: every
-// edge column plus the edges of every path column (even positions).
-func edgeIDs(e embedding.Embedding, meta *embedding.Meta) []epgm.ID {
-	var out []epgm.ID
-	for c := 0; c < meta.Columns(); c++ {
-		if e.IsNullAt(c) {
-			continue
-		}
-		switch meta.Kind(c) {
-		case embedding.EdgeEntry:
-			out = append(out, e.ID(c))
-		case embedding.PathEntry:
-			path := e.Path(c)
-			for i := 0; i < len(path); i += 2 {
-				out = append(out, path[i])
-			}
-		}
-	}
-	return out
-}
-
+// allDistinct reports whether ids are pairwise distinct. It sorts ids,
+// which is scratch.
 func allDistinct(ids []epgm.ID) bool {
-	seen := make(map[epgm.ID]struct{}, len(ids))
-	for _, id := range ids {
-		if _, ok := seen[id]; ok {
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
 			return false
 		}
-		seen[id] = struct{}{}
 	}
 	return true
+}
+
+// validPair checks the configured semantics on the row that merging l with
+// r (minus r's drop columns) would give, without building it: isomorphic
+// vertices require all bound vertex ids to be pairwise distinct, isomorphic
+// edges likewise for edge ids, homomorphism imposes nothing. r's drop
+// columns repeat bindings l already has and stay out of the comparison. A
+// single row is the pair of itself and the empty embedding.
+func (sc *scratch) validPair(l embedding.Embedding, lm *embedding.Meta, r embedding.Embedding, rm *embedding.Meta, drop []int, m Morphism) bool {
+	return (m.Vertex != Isomorphism || sc.distinct(l, lm, r, rm, drop, embedding.VertexEntry)) &&
+		(m.Edge != Isomorphism || sc.distinct(l, lm, r, rm, drop, embedding.EdgeEntry))
+}
+
+// distinct reports whether the data vertices (or data edges) that l and r
+// together bind are pairwise distinct. rm is nil when there is no r.
+func (sc *scratch) distinct(l embedding.Embedding, lm *embedding.Meta, r embedding.Embedding, rm *embedding.Meta, drop []int, kind embedding.EntryKind) bool {
+	sc.ids = appendBound(sc.ids[:0], l, lm, nil, kind)
+	if rm != nil {
+		sc.ids = appendBound(sc.ids, r, rm, drop, kind)
+	}
+	return allDistinct(sc.ids)
+}
+
+// valid is ValidMorphism on the attempt's scratch.
+func (sc *scratch) valid(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
+	return sc.validPair(e, meta, embedding.Embedding{}, nil, nil, m)
 }
 
 // ValidMorphism checks an embedding against the configured semantics:
 // isomorphic vertices require all bound vertex ids to be pairwise distinct,
 // isomorphic edges likewise for edge ids. Homomorphism imposes nothing.
 func ValidMorphism(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
-	if m.Vertex == Isomorphism && !allDistinct(vertexIDs(e, meta)) {
-		return false
+	var sc scratch
+	return sc.valid(e, meta, m)
+}
+
+// bindsEdge reports whether the embedding binds the data edge id, in an
+// edge column or along a path.
+func bindsEdge(e embedding.Embedding, meta *embedding.Meta, id epgm.ID) bool {
+	for c := 0; c < meta.Columns(); c++ {
+		if e.IsNullAt(c) {
+			continue
+		}
+		switch meta.Kind(c) {
+		case embedding.EdgeEntry:
+			if e.ID(c) == id {
+				return true
+			}
+		case embedding.PathEntry:
+			for j, n := 0, e.PathLen(c); j < n; j += 2 {
+				if e.PathID(c, j) == id {
+					return true
+				}
+			}
+		}
 	}
-	if m.Edge == Isomorphism && !allDistinct(edgeIDs(e, meta)) {
-		return false
-	}
-	return true
+	return false
 }
 
 // embeddingLookup builds a cypher predicate Lookup over an embedding's

@@ -97,6 +97,7 @@ func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embeddi
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
 	meta := op.outputMeta
+	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	preds := op.Predicates
 
@@ -104,16 +105,14 @@ func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embeddi
 	rkey := func(e embedding.Embedding) uint64 { return keyOf(e, rc) }
 	return dataflow.CoGroup(left, right, lkey, rkey,
 		func(_ uint64, ls, rs []embedding.Embedding, emit func(embedding.Embedding)) {
+			var sc scratch
 			for _, l := range ls {
 				matched := false
 				for _, r := range rs {
-					if !sameKeys(l, r, lc, rc) {
+					if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) {
 						continue
 					}
 					merged := l.Merge(r, drop)
-					if !ValidMorphism(merged, meta, morph) {
-						continue
-					}
 					if !passes(merged, meta, preds) {
 						continue
 					}

@@ -19,11 +19,10 @@ type SemiJoinEmbeddings struct {
 	Morph       Morphism
 	Negated     bool
 
-	joinVars   []string
-	leftCols   []int
-	rightCols  []int
-	dropCols   []int
-	mergedMeta *embedding.Meta
+	joinVars  []string
+	leftCols  []int
+	rightCols []int
+	dropCols  []int
 }
 
 // NewSemiJoinEmbeddings builds the semi (or anti) join on the variables
@@ -41,11 +40,11 @@ func NewSemiJoinEmbeddings(left, right Operator, morph Morphism, negated bool) *
 		leftCols[i] = lc
 		rightCols[i] = rc
 	}
-	mergedMeta, dropCols := lm.Merge(rm)
+	_, dropCols := lm.Merge(rm)
 	return &SemiJoinEmbeddings{
 		Left: left, Right: right, Morph: morph, Negated: negated,
 		joinVars: shared, leftCols: leftCols, rightCols: rightCols,
-		dropCols: dropCols, mergedMeta: mergedMeta,
+		dropCols: dropCols,
 	}
 }
 
@@ -76,20 +75,20 @@ func (op *SemiJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] 
 func (op *SemiJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
-	mergedMeta := op.mergedMeta
+	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	negated := op.Negated
 	return dataflow.CoGroup(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
 		func(_ uint64, ls, rs []embedding.Embedding, emit func(embedding.Embedding)) {
+			var sc scratch
 			for _, l := range ls {
 				found := false
 				for _, r := range rs {
-					if !sameKeys(l, r, lc, rc) {
-						continue
-					}
-					if ValidMorphism(l.Merge(r, drop), mergedMeta, morph) {
+					// The combined binding is checked on the two inputs; a semi
+					// join never builds it.
+					if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
 						found = true
 						break
 					}

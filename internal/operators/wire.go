@@ -42,17 +42,24 @@ func (s pathState) AppendWire(dst []byte) []byte {
 
 // DecodeWireInto implements dataflow.WireDecoder.
 func (s *pathState) DecodeWireInto(b []byte) ([]byte, error) {
-	rest, err := s.base.DecodeWireInto(b)
+	rest, _, err := s.DecodeWireArena(b, nil)
+	return rest, err
+}
+
+// DecodeWireArena implements dataflow.WireArenaDecoder: the base row's
+// bytes come out of the bucket's arena.
+func (s *pathState) DecodeWireArena(b, arena []byte) (rest, arenaRest []byte, err error) {
+	rest, arena, err = s.base.DecodeWireArena(b, arena)
 	if err != nil {
-		return nil, fmt.Errorf("operators: path state base: %w", err)
+		return nil, nil, fmt.Errorf("operators: path state base: %w", err)
 	}
 	if len(rest) < 4 {
-		return nil, fmt.Errorf("operators: truncated path state via count")
+		return nil, nil, fmt.Errorf("operators: truncated path state via count")
 	}
 	n := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if len(rest) < 8*n+8 {
-		return nil, fmt.Errorf("operators: truncated path state (want %d ids, have %d bytes)", n+1, len(rest))
+		return nil, nil, fmt.Errorf("operators: truncated path state (want %d ids, have %d bytes)", n+1, len(rest))
 	}
 	s.via = nil
 	if n > 0 {
@@ -63,5 +70,5 @@ func (s *pathState) DecodeWireInto(b []byte) ([]byte, error) {
 		}
 	}
 	s.end = epgm.ID(binary.BigEndian.Uint64(rest))
-	return rest[8:], nil
+	return rest[8:], arena, nil
 }

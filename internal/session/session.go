@@ -310,6 +310,18 @@ func (s *Session) SwapGraph(g *epgm.LogicalGraph) {
 	s.results.purge()
 }
 
+// Close lets go of what the session keeps reachable for the life of the
+// process: its graph's entry in core's statistics memo, the pinned graph
+// itself and both caches (whose bytes go back to the memory broker). It is
+// the last call on a session. Queries in flight finish on the state they
+// started with; the session is left serving an empty graph, because a
+// metrics registry that outlives it still holds it through its gauges.
+func (s *Session) Close() {
+	empty := epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", nil, nil)
+	s.SwapGraph(empty)
+	core.DropGraphStats(empty)
+}
+
 // snapshot returns the current immutable graph state.
 func (s *Session) snapshot() *graphState {
 	s.stateMu.RLock()

@@ -376,6 +376,33 @@ func TestSwapGraphEvictsStatsMemo(t *testing.T) {
 	core.DropGraphStats(old) // leave no test residue in the memo
 }
 
+// TestCloseLeavesNothingPinned: a process that opens and closes sessions -
+// the benchmark harness cold-starts five systems - must not keep any of
+// their graphs reachable through core's statistics memo, whatever the
+// session did in between, and a closed session holds no rows and no graph.
+func TestCloseLeavesNothingPinned(t *testing.T) {
+	memoized := core.GraphStatsMemoized()
+	for cycle := 0; cycle < 5; cycle++ {
+		s := New(testGraph(2), Options{})
+		if _, err := s.Execute(Request{Query: `MATCH (p:Person)-[:knows]->(q:Person) RETURN p.name`}); err != nil {
+			t.Fatal(err)
+		}
+		if cycle%2 == 1 {
+			s.SwapGraph(testGraph(2))
+		}
+		s.Close()
+		if got := core.GraphStatsMemoized(); got != memoized {
+			t.Fatalf("cycle %d: %d graphs memoized after Close, want %d as before the session", cycle, got, memoized)
+		}
+		if v, e := s.GraphSize(); v != 0 || e != 0 {
+			t.Fatalf("cycle %d: closed session still pins %d vertices, %d edges", cycle, v, e)
+		}
+		if bytes, entries := s.results.usage(); bytes != 0 || entries != 0 {
+			t.Fatalf("cycle %d: closed session still caches %d results (%d bytes)", cycle, entries, bytes)
+		}
+	}
+}
+
 // TestSingleFlightSpanAttribution: under a concurrent cold start, exactly
 // one request runs the build — and that same request is the one reporting a
 // plan-cache miss and carrying the Prepare trace span. Hit/miss labels and
