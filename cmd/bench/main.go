@@ -16,57 +16,69 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"gradoop/internal/benchkit"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: figure3|figure4|figure5|table3|table4|cards|extended|recovery|analyze|serve|chaos|cluster|all")
-	sfSmall := flag.Float64("sf-small", 0.1, "small scale factor (the paper's SF10 stand-in)")
-	sfLarge := flag.Float64("sf-large", 1.0, "large scale factor (the paper's SF100 stand-in)")
-	seed := flag.Int64("seed", 2017, "generator seed")
-	tracePrefix := flag.String("trace", "", "analyze experiment: write per-query Chrome traces to <prefix>-Q<n>.json")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status: 2 for an unknown
+// experiment, 1 for a failed one.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	sfSmall := fs.Float64("sf-small", 0.1, "small scale factor (the paper's SF10 stand-in)")
+	sfLarge := fs.Float64("sf-large", 1.0, "large scale factor (the paper's SF100 stand-in)")
+	seed := fs.Int64("seed", 2017, "generator seed")
+	tracePrefix := fs.String("trace", "", "analyze experiment: write per-query Chrome traces to <prefix>-Q<n>.json")
+
+	// The evaluation, in the order `-exp all` runs it.
+	experiments := []struct {
+		name string
+		run  func(*benchkit.Runner, io.Writer) error
+	}{
+		{"figure3", benchkit.Figure3},
+		{"figure4", benchkit.Figure4},
+		{"figure5", benchkit.Figure5},
+		{"table3", benchkit.Table3},
+		{"table4", benchkit.Table4},
+		{"cards", benchkit.Cardinalities},
+		{"extended", benchkit.Extended},
+		{"recovery", benchkit.Recovery},
+		{"analyze", func(r *benchkit.Runner, w io.Writer) error { return benchkit.Analyze(r, w, *tracePrefix) }},
+	}
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	valid := strings.Join(append(names, "all"), "|")
+	exp := fs.String("exp", "all", "experiment: "+valid)
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2 here, -h exits 0
 
 	r := benchkit.NewRunner()
 	r.SFSmall = *sfSmall
 	r.SFLarge = *sfLarge
 	r.Seed = *seed
 
-	experiments := map[string]func() error{
-		"figure3":  func() error { return benchkit.Figure3(r, os.Stdout) },
-		"figure4":  func() error { return benchkit.Figure4(r, os.Stdout) },
-		"figure5":  func() error { return benchkit.Figure5(r, os.Stdout) },
-		"table3":   func() error { return benchkit.Table3(r, os.Stdout) },
-		"table4":   func() error { return benchkit.Table4(r, os.Stdout) },
-		"cards":    func() error { return benchkit.Cardinalities(r, os.Stdout) },
-		"extended": func() error { return benchkit.Extended(r, os.Stdout) },
-		"recovery": func() error { return benchkit.Recovery(r, os.Stdout) },
-		"analyze":  func() error { return benchkit.Analyze(r, os.Stdout, *tracePrefix) },
-		"serve":    func() error { return benchkit.Serve(r, os.Stdout) },
-		"chaos":    func() error { return benchkit.Chaos(r, os.Stdout) },
-		"cluster":  func() error { return benchkit.Cluster(r, os.Stdout) },
-	}
-	order := []string{"figure3", "figure4", "figure5", "table3", "table4", "cards", "extended", "recovery", "analyze", "serve", "chaos", "cluster"}
-
-	run := func(name string) {
-		fn, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bench: unknown experiment %q\n", name)
-			os.Exit(2)
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", name, err)
-			os.Exit(1)
+		ran = true
+		if err := e.run(r, stdout); err != nil {
+			fmt.Fprintf(stderr, "bench: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	if *exp == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
+	if !ran {
+		fmt.Fprintf(stderr, "bench: unknown experiment %q (want %s)\n", *exp, valid)
+		return 2
 	}
-	run(*exp)
+	return 0
 }

@@ -123,6 +123,7 @@ func TestExperimentReportsRender(t *testing.T) {
 		{"table3", func(r *Runner, w *bytes.Buffer) error { return Table3(r, w) }, "Table 3"},
 		{"table4", func(r *Runner, w *bytes.Buffer) error { return Table4(r, w) }, "Table 4"},
 		{"cards", func(r *Runner, w *bytes.Buffer) error { return Cardinalities(r, w) }, "cardinalities"},
+		{"extended", func(r *Runner, w *bytes.Buffer) error { return Extended(r, w) }, "Extended workload"},
 	}
 	for _, e := range experiments {
 		var buf bytes.Buffer

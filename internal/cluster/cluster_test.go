@@ -154,13 +154,16 @@ func TestClusterStageReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shuffles, wired int
+	var shuffles, modelled, wired int
 	for _, st := range resp.Cluster.Stages {
 		if st.Predicted <= 0 {
 			t.Fatalf("stage %d (%s): no prediction", st.Stage, st.Kind)
 		}
 		if st.Shuffle {
 			shuffles++
+			if st.ModelBytes > 0 {
+				modelled++
+			}
 			if st.WireBytes > 0 {
 				wired++
 			}
@@ -170,6 +173,9 @@ func TestClusterStageReport(t *testing.T) {
 	}
 	if shuffles == 0 {
 		t.Fatal("two-hop join reported no shuffle stages")
+	}
+	if modelled == 0 {
+		t.Fatal("the cost model charged no shuffle stage any bytes")
 	}
 	if wired == 0 {
 		t.Fatal("no shuffle stage put bytes on the wire across 2 workers")

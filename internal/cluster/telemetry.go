@@ -9,6 +9,7 @@ import (
 
 	"gradoop/internal/obs"
 	"gradoop/internal/trace"
+	"gradoop/internal/wire"
 )
 
 // The distributed telemetry plane's worker half. Every job attempt records
@@ -76,8 +77,8 @@ type telemetryBundle struct {
 }
 
 func encodeTelemetryBundle(dst []byte, b *telemetryBundle) []byte {
-	dst = wireAppendString(dst, b.Node)
-	dst = wireAppendString(dst, b.TraceID)
+	dst = wire.AppendString(dst, b.Node)
+	dst = wire.AppendString(dst, b.TraceID)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(b.ElapsedNs))
 	dst = trace.AppendSpans(dst, b.Spans)
 	return obs.AppendSnapshot(dst, &b.Metrics)
@@ -86,10 +87,10 @@ func encodeTelemetryBundle(dst []byte, b *telemetryBundle) []byte {
 func decodeTelemetryBundle(buf []byte) (*telemetryBundle, error) {
 	var b telemetryBundle
 	var err error
-	if b.Node, buf, err = wireReadString(buf); err != nil {
+	if b.Node, buf, err = wire.ReadString(buf); err != nil {
 		return nil, fmt.Errorf("cluster: telemetry bundle node: %w", err)
 	}
-	if b.TraceID, buf, err = wireReadString(buf); err != nil {
+	if b.TraceID, buf, err = wire.ReadString(buf); err != nil {
 		return nil, fmt.Errorf("cluster: telemetry bundle trace id: %w", err)
 	}
 	if len(buf) < 8 {
@@ -107,25 +108,6 @@ func decodeTelemetryBundle(buf []byte) (*telemetryBundle, error) {
 		return nil, fmt.Errorf("cluster: telemetry bundle has %d trailing bytes", len(buf))
 	}
 	return &b, nil
-}
-
-// wireAppendString appends a uint32-length-prefixed string.
-func wireAppendString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// wireReadString consumes a uint32-length-prefixed string.
-func wireReadString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("truncated string length (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return "", nil, fmt.Errorf("truncated string payload (want %d, have %d)", n, len(b))
-	}
-	return string(b[:n]), b[n:], nil
 }
 
 // Retention caps for the worker-side span ledger. A retried job retains at

@@ -15,8 +15,8 @@
 //
 // Like internal/obs and the engine's nil tracer, disabled governance is free:
 // a nil *Broker hands out nil Reservations and every operation on them is a
-// nil check. The enabled fast path is lock-free — two atomic adds per charge —
-// and only budget overflow takes the broker lock.
+// nil check. The enabled fast path is lock-free — one compare-and-swap and one
+// atomic add per charge — and only budget overflow takes the broker lock.
 //
 // The package imports nothing from the engine, so dataflow, session and
 // server can all depend on it without cycles.
@@ -228,6 +228,13 @@ func (b *Broker) TryReserve(n int64) bool {
 	if b == nil || n <= 0 {
 		return b == nil || n == 0
 	}
+	return b.admit(n)
+}
+
+// admit publishes n more reserved bytes if they fit under the budget, and
+// nothing otherwise: it is the only way bytes are added, which is what keeps
+// every read of Reserved() within [0, Budget()].
+func (b *Broker) admit(n int64) bool {
 	for {
 		cur := b.reserved.Load()
 		if cur+n > b.budget {
@@ -304,8 +311,9 @@ func (b *Broker) notifyHeadroom() {
 }
 
 // Reservation is one query's account against the broker. The fast path of
-// Reserve is lock-free (an atomic kill check plus two atomic adds); only
-// budget overflow takes the broker lock. A nil *Reservation — handed out by
+// Reserve is lock-free (an atomic kill check, a compare-and-swap on the
+// process total and an atomic add on the query's own); only a charge that
+// does not fit takes the broker lock. A nil *Reservation — handed out by
 // a nil broker — makes every method a free no-op, mirroring the engine's
 // nil-tracer/nil-observer pattern.
 type Reservation struct {
@@ -401,8 +409,11 @@ func (r *Reservation) Reserve(n int64) error {
 	if n == 0 {
 		return nil
 	}
-	r.used.Add(n)
-	if r.b.reserved.Add(n) <= r.b.budget {
+	// Process total first, the query's own second, and the reverse on the
+	// way out (Release, killLocked): the total never reads below what the
+	// reservations hold, so giving bytes back cannot take it under zero.
+	if r.b.admit(n) {
+		r.used.Add(n)
 		return nil
 	}
 	return r.b.overflow(r, n)
@@ -429,57 +440,57 @@ func (r *Reservation) Release() {
 	r.b.notifyHeadroom()
 }
 
-// overflow is the slow path of Reserve: the process budget is exceeded.
-// Under the broker lock it re-checks (a concurrent release may have fixed
-// it), runs brownout reclaim, and finally kills per policy. It returns nil
-// when the reserver may proceed and the reserver's own *BudgetError when it
-// must die.
+// overflow is the slow path of Reserve: n does not fit under the budget.
+// Under the broker lock it makes room first — a retry (a concurrent release
+// may have fixed it), then brownout reclaim, then kills per policy — and
+// publishes the charge only once it fits. It returns nil when the reserver
+// may proceed and the reserver's own *BudgetError when it must die, in which
+// case the overflowing charge was never published.
 func (b *Broker) overflow(r *Reservation, n int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.reserved.Load() <= b.budget {
-		return nil
+	if r.killed.Load() {
+		// Shed by another query's overflow while waiting for the lock.
+		return r.KillErr()
 	}
+	fits := b.admit(n)
 	// Brownout: hand cache bytes back before killing anything.
-	for _, reclaim := range b.reclaimers {
-		if b.reserved.Load() <= b.budget {
-			break
-		}
-		if freed := reclaim(); freed > 0 {
+	for i := 0; !fits && i < len(b.reclaimers); i++ {
+		if freed := b.reclaimers[i](); freed > 0 {
 			b.brownouts.Add(1)
 		}
+		fits = b.admit(n)
 	}
-	if b.reserved.Load() <= b.budget {
-		return nil
-	}
-	victim := r
-	if b.policy == ShedLargest {
-		victim = b.largestLocked()
-		if victim == nil {
-			victim = r
+	for !fits {
+		victim := r
+		if b.policy == ShedLargest {
+			victim = b.largestLocked(r, n)
 		}
+		if victim == r {
+			return b.killLocked(r, r, n)
+		}
+		// Largest-query-first: the kill hands the victim's bytes back at
+		// once, and the reserver proceeds as soon as its charge fits.
+		b.killLocked(victim, r, n)
+		fits = b.admit(n)
 	}
-	err := b.killLocked(victim, r, n)
-	if victim != r {
-		// Largest-query-first: the victim holds at least as much as anyone;
-		// its release covers this overflow, so the reserver proceeds.
-		return nil
-	}
-	return err
+	r.used.Add(n)
+	return nil
 }
 
-// largestLocked picks the shedding victim: the live, not-yet-killed
-// reservation holding the most bytes, ties broken by age (older first) so
-// selection is deterministic.
-func (b *Broker) largestLocked() *Reservation {
-	var best *Reservation
-	var bestUsed int64
+// largestLocked picks the shedding victim for reserver's overflowing charge
+// of n bytes: the live, not-yet-killed reservation holding the most bytes,
+// the reserver counted with the charge it is asking for, ties broken by age
+// (older first) so selection is deterministic. With no other candidate the
+// reserver itself dies.
+func (b *Broker) largestLocked(reserver *Reservation, n int64) *Reservation {
+	best, bestUsed := reserver, reserver.used.Load()+n
 	for r := range b.live {
-		if r.killed.Load() {
+		if r == reserver || r.killed.Load() {
 			continue
 		}
 		u := r.used.Load()
-		if best == nil || u > bestUsed || (u == bestUsed && r.seq < best.seq) {
+		if u > bestUsed || (u == bestUsed && r.seq < best.seq) {
 			best, bestUsed = r, u
 		}
 	}

@@ -361,3 +361,58 @@ func TestKillReclaimsBytesImmediately(t *testing.T) {
 		t.Fatalf("end state reserved=%d live=%d, want 0/0", got, b.Live())
 	}
 }
+
+// TestReservedNeverExceedsBudget: eight reservers overflow a small budget
+// while three pollers read the gauge. A charge is published only once it
+// fits (a self-kill never publishes the charge that killed it), so no read
+// may see Reserved() outside [0, Budget()], and everything drains on Release.
+func TestReservedNeverExceedsBudget(t *testing.T) {
+	for _, policy := range []Policy{ShedLargest, ShedSelf} {
+		t.Run(policy.String(), func(t *testing.T) {
+			b := NewBroker(16<<10, policy)
+			stop := make(chan struct{})
+			var pollers sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				pollers.Add(1)
+				go func() {
+					defer pollers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if got := b.Reserved(); got < 0 || got > b.Budget() {
+							t.Errorf("Reserved() = %d, outside [0, %d]", got, b.Budget())
+							return
+						}
+					}
+				}()
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 300; i++ {
+						r := b.Begin(fmt.Sprintf("q%d-%d", g, i))
+						// Up to 24 KiB against a 16 KiB budget: every cycle
+						// that is not shed first overflows on its own.
+						for j := 0; j < 24 && r.Reserve(1<<10) == nil; j++ {
+						}
+						r.Release()
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(stop)
+			pollers.Wait()
+			if got := b.Reserved(); got != 0 || b.Live() != 0 {
+				t.Fatalf("end state reserved=%d live=%d, want 0/0", got, b.Live())
+			}
+			if b.Kills() == 0 {
+				t.Fatal("expected kills under pressure")
+			}
+		})
+	}
+}

@@ -1,25 +1,25 @@
-package benchkit
+package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"gradoop/internal/baseline"
+	"gradoop/internal/benchkit"
 	"gradoop/internal/cypher"
+	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/govern"
+	"gradoop/internal/ldbc"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
-	"gradoop/internal/server"
 	"gradoop/internal/session"
 )
 
@@ -31,52 +31,31 @@ import (
 // memory governor can stop.
 const chaosBlowup = `MATCH (a:Person),(b:Person),(c:Person),(d:Person) RETURN a, b, c, d`
 
-// ChaosConfig parameterizes one deterministic overload run.
-type ChaosConfig struct {
-	// Seed drives both the LDBC generator and the request schedule; two
-	// runs with the same config issue the same sequence of queries.
-	Seed int64
-	// SF is the LDBC scale factor of the served graph.
-	SF float64
-	// Requests is the total number of scheduled queries; roughly
-	// BlowupFraction of them are the cartesian blowup, the rest are the
-	// parameterized operational query Q1 cycling its selectivity values.
-	Requests       int
-	BlowupFraction float64
-	// Concurrency is the number of client goroutines draining the schedule.
-	Concurrency int
-	// MemoryBudget is the governed session's process budget in bytes. It
-	// must sit well above the well-behaved working set and well below one
-	// blowup's output, so largest-first shedding always finds a blowup.
-	MemoryBudget int64
-	Workers      int
-}
+// The overload run CI executes under -race and a tight GOMEMLIMIT: small
+// graph, 2 MiB budget, every fourth request a blowup. The budget is sized
+// against measured footprints: one operational query peaks at ~125 KiB of
+// charged embeddings, so even with every slot held by well-behaved traffic
+// (~500 KiB) a blowup must reserve the remaining ~1.5 MiB before the budget
+// overflows — at the overflow the largest reservation is always a blowup,
+// and largest-first shedding never takes collateral. The four-way cartesian
+// charges tens of megabytes if left alone, far past the budget at any seed.
+const (
+	// chaosSeed drives both the LDBC generator and the request schedule:
+	// two runs issue the same sequence of queries.
+	chaosSeed           = 2017
+	chaosSF             = 0.05
+	chaosBlowupFraction = 0.25
+	// chaosConcurrency is the number of client goroutines draining the
+	// schedule, and of job slots in the session.
+	chaosConcurrency = 4
+	chaosBudget      = 2 << 20
+	chaosWorkers     = 2
+)
 
-// DefaultChaosConfig is the smoke configuration CI runs under -race and a
-// tight GOMEMLIMIT: small graph, 2 MiB budget, every fourth request a
-// blowup. The budget is sized against measured footprints: one operational
-// query peaks at ~125 KiB of charged embeddings, so even with every slot
-// held by well-behaved traffic (~500 KiB) a blowup must reserve the
-// remaining ~1.5 MiB before the budget overflows — at the overflow the
-// largest reservation is always a blowup, and largest-first shedding never
-// takes collateral. The four-way cartesian charges tens of megabytes if
-// left alone, far past the budget at any seed.
-func DefaultChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		Seed:           2017,
-		SF:             0.05,
-		Requests:       48,
-		BlowupFraction: 0.25,
-		Concurrency:    4,
-		MemoryBudget:   2 << 20,
-		Workers:        2,
-	}
-}
-
-// ChaosReport aggregates one run's per-request classifications and the
+// chaosReport aggregates one run's per-request classifications and the
 // broker's end state. Check() is the pass/fail gate.
-type ChaosReport struct {
-	Requests, Blowups, WellBehaved int
+type chaosReport struct {
+	Blowups, WellBehaved int
 
 	// BlowupsKilled counts blowups that came back 503/memory-budget with a
 	// Retry-After header; BlowupEscapes counts blowups that finished (the
@@ -108,7 +87,7 @@ type ChaosReport struct {
 }
 
 // Check returns the first violated invariant, or nil for a clean run.
-func (rep ChaosReport) Check() error {
+func (rep chaosReport) Check() error {
 	switch {
 	case rep.Blowups == 0 || rep.WellBehaved == 0:
 		return fmt.Errorf("degenerate schedule: %d blowups, %d well-behaved", rep.Blowups, rep.WellBehaved)
@@ -131,48 +110,53 @@ func (rep ChaosReport) Check() error {
 	return nil
 }
 
-// RunChaos executes one seeded overload schedule against a fully governed
-// session served over HTTP and classifies every response: blowups must die
-// with 503 + Retry-After and kind "memory-budget", well-behaved queries
-// must return their oracle-verified counts, and afterwards every broker
-// reservation must be released and every goroutine gone.
-func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
-	var rep ChaosReport
+// runChaos executes the seeded overload schedule of the given length against
+// a fully governed session served over HTTP and classifies every response:
+// blowups must die with 503 + Retry-After and kind "memory-budget",
+// well-behaved queries must return their oracle-verified counts, and
+// afterwards every broker reservation must be released and every goroutine
+// gone.
+func runChaos(t *testing.T, requests int) chaosReport {
+	t.Helper()
+	var rep chaosReport
 
-	// Dataset plus ground truth. The oracle counts are computed against the
-	// brute-force reference matcher before any pressure exists, so a wrong
-	// count under load is attributable to the governor, not to the oracle.
-	r := &Runner{Seed: cfg.Seed, SFSmall: cfg.SF, SFLarge: cfg.SF, cache: map[string]*prepared{}}
-	p := r.Prepare(cfg.SF, cfg.Workers)
-	ref := baseline.NewReference(p.Graph())
+	// Dataset plus ground truth: the well-behaved traffic is the paper's
+	// operational query Q1 over a common, a medium and a rare first name. The
+	// oracle counts are computed against the brute-force reference matcher
+	// before any pressure exists, so a wrong count under load is attributable
+	// to the governor, not to the oracle.
+	data := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(chaosWorkers)),
+		ldbc.Config{ScaleFactor: chaosSF, Seed: chaosSeed})
+	ref := baseline.NewReference(data.Graph)
 	morph := operators.Morphism{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
-	names := []string{p.FirstName(Low), p.FirstName(Medium), p.FirstName(High)}
+	common, medium, rare := data.FirstNamesBySelectivity()
+	names := []string{common, medium, rare}
 	oracle := make(map[string]int64, len(names))
 	for _, name := range names {
-		ast, err := cypher.Parse(Q1.Text())
+		ast, err := cypher.Parse(benchkit.Q1.Text())
 		if err != nil {
-			return rep, err
+			t.Fatal(err)
 		}
 		params := map[string]epgm.PropertyValue{"firstName": epgm.PVString(name)}
 		qg, err := cypher.BuildQueryGraph(ast, params)
 		if err != nil {
-			return rep, err
+			t.Fatal(err)
 		}
 		oracle[name] = int64(ref.Count(qg, morph))
 	}
 
 	registry := obs.NewRegistry()
-	sess := session.New(p.Graph(), session.Options{
-		Workers:       cfg.Workers,
+	sess := session.New(data.Graph, session.Options{
+		Workers:       chaosWorkers,
 		Vertex:        morph.Vertex,
 		Edge:          morph.Edge,
-		MaxConcurrent: cfg.Concurrency,
-		MaxQueued:     2 * cfg.Requests, // never 429: every scheduled query must run
-		MemoryBudget:  cfg.MemoryBudget,
+		MaxConcurrent: chaosConcurrency,
+		MaxQueued:     2 * requests, // never 429: every scheduled query must run
+		MemoryBudget:  chaosBudget,
 		ShedPolicy:    govern.ShedLargest,
 		Metrics:       registry,
 	})
-	ts := httptest.NewServer(server.New(sess, server.Config{Metrics: registry}))
+	ts := httptest.NewServer(New(sess, Config{Metrics: registry}))
 
 	// The deterministic schedule: kind and parameter of every request are
 	// fixed by the seed before any goroutine starts.
@@ -180,10 +164,10 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		blowup bool
 		name   string
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	schedule := make([]chaosReq, cfg.Requests)
+	rng := rand.New(rand.NewSource(chaosSeed))
+	schedule := make([]chaosReq, requests)
 	for i := range schedule {
-		if rng.Float64() < cfg.BlowupFraction {
+		if rng.Float64() < chaosBlowupFraction {
 			schedule[i] = chaosReq{blowup: true}
 			rep.Blowups++
 		} else {
@@ -197,7 +181,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	var mu sync.Mutex // guards the classification counters below
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < cfg.Concurrency; c++ {
+	for c := 0; c < chaosConcurrency; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -207,16 +191,19 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 					return
 				}
 				req := schedule[i]
-				status, retryAfter, out, err := chaosPost(ts.URL, req.blowup, req.name)
+				body := map[string]any{"query": chaosBlowup}
+				if !req.blowup {
+					body = map[string]any{"query": benchkit.Q1.Text(), "params": map[string]any{"firstName": req.name}}
+				}
+				status, header, out := postJSONNoFatal(t, ts.URL+"/query", body)
 				mu.Lock()
-				classifyChaos(&rep, req.blowup, oracle[req.name], status, retryAfter, out, err)
+				classifyChaos(&rep, req.blowup, oracle[req.name], status, header.Get("Retry-After"), out)
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 	rep.Wall = time.Since(start)
-	rep.Requests = len(schedule)
 
 	m := sess.Metrics()
 	rep.Kills, rep.Sheds, rep.Brownouts = m.MemKills, m.MemSheds, m.MemBrownouts
@@ -237,44 +224,15 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return rep, nil
-}
-
-// chaosPost issues one request and returns the status, Retry-After header
-// and decoded body.
-func chaosPost(url string, blowup bool, name string) (int, string, map[string]any, error) {
-	body := map[string]any{"query": chaosBlowup}
-	if !blowup {
-		body = map[string]any{
-			"query":  Q1.Text(),
-			"params": map[string]any{"firstName": name},
-		}
-	}
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(b))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return resp.StatusCode, resp.Header.Get("Retry-After"), nil, err
-	}
-	return resp.StatusCode, resp.Header.Get("Retry-After"), out, nil
+	return rep
 }
 
 // classifyChaos folds one response into the report under the harness's
 // contract: a blowup is only "killed" if the full structured surface is
 // present (503, Retry-After, kind memory-budget); a well-behaved query only
-// "ok" if its count matches the oracle.
-func classifyChaos(rep *ChaosReport, blowup bool, want int64, status int, retryAfter string, out map[string]any, err error) {
-	if err != nil {
-		rep.OtherFailures++
-		return
-	}
+// "ok" if its count matches the oracle. A request that never got an answer
+// arrives as status 0 and counts against the run either way.
+func classifyChaos(rep *chaosReport, blowup bool, want int64, status int, retryAfter string, out map[string]any) {
 	kind, _ := out["kind"].(string)
 	if blowup {
 		if status == http.StatusServiceUnavailable && kind == "memory-budget" && retryAfter != "" {
@@ -298,23 +256,38 @@ func classifyChaos(rep *ChaosReport, blowup bool, want int64, status int, retryA
 	}
 }
 
-// Chaos is the CLI entry point: one default-config run, its report, and a
-// hard error when any invariant is violated.
-func Chaos(r *Runner, w io.Writer) error {
-	cfg := DefaultChaosConfig()
-	cfg.Seed = r.Seed
-	fmt.Fprintf(w, "== Overload chaos (SF%g, budget %d KiB, %d requests, %d clients) ==\n",
-		cfg.SF, cfg.MemoryBudget>>10, cfg.Requests, cfg.Concurrency)
-	rep, err := RunChaos(cfg)
-	if err != nil {
-		return err
+// TestChaosSmoke is the CI overload gate: one seeded schedule of cartesian
+// blowups interleaved with oracle-checked operational queries against a
+// governed, HTTP-served session. Every invariant lives in
+// chaosReport.Check: all blowups die with the full structured surface
+// (503, Retry-After, kind memory-budget), zero well-behaved queries are
+// killed or corrupted, the broker drains, no goroutines leak. Run under
+// -race and a tight GOMEMLIMIT by the chaos-smoke make target.
+func TestChaosSmoke(t *testing.T) {
+	requests := 48
+	if testing.Short() {
+		requests = 16
 	}
-	fmt.Fprintf(w, "blowups: %d scheduled, %d killed (503+Retry-After), %d escaped\n",
-		rep.Blowups, rep.BlowupsKilled, rep.BlowupEscapes)
-	fmt.Fprintf(w, "well-behaved: %d scheduled, %d oracle-correct, %d killed, %d wrong\n",
-		rep.WellBehaved, rep.WellBehavedOK, rep.WellBehavedKilled, rep.WrongResults)
-	fmt.Fprintf(w, "broker: kills=%d sheds=%d brownouts=%d reservedAfter=%d live=%d\n",
-		rep.Kills, rep.Sheds, rep.Brownouts, rep.ReservedAfter, rep.LiveAfter)
-	fmt.Fprintf(w, "wall: %s, goroutine growth: %d\n", fmtDur(rep.Wall), rep.GoroutineGrowth)
-	return rep.Check()
+	rep := runChaos(t, requests)
+	t.Logf("chaos: %d requests in %s — blowups %d/%d killed, well-behaved %d/%d ok, kills=%d sheds=%d brownouts=%d",
+		requests, rep.Wall, rep.BlowupsKilled, rep.Blowups,
+		rep.WellBehavedOK, rep.WellBehaved, rep.Kills, rep.Sheds, rep.Brownouts)
+	if err := rep.Check(); err != nil {
+		t.Fatalf("chaos invariant violated: %v\nreport: %+v", err, rep)
+	}
+}
+
+// TestChaosDeterministicSchedule: the seed must produce the same
+// blowup/well-behaved split on every run (the schedule is fixed before any
+// goroutine starts), which is what makes a failing interleaving repeatable.
+func TestChaosDeterministicSchedule(t *testing.T) {
+	a := runChaos(t, 12)
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	b := runChaos(t, 12)
+	if a.Blowups != b.Blowups || a.WellBehaved != b.WellBehaved {
+		t.Fatalf("schedule not deterministic: %d/%d vs %d/%d",
+			a.Blowups, a.WellBehaved, b.Blowups, b.WellBehaved)
+	}
 }

@@ -412,7 +412,7 @@ func TestConcurrentRequestsNeverHang(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, out := postJSONNoFatal(t, ts.URL+"/query",
+			resp, _, out := postJSONNoFatal(t, ts.URL+"/query",
 				map[string]any{"query": "MATCH (a:Person)-[:knows]->(b)-[:knows]->(c) RETURN a.name"})
 			statuses[i] = resp
 			if resp == http.StatusTooManyRequests && out["kind"] != "rejected" {
@@ -428,18 +428,20 @@ func TestConcurrentRequestsNeverHang(t *testing.T) {
 	}
 }
 
-func postJSONNoFatal(t *testing.T, url string, body any) (int, map[string]any) {
+// postJSONNoFatal is postJSON for goroutines other than the test's own: a
+// transport error is reported with t.Error and comes back as status 0.
+func postJSONNoFatal(t *testing.T, url string, body any) (int, http.Header, map[string]any) {
 	t.Helper()
 	b, _ := json.Marshal(body)
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Error(err)
-		return 0, nil
+		return 0, nil, nil
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp.StatusCode, out
+	return resp.StatusCode, resp.Header, out
 }
 
 func copyAll(sb *strings.Builder, resp *http.Response) (int64, error) {

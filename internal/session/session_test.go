@@ -130,23 +130,34 @@ func TestCanonicalization(t *testing.T) {
 	}
 }
 
-// TestCacheEscapeHatches: NoPlanCache and NoResultCache force full
-// recompilation/re-execution on every request.
+// TestCacheEscapeHatches: NoPlanCache and NoResultCache, each on its own and
+// both together, switch off exactly the cache they name: a disabled plan
+// cache recompiles every request that reaches it, a disabled result cache
+// re-executes every request, and the other cache keeps hitting.
 func TestCacheEscapeHatches(t *testing.T) {
-	s := New(testGraph(2), Options{NoPlanCache: true, NoResultCache: true})
-	req := Request{Query: `MATCH (a:Person) RETURN a.name`}
-	for i := 0; i < 3; i++ {
-		r, err := s.Execute(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.PlanCacheHit || r.FromResultCache {
-			t.Fatalf("request %d hit a disabled cache", i)
-		}
-	}
-	m := s.Metrics()
-	if m.PlanHits != 0 || m.ResultHits != 0 || m.PlanMisses != 3 {
-		t.Fatalf("metrics: %+v", m)
+	for _, c := range []struct {
+		name                             string
+		opts                             Options
+		planHits, planMisses, resultHits int64
+	}{
+		{"both", Options{NoPlanCache: true, NoResultCache: true}, 0, 3, 0},
+		{"NoPlanCache", Options{NoPlanCache: true}, 0, 1, 2},
+		{"NoResultCache", Options{NoResultCache: true}, 2, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(testGraph(2), c.opts)
+			req := Request{Query: `MATCH (a:Person) RETURN a.name`}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Execute(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := s.Metrics()
+			if m.PlanHits != c.planHits || m.PlanMisses != c.planMisses || m.ResultHits != c.resultHits {
+				t.Fatalf("plan hits/misses %d/%d, result hits %d, want %d/%d and %d",
+					m.PlanHits, m.PlanMisses, m.ResultHits, c.planHits, c.planMisses, c.resultHits)
+			}
+		})
 	}
 }
 
