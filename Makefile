@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gdl -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run '^FuzzParamsRoundTrip$$' -fuzz '^FuzzParamsRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run '^FuzzCFGBuild$$' -fuzz '^FuzzCFGBuild$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run '^FuzzAppendJSONValue$$' -fuzz '^FuzzAppendJSONValue$$' -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...
@@ -80,7 +81,9 @@ chaos-smoke:
 # paths must report 0 allocs/op, or the zero-cost guarantee of DESIGN.md
 # decision 13 is broken. It also pins the embedding hot path (DESIGN.md
 # decision 19) at hundredths of an allocation per row: leaf scan, merge,
-# shuffle, join probe and one expand hop on embedding-shaped rows.
+# shuffle, join probe and one expand hop on embedding-shaped rows, and the
+# output path (decision 20): the JSON row writer allocates nothing per row,
+# and a result-cache hit served over HTTP costs a fixed handful.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -96,11 +99,14 @@ alloc-guard:
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
 
-	$(GO) test ./internal/operators -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
+	$(GO) test ./internal/operators ./internal/core -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
 		/^BenchmarkRow/ { print; v = -1; for (i = 2; i <= NF; i++) if ($$i == "allocs/row") v = $$(i-1) + 0; \
-			max = ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
+			max = ($$1 ~ /^BenchmarkRowJSON/) ? 0.01 : ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
 			seen++; if (v < 0 || v > max) bad = 1 } \
-		END { if (bad || seen != 5) { print "alloc-guard: embedding hot path over budget (allocs per row: shuffle and join probe <= 0.05; leaf scan, merge and expand hop <= 0.1; five kernels)"; exit 1 } }'
+		END { if (bad || seen != 6) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer <= 0.01; shuffle and join probe <= 0.05; leaf scan, merge and expand hop <= 0.1; six kernels)"; exit 1 } }'
+	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkQueryCacheHit' -benchmem | awk ' \
+		/^BenchmarkQueryCacheHit/ { print; seen++; if ($$(NF-1)+0 > 51) bad = 1 } \
+		END { if (bad || !seen) { print "alloc-guard: a result-cache hit over HTTP allocates more than 51 objects (47 measured + 10%)"; exit 1 } }'
 
 # check ends with two guards. The gauge test that was red on two cores for
 # two PRs runs ten times: the broker must never show more reserved bytes than

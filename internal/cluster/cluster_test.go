@@ -105,7 +105,7 @@ func TestClusterBitIdentity(t *testing.T) {
 				if resp.Count != want.Count {
 					t.Fatalf("%s: count %d != single-process %d", name, resp.Count, want.Count)
 				}
-				if !reflect.DeepEqual(resp.Rows, want.Rows) {
+				if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) {
 					t.Fatalf("%s: distributed rows differ from single-process rows", name)
 				}
 				if !reflect.DeepEqual(resp.Columns, want.Columns) {
@@ -218,7 +218,7 @@ func TestClusterRecovery(t *testing.T) {
 	if resp.Cluster.Workers != 2 {
 		t.Fatalf("recovered roster size %d, want 2 survivors", resp.Cluster.Workers)
 	}
-	if !reflect.DeepEqual(resp.Rows, want.Rows) || resp.Count != want.Count {
+	if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
 		t.Fatalf("recovered rows differ from single-process rows (%d vs %d)", resp.Count, want.Count)
 	}
 	if coord.LiveWorkers() != 2 {
@@ -230,7 +230,7 @@ func TestClusterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp2.Rows, want.Rows) {
+	if !reflect.DeepEqual(resp2.Result.Rows(), want.Result.Rows()) {
 		t.Fatal("post-recovery execution diverged")
 	}
 	if resp2.Cluster.Recovered || resp2.Cluster.Attempts != 1 {

@@ -172,7 +172,7 @@ func TestClusterTelemetryParity(t *testing.T) {
 
 	for name, on := range withTelemetry {
 		off := withoutTelemetry[name]
-		if !reflect.DeepEqual(off.Rows, on.Rows) || off.Count != on.Count {
+		if !reflect.DeepEqual(off.Result.Rows(), on.Result.Rows()) || off.Count != on.Count {
 			t.Fatalf("%s: -no-telemetry rows differ from the telemetry run", name)
 		}
 		if off.Cluster.Attempts != on.Cluster.Attempts {

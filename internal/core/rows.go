@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gradoop/internal/cypher"
@@ -14,91 +15,257 @@ import (
 // embeddings, grouping aggregation (count/sum/min/max/avg), DISTINCT,
 // ORDER BY, SKIP and LIMIT. Neo4j evaluates the same clauses; the paper's
 // operator itself returns graph collections, so these modifiers apply only
-// to the Rows view.
+// to the table view.
+//
+// The clause is compiled once per walk into one cell per output column, and
+// the walk feeds the table to a sink row by row: Rows collects property
+// values (the library API), AppendRowsJSON appends the HTTP body's rows
+// array (rowsjson.go). RETURN is a projection of the bag of records, so a
+// plain RETURN, with or without SKIP and LIMIT, goes to the sink straight
+// from the embeddings; aggregation, DISTINCT and ORDER BY are operations on
+// the whole table and materialise it first.
 
-// valueOf evaluates a RETURN/ORDER BY expression against one embedding.
-// Bare variables yield the bound element id (paths render as id lists).
-func (r *Result) valueOf(e cypher.Expr, emb embedding.Embedding) epgm.PropertyValue {
-	if ref, ok := e.(*cypher.VarRef); ok {
-		if c, ok := r.Meta.Column(ref.Var); ok {
-			if emb.IsNullAt(c) {
-				return epgm.Null
-			}
-			if r.Meta.Kind(c) == embedding.PathEntry {
-				return epgm.PVString(fmt.Sprintf("%v", emb.Path(c)))
-			}
-			return epgm.PVInt(int64(emb.ID(c)))
-		}
-		return epgm.Null
-	}
-	lookup := func(variable, key string) epgm.PropertyValue {
-		if pc, ok := r.Meta.PropColumn(variable, key); ok {
-			return emb.Prop(pc)
-		}
-		return epgm.Null
-	}
-	return cypher.EvalValue(e, lookup)
+// cellKind says where in an embedding a compiled expression's value sits.
+type cellKind uint8
+
+const (
+	cellNull cellKind = iota // a variable or property the embeddings do not carry
+	cellID                   // a vertex or edge variable: the bound element id
+	cellPath                 // a path variable: its id list, rendered "[1 2 3]"
+	cellProp                 // variable.key held in propData
+	cellExpr                 // anything else: evaluated per embedding
+)
+
+// cell is one RETURN or ORDER BY expression compiled against the result's
+// metadata. value and appendJSON are its two renderings.
+type cell struct {
+	kind cellKind
+	col  int             // id column (cellID, cellPath) or property column (cellProp)
+	expr cypher.Expr     // cellExpr
+	meta *embedding.Meta // cellExpr: resolves the properties expr reads
 }
 
-// Rows materializes the RETURN clause as a table: item evaluation (for
-// RETURN * one column per non-anonymous variable), aggregation when items
-// contain aggregate functions, then DISTINCT, ORDER BY, SKIP and LIMIT.
-func (r *Result) Rows() []Row {
-	ret := r.QueryGraph.Return
-	embeddings := r.Embeddings.Collect()
+func (r *Result) compileCell(e cypher.Expr) cell {
+	switch x := e.(type) {
+	case *cypher.VarRef:
+		c, ok := r.Meta.Column(x.Var)
+		switch {
+		case !ok:
+			return cell{kind: cellNull}
+		case r.Meta.Kind(c) == embedding.PathEntry:
+			return cell{kind: cellPath, col: c}
+		default:
+			return cell{kind: cellID, col: c}
+		}
+	case *cypher.PropertyAccess:
+		if pc, ok := r.Meta.PropColumn(x.Var, x.Key); ok {
+			return cell{kind: cellProp, col: pc}
+		}
+		return cell{kind: cellNull}
+	}
+	return cell{kind: cellExpr, expr: e, meta: r.Meta}
+}
 
-	var columns []string
+// value evaluates the cell against one embedding. Bare variables yield the
+// bound element id (paths render as id lists), unbound ones Null.
+func (c cell) value(emb embedding.Embedding) epgm.PropertyValue {
+	switch c.kind {
+	case cellID:
+		if emb.IsNullAt(c.col) {
+			return epgm.Null
+		}
+		return epgm.PVInt(int64(emb.ID(c.col)))
+	case cellPath:
+		if emb.IsNullAt(c.col) {
+			return epgm.Null
+		}
+		return epgm.PVString(string(appendPathText(nil, emb, c.col)))
+	case cellProp:
+		return emb.Prop(c.col)
+	case cellExpr:
+		return cypher.EvalValue(c.expr, func(variable, key string) epgm.PropertyValue {
+			if pc, ok := c.meta.PropColumn(variable, key); ok {
+				return emb.Prop(pc)
+			}
+			return epgm.Null
+		})
+	default:
+		return epgm.Null
+	}
+}
+
+// appendPathText appends the path at column col as its id list, "[1 2 3]".
+func appendPathText(dst []byte, emb embedding.Embedding, col int) []byte {
+	dst = append(dst, '[')
+	for j, n := 0, emb.PathLen(col); j < n; j++ {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, uint64(emb.PathID(col, j)), 10)
+	}
+	return append(dst, ']')
+}
+
+// returnPlan is the RETURN clause compiled against one result.
+type returnPlan struct {
+	ret     cypher.ReturnClause
+	columns []string
+	// cells holds one cell per output column; for an aggregate item it is
+	// the cell of the function's argument (cellNull for count(*)).
+	cells      []cell
+	aggregates bool
+}
+
+func (r *Result) compileReturn() *returnPlan {
+	p := &returnPlan{ret: r.QueryGraph.Return, columns: r.Columns()}
+	p.cells = make([]cell, len(p.columns))
+	if p.ret.Star {
+		for i, name := range p.columns {
+			p.cells[i] = r.compileCell(&cypher.VarRef{Var: name})
+		}
+		return p
+	}
+	for i, item := range p.ret.Items {
+		e := item.Expr
+		if fc, ok := e.(*cypher.FuncCall); ok && fc.Aggregate() {
+			p.aggregates = true
+			if fc.Star {
+				continue
+			}
+			e = fc.Arg
+		}
+		p.cells[i] = r.compileCell(e)
+	}
+	return p
+}
+
+// streams reports whether every output row is a function of one embedding
+// and of nothing else, so that rows can be handed on as they are walked.
+func (p *returnPlan) streams() bool {
+	return !p.aggregates && !p.ret.Distinct && len(p.ret.OrderBy) == 0
+}
+
+// rowSink receives the result table in order: first the plan and the number
+// of rows to come, then one row at a time, either as an embedding to render
+// the plan's cells from (streamed rows) or as values already computed (rows
+// of the materialising pipeline).
+type rowSink interface {
+	begin(p *returnPlan, rows int)
+	embedding(emb embedding.Embedding)
+	values(vals []epgm.PropertyValue)
+}
+
+// walk evaluates the RETURN clause and feeds the resulting table to sink:
+// item evaluation (for RETURN * one column per non-anonymous variable),
+// aggregation when items contain aggregate functions, then DISTINCT,
+// ORDER BY, SKIP and LIMIT.
+func (r *Result) walk(sink rowSink) {
+	p := r.compileReturn()
+	if p.streams() {
+		lo, hi := window(r.Count(), p.ret.Skip, p.ret.Limit)
+		sink.begin(p, int(hi-lo))
+		var at int64 // rows in the partitions already passed
+		for i := 0; i < r.Embeddings.Partitions() && at < hi; i++ {
+			part := r.Embeddings.Partition(i)
+			n := int64(len(part))
+			from, to := min(max(lo-at, 0), n), min(hi-at, n)
+			for _, emb := range part[from:to] {
+				sink.embedding(emb)
+			}
+			at += n
+		}
+		return
+	}
+	rows := r.materialize(p)
+	sink.begin(p, len(rows))
+	for _, vals := range rows {
+		sink.values(vals)
+	}
+}
+
+// materialize is the part of the pipeline that needs the whole table.
+func (r *Result) materialize(p *returnPlan) [][]epgm.PropertyValue {
+	embeddings := r.Embeddings.Collect()
 	var rows [][]epgm.PropertyValue
 	var sortKeys [][]epgm.PropertyValue // parallel to rows, nil when unused
 
-	sortByRowColumn := r.sortColumnResolver()
-
-	if hasAggregates(ret) {
-		columns, rows = r.aggregateRows(embeddings)
+	if p.aggregates {
+		rows = p.aggregateRows(embeddings)
 	} else {
-		columns = r.returnColumns()
-		exprs := r.returnExprs()
 		// Sort expressions that do not name an output column are evaluated
 		// per embedding alongside the row.
-		var extraSort []cypher.Expr
-		for _, s := range ret.OrderBy {
-			if _, ok := sortByRowColumn(s.Expr, columns); !ok {
-				extraSort = append(extraSort, s.Expr)
+		var extraSort []cell
+		for _, s := range p.ret.OrderBy {
+			if _, ok := sortColumn(s.Expr, p.columns); !ok {
+				extraSort = append(extraSort, r.compileCell(s.Expr))
 			}
 		}
 		for _, emb := range embeddings {
-			vals := make([]epgm.PropertyValue, len(exprs))
-			for i, e := range exprs {
-				vals[i] = r.valueOf(e, emb)
+			vals := make([]epgm.PropertyValue, len(p.cells))
+			for i, c := range p.cells {
+				vals[i] = c.value(emb)
 			}
 			rows = append(rows, vals)
 			if len(extraSort) > 0 {
 				keys := make([]epgm.PropertyValue, len(extraSort))
-				for i, e := range extraSort {
-					keys[i] = r.valueOf(e, emb)
+				for i, c := range extraSort {
+					keys[i] = c.value(emb)
 				}
 				sortKeys = append(sortKeys, keys)
 			}
 		}
 	}
 
-	if ret.Distinct {
+	if p.ret.Distinct {
 		rows, sortKeys = distinctRows(rows, sortKeys)
 	}
-	if len(ret.OrderBy) > 0 {
-		r.orderRows(ret.OrderBy, columns, rows, sortKeys, sortByRowColumn)
+	if len(p.ret.OrderBy) > 0 {
+		orderRows(p.ret.OrderBy, p.columns, rows, sortKeys)
 	}
-	rows = applySkipLimit(rows, ret.Skip, ret.Limit)
-
-	out := make([]Row, len(rows))
-	for i, vals := range rows {
-		out[i] = Row{Columns: columns, Values: vals}
-	}
-	return out
+	lo, hi := window(int64(len(rows)), p.ret.Skip, p.ret.Limit)
+	return rows[lo:hi]
 }
 
-// returnColumns lists the output column names.
-func (r *Result) returnColumns() []string {
+// rowsSink collects the table as Rows. Streamed rows share one backing
+// array of values, each row capacity-clipped to its own cells.
+type rowsSink struct {
+	plan    *returnPlan
+	out     []Row
+	backing []epgm.PropertyValue
+}
+
+func (s *rowsSink) begin(p *returnPlan, rows int) {
+	s.plan = p
+	s.out = make([]Row, 0, rows)
+	if p.streams() {
+		s.backing = make([]epgm.PropertyValue, rows*len(p.cells))
+	}
+}
+
+func (s *rowsSink) embedding(emb embedding.Embedding) {
+	n := len(s.plan.cells)
+	vals := s.backing[:n:n]
+	s.backing = s.backing[n:]
+	for i, c := range s.plan.cells {
+		vals[i] = c.value(emb)
+	}
+	s.values(vals)
+}
+
+func (s *rowsSink) values(vals []epgm.PropertyValue) {
+	s.out = append(s.out, Row{Columns: s.plan.columns, Values: vals})
+}
+
+// Rows materializes the RETURN clause as a table of property values.
+func (r *Result) Rows() []Row {
+	var s rowsSink
+	r.walk(&s)
+	return s.out
+}
+
+// Columns lists the output column names of the RETURN clause. They depend
+// on the query alone, not on whether anything matched.
+func (r *Result) Columns() []string {
 	ret := r.QueryGraph.Return
 	if !ret.Star {
 		columns := make([]string, len(ret.Items))
@@ -119,32 +286,6 @@ func (r *Result) returnColumns() []string {
 		columns = append(columns, v)
 	}
 	return columns
-}
-
-// returnExprs lists the expressions producing each output column.
-func (r *Result) returnExprs() []cypher.Expr {
-	ret := r.QueryGraph.Return
-	if !ret.Star {
-		exprs := make([]cypher.Expr, len(ret.Items))
-		for i, item := range ret.Items {
-			exprs[i] = item.Expr
-		}
-		return exprs
-	}
-	var exprs []cypher.Expr
-	for _, name := range r.returnColumns() {
-		exprs = append(exprs, &cypher.VarRef{Var: name})
-	}
-	return exprs
-}
-
-func hasAggregates(ret cypher.ReturnClause) bool {
-	for _, item := range ret.Items {
-		if fc, ok := item.Expr.(*cypher.FuncCall); ok && fc.Aggregate() {
-			return true
-		}
-	}
-	return false
 }
 
 // aggState folds one aggregate function over a group.
@@ -226,12 +367,8 @@ func (a *aggState) result() epgm.PropertyValue {
 // aggregateRows implements implicit grouping: non-aggregate items form the
 // group key, aggregate items fold over each group. Groups appear in
 // first-occurrence order.
-func (r *Result) aggregateRows(embeddings []embedding.Embedding) ([]string, [][]epgm.PropertyValue) {
-	ret := r.QueryGraph.Return
-	columns := make([]string, len(ret.Items))
-	for i, item := range ret.Items {
-		columns[i] = item.Name()
-	}
+func (p *returnPlan) aggregateRows(embeddings []embedding.Embedding) [][]epgm.PropertyValue {
+	items := p.ret.Items
 	type group struct {
 		keyVals []epgm.PropertyValue
 		aggs    map[int]*aggState
@@ -240,7 +377,7 @@ func (r *Result) aggregateRows(embeddings []embedding.Embedding) ([]string, [][]
 	var order []string
 
 	var keyIdx, aggIdx []int
-	for i, item := range ret.Items {
+	for i, item := range items {
 		if fc, ok := item.Expr.(*cypher.FuncCall); ok && fc.Aggregate() {
 			aggIdx = append(aggIdx, i)
 		} else {
@@ -251,7 +388,7 @@ func (r *Result) aggregateRows(embeddings []embedding.Embedding) ([]string, [][]
 		keyVals := make([]epgm.PropertyValue, len(keyIdx))
 		var kb strings.Builder
 		for i, idx := range keyIdx {
-			keyVals[i] = r.valueOf(ret.Items[idx].Expr, emb)
+			keyVals[i] = p.cells[idx].value(emb)
 			kb.WriteString(valueKey(keyVals[i]))
 			kb.WriteByte(0)
 		}
@@ -260,25 +397,21 @@ func (r *Result) aggregateRows(embeddings []embedding.Embedding) ([]string, [][]
 		if !ok {
 			gr = &group{keyVals: keyVals, aggs: map[int]*aggState{}}
 			for _, idx := range aggIdx {
-				gr.aggs[idx] = newAggState(ret.Items[idx].Expr.(*cypher.FuncCall))
+				gr.aggs[idx] = newAggState(items[idx].Expr.(*cypher.FuncCall))
 			}
 			groups[key] = gr
 			order = append(order, key)
 		}
 		for _, idx := range aggIdx {
-			fc := ret.Items[idx].Expr.(*cypher.FuncCall)
-			var v epgm.PropertyValue
-			if !fc.Star {
-				v = r.valueOf(fc.Arg, emb)
-			}
-			gr.aggs[idx].add(v)
+			// count(*) has a cellNull, whose Null it counts all the same.
+			gr.aggs[idx].add(p.cells[idx].value(emb))
 		}
 	}
 
 	rows := make([][]epgm.PropertyValue, 0, len(order))
 	for _, key := range order {
 		gr := groups[key]
-		vals := make([]epgm.PropertyValue, len(ret.Items))
+		vals := make([]epgm.PropertyValue, len(items))
 		for i, idx := range keyIdx {
 			vals[idx] = gr.keyVals[i]
 		}
@@ -287,7 +420,7 @@ func (r *Result) aggregateRows(embeddings []embedding.Embedding) ([]string, [][]
 		}
 		rows = append(rows, vals)
 	}
-	return columns, rows
+	return rows
 }
 
 // valueKey renders a property value for grouping/distinct keys, including
@@ -322,33 +455,29 @@ func distinctRows(rows [][]epgm.PropertyValue, sortKeys [][]epgm.PropertyValue) 
 	return outRows, outKeys
 }
 
-// sortColumnResolver matches a sort expression to an output column: by
-// alias name or by textual expression equality.
-func (r *Result) sortColumnResolver() func(e cypher.Expr, columns []string) (int, bool) {
-	return func(e cypher.Expr, columns []string) (int, bool) {
-		if ref, ok := e.(*cypher.VarRef); ok {
-			for i, c := range columns {
-				if c == ref.Var {
-					return i, true
-				}
-			}
-		}
-		text := cypher.ExprString(e)
+// sortColumn matches a sort expression to an output column: by alias name
+// or by textual expression equality.
+func sortColumn(e cypher.Expr, columns []string) (int, bool) {
+	if ref, ok := e.(*cypher.VarRef); ok {
 		for i, c := range columns {
-			if c == text {
+			if c == ref.Var {
 				return i, true
 			}
 		}
-		return 0, false
 	}
+	text := cypher.ExprString(e)
+	for i, c := range columns {
+		if c == text {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // orderRows sorts rows in place by the ORDER BY items. Sort expressions
 // naming output columns compare row values; others use the pre-computed
 // per-embedding sort keys (only available without aggregation).
-func (r *Result) orderRows(orderBy []cypher.SortItem, columns []string,
-	rows, sortKeys [][]epgm.PropertyValue, resolve func(cypher.Expr, []string) (int, bool)) {
-
+func orderRows(orderBy []cypher.SortItem, columns []string, rows, sortKeys [][]epgm.PropertyValue) {
 	type plan struct {
 		rowCol int // -1 when using sortKeys
 		keyCol int
@@ -357,7 +486,7 @@ func (r *Result) orderRows(orderBy []cypher.SortItem, columns []string,
 	plans := make([]plan, 0, len(orderBy))
 	extra := 0
 	for _, s := range orderBy {
-		if col, ok := resolve(s.Expr, columns); ok {
+		if col, ok := sortColumn(s.Expr, columns); ok {
 			plans = append(plans, plan{rowCol: col, keyCol: -1, desc: s.Desc})
 			continue
 		}
@@ -408,15 +537,12 @@ func (r *Result) orderRows(orderBy []cypher.SortItem, columns []string,
 	copy(rows, sorted)
 }
 
-func applySkipLimit(rows [][]epgm.PropertyValue, skip, limit int64) [][]epgm.PropertyValue {
-	if skip > 0 {
-		if skip >= int64(len(rows)) {
-			return nil
-		}
-		rows = rows[skip:]
+// window returns the half-open range of an n-row table that SKIP and LIMIT
+// keep (a negative limit is no limit).
+func window(n, skip, limit int64) (lo, hi int64) {
+	lo = min(max(skip, 0), n)
+	if limit >= 0 && limit < n-lo {
+		return lo, lo + limit
 	}
-	if limit >= 0 && limit < int64(len(rows)) {
-		rows = rows[:limit]
-	}
-	return rows
+	return lo, n
 }

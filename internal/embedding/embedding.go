@@ -166,9 +166,10 @@ func (e Embedding) PropCount() int {
 	return n
 }
 
-// prop returns the encoded bytes of the property value at property column
-// i, found by stepping over the values in front of it.
-func (e Embedding) prop(i int) []byte {
+// PropBytes returns the encoded bytes (epgm.PropertyValue.Encode) of the
+// property value at property column i, found by stepping over the values in
+// front of it. The bytes are a view of the row's buffer: read, never write.
+func (e Embedding) PropBytes(i int) []byte {
 	props := e.propData()
 	for j := 0; ; j++ {
 		sz, err := epgm.EncodedValueSize(props)
@@ -186,7 +187,7 @@ func (e Embedding) prop(i int) []byte {
 // access walks the length information of the preceding entries; only the
 // value asked for is decoded.
 func (e Embedding) Prop(i int) epgm.PropertyValue {
-	v, _, err := epgm.DecodePropertyValue(e.prop(i))
+	v, _, err := epgm.DecodePropertyValue(e.PropBytes(i))
 	if err != nil {
 		panic(fmt.Sprintf("embedding: property column %d: %v", i, err))
 	}

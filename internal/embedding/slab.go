@@ -187,7 +187,7 @@ func (s *Slab) Project(e Embedding, idColumns, propColumns []int) Embedding {
 		}
 	}
 	for _, pc := range propColumns {
-		propLen += len(e.prop(pc))
+		propLen += len(e.PropBytes(pc))
 	}
 	row, idAt, pathAt, propAt := s.extend(Embedding{}, len(idColumns)*entrySize, pathLen, propLen)
 	pathStart := pathAt
@@ -203,7 +203,7 @@ func (s *Slab) Project(e Embedding, idColumns, propColumns []int) Embedding {
 		idAt += entrySize
 	}
 	for _, pc := range propColumns {
-		propAt += copy(row.buf[propAt:], e.prop(pc))
+		propAt += copy(row.buf[propAt:], e.PropBytes(pc))
 	}
 	return row
 }

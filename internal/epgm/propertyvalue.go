@@ -277,6 +277,20 @@ func EncodedValueSize(b []byte) (int, error) {
 	return n, nil
 }
 
+// EncodedString returns the payload of the encoded string value at the start
+// of b as a view into b, without making a Go string of it; ok is false when
+// the value is of another type or truncated.
+func EncodedString(b []byte) (payload []byte, ok bool) {
+	if len(b) < 5 || PropertyType(b[0]) != TypeString {
+		return nil, false
+	}
+	n := int(binary.BigEndian.Uint32(b[1:5]))
+	if len(b) < 5+n {
+		return nil, false
+	}
+	return b[5 : 5+n], true
+}
+
 // DecodePropertyValue reads one encoded value from b and returns it with
 // the number of bytes consumed.
 func DecodePropertyValue(b []byte) (PropertyValue, int, error) {

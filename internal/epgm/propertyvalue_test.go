@@ -99,6 +99,9 @@ func TestPropertyValueEncodeDecodeRoundTrip(t *testing.T) {
 		if n != want.EncodedSize() {
 			t.Fatalf("value %d: consumed %d, EncodedSize says %d", i, n, want.EncodedSize())
 		}
+		if str, ok := EncodedString(buf[off:]); ok != (want.Type() == TypeString) || string(str) != want.Str() {
+			t.Fatalf("value %d: EncodedString = %q, %v for %v", i, str, ok, want)
+		}
 		off += n
 	}
 	if off != len(buf) {
@@ -117,6 +120,9 @@ func TestDecodePropertyValueErrors(t *testing.T) {
 	for i, b := range bad {
 		if _, _, err := DecodePropertyValue(b); err == nil {
 			t.Errorf("case %d: expected error for % x", i, b)
+		}
+		if _, ok := EncodedString(b); ok {
+			t.Errorf("case %d: EncodedString accepted % x", i, b)
 		}
 	}
 }

@@ -21,7 +21,23 @@ import (
 func newClusterTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	r := obs.NewRegistry()
-	data := session.NewGraphData(testGraph())
+	addrs := startTwoWorkers(t, session.NewGraphData(testGraph()))
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4, Metrics: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(New(
+		session.New(testGraph(), session.Options{Workers: 4, Remote: coord, Metrics: r}),
+		Config{Metrics: r}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// startTwoWorkers serves data from two in-process workers, w0 and w1, each
+// shipping telemetry from a registry of its own, and returns their addresses.
+func startTwoWorkers(t *testing.T, data *session.GraphData) []string {
+	t.Helper()
 	addrs := make([]string, 2)
 	for i := range addrs {
 		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data,
@@ -34,16 +50,7 @@ func newClusterTestServer(t *testing.T) *httptest.Server {
 		t.Cleanup(w.Close)
 		addrs[i] = ln.Addr().String()
 	}
-	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4, Metrics: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	ts := httptest.NewServer(New(
-		session.New(testGraph(), session.Options{Workers: 4, Remote: coord, Metrics: r}),
-		Config{Metrics: r}))
-	t.Cleanup(ts.Close)
-	return ts
+	return addrs
 }
 
 // TestClusterWorkersEndpoint: /cluster/workers serves the roster — node

@@ -120,10 +120,8 @@ type queryRequest struct {
 	Trace bool `json:"trace"`
 }
 
-// queryResponse is the /query response.
-type queryResponse struct {
-	Columns         []string        `json:"columns,omitempty"`
-	Rows            [][]any         `json:"rows"`
+// queryEnvelope is what follows columns and rows in the /query response.
+type queryEnvelope struct {
 	Count           int64           `json:"count"`
 	Fingerprint     string          `json:"fingerprint,omitempty"`
 	PlanCacheHit    bool            `json:"planCacheHit"`
@@ -213,9 +211,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeSessionError(w, r, err)
 		return
 	}
-	out := queryResponse{
-		Columns:         res.Columns,
-		Rows:            jsonRows(res.Rows),
+	out := queryEnvelope{
 		Count:           res.Count,
 		Fingerprint:     res.Fingerprint,
 		PlanCacheHit:    res.PlanCacheHit,
@@ -237,7 +233,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			out.ChromeTrace = json.RawMessage(raw)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeQuery(w, res, out)
+}
+
+// writeQuery writes the /query body: {"columns":[...],"rows":[...] and then
+// the envelope's fields. The rows are the session's encoded bytes, written
+// as they are, neither copied nor parsed: on a result-cache hit the body is
+// two small buffers around the cache entry.
+func writeQuery(w http.ResponseWriter, res *session.Response, env queryEnvelope) {
+	head := append(make([]byte, 0, 128), `{"columns":[`...)
+	for i, c := range res.Columns {
+		if i > 0 {
+			head = append(head, ',')
+		}
+		head = core.AppendJSONValue(head, epgm.PVString(c))
+	}
+	head = append(head, `],"rows":`...)
+
+	var tail bytes.Buffer
+	enc := json.NewEncoder(&tail)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(env); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	tail.Bytes()[0] = ',' // the envelope's opening brace: its fields carry on the body's object
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(res.RowsJSON)+tail.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(head) // a write fails when the client has gone: nobody to tell
+	_, _ = w.Write(res.RowsJSON)
+	_, _ = w.Write(tail.Bytes())
 }
 
 // handleExplain renders the cached template plan without executing.
@@ -511,41 +539,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// jsonRows converts result rows to JSON-encodable value arrays aligned
-// with the response's columns.
-func jsonRows(rows []core.Row) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		vals := make([]any, len(row.Values))
-		for j, v := range row.Values {
-			vals[j] = jsonValue(v)
-		}
-		out[i] = vals
-	}
-	return out
-}
-
-// jsonValue maps a property value to its JSON form; int64s beyond JSON's
-// exact range are stringified to avoid silent precision loss.
-func jsonValue(v epgm.PropertyValue) any {
-	switch v.Type() {
-	case epgm.TypeBool:
-		return v.Bool()
-	case epgm.TypeInt64:
-		n := v.Int()
-		if n > 1<<53 || n < -(1<<53) {
-			return strconv.FormatInt(n, 10)
-		}
-		return n
-	case epgm.TypeFloat64:
-		return v.Float()
-	case epgm.TypeString:
-		return v.Str()
-	default:
-		return nil
-	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -158,35 +158,32 @@ func (c *planCache) len() int {
 	return c.order.Len()
 }
 
-// cachedResult is one materialized query result: the rows and count of a
-// fully bound execution, reusable until the graph is swapped.
+// cachedResult is one query result as the HTTP body carries it: the column
+// names, the encoded rows array and the count of a fully bound execution,
+// reusable until the graph is swapped. Hits share RowsJSON, so nobody writes
+// to it.
 type cachedResult struct {
-	Columns []string
-	Rows    []core.Row
-	Count   int64
+	Columns  []string
+	RowsJSON []byte
+	Count    int64
 
 	key        string
 	generation uint64
 	bytes      int64
 }
 
-// estimateBytes approximates the retained size of a result for the byte
-// budget: slice headers and string payloads dominate.
-func (r *cachedResult) estimateBytes() int64 {
-	n := int64(len(r.key)) + 64
+// size is what the entry holds, in bytes: its key, its column names and the
+// buffer of its encoded rows - the capacity, since the slack append left
+// behind the rows is pinned with them.
+func (r *cachedResult) size() int64 {
+	n := len(r.key) + cap(r.RowsJSON)
 	for _, c := range r.Columns {
-		n += int64(len(c)) + 16
+		n += len(c)
 	}
-	for _, row := range r.Rows {
-		n += 48 // row headers
-		for _, v := range row.Values {
-			n += 32 + int64(len(v.Str()))
-		}
-	}
-	return n
+	return int64(n)
 }
 
-// resultCache is a byte-budgeted LRU of materialized results. Entries from
+// resultCache is a byte-budgeted LRU of encoded results. Entries from
 // an older graph generation are ignored on lookup and lazily dropped; a
 // graph swap purges everything eagerly.
 //
@@ -235,7 +232,7 @@ func (c *resultCache) get(key string, generation uint64) (*cachedResult, bool) {
 // is the first thing sacrificed under load, so it never competes with
 // queries for the last bytes of the process budget.
 func (c *resultCache) put(r *cachedResult) {
-	r.bytes = r.estimateBytes()
+	r.bytes = r.size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r.bytes > c.budget {

@@ -1,9 +1,11 @@
 package session
 
 import (
+	"bytes"
 	"testing"
 
 	"gradoop/internal/epgm"
+	"gradoop/internal/govern"
 )
 
 // TestCanonicalQuery: whitespace collapses outside quoted regions only;
@@ -73,5 +75,88 @@ func TestParamsKeyCollisionProof(t *testing.T) {
 		if paramsKey(m) != k {
 			t.Fatal("paramsKey is not deterministic")
 		}
+	}
+}
+
+// TestResultCacheAccountsRealBytes: an entry weighs what it holds - its key,
+// its column names and the buffer of its encoded rows, slack included - so
+// usage() is the sum of those, an entry over the whole budget is refused, and every way an entry
+// leaves (replacement, LRU eviction, stale generation, reclaim, purge) hands
+// the broker back exactly the bytes TryReserve took for it. Ungoverned, the
+// same arithmetic runs against a nil broker.
+func TestResultCacheAccountsRealBytes(t *testing.T) {
+	entry := func(key string, rows int) *cachedResult {
+		body := bytes.Repeat([]byte(`["x",1],`), rows)
+		return &cachedResult{
+			Columns:    []string{"a.name", "n"},
+			RowsJSON:   append(make([]byte, 0, len(body)+len(body)/4), body...), // as append-grown
+			Count:      int64(rows),
+			key:        key,
+			generation: 1,
+		}
+	}
+	weigh := func(r *cachedResult) int64 {
+		return int64(len(r.key) + len("a.name") + len("n") + cap(r.RowsJSON))
+	}
+	for _, broker := range []*govern.Broker{nil, govern.NewBroker(1<<20, govern.ShedLargest)} {
+		c := newResultCache(1000)
+		c.broker = broker
+		check := func(step string, want int64, entries int) {
+			t.Helper()
+			if got, n := c.usage(); got != want || n != entries {
+				t.Fatalf("governed=%v %s: usage %d B in %d entries, want %d in %d", broker != nil, step, got, n, want, entries)
+			}
+			if broker != nil && broker.Reserved() != want {
+				t.Fatalf("%s: broker holds %d B, cache accounts %d", step, broker.Reserved(), want)
+			}
+		}
+
+		a, b := entry("a", 40), entry("b", 50)
+		c.put(a)
+		c.put(b)
+		check("two entries", weigh(a)+weigh(b), 2)
+
+		c.put(entry("huge", 200)) // 1 600 B of rows against a 1 000 B budget
+		check("entry over the budget refused", weigh(a)+weigh(b), 2)
+		if _, ok := c.get("huge", 1); ok {
+			t.Fatal("an entry larger than the budget was cached")
+		}
+
+		b2 := entry("b", 10)
+		c.put(b2)
+		check("replacement", weigh(a)+weigh(b2), 2)
+
+		d := entry("d", 80)
+		c.put(d) // a is least recently used and must go to make room
+		check("eviction", weigh(b2)+weigh(d), 2)
+		if _, ok := c.get("a", 1); ok {
+			t.Fatal("least recently used entry survived eviction")
+		}
+
+		if _, ok := c.get("d", 2); ok {
+			t.Fatal("an entry of an older generation was served")
+		}
+		check("stale generation dropped", weigh(b2), 1)
+
+		c.put(entry("e", 20))
+		held, _ := c.usage()
+		if freed := c.reclaim(); freed != held {
+			t.Fatalf("reclaim freed %d B of %d held", freed, held)
+		}
+		check("reclaim", 0, 0)
+
+		c.put(entry("f", 5))
+		c.purge()
+		check("purge", 0, 0)
+	}
+
+	// A broker without room refuses the entry, and a refused entry reserves
+	// nothing.
+	tight := govern.NewBroker(100, govern.ShedLargest)
+	c := newResultCache(1000)
+	c.broker = tight
+	c.put(entry("big", 30))
+	if used, n := c.usage(); used != 0 || n != 0 || tight.Reserved() != 0 {
+		t.Fatalf("refused entry left %d B in %d entries, broker %d B", used, n, tight.Reserved())
 	}
 }

@@ -63,8 +63,8 @@ func TestGovernedSessionParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("governed execution failed: %v", err)
 	}
-	if got.Count != want.Count || len(got.Rows) != len(want.Rows) {
-		t.Errorf("governed count=%d rows=%d, want %d/%d", got.Count, len(got.Rows), want.Count, len(want.Rows))
+	if got.Count != want.Count || len(got.Result.Rows()) != len(want.Result.Rows()) {
+		t.Errorf("governed count=%d rows=%d, want %d/%d", got.Count, len(got.Result.Rows()), want.Count, len(want.Result.Rows()))
 	}
 	if got.Metrics.TotalMem == 0 {
 		t.Error("governed job should account materialized bytes")

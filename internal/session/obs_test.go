@@ -45,8 +45,9 @@ func obsWorkload(s *Session) {
 // without a registry produces byte-identical responses — telemetry observes
 // the service, it never alters results.
 func TestSessionRegistryParity(t *testing.T) {
+	g := testGraph(4) // one graph: row order follows the element ids
 	run := func(r *obs.Registry) []string {
-		s := New(testGraph(4), Options{Metrics: r})
+		s := New(g, Options{Metrics: r})
 		var out []string
 		for _, q := range []string{
 			`MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name`,
@@ -59,9 +60,9 @@ func TestSessionRegistryParity(t *testing.T) {
 			}
 			b, err := json.Marshal(struct {
 				Columns []string
-				Rows    any
+				Rows    json.RawMessage
 				Count   int64
-			}{resp.Columns, resp.Rows, resp.Count})
+			}{resp.Columns, resp.RowsJSON, resp.Count})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,13 +168,13 @@ func TestTracedRunRecordsOps(t *testing.T) {
 // with different worker interleavings compare equal.
 func sortedRows(t *testing.T, r *Response) []string {
 	t.Helper()
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		b, err := json.Marshal(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, string(b))
+	var rows []json.RawMessage
+	if err := json.Unmarshal(r.RowsJSON, &rows); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = string(row)
 	}
 	sort.Strings(out)
 	return out

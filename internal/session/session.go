@@ -357,9 +357,15 @@ type Request struct {
 
 // Response is one served query.
 type Response struct {
+	// Columns are the RETURN clause's column names, present whether or not
+	// anything matched.
 	Columns []string
-	Rows    []core.Row
-	Count   int64
+	// RowsJSON is the result table as the JSON array of row arrays the HTTP
+	// body carries, cells in Columns order (core.Result.AppendRowsJSON). A
+	// result-cache hit hands out the cache entry's own bytes: read them,
+	// never write them. Callers that want values use Result.Rows().
+	RowsJSON []byte
+	Count    int64
 	// Fingerprint is the canonical plan key.
 	Fingerprint string
 	// PlanCacheHit reports whether the compilation was served from the plan
@@ -511,7 +517,7 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 			s.obs.queryTime.ObserveSince(start)
 			return &Response{
 				Columns:         r.Columns,
-				Rows:            r.Rows,
+				RowsJSON:        r.RowsJSON,
 				Count:           r.Count,
 				FromResultCache: true,
 				Elapsed:         time.Since(start),
@@ -605,9 +611,11 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 		}
 		return nil, ex, s.classifyExec(err, reservation)
 	}
-	rows := res.Rows()
+	// The table is encoded here rather than in the server so that the bytes
+	// have one owner: this response, and the cache entry it may become.
+	columns := res.Columns()
+	rowsJSON := res.AppendRowsJSON(nil)
 	count := res.Count()
-	columns := columnsOf(rows)
 	m := env.Metrics()
 	if clusterRep != nil {
 		// The local env only assembled the shipped result; the workers'
@@ -620,7 +628,7 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 	if cacheable {
 		s.results.put(&cachedResult{
 			Columns:    columns,
-			Rows:       rows,
+			RowsJSON:   rowsJSON,
 			Count:      count,
 			key:        resultKey,
 			generation: st.generation,
@@ -628,7 +636,7 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 	}
 	resp := &Response{
 		Columns:      columns,
-		Rows:         rows,
+		RowsJSON:     rowsJSON,
 		Count:        count,
 		Fingerprint:  prep.Fingerprint(),
 		PlanCacheHit: planHit,
@@ -688,14 +696,6 @@ func (s *Session) classifyExec(err error, r *govern.Reservation) error {
 // template plans.
 func isMissingParam(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "parameter $")
-}
-
-// columnsOf extracts the column names of a row set.
-func columnsOf(rows []core.Row) []string {
-	if len(rows) == 0 {
-		return nil
-	}
-	return rows[0].Columns
 }
 
 // Explain compiles a query (through the plan cache, warming it for later

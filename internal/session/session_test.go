@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -46,8 +47,8 @@ func TestExecuteBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Count != 5 || len(r1.Rows) != 5 {
-		t.Fatalf("count=%d rows=%d want 5/5", r1.Count, len(r1.Rows))
+	if rows := r1.Result.Rows(); r1.Count != 5 || len(rows) != 5 {
+		t.Fatalf("count=%d rows=%d want 5/5", r1.Count, len(rows))
 	}
 	if r1.FromResultCache || r1.PlanCacheHit {
 		t.Fatalf("first request must miss both caches: %+v", r1)
@@ -66,8 +67,8 @@ func TestExecuteBasics(t *testing.T) {
 	if !r2.FromResultCache {
 		t.Fatal("second identical request must hit the result cache")
 	}
-	if len(r2.Rows) != len(r1.Rows) {
-		t.Fatalf("cached rows=%d want %d", len(r2.Rows), len(r1.Rows))
+	if !bytes.Equal(r2.RowsJSON, r1.RowsJSON) || len(r2.RowsJSON) == 0 {
+		t.Fatalf("cached rows=%s want %s", r2.RowsJSON, r1.RowsJSON)
 	}
 	m := s.Metrics()
 	if m.ResultHits != 1 || m.PlanMisses != 1 {
@@ -98,7 +99,7 @@ func TestPlanCacheParameterized(t *testing.T) {
 	if r1.Count != 1 || r2.Count != 1 {
 		t.Fatalf("counts: %d, %d", r1.Count, r2.Count)
 	}
-	if r1.Rows[0].Values[0] == r2.Rows[0].Values[0] {
+	if bytes.Equal(r1.RowsJSON, r2.RowsJSON) {
 		t.Fatal("bindings returned the same row")
 	}
 	if r1.Fingerprint != r2.Fingerprint {
@@ -212,8 +213,8 @@ func TestSwapGraphInvalidates(t *testing.T) {
 	if r2.FromResultCache || r2.PlanCacheHit {
 		t.Fatalf("caches must be purged on swap: %+v", r2)
 	}
-	if r2.Count != 1 || r2.Rows[0].Values[0].Str() != "Zoe" {
-		t.Fatalf("swap not visible: count=%d rows=%v", r2.Count, r2.Rows)
+	if r2.Count != 1 || string(r2.RowsJSON) != `[["Zoe"]]` {
+		t.Fatalf("swap not visible: count=%d rows=%s", r2.Count, r2.RowsJSON)
 	}
 }
 
@@ -322,8 +323,8 @@ func TestLiteralWhitespacePreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Count != 1 || two.Rows[0].Values[0].Str() != "John  Smith" {
-		t.Fatalf("double-space literal: count=%d rows=%v", two.Count, two.Rows)
+	if two.Count != 1 || string(two.RowsJSON) != `[["John  Smith"]]` {
+		t.Fatalf("double-space literal: count=%d rows=%s", two.Count, two.RowsJSON)
 	}
 	one, err := s.Execute(Request{Query: "MATCH (a:Person)  WHERE a.name = 'John Smith'  RETURN a.name"})
 	if err != nil {
@@ -332,8 +333,8 @@ func TestLiteralWhitespacePreserved(t *testing.T) {
 	if one.FromResultCache || one.PlanCacheHit {
 		t.Fatalf("queries differing inside a literal shared a cache entry: %+v", one)
 	}
-	if one.Count != 1 || one.Rows[0].Values[0].Str() != "John Smith" {
-		t.Fatalf("single-space literal: count=%d rows=%v", one.Count, one.Rows)
+	if one.Count != 1 || string(one.RowsJSON) != `[["John Smith"]]` {
+		t.Fatalf("single-space literal: count=%d rows=%s", one.Count, one.RowsJSON)
 	}
 }
 
@@ -462,7 +463,7 @@ func TestSingleFlightSpanAttribution(t *testing.T) {
 // TestResultCacheEviction: a tiny byte budget evicts older results instead
 // of growing without bound.
 func TestResultCacheEviction(t *testing.T) {
-	s := New(testGraph(2), Options{ResultCacheBytes: 600})
+	s := New(testGraph(2), Options{ResultCacheBytes: 200})
 	queries := []string{
 		`MATCH (a:Person) RETURN a.name`,
 		`MATCH (a:Person)-[:knows]->(b) RETURN b.name`,
@@ -474,7 +475,7 @@ func TestResultCacheEviction(t *testing.T) {
 		}
 	}
 	bytes, entries := s.results.usage()
-	if bytes > 600 {
+	if bytes > 200 {
 		t.Fatalf("result cache exceeded budget: %d bytes", bytes)
 	}
 	if entries >= len(queries) {
