@@ -53,7 +53,8 @@ lint-tools:
 
 # fuzz-smoke gives each native fuzz target a short budget — enough to catch
 # regressions in the properties (parser never panics, canonicalization is
-# idempotent and literal-preserving) without open-ended fuzzing.
+# idempotent and literal-preserving, a shuffle bucket off the socket decodes
+# to rows or an error) without open-ended fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/session -run '^FuzzCanonicalQuery$$' -fuzz '^FuzzCanonicalQuery$$' -fuzztime=$(FUZZTIME)
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^FuzzParamsRoundTrip$$' -fuzz '^FuzzParamsRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run '^FuzzCFGBuild$$' -fuzz '^FuzzCFGBuild$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzAppendJSONValue$$' -fuzz '^FuzzAppendJSONValue$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/operators -run '^FuzzDecodeBucket$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...
@@ -83,7 +85,9 @@ chaos-smoke:
 # decision 19) at hundredths of an allocation per row: leaf scan, merge,
 # shuffle, join probe and one expand hop on embedding-shaped rows, and the
 # output path (decision 20): the JSON row writer allocates nothing per row,
-# and a result-cache hit served over HTTP costs a fixed handful.
+# and a result-cache hit served over HTTP costs a fixed handful; and the wire
+# (decision 21): bucketing, framing and reading back a shuffle's rows costs a
+# fixed handful per bucket, because the rows are views of the frame.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -99,11 +103,11 @@ alloc-guard:
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
 
-	$(GO) test ./internal/operators ./internal/core -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
+	$(GO) test ./internal/operators ./internal/core ./internal/cluster -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
 		/^BenchmarkRow/ { print; v = -1; for (i = 2; i <= NF; i++) if ($$i == "allocs/row") v = $$(i-1) + 0; \
-			max = ($$1 ~ /^BenchmarkRowJSON/) ? 0.01 : ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
+			max = ($$1 ~ /^BenchmarkRow(JSON|Frame)/) ? 0.01 : ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
 			seen++; if (v < 0 || v > max) bad = 1 } \
-		END { if (bad || seen != 6) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer <= 0.01; shuffle and join probe <= 0.05; leaf scan, merge and expand hop <= 0.1; six kernels)"; exit 1 } }'
+		END { if (bad || seen != 7) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer and wire frame <= 0.01; shuffle and join probe <= 0.05; leaf scan, merge and expand hop <= 0.1; seven kernels)"; exit 1 } }'
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkQueryCacheHit' -benchmem | awk ' \
 		/^BenchmarkQueryCacheHit/ { print; seen++; if ($$(NF-1)+0 > 51) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: a result-cache hit over HTTP allocates more than 51 objects (47 measured + 10%)"; exit 1 } }'

@@ -27,6 +27,16 @@ var testQueries = []struct {
 	{"twohop", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`, false},
 	{"located", `MATCH (person:Person)-[:isLocatedIn]->(city:City), (person)-[:studyAt]->(u:University) RETURN *`, false},
 	{"triangle", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN *`, false},
+	// What the row codec has to carry besides plain id columns: NULL columns
+	// (OPTIONAL MATCH), path columns grown hop by hop in either direction
+	// (path states cross the sockets with and without a via list), buckets
+	// and result partitions of zero rows, and rows replicated by an
+	// all-gather (a cross product is a broadcast join).
+	{"optional", `MATCH (p:Person) OPTIONAL MATCH (p)-[s:studyAt]->(u:University) RETURN *`, false},
+	{"varlen", `MATCH (p:Person)-[e:knows*1..3]->(q:Person) WHERE p.firstName = $firstName RETURN *`, true},
+	{"varlen-reverse", `MATCH (p:Person)<-[e:knows*1..3]-(q:Person) WHERE p.firstName = $firstName RETURN *`, true},
+	{"norows", `MATCH (p:Person)-[:knows]->(q:Person) WHERE p.firstName = 'nobody is called this' RETURN *`, false},
+	{"broadcast", `MATCH (p:Person), (u:University) WHERE p.firstName = $firstName RETURN *`, true},
 }
 
 // testGraph builds the shared LDBC fixture.
@@ -88,6 +98,13 @@ func TestClusterBitIdentity(t *testing.T) {
 	opts := session.Options{Workers: 4}
 
 	ref := run(t, session.New(d.Graph, opts), common)
+	for name, want := range ref {
+		// A parity check over no rows checks nothing: only the query written
+		// to match nothing may do so.
+		if (want.Count == 0) != (name == "norows") {
+			t.Fatalf("%s: %d rows in process", name, want.Count)
+		}
+	}
 
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {

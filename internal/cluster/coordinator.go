@@ -294,13 +294,13 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 		case framePong:
 			m.markPong()
 		case frameResult:
-			f, err := decodeResultFrame(payload)
+			f, body, err := decodeResultFrame(payload)
 			if err != nil {
 				c.memberDown(m, err)
 				return
 			}
 			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
-				st.deliverResult(f.Partition, f.Body)
+				st.deliverResult(f.Partition, body)
 			}
 		case frameJobDone:
 			var done jobDone
@@ -399,7 +399,7 @@ func (c *Coordinator) heartbeat() {
 				c.memberDown(m, fmt.Errorf("heartbeat timeout (%v silent)", silent))
 				continue
 			}
-			m.send.send(framePing, nil)
+			m.send.send(framePing)
 		}
 	}
 }
@@ -768,17 +768,25 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 	}
 	st.mu.Unlock()
 
-	var flat []embedding.Embedding
+	// The bucket counts give the result's length: one array, every row
+	// decoded in place as a view of the frame body it arrived in.
+	bounds := make([]int, c.opts.Workers+1)
 	for p := 0; p < c.opts.Workers; p++ {
 		body, ok := results[p]
 		if !ok {
 			return nil, nil, fmt.Errorf("cluster: partition %d missing from results", p)
 		}
-		rows, err := decodeEmbeddings(body)
+		n, err := dataflow.BucketCount(body)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
 		}
-		flat = append(flat, rows...)
+		bounds[p+1] = bounds[p] + n
+	}
+	flat := make([]embedding.Embedding, bounds[c.opts.Workers])
+	for p := 0; p < c.opts.Workers; p++ {
+		if err := dataflow.DecodeBucket(flat[bounds[p]:bounds[p+1]], results[p]); err != nil {
+			return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
+		}
 	}
 
 	// Mirror core.Prepared.Execute's binding so QueryGraph/Plan/Meta are

@@ -30,8 +30,10 @@ import (
 // of the handshake; a mismatch is rejected with a structured reason instead
 // of letting two incompatible builds exchange garbage.
 const (
-	protoMagic   = 0x47524450 // "GRDP"
-	protoVersion = 1
+	protoMagic = 0x47524450 // "GRDP"
+	// protoVersion 2: a row travels as its in-memory buffer behind one length
+	// (embedding.AppendWire), and result frames carry a checksum.
+	protoVersion = 2
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -184,22 +186,34 @@ type abortMsg struct {
 	Attempt int    `json:"attempt"`
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame writes one length-prefixed frame whose payload is the given
+// segments back to back: a data or result frame is its header followed by the
+// encoded buckets where they lie, never concatenated.
+func writeFrame(w io.Writer, typ byte, payload ...[]byte) error {
+	n := 1
+	for _, seg := range payload {
+		n += len(seg)
+	}
 	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
 	hdr[4] = typ
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, seg := range payload {
+		if _, err := w.Write(seg); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readFrame reads one frame, guarding against torn and hostile length
 // prefixes: a prefix of zero, or beyond maxFrame, fails before any
 // allocation, and a short read surfaces as io.ErrUnexpectedEOF rather than
-// a misparse of the next frame.
+// a misparse of the next frame. Every frame gets a body of its own that
+// nothing reuses, so what is decoded from it may keep views of it: a frame
+// body belongs to the attempt that received it.
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -231,8 +245,9 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, payload)
 }
 
-// dataHeader is the fixed binary prefix of a frameData payload:
+// dataHeaderLen is the fixed binary prefix of a frameData payload:
 // jobID u64 | attempt u32 | seq u64 | kind u8 | from u32 | stage i64 | crc u32.
+// The body follows: one collective's buckets for one peer.
 const dataHeaderLen = 8 + 4 + 8 + 1 + 4 + 8 + 4
 
 type dataFrame struct {
@@ -242,26 +257,32 @@ type dataFrame struct {
 	Kind    byte
 	From    int
 	Stage   int64
-	Body    []byte
 }
 
-func encodeDataFrame(f *dataFrame) []byte {
-	out := make([]byte, dataHeaderLen, dataHeaderLen+len(f.Body))
+// encodeDataFrame returns the header of the frame whose body is the given
+// segments: the payload is the header followed by them, where they lie. The
+// checksum is CRC32 over the body, taken segment by segment.
+func encodeDataFrame(f *dataFrame, body [][]byte) []byte {
+	out := make([]byte, dataHeaderLen)
 	binary.BigEndian.PutUint64(out[0:], f.JobID)
 	binary.BigEndian.PutUint32(out[8:], uint32(f.Attempt))
 	binary.BigEndian.PutUint64(out[12:], f.Seq)
 	out[20] = f.Kind
 	binary.BigEndian.PutUint32(out[21:], uint32(f.From))
 	binary.BigEndian.PutUint64(out[25:], uint64(f.Stage))
-	binary.BigEndian.PutUint32(out[33:], crc32.ChecksumIEEE(f.Body))
-	return append(out, f.Body...)
+	var crc uint32
+	for _, seg := range body {
+		crc = crc32.Update(crc, crc32.IEEETable, seg)
+	}
+	binary.BigEndian.PutUint32(out[33:], crc)
+	return out
 }
 
-// decodeDataFrame parses and CRC-checks a frameData payload. The body
-// aliases the input.
-func decodeDataFrame(b []byte) (*dataFrame, error) {
+// decodeDataFrame parses a frameData payload and CRC-checks its body, a view
+// of the input.
+func decodeDataFrame(b []byte) (*dataFrame, []byte, error) {
 	if len(b) < dataHeaderLen {
-		return nil, fmt.Errorf("cluster: truncated data frame (%d bytes)", len(b))
+		return nil, nil, fmt.Errorf("cluster: truncated data frame (%d bytes)", len(b))
 	}
 	f := &dataFrame{
 		JobID:   binary.BigEndian.Uint64(b[0:]),
@@ -270,43 +291,52 @@ func decodeDataFrame(b []byte) (*dataFrame, error) {
 		Kind:    b[20],
 		From:    int(binary.BigEndian.Uint32(b[21:])),
 		Stage:   int64(binary.BigEndian.Uint64(b[25:])),
-		Body:    b[dataHeaderLen:],
 	}
-	if want, got := binary.BigEndian.Uint32(b[33:]), crc32.ChecksumIEEE(f.Body); want != got {
-		return nil, fmt.Errorf("cluster: data frame CRC mismatch (%08x != %08x)", got, want)
+	body := b[dataHeaderLen:]
+	if want, got := binary.BigEndian.Uint32(b[33:]), crc32.ChecksumIEEE(body); want != got {
+		return nil, nil, fmt.Errorf("cluster: data frame CRC mismatch (%08x != %08x)", got, want)
 	}
-	return f, nil
+	return f, body, nil
 }
 
 // resultHeaderLen prefixes a frameResult payload:
-// jobID u64 | attempt u32 | partition u32.
-const resultHeaderLen = 8 + 4 + 4
+// jobID u64 | attempt u32 | partition u32 | crc u32. The body follows: the
+// partition's rows as one dataflow.EncodeBucket.
+const resultHeaderLen = 8 + 4 + 4 + 4
 
 type resultFrame struct {
 	JobID     uint64
 	Attempt   int
 	Partition int
-	Body      []byte // uint32 row count + each embedding's wire form
 }
 
-func encodeResultFrame(f *resultFrame) []byte {
-	out := make([]byte, resultHeaderLen, resultHeaderLen+len(f.Body))
+// encodeResultFrame returns the header of the frame whose body is body.
+func encodeResultFrame(f *resultFrame, body []byte) []byte {
+	out := make([]byte, resultHeaderLen)
 	binary.BigEndian.PutUint64(out[0:], f.JobID)
 	binary.BigEndian.PutUint32(out[8:], uint32(f.Attempt))
 	binary.BigEndian.PutUint32(out[12:], uint32(f.Partition))
-	return append(out, f.Body...)
+	binary.BigEndian.PutUint32(out[16:], crc32.ChecksumIEEE(body))
+	return out
 }
 
-func decodeResultFrame(b []byte) (*resultFrame, error) {
+// decodeResultFrame parses a frameResult payload and CRC-checks its body, a
+// view of the input: a flipped bit in a shipped partition is an error, not a
+// wrong row.
+func decodeResultFrame(b []byte) (*resultFrame, []byte, error) {
 	if len(b) < resultHeaderLen {
-		return nil, fmt.Errorf("cluster: truncated result frame (%d bytes)", len(b))
+		return nil, nil, fmt.Errorf("cluster: truncated result frame (%d bytes)", len(b))
 	}
-	return &resultFrame{
+	f := &resultFrame{
 		JobID:     binary.BigEndian.Uint64(b[0:]),
 		Attempt:   int(binary.BigEndian.Uint32(b[8:])),
 		Partition: int(binary.BigEndian.Uint32(b[12:])),
-		Body:      b[resultHeaderLen:],
-	}, nil
+	}
+	body := b[resultHeaderLen:]
+	if want, got := binary.BigEndian.Uint32(b[16:]), crc32.ChecksumIEEE(body); want != got {
+		return nil, nil, fmt.Errorf("cluster: result frame CRC mismatch (%08x != %08x)", got, want)
+	}
+	return f, body, nil
 }
 
 // sender serializes and coalesces writes on one connection: frames are
@@ -328,7 +358,7 @@ type sender struct {
 
 type outFrame struct {
 	typ     byte
-	payload []byte
+	payload [][]byte
 }
 
 func newSender(conn net.Conn) *sender {
@@ -351,7 +381,7 @@ func (s *sender) run() {
 		closed := s.closed
 		s.mu.Unlock()
 		for _, f := range batch {
-			if err := writeFrame(bw, f.typ, f.payload); err != nil {
+			if err := writeFrame(bw, f.typ, f.payload...); err != nil {
 				s.fail(err)
 				return
 			}
@@ -379,9 +409,11 @@ func (s *sender) fail(err error) {
 	s.conn.Close()
 }
 
-// send enqueues one frame. It returns the connection's sticky error, if
-// any; enqueueing after close is a silent no-op with that error returned.
-func (s *sender) send(typ byte, payload []byte) error {
+// send enqueues one frame, its payload given as segments the sender must be
+// left to read until they are written. It returns the connection's sticky
+// error, if any; enqueueing after close is a silent no-op with that error
+// returned.
+func (s *sender) send(typ byte, payload ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.err != nil {

@@ -12,6 +12,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gradoop/internal/dataflow"
+	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 )
 
 // TestFrameRoundTrip pins the framing: length prefix, type byte, payload.
@@ -71,29 +75,150 @@ func TestFrameZeroLength(t *testing.T) {
 }
 
 // TestDataFrameCRC checks that payload corruption is caught by the per-frame
-// checksum.
+// checksum, taken over a body that is written in segments and read as one.
 func TestDataFrameCRC(t *testing.T) {
-	enc := encodeDataFrame(&dataFrame{
-		JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9,
-		Body: []byte("shuffle bucket bytes"),
-	})
-	f, err := decodeDataFrame(enc)
+	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
+	head := encodeDataFrame(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9}, body)
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, frameData, append([][]byte{head}, body...)...); err != nil {
+		t.Fatal(err)
+	}
+	typ, enc, err := readFrame(bufio.NewReader(&wire))
+	if err != nil || typ != frameData {
+		t.Fatalf("frame type %d, err %v", typ, err)
+	}
+	f, got, err := decodeDataFrame(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.JobID != 7 || f.Attempt != 1 || f.Seq != 3 || f.From != 2 || f.Stage != 9 {
 		t.Fatalf("header mismatch: %+v", f)
 	}
+	if string(got) != "shuffle bucket bytes" {
+		t.Fatalf("body %q", got)
+	}
 	enc[len(enc)-1] ^= 0x40
-	if _, err := decodeDataFrame(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, _, err := decodeDataFrame(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupted frame: got %v, want CRC mismatch", err)
 	}
-	if _, err := decodeDataFrame(enc[:dataHeaderLen-2]); err == nil {
+	if _, _, err := decodeDataFrame(enc[:dataHeaderLen-2]); err == nil {
 		t.Fatal("truncated data header accepted")
 	}
 }
 
-// TestHandshakeVersionMismatch dials a worker with a wrong protocol version
+// TestResultFrameCRC: a shipped result partition is checksummed like a
+// shuffle bucket - a flipped bit anywhere in the body is a structured error,
+// where it used to be a decode error by luck and a wrong row otherwise.
+func TestResultFrameCRC(t *testing.T) {
+	rows := []embedding.Embedding{
+		embedding.Embedding{}.AppendID(1).AppendProps(epgm.PVString("Leipzig")),
+		embedding.Embedding{}.AppendID(2).AppendProps(epgm.PVString("Dresden")),
+	}
+	body, err := dataflow.EncodeBucket(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := append(encodeResultFrame(&resultFrame{JobID: 7, Attempt: 1, Partition: 3}, body), body...)
+	f, got, err := decodeResultFrame(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.JobID != 7 || f.Attempt != 1 || f.Partition != 3 || !bytes.Equal(got, body) {
+		t.Fatalf("round trip: %+v, body %x", f, got)
+	}
+	for i := resultHeaderLen; i < len(enc); i++ {
+		enc[i] ^= 0x01
+		if _, _, err := decodeResultFrame(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("bit flipped at byte %d: got %v, want CRC mismatch", i, err)
+		}
+		enc[i] ^= 0x01
+	}
+	if _, _, err := decodeResultFrame(enc[:resultHeaderLen-1]); err == nil {
+		t.Fatal("truncated result header accepted")
+	}
+}
+
+// TestCorruptResultFailsTheMember: the coordinator answers a result frame
+// that fails its checksum by dropping the worker that sent it - the attempt
+// settles as a loss and is retried - never by assembling the rows.
+func TestCorruptResultFailsTheMember(t *testing.T) {
+	client, server := net.Pipe()
+	c := &Coordinator{inst: newClusterInstruments(nil), pending: map[jobKey]*attemptState{}}
+	m := &member{idx: 0, node: "w0", conn: server, send: newSender(server), alive: true}
+	c.members = []*member{m}
+	st := newAttemptState(jobKey{job: 7}, []int{0})
+	c.pending[st.key] = st
+	read := make(chan struct{})
+	go func() {
+		c.readMember(m, bufio.NewReader(server))
+		close(read)
+	}()
+	body := []byte{0, 0, 0, 0}
+	head := encodeResultFrame(&resultFrame{JobID: 7, Partition: 0}, body)
+	if err := writeFrame(client, frameResult, head, []byte{0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-read
+	client.Close()
+	if m.isAlive() {
+		t.Fatal("member survived a corrupt result frame")
+	}
+	if out := st.classify(); !out.recoverable || len(st.results) != 0 {
+		t.Fatalf("attempt after a corrupt result: %+v with %d partitions delivered", out, len(st.results))
+	}
+}
+
+// TestFramesNeverShareBytes pins what lets decoded rows be views: readFrame
+// gives every frame a body of its own, so the rows of one frame survive the
+// next frame arriving through the same reader, and being scribbled over.
+func TestFramesNeverShareBytes(t *testing.T) {
+	bucket := func(tag int64) []byte {
+		rows := make([]embedding.Embedding, 50)
+		for i := range rows {
+			rows[i] = embedding.Embedding{}.AppendID(epgm.ID(i)).AppendProps(epgm.PVInt(tag), epgm.PVString("name"))
+		}
+		b, err := dataflow.EncodeBucket(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var wire bytes.Buffer
+	for tag := int64(1); tag <= 2; tag++ {
+		if err := writeFrame(&wire, frameResult, bucket(tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReaderSize(&wire, 64) // smaller than a frame, like a busy socket
+	decode := func() ([]byte, []embedding.Embedding) {
+		_, body, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]embedding.Embedding, 50)
+		if err := dataflow.DecodeBucket(rows, body); err != nil {
+			t.Fatal(err)
+		}
+		return body, rows
+	}
+	_, first := decode()
+	want := make([]string, len(first))
+	for i, e := range first {
+		want[i] = e.String()
+	}
+	second, _ := decode()
+	for i := range second {
+		second[i] = 0xee
+	}
+	for i, e := range first {
+		if got := e.String(); got != want[i] {
+			t.Fatalf("row %d of the first frame reads %s after the second was overwritten, want %s", i, got, want[i])
+		}
+	}
+}
+
+// TestHandshakeVersionMismatch dials a worker as a version 1 peer would -
+// one that frames rows the old way and sends results without a checksum -
 // and requires a structured frameReject, then a close.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	w := NewWorker("w0", nil, nil)
@@ -110,7 +235,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	if err := writeJSONFrame(conn, frameHello, hello{
-		Magic: protoMagic, Version: protoVersion + 1, Role: roleControl,
+		Magic: protoMagic, Version: 1, Role: roleControl,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +326,10 @@ func TestMailBeforeDropStillConsumable(t *testing.T) {
 		close(routed)
 	}()
 
-	body := encodeDataFrame(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1, Body: []byte("owed")})
+	body := []byte("owed")
+	head := encodeDataFrame(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1}, [][]byte{body})
 	go func() {
-		writeFrame(client, frameData, body)
+		writeFrame(client, frameData, head, body)
 		client.Close()
 	}()
 	<-routed // reader saw the frame, then the close

@@ -15,7 +15,6 @@ import (
 
 	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
-	"gradoop/internal/embedding"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
 	"gradoop/internal/session"
@@ -325,7 +324,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		}
 		switch typ {
 		case framePing:
-			send.send(framePong, nil)
+			send.send(framePong)
 		case frameJob:
 			var spec jobSpec
 			if err := json.Unmarshal(payload, &spec); err != nil {
@@ -475,13 +474,12 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 		if spec.Owner[p] != spec.Self {
 			continue
 		}
-		frame := &resultFrame{
-			JobID:     spec.JobID,
-			Attempt:   spec.Attempt,
-			Partition: p,
-			Body:      encodeEmbeddings(res.Embeddings.Partition(p)),
+		body, err := dataflow.EncodeBucket(res.Embeddings.Partition(p))
+		if err != nil {
+			return nil, zero, err
 		}
-		if err := ctrl.send(frameResult, encodeResultFrame(frame)); err != nil {
+		head := encodeResultFrame(&resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p}, body)
+		if err := ctrl.send(frameResult, head, body); err != nil {
 			return nil, zero, fmt.Errorf("cluster: shipping partition %d: %w", p, err)
 		}
 	}
@@ -654,7 +652,7 @@ func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
 		if typ != frameData {
 			continue
 		}
-		f, err := decodeDataFrame(payload)
+		f, body, err := decodeDataFrame(payload)
 		if err != nil {
 			rt.failPeer(idx, err)
 			return
@@ -664,7 +662,7 @@ func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
 			continue
 		}
 		rt.mu.Lock()
-		rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = f.Body
+		rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = body
 		rt.cond.Broadcast()
 		rt.mu.Unlock()
 	}
@@ -693,9 +691,9 @@ func (rt *jobRuntime) waitMail(key mailKey) ([]byte, error) {
 	}
 }
 
-// peerSend enqueues a frame to roster member idx; a connection-level send
-// failure is a peer loss.
-func (rt *jobRuntime) peerSend(idx int, payload []byte) error {
+// peerSend enqueues a data frame, its payload in segments, to roster member
+// idx; a connection-level send failure is a peer loss.
+func (rt *jobRuntime) peerSend(idx int, payload [][]byte) error {
 	rt.mu.Lock()
 	link := rt.peers[idx]
 	err := rt.err
@@ -706,7 +704,7 @@ func (rt *jobRuntime) peerSend(idx int, payload []byte) error {
 	if link == nil {
 		return fmt.Errorf("%w: no connection to peer %d", ErrPeerLost, idx)
 	}
-	if err := link.send.send(frameData, payload); err != nil {
+	if err := link.send.send(frameData, payload...); err != nil {
 		rt.failPeer(idx, err)
 		return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
 	}
@@ -818,23 +816,9 @@ func (t *peerTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, 
 		if j == self {
 			continue
 		}
-		var body []byte
-		for p := 0; p < w; p++ {
-			if owner[p] != self {
-				continue
-			}
-			for q := 0; q < w; q++ {
-				if owner[q] != j {
-					continue
-				}
-				body = binary.BigEndian.AppendUint32(body, uint32(p))
-				body = binary.BigEndian.AppendUint32(body, uint32(q))
-				body = binary.BigEndian.AppendUint32(body, uint32(len(outgoing[p][q])))
-				body = append(body, outgoing[p][q]...)
-			}
-		}
-		t.wireOut[stage] += int64(len(body)) + dataHeaderLen + frameHeader
-		if err := t.sendData(stage, kindExchange, j, body); err != nil {
+		payload := exchangePayload(owner, self, j, outgoing)
+		t.wireOut[stage] += t.seal(stage, kindExchange, payload)
+		if err := t.rt.peerSend(j, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -852,25 +836,69 @@ func (t *peerTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, 
 		if err != nil {
 			return nil, err
 		}
-		for len(body) > 0 {
-			if len(body) < 12 {
-				return nil, fmt.Errorf("cluster: truncated exchange bucket header from peer %d", j)
-			}
-			p := int(binary.BigEndian.Uint32(body))
-			q := int(binary.BigEndian.Uint32(body[4:]))
-			n := int(binary.BigEndian.Uint32(body[8:]))
-			body = body[12:]
-			if n > len(body) {
-				return nil, fmt.Errorf("cluster: exchange bucket length %d exceeds frame from peer %d", n, j)
-			}
-			if p < 0 || p >= w || q < 0 || q >= w || owner[p] != j || owner[q] != self {
-				return nil, fmt.Errorf("cluster: misrouted exchange bucket %d->%d from peer %d", p, q, j)
-			}
-			incoming[q][p] = body[:n:n]
-			body = body[n:]
+		if err := splitExchange(owner, self, j, body, incoming); err != nil {
+			return nil, err
 		}
 	}
 	return incoming, nil
+}
+
+// exchangePayload lays out the body of the data frame that carries every
+// bucket roster member self owes member j in one shuffle: per bucket a
+// 12-byte head (source, destination, length) and the bucket where the engine
+// encoded it - nothing is concatenated. Element 0 is left for the header.
+func exchangePayload(owner []int, self, j int, outgoing [][][]byte) [][]byte {
+	var mine, theirs int
+	for _, o := range owner {
+		if o == self {
+			mine++
+		} else if o == j {
+			theirs++
+		}
+	}
+	heads := make([]byte, 0, 12*mine*theirs)
+	payload := make([][]byte, 1, 1+2*mine*theirs)
+	for p := range owner {
+		if owner[p] != self {
+			continue
+		}
+		for q := range owner {
+			if owner[q] != j {
+				continue
+			}
+			at := len(heads)
+			heads = binary.BigEndian.AppendUint32(heads, uint32(p))
+			heads = binary.BigEndian.AppendUint32(heads, uint32(q))
+			heads = binary.BigEndian.AppendUint32(heads, uint32(len(outgoing[p][q])))
+			payload = append(payload, heads[at:], outgoing[p][q])
+		}
+	}
+	return payload
+}
+
+// splitExchange is the receiving end of exchangePayload: it files the buckets
+// of member j's frame body under incoming[destination][source], each a view
+// of the body clipped to its own length.
+func splitExchange(owner []int, self, j int, body []byte, incoming [][][]byte) error {
+	w := len(owner)
+	for len(body) > 0 {
+		if len(body) < 12 {
+			return fmt.Errorf("cluster: truncated exchange bucket header from peer %d", j)
+		}
+		p := int(binary.BigEndian.Uint32(body))
+		q := int(binary.BigEndian.Uint32(body[4:]))
+		n := int(binary.BigEndian.Uint32(body[8:]))
+		body = body[12:]
+		if n > len(body) {
+			return fmt.Errorf("cluster: exchange bucket length %d exceeds frame from peer %d", n, j)
+		}
+		if p < 0 || p >= w || q < 0 || q >= w || owner[p] != j || owner[q] != self {
+			return fmt.Errorf("cluster: misrouted exchange bucket %d->%d from peer %d", p, q, j)
+		}
+		incoming[q][p] = body[:n:n]
+		body = body[n:]
+	}
+	return nil
 }
 
 // AllGather implements dataflow.Transport: every process frames its owned
@@ -881,21 +909,24 @@ func (t *peerTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error)
 		return nil, err
 	}
 	w, self, owner := t.spec.Workers, t.spec.Self, t.spec.Owner
-	var body []byte
+	heads := make([]byte, 0, 8*w)
+	payload := make([][]byte, 1, 1+2*w)
 	for p := 0; p < w; p++ {
 		if owner[p] != self {
 			continue
 		}
-		body = binary.BigEndian.AppendUint32(body, uint32(p))
-		body = binary.BigEndian.AppendUint32(body, uint32(len(blobs[p])))
-		body = append(body, blobs[p]...)
+		at := len(heads)
+		heads = binary.BigEndian.AppendUint32(heads, uint32(p))
+		heads = binary.BigEndian.AppendUint32(heads, uint32(len(blobs[p])))
+		payload = append(payload, heads[at:], blobs[p])
 	}
+	wire := t.seal(stage, kindAllGather, payload)
 	for j := range t.spec.Procs {
 		if j == self {
 			continue
 		}
-		t.wireOut[stage] += int64(len(body)) + dataHeaderLen + frameHeader
-		if err := t.sendData(stage, kindAllGather, j, body); err != nil {
+		t.wireOut[stage] += wire
+		if err := t.rt.peerSend(j, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -933,16 +964,24 @@ func (t *peerTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error)
 	return out, nil
 }
 
-func (t *peerTransport) sendData(stage int64, kind byte, to int, body []byte) error {
-	return t.rt.peerSend(to, encodeDataFrame(&dataFrame{
+// seal completes one collective's contribution to a peer: payload[1:] is
+// the body and payload[0], left free, gets the header. It returns what the
+// frame puts on the socket. Once handed to a sender the segments are
+// read-only; an all-gather sends the same ones to every peer.
+func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int64) {
+	payload[0] = encodeDataFrame(&dataFrame{
 		JobID:   t.spec.JobID,
 		Attempt: t.spec.Attempt,
 		Seq:     t.seq,
 		Kind:    kind,
 		From:    t.spec.Self,
 		Stage:   stage,
-		Body:    body,
-	}))
+	}, payload[1:])
+	wire = frameHeader
+	for _, seg := range payload {
+		wire += int64(len(seg))
+	}
+	return wire
 }
 
 // stageRecords derives the predicted-vs-actual table from the worker's
@@ -971,39 +1010,4 @@ func stageRecords(spans []trace.Span, cfg dataflow.Config, wireOut map[int64]int
 		})
 	}
 	return recs
-}
-
-// encodeEmbeddings frames one partition's rows: uint32 count + wire forms.
-func encodeEmbeddings(rows []embedding.Embedding) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(rows)))
-	for _, e := range rows {
-		out = e.AppendWire(out)
-	}
-	return out
-}
-
-// decodeEmbeddings reverses encodeEmbeddings with the usual hostile-count
-// guard.
-func decodeEmbeddings(b []byte) ([]embedding.Embedding, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("cluster: truncated result partition (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n < 0 || n > len(b) {
-		return nil, fmt.Errorf("cluster: result row count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	out := make([]embedding.Embedding, n)
-	// One arena holds the bytes of every row of the partition.
-	arena := make([]byte, len(b))
-	for i := range out {
-		var err error
-		if b, arena, err = out[i].DecodeWireArena(b, arena); err != nil {
-			return nil, fmt.Errorf("cluster: result row %d/%d: %w", i, n, err)
-		}
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("cluster: result partition has %d trailing bytes", len(b))
-	}
-	return out, nil
 }

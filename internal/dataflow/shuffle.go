@@ -86,10 +86,9 @@ type route struct {
 // size, and written once; then the received network bytes are charged.
 // exchange reports failure (an aborted attempt leaves its route empty)
 // instead of indexing into it. With a transport installed the exchange spans
-// processes: the elements of each owned source are placed into exactly
-// sized per-destination buckets, remote buckets travel encoded and only
-// owned destinations are assembled (remoteExchange keeps the same
-// source-order concatenation, so the distributed result is bit-identical).
+// processes and the second pass is remoteExchange's: it encodes, places and
+// decodes by the same routes, and keeps the same source-order concatenation,
+// so the distributed result is bit-identical.
 func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) {
 	env := d.env
 	w := len(d.parts)
@@ -116,45 +115,30 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 	if env.Failed() {
 		return nil, false
 	}
-
-	// buckets[p][q] is where source p's elements for destination q go: a
-	// window of destination q's partition or, when the buckets are to be
-	// shipped, of one array per source.
-	buckets := make([][][]T, w)
-	var out [][]T
-	if env.transport == nil {
-		out = make([][]T, w)
-		for q := range out {
-			n := 0
-			for p := range routes {
-				n += routes[p].count[q]
-			}
-			out[q] = make([]T, n)
-		}
+	if env.transport != nil {
+		return remoteExchange(d, routes)
 	}
+
+	// buckets[p][q], where source p's elements for destination q go, is a
+	// window of destination q's partition.
+	out := make([][]T, w)
+	for q := range out {
+		n := 0
+		for p := range routes {
+			n += routes[p].count[q]
+		}
+		out[q] = make([]T, n)
+	}
+	buckets := make([][][]T, w)
 	filled := make([]int, w) // of out[q], as its windows are handed out
-	for p, part := range d.parts {
-		if env.transport != nil && !env.transport.Owns(p) {
-			continue
-		}
-		var flat []T
-		if out == nil {
-			flat = make([]T, len(part))
-		}
+	for p := range d.parts {
 		buckets[p] = make([][]T, w)
 		for q, n := range routes[p].count {
-			if out != nil {
-				buckets[p][q] = out[q][filled[q] : filled[q]+n : filled[q]+n]
-				filled[q] += n
-			} else {
-				buckets[p][q], flat = flat[:n:n], flat[n:]
-			}
+			buckets[p][q] = out[q][filled[q] : filled[q]+n : filled[q]+n]
+			filled[q] += n
 		}
 	}
 	placeAll(d.parts, routes, buckets)
-	if out == nil {
-		return remoteExchange(env, buckets)
-	}
 	for q := range out {
 		var net, mem int64
 		for p := range routes {
@@ -185,7 +169,7 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 func placeAll[T any](parts [][]T, routes []route, buckets [][][]T) {
 	var wg sync.WaitGroup
 	for p := range parts {
-		if buckets[p] == nil || len(parts[p]) == 0 {
+		if len(parts[p]) == 0 {
 			continue
 		}
 		wg.Add(1)

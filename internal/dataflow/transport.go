@@ -30,8 +30,11 @@ type Transport interface {
 	// non-owned p are ignored and may be nil). It returns incoming[q][p] —
 	// the encoded bucket from remote partition p to owned partition q — with
 	// entries for non-owned q and locally-owned p left nil (the caller has
-	// those buckets in memory). Errors (peer loss, abort, corrupt frames)
-	// must be returned, never hung on.
+	// those buckets in memory). The outgoing buckets are the transport's to
+	// read until they are sent; the incoming ones are the caller's, for good:
+	// decoded elements are views of them, so a transport must not reuse a
+	// receive buffer. Errors (peer loss, abort, corrupt frames) must be
+	// returned, never hung on.
 	Exchange(stage int64, outgoing [][][]byte) (incoming [][][]byte, err error)
 
 	// AllGather replicates one blob per owned partition to every process:
@@ -51,121 +54,145 @@ func (e *Env) SetTransport(t Transport) { e.transport = t }
 // Transport returns the installed transport, or nil.
 func (e *Env) Transport() Transport { return e.transport }
 
-// WireEncoder is implemented (with a value receiver) by element types that
-// can append their wire form; WireDecoder (pointer receiver) by those that
-// can read it back. Types crossing a remote exchange must implement both —
-// Embedding, the operator layer's join records, and the engine's own
-// counters do; a type that does not fails the job with a structured error
-// instead of silently mis-shuffling.
-type WireEncoder interface {
+// Wire is the codec of an element type that crosses a remote exchange. *T
+// implements it - Embedding, the operator layer's join records and the
+// engine's test records do - and the exchange asks elements for it through a
+// pointer, which converts to an interface without allocating. A type that
+// does not fails the job with a structured error instead of silently
+// mis-shuffling.
+type Wire[T any] interface {
+	// WireSize is the number of bytes AppendWire appends, so that a bucket is
+	// allocated once, at its final size.
+	WireSize() int
 	AppendWire(dst []byte) []byte
+	// WireReader returns the function one decode reads its elements back
+	// with: it fills *t from the front of b and returns the rest. What t
+	// keeps of b it keeps as a view, never written to - the bytes a transport
+	// hands over belong to the attempt that received them - and what the
+	// elements of a decode share (a chunk source, say) lives in the reader.
+	WireReader() func(t *T, b []byte) (rest []byte, err error)
 }
 
-// WireDecoder is the decoding half of WireEncoder.
-type WireDecoder interface {
-	DecodeWireInto(b []byte) ([]byte, error)
-}
-
-// WireArenaDecoder is implemented, next to WireDecoder, by element types
-// whose decoded form owns byte storage. decodeBucket hands their elements
-// one arena as long as the bucket's wire bytes: each carves the bytes it
-// keeps off the front, capacity-clipped so that neighbours cannot reach one
-// another, and returns the rest (falling back to an allocation of its own
-// should the arena run out). A bucket then costs one allocation for all of
-// its elements' bytes, and the elements still never alias the receive
-// buffer, which the transport reuses.
-type WireArenaDecoder interface {
-	DecodeWireArena(b, arena []byte) (rest, arenaRest []byte, err error)
-}
-
-// encodeBucket encodes one bucket as a uint32 count followed by each
-// element's wire form.
-func encodeBucket[T any](bucket []T) ([]byte, error) {
-	dst := binary.BigEndian.AppendUint32(nil, uint32(len(bucket)))
+// EncodeBucket encodes one bucket, a uint32 count followed by each element's
+// wire form, into a buffer sized first and written once.
+func EncodeBucket[T any](bucket []T) ([]byte, error) {
+	size := 4
 	for i := range bucket {
-		enc, ok := any(bucket[i]).(WireEncoder)
+		w, ok := any(&bucket[i]).(Wire[T])
 		if !ok {
 			return nil, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", bucket[i])
 		}
-		dst = enc.AppendWire(dst)
+		size += w.WireSize()
+	}
+	dst := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(bucket)))
+	for i := range bucket {
+		dst = any(&bucket[i]).(Wire[T]).AppendWire(dst)
 	}
 	return dst, nil
 }
 
-// decodeBucket decodes an encodeBucket blob.
-func decodeBucket[T any](b []byte) ([]T, error) {
+// BucketCount returns the number of elements of an encoded bucket, which is
+// what its receiver allocates before it reads any of them.
+func BucketCount(b []byte) (int, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("dataflow: truncated bucket header (%d bytes)", len(b))
+		return 0, fmt.Errorf("dataflow: truncated bucket header (%d bytes)", len(b))
 	}
 	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n == 0 {
-		return nil, nil
-	}
-	if n < 0 || n > len(b) {
+	if n < 0 || n > len(b)-4 {
 		// Every element costs at least one byte on the wire; reject hostile
 		// counts before allocating.
-		return nil, fmt.Errorf("dataflow: bucket count %d exceeds payload (%d bytes)", n, len(b))
+		return 0, fmt.Errorf("dataflow: bucket count %d exceeds payload (%d bytes)", n, len(b)-4)
 	}
-	out := make([]T, n)
-	var arena []byte
-	if _, ok := any(&out[0]).(WireArenaDecoder); ok {
-		arena = make([]byte, len(b))
+	return n, nil
+}
+
+// DecodeBucket reads the encoded bucket b into dst, which has BucketCount(b)
+// elements, with one reader: a bucket is one decode.
+func DecodeBucket[T any](dst []T, b []byte) error {
+	if n, err := BucketCount(b); err != nil {
+		return err
+	} else if n != len(dst) {
+		return fmt.Errorf("dataflow: bucket of %d elements read into %d", n, len(dst))
 	}
-	for i := range out {
-		var err error
-		switch dec := any(&out[i]).(type) {
-		case WireArenaDecoder:
-			b, arena, err = dec.DecodeWireArena(b, arena)
-		case WireDecoder:
-			b, err = dec.DecodeWireInto(b)
-		default:
-			return nil, fmt.Errorf("dataflow: element type %T is not wire-decodable for a remote exchange", out[i])
+	b = b[4:]
+	if len(dst) > 0 {
+		var zero T
+		w, ok := any(&zero).(Wire[T])
+		if !ok {
+			return fmt.Errorf("dataflow: element type %T is not wire-decodable for a remote exchange", zero)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("dataflow: bucket element %d/%d: %w", i, n, err)
+		read := w.WireReader()
+		for i := range dst {
+			var err error
+			if b, err = read(&dst[i], b); err != nil {
+				return fmt.Errorf("dataflow: bucket element %d/%d: %w", i, len(dst), err)
+			}
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("dataflow: bucket has %d trailing bytes", len(b))
+		return fmt.Errorf("dataflow: bucket has %d trailing bytes", len(b))
 	}
-	return out, nil
+	return nil
 }
 
-// remoteExchange is exchange's distributed path: owned buckets are
-// encoded and handed to the transport, remote buckets arrive encoded, and
-// each owned destination partition is assembled in source-partition order —
-// the same concatenation order as the in-process path, which is what makes
-// the result independent of the ownership assignment. Charges (network
-// model bytes, governor memory, trace rows) are applied only to owned
-// partitions, so per-process metrics for owned partitions match what a
-// single process would record for them and the coordinator's merge
+// encodeRemote encodes what one owned source partition owes every partition
+// this process does not own, straight from the rows and their route: a pass
+// over WireSize gives each bucket's size, so it is allocated once and written
+// once, and nothing is placed anywhere in between.
+func encodeRemote[T any](part []T, r route, owned []bool) ([][]byte, error) {
+	size := make([]int, len(owned))
+	for i := range part {
+		if q := r.dest[i]; !owned[q] {
+			w, ok := any(&part[i]).(Wire[T])
+			if !ok {
+				return nil, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", part[i])
+			}
+			size[q] += w.WireSize()
+		}
+	}
+	row := make([][]byte, len(owned))
+	for q := range row {
+		if !owned[q] {
+			row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.count[q]))
+		}
+	}
+	for i := range part {
+		if q := r.dest[i]; !owned[q] {
+			row[q] = any(&part[i]).(Wire[T]).AppendWire(row[q])
+		}
+	}
+	return row, nil
+}
+
+// remoteExchange is exchange's distributed path. What an owned source owes a
+// partition of another process is encoded from its route and handed to the
+// transport; remote buckets arrive encoded. The counts - the routes' for
+// owned sources, the encoded buckets' for the others - give every owned
+// destination partition its length, so it is allocated once, the owned
+// sources place their rows into it and the remote ones are decoded into it,
+// in source-partition order: the same concatenation as the in-process path,
+// which is what makes the result independent of the ownership assignment.
+// Charges (network model bytes, governor memory, trace rows) are applied only
+// to owned partitions, so per-process metrics for owned partitions match what
+// a single process would record for them and the coordinator's merge
 // reproduces the single-process totals.
-func remoteExchange[T any](env *Env, buckets [][][]T) ([][]T, bool) {
-	t := env.transport
-	w := len(buckets)
+func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
+	env, t := d.env, d.env.transport
+	w := len(routes)
 	stage := env.metrics.stageCount()
+	owned := make([]bool, w)
+	for p := range owned {
+		owned[p] = t.Owns(p)
+	}
 	outgoing := make([][][]byte, w)
-	for p := 0; p < w; p++ {
-		if !t.Owns(p) {
+	for p := range routes {
+		if !owned[p] {
 			continue
 		}
-		if buckets[p] == nil {
-			// The partition goroutine aborted before filling its buckets; the
-			// env already carries the reason.
+		row, err := encodeRemote(d.parts[p], routes[p], owned)
+		if err != nil {
+			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
 			return nil, false
-		}
-		row := make([][]byte, w)
-		for q := 0; q < w; q++ {
-			if t.Owns(q) {
-				continue // stays in this process; assembled from memory below
-			}
-			blob, err := encodeBucket(buckets[p][q])
-			if err != nil {
-				env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
-				return nil, false
-			}
-			row[q] = blob
 		}
 		outgoing[p] = row
 	}
@@ -174,42 +201,64 @@ func remoteExchange[T any](env *Env, buckets [][][]T) ([][]T, bool) {
 		env.fail(&JobError{Stage: stage, Cause: err})
 		return nil, false
 	}
+	corrupt := func(q, p int, err error) ([][]T, bool) {
+		env.fail(&JobError{Stage: stage, Partition: q, Cause: fmt.Errorf("from partition %d: %w", p, err)})
+		return nil, false
+	}
 	out := make([][]T, w)
-	sz := sizingOf[T]()
-	for q := 0; q < w; q++ {
-		if !t.Owns(q) {
+	starts := make([][]int, w) // starts[q][p]: where source p's rows begin in out[q]
+	for q := range out {
+		if !owned[q] {
 			continue
 		}
-		parts := make([][]T, w)
-		var n int
-		var bytes int64
-		for p := 0; p < w; p++ {
-			var bucket []T
-			if t.Owns(p) {
-				bucket = buckets[p][q]
-			} else {
-				bucket, err = decodeBucket[T](incoming[q][p])
-				if err != nil {
-					env.fail(&JobError{Stage: stage, Partition: q, Cause: err})
-					return nil, false
+		starts[q] = make([]int, w+1)
+		for p := range routes {
+			n := routes[p].count[q]
+			if !owned[p] {
+				if n, err = BucketCount(incoming[q][p]); err != nil {
+					return corrupt(q, p, err)
 				}
 			}
-			if p != q {
-				bytes += sz.sum(bucket)
-			}
-			parts[p] = bucket
-			n += len(bucket)
+			starts[q][p+1] = starts[q][p] + n
 		}
-		part := make([]T, 0, n)
-		for p := 0; p < w; p++ {
-			part = append(part, parts[p]...)
+		out[q] = make([]T, starts[q][w])
+	}
+	next := make([]int, w)
+	for p, part := range d.parts {
+		if !owned[p] {
+			continue
+		}
+		for q := range next {
+			if owned[q] {
+				next[q] = starts[q][p]
+			}
+		}
+		for i, q := range routes[p].dest {
+			if owned[q] {
+				out[q][next[q]] = part[i]
+				next[q]++
+			}
+		}
+	}
+	sz := sizingOf[T]()
+	for q, part := range out {
+		if !owned[q] {
+			continue
+		}
+		for p := range routes {
+			if owned[p] {
+				continue
+			}
+			if err := DecodeBucket(part[starts[q][p]:starts[q][p+1]], incoming[q][p]); err != nil {
+				return corrupt(q, p, err)
+			}
 		}
 		if env.governor != nil && !env.chargeMem(q, sz.sum(part)) {
 			return nil, false
 		}
-		out[q] = part
-		env.chargeNet(q, bytes)
-		env.traceRowsOut(q, int64(n))
+		// What crossed partitions is everything but source q's own share.
+		env.chargeNet(q, sz.sum(part[:starts[q][q]])+sz.sum(part[starts[q][q+1]:]))
+		env.traceRowsOut(q, int64(len(part)))
 	}
 	return out, true
 }
@@ -226,7 +275,7 @@ func allGatherParts[T any](env *Env, d *Dataset[T]) ([]T, bool) {
 		if !t.Owns(p) {
 			continue
 		}
-		blob, err := encodeBucket(d.parts[p])
+		blob, err := EncodeBucket(d.parts[p])
 		if err != nil {
 			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
 			return nil, false
@@ -238,18 +287,28 @@ func allGatherParts[T any](env *Env, d *Dataset[T]) ([]T, bool) {
 		env.fail(&JobError{Stage: stage, Cause: err})
 		return nil, false
 	}
-	var out []T
+	// The counts give the collection's length: one array, owned partitions
+	// copied and the others decoded into their windows.
+	starts := make([]int, w+1)
 	for p := 0; p < w; p++ {
-		if t.Owns(p) {
-			out = append(out, d.parts[p]...)
-			continue
+		n := len(d.parts[p])
+		if !t.Owns(p) {
+			if n, err = BucketCount(all[p]); err != nil {
+				env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
+				return nil, false
+			}
 		}
-		bucket, err := decodeBucket[T](all[p])
-		if err != nil {
+		starts[p+1] = starts[p] + n
+	}
+	out := make([]T, starts[w])
+	for p := 0; p < w; p++ {
+		window := out[starts[p]:starts[p+1]]
+		if t.Owns(p) {
+			copy(window, d.parts[p])
+		} else if err := DecodeBucket(window, all[p]); err != nil {
 			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
 			return nil, false
 		}
-		out = append(out, bucket...)
 	}
 	return out, true
 }

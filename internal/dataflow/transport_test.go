@@ -166,6 +166,10 @@ type wrec struct {
 
 func (wrec) SizeBytes() int { return 16 }
 
+func (wrec) WireSize() int { return 16 }
+
+func (wrec) WireReader() func(*wrec, []byte) ([]byte, error) { return (*wrec).decodeWire }
+
 func (r wrec) AppendWire(dst []byte) []byte {
 	dst = append(dst, byte(r.K>>56), byte(r.K>>48), byte(r.K>>40), byte(r.K>>32),
 		byte(r.K>>24), byte(r.K>>16), byte(r.K>>8), byte(r.K))
@@ -174,7 +178,7 @@ func (r wrec) AppendWire(dst []byte) []byte {
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func (r *wrec) DecodeWireInto(b []byte) ([]byte, error) {
+func (r *wrec) decodeWire(b []byte) ([]byte, error) {
 	if len(b) < 16 {
 		return nil, errors.New("truncated wrec")
 	}
@@ -217,7 +221,13 @@ func clusterPipeline(e *Env, n int) *Dataset[wrec] {
 				emit(wrec{K: r.K, V: r.V - l.V})
 			}
 		}, BroadcastLeft)
-	rb := Rebalance(bj)
+	// A shuffle and a broadcast of nothing: every bucket and blob that crosses
+	// is the zero-row one.
+	none := DistinctBy(Filter(d, func(wrec) bool { return false }), func(r wrec) uint64 { return r.K })
+	none = Join(none, summed,
+		func(r wrec) uint64 { return r.K }, func(r wrec) uint64 { return r.K },
+		func(l, r wrec, emit func(wrec)) { emit(l) }, BroadcastLeft)
+	rb := Rebalance(Union(bj, none))
 	// Iteration count depends on the data (V magnitudes differ per element),
 	// so processes only agree on when to stop via the global emptiness check.
 	return BulkIteration(rb, 64, func(it int, w *Dataset[wrec]) (*Dataset[wrec], *Dataset[wrec]) {

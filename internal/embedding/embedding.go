@@ -38,8 +38,8 @@ const entrySize = 9
 
 // prefixSize is the width of a row buffer's prefix: the idData length and
 // the pathData length, each a big-endian uint32. propData takes the rest of
-// the buffer. The prefix is bookkeeping of the in-memory layout only: it is
-// neither accounted (SizeBytes) nor shipped (AppendWire).
+// the buffer. The prefix is not accounted (SizeBytes is the three arrays, the
+// paper's row); it is shipped, because the wire row is the buffer (AppendWire).
 const prefixSize = 8
 
 // Embedding is one row of a pattern-matching intermediate result. The zero

@@ -14,12 +14,12 @@ func goldenRow() Embedding {
 	return e.AppendProps(epgm.Null, epgm.PVBool(true), epgm.PVInt(-1984), epgm.PVFloat(2.5), epgm.PVString("Leipzig"))
 }
 
-// The wire form and the accounted size were recorded with the three-slice
-// embedding; the single-buffer layout must not show in either, or shuffle
-// frames stop being readable across versions and the cost model's network
-// bytes move.
+// The accounted size was recorded with the three-slice embedding and must not
+// move, or the cost model's network bytes do. The wire form was re-pinned
+// once, with protocol version 2 (DESIGN decision 21): it is the row's buffer
+// behind one length, where version 1 put a length in front of each array.
 const (
-	goldenWireHex   = "0000002400000000000000000a0200000000000000000100000000000000000000000100000000000000001c000000030000000000000005000000000000001400000000000000070000002100010102fffffffffffff84003400400000000000004000000074c6569707a6967"
+	goldenWireHex   = "00000069000000240000001c00000000000000000a0200000000000000000100000000000000000000000100000000000000000300000000000000050000000000000014000000000000000700010102fffffffffffff84003400400000000000004000000074c6569707a6967"
 	goldenSizeBytes = 97
 )
 
@@ -32,7 +32,7 @@ func TestWireFormatGolden(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want %d", got, goldenSizeBytes)
 	}
 	var empty Embedding
-	if got := hex.EncodeToString(empty.AppendWire(nil)); got != "000000000000000000000000" {
+	if got := hex.EncodeToString(empty.AppendWire(nil)); got != "00000000" {
 		t.Errorf("empty AppendWire = %s", got)
 	}
 	if got := empty.SizeBytes(); got != 0 {

@@ -87,48 +87,50 @@ func TestSlabMatchesValueSemantics(t *testing.T) {
 	}
 }
 
-// TestDecodedRowsNeverAliasTheFrame: a transport reuses its receive buffer,
-// so a decoded row must own its bytes - with and without an arena - and the
-// rows of one arena must not reach each other.
-func TestDecodedRowsNeverAliasTheFrame(t *testing.T) {
+// TestDecodedRowsAreClippedViews: a decoded row is a view of the frame it
+// came in, which the receiving attempt owns (cluster.readFrame gives every
+// frame a body of its own - TestFramesNeverShareBytes there), clipped to its
+// own length: an append to row i reallocates instead of writing into row
+// i+1, and the routines that grow a row copy it, so nothing built from a
+// decoded row writes to the frame.
+func TestDecodedRowsAreClippedViews(t *testing.T) {
 	src, want := slabRows(nil, 40)
 	var frame []byte
 	for _, e := range src {
 		frame = e.AppendWire(frame)
 	}
-	for _, arena := range [][]byte{nil, make([]byte, len(frame)), make([]byte, len(frame)/3)} {
-		wire := append([]byte(nil), frame...)
-		rest := wire
-		rows := make([]Embedding, len(src))
-		for i := range rows {
-			var err error
-			if rest, arena, err = rows[i].DecodeWireArena(rest, arena); err != nil {
-				t.Fatalf("row %d: %v", i, err)
-			}
-			if cap(rows[i].buf) != len(rows[i].buf) {
-				t.Fatalf("row %d: decoded with cap %d != len %d", i, cap(rows[i].buf), len(rows[i].buf))
-			}
+	sent := bytes.Clone(frame)
+	rows := make([]Embedding, len(src))
+	rest := frame
+	for i := range rows {
+		var err error
+		if rest, err = rows[i].DecodeWireInto(rest); err != nil {
+			t.Fatalf("row %d: %v", i, err)
 		}
-		if len(rest) != 0 {
-			t.Fatalf("%d bytes left over", len(rest))
+		if cap(rows[i].buf) != len(rows[i].buf) {
+			t.Fatalf("row %d: decoded with cap %d != len %d", i, cap(rows[i].buf), len(rows[i].buf))
 		}
-		for i := range wire {
-			wire[i] = 0xee // the transport reads the next frame into the buffer
-		}
-		for i, e := range rows {
-			if got := e.String(); got != want[i] {
-				t.Fatalf("row %d reads %s after the frame was overwritten, want %s", i, got, want[i])
-			}
+		if len(rows[i].buf) > 0 && &rows[i].buf[0] != &frame[len(frame)-len(rest)-len(rows[i].buf)] {
+			t.Fatalf("row %d is a copy, not a view of the frame", i)
 		}
 	}
-	// DecodeWireInto is the same decode without an arena.
-	var e Embedding
-	wire := src[3].AppendWire(nil)
-	if _, err := e.DecodeWireInto(wire); err != nil {
-		t.Fatal(err)
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left over", len(rest))
 	}
-	clear(wire)
-	if got := e.String(); got != want[3] {
-		t.Fatalf("DecodeWireInto aliased its input: %s, want %s", got, want[3])
+	var s Slab
+	for i, e := range rows {
+		_ = append(e.buf, 0xee)
+		for _, grown := range []Embedding{
+			e.AppendID(7), e.AppendProps(epgm.PVInt(1)), e.Merge(e, nil), e.AppendPath([]epgm.ID{1, 2, 3}),
+			s.Merge(e, e, nil), s.AppendPath(e, []epgm.ID{4}, 5, true),
+		} {
+			grown.buf[len(grown.buf)-1] ^= 0xff
+		}
+		if got := e.String(); got != want[i] {
+			t.Fatalf("row %d reads %s, want %s", i, got, want[i])
+		}
+	}
+	if !bytes.Equal(frame, sent) {
+		t.Fatal("growing decoded rows wrote to the frame")
 	}
 }

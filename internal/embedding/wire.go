@@ -5,70 +5,60 @@ import (
 	"fmt"
 )
 
-// AppendWire appends the embedding's wire form — its three byte arrays,
-// each uint32-length-prefixed — to dst. The arrays themselves already are
-// the paper's compact binary encoding, so shipping an embedding between
-// workers is three memcpys and no per-column work; SizeBytes understates
-// the frame payload only by the three fixed-width length prefixes.
+// The wire form of a row is the row: a uint32 length, then the buffer as it
+// sits in memory (prefix | idData | pathData | propData). The empty
+// embedding, which has no buffer, is the length 0 alone. Encoding is one
+// copy; decoding checks the prefix against the length and takes a view.
+
+// WireSize returns the number of bytes AppendWire appends.
+func (e Embedding) WireSize() int { return 4 + len(e.buf) }
+
+// AppendWire appends the embedding's wire form to dst. SizeBytes understates
+// it by the two fixed-width headers, 12 bytes a row.
 func (e Embedding) AppendWire(dst []byte) []byte {
-	idData, pathData, propData := e.arrays()
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(idData)))
-	dst = append(dst, idData...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(pathData)))
-	dst = append(dst, pathData...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(propData)))
-	return append(dst, propData...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.buf)))
+	return append(dst, e.buf...)
+}
+
+// WireReader implements dataflow.Wire: reading a row back needs no state.
+func (Embedding) WireReader() func(*Embedding, []byte) ([]byte, error) {
+	return (*Embedding).DecodeWireInto
 }
 
 // DecodeWireInto reads one AppendWire encoding from b into the receiver and
-// returns the remaining bytes. The decoded row is a copy: an embedding must
-// never alias a reusable receive buffer.
+// returns the remaining bytes. The row is a view of b, clipped to its own
+// length like a Slab's rows, so the caller must own b for as long as the row
+// lives and never write to it again: a frame body belongs to the attempt
+// that received it. The prefix is checked against the row's length, and
+// idData against the entry size, so a corrupt frame fails here and not as an
+// index panic in a partition goroutine later.
 func (e *Embedding) DecodeWireInto(b []byte) ([]byte, error) {
-	rest, _, err := e.DecodeWireArena(b, nil)
-	return rest, err
-}
-
-// DecodeWireArena is DecodeWireInto for a receiver that decodes many rows:
-// the row's buffer is carved (capacity-clipped, like a Slab's) off the front
-// of arena when it fits there and allocated otherwise, and what is left of
-// arena is returned. A row needs fewer bytes than its wire form, so an arena
-// as long as the frame holds every row of it. idData is validated to a whole
-// number of entries so corrupt frames fail here, not as index panics in a
-// partition goroutine later.
-func (e *Embedding) DecodeWireArena(b, arena []byte) (rest, arenaRest []byte, err error) {
-	var arrs [3][]byte
-	rest = b
-	for i, what := range [3]string{"idData", "pathData", "propData"} {
-		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("embedding: truncated %s length", what)
-		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) < n {
-			return nil, nil, fmt.Errorf("embedding: truncated %s payload (want %d, have %d)", what, n, len(rest))
-		}
-		arrs[i], rest = rest[:n], rest[n:]
+	if len(b) < 4 {
+		return nil, fmt.Errorf("embedding: truncated row length (%d bytes)", len(b))
 	}
-	id, path, prop := len(arrs[0]), len(arrs[1]), len(arrs[2])
-	if id%entrySize != 0 {
-		return nil, nil, fmt.Errorf("embedding: idData length %d not a multiple of the entry size", id)
+	n := uint64(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("embedding: row of %d bytes in %d", n, len(b))
 	}
-	if id+path+prop == 0 {
+	row, rest := b[:n:n], b[n:]
+	if n == 0 {
 		*e = Embedding{}
-		return rest, arena, nil
+		return rest, nil
 	}
-	need := prefixSize + id + path + prop
-	var buf []byte
-	if need <= len(arena) {
-		buf, arena = arena[:need:need], arena[need:]
-	} else {
-		buf = make([]byte, need)
+	if n < prefixSize {
+		return nil, fmt.Errorf("embedding: row of %d bytes is shorter than its prefix", n)
 	}
-	binary.BigEndian.PutUint32(buf, uint32(id))
-	binary.BigEndian.PutUint32(buf[4:], uint32(path))
-	copy(buf[prefixSize:], arrs[0])
-	copy(buf[prefixSize+id:], arrs[1])
-	copy(buf[prefixSize+id+path:], arrs[2])
-	*e = Embedding{buf: buf}
-	return rest, arena, nil
+	id, path := uint64(binary.BigEndian.Uint32(row)), uint64(binary.BigEndian.Uint32(row[4:]))
+	if id%entrySize != 0 {
+		return nil, fmt.Errorf("embedding: idData length %d not a multiple of the entry size", id)
+	}
+	if id+path > n-prefixSize {
+		return nil, fmt.Errorf("embedding: idData %d + pathData %d beyond a row of %d bytes", id, path, n)
+	}
+	if n == prefixSize {
+		row = nil // the empty embedding has no buffer
+	}
+	*e = Embedding{buf: row}
+	return rest, nil
 }

@@ -4,16 +4,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"gradoop/internal/lint/analysis"
 )
 
 // WireSymAnalyzer machine-checks encode/decode symmetry in the binary wire
-// layer (internal/wire and internal/cluster's frame protocol). The codec is
+// layer (internal/wire, internal/cluster's frame protocol, and the element
+// types that implement dataflow.Wire to cross a remote exchange). The codec is
 // hand-rolled: nothing but convention keeps AppendVertex's field order and
 // ReadVertex's field order in sync, and a drift silently corrupts every
-// field after the divergence point. Two rules:
+// field after the divergence point. Three rules:
 //
 //  1. Paired codecs read and write the same fields in the same order. A
 //     pair is matched by name (AppendX/ReadX, EncodeX/DecodeX,
@@ -30,6 +32,12 @@ import (
 //     some reader (a case clause or ==/!= comparison) — a frame type that
 //     is sent but never dispatched is a protocol hole, and one matched but
 //     never sent is dead protocol.
+//
+//  3. A struct type that implements any of dataflow.Wire implements all of
+//     it - WireSize, AppendWire, WireReader - and its AppendWire reads the
+//     fields its decoding method (DecodeWireInto or decodeWire, the one
+//     WireReader hands out) writes, in the same order. A field decoded by
+//     its own codec (x.f.DecodeWireInto(b)) counts as written there.
 //
 // The analyzer is gated to the wire-layer packages; generic business
 // structs elsewhere are not codecs and their field access order is
@@ -48,7 +56,18 @@ var wirePackages = map[string]bool{
 	"gradoop/internal/cluster": true,
 	"gradoop/internal/trace":   true,
 	"gradoop/internal/obs":     true,
+	// The rows and join records whose wire form is dataflow.Wire.
+	"gradoop/internal/embedding": true,
+	"gradoop/internal/operators": true,
 }
+
+// wireMethods is dataflow.Wire, the one codec interface of element types;
+// wireDecoders are the names its implementations give the method that
+// WireReader returns.
+var (
+	wireMethods  = []string{"WireSize", "AppendWire", "WireReader"}
+	wireDecoders = []string{"DecodeWireInto", "decodeWire"}
+)
 
 // decodePrefixes maps a decoder name prefix to the encoder prefixes it
 // pairs with, tried in order.
@@ -69,6 +88,7 @@ func runWireSym(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	checkCodecPairs(pass)
+	checkWireMethods(pass)
 	checkFrameConsts(pass)
 	return nil, nil
 }
@@ -116,6 +136,80 @@ func checkCodecPairs(pass *analysis.Pass) {
 				"codec asymmetry: %s reads %s fields in order [%s] but %s writes [%s]",
 				dec.Name.Name, named.Obj().Name(), strings.Join(decSeq, " "),
 				enc.Name.Name, strings.Join(encSeq, " "))
+		}
+	}
+}
+
+// checkWireMethods applies the pair rule to the methods of dataflow.Wire:
+// the encoder is AppendWire, its subject the receiver.
+func checkWireMethods(pass *analysis.Pass) {
+	info := pass.TypesInfo
+	methods := map[*types.Named]map[string]*ast.FuncDecl{}
+	var order []*types.Named
+	eachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
+		if fd.Recv == nil || len(fd.Recv.List) != 1 || isTestFile(pass, fd.Pos()) {
+			return
+		}
+		t := info.TypeOf(fd.Recv.List[0].Type)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok {
+			return
+		}
+		if _, ok := named.Underlying().(*types.Struct); !ok {
+			return
+		}
+		if methods[named] == nil {
+			methods[named] = map[string]*ast.FuncDecl{}
+			order = append(order, named)
+		}
+		methods[named][fd.Name.Name] = fd
+	})
+	for _, named := range order {
+		ms := methods[named]
+		var have, missing []string
+		for _, name := range wireMethods {
+			if ms[name] != nil {
+				have = append(have, name)
+			} else {
+				missing = append(missing, name)
+			}
+		}
+		if len(have) == 0 {
+			continue
+		}
+		if len(missing) > 0 {
+			pass.Reportf(ms[have[0]].Name.Pos(), "%s has %s but not %s: a wire codec is all of dataflow.Wire",
+				named.Obj().Name(), strings.Join(have, ", "), strings.Join(missing, ", "))
+			continue
+		}
+		enc := ms["AppendWire"]
+		var dec *ast.FuncDecl
+		for _, name := range wireDecoders {
+			if dec = ms[name]; dec != nil {
+				break
+			}
+		}
+		if dec == nil {
+			pass.Reportf(enc.Name.Pos(), "%s.AppendWire has no decoding method (one of %s)",
+				named.Obj().Name(), strings.Join(wireDecoders, ", "))
+			continue
+		}
+		if len(enc.Recv.List[0].Names) != 1 {
+			continue // receiver unnamed: nothing is read from it
+		}
+		subject, _ := info.Defs[enc.Recv.List[0].Names[0]].(*types.Var)
+		if subject == nil {
+			continue
+		}
+		encSeq := encodeFieldSeq(enc, subject, info)
+		decSeq := decodeFieldSeq(dec, named, info)
+		if !equalSeq(encSeq, decSeq) {
+			pass.Reportf(dec.Name.Pos(),
+				"codec asymmetry: %s.%s reads fields in order [%s] but AppendWire writes [%s]",
+				named.Obj().Name(), dec.Name.Name, strings.Join(decSeq, " "), strings.Join(encSeq, " "))
 		}
 	}
 }
@@ -206,6 +300,19 @@ func decodeFieldSeq(fd *ast.FuncDecl, named *types.Named, info *types.Info) []st
 				if selection == nil || !sameNamed(selection.Recv(), named) {
 					continue
 				}
+				writes = append(writes, write{pos: sel.Pos(), name: sel.Sel.Name})
+			}
+		case *ast.CallExpr:
+			// x.f.DecodeWireInto(b): the field is decoded by its own codec.
+			fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || !slices.Contains(wireDecoders, fun.Sel.Name) {
+				return true
+			}
+			sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if selection := info.Selections[sel]; selection != nil && sameNamed(selection.Recv(), named) {
 				writes = append(writes, write{pos: sel.Pos(), name: sel.Sel.Name})
 			}
 		case *ast.CompositeLit:

@@ -4,23 +4,28 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 )
 
 // The operator layer's two internal join-record types cross shuffles inside
 // variable-length expansion, so in a distributed job they cross processes:
-// both implement the dataflow wire-codec interfaces (value-receiver encode,
-// pointer-receiver decode) the remote exchange resolves per element type.
+// both implement dataflow.Wire, the codec the remote exchange resolves once
+// per element type.
 
-// AppendWire implements dataflow.WireEncoder.
+func (edgeTriple) WireSize() int { return 24 }
+
 func (t edgeTriple) AppendWire(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(t.S))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(t.E))
 	return binary.BigEndian.AppendUint64(dst, uint64(t.T))
 }
 
-// DecodeWireInto implements dataflow.WireDecoder.
-func (t *edgeTriple) DecodeWireInto(b []byte) ([]byte, error) {
+func (edgeTriple) WireReader() func(*edgeTriple, []byte) ([]byte, error) {
+	return (*edgeTriple).decodeWire
+}
+
+func (t *edgeTriple) decodeWire(b []byte) ([]byte, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("operators: truncated edge triple (%d bytes)", len(b))
 	}
@@ -30,7 +35,8 @@ func (t *edgeTriple) DecodeWireInto(b []byte) ([]byte, error) {
 	return b[24:], nil
 }
 
-// AppendWire implements dataflow.WireEncoder.
+func (s pathState) WireSize() int { return s.base.WireSize() + 4 + 8*len(s.via) + 8 }
+
 func (s pathState) AppendWire(dst []byte) []byte {
 	dst = s.base.AppendWire(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.via)))
@@ -40,35 +46,36 @@ func (s pathState) AppendWire(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(s.end))
 }
 
-// DecodeWireInto implements dataflow.WireDecoder.
-func (s *pathState) DecodeWireInto(b []byte) ([]byte, error) {
-	rest, _, err := s.DecodeWireArena(b, nil)
-	return rest, err
+// WireReader returns a reader that owns the slab its via lists are carved
+// from, capacity-clipped like the ones expansion builds: one bucket, one
+// chunk source, whatever the number of rows.
+func (pathState) WireReader() func(*pathState, []byte) ([]byte, error) {
+	var slab embedding.Slab
+	return func(s *pathState, b []byte) ([]byte, error) { return s.decodeWire(b, &slab) }
 }
 
-// DecodeWireArena implements dataflow.WireArenaDecoder: the base row's
-// bytes come out of the bucket's arena.
-func (s *pathState) DecodeWireArena(b, arena []byte) (rest, arenaRest []byte, err error) {
-	rest, arena, err = s.base.DecodeWireArena(b, arena)
+// decodeWire reads one path state; the base row is a view of b.
+func (s *pathState) decodeWire(b []byte, slab *embedding.Slab) ([]byte, error) {
+	rest, err := s.base.DecodeWireInto(b)
 	if err != nil {
-		return nil, nil, fmt.Errorf("operators: path state base: %w", err)
+		return nil, fmt.Errorf("operators: path state base: %w", err)
 	}
 	if len(rest) < 4 {
-		return nil, nil, fmt.Errorf("operators: truncated path state via count")
+		return nil, fmt.Errorf("operators: truncated path state via count")
 	}
-	n := int(binary.BigEndian.Uint32(rest))
+	n := uint64(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
-	if len(rest) < 8*n+8 {
-		return nil, nil, fmt.Errorf("operators: truncated path state (want %d ids, have %d bytes)", n+1, len(rest))
+	if uint64(len(rest)) < 8*n+8 {
+		return nil, fmt.Errorf("operators: truncated path state (want %d ids, have %d bytes)", n+1, len(rest))
 	}
 	s.via = nil
 	if n > 0 {
-		s.via = make([]epgm.ID, n)
+		s.via = slab.IDs(int(n))
 		for i := range s.via {
 			s.via[i] = epgm.ID(binary.BigEndian.Uint64(rest))
 			rest = rest[8:]
 		}
 	}
 	s.end = epgm.ID(binary.BigEndian.Uint64(rest))
-	return rest[8:], arena, nil
+	return rest[8:], nil
 }

@@ -49,6 +49,9 @@ var parityQueries = []string{
 	`MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name ORDER BY b.age DESC, a.name SKIP 1 LIMIT 3`,
 	`MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name SKIP 2 LIMIT 3`,
 	`MATCH (a:Person) WHERE a.age > 100 AND a.age < 0 RETURN a.name, a.age`,
+	`MATCH (a:Person)<-[p:knows*1..3]-(b:Person) RETURN a.name, p, b.name`,
+	`MATCH (a:Person)-[:knows]->(b:Person) WHERE a.age > 100 AND a.age < 0 RETURN a, b`,
+	`MATCH (a:Person), (b:Person) WHERE a.age > 35 AND b.age < 30 RETURN a.name, b.name`,
 }
 
 // queryBody posts one query to the handler and returns the raw body.
