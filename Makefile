@@ -53,8 +53,8 @@ lint-tools:
 
 # fuzz-smoke gives each native fuzz target a short budget — enough to catch
 # regressions in the properties (parser never panics, canonicalization is
-# idempotent and literal-preserving, a shuffle bucket off the socket decodes
-# to rows or an error) without open-ended fuzzing.
+# idempotent and literal-preserving, a shuffle bucket or a telemetry bundle
+# off the socket decodes or is an error) without open-ended fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/session -run '^FuzzCanonicalQuery$$' -fuzz '^FuzzCanonicalQuery$$' -fuzztime=$(FUZZTIME)
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint/analysis -run '^FuzzCFGBuild$$' -fuzz '^FuzzCFGBuild$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzAppendJSONValue$$' -fuzz '^FuzzAppendJSONValue$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/operators -run '^FuzzDecodeBucket$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^FuzzDecodeTelemetryBundle$$' -fuzz '^FuzzDecodeTelemetryBundle$$' -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...

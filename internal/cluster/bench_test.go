@@ -9,6 +9,7 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
+	"gradoop/internal/field"
 )
 
 // BenchmarkRowFrame is the wire kernel of make alloc-guard: one worker's
@@ -52,7 +53,10 @@ func BenchmarkRowFrame(b *testing.B) {
 			outgoing[0][1+q] = blob
 		}
 		payload := exchangePayload(owner, 0, 1, outgoing)
-		payload[0] = encodeDataFrame(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange}, payload[1:])
+		head := dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, crc: checksum(payload[1:]...)}
+		hc := field.Appender(nil)
+		head.layout(&hc)
+		payload[0] = hc.Bytes()
 		if err := writeFrame(&socket, frameData, payload...); err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +65,10 @@ func BenchmarkRowFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, body, err := decodeDataFrame(frame)
+		var f dataFrame
+		fc := field.Reader(frame)
+		f.layout(&fc)
+		body, err := checkedBody(&fc, f.crc)
 		if err != nil {
 			b.Fatal(err)
 		}

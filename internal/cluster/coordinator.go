@@ -16,6 +16,7 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
+	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/planner"
 	"gradoop/internal/session"
@@ -151,9 +152,7 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 			c.readMember(m, br)
 		}()
 	}
-	if c.inst != nil {
-		c.inst.bindRoster(c)
-	}
+	c.inst.bindRoster(c)
 	return c, nil
 }
 
@@ -294,7 +293,10 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 		case framePong:
 			m.markPong()
 		case frameResult:
-			f, body, err := decodeResultFrame(payload)
+			var f resultFrame
+			hc := field.Reader(payload)
+			f.layout(&hc)
+			body, err := checkedBody(&hc, f.crc)
 			if err != nil {
 				c.memberDown(m, err)
 				return
@@ -319,10 +321,13 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			// intact frame is counted and skipped (the attempt settles with a
 			// partial-telemetry marker), and a bundle for an attempt no
 			// longer pending — a superseded retry's straggler — is dropped.
-			f, err := decodeTelemetryFrame(payload)
+			var f telemetryFrame
+			hc := field.Reader(payload)
+			f.layout(&hc)
+			body, err := checkedBody(&hc, f.crc)
 			var bundle *telemetryBundle
 			if err == nil {
-				bundle, err = decodeTelemetryBundle(f.Body)
+				bundle, err = decodeTelemetryBundle(body)
 			}
 			if err != nil {
 				c.inst.teleDropped.Inc()
@@ -352,9 +357,7 @@ func (c *Coordinator) memberDown(m *member, cause error) {
 		return
 	}
 	m.send.abort()
-	if c.inst != nil {
-		c.inst.losses.Inc()
-	}
+	c.inst.losses.Inc()
 	if c.opts.Logger != nil {
 		c.opts.Logger.Warn("cluster worker lost", "node", m.node, "addr", m.addr, "err", cause)
 	}
@@ -554,9 +557,7 @@ func (st *attemptState) classify() outcome {
 // remapped partition assignment, and assemble the coordinator-side Result.
 func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, cfg core.Config) (*core.Result, *session.ClusterReport, error) {
 	start := time.Now()
-	if c.inst != nil {
-		c.inst.jobs.Inc()
-	}
+	c.inst.jobs.Inc()
 	c.mu.Lock()
 	c.jobSeq++
 	jobID := c.jobSeq
@@ -644,9 +645,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 				c.memberDown(c.members[idx], errors.New("reported lost by peers"))
 			}
 			c.abortAttempt(st)
-			if c.inst != nil {
-				c.inst.recoveries.Inc()
-			}
+			c.inst.recoveries.Inc()
 			if c.opts.Logger != nil {
 				c.opts.Logger.Warn("cluster attempt lost workers; recovering",
 					"job", jobID, "attempt", attempt, "accused", out.accused)
@@ -684,9 +683,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			merged := trace.ClusterChromeTrace(traceID, coordSpans, lanes)
 			rep.Trace = &merged
 		}
-		if c.inst != nil {
-			c.inst.observe(rep, time.Since(start))
-		}
+		c.inst.observe(rep, time.Since(start))
 		return res, rep, nil
 	}
 	return nil, nil, fmt.Errorf("cluster: job %d exhausted %d attempts: %w", jobID, c.opts.MaxAttempts, lastErr)
@@ -874,17 +871,12 @@ func mergeStages(dones []*jobDone) []session.ClusterStage {
 	for _, done := range dones {
 		for i, s := range done.Stages {
 			if i >= len(out) {
-				out = append(out, session.ClusterStage{
-					Stage: s.Stage, Op: s.Op, Kind: s.Kind, Shuffle: s.Shuffle,
-				})
+				out = append(out, s) // the first report of a stage seeds its row
+				continue
 			}
 			m := &out[i]
-			if s.Predicted > m.Predicted {
-				m.Predicted = s.Predicted
-			}
-			if s.Actual > m.Actual {
-				m.Actual = s.Actual
-			}
+			m.Predicted = max(m.Predicted, s.Predicted)
+			m.Actual = max(m.Actual, s.Actual)
 			m.ModelBytes += s.ModelBytes
 			m.WireBytes += s.WireBytes
 		}

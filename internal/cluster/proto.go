@@ -23,6 +23,8 @@ import (
 	"sync"
 
 	"gradoop/internal/dataflow"
+	"gradoop/internal/field"
+	"gradoop/internal/session"
 	"gradoop/internal/stats"
 )
 
@@ -144,20 +146,6 @@ type jobSpec struct {
 	TraceID string `json:"traceId,omitempty"`
 }
 
-// stageRecord is one executed stage in a worker's report: the cost model's
-// prediction (SimTime over the stage's per-partition charges) against the
-// measured wall time and the bytes the transport actually framed.
-type stageRecord struct {
-	Stage      int64  `json:"stage"`
-	Op         string `json:"op,omitempty"`
-	Kind       string `json:"kind"`
-	Shuffle    bool   `json:"shuffle"`
-	Predicted  int64  `json:"predictedNs"`
-	Actual     int64  `json:"actualNs"`
-	ModelBytes int64  `json:"modelBytes"`
-	WireBytes  int64  `json:"wireBytes"`
-}
-
 // jobDone is a worker's terminal report for one attempt.
 type jobDone struct {
 	JobID   uint64 `json:"jobId"`
@@ -170,7 +158,12 @@ type jobDone struct {
 	PeerLost  bool  `json:"peerLost,omitempty"`
 	LostPeers []int `json:"lostPeers,omitempty"`
 
-	Stages  []stageRecord            `json:"stages,omitempty"`
+	// Stages is the worker's predicted-vs-actual table, one entry per executed
+	// stage: the cost model's SimTime over the stage's owned per-partition
+	// charges against the measured wall time and the bytes the transport
+	// framed. The per-worker attribution fields stay empty on the wire; the
+	// coordinator fills them when it merges the reports.
+	Stages  []session.ClusterStage   `json:"stages,omitempty"`
 	Metrics dataflow.MetricsSnapshot `json:"metrics"`
 	// Telemetry marks that the worker shipped a telemetry bundle for this
 	// attempt (ordered before this report on the same connection). False
@@ -245,11 +238,15 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, payload)
 }
 
-// dataHeaderLen is the fixed binary prefix of a frameData payload:
-// jobID u64 | attempt u32 | seq u64 | kind u8 | from u32 | stage i64 | crc u32.
-// The body follows: one collective's buckets for one peer.
-const dataHeaderLen = 8 + 4 + 8 + 1 + 4 + 8 + 4
+// The three checksummed frames - data, result, telemetry - share one shape,
+// head | body: a fixed header whose last field is the CRC32 of the body, then
+// the body where it was encoded, sent as segments of its own. Each header has
+// one layout function naming its fields in wire order, walked by field.Codec in
+// both directions; checksum fills the CRC on the way out and checkedBody holds
+// the body to it on the way in.
 
+// dataFrame heads a frameData payload; the body is one collective's buckets
+// for one peer.
 type dataFrame struct {
 	JobID   uint64
 	Attempt int
@@ -257,86 +254,57 @@ type dataFrame struct {
 	Kind    byte
 	From    int
 	Stage   int64
+	crc     uint32
 }
 
-// encodeDataFrame returns the header of the frame whose body is the given
-// segments: the payload is the header followed by them, where they lie. The
-// checksum is CRC32 over the body, taken segment by segment.
-func encodeDataFrame(f *dataFrame, body [][]byte) []byte {
-	out := make([]byte, dataHeaderLen)
-	binary.BigEndian.PutUint64(out[0:], f.JobID)
-	binary.BigEndian.PutUint32(out[8:], uint32(f.Attempt))
-	binary.BigEndian.PutUint64(out[12:], f.Seq)
-	out[20] = f.Kind
-	binary.BigEndian.PutUint32(out[21:], uint32(f.From))
-	binary.BigEndian.PutUint64(out[25:], uint64(f.Stage))
-	var crc uint32
-	for _, seg := range body {
-		crc = crc32.Update(crc, crc32.IEEETable, seg)
-	}
-	binary.BigEndian.PutUint32(out[33:], crc)
-	return out
+func (f *dataFrame) layout(c *field.Codec) {
+	c.U64(&f.JobID)
+	c.Int32(&f.Attempt)
+	c.U64(&f.Seq)
+	c.U8(&f.Kind)
+	c.Int32(&f.From)
+	c.I64(&f.Stage)
+	c.U32(&f.crc)
 }
 
-// decodeDataFrame parses a frameData payload and CRC-checks its body, a view
-// of the input.
-func decodeDataFrame(b []byte) (*dataFrame, []byte, error) {
-	if len(b) < dataHeaderLen {
-		return nil, nil, fmt.Errorf("cluster: truncated data frame (%d bytes)", len(b))
-	}
-	f := &dataFrame{
-		JobID:   binary.BigEndian.Uint64(b[0:]),
-		Attempt: int(binary.BigEndian.Uint32(b[8:])),
-		Seq:     binary.BigEndian.Uint64(b[12:]),
-		Kind:    b[20],
-		From:    int(binary.BigEndian.Uint32(b[21:])),
-		Stage:   int64(binary.BigEndian.Uint64(b[25:])),
-	}
-	body := b[dataHeaderLen:]
-	if want, got := binary.BigEndian.Uint32(b[33:]), crc32.ChecksumIEEE(body); want != got {
-		return nil, nil, fmt.Errorf("cluster: data frame CRC mismatch (%08x != %08x)", got, want)
-	}
-	return f, body, nil
-}
-
-// resultHeaderLen prefixes a frameResult payload:
-// jobID u64 | attempt u32 | partition u32 | crc u32. The body follows: the
-// partition's rows as one dataflow.EncodeBucket.
-const resultHeaderLen = 8 + 4 + 4 + 4
-
+// resultFrame heads a frameResult payload; the body is the partition's rows as
+// one dataflow.EncodeBucket.
 type resultFrame struct {
 	JobID     uint64
 	Attempt   int
 	Partition int
+	crc       uint32
 }
 
-// encodeResultFrame returns the header of the frame whose body is body.
-func encodeResultFrame(f *resultFrame, body []byte) []byte {
-	out := make([]byte, resultHeaderLen)
-	binary.BigEndian.PutUint64(out[0:], f.JobID)
-	binary.BigEndian.PutUint32(out[8:], uint32(f.Attempt))
-	binary.BigEndian.PutUint32(out[12:], uint32(f.Partition))
-	binary.BigEndian.PutUint32(out[16:], crc32.ChecksumIEEE(body))
-	return out
+func (f *resultFrame) layout(c *field.Codec) {
+	c.U64(&f.JobID)
+	c.Int32(&f.Attempt)
+	c.Int32(&f.Partition)
+	c.U32(&f.crc)
 }
 
-// decodeResultFrame parses a frameResult payload and CRC-checks its body, a
-// view of the input: a flipped bit in a shipped partition is an error, not a
-// wrong row.
-func decodeResultFrame(b []byte) (*resultFrame, []byte, error) {
-	if len(b) < resultHeaderLen {
-		return nil, nil, fmt.Errorf("cluster: truncated result frame (%d bytes)", len(b))
+// checksum is the CRC32 of a frame body, taken segment by segment.
+func checksum(body ...[]byte) uint32 {
+	var crc uint32
+	for _, seg := range body {
+		crc = crc32.Update(crc, crc32.IEEETable, seg)
 	}
-	f := &resultFrame{
-		JobID:     binary.BigEndian.Uint64(b[0:]),
-		Attempt:   int(binary.BigEndian.Uint32(b[8:])),
-		Partition: int(binary.BigEndian.Uint32(b[12:])),
+	return crc
+}
+
+// checkedBody is the body of the frame whose header c has just read - what is
+// left of the payload, a view of it - once the header decoded whole and the
+// body matches the checksum the header carried: a flipped bit in a shipped
+// bucket is an error, not a wrong row.
+func checkedBody(c *field.Codec, want uint32) ([]byte, error) {
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: frame header: %w", err)
 	}
-	body := b[resultHeaderLen:]
-	if want, got := binary.BigEndian.Uint32(b[16:]), crc32.ChecksumIEEE(body); want != got {
-		return nil, nil, fmt.Errorf("cluster: result frame CRC mismatch (%08x != %08x)", got, want)
+	body := c.Rest()
+	if got := crc32.ChecksumIEEE(body); got != want {
+		return nil, fmt.Errorf("cluster: frame CRC mismatch (%08x != %08x)", got, want)
 	}
-	return f, body, nil
+	return body, nil
 }
 
 // sender serializes and coalesces writes on one connection: frames are

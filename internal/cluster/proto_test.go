@@ -16,7 +16,28 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
+	"gradoop/internal/field"
 )
+
+// frameHead is any of the three checksummed frame headers. (Tests go through
+// the interface; the protocol calls the layouts directly, which keeps the
+// header, the cursor and the checksum off the heap.)
+type frameHead interface{ layout(*field.Codec) }
+
+// headBytes encodes a header whose crc is set.
+func headBytes(h frameHead) []byte {
+	c := field.Appender(nil)
+	h.layout(&c)
+	return c.Bytes()
+}
+
+// openFrame decodes a frame payload into h, whose checksum field is crc, and
+// returns the checked body.
+func openFrame(h frameHead, crc *uint32, payload []byte) ([]byte, error) {
+	c := field.Reader(payload)
+	h.layout(&c)
+	return checkedBody(&c, *crc)
+}
 
 // TestFrameRoundTrip pins the framing: length prefix, type byte, payload.
 func TestFrameRoundTrip(t *testing.T) {
@@ -78,7 +99,7 @@ func TestFrameZeroLength(t *testing.T) {
 // checksum, taken over a body that is written in segments and read as one.
 func TestDataFrameCRC(t *testing.T) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
-	head := encodeDataFrame(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9}, body)
+	head := headBytes(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9, crc: checksum(body...)})
 	var wire bytes.Buffer
 	if err := writeFrame(&wire, frameData, append([][]byte{head}, body...)...); err != nil {
 		t.Fatal(err)
@@ -87,7 +108,8 @@ func TestDataFrameCRC(t *testing.T) {
 	if err != nil || typ != frameData {
 		t.Fatalf("frame type %d, err %v", typ, err)
 	}
-	f, got, err := decodeDataFrame(enc)
+	var f dataFrame
+	got, err := openFrame(&f, &f.crc, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +120,10 @@ func TestDataFrameCRC(t *testing.T) {
 		t.Fatalf("body %q", got)
 	}
 	enc[len(enc)-1] ^= 0x40
-	if _, _, err := decodeDataFrame(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := openFrame(&f, &f.crc, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupted frame: got %v, want CRC mismatch", err)
 	}
-	if _, _, err := decodeDataFrame(enc[:dataHeaderLen-2]); err == nil {
+	if _, err := openFrame(&f, &f.crc, enc[:len(head)-2]); err == nil {
 		t.Fatal("truncated data header accepted")
 	}
 }
@@ -118,22 +140,24 @@ func TestResultFrameCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := append(encodeResultFrame(&resultFrame{JobID: 7, Attempt: 1, Partition: 3}, body), body...)
-	f, got, err := decodeResultFrame(enc)
+	head := headBytes(&resultFrame{JobID: 7, Attempt: 1, Partition: 3, crc: checksum(body)})
+	enc := append(head[:len(head):len(head)], body...)
+	var f resultFrame
+	got, err := openFrame(&f, &f.crc, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.JobID != 7 || f.Attempt != 1 || f.Partition != 3 || !bytes.Equal(got, body) {
 		t.Fatalf("round trip: %+v, body %x", f, got)
 	}
-	for i := resultHeaderLen; i < len(enc); i++ {
+	for i := len(head); i < len(enc); i++ {
 		enc[i] ^= 0x01
-		if _, _, err := decodeResultFrame(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+		if _, err := openFrame(&f, &f.crc, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("bit flipped at byte %d: got %v, want CRC mismatch", i, err)
 		}
 		enc[i] ^= 0x01
 	}
-	if _, _, err := decodeResultFrame(enc[:resultHeaderLen-1]); err == nil {
+	if _, err := openFrame(&f, &f.crc, enc[:len(head)-1]); err == nil {
 		t.Fatal("truncated result header accepted")
 	}
 }
@@ -154,7 +178,7 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 		close(read)
 	}()
 	body := []byte{0, 0, 0, 0}
-	head := encodeResultFrame(&resultFrame{JobID: 7, Partition: 0}, body)
+	head := headBytes(&resultFrame{JobID: 7, Partition: 0, crc: checksum(body)})
 	if err := writeFrame(client, frameResult, head, []byte{0, 0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +351,7 @@ func TestMailBeforeDropStillConsumable(t *testing.T) {
 	}()
 
 	body := []byte("owed")
-	head := encodeDataFrame(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1}, [][]byte{body})
+	head := headBytes(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1, crc: checksum(body)})
 	go func() {
 		writeFrame(client, frameData, head, body)
 		client.Close()

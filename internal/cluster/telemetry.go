@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
+	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/trace"
-	"gradoop/internal/wire"
 )
 
 // The distributed telemetry plane's worker half. Every job attempt records
@@ -22,52 +20,29 @@ import (
 // clock. Failed attempts retain their spans in a bounded ledger until the
 // job resolves; see telemetryLedger.
 
-// telemetryHeaderLen prefixes a frameTelemetry payload:
-// jobID u64 | attempt u32 | from u32 | crc u32 (over the bundle body).
-const telemetryHeaderLen = 8 + 4 + 4 + 4
-
-// telemetryFrame is one worker's observability shipment for one attempt.
+// telemetryFrame heads a frameTelemetry payload, one worker's observability
+// shipment for one attempt; the body is the encoded telemetryBundle. A header
+// or checksum failure here must degrade the report, never the query: the outer
+// frame boundary was already validated, so the coordinator skips the bundle
+// and settles the attempt with a partial-telemetry marker.
 type telemetryFrame struct {
 	JobID   uint64
 	Attempt int
 	From    int // the worker's roster index within the attempt
-	Body    []byte
+	crc     uint32
 }
 
-func encodeTelemetryFrame(f *telemetryFrame) []byte {
-	out := make([]byte, telemetryHeaderLen, telemetryHeaderLen+len(f.Body))
-	binary.BigEndian.PutUint64(out[0:], f.JobID)
-	binary.BigEndian.PutUint32(out[8:], uint32(f.Attempt))
-	binary.BigEndian.PutUint32(out[12:], uint32(f.From))
-	binary.BigEndian.PutUint32(out[16:], crc32.ChecksumIEEE(f.Body))
-	return append(out, f.Body...)
+func (f *telemetryFrame) layout(c *field.Codec) {
+	c.U64(&f.JobID)
+	c.Int32(&f.Attempt)
+	c.Int32(&f.From)
+	c.U32(&f.crc)
 }
 
-// decodeTelemetryFrame parses and CRC-checks a frameTelemetry payload. The
-// body aliases the input. A decode failure here must degrade the report,
-// never the query: the outer frame boundary was already validated, so the
-// caller skips the bundle and settles the attempt with a partial-telemetry
-// marker.
-func decodeTelemetryFrame(b []byte) (*telemetryFrame, error) {
-	if len(b) < telemetryHeaderLen {
-		return nil, fmt.Errorf("cluster: truncated telemetry frame (%d bytes)", len(b))
-	}
-	f := &telemetryFrame{
-		JobID:   binary.BigEndian.Uint64(b[0:]),
-		Attempt: int(binary.BigEndian.Uint32(b[8:])),
-		From:    int(binary.BigEndian.Uint32(b[12:])),
-		Body:    b[telemetryHeaderLen:],
-	}
-	if want, got := binary.BigEndian.Uint32(b[16:]), crc32.ChecksumIEEE(f.Body); want != got {
-		return nil, fmt.Errorf("cluster: telemetry frame CRC mismatch (%08x != %08x)", got, want)
-	}
-	return f, nil
-}
-
-// telemetryBundle is the decoded body of a telemetry frame: who recorded
-// it, under which trace identity, how long the attempt ran on that worker,
-// the full span set (per-stage, per-partition, per-attempt, times rebased
-// to the attempt start) and a snapshot of the worker's metrics registry.
+// telemetryBundle is the body of a telemetry frame: who recorded it, under
+// which trace identity, how long the attempt ran on that worker, the full
+// span set (per-stage, per-partition, per-attempt, times rebased to the
+// attempt start) and a snapshot of the worker's metrics registry.
 type telemetryBundle struct {
 	Node      string
 	TraceID   string
@@ -76,36 +51,28 @@ type telemetryBundle struct {
 	Metrics   obs.Snapshot
 }
 
-func encodeTelemetryBundle(dst []byte, b *telemetryBundle) []byte {
-	dst = wire.AppendString(dst, b.Node)
-	dst = wire.AppendString(dst, b.TraceID)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(b.ElapsedNs))
-	dst = trace.AppendSpans(dst, b.Spans)
-	return obs.AppendSnapshot(dst, &b.Metrics)
+func (b *telemetryBundle) layout(c *field.Codec) {
+	c.String(&b.Node)
+	c.String(&b.TraceID)
+	c.I64(&b.ElapsedNs)
+	trace.LayoutSpans(c, &b.Spans)
+	b.Metrics.Layout(c)
 }
 
+func encodeTelemetryBundle(b *telemetryBundle) []byte {
+	c := field.Appender(nil)
+	b.layout(&c)
+	return c.Bytes()
+}
+
+// decodeTelemetryBundle decodes a bundle that fills buf: trailing bytes mean
+// the two sides disagree on the layout.
 func decodeTelemetryBundle(buf []byte) (*telemetryBundle, error) {
 	var b telemetryBundle
-	var err error
-	if b.Node, buf, err = wire.ReadString(buf); err != nil {
-		return nil, fmt.Errorf("cluster: telemetry bundle node: %w", err)
-	}
-	if b.TraceID, buf, err = wire.ReadString(buf); err != nil {
-		return nil, fmt.Errorf("cluster: telemetry bundle trace id: %w", err)
-	}
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("cluster: truncated telemetry bundle elapsed (%d bytes)", len(buf))
-	}
-	b.ElapsedNs = int64(binary.BigEndian.Uint64(buf))
-	buf = buf[8:]
-	if b.Spans, buf, err = trace.ReadSpans(buf); err != nil {
-		return nil, fmt.Errorf("cluster: telemetry bundle spans: %w", err)
-	}
-	if b.Metrics, buf, err = obs.ReadSnapshot(buf); err != nil {
-		return nil, fmt.Errorf("cluster: telemetry bundle metrics: %w", err)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("cluster: telemetry bundle has %d trailing bytes", len(buf))
+	c := field.Reader(buf)
+	b.layout(&c)
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("cluster: telemetry bundle: %w", err)
 	}
 	return &b, nil
 }

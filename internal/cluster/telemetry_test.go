@@ -10,6 +10,15 @@ import (
 	"gradoop/internal/trace"
 )
 
+// sealTelemetry is a telemetry frame payload as the worker sends it: the
+// header, then the encoded bundle. It returns the header's length too.
+func sealTelemetry(f telemetryFrame, b *telemetryBundle) (payload []byte, headLen int) {
+	body := encodeTelemetryBundle(b)
+	f.crc = checksum(body)
+	head := headBytes(&f)
+	return append(head, body...), len(head)
+}
+
 // testBundle builds a telemetry bundle exercising every encoded field.
 func testBundle() telemetryBundle {
 	r := obs.NewRegistry()
@@ -38,16 +47,16 @@ func testBundle() telemetryBundle {
 // TestTelemetryFrameRoundTrip pins the frame and bundle codecs end to end.
 func TestTelemetryFrameRoundTrip(t *testing.T) {
 	bundle := testBundle()
-	frame := telemetryFrame{JobID: 42, Attempt: 1, From: 2,
-		Body: encodeTelemetryBundle(nil, &bundle)}
-	dec, err := decodeTelemetryFrame(encodeTelemetryFrame(&frame))
+	enc, _ := sealTelemetry(telemetryFrame{JobID: 42, Attempt: 1, From: 2}, &bundle)
+	var dec telemetryFrame
+	body, err := openFrame(&dec, &dec.crc, enc)
 	if err != nil {
-		t.Fatalf("decodeTelemetryFrame: %v", err)
+		t.Fatalf("telemetry frame: %v", err)
 	}
 	if dec.JobID != 42 || dec.Attempt != 1 || dec.From != 2 {
 		t.Fatalf("frame header %+v, want job=42 attempt=1 from=2", dec)
 	}
-	got, err := decodeTelemetryBundle(dec.Body)
+	got, err := decodeTelemetryBundle(body)
 	if err != nil {
 		t.Fatalf("decodeTelemetryBundle: %v", err)
 	}
@@ -61,13 +70,14 @@ func TestTelemetryFrameRoundTrip(t *testing.T) {
 // never panics the read loop.
 func TestTelemetryFrameTruncated(t *testing.T) {
 	bundle := testBundle()
-	enc := encodeTelemetryFrame(&telemetryFrame{JobID: 7, Body: encodeTelemetryBundle(nil, &bundle)})
+	enc, _ := sealTelemetry(telemetryFrame{JobID: 7}, &bundle)
 	for cut := 0; cut < len(enc); cut++ {
-		f, err := decodeTelemetryFrame(enc[:cut])
+		var f telemetryFrame
+		body, err := openFrame(&f, &f.crc, enc[:cut])
 		if err != nil {
 			continue // header too short, or CRC over a cut body failed
 		}
-		if _, err := decodeTelemetryBundle(f.Body); err == nil {
+		if _, err := decodeTelemetryBundle(body); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(enc))
 		}
 	}
@@ -77,11 +87,12 @@ func TestTelemetryFrameTruncated(t *testing.T) {
 // must catch each corruption before the bundle decoder sees it.
 func TestTelemetryFrameCRC(t *testing.T) {
 	bundle := testBundle()
-	enc := encodeTelemetryFrame(&telemetryFrame{JobID: 7, Body: encodeTelemetryBundle(nil, &bundle)})
-	for i := telemetryHeaderLen; i < len(enc); i++ {
+	enc, headLen := sealTelemetry(telemetryFrame{JobID: 7}, &bundle)
+	for i := headLen; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x40
-		if _, err := decodeTelemetryFrame(bad); err == nil {
+		var f telemetryFrame
+		if _, err := openFrame(&f, &f.crc, bad); err == nil {
 			t.Fatalf("bit flip at byte %d passed the CRC", i)
 		}
 	}
@@ -91,7 +102,7 @@ func TestTelemetryFrameCRC(t *testing.T) {
 // trailing garbage means the encoder and decoder disagree on the layout.
 func TestTelemetryBundleTrailing(t *testing.T) {
 	bundle := testBundle()
-	enc := append(encodeTelemetryBundle(nil, &bundle), 0xEE)
+	enc := append(encodeTelemetryBundle(&bundle), 0xEE)
 	if _, err := decodeTelemetryBundle(enc); err == nil {
 		t.Fatal("trailing byte decoded without error")
 	}
@@ -101,7 +112,7 @@ func TestTelemetryBundleTrailing(t *testing.T) {
 // must reject it before allocating.
 func TestTelemetryBundleHostileCounts(t *testing.T) {
 	bundle := testBundle()
-	enc := encodeTelemetryBundle(nil, &bundle)
+	enc := encodeTelemetryBundle(&bundle)
 	// The span count sits right after the two strings and the elapsed u64.
 	off := 4 + len(bundle.Node) + 4 + len(bundle.TraceID) + 8
 	forged := append([]byte(nil), enc...)
@@ -190,14 +201,15 @@ func TestTelemetryLedgerJobCap(t *testing.T) {
 }
 
 // BenchmarkWorkerTelemetryDisabled pins the -no-telemetry hot path at zero
-// allocations: recordTelemetry must return before touching the ledger or
-// the collector (make alloc-guard enforces the 0 allocs/op).
+// allocations: for an attempt that failed, recordTelemetry must return before
+// touching the ledger or the collector (make alloc-guard enforces the 0
+// allocs/op).
 func BenchmarkWorkerTelemetryDisabled(b *testing.B) {
 	w := &Worker{telemetry: false}
 	col := trace.NewCollector()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.recordTelemetry(uint64(i), 0, col)
+		w.recordTelemetry(uint64(i), 0, col, true)
 	}
 }

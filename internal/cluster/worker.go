@@ -15,6 +15,7 @@ import (
 
 	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
+	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
 	"gradoop/internal/session"
@@ -366,7 +367,8 @@ func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 	// is the attempt start, so every span offset is already rebased.
 	col := trace.NewCollector()
 	w.winst.jobs.Inc()
-	stages, metrics, err := w.executeJob(spec, rt, ctrl, col)
+	wireOut, metrics, err := w.executeJob(spec, rt, ctrl, col)
+	spans := w.recordTelemetry(spec.JobID, spec.Attempt, col, err != nil)
 	if err != nil {
 		done.Error = err.Error()
 		done.PeerLost, done.LostPeers = rt.lossInfo(err)
@@ -375,26 +377,31 @@ func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 			w.logger.Error("cluster job failed", "job", spec.JobID, "attempt", spec.Attempt,
 				"trace", spec.TraceID, "err", err)
 		}
-		w.recordTelemetry(spec.JobID, spec.Attempt, col)
 	} else {
-		done.Stages = stages
+		done.Stages = stageRecords(spans, dataflow.DefaultConfig(spec.Workers), wireOut)
 		done.Metrics = metrics
 		done.Telemetry = w.telemetry
-		w.recordTelemetry(spec.JobID, spec.Attempt, col)
 		w.shipTelemetry(spec, ctrl, time.Since(start))
 	}
 	w.winst.jobTime.ObserveSince(start)
 	ctrl.sendJSON(frameJobDone, &done)
 }
 
-// recordTelemetry parks the attempt's spans in the ledger. With telemetry
-// disabled this is a no-op and, like every disabled-path instrument hook,
+// recordTelemetry copies the attempt's spans out of the collector - once: the
+// stage table of the done report and the telemetry ledger read the same set -
+// and, with telemetry on, parks them in the ledger. A failed attempt with
+// telemetry off needs no spans; that path touches neither the collector nor
+// the ledger and, like every disabled-path instrument hook, is
 // allocation-free (pinned by BenchmarkWorkerTelemetryDisabled).
-func (w *Worker) recordTelemetry(jobID uint64, attempt int, col *trace.Collector) {
-	if !w.telemetry {
-		return
+func (w *Worker) recordTelemetry(jobID uint64, attempt int, col *trace.Collector, failed bool) []trace.Span {
+	if failed && !w.telemetry {
+		return nil
 	}
-	w.tele.retain(jobID, attempt, col.Spans())
+	spans := col.Spans()
+	if w.telemetry {
+		w.tele.retain(jobID, attempt, spans)
+	}
+	return spans
 }
 
 // shipTelemetry encodes and sends the winning attempt's bundle, dropping
@@ -410,22 +417,22 @@ func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, elapsed time.Duratio
 		Spans:     w.tele.ship(spec.JobID, spec.Attempt),
 		Metrics:   w.metrics.Snapshot(),
 	}
-	frame := encodeTelemetryFrame(&telemetryFrame{
-		JobID:   spec.JobID,
-		Attempt: spec.Attempt,
-		From:    spec.Self,
-		Body:    encodeTelemetryBundle(nil, &bundle),
-	})
-	if err := ctrl.send(frameTelemetry, frame); err != nil {
+	body := encodeTelemetryBundle(&bundle)
+	f := telemetryFrame{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self, crc: checksum(body)}
+	c := field.Appender(nil)
+	f.layout(&c)
+	head := c.Bytes()
+	if err := ctrl.send(frameTelemetry, head, body); err != nil {
 		return // the control connection is gone; the done report will fail too
 	}
 	w.winst.shipped.Inc()
-	w.winst.teleBytes.Add(int64(len(frame)))
+	w.winst.teleBytes.Add(int64(len(head) + len(body)))
 }
 
 // executeJob builds the peer mesh, runs the planned query over this
-// worker's owned partitions, and ships the owned result partitions.
-func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *trace.Collector) ([]stageRecord, dataflow.MetricsSnapshot, error) {
+// worker's owned partitions, and ships the owned result partitions. It
+// returns the bytes the transport framed per stage and the job's metrics.
+func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *trace.Collector) (map[int64]int64, dataflow.MetricsSnapshot, error) {
 	var zero dataflow.MetricsSnapshot
 	if spec.Workers <= 0 || len(spec.Owner) != spec.Workers || spec.Self < 0 || spec.Self >= len(spec.Procs) {
 		return nil, zero, fmt.Errorf("cluster: malformed job spec (workers=%d owners=%d self=%d procs=%d)",
@@ -478,12 +485,14 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 		if err != nil {
 			return nil, zero, err
 		}
-		head := encodeResultFrame(&resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p}, body)
-		if err := ctrl.send(frameResult, head, body); err != nil {
+		f := resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p, crc: checksum(body)}
+		c := field.Appender(nil)
+		f.layout(&c)
+		if err := ctrl.send(frameResult, c.Bytes(), body); err != nil {
 			return nil, zero, fmt.Errorf("cluster: shipping partition %d: %w", p, err)
 		}
 	}
-	return stageRecords(col.Spans(), cfg, pt.wireOut), env.Metrics(), nil
+	return pt.wireOut, env.Metrics(), nil
 }
 
 // connectMesh establishes the attempt's worker-to-worker connections:
@@ -652,7 +661,10 @@ func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
 		if typ != frameData {
 			continue
 		}
-		f, body, err := decodeDataFrame(payload)
+		var f dataFrame
+		c := field.Reader(payload)
+		f.layout(&c)
+		body, err := checkedBody(&c, f.crc)
 		if err != nil {
 			rt.failPeer(idx, err)
 			return
@@ -969,14 +981,18 @@ func (t *peerTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error)
 // frame puts on the socket. Once handed to a sender the segments are
 // read-only; an all-gather sends the same ones to every peer.
 func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int64) {
-	payload[0] = encodeDataFrame(&dataFrame{
+	f := dataFrame{
 		JobID:   t.spec.JobID,
 		Attempt: t.spec.Attempt,
 		Seq:     t.seq,
 		Kind:    kind,
 		From:    t.spec.Self,
 		Stage:   stage,
-	}, payload[1:])
+		crc:     checksum(payload[1:]...),
+	}
+	c := field.Appender(nil)
+	f.layout(&c)
+	payload[0] = c.Bytes()
 	wire = frameHeader
 	for _, seg := range payload {
 		wire += int64(len(seg))
@@ -989,15 +1005,15 @@ func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int
 // per-partition charges, actual is the stage's measured wall clock, model
 // bytes are the charged cross-partition bytes, wire bytes what the
 // transport framed.
-func stageRecords(spans []trace.Span, cfg dataflow.Config, wireOut map[int64]int64) []stageRecord {
-	recs := make([]stageRecord, 0, len(spans))
+func stageRecords(spans []trace.Span, cfg dataflow.Config, wireOut map[int64]int64) []session.ClusterStage {
+	recs := make([]session.ClusterStage, 0, len(spans))
 	for i := range spans {
 		s := &spans[i]
 		var model int64
 		for _, p := range s.Parts {
 			model += p.NetBytes
 		}
-		recs = append(recs, stageRecord{
+		recs = append(recs, session.ClusterStage{
 			Stage:   s.Stage,
 			Op:      s.Op,
 			Kind:    s.Kind,

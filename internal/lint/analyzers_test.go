@@ -28,7 +28,7 @@ func TestAnalyzers(t *testing.T) {
 		{lint.QStoreRecordAnalyzer, "qstorerecord", "gradoop/internal/session"},
 		{lint.LockOrderAnalyzer, "lockorder", ""},
 		{lint.GoLeakAnalyzer, "goleak", ""},
-		{lint.WireSymAnalyzer, "wiresym", "gradoop/internal/wire"},
+		{lint.WireSymAnalyzer, "wiresym", "gradoop/internal/embedding"},
 		{lint.WireSymAnalyzer, "wiresymframe", "gradoop/internal/cluster"},
 		{lint.CloseOnErrAnalyzer, "closeonerr", ""},
 	}

@@ -1,96 +1,11 @@
-// Fixtures for the wiresym codec-pair rule, type-checked under the real
-// gradoop/internal/wire import path (the analyzer is gated to the wire
-// layer). Each encoder's field-read order must match its paired decoder's
-// field-write order; a dropped field read is the acceptance case from the
-// issue — deleting one read from a Decode* must be flagged.
-package wire
+// Fixtures for the wiresym row-codec rule, type-checked under the real
+// gradoop/internal/embedding import path (the analyzer is gated to the wire
+// layer). A type with any of dataflow.Wire has all of it, and AppendWire's
+// field-read order must match the field-write order of the decoding method
+// WireReader hands out.
+package embedding
 
 import "encoding/binary"
-
-type header struct {
-	ID    uint64
-	Label string
-	Count uint32
-}
-
-// AppendHeader writes ID, Label, Count.
-func AppendHeader(dst []byte, h header) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, h.ID)
-	dst = append(dst, h.Label...)
-	return binary.BigEndian.AppendUint32(dst, h.Count)
-}
-
-// ReadHeader reads Count before Label: order drift.
-func ReadHeader(b []byte) header { // want `codec asymmetry: ReadHeader reads header fields in order \[ID Count Label\] but AppendHeader writes \[ID Label Count\]`
-	var h header
-	h.ID = binary.BigEndian.Uint64(b)
-	h.Count = binary.BigEndian.Uint32(b[8:])
-	h.Label = string(b[12:])
-	return h
-}
-
-type record struct {
-	Key uint64
-	Val uint64
-	Tag uint32
-}
-
-// AppendRecord writes Key, Val, Tag.
-func AppendRecord(dst []byte, r record) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, r.Key)
-	dst = binary.BigEndian.AppendUint64(dst, r.Val)
-	return binary.BigEndian.AppendUint32(dst, r.Tag)
-}
-
-// ReadRecord forgot Tag — the deleted-field-read acceptance case.
-func ReadRecord(b []byte) record { // want `codec asymmetry: ReadRecord reads record fields in order \[Key Val\] but AppendRecord writes \[Key Val Tag\]`
-	var r record
-	r.Key = binary.BigEndian.Uint64(b)
-	r.Val = binary.BigEndian.Uint64(b[8:])
-	return r
-}
-
-type pair struct {
-	A uint32
-	B uint32
-}
-
-// encodePair / decodePair are symmetric (composite-literal decode form);
-// the len() read does not count as serialization.
-func encodePair(p *pair, scratch []byte) []byte {
-	out := make([]byte, 8, 8+len(scratch))
-	binary.BigEndian.PutUint32(out[0:], p.A)
-	binary.BigEndian.PutUint32(out[4:], p.B)
-	return out
-}
-
-func decodePair(b []byte) *pair {
-	return &pair{
-		A: binary.BigEndian.Uint32(b[0:]),
-		B: binary.BigEndian.Uint32(b[4:]),
-	}
-}
-
-// AppendPoint / ReadPoint are symmetric in assignment form.
-type point struct {
-	X int32
-	Y int32
-}
-
-func AppendPoint(dst []byte, pt point) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(pt.X))
-	return binary.BigEndian.AppendUint32(dst, uint32(pt.Y))
-}
-
-func ReadPoint(b []byte) point {
-	var pt point
-	pt.X = int32(binary.BigEndian.Uint32(b[0:]))
-	pt.Y = int32(binary.BigEndian.Uint32(b[4:]))
-	return pt
-}
-
-// The methods of dataflow.Wire, the codec of element types that cross a
-// remote exchange: AppendWire against the decoding method WireReader returns.
 
 // row is symmetric: a composite literal on the way in.
 type row struct {

@@ -10,53 +10,42 @@ import (
 	"gradoop/internal/lint/analysis"
 )
 
-// WireSymAnalyzer machine-checks encode/decode symmetry in the binary wire
-// layer (internal/wire, internal/cluster's frame protocol, and the element
-// types that implement dataflow.Wire to cross a remote exchange). The codec is
-// hand-rolled: nothing but convention keeps AppendVertex's field order and
-// ReadVertex's field order in sync, and a drift silently corrupts every
-// field after the divergence point. Three rules:
+// WireSymAnalyzer machine-checks the two places in the wire layer where
+// nothing but convention keeps two lists in step. (Messages - telemetry
+// bundles, frame headers - need no rule: each is one layout function walked in
+// both directions by internal/field, so there is no second list to drift.)
 //
-//  1. Paired codecs read and write the same fields in the same order. A
-//     pair is matched by name (AppendX/ReadX, EncodeX/DecodeX,
-//     encodeX/decodeX, writeX/readX). The encoder's sequence is the source
-//     order of field reads from its struct parameter (reads inside
-//     len/cap don't consume bytes and are skipped); the decoder's is the
-//     source order of field writes into a value of that struct type,
-//     whether by assignment or composite-literal key. Pairs where either
-//     side has no struct fields (primitive codecs like AppendUint32) are
-//     out of scope.
-//
-//  2. Every frame-type constant (a byte-typed `frameX` package constant)
+//  1. Every frame-type constant (a byte-typed `frameX` package constant)
 //     is both written by some writer (passed to a call) and matched by
 //     some reader (a case clause or ==/!= comparison) — a frame type that
 //     is sent but never dispatched is a protocol hole, and one matched but
 //     never sent is dead protocol.
 //
-//  3. A struct type that implements any of dataflow.Wire implements all of
+//  2. A struct type that implements any of dataflow.Wire implements all of
 //     it - WireSize, AppendWire, WireReader - and its AppendWire reads the
 //     fields its decoding method (DecodeWireInto or decodeWire, the one
-//     WireReader hands out) writes, in the same order. A field decoded by
-//     its own codec (x.f.DecodeWireInto(b)) counts as written there.
+//     WireReader hands out) writes, in the same order: rows are per-element
+//     code, hand-written and alloc-guarded, and a drift silently corrupts
+//     every field after the divergence point. The encoder's sequence is the
+//     source order of field reads from its receiver (reads inside len/cap
+//     don't consume bytes and are skipped); the decoder's is the source order
+//     of field writes, whether by assignment or composite-literal key. A
+//     field decoded by its own codec (x.f.DecodeWireInto(b)) counts as
+//     written there.
 //
 // The analyzer is gated to the wire-layer packages; generic business
 // structs elsewhere are not codecs and their field access order is
 // meaningless.
 var WireSymAnalyzer = &analysis.Analyzer{
 	Name: "wiresym",
-	Doc:  "encode/decode pairs must agree on field order; every frame type needs both a writer and a reader",
+	Doc:  "every frame type needs both a writer and a reader; a dataflow.Wire row codec is whole and its two directions agree on field order",
 	Run:  runWireSym,
 }
 
-// wirePackages are the packages whose codecs the symmetry rules govern.
-// trace and obs joined when the telemetry plane gave them wire codecs (the
-// span set and the registry snapshot shipped in cluster telemetry bundles).
+// wirePackages are the packages the rules govern: the frame protocol, and
+// the rows and join records whose wire form is dataflow.Wire.
 var wirePackages = map[string]bool{
-	"gradoop/internal/wire":    true,
-	"gradoop/internal/cluster": true,
-	"gradoop/internal/trace":   true,
-	"gradoop/internal/obs":     true,
-	// The rows and join records whose wire form is dataflow.Wire.
+	"gradoop/internal/cluster":   true,
 	"gradoop/internal/embedding": true,
 	"gradoop/internal/operators": true,
 }
@@ -69,15 +58,6 @@ var (
 	wireDecoders = []string{"DecodeWireInto", "decodeWire"}
 )
 
-// decodePrefixes maps a decoder name prefix to the encoder prefixes it
-// pairs with, tried in order.
-var decodePrefixes = map[string][]string{
-	"Read":   {"Append", "Write", "Encode"},
-	"Decode": {"Encode", "Append"},
-	"decode": {"encode", "append", "write"},
-	"read":   {"write", "encode", "append"},
-}
-
 func runWireSym(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
 	// Test variants of a package ("pkg [pkg.test]") are the same source.
@@ -87,61 +67,13 @@ func runWireSym(pass *analysis.Pass) (any, error) {
 	if !wirePackages[path] {
 		return nil, nil
 	}
-	checkCodecPairs(pass)
 	checkWireMethods(pass)
 	checkFrameConsts(pass)
 	return nil, nil
 }
 
-// checkCodecPairs matches encoder/decoder declarations by name and
-// compares their field sequences.
-func checkCodecPairs(pass *analysis.Pass) {
-	info := pass.TypesInfo
-	byName := map[string]*ast.FuncDecl{}
-	eachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
-		if fd.Recv == nil && !isTestFile(pass, fd.Pos()) {
-			byName[fd.Name.Name] = fd
-		}
-	})
-	for name, dec := range byName {
-		var enc *ast.FuncDecl
-		var suffix string
-		for prefix, encPrefixes := range decodePrefixes {
-			if !strings.HasPrefix(name, prefix) || name == prefix {
-				continue
-			}
-			suffix = strings.TrimPrefix(name, prefix)
-			for _, ep := range encPrefixes {
-				if e, ok := byName[ep+suffix]; ok {
-					enc = e
-					break
-				}
-			}
-			break
-		}
-		if enc == nil {
-			continue
-		}
-		subject, named := encodeSubject(enc, info)
-		if subject == nil {
-			continue
-		}
-		encSeq := encodeFieldSeq(enc, subject, info)
-		decSeq := decodeFieldSeq(dec, named, info)
-		if len(encSeq) == 0 || len(decSeq) == 0 {
-			continue
-		}
-		if !equalSeq(encSeq, decSeq) {
-			pass.Reportf(dec.Name.Pos(),
-				"codec asymmetry: %s reads %s fields in order [%s] but %s writes [%s]",
-				dec.Name.Name, named.Obj().Name(), strings.Join(decSeq, " "),
-				enc.Name.Name, strings.Join(encSeq, " "))
-		}
-	}
-}
-
-// checkWireMethods applies the pair rule to the methods of dataflow.Wire:
-// the encoder is AppendWire, its subject the receiver.
+// checkWireMethods holds AppendWire, its subject the receiver, to the
+// decoding method of the same type.
 func checkWireMethods(pass *analysis.Pass) {
 	info := pass.TypesInfo
 	methods := map[*types.Named]map[string]*ast.FuncDecl{}
@@ -212,34 +144,6 @@ func checkWireMethods(pass *analysis.Pass) {
 				named.Obj().Name(), dec.Name.Name, strings.Join(decSeq, " "), strings.Join(encSeq, " "))
 		}
 	}
-}
-
-// encodeSubject finds the encoder's struct parameter: the first parameter
-// whose (pointer-dereferenced) type is a named struct.
-func encodeSubject(fd *ast.FuncDecl, info *types.Info) (*types.Var, *types.Named) {
-	if fd.Type.Params == nil {
-		return nil, nil
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			v, ok := info.Defs[name].(*types.Var)
-			if !ok {
-				continue
-			}
-			t := v.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok {
-				continue
-			}
-			if _, ok := named.Underlying().(*types.Struct); ok {
-				return v, named
-			}
-		}
-	}
-	return nil, nil
 }
 
 // encodeFieldSeq lists, in source order without repeats, the fields of

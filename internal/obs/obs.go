@@ -11,8 +11,9 @@
 // histogram buckets are preallocated atomics, and vector children are cached
 // behind an RWMutex read path.
 //
-// The package imports nothing from the engine, so dataflow, session, server
-// and trace can all depend on it without cycles.
+// The package imports nothing from the engine but the field cursor a
+// snapshot's wire layout is written with (a leaf itself), so dataflow,
+// session, server and trace can all depend on it without cycles.
 package obs
 
 import (

@@ -1,12 +1,11 @@
 package obs
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"gradoop/internal/field"
 )
 
 // Registry snapshots and the federated exposition. A worker process cannot
@@ -145,145 +144,26 @@ func (h *Histogram) sampleSnapshots(baseLabels []string) []MetricSample {
 	return out
 }
 
-// AppendSnapshot appends the snapshot's wire form: a count-prefixed family
-// list. Big-endian, uint32 length prefixes, float64s as IEEE-754 bits —
-// the same conventions as the engine's wire package, hand-rolled on the
-// standard library because obs imports nothing from the engine.
-func AppendSnapshot(dst []byte, s *Snapshot) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Families)))
-	for i := range s.Families {
-		dst = appendMetricFamily(dst, &s.Families[i])
-	}
-	return dst
+// Layout is the snapshot's wire form: a count-prefixed family list. Each
+// type names its fields once, in wire order, and field.Codec walks the list
+// in both directions; a float64 travels as its IEEE-754 bits.
+func (s *Snapshot) Layout(c *field.Codec) {
+	// A family is at least its three string lengths and its sample count.
+	field.Slice(c, &s.Families, 16, (*MetricFamily).layout)
 }
 
-// ReadSnapshot consumes an AppendSnapshot encoding.
-func ReadSnapshot(b []byte) (Snapshot, []byte, error) {
-	var s Snapshot
-	if len(b) < 4 {
-		return s, nil, fmt.Errorf("obs: truncated family count (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n == 0 {
-		return s, b, nil
-	}
-	// Every family needs at least its three string lengths and sample count.
-	if uint64(n)*16 > uint64(len(b)) {
-		return s, nil, fmt.Errorf("obs: family count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	s.Families = make([]MetricFamily, n)
-	var err error
-	for i := range s.Families {
-		if s.Families[i], b, err = readMetricFamily(b); err != nil {
-			return s, nil, fmt.Errorf("obs: family %d/%d: %w", i, n, err)
-		}
-	}
-	return s, b, nil
+func (f *MetricFamily) layout(c *field.Codec) {
+	c.String(&f.Name)
+	c.String(&f.Help)
+	c.String(&f.Type)
+	// A sample is at least its suffix length, label count and value.
+	field.Slice(c, &f.Samples, 16, (*MetricSample).layout)
 }
 
-// appendMetricFamily appends one family: name, help, type, samples.
-func appendMetricFamily(dst []byte, f *MetricFamily) []byte {
-	dst = appendSnapString(dst, f.Name)
-	dst = appendSnapString(dst, f.Help)
-	dst = appendSnapString(dst, f.Type)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Samples)))
-	for i := range f.Samples {
-		dst = appendMetricSample(dst, &f.Samples[i])
-	}
-	return dst
-}
-
-// readMetricFamily consumes one encoded family.
-func readMetricFamily(b []byte) (MetricFamily, []byte, error) {
-	var f MetricFamily
-	var err error
-	if f.Name, b, err = readSnapString(b); err != nil {
-		return f, nil, err
-	}
-	if f.Help, b, err = readSnapString(b); err != nil {
-		return f, nil, err
-	}
-	if f.Type, b, err = readSnapString(b); err != nil {
-		return f, nil, err
-	}
-	if len(b) < 4 {
-		return f, nil, fmt.Errorf("obs: truncated sample count (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	// Every sample needs at least its suffix length, label count and value.
-	if uint64(n)*16 > uint64(len(b)) {
-		return f, nil, fmt.Errorf("obs: sample count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	if n > 0 {
-		f.Samples = make([]MetricSample, n)
-		for i := range f.Samples {
-			if f.Samples[i], b, err = readMetricSample(b); err != nil {
-				return f, nil, err
-			}
-		}
-	}
-	return f, b, nil
-}
-
-// appendMetricSample appends one sample: suffix, labels, value bits.
-func appendMetricSample(dst []byte, s *MetricSample) []byte {
-	dst = appendSnapString(dst, s.Suffix)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Labels)))
-	for _, l := range s.Labels {
-		dst = appendSnapString(dst, l)
-	}
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(s.Value))
-}
-
-// readMetricSample consumes one encoded sample.
-func readMetricSample(b []byte) (MetricSample, []byte, error) {
-	var s MetricSample
-	var err error
-	if s.Suffix, b, err = readSnapString(b); err != nil {
-		return s, nil, err
-	}
-	if len(b) < 4 {
-		return s, nil, fmt.Errorf("obs: truncated label count (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(n)*4 > uint64(len(b)) {
-		return s, nil, fmt.Errorf("obs: label count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	if n > 0 {
-		s.Labels = make([]string, n)
-		for i := range s.Labels {
-			if s.Labels[i], b, err = readSnapString(b); err != nil {
-				return s, nil, err
-			}
-		}
-	}
-	if len(b) < 8 {
-		return s, nil, fmt.Errorf("obs: truncated sample value (%d bytes)", len(b))
-	}
-	s.Value = math.Float64frombits(binary.BigEndian.Uint64(b))
-	return s, b[8:], nil
-}
-
-// appendSnapString appends a uint32-length-prefixed string.
-func appendSnapString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// readSnapString consumes a uint32-length-prefixed string.
-func readSnapString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("obs: truncated string length (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return "", nil, fmt.Errorf("obs: truncated string payload (want %d, have %d)", n, len(b))
-	}
-	return string(b[:n]), b[n:], nil
+func (s *MetricSample) layout(c *field.Codec) {
+	c.String(&s.Suffix)
+	field.Slice(c, &s.Labels, 4, func(l *string, c *field.Codec) { c.String(l) })
+	c.F64(&s.Value)
 }
 
 // FederatedSnapshot is one member's labeled snapshot in a federated view.

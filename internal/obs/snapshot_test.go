@@ -5,7 +5,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gradoop/internal/field"
 )
+
+func encodeSnapshot(s *Snapshot) []byte {
+	c := field.Appender(nil)
+	s.Layout(&c)
+	return c.Bytes()
+}
+
+// decodeSnapshot decodes a snapshot that must fill b.
+func decodeSnapshot(b []byte) (Snapshot, error) {
+	var s Snapshot
+	c := field.Reader(b)
+	s.Layout(&c)
+	return s, c.End()
+}
 
 // snapshotRegistry builds a registry covering every instrument kind the
 // snapshot type-switch handles.
@@ -76,13 +92,9 @@ func TestSnapshotMirrorsExposition(t *testing.T) {
 // TestSnapshotWireRoundTrip pins the snapshot codec.
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	s := snapshotRegistry().Snapshot()
-	buf := AppendSnapshot(nil, &s)
-	got, rest, err := ReadSnapshot(buf)
+	got, err := decodeSnapshot(encodeSnapshot(&s))
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("ReadSnapshot left %d bytes", len(rest))
+		t.Fatalf("decoding the snapshot: %v", err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, s)
@@ -93,9 +105,9 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 // panics, no fabricated families.
 func TestSnapshotWireTruncated(t *testing.T) {
 	s := snapshotRegistry().Snapshot()
-	buf := AppendSnapshot(nil, &s)
+	buf := encodeSnapshot(&s)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := ReadSnapshot(buf[:cut]); err == nil {
+		if _, err := decodeSnapshot(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(buf))
 		}
 	}

@@ -9,8 +9,9 @@
 // The collector is the engine's only tracing dependency: a nil *Collector
 // disables tracing entirely (the engine guards every call with a nil check),
 // which is the zero-cost path query execution takes by default. The package
-// deliberately imports nothing from the engine so that dataflow, operators
-// and core can all depend on it without cycles.
+// deliberately imports nothing from the engine but the field cursor its wire
+// layout is written with (a leaf itself), so that dataflow, operators and
+// core can all depend on it without cycles.
 package trace
 
 import (

@@ -1,221 +1,50 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
-	"time"
-)
+import "gradoop/internal/field"
 
-// Span wire codec. Workers serialize their per-job span set into the
-// cluster's telemetry frame with these functions; the coordinator decodes
-// the bundles and merges them into one cluster-wide timeline. The format
-// follows the engine's wire conventions — big-endian integers,
-// uint32-length-prefixed strings, hostile-count guards before every
-// allocation, errors instead of panics on truncated input — but is
-// hand-rolled on the standard library only, because this package
-// deliberately imports nothing from the engine.
+// Span wire layout. Workers ship their per-job span set inside the cluster's
+// telemetry bundle and the coordinator merges the bundles into one
+// cluster-wide timeline. Each type below names its fields once, in wire
+// order; field.Codec walks that list in both directions.
 //
 // Span offsets are time.Durations from the collector epoch (the job start
 // on the recording process), so encoded spans are already rebased: two
 // processes' bundles align on "time since my job began" without trusting
 // either machine's wall clock.
 
-// appendWireString appends a uint32-length-prefixed string.
-func appendWireString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
+// LayoutSpans is a count-prefixed span list.
+func LayoutSpans(c *field.Codec, spans *[]Span) {
+	// A span is at least its scalars, two string lengths and two list counts.
+	field.Slice(c, spans, 8+4+4+1+4+8+8+4+4, (*Span).layout)
 }
 
-// readWireString consumes a uint32-length-prefixed string.
-func readWireString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("trace: truncated string length (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return "", nil, fmt.Errorf("trace: truncated string payload (want %d, have %d)", n, len(b))
-	}
-	return string(b[:n]), b[n:], nil
+func (s *Span) layout(c *field.Codec) {
+	c.I64(&s.Stage)
+	c.String(&s.Op)
+	c.String(&s.Kind)
+	c.Bool(&s.Shuffle)
+	c.Int32(&s.Iteration)
+	c.Dur(&s.Start)
+	c.Dur(&s.End)
+	field.Slice(c, &s.Parts, 8*8, (*PartStats).layout)
+	field.Slice(c, &s.Attempts, 4+4+8+8+1, (*Attempt).layout)
 }
 
-// partStatsWireLen is one encoded PartStats: eight fixed 8-byte fields.
-const partStatsWireLen = 8 * 8
-
-// appendPartStats appends one partition's stats in declaration order.
-func appendPartStats(dst []byte, p *PartStats) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.RowsIn))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.RowsOut))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.CPUElements))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.NetBytes))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.SpillBytes))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.MemBytes))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Recovery))
-	return binary.BigEndian.AppendUint64(dst, uint64(p.Retries))
+func (p *PartStats) layout(c *field.Codec) {
+	c.I64(&p.RowsIn)
+	c.I64(&p.RowsOut)
+	c.I64(&p.CPUElements)
+	c.I64(&p.NetBytes)
+	c.I64(&p.SpillBytes)
+	c.I64(&p.MemBytes)
+	c.Dur(&p.Recovery)
+	c.I64(&p.Retries)
 }
 
-// readPartStats consumes one encoded PartStats.
-func readPartStats(b []byte) (PartStats, []byte, error) {
-	var p PartStats
-	if len(b) < partStatsWireLen {
-		return p, nil, fmt.Errorf("trace: truncated part stats (%d bytes)", len(b))
-	}
-	p.RowsIn = int64(binary.BigEndian.Uint64(b[0:]))
-	p.RowsOut = int64(binary.BigEndian.Uint64(b[8:]))
-	p.CPUElements = int64(binary.BigEndian.Uint64(b[16:]))
-	p.NetBytes = int64(binary.BigEndian.Uint64(b[24:]))
-	p.SpillBytes = int64(binary.BigEndian.Uint64(b[32:]))
-	p.MemBytes = int64(binary.BigEndian.Uint64(b[40:]))
-	p.Recovery = time.Duration(binary.BigEndian.Uint64(b[48:]))
-	p.Retries = int64(binary.BigEndian.Uint64(b[56:]))
-	return p, b[partStatsWireLen:], nil
-}
-
-// attemptWireLen is one encoded Attempt: part u32, n u32, start u64,
-// end u64, failed u8.
-const attemptWireLen = 4 + 4 + 8 + 8 + 1
-
-// appendAttempt appends one partition execution attempt.
-func appendAttempt(dst []byte, a *Attempt) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(a.Part))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(a.N))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(a.Start))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(a.End))
-	return append(dst, boolByte(a.Failed))
-}
-
-// readAttempt consumes one encoded Attempt.
-func readAttempt(b []byte) (Attempt, []byte, error) {
-	var a Attempt
-	if len(b) < attemptWireLen {
-		return a, nil, fmt.Errorf("trace: truncated attempt (%d bytes)", len(b))
-	}
-	a.Part = int(binary.BigEndian.Uint32(b[0:]))
-	a.N = int(binary.BigEndian.Uint32(b[4:]))
-	a.Start = time.Duration(binary.BigEndian.Uint64(b[8:]))
-	a.End = time.Duration(binary.BigEndian.Uint64(b[16:]))
-	a.Failed = b[24] != 0
-	return a, b[attemptWireLen:], nil
-}
-
-// AppendSpan appends one span's wire form: the scalar fields in declaration
-// order, then the count-prefixed Parts and Attempts lists.
-func AppendSpan(dst []byte, s *Span) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.Stage))
-	dst = appendWireString(dst, s.Op)
-	dst = appendWireString(dst, s.Kind)
-	dst = append(dst, boolByte(s.Shuffle))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.Iteration))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.Start))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(s.End))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Parts)))
-	for i := range s.Parts {
-		dst = appendPartStats(dst, &s.Parts[i])
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Attempts)))
-	for i := range s.Attempts {
-		dst = appendAttempt(dst, &s.Attempts[i])
-	}
-	return dst
-}
-
-// ReadSpan consumes one encoded span, guarding the Parts and Attempts
-// counts against the remaining payload before allocating.
-func ReadSpan(b []byte) (Span, []byte, error) {
-	var s Span
-	if len(b) < 8 {
-		return s, nil, fmt.Errorf("trace: truncated span (%d bytes)", len(b))
-	}
-	s.Stage = int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	var err error
-	if s.Op, b, err = readWireString(b); err != nil {
-		return s, nil, fmt.Errorf("trace: span op: %w", err)
-	}
-	if s.Kind, b, err = readWireString(b); err != nil {
-		return s, nil, fmt.Errorf("trace: span kind: %w", err)
-	}
-	if len(b) < 1+4+8+8 {
-		return s, nil, fmt.Errorf("trace: truncated span scalars (%d bytes)", len(b))
-	}
-	s.Shuffle = b[0] != 0
-	s.Iteration = int(binary.BigEndian.Uint32(b[1:]))
-	s.Start = time.Duration(binary.BigEndian.Uint64(b[5:]))
-	s.End = time.Duration(binary.BigEndian.Uint64(b[13:]))
-	b = b[21:]
-	if len(b) < 4 {
-		return s, nil, fmt.Errorf("trace: truncated parts count (%d bytes)", len(b))
-	}
-	nParts := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(nParts)*partStatsWireLen > uint64(len(b)) {
-		return s, nil, fmt.Errorf("trace: parts count %d exceeds payload (%d bytes)", nParts, len(b))
-	}
-	if nParts > 0 {
-		s.Parts = make([]PartStats, nParts)
-		for i := range s.Parts {
-			if s.Parts[i], b, err = readPartStats(b); err != nil {
-				return s, nil, err
-			}
-		}
-	}
-	if len(b) < 4 {
-		return s, nil, fmt.Errorf("trace: truncated attempts count (%d bytes)", len(b))
-	}
-	nAtt := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(nAtt)*attemptWireLen > uint64(len(b)) {
-		return s, nil, fmt.Errorf("trace: attempts count %d exceeds payload (%d bytes)", nAtt, len(b))
-	}
-	if nAtt > 0 {
-		s.Attempts = make([]Attempt, nAtt)
-		for i := range s.Attempts {
-			if s.Attempts[i], b, err = readAttempt(b); err != nil {
-				return s, nil, err
-			}
-		}
-	}
-	return s, b, nil
-}
-
-// AppendSpans appends a count-prefixed span list.
-func AppendSpans(dst []byte, spans []Span) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(spans)))
-	for i := range spans {
-		dst = AppendSpan(dst, &spans[i])
-	}
-	return dst
-}
-
-// ReadSpans consumes a count-prefixed span list.
-func ReadSpans(b []byte) ([]Span, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("trace: truncated span count (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n == 0 {
-		return nil, b, nil
-	}
-	// Every span needs at least its fixed scalar bytes; reject absurd
-	// counts before allocating.
-	const minSpan = 8 + 4 + 4 + 1 + 4 + 8 + 8 + 4 + 4
-	if uint64(n)*minSpan > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("trace: span count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	spans := make([]Span, n)
-	var err error
-	for i := range spans {
-		if spans[i], b, err = ReadSpan(b); err != nil {
-			return nil, nil, fmt.Errorf("trace: span %d/%d: %w", i, n, err)
-		}
-	}
-	return spans, b, nil
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
+func (a *Attempt) layout(c *field.Codec) {
+	c.Int32(&a.Part)
+	c.Int32(&a.N)
+	c.Dur(&a.Start)
+	c.Dur(&a.End)
+	c.Bool(&a.Failed)
 }

@@ -5,7 +5,23 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"gradoop/internal/field"
 )
+
+func encodeSpans(spans []Span) []byte {
+	c := field.Appender(nil)
+	LayoutSpans(&c, &spans)
+	return c.Bytes()
+}
+
+// decodeSpans decodes a span list that must fill b.
+func decodeSpans(b []byte) ([]Span, error) {
+	var spans []Span
+	c := field.Reader(b)
+	LayoutSpans(&c, &spans)
+	return spans, c.End()
+}
 
 // wireFixture is a span set exercising every encoded field: multi-part
 // stages, retried attempts, iteration markers and empty spans.
@@ -38,13 +54,9 @@ func wireFixture() []Span {
 // records survives encode/decode byte-exactly.
 func TestSpanWireRoundTrip(t *testing.T) {
 	spans := wireFixture()
-	buf := AppendSpans(nil, spans)
-	got, rest, err := ReadSpans(buf)
+	got, err := decodeSpans(encodeSpans(spans))
 	if err != nil {
-		t.Fatalf("ReadSpans: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("ReadSpans left %d bytes unconsumed", len(rest))
+		t.Fatalf("decoding the span list: %v", err)
 	}
 	if !reflect.DeepEqual(got, spans) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, spans)
@@ -54,19 +66,18 @@ func TestSpanWireRoundTrip(t *testing.T) {
 // TestSpanWireEmpty pins the zero-span encoding (a worker whose job ran no
 // stages still ships a valid bundle).
 func TestSpanWireEmpty(t *testing.T) {
-	buf := AppendSpans(nil, nil)
-	got, rest, err := ReadSpans(buf)
-	if err != nil || len(got) != 0 || len(rest) != 0 {
-		t.Fatalf("empty round trip: spans=%v rest=%d err=%v", got, len(rest), err)
+	got, err := decodeSpans(encodeSpans(nil))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty round trip: spans=%v err=%v", got, err)
 	}
 }
 
 // TestSpanWireTruncated feeds every strict prefix of a valid encoding to
 // the decoder: each must fail cleanly, never panic or fabricate spans.
 func TestSpanWireTruncated(t *testing.T) {
-	buf := AppendSpans(nil, wireFixture())
+	buf := encodeSpans(wireFixture())
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := ReadSpans(buf[:cut]); err == nil {
+		if _, err := decodeSpans(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(buf))
 		}
 	}
@@ -77,11 +88,11 @@ func TestSpanWireTruncated(t *testing.T) {
 func TestSpanWireHostileCounts(t *testing.T) {
 	// A span-count prefix claiming 2^31 spans over an empty body.
 	huge := binary.BigEndian.AppendUint32(nil, 1<<31)
-	if _, _, err := ReadSpans(huge); err == nil {
+	if _, err := decodeSpans(huge); err == nil {
 		t.Fatal("hostile span count decoded without error")
 	}
 	// A valid one-span envelope whose part count is forged upward.
-	buf := AppendSpans(nil, []Span{{Stage: 1, Op: "x", Kind: "map"}})
+	buf := encodeSpans([]Span{{Stage: 1, Op: "x", Kind: "map"}})
 	// Layout after the u32 span count: stage u64, op len u32 ... find the
 	// parts count by re-encoding with one part and diffing lengths is
 	// fragile; instead corrupt every u32-aligned offset and require no
@@ -89,7 +100,7 @@ func TestSpanWireHostileCounts(t *testing.T) {
 	for off := 4; off+4 <= len(buf); off += 4 {
 		forged := append([]byte(nil), buf...)
 		binary.BigEndian.PutUint32(forged[off:], 1<<30)
-		got, _, err := ReadSpans(forged)
+		got, err := decodeSpans(forged)
 		if err == nil && len(got) > 0 && len(got[0].Parts) > 1<<20 {
 			t.Fatalf("forged count at offset %d allocated %d parts", off, len(got[0].Parts))
 		}

@@ -1,15 +1,17 @@
-// Package wire is the engine's shared length-prefixed binary codec. It
-// grew out of the session's result-cache parameter key — a deterministic,
-// collision-proof encoding of property-value bindings — and is now the one
-// place that format lives: the cache key, the cluster shuffle protocol and
-// the job-spec parameter shipping all read and write these bytes, so a
-// value that round-trips here round-trips everywhere.
+// Package wire is the one encoding of a parameter binding. It grew out of the
+// session's result-cache parameter key - a deterministic, collision-proof
+// encoding of property-value bindings - and two things read and write these
+// bytes: the cache key and the job spec that ships a query's parameters to
+// the cluster's workers, so a binding that round-trips here means the same
+// thing on both sides. (Nothing else of the data model crosses a socket:
+// workers load the dataset themselves, rows travel in their own layout -
+// embedding.AppendWire - and messages are laid out with internal/field.)
 //
-// Layout conventions: all integers are big-endian; strings and byte blobs
-// are uint32-length-prefixed; property values use epgm.PropertyValue's own
-// type-byte + payload encoding (the embedding propData format). Decoders
-// never panic on truncated or corrupt input — they return an error, which
-// the frame protocol maps to a structured job failure.
+// Layout: per name, in sorted order, a big-endian uint32 length, the name,
+// and the value in epgm.PropertyValue's own type-byte + payload encoding (the
+// embedding propData format). ReadParams never panics on truncated or corrupt
+// input - it returns an error, which the worker maps to a structured job
+// failure.
 package wire
 
 import (
@@ -19,80 +21,6 @@ import (
 
 	"gradoop/internal/epgm"
 )
-
-// AppendUint32 appends v big-endian.
-func AppendUint32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-
-// ReadUint32 consumes a big-endian uint32.
-func ReadUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("wire: truncated uint32 (%d bytes)", len(b))
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
-}
-
-// AppendUint64 appends v big-endian.
-func AppendUint64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-
-// ReadUint64 consumes a big-endian uint64.
-func ReadUint64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("wire: truncated uint64 (%d bytes)", len(b))
-	}
-	return binary.BigEndian.Uint64(b), b[8:], nil
-}
-
-// AppendString appends a uint32-length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// ReadString consumes a uint32-length-prefixed string.
-func ReadString(b []byte) (string, []byte, error) {
-	n, rest, err := ReadUint32(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint32(len(rest)) < n {
-		return "", nil, fmt.Errorf("wire: truncated string payload (want %d, have %d)", n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-// AppendBytes appends a uint32-length-prefixed byte blob.
-func AppendBytes(dst []byte, p []byte) []byte {
-	dst = AppendUint32(dst, uint32(len(p)))
-	return append(dst, p...)
-}
-
-// ReadBytes consumes a uint32-length-prefixed byte blob. The returned slice
-// is a copy, so decoded values never alias a reusable receive buffer.
-func ReadBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint32(len(rest)) < n {
-		return nil, nil, fmt.Errorf("wire: truncated bytes payload (want %d, have %d)", n, len(rest))
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	return append([]byte(nil), rest[:n]...), rest[n:], nil
-}
-
-// AppendValue appends one property value (type byte + payload).
-func AppendValue(dst []byte, v epgm.PropertyValue) []byte { return v.Encode(dst) }
-
-// ReadValue consumes one property value.
-func ReadValue(b []byte) (epgm.PropertyValue, []byte, error) {
-	v, n, err := epgm.DecodePropertyValue(b)
-	if err != nil {
-		return epgm.Null, nil, err
-	}
-	return v, b[n:], nil
-}
 
 // AppendParams encodes a parameter binding deterministically and
 // collision-proof: names sorted, each length-prefixed and followed by the
@@ -111,7 +39,7 @@ func AppendParams(dst []byte, params map[string]epgm.PropertyValue) []byte {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		dst = AppendUint32(dst, uint32(len(name)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(name)))
 		dst = append(dst, name...)
 		dst = params[name].Encode(dst)
 	}
@@ -126,185 +54,21 @@ func ReadParams(b []byte) (map[string]epgm.PropertyValue, error) {
 	}
 	params := map[string]epgm.PropertyValue{}
 	for len(b) > 0 {
-		n, rest, err := ReadUint32(b)
-		if err != nil {
-			return nil, fmt.Errorf("wire: params name length: %w", err)
+		if len(b) < 4 {
+			return nil, fmt.Errorf("wire: truncated params name length (%d bytes)", len(b))
 		}
-		if uint32(len(rest)) < n {
-			return nil, fmt.Errorf("wire: truncated params name (want %d, have %d)", n, len(rest))
+		n := binary.BigEndian.Uint32(b)
+		b = b[4:]
+		if uint32(len(b)) < n {
+			return nil, fmt.Errorf("wire: truncated params name (want %d, have %d)", n, len(b))
 		}
-		name := string(rest[:n])
-		v, rest2, err := ReadValue(rest[n:])
+		name := string(b[:n])
+		v, used, err := epgm.DecodePropertyValue(b[n:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: params value for %q: %w", name, err)
 		}
 		params[name] = v
-		b = rest2
+		b = b[int(n)+used:]
 	}
 	return params, nil
-}
-
-// AppendProperties appends an ordered property list: a uint32 count, then
-// per property a length-prefixed key and the value encoding. Order is
-// preserved — Properties serialization is deterministic by construction.
-func AppendProperties(dst []byte, ps epgm.Properties) []byte {
-	dst = AppendUint32(dst, uint32(len(ps)))
-	for _, kv := range ps {
-		dst = AppendString(dst, kv.Key)
-		dst = kv.Value.Encode(dst)
-	}
-	return dst
-}
-
-// ReadProperties consumes an AppendProperties encoding.
-func ReadProperties(b []byte) (epgm.Properties, []byte, error) {
-	n, rest, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: properties count: %w", err)
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	if uint64(n) > uint64(len(rest)) {
-		// Each property needs at least one byte; reject absurd counts before
-		// allocating.
-		return nil, nil, fmt.Errorf("wire: properties count %d exceeds payload", n)
-	}
-	ps := make(epgm.Properties, 0, n)
-	for i := uint32(0); i < n; i++ {
-		key, r, err := ReadString(rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: property key: %w", err)
-		}
-		v, r2, err := ReadValue(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: property value for %q: %w", key, err)
-		}
-		ps = append(ps, epgm.Property{Key: key, Value: v})
-		rest = r2
-	}
-	return ps, rest, nil
-}
-
-// AppendIDSet appends a uint32-count-prefixed identifier list.
-func AppendIDSet(dst []byte, s epgm.IDSet) []byte {
-	dst = AppendUint32(dst, uint32(len(s)))
-	for _, id := range s {
-		dst = AppendUint64(dst, uint64(id))
-	}
-	return dst
-}
-
-// ReadIDSet consumes an AppendIDSet encoding.
-func ReadIDSet(b []byte) (epgm.IDSet, []byte, error) {
-	n, rest, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: idset count: %w", err)
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	if uint64(n)*8 > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("wire: idset count %d exceeds payload", n)
-	}
-	s := make(epgm.IDSet, n)
-	for i := range s {
-		var v uint64
-		v, rest, err = ReadUint64(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		s[i] = epgm.ID(v)
-	}
-	return s, rest, nil
-}
-
-// AppendVertex appends a vertex: id, label, properties, graph memberships.
-func AppendVertex(dst []byte, v epgm.Vertex) []byte {
-	dst = AppendUint64(dst, uint64(v.ID))
-	dst = AppendString(dst, v.Label)
-	dst = AppendProperties(dst, v.Properties)
-	return AppendIDSet(dst, v.GraphIDs)
-}
-
-// ReadVertex consumes an AppendVertex encoding.
-func ReadVertex(b []byte) (epgm.Vertex, []byte, error) {
-	var v epgm.Vertex
-	id, rest, err := ReadUint64(b)
-	if err != nil {
-		return v, nil, fmt.Errorf("wire: vertex id: %w", err)
-	}
-	v.ID = epgm.ID(id)
-	if v.Label, rest, err = ReadString(rest); err != nil {
-		return v, nil, fmt.Errorf("wire: vertex label: %w", err)
-	}
-	if v.Properties, rest, err = ReadProperties(rest); err != nil {
-		return v, nil, err
-	}
-	if v.GraphIDs, rest, err = ReadIDSet(rest); err != nil {
-		return v, nil, err
-	}
-	return v, rest, nil
-}
-
-// AppendEdge appends an edge: id, label, endpoints, properties, memberships.
-func AppendEdge(dst []byte, e epgm.Edge) []byte {
-	dst = AppendUint64(dst, uint64(e.ID))
-	dst = AppendString(dst, e.Label)
-	dst = AppendUint64(dst, uint64(e.Source))
-	dst = AppendUint64(dst, uint64(e.Target))
-	dst = AppendProperties(dst, e.Properties)
-	return AppendIDSet(dst, e.GraphIDs)
-}
-
-// ReadEdge consumes an AppendEdge encoding.
-func ReadEdge(b []byte) (epgm.Edge, []byte, error) {
-	var e epgm.Edge
-	id, rest, err := ReadUint64(b)
-	if err != nil {
-		return e, nil, fmt.Errorf("wire: edge id: %w", err)
-	}
-	e.ID = epgm.ID(id)
-	if e.Label, rest, err = ReadString(rest); err != nil {
-		return e, nil, fmt.Errorf("wire: edge label: %w", err)
-	}
-	if id, rest, err = ReadUint64(rest); err != nil {
-		return e, nil, fmt.Errorf("wire: edge source: %w", err)
-	}
-	e.Source = epgm.ID(id)
-	if id, rest, err = ReadUint64(rest); err != nil {
-		return e, nil, fmt.Errorf("wire: edge target: %w", err)
-	}
-	e.Target = epgm.ID(id)
-	if e.Properties, rest, err = ReadProperties(rest); err != nil {
-		return e, nil, err
-	}
-	if e.GraphIDs, rest, err = ReadIDSet(rest); err != nil {
-		return e, nil, err
-	}
-	return e, rest, nil
-}
-
-// AppendGraphHead appends a graph head: id, label, properties.
-func AppendGraphHead(dst []byte, h epgm.GraphHead) []byte {
-	dst = AppendUint64(dst, uint64(h.ID))
-	dst = AppendString(dst, h.Label)
-	return AppendProperties(dst, h.Properties)
-}
-
-// ReadGraphHead consumes an AppendGraphHead encoding.
-func ReadGraphHead(b []byte) (epgm.GraphHead, []byte, error) {
-	var h epgm.GraphHead
-	id, rest, err := ReadUint64(b)
-	if err != nil {
-		return h, nil, fmt.Errorf("wire: graph head id: %w", err)
-	}
-	h.ID = epgm.ID(id)
-	if h.Label, rest, err = ReadString(rest); err != nil {
-		return h, nil, fmt.Errorf("wire: graph head label: %w", err)
-	}
-	if h.Properties, rest, err = ReadProperties(rest); err != nil {
-		return h, nil, err
-	}
-	return h, rest, nil
 }

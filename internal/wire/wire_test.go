@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -93,103 +91,15 @@ func TestParamsReadRejectsCorruption(t *testing.T) {
 // validPairBoundary reports whether b is a whole number of name/value pairs.
 func validPairBoundary(b []byte) bool {
 	for len(b) > 0 {
-		n, rest, err := ReadUint32(b)
-		if err != nil || uint32(len(rest)) < n {
+		if len(b) < 4 || uint32(len(b)-4) < binary.BigEndian.Uint32(b) {
 			return false
 		}
-		_, rest2, err := ReadValue(rest[n:])
+		b = b[4+binary.BigEndian.Uint32(b):]
+		_, used, err := epgm.DecodePropertyValue(b)
 		if err != nil {
 			return false
 		}
-		b = rest2
+		b = b[used:]
 	}
 	return true
-}
-
-func TestElementRoundTrips(t *testing.T) {
-	v := epgm.Vertex{
-		ID:    7,
-		Label: "Person",
-		Properties: epgm.Properties{
-			{Key: "name", Value: epgm.PVString("Ada")},
-			{Key: "age", Value: epgm.PVInt(36)},
-		},
-		GraphIDs: epgm.NewIDSet(1, 2),
-	}
-	blob := AppendVertex(nil, v)
-	got, rest, err := ReadVertex(blob)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("ReadVertex: %v (rest %d)", err, len(rest))
-	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("vertex round trip: got %+v, want %+v", got, v)
-	}
-
-	e := epgm.Edge{
-		ID: 9, Label: "knows", Source: 7, Target: 8,
-		Properties: epgm.Properties{{Key: "since", Value: epgm.PVInt(2017)}},
-		GraphIDs:   epgm.NewIDSet(1),
-	}
-	eb := AppendEdge(nil, e)
-	gotE, rest, err := ReadEdge(eb)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("ReadEdge: %v", err)
-	}
-	if !reflect.DeepEqual(gotE, e) {
-		t.Fatalf("edge round trip: got %+v, want %+v", gotE, e)
-	}
-
-	h := epgm.GraphHead{ID: 1, Label: "g", Properties: epgm.Properties{{Key: "k", Value: epgm.PVBool(false)}}}
-	hb := AppendGraphHead(nil, h)
-	gotH, rest, err := ReadGraphHead(hb)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("ReadGraphHead: %v", err)
-	}
-	if !reflect.DeepEqual(gotH, h) {
-		t.Fatalf("graph head round trip: got %+v, want %+v", gotH, h)
-	}
-}
-
-func TestTruncatedElementDecoding(t *testing.T) {
-	v := epgm.Vertex{ID: 7, Label: "Person", Properties: epgm.Properties{{Key: "name", Value: epgm.PVString("Ada")}}}
-	blob := AppendVertex(nil, v)
-	for cut := 0; cut < len(blob); cut++ {
-		if _, _, err := ReadVertex(blob[:cut]); err == nil {
-			t.Fatalf("ReadVertex accepted %d/%d bytes", cut, len(blob))
-		}
-	}
-	// A hostile count prefix must not drive a huge allocation.
-	bad := AppendUint32(nil, 0xffffffff)
-	if _, _, err := ReadProperties(bad); err == nil {
-		t.Fatal("ReadProperties accepted absurd count")
-	}
-	if _, _, err := ReadIDSet(bad); err == nil {
-		t.Fatal("ReadIDSet accepted absurd count")
-	}
-}
-
-func TestPrimitiveHelpers(t *testing.T) {
-	b := AppendUint64(AppendUint32(nil, 7), 9)
-	b = AppendString(b, "hi")
-	b = AppendBytes(b, []byte{1, 2, 3})
-
-	v32, rest, err := ReadUint32(b)
-	if err != nil || v32 != 7 {
-		t.Fatalf("ReadUint32 = %d, %v", v32, err)
-	}
-	v64, rest, err := ReadUint64(rest)
-	if err != nil || v64 != 9 {
-		t.Fatalf("ReadUint64 = %d, %v", v64, err)
-	}
-	s, rest, err := ReadString(rest)
-	if err != nil || s != "hi" {
-		t.Fatalf("ReadString = %q, %v", s, err)
-	}
-	p, rest, err := ReadBytes(rest)
-	if err != nil || !bytes.Equal(p, []byte{1, 2, 3}) || len(rest) != 0 {
-		t.Fatalf("ReadBytes = %v, %v (rest %d)", p, err, len(rest))
-	}
-	if _, _, err := ReadUint64(nil); err == nil {
-		t.Fatal("ReadUint64 accepted empty input")
-	}
 }
