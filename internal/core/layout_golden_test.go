@@ -51,14 +51,17 @@ func goldenGraph(workers int) (*epgm.LogicalGraph, string) {
 // shuffle and the index-chain join table must all be invisible here: same
 // net bytes and CPU elements on every worker (so every row went to the same
 // partition with the same accounted size), same stage and shuffle counts,
-// and the same rows in the same order.
+// and the same rows in the same order. The stages, shuffles, cpu and net of
+// Q2 and Q3 - and only those - were recorded again when a variable-length
+// expansion began to shuffle and hash its edges once, not once per hop; their
+// counts and row hashes are the original ones.
 var layoutGolden = map[string]string{
 	"Q1/1": "count=172 stages=9 shuffles=4 cpu=[4858] net=[0] rows=336e63a5898474a5",
 	"Q1/4": "count=172 stages=9 shuffles=4 cpu=[1080 1083 1321 1374] net=[6895 4915 5384 5149] rows=9b2eada02c6c9103",
-	"Q2/1": "count=172 stages=56 shuffles=21 cpu=[14358] net=[0] rows=eb534e79142b6b86",
-	"Q2/4": "count=172 stages=56 shuffles=21 cpu=[2836 3422 3433 4667] net=[30425 32028 23026 21371] rows=049fa717c002fca6",
-	"Q3/1": "count=21 stages=65 shuffles=27 cpu=[19534] net=[0] rows=f3aac3dd8c6a4089",
-	"Q3/4": "count=21 stages=65 shuffles=27 cpu=[4123 4270 4948 6193] net=[44333 48136 37821 38465] rows=9d7db0c6323d488b",
+	"Q2/1": "count=172 stages=42 shuffles=14 cpu=[10158] net=[0] rows=eb534e79142b6b86",
+	"Q2/4": "count=172 stages=42 shuffles=14 cpu=[2346 2715 2390 2707] net=[18665 15060 17986 17171] rows=049fa717c002fca6",
+	"Q3/1": "count=21 stages=52 shuffles=20 cpu=[15334] net=[0] rows=f3aac3dd8c6a4089",
+	"Q3/4": "count=21 stages=52 shuffles=20 cpu=[3633 3563 3905 4233] net=[32573 31168 32781 34265] rows=9d7db0c6323d488b",
 	"Q4/1": "count=298 stages=33 shuffles=16 cpu=[11008] net=[0] rows=14943ba276169f6a",
 	"Q4/4": "count=298 stages=33 shuffles=16 cpu=[2802 2779 2641 2786] net=[7375 6246 11806 12244] rows=f857273af86832a6",
 	"Q5/1": "count=609 stages=16 shuffles=9 cpu=[9383] net=[0] rows=25b45830eb4fde57",

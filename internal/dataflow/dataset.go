@@ -165,9 +165,12 @@ func (d *Dataset[T]) Count() int64 {
 // IsEmpty reports whether the dataset has no elements.
 func (d *Dataset[T]) IsEmpty() bool { return d.Count() == 0 }
 
-// Map applies f to every element, preserving partitioning.
+// Map applies f to every element, preserving partitioning. It is one to
+// one, so every output partition is allocated once, at its input's length.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return FlatMap(d, func(t T, emit func(U)) { emit(f(t)) })
+	return flatMapWith(d, func() func(T, func(U)) {
+		return func(t T, emit func(U)) { emit(f(t)) }
+	}, 1)
 }
 
 // Filter keeps the elements for which pred returns true, preserving
@@ -196,6 +199,12 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // because a retried attempt gets a fresh function, nothing a failed attempt
 // built is reused. JoinWith follows the same contract.
 func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U))) *Dataset[U] {
+	return flatMapWith(d, newF, 0)
+}
+
+// flatMapWith is FlatMapWith with a size hint: an output partition starts
+// with room for perInput outputs per input element (0: grown as emitted).
+func flatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput int) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -206,6 +215,9 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U))) *Dataset
 	env.runParts(len(d.parts), func(p int) {
 		f := newF()
 		var res []U
+		if n := perInput * len(d.parts[p]); n > 0 {
+			res = make([]U, 0, n)
+		}
 		var mem int64
 		emit := func(u U) { res = append(res, u) }
 		if env.governor != nil {
@@ -286,32 +298,46 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 
 // Union concatenates two datasets partition-wise. Like Flink's union it
 // moves no data; a shared partition tag survives.
-func Union[T any](a, b *Dataset[T]) *Dataset[T] {
-	env := a.env
-	if mismatch(a.env, b.env, "Union") || env.Failed() {
+func Union[T any](a, b *Dataset[T]) *Dataset[T] { return UnionAll(a, b) }
+
+// UnionAll concatenates one or more datasets partition-wise, operands in
+// argument order, in one stage: an output partition is allocated once, at
+// the summed length, whatever the number of operands - which is what lets an
+// iteration keep its per-superstep results as a list and copy each row once.
+func UnionAll[T any](ds ...*Dataset[T]) *Dataset[T] {
+	env := ds[0].env
+	for _, d := range ds[1:] {
+		if mismatch(env, d.env, "Union") {
+			return Empty[T](env)
+		}
+	}
+	if env.Failed() {
 		return Empty[T](env)
 	}
 	env.beginStage("Union", false)
-	out := make([][]T, len(a.parts))
+	out := make([][]T, len(ds[0].parts))
 	for p := range out {
-		if len(b.parts[p]) == 0 {
-			out[p] = a.parts[p]
+		total, nonEmpty := 0, 0
+		for _, d := range ds {
+			if n := len(d.parts[p]); n > 0 {
+				total += n
+				nonEmpty++
+				// Datasets are immutable, so a lone non-empty operand's
+				// partition is aliased, not copied; per-label unions over a
+				// session's pinned slices stay zero-copy this way.
+				out[p] = d.parts[p]
+			}
+		}
+		if nonEmpty < 2 {
 			continue
 		}
-		if len(a.parts[p]) == 0 {
-			// Datasets are immutable, so an empty left partition can alias
-			// the right one instead of copying it (the mirror of the fast
-			// path above); per-label unions over a session's pinned slices
-			// stay zero-copy this way.
-			out[p] = b.parts[p]
-			continue
+		merged := make([]T, 0, total)
+		for _, d := range ds {
+			merged = append(merged, d.parts[p]...)
 		}
-		merged := make([]T, 0, len(a.parts[p])+len(b.parts[p]))
-		merged = append(merged, a.parts[p]...)
-		merged = append(merged, b.parts[p]...)
 		if env.governor != nil {
 			// Only the copying path materializes new memory; the aliasing
-			// fast paths above reuse the input partitions byte for byte.
+			// path above reuses an input partition byte for byte.
 			if !env.chargeMem(p, sizingOf[T]().sum(merged)) {
 				return Empty[T](env)
 			}
@@ -325,21 +351,27 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 			env.traceRowsOut(p, n)
 		}
 	}
-	tag := uint64(0)
-	if a.partTag == b.partTag {
-		tag = a.partTag
-	}
-	if env.transport == nil {
-		// An empty operand cannot perturb the other's partitioning, so its
-		// tag survives — but only in-process: emptiness here is local, and a
-		// partition empty on this worker may be populated on another, so a
-		// distributed job must not let data-dependent tags diverge across
-		// processes (the cost is a redundant, content-preserving shuffle).
-		if b.IsEmpty() {
-			tag = a.partTag
-		} else if a.IsEmpty() {
-			tag = b.partTag
+	return &Dataset[T]{env: env, parts: out, partTag: unionTag(ds)}
+}
+
+// unionTag is the partition tag a union's result carries: the one its
+// operands share, or none. In-process an empty operand is left out: it cannot
+// perturb the others' partitioning, so the tag the non-empty ones share
+// survives. Not so in a distributed job, where emptiness is local - a
+// partition empty on this worker may be populated on another - and
+// data-dependent tags must not diverge across processes (the cost is a
+// redundant, content-preserving shuffle).
+func unionTag[T any](ds []*Dataset[T]) uint64 {
+	inProcess := ds[0].env.transport == nil
+	tag, found := ds[0].partTag, false
+	for _, d := range ds {
+		switch {
+		case inProcess && d.IsEmpty():
+		case !found:
+			tag, found = d.partTag, true
+		case d.partTag != tag:
+			return 0
 		}
 	}
-	return &Dataset[T]{env: env, parts: out, partTag: tag}
+	return tag
 }

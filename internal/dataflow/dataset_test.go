@@ -283,7 +283,7 @@ func TestBulkIteration(t *testing.T) {
 	// Start with {1..10}; each iteration doubles values < 100 and retires
 	// values >= 50 into the result.
 	init := FromSlice(e, ints(10))
-	res := BulkIteration(init, 100, func(it int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {
+	res := BulkIteration(init, nil, 100, func(it int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {
 		doubled := Map(working, func(x int) int { return 2 * x })
 		next := Filter(doubled, func(x int) bool { return x < 50 })
 		done := Filter(doubled, func(x int) bool { return x >= 50 })
@@ -308,7 +308,7 @@ func TestBulkIterationRespectsMaxIterations(t *testing.T) {
 	e := env(2)
 	init := FromSlice(e, []int{1})
 	iters := 0
-	BulkIteration(init, 5, func(it int, w *Dataset[int]) (*Dataset[int], *Dataset[int]) {
+	BulkIteration(init, nil, 5, func(it int, w *Dataset[int]) (*Dataset[int], *Dataset[int]) {
 		iters = it
 		return w, nil // never terminates on its own
 	})

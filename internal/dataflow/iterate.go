@@ -3,19 +3,22 @@ package dataflow
 // BulkIteration runs Flink-style while-loop semantics over a working set
 // (§3.1, ExpandEmbeddings): body receives the current working set and the
 // 1-based iteration number, and returns the next working set plus the
-// elements to add to the result. Iteration stops when the working set
-// becomes empty, maxIterations is reached, or the job fails (a cancelled or
-// failed environment drains the working set, so runaway expansions abort
-// between supersteps as well as inside them). The returned dataset is the
-// union of all per-iteration results.
-func BulkIteration[T any](initial *Dataset[T], maxIterations int,
-	body func(iteration int, working *Dataset[T]) (next *Dataset[T], results *Dataset[T])) *Dataset[T] {
+// elements that iteration adds to the result (nil for none). Iteration stops
+// when the working set becomes empty, maxIterations is reached, or the job
+// fails (a cancelled or failed environment drains the working set, so
+// runaway expansions abort between supersteps as well as inside them). The
+// returned dataset is seed - what is in the result before the first
+// iteration, nil for nothing - followed by every iteration's results in
+// order, concatenated once, when the loop is over: the rows an iteration
+// found are copied one time, not once per later iteration.
+func BulkIteration[W, R any](initial *Dataset[W], seed *Dataset[R], maxIterations int,
+	body func(iteration int, working *Dataset[W]) (next *Dataset[W], results *Dataset[R])) *Dataset[R] {
 	env := initial.Env()
-	acc := Empty[T](env)
+	var found []*Dataset[R]
+	if seed != nil {
+		found = append(found, seed)
+	}
 	working := initial
-	// Tag traced stages with their superstep so trace exports show where
-	// each iteration's time went; cleared when the loop exits.
-	defer env.MarkIteration(0)
 	for it := 1; it <= maxIterations; it++ {
 		// Convergence is a global decision: in a distributed job every
 		// process must take the same number of supersteps or the collective
@@ -24,15 +27,21 @@ func BulkIteration[T any](initial *Dataset[T], maxIterations int,
 		if env.Failed() || working.GlobalIsEmpty() {
 			break
 		}
+		// Tag traced stages with their superstep so trace exports show where
+		// each iteration's time went.
 		env.MarkIteration(it)
 		next, results := body(it, working)
 		if results != nil {
-			acc = Union(acc, results)
+			found = append(found, results)
 		}
 		if next == nil {
 			break
 		}
 		working = next
 	}
-	return acc
+	env.MarkIteration(0)
+	if len(found) == 0 {
+		return Empty[R](env)
+	}
+	return UnionAll(found...)
 }

@@ -93,6 +93,65 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 	return &Dataset[U]{env: env, parts: out}
 }
 
+// HashBuild is the build half of a repartition hash join, kept: the left
+// input shuffled by key and, per partition, the hash table over it. A join
+// whose left side does not change between rounds - the edge set of a
+// variable-length expansion, the static path of a Flink bulk iteration -
+// builds once and probes once per round, so the build side is shuffled,
+// hashed and charged (CPU, network, governor memory) once, not per round.
+// A HashBuild is immutable once Build returns; any number of Probe calls may
+// read it.
+type HashBuild[L any] struct {
+	env    *Env
+	rows   [][]L
+	tables []joinTable
+}
+
+// Build shuffles l by key and builds every partition's hash table: one
+// Shuffle stage and one Build stage, whose attempts are retried like any
+// other's - a table is published only by the attempt that finished it.
+func Build[L any](l *Dataset[L], key func(L) uint64) *HashBuild[L] {
+	env := l.env
+	ls := shuffle(l, key)
+	b := &HashBuild[L]{env: env, rows: ls.parts, tables: make([]joinTable, len(ls.parts))}
+	if env.Failed() {
+		return b
+	}
+	env.beginStage("Build", false)
+	env.runParts(len(b.rows), func(p int) {
+		table, ok := buildPartition(env, p, b.rows[p], key)
+		if !ok {
+			return
+		}
+		env.traceRowsIn(p, int64(len(b.rows[p])))
+		b.tables[p] = table
+	})
+	return b
+}
+
+// Probe is the probe half: it shuffles r by key and joins each partition
+// against b's table for it - one Shuffle stage and one Probe stage. Joiner
+// contract, row order and charges are JoinWith's under RepartitionHash,
+// minus the build side's.
+func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
+	newJoiner func() func(L, R, func(U))) *Dataset[U] {
+	env := b.env
+	if mismatch(env, r.env, "Probe") || env.Failed() {
+		return Empty[U](env)
+	}
+	rs := shuffle(r, rkey)
+	env.beginStage("Probe", false)
+	w := len(rs.parts)
+	out := make([][]U, w)
+	env.runParts(w, func(p int) {
+		res := probePartition(env, p, b.rows[p], &b.tables[p], rs.parts[p], rkey, newJoiner())
+		env.traceRowsIn(p, int64(len(rs.parts[p])))
+		env.traceRowsOut(p, int64(len(res)))
+		out[p] = res
+	})
+	return &Dataset[U]{env: env, parts: out}
+}
+
 // CoGroup groups both inputs by key and hands each key's complete groups to
 // f — Flink's coGroup transformation. Keys appear in deterministic order:
 // left-side keys in first-occurrence order, then right-only keys. A left
@@ -206,6 +265,12 @@ type joinTable struct {
 	head  []int32  // per slot: first row of its chain
 	next  []int32  // per build row: the next row of its chain
 	shift uint     // 64 - log2(len(head))
+	// overflow is the fraction of the build rows' accounted bytes beyond the
+	// worker's simulated memory budget, 0 when they fit, and spilled that many
+	// bytes: what a grace hash join keeps in partition files on disk, written
+	// once and read back by every probe.
+	overflow float64
+	spilled  int64
 }
 
 // slot spreads keys by Fibonacci hashing, which takes the high bits of the
@@ -241,23 +306,33 @@ func (t *joinTable) link() {
 }
 
 // hashJoinPartition builds a hash table over the left side and probes it
-// with the right side. If the build side exceeds the worker's simulated
-// memory budget, the excess — and a proportional share of the probe side —
-// is charged as spill, modelling a grace hash join's partition files.
+// with the right side, in one attempt.
 func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 	lkey func(L) uint64, rkey func(R) uint64, joiner func(L, R, func(U))) []U {
+	table, ok := buildPartition(env, p, left, lkey)
+	if !ok {
+		return nil
+	}
+	return probePartition(env, p, left, &table, right, rkey, joiner)
+}
+
+// buildPartition fills and links the hash table over left and charges the
+// build side: its CPU, its memory and, if it exceeds the worker's simulated
+// memory budget, the write of the excess to a grace hash join's partition
+// files. It reports false when the job was aborted or killed mid-build.
+func buildPartition[L any](env *Env, p int, left []L, lkey func(L) uint64) (joinTable, bool) {
 	table := newJoinTable(len(left))
 	lsz := sizingOf[L]()
 	var buildBytes, buildCharged int64
 	for i := range left {
 		if i&cancelCheckMask == cancelCheckMask {
 			if env.aborted() {
-				return nil
+				return joinTable{}, false
 			}
 			// The build table is real materialized memory: charge it as it
 			// grows so an oversized build side dies before it is complete.
 			if !env.chargeMem(p, buildBytes-buildCharged) {
-				return nil
+				return joinTable{}, false
 			}
 			buildCharged = buildBytes
 		}
@@ -265,16 +340,29 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 		buildBytes += lsz.of(&left[i])
 	}
 	if !env.chargeMem(p, buildBytes-buildCharged) {
-		return nil
+		return joinTable{}, false
 	}
 	table.link()
 	if mem := env.cfg.MemoryPerWorker; mem > 0 && buildBytes > mem {
-		// Grace hash join: the overflow fraction of both sides goes to disk
-		// once on write and once on read.
-		overflow := float64(buildBytes-mem) / float64(buildBytes)
+		table.overflow = float64(buildBytes-mem) / float64(buildBytes)
+		table.spilled = int64(table.overflow * float64(buildBytes))
+		env.chargeSpill(p, table.spilled)
+	}
+	env.chargeCPU(p, int64(len(left)))
+	return table, true
+}
+
+// probePartition walks table, built over left, with the right side and calls
+// the joiner on every key match. Of a build side that overflowed, it reads
+// the spilled share back and sends the same share of the probe side to disk
+// and back - so a plain join pays the grace hash join's write and read of
+// both sides, and a kept build side is written once and read once per probe
+// (Flink's re-openable hash table).
+func probePartition[L, R, U any](env *Env, p int, left []L, table *joinTable, right []R,
+	rkey func(R) uint64, joiner func(L, R, func(U))) []U {
+	if table.overflow > 0 {
 		probeBytes := sizingOf[R]().sum(right)
-		spilled := int64(overflow*float64(buildBytes)) + int64(overflow*float64(probeBytes))
-		env.chargeSpill(p, 2*spilled)
+		env.chargeSpill(p, table.spilled+2*int64(table.overflow*float64(probeBytes)))
 	}
 	var res []U
 	var mem int64
@@ -320,6 +408,6 @@ func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
 	if !env.chargeMem(p, mem) {
 		return nil
 	}
-	env.chargeCPU(p, int64(len(left)+len(right)))
+	env.chargeCPU(p, int64(len(right)))
 	return res
 }

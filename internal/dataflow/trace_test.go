@@ -128,7 +128,7 @@ func TestTraceIterationMark(t *testing.T) {
 	defer env.SetTracer(nil)
 
 	d := FromSlice(env, []int{1, 2, 3})
-	it := BulkIteration(d, 3, func(_ int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {
+	it := BulkIteration(d, nil, 3, func(_ int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {
 		next := FlatMap(working, func(v int, emit func(int)) { emit(v + 1) })
 		return next, nil
 	})

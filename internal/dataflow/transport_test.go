@@ -230,7 +230,7 @@ func clusterPipeline(e *Env, n int) *Dataset[wrec] {
 	rb := Rebalance(Union(bj, none))
 	// Iteration count depends on the data (V magnitudes differ per element),
 	// so processes only agree on when to stop via the global emptiness check.
-	return BulkIteration(rb, 64, func(it int, w *Dataset[wrec]) (*Dataset[wrec], *Dataset[wrec]) {
+	return BulkIteration(rb, nil, 64, func(it int, w *Dataset[wrec]) (*Dataset[wrec], *Dataset[wrec]) {
 		done := Filter(w, func(r wrec) bool { return r.V < 1000 })
 		next := Map(Filter(w, func(r wrec) bool { return r.V >= 1000 }),
 			func(r wrec) wrec { return wrec{K: r.K, V: r.V / 2} })

@@ -7,28 +7,34 @@ import (
 	"gradoop/internal/lint/analysis"
 )
 
-// EnvMixAnalyzer flags binary dataflow transformations (Union, Join,
-// JoinTagged, JoinWith, CoGroup) whose operands provably come from different
-// execution environments — two distinct NewEnv/NewEnvContext call sites
-// flowing into one combination. The engine catches this at runtime with
-// ErrEnvMismatch and fails the job; envmix catches the same class at
-// compile time, before a mixed-environment pipeline ever runs. The check
-// is intraprocedural and conservative: it only reports when both operands'
-// environment origins are known and distinct.
+// EnvMixAnalyzer flags dataflow transformations that combine datasets
+// (Union, UnionAll, Join, JoinTagged, JoinWith, CoGroup, Probe against a
+// Build, BulkIteration's working set and seed) whose operands provably come
+// from different execution environments — two distinct NewEnv/NewEnvContext
+// call sites flowing into one combination. The engine catches this at
+// runtime with ErrEnvMismatch and fails the job; envmix catches the same
+// class at compile time, before a mixed-environment pipeline ever runs. The
+// check is intraprocedural and conservative: it only reports when both
+// operands' environment origins are known and distinct.
 var EnvMixAnalyzer = &analysis.Analyzer{
 	Name: "envmix",
 	Doc:  "flags combining Datasets created on provably different dataflow Envs",
 	Run:  runEnvMix,
 }
 
-// binaryDataflowFuncs maps the binary transformations to the positional
-// indices of their two dataset operands.
-var binaryDataflowFuncs = map[string][2]int{
-	"Union":      {0, 1},
-	"Join":       {0, 1},
-	"JoinTagged": {0, 1},
-	"JoinWith":   {0, 1},
-	"CoGroup":    {0, 1},
+// combiningDataflowFuncs maps the transformations that take more than one
+// dataset to how many leading arguments are dataset operands (a Probe's
+// first is the Build it reads, which belongs to its input's environment); 0
+// stands for all of them, the variadic UnionAll.
+var combiningDataflowFuncs = map[string]int{
+	"Union":         2,
+	"UnionAll":      0,
+	"Join":          2,
+	"JoinTagged":    2,
+	"JoinWith":      2,
+	"CoGroup":       2,
+	"Probe":         2,
+	"BulkIteration": 2,
 }
 
 // datasetSourceFuncs create a dataset from an Env passed as the first
@@ -45,9 +51,10 @@ var datasetDeriveFuncs = map[string]bool{
 	"Map": true, "Filter": true, "FlatMap": true, "FlatMapWith": true, "MapPartition": true,
 	"Rebalance": true, "PartitionByKey": true, "DistinctBy": true,
 	"Distinct": true, "ReduceByKey": true, "CountByKey": true,
-	"GroupBy": true, "BulkIteration": true,
-	// The binary ops derive from their left operand.
-	"Union": true, "Join": true, "JoinTagged": true, "JoinWith": true, "CoGroup": true,
+	"GroupBy": true, "BulkIteration": true, "Build": true,
+	// The combining ops derive from their first operand.
+	"Union": true, "UnionAll": true, "Join": true, "JoinTagged": true, "JoinWith": true, "CoGroup": true,
+	"Probe": true,
 }
 
 func runEnvMix(pass *analysis.Pass) (any, error) {
@@ -68,7 +75,8 @@ func envMixFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	dsOrigin := map[types.Object]ast.Node{}  // dataset var -> creating NewEnv call
 
 	// originOf resolves the environment origin of an expression that
-	// evaluates to a *dataflow.Env or *dataflow.Dataset, or nil if unknown.
+	// evaluates to a *dataflow.Env, *dataflow.Dataset or *dataflow.HashBuild,
+	// or nil if unknown.
 	var originOf func(expr ast.Expr) ast.Node
 	originOf = func(expr ast.Expr) ast.Node {
 		switch e := ast.Unparen(expr).(type) {
@@ -140,18 +148,32 @@ func envMixFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != dataflowPath {
 				return true
 			}
-			args, ok := binaryDataflowFuncs[fn.Name()]
-			if !ok || len(stmt.Args) <= args[1] {
+			operands, ok := combiningDataflowFuncs[fn.Name()]
+			if !ok {
 				return true
 			}
-			left := originOf(stmt.Args[args[0]])
-			right := originOf(stmt.Args[args[1]])
-			if left != nil && right != nil && left != right {
-				lp := pass.Fset.Position(left.Pos())
-				rp := pass.Fset.Position(right.Pos())
-				pass.Reportf(stmt.Pos(),
-					"operands of dataflow.%s belong to different environments (created at %s:%d and %s:%d); this fails at runtime with ErrEnvMismatch",
-					fn.Name(), lp.Filename, lp.Line, rp.Filename, rp.Line)
+			if operands == 0 || operands > len(stmt.Args) {
+				operands = len(stmt.Args)
+			}
+			// The first operand of known origin against every later one.
+			var first ast.Node
+			for _, arg := range stmt.Args[:operands] {
+				origin := originOf(arg)
+				if origin == nil {
+					continue
+				}
+				if first == nil {
+					first = origin
+					continue
+				}
+				if origin != first {
+					lp := pass.Fset.Position(first.Pos())
+					rp := pass.Fset.Position(origin.Pos())
+					pass.Reportf(stmt.Pos(),
+						"operands of dataflow.%s belong to different environments (created at %s:%d and %s:%d); this fails at runtime with ErrEnvMismatch",
+						fn.Name(), lp.Filename, lp.Line, rp.Filename, rp.Line)
+					break
+				}
 			}
 		}
 		return true

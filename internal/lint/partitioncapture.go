@@ -35,10 +35,14 @@ var udfFuncs = map[string]bool{
 	// written by the function it returns; what it captures is as shared as
 	// for any other UDF.
 	"FlatMapWith": true, "JoinWith": true,
+	// A join in two halves: Build's key function and Probe's key function
+	// and joiner factory run per partition like JoinWith's.
+	"Build": true, "Probe": true,
 	"ReduceByKey": true, "CountByKey": true, "DistinctBy": true,
 	"PartitionByKey": true,
 	// BulkIteration is deliberately absent: its body runs once per superstep
 	// on the coordinating goroutine, so captured writes there are sequential.
+	// UnionAll takes no function.
 }
 
 func runPartitionCapture(pass *analysis.Pass) (any, error) {

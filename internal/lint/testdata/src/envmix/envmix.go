@@ -58,3 +58,44 @@ func suppressed() {
 	//lint:ignore envmix deliberate cross-env fixture
 	dataflow.Union(l, r)
 }
+
+// crossEnvProbe builds on one environment and probes with a dataset of
+// another: the Build carries its input's origin.
+func crossEnvProbe() {
+	a := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	b := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	key := func(v int) uint64 { return uint64(v) }
+	built := dataflow.Build(dataflow.FromSlice(a, []int{1, 2}), key)
+	r := dataflow.FromSlice(b, []int{3, 4})
+	dataflow.Probe(built, r, key, func() func(int, int, func(int)) { // want `operands of dataflow\.Probe belong to different environments`
+		return func(x, y int, emit func(int)) { emit(x + y) }
+	})
+	dataflow.Probe(built, dataflow.FromSlice(a, []int{5}), key, func() func(int, int, func(int)) {
+		return func(x, y int, emit func(int)) { emit(x + y) }
+	})
+}
+
+// crossEnvUnionAll: any operand of the n-ary union may be the odd one out.
+func crossEnvUnionAll() {
+	a := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	b := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	l := dataflow.FromSlice(a, []int{1, 2})
+	m := dataflow.Map(l, func(v int) int { return v + 1 })
+	r := dataflow.FromSlice(b, []int{3, 4})
+	dataflow.UnionAll(l, m, r) // want `operands of dataflow\.UnionAll belong to different environments`
+	dataflow.UnionAll(l, m, l)
+}
+
+// crossEnvIteration seeds an iteration over one environment's working set
+// with another's results.
+func crossEnvIteration() {
+	a := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	b := dataflow.NewEnv(dataflow.DefaultConfig(2))
+	working := dataflow.FromSlice(a, []int{1, 2})
+	seed := dataflow.FromSlice(b, []string{"zero"})
+	body := func(_ int, w *dataflow.Dataset[int]) (*dataflow.Dataset[int], *dataflow.Dataset[string]) {
+		return nil, nil
+	}
+	dataflow.BulkIteration(working, seed, 3, body) // want `operands of dataflow\.BulkIteration belong to different environments`
+	dataflow.BulkIteration(working, nil, 3, body)
+}

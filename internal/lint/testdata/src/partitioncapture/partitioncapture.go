@@ -101,3 +101,25 @@ func sharedThroughFactory(l, r *dataflow.Dataset[int]) {
 	}, dataflow.RepartitionHash, 0)
 	_ = pairs
 }
+
+// sharedThroughProbe is sharedThroughFactory for a join in two halves: what
+// a Probe's joiner factory captures outlives every attempt of every
+// partition, so a partition-local value parked there is written by all of
+// them; and a Build's key function runs per partition too.
+func sharedThroughProbe(l, r *dataflow.Dataset[int]) {
+	hashed := 0
+	built := dataflow.Build(l, func(v int) uint64 {
+		hashed++ // want `UDF passed to dataflow\.Build writes captured variable "hashed"`
+		return uint64(v)
+	})
+	var last int
+	dataflow.Probe(built, r, func(v int) uint64 { return uint64(v) }, func() func(int, int, func(int)) {
+		seen := 0
+		return func(x, y int, emit func(int)) {
+			seen++
+			last = x // want `UDF passed to dataflow\.Probe writes captured variable "last"`
+			emit(x + y + seen)
+		}
+	})
+	_ = hashed + last
+}

@@ -147,3 +147,40 @@ func BenchmarkRowExpandHop(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRowExpandLoop is a whole variable-length expansion over benchRows
+// triples from a working set of 64 paths, run to two hops and to six. The
+// edge side is shuffled and hashed once per expansion, so what a further hop
+// allocates is the working set's share only - 64 paths through a shuffle, a
+// probe and a finalize, a few tens of KiB with their slab chunks - where a
+// triple side paid again would add about a megabyte (20 000 triples routed,
+// placed and hashed). The kernel fails if a hop beyond the second costs more
+// than maxHopBytes; allocs/row is over the six-hop run.
+func BenchmarkRowExpandLoop(b *testing.B) {
+	const maxHopBytes = 128 << 10
+	measure := func(hops int) (bytesPerOp, mallocsPerOp float64) {
+		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+		expand := ringExpand(b, env, benchRows, 64, 1, hops)
+		step := func() {
+			if expand.Evaluate().Count() != int64(64*hops) {
+				b.Fatal("wrong expansion")
+			}
+		}
+		step() // warm-up: lazily built metadata is not the step's cost
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N), float64(after.Mallocs-before.Mallocs) / float64(b.N)
+	}
+	two, _ := measure(2)
+	six, mallocs := measure(6)
+	b.ReportMetric(two/2, "B/hop-H2")
+	b.ReportMetric(six/6, "B/hop-H6")
+	b.ReportMetric(mallocs/benchRows, "allocs/row")
+	if perHop := (six - two) / 4; perHop > maxHopBytes {
+		b.Fatalf("a hop beyond the second allocates %.0f bytes, more than the working set's share (%d): the triple side is paid per hop", perHop, maxHopBytes)
+	}
+}

@@ -12,7 +12,8 @@ import (
 
 // ExpandEmbeddings evaluates a variable length path expression (§3.1): a
 // bulk iteration that grows paths one hop per iteration by joining the
-// working set with the edge set, keeps only paths satisfying the morphism
+// working set with the edge set - the iteration's static path, shuffled and
+// hashed once and probed per hop - keeps only paths satisfying the morphism
 // semantics, and unions iterations ≥ the lower bound into the result. The
 // resulting embeddings carry the path as a PATH column (the "via" entries of
 // Table 2b) plus, when the far endpoint was not already bound, a new vertex
@@ -104,7 +105,8 @@ func (op *ExpandEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	qe := op.Edge
 
-	// Select the relevant edges once; the iteration reuses the dataset.
+	// Select the relevant edges. They are loop-invariant: shuffled and hashed
+	// once, here, and only probed by every hop.
 	triples := dataflow.FlatMap(op.Edges, func(de epgm.Edge, emit func(edgeTriple)) {
 		if !cypher.MatchesLabel(de.Label, qe.Types) {
 			return
@@ -122,56 +124,44 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 		}
 	})
 
+	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
+
 	startCol := op.startCol
 	working := dataflow.Map(in, func(e embedding.Embedding) pathState {
 		start := e.ID(startCol)
 		return pathState{base: e, end: start}
 	})
 
-	results := dataflow.Empty[embedding.Embedding](in.Env())
+	var zeroHops *dataflow.Dataset[embedding.Embedding]
 	if qe.MinHops == 0 {
-		results = dataflow.Union(results, op.finalize(working))
+		zeroHops = op.finalize(working)
 	}
-
-	env := in.Env()
-	// Tag traced stages with their superstep, as BulkIteration does.
-	defer env.MarkIteration(0)
-	for iter := 1; iter <= qe.MaxHops; iter++ {
-		// A failed or cancelled environment drains the working set, so the
-		// bulk iteration is abortable between supersteps, not only inside
-		// the per-partition join loops. Emptiness is checked globally: a
-		// distributed job's workers must agree on the superstep count or the
-		// join shuffles inside deadlock on a missing participant.
-		if env.Failed() || working.GlobalIsEmpty() {
-			break
-		}
-		env.MarkIteration(iter)
-		expanded := dataflow.JoinWith(triples, working,
-			func(t edgeTriple) uint64 { return uint64(t.S) },
-			func(s pathState) uint64 { return uint64(s.end) },
-			func() func(edgeTriple, pathState, func(pathState)) {
-				// Via lists are written once, here, and clipped to their length,
-				// so extending a path copies it and never grows in place.
-				var slab embedding.Slab
-				return func(t edgeTriple, s pathState, emit func(pathState)) {
-					if t.S != s.end || !op.hopAllowed(s, t) {
-						return
+	return dataflow.BulkIteration(working, zeroHops, qe.MaxHops,
+		func(hop int, working *dataflow.Dataset[pathState]) (next *dataflow.Dataset[pathState], results *dataflow.Dataset[embedding.Embedding]) {
+			next = dataflow.Probe(build, working,
+				func(s pathState) uint64 { return uint64(s.end) },
+				func() func(edgeTriple, pathState, func(pathState)) {
+					// Via lists are written once, here, and clipped to their length,
+					// so extending a path copies it and never grows in place.
+					var slab embedding.Slab
+					return func(t edgeTriple, s pathState, emit func(pathState)) {
+						if t.S != s.end || !op.hopAllowed(s, t) {
+							return
+						}
+						via := slab.IDs(len(s.via) + 1 + min(len(s.via), 1))
+						n := copy(via, s.via)
+						if n > 0 {
+							via[n] = s.end
+						}
+						via[len(via)-1] = t.E
+						emit(pathState{base: s.base, via: via, end: t.T})
 					}
-					via := slab.IDs(len(s.via) + 1 + min(len(s.via), 1))
-					n := copy(via, s.via)
-					if n > 0 {
-						via[n] = s.end
-					}
-					via[len(via)-1] = t.E
-					emit(pathState{base: s.base, via: via, end: t.T})
-				}
-			}, dataflow.RepartitionHash, 0)
-		if iter >= qe.MinHops {
-			results = dataflow.Union(results, op.finalize(expanded))
-		}
-		working = expanded
-	}
-	return results
+				})
+			if hop >= qe.MinHops {
+				results = op.finalize(next)
+			}
+			return next, results
+		})
 }
 
 // hopAllowed prunes extensions that can never satisfy the morphism
