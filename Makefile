@@ -1,6 +1,6 @@
 # Build/verify entry points. `make check` is the CI gate: vet, the project's
 # own static-analysis suite (cypherlint), plus the full test suite under the
-# race detector — load-bearing, because runParts spawns one goroutine per
+# race detector — load-bearing, because runStage spawns one goroutine per
 # partition and the fault-tolerance layer (panic containment, cancellation
 # polling, retry loops) is concurrent by design.
 
@@ -26,14 +26,15 @@ vet:
 	$(GO) vet ./...
 
 # lint runs cypherlint (the in-tree go/analysis suite enforcing the engine's
-# concurrency, cost-model and tracing invariants; see internal/lint) over the
+# concurrency, telemetry and wire invariants; see internal/lint) over the
 # module, both standalone and as a vet tool so test files are covered too,
 # then staticcheck and govulncheck when they are on PATH. The standalone pass
 # prints per-analyzer wall time and finding counts (-stats) so a slow or
-# noisy analyzer is visible in every CI log.
+# noisy analyzer is visible in every CI log. The linter is built once, into
+# bin/cypherlint, for both passes and for CI's summary step.
 lint:
-	$(GO) run ./cmd/cypherlint -stats ./...
 	$(GO) build -o bin/cypherlint ./cmd/cypherlint
+	bin/cypherlint -stats ./...
 	$(GO) vet -vettool=bin/cypherlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -90,7 +91,9 @@ chaos-smoke:
 # writer allocates nothing per row, and a result-cache hit served over HTTP
 # costs a fixed handful; and the wire (decision 21): bucketing, framing and
 # reading back a shuffle's rows costs a fixed handful per bucket, because the
-# rows are views of the frame.
+# rows are views of the frame; and the stage primitive (decision 24): a
+# FlatMapWith and a JoinWith stage over four partitions cost no more heap
+# objects than before a partition attempt had a handle (40 and 53 at PR 20).
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -102,6 +105,10 @@ alloc-guard:
 	$(GO) test ./internal/dataflow -run '^$$' -bench 'BenchmarkTransportNil' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: nil-transport collectives allocate (single-process hot path must be free)"; exit 1 } }'
+	$(GO) test ./internal/dataflow -run '^$$' -bench 'BenchmarkStageAttempt' -benchmem | awk ' \
+		/^BenchmarkStageAttempt\/FlatMapWith/ { print; seen++; if ($$(NF-1)+0 > 40) bad = 1 } \
+		/^BenchmarkStageAttempt\/JoinWith/    { print; seen++; if ($$(NF-1)+0 > 53) bad = 1 } \
+		END { if (bad || seen != 2) { print "alloc-guard: a stage allocates more than before its attempts had a handle (FlatMapWith <= 40 allocs/op, JoinWith <= 53; the handle must cost no object per attempt)"; exit 1 } }'
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerTelemetryDisabled' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'

@@ -1,8 +1,8 @@
-// Command cypherlint runs the project's static-analysis suite (see
-// internal/lint): envmix, partitioncapture, costcharge, tracepair,
-// ctxpoll and obsregister. It has two modes:
+// Command cypherlint runs the project's static-analysis suite,
+// lint.Analyzers (see internal/lint; `cypherlint -help` lists the rules).
+// It has two modes:
 //
-//	cypherlint [-json] [packages]      standalone; defaults to ./...
+//	cypherlint [-json] [-stats] [packages]      standalone; defaults to ./...
 //	go vet -vettool=$(which cypherlint) ./...
 //
 // The vettool mode speaks the cmd/go vet protocol: `-V=full` prints a
@@ -46,7 +46,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	statsOut := flag.Bool("stats", false, "print per-analyzer wall time and finding counts to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cypherlint [-json] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: cypherlint [-json] [-stats] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-18s %s\n", a.Name, a.Doc)
 		}

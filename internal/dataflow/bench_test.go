@@ -69,3 +69,36 @@ func BenchmarkReduceByKey(b *testing.B) {
 		ReduceByKey(d, func(x int) int { return x % 1024 }, func(a, c int) int { return a + c })
 	}
 }
+
+// BenchmarkStageAttempt is what one stage costs in heap objects beyond its
+// rows: a FlatMapWith stage and a JoinWith stage (inputs already partitioned
+// under the join's tag, so the join is its one stage) over four partitions
+// of eight elements, tracer and governor nil. A partition attempt's handle
+// must not add an object per attempt to either; `make alloc-guard` pins both
+// at what they cost before the handle existed.
+func BenchmarkStageAttempt(b *testing.B) {
+	const tag = 7
+	e := NewEnv(DefaultConfig(4))
+	key := func(x int) uint64 { return uint64(x) }
+	d := FromSlice(e, benchData(32))
+	l, r := shuffleTagged(d, key, tag), shuffleTagged(d, key, tag)
+	b.Run("FlatMapWith", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			FlatMapWith(d, func() func(int, func(int)) {
+				return func(x int, emit func(int)) { emit(x + 1) }
+			})
+		}
+	})
+	b.Run("JoinWith", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+				return func(a, _ int, emit func(int)) { emit(a) }
+			}, RepartitionHash, tag)
+		}
+	})
+	if err := e.Err(); err != nil {
+		b.Fatal(err)
+	}
+}

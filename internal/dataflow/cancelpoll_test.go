@@ -15,7 +15,7 @@ import (
 // The test runs on a single worker deliberately: the one-partition shuffle
 // fast path performs no key calls and there is exactly one partition
 // goroutine, so the first key call of every grouping loop lands after
-// runParts' entry abort check — the only thing that can stop the loop
+// runStage's entry abort check — the only thing that can stop the loop
 // afterwards is the loop's own poll. (With several workers, partitions that
 // happen to start after the cancel are stopped by the entry check and mask
 // a missing in-loop poll.) Each case counts user key-function invocations,

@@ -210,43 +210,37 @@ func flatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput
 		return Empty[U](env)
 	}
 	env.beginStage("FlatMap", false)
-	out := make([][]U, len(d.parts))
-	sz := sizingOf[U]()
-	env.runParts(len(d.parts), func(p int) {
+	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
+		part := d.parts[a.p]
 		f := newF()
 		var res []U
-		if n := perInput * len(d.parts[p]); n > 0 {
+		if n := perInput * len(part); n > 0 {
 			res = make([]U, 0, n)
 		}
-		var mem int64
-		emit := func(u U) { res = append(res, u) }
-		if env.governor != nil {
-			emit = func(u U) { res = append(res, u); mem += sz.of(&res[len(res)-1]) }
-		}
-		for i, t := range d.parts[p] {
-			if i&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return
-				}
-				// Flush the freshly materialized bytes at the same cadence as
-				// the cancellation poll, so a blowup is killed mid-loop, not
-				// after its output slice has already been built.
-				if !env.chargeMem(p, mem) {
-					return
-				}
-				mem = 0
+		emit := emitter(a, &res)
+		for i, t := range part {
+			if !a.tick(i) {
+				return nil, work{}
 			}
 			f(t, emit)
 		}
-		if !env.chargeMem(p, mem) {
-			return
-		}
-		env.chargeCPU(p, int64(len(d.parts[p])))
-		env.traceRowsIn(p, int64(len(d.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+		n := int64(len(part))
+		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
+}
+
+// emitter returns the emit callback of an attempt that produces rows: it
+// appends to *res and, under a governor, holds every row's accounted bytes.
+func emitter[U any](a *attempt, res *[]U) func(U) {
+	if a.env.governor == nil {
+		return func(u U) { *res = append(*res, u) }
+	}
+	sz := sizingOf[U]()
+	return func(u U) {
+		*res = append(*res, u)
+		a.hold(sz.of(&(*res)[len(*res)-1]))
+	}
 }
 
 // MapPartition applies f once per partition, giving it the whole partition
@@ -257,41 +251,30 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 		return Empty[U](env)
 	}
 	env.beginStage("MapPartition", false)
-	out := make([][]U, len(d.parts))
-	sz := sizingOf[U]()
-	env.runParts(len(d.parts), func(p int) {
+	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
+		part := d.parts[a.p]
 		var res []U
-		var mem int64
-		var dead bool
 		emit := func(u U) { res = append(res, u) }
 		if env.governor != nil {
 			// The driver has no per-element loop here — f consumes the whole
-			// partition — so metering rides on emit: flush every mask+1
-			// outputs and, once killed, drop the buffer and swallow further
-			// emits so a runaway f cannot keep growing it.
+			// partition — so the poll rides on emit: tick every mask+1 outputs
+			// and, once dead, drop the buffer and swallow further emits so a
+			// runaway f cannot keep growing it.
+			sz := sizingOf[U]()
 			emit = func(u U) {
-				if dead {
+				if a.dead {
 					return
 				}
 				res = append(res, u)
-				mem += sz.of(&res[len(res)-1])
-				if len(res)&cancelCheckMask == 0 {
-					if !env.chargeMem(p, mem) {
-						dead, res = true, nil
-						return
-					}
-					mem = 0
+				a.hold(sz.of(&res[len(res)-1]))
+				if !a.tick(len(res) - 1) {
+					res = nil
 				}
 			}
 		}
-		f(d.parts[p], emit)
-		if dead || !env.chargeMem(p, mem) {
-			return
-		}
-		env.chargeCPU(p, int64(len(d.parts[p])))
-		env.traceRowsIn(p, int64(len(d.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+		f(part, emit)
+		n := int64(len(part))
+		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }

@@ -94,9 +94,9 @@ func DefaultConfig(workers int) Config {
 }
 
 // cancelCheckMask controls how often per-element partition loops poll for
-// cancellation: every (mask+1) elements. 256 elements keep the overhead of
-// the atomic load negligible while bounding the reaction latency to well
-// under 100ms even for expensive UDFs.
+// cancellation (attempt.tick): every (mask+1) elements. 256 elements keep
+// the overhead of the atomic load negligible while bounding the reaction
+// latency to well under 100ms even for expensive UDFs.
 const cancelCheckMask = 255
 
 // Env is an execution environment: a simulated cluster plus the metrics
@@ -382,7 +382,8 @@ func (e *Env) fail(err error) {
 // aborted reports whether the current job should stop: either it already
 // failed, or its context was cancelled (in which case the context error is
 // recorded as the job failure). Partition loops poll it between batches of
-// elements; runParts polls it at every stage boundary.
+// elements, through their attempt's tick; runStage polls it at every stage
+// boundary and at the end of every attempt.
 func (e *Env) aborted() bool {
 	if e.failed.Load() {
 		return true
@@ -418,51 +419,115 @@ func (e *Env) consumeKill(stage int64, partition int) bool {
 	return true
 }
 
-// runParts executes f(p) for every partition index in [0, n) concurrently
-// and waits for all of them. It is the engine's only parallelism primitive
-// and its fault boundary: panics inside f are recovered into a JobError,
-// injected worker failures are retried by re-executing the partition from
-// its materialized input (lineage-based restart), and a job that has
-// already failed is not started at all.
-func (e *Env) runParts(n int, f func(p int)) {
+// work is what one partition attempt did, as its body reports it and as
+// runStage - nobody else - charges and traces it.
+type work struct {
+	cpu     int64 // elements processed: the simulated CPU charge
+	rowsIn  int64 // rows read
+	rowsOut int64 // rows of the partition the body returned
+	spill   int64 // bytes written to and read back from simulated disk
+}
+
+// plus adds w2's work to w: two halves of one attempt.
+func (w work) plus(w2 work) work {
+	return work{cpu: w.cpu + w2.cpu, rowsIn: w.rowsIn + w2.rowsIn, rowsOut: w.rowsOut + w2.rowsOut, spill: w.spill + w2.spill}
+}
+
+// An attempt is one execution of one partition of a stage, as the stage's
+// body sees it: where it polls (tick) and where it accounts the bytes it
+// materializes (hold). A retried partition gets a fresh one, so nothing a
+// killed attempt held is carried over. The handles of a stage share one
+// allocation and are written by one goroutine each, hence the padding to a
+// cache line.
+type attempt struct {
+	env *Env
+	p   int   // the partition
+	mem int64 // held since the last flush to the governor
+	// dead: the job was cancelled, failed or killed under this attempt. The
+	// body returns (whatever it returns is dropped) and nothing is charged,
+	// traced or published.
+	dead bool
+	_    [32]byte // the 32 bytes above, padded to 64
+}
+
+// tick is the poll of a per-element loop, i the loop's index: every
+// cancelCheckMask+1 elements it checks for cancellation and flushes the held
+// bytes to the governor - the same cadence for both, so a blowup is killed
+// mid-loop, not after its output has been built. It reports false when the
+// attempt is dead and the body must return.
+func (a *attempt) tick(i int) bool {
+	return i&cancelCheckMask != cancelCheckMask || a.flush()
+}
+
+// hold accounts n freshly materialized bytes to the attempt; the next tick
+// charges them to the governor.
+func (a *attempt) hold(n int64) { a.mem += n }
+
+// flush charges what the attempt holds, unless the job is over.
+func (a *attempt) flush() bool {
+	if a.dead || a.env.aborted() || !a.env.chargeMem(a.p, a.mem) {
+		a.dead = true
+		return false
+	}
+	a.mem = 0
+	return true
+}
+
+// runStage executes body once per partition in [0, n), concurrently, and
+// returns what the bodies returned, by partition. It is the engine's only
+// parallelism primitive, its fault boundary and the one place a partition
+// attempt is accounted: a body polls and holds through its attempt and
+// returns its output and its work; runStage flushes the held bytes, charges
+// CPU and spill, traces the rows and publishes the output - or, for an
+// attempt that ends on an aborted job, none of it. Panics inside body are
+// recovered into a JobError, injected worker failures are retried by
+// re-executing the partition from its materialized input (lineage-based
+// restart), and a job that has already failed is not started at all.
+func runStage[O any](e *Env, n int, body func(a *attempt) (O, work)) []O {
+	out := make([]O, n)
 	if e.aborted() {
-		return
+		return out
 	}
 	stage := e.metrics.stageCount()
+	attempts := make([]attempt, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	for p := 0; p < n; p++ {
-		go func(p int) {
+	for p := range attempts {
+		attempts[p] = attempt{env: e, p: p}
+		go func() {
 			defer wg.Done()
-			e.runPartition(stage, p, f)
-		}(p)
+			runPartition(stage, &attempts[p], body, &out[p])
+		}()
 	}
 	wg.Wait()
+	return out
 }
 
 // runPartition drives the retry loop of one partition's stage execution.
 // Injected worker failures are recovered with bounded retries and simulated
 // backoff; genuine panics and exhausted budgets fail the job.
-func (e *Env) runPartition(stage int64, p int, f func(int)) {
+func runPartition[O any](stage int64, a *attempt, body func(*attempt) (O, work), out *O) {
+	e, p := a.env, a.p
 	plan := e.cfg.FaultPlan
-	for attempt := 0; ; attempt++ {
+	for n := 0; ; n++ {
 		var started time.Time
 		if e.tracer != nil {
 			started = time.Now()
 		}
-		err := e.runAttempt(stage, p, f)
+		*a = attempt{env: e, p: p} // a retry inherits nothing
+		err := runAttempt(stage, a, body, out)
 		if e.tracer != nil {
-			e.tracer.Attempt(stage, p, attempt, started, time.Now(), err != nil)
+			e.tracer.Attempt(stage, p, n, started, time.Now(), err != nil)
 		}
 		if err == nil {
 			return
 		}
 		if _, injected := err.(*workerFailure); injected {
-			if attempt < plan.maxRetries() {
+			if n < plan.maxRetries() {
 				// Lineage-based recovery: charge the simulated redeployment
 				// (backoff + stage overhead) and loop to re-execute the
 				// partition; the recomputed work re-charges its own CPU.
-				recovery := plan.backoff(attempt) + e.cfg.StageOverhead
+				recovery := plan.backoff(n) + e.cfg.StageOverhead
 				e.metrics.addRecovery(p, stage, recovery)
 				if e.tracer != nil {
 					e.tracer.Retry(stage, p, recovery)
@@ -476,7 +541,7 @@ func (e *Env) runPartition(stage int64, p int, f func(int)) {
 				Stage:     stage,
 				Partition: p,
 				Cause: fmt.Errorf("worker failed %d times, retry budget (%d) exhausted: %w",
-					attempt+1, plan.maxRetries(), err),
+					n+1, plan.maxRetries(), err),
 			}
 		}
 		e.fail(err)
@@ -484,11 +549,12 @@ func (e *Env) runPartition(stage int64, p int, f func(int)) {
 	}
 }
 
-// runAttempt executes one attempt of f(p) with panic containment. It
-// returns a *workerFailure for injected (retryable) failures, a *JobError
-// for recovered panics, and nil on success or when the job is already
-// aborted (the abort reason is recorded elsewhere).
-func (e *Env) runAttempt(stage int64, p int, f func(int)) (err error) {
+// runAttempt executes one attempt of body with panic containment and
+// accounts it. It returns a *workerFailure for injected (retryable)
+// failures, a *JobError for recovered panics, and nil on success or when the
+// job is already aborted (the abort reason is recorded elsewhere).
+func runAttempt[O any](stage int64, a *attempt, body func(*attempt) (O, work), out *O) (err error) {
+	e := a.env
 	defer func() {
 		if r := recover(); r != nil {
 			if wf, ok := r.(*workerFailure); ok {
@@ -499,18 +565,28 @@ func (e *Env) runAttempt(stage int64, p int, f func(int)) (err error) {
 			if !ok {
 				cause = fmt.Errorf("panic: %v", r)
 			}
-			err = &JobError{Stage: stage, Partition: p, Cause: cause, Stack: debug.Stack()}
+			err = &JobError{Stage: stage, Partition: a.p, Cause: cause, Stack: debug.Stack()}
 		}
 	}()
 	if e.aborted() {
 		return nil
 	}
-	f(p)
+	res, w := body(a)
+	if !a.flush() {
+		return nil
+	}
+	if w.spill > 0 {
+		e.chargeSpill(a.p, w.spill)
+	}
+	e.chargeCPU(a.p, w.cpu)
+	e.traceRowsIn(a.p, w.rowsIn)
+	e.traceRowsOut(a.p, w.rowsOut)
+	*out = res
 	// The injected kill fires after the partition's work: the worker dies
 	// before the stage commits, so recovery must redo the work — the
 	// re-execution cost shows up in the metrics, as on a real cluster.
-	if e.cfg.FaultPlan != nil && e.consumeKill(stage, p) {
-		panic(&workerFailure{stage: stage, partition: p})
+	if e.cfg.FaultPlan != nil && e.consumeKill(stage, a.p) {
+		panic(&workerFailure{stage: stage, partition: a.p})
 	}
 	return nil
 }

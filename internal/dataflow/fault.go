@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// ErrEnvMismatch is reported when a binary transformation (Union, Join,
-// CoGroup) receives operands that belong to different execution
-// environments. Mixing environments would silently corrupt metrics and
-// partitioning, so the engine fails the job instead; the error surfaces
-// from Env.Err / core.Execute and matches errors.Is(err, ErrEnvMismatch).
+// ErrEnvMismatch is reported when a combining transformation (Union,
+// UnionAll, Join, CoGroup, Probe against a Build, BulkIteration with a seed)
+// receives operands that belong to different execution environments. Mixing
+// environments would silently corrupt metrics and partitioning, so the engine
+// fails the job instead; the error surfaces from Env.Err / core.Execute and
+// matches errors.Is(err, ErrEnvMismatch).
 var ErrEnvMismatch = errors.New("dataflow: operands belong to different environments")
 
 // mismatch guards binary transformations against operands from different

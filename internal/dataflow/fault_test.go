@@ -82,26 +82,39 @@ func TestBeginClearsFailure(t *testing.T) {
 	}
 }
 
-// TestEnvMismatch: binary transformations refuse operands from different
-// environments with a typed error instead of silently corrupting state.
+// TestEnvMismatch: every transformation that combines datasets refuses
+// operands from different environments with a typed error instead of
+// silently corrupting state. This is the whole of the check: the static copy
+// of it (the envmix analyzer) is gone, and its table is this one.
 func TestEnvMismatch(t *testing.T) {
+	key := func(v int) uint64 { return uint64(v) }
+	sum := func(l, r int, emit func(int)) { emit(l + r) }
 	for _, tc := range []struct {
 		name string
 		run  func(a *Dataset[int], b *Dataset[int]) *Env
 	}{
 		{"Union", func(a, b *Dataset[int]) *Env { return Union(a, b).Env() }},
-		{"Join", func(a, b *Dataset[int]) *Env {
-			return Join(a, b,
-				func(v int) uint64 { return uint64(v) },
-				func(v int) uint64 { return uint64(v) },
-				func(l, r int, emit func(int)) { emit(l + r) },
-				RepartitionHash).Env()
+		{"UnionAll third operand", func(a, b *Dataset[int]) *Env {
+			return UnionAll(a, Map(a, func(v int) int { return v }), b).Env()
 		}},
+		{"Join", func(a, b *Dataset[int]) *Env { return Join(a, b, key, key, sum, RepartitionHash).Env() }},
+		{"Join broadcast", func(a, b *Dataset[int]) *Env { return Join(a, b, key, key, sum, BroadcastLeft).Env() }},
 		{"CoGroup", func(a, b *Dataset[int]) *Env {
-			return CoGroup(a, b,
-				func(v int) uint64 { return uint64(v) },
-				func(v int) uint64 { return uint64(v) },
+			return CoGroup(a, b, key, key,
 				func(k uint64, ls, rs []int, emit func(int)) { emit(len(ls) + len(rs)) }).Env()
+		}},
+		{"Probe against another env's Build", func(a, b *Dataset[int]) *Env {
+			return Probe(Build(a, key), b, key, func() func(int, int, func(int)) { return sum }).Env()
+		}},
+		{"BulkIteration foreign seed", func(a, b *Dataset[int]) *Env {
+			return BulkIteration(a, b, 3, func(_ int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {
+				return nil, working
+			}).Env()
+		}},
+		{"BulkIteration foreign seed, no superstep", func(a, b *Dataset[int]) *Env {
+			return BulkIteration(Empty[int](a.Env()), b, 3, func(int, *Dataset[int]) (*Dataset[int], *Dataset[int]) {
+				panic("an empty working set runs no superstep")
+			}).Env()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

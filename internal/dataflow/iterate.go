@@ -16,6 +16,9 @@ func BulkIteration[W, R any](initial *Dataset[W], seed *Dataset[R], maxIteration
 	env := initial.Env()
 	var found []*Dataset[R]
 	if seed != nil {
+		if mismatch(env, seed.env, "BulkIteration") {
+			return Empty[R](env)
+		}
 		found = append(found, seed)
 	}
 	working := initial

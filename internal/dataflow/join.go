@@ -59,13 +59,8 @@ func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uin
 	ls := shuffleTagged(l, lkey, tag)
 	rs := shuffleTagged(r, rkey, tag)
 	env.beginStage("Join", false)
-	w := len(ls.parts)
-	out := make([][]U, w)
-	env.runParts(w, func(p int) {
-		res := hashJoinPartition(env, p, ls.parts[p], rs.parts[p], lkey, rkey, newJoiner())
-		env.traceRowsIn(p, int64(len(ls.parts[p])+len(rs.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
+		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner())
 	})
 	return &Dataset[U]{env: env, parts: out, partTag: tag}
 }
@@ -75,20 +70,15 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 	env := l.env
 	build := broadcast(l)
 	env.beginStage("Join", false)
-	w := len(r.parts)
-	out := make([][]U, w)
-	env.runParts(w, func(p int) {
+	out := runStage(env, len(r.parts), func(a *attempt) ([]U, work) {
 		// A non-owned partition's probe side is empty by construction, but the
 		// build side is the full broadcast slice — constructing its hash table
 		// would be pure waste and would double-charge CPU and memory that the
 		// owning process already accounts for.
-		if env.transport != nil && !env.transport.Owns(p) {
-			return
+		if env.transport != nil && !env.transport.Owns(a.p) {
+			return nil, work{}
 		}
-		res := hashJoinPartition(env, p, build, r.parts[p], lkey, rkey, newJoiner())
-		env.traceRowsIn(p, int64(len(build)+len(r.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner())
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -113,20 +103,14 @@ type HashBuild[L any] struct {
 func Build[L any](l *Dataset[L], key func(L) uint64) *HashBuild[L] {
 	env := l.env
 	ls := shuffle(l, key)
-	b := &HashBuild[L]{env: env, rows: ls.parts, tables: make([]joinTable, len(ls.parts))}
 	if env.Failed() {
-		return b
+		return &HashBuild[L]{env: env, rows: ls.parts, tables: make([]joinTable, len(ls.parts))}
 	}
 	env.beginStage("Build", false)
-	env.runParts(len(b.rows), func(p int) {
-		table, ok := buildPartition(env, p, b.rows[p], key)
-		if !ok {
-			return
-		}
-		env.traceRowsIn(p, int64(len(b.rows[p])))
-		b.tables[p] = table
+	tables := runStage(env, len(ls.parts), func(a *attempt) (joinTable, work) {
+		return buildPartition(a, ls.parts[a.p], key)
 	})
-	return b
+	return &HashBuild[L]{env: env, rows: ls.parts, tables: tables}
 }
 
 // Probe is the probe half: it shuffles r by key and joins each partition
@@ -141,13 +125,8 @@ func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
 	}
 	rs := shuffle(r, rkey)
 	env.beginStage("Probe", false)
-	w := len(rs.parts)
-	out := make([][]U, w)
-	env.runParts(w, func(p int) {
-		res := probePartition(env, p, b.rows[p], &b.tables[p], rs.parts[p], rkey, newJoiner())
-		env.traceRowsIn(p, int64(len(rs.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+	out := runStage(env, len(rs.parts), func(a *attempt) ([]U, work) {
+		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner())
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -166,22 +145,14 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 	ls := shuffle(l, lkey)
 	rs := shuffle(r, rkey)
 	env.beginStage("CoGroup", false)
-	w := len(ls.parts)
-	out := make([][]U, w)
-	lsz, rsz, usz := sizingOf[L](), sizingOf[R](), sizingOf[U]()
-	env.runParts(w, func(p int) {
-		var mem int64
+	lsz, rsz := sizingOf[L](), sizingOf[R]()
+	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
+		left, right := ls.parts[a.p], rs.parts[a.p]
 		leftGroups := map[uint64][]L{}
 		var order []uint64
-		for i, lv := range ls.parts[p] {
-			if i&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return
-				}
-				if !env.chargeMem(p, mem) {
-					return
-				}
-				mem = 0
+		for i, lv := range left {
+			if !a.tick(i) {
+				return nil, work{}
 			}
 			k := lkey(lv)
 			if _, ok := leftGroups[k]; !ok {
@@ -189,20 +160,14 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 			}
 			leftGroups[k] = append(leftGroups[k], lv)
 			if env.governor != nil {
-				mem += lsz.of(&ls.parts[p][i])
+				a.hold(lsz.of(&left[i]))
 			}
 		}
 		rightGroups := map[uint64][]R{}
 		var rightOnly []uint64
-		for i, rv := range rs.parts[p] {
-			if i&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return
-				}
-				if !env.chargeMem(p, mem) {
-					return
-				}
-				mem = 0
+		for i, rv := range right {
+			if !a.tick(i) {
+				return nil, work{}
 			}
 			k := rkey(rv)
 			if _, inLeft := leftGroups[k]; !inLeft {
@@ -212,45 +177,25 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 			}
 			rightGroups[k] = append(rightGroups[k], rv)
 			if env.governor != nil {
-				mem += rsz.of(&rs.parts[p][i])
+				a.hold(rsz.of(&right[i]))
 			}
 		}
 		var res []U
-		emit := func(u U) { res = append(res, u) }
-		if env.governor != nil {
-			emit = func(u U) { res = append(res, u); mem += usz.of(&res[len(res)-1]) }
-		}
+		emit := emitter(a, &res)
 		for i, k := range order {
-			if i&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return
-				}
-				if !env.chargeMem(p, mem) {
-					return
-				}
-				mem = 0
+			if !a.tick(i) {
+				return nil, work{}
 			}
 			f(k, leftGroups[k], rightGroups[k], emit)
 		}
 		for i, k := range rightOnly {
-			if i&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return
-				}
-				if !env.chargeMem(p, mem) {
-					return
-				}
-				mem = 0
+			if !a.tick(i) {
+				return nil, work{}
 			}
 			f(k, nil, rightGroups[k], emit)
 		}
-		if !env.chargeMem(p, mem) {
-			return
-		}
-		env.chargeCPU(p, int64(len(ls.parts[p])+len(rs.parts[p])))
-		env.traceRowsIn(p, int64(len(ls.parts[p])+len(rs.parts[p])))
-		env.traceRowsOut(p, int64(len(res)))
-		out[p] = res
+		n := int64(len(left) + len(right))
+		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -307,49 +252,45 @@ func (t *joinTable) link() {
 
 // hashJoinPartition builds a hash table over the left side and probes it
 // with the right side, in one attempt.
-func hashJoinPartition[L, R, U any](env *Env, p int, left []L, right []R,
-	lkey func(L) uint64, rkey func(R) uint64, joiner func(L, R, func(U))) []U {
-	table, ok := buildPartition(env, p, left, lkey)
-	if !ok {
-		return nil
+func hashJoinPartition[L, R, U any](a *attempt, left []L, right []R,
+	lkey func(L) uint64, rkey func(R) uint64, joiner func(L, R, func(U))) ([]U, work) {
+	table, built := buildPartition(a, left, lkey)
+	if a.dead {
+		return nil, work{}
 	}
-	return probePartition(env, p, left, &table, right, rkey, joiner)
+	res, probed := probePartition(a, left, &table, right, rkey, joiner)
+	return res, built.plus(probed)
 }
 
-// buildPartition fills and links the hash table over left and charges the
-// build side: its CPU, its memory and, if it exceeds the worker's simulated
-// memory budget, the write of the excess to a grace hash join's partition
-// files. It reports false when the job was aborted or killed mid-build.
-func buildPartition[L any](env *Env, p int, left []L, lkey func(L) uint64) (joinTable, bool) {
+// buildPartition fills and links the hash table over left. Its work is the
+// build side's: its CPU and, if it exceeds the worker's simulated memory
+// budget, the write of the excess to a grace hash join's partition files;
+// the table is real materialized memory and is held as it grows, so an
+// oversized build side dies before it is complete. A dead attempt's table is
+// not linked.
+func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64) (joinTable, work) {
 	table := newJoinTable(len(left))
 	lsz := sizingOf[L]()
-	var buildBytes, buildCharged int64
+	var buildBytes int64
 	for i := range left {
-		if i&cancelCheckMask == cancelCheckMask {
-			if env.aborted() {
-				return joinTable{}, false
-			}
-			// The build table is real materialized memory: charge it as it
-			// grows so an oversized build side dies before it is complete.
-			if !env.chargeMem(p, buildBytes-buildCharged) {
-				return joinTable{}, false
-			}
-			buildCharged = buildBytes
+		if !a.tick(i) {
+			return joinTable{}, work{}
 		}
 		table.keys[i] = lkey(left[i])
-		buildBytes += lsz.of(&left[i])
+		n := lsz.of(&left[i])
+		buildBytes += n
+		a.hold(n)
 	}
-	if !env.chargeMem(p, buildBytes-buildCharged) {
-		return joinTable{}, false
+	if !a.flush() {
+		return joinTable{}, work{}
 	}
 	table.link()
-	if mem := env.cfg.MemoryPerWorker; mem > 0 && buildBytes > mem {
+	if mem := a.env.cfg.MemoryPerWorker; mem > 0 && buildBytes > mem {
 		table.overflow = float64(buildBytes-mem) / float64(buildBytes)
 		table.spilled = int64(table.overflow * float64(buildBytes))
-		env.chargeSpill(p, table.spilled)
 	}
-	env.chargeCPU(p, int64(len(left)))
-	return table, true
+	n := int64(len(left))
+	return table, work{cpu: n, rowsIn: n, spill: table.spilled}
 }
 
 // probePartition walks table, built over left, with the right side and calls
@@ -358,33 +299,23 @@ func buildPartition[L any](env *Env, p int, left []L, lkey func(L) uint64) (join
 // and back - so a plain join pays the grace hash join's write and read of
 // both sides, and a kept build side is written once and read once per probe
 // (Flink's re-openable hash table).
-func probePartition[L, R, U any](env *Env, p int, left []L, table *joinTable, right []R,
-	rkey func(R) uint64, joiner func(L, R, func(U))) []U {
+func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right []R,
+	rkey func(R) uint64, joiner func(L, R, func(U))) ([]U, work) {
+	w := work{cpu: int64(len(right)), rowsIn: int64(len(right))}
 	if table.overflow > 0 {
 		probeBytes := sizingOf[R]().sum(right)
-		env.chargeSpill(p, table.spilled+2*int64(table.overflow*float64(probeBytes)))
+		w.spill = table.spilled + 2*int64(table.overflow*float64(probeBytes))
 	}
 	var res []U
-	var mem int64
-	emit := func(u U) { res = append(res, u) }
-	if env.governor != nil {
-		usz := sizingOf[U]()
-		emit = func(u U) { res = append(res, u); mem += usz.of(&res[len(res)-1]) }
-	}
+	emit := emitter(a, &res)
 	// ops counts probes plus emitted pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
 	// The memory flush shares the cadence: a cartesian blowup's output is
 	// charged — and killed — every mask+1 emitted pairs.
 	var ops int
 	for _, rv := range right {
-		if ops&cancelCheckMask == cancelCheckMask {
-			if env.aborted() {
-				return res
-			}
-			if !env.chargeMem(p, mem) {
-				return nil
-			}
-			mem = 0
+		if !a.tick(ops) {
+			return nil, work{}
 		}
 		ops++
 		k := rkey(rv)
@@ -392,22 +323,13 @@ func probePartition[L, R, U any](env *Env, p int, left []L, table *joinTable, ri
 			if table.keys[i-1] != k {
 				continue
 			}
-			if ops&cancelCheckMask == cancelCheckMask {
-				if env.aborted() {
-					return res
-				}
-				if !env.chargeMem(p, mem) {
-					return nil
-				}
-				mem = 0
+			if !a.tick(ops) {
+				return nil, work{}
 			}
 			ops++
 			joiner(left[i-1], rv, emit)
 		}
 	}
-	if !env.chargeMem(p, mem) {
-		return nil
-	}
-	env.chargeCPU(p, int64(len(right)))
-	return res
+	w.rowsOut = int64(len(res))
+	return res, w
 }

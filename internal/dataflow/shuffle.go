@@ -92,14 +92,13 @@ type route struct {
 func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) {
 	env := d.env
 	w := len(d.parts)
-	routes := make([]route, w)
 	sz := sizingOf[T]()
-	env.runParts(w, func(p int) {
-		part := d.parts[p]
+	routes := runStage(env, w, func(a *attempt) (route, work) {
+		p, part := a.p, d.parts[a.p]
 		r := route{dest: make([]uint32, len(part)), count: make([]int, w), bytes: make([]int64, w)}
 		for i := range part {
-			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
-				return
+			if !a.tick(i) {
+				return route{}, work{}
 			}
 			q := dest(p, i, part[i])
 			r.dest[i] = uint32(q)
@@ -108,9 +107,8 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 				r.bytes[q] += sz.of(&part[i])
 			}
 		}
-		env.chargeCPU(p, int64(len(part)))
-		env.traceRowsIn(p, int64(len(part)))
-		routes[p] = r
+		n := int64(len(part))
+		return r, work{cpu: n, rowsIn: n}
 	})
 	if env.Failed() {
 		return nil, false
@@ -164,7 +162,7 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 // placeAll copies every element into its bucket, one goroutine per source
 // partition. The windows are disjoint, so the writers share nothing; the
 // loop is a copy that calls no user code and cannot fail, which is why it
-// runs outside runParts (it is not a stage, and a fault plan must not see
+// runs outside runStage (it is not a stage, and a fault plan must not see
 // it as a second attempt of one).
 func placeAll[T any](parts [][]T, routes []route, buckets [][][]T) {
 	var wg sync.WaitGroup

@@ -17,7 +17,7 @@ import (
 // attempt runs with.
 //
 // All methods are called sequentially from the job's driving goroutine
-// (runParts parallelism is confined to a stage's interior), so transports
+// (runStage parallelism is confined to a stage's interior), so transports
 // may keep an internal sequence counter to pair collective calls across
 // processes. The stage argument is the current stage number, used for
 // per-stage wire-byte attribution only.

@@ -49,7 +49,7 @@ func sharedLoader(t *testing.T) *load.Loader {
 // Run type-checks the fixture package in testdata/src/<dir> under
 // importPath and compares the analyzer's findings against the fixture's
 // want annotations. importPath matters: analyzers that match unexported
-// engine API (costcharge, ctxpoll) only fire when the fixture masquerades
+// engine API (ctxpoll) only fire when the fixture masquerades
 // as gradoop/internal/dataflow itself; fixtures using exported API pass
 // their own name.
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {

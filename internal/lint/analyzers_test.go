@@ -9,20 +9,15 @@ import (
 )
 
 // TestAnalyzers runs each analyzer against its annotated fixture package
-// under testdata/src. costcharge and ctxpoll fixtures are type-checked
-// under the real dataflow import path because those analyzers match
-// unexported engine API.
+// under testdata/src. The ctxpoll fixture is type-checked under the real
+// dataflow import path because that analyzer matches unexported engine API.
 func TestAnalyzers(t *testing.T) {
 	cases := []struct {
 		analyzer   *analysis.Analyzer
 		dir        string
 		importPath string
 	}{
-		{lint.EnvMixAnalyzer, "envmix", ""},
 		{lint.PartitionCaptureAnalyzer, "partitioncapture", ""},
-		{lint.CostChargeAnalyzer, "costcharge", "gradoop/internal/dataflow"},
-		{lint.MemChargeAnalyzer, "memcharge", "gradoop/internal/dataflow"},
-		{lint.TracePairAnalyzer, "tracepair", ""},
 		{lint.CtxPollAnalyzer, "ctxpoll", "gradoop/internal/dataflow"},
 		{lint.ObsRegisterAnalyzer, "obsregister", ""},
 		{lint.QStoreRecordAnalyzer, "qstorerecord", "gradoop/internal/session"},

@@ -8,12 +8,13 @@ import (
 )
 
 // CtxPollAnalyzer guards the engine's cancellation latency: inside a
-// per-partition execution context — a closure passed to (*Env).runParts or
-// a UDF passed to dataflow.MapPartition — every range loop over
-// partition-sized data must poll cancellation via (*Env).aborted (the
-// engine's cancelCheckMask idiom). An unpolled loop keeps a worker spinning
-// after the job's context expired, breaking the timeout guarantees the
-// fault-tolerance layer (PR 1) established.
+// per-partition execution context — a stage body passed to dataflow's
+// runStage or a UDF passed to dataflow.MapPartition — every range loop over
+// partition-sized data must poll cancellation: through the attempt's tick in
+// a stage body, through (*Env).aborted (under the cancelCheckMask idiom) in
+// a UDF, which owns its loop and has no attempt. An unpolled loop keeps a
+// worker spinning after the job's context expired, breaking the timeout
+// guarantees the fault-tolerance layer (PR 1) established.
 //
 // Loops over slice-of-slice values (the worker-count-sized partition
 // vectors, e.g. `for p := range out`) are exempt: their trip count is the
@@ -33,17 +34,13 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			fn := calleeOf(info, call)
-			var lit *ast.FuncLit
-			switch {
-			case isMethod(fn, dataflowPath, "Env", "runParts") && len(call.Args) >= 2:
-				lit, _ = ast.Unparen(call.Args[1]).(*ast.FuncLit)
-			case isPkgFunc(fn, dataflowPath, "MapPartition") && len(call.Args) >= 2:
-				lit, _ = ast.Unparen(call.Args[1]).(*ast.FuncLit)
-			}
-			if lit == nil {
+			// The body, or the UDF, is the last argument of both.
+			if !isPkgFunc(fn, dataflowPath, "runStage") && !isPkgFunc(fn, dataflowPath, "MapPartition") {
 				return true
 			}
-			checkPolling(pass, info, lit)
+			if lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit); ok {
+				checkPolling(pass, info, lit)
+			}
 			return true
 		})
 	}
@@ -51,7 +48,7 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 }
 
 // checkPolling reports data-sized range loops in the literal whose bodies
-// never call aborted.
+// never poll.
 func checkPolling(pass *analysis.Pass, info *types.Info, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		loop, ok := n.(*ast.RangeStmt)
@@ -63,7 +60,7 @@ func checkPolling(pass *analysis.Pass, info *types.Info, lit *ast.FuncLit) {
 		}
 		if !pollsAborted(info, loop.Body) {
 			pass.Reportf(loop.Pos(),
-				"per-partition range loop never polls cancellation (env.aborted); a cancelled or failed job keeps this worker spinning")
+				"per-partition range loop never polls cancellation (attempt.tick or env.aborted); a cancelled or failed job keeps this worker spinning")
 		}
 		return true
 	})
@@ -92,8 +89,9 @@ func dataSizedRange(info *types.Info, x ast.Expr) bool {
 	return true
 }
 
-// pollsAborted reports whether the loop body contains a call to the Env's
-// aborted poll (which checks both the failure flag and the job context).
+// pollsAborted reports whether the loop body contains a call to the attempt's
+// tick or to the Env's aborted poll under it (which checks both the failure
+// flag and the job context).
 func pollsAborted(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -101,7 +99,8 @@ func pollsAborted(info *types.Info, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if fn := calleeOf(info, call); isMethod(fn, dataflowPath, "Env", "aborted") {
+		fn := calleeOf(info, call)
+		if isMethod(fn, dataflowPath, "attempt", "tick") || isMethod(fn, dataflowPath, "Env", "aborted") {
 			found = true
 			return false
 		}

@@ -38,7 +38,7 @@ func TestLintIgnoreAudit(t *testing.T) {
 	}
 
 	want := []string{
-		`lint:ignore names unknown analyzer "envmyx" (dead suppression)`,
+		`lint:ignore names unknown analyzer "goleek" (dead suppression)`,
 		"lint:ignore directive has no reason; write `//lint:ignore <analyzer> <reason>`",
 		`lint:ignore names unknown analyzer "ctxpol" (dead suppression)`,
 		"lint:ignore directive names no analyzer",

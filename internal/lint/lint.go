@@ -1,13 +1,9 @@
 // Package lint implements cypherlint: project-specific static analyzers
-// that machine-check the invariants the engine's correctness rests on but
-// the compiler cannot see — single-environment dataflow plumbing (envmix),
-// race-free per-partition UDFs (partitioncapture), an honest cost model
-// (costcharge), a memory governor that sees every materialization
-// (memcharge), balanced trace scopes (tracepair), cancellable partition
-// loops (ctxpoll), setup-time telemetry registration (obsregister) and a
-// single query-store append site (qstorerecord). See
-// DESIGN.md decision 12 for why each invariant is load-bearing for the
-// reproduction.
+// that machine-check invariants the engine's correctness rests on, the
+// compiler cannot see and no type can carry. Analyzers is the one list of
+// them (`cypherlint -help` prints it with each rule's Doc); DESIGN.md
+// decision 12 says why each is an analyzer and which earlier ones became
+// structure instead.
 //
 // Analyzers run over packages loaded by internal/lint/load; findings on
 // lines annotated with `//lint:ignore <analyzer> reason` (on the flagged
@@ -27,11 +23,7 @@ import (
 // Analyzers returns the full cypherlint suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		EnvMixAnalyzer,
 		PartitionCaptureAnalyzer,
-		CostChargeAnalyzer,
-		MemChargeAnalyzer,
-		TracePairAnalyzer,
 		CtxPollAnalyzer,
 		ObsRegisterAnalyzer,
 		QStoreRecordAnalyzer,

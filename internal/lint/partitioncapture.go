@@ -24,9 +24,9 @@ var PartitionCaptureAnalyzer = &analysis.Analyzer{
 
 // udfFuncs names the dataflow package's transformations whose function
 // arguments execute per partition. Every func-typed argument of these calls
-// is checked; runParts itself is excluded because its closures are the
-// engine's own per-partition writers (policed by costcharge/ctxpoll and
-// safe by the one-goroutine-per-index construction).
+// is checked; runStage itself is excluded because its bodies are the
+// engine's own per-partition code: they return their output, and runStage
+// writes it to the one slot that goroutine owns.
 var udfFuncs = map[string]bool{
 	"Map": true, "Filter": true, "FlatMap": true, "MapPartition": true,
 	"Join": true, "JoinTagged": true, "CoGroup": true, "GroupBy": true,

@@ -6,17 +6,17 @@
 package lintignore
 
 func typoedName() int {
-	//lint:ignore envmyx the analyzer is spelled envmix; this suppresses nothing
+	//lint:ignore goleek the analyzer is spelled goleak; this suppresses nothing
 	return 1
 }
 
 func missingReason() int {
-	//lint:ignore envmix
+	//lint:ignore goleak
 	return 2
 }
 
 func unknownInList() int {
-	//lint:ignore tracepair,ctxpol second name is a typo of ctxpoll
+	//lint:ignore lockorder,ctxpol second name is a typo of ctxpoll
 	return 3
 }
 
@@ -26,7 +26,7 @@ func bareDirective() int {
 }
 
 func validSuppression() int {
-	//lint:ignore envmix a correctly-formed directive produces no audit finding
+	//lint:ignore goleak a correctly-formed directive produces no audit finding
 	return 5
 }
 

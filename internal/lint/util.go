@@ -10,7 +10,6 @@ import (
 // the engine and when the engine packages are analyzed themselves.
 const (
 	dataflowPath = "gradoop/internal/dataflow"
-	tracePath    = "gradoop/internal/trace"
 	obsPath      = "gradoop/internal/obs"
 	qstorePath   = "gradoop/internal/qstore"
 	sessionPath  = "gradoop/internal/session"

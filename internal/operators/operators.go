@@ -49,15 +49,11 @@ func traced(op Operator, env *dataflow.Env, eval func() *dataflow.Dataset[embedd
 	if c == nil {
 		return eval()
 	}
-	// The pop is deferred so the scope closes even when eval panics (the
-	// engine contains partition panics, but a leaked frame would silently
-	// attribute every later stage to this operator). On the panic path the
-	// cardinality stays 0; the job is failing anyway.
-	var rows int64
-	c.PushOp(op, op.Description())
-	defer func() { c.PopOp(op, rows) }()
-	out := eval()
-	rows = out.Count()
+	var out *dataflow.Dataset[embedding.Embedding]
+	c.InOp(op, op.Description(), func() int64 {
+		out = eval()
+		return out.Count()
+	})
 	return out
 }
 

@@ -16,9 +16,9 @@ func (panicOp) Meta() *embedding.Meta                            { return nil }
 func (panicOp) Description() string                              { return "PanicOp" }
 func (panicOp) Children() []Operator                             { return nil }
 
-// TestTracedClosesScopeOnPanic is the regression test for the tracepair
-// finding: traced must pop its operator scope via defer, so a panic inside
-// eval does not leak the frame. A leaked frame would attribute every stage
+// TestTracedClosesScopeOnPanic: traced's operator scope (trace.Collector.InOp,
+// which defers its own pop) closes when eval panics, so the frame does not
+// leak. A leaked frame would attribute every stage
 // traced afterwards to the panicked operator.
 func TestTracedClosesScopeOnPanic(t *testing.T) {
 	c := trace.NewCollector()

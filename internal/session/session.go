@@ -410,14 +410,19 @@ type prepareToken struct{}
 // benchmark verifies that cache hits skip parse+plan: a hit's trace has no
 // such span.
 func (s *Session) compile(st *graphState, canonical string, col *trace.Collector) (*core.Prepared, bool, error) {
-	build := func() (*core.Prepared, error) {
-		if col != nil {
-			col.PushOp(prepareToken{}, "Prepare")
-			defer col.PopOp(prepareToken{}, 0)
+	build := func() (p *core.Prepared, err error) {
+		prepare := func() int64 {
+			env := dataflow.NewEnv(dataflow.DefaultConfig(s.opts.Workers))
+			_, access := st.bind(env)
+			p, err = core.PrepareWith(access, st.stats, canonical, s.baseConfig())
+			return 0
 		}
-		env := dataflow.NewEnv(dataflow.DefaultConfig(s.opts.Workers))
-		_, access := st.bind(env)
-		return core.PrepareWith(access, st.stats, canonical, s.baseConfig())
+		if col == nil {
+			prepare()
+		} else {
+			col.InOp(prepareToken{}, "Prepare", prepare)
+		}
+		return p, err
 	}
 	if s.opts.NoPlanCache {
 		p, err := build()

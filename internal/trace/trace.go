@@ -166,10 +166,20 @@ func NewCollector() *Collector {
 
 func (c *Collector) since() time.Duration { return time.Since(c.epoch) }
 
-// PushOp enters an operator scope: stages begun before the matching PopOp
-// are attributed to label. token identifies the operator (the engine passes
-// the operator itself) so statistics can be looked up per plan node.
-func (c *Collector) PushOp(token any, label string) {
+// InOp runs body inside an operator scope: stages begun while it runs are
+// attributed to label, and what it returns is recorded as the operator's
+// actual output cardinality. token identifies the operator (the engine
+// passes the operator itself) so statistics can be looked up per plan node.
+// The scope closes even when body panics (cardinality 0 then): a frame left
+// open would attribute every later stage to this operator.
+func (c *Collector) InOp(token any, label string, body func() int64) {
+	var rows int64
+	c.pushOp(token, label)
+	defer func() { c.popOp(token, rows) }()
+	rows = body()
+}
+
+func (c *Collector) pushOp(token any, label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.ops[token]; !ok {
@@ -179,9 +189,9 @@ func (c *Collector) PushOp(token any, label string) {
 	c.stack = append(c.stack, opFrame{token: token, start: time.Now()})
 }
 
-// PopOp leaves the operator scope entered by the matching PushOp and
-// records the operator's actual output cardinality.
-func (c *Collector) PopOp(token any, rows int64) {
+// popOp leaves the scope pushOp entered for token and records the operator's
+// actual output cardinality.
+func (c *Collector) popOp(token any, rows int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.stack)

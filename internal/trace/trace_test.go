@@ -12,12 +12,10 @@ func TestCollectorSpansAndAttribution(t *testing.T) {
 	c := NewCollector()
 	parent, child := "parent-token", "child-token"
 
-	//lint:ignore tracepair straight-line scopes are the collector mechanics under test
-	c.PushOp(parent, "Join")
+	c.pushOp(parent, "Join")
 	// Child evaluated inside the parent's wall-clock window but in its own
 	// scope: its stage must be attributed to the child, not the parent.
-	//lint:ignore tracepair straight-line scopes are the collector mechanics under test
-	c.PushOp(child, "Leaf")
+	c.pushOp(child, "Leaf")
 	c.BeginStage(1, "FlatMap", false, 2)
 	c.RowsIn(0, 10)
 	c.RowsOut(0, 5)
@@ -25,12 +23,12 @@ func TestCollectorSpansAndAttribution(t *testing.T) {
 	c.RowsOut(1, 15)
 	c.CPU(0, 10)
 	c.CPU(1, 20)
-	c.PopOp(child, 20)
+	c.popOp(child, 20)
 
 	c.BeginStage(2, "Shuffle", true, 2)
 	c.Net(0, 100)
 	c.Net(1, 300)
-	c.PopOp(parent, 7)
+	c.popOp(parent, 7)
 	c.Finish()
 
 	spans := c.Spans()
@@ -107,14 +105,40 @@ func TestSpanSimTime(t *testing.T) {
 
 func TestUnbalancedPopIsDropped(t *testing.T) {
 	c := NewCollector()
-	c.PopOp("never-pushed", 3) // must not panic or corrupt the stack
-	//lint:ignore tracepair unbalanced-pop handling is exactly what this test exercises
-	c.PushOp("a", "A")
-	c.PopOp("b", 1) // mismatched token: dropped
-	c.PopOp("a", 2)
+	c.popOp("never-pushed", 3) // must not panic or corrupt the stack
+	c.pushOp("a", "A")
+	c.popOp("b", 1) // mismatched token: dropped
+	c.popOp("a", 2)
 	st, ok := c.Op("a")
 	if !ok || st.Rows != 2 {
 		t.Errorf("op a = %+v ok=%v, want rows=2", st, ok)
+	}
+}
+
+// TestInOpClosesItsScopeOnPanic: the one way into an operator scope pops its
+// own frame on every way out, so a stage traced after a body panicked is not
+// attributed to that operator.
+func TestInOpClosesItsScopeOnPanic(t *testing.T) {
+	c := NewCollector()
+	func() {
+		defer func() { _ = recover() }()
+		c.InOp("a", "A", func() int64 { panic("eval failed") })
+	}()
+	c.InOp("b", "B", func() int64 {
+		c.BeginStage(1, "FlatMap", false, 1)
+		return 3
+	})
+	c.BeginStage(2, "Union", false, 1)
+	c.Finish()
+	spans := c.Spans()
+	if spans[0].Op != "B" || spans[1].Op != "" {
+		t.Errorf("stages attributed to %q and %q, want B and none", spans[0].Op, spans[1].Op)
+	}
+	if a, _ := c.Op("a"); a.Evaluations != 1 || a.Rows != 0 {
+		t.Errorf("op a = %+v, want one evaluation of 0 rows", a)
+	}
+	if b, _ := c.Op("b"); b.Rows != 3 {
+		t.Errorf("op b rows = %d, want 3", b.Rows)
 	}
 }
 
