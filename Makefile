@@ -12,7 +12,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard cluster-smoke bench-smoke check bench clean
+.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard figures-check figures-update cluster-smoke bench-smoke check bench clean
 
 all: check
 
@@ -92,8 +92,12 @@ chaos-smoke:
 # costs a fixed handful; and the wire (decision 21): bucketing, framing and
 # reading back a shuffle's rows costs a fixed handful per bucket, because the
 # rows are views of the frame; and the stage primitive (decision 24): a
-# FlatMapWith and a JoinWith stage over four partitions cost no more heap
-# objects than before a partition attempt had a handle (40 and 53 at PR 20).
+# FlatMapWith and a JoinWith stage over four partitions cost no heap object
+# per partition attempt for the attempt's handle (21 and 33 objects a stage
+# since PR 22 allocated the eight-row outputs once; 33 and 46 before);
+# and the output partitions (decision 25): the leaf scan and the join probe
+# are also held to their heap bytes per output row, because a partition grown
+# by append costs the same handful of objects and several times the bytes.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -106,21 +110,35 @@ alloc-guard:
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: nil-transport collectives allocate (single-process hot path must be free)"; exit 1 } }'
 	$(GO) test ./internal/dataflow -run '^$$' -bench 'BenchmarkStageAttempt' -benchmem | awk ' \
-		/^BenchmarkStageAttempt\/FlatMapWith/ { print; seen++; if ($$(NF-1)+0 > 40) bad = 1 } \
-		/^BenchmarkStageAttempt\/JoinWith/    { print; seen++; if ($$(NF-1)+0 > 53) bad = 1 } \
-		END { if (bad || seen != 2) { print "alloc-guard: a stage allocates more than before its attempts had a handle (FlatMapWith <= 40 allocs/op, JoinWith <= 53; the handle must cost no object per attempt)"; exit 1 } }'
+		/^BenchmarkStageAttempt\/FlatMapWith/ { print; seen++; if ($$(NF-1)+0 > 23) bad = 1 } \
+		/^BenchmarkStageAttempt\/JoinWith/    { print; seen++; if ($$(NF-1)+0 > 36) bad = 1 } \
+		END { if (bad || seen != 2) { print "alloc-guard: a stage allocates more objects than it did with its output allocated once (FlatMapWith <= 23 allocs/op, JoinWith <= 36: 21 and 33 measured + 10%, 33 and 46 with append-grown outputs; the attempt handle must cost no object per attempt)"; exit 1 } }'
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerTelemetryDisabled' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
 
 	$(GO) test ./internal/operators ./internal/core ./internal/cluster -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
-		/^BenchmarkRow/ { print; v = -1; for (i = 2; i <= NF; i++) if ($$i == "allocs/row") v = $$(i-1) + 0; \
+		/^BenchmarkRow/ { print; v = -1; bytes = -1; for (i = 2; i <= NF; i++) { if ($$i == "allocs/row") v = $$(i-1) + 0; if ($$i == "B/row") bytes = $$(i-1) + 0 } \
 			max = ($$1 ~ /^BenchmarkRow(JSON|Frame)/) ? 0.01 : ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe)/) ? 0.05 : 0.1; \
-			seen++; if (v < 0 || v > max) bad = 1 } \
-		END { if (bad || seen != 8) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer and wire frame <= 0.01; shuffle and join probe <= 0.05; leaf scan, merge, expand hop and expand loop <= 0.1; eight kernels)"; exit 1 } }'
+			maxBytes = ($$1 ~ /^BenchmarkRowLeafScan/) ? 84.5 : ($$1 ~ /^BenchmarkRowJoinProbe/) ? 142.3 : 0; \
+			seen++; if (v < 0 || v > max) bad = 1; if (maxBytes > 0 && (bytes < 0 || bytes > maxBytes)) bad = 1 } \
+		END { if (bad || seen != 8) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer and wire frame <= 0.01; shuffle and join probe <= 0.05; leaf scan, merge, expand hop and expand loop <= 0.1; eight kernels; heap bytes per output row: leaf scan <= 84.5, join probe <= 142.3 - 76.8 and 129.3 measured + 10%, an append-grown output partition reads 143 and 200)"; exit 1 } }'
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkQueryCacheHit' -benchmem | awk ' \
 		/^BenchmarkQueryCacheHit/ { print; seen++; if ($$(NF-1)+0 > 51) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: a result-cache hit over HTTP allocates more than 51 objects (47 measured + 10%)"; exit 1 } }'
+
+# figures-check regenerates the paper's evaluation (`cmd/bench -exp all`:
+# Figures 3-5, Tables 3-4, cardinalities, the recovery table, every EXPLAIN
+# ANALYZE plan) and diffs it, less the wall-clock self= column, against
+# cmd/bench/testdata/exp_all.golden. All of it is the simulated cost model,
+# so an engine PR that says it left the charges alone prints nothing here; one
+# that moves them runs figures-update and shows the diff of the golden file.
+figures-check:
+	$(GO) test ./cmd/bench -run '^TestExpAllGolden$$' -count=1
+
+figures-update:
+	$(GO) test ./cmd/bench -run '^TestExpAllGolden$$' -count=1 -update
+	git diff --stat -- cmd/bench/testdata/exp_all.golden
 
 # check ends with two guards. The gauge test that was red on two cores for
 # two PRs runs ten times: the broker must never show more reserved bytes than
@@ -128,7 +146,7 @@ alloc-guard:
 # The grep keeps the deleted serving/cluster/chaos fork of cmd/bench from
 # being cited back into existence: speed is measured by bench/
 # (BENCHMARK.json), overload by chaos-smoke.
-check: build vet lint race alloc-guard
+check: build vet lint race alloc-guard figures-check
 	$(GO) test -race -count=10 -run 'TestMetricsSnapshotUntorn' ./internal/session
 	! grep -rnE -- '-exp (serve|cluster|chaos)|Run(Serve|Cluster)' README.md DESIGN.md EXPERIMENTS.md Makefile .github .claude cmd internal
 

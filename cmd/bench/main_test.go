@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +26,48 @@ func TestUnknownExperimentExits2(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("-exp %q printed a report: %q", name, stdout.String())
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/exp_all.golden from this run")
+
+// selfTime is the one column of the report that is measured, not simulated.
+var selfTime = regexp.MustCompile(` self=[^ \]]+`)
+
+// TestExpAllGolden (`make figures-check`) holds everything `-exp all` prints
+// but the wall-clock self= column to testdata/exp_all.golden: Figures 3-5,
+// Tables 3-4, the cardinalities, the recovery table and every EXPLAIN ANALYZE
+// plan come from the simulated cost model, so an engine change that claims to
+// leave the charges alone leaves this file alone. A change that means to move
+// them regenerates it with `make figures-update` and shows the diff.
+func TestExpAllGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "all"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-exp all: exit %d: %s", code, stderr.String())
+	}
+	got := selfTime.ReplaceAll(stdout.Bytes(), nil)
+	const golden = "testdata/exp_all.golden"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("the report has %d lines, the golden file %d", len(gotLines), len(wantLines))
+	}
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\n- %s\n+ %s", i+1, wantLines[i], gotLines[i])
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestWithVariantsGiveEveryAttemptFreshState(t *testing.T) {
 				emit(x*1000 + seen)
 				seen++
 			}
-		})
+		}, 1)
 		// Stages 2-4: shuffle both sides, then a stateful joiner.
 		joined := JoinWith(numbered, numbered, key, key, func() func(int, int, func(int)) {
 			made.Add(1)

@@ -74,8 +74,8 @@ func BenchmarkReduceByKey(b *testing.B) {
 // rows: a FlatMapWith stage and a JoinWith stage (inputs already partitioned
 // under the join's tag, so the join is its one stage) over four partitions
 // of eight elements, tracer and governor nil. A partition attempt's handle
-// must not add an object per attempt to either; `make alloc-guard` pins both
-// at what they cost before the handle existed.
+// must not add an object per attempt to either, and each output partition is
+// one object, not one per doubling; `make alloc-guard` pins both.
 func BenchmarkStageAttempt(b *testing.B) {
 	const tag = 7
 	e := NewEnv(DefaultConfig(4))
@@ -87,7 +87,7 @@ func BenchmarkStageAttempt(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			FlatMapWith(d, func() func(int, func(int)) {
 				return func(x int, emit func(int)) { emit(x + 1) }
-			})
+			}, 1)
 		}
 	})
 	b.Run("JoinWith", func(b *testing.B) {

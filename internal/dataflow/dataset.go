@@ -1,5 +1,7 @@
 package dataflow
 
+import "slices"
+
 // Sized is implemented by element types that can report their serialized
 // size. The engine uses it to account network and spill bytes exactly;
 // types that do not implement it are charged defaultElementSize bytes.
@@ -116,7 +118,7 @@ func FromSlice[T any](env *Env, data []T) *Dataset[T] {
 			continue
 		}
 		lo, hi := p*n/w, (p+1)*n/w
-		parts[p] = data[lo:hi]
+		parts[p] = data[lo:hi:hi] // clipped: an append to one chunk must not write the next
 	}
 	return &Dataset[T]{env: env, parts: parts}
 }
@@ -130,6 +132,9 @@ func FromPartitions[T any](env *Env, parts [][]T) *Dataset[T] {
 	out := make([][]T, w)
 	for i, p := range parts {
 		out[i%w] = append(out[i%w], p...)
+	}
+	for i := range out {
+		out[i] = slices.Clip(out[i])
 	}
 	return &Dataset[T]{env: env, parts: out}
 }
@@ -168,7 +173,7 @@ func (d *Dataset[T]) IsEmpty() bool { return d.Count() == 0 }
 // Map applies f to every element, preserving partitioning. It is one to
 // one, so every output partition is allocated once, at its input's length.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return flatMapWith(d, func() func(T, func(U)) {
+	return FlatMapWith(d, func() func(T, func(U)) {
 		return func(t T, emit func(U)) { emit(f(t)) }
 	}, 1)
 }
@@ -189,7 +194,7 @@ func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 // is the transformation the paper's FilterAndProject operators fuse their
 // Select→Project→Transform steps into (§3.1).
 func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
-	return FlatMapWith(d, func() func(T, func(U)) { return f })
+	return FlatMapWith(d, func() func(T, func(U)) { return f }, 0)
 }
 
 // FlatMapWith is FlatMap for a row function that keeps state: newF is called
@@ -198,13 +203,15 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // output rows are carved from, scratch slices - therefore needs no lock, and
 // because a retried attempt gets a fresh function, nothing a failed attempt
 // built is reused. JoinWith follows the same contract.
-func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U))) *Dataset[U] {
-	return flatMapWith(d, newF, 0)
-}
-
-// flatMapWith is FlatMapWith with a size hint: an output partition starts
-// with room for perInput outputs per input element (0: grown as emitted).
-func flatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput int) *Dataset[U] {
+//
+// perInput is what the caller knows of the function's fan-out: an output
+// partition is allocated once, with room for perInput outputs per input
+// element, before the first row is written. It is a size, not a contract - a
+// function that emits more grows the partition, one that emits less than half
+// has it copied to its length (see publish) - and 0 says nothing is known:
+// the partition grows as rows are emitted, which is right for a selective
+// function.
+func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput int) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -225,9 +232,33 @@ func flatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput
 			f(t, emit)
 		}
 		n := int64(len(part))
-		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
+}
+
+// presizeCeiling is the most rows an output partition is allocated at on the
+// strength of a count (probePartition): 2^18 rows, 6 MiB of 24-byte row
+// headers. It is a constant - nothing sets it but TestPresizeIsInvisible,
+// which is why it is a variable.
+var presizeCeiling = 1 << 18
+
+// publish is the last thing a stage body does to the partition it returns:
+// the partition leaves without spare capacity, so an append to a published
+// partition copies it and can reach neither a neighbour nor rows written
+// later. A partition sized by an upper bound of which fewer than half the
+// rows survived (a joiner that rejects most candidates, a leaf whose input
+// was not restricted to its label) is copied to its length and gives the
+// rest back; otherwise it is clipped where it stands.
+func publish[U any](res []U) []U {
+	n := len(res)
+	switch {
+	case n == 0:
+		return nil
+	case cap(res) > 2*n:
+		return append(make([]U, 0, n), res...) // exactly n: slices.Clone may round up
+	}
+	return slices.Clip(res)
 }
 
 // emitter returns the emit callback of an attempt that produces rows: it
@@ -254,19 +285,18 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		var res []U
-		emit := func(u U) { res = append(res, u) }
+		emit := emitter(a, &res)
 		if env.governor != nil {
 			// The driver has no per-element loop here — f consumes the whole
 			// partition — so the poll rides on emit: tick every mask+1 outputs
 			// and, once dead, drop the buffer and swallow further emits so a
 			// runaway f cannot keep growing it.
-			sz := sizingOf[U]()
+			appendRow := emit
 			emit = func(u U) {
 				if a.dead {
 					return
 				}
-				res = append(res, u)
-				a.hold(sz.of(&res[len(res)-1]))
+				appendRow(u)
 				if !a.tick(len(res) - 1) {
 					res = nil
 				}
@@ -274,7 +304,7 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 		}
 		f(part, emit)
 		n := int64(len(part))
-		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -307,7 +337,9 @@ func UnionAll[T any](ds ...*Dataset[T]) *Dataset[T] {
 				nonEmpty++
 				// Datasets are immutable, so a lone non-empty operand's
 				// partition is aliased, not copied; per-label unions over a
-				// session's pinned slices stay zero-copy this way.
+				// session's pinned slices stay zero-copy this way. Like every
+				// partition it has no spare capacity, so an append through
+				// either name copies.
 				out[p] = d.parts[p]
 			}
 		}

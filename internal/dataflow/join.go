@@ -136,6 +136,10 @@ func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
 // left-side keys in first-occurrence order, then right-only keys. A left
 // key with no right partner receives an empty right group (the building
 // block of outer joins, e.g. OPTIONAL MATCH).
+//
+// Its output, unlike a join's, grows as it is emitted: what f emits for a
+// group is not known before f ran, and nothing the yardstick runs is a
+// co-group (ROADMAP item 3b), so there is no measurement to size it by.
 func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	f func(key uint64, ls []L, rs []R, emit func(U))) *Dataset[U] {
 	env := l.env
@@ -195,7 +199,7 @@ func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rke
 			f(k, nil, rightGroups[k], emit)
 		}
 		n := int64(len(left) + len(right))
-		return res, work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -299,6 +303,12 @@ func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64) (joinTable
 // and back - so a plain join pays the grace hash join's write and read of
 // both sides, and a kept build side is written once and read once per probe
 // (Flink's re-openable hash table).
+//
+// It walks the table twice: once to count the key matches, then - into a
+// partition allocated once at that count - to merge them. The count is a
+// second read of three flat arrays and charges nothing (the CPU model bills
+// the probe rows, as before); an append-grown partition would instead copy
+// its row headers 3.6 times over on the way to its final size.
 func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right []R,
 	rkey func(R) uint64, joiner func(L, R, func(U))) ([]U, work) {
 	w := work{cpu: int64(len(right)), rowsIn: int64(len(right))}
@@ -306,7 +316,14 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 		probeBytes := sizingOf[R]().sum(right)
 		w.spill = table.spilled + 2*int64(table.overflow*float64(probeBytes))
 	}
+	matches := countMatches(a, table, right, rkey)
+	if a.dead {
+		return nil, work{}
+	}
 	var res []U
+	if matches > 0 {
+		res = make([]U, 0, matches)
+	}
 	emit := emitter(a, &res)
 	// ops counts probes plus emitted pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
@@ -331,5 +348,32 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 		}
 	}
 	w.rowsOut = int64(len(res))
-	return res, w
+	return publish(res), w
+}
+
+// countMatches is the probe loop without the joiner: how many (build row,
+// probe row) pairs agree on their key, which is how many rows a joiner that
+// emits one row per pair will write, and an upper bound for one that rejects
+// some. It stops at presizeCeiling - beyond it the result grows as emitted -
+// so a cartesian product is counted for at most that many chain steps, and
+// what is allocated on the count's word is bounded whatever the inputs. It
+// polls like the probe loop and sets a.dead on an aborted job.
+func countMatches[R any](a *attempt, table *joinTable, right []R, rkey func(R) uint64) int {
+	var n, ops int
+	for _, rv := range right {
+		if !a.tick(ops) {
+			return 0
+		}
+		ops++
+		k := rkey(rv)
+		for i := table.head[table.slot(k)]; i != 0; i = table.next[i-1] {
+			if table.keys[i-1] != k {
+				continue
+			}
+			if n++; n >= presizeCeiling {
+				return n
+			}
+		}
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -13,13 +14,15 @@ import (
 // per partition: the rows it published and the rows it materialized - its
 // output plus whatever input it holds beside it (a join's build side, a
 // co-group's groups). The test elements are not Sized, so a materialized row
-// is defaultElementSize bytes to the governor.
+// is defaultElementSize bytes to the governor. dump is the partitions
+// themselves, printed: the rows and their order.
 type published struct {
 	rows, held []int
+	dump       string
 }
 
 func lens[T any](d *Dataset[T]) published {
-	out := published{rows: make([]int, len(d.parts)), held: make([]int, len(d.parts))}
+	out := published{rows: make([]int, len(d.parts)), held: make([]int, len(d.parts)), dump: fmt.Sprint(d.parts)}
 	for p := range d.parts {
 		out.rows[p] = len(d.parts[p])
 	}
@@ -228,19 +231,29 @@ func TestRetriedAttemptsAreCountedOnce(t *testing.T) {
 func TestAbortedAttemptPublishesNothing(t *testing.T) {
 	const n, workers = 100_000, 4
 	id := func(x int) uint64 { return uint64(x) }
+	hooked := func(hook func()) func(int, int, func(int)) {
+		return func(a, b int, emit func(int)) { hook(); emit(a + b) }
+	}
 	for _, tc := range []struct {
 		name string
 		// run calls hook once per unit of the work the stage under test does
 		// after its inputs were shuffled; quiet is how many calls the
-		// shuffles before it make.
+		// shuffles before it make. A probe key is first read again by the
+		// count pass, a joiner is called by the probe loop only.
 		quiet int64
 		run   func(d *Dataset[int], hook func()) [][]int
 	}{
-		{"Join", n, func(d *Dataset[int], hook func()) [][]int {
+		{"Join", 0, func(d *Dataset[int], hook func()) [][]int {
+			return Join(d, d, id, id, hooked(hook), RepartitionHash).parts
+		}},
+		{"Join/cancelled while counting", n, func(d *Dataset[int], hook func()) [][]int {
 			rkey := func(x int) uint64 { hook(); return uint64(x) }
 			return Join(d, d, id, rkey, emitSum, RepartitionHash).parts
 		}},
-		{"Probe", n, func(d *Dataset[int], hook func()) [][]int {
+		{"Probe", 0, func(d *Dataset[int], hook func()) [][]int {
+			return Probe(Build(d, id), d, id, func() func(int, int, func(int)) { return hooked(hook) }).parts
+		}},
+		{"Probe/cancelled while counting", n, func(d *Dataset[int], hook func()) [][]int {
 			rkey := func(x int) uint64 { hook(); return uint64(x) }
 			return Probe(Build(d, id), d, rkey, func() func(int, int, func(int)) { return emitSum }).parts
 		}},

@@ -85,7 +85,7 @@ func perAttemptState(d *dataflow.Dataset[int]) {
 			seen++
 			emit(v + seen)
 		}
-	})
+	}, 1)
 }
 
 // sharedThroughFactory captures a variable from outside the factory; every

@@ -16,12 +16,16 @@ import (
 // slabs and sizes, routes and joins them without boxing, so what is left
 // per step is a fixed handful per partition (slab chunks, the output
 // slices, the join table's three arrays) - hundredths of an allocation per
-// row. The Makefile holds the thresholds.
+// row. The leaf scan and the join probe also report B/row, heap bytes per
+// output row: an output partition grown by append is a handful of objects
+// like one allocated once, and several times its bytes. The Makefile holds
+// the thresholds.
 
 const benchRows = 20_000
 
-// reportAllocsPerRow runs step b.N times and reports mallocs per input row.
-func reportAllocsPerRow(b *testing.B, rows int, step func()) {
+// reportAllocsPerRow runs step b.N times and reports mallocs per input row;
+// it returns the heap bytes one step allocated.
+func reportAllocsPerRow(b *testing.B, rows int, step func()) (bytesPerStep float64) {
 	b.Helper()
 	step() // warm-up: lazily built metadata is not the step's cost
 	var before, after runtime.MemStats
@@ -33,6 +37,7 @@ func reportAllocsPerRow(b *testing.B, rows int, step func()) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(rows), "allocs/row")
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
 }
 
 // benchGraph is a ring of persons with two chords each: every vertex has
@@ -79,10 +84,12 @@ func BenchmarkRowLeafScan(b *testing.B) {
 	vertices := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}})
 	edges := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b"))
-	reportAllocsPerRow(b, benchRows, func() {
+	// Every element makes one row, so rows out are rows in.
+	bytes := reportAllocsPerRow(b, benchRows, func() {
 		vertices.Evaluate()
 		edges.Evaluate()
 	})
+	b.ReportMetric(bytes/benchRows, "B/row")
 }
 
 func BenchmarkRowMerge(b *testing.B) {
@@ -122,11 +129,13 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 	left := materialize(NewFilterAndProjectEdges(es, knowsEdge("e1", "a", "b")))
 	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e2", "b", "c")))
 	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, dataflow.RepartitionHash)
-	reportAllocsPerRow(b, benchRows, func() {
-		if join.Evaluate().Count() == 0 {
+	var joined int64
+	bytes := reportAllocsPerRow(b, benchRows, func() {
+		if joined = join.Evaluate().Count(); joined == 0 {
 			b.Fatal("join emitted nothing")
 		}
 	})
+	b.ReportMetric(bytes/float64(joined), "B/row")
 }
 
 // BenchmarkRowExpandHop is one hop of a variable-length expansion: select

@@ -107,7 +107,7 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 
 	// Select the relevant edges. They are loop-invariant: shuffled and hashed
 	// once, here, and only probed by every hop.
-	triples := dataflow.FlatMap(op.Edges, func(de epgm.Edge, emit func(edgeTriple)) {
+	selectTriple := func(de epgm.Edge, emit func(edgeTriple)) {
 		if !cypher.MatchesLabel(de.Label, qe.Types) {
 			return
 		}
@@ -122,7 +122,9 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 		if qe.Undirected {
 			emit(edgeTriple{S: t, E: de.ID, T: s})
 		}
-	})
+	}
+	triples := dataflow.FlatMapWith(op.Edges, func() func(epgm.Edge, func(edgeTriple)) { return selectTriple },
+		leafFanOut(len(qe.Predicates), false, qe.Undirected))
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
 
@@ -209,6 +211,13 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 		endCol, _ = op.In.Meta().Column(op.endVar)
 	}
 	reverse := op.Reverse
+	// An open far end keeps every state the morphism check passes - nearly
+	// all, hopAllowed pruned the rest; a closing expansion keeps the few
+	// whose path ends on the bound vertex.
+	fanOut := 1
+	if bindTarget {
+		fanOut = 0
+	}
 	return dataflow.FlatMapWith(states, func() func(pathState, func(embedding.Embedding)) {
 		var sc scratch
 		return func(s pathState, emit func(embedding.Embedding)) {
@@ -229,5 +238,5 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 				emit(e)
 			}
 		}
-	})
+	}, fanOut)
 }

@@ -112,6 +112,6 @@ func (op *ProjectEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 			return func(e embedding.Embedding, emit func(embedding.Embedding)) {
 				emit(slab.Project(e, idCols, propCols))
 			}
-		})
+		}, 1)
 	})
 }

@@ -63,7 +63,22 @@ func (op *FilterAndProjectVertices) evaluate() *dataflow.Dataset[embedding.Embed
 			ids := [1]epgm.ID{v.ID}
 			emit(sc.slab.Row(ids[:], sc.project(v.Properties, qv.Projection)))
 		}
-	})
+	}, leafFanOut(len(qv.Predicates), false, false))
+}
+
+// leafFanOut is what a leaf knows of its rows per scanned element before it
+// has scanned any: without predicates every element of its label - which is
+// all its input holds when the scan is served from the label index - makes
+// one row, two for an undirected edge. A predicate or a loop edge keeps few;
+// those leaves say nothing and their output grows as emitted.
+func leafFanOut(predicates int, loop, undirected bool) int {
+	switch {
+	case predicates > 0 || loop:
+		return 0
+	case undirected:
+		return 2
+	}
+	return 1
 }
 
 // project collects the values of the projected keys into the attempt's
@@ -151,7 +166,7 @@ func (op *FilterAndProjectEdges) evaluate() *dataflow.Dataset[embedding.Embeddin
 				emit(sc.slab.Row(cols, props))
 			}
 		}
-	})
+	}, leafFanOut(len(qe.Predicates), loop, qe.Undirected))
 }
 
 func labelSuffix(labels []string) string {

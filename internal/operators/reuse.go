@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -92,11 +93,6 @@ func (op *Alias) Description() string {
 	for from, to := range op.Rename {
 		pairs = append(pairs, from+"->"+to)
 	}
-	// Sort for deterministic output.
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j] < pairs[j-1]; j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
-		}
-	}
+	slices.Sort(pairs) // map order is random; a plan must print the same twice
 	return fmt.Sprintf("Alias(%s)", strings.Join(pairs, ", "))
 }
