@@ -811,10 +811,11 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 	}
 	rep := &session.ClusterReport{
 		Workers: len(st.roster),
-		Stages:  mergeStages(dones),
-		Metrics: mergeMetrics(dones, c.opts.Workers),
+		Stages:  foldStages(dones),
 	}
-	attributeSkew(rep.Stages, dones)
+	for _, done := range dones {
+		rep.Metrics.MergeProcess(done.Metrics)
+	}
 	for i, idx := range st.roster {
 		wr := session.WorkerReport{Node: c.members[idx].node}
 		if b := bundles[i]; b != nil {
@@ -832,101 +833,44 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 	return res, rep, nil
 }
 
-// attributeSkew fills each merged stage's per-worker breakdown from the
-// roster-ordered done reports: WorkerNs[i] is worker i's wall time for the
-// stage (its max across workers is the merged Actual by construction),
-// WorkerBytes[i] its framed shuffle bytes, and Skew the straggler factor —
-// the slowest worker's time over the roster mean. Derived from the done
-// reports, not the telemetry bundles, so the skew table survives
-// -no-telemetry workers.
-func attributeSkew(stages []session.ClusterStage, dones []*jobDone) {
-	for si := range stages {
-		m := &stages[si]
-		m.WorkerNs = make([]int64, len(dones))
-		m.WorkerBytes = make([]int64, len(dones))
-		var sum int64
-		for wi, done := range dones {
-			if done == nil || si >= len(done.Stages) {
-				continue
-			}
-			m.WorkerNs[wi] = done.Stages[si].Actual
-			m.WorkerBytes[wi] = done.Stages[si].WireBytes
-			sum += done.Stages[si].Actual
-		}
-		if len(dones) > 0 {
-			m.MeanNs = sum / int64(len(dones))
-		}
-		if m.MeanNs > 0 {
-			m.Skew = float64(m.Actual) / float64(m.MeanNs)
-		}
-	}
-}
-
-// mergeStages folds the workers' per-stage records into the cluster-wide
-// predicted-vs-actual table: times take the slowest worker (the stage's
-// wall time is its slowest participant), bytes sum (each worker reports
-// what it charged and what it framed).
-func mergeStages(dones []*jobDone) []session.ClusterStage {
+// foldStages builds the cluster-wide predicted-vs-actual table from the
+// roster-ordered done reports, merge and per-worker attribution in one pass.
+// Times take the slowest worker (a stage's wall time is its slowest
+// participant), bytes sum (each worker reports what it charged and what it
+// framed). WorkerNs[i] is worker i's wall time for the stage - its maximum
+// is the merged Actual by construction - WorkerBytes[i] its framed shuffle
+// bytes, and Skew the straggler factor: the slowest worker's time over the
+// roster mean. All of it comes from the done reports, not the telemetry
+// bundles, so the skew table survives -no-telemetry workers.
+func foldStages(dones []*jobDone) []session.ClusterStage {
 	var out []session.ClusterStage
-	for _, done := range dones {
-		for i, s := range done.Stages {
-			if i >= len(out) {
-				out = append(out, s) // the first report of a stage seeds its row
-				continue
+	for wi, done := range dones {
+		for si, s := range done.Stages {
+			if si == len(out) { // the first report of a stage names its row
+				out = append(out, session.ClusterStage{
+					Stage: s.Stage, Op: s.Op, Kind: s.Kind, Shuffle: s.Shuffle,
+					WorkerNs:    make([]int64, len(dones)),
+					WorkerBytes: make([]int64, len(dones)),
+				})
 			}
-			m := &out[i]
+			m := &out[si]
 			m.Predicted = max(m.Predicted, s.Predicted)
 			m.Actual = max(m.Actual, s.Actual)
 			m.ModelBytes += s.ModelBytes
 			m.WireBytes += s.WireBytes
+			m.WorkerNs[wi] = s.Actual
+			m.WorkerBytes[wi] = s.WireBytes
+			m.MeanNs += s.Actual // the sum, until every report is in
+		}
+	}
+	for si := range out {
+		m := &out[si]
+		m.MeanNs /= int64(len(dones))
+		if m.MeanNs > 0 {
+			m.Skew = float64(m.Actual) / float64(m.MeanNs)
 		}
 	}
 	return out
-}
-
-// mergeMetrics reassembles the single-process metrics from the per-worker
-// snapshots: each process charged only its owned partitions, so counters
-// and per-worker arrays sum element-wise back to the sole-owner totals;
-// SimTime takes the slowest process (the whole-job critical path).
-func mergeMetrics(dones []*jobDone, workers int) dataflow.MetricsSnapshot {
-	var m dataflow.MetricsSnapshot
-	m.Workers = workers
-	m.CPUElements = make([]int64, workers)
-	m.NetBytes = make([]int64, workers)
-	m.SpillBytes = make([]int64, workers)
-	m.MemBytes = make([]int64, workers)
-	for _, done := range dones {
-		s := done.Metrics
-		for w := 0; w < workers && w < len(s.CPUElements); w++ {
-			m.CPUElements[w] += s.CPUElements[w]
-			m.NetBytes[w] += s.NetBytes[w]
-			m.SpillBytes[w] += s.SpillBytes[w]
-			m.MemBytes[w] += s.MemBytes[w]
-		}
-		m.TotalCPU += s.TotalCPU
-		m.TotalNet += s.TotalNet
-		m.TotalSpill += s.TotalSpill
-		m.TotalMem += s.TotalMem
-		m.MemKills += s.MemKills
-		m.Retries += s.Retries
-		m.RetriedStages += s.RetriedStages
-		m.RecoveryTime += s.RecoveryTime
-		if s.Stages > m.Stages {
-			m.Stages = s.Stages
-		}
-		if s.Shuffles > m.Shuffles {
-			m.Shuffles = s.Shuffles
-		}
-		if s.SimTime > m.SimTime {
-			m.SimTime = s.SimTime
-		}
-	}
-	for w := 0; w < workers; w++ {
-		if m.CPUElements[w] > m.MaxWorkerCPU {
-			m.MaxWorkerCPU = m.CPUElements[w]
-		}
-	}
-	return m
 }
 
 // clusterInstruments is the coordinator's gradoop_cluster_* surface.

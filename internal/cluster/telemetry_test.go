@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -122,94 +123,20 @@ func TestTelemetryBundleHostileCounts(t *testing.T) {
 	}
 }
 
-func spansN(n int) []trace.Span {
-	out := make([]trace.Span, n)
-	for i := range out {
-		out[i] = trace.Span{Stage: int64(i), Kind: "map"}
-	}
-	return out
-}
-
-// TestTelemetryLedgerShip checks the leak fix's core move: shipping the
-// winning attempt returns its spans and drops every superseded attempt's.
-func TestTelemetryLedgerShip(t *testing.T) {
-	l := newTelemetryLedger()
-	l.retain(1, 0, spansN(5)) // attempt 0 failed
-	l.retain(1, 1, spansN(3)) // attempt 1 won
-	if got := l.retained(); got != 8 {
-		t.Fatalf("retained %d, want 8", got)
-	}
-	won := l.ship(1, 1)
-	if len(won) != 3 {
-		t.Fatalf("shipped %d spans, want the winning attempt's 3", len(won))
-	}
-	if got := l.retained(); got != 0 {
-		t.Fatalf("retained %d after ship, want 0", got)
-	}
-	if got := l.dropped.Load(); got != 5 {
-		t.Fatalf("dropped %d, want the superseded attempt's 5", got)
-	}
-	if l.ship(1, 1) != nil {
-		t.Fatal("second ship of the same job returned spans")
-	}
-}
-
-// TestTelemetryLedgerPerJobCap overfills one job: oldest attempts evict
-// first, and a single oversized attempt keeps only its newest spans.
-func TestTelemetryLedgerPerJobCap(t *testing.T) {
-	l := newTelemetryLedger()
-	l.retain(1, 0, spansN(maxRetainedSpansPerJob-10))
-	l.retain(1, 1, spansN(100)) // overflows: attempt 0 evicted whole
-	if got := l.retained(); got != 100 {
-		t.Fatalf("retained %d, want only the newest attempt's 100", got)
-	}
-	won := l.ship(1, 1)
-	if len(won) != 100 {
-		t.Fatalf("shipped %d, want 100", len(won))
-	}
-
-	// One attempt alone over the cap truncates, keeping the newest spans.
-	l.retain(2, 0, spansN(maxRetainedSpansPerJob+7))
-	if got := l.retained(); got != maxRetainedSpansPerJob {
-		t.Fatalf("retained %d, want the cap %d", got, maxRetainedSpansPerJob)
-	}
-	won = l.ship(2, 0)
-	if len(won) != maxRetainedSpansPerJob {
-		t.Fatalf("shipped %d, want %d", len(won), maxRetainedSpansPerJob)
-	}
-	if won[0].Stage != 7 {
-		t.Fatalf("truncation kept oldest spans (first stage %d, want 7)", won[0].Stage)
-	}
-}
-
-// TestTelemetryLedgerJobCap holds spans for more jobs than the ledger
-// retains: the oldest jobs evict so unresolved jobs cannot grow memory.
-func TestTelemetryLedgerJobCap(t *testing.T) {
-	l := newTelemetryLedger()
-	for job := uint64(1); job <= maxRetainedJobs+3; job++ {
-		l.retain(job, 0, spansN(4))
-	}
-	if got := l.retained(); got != maxRetainedJobs*4 {
-		t.Fatalf("retained %d, want %d", got, maxRetainedJobs*4)
-	}
-	if l.ship(1, 0) != nil {
-		t.Fatal("evicted job still shippable")
-	}
-	if got := l.ship(maxRetainedJobs+3, 0); len(got) != 4 {
-		t.Fatalf("newest job shipped %d spans, want 4", len(got))
-	}
-}
-
-// BenchmarkWorkerTelemetryDisabled pins the -no-telemetry hot path at zero
-// allocations: for an attempt that failed, recordTelemetry must return before
-// touching the ledger or the collector (make alloc-guard enforces the 0
+// BenchmarkWorkerTelemetryDisabled pins what a failed attempt costs a
+// -no-telemetry worker at zero allocations: its done report is filled
+// without touching the collector - a failed attempt's spans are never copied
+// out, there is nothing to ship them in (make alloc-guard enforces the 0
 // allocs/op).
 func BenchmarkWorkerTelemetryDisabled(b *testing.B) {
-	w := &Worker{telemetry: false}
-	col := trace.NewCollector()
+	w := &Worker{telemetry: false, winst: newWorkerInstruments(nil)}
+	spec := &jobSpec{JobID: 1}
+	rt := &jobRuntime{}
+	err := errors.New("stage failed")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.recordTelemetry(uint64(i), 0, col, true)
+		var done jobDone
+		w.failed(&done, spec, rt, err)
 	}
 }

@@ -44,14 +44,13 @@ type Worker struct {
 	data   *session.GraphData
 	logger *slog.Logger
 
-	// Telemetry plane: telemetry gates span retention and bundle shipping
-	// entirely (the -no-telemetry escape hatch); metrics is the worker's
-	// own registry, snapshotted into every bundle; observer feeds the
-	// engine's continuous series into it; tele bounds retained spans.
+	// Telemetry plane: telemetry gates bundle shipping entirely (the
+	// -no-telemetry escape hatch); metrics is the worker's own registry,
+	// snapshotted into every bundle; observer feeds the engine's continuous
+	// series into it.
 	telemetry bool
 	metrics   *obs.Registry
 	observer  *dataflow.Observer
-	tele      *telemetryLedger
 	winst     *workerInstruments
 
 	mu     sync.Mutex
@@ -84,7 +83,7 @@ type WorkerOptions struct {
 	// register here, and a snapshot rides in every telemetry bundle so the
 	// coordinator can federate per-worker series (nil disables).
 	Metrics *obs.Registry
-	// NoTelemetry disables span retention and bundle shipping entirely —
+	// NoTelemetry disables bundle shipping entirely —
 	// the behavior-parity escape hatch. Execution is unaffected: workers
 	// still trace (the per-stage records in jobDone derive from the spans),
 	// rows stay bit-identical, retries unchanged.
@@ -107,19 +106,13 @@ func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Wo
 		telemetry: !opts.NoTelemetry,
 		metrics:   opts.Metrics,
 		observer:  dataflow.NewObserver(opts.Metrics),
-		tele:      newTelemetryLedger(),
 		conns:     map[net.Conn]struct{}{},
 		jobs:      map[jobKey]*jobRuntime{},
 	}
-	w.winst = newWorkerInstruments(opts.Metrics, w)
+	w.winst = newWorkerInstruments(opts.Metrics)
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
-
-// RetainedSpans reports how many spans the telemetry ledger currently
-// holds across all unresolved jobs — the quantity the retention caps bound
-// and the leak regression test watches.
-func (w *Worker) RetainedSpans() int { return w.tele.retained() }
 
 // SetFailAfterExchanges arms the crash hook: the worker kills itself after
 // n more collective exchanges (0 disarms).
@@ -353,10 +346,11 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 }
 
 // runJob executes one shipped job attempt and reports its terminal state.
-// The attempt's spans are retained in the telemetry ledger either way; a
-// successful attempt ships its telemetry bundle strictly before the done
+// A successful attempt ships its telemetry bundle strictly before the done
 // report (same ordered sender), so the coordinator never has to wait for a
-// bundle after seeing the done.
+// bundle after seeing the done. A failed attempt's spans have no reader -
+// the coordinator merges the winning attempt's bundles only - so they are
+// never copied out and die with the collector.
 func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 	start := time.Now()
 	done := jobDone{JobID: spec.JobID, Attempt: spec.Attempt}
@@ -368,53 +362,50 @@ func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 	col := trace.NewCollector()
 	w.winst.jobs.Inc()
 	wireOut, metrics, err := w.executeJob(spec, rt, ctrl, col)
-	spans := w.recordTelemetry(spec.JobID, spec.Attempt, col, err != nil)
 	if err != nil {
-		done.Error = err.Error()
-		done.PeerLost, done.LostPeers = rt.lossInfo(err)
-		w.winst.failures.Inc()
-		if w.logger != nil {
-			w.logger.Error("cluster job failed", "job", spec.JobID, "attempt", spec.Attempt,
-				"trace", spec.TraceID, "err", err)
-		}
+		w.failed(&done, spec, rt, err)
 	} else {
-		done.Stages = stageRecords(spans, dataflow.DefaultConfig(spec.Workers), wireOut)
+		// One copy out of the collector: the stage table and the bundle
+		// read the same spans.
+		spans := col.Spans()
+		done.Stages = stageRecords(spans, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
 		done.Metrics = metrics
 		done.Telemetry = w.telemetry
-		w.shipTelemetry(spec, ctrl, time.Since(start))
+		if w.telemetry {
+			w.shipTelemetry(spec, ctrl, spans, time.Since(start))
+		}
 	}
 	w.winst.jobTime.ObserveSince(start)
 	ctrl.sendJSON(frameJobDone, &done)
 }
 
-// recordTelemetry copies the attempt's spans out of the collector - once: the
-// stage table of the done report and the telemetry ledger read the same set -
-// and, with telemetry on, parks them in the ledger. A failed attempt with
-// telemetry off needs no spans; that path touches neither the collector nor
-// the ledger and, like every disabled-path instrument hook, is
-// allocation-free (pinned by BenchmarkWorkerTelemetryDisabled).
-func (w *Worker) recordTelemetry(jobID uint64, attempt int, col *trace.Collector, failed bool) []trace.Span {
-	if failed && !w.telemetry {
-		return nil
+// failed fills the done report of an attempt that ended in err. It touches
+// neither the collector nor the telemetry plane and allocates nothing unless
+// a peer was lost or a logger is set (BenchmarkWorkerTelemetryDisabled).
+func (w *Worker) failed(done *jobDone, spec *jobSpec, rt *jobRuntime, err error) {
+	done.Error = err.Error()
+	done.PeerLost, done.LostPeers = rt.lossInfo(err)
+	w.winst.failures.Inc()
+	if w.logger != nil {
+		w.logger.Error("cluster job failed", "job", spec.JobID, "attempt", spec.Attempt,
+			"trace", spec.TraceID, "err", err)
 	}
-	spans := col.Spans()
-	if w.telemetry {
-		w.tele.retain(jobID, attempt, spans)
-	}
-	return spans
 }
 
-// shipTelemetry encodes and sends the winning attempt's bundle, dropping
-// every span the job retained (superseded attempts included).
-func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, elapsed time.Duration) {
-	if !w.telemetry {
-		return
+// maxShippedSpans caps the spans one bundle carries: the newest ones of an
+// attempt that ran more stages than that.
+const maxShippedSpans = 512
+
+// shipTelemetry encodes and sends the winning attempt's bundle.
+func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, spans []trace.Span, elapsed time.Duration) {
+	if len(spans) > maxShippedSpans {
+		spans = spans[len(spans)-maxShippedSpans:]
 	}
 	bundle := telemetryBundle{
 		Node:      w.node,
 		TraceID:   spec.TraceID,
 		ElapsedNs: int64(elapsed),
-		Spans:     w.tele.ship(spec.JobID, spec.Attempt),
+		Spans:     spans,
 		Metrics:   w.metrics.Snapshot(),
 	}
 	body := encodeTelemetryBundle(&bundle)
@@ -1005,23 +996,18 @@ func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int
 // per-partition charges, actual is the stage's measured wall clock, model
 // bytes are the charged cross-partition bytes, wire bytes what the
 // transport framed.
-func stageRecords(spans []trace.Span, cfg dataflow.Config, wireOut map[int64]int64) []session.ClusterStage {
+func stageRecords(spans []trace.Span, cost trace.CostModel, wireOut map[int64]int64) []session.ClusterStage {
 	recs := make([]session.ClusterStage, 0, len(spans))
 	for i := range spans {
 		s := &spans[i]
-		var model int64
-		for _, p := range s.Parts {
-			model += p.NetBytes
-		}
 		recs = append(recs, session.ClusterStage{
-			Stage:   s.Stage,
-			Op:      s.Op,
-			Kind:    s.Kind,
-			Shuffle: s.Shuffle,
-			Predicted: int64(s.SimTime(cfg.CPUTimePerElement, cfg.NetTimePerByte,
-				cfg.DiskTimePerByte, cfg.StageOverhead)),
+			Stage:      s.Stage,
+			Op:         s.Op,
+			Kind:       s.Kind,
+			Shuffle:    s.Shuffle,
+			Predicted:  int64(s.SimTime(cost)),
 			Actual:     int64(s.End - s.Start),
-			ModelBytes: model,
+			ModelBytes: s.NetBytes(),
 			WireBytes:  wireOut[s.Stage],
 		})
 	}

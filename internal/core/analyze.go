@@ -35,16 +35,23 @@ func traceToken(op operators.Operator) operators.Operator {
 	}
 }
 
-// AnalyzedOps extracts per-operator metrics from the execution trace in
-// Explain order (parent before children), one qstore.OpMetrics per plan
-// node. It requires the query to have run with Config.Trace set and
-// returns nil otherwise.
+// AnalyzedOps is the execution's per-operator profile in Explain order
+// (parent before children), one qstore.OpMetrics per plan node. It requires
+// the query to have run with Config.Trace set and is nil otherwise. The
+// profile is built on first use and every reader - AnalyzedPlan, the
+// /analyze body, the query-store record, the slow-query log - gets the same
+// slice: read it, never write it.
 func (r *Result) AnalyzedOps() []qstore.OpMetrics {
-	c := r.Trace
-	if c == nil {
+	if r.Trace == nil {
 		return nil
 	}
-	cfg := r.Env.Config()
+	r.profileOnce.Do(func() { r.profile = r.buildProfile() })
+	return r.profile
+}
+
+func (r *Result) buildProfile() []qstore.OpMetrics {
+	c := r.Trace
+	cost := r.Env.Config().Cost()
 	spans := map[int64]trace.Span{}
 	for _, s := range c.Spans() {
 		spans[s.Stage] = s
@@ -67,11 +74,8 @@ func (r *Result) AnalyzedOps() []qstore.OpMetrics {
 		var sim time.Duration
 		for _, stage := range st.Stages {
 			if s, found := spans[stage]; found {
-				sim += s.SimTime(cfg.CPUTimePerElement, cfg.NetTimePerByte,
-					cfg.DiskTimePerByte, cfg.StageOverhead)
-				for _, p := range s.Parts {
-					om.MemBytes += p.MemBytes
-				}
+				sim += s.SimTime(cost)
+				om.MemBytes += s.MemBytes()
 			}
 		}
 		om.SimNs = int64(sim)

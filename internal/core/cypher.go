@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"gradoop/internal/cypher"
@@ -17,6 +18,7 @@ import (
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/planner"
+	"gradoop/internal/qstore"
 	"gradoop/internal/stats"
 	"gradoop/internal/trace"
 )
@@ -70,6 +72,11 @@ type Result struct {
 	// Trace is the execution trace recorded during the run, or nil when
 	// Config.Trace was not set. AnalyzedPlan and the Chrome export read it.
 	Trace *trace.Collector
+
+	// profile is the per-operator description of the run, built once on
+	// first use (AnalyzedOps).
+	profileOnce sync.Once
+	profile     []qstore.OpMetrics
 }
 
 // prepare parses, simplifies and plans a query.

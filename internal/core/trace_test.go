@@ -123,6 +123,25 @@ func TestAnalyzedPlan(t *testing.T) {
 	}
 }
 
+// TestProfileBuiltOnce: a Result has one per-operator profile. AnalyzedOps
+// hands out the same slice every time, and AnalyzedPlan renders that slice -
+// shown by writing a cardinality no execution produced into it - so the plan
+// is walked once however many views of it a response carries.
+func TestProfileBuiltOnce(t *testing.T) {
+	res := run(t, figure1(2), traceTestQuery, Config{
+		Vertex: operators.Homomorphism, Edge: operators.Isomorphism,
+		Trace: trace.NewCollector(),
+	})
+	first, second := res.AnalyzedOps(), res.AnalyzedOps()
+	if len(first) == 0 || &first[0] != &second[0] {
+		t.Fatalf("AnalyzedOps built its profile twice (%d operators)", len(first))
+	}
+	first[0].Act = 987654321
+	if plan := res.AnalyzedPlan(); !strings.Contains(plan, "act=987654321") {
+		t.Errorf("AnalyzedPlan does not render the slice AnalyzedOps returns:\n%s", plan)
+	}
+}
+
 // TestAnalyzedPlanFallsBackWithoutTrace: without a collector the analyzed
 // rendering degrades to the plain Explain output.
 func TestAnalyzedPlanFallsBackWithoutTrace(t *testing.T) {

@@ -93,6 +93,19 @@ func DefaultConfig(workers int) Config {
 	}
 }
 
+// Cost hands out the simulated-time model's coefficients as the one value
+// the charges are priced with (trace.CostModel.Time): by a job's snapshot,
+// by a stage's span, and through the span by EXPLAIN ANALYZE and the
+// cluster's predicted-vs-actual table.
+func (c Config) Cost() trace.CostModel {
+	return trace.CostModel{
+		CPUPerElement: c.CPUTimePerElement,
+		NetPerByte:    c.NetTimePerByte,
+		DiskPerByte:   c.DiskTimePerByte,
+		StageOverhead: c.StageOverhead,
+	}
+}
+
 // cancelCheckMask controls how often per-element partition loops poll for
 // cancellation (attempt.tick): every (mask+1) elements. 256 elements keep
 // the overhead of the atomic load negligible while bounding the reaction

@@ -131,58 +131,65 @@ type MetricsSnapshot struct {
 	SlotWait time.Duration
 }
 
-// Merge accumulates another snapshot into s: totals, stage and retry
-// counters, simulated times and slot waits add up; per-worker breakdowns
-// add index-wise (growing to the wider worker count); MaxWorkerCPU takes
-// the maximum. Jobs sums, with a raw per-job snapshot (Jobs == 0) counting
-// as one job. The receiver owns its slices afterwards — Merge never aliases
-// o's.
-func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	grow := func(dst []int64, n int) []int64 {
-		for len(dst) < n {
+// addCharges adds what o's workers were charged into s: the per-worker
+// arrays index-wise (growing to the wider one), their totals, and the retry
+// and kill counters. It is the half both merges share - across jobs (Merge)
+// and across the processes of one job (MergeProcess) a charge is a charge
+// and sums - so a charge added to the snapshot is added here once. The
+// receiver owns its slices afterwards; o's are never aliased.
+func (s *MetricsSnapshot) addCharges(o MetricsSnapshot) {
+	add := func(dst, src []int64) []int64 {
+		for len(dst) < len(src) {
 			dst = append(dst, 0)
+		}
+		for w, v := range src {
+			dst[w] += v
 		}
 		return dst
 	}
-	s.CPUElements = grow(s.CPUElements, len(o.CPUElements))
-	s.NetBytes = grow(s.NetBytes, len(o.NetBytes))
-	s.SpillBytes = grow(s.SpillBytes, len(o.SpillBytes))
-	s.MemBytes = grow(s.MemBytes, len(o.MemBytes))
-	for w, v := range o.CPUElements {
-		s.CPUElements[w] += v
-	}
-	for w, v := range o.NetBytes {
-		s.NetBytes[w] += v
-	}
-	for w, v := range o.SpillBytes {
-		s.SpillBytes[w] += v
-	}
-	for w, v := range o.MemBytes {
-		s.MemBytes[w] += v
-	}
-	s.Stages += o.Stages
-	s.Shuffles += o.Shuffles
+	s.Workers = max(s.Workers, o.Workers)
+	s.CPUElements = add(s.CPUElements, o.CPUElements)
+	s.NetBytes = add(s.NetBytes, o.NetBytes)
+	s.SpillBytes = add(s.SpillBytes, o.SpillBytes)
+	s.MemBytes = add(s.MemBytes, o.MemBytes)
 	s.TotalCPU += o.TotalCPU
 	s.TotalNet += o.TotalNet
 	s.TotalSpill += o.TotalSpill
 	s.TotalMem += o.TotalMem
 	s.MemKills += o.MemKills
-	s.SimTime += o.SimTime
-	if o.MaxWorkerCPU > s.MaxWorkerCPU {
-		s.MaxWorkerCPU = o.MaxWorkerCPU
-	}
 	s.Retries += o.Retries
 	s.RetriedStages += o.RetriedStages
 	s.RecoveryTime += o.RecoveryTime
-	jobs := o.Jobs
-	if jobs == 0 {
-		jobs = 1
-	}
-	s.Jobs += jobs
+}
+
+// Merge accumulates another job's snapshot into s: charges, stage counts,
+// simulated times and slot waits add up; MaxWorkerCPU takes the maximum.
+// Jobs sums, with a raw per-job snapshot (Jobs == 0) counting as one job.
+func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
+	s.addCharges(o)
+	s.Stages += o.Stages
+	s.Shuffles += o.Shuffles
+	s.SimTime += o.SimTime
+	s.MaxWorkerCPU = max(s.MaxWorkerCPU, o.MaxWorkerCPU)
+	s.Jobs += max(o.Jobs, 1)
 	s.SlotWait += o.SlotWait
+}
+
+// MergeProcess folds in the snapshot of another process of the same job (a
+// cluster worker's): each process charged only the partitions it owned, so
+// the charges sum back to what one process owning them all would have been
+// charged, while every process ran the same stages - Stages, Shuffles and
+// SimTime (the job's critical path) take the slowest process - and
+// MaxWorkerCPU is read off the summed array. The result stays a raw per-job
+// snapshot: Jobs and SlotWait are untouched.
+func (s *MetricsSnapshot) MergeProcess(o MetricsSnapshot) {
+	s.addCharges(o)
+	s.Stages = max(s.Stages, o.Stages)
+	s.Shuffles = max(s.Shuffles, o.Shuffles)
+	s.SimTime = max(s.SimTime, o.SimTime)
+	for _, v := range s.CPUElements {
+		s.MaxWorkerCPU = max(s.MaxWorkerCPU, v)
+	}
 }
 
 // Clone returns a deep copy of the snapshot: the per-worker slices are
@@ -214,6 +221,7 @@ func (m *Metrics) snapshot(cfg Config) MetricsSnapshot {
 		RetriedStages: retriedStages,
 		MemKills:      m.memKills.Load(),
 	}
+	cost := cfg.Cost()
 	var worst time.Duration
 	for w := range s.CPUElements {
 		s.CPUElements[w] = m.cpuElements[w].Load()
@@ -229,15 +237,9 @@ func (m *Metrics) snapshot(cfg Config) MetricsSnapshot {
 		if s.CPUElements[w] > s.MaxWorkerCPU {
 			s.MaxWorkerCPU = s.CPUElements[w]
 		}
-		t := time.Duration(s.CPUElements[w])*cfg.CPUTimePerElement +
-			time.Duration(s.NetBytes[w])*cfg.NetTimePerByte +
-			time.Duration(s.SpillBytes[w])*cfg.DiskTimePerByte +
-			recovery
-		if t > worst {
-			worst = t
-		}
+		worst = max(worst, cost.Time(s.CPUElements[w], s.NetBytes[w], s.SpillBytes[w], recovery))
 	}
-	s.SimTime = worst + time.Duration(s.Stages)*cfg.StageOverhead
+	s.SimTime = worst + time.Duration(s.Stages)*cost.StageOverhead
 	return s
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gradoop/internal/trace"
 )
@@ -219,6 +221,72 @@ func TestRetriedAttemptsAreCountedOnce(t *testing.T) {
 				t.Fatal("no attempt was retried: the case checks nothing")
 			}
 		})
+	}
+}
+
+// TestSpanChargesPriceToSnapshot ties the two descriptions of a job together:
+// the spans' per-partition CPU, network, spill and recovery charges sum, per
+// worker, to the snapshot's arrays, and the one pricing function over those
+// sums plus one overhead per stage is the snapshot's SimTime to the
+// nanosecond. The jobs run under a fault plan (so recovery is charged) and
+// with a join memory small enough that the joins spill. The per-stage
+// SimTimes, a maximum each, only bound the job's figure from above.
+func TestSpanChargesPriceToSnapshot(t *testing.T) {
+	var recovered, spilled bool
+	for _, tc := range stageCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.workers)
+			cfg.MemoryPerWorker = 256
+			env := NewEnv(cfg)
+			plan := &FaultPlan{}
+			for stage := int64(1); stage <= 8; stage++ {
+				plan.Kills = append(plan.Kills, Kill{Stage: stage, Partition: int(stage) % tc.workers})
+			}
+			env.InjectFaults(plan)
+			col := trace.NewCollector()
+			env.SetTracer(col)
+			tc.run(env)
+			if err := env.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			snap, cost := env.Metrics(), cfg.Cost()
+
+			cpu, net, spill := make([]int64, tc.workers), make([]int64, tc.workers), make([]int64, tc.workers)
+			recovery := make([]time.Duration, tc.workers)
+			var stages time.Duration
+			for _, s := range col.Spans() {
+				stages += s.SimTime(cost)
+				for w, p := range s.Parts {
+					cpu[w] += p.CPUElements
+					net[w] += p.NetBytes
+					spill[w] += p.SpillBytes
+					recovery[w] += p.Recovery
+				}
+			}
+			if !slices.Equal(cpu, snap.CPUElements) || !slices.Equal(net, snap.NetBytes) || !slices.Equal(spill, snap.SpillBytes) {
+				t.Errorf("spans sum to cpu=%v net=%v spill=%v, the snapshot says %v %v %v",
+					cpu, net, spill, snap.CPUElements, snap.NetBytes, snap.SpillBytes)
+			}
+			var worst, totalRecovery time.Duration
+			for w := range cpu {
+				worst = max(worst, cost.Time(cpu[w], net[w], spill[w], recovery[w]))
+				totalRecovery += recovery[w]
+			}
+			if totalRecovery != snap.RecoveryTime {
+				t.Errorf("spans carry %v of recovery, the snapshot %v", totalRecovery, snap.RecoveryTime)
+			}
+			if got := worst + time.Duration(snap.Stages)*cost.StageOverhead; got != snap.SimTime {
+				t.Errorf("the spans' charges price to %v, the snapshot's SimTime is %v", got, snap.SimTime)
+			}
+			if stages < snap.SimTime {
+				t.Errorf("per-stage SimTimes sum to %v, below the job's %v", stages, snap.SimTime)
+			}
+			recovered = recovered || snap.RecoveryTime > 0
+			spilled = spilled || snap.TotalSpill > 0
+		})
+	}
+	if !recovered || !spilled {
+		t.Fatalf("recovered=%v spilled=%v: a term of the formula was never charged", recovered, spilled)
 	}
 }
 

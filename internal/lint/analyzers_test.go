@@ -20,7 +20,6 @@ func TestAnalyzers(t *testing.T) {
 		{lint.PartitionCaptureAnalyzer, "partitioncapture", ""},
 		{lint.CtxPollAnalyzer, "ctxpoll", "gradoop/internal/dataflow"},
 		{lint.ObsRegisterAnalyzer, "obsregister", ""},
-		{lint.QStoreRecordAnalyzer, "qstorerecord", "gradoop/internal/session"},
 		{lint.LockOrderAnalyzer, "lockorder", ""},
 		{lint.GoLeakAnalyzer, "goleak", ""},
 		{lint.WireSymAnalyzer, "wiresym", "gradoop/internal/embedding"},

@@ -26,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		PartitionCaptureAnalyzer,
 		CtxPollAnalyzer,
 		ObsRegisterAnalyzer,
-		QStoreRecordAnalyzer,
 		LockOrderAnalyzer,
 		GoLeakAnalyzer,
 		WireSymAnalyzer,

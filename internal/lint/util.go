@@ -11,8 +11,6 @@ import (
 const (
 	dataflowPath = "gradoop/internal/dataflow"
 	obsPath      = "gradoop/internal/obs"
-	qstorePath   = "gradoop/internal/qstore"
-	sessionPath  = "gradoop/internal/session"
 )
 
 // calleeOf resolves the function or method object a call expression invokes,

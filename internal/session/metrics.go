@@ -14,20 +14,16 @@ import (
 // counters as atomics, plus the running merge of every job's metrics
 // snapshot (job-slot accounting included) under a mutex.
 type counters struct {
-	queries      atomic.Int64
+	queries atomic.Int64
+	// exits counts the requests by how they ended.
+	exits        [numExits]atomic.Int64
 	planHits     atomic.Int64
 	planMisses   atomic.Int64
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
-	rejected     atomic.Int64
-	timeouts     atomic.Int64
-	invalid      atomic.Int64
-	failed       atomic.Int64
-	memKilled    atomic.Int64
 	slowQueries  atomic.Int64
-	// qstoreRecords mirrors the query store's append count from this
-	// session's recordExit path (the store's own counter also includes
-	// startup replay).
+	// qstoreRecords counts the records this session appended (the store's
+	// own counter also includes startup replay).
 	qstoreRecords atomic.Int64
 
 	mu      sync.Mutex
@@ -44,8 +40,8 @@ func (c *counters) mergeJob(m dataflow.MetricsSnapshot) {
 
 // Metrics is an immutable snapshot of a session's service counters.
 type Metrics struct {
-	// Queries counts Execute calls; Rejected, Timeouts, Invalid, Failed and
-	// MemoryKilled partition the failures.
+	// Queries counts Execute calls that have returned; Rejected, Timeouts,
+	// Invalid, Failed and MemoryKilled partition the failures among them.
 	Queries      int64 `json:"queries"`
 	Rejected     int64 `json:"rejected"`
 	Timeouts     int64 `json:"timeouts"`
@@ -117,11 +113,11 @@ func (s *Session) Metrics() Metrics {
 	qs := s.qstore.Stats()
 	return Metrics{
 		Queries:            c.queries.Load(),
-		Rejected:           c.rejected.Load(),
-		Timeouts:           c.timeouts.Load(),
-		Invalid:            c.invalid.Load(),
-		Failed:             c.failed.Load(),
-		MemoryKilled:       c.memKilled.Load(),
+		Rejected:           c.exits[exitRejected].Load(),
+		Timeouts:           c.exits[exitTimeout].Load(),
+		Invalid:            c.exits[exitInvalid].Load(),
+		Failed:             c.exits[exitFailed].Load(),
+		MemoryKilled:       c.exits[exitMemoryKill].Load(),
 		MemBudget:          s.broker.Budget(),
 		MemReserved:        s.broker.Reserved(),
 		MemKills:           s.broker.Kills(),

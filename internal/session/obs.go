@@ -36,7 +36,7 @@ func newInstruments(r *obs.Registry, s *Session) *instruments {
 	in := &instruments{
 		observer: dataflow.NewObserver(r),
 		queries: r.NewCounter("gradoop_queries_total",
-			"Queries received (all outcomes)"),
+			"Queries served to their end (all outcomes)"),
 		errors: r.NewCounterVec("gradoop_query_errors_total",
 			"Failed queries by error kind", "kind"),
 		planCache: r.NewCounterVec("gradoop_plan_cache_total",
@@ -91,42 +91,25 @@ func newInstruments(r *obs.Registry, s *Session) *instruments {
 	return in
 }
 
-// errorKind records one classified failure into the per-kind counter.
-func (in *instruments) errorKind(k Kind) {
-	in.errors.With(k.String()).Inc()
-}
-
-// cacheOutcome turns a hit flag into the shared outcome label value.
-func cacheOutcome(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-// logSlow emits the slow-query log record: canonicalized query, analyzed
-// plan, fingerprint and the request's timings, correlated with the trace ID
-// the server stamped into ctx. Called only when the session has a logger
-// and the request exceeded SlowQueryThreshold.
-func (s *Session) logSlow(ctx context.Context, canonical, fingerprint, plan string, resp *Response) {
-	s.metrics.slowQueries.Add(1)
-	s.obs.slowQueries.Inc()
+// logSlow emits the slow-query log record for an execution settle found
+// over the threshold: canonicalized query, analyzed plan (the plain plan
+// when the run was not traced), fingerprint and the request's timings,
+// correlated with the trace ID the server stamped into the request context.
+func (s *Session) logSlow(o outcome, elapsed time.Duration) {
 	if s.logger == nil {
 		return
 	}
+	ctx := o.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.logger.LogAttrs(ctx, slog.LevelWarn, "slow query",
-		slog.String("query", canonical),
-		slog.String("fingerprint", fingerprint),
-		slog.Duration("elapsed", resp.Elapsed),
-		slog.Duration("queue_wait", resp.QueueWait),
-		slog.Int64("rows", resp.Count),
-		slog.Bool("plan_cache_hit", resp.PlanCacheHit),
-		slog.String("plan", plan),
+		slog.String("query", o.canonical),
+		slog.String("fingerprint", o.planHash),
+		slog.Duration("elapsed", elapsed),
+		slog.Duration("queue_wait", o.queueWait),
+		slog.Int64("rows", o.count),
+		slog.Bool("plan_cache_hit", o.plan == lookupHit),
+		slog.String("plan", o.res.AnalyzedPlan()),
 	)
 }
-
-// slowThreshold returns the effective slow-query threshold (0 = disabled).
-func (s *Session) slowThreshold() time.Duration { return s.opts.SlowQueryThreshold }

@@ -1,13 +1,17 @@
 package session
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"gradoop/internal/core"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/epgm"
+	"gradoop/internal/obs"
 	"gradoop/internal/qstore"
 )
 
@@ -23,103 +27,219 @@ func qstoreSession(t *testing.T, dir string, opts Options) (*Session, *qstore.St
 	return New(testGraph(2), opts), st
 }
 
-// TestRecordPerExitPath drives one request down each session exit path and
-// asserts every Execute call left exactly one record with the right
-// outcome — the invariant the qstorerecord analyzer pins structurally.
+// localRemote is a RemoteExecutor that runs the job in process and reports
+// it as a cluster would, with charges no local run could produce.
+type localRemote struct{}
+
+func (localRemote) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, cfg core.Config) (*core.Result, *ClusterReport, error) {
+	res, err := prep.Execute(g, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &ClusterReport{Workers: 2, Attempts: 1,
+		Metrics: dataflow.MetricsSnapshot{Workers: 2, Stages: 7, TotalCPU: 424242}}, nil
+}
+
+// TestRecordPerExitPath drives one request down every way out of Execute
+// and holds the three ledgers to each other: exactly one of the session's
+// outcome counters moves (none for a success), the matching
+// gradoop_query_errors_total{kind} series moves (or none), the duration
+// histogram gains one sample and the query store one record with the
+// matching outcome. The rows spell the counter, the label and the outcome
+// out, so the table behind settle is checked against this one, not itself.
 func TestRecordPerExitPath(t *testing.T) {
-	s, st := qstoreSession(t, t.TempDir(), Options{MaxConcurrent: 1, MaxQueued: 1})
-	defer st.Close()
-	execs := 0
+	const knows = `MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name`
+	failures := map[string]func(Metrics) int64{
+		"invalid":       func(m Metrics) int64 { return m.Invalid },
+		"rejected":      func(m Metrics) int64 { return m.Rejected },
+		"timeout":       func(m Metrics) int64 { return m.Timeouts },
+		"failed":        func(m Metrics) int64 { return m.Failed },
+		"memory-budget": func(m Metrics) int64 { return m.MemoryKilled },
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var everyStage []dataflow.Kill
+	for stage := int64(1); stage <= 12; stage++ {
+		for part := 0; part < 2; part++ {
+			everyStage = append(everyStage, dataflow.Kill{Stage: stage, Partition: part, Times: 8})
+		}
+	}
 
-	// ok (cold) and ok (result-cache hit).
-	q := `MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name`
-	for i := 0; i < 2; i++ {
-		execs++
-		if _, err := s.Execute(Request{Query: q}); err != nil {
-			t.Fatal(err)
-		}
+	rows := []struct {
+		name string
+		opts Options
+		// arrange puts the session into the state the row needs and returns
+		// what undoes it (nil for nothing).
+		arrange func(t *testing.T, s *Session) (undo func())
+		req     Request
+		// label is the failure's name in Metrics and in
+		// gradoop_query_errors_total, "" for a success; kind what KindOf says
+		// of the error; outcome what the record says.
+		label   string
+		kind    Kind
+		outcome qstore.Outcome
+		check   func(t *testing.T, s *Session, resp *Response, rec qstore.Record)
+	}{
+		{name: "ok", req: Request{Query: knows}, outcome: qstore.OutcomeOK,
+			check: func(t *testing.T, s *Session, resp *Response, rec qstore.Record) {
+				if rec.ResultCacheHit || rec.PlanCacheHit || rec.PlanHash == "" || rec.PlanHash != resp.Fingerprint {
+					t.Errorf("cold run recorded as %+v", rec)
+				}
+				if rec.RootQError <= 0 || rec.ExecNs <= 0 || rec.Rows != resp.Count {
+					t.Errorf("cold run record misses its q-error, timings or rows: %+v", rec)
+				}
+				if m := s.Metrics(); m.PlanMisses != 1 || m.ResultMisses != 1 || m.Cluster.Jobs != 1 {
+					t.Errorf("cold run booked as %+v", m)
+				}
+			}},
+		{name: "result-cache hit", req: Request{Query: knows}, outcome: qstore.OutcomeOK,
+			arrange: func(t *testing.T, s *Session) func() {
+				if _, err := s.Execute(Request{Query: knows}); err != nil {
+					t.Fatal(err)
+				}
+				return nil
+			},
+			check: func(t *testing.T, s *Session, resp *Response, rec qstore.Record) {
+				if !resp.FromResultCache || !rec.ResultCacheHit || rec.PlanCacheHit || rec.ExecNs != 0 {
+					t.Errorf("hit recorded as %+v", rec)
+				}
+				if m := s.Metrics(); m.ResultHits != 1 || m.Cluster.Jobs != 1 {
+					t.Errorf("a hit ran a job or was not counted: %+v", m)
+				}
+			}},
+		{name: "empty query", req: Request{Query: "   "},
+			label: "invalid", kind: KindInvalid, outcome: qstore.OutcomeInvalid},
+		{name: "compile error", req: Request{Query: "MATCH ((("},
+			label: "invalid", kind: KindInvalid, outcome: qstore.OutcomeInvalid,
+			check: func(t *testing.T, s *Session, _ *Response, rec qstore.Record) {
+				if m := s.Metrics(); m.PlanMisses != 1 || m.PlanHits != 0 || rec.PlanCacheHit {
+					t.Errorf("a failed compilation is a plan miss: %+v", m)
+				}
+			}},
+		{name: "queue full", opts: Options{MaxConcurrent: 1, MaxQueued: 1}, req: Request{Query: knows},
+			label: "rejected", kind: KindRejected, outcome: qstore.OutcomeRejected,
+			arrange: func(t *testing.T, s *Session) func() {
+				s.gate.slots <- struct{}{}
+				s.gate.waiting.Add(1)
+				return func() { s.gate.waiting.Add(-1); <-s.gate.slots }
+			},
+			check: func(t *testing.T, s *Session, _ *Response, rec qstore.Record) {
+				if n := s.obs.admissionWait.Count(); n != 0 {
+					t.Errorf("a request turned away at once is in the wait histogram (%d samples)", n)
+				}
+			}},
+		{name: "expired while queued", opts: Options{MaxConcurrent: 1},
+			req:   Request{Query: knows, Timeout: 20 * time.Millisecond},
+			label: "timeout", kind: KindTimeout, outcome: qstore.OutcomeTimeout,
+			arrange: func(t *testing.T, s *Session) func() {
+				s.gate.slots <- struct{}{}
+				return func() { <-s.gate.slots }
+			},
+			check: func(t *testing.T, s *Session, _ *Response, rec qstore.Record) {
+				// The longest waits are the ones that never won a slot.
+				if rec.QueueNs < int64(20*time.Millisecond) || rec.ElapsedNs < rec.QueueNs {
+					t.Errorf("queueNs=%d elapsedNs=%d for a request that waited out 20ms", rec.QueueNs, rec.ElapsedNs)
+				}
+				if n := s.obs.admissionWait.Count(); n != 1 {
+					t.Errorf("wait histogram has %d samples, want the expired wait", n)
+				}
+			}},
+		{name: "deadline mid-flight", req: Request{Query: knows, Context: cancelled},
+			label: "timeout", kind: KindTimeout, outcome: qstore.OutcomeTimeout,
+			check: func(t *testing.T, s *Session, _ *Response, rec qstore.Record) {
+				if rec.PlanHash == "" || s.obs.admissionWait.Count() != 1 {
+					t.Errorf("the request was not admitted and compiled before it died: %+v", rec)
+				}
+			}},
+		{name: "memory kill", opts: Options{MemoryBudget: 4 << 10},
+			req:   Request{Query: `MATCH (a:Person),(b:Person),(c:Person),(d:Person) RETURN a, b, c, d`},
+			label: "memory-budget", kind: KindMemoryBudget, outcome: qstore.OutcomeMemoryKill},
+		{name: "missing $param", req: Request{Query: `MATCH (a:Person) WHERE a.name = $name RETURN a.name`},
+			label: "invalid", kind: KindInvalid, outcome: qstore.OutcomeInvalid},
+		{name: "execution failure", outcome: qstore.OutcomeError, label: "failed", kind: KindFailed,
+			req: Request{Query: knows, Faults: &dataflow.FaultPlan{MaxRetries: 1, Kills: everyStage}},
+			arrange: func(t *testing.T, s *Session) func() {
+				if _, _, err := s.Explain(knows); err != nil { // warms the plan cache
+					t.Fatal(err)
+				}
+				return nil
+			},
+			check: func(t *testing.T, s *Session, _ *Response, rec qstore.Record) {
+				if !rec.PlanCacheHit || s.Metrics().PlanHits != 1 {
+					t.Errorf("a failed run on a cached plan lost its plan-cache hit: %+v", rec)
+				}
+				if rec.PlanHash == "" || rec.ExecNs <= 0 || s.Metrics().Cluster.Jobs != 0 {
+					t.Errorf("failed run recorded as %+v", rec)
+				}
+			}},
+		{name: "remote execution", opts: Options{Remote: localRemote{}}, req: Request{Query: knows},
+			outcome: qstore.OutcomeOK,
+			check: func(t *testing.T, s *Session, resp *Response, rec qstore.Record) {
+				if resp.Cluster == nil || resp.Metrics.TotalCPU != 424242 || s.Metrics().Cluster.TotalCPU != 424242 {
+					t.Errorf("the workers' charges are the job's: resp %+v", resp.Metrics)
+				}
+			}},
 	}
-	// invalid: empty query, then a parse error.
-	execs++
-	if _, err := s.Execute(Request{Query: "   "}); err == nil {
-		t.Fatal("empty query succeeded")
-	}
-	execs++
-	if _, err := s.Execute(Request{Query: "MATCH ((("}); err == nil {
-		t.Fatal("bad query succeeded")
-	}
-	// rejected: slot and queue both occupied. Must be a query the result
-	// cache has not seen — cached responses return before admission.
-	rejectedQ := `MATCH (x:Person) RETURN x.name`
-	s.gate.slots <- struct{}{}
-	s.gate.waiting.Add(1)
-	execs++
-	if _, err := s.Execute(Request{Query: rejectedQ}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("want ErrQueueFull, got %v", err)
-	}
-	s.gate.waiting.Add(-1)
-	// timeout: deadline expires while queued (slot still occupied).
-	timeoutQ := `MATCH (y:University) RETURN y.name`
-	execs++
-	if _, err := s.Execute(Request{Query: timeoutQ, Timeout: 20 * time.Millisecond}); KindOf(err) != KindTimeout {
-		t.Fatalf("want timeout, got %v", err)
-	}
-	<-s.gate.slots
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			row.opts.Metrics = obs.NewRegistry()
+			s, st := qstoreSession(t, t.TempDir(), row.opts)
+			defer st.Close()
+			if row.arrange != nil {
+				if undo := row.arrange(t, s); undo != nil {
+					defer undo()
+				}
+			}
+			before, records, samples := s.Metrics(), st.Records(), s.obs.queryTime.Count()
+			series := map[string]int64{}
+			for label := range failures {
+				series[label] = s.obs.errors.With(label).Value()
+			}
 
-	if got := st.Records(); got != int64(execs) {
-		t.Fatalf("store has %d records after %d Execute calls", got, execs)
-	}
-	for fp, want := range map[string]map[string]int64{
-		qstore.QueryFingerprint(CanonicalQuery(rejectedQ)): {"rejected": 1},
-		qstore.QueryFingerprint(CanonicalQuery(timeoutQ)):  {"timeout": 1},
-	} {
-		agg, _, ok := st.Fingerprint(fp)
-		if !ok || !reflect.DeepEqual(agg.Outcomes, want) {
-			t.Fatalf("fingerprint %s: ok=%v outcomes=%v, want %v", fp, ok, agg.Outcomes, want)
-		}
-	}
-	agg, recs, ok := st.Fingerprint(qstore.QueryFingerprint(CanonicalQuery(q)))
-	if !ok {
-		t.Fatal("no aggregate for the canonical query")
-	}
-	// q's cold run and its result-cache hit share one fingerprint.
-	if agg.Count != 2 {
-		t.Fatalf("aggregate count = %d, want 2", agg.Count)
-	}
-	if !reflect.DeepEqual(agg.Outcomes, map[string]int64{"ok": 2}) {
-		t.Fatalf("outcomes = %v, want 2 ok", agg.Outcomes)
-	}
-	// Cold run vs cache hit are distinguishable in the records.
-	var cold, hit int
-	for _, r := range recs {
-		if r.Outcome != qstore.OutcomeOK {
-			continue
-		}
-		if r.ResultCacheHit {
-			hit++
-		} else {
-			cold++
-			if r.PlanHash == "" {
-				t.Error("cold ok record missing plan hash")
+			resp, err := s.Execute(row.req)
+
+			if (err == nil) != (row.label == "") || (err != nil && KindOf(err) != row.kind) {
+				t.Fatalf("err = %v, want kind %q", err, row.label)
 			}
-			if r.RootQError <= 0 {
-				t.Error("cold ok record missing root q-error")
+			after := s.Metrics()
+			if after.Queries != before.Queries+1 {
+				t.Errorf("queries moved by %d", after.Queries-before.Queries)
 			}
-			if r.ExecNs <= 0 || r.ElapsedNs <= 0 {
-				t.Errorf("cold ok record missing timings: %+v", r)
+			for label, read := range failures {
+				want := int64(0)
+				if label == row.label {
+					want = 1
+				}
+				if got := read(after) - read(before); got != want {
+					t.Errorf("session counter %q moved by %d, want %d", label, got, want)
+				}
+				if got := s.obs.errors.With(label).Value() - series[label]; got != want {
+					t.Errorf("gradoop_query_errors_total{kind=%q} moved by %d, want %d", label, got, want)
+				}
 			}
-		}
-		if r.Bucket != qstore.SelectivityBucket(r.Rows) {
-			t.Errorf("bucket %q does not match rows %d", r.Bucket, r.Rows)
-		}
-	}
-	if cold != 1 || hit != 1 {
-		t.Fatalf("cold=%d hit=%d, want 1/1", cold, hit)
+			if got := s.obs.queryTime.Count() - samples; got != 1 {
+				t.Errorf("gradoop_query_duration_seconds gained %d samples, want 1", got)
+			}
+			if got := st.Records() - records; got != 1 || after.QStoreRecords != before.QStoreRecords+1 {
+				t.Fatalf("store gained %d records, want 1", got)
+			}
+			_, recs, ok := st.Fingerprint(qstore.QueryFingerprint(CanonicalQuery(row.req.Query)))
+			if !ok || len(recs) == 0 {
+				t.Fatal("no record under the request's fingerprint")
+			}
+			rec := recs[len(recs)-1]
+			if rec.Outcome != row.outcome || rec.ElapsedNs <= 0 || rec.Bucket != qstore.SelectivityBucket(rec.Rows) {
+				t.Errorf("record %+v, want outcome %q", rec, row.outcome)
+			}
+			if row.check != nil {
+				row.check(t, s, resp, rec)
+			}
+		})
 	}
 }
 
-// TestMemoryKillRecorded: a budget kill exits through recordExit like any
-// other path, with outcome memory-kill and the charged bytes.
+// TestMemoryKillRecorded: a budget kill is settled like any other exit, with
+// outcome memory-kill and the charged bytes.
 func TestMemoryKillRecorded(t *testing.T) {
 	s, st := qstoreSession(t, t.TempDir(), Options{MemoryBudget: 4 << 10})
 	defer st.Close()
@@ -268,24 +388,5 @@ func TestSessionRestartReproducesAggregates(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatalf("restart changed aggregates:\nbefore: %s\nafter:  %s", before, after)
-	}
-}
-
-// TestOutcomeOf maps every session error kind onto its store outcome.
-func TestOutcomeOf(t *testing.T) {
-	cases := map[Kind]qstore.Outcome{
-		KindInvalid:      qstore.OutcomeInvalid,
-		KindRejected:     qstore.OutcomeRejected,
-		KindTimeout:      qstore.OutcomeTimeout,
-		KindMemoryBudget: qstore.OutcomeMemoryKill,
-		KindFailed:       qstore.OutcomeError,
-	}
-	for kind, want := range cases {
-		if got := outcomeOf(&Error{Kind: kind, Err: errors.New("x")}); got != want {
-			t.Errorf("outcomeOf(%v) = %v, want %v", kind, got, want)
-		}
-	}
-	if got := outcomeOf(errors.New("unclassified")); got != qstore.OutcomeError {
-		t.Errorf("unclassified error mapped to %v", got)
 	}
 }

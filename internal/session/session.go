@@ -405,7 +405,8 @@ func (s *Session) baseConfig() core.Config {
 type prepareToken struct{}
 
 // compile returns the Prepared for a canonical query, through the plan
-// cache unless disabled. On a miss (or with the cache off) the build is
+// cache unless disabled, and whether the cache served it (a failed
+// compilation never did). On a miss (or with the cache off) the build is
 // wrapped in a "Prepare" trace span when col is non-nil, which is how the
 // benchmark verifies that cache hits skip parse+plan: a hit's trace has no
 // such span.
@@ -426,8 +427,6 @@ func (s *Session) compile(st *graphState, canonical string, col *trace.Collector
 	}
 	if s.opts.NoPlanCache {
 		p, err := build()
-		s.metrics.planMisses.Add(1)
-		s.obs.planCache.With("miss").Inc()
 		return p, false, err
 	}
 	key := planKey(st.generation, canonical)
@@ -444,8 +443,6 @@ func (s *Session) compile(st *graphState, canonical string, col *trace.Collector
 	})
 	if entry.err != nil {
 		s.plans.drop(key)
-		s.metrics.planMisses.Add(1)
-		s.obs.planCache.With("miss").Inc()
 		return nil, false, entry.err
 	}
 	if s.snapshot().generation != st.generation {
@@ -454,46 +451,34 @@ func (s *Session) compile(st *graphState, canonical string, col *trace.Collector
 		// linger in the cache pinning the retired graph's slices.
 		s.plans.drop(key)
 	}
-	if built {
-		s.metrics.planMisses.Add(1)
-	} else {
-		s.metrics.planHits.Add(1)
-	}
-	s.obs.planCache.With(cacheOutcome(!built)).Inc()
 	return entry.p, !built, nil
 }
 
 // Execute serves one query. Every failure is classified: *Error with
 // KindInvalid (bad query or binding), KindRejected (queue full),
-// KindTimeout (deadline or cancellation, queued or mid-flight) or
-// KindFailed (execution failure). A request never hangs: admission has a
-// bounded queue and the deadline covers the wait.
+// KindTimeout (deadline or cancellation, queued or mid-flight),
+// KindMemoryBudget (killed by the memory budget) or KindFailed (execution
+// failure). A request never hangs: admission has a bounded queue and the
+// deadline covers the wait.
 //
-// Execute is a thin shell around execute so that every exit path — early
-// returns included — funnels through exactly one recordExit call, the
-// query store's only append site (the qstorerecord analyzer pins this
-// structure).
+// execute describes how the request went, settle books that description:
+// every way out of execute is an outcome value, so no exit can skip a
+// ledger.
 func (s *Session) Execute(req Request) (*Response, error) {
-	resp, ex, err := s.execute(req)
-	s.recordExit(resp, ex, err)
-	return resp, err
+	return s.settle(s.execute(req))
 }
 
-// execute is Execute's body; it fills the exitInfo the query-store record
-// is built from. Extra bookkeeping beyond two clock reads is gated on
-// s.qstore so the disabled path stays behavior-identical and
-// allocation-free.
-func (s *Session) execute(req Request) (*Response, exitInfo, error) {
-	start := time.Now()
-	ex := exitInfo{start: start, traceID: obs.TraceIDFrom(req.Context)}
-	s.metrics.queries.Add(1)
-	s.obs.queries.Inc()
-	canonical := CanonicalQuery(req.Query)
-	ex.canonical = canonical
-	if canonical == "" {
-		s.metrics.invalid.Add(1)
-		s.obs.errorKind(KindInvalid)
-		return nil, ex, &Error{Kind: KindInvalid, Err: errors.New("empty query")}
+// execute runs the request and returns its outcome. It writes no counter,
+// instrument or record: what it learns goes into the outcome.
+func (s *Session) execute(req Request) outcome {
+	o := outcome{
+		start:     time.Now(),
+		ctx:       req.Context,
+		traceID:   obs.TraceIDFrom(req.Context),
+		canonical: CanonicalQuery(req.Query),
+	}
+	if o.canonical == "" {
+		return o.fail(exitInvalid, errors.New("empty query"))
 	}
 
 	// The deadline starts before queueing: time spent waiting for a slot
@@ -514,41 +499,27 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 
 	st := s.snapshot()
 	cacheable := !s.opts.NoResultCache && !req.Trace && req.Faults == nil
-	resultKey := canonical + "\x00" + paramsKey(req.Params)
+	resultKey := o.canonical + "\x00" + paramsKey(req.Params)
 	if cacheable {
 		if r, ok := s.results.get(resultKey, st.generation); ok {
-			s.metrics.resultHits.Add(1)
-			s.obs.resultCache.With("hit").Inc()
-			s.obs.queryTime.ObserveSince(start)
-			return &Response{
-				Columns:         r.Columns,
-				RowsJSON:        r.RowsJSON,
-				Count:           r.Count,
-				FromResultCache: true,
-				Elapsed:         time.Since(start),
-			}, ex, nil
+			o.result = lookupHit
+			o.columns, o.rowsJSON, o.count = r.Columns, r.RowsJSON, r.Count
+			return o
 		}
-		s.metrics.resultMisses.Add(1)
-		s.obs.resultCache.With("miss").Inc()
+		o.result = lookupMiss
 	}
 
-	liveJob := s.jobs.add(ex.traceID, canonical)
+	liveJob := s.jobs.add(o.traceID, o.canonical)
 	defer s.jobs.remove(liveJob)
 
-	queueWait, err := s.gate.acquire(ctx)
-	if err == nil {
-		s.obs.admissionWait.Observe(int64(queueWait))
-		ex.queueWait = queueWait
+	var err error
+	o.queueWait, err = s.gate.acquire(ctx)
+	if errors.Is(err, ErrQueueFull) {
+		return o.fail(exitRejected, err)
 	}
+	o.queued = true
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.metrics.rejected.Add(1)
-			s.obs.errorKind(KindRejected)
-			return nil, ex, &Error{Kind: KindRejected, Err: err}
-		}
-		s.metrics.timeouts.Add(1)
-		s.obs.errorKind(KindTimeout)
-		return nil, ex, &Error{Kind: KindTimeout, Err: err}
+		return o.fail(exitTimeout, err)
 	}
 	defer s.gate.release()
 
@@ -557,15 +528,13 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 		col = trace.NewCollector()
 	}
 	planStart := time.Now()
-	prep, planHit, err := s.compile(st, canonical, col)
-	ex.planDur = time.Since(planStart)
+	prep, planHit, err := s.compile(st, o.canonical, col)
+	o.planDur = time.Since(planStart)
+	o.plan = lookupOf(planHit)
 	if err != nil {
-		s.metrics.invalid.Add(1)
-		s.obs.errorKind(KindInvalid)
-		return nil, ex, classify(KindInvalid, err)
+		return o.fail(exitInvalid, err)
 	}
-	ex.planHash = prep.Fingerprint()
-	ex.planHit = planHit
+	o.planHash = prep.Fingerprint()
 
 	// Under governance every query charges its materialized bytes to its own
 	// reservation; Release on every exit path is what keeps the broker's
@@ -575,7 +544,7 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 	// materialization points.
 	var reservation *govern.Reservation
 	if s.broker != nil {
-		reservation = s.broker.Begin(canonical)
+		reservation = s.broker.Begin(o.canonical)
 		defer reservation.Release()
 		if ctx == nil {
 			ctx = context.Background()
@@ -602,97 +571,58 @@ func (s *Session) execute(req Request) (*Response, exitInfo, error) {
 	cfg.Trace = col
 
 	execStart := time.Now()
-	var res *core.Result
-	var clusterRep *ClusterReport
 	if s.opts.Remote != nil && req.Faults == nil {
-		res, clusterRep, err = s.opts.Remote.ExecuteRemote(g, prep, cfg)
+		o.res, o.cluster, err = s.opts.Remote.ExecuteRemote(g, prep, cfg)
 	} else {
-		res, err = prep.Execute(g, cfg)
+		o.res, err = prep.Execute(g, cfg)
 	}
-	ex.execDur = time.Since(execStart)
-	if err != nil {
-		if s.qstore != nil {
-			ex.memBytes = env.Metrics().TotalMem
-		}
-		return nil, ex, s.classifyExec(err, reservation)
+	o.execDur = time.Since(execStart)
+	if err != nil { // and o.res is nil: settle takes a non-nil res for an execution that succeeded
+		o.job = env.Metrics()
+		return o.fail(exitOf(err, reservation))
 	}
 	// The table is encoded here rather than in the server so that the bytes
 	// have one owner: this response, and the cache entry it may become.
-	columns := res.Columns()
-	rowsJSON := res.AppendRowsJSON(nil)
-	count := res.Count()
-	m := env.Metrics()
-	if clusterRep != nil {
+	o.columns = o.res.Columns()
+	o.rowsJSON = o.res.AppendRowsJSON(nil)
+	o.count = o.res.Count()
+	o.job = env.Metrics()
+	if o.cluster != nil {
 		// The local env only assembled the shipped result; the workers'
 		// merged charges are the query's real metrics.
-		m = clusterRep.Metrics
+		o.job = o.cluster.Metrics
 	}
-	m.SlotWait = queueWait
-	s.metrics.mergeJob(m)
-
+	o.job.SlotWait = o.queueWait
 	if cacheable {
 		s.results.put(&cachedResult{
-			Columns:    columns,
-			RowsJSON:   rowsJSON,
-			Count:      count,
+			Columns:    o.columns,
+			RowsJSON:   o.rowsJSON,
+			Count:      o.count,
 			key:        resultKey,
 			generation: st.generation,
 		})
 	}
-	resp := &Response{
-		Columns:      columns,
-		RowsJSON:     rowsJSON,
-		Count:        count,
-		Fingerprint:  prep.Fingerprint(),
-		PlanCacheHit: planHit,
-		Elapsed:      time.Since(start),
-		QueueWait:    queueWait,
-		Metrics:      m,
-		Trace:        res.Trace,
-		Result:       res,
-		Cluster:      clusterRep,
-	}
-	s.obs.queryTime.Observe(int64(resp.Elapsed))
-	if s.qstore != nil {
-		ex.memBytes = m.TotalMem
-		if est, ok := res.Plan.Estimates[res.Plan.Root]; ok {
-			ex.rootEst, ex.hasRootEst = est, true
-		}
-		if col != nil {
-			ex.ops = res.AnalyzedOps()
-		}
-	}
-	if th := s.slowThreshold(); th > 0 && resp.Elapsed >= th {
-		s.logSlow(req.Context, canonical, resp.Fingerprint, prep.Plan.Explain(), resp)
-	}
-	return resp, ex, nil
+	return o
 }
 
-// classifyExec maps an execution error to its kind. The budget check runs
-// before the context cases: a shed victim's kill cancels its query context,
-// so the surfaced error is often context.Canceled — the reservation's
-// structured kill error is the real cause and must win the classification.
-func (s *Session) classifyExec(err error, r *govern.Reservation) error {
+// exitOf maps an execution error to how the request ended. The budget check
+// runs before the context cases: a shed victim's kill cancels its query
+// context, so the surfaced error is often context.Canceled — the
+// reservation's structured kill error is the real cause and must win the
+// classification.
+func exitOf(err error, r *govern.Reservation) (exit, error) {
 	if kerr := r.KillErr(); kerr != nil && !errors.Is(err, govern.ErrMemoryBudget) {
 		err = fmt.Errorf("%w (surfaced as: %v)", kerr, err)
 	}
 	switch {
 	case errors.Is(err, govern.ErrMemoryBudget):
-		s.metrics.memKilled.Add(1)
-		s.obs.errorKind(KindMemoryBudget)
-		return classify(KindMemoryBudget, err)
+		return exitMemoryKill, err
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.metrics.timeouts.Add(1)
-		s.obs.errorKind(KindTimeout)
-		return classify(KindTimeout, err)
+		return exitTimeout, err
 	case isMissingParam(err):
-		s.metrics.invalid.Add(1)
-		s.obs.errorKind(KindInvalid)
-		return classify(KindInvalid, err)
+		return exitInvalid, err
 	default:
-		s.metrics.failed.Add(1)
-		s.obs.errorKind(KindFailed)
-		return classify(KindFailed, err)
+		return exitFailed, err
 	}
 }
 

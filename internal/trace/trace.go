@@ -97,23 +97,63 @@ func (s *Span) Retries() int64 {
 	return n
 }
 
-// SimTime derives the stage's simulated cluster time from its per-partition
-// charges under the given cost coefficients: the slowest partition's
-// CPU/network/disk/recovery time plus the fixed stage overhead. Summing
-// SimTime over all spans reproduces the job-level MetricsSnapshot.SimTime
-// decomposition per stage.
-func (s *Span) SimTime(cpuPerElement, netPerByte, diskPerByte, stageOverhead time.Duration) time.Duration {
+// NetBytes sums the per-partition network charges: the cost model's
+// cross-partition byte count for the stage.
+func (s *Span) NetBytes() int64 {
+	var n int64
+	for _, p := range s.Parts {
+		n += p.NetBytes
+	}
+	return n
+}
+
+// MemBytes sums the per-partition memory-broker charges.
+func (s *Span) MemBytes() int64 {
+	var n int64
+	for _, p := range s.Parts {
+		n += p.MemBytes
+	}
+	return n
+}
+
+// CostModel holds the coefficients of the simulated-time model (DESIGN
+// decision 2). dataflow.Config hands it out (Config.Cost); it lives here
+// because the charges it prices do (PartStats) and dataflow imports this
+// package, not the other way round.
+type CostModel struct {
+	CPUPerElement time.Duration
+	NetPerByte    time.Duration
+	DiskPerByte   time.Duration
+	// StageOverhead is charged once per stage, whatever its size.
+	StageOverhead time.Duration
+}
+
+// Time prices one set of charges - a partition's share of a stage or a
+// worker's share of a job. It is the only place the model's arithmetic is
+// written: a job's MetricsSnapshot.SimTime and a stage's Span.SimTime are
+// both a maximum of Time plus StageOverhead per stage.
+func (m CostModel) Time(cpuElements, netBytes, spillBytes int64, recovery time.Duration) time.Duration {
+	return time.Duration(cpuElements)*m.CPUPerElement +
+		time.Duration(netBytes)*m.NetPerByte +
+		time.Duration(spillBytes)*m.DiskPerByte +
+		recovery
+}
+
+// SimTime is the stage's simulated cluster time under m: the slowest
+// partition's Time plus the stage overhead. What ties it to the job's
+// MetricsSnapshot.SimTime is the charges, not the times: summed over the
+// spans, each worker's partitions' CPU, network, spill and recovery charges
+// are that worker's entries in the snapshot, and Time over those sums plus
+// one overhead per stage is the snapshot's SimTime exactly
+// (dataflow.TestSpanChargesPriceToSnapshot). The per-stage SimTimes do not
+// sum to it: the slowest worker of one stage need not be the slowest of the
+// next, so their sum is an upper bound on the job's figure.
+func (s *Span) SimTime(m CostModel) time.Duration {
 	var worst time.Duration
 	for _, p := range s.Parts {
-		t := time.Duration(p.CPUElements)*cpuPerElement +
-			time.Duration(p.NetBytes)*netPerByte +
-			time.Duration(p.SpillBytes)*diskPerByte +
-			p.Recovery
-		if t > worst {
-			worst = t
-		}
+		worst = max(worst, m.Time(p.CPUElements, p.NetBytes, p.SpillBytes, p.Recovery))
 	}
-	return worst + stageOverhead
+	return worst + m.StageOverhead
 }
 
 // OpStats aggregates the execution of one physical-plan operator: its

@@ -96,7 +96,7 @@ func TestSpanSimTime(t *testing.T) {
 		{CPUElements: 50, NetBytes: 1000, Recovery: time.Millisecond},
 	}}
 	// worst partition: 50*1µs + 1000*1µs + 1ms = 2.05ms; + 1ms overhead
-	got := s.SimTime(time.Microsecond, time.Microsecond, 0, time.Millisecond)
+	got := s.SimTime(CostModel{CPUPerElement: time.Microsecond, NetPerByte: time.Microsecond, StageOverhead: time.Millisecond})
 	want := 50*time.Microsecond + 1000*time.Microsecond + time.Millisecond + time.Millisecond
 	if got != want {
 		t.Errorf("SimTime = %v, want %v", got, want)
