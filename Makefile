@@ -97,7 +97,10 @@ chaos-smoke:
 # since PR 22 allocated the eight-row outputs once; 33 and 46 before);
 # and the output partitions (decision 25): the leaf scan and the join probe
 # are also held to their heap bytes per output row, because a partition grown
-# by append costs the same handful of objects and several times the bytes.
+# by append costs the same handful of objects and several times the bytes;
+# and the bind (decision 27): a fresh environment, the pinned store bound to it
+# and a one- and a two-label scan cost a fixed 34 objects, because a dataset is
+# cut for the labels a query reads, not for every label of the graph.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -126,6 +129,9 @@ alloc-guard:
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkQueryCacheHit' -benchmem | awk ' \
 		/^BenchmarkQueryCacheHit/ { print; seen++; if ($$(NF-1)+0 > 51) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: a result-cache hit over HTTP allocates more than 51 objects (47 measured + 10%)"; exit 1 } }'
+	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkBind' -benchmem | awk ' \
+		/^BenchmarkBind/ { print; seen++; if ($$(NF-1)+0 > 37) bad = 1 } \
+		END { if (bad || !seen) { print "alloc-guard: binding the pinned graph and two scans allocate more than 37 objects (34 measured + 10%; 67 when Bind built a dataset per label)"; exit 1 } }'
 
 # figures-check regenerates the paper's evaluation (`cmd/bench -exp all`:
 # Figures 3-5, Tables 3-4, cardinalities, the recovery table, every EXPLAIN

@@ -87,8 +87,9 @@ func main() {
 		fail(err)
 	}
 
-	// The loading environment is scratch: the worker pins the raw slices and
-	// rebinds them into each job's own environment.
+	// The loading environment and the graph read into it are scratch: the
+	// worker pins the label-partitioned store built from them and binds that
+	// to each job's own environment.
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	g, err := csvstore.ReadLogicalGraph(env, *graphDir)
 	if err != nil {

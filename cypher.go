@@ -166,7 +166,8 @@ type GraphIndex struct {
 	idx *epgm.IndexedLogicalGraph
 }
 
-// BuildIndex partitions the graph's elements by type label.
+// BuildIndex partitions the graph's elements by type label: one copy of them
+// in label-major order, of which a label's dataset is a range.
 func (g *LogicalGraph) BuildIndex() *GraphIndex {
 	return &GraphIndex{idx: epgm.BuildIndex(g.g)}
 }

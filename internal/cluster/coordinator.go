@@ -18,7 +18,6 @@ import (
 	"gradoop/internal/epgm"
 	"gradoop/internal/field"
 	"gradoop/internal/obs"
-	"gradoop/internal/planner"
 	"gradoop/internal/session"
 	"gradoop/internal/trace"
 	"gradoop/internal/wire"
@@ -139,12 +138,12 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 	}()
 	now := time.Now()
 	for i, addr := range addrs {
-		conn, br, node, err := dialControl(addr)
+		conn, br, wl, err := dialHello(addr, hello{Magic: protoMagic, Version: protoVersion, Role: roleControl})
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: worker %d (%s): %w", i, addr, err)
 		}
-		m := &member{idx: i, node: node, addr: addr, conn: conn, send: newSender(conn), alive: true, lastPong: now}
+		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), alive: true, lastPong: now}
 		c.members = append(c.members, m)
 		c.wg.Add(1)
 		go func() {
@@ -154,44 +153,6 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 	}
 	c.inst.bindRoster(c)
 	return c, nil
-}
-
-// dialControl opens and hand-shakes one control connection.
-func dialControl(addr string) (net.Conn, *bufio.Reader, string, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	err = writeJSONFrame(conn, frameHello, hello{Magic: protoMagic, Version: protoVersion, Role: roleControl})
-	var typ byte
-	var payload []byte
-	if err == nil {
-		typ, payload, err = readFrame(br)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, nil, "", err
-	}
-	switch typ {
-	case frameWelcome:
-		var wl welcome
-		if err := json.Unmarshal(payload, &wl); err != nil || wl.Magic != protoMagic || wl.Version != protoVersion {
-			conn.Close()
-			return nil, nil, "", fmt.Errorf("bad welcome: %v", err)
-		}
-		conn.SetDeadline(time.Time{})
-		return conn, br, wl.Node, nil
-	case frameReject:
-		var rej reject
-		json.Unmarshal(payload, &rej)
-		conn.Close()
-		return nil, nil, "", fmt.Errorf("rejected: %s", rej.Reason)
-	default:
-		conn.Close()
-		return nil, nil, "", fmt.Errorf("unexpected handshake frame %d", typ)
-	}
 }
 
 // Close tears the coordinator down and waits for its goroutines (the
@@ -786,29 +747,13 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 		}
 	}
 
-	// Mirror core.Prepared.Execute's binding so QueryGraph/Plan/Meta are
-	// exactly what an in-process execution would return.
-	access := cfg.Access
-	if access == nil {
-		access = planner.PlainAccess{Graph: g}
-	}
-	binding, err := prep.Template.Bind(cfg.Params)
+	// The result is the one an in-process execution binds, with the workers'
+	// rows in place of a local run's.
+	res, err := prep.Bind(g, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	bound, err := planner.Rebind(prep.Plan, access, binding)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := access.Env()
-	res := &core.Result{
-		Graph:      g,
-		QueryGraph: binding.Graph,
-		Plan:       bound,
-		Embeddings: dataflow.FromSlice(env, flat),
-		Meta:       bound.Meta(),
-		Env:        env,
-	}
+	res.Embeddings = dataflow.FromSlice(res.Env, flat)
 	rep := &session.ClusterReport{
 		Workers: len(st.roster),
 		Stages:  foldStages(dones),

@@ -21,6 +21,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/field"
@@ -102,6 +103,47 @@ type welcome struct {
 // reject refuses a hello.
 type reject struct {
 	Reason string `json:"reason"`
+}
+
+// dialHello is the client half of the handshake, for both roles: dial, say
+// h, and read the answer, all within handshakeTimeout. A connection comes
+// back only behind a welcome that names this build's magic and version; a
+// reject, a welcome from another build or any other frame closes it. The
+// reader holds whatever the peer sent after its welcome.
+func dialHello(addr string, h hello) (net.Conn, *bufio.Reader, welcome, error) {
+	var wl welcome
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, nil, wl, err
+	}
+	br := bufio.NewReaderSize(conn, 64<<10)
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	err = writeJSONFrame(conn, frameHello, h)
+	var typ byte
+	var payload []byte
+	if err == nil {
+		typ, payload, err = readFrame(br)
+	}
+	switch {
+	case err != nil:
+	case typ == frameReject:
+		var rej reject
+		json.Unmarshal(payload, &rej) // a reject that does not parse is still a reject
+		err = fmt.Errorf("rejected: %s", rej.Reason)
+	case typ != frameWelcome:
+		err = fmt.Errorf("unexpected handshake frame %d", typ)
+	default:
+		if err = json.Unmarshal(payload, &wl); err == nil && (wl.Magic != protoMagic || wl.Version != protoVersion) {
+			err = fmt.Errorf("welcome from another build: magic %#x version %d, want %#x version %d",
+				wl.Magic, wl.Version, protoMagic, protoVersion)
+		}
+	}
+	if err != nil {
+		conn.Close()
+		return nil, nil, wl, err
+	}
+	conn.SetDeadline(time.Time{})
+	return conn, br, wl, nil
 }
 
 // procSpec is one roster member as the workers see each other.

@@ -307,6 +307,48 @@ func TestHandshakeBadMagic(t *testing.T) {
 	}
 }
 
+// TestDialRejectsForeignWelcome: the client half of the handshake holds the
+// welcome to this build's magic and version in both roles. A worker dialing a
+// peer of another build used to take any welcome.
+func TestDialRejectsForeignWelcome(t *testing.T) {
+	for _, role := range []string{roleControl, rolePeer} {
+		for name, wl := range map[string]welcome{
+			"version": {Magic: protoMagic, Version: protoVersion + 1, Node: "other"},
+			"magic":   {Magic: 0xDEADBEEF, Version: protoVersion, Node: "other"},
+		} {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				defer conn.Close()
+				if _, _, err := readFrame(bufio.NewReader(conn)); err != nil {
+					served <- err
+					return
+				}
+				served <- writeJSONFrame(conn, frameWelcome, wl)
+			}()
+			conn, _, _, err := dialHello(ln.Addr().String(), hello{Magic: protoMagic, Version: protoVersion, Role: role, Node: "w0"})
+			if err == nil {
+				conn.Close()
+				t.Errorf("%s dial took a welcome with a foreign %s", role, name)
+			} else if !strings.Contains(err.Error(), "another build") {
+				t.Errorf("%s dial, foreign %s: %v", role, name, err)
+			}
+			if err := <-served; err != nil {
+				t.Errorf("%s dial, foreign %s: the fake peer: %v", role, name, err)
+			}
+			ln.Close()
+		}
+	}
+}
+
 // TestMidStreamDropFailsCollective severs a peer connection while a
 // collective is waiting on it and requires a structured ErrPeerLost, not a
 // hang.

@@ -500,40 +500,20 @@ func (w *Worker) connectMesh(spec *jobSpec, rt *jobRuntime) error {
 			}
 			continue
 		}
-		conn, err := net.DialTimeout("tcp", spec.Procs[j].Addr, handshakeTimeout)
+		conn, br, _, err := dialHello(spec.Procs[j].Addr, hello{
+			Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: w.node,
+			JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self,
+		})
 		if err != nil {
 			rt.failPeer(j, err)
-			return fmt.Errorf("%w: dialing peer %d (%s): %v", ErrPeerLost, j, spec.Procs[j].Addr, err)
+			return fmt.Errorf("%w: peer %d (%s): %v", ErrPeerLost, j, spec.Procs[j].Addr, err)
 		}
+		// Tracked once established: Close need not reach a handshake in
+		// flight, its own deadline ends it.
 		if !w.track(conn) {
 			conn.Close()
 			return errors.New("cluster: worker closed")
 		}
-		br := bufio.NewReaderSize(conn, 64<<10)
-		conn.SetDeadline(time.Now().Add(handshakeTimeout))
-		err = writeJSONFrame(conn, frameHello, hello{
-			Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: w.node,
-			JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self,
-		})
-		if err == nil {
-			var typ byte
-			var payload []byte
-			typ, payload, err = readFrame(br)
-			if err == nil && typ == frameReject {
-				var rej reject
-				json.Unmarshal(payload, &rej)
-				err = fmt.Errorf("cluster: peer %d rejected handshake: %s", j, rej.Reason)
-			} else if err == nil && typ != frameWelcome {
-				err = fmt.Errorf("cluster: peer %d: unexpected handshake frame %d", j, typ)
-			}
-		}
-		if err != nil {
-			conn.Close()
-			w.untrack(conn)
-			rt.failPeer(j, err)
-			return fmt.Errorf("%w: handshake with peer %d: %v", ErrPeerLost, j, err)
-		}
-		conn.SetDeadline(time.Time{})
 		link := rt.addPeer(j, conn)
 		if link == nil {
 			conn.Close()

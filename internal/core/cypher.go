@@ -79,41 +79,18 @@ type Result struct {
 	profile     []qstore.OpMetrics
 }
 
-// prepare parses, simplifies and plans a query.
-func prepare(g *epgm.LogicalGraph, query string, cfg Config) (*cypher.QueryGraph, *planner.QueryPlan, error) {
-	ast, err := cypher.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	qg, err := cypher.BuildQueryGraph(ast, cfg.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := cfg.Stats
-	if st == nil {
-		st = GraphStats(g)
-	}
-	access := cfg.Access
-	if access == nil {
-		access = planner.PlainAccess{Graph: g}
-	}
-	pl := &planner.Planner{
-		Stats:        st,
-		Morph:        operators.Morphism{Vertex: cfg.Vertex, Edge: cfg.Edge},
-		Hint:         cfg.Hint,
-		DisableReuse: cfg.DisableSubqueryReuse,
-	}
-	plan, err := pl.Plan(access, qg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return qg, plan, nil
-}
-
-// Plan parses, simplifies and plans a query without executing it.
+// Plan compiles and binds a query without executing it: the plan it returns
+// is the one Execute would run for the same cfg.
 func Plan(g *epgm.LogicalGraph, query string, cfg Config) (*planner.QueryPlan, error) {
-	_, plan, err := prepare(g, query, cfg)
-	return plan, err
+	p, err := Prepare(g, query, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Bind(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.Plan, nil
 }
 
 // Execute runs a Cypher query against a logical graph. Execution is fault

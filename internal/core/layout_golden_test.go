@@ -108,3 +108,28 @@ func TestLayoutGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanIsThePlanExecuteRuns: core.Plan compiles and binds the way Execute
+// does, so what -explain prints for Q1-Q6, parameters bound, is the plan that
+// would run.
+func TestPlanIsThePlanExecuteRuns(t *testing.T) {
+	g, common := goldenGraph(4)
+	defer core.DropGraphStats(g)
+	for _, q := range benchkit.AllQueries {
+		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
+		if q.Operational() {
+			cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}
+		}
+		plan, err := core.Plan(g, q.Text(), cfg)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", q, err)
+		}
+		res, err := core.Execute(g, q.Text(), cfg)
+		if err != nil {
+			t.Fatalf("%s: execute: %v", q, err)
+		}
+		if planned, ran := plan.Explain(), res.Explain(); planned != ran {
+			t.Errorf("%s: planned\n%s\nran\n%s", q, planned, ran)
+		}
+	}
+}

@@ -81,11 +81,14 @@ func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query st
 // Fingerprint returns the template plan's canonical key.
 func (p *Prepared) Fingerprint() string { return p.Plan.Fingerprint() }
 
-// Execute binds cfg.Params into the template, re-instantiates the cached
-// plan against the execution's graph access and runs it. Each call builds a
-// fresh operator tree, so one Prepared serves concurrent executions (each on
-// its own Env). Fault-tolerance semantics match Execute.
-func (p *Prepared) Execute(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
+// Bind is the one step from a compiled query to a run of it: cfg.Params go
+// into the template and the cached plan is re-instantiated against the run's
+// graph access (cfg.Access, or a plain scan of g). Each call builds a fresh
+// operator tree, so one Prepared serves concurrent executions, each on its
+// own Env. The Result it returns is complete but for what a run produces:
+// Execute fills in Embeddings from the engine, a cluster coordinator from its
+// workers' partitions, and Plan only renders it.
+func (p *Prepared) Bind(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
 	access := cfg.Access
 	if access == nil {
 		access = planner.PlainAccess{Graph: g}
@@ -98,7 +101,23 @@ func (p *Prepared) Execute(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := access.Env()
+	return &Result{
+		Graph:      g,
+		QueryGraph: binding.Graph,
+		Plan:       bound,
+		Meta:       bound.Meta(),
+		Env:        access.Env(),
+	}, nil
+}
+
+// Execute binds the query and runs it on the bound access's environment,
+// with the fault tolerance the package-level Execute describes.
+func (p *Prepared) Execute(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
+	res, err := p.Bind(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	env := res.Env
 	if cfg.Trace != nil {
 		env.SetTracer(cfg.Trace)
 		defer env.SetTracer(nil)
@@ -113,26 +132,20 @@ func (p *Prepared) Execute(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
 		defer cancel()
 	}
 	env.Begin(ctx)
-	embeddings := bound.Execute()
+	res.Embeddings = res.Plan.Execute()
 	if err := env.Finish(); err != nil {
 		return nil, fmt.Errorf("core: execute %q: %w", p.Query, err)
 	}
-	return &Result{
-		Graph:      g,
-		QueryGraph: binding.Graph,
-		Plan:       bound,
-		Embeddings: embeddings,
-		Meta:       bound.Meta(),
-		Env:        env,
-		Trace:      cfg.Trace,
-	}, nil
+	res.Trace = cfg.Trace
+	return res, nil
 }
 
 // Per-graph statistics memo: Execute with cfg.Stats == nil used to re-collect
 // statistics on every call; GraphStats collects once per graph. Entries are
-// keyed by graph identity; a long-lived holder that retires a graph (the
-// session engine on SwapGraph) evicts its entry via DropGraphStats so the
-// memo does not keep swapped-out graphs reachable for the process lifetime.
+// keyed by graph identity, so a caller that is done with a graph it queried
+// this way evicts its entry via DropGraphStats, or the memo keeps the graph
+// reachable for the process lifetime. A session never writes it: it collects
+// its own statistics and holds them with the graph they describe.
 var (
 	statsMu          sync.Mutex
 	statsMemo        = map[*epgm.LogicalGraph]*stats.GraphStatistics{}
@@ -162,9 +175,8 @@ func DropGraphStats(g *epgm.LogicalGraph) {
 	statsMu.Unlock()
 }
 
-// GraphStatsMemoized reports how many graphs have statistics in the memo.
-// A holder that retires graphs (a session on SwapGraph and Close) is tested
-// against it: the count must not grow with the graphs it has let go of.
+// GraphStatsMemoized reports how many graphs have statistics in the memo; a
+// session's whole life is tested to leave it unchanged.
 func GraphStatsMemoized() int {
 	statsMu.Lock()
 	defer statsMu.Unlock()

@@ -6,120 +6,141 @@ import (
 	"gradoop/internal/dataflow"
 )
 
-// IndexedLogicalGraph is the alternative graph representation of §3.4: it
-// partitions vertices and edges by type label and manages one dataset per
-// label. When a query element carries a label predicate, the planner loads
-// only the matching dataset instead of scanning (and replicating) the union
-// of all elements.
+// Store is a graph's pinned, label-partitioned representation (§3.4): one
+// vertex and one edge array in label-major order - labels sorted, the order
+// within a label as in the input - plus one [Lo,Hi) range per label. The
+// order is a function of the input alone, so every process of a cluster that
+// loads the same dataset derives the identical arrays and, with them, the
+// identical chunk boundaries of every dataset cut from them. A Store belongs
+// to no environment and is immutable once built: any number of concurrent
+// queries Index it onto their own.
+type Store struct {
+	Head     GraphHead
+	Vertices []Vertex
+	Edges    []Edge
+	// VertexRanges and EdgeRanges are in label order and tile their array.
+	VertexRanges []LabelRange
+	EdgeRanges   []LabelRange
+}
+
+// LabelRange locates one label's elements in a Store's array.
+type LabelRange struct {
+	Label  string
+	Lo, Hi int
+}
+
+// NewStore builds the store of a logical graph.
+func NewStore(g *LogicalGraph) *Store {
+	s := &Store{Head: g.Head}
+	s.Vertices, s.VertexRanges = labelMajor(g.Vertices, func(v *Vertex) string { return v.Label })
+	s.Edges, s.EdgeRanges = labelMajor(g.Edges, func(e *Edge) string { return e.Label })
+	return s
+}
+
+// labelMajor is a counting sort of d's elements by label: count, lay the
+// ranges out in label order, then write every element once into an array
+// allocated at its final size.
+func labelMajor[T any](d *dataflow.Dataset[T], label func(*T) string) ([]T, []LabelRange) {
+	counts := map[string]int{}
+	for p := 0; p < d.Partitions(); p++ {
+		part := d.Partition(p)
+		for i := range part {
+			counts[label(&part[i])]++
+		}
+	}
+	ranges := make([]LabelRange, 0, len(counts))
+	for l := range counts {
+		ranges = append(ranges, LabelRange{Label: l})
+	}
+	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Label < ranges[j].Label })
+	next := make(map[string]int, len(ranges)) // where each label's next element goes
+	total := 0
+	for i := range ranges {
+		r := &ranges[i]
+		r.Lo, r.Hi = total, total+counts[r.Label]
+		next[r.Label] = r.Lo
+		total = r.Hi
+	}
+	out := make([]T, total)
+	for p := 0; p < d.Partitions(); p++ {
+		part := d.Partition(p)
+		for i := range part {
+			l := label(&part[i])
+			out[next[l]] = part[i]
+			next[l]++
+		}
+	}
+	return out, ranges
+}
+
+// Index binds the store to an environment.
+func (s *Store) Index(env *dataflow.Env) *IndexedLogicalGraph {
+	return &IndexedLogicalGraph{env: env, store: s}
+}
+
+// IndexedLogicalGraph is the alternative graph representation of §3.4: a
+// Store bound to an environment. When a query element carries a label
+// predicate, the planner loads only that label's range of the array instead
+// of scanning (and replicating) all elements. Datasets are cut on request
+// and copy nothing: a single label's is a sub-slice of the store's array.
 type IndexedLogicalGraph struct {
-	env             *dataflow.Env
-	Head            GraphHead
-	VerticesByLabel map[string]*dataflow.Dataset[Vertex]
-	EdgesByLabel    map[string]*dataflow.Dataset[Edge]
+	env   *dataflow.Env
+	store *Store
 }
 
 // BuildIndex converts a logical graph into its label-indexed representation.
-func BuildIndex(g *LogicalGraph) *IndexedLogicalGraph {
-	idx := &IndexedLogicalGraph{
-		env:             g.env,
-		Head:            g.Head,
-		VerticesByLabel: map[string]*dataflow.Dataset[Vertex]{},
-		EdgesByLabel:    map[string]*dataflow.Dataset[Edge]{},
-	}
-	vparts := map[string][]Vertex{}
-	for _, v := range g.Vertices.Collect() {
-		vparts[v.Label] = append(vparts[v.Label], v)
-	}
-	for label, vs := range vparts {
-		idx.VerticesByLabel[label] = dataflow.FromSlice(g.env, vs)
-	}
-	eparts := map[string][]Edge{}
-	for _, e := range g.Edges.Collect() {
-		eparts[e.Label] = append(eparts[e.Label], e)
-	}
-	for label, es := range eparts {
-		idx.EdgesByLabel[label] = dataflow.FromSlice(g.env, es)
-	}
-	return idx
-}
-
-// IndexedFromSlices builds the label-indexed representation directly from
-// pre-partitioned element slices, without collecting through an existing
-// graph. The slices are split across workers zero-copy (FromSlice), so a
-// long-lived holder of the raw slices — the query service's session — can
-// rebind them onto a fresh per-query environment at no per-element cost.
-// Callers must not mutate the slices afterwards.
-func IndexedFromSlices(env *dataflow.Env, head GraphHead, vertices map[string][]Vertex, edges map[string][]Edge) *IndexedLogicalGraph {
-	idx := &IndexedLogicalGraph{
-		env:             env,
-		Head:            head,
-		VerticesByLabel: make(map[string]*dataflow.Dataset[Vertex], len(vertices)),
-		EdgesByLabel:    make(map[string]*dataflow.Dataset[Edge], len(edges)),
-	}
-	for label, vs := range vertices {
-		idx.VerticesByLabel[label] = dataflow.FromSlice(env, vs)
-	}
-	for label, es := range edges {
-		idx.EdgesByLabel[label] = dataflow.FromSlice(env, es)
-	}
-	return idx
-}
+func BuildIndex(g *LogicalGraph) *IndexedLogicalGraph { return NewStore(g).Index(g.env) }
 
 // Env returns the execution environment.
 func (x *IndexedLogicalGraph) Env() *dataflow.Env { return x.env }
 
-// Vertices returns the dataset for one or more vertex labels. With no
-// labels (or an unindexed label mix) it returns the union of all per-label
-// datasets, i.e. a full scan.
+// Vertices returns the dataset for one or more vertex labels (unknown labels
+// select nothing), or all vertices, in label-major order, when no label is
+// given.
 func (x *IndexedLogicalGraph) Vertices(labels ...string) *dataflow.Dataset[Vertex] {
-	if len(labels) == 0 {
-		labels = x.VertexLabels()
-	}
-	out := dataflow.Empty[Vertex](x.env)
-	for _, l := range labels {
-		if ds, ok := x.VerticesByLabel[l]; ok {
-			out = dataflow.Union(out, ds)
-		}
-	}
-	return out
+	return scan(x.env, x.store.Vertices, x.store.VertexRanges, labels)
 }
 
 // Edges returns the dataset for one or more edge labels, or all edges when
 // no label is given.
 func (x *IndexedLogicalGraph) Edges(labels ...string) *dataflow.Dataset[Edge] {
+	return scan(x.env, x.store.Edges, x.store.EdgeRanges, labels)
+}
+
+// scan cuts the dataset of a label alternation out of a store array. Each
+// label costs one Union stage that moves nothing while a single label is
+// populated; two populated labels are concatenated partition by partition.
+func scan[T any](env *dataflow.Env, all []T, ranges []LabelRange, labels []string) *dataflow.Dataset[T] {
 	if len(labels) == 0 {
-		labels = x.EdgeLabels()
+		return dataflow.FromSlice(env, all)
 	}
-	out := dataflow.Empty[Edge](x.env)
+	out := dataflow.Empty[T](env)
 	for _, l := range labels {
-		if ds, ok := x.EdgesByLabel[l]; ok {
-			out = dataflow.Union(out, ds)
+		for _, r := range ranges { // a schema's worth of labels: a walk, not a search
+			if r.Label == l {
+				out = dataflow.Union(out, dataflow.FromSlice(env, all[r.Lo:r.Hi]))
+			}
 		}
 	}
 	return out
 }
 
 // VertexLabels returns the indexed vertex labels in sorted order.
-func (x *IndexedLogicalGraph) VertexLabels() []string {
-	labels := make([]string, 0, len(x.VerticesByLabel))
-	for l := range x.VerticesByLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels
-}
+func (x *IndexedLogicalGraph) VertexLabels() []string { return labelsOf(x.store.VertexRanges) }
 
 // EdgeLabels returns the indexed edge labels in sorted order.
-func (x *IndexedLogicalGraph) EdgeLabels() []string {
-	labels := make([]string, 0, len(x.EdgesByLabel))
-	for l := range x.EdgesByLabel {
-		labels = append(labels, l)
+func (x *IndexedLogicalGraph) EdgeLabels() []string { return labelsOf(x.store.EdgeRanges) }
+
+func labelsOf(ranges []LabelRange) []string {
+	labels := make([]string, len(ranges))
+	for i, r := range ranges {
+		labels[i] = r.Label
 	}
-	sort.Strings(labels)
 	return labels
 }
 
-// ToLogicalGraph flattens the index back into a plain logical graph.
+// ToLogicalGraph flattens the index back into a plain logical graph over the
+// store's arrays.
 func (x *IndexedLogicalGraph) ToLogicalGraph() *LogicalGraph {
-	return &LogicalGraph{env: x.env, Head: x.Head, Vertices: x.Vertices(), Edges: x.Edges()}
+	return &LogicalGraph{env: x.env, Head: x.store.Head, Vertices: x.Vertices(), Edges: x.Edges()}
 }

@@ -44,8 +44,9 @@ func (a PlainAccess) VertexDataset([]string) *dataflow.Dataset[epgm.Vertex] { re
 // EdgeDataset implements GraphAccess.
 func (a PlainAccess) EdgeDataset([]string) *dataflow.Dataset[epgm.Edge] { return a.Graph.Edges }
 
-// IndexedAccess reads per-label datasets, loading only what a label
-// predicate selects.
+// IndexedAccess reads the label-partitioned store, loading only the ranges a
+// label predicate selects. A session and a cluster worker plan and execute
+// against it.
 type IndexedAccess struct{ Index *epgm.IndexedLogicalGraph }
 
 // Env implements GraphAccess.

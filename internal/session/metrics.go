@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
 )
 
@@ -90,8 +89,8 @@ type Metrics struct {
 	QStoreFingerprints int   `json:"qstoreFingerprints"`
 	QStoreDrops        int64 `json:"qstoreDroppedWrites"`
 
-	// StatsCollections is the process-wide count of actual statistics
-	// collections (the per-graph memo's misses).
+	// StatsCollections counts the times this session collected statistics:
+	// once per graph generation.
 	StatsCollections int64 `json:"statsCollections"`
 
 	// Cluster is the merged dataflow accounting of every executed job:
@@ -140,7 +139,7 @@ func (s *Session) Metrics() Metrics {
 		ResultBytes:        resultBytes,
 		InFlight:           s.gate.inFlight(),
 		Queued:             s.gate.queued(),
-		StatsCollections:   core.StatsCollections(),
+		StatsCollections:   int64(s.snapshot().generation),
 		Cluster:            cluster,
 	}
 }

@@ -130,51 +130,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// GraphData is one pinned graph's process-resident representation: the raw
-// element slices (rebound zero-copy onto each query's environment) and the
-// per-label partitioning. It is immutable after construction and safe for
-// concurrent Bind calls. Besides the session's own graphState, a cluster
-// worker holds one per loaded dataset — every process of a distributed job
-// binds the identical data and runs the identical program over its owned
-// partitions.
-type GraphData struct {
-	Head     epgm.GraphHead
-	Vertices []epgm.Vertex
-	Edges    []epgm.Edge
-	vByLabel map[string][]epgm.Vertex
-	eByLabel map[string][]epgm.Edge
-}
+// GraphData is one pinned graph's process-resident representation: the
+// label-partitioned store (§3.4), the only copy of the graph this process
+// keeps. It is immutable after construction and safe for concurrent Bind
+// calls. Besides the session's own graphState, a cluster worker holds one per
+// loaded dataset — every process of a distributed job binds the identical
+// data and runs the identical program over its owned partitions.
+type GraphData struct{ *epgm.Store }
 
-// NewGraphData collects a logical graph into pinned slices.
-func NewGraphData(g *epgm.LogicalGraph) *GraphData {
-	d := &GraphData{
-		Head:     g.Head,
-		Vertices: g.Vertices.Collect(),
-		Edges:    g.Edges.Collect(),
-		vByLabel: map[string][]epgm.Vertex{},
-		eByLabel: map[string][]epgm.Edge{},
-	}
-	for _, v := range d.Vertices {
-		d.vByLabel[v.Label] = append(d.vByLabel[v.Label], v)
-	}
-	for _, e := range d.Edges {
-		d.eByLabel[e.Label] = append(d.eByLabel[e.Label], e)
-	}
-	return d
-}
+// NewGraphData builds a logical graph's store; the graph itself is not kept.
+func NewGraphData(g *epgm.LogicalGraph) *GraphData { return &GraphData{epgm.NewStore(g)} }
 
-// Bind attaches the pinned slices to a fresh environment: a logical graph
-// over the full slices plus a hybrid access that scans the full dataset for
-// unlabeled query elements (pure slice-header splitting) and the per-label
-// datasets for labeled ones (§3.4).
+// Bind attaches the store to a fresh environment: a logical graph over the
+// whole arrays plus the access leaves read through, which cuts a labeled
+// scan's dataset out of the array and hands an unlabeled one the array.
+// Neither copies an element.
 func (d *GraphData) Bind(env *dataflow.Env) (*epgm.LogicalGraph, planner.GraphAccess) {
-	g := epgm.NewLogicalGraph(env, d.Head,
-		dataflow.FromSlice(env, d.Vertices), dataflow.FromSlice(env, d.Edges))
-	idx := epgm.IndexedFromSlices(env, d.Head, d.vByLabel, d.eByLabel)
-	return g, hybridAccess{
-		plain:   planner.PlainAccess{Graph: g},
-		indexed: planner.IndexedAccess{Index: idx},
-	}
+	idx := d.Index(env)
+	return idx.ToLogicalGraph(), planner.IndexedAccess{Index: idx}
 }
 
 // graphState is one pinned graph: its GraphData plus the statistics
@@ -182,50 +155,18 @@ func (d *GraphData) Bind(env *dataflow.Env) (*epgm.LogicalGraph, planner.GraphAc
 // installs a whole new state.
 type graphState struct {
 	generation uint64
-	// graph is kept only so SwapGraph can evict the retired graph's entry
-	// from the process-wide statistics memo.
-	graph *epgm.LogicalGraph
-	data  *GraphData
-	stats *stats.GraphStatistics
+	data       *GraphData
+	stats      *stats.GraphStatistics
 }
 
+// newGraphState keeps nothing of g but what the store copied out of it, and
+// writes no process-wide memo: the statistics live and die with the state.
 func newGraphState(g *epgm.LogicalGraph, generation uint64) *graphState {
 	return &graphState{
 		generation: generation,
-		graph:      g,
 		data:       NewGraphData(g),
-		stats:      core.GraphStats(g),
+		stats:      stats.Collect(g),
 	}
-}
-
-func (st *graphState) bind(env *dataflow.Env) (*epgm.LogicalGraph, planner.GraphAccess) {
-	return st.data.Bind(env)
-}
-
-// hybridAccess serves unlabeled scans from the plain full datasets (no
-// per-label union work) and labeled scans from the index.
-type hybridAccess struct {
-	plain   planner.PlainAccess
-	indexed planner.IndexedAccess
-}
-
-// Env implements planner.GraphAccess.
-func (a hybridAccess) Env() *dataflow.Env { return a.plain.Env() }
-
-// VertexDataset implements planner.GraphAccess.
-func (a hybridAccess) VertexDataset(labels []string) *dataflow.Dataset[epgm.Vertex] {
-	if len(labels) == 0 {
-		return a.plain.VertexDataset(labels)
-	}
-	return a.indexed.VertexDataset(labels)
-}
-
-// EdgeDataset implements planner.GraphAccess.
-func (a hybridAccess) EdgeDataset(types []string) *dataflow.Dataset[epgm.Edge] {
-	if len(types) == 0 {
-		return a.plain.EdgeDataset(types)
-	}
-	return a.indexed.EdgeDataset(types)
 }
 
 // Session is a long-lived query service over one pinned graph.
@@ -297,29 +238,19 @@ func (s *Session) Options() Options { return s.opts }
 // data did.
 func (s *Session) SwapGraph(g *epgm.LogicalGraph) {
 	s.stateMu.Lock()
-	old := s.state
-	s.state = newGraphState(g, old.generation+1)
+	s.state = newGraphState(g, s.state.generation+1)
 	s.stateMu.Unlock()
-	if old.graph != g {
-		// Release the retired graph's statistics memo entry so a long-lived
-		// server does not pin every graph it ever served. In-flight queries
-		// are unaffected: they hold old.stats directly.
-		core.DropGraphStats(old.graph)
-	}
 	s.plans.purge()
 	s.results.purge()
 }
 
-// Close lets go of what the session keeps reachable for the life of the
-// process: its graph's entry in core's statistics memo, the pinned graph
-// itself and both caches (whose bytes go back to the memory broker). It is
-// the last call on a session. Queries in flight finish on the state they
-// started with; the session is left serving an empty graph, because a
+// Close lets go of what the session keeps reachable: the pinned graph with
+// its statistics and both caches (whose bytes go back to the memory broker).
+// It is the last call on a session. Queries in flight finish on the state
+// they started with; the session is left serving an empty graph, because a
 // metrics registry that outlives it still holds it through its gauges.
 func (s *Session) Close() {
-	empty := epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", nil, nil)
-	s.SwapGraph(empty)
-	core.DropGraphStats(empty)
+	s.SwapGraph(epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", nil, nil))
 }
 
 // snapshot returns the current immutable graph state.
@@ -414,7 +345,7 @@ func (s *Session) compile(st *graphState, canonical string, col *trace.Collector
 	build := func() (p *core.Prepared, err error) {
 		prepare := func() int64 {
 			env := dataflow.NewEnv(dataflow.DefaultConfig(s.opts.Workers))
-			_, access := st.bind(env)
+			_, access := st.data.Bind(env)
 			p, err = core.PrepareWith(access, st.stats, canonical, s.baseConfig())
 			return 0
 		}
@@ -562,7 +493,7 @@ func (s *Session) execute(req Request) outcome {
 	if req.Faults != nil {
 		env.InjectFaults(req.Faults)
 	}
-	g, access := st.bind(env)
+	g, access := st.data.Bind(env)
 	cfg := s.baseConfig()
 	cfg.Params = req.Params
 	cfg.Stats = st.stats

@@ -373,39 +373,35 @@ func TestStaleCompileAfterSwap(t *testing.T) {
 	}
 }
 
-// TestSwapGraphEvictsStatsMemo: swapping out a graph must release its entry
-// in the process-wide statistics memo — re-requesting the old graph's stats
-// collects again instead of finding the pinned entry.
-func TestSwapGraphEvictsStatsMemo(t *testing.T) {
-	old := testGraph(2)
-	s := New(old, Options{})
-	before := core.StatsCollections()
-	s.SwapGraph(testGraph(2)) // +1 collection for the new graph
-	core.GraphStats(old)      // +1: the memo entry was evicted, so this re-collects
-	if d := core.StatsCollections() - before; d != 2 {
-		t.Fatalf("collections delta=%d, want 2 (memo entry not evicted on swap)", d)
-	}
-	core.DropGraphStats(old) // leave no test residue in the memo
-}
-
-// TestCloseLeavesNothingPinned: a process that opens and closes sessions -
-// the benchmark harness cold-starts five systems - must not keep any of
-// their graphs reachable through core's statistics memo, whatever the
-// session did in between, and a closed session holds no rows and no graph.
+// TestCloseLeavesNothingPinned: a session collects its own statistics and
+// holds them with the graph they describe, so nothing it does - open, serve,
+// swap, close - writes core's process-wide statistics memo, which would keep
+// a graph reachable after the session let go of it; and a closed session
+// holds no rows and no graph.
 func TestCloseLeavesNothingPinned(t *testing.T) {
 	memoized := core.GraphStatsMemoized()
+	unchanged := func(cycle int, after string) {
+		t.Helper()
+		if got := core.GraphStatsMemoized(); got != memoized {
+			t.Fatalf("cycle %d: %d graphs memoized after %s, want %d as before the session", cycle, got, after, memoized)
+		}
+	}
 	for cycle := 0; cycle < 5; cycle++ {
 		s := New(testGraph(2), Options{})
+		unchanged(cycle, "New")
 		if _, err := s.Execute(Request{Query: `MATCH (p:Person)-[:knows]->(q:Person) RETURN p.name`}); err != nil {
 			t.Fatal(err)
 		}
+		unchanged(cycle, "Execute")
 		if cycle%2 == 1 {
 			s.SwapGraph(testGraph(2))
+			unchanged(cycle, "SwapGraph")
+		}
+		if got, want := s.Metrics().StatsCollections, int64(1+cycle%2); got != want {
+			t.Fatalf("cycle %d: session reports %d statistics collections, want %d: one per graph it served", cycle, got, want)
 		}
 		s.Close()
-		if got := core.GraphStatsMemoized(); got != memoized {
-			t.Fatalf("cycle %d: %d graphs memoized after Close, want %d as before the session", cycle, got, memoized)
-		}
+		unchanged(cycle, "Close")
 		if v, e := s.GraphSize(); v != 0 || e != 0 {
 			t.Fatalf("cycle %d: closed session still pins %d vertices, %d edges", cycle, v, e)
 		}

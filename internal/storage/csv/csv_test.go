@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
@@ -101,6 +102,51 @@ func TestReadAdvancesIDAllocator(t *testing.T) {
 	}
 	if id := epgm.NewID(); id <= maxLoaded {
 		t.Fatalf("NewID()=%d collides with loaded ids (max %d)", id, maxLoaded)
+	}
+}
+
+// TestLabelsAreInterned: every element of one label carries the same string,
+// not a substring of the line it was read from (which would keep the line
+// alive with it), and a label that needed unescaping still reads back whole.
+func TestLabelsAreInterned(t *testing.T) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
+	var vs []epgm.Vertex
+	for i := 0; i < 6; i++ {
+		label := "Person"
+		if i%3 == 2 {
+			label = "Ta;g"
+		}
+		vs = append(vs, epgm.Vertex{ID: epgm.NewID(), Label: label})
+	}
+	var es []epgm.Edge
+	for i := 0; i < 4; i++ {
+		es = append(es, epgm.Edge{ID: epgm.NewID(), Label: "kno|ws", Source: vs[i].ID, Target: vs[i+1].ID})
+	}
+	dir := t.TempDir()
+	if err := WriteLogicalGraph(epgm.GraphFromSlices(env, "G", vs, es), dir); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadLogicalGraph(env, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[string]*byte{}
+	check := func(kind, label string) {
+		at := unsafe.StringData(label)
+		if first, ok := shared[label]; !ok {
+			shared[label] = at
+		} else if first != at {
+			t.Errorf("two %s of label %q hold two strings", kind, label)
+		}
+	}
+	for _, v := range g.Vertices.Collect() {
+		check("vertices", v.Label)
+	}
+	for _, e := range g.Edges.Collect() {
+		check("edges", e.Label)
+	}
+	if len(shared) != 3 || shared["Person"] == nil || shared["Ta;g"] == nil || shared["kno|ws"] == nil {
+		t.Fatalf("labels read back: %v", shared)
 	}
 }
 

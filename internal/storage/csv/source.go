@@ -60,6 +60,19 @@ func ReadLogicalGraph(env *dataflow.Env, dir string) (*epgm.LogicalGraph, error)
 	}
 	bump(head.ID)
 
+	// One string per distinct label. unescape hands back a substring of the
+	// scanned line when nothing in it is escaped, and an element whose label
+	// is that substring keeps its whole line reachable for as long as it lives.
+	labels := map[string]string{}
+	intern := func(label string) string {
+		if l, ok := labels[label]; ok {
+			return l
+		}
+		label = strings.Clone(label)
+		labels[label] = label
+		return label
+	}
+
 	var vertices []epgm.Vertex
 	if err := readLines(filepath.Join(dir, VerticesFile), func(line string) error {
 		parts := splitUnescaped(line, ';')
@@ -83,7 +96,7 @@ func ReadLogicalGraph(env *dataflow.Env, dir string) (*epgm.LogicalGraph, error)
 			return err
 		}
 		bump(id)
-		vertices = append(vertices, epgm.Vertex{ID: id, Label: label, Properties: props, GraphIDs: graphs})
+		vertices = append(vertices, epgm.Vertex{ID: id, Label: intern(label), Properties: props, GraphIDs: graphs})
 		return nil
 	}); err != nil {
 		return nil, err
@@ -120,7 +133,7 @@ func ReadLogicalGraph(env *dataflow.Env, dir string) (*epgm.LogicalGraph, error)
 			return err
 		}
 		bump(id)
-		edges = append(edges, epgm.Edge{ID: id, Label: label, Source: src, Target: tgt, Properties: props, GraphIDs: graphs})
+		edges = append(edges, epgm.Edge{ID: id, Label: intern(label), Source: src, Target: tgt, Properties: props, GraphIDs: graphs})
 		return nil
 	}); err != nil {
 		return nil, err
