@@ -9,7 +9,7 @@ import (
 
 // TestGroupingOpsPollCancellation is the regression test for the ctxpoll
 // findings: the per-partition loops of DistinctBy, ReduceByKey, GroupBy and
-// CoGroup must poll cancellation, so a context cancelled mid-loop stops the
+// an outer join must poll cancellation, so a context cancelled mid-loop stops the
 // work within the cancelCheckMask window instead of finishing the pass.
 //
 // The test runs on a single worker deliberately: the one-partition shuffle
@@ -32,8 +32,8 @@ func TestGroupingOpsPollCancellation(t *testing.T) {
 	cases := []struct {
 		name string
 		// maxCalls is the ceiling the polled implementation must stay under;
-		// an unpolled loop runs the full pass (n calls, 2n for CoGroup's two
-		// build loops) and exceeds it.
+		// an unpolled loop runs the full pass (n calls, 3n for a join's build,
+		// count and probe loops) and exceeds it.
 		maxCalls int64
 		run      func(d *Dataset[int], key func(int) int)
 	}{
@@ -56,12 +56,10 @@ func TestGroupingOpsPollCancellation(t *testing.T) {
 			},
 		},
 		{
-			name: "CoGroup", maxCalls: 60_000,
+			name: "OuterJoinWith", maxCalls: 60_000,
 			run: func(d *Dataset[int], key func(int) int) {
 				k := func(v int) uint64 { return uint64(key(v)) }
-				CoGroup(d, d, k, k, func(_ uint64, ls, rs []int, emit func(int)) {
-					emit(len(ls) + len(rs))
-				})
+				OuterJoinWith(d, d, k, k, leftOuter)
 			},
 		},
 	}

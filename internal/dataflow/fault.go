@@ -8,8 +8,8 @@ import (
 )
 
 // ErrEnvMismatch is reported when a combining transformation (Union,
-// UnionAll, Join, CoGroup, Probe against a Build, BulkIteration with a seed)
-// receives operands that belong to different execution environments. Mixing
+// UnionAll, Join, OuterJoinWith, SemiJoinWith, Probe against a Build,
+// BulkIteration with a seed) receives operands that belong to different execution environments. Mixing
 // environments would silently corrupt metrics and partitioning, so the engine
 // fails the job instead; the error surfaces from Env.Err / core.Execute and
 // matches errors.Is(err, ErrEnvMismatch).

@@ -99,10 +99,8 @@ func TestEnvMismatch(t *testing.T) {
 		}},
 		{"Join", func(a, b *Dataset[int]) *Env { return Join(a, b, key, key, sum, RepartitionHash).Env() }},
 		{"Join broadcast", func(a, b *Dataset[int]) *Env { return Join(a, b, key, key, sum, BroadcastLeft).Env() }},
-		{"CoGroup", func(a, b *Dataset[int]) *Env {
-			return CoGroup(a, b, key, key,
-				func(k uint64, ls, rs []int, emit func(int)) { emit(len(ls) + len(rs)) }).Env()
-		}},
+		{"OuterJoinWith", func(a, b *Dataset[int]) *Env { return OuterJoinWith(a, b, key, key, leftOuter).Env() }},
+		{"SemiJoinWith", func(a, b *Dataset[int]) *Env { return SemiJoinWith(a, b, key, key, semi).Env() }},
 		{"Probe against another env's Build", func(a, b *Dataset[int]) *Env {
 			return Probe(Build(a, key), b, key, func() func(int, int, func(int)) { return sum }).Env()
 		}},

@@ -53,6 +53,53 @@ func JoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rk
 	}
 }
 
+// OuterJoinWith is the repartition hash join for a joiner that also acts once
+// per probe row - the form an outer join takes. r is the preserved side and
+// probes; l builds. newJoiner is called once per partition attempt and returns
+// two functions over that attempt's state: pair, called on every key match
+// like JoinWith's joiner, and after, called once for every probe row when its
+// matches have been walked. An outer join's pair emits the merged row and
+// notes that the probe row found a partner, its after emits the padded probe
+// row if none did. Rows come out in the probe side's partition order.
+func OuterJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
+	newJoiner func() (pair func(L, R, func(U)), after func(R, func(U)))) *Dataset[U] {
+	return perRowJoin(l, r, lkey, rkey, "OuterJoin", func() (func(L, R, func(U)), *perRow[L, R, U]) {
+		pair, after := newJoiner()
+		return pair, &perRow[L, R, U]{after: after}
+	})
+}
+
+// SemiJoinWith is OuterJoinWith for a join that tests pairs and merges none -
+// a semi or an anti join. match is a predicate, not a producer: it is called
+// on a probe row's key matches until it first returns true, which decides the
+// row, and the rest of the key's chain is not walked; after then emits the
+// probe row or nothing. The output is sized by the probe rows alone.
+func SemiJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
+	newJoiner func() (match func(L, R) bool, after func(R, func(U)))) *Dataset[U] {
+	return perRowJoin(l, r, lkey, rkey, "SemiJoin", func() (func(L, R, func(U)), *perRow[L, R, U]) {
+		match, after := newJoiner()
+		return nil, &perRow[L, R, U]{after: after, match: match}
+	})
+}
+
+// perRowJoin is the stage pair behind OuterJoinWith and SemiJoinWith: two
+// shuffles and one Join stage, like an untagged repartitionJoin.
+func perRowJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64, name string,
+	newJoiner func() (func(L, R, func(U)), *perRow[L, R, U])) *Dataset[U] {
+	env := l.env
+	if mismatch(env, r.env, name) || env.Failed() {
+		return Empty[U](env)
+	}
+	ls := shuffle(l, lkey)
+	rs := shuffle(r, rkey)
+	env.beginStage("Join", false)
+	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
+		joiner, row := newJoiner()
+		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, joiner, row)
+	})
+	return &Dataset[U]{env: env, parts: out}
+}
+
 func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	newJoiner func() func(L, R, func(U)), tag uint64) *Dataset[U] {
 	env := l.env
@@ -60,7 +107,7 @@ func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uin
 	rs := shuffleTagged(r, rkey, tag)
 	env.beginStage("Join", false)
 	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
-		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner())
+		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner(), nil)
 	})
 	return &Dataset[U]{env: env, parts: out, partTag: tag}
 }
@@ -78,7 +125,7 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 		if env.transport != nil && !env.transport.Owns(a.p) {
 			return nil, work{}
 		}
-		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner())
+		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner(), nil)
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -126,80 +173,7 @@ func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
 	rs := shuffle(r, rkey)
 	env.beginStage("Probe", false)
 	out := runStage(env, len(rs.parts), func(a *attempt) ([]U, work) {
-		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner())
-	})
-	return &Dataset[U]{env: env, parts: out}
-}
-
-// CoGroup groups both inputs by key and hands each key's complete groups to
-// f — Flink's coGroup transformation. Keys appear in deterministic order:
-// left-side keys in first-occurrence order, then right-only keys. A left
-// key with no right partner receives an empty right group (the building
-// block of outer joins, e.g. OPTIONAL MATCH).
-//
-// Its output, unlike a join's, grows as it is emitted: what f emits for a
-// group is not known before f ran, and nothing the yardstick runs is a
-// co-group (ROADMAP item 3b), so there is no measurement to size it by.
-func CoGroup[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	f func(key uint64, ls []L, rs []R, emit func(U))) *Dataset[U] {
-	env := l.env
-	if mismatch(l.env, r.env, "CoGroup") || env.Failed() {
-		return Empty[U](env)
-	}
-	ls := shuffle(l, lkey)
-	rs := shuffle(r, rkey)
-	env.beginStage("CoGroup", false)
-	lsz, rsz := sizingOf[L](), sizingOf[R]()
-	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
-		left, right := ls.parts[a.p], rs.parts[a.p]
-		leftGroups := map[uint64][]L{}
-		var order []uint64
-		for i, lv := range left {
-			if !a.tick(i) {
-				return nil, work{}
-			}
-			k := lkey(lv)
-			if _, ok := leftGroups[k]; !ok {
-				order = append(order, k)
-			}
-			leftGroups[k] = append(leftGroups[k], lv)
-			if env.governor != nil {
-				a.hold(lsz.of(&left[i]))
-			}
-		}
-		rightGroups := map[uint64][]R{}
-		var rightOnly []uint64
-		for i, rv := range right {
-			if !a.tick(i) {
-				return nil, work{}
-			}
-			k := rkey(rv)
-			if _, inLeft := leftGroups[k]; !inLeft {
-				if _, ok := rightGroups[k]; !ok {
-					rightOnly = append(rightOnly, k)
-				}
-			}
-			rightGroups[k] = append(rightGroups[k], rv)
-			if env.governor != nil {
-				a.hold(rsz.of(&right[i]))
-			}
-		}
-		var res []U
-		emit := emitter(a, &res)
-		for i, k := range order {
-			if !a.tick(i) {
-				return nil, work{}
-			}
-			f(k, leftGroups[k], rightGroups[k], emit)
-		}
-		for i, k := range rightOnly {
-			if !a.tick(i) {
-				return nil, work{}
-			}
-			f(k, nil, rightGroups[k], emit)
-		}
-		n := int64(len(left) + len(right))
-		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner(), nil)
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -254,15 +228,24 @@ func (t *joinTable) link() {
 	}
 }
 
+// perRow is what an outer, a semi or an anti join adds to the probe loop.
+type perRow[L, R, U any] struct {
+	// after is called once per probe row, behind its matches.
+	after func(R, func(U))
+	// match, if set, stands in for the joiner: the join tests a probe row's
+	// key matches, merges none, and the first true ends the row's walk.
+	match func(L, R) bool
+}
+
 // hashJoinPartition builds a hash table over the left side and probes it
 // with the right side, in one attempt.
-func hashJoinPartition[L, R, U any](a *attempt, left []L, right []R,
-	lkey func(L) uint64, rkey func(R) uint64, joiner func(L, R, func(U))) ([]U, work) {
+func hashJoinPartition[L, R, U any](a *attempt, left []L, right []R, lkey func(L) uint64, rkey func(R) uint64,
+	joiner func(L, R, func(U)), row *perRow[L, R, U]) ([]U, work) {
 	table, built := buildPartition(a, left, lkey)
 	if a.dead {
 		return nil, work{}
 	}
-	res, probed := probePartition(a, left, &table, right, rkey, joiner)
+	res, probed := probePartition(a, left, &table, right, rkey, joiner, row)
 	return res, built.plus(probed)
 }
 
@@ -298,37 +281,47 @@ func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64) (joinTable
 }
 
 // probePartition walks table, built over left, with the right side and calls
-// the joiner on every key match. Of a build side that overflowed, it reads
-// the spilled share back and sends the same share of the probe side to disk
-// and back - so a plain join pays the grace hash join's write and read of
-// both sides, and a kept build side is written once and read once per probe
-// (Flink's re-openable hash table).
+// the joiner on every key match; row, if there is one, adds what an outer or a
+// semi join does per probe row (OuterJoinWith, SemiJoinWith). Of a build side
+// that overflowed, it reads the spilled share back and sends the same share of
+// the probe side to disk and back - so a plain join pays the grace hash join's
+// write and read of both sides, and a kept build side is written once and read
+// once per probe (Flink's re-openable hash table).
 //
 // It walks the table twice: once to count the key matches, then - into a
-// partition allocated once at that count - to merge them. The count is a
-// second read of three flat arrays and charges nothing (the CPU model bills
-// the probe rows, as before); an append-grown partition would instead copy
-// its row headers 3.6 times over on the way to its final size.
-func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right []R,
-	rkey func(R) uint64, joiner func(L, R, func(U))) ([]U, work) {
+// partition allocated once at that count, plus the probe rows if row.after may
+// emit one each - to merge them. The count is a second read of three flat
+// arrays and charges nothing (the CPU model bills the probe rows, as before);
+// an append-grown partition would instead copy its row headers 3.6 times
+// over on the way to its final size. A join that only tests its pairs
+// (row.match) has no matches to count for, and leaves a key's chain at the
+// first pair that passes.
+func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right []R, rkey func(R) uint64,
+	joiner func(L, R, func(U)), row *perRow[L, R, U]) ([]U, work) {
 	w := work{cpu: int64(len(right)), rowsIn: int64(len(right))}
 	if table.overflow > 0 {
 		probeBytes := sizingOf[R]().sum(right)
 		w.spill = table.spilled + 2*int64(table.overflow*float64(probeBytes))
 	}
-	matches := countMatches(a, table, right, rkey)
-	if a.dead {
-		return nil, work{}
+	var bound int
+	if joiner != nil {
+		bound = countMatches(a, table, right, rkey)
+		if a.dead {
+			return nil, work{}
+		}
+	}
+	if row != nil {
+		bound += len(right)
 	}
 	var res []U
-	if matches > 0 {
-		res = make([]U, 0, matches)
+	if bound > 0 {
+		res = make([]U, 0, bound)
 	}
 	emit := emitter(a, &res)
-	// ops counts probes plus emitted pairs so that both many-small-buckets
+	// ops counts probes plus visited pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
 	// The memory flush shares the cadence: a cartesian blowup's output is
-	// charged — and killed — every mask+1 emitted pairs.
+	// charged — and killed — every mask+1 visited pairs.
 	var ops int
 	for _, rv := range right {
 		if !a.tick(ops) {
@@ -344,7 +337,14 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 				return nil, work{}
 			}
 			ops++
-			joiner(left[i-1], rv, emit)
+			if joiner != nil {
+				joiner(left[i-1], rv, emit)
+			} else if row.match(left[i-1], rv) {
+				break
+			}
+		}
+		if row != nil {
+			row.after(rv, emit)
 		}
 	}
 	w.rowsOut = int64(len(res))

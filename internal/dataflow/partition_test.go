@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -66,49 +68,96 @@ func TestUnionPartitionTag(t *testing.T) {
 	}
 }
 
-func TestCoGroup(t *testing.T) {
+// TestOuterJoinWith: after sees every probe row exactly once, behind that
+// row's pairs and on the attempt's own state; a build row without a partner
+// contributes nothing.
+func TestOuterJoinWith(t *testing.T) {
 	e := env(4)
-	l := FromSlice(e, []int{1, 1, 2, 3})
-	r := FromSlice(e, []int{2, 2, 3, 9})
+	build := FromSlice(e, []int{2, 2, 3, 9})
+	probe := FromSlice(e, []int{1, 1, 2, 3})
 	key := func(x int) uint64 { return uint64(x) }
-	type row struct{ k, ls, rs int }
-	out := CoGroup(l, r, key, key, func(k uint64, ls, rs []int, emit func(row)) {
-		emit(row{k: int(k), ls: len(ls), rs: len(rs)})
+	type row struct{ probe, pairs int }
+	out := OuterJoinWith(build, probe, key, key, func() (func(int, int, func(row)), func(int, func(row))) {
+		pairs := 0
+		return func(b, p int, _ func(row)) {
+				if b != p {
+					t.Errorf("pair (%d, %d) does not agree on its key", b, p)
+				}
+				pairs++
+			}, func(p int, emit func(row)) {
+				emit(row{probe: p, pairs: pairs})
+				pairs = 0
+			}
 	}).Collect()
-	byKey := map[int]row{}
-	for _, g := range out {
-		byKey[g.k] = g
-	}
-	if len(byKey) != 4 {
-		t.Fatalf("groups: %v", byKey)
-	}
-	if byKey[1].ls != 2 || byKey[1].rs != 0 {
-		t.Fatalf("key 1: %+v", byKey[1])
-	}
-	if byKey[2].ls != 1 || byKey[2].rs != 2 {
-		t.Fatalf("key 2: %+v", byKey[2])
-	}
-	if byKey[9].ls != 0 || byKey[9].rs != 1 {
-		t.Fatalf("key 9 (right-only): %+v", byKey[9])
+	sort.Slice(out, func(i, j int) bool { return out[i].probe < out[j].probe })
+	if want := []row{{1, 0}, {1, 0}, {2, 2}, {3, 1}}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("probe rows and their pair counts: %v, want %v", out, want)
 	}
 }
 
-func TestCoGroupLeftOuterShape(t *testing.T) {
+// TestSemiJoinWithStopsAtTheFirstMatch: a probe row is decided by the first
+// pair its match accepts, and the rest of its key's chain is not walked - so
+// an existence test over one key group costs its probe rows, not the product.
+// A rejected pair does not end the walk, and after still sees every probe row
+// once.
+func TestSemiJoinWithStopsAtTheFirstMatch(t *testing.T) {
+	const build, probe = 2000, 3000
+	e := env(4)
+	same := func(int) uint64 { return 7 }
+	var pairs, rows atomic.Int64
+	// accept is asked about the nth pair of a probe row.
+	semi := func(accept func(nth int) bool) func() (func(int, int) bool, func(int, func(int))) {
+		return func() (func(int, int) bool, func(int, func(int))) {
+			nth, found := 0, false
+			return func(int, int) bool { pairs.Add(1); nth++; found = accept(nth); return found },
+				func(p int, emit func(int)) {
+					rows.Add(1)
+					if found {
+						emit(p)
+					}
+					nth, found = 0, false
+				}
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		accept    func(nth int) bool
+		pairs, in int64
+	}{
+		{"first pair", func(int) bool { return true }, probe, probe},
+		{"fifth pair", func(nth int) bool { return nth == 5 }, 5 * probe, probe},
+		{"no pair", func(int) bool { return false }, build * probe, 0},
+	} {
+		pairs.Store(0)
+		rows.Store(0)
+		n := SemiJoinWith(FromSlice(e, ints(build)), FromSlice(e, ints(probe)), same, same, semi(tc.accept)).Count()
+		if got := pairs.Load(); got != tc.pairs {
+			t.Errorf("%s: %d pairs tested, want %d", tc.name, got, tc.pairs)
+		}
+		if got := rows.Load(); got != probe {
+			t.Errorf("%s: after saw %d probe rows, want %d", tc.name, got, probe)
+		}
+		if n != tc.in {
+			t.Errorf("%s: %d rows kept, want %d", tc.name, n, tc.in)
+		}
+	}
+}
+
+func TestOuterJoinWithLeftOuterShape(t *testing.T) {
 	e := env(2)
 	l := FromSlice(e, []int{1, 2})
 	r := FromSlice(e, []int{2})
 	key := func(x int) uint64 { return uint64(x) }
-	// A classic left outer join via CoGroup.
-	out := CoGroup(l, r, key, key, func(_ uint64, ls, rs []int, emit func([2]int)) {
-		for _, lv := range ls {
-			if len(rs) == 0 {
-				emit([2]int{lv, -1})
-				continue
+	// A classic left outer join: the preserved side probes.
+	out := OuterJoinWith(r, l, key, key, func() (func(int, int, func([2]int)), func(int, func([2]int))) {
+		matched := false
+		return func(rv, lv int, emit func([2]int)) { matched = true; emit([2]int{lv, rv}) },
+			func(lv int, emit func([2]int)) {
+				if !matched {
+					emit([2]int{lv, -1})
+				}
+				matched = false
 			}
-			for _, rv := range rs {
-				emit([2]int{lv, rv})
-			}
-		}
 	}).Collect()
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	if len(out) != 2 || out[0] != [2]int{1, -1} || out[1] != [2]int{2, 2} {

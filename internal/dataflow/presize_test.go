@@ -236,6 +236,73 @@ func TestBlowupDiesBeforeItIsSized(t *testing.T) {
 	}
 }
 
+// TestOuterJoinDiesInsideItsKeyGroup: an outer join's key group is walked by
+// the engine's probe loop, pair by pair, so one group of 3 000 x 3 000
+// 24-byte rows - 9 million pairs, 206 MiB of output - is shed and cancelled
+// like any join's. When a key's two groups were handed whole to a function
+// whose nested loop nobody polled, the same inputs allocated 1.2 GiB before
+// the first charge and a cancel at pair 10 000 was noticed after the last.
+func TestOuterJoinDiesInsideItsKeyGroup(t *testing.T) {
+	type row [3]int
+	same := func(row) uint64 { return 1 }
+	side := make([]row, 3000)
+	outer := func(onPair func()) func() (func(row, row, func(row)), func(row, func(row))) {
+		return func() (func(row, row, func(row)), func(row, func(row))) {
+			matched := false
+			return func(l, r row, emit func(row)) { onPair(); matched = true; emit(row{l[0], r[0]}) },
+				func(r row, emit func(row)) {
+					if !matched {
+						emit(r)
+					}
+					matched = false
+				}
+		}
+	}
+
+	t.Run("shed", func(t *testing.T) {
+		env, b, r := governedEnv(t, 4, 1<<20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := OuterJoinWith(FromSlice(env, side), FromSlice(env, side), same, same, outer(func() {}))
+		runtime.ReadMemStats(&after)
+		if err := env.Err(); !errors.Is(err, govern.ErrMemoryBudget) {
+			t.Fatalf("job error = %v, want ErrMemoryBudget", err)
+		}
+		if n := out.Count(); n != 0 {
+			t.Errorf("a killed product published %d rows", n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+			t.Errorf("the group allocated %d MiB before it died, want under 32", got>>20)
+		}
+		r.Release()
+		if got := b.Reserved(); got != 0 {
+			t.Errorf("broker holds %d B after release, want 0", got)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		const trigger = 10_000
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		env := NewEnvContext(ctx, DefaultConfig(1))
+		var pairs atomic.Int64
+		out := OuterJoinWith(FromSlice(env, side), FromSlice(env, side), same, same, outer(func() {
+			if pairs.Add(1) == trigger {
+				cancel()
+			}
+		}))
+		if err := env.Finish(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("job error = %v, want context.Canceled", err)
+		}
+		if got := pairs.Load(); got > trigger+cancelCheckMask+1 {
+			t.Errorf("%d pairs visited, the cancel came at %d: more than one tick mask late", got, trigger)
+		}
+		if out.Partition(0) != nil {
+			t.Errorf("a cancelled group published %d rows", len(out.Partition(0)))
+		}
+	})
+}
+
 // TestCancelLandsInTheCountPass: the count polls like the probe loop, so a
 // cancel while it runs stops the attempt within one tick mask of probe rows
 // and the probe loop never starts. One worker: its shuffles call no key

@@ -14,10 +14,10 @@ import (
 
 // published is what the last stage of a transformation must have accounted,
 // per partition: the rows it published and the rows it materialized - its
-// output plus whatever input it holds beside it (a join's build side, a
-// co-group's groups). The test elements are not Sized, so a materialized row
-// is defaultElementSize bytes to the governor. dump is the partitions
-// themselves, printed: the rows and their order.
+// output plus whatever input it holds beside it (a join's build side). The
+// test elements are not Sized, so a materialized row is defaultElementSize
+// bytes to the governor. dump is the partitions themselves, printed: the rows
+// and their order.
 type published struct {
 	rows, held []int
 	dump       string
@@ -96,12 +96,8 @@ var stageCases = []struct {
 		b := Build(FromSlice(env, ints(300)), stageKey)
 		return lens(Probe(b, FromSlice(env, ints(500)), stageKey, func() func(int, int, func(int)) { return emitSum }))
 	}},
-	{"CoGroup", 4, func(env *Env) published {
-		l, r := ints(300), ints(500)
-		out := CoGroup(FromSlice(env, l), FromSlice(env, r), stageKey, stageKey,
-			func(_ uint64, ls, rs []int, emit func(int)) { emit(len(ls) + len(rs)) })
-		return lens(out).holding(l, stageKey).holding(r, stageKey)
-	}},
+	{"OuterJoinWith", 4, func(env *Env) published { return perRowStage(env, OuterJoinWith[int, int, int], leftOuter) }},
+	{"SemiJoinWith", 4, func(env *Env) published { return perRowStage(env, SemiJoinWith[int, int, int], semi) }},
 	{"UnionAll", 4, func(env *Env) published {
 		d := FromSlice(env, ints(400))
 		return lens(UnionAll(d, Map(d, func(x int) int { return -x }), d))
@@ -121,6 +117,39 @@ var stageCases = []struct {
 func stageKey(x int) uint64 { return uint64(x % 97) }
 
 func emitSum(a, b int, emit func(int)) { emit(a + b) }
+
+// perRowStage probes keys 0..96 with keys 0..149: probe rows with a partner
+// and without.
+func perRowStage[J any](env *Env, join func(l, r *Dataset[int], lkey, rkey func(int) uint64, newJoiner J) *Dataset[int], joiner J) published {
+	l, r := ints(97), ints(150)
+	key := func(x int) uint64 { return uint64(x) }
+	return lens(join(FromSlice(env, l), FromSlice(env, r), key, key, joiner)).holding(l, key)
+}
+
+// leftOuter is an OuterJoinWith joiner: the sum of every pair, and the
+// negated probe row where there was none.
+func leftOuter() (func(int, int, func(int)), func(int, func(int))) {
+	matched := false
+	return func(l, r int, emit func(int)) { matched = true; emit(l + r) },
+		func(r int, emit func(int)) {
+			if !matched {
+				emit(-r)
+			}
+			matched = false
+		}
+}
+
+// semi is a SemiJoinWith joiner: it keeps the probe rows that found a partner.
+func semi() (func(int, int) bool, func(int, func(int))) {
+	matched := false
+	return func(int, int) bool { matched = true; return true },
+		func(r int, emit func(int)) {
+			if matched {
+				emit(r)
+			}
+			matched = false
+		}
+}
 
 // TestEveryStageIsAccounted is the contract runStage exists for, checked on
 // what ran and not on how the code reads: with a tracer and a governor
@@ -324,6 +353,16 @@ func TestAbortedAttemptPublishesNothing(t *testing.T) {
 		{"Probe/cancelled while counting", n, func(d *Dataset[int], hook func()) [][]int {
 			rkey := func(x int) uint64 { hook(); return uint64(x) }
 			return Probe(Build(d, id), d, rkey, func() func(int, int, func(int)) { return emitSum }).parts
+		}},
+		{"OuterJoinWith", 0, func(d *Dataset[int], hook func()) [][]int {
+			return OuterJoinWith(d, d, id, id, func() (func(int, int, func(int)), func(int, func(int))) {
+				return hooked(hook), func(int, func(int)) {}
+			}).parts
+		}},
+		{"SemiJoinWith/cancelled in the epilogue", 0, func(d *Dataset[int], hook func()) [][]int {
+			return SemiJoinWith(d, d, id, id, func() (func(int, int) bool, func(int, func(int))) {
+				return func(int, int) bool { return true }, func(r int, emit func(int)) { hook(); emit(r) }
+			}).parts
 		}},
 		{"GroupBy", 0, func(d *Dataset[int], hook func()) [][]int {
 			return GroupBy(d, func(x int) int { return x % 8192 },

@@ -205,13 +205,6 @@ func (e Embedding) AppendID(id epgm.ID) Embedding {
 	return row
 }
 
-// AppendNull returns a copy of e with an unbound column appended.
-func (e Embedding) AppendNull() Embedding {
-	row, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
-	putEntry(row.buf[idAt:], flagNull, 0)
-	return row
-}
-
 // AppendPath returns a copy of e with a path column appended.
 func (e Embedding) AppendPath(ids []epgm.ID) Embedding {
 	return (*Slab)(nil).AppendPath(e, ids, 0, false)

@@ -144,9 +144,12 @@ func TestDistinctAt(t *testing.T) {
 	}
 }
 
+// nullCol appends one unbound column.
+func nullCol(e Embedding) Embedding { return (*Slab)(nil).PadNull(e, 1, 0) }
+
 func TestNullColumns(t *testing.T) {
 	var e Embedding
-	e = e.AppendID(5).AppendNull().AppendPath([]epgm.ID{7})
+	e = nullCol(e.AppendID(5)).AppendPath([]epgm.ID{7})
 	if e.Columns() != 3 {
 		t.Fatalf("columns=%d", e.Columns())
 	}
@@ -168,10 +171,28 @@ func TestNullColumns(t *testing.T) {
 	}
 	// Merge carries nulls through.
 	var r Embedding
-	r = r.AppendID(5).AppendNull()
+	r = nullCol(r.AppendID(5))
 	m := e.Merge(r, []int{0})
 	if m.Columns() != 4 || !m.IsNullAt(3) {
 		t.Fatalf("merged: %v", m)
+	}
+	// PadNull appends columns and NULL property values in one row, on a slab
+	// or without one.
+	var s Slab
+	for _, slab := range []*Slab{nil, &s} {
+		p := slab.PadNull(e.AppendProps(epgm.PVInt(1)), 2, 3)
+		if p.Columns() != 5 || p.ID(0) != 5 || !p.IsNullAt(3) || !p.IsNullAt(4) || len(p.Path(2)) != 1 {
+			t.Fatalf("padded columns: %v", p)
+		}
+		if p.PropCount() != 4 || p.Prop(0).Int() != 1 || !p.Prop(1).IsNull() || !p.Prop(3).IsNull() {
+			t.Fatalf("padded properties: %v", p)
+		}
+		if p.SizeBytes() != e.SizeBytes()+9+2*entrySize+3 {
+			t.Fatalf("padded size %d over %d", p.SizeBytes(), e.SizeBytes())
+		}
+	}
+	if p := (*Slab)(nil).PadNull(Embedding{}, 0, 0); p.Columns() != 0 || p.SizeBytes() != 0 {
+		t.Fatalf("nothing padded with nothing: %v", p)
 	}
 }
 

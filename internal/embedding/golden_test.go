@@ -10,7 +10,7 @@ import (
 // goldenRow has one column of every kind and one property of every type.
 func goldenRow() Embedding {
 	var e Embedding
-	e = e.AppendID(10).AppendNull().AppendPath([]epgm.ID{5, 20, 7}).AppendID(1 << 40)
+	e = nullCol(e.AppendID(10)).AppendPath([]epgm.ID{5, 20, 7}).AppendID(1 << 40)
 	return e.AppendProps(epgm.Null, epgm.PVBool(true), epgm.PVInt(-1984), epgm.PVFloat(2.5), epgm.PVString("Leipzig"))
 }
 

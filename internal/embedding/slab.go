@@ -152,6 +152,20 @@ func (s *Slab) AppendPath(e Embedding, path []epgm.ID, end epgm.ID, bindEnd bool
 	return row
 }
 
+// PadNull returns e with cols unbound columns and props NULL property values
+// appended, in one write: a mandatory row no OPTIONAL MATCH extension joined.
+func (s *Slab) PadNull(e Embedding, cols, props int) Embedding {
+	row, idAt, _, propAt := s.extend(e, cols*entrySize, 0, props*epgm.Null.EncodedSize())
+	for i := 0; i < cols; i++ {
+		putEntry(row.buf[idAt+i*entrySize:], flagNull, 0)
+	}
+	dst := row.buf[:propAt]
+	for i := 0; i < props; i++ {
+		dst = epgm.Null.Encode(dst)
+	}
+	return row
+}
+
 // Merge is Embedding.Merge: l, then r's columns other than dropColumns,
 // r's path offsets rebased, then both property lists.
 func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {

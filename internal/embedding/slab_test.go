@@ -20,7 +20,7 @@ func slabRows(s *Slab, n int) (rows []Embedding, want []string) {
 		for _, e := range []Embedding{
 			leaf,
 			s.AppendPath(leaf, path, id+7, true),
-			s.Merge(leaf, leaf.AppendNull(), []int{0}),
+			s.Merge(leaf, s.PadNull(leaf, 1, 2), []int{0}),
 			s.Project(s.AppendPath(leaf, path, 0, false), []int{2, 0}, []int{1}),
 		} {
 			rows = append(rows, e)

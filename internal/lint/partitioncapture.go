@@ -29,12 +29,13 @@ var PartitionCaptureAnalyzer = &analysis.Analyzer{
 // writes it to the one slot that goroutine owns.
 var udfFuncs = map[string]bool{
 	"Map": true, "Filter": true, "FlatMap": true, "MapPartition": true,
-	"Join": true, "JoinTagged": true, "CoGroup": true, "GroupBy": true,
+	"Join": true, "JoinTagged": true, "GroupBy": true,
 	// The With variants take a factory that runs once per partition attempt.
 	// What the factory declares is that attempt's own state and may be
-	// written by the function it returns; what it captures is as shared as
-	// for any other UDF.
-	"FlatMapWith": true, "JoinWith": true,
+	// written by the functions it returns - an OuterJoinWith or SemiJoinWith
+	// factory returns two, and "this probe row found a partner" is what
+	// passes between them; what it captures is as shared as for any other UDF.
+	"FlatMapWith": true, "JoinWith": true, "OuterJoinWith": true, "SemiJoinWith": true,
 	// A join in two halves: Build's key function and Probe's key function
 	// and joiner factory run per partition like JoinWith's.
 	"Build": true, "Probe": true,

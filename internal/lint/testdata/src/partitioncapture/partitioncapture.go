@@ -102,6 +102,67 @@ func sharedThroughFactory(l, r *dataflow.Dataset[int]) {
 	_ = pairs
 }
 
+// outerJoinState is an outer join's: the flag its pair function sets and its
+// per-probe-row function reads and resets is declared by the factory, once
+// per attempt. Parked outside the factory, the same flag is one variable for
+// every partition.
+func outerJoinState(l, r *dataflow.Dataset[int]) {
+	key := func(v int) uint64 { return uint64(v) }
+	dataflow.OuterJoinWith(l, r, key, key, func() (func(int, int, func(int)), func(int, func(int))) {
+		matched := false
+		return func(x, y int, emit func(int)) {
+				matched = true
+				emit(x + y)
+			}, func(y int, emit func(int)) {
+				if !matched {
+					emit(-y)
+				}
+				matched = false
+			}
+	})
+	matched := false
+	dataflow.OuterJoinWith(l, r, key, key, func() (func(int, int, func(int)), func(int, func(int))) {
+		return func(x, y int, emit func(int)) {
+				matched = true // want `UDF passed to dataflow\.OuterJoinWith writes captured variable "matched"`
+				emit(x + y)
+			}, func(y int, emit func(int)) {
+				if !matched {
+					emit(-y)
+				}
+				matched = false // want `UDF passed to dataflow\.OuterJoinWith writes captured variable "matched"`
+			}
+	})
+}
+
+// semiJoinState is outerJoinState for a join whose pairs are only tested.
+func semiJoinState(l, r *dataflow.Dataset[int]) {
+	key := func(v int) uint64 { return uint64(v) }
+	dataflow.SemiJoinWith(l, r, key, key, func() (func(int, int) bool, func(int, func(int))) {
+		found := false
+		return func(x, y int) bool {
+				found = true
+				return true
+			}, func(y int, emit func(int)) {
+				if found {
+					emit(y)
+				}
+				found = false
+			}
+	})
+	found := false
+	dataflow.SemiJoinWith(l, r, key, key, func() (func(int, int) bool, func(int, func(int))) {
+		return func(x, y int) bool {
+				found = true // want `UDF passed to dataflow\.SemiJoinWith writes captured variable "found"`
+				return true
+			}, func(y int, emit func(int)) {
+				if found {
+					emit(y)
+				}
+				found = false // want `UDF passed to dataflow\.SemiJoinWith writes captured variable "found"`
+			}
+	})
+}
+
 // sharedThroughProbe is sharedThroughFactory for a join in two halves: what
 // a Probe's joiner factory captures outlives every attempt of every
 // partition, so a partition-local value parked there is written by all of

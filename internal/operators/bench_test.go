@@ -16,10 +16,10 @@ import (
 // slabs and sizes, routes and joins them without boxing, so what is left
 // per step is a fixed handful per partition (slab chunks, the output
 // slices, the join table's three arrays) - hundredths of an allocation per
-// row. The leaf scan and the join probe also report B/row, heap bytes per
-// output row: an output partition grown by append is a handful of objects
-// like one allocated once, and several times its bytes. The Makefile holds
-// the thresholds.
+// row. The leaf scan, the join probe and the outer join also report B/row,
+// heap bytes per output row: an output partition grown by append is a handful
+// of objects like one allocated once, and several times its bytes. The
+// Makefile holds the thresholds.
 
 const benchRows = 20_000
 
@@ -136,6 +136,52 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 		}
 	})
 	b.ReportMetric(bytes/float64(joined), "B/row")
+}
+
+// BenchmarkRowOuterJoin is an OPTIONAL MATCH of every person's knows edges
+// where the second half of the persons has none: both inputs are shuffled,
+// 15 000 pairs are checked and merged and 5 000 mandatory rows come out
+// NULL-padded, all carved from the attempt's slab into a partition allocated
+// once.
+func BenchmarkRowOuterJoin(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, _ := benchGraph(env, benchRows/2)
+	_, es := benchGraph(env, benchRows/4)
+	left := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}}))
+	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")))
+	outer := NewOptionalJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
+	in := int(left.rows.Count() + right.rows.Count())
+	var out int64
+	bytes := reportAllocsPerRow(b, in, func() {
+		if out = outer.Evaluate().Count(); out != benchRows {
+			b.Fatalf("outer join emitted %d rows", out)
+		}
+	})
+	b.ReportMetric(bytes/float64(out), "B/row")
+}
+
+// BenchmarkRowSemiJoin is an uncorrelated exists(): 10 000 persons, each asked
+// whether any of 15 000 knows edges between two other persons exists. No
+// variable is shared, so every row hashes to one key and the whole edge side
+// is every person's chain - of which the first edge that passes the morphism
+// check decides the row. Walked to its end per person the same step is 150
+// million pairs, so its ns/op is the number to watch; its allocations are the
+// probe rows' partition and the table.
+func BenchmarkRowSemiJoin(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, _ := benchGraph(env, benchRows/2)
+	_, es := benchGraph(env, benchRows/4)
+	left := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}}))
+	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e", "x", "y")))
+	semi := NewSemiJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	in := int(left.rows.Count() + right.rows.Count())
+	reportAllocsPerRow(b, in, func() {
+		if out := semi.Evaluate().Count(); out != benchRows/2 {
+			b.Fatalf("semi join kept %d rows", out)
+		}
+	})
 }
 
 // BenchmarkRowExpandHop is one hop of a variable-length expansion: select

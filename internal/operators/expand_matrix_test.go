@@ -28,7 +28,8 @@ import (
 func matrixGraph(workers int) *epgm.LogicalGraph {
 	vs := make([]epgm.Vertex, 9)
 	for i := range vs {
-		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"}
+		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person",
+			Properties: epgm.Properties{}.Set("n", epgm.PVInt(int64(1+i)))} // n is the id: TestOuterMatrix filters on it
 	}
 	var es []epgm.Edge
 	edge := func(label string, s, t int) {

@@ -9,6 +9,33 @@ import (
 	"gradoop/internal/embedding"
 )
 
+// joinShape is what a join of two inputs reads off their metadata, the same
+// for an inner, an outer and a semi join: the variables both bind, sorted -
+// a canonical order makes the shuffle key deterministic for a variable set,
+// enabling partition reuse across joins on the same variables - with their
+// columns on either side, the right columns a merged row leaves out because
+// the left already has them, and the merged row's metadata.
+type joinShape struct {
+	joinVars   []string
+	leftCols   []int
+	rightCols  []int
+	dropCols   []int
+	outputMeta *embedding.Meta
+}
+
+func newJoinShape(lm, rm *embedding.Meta) joinShape {
+	sh := joinShape{joinVars: lm.SharedVars(rm)}
+	sort.Strings(sh.joinVars)
+	sh.leftCols = make([]int, len(sh.joinVars))
+	sh.rightCols = make([]int, len(sh.joinVars))
+	for i, v := range sh.joinVars {
+		sh.leftCols[i], _ = lm.Column(v)
+		sh.rightCols[i], _ = rm.Column(v)
+	}
+	sh.outputMeta, sh.dropCols = lm.Merge(rm)
+	return sh
+}
+
 // JoinEmbeddings combines two sub-query results on their shared variables.
 // It uses a flat join (§3.1): a joined embedding is emitted only if the
 // configured morphism semantics hold, avoiding a separate filter stage.
@@ -17,39 +44,19 @@ type JoinEmbeddings struct {
 	Morph       Morphism
 	Hint        dataflow.JoinHint
 
-	joinVars   []string
-	leftCols   []int
-	rightCols  []int
-	dropCols   []int
-	outputMeta *embedding.Meta
+	joinShape
 }
 
 // NewJoinEmbeddings builds a join on the variables shared between the two
 // inputs. It panics if the inputs share no variables; the planner uses
 // NewCartesianProduct for that case.
 func NewJoinEmbeddings(left, right Operator, morph Morphism, hint dataflow.JoinHint) *JoinEmbeddings {
-	lm, rm := left.Meta(), right.Meta()
-	shared := lm.SharedVars(rm)
-	if len(shared) == 0 {
+	op := &JoinEmbeddings{Left: left, Right: right, Morph: morph, Hint: hint,
+		joinShape: newJoinShape(left.Meta(), right.Meta())}
+	if len(op.joinVars) == 0 {
 		panic("operators: JoinEmbeddings requires shared variables")
 	}
-	// Canonical order makes the shuffle key deterministic for a variable
-	// set, enabling partition reuse across joins on the same variables.
-	sort.Strings(shared)
-	leftCols := make([]int, len(shared))
-	rightCols := make([]int, len(shared))
-	for i, v := range shared {
-		lc, _ := lm.Column(v)
-		rc, _ := rm.Column(v)
-		leftCols[i] = lc
-		rightCols[i] = rc
-	}
-	outputMeta, dropCols := lm.Merge(rm)
-	return &JoinEmbeddings{
-		Left: left, Right: right, Morph: morph, Hint: hint,
-		joinVars: shared, leftCols: leftCols, rightCols: rightCols,
-		dropCols: dropCols, outputMeta: outputMeta,
-	}
+	return op
 }
 
 // Meta implements Operator.

@@ -2,13 +2,11 @@ package operators
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
-	"gradoop/internal/epgm"
 )
 
 // OptionalJoinEmbeddings implements OPTIONAL MATCH: a left outer join of the
@@ -24,38 +22,15 @@ type OptionalJoinEmbeddings struct {
 	// filter).
 	Predicates []cypher.Expr
 
-	joinVars   []string
-	leftCols   []int
-	rightCols  []int
-	dropCols   []int
-	outputMeta *embedding.Meta
-	nullCols   int // right columns appended on a null extension
-	nullProps  int // right property columns appended on a null extension
+	joinShape
 }
 
 // NewOptionalJoinEmbeddings builds the outer join on the variables shared
 // between the two inputs; without shared variables every combination is
 // tried (a cartesian outer join).
 func NewOptionalJoinEmbeddings(left, right Operator, morph Morphism, predicates []cypher.Expr) *OptionalJoinEmbeddings {
-	lm, rm := left.Meta(), right.Meta()
-	shared := lm.SharedVars(rm)
-	sort.Strings(shared)
-	leftCols := make([]int, len(shared))
-	rightCols := make([]int, len(shared))
-	for i, v := range shared {
-		lc, _ := lm.Column(v)
-		rc, _ := rm.Column(v)
-		leftCols[i] = lc
-		rightCols[i] = rc
-	}
-	outputMeta, dropCols := lm.Merge(rm)
-	return &OptionalJoinEmbeddings{
-		Left: left, Right: right, Morph: morph, Predicates: predicates,
-		joinVars: shared, leftCols: leftCols, rightCols: rightCols,
-		dropCols: dropCols, outputMeta: outputMeta,
-		nullCols:  rm.Columns() - len(dropCols),
-		nullProps: rm.PropColumns(),
-	}
+	return &OptionalJoinEmbeddings{Left: left, Right: right, Morph: morph, Predicates: predicates,
+		joinShape: newJoinShape(left.Meta(), right.Meta())}
 }
 
 // Meta implements Operator.
@@ -70,20 +45,6 @@ func (op *OptionalJoinEmbeddings) Description() string {
 		strings.Join(op.joinVars, ","), len(op.Predicates), op.Morph.Vertex, op.Morph.Edge)
 }
 
-// padNull extends a left embedding with NULL bindings for every right-only
-// column and property.
-func (op *OptionalJoinEmbeddings) padNull(l embedding.Embedding) embedding.Embedding {
-	e := l
-	for i := 0; i < op.nullCols; i++ {
-		e = e.AppendNull()
-	}
-	if op.nullProps > 0 {
-		nulls := make([]epgm.PropertyValue, op.nullProps)
-		e = e.AppendProps(nulls...)
-	}
-	return e
-}
-
 // Evaluate implements Operator.
 func (op *OptionalJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 	left := op.Left.Evaluate()
@@ -93,6 +54,10 @@ func (op *OptionalJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embeddi
 	})
 }
 
+// evaluate is a hash join built over the optional side and probed with the
+// mandatory one: a pair that passes keys, morphism and the group predicates
+// is emitted merged, and a probe row none of whose candidates passed is
+// emitted once they are through, its right-only columns and properties NULL.
 func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
@@ -100,29 +65,31 @@ func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embeddi
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	preds := op.Predicates
-
-	lkey := func(e embedding.Embedding) uint64 { return keyOf(e, lc) }
-	rkey := func(e embedding.Embedding) uint64 { return keyOf(e, rc) }
-	return dataflow.CoGroup(left, right, lkey, rkey,
-		func(_ uint64, ls, rs []embedding.Embedding, emit func(embedding.Embedding)) {
+	nullCols, nullProps := rm.Columns()-len(drop), rm.PropColumns()
+	return dataflow.OuterJoinWith(right, left,
+		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
+		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
+		func() (pair func(r, l embedding.Embedding, emit func(embedding.Embedding)), after func(l embedding.Embedding, emit func(embedding.Embedding))) {
 			var sc scratch
-			for _, l := range ls {
-				matched := false
-				for _, r := range rs {
-					if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) {
-						continue
-					}
-					merged := l.Merge(r, drop)
-					if !passes(merged, meta, preds) {
-						continue
-					}
+			matched := false
+			pair = func(r, l embedding.Embedding, emit func(embedding.Embedding)) {
+				if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) {
+					return
+				}
+				// A candidate the predicates reject has been built; its bytes
+				// stay in the slab's chunk, unreferenced.
+				if merged := sc.slab.Merge(l, r, drop); passes(merged, meta, preds) {
 					matched = true
 					emit(merged)
 				}
-				if !matched {
-					emit(op.padNull(l))
-				}
 			}
+			after = func(l embedding.Embedding, emit func(embedding.Embedding)) {
+				if !matched {
+					emit(sc.slab.PadNull(l, nullCols, nullProps))
+				}
+				matched = false
+			}
+			return pair, after
 		})
 }
 

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gradoop/internal/dataflow"
@@ -19,33 +18,15 @@ type SemiJoinEmbeddings struct {
 	Morph       Morphism
 	Negated     bool
 
-	joinVars  []string
-	leftCols  []int
-	rightCols []int
-	dropCols  []int
+	joinShape
 }
 
 // NewSemiJoinEmbeddings builds the semi (or anti) join on the variables
 // shared between the inputs; with no shared variables the right side acts
 // as a global non-emptiness test.
 func NewSemiJoinEmbeddings(left, right Operator, morph Morphism, negated bool) *SemiJoinEmbeddings {
-	lm, rm := left.Meta(), right.Meta()
-	shared := lm.SharedVars(rm)
-	sort.Strings(shared)
-	leftCols := make([]int, len(shared))
-	rightCols := make([]int, len(shared))
-	for i, v := range shared {
-		lc, _ := lm.Column(v)
-		rc, _ := rm.Column(v)
-		leftCols[i] = lc
-		rightCols[i] = rc
-	}
-	_, dropCols := lm.Merge(rm)
-	return &SemiJoinEmbeddings{
-		Left: left, Right: right, Morph: morph, Negated: negated,
-		joinVars: shared, leftCols: leftCols, rightCols: rightCols,
-		dropCols: dropCols,
-	}
+	return &SemiJoinEmbeddings{Left: left, Right: right, Morph: morph, Negated: negated,
+		joinShape: newJoinShape(left.Meta(), right.Meta())}
 }
 
 // Meta implements Operator.
@@ -72,30 +53,34 @@ func (op *SemiJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] 
 	})
 }
 
+// evaluate is a hash join built over the existence side and probed with the
+// mandatory one: a pair only decides whether the probe row has an extension -
+// the first that does ends the search - and the row itself is passed on, or
+// not, once that is known.
 func (op *SemiJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	negated := op.Negated
-	return dataflow.CoGroup(left, right,
-		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
+	return dataflow.SemiJoinWith(right, left,
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
-		func(_ uint64, ls, rs []embedding.Embedding, emit func(embedding.Embedding)) {
+		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
+		func() (match func(r, l embedding.Embedding) bool, after func(l embedding.Embedding, emit func(embedding.Embedding))) {
 			var sc scratch
-			for _, l := range ls {
-				found := false
-				for _, r := range rs {
-					// The combined binding is checked on the two inputs; a semi
-					// join never builds it.
-					if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
-						found = true
-						break
-					}
-				}
+			found := false
+			match = func(r, l embedding.Embedding) bool {
+				// The combined binding is checked on the two inputs; a semi
+				// join never builds it.
+				found = sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph)
+				return found
+			}
+			after = func(l embedding.Embedding, emit func(embedding.Embedding)) {
 				if found != negated {
 					emit(l)
 				}
+				found = false
 			}
+			return match, after
 		})
 }

@@ -283,7 +283,58 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 		applyPredicates(p)
 	}
 
-	// Greedy combination until a single plan covers everything.
+	root, err := pl.combine(access, qg, plans, varLength, est, applyPredicates)
+	if err != nil {
+		return nil, err
+	}
+	if len(pending) > 0 {
+		exprs := make([]cypher.Expr, len(pending))
+		for i, pp := range pending {
+			exprs[i] = pp.expr
+		}
+		f := operators.NewFilterEmbeddings(root.op, exprs)
+		est[f] = root.card
+		root.op = f
+	}
+
+	// exists()/NOT exists() predicates filter the mandatory solutions
+	// through semi/anti joins.
+	for _, eg := range qg.Existence {
+		sub, _, err := pl.planOptionalGroup(access, qg, &eg.OptionalGroup, est)
+		if err != nil {
+			return nil, err
+		}
+		op := operators.NewSemiJoinEmbeddings(root.op, sub, pl.Morph, eg.Negated)
+		card := math.Max(root.card*0.5, 1)
+		est[op] = card
+		root = &partial{op: op, card: card, vars: root.vars}
+	}
+
+	// OPTIONAL MATCH groups extend the mandatory solutions through left
+	// outer joins, in clause order.
+	for _, group := range qg.Optional {
+		sub, subCard, err := pl.planOptionalGroup(access, qg, group, est)
+		if err != nil {
+			return nil, err
+		}
+		op := operators.NewOptionalJoinEmbeddings(root.op, sub, pl.Morph, group.Predicates)
+		// Every left row survives; extensions multiply at most by the
+		// group's fan-out estimate.
+		card := math.Max(root.card, root.card*subCard/math.Max(1, float64(pl.Stats.VertexCount)))
+		est[op] = card
+		root = &partial{op: op, card: card, vars: unionVars(root.vars, groupVars(group))}
+	}
+	return &QueryPlan{Root: root.op, Estimates: est}, nil
+}
+
+// combine is the greedy loop of §3.2, the planner's only one: until a single
+// plan covers every leaf and every variable-length edge is expanded, it takes
+// the join or expansion with the smallest estimated result - the cheapest
+// cartesian product when nothing connects - records its estimate and hands
+// the new partial to applyPredicates. A query's mandatory pattern and every
+// OPTIONAL MATCH or exists() group are ordered by it.
+func (pl *Planner) combine(access GraphAccess, qg *cypher.QueryGraph, plans []*partial, varLength []*cypher.QueryEdge,
+	est map[operators.Operator]float64, applyPredicates func(*partial)) (*partial, error) {
 	for len(plans) > 1 || len(varLength) > 0 {
 		type candidate struct {
 			kind    string // "join", "expand", "cross"
@@ -373,44 +424,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 			varLength = append(varLength[:best.edge], varLength[best.edge+1:]...)
 		}
 	}
-	if len(pending) > 0 {
-		exprs := make([]cypher.Expr, len(pending))
-		for i, pp := range pending {
-			exprs[i] = pp.expr
-		}
-		f := operators.NewFilterEmbeddings(plans[0].op, exprs)
-		est[f] = plans[0].card
-		plans[0].op = f
-	}
-
-	// exists()/NOT exists() predicates filter the mandatory solutions
-	// through semi/anti joins.
-	for _, eg := range qg.Existence {
-		sub, _, err := pl.planOptionalGroup(access, qg, &eg.OptionalGroup, est)
-		if err != nil {
-			return nil, err
-		}
-		op := operators.NewSemiJoinEmbeddings(plans[0].op, sub, pl.Morph, eg.Negated)
-		card := math.Max(plans[0].card*0.5, 1)
-		est[op] = card
-		plans[0] = &partial{op: op, card: card, vars: plans[0].vars}
-	}
-
-	// OPTIONAL MATCH groups extend the mandatory solutions through left
-	// outer joins, in clause order.
-	for _, group := range qg.Optional {
-		sub, subCard, err := pl.planOptionalGroup(access, qg, group, est)
-		if err != nil {
-			return nil, err
-		}
-		op := operators.NewOptionalJoinEmbeddings(plans[0].op, sub, pl.Morph, group.Predicates)
-		// Every left row survives; extensions multiply at most by the
-		// group's fan-out estimate.
-		card := math.Max(plans[0].card, plans[0].card*subCard/math.Max(1, float64(pl.Stats.VertexCount)))
-		est[op] = card
-		plans[0] = &partial{op: op, card: card, vars: unionVars(plans[0].vars, groupVars(group))}
-	}
-	return &QueryPlan{Root: plans[0].op, Estimates: est}, nil
+	return plans[0], nil
 }
 
 func groupVars(group *cypher.OptionalGroup) map[string]bool {
@@ -447,46 +461,11 @@ func (pl *Planner) planOptionalGroup(access GraphAccess, qg *cypher.QueryGraph, 
 	if len(plans) == 0 {
 		return nil, 0, fmt.Errorf("planner: empty OPTIONAL MATCH group")
 	}
-	for len(plans) > 1 {
-		bestI, bestJ := -1, -1
-		bestCard := math.Inf(1)
-		for i := 0; i < len(plans); i++ {
-			for j := i + 1; j < len(plans); j++ {
-				shared := sharedVars(plans[i], plans[j])
-				if len(shared) == 0 {
-					continue
-				}
-				if card := pl.joinCard(qg, plans[i], plans[j], shared); card < bestCard {
-					bestI, bestJ, bestCard = i, j, card
-				}
-			}
-		}
-		var merged *partial
-		if bestI < 0 {
-			sort.Slice(plans, func(a, b int) bool { return plans[a].card < plans[b].card })
-			op := operators.NewCartesianProduct(plans[0].op, plans[1].op, pl.Morph)
-			merged = &partial{op: op, card: plans[0].card * plans[1].card,
-				vars: unionVars(plans[0].vars, plans[1].vars)}
-			est[op] = merged.card
-			plans = append([]*partial{merged}, plans[2:]...)
-			continue
-		}
-		l, r := plans[bestI], plans[bestJ]
-		if r.card < l.card {
-			l, r = r, l
-		}
-		op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph, pl.Hint)
-		merged = &partial{op: op, card: bestCard, vars: unionVars(l.vars, r.vars)}
-		est[op] = bestCard
-		next := plans[:0]
-		for k, p := range plans {
-			if k != bestI && k != bestJ {
-				next = append(next, p)
-			}
-		}
-		plans = append(next, merged)
+	root, err := pl.combine(access, qg, plans, nil, est, func(*partial) {})
+	if err != nil {
+		return nil, 0, err
 	}
-	return plans[0].op, plans[0].card, nil
+	return root.op, root.card, nil
 }
 
 // vertexSignature renders a query vertex's structure with its variable name

@@ -23,13 +23,18 @@ import (
 	"gradoop/internal/session"
 )
 
-// chaosBlowup is the adversarial query of the overload harness: an
-// unconstrained four-way cartesian product over every Person, whose
-// materialized embeddings exceed any budget the harness configures by
-// orders of magnitude. It is syntactically valid, planner-approved work —
-// exactly the traffic an admission gate cannot reject up front and only a
-// memory governor can stop.
-const chaosBlowup = `MATCH (a:Person),(b:Person),(c:Person),(d:Person) RETURN a, b, c, d`
+// chaosBlowups are the adversarial queries of the overload harness, issued
+// in turn: an unconstrained four-way cartesian product over every Person,
+// and the same kind of product written as an OPTIONAL MATCH that shares no
+// variable with its MATCH - an outer join with one key group, 2 500 pairs of
+// persons by 300 comments. Their materialized embeddings exceed any budget
+// the harness configures by orders of magnitude. They are syntactically
+// valid, planner-approved work — exactly the traffic an admission gate
+// cannot reject up front and only a memory governor can stop.
+var chaosBlowups = []string{
+	`MATCH (a:Person),(b:Person),(c:Person),(d:Person) RETURN a, b, c, d`,
+	`MATCH (a:Person),(b:Person) OPTIONAL MATCH (m:Comment) RETURN a, b, m`,
+}
 
 // The overload run CI executes under -race and a tight GOMEMLIMIT: small
 // graph, 2 MiB budget, every fourth request a blowup. The budget is sized
@@ -161,14 +166,14 @@ func runChaos(t *testing.T, requests int) chaosReport {
 	// The deterministic schedule: kind and parameter of every request are
 	// fixed by the seed before any goroutine starts.
 	type chaosReq struct {
-		blowup bool
-		name   string
+		blowup string // the query, for a blowup
+		name   string // Q1's parameter, for a well-behaved request
 	}
 	rng := rand.New(rand.NewSource(chaosSeed))
 	schedule := make([]chaosReq, requests)
 	for i := range schedule {
 		if rng.Float64() < chaosBlowupFraction {
-			schedule[i] = chaosReq{blowup: true}
+			schedule[i] = chaosReq{blowup: chaosBlowups[rep.Blowups%len(chaosBlowups)]}
 			rep.Blowups++
 		} else {
 			schedule[i] = chaosReq{name: names[rng.Intn(len(names))]}
@@ -191,13 +196,13 @@ func runChaos(t *testing.T, requests int) chaosReport {
 					return
 				}
 				req := schedule[i]
-				body := map[string]any{"query": chaosBlowup}
-				if !req.blowup {
+				body := map[string]any{"query": req.blowup}
+				if req.blowup == "" {
 					body = map[string]any{"query": benchkit.Q1.Text(), "params": map[string]any{"firstName": req.name}}
 				}
 				status, header, out := postJSONNoFatal(t, ts.URL+"/query", body)
 				mu.Lock()
-				classifyChaos(&rep, req.blowup, oracle[req.name], status, header.Get("Retry-After"), out)
+				classifyChaos(&rep, req.blowup != "", oracle[req.name], status, header.Get("Retry-After"), out)
 				mu.Unlock()
 			}
 		}()

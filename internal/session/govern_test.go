@@ -50,6 +50,45 @@ func TestMemoryBudgetKill(t *testing.T) {
 	}
 }
 
+// TestOptionalBlowupIsShedLikeAJoin: an OPTIONAL MATCH that shares no
+// variable with the mandatory pattern is a product - 1 000 persons x 6 000
+// comments on LDBC SF 1 - and dies of the memory budget as the same product
+// written as a plain MATCH does, well inside its 200 ms deadline (some 10 ms).
+// When an outer join's key group ran in a loop the engine could not poll, the
+// query saw neither the budget nor the deadline for 1.5 s and 917 MiB of
+// allocation, and came back `timeout`. The race detector makes the 10 ms 180,
+// so under it - and only under it - the clock is ten times as generous; the
+// kind of the error is held either way.
+func TestOptionalBlowupIsShedLikeAJoin(t *testing.T) {
+	deadline := 200 * time.Millisecond
+	if raceDetector {
+		deadline *= 10
+	}
+	s := New(ldbcGraph(t, 1), Options{MemoryBudget: 2 << 20, DefaultTimeout: deadline})
+	// The kind is held on every run; the clock on the best of three, so that a
+	// neighbour's test binary taking the CPU is not this test's failure.
+	best := deadline
+	for range 3 {
+		start := time.Now()
+		_, err := s.Execute(Request{Query: `MATCH (a:Person) OPTIONAL MATCH (m:Comment) RETURN a, m`})
+		elapsed := time.Since(start)
+		if KindOf(err) != KindMemoryBudget {
+			t.Fatalf("KindOf = %v after %v, want KindMemoryBudget (%v)", KindOf(err), elapsed, err)
+		}
+		best = min(best, elapsed)
+	}
+	if best > deadline/2 {
+		t.Errorf("shed after %v, want well inside the %v deadline", best, deadline)
+	}
+	t.Logf("shed after %v of a %v deadline", best, deadline)
+	if got := s.Broker().Reserved(); got != 0 {
+		t.Errorf("broker holds %d B after the kill, want 0", got)
+	}
+	if got := s.Broker().Live(); got != 0 {
+		t.Errorf("live reservations = %d, want 0", got)
+	}
+}
+
 // TestGovernedSessionParity: with an ample budget, governed execution
 // returns exactly the ungoverned results, and releases everything.
 func TestGovernedSessionParity(t *testing.T) {
