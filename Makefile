@@ -12,7 +12,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard figures-check figures-update cluster-smoke bench-smoke check bench clean
+.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard inline-guard figures-check figures-update cluster-smoke bench-smoke check bench clean
 
 all: check
 
@@ -55,7 +55,9 @@ lint-tools:
 # fuzz-smoke gives each native fuzz target a short budget — enough to catch
 # regressions in the properties (parser never panics, canonicalization is
 # idempotent and literal-preserving, a shuffle bucket or a telemetry bundle
-# off the socket decodes or is an error) without open-ended fuzzing.
+# off the socket decodes or is an error, a row off the socket is an error or
+# views that end inside it - under -race, so checkptr holds the row's
+# unsafe.Slice views to their allocation) without open-ended fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/session -run '^FuzzCanonicalQuery$$' -fuzz '^FuzzCanonicalQuery$$' -fuzztime=$(FUZZTIME)
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint/analysis -run '^FuzzCFGBuild$$' -fuzz '^FuzzCFGBuild$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzAppendJSONValue$$' -fuzz '^FuzzAppendJSONValue$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/operators -run '^FuzzDecodeBucket$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime=$(FUZZTIME)
+	$(GO) test -race ./internal/embedding -run '^FuzzDecodeWire$$' -fuzz '^FuzzDecodeWire$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^FuzzDecodeTelemetryBundle$$' -fuzz '^FuzzDecodeTelemetryBundle$$' -fuzztime=$(FUZZTIME)
 
 race:
@@ -127,15 +130,26 @@ alloc-guard:
 	$(GO) test ./internal/operators ./internal/core ./internal/cluster -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
 		/^BenchmarkRow/ { print; v = -1; bytes = -1; for (i = 2; i <= NF; i++) { if ($$i == "allocs/row") v = $$(i-1) + 0; if ($$i == "B/row") bytes = $$(i-1) + 0 } \
 			max = ($$1 ~ /^BenchmarkRow(JSON|Frame)/) ? 0.01 : ($$1 ~ /^BenchmarkRow(Shuffle|JoinProbe|OuterJoin|SemiJoin)/) ? 0.05 : 0.1; \
-			maxBytes = ($$1 ~ /^BenchmarkRowLeafScan/) ? 84.5 : ($$1 ~ /^BenchmarkRowJoinProbe/) ? 142.3 : ($$1 ~ /^BenchmarkRowOuterJoin/) ? 165.6 : 0; \
+			maxBytes = ($$1 ~ /^BenchmarkRowLeafScan/) ? 66.9 : ($$1 ~ /^BenchmarkRowJoinProbe/) ? 114.3 : ($$1 ~ /^BenchmarkRowOuterJoin/) ? 127.3 : 0; \
 			seen++; if (v < 0 || v > max) bad = 1; if (maxBytes > 0 && (bytes < 0 || bytes > maxBytes)) bad = 1 } \
-		END { if (bad || seen != 10) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer and wire frame <= 0.01; shuffle, join probe, outer join and semi join <= 0.05; leaf scan, merge, expand hop and expand loop <= 0.1; ten kernels; heap bytes per output row: leaf scan <= 84.5, join probe <= 142.3, outer join <= 165.6 - 76.8, 129.3 and 150.5 measured + 10%, an append-grown output partition reads 143 and 200, an outer join of boxed rows 409)"; exit 1 } }'
+		END { if (bad || seen != 10) { print "alloc-guard: embedding hot path over budget (allocs per row: JSON row writer and wire frame <= 0.01; shuffle, join probe, outer join and semi join <= 0.05; leaf scan, merge, expand hop and expand loop <= 0.1; ten kernels; heap bytes per output row: leaf scan <= 66.9, join probe <= 114.3, outer join <= 127.3 - 60.8, 103.9 and 115.7 measured + 10% with the row header one word; 76.8, 129.3 and 150.5 with a slice header a row, and an append-grown output partition or an outer join of boxed rows several times that)"; exit 1 } }'
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkQueryCacheHit' -benchmem | awk ' \
 		/^BenchmarkQueryCacheHit/ { print; seen++; if ($$(NF-1)+0 > 51) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: a result-cache hit over HTTP allocates more than 51 objects (47 measured + 10%)"; exit 1 } }'
 	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkBind' -benchmem | awk ' \
 		/^BenchmarkBind/ { print; seen++; if ($$(NF-1)+0 > 37) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: binding the pinned graph and two scans allocate more than 37 objects (34 measured + 10%; 67 when Bind built a dataset per label)"; exit 1 } }'
+
+# inline-guard holds the embedding's accessors inside the inliner's budget.
+# They read a row through a pointer (DESIGN.md decision 29); written as
+# re-slices of the whole row they compile, pass every test and stop being
+# inlined, which measured 15 % of a request's CPU on the analytic workload.
+INLINED = lens arrays idData entry Columns IsPath IsNullAt PathLen PathID SizeBytes WireSize
+inline-guard:
+	@$(GO) build -gcflags=-m ./internal/embedding 2>&1 | awk -v want="$(INLINED)" ' \
+		/: can inline Embedding\./ { sub(/.*can inline Embedding\./, ""); ok[$$1] = 1 } \
+		END { n = split(want, f, " "); for (i = 1; i <= n; i++) if (!ok[f[i]]) { print "inline-guard: embedding.Embedding." f[i] " is no longer inlinable"; bad = 1 } \
+			if (bad) exit 1; print "inline-guard: " n " embedding accessors inline" }'
 
 # figures-check regenerates the paper's evaluation (`cmd/bench -exp all`:
 # Figures 3-5, Tables 3-4, cardinalities, the recovery table, every EXPLAIN
@@ -156,7 +170,7 @@ figures-update:
 # The grep keeps the deleted serving/cluster/chaos fork of cmd/bench from
 # being cited back into existence: speed is measured by bench/
 # (BENCHMARK.json), overload by chaos-smoke.
-check: build vet lint race alloc-guard figures-check
+check: build vet lint race alloc-guard inline-guard figures-check
 	$(GO) test -race -count=10 -run 'TestMetricsSnapshotUntorn' ./internal/session
 	! grep -rnE -- '-exp (serve|cluster|chaos)|Run(Serve|Cluster)' README.md DESIGN.md EXPERIMENTS.md Makefile .github .claude cmd internal
 

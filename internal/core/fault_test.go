@@ -17,6 +17,17 @@ import (
 	"gradoop/internal/stats"
 )
 
+// wireRows copies out every row's bytes. Rows are compared by these, never
+// by reflect.DeepEqual on the rows themselves: an Embedding is a pointer to
+// its first byte, and DeepEqual would compare that one byte.
+func wireRows(rows []embedding.Embedding) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, e := range rows {
+		out[i] = e.AppendWire(nil)
+	}
+	return out
+}
+
 // denseGraph builds a complete directed graph over n Person vertices —
 // small, but with ~n^k k-hop paths it makes an unbounded variable-length
 // expansion effectively infinite under homomorphism.
@@ -139,7 +150,7 @@ func TestInjectedFailureRecoveryMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := clean.Embeddings.Collect()
+	want := wireRows(clean.Embeddings.Collect())
 
 	kills := []dataflow.Kill{
 		{Stage: 1, Partition: 0},
@@ -152,7 +163,7 @@ func TestInjectedFailureRecoveryMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery must be transparent, got %v", err)
 	}
-	got := faulty.Embeddings.Collect()
+	got := wireRows(faulty.Embeddings.Collect())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("faulty run differs from failure-free run: %d vs %d embeddings", len(got), len(want))
 	}

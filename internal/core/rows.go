@@ -66,9 +66,41 @@ func (r *Result) compileCell(e cypher.Expr) cell {
 	return cell{kind: cellExpr, expr: e, meta: r.Meta}
 }
 
+// located is an embedding whose property values are found once.
+// Embedding.PropBytes(i) steps over the i values in front of the one it
+// returns, so rendering a row of k property cells through it walks k*k/2
+// values; the first property read of a row asks for all the offsets instead,
+// into a buffer the walk reuses, and a row of ids and paths never asks.
+type located struct {
+	embedding.Embedding
+	offs  []uint32 // Embedding.AppendPropOffsets; empty until a property is read
+	props []byte   // the propData they index
+}
+
+func (r *located) set(emb embedding.Embedding) {
+	r.Embedding, r.offs, r.props = emb, r.offs[:0], nil
+}
+
+// propBytes is Embedding.PropBytes.
+func (r *located) propBytes(i int) []byte {
+	if len(r.offs) == 0 {
+		r.offs, r.props = r.AppendPropOffsets(r.offs)
+	}
+	return r.props[r.offs[i]:r.offs[i+1]]
+}
+
+// prop is Embedding.Prop.
+func (r *located) prop(i int) epgm.PropertyValue {
+	v, _, err := epgm.DecodePropertyValue(r.propBytes(i))
+	if err != nil {
+		panic(fmt.Sprintf("core: property column %d: %v", i, err))
+	}
+	return v
+}
+
 // value evaluates the cell against one embedding. Bare variables yield the
 // bound element id (paths render as id lists), unbound ones Null.
-func (c cell) value(emb embedding.Embedding) epgm.PropertyValue {
+func (c cell) value(emb *located) epgm.PropertyValue {
 	switch c.kind {
 	case cellID:
 		if emb.IsNullAt(c.col) {
@@ -79,13 +111,13 @@ func (c cell) value(emb embedding.Embedding) epgm.PropertyValue {
 		if emb.IsNullAt(c.col) {
 			return epgm.Null
 		}
-		return epgm.PVString(string(appendPathText(nil, emb, c.col)))
+		return epgm.PVString(string(appendPathText(nil, emb.Embedding, c.col)))
 	case cellProp:
-		return emb.Prop(c.col)
+		return emb.prop(c.col)
 	case cellExpr:
 		return cypher.EvalValue(c.expr, func(variable, key string) epgm.PropertyValue {
 			if pc, ok := c.meta.PropColumn(variable, key); ok {
-				return emb.Prop(pc)
+				return emb.prop(pc)
 			}
 			return epgm.Null
 		})
@@ -200,16 +232,18 @@ func (r *Result) materialize(p *returnPlan) [][]epgm.PropertyValue {
 				extraSort = append(extraSort, r.compileCell(s.Expr))
 			}
 		}
-		for _, emb := range embeddings {
+		var emb located
+		for _, e := range embeddings {
+			emb.set(e)
 			vals := make([]epgm.PropertyValue, len(p.cells))
 			for i, c := range p.cells {
-				vals[i] = c.value(emb)
+				vals[i] = c.value(&emb)
 			}
 			rows = append(rows, vals)
 			if len(extraSort) > 0 {
 				keys := make([]epgm.PropertyValue, len(extraSort))
 				for i, c := range extraSort {
-					keys[i] = c.value(emb)
+					keys[i] = c.value(&emb)
 				}
 				sortKeys = append(sortKeys, keys)
 			}
@@ -232,6 +266,7 @@ type rowsSink struct {
 	plan    *returnPlan
 	out     []Row
 	backing []epgm.PropertyValue
+	row     located
 }
 
 func (s *rowsSink) begin(p *returnPlan, rows int) {
@@ -246,8 +281,9 @@ func (s *rowsSink) embedding(emb embedding.Embedding) {
 	n := len(s.plan.cells)
 	vals := s.backing[:n:n]
 	s.backing = s.backing[n:]
+	s.row.set(emb)
 	for i, c := range s.plan.cells {
-		vals[i] = c.value(emb)
+		vals[i] = c.value(&s.row)
 	}
 	s.values(vals)
 }
@@ -384,11 +420,13 @@ func (p *returnPlan) aggregateRows(embeddings []embedding.Embedding) [][]epgm.Pr
 			keyIdx = append(keyIdx, i)
 		}
 	}
-	for _, emb := range embeddings {
+	var emb located
+	for _, e := range embeddings {
+		emb.set(e)
 		keyVals := make([]epgm.PropertyValue, len(keyIdx))
 		var kb strings.Builder
 		for i, idx := range keyIdx {
-			keyVals[i] = p.cells[idx].value(emb)
+			keyVals[i] = p.cells[idx].value(&emb)
 			kb.WriteString(valueKey(keyVals[i]))
 			kb.WriteByte(0)
 		}
@@ -404,7 +442,7 @@ func (p *returnPlan) aggregateRows(embeddings []embedding.Embedding) [][]epgm.Pr
 		}
 		for _, idx := range aggIdx {
 			// count(*) has a cellNull, whose Null it counts all the same.
-			gr.aggs[idx].add(p.cells[idx].value(emb))
+			gr.aggs[idx].add(p.cells[idx].value(&emb))
 		}
 	}
 

@@ -18,6 +18,7 @@ type jsonSink struct {
 	dst   []byte
 	cells []cell
 	rows  int // written so far
+	row   located
 }
 
 func (s *jsonSink) begin(p *returnPlan, _ int) {
@@ -35,11 +36,12 @@ func (s *jsonSink) beginRow() {
 
 func (s *jsonSink) embedding(emb embedding.Embedding) {
 	s.beginRow()
+	s.row.set(emb)
 	for i, c := range s.cells {
 		if i > 0 {
 			s.dst = append(s.dst, ',')
 		}
-		s.dst = c.appendJSON(s.dst, emb)
+		s.dst = c.appendJSON(s.dst, &s.row)
 	}
 	s.dst = append(s.dst, ']')
 }
@@ -57,7 +59,7 @@ func (s *jsonSink) values(vals []epgm.PropertyValue) {
 
 // appendJSON appends the JSON form of the cell's value for one embedding:
 // AppendJSONValue(dst, c.value(emb)) without the value in between.
-func (c cell) appendJSON(dst []byte, emb embedding.Embedding) []byte {
+func (c cell) appendJSON(dst []byte, emb *located) []byte {
 	switch c.kind {
 	case cellID:
 		if emb.IsNullAt(c.col) {
@@ -69,10 +71,10 @@ func (c cell) appendJSON(dst []byte, emb embedding.Embedding) []byte {
 			return append(dst, "null"...)
 		}
 		dst = append(dst, '"')
-		dst = appendPathText(dst, emb, c.col)
+		dst = appendPathText(dst, emb.Embedding, c.col)
 		return append(dst, '"')
 	case cellProp:
-		return appendJSONEncoded(dst, emb.PropBytes(c.col))
+		return appendJSONEncoded(dst, emb.propBytes(c.col))
 	default:
 		return AppendJSONValue(dst, c.value(emb))
 	}

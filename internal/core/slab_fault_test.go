@@ -45,7 +45,7 @@ func TestSlabRowsSurviveRetries(t *testing.T) {
 		}
 
 		clean, m := run(nil)
-		want := clean.Embeddings.Collect()
+		want := wireRows(clean.Embeddings.Collect())
 		if len(want) == 0 {
 			t.Fatal("the query must produce rows to say anything")
 		}
@@ -54,7 +54,7 @@ func TestSlabRowsSurviveRetries(t *testing.T) {
 		if fm.Retries == 0 || fm.RetriedStages < m.Stages/2 {
 			t.Fatalf("schedule too thin: %d retries over %d of %d stages", fm.Retries, fm.RetriedStages, m.Stages)
 		}
-		if got := faulty.Embeddings.Collect(); !reflect.DeepEqual(got, want) {
+		if got := wireRows(faulty.Embeddings.Collect()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v/%v: rows after %d retries differ from the failure-free run (%d vs %d)",
 				morph.Vertex, morph.Edge, fm.Retries, len(got), len(want))
 		}

@@ -238,8 +238,8 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput
 }
 
 // presizeCeiling is the most rows an output partition is allocated at on the
-// strength of a count (probePartition): 2^18 rows, 6 MiB of 24-byte row
-// headers. It is a constant - nothing sets it but TestPresizeIsInvisible,
+// strength of a count (probePartition): 2^18 rows, 2 MiB of the one-word
+// headers of embedding rows. It is a constant - nothing sets it but TestPresizeIsInvisible,
 // which is why it is a variable.
 var presizeCeiling = 1 << 18
 

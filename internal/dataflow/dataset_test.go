@@ -106,29 +106,33 @@ func TestUnion(t *testing.T) {
 	}
 }
 
+// TestShufflePreservesMultisetAndGroupsKeys, also with more partitions than
+// placeAll keeps fill counters for on its stack.
 func TestShufflePreservesMultisetAndGroupsKeys(t *testing.T) {
-	e := env(5)
-	d := FromSlice(e, ints(1000))
-	s := shuffle(d, func(x int) uint64 { return uint64(x % 17) })
-	got := s.Collect()
-	if len(got) != 1000 {
-		t.Fatalf("shuffle lost elements: %d", len(got))
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("shuffle changed multiset at %d: %d", i, v)
+	for _, workers := range []int{5, placeStack + 3} {
+		e := env(workers)
+		d := FromSlice(e, ints(1000))
+		s := shuffle(d, func(x int) uint64 { return uint64(x % 17) })
+		got := s.Collect()
+		if len(got) != 1000 {
+			t.Fatalf("%d partitions: shuffle lost elements: %d", workers, len(got))
 		}
-	}
-	// All elements with the same key must be in the same partition.
-	keyPart := map[uint64]int{}
-	for p, part := range s.parts {
-		for _, v := range part {
-			k := uint64(v % 17)
-			if prev, ok := keyPart[k]; ok && prev != p {
-				t.Fatalf("key %d split across partitions %d and %d", k, prev, p)
+		sort.Ints(got)
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("%d partitions: shuffle changed multiset at %d: %d", workers, i, v)
 			}
-			keyPart[k] = p
+		}
+		// All elements with the same key must be in the same partition.
+		keyPart := map[uint64]int{}
+		for p, part := range s.parts {
+			for _, v := range part {
+				k := uint64(v % 17)
+				if prev, ok := keyPart[k]; ok && prev != p {
+					t.Fatalf("%d partitions: key %d split across partitions %d and %d", workers, k, prev, p)
+				}
+				keyPart[k] = p
+			}
 		}
 	}
 }

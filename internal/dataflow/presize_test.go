@@ -202,7 +202,7 @@ func TestAppendToPublishedPartitionCopies(t *testing.T) {
 // kills the probe some twenty thousand rows in, the third join never starts,
 // and the reservation drains.
 func TestBlowupDiesBeforeItIsSized(t *testing.T) {
-	type row [3]int // 24 bytes, a row header's size
+	type row [3]int // 24 bytes
 	env, b, r := governedEnv(t, 4, 1<<20)
 	same := func(row) uint64 { return 1 }
 	cross := func(l, r row, emit func(row)) { emit(row{l[0], r[0], l[1]}) }

@@ -70,9 +70,13 @@ func shuffleTagged[T any](d *Dataset[T], key func(T) uint64, tag uint64) *Datase
 // under a governor, which charges the whole output; the network model bills
 // what crosses partitions.
 type route struct {
-	dest  []uint32
-	count []int
-	bytes []int64
+	dest []uint32
+	to   []routeTotal // per destination
+}
+
+type routeTotal struct {
+	count int
+	bytes int64
 }
 
 // exchange moves every element of d to the partition dest names for it
@@ -95,16 +99,16 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 	sz := sizingOf[T]()
 	routes := runStage(env, w, func(a *attempt) (route, work) {
 		p, part := a.p, d.parts[a.p]
-		r := route{dest: make([]uint32, len(part)), count: make([]int, w), bytes: make([]int64, w)}
+		r := route{dest: make([]uint32, len(part)), to: make([]routeTotal, w)}
 		for i := range part {
 			if !a.tick(i) {
 				return route{}, work{}
 			}
 			q := dest(p, i, part[i])
 			r.dest[i] = uint32(q)
-			r.count[q]++
+			r.to[q].count++
 			if q != p || env.governor != nil {
-				r.bytes[q] += sz.of(&part[i])
+				r.to[q].bytes += sz.of(&part[i])
 			}
 		}
 		n := int64(len(part))
@@ -117,32 +121,30 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 		return remoteExchange(d, routes)
 	}
 
-	// buckets[p][q], where source p's elements for destination q go, is a
-	// window of destination q's partition.
+	// buckets[p*w+q], where source p's elements for destination q go, is a
+	// window of destination q's partition: the windows of one destination
+	// follow each other in source order.
 	out := make([][]T, w)
+	buckets := make([][]T, w*w)
 	for q := range out {
 		n := 0
 		for p := range routes {
-			n += routes[p].count[q]
+			n += routes[p].to[q].count
 		}
-		out[q] = make([]T, n)
-	}
-	buckets := make([][][]T, w)
-	filled := make([]int, w) // of out[q], as its windows are handed out
-	for p := range d.parts {
-		buckets[p] = make([][]T, w)
-		for q, n := range routes[p].count {
-			buckets[p][q] = out[q][filled[q] : filled[q]+n : filled[q]+n]
-			filled[q] += n
+		rest := make([]T, n)
+		out[q] = rest
+		for p := range routes {
+			n := routes[p].to[q].count
+			buckets[p*w+q], rest = rest[:n:n], rest[n:]
 		}
 	}
 	placeAll(d.parts, routes, buckets)
 	for q := range out {
 		var net, mem int64
 		for p := range routes {
-			mem += routes[p].bytes[q]
+			mem += routes[p].to[q].bytes
 			if p != q {
-				net += routes[p].bytes[q]
+				net += routes[p].to[q].bytes
 			}
 		}
 		// The destination partition is a fresh materialization of the whole
@@ -159,12 +161,22 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 	return out, true
 }
 
-// placeAll copies every element into its bucket, one goroutine per source
-// partition. The windows are disjoint, so the writers share nothing; the
-// loop is a copy that calls no user code and cannot fail, which is why it
-// runs outside runStage (it is not a stage, and a fault plan must not see
-// it as a second attempt of one).
-func placeAll[T any](parts [][]T, routes []route, buckets [][][]T) {
+// placeStack is the number of partitions up to which placeAll's fill
+// counters cost no allocation.
+const placeStack = 16
+
+// placeAll copies every element into its bucket - source p's are
+// buckets[p*w:(p+1)*w] - one goroutine per source partition. The windows are
+// disjoint and only read here, so the writers share nothing: a goroutine
+// counts how far it has filled each of its windows in next, which lives on
+// its stack up to placeStack partitions. (Advancing the windows in place
+// instead, bucket[q] = bucket[q][1:], stores a slice header for every element
+// into an array all sources share, and measured slower: DESIGN decision 29.)
+// The loop is a copy that calls no user code and cannot fail, which is why it
+// runs outside runStage (it is not a stage, and a fault plan must not see it
+// as a second attempt of one).
+func placeAll[T any](parts [][]T, routes []route, buckets [][]T) {
+	w := len(parts)
 	var wg sync.WaitGroup
 	for p := range parts {
 		if len(parts[p]) == 0 {
@@ -173,13 +185,17 @@ func placeAll[T any](parts [][]T, routes []route, buckets [][][]T) {
 		wg.Add(1)
 		go func(part []T, dest []uint32, bucket [][]T) {
 			defer wg.Done()
-			next := make([]int, len(bucket))
+			var stack [placeStack]int
+			next := stack[:]
+			if len(bucket) > placeStack {
+				next = make([]int, len(bucket))
+			}
 			for i := range part {
 				q := dest[i]
 				bucket[q][next[q]] = part[i]
 				next[q]++
 			}
-		}(parts[p], routes[p].dest, buckets[p])
+		}(parts[p], routes[p].dest, buckets[p*w:(p+1)*w])
 	}
 	wg.Wait()
 }

@@ -153,7 +153,7 @@ func encodeRemote[T any](part []T, r route, owned []bool) ([][]byte, error) {
 	row := make([][]byte, len(owned))
 	for q := range row {
 		if !owned[q] {
-			row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.count[q]))
+			row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.to[q].count))
 		}
 	}
 	for i := range part {
@@ -206,22 +206,24 @@ func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
 		return nil, false
 	}
 	out := make([][]T, w)
-	starts := make([][]int, w) // starts[q][p]: where source p's rows begin in out[q]
+	// from(q)[p] is where source p's rows begin in out[q], from(q)[w] its length.
+	starts := make([]int, w*(w+1))
+	from := func(q int) []int { return starts[q*(w+1) : (q+1)*(w+1)] }
 	for q := range out {
 		if !owned[q] {
 			continue
 		}
-		starts[q] = make([]int, w+1)
+		at := from(q)
 		for p := range routes {
-			n := routes[p].count[q]
+			n := routes[p].to[q].count
 			if !owned[p] {
 				if n, err = BucketCount(incoming[q][p]); err != nil {
 					return corrupt(q, p, err)
 				}
 			}
-			starts[q][p+1] = starts[q][p] + n
+			at[p+1] = at[p] + n
 		}
-		out[q] = make([]T, starts[q][w])
+		out[q] = make([]T, at[w])
 	}
 	next := make([]int, w)
 	for p, part := range d.parts {
@@ -230,7 +232,7 @@ func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
 		}
 		for q := range next {
 			if owned[q] {
-				next[q] = starts[q][p]
+				next[q] = from(q)[p]
 			}
 		}
 		for i, q := range routes[p].dest {
@@ -245,11 +247,12 @@ func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
 		if !owned[q] {
 			continue
 		}
+		at := from(q)
 		for p := range routes {
 			if owned[p] {
 				continue
 			}
-			if err := DecodeBucket(part[starts[q][p]:starts[q][p+1]], incoming[q][p]); err != nil {
+			if err := DecodeBucket(part[at[p]:at[p+1]], incoming[q][p]); err != nil {
 				return corrupt(q, p, err)
 			}
 		}
@@ -257,7 +260,7 @@ func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
 			return nil, false
 		}
 		// What crossed partitions is everything but source q's own share.
-		env.chargeNet(q, sz.sum(part[:starts[q][q]])+sz.sum(part[starts[q][q+1]:]))
+		env.chargeNet(q, sz.sum(part[:at[q]])+sz.sum(part[at[q+1]:]))
 		env.traceRowsOut(q, int64(len(part)))
 	}
 	return out, true

@@ -7,14 +7,15 @@
 // encoding doubles as the wire format and the engine's byte accounting is
 // exact.
 //
-// A row is one contiguous buffer: a fixed prefix with the lengths of idData
-// and pathData, then the three arrays back to back. Id columns are
-// fixed-width, so column access is constant time; property access "walks the
-// length information of the preceding entries" as in the paper, which here
-// means stepping over each preceding value by its encoded size — nothing in
-// front of the wanted value is decoded. The operators carve row buffers from
-// a Slab owned by one partition attempt (see Slab); the methods on Embedding
-// are the same routines without one, one allocation per row.
+// A row is one contiguous run of bytes, the same in memory as on the wire:
+// its length, a fixed prefix with the lengths of idData and pathData, then
+// the three arrays back to back. Id columns are fixed-width, so column access
+// is constant time; property access "walks the length information of the
+// preceding entries" as in the paper, which here means stepping over each
+// preceding value by its encoded size — nothing in front of the wanted value
+// is decoded. The operators carve rows from a Slab owned by one partition
+// attempt (see Slab); the methods on Embedding are the same routines without
+// one, one allocation per row.
 package embedding
 
 import (
@@ -36,45 +37,22 @@ const (
 // 8-byte identifier or offset, giving constant-time column access.
 const entrySize = 9
 
-// prefixSize is the width of a row buffer's prefix: the idData length and
-// the pathData length, each a big-endian uint32. propData takes the rest of
-// the buffer. The prefix is not accounted (SizeBytes is the three arrays, the
-// paper's row); it is shipped, because the wire row is the buffer (AppendWire).
+// prefixSize is the width of a row's prefix: the idData length and the
+// pathData length, each a big-endian uint32. propData takes the rest of the
+// row. The prefix is not accounted (SizeBytes is the three arrays, the
+// paper's row); it is shipped, and so is the length word in front of it,
+// because the row in memory is the wire row (AppendWire).
 const prefixSize = 8
 
-// Embedding is one row of a pattern-matching intermediate result. The zero
-// value is an empty embedding ready for appends. Embeddings have value
-// semantics: a row is never changed once built, operations that grow one
-// return a new one, and a row's buffer has no spare capacity, so nothing
-// appended to one row can reach the bytes of another.
+// Embedding is one row of a pattern-matching intermediate result: one word,
+// the address of its wire row (row.go), so a partition of rows, a shuffle
+// destination and a path state carry 8 bytes a row. The zero value is an
+// empty embedding ready for appends. Embeddings have value semantics: a row
+// is never changed once built, operations that grow one return a new one,
+// and every view of a row ends where the row ends, so nothing appended to
+// one can reach the bytes of another.
 type Embedding struct {
-	buf []byte // prefix | idData | pathData | propData; nil when empty
-}
-
-// lens returns the lengths of idData and pathData.
-func (e Embedding) lens() (id, path int) {
-	if len(e.buf) == 0 {
-		return 0, 0
-	}
-	return int(binary.BigEndian.Uint32(e.buf)), int(binary.BigEndian.Uint32(e.buf[4:]))
-}
-
-// arrays returns the three arrays as views of the buffer.
-func (e Embedding) arrays() (idData, pathData, propData []byte) {
-	if len(e.buf) == 0 {
-		return nil, nil, nil
-	}
-	id, path := e.lens()
-	body := e.buf[prefixSize:]
-	return body[:id], body[id : id+path], body[id+path:]
-}
-
-// idData is behind every column access and reads only its own length.
-func (e Embedding) idData() []byte {
-	if len(e.buf) == 0 {
-		return nil
-	}
-	return e.buf[prefixSize : prefixSize+int(binary.BigEndian.Uint32(e.buf))]
+	p *byte // the row's length word; nil when empty
 }
 
 func (e Embedding) pathData() []byte {
@@ -168,7 +146,7 @@ func (e Embedding) PropCount() int {
 
 // PropBytes returns the encoded bytes (epgm.PropertyValue.Encode) of the
 // property value at property column i, found by stepping over the values in
-// front of it. The bytes are a view of the row's buffer: read, never write.
+// front of it. The bytes are a view of the row, read, never write.
 func (e Embedding) PropBytes(i int) []byte {
 	props := e.propData()
 	for j := 0; ; j++ {
@@ -183,6 +161,26 @@ func (e Embedding) PropBytes(i int) []byte {
 	}
 }
 
+// AppendPropOffsets appends to dst the offset in propData of every property
+// value in turn and then propData's length, in one pass over the values'
+// length information, and returns them with the propData they index (a view
+// of the row, read, never write): value i is propData[offs[i]:offs[i+1]]. A
+// reader of several values of one row asks once instead of stepping over the
+// first i values for each.
+func (e Embedding) AppendPropOffsets(dst []uint32) (offs []uint32, propData []byte) {
+	propData = e.propData()
+	at := 0
+	for at < len(propData) {
+		dst = append(dst, uint32(at))
+		sz, err := epgm.EncodedValueSize(propData[at:])
+		if err != nil {
+			panic("embedding: corrupt propData: " + err.Error())
+		}
+		at += sz
+	}
+	return append(dst, uint32(at)), propData
+}
+
 // Prop returns the property value at property column i. As in the paper,
 // access walks the length information of the preceding entries; only the
 // value asked for is decoded.
@@ -195,13 +193,18 @@ func (e Embedding) Prop(i int) epgm.PropertyValue {
 }
 
 // SizeBytes implements dataflow.Sized with the exact wire size: the three
-// arrays, without the buffer's prefix.
-func (e Embedding) SizeBytes() int { return max(len(e.buf)-prefixSize, 0) }
+// arrays, without the row's length word and prefix.
+func (e Embedding) SizeBytes() int {
+	if e.p == nil {
+		return 0
+	}
+	return int(binary.BigEndian.Uint32(e.head()[:])) - prefixSize
+}
 
 // AppendID returns a copy of e with an identifier column appended.
 func (e Embedding) AppendID(id epgm.ID) Embedding {
-	row, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
-	putEntry(row.buf[idAt:], flagID, uint64(id))
+	row, buf, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
+	putEntry(buf[idAt:], flagID, uint64(id))
 	return row
 }
 
@@ -212,8 +215,8 @@ func (e Embedding) AppendPath(ids []epgm.ID) Embedding {
 
 // AppendProps returns a copy of e with property values appended to propData.
 func (e Embedding) AppendProps(values ...epgm.PropertyValue) Embedding {
-	row, _, _, propAt := (*Slab)(nil).extend(e, 0, 0, encodedSize(values))
-	encodeProps(row.buf, propAt, values)
+	row, buf, _, _, propAt := (*Slab)(nil).extend(e, 0, 0, encodedSize(values))
+	encodeProps(buf, propAt, values)
 	return row
 }
 

@@ -44,12 +44,12 @@ func (c *chunks[T]) alloc(n, lo, hi int) []T {
 	return run
 }
 
-// A Slab hands out the buffers of the rows one partition attempt builds, and
+// A Slab hands out the bytes of the rows one partition attempt builds, and
 // the identifier lists that go with them, so that a row costs a pointer
 // bump, not a trip to the allocator.
 //
-// A row is immutable once built, and with no spare capacity behind its
-// buffer an append to one row reallocates instead of writing into its
+// A row is immutable once built, and every view of it ends where it ends,
+// so an append to one reallocates instead of writing into the row's
 // neighbour in the chunk.
 //
 // A slab belongs to one goroutine - the dataflow engine creates a row
@@ -59,8 +59,8 @@ func (c *chunks[T]) alloc(n, lo, hi int) []T {
 // row carved from it is reachable, which also means a consumer that keeps
 // one row in a hundred keeps the whole chunk.
 //
-// The row-building methods accept a nil *Slab and then allocate each buffer
-// on its own; that is what the value-semantic methods on Embedding do.
+// The row-building methods accept a nil *Slab and then allocate each row on
+// its own; that is what the value-semantic methods on Embedding do.
 type Slab struct {
 	rows chunks[byte]
 	ids  chunks[epgm.ID]
@@ -87,31 +87,34 @@ func putEntry(dst []byte, flag byte, payload uint64) {
 
 // extend starts a row that holds e's three arrays grown by addID, addPath
 // and addProp bytes: it returns the new row with e's arrays copied to the
-// front of their sections and the prefix set, plus the offsets in its buffer
-// at which the added bytes of each section go.
-func (s *Slab) extend(e Embedding, addID, addPath, addProp int) (row Embedding, idAt, pathAt, propAt int) {
+// front of their sections and the length words set, plus the row's bytes for
+// the caller to finish and the offsets in them at which the added bytes of
+// each section go. This is one of the two places a row pointer is minted
+// (row.go): buf is exactly the 4+n bytes its first word says.
+func (s *Slab) extend(e Embedding, addID, addPath, addProp int) (row Embedding, buf []byte, idAt, pathAt, propAt int) {
 	idData, pathData, propData := e.arrays()
 	id, path, prop := len(idData)+addID, len(pathData)+addPath, len(propData)+addProp
 	if id+path+prop == 0 {
-		return Embedding{}, 0, 0, 0
+		return Embedding{}, nil, 0, 0, 0
 	}
-	buf := s.alloc(prefixSize + id + path + prop)
-	binary.BigEndian.PutUint32(buf, uint32(id))
-	binary.BigEndian.PutUint32(buf[4:], uint32(path))
-	idAt = prefixSize + copy(buf[prefixSize:], idData)
-	pathAt = prefixSize + id + copy(buf[prefixSize+id:], pathData)
-	propAt = prefixSize + id + path + copy(buf[prefixSize+id+path:], propData)
-	return Embedding{buf: buf}, idAt, pathAt, propAt
+	buf = s.alloc(headSize + id + path + prop)
+	binary.BigEndian.PutUint32(buf, uint32(prefixSize+id+path+prop))
+	binary.BigEndian.PutUint32(buf[4:], uint32(id))
+	binary.BigEndian.PutUint32(buf[8:], uint32(path))
+	idAt = headSize + copy(buf[headSize:], idData)
+	pathAt = headSize + id + copy(buf[headSize+id:], pathData)
+	propAt = headSize + id + path + copy(buf[headSize+id+path:], propData)
+	return Embedding{p: &buf[0]}, buf, idAt, pathAt, propAt
 }
 
 // Row builds a row of plain identifier columns and property values in one
 // write - what the leaf operators emit.
 func (s *Slab) Row(ids []epgm.ID, props []epgm.PropertyValue) Embedding {
-	row, idAt, _, propAt := s.extend(Embedding{}, len(ids)*entrySize, 0, encodedSize(props))
+	row, buf, idAt, _, propAt := s.extend(Embedding{}, len(ids)*entrySize, 0, encodedSize(props))
 	for i, id := range ids {
-		putEntry(row.buf[idAt+i*entrySize:], flagID, uint64(id))
+		putEntry(buf[idAt+i*entrySize:], flagID, uint64(id))
 	}
-	encodeProps(row.buf, propAt, props)
+	encodeProps(buf, propAt, props)
 	return row
 }
 
@@ -140,14 +143,14 @@ func (s *Slab) AppendPath(e Embedding, path []epgm.ID, end epgm.ID, bindEnd bool
 	if bindEnd {
 		idBytes += entrySize
 	}
-	row, idAt, pathAt, _ := s.extend(e, idBytes, 4+8*len(path), 0)
-	putEntry(row.buf[idAt:], flagPath, uint64(pathLen))
+	row, buf, idAt, pathAt, _ := s.extend(e, idBytes, 4+8*len(path), 0)
+	putEntry(buf[idAt:], flagPath, uint64(pathLen))
 	if bindEnd {
-		putEntry(row.buf[idAt+entrySize:], flagID, uint64(end))
+		putEntry(buf[idAt+entrySize:], flagID, uint64(end))
 	}
-	binary.BigEndian.PutUint32(row.buf[pathAt:], uint32(len(path)))
+	binary.BigEndian.PutUint32(buf[pathAt:], uint32(len(path)))
 	for i, id := range path {
-		binary.BigEndian.PutUint64(row.buf[pathAt+4+8*i:], uint64(id))
+		binary.BigEndian.PutUint64(buf[pathAt+4+8*i:], uint64(id))
 	}
 	return row
 }
@@ -155,11 +158,11 @@ func (s *Slab) AppendPath(e Embedding, path []epgm.ID, end epgm.ID, bindEnd bool
 // PadNull returns e with cols unbound columns and props NULL property values
 // appended, in one write: a mandatory row no OPTIONAL MATCH extension joined.
 func (s *Slab) PadNull(e Embedding, cols, props int) Embedding {
-	row, idAt, _, propAt := s.extend(e, cols*entrySize, 0, props*epgm.Null.EncodedSize())
+	row, buf, idAt, _, propAt := s.extend(e, cols*entrySize, 0, props*epgm.Null.EncodedSize())
 	for i := 0; i < cols; i++ {
-		putEntry(row.buf[idAt+i*entrySize:], flagNull, 0)
+		putEntry(buf[idAt+i*entrySize:], flagNull, 0)
 	}
-	dst := row.buf[:propAt]
+	dst := buf[:propAt]
 	for i := 0; i < props; i++ {
 		dst = epgm.Null.Encode(dst)
 	}
@@ -171,9 +174,9 @@ func (s *Slab) PadNull(e Embedding, cols, props int) Embedding {
 func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {
 	rIDs, rPaths, rProps := r.arrays()
 	_, pathBase := l.lens()
-	row, idAt, pathAt, propAt := s.extend(l, len(rIDs)-len(dropColumns)*entrySize, len(rPaths), len(rProps))
-	copy(row.buf[pathAt:], rPaths)
-	copy(row.buf[propAt:], rProps)
+	row, buf, idAt, pathAt, propAt := s.extend(l, len(rIDs)-len(dropColumns)*entrySize, len(rPaths), len(rProps))
+	copy(buf[pathAt:], rPaths)
+	copy(buf[propAt:], rProps)
 	di := 0
 	for c := 0; c*entrySize < len(rIDs); c++ {
 		if di < len(dropColumns) && dropColumns[di] == c {
@@ -185,7 +188,7 @@ func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {
 		if ent[0] == flagPath {
 			payload += uint64(pathBase)
 		}
-		putEntry(row.buf[idAt:], ent[0], payload)
+		putEntry(buf[idAt:], ent[0], payload)
 		idAt += entrySize
 	}
 	return row
@@ -203,21 +206,21 @@ func (s *Slab) Project(e Embedding, idColumns, propColumns []int) Embedding {
 	for _, pc := range propColumns {
 		propLen += len(e.PropBytes(pc))
 	}
-	row, idAt, pathAt, propAt := s.extend(Embedding{}, len(idColumns)*entrySize, pathLen, propLen)
+	row, buf, idAt, pathAt, propAt := s.extend(Embedding{}, len(idColumns)*entrySize, pathLen, propLen)
 	pathStart := pathAt
 	for _, c := range idColumns {
 		flag, payload := e.entry(c)
 		if flag == flagPath {
 			enc := e.path(c)
 			payload = uint64(pathAt - pathStart)
-			binary.BigEndian.PutUint32(row.buf[pathAt:], uint32(len(enc)/8))
-			pathAt += 4 + copy(row.buf[pathAt+4:], enc)
+			binary.BigEndian.PutUint32(buf[pathAt:], uint32(len(enc)/8))
+			pathAt += 4 + copy(buf[pathAt+4:], enc)
 		}
-		putEntry(row.buf[idAt:], flag, payload)
+		putEntry(buf[idAt:], flag, payload)
 		idAt += entrySize
 	}
 	for _, pc := range propColumns {
-		propAt += copy(row.buf[propAt:], e.PropBytes(pc))
+		propAt += copy(buf[propAt:], e.PropBytes(pc))
 	}
 	return row
 }

@@ -30,24 +30,70 @@ func slabRows(s *Slab, n int) (rows []Embedding, want []string) {
 	return rows, want
 }
 
+// bytesOf returns e's wire row whole; nil for the empty embedding.
+func bytesOf(e Embedding) []byte {
+	if e.p == nil {
+		return nil
+	}
+	return rowBytes(e.p)
+}
+
+// views returns every view of e's bytes an accessor hands out.
+func views(e Embedding) [][]byte {
+	idData, pathData, propData := e.arrays()
+	vs := [][]byte{bytesOf(e), idData, pathData, propData, e.idData(), e.pathData(), e.propData()}
+	for c := 0; c < e.Columns(); c++ {
+		if e.IsPath(c) {
+			vs = append(vs, e.path(c))
+		}
+	}
+	for i := 0; i < e.PropCount(); i++ {
+		vs = append(vs, e.PropBytes(i))
+	}
+	return vs
+}
+
+// endsInside reports whether view, extended to its capacity, ends at or
+// before the last byte of row.
+func endsInside(view, row []byte) bool {
+	view = view[:cap(view)]
+	if len(view) == 0 {
+		return true
+	}
+	for i := range row {
+		if &row[i] == &view[len(view)-1] {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSlabRowsAreCapacityClipped: a row carved from a slab owns exactly its
-// bytes. With spare capacity behind it, appending to its buffer would write
-// into the next row of the chunk.
+// bytes. With spare capacity behind a view of it, appending to the view
+// would write into the next row of the chunk.
 func TestSlabRowsAreCapacityClipped(t *testing.T) {
 	var s Slab
 	rows, _ := slabRows(&s, 400) // several chunks, up to the largest size
 	for i, e := range rows {
-		if cap(e.buf) != len(e.buf) {
-			t.Fatalf("row %d: cap %d != len %d", i, cap(e.buf), len(e.buf))
+		row := bytesOf(e)
+		if cap(row) != len(row) || len(row) != e.WireSize() || len(row) != headSize+e.SizeBytes() {
+			t.Fatalf("row %d: cap %d, len %d, WireSize %d, SizeBytes %d", i, cap(row), len(row), e.WireSize(), e.SizeBytes())
+		}
+		for j, v := range views(e) {
+			if !endsInside(v, row) {
+				t.Fatalf("row %d: view %d (len %d, cap %d) reaches past the row", i, j, len(v), cap(v))
+			}
 		}
 	}
-	// Growing a row's buffer must reallocate: the bytes behind it belong to
-	// its neighbour and stay what they were.
+	// Growing a view of a row must reallocate: the bytes behind the row
+	// belong to its neighbour and stay what they were.
 	for i := 0; i+1 < len(rows); i++ {
-		next := append([]byte(nil), rows[i+1].buf...)
-		_ = append(rows[i].buf, 0xff, 0xff, 0xff, 0xff)
-		if !bytes.Equal(rows[i+1].buf, next) {
-			t.Fatalf("appending to row %d's buffer wrote into row %d", i, i+1)
+		next := bytes.Clone(bytesOf(rows[i+1]))
+		for _, v := range views(rows[i]) {
+			_ = append(v[:cap(v)], 0xff, 0xff, 0xff, 0xff)
+		}
+		if !bytes.Equal(bytesOf(rows[i+1]), next) {
+			t.Fatalf("appending to row %d's bytes wrote into row %d", i, i+1)
 		}
 	}
 }
@@ -81,8 +127,8 @@ func TestSlabMatchesValueSemantics(t *testing.T) {
 	onSlab, _ := slabRows(&s, 50)
 	plain, _ := slabRows(nil, 50)
 	for i := range onSlab {
-		if !bytes.Equal(onSlab[i].buf, plain[i].buf) {
-			t.Fatalf("row %d: slab %x, plain %x", i, onSlab[i].buf, plain[i].buf)
+		if !bytes.Equal(bytesOf(onSlab[i]), bytesOf(plain[i])) {
+			t.Fatalf("row %d: slab %x, plain %x", i, bytesOf(onSlab[i]), bytesOf(plain[i]))
 		}
 	}
 }
@@ -90,8 +136,8 @@ func TestSlabMatchesValueSemantics(t *testing.T) {
 // TestDecodedRowsAreClippedViews: a decoded row is a view of the frame it
 // came in, which the receiving attempt owns (cluster.readFrame gives every
 // frame a body of its own - TestFramesNeverShareBytes there), clipped to its
-// own length: an append to row i reallocates instead of writing into row
-// i+1, and the routines that grow a row copy it, so nothing built from a
+// own length: an append to a view of row i reallocates instead of writing
+// into row i+1, and the routines that grow a row copy it, so nothing built from a
 // decoded row writes to the frame.
 func TestDecodedRowsAreClippedViews(t *testing.T) {
 	src, want := slabRows(nil, 40)
@@ -107,11 +153,17 @@ func TestDecodedRowsAreClippedViews(t *testing.T) {
 		if rest, err = rows[i].DecodeWireInto(rest); err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
-		if cap(rows[i].buf) != len(rows[i].buf) {
-			t.Fatalf("row %d: decoded with cap %d != len %d", i, cap(rows[i].buf), len(rows[i].buf))
+		row := bytesOf(rows[i])
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: decoded with cap %d != len %d", i, cap(row), len(row))
 		}
-		if len(rows[i].buf) > 0 && &rows[i].buf[0] != &frame[len(frame)-len(rest)-len(rows[i].buf)] {
+		if rows[i].p != &frame[len(frame)-len(rest)-len(row)] {
 			t.Fatalf("row %d is a copy, not a view of the frame", i)
+		}
+		for j, v := range views(rows[i]) {
+			if !endsInside(v, row) {
+				t.Fatalf("row %d: view %d (len %d, cap %d) reaches past the row", i, j, len(v), cap(v))
+			}
 		}
 	}
 	if len(rest) != 0 {
@@ -119,12 +171,15 @@ func TestDecodedRowsAreClippedViews(t *testing.T) {
 	}
 	var s Slab
 	for i, e := range rows {
-		_ = append(e.buf, 0xee)
+		for _, v := range views(e) {
+			_ = append(v[:cap(v)], 0xee)
+		}
 		for _, grown := range []Embedding{
 			e.AppendID(7), e.AppendProps(epgm.PVInt(1)), e.Merge(e, nil), e.AppendPath([]epgm.ID{1, 2, 3}),
 			s.Merge(e, e, nil), s.AppendPath(e, []epgm.ID{4}, 5, true),
 		} {
-			grown.buf[len(grown.buf)-1] ^= 0xff
+			b := bytesOf(grown)
+			b[len(b)-1] ^= 0xff
 		}
 		if got := e.String(); got != want[i] {
 			t.Fatalf("row %d reads %s, want %s", i, got, want[i])

@@ -61,7 +61,7 @@ func TestDecodeWireHostile(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
-		if e.String() != tc.want.String() || e.SizeBytes() != tc.want.SizeBytes() || (e.buf == nil) != (tc.want.buf == nil) {
+		if e.String() != tc.want.String() || e.SizeBytes() != tc.want.SizeBytes() || (e.p == nil) != (tc.want.p == nil) {
 			t.Errorf("%s: decoded %s, want %s", tc.name, e, tc.want)
 		}
 		if len(rest) != tc.rest {

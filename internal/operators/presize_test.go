@@ -10,13 +10,13 @@ import (
 )
 
 // TestOutputIsAllocatedOnce: what a leaf and a join allocate is what they
-// hand on - a 24-byte header and the slab bytes of every row, and the join's
+// hand on - a one-word header and the slab bytes of every row, and the join's
 // table - with a tenth on top for slab chunk tails and the stage's own few
 // objects. An output partition grown by append allocates its headers 4.6
 // times over (10 000 rows: 46 539 slots) and is far outside that. One
 // partition, so that the join's shuffles move and allocate nothing.
 func TestOutputIsAllocatedOnce(t *testing.T) {
-	const rowHeader = 24
+	const rowHeader = 8
 	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
 	allocated := func(step func() *dataflow.Dataset[embedding.Embedding]) (rows []embedding.Embedding, bytes uint64) {
 		step() // warm-up: lazily built metadata is not the step's cost
@@ -29,10 +29,9 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 		}
 		return out.Partition(0), after.TotalAlloc - before.TotalAlloc
 	}
-	// handedOn is the headers plus the buffers of rows, all of one length.
+	// handedOn is the headers plus the rows, all of one length.
 	handedOn := func(rows []embedding.Embedding) uint64 {
-		buf := len(rows[0].AppendWire(nil)) - 4 // the wire form is u32 len | buf
-		return uint64(len(rows) * (rowHeader + buf))
+		return uint64(len(rows) * (rowHeader + rows[0].WireSize())) // a row in the slab is its wire form
 	}
 
 	_, es := benchGraph(env, 33_334)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
@@ -37,6 +38,15 @@ func wireStates() []pathState {
 		{base: rows[0], end: 9},
 		{base: rows[2], via: []epgm.ID{11, 12, 13}, end: 14},
 		{base: rows[1], via: []epgm.ID{15}, end: 16},
+	}
+}
+
+// TestPathStateIsFiveWords: an expansion's working set is one pathState per
+// open path per hop; its base row is one word (embedding's
+// TestEmbeddingIsOneWord), which leaves the via list's header, and the end.
+func TestPathStateIsFiveWords(t *testing.T) {
+	if got := unsafe.Sizeof(pathState{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(pathState{}) = %d, want 40", got)
 	}
 }
 
