@@ -538,18 +538,16 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 	}
 
 	spec := jobSpec{
-		JobID:        jobID,
-		TraceID:      traceID,
-		Query:        prep.Query,
-		Params:       wire.AppendParams(nil, cfg.Params),
-		Stats:        prep.Stats,
-		Workers:      c.opts.Workers,
-		Vertex:       int(prep.Morph.Vertex),
-		Edge:         int(prep.Morph.Edge),
-		Hint:         int(prep.Hint),
-		DisableReuse: cfg.DisableSubqueryReuse,
-		Fingerprint:  prep.Fingerprint(),
-		TimeoutNs:    int64(cfg.Timeout),
+		JobID:       jobID,
+		TraceID:     traceID,
+		Query:       prep.Query,
+		Params:      wire.AppendParams(nil, cfg.Params),
+		Stats:       prep.Stats,
+		Workers:     c.opts.Workers,
+		Vertex:      int(prep.Morph.Vertex),
+		Edge:        int(prep.Morph.Edge),
+		Fingerprint: prep.Fingerprint(),
+		TimeoutNs:   int64(cfg.Timeout),
 	}
 
 	ctx := cfg.Context
@@ -726,25 +724,20 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 	}
 	st.mu.Unlock()
 
-	// The bucket counts give the result's length: one array, every row
-	// decoded in place as a view of the frame body it arrived in.
-	bounds := make([]int, c.opts.Workers+1)
-	for p := 0; p < c.opts.Workers; p++ {
+	// The coordinator owns no partition: the result is the workers' buckets in
+	// partition order, every row decoded in place as a view of the frame body
+	// it arrived in.
+	blobs := make([][]byte, c.opts.Workers)
+	for p := range blobs {
 		body, ok := results[p]
 		if !ok {
 			return nil, nil, fmt.Errorf("cluster: partition %d missing from results", p)
 		}
-		n, err := dataflow.BucketCount(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
-		}
-		bounds[p+1] = bounds[p] + n
+		blobs[p] = body
 	}
-	flat := make([]embedding.Embedding, bounds[c.opts.Workers])
-	for p := 0; p < c.opts.Workers; p++ {
-		if err := dataflow.DecodeBucket(flat[bounds[p]:bounds[p+1]], results[p]); err != nil {
-			return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
-		}
+	flat, p, err := dataflow.Concat[embedding.Embedding](nil, blobs, make([]bool, len(blobs)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
 	}
 
 	// The result is the one an in-process execution binds, with the workers'

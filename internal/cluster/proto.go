@@ -34,9 +34,10 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 2: a row travels as its in-memory buffer behind one length
-	// (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 2
+	// protoVersion 3: the job spec carries no join hint and no reuse switch
+	// (nothing set them). 2: a row travels as its in-memory buffer behind one
+	// length (embedding.AppendWire), and result frames carry a checksum.
+	protoVersion = 3
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -175,11 +176,9 @@ type jobSpec struct {
 	Procs []procSpec `json:"procs"`
 	Self  int        `json:"self"`
 	// Planner configuration, mirrored from the coordinator's core.Config.
-	Vertex       int    `json:"vertex"`
-	Edge         int    `json:"edge"`
-	Hint         int    `json:"hint"`
-	DisableReuse bool   `json:"disableReuse,omitempty"`
-	Fingerprint  string `json:"fingerprint"`
+	Vertex      int    `json:"vertex"`
+	Edge        int    `json:"edge"`
+	Fingerprint string `json:"fingerprint"`
 	// TimeoutNs bounds the worker-side execution (0 = none).
 	TimeoutNs int64 `json:"timeoutNs,omitempty"`
 	// TraceID is the coordinator's trace identity for the query, stamped

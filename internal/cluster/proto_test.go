@@ -8,10 +8,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
@@ -459,5 +461,79 @@ func TestSenderCoalescing(t *testing.T) {
 	}
 	if err := s.send(frameData, nil); err == nil {
 		t.Fatal("send after close succeeded")
+	}
+}
+
+// TestOrphanRuntimeIsDropped: a peer's hello for an attempt no job frame
+// claims - the worker was aborted and has dropped the attempt while a slower
+// peer was still dialling, the normal order of events after an abort - used
+// to re-create the attempt's runtime for the life of the process. It lives
+// orphanAfter now; one the job frame claims in time lives until its job ends.
+func TestOrphanRuntimeIsDropped(t *testing.T) {
+	w := NewWorker("w0", nil, nil)
+	w.orphanAfter = 20 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Serve(ln)
+	defer w.Close()
+	runtimes := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.jobs)
+	}
+
+	conn, br, _, err := dialHello(ln.Addr().String(), hello{
+		Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: "w1", JobID: 99, From: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The welcome is written before the runtime is made.
+	for deadline := time.Now().Add(5 * time.Second); runtimes() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d runtimes behind a welcomed peer hello, want 1", runtimes())
+		}
+	}
+	// The drop ends the connection of the peer that waited for the attempt.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := readFrame(br); err == nil {
+		t.Fatal("a frame arrived on an orphaned peer connection")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the orphaned runtime kept its peer connection open")
+	}
+	if n := runtimes(); n != 0 {
+		t.Fatalf("%d runtimes left behind an unclaimed hello, want 0", n)
+	}
+
+	claimed := w.runtime(jobKey{job: 100}, false)
+	if w.runtime(jobKey{job: 100}, true) != claimed {
+		t.Fatal("the job frame did not get the runtime its peer's hello made")
+	}
+	time.Sleep(5 * w.orphanAfter)
+	if n := runtimes(); n != 1 {
+		t.Fatalf("%d runtimes, want the claimed one", n)
+	}
+	w.dropRuntime(claimed)
+	if n := runtimes(); n != 0 {
+		t.Fatalf("%d runtimes after the job ended, want 0", n)
+	}
+}
+
+// TestOrphanTimerPinsNothing: the timer a hello-first runtime starts is still
+// pending when its attempt has ended, and must not be what keeps the runtime,
+// and behind it the worker and its graph, in memory until it fires.
+func TestOrphanTimerPinsNothing(t *testing.T) {
+	w := NewWorker("w0", nil, nil) // orphanAfter is handshakeTimeout: the timer outlives the test
+	rt := w.runtime(jobKey{job: 1}, false)
+	w.runtime(jobKey{job: 1}, true)
+	w.dropRuntime(rt)
+	ref := weak.Make(rt)
+	rt, w = nil, nil
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("the runtime of an ended attempt is still reachable: its orphan timer holds it")
 	}
 }

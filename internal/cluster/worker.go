@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
@@ -59,6 +60,9 @@ type Worker struct {
 	conns  map[net.Conn]struct{}
 	jobs   map[jobKey]*jobRuntime
 	closed bool
+	// orphanAfter is how long a runtime a peer's hello created waits for its
+	// job frame: handshakeTimeout, and less in the test of it.
+	orphanAfter time.Duration
 
 	// wg counts every goroutine the worker spawned (connection handlers,
 	// job executions, peer routers) so Wait can observe the full drain
@@ -108,6 +112,8 @@ func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Wo
 		observer:  dataflow.NewObserver(opts.Metrics),
 		conns:     map[net.Conn]struct{}{},
 		jobs:      map[jobKey]*jobRuntime{},
+
+		orphanAfter: handshakeTimeout,
 	}
 	w.winst = newWorkerInstruments(opts.Metrics)
 	w.cond = sync.NewCond(&w.mu)
@@ -217,16 +223,48 @@ type jobKey struct {
 
 // runtime returns (creating if needed) the runtime for one attempt. Peer
 // connections may arrive before the coordinator's Job frame, so both paths
-// get-or-create.
-func (w *Worker) runtime(key jobKey) *jobRuntime {
+// get-or-create; the job frame's (claim) is the one that owns the runtime and
+// drops it when the attempt ends. A hello may also arrive for an attempt whose
+// job has already come and gone here - this worker was aborted while a slower
+// peer was still dialling - or never comes: a runtime no job frame has
+// claimed orphanAfter its creation is dropped, and the peers that wait on it
+// lose their connection. The timer that does so holds the runtime weakly:
+// whether hello or job frame is first is a race every attempt runs, and a
+// strong reference kept the runtime of each one the hello won - and through it
+// the worker and its pinned graph, closed or not - alive for orphanAfter
+// (40 MiB of resident set in one bench run and not in the next).
+func (w *Worker) runtime(key jobKey, claim bool) *jobRuntime {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if rt, ok := w.jobs[key]; ok {
-		return rt
+	rt, ok := w.jobs[key]
+	if !ok {
+		rt = newJobRuntime(w, key)
+		w.jobs[key] = rt
+		if !claim {
+			ref := weak.Make(rt)
+			time.AfterFunc(w.orphanAfter, func() {
+				if rt := ref.Value(); rt != nil {
+					rt.w.dropOrphan(rt)
+				}
+			})
+		}
 	}
-	rt := newJobRuntime(w, key)
-	w.jobs[key] = rt
+	if claim {
+		rt.claimed = true
+	}
 	return rt
+}
+
+func (w *Worker) dropOrphan(rt *jobRuntime) {
+	w.mu.Lock()
+	orphan := !rt.claimed && w.jobs[rt.key] == rt
+	if orphan {
+		delete(w.jobs, rt.key)
+	}
+	w.mu.Unlock()
+	if orphan {
+		rt.shutdown()
+	}
 }
 
 func (w *Worker) dropRuntime(rt *jobRuntime) {
@@ -278,7 +316,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 	case roleControl:
 		w.serveControl(conn, br)
 	case rolePeer:
-		rt := w.runtime(jobKey{job: h.JobID, attempt: h.Attempt})
+		rt := w.runtime(jobKey{job: h.JobID, attempt: h.Attempt}, false)
 		link := rt.addPeer(h.From, conn)
 		if link == nil {
 			conn.Close()
@@ -354,7 +392,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 	start := time.Now()
 	done := jobDone{JobID: spec.JobID, Attempt: spec.Attempt}
-	rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt})
+	rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt}, true)
 	defer w.dropRuntime(rt)
 	// Workers always trace: the per-stage predicted-vs-actual records the
 	// coordinator publishes are derived from the spans. The collector epoch
@@ -445,15 +483,13 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 
 	g, access := w.data.Bind(env)
 	ccfg := core.Config{
-		Vertex:               operators.Semantics(spec.Vertex),
-		Edge:                 operators.Semantics(spec.Edge),
-		Params:               params,
-		Stats:                spec.Stats,
-		Access:               access,
-		Hint:                 dataflow.JoinHint(spec.Hint),
-		DisableSubqueryReuse: spec.DisableReuse,
-		Trace:                col,
-		Timeout:              time.Duration(spec.TimeoutNs),
+		Vertex:  operators.Semantics(spec.Vertex),
+		Edge:    operators.Semantics(spec.Edge),
+		Params:  params,
+		Stats:   spec.Stats,
+		Access:  access,
+		Trace:   col,
+		Timeout: time.Duration(spec.TimeoutNs),
 	}
 	prep, err := core.PrepareWith(access, spec.Stats, spec.Query, ccfg)
 	if err != nil {
@@ -552,6 +588,8 @@ type peerLink struct {
 type jobRuntime struct {
 	w   *Worker
 	key jobKey
+	// claimed: the attempt's job frame has arrived (under w.mu).
+	claimed bool
 
 	mu    sync.Mutex
 	cond  *sync.Cond

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"gradoop/internal/cypher"
-	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/planner"
@@ -26,7 +25,6 @@ type Prepared struct {
 	Plan     *planner.QueryPlan
 	Stats    *stats.GraphStatistics
 	Morph    operators.Morphism
-	Hint     dataflow.JoinHint
 }
 
 // Prepare parses, simplifies and plans a query once, without binding
@@ -74,7 +72,6 @@ func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query st
 		Plan:     plan,
 		Stats:    st,
 		Morph:    morph,
-		Hint:     cfg.Hint,
 	}, nil
 }
 

@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -75,7 +77,7 @@ func BenchmarkReduceByKey(b *testing.B) {
 // under the join's tag, so the join is its one stage) over four partitions
 // of eight elements, tracer and governor nil. A partition attempt's handle
 // must not add an object per attempt to either, and each output partition is
-// one object, not one per doubling; `make alloc-guard` pins both.
+// one object, not one per doubling; `make alloc-guard` pins all four.
 func BenchmarkStageAttempt(b *testing.B) {
 	const tag = 7
 	e := NewEnv(DefaultConfig(4))
@@ -96,6 +98,43 @@ func BenchmarkStageAttempt(b *testing.B) {
 			JoinWith(l, r, key, key, func() func(int, int, func(int)) {
 				return func(a, _ int, emit func(int)) { emit(a) }
 			}, RepartitionHash, tag)
+		}
+	})
+	// The one exchange, on both deployments: a shuffle of the 32 elements in
+	// process, and over the memCluster with two processes owning two
+	// partitions each (both processes' objects and the test transport's are
+	// counted, a step being one shuffle of each).
+	b.Run("Shuffle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			shuffle(d, key)
+		}
+	})
+	b.Run("Shuffle2proc", func(b *testing.B) {
+		c := newMemCluster([]int{0, 1, 0, 1}, 2)
+		src := make([]wrec, 32)
+		for i := range src {
+			src[i] = wrec{K: uint64(i), V: int64(i)}
+		}
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		for proc := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pe := NewEnv(DefaultConfig(4))
+				pe.SetTransport(c.transport(proc))
+				pd := FromSlice(pe, src)
+				for i := 0; i < b.N; i++ {
+					shuffle(pd, func(r wrec) uint64 { return r.K })
+				}
+				errs[proc] = pe.Err()
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
 		}
 	})
 	if err := e.Err(); err != nil {

@@ -97,24 +97,19 @@ func (d *Dataset[T]) Partition(p int) []T { return d.parts[p] }
 
 // FromSlice creates a dataset by splitting data into env.Workers()
 // contiguous chunks. The input slice is not copied; callers must not
-// mutate it afterwards. Config.DebugDefensiveCopy enforces the contract by
-// copying the input (at real cost), which turns the silent aliasing hazard
-// into a non-issue while debugging.
+// mutate it afterwards.
 //
-// FromSlice is the leaf of every pipeline, and in a distributed job it is
-// where ownership begins: with a transport installed, partitions this
-// process does not own stay empty — every process computes the identical
-// chunk boundaries over the full slice and keeps only its share, which is
-// what lets one deterministic program run unchanged on each worker.
+// FromSlice is the leaf of every pipeline, and it is where ownership begins:
+// partitions this process does not own stay empty — every process of a job
+// computes the identical chunk boundaries over the full slice and keeps only
+// its share, which is what lets one deterministic program run unchanged on
+// each worker.
 func FromSlice[T any](env *Env, data []T) *Dataset[T] {
-	if env.cfg.DebugDefensiveCopy {
-		data = append([]T(nil), data...)
-	}
 	w := env.Workers()
 	parts := make([][]T, w)
 	n := len(data)
 	for p := 0; p < w; p++ {
-		if env.transport != nil && !env.transport.Owns(p) {
+		if !env.owns(p) {
 			continue
 		}
 		lo, hi := p*n/w, (p+1)*n/w
@@ -147,15 +142,8 @@ func Empty[T any](env *Env) *Dataset[T] {
 // Collect gathers all elements into a single slice, partition by partition.
 // The result order is deterministic for a deterministic pipeline.
 func (d *Dataset[T]) Collect() []T {
-	var n int
-	for _, p := range d.parts {
-		n += len(p)
-	}
-	out := make([]T, 0, n)
-	for _, p := range d.parts {
-		out = append(out, p...)
-	}
-	return out
+	all, _, _ := Concat(d.parts, nil, nil) // copies only: nothing to decode, nothing to fail
+	return all
 }
 
 // Count returns the total number of elements.
@@ -370,18 +358,18 @@ func UnionAll[T any](ds ...*Dataset[T]) *Dataset[T] {
 }
 
 // unionTag is the partition tag a union's result carries: the one its
-// operands share, or none. In-process an empty operand is left out: it cannot
+// operands share, or none. An operand that is empty is left out: it cannot
 // perturb the others' partitioning, so the tag the non-empty ones share
-// survives. Not so in a distributed job, where emptiness is local - a
-// partition empty on this worker may be populated on another - and
+// survives. Not so when other processes own partitions, where emptiness is
+// local - a partition empty on this worker may be populated on another - and
 // data-dependent tags must not diverge across processes (the cost is a
 // redundant, content-preserving shuffle).
 func unionTag[T any](ds []*Dataset[T]) uint64 {
-	inProcess := ds[0].env.transport == nil
+	alone := ds[0].env.ownsAll()
 	tag, found := ds[0].partTag, false
 	for _, d := range ds {
 		switch {
-		case inProcess && d.IsEmpty():
+		case alone && d.IsEmpty():
 		case !found:
 			tag, found = d.partTag, true
 		case d.partTag != tag:

@@ -147,22 +147,6 @@ func TestShuffleSingleWorkerNoNet(t *testing.T) {
 	}
 }
 
-func TestRebalanceEvensOutSkew(t *testing.T) {
-	e := env(4)
-	// Everything starts on one partition.
-	parts := [][]int{ints(1000), nil, nil, nil}
-	d := FromPartitions(e, parts)
-	r := Rebalance(d)
-	for p, part := range r.parts {
-		if len(part) < 150 || len(part) > 350 {
-			t.Fatalf("partition %d badly balanced: %d", p, len(part))
-		}
-	}
-	if r.Count() != 1000 {
-		t.Fatalf("rebalance lost data")
-	}
-}
-
 func TestJoinBasic(t *testing.T) {
 	for _, hint := range []JoinHint{RepartitionHash, BroadcastLeft} {
 		e := env(4)

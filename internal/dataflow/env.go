@@ -69,13 +69,6 @@ type Config struct {
 	// ResetMetrics / Begin, so kill stage numbers refer to the stages of
 	// the job executed after the last reset. See also Env.InjectFaults.
 	FaultPlan *FaultPlan
-
-	// DebugDefensiveCopy makes FromSlice copy its input slice instead of
-	// aliasing it, guarding against callers that mutate the slice after
-	// dataset construction (a documented contract violation that is
-	// otherwise silent). Intended for tests and debugging; the copy costs
-	// real time and memory on large inputs.
-	DebugDefensiveCopy bool
 }
 
 // DefaultConfig returns a configuration resembling the paper's setup scaled
@@ -149,10 +142,13 @@ type Env struct {
 	memKilled atomic.Bool
 
 	// transport connects this process's partitions to the rest of a
-	// multi-process job; nil (the default) keeps every exchange in-process
-	// at the same nil-check cost as a nil tracer. Written only between jobs
-	// (SetTransport).
+	// multi-process job; nil (the default) when the job is this process's
+	// alone. owned[p] is whether this process owns logical partition p - nil
+	// without a transport, when it owns them all - and foreign how many it does
+	// not. Written only between jobs (SetTransport).
 	transport Transport
+	owned     []bool
+	foreign   int
 
 	// ctx/done carry the current job's cancellation signal; nil when the
 	// job is not cancellable. Written only between jobs (Begin/Finish).

@@ -276,31 +276,6 @@ func TestRandomKillsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFromSliceAliasingHazard documents the hazard FromSlice's contract
-// warns about — a caller mutating the input slice corrupts the dataset —
-// and shows that DebugDefensiveCopy prevents it.
-func TestFromSliceAliasingHazard(t *testing.T) {
-	// Without the defensive copy the mutation is visible (the hazard).
-	env := NewEnv(DefaultConfig(2))
-	data := []int{1, 2, 3, 4}
-	d := FromSlice(env, data)
-	data[0] = 99
-	if got := d.Collect()[0]; got != 99 {
-		t.Fatalf("expected the aliasing hazard to be observable without the copy, got %d", got)
-	}
-
-	// With DebugDefensiveCopy the dataset is isolated from the caller.
-	cfg := DefaultConfig(2)
-	cfg.DebugDefensiveCopy = true
-	env2 := NewEnv(cfg)
-	data2 := []int{1, 2, 3, 4}
-	d2 := FromSlice(env2, data2)
-	data2[0] = 99
-	if got := d2.Collect()[0]; got != 1 {
-		t.Fatalf("DebugDefensiveCopy should isolate the dataset, got %d", got)
-	}
-}
-
 // TestRecoveryPreservesShuffleDeterminism: kills during a shuffle stage must
 // not perturb the deterministic destination-partition concatenation order.
 func TestRecoveryPreservesShuffleDeterminism(t *testing.T) {

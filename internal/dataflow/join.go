@@ -122,7 +122,7 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 		// build side is the full broadcast slice — constructing its hash table
 		// would be pure waste and would double-charge CPU and memory that the
 		// owning process already accounts for.
-		if env.transport != nil && !env.transport.Owns(a.p) {
+		if !env.owns(a.p) {
 			return nil, work{}
 		}
 		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner(), nil)

@@ -1,6 +1,9 @@
 package dataflow
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // mix64 is the splitmix64 finalizer, used to spread keys over partitions.
 func mix64(x uint64) uint64 {
@@ -57,7 +60,7 @@ func shuffleTagged[T any](d *Dataset[T], key func(T) uint64, tag uint64) *Datase
 		}
 		return d
 	}
-	out, ok := exchange(d, func(_, _ int, t T) int { return int(mix64(key(t)) % uint64(w)) })
+	out, ok := exchange(d, key)
 	if !ok {
 		return Empty[T](env)
 	}
@@ -79,21 +82,28 @@ type routeTotal struct {
 	bytes int64
 }
 
-// exchange moves every element of d to the partition dest names for it
-// (given the element's partition and index there), in two passes. The first,
-// one stage of partition attempts like any other, routes: it records every
-// element's destination and counts and sizes what goes where. With every
-// destination's size known, the second places each element straight into
-// its final position - source partitions in order, elements in source
-// order, the deterministic concatenation every exchange has always
-// produced - so a destination partition is allocated once, at its exact
-// size, and written once; then the received network bytes are charged.
-// exchange reports failure (an aborted attempt leaves its route empty)
-// instead of indexing into it. With a transport installed the exchange spans
-// processes and the second pass is remoteExchange's: it encodes, places and
-// decodes by the same routes, and keeps the same source-order concatenation,
-// so the distributed result is bit-identical.
-func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) {
+// exchange moves every element of d to partition mix64(key) % P, in one
+// sequence whoever owns the partitions - a job in one process is a cluster of
+// one. First a stage of partition attempts like any other routes: it records
+// every element's destination and counts and sizes what goes where. What an
+// owned source owes a partition of another process is then encoded straight
+// from its route and swapped for what the other processes owe this one
+// (Transport.Exchange, the only statement that knows there are other
+// processes). Now every owned destination's size is known - an owned source's
+// count is in its route, a foreign one's in its encoded bucket's header - so
+// the partition is allocated once, at its exact size, and cut into one window
+// per source, in source order. Every window is written once: placeAll copies
+// the owned sources' elements, a foreign source's bucket is decoded into its
+// window, and in the same loop the received network bytes are charged - an
+// owned source's from its route, a foreign one's sized as decoded. The
+// concatenation - source partitions in order, elements in source order - is
+// the same under every ownership assignment, which is what makes a
+// distributed result bit-identical. Only owned partitions are charged and
+// traced, so the metrics of a job's processes add up to those of the job run
+// in one. exchange reports failure (an aborted attempt leaves its route
+// empty, a transport or a bucket may be bad) instead of handing on a partition
+// half written.
+func exchange[T any](d *Dataset[T], key func(T) uint64) ([][]T, bool) {
 	env := d.env
 	w := len(d.parts)
 	sz := sizingOf[T]()
@@ -104,7 +114,7 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 			if !a.tick(i) {
 				return route{}, work{}
 			}
-			q := dest(p, i, part[i])
+			q := int(mix64(key(part[i])) % uint64(w))
 			r.dest[i] = uint32(q)
 			r.to[q].count++
 			if q != p || env.governor != nil {
@@ -117,8 +127,28 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 	if env.Failed() {
 		return nil, false
 	}
+	stage := env.metrics.stageCount()
+	var incoming [][][]byte // [q][p]: foreign source p's bucket for owned destination q
 	if env.transport != nil {
-		return remoteExchange(d, routes)
+		outgoing, p, err := encodeForeign(env, d.parts, routes)
+		if err != nil {
+			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
+			return nil, false
+		}
+		if incoming, err = env.transport.Exchange(stage, outgoing); err != nil {
+			env.fail(&JobError{Stage: stage, Cause: err})
+			return nil, false
+		}
+	}
+	corrupt := func(q, p int, err error) ([][]T, bool) {
+		env.fail(&JobError{Stage: stage, Partition: q, Cause: fmt.Errorf("from partition %d: %w", p, err)})
+		return nil, false
+	}
+	count := func(p, q int) (int, error) {
+		if env.owns(p) {
+			return routes[p].to[q].count, nil
+		}
+		return BucketCount(incoming[q][p])
 	}
 
 	// buckets[p*w+q], where source p's elements for destination q go, is a
@@ -127,24 +157,42 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 	out := make([][]T, w)
 	buckets := make([][]T, w*w)
 	for q := range out {
-		n := 0
-		for p := range routes {
-			n += routes[p].to[q].count
+		if !env.owns(q) {
+			continue
 		}
-		rest := make([]T, n)
+		total := 0
+		for p := range routes {
+			n, err := count(p, q)
+			if err != nil {
+				return corrupt(q, p, err)
+			}
+			total += n
+		}
+		rest := make([]T, total)
 		out[q] = rest
 		for p := range routes {
-			n := routes[p].to[q].count
+			n, _ := count(p, q)
 			buckets[p*w+q], rest = rest[:n:n], rest[n:]
 		}
 	}
 	placeAll(d.parts, routes, buckets)
 	for q := range out {
+		if !env.owns(q) {
+			continue
+		}
 		var net, mem int64
 		for p := range routes {
-			mem += routes[p].to[q].bytes
+			bytes := routes[p].to[q].bytes
+			if !env.owns(p) {
+				window := buckets[p*w+q]
+				if err := DecodeBucket(window, incoming[q][p]); err != nil {
+					return corrupt(q, p, err)
+				}
+				bytes = sz.sum(window)
+			}
+			mem += bytes
 			if p != q {
-				net += routes[p].to[q].bytes
+				net += bytes
 			}
 		}
 		// The destination partition is a fresh materialization of the whole
@@ -166,15 +214,16 @@ func exchange[T any](d *Dataset[T], dest func(p, i int, t T) int) ([][]T, bool) 
 const placeStack = 16
 
 // placeAll copies every element into its bucket - source p's are
-// buckets[p*w:(p+1)*w] - one goroutine per source partition. The windows are
-// disjoint and only read here, so the writers share nothing: a goroutine
-// counts how far it has filled each of its windows in next, which lives on
-// its stack up to placeStack partitions. (Advancing the windows in place
-// instead, bucket[q] = bucket[q][1:], stores a slice header for every element
-// into an array all sources share, and measured slower: DESIGN decision 29.)
-// The loop is a copy that calls no user code and cannot fail, which is why it
-// runs outside runStage (it is not a stage, and a fault plan must not see it
-// as a second attempt of one).
+// buckets[p*w:(p+1)*w] - one goroutine per source partition. A bucket that is
+// nil belongs to a destination of another process, which got the element
+// encoded. The windows are disjoint and only read here, so the writers share
+// nothing: a goroutine counts how far it has filled each of its windows in
+// next, which lives on its stack up to placeStack partitions. (Advancing the
+// windows in place instead, bucket[q] = bucket[q][1:], stores a slice header
+// for every element into an array all sources share, and measured slower:
+// DESIGN decision 29.) The loop is a copy that calls no user code and cannot
+// fail, which is why it runs outside runStage (it is not a stage, and a fault
+// plan must not see it as a second attempt of one).
 func placeAll[T any](parts [][]T, routes []route, buckets [][]T) {
 	w := len(parts)
 	var wg sync.WaitGroup
@@ -192,49 +241,15 @@ func placeAll[T any](parts [][]T, routes []route, buckets [][]T) {
 			}
 			for i := range part {
 				q := dest[i]
+				if bucket[q] == nil {
+					continue
+				}
 				bucket[q][next[q]] = part[i]
 				next[q]++
 			}
 		}(parts[p], routes[p].dest, buckets[p*w:(p+1)*w])
 	}
 	wg.Wait()
-}
-
-// Rebalance redistributes elements round-robin so all partitions have equal
-// sizes, charging network cost for moved elements. It models Flink's
-// rebalance() and is used to break skew after expensive filters. An
-// element's destination is its global index modulo the worker count, which
-// is deterministic and needs no state shared between partition goroutines.
-func Rebalance[T any](d *Dataset[T]) *Dataset[T] {
-	env := d.env
-	if env.Failed() {
-		return Empty[T](env)
-	}
-	env.beginStage("Rebalance", true)
-	w := len(d.parts)
-	if w == 1 {
-		env.chargeCPU(0, int64(len(d.parts[0])))
-		env.traceRowsIn(0, int64(len(d.parts[0])))
-		env.traceRowsOut(0, int64(len(d.parts[0])))
-		return d
-	}
-	// The offset table must reflect every process's partition sizes, not
-	// just the locally owned ones, or destinations diverge across workers.
-	counts, ok := globalPartCounts(d)
-	if !ok {
-		return Empty[T](env)
-	}
-	offs := make([]int, w) // global index of each partition's first element
-	total := 0
-	for p := 0; p < w; p++ {
-		offs[p] = total
-		total += int(counts[p])
-	}
-	out, ok := exchange(d, func(p, i int, _ T) int { return (offs[p] + i) % w })
-	if !ok {
-		return Empty[T](env)
-	}
-	return &Dataset[T]{env: env, parts: out}
 }
 
 // PartitionByKey exposes the hash shuffle for callers that want explicit
@@ -244,39 +259,29 @@ func PartitionByKey[T any](d *Dataset[T], key func(T) uint64) *Dataset[T] {
 }
 
 // broadcast replicates all of d's elements to every partition, charging
-// network cost of size × (P-1). It returns the replicated slice.
+// network cost of size × (P-1). It returns the replicated slice: every
+// partition of every process, in partition order.
 func broadcast[T any](d *Dataset[T]) []T {
 	env := d.env
 	if env.Failed() {
 		return nil
 	}
 	env.beginStage("Broadcast", true)
-	var all []T
-	if env.transport != nil {
-		// Distributed: every process contributes its owned partitions and
-		// receives the rest, assembled in partition order — the same slice a
-		// single process would Collect.
-		var ok bool
-		if all, ok = allGatherParts(env, d); !ok {
-			return nil
-		}
-	} else {
-		all = d.Collect()
+	all, ok := gather(d)
+	if !ok {
+		return nil
 	}
 	bytes := sizingOf[T]().sum(all)
 	// One replica is what this process actually materializes (the slice is
 	// shared by every partition goroutine), so one replica is what the
 	// governor charges — the per-worker fan-out below is network cost only.
-	// In a distributed job each process charges only its owned partitions,
-	// so the merged metrics match the single-process totals.
-	if env.transport == nil || env.transport.Owns(0) {
-		if !env.chargeMem(0, bytes) {
-			return nil
-		}
+	// Each process charges only its owned partitions, so the metrics of a
+	// job's processes add up to those of the job run in one.
+	if env.owns(0) && !env.chargeMem(0, bytes) {
+		return nil
 	}
-	w := len(d.parts)
-	for q := 0; q < w; q++ {
-		if env.transport != nil && !env.transport.Owns(q) {
+	for q := range d.parts {
+		if !env.owns(q) {
 			continue
 		}
 		// Every worker receives the full copy except the share it already had;

@@ -70,9 +70,6 @@ var stageCases = []struct {
 	{"Shuffle/w=4", 4, func(env *Env) published {
 		return lens(PartitionByKey(FromSlice(env, ints(400)), stageKey))
 	}},
-	{"Rebalance", 4, func(env *Env) published {
-		return lens(Rebalance(FromPartitions(env, [][]int{ints(300), ints(20), nil, ints(80)})))
-	}},
 	{"Join/repartition", 4, func(env *Env) published {
 		l, r := ints(300), ints(500)
 		out := Join(FromSlice(env, l), FromSlice(env, r), stageKey, stageKey, emitSum, RepartitionHash)

@@ -43,16 +43,37 @@ type Transport interface {
 	AllGather(stage int64, blobs [][]byte) ([][]byte, error)
 }
 
-// SetTransport installs (or, with nil, removes) the job's shuffle
-// transport. Must only be called between jobs. Without a transport (the
-// default) every exchange hook reduces to a nil check — the single-process
-// engine is byte-for-byte the code that ran before transports existed —
-// and with one installed, shuffles, broadcasts and the loop-convergence
-// checks become distributed collectives.
-func (e *Env) SetTransport(t Transport) { e.transport = t }
+// SetTransport installs (or, with nil, removes) the job's transport, and with
+// it who owns which partition. Must only be called between jobs; a transport's
+// Owns is asked here, once per partition. Without a transport (the default)
+// the process owns every partition and is its own cluster: the engine runs the
+// same exchange, gather and convergence checks, and the two statements that
+// hand bytes to a transport (Exchange in exchange, AllGather in allGather)
+// have nobody to hand them to.
+func (e *Env) SetTransport(t Transport) {
+	e.transport, e.owned, e.foreign = t, nil, 0
+	if t == nil {
+		return
+	}
+	e.owned = make([]bool, e.cfg.Workers)
+	for p := range e.owned {
+		if e.owned[p] = t.Owns(p); !e.owned[p] {
+			e.foreign++
+		}
+	}
+}
 
 // Transport returns the installed transport, or nil.
 func (e *Env) Transport() Transport { return e.transport }
+
+// owns reports whether this process owns logical partition p: the one
+// question the engine asks about a deployment. Partitions of other processes
+// are empty here, charge nothing here and are written by their owners.
+func (e *Env) owns(p int) bool { return e.owned == nil || e.owned[p] }
+
+// ownsAll reports whether the job runs in this process alone, so that what is
+// empty here is empty.
+func (e *Env) ownsAll() bool { return e.foreign == 0 }
 
 // Wire is the codec of an element type that crosses a remote exchange. *T
 // implements it - Embedding, the operator layer's join records and the
@@ -135,245 +156,165 @@ func DecodeBucket[T any](dst []T, b []byte) error {
 	return nil
 }
 
-// encodeRemote encodes what one owned source partition owes every partition
-// this process does not own, straight from the rows and their route: a pass
-// over WireSize gives each bucket's size, so it is allocated once and written
-// once, and nothing is placed anywhere in between.
-func encodeRemote[T any](part []T, r route, owned []bool) ([][]byte, error) {
-	size := make([]int, len(owned))
-	for i := range part {
-		if q := r.dest[i]; !owned[q] {
-			w, ok := any(&part[i]).(Wire[T])
-			if !ok {
-				return nil, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", part[i])
-			}
-			size[q] += w.WireSize()
-		}
-	}
-	row := make([][]byte, len(owned))
-	for q := range row {
-		if !owned[q] {
-			row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.to[q].count))
-		}
-	}
-	for i := range part {
-		if q := r.dest[i]; !owned[q] {
-			row[q] = any(&part[i]).(Wire[T]).AppendWire(row[q])
-		}
-	}
-	return row, nil
-}
-
-// remoteExchange is exchange's distributed path. What an owned source owes a
-// partition of another process is encoded from its route and handed to the
-// transport; remote buckets arrive encoded. The counts - the routes' for
-// owned sources, the encoded buckets' for the others - give every owned
-// destination partition its length, so it is allocated once, the owned
-// sources place their rows into it and the remote ones are decoded into it,
-// in source-partition order: the same concatenation as the in-process path,
-// which is what makes the result independent of the ownership assignment.
-// Charges (network model bytes, governor memory, trace rows) are applied only
-// to owned partitions, so per-process metrics for owned partitions match what
-// a single process would record for them and the coordinator's merge
-// reproduces the single-process totals.
-func remoteExchange[T any](d *Dataset[T], routes []route) ([][]T, bool) {
-	env, t := d.env, d.env.transport
-	w := len(routes)
-	stage := env.metrics.stageCount()
-	owned := make([]bool, w)
-	for p := range owned {
-		owned[p] = t.Owns(p)
-	}
+// encodeForeign encodes what this process's partitions owe the partitions of
+// other processes, straight from the rows and their routes: outgoing[p][q] is
+// owned source p's bucket for foreign destination q, as Transport.Exchange
+// takes it. A pass over WireSize gives each bucket's size, so it is allocated
+// once and written once, and nothing is placed anywhere in between; the rows
+// of outgoing are cut from one table, and the sizes are counted on the stack
+// up to placeStack partitions. An element type without a codec is an error,
+// with the source partition it was met in.
+func encodeForeign[T any](env *Env, parts [][]T, routes []route) ([][][]byte, int, error) {
+	w := len(parts)
 	outgoing := make([][][]byte, w)
-	for p := range routes {
-		if !owned[p] {
+	table := make([][]byte, (w-env.foreign)*w)
+	var stack [placeStack]int
+	size := stack[:]
+	if w > placeStack {
+		size = make([]int, w)
+	}
+	for p, part := range parts {
+		if !env.owns(p) {
 			continue
 		}
-		row, err := encodeRemote(d.parts[p], routes[p], owned)
-		if err != nil {
-			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
-			return nil, false
-		}
+		var row [][]byte
+		row, table = table[:w:w], table[w:]
 		outgoing[p] = row
-	}
-	incoming, err := t.Exchange(stage, outgoing)
-	if err != nil {
-		env.fail(&JobError{Stage: stage, Cause: err})
-		return nil, false
-	}
-	corrupt := func(q, p int, err error) ([][]T, bool) {
-		env.fail(&JobError{Stage: stage, Partition: q, Cause: fmt.Errorf("from partition %d: %w", p, err)})
-		return nil, false
-	}
-	out := make([][]T, w)
-	// from(q)[p] is where source p's rows begin in out[q], from(q)[w] its length.
-	starts := make([]int, w*(w+1))
-	from := func(q int) []int { return starts[q*(w+1) : (q+1)*(w+1)] }
-	for q := range out {
-		if !owned[q] {
-			continue
-		}
-		at := from(q)
-		for p := range routes {
-			n := routes[p].to[q].count
-			if !owned[p] {
-				if n, err = BucketCount(incoming[q][p]); err != nil {
-					return corrupt(q, p, err)
+		r := routes[p]
+		clear(size)
+		for i := range part {
+			if q := r.dest[i]; !env.owns(int(q)) {
+				wire, ok := any(&part[i]).(Wire[T])
+				if !ok {
+					return nil, p, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", part[i])
 				}
-			}
-			at[p+1] = at[p] + n
-		}
-		out[q] = make([]T, at[w])
-	}
-	next := make([]int, w)
-	for p, part := range d.parts {
-		if !owned[p] {
-			continue
-		}
-		for q := range next {
-			if owned[q] {
-				next[q] = from(q)[p]
+				size[q] += wire.WireSize()
 			}
 		}
-		for i, q := range routes[p].dest {
-			if owned[q] {
-				out[q][next[q]] = part[i]
-				next[q]++
+		for q := range row {
+			if !env.owns(q) {
+				row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.to[q].count))
+			}
+		}
+		for i := range part {
+			if q := r.dest[i]; !env.owns(int(q)) {
+				row[q] = any(&part[i]).(Wire[T]).AppendWire(row[q])
 			}
 		}
 	}
-	sz := sizingOf[T]()
-	for q, part := range out {
-		if !owned[q] {
-			continue
-		}
-		at := from(q)
-		for p := range routes {
-			if owned[p] {
-				continue
-			}
-			if err := DecodeBucket(part[at[p]:at[p+1]], incoming[q][p]); err != nil {
-				return corrupt(q, p, err)
-			}
-		}
-		if env.governor != nil && !env.chargeMem(q, sz.sum(part)) {
-			return nil, false
-		}
-		// What crossed partitions is everything but source q's own share.
-		env.chargeNet(q, sz.sum(part[:at[q]])+sz.sum(part[at[q+1]:]))
-		env.traceRowsOut(q, int64(len(part)))
-	}
-	return out, true
+	return outgoing, 0, nil
 }
 
-// allGatherParts replicates every partition of d to every process and
-// returns the full collection in partition order — broadcast's distributed
-// gather. Returns nil after failing the env on any error.
-func allGatherParts[T any](env *Env, d *Dataset[T]) ([]T, bool) {
-	t := env.transport
-	w := len(d.parts)
-	stage := env.metrics.stageCount()
-	blobs := make([][]byte, w)
-	for p := 0; p < w; p++ {
-		if !t.Owns(p) {
-			continue
+// Concat returns the concatenation of a job's partitions, in partition order,
+// as one slice allocated once at the length the counts give: partition p is
+// parts[p], copied, where this process owns it (owned[p]; everywhere if owned
+// is nil), and elsewhere the encoded bucket blobs[p], decoded in place - its
+// rows are views of the blob. It is the gather behind a broadcast and how a
+// coordinator, which owns nothing, assembles a result. A bucket that does not
+// decode is an error, with its partition.
+func Concat[T any](parts [][]T, blobs [][]byte, owned []bool) ([]T, int, error) {
+	w := len(owned)
+	if owned == nil {
+		w = len(parts)
+	}
+	count := func(p int) (int, error) {
+		if owned == nil || owned[p] {
+			return len(parts[p]), nil
 		}
-		blob, err := EncodeBucket(d.parts[p])
+		return BucketCount(blobs[p])
+	}
+	total := 0
+	for p := 0; p < w; p++ {
+		n, err := count(p)
 		if err != nil {
-			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
-			return nil, false
+			return nil, p, err
 		}
-		blobs[p] = blob
+		total += n
 	}
-	all, err := t.AllGather(stage, blobs)
-	if err != nil {
-		env.fail(&JobError{Stage: stage, Cause: err})
-		return nil, false
-	}
-	// The counts give the collection's length: one array, owned partitions
-	// copied and the others decoded into their windows.
-	starts := make([]int, w+1)
+	all := make([]T, total)
+	rest := all
 	for p := 0; p < w; p++ {
-		n := len(d.parts[p])
-		if !t.Owns(p) {
-			if n, err = BucketCount(all[p]); err != nil {
-				env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
-				return nil, false
-			}
-		}
-		starts[p+1] = starts[p] + n
-	}
-	out := make([]T, starts[w])
-	for p := 0; p < w; p++ {
-		window := out[starts[p]:starts[p+1]]
-		if t.Owns(p) {
-			copy(window, d.parts[p])
-		} else if err := DecodeBucket(window, all[p]); err != nil {
-			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
-			return nil, false
+		n, _ := count(p)
+		window := rest[:n]
+		rest = rest[n:]
+		if owned == nil || owned[p] {
+			copy(window, parts[p])
+		} else if err := DecodeBucket(window, blobs[p]); err != nil {
+			return nil, p, err
 		}
 	}
-	return out, true
+	return all, 0, nil
 }
 
-// globalPartCounts returns every logical partition's element count across
-// all processes. In-process it is a local scan; with a transport, owned
-// counts are all-gathered as fixed-width frames. Used where per-partition
-// sizes feed deterministic decisions every process must agree on
-// (Rebalance's offset table, the global emptiness checks).
-func globalPartCounts[T any](d *Dataset[T]) ([]int64, bool) {
+// allGather replicates one blob per owned partition, blob(p), to every
+// process of the job and returns all P of them (Transport.AllGather: a
+// collective every process must reach together, like an exchange). A process
+// that is its own cluster has nobody to tell and gets nil. On failure it
+// returns false with the env failed.
+func (e *Env) allGather(blob func(p int) ([]byte, error)) ([][]byte, bool) {
+	if e.transport == nil {
+		return nil, true
+	}
+	stage := e.metrics.stageCount()
+	blobs := make([][]byte, len(e.owned))
+	for p := range blobs {
+		if !e.owned[p] {
+			continue
+		}
+		var err error
+		if blobs[p], err = blob(p); err != nil {
+			e.fail(&JobError{Stage: stage, Partition: p, Cause: err})
+			return nil, false
+		}
+	}
+	all, err := e.transport.AllGather(stage, blobs)
+	if err != nil {
+		e.fail(&JobError{Stage: stage, Cause: err})
+		return nil, false
+	}
+	return all, true
+}
+
+// gather returns every partition of d, of every process, as one slice in
+// partition order: what a single process Collects, whoever owns what.
+func gather[T any](d *Dataset[T]) ([]T, bool) {
 	env := d.env
-	counts := make([]int64, len(d.parts))
-	t := env.transport
-	if t == nil {
-		for p, part := range d.parts {
-			counts[p] = int64(len(part))
-		}
-		return counts, true
-	}
-	stage := env.metrics.stageCount()
-	blobs := make([][]byte, len(d.parts))
-	for p, part := range d.parts {
-		if !t.Owns(p) {
-			continue
-		}
-		blobs[p] = binary.BigEndian.AppendUint64(nil, uint64(len(part)))
-	}
-	all, err := t.AllGather(stage, blobs)
-	if err != nil {
-		env.fail(&JobError{Stage: stage, Cause: err})
+	blobs, ok := env.allGather(func(p int) ([]byte, error) { return EncodeBucket(d.parts[p]) })
+	if !ok {
 		return nil, false
 	}
-	for p := range counts {
-		if t.Owns(p) {
-			counts[p] = int64(len(d.parts[p]))
-			continue
-		}
-		if len(all[p]) != 8 {
-			env.fail(&JobError{Stage: stage, Partition: p, Cause: fmt.Errorf("dataflow: bad count frame (%d bytes)", len(all[p]))})
-			return nil, false
-		}
-		counts[p] = int64(binary.BigEndian.Uint64(all[p]))
+	all, p, err := Concat(d.parts, blobs, env.owned)
+	if err != nil {
+		env.fail(&JobError{Stage: env.metrics.stageCount(), Partition: p, Cause: err})
+		return nil, false
 	}
-	return counts, true
+	return all, true
 }
 
-// GlobalCount returns the dataset's element count across every process of
-// a distributed job. Without a transport it equals Count; with one it is a
-// collective all processes must reach together (like any exchange). On
-// transport failure it returns 0 with the env failed, which terminates the
-// convergence loops that call it.
+// GlobalCount returns the dataset's element count across every process of the
+// job: the owned partitions' Count plus, all-gathered as fixed-width frames,
+// everybody else's. Per-partition sizes feed decisions every process must
+// agree on, so with a transport it is a collective all processes must reach
+// together (like any exchange). On transport failure it returns 0 with the
+// env failed, which terminates the convergence loops that call it.
 func (d *Dataset[T]) GlobalCount() int64 {
-	if d.env.transport == nil {
-		return d.Count()
-	}
-	counts, ok := globalPartCounts(d)
+	env := d.env
+	all, ok := env.allGather(func(p int) ([]byte, error) {
+		return binary.BigEndian.AppendUint64(nil, uint64(len(d.parts[p]))), nil
+	})
 	if !ok {
 		return 0
 	}
-	var n int64
-	for _, c := range counts {
-		n += c
+	n := d.Count()
+	for p := range all {
+		if env.owns(p) {
+			continue
+		}
+		if len(all[p]) != 8 {
+			env.fail(&JobError{Stage: env.metrics.stageCount(), Partition: p, Cause: fmt.Errorf("dataflow: bad count frame (%d bytes)", len(all[p]))})
+			return 0
+		}
+		n += int64(binary.BigEndian.Uint64(all[p]))
 	}
 	return n
 }
@@ -383,9 +324,4 @@ func (d *Dataset[T]) GlobalCount() int64 {
 // use this rather than IsEmpty: a process owning only drained partitions
 // would otherwise leave the loop while its peers continue, and the
 // collective exchanges inside would deadlock on the missing participant.
-func (d *Dataset[T]) GlobalIsEmpty() bool {
-	if d.env.transport == nil {
-		return d.Count() == 0
-	}
-	return d.GlobalCount() == 0
-}
+func (d *Dataset[T]) GlobalIsEmpty() bool { return d.GlobalCount() == 0 }

@@ -191,8 +191,8 @@ func (r *wrec) decodeWire(b []byte) ([]byte, error) {
 
 // clusterPipeline is the parity workload: it crosses every distributed seam
 // — a grouping shuffle (ReduceByKey), a repartition join, a broadcast join,
-// a rebalance and a data-dependent bulk iteration whose convergence needs
-// global agreement.
+// and a data-dependent bulk iteration whose convergence needs global
+// agreement (GlobalIsEmpty over the all-gathered counts).
 func clusterPipeline(e *Env, n int) *Dataset[wrec] {
 	src := make([]wrec, n)
 	for i := range src {
@@ -227,7 +227,7 @@ func clusterPipeline(e *Env, n int) *Dataset[wrec] {
 	none = Join(none, summed,
 		func(r wrec) uint64 { return r.K }, func(r wrec) uint64 { return r.K },
 		func(l, r wrec, emit func(wrec)) { emit(l) }, BroadcastLeft)
-	rb := Rebalance(Union(bj, none))
+	rb := Union(bj, none)
 	// Iteration count depends on the data (V magnitudes differ per element),
 	// so processes only agree on when to stop via the global emptiness check.
 	return BulkIteration(rb, nil, 64, func(it int, w *Dataset[wrec]) (*Dataset[wrec], *Dataset[wrec]) {
@@ -243,34 +243,14 @@ func clusterPipeline(e *Env, n int) *Dataset[wrec] {
 // owned partitions in partition order, plus each process's metrics.
 func runClusterPipeline(t *testing.T, workers, n int, owner []int, nprocs int) ([]wrec, []MetricsSnapshot) {
 	t.Helper()
-	c := newMemCluster(owner, nprocs)
-	results := make([][][]wrec, nprocs)
-	metrics := make([]MetricsSnapshot, nprocs)
-	errs := make([]error, nprocs)
-	var wg sync.WaitGroup
-	for proc := 0; proc < nprocs; proc++ {
-		wg.Add(1)
-		go func(proc int) {
-			defer wg.Done()
-			e := NewEnv(DefaultConfig(workers))
-			e.SetTransport(c.transport(proc))
-			out := clusterPipeline(e, n)
-			results[proc] = out.parts
-			metrics[proc] = e.Metrics()
-			errs[proc] = e.Err()
-		}(proc)
-	}
-	wg.Wait()
-	for proc, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d failed: %v", proc, err)
-		}
-	}
+	run := runProcs(t, workers, owner, nprocs, false, false, func(e *Env) []*Dataset[wrec] {
+		return []*Dataset[wrec]{clusterPipeline(e, n)}
+	})
 	merged := make([]wrec, 0, n)
-	for p := 0; p < workers; p++ {
-		merged = append(merged, results[owner[p]][p]...)
+	for _, part := range run.parts[0] {
+		merged = append(merged, part...)
 	}
-	return merged, metrics
+	return merged, run.metrics
 }
 
 // TestTransportBitIdentity is the recovery guarantee's foundation: any
@@ -288,17 +268,7 @@ func TestTransportBitIdentity(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("reference pipeline produced no rows")
 	}
-	cases := []struct {
-		name   string
-		owner  []int
-		nprocs int
-	}{
-		{"2proc-contiguous", []int{0, 0, 1, 1}, 2},
-		{"2proc-interleaved", []int{0, 1, 0, 1}, 2},
-		{"2proc-skewed", []int{0, 1, 1, 1}, 2},
-		{"4proc", []int{0, 1, 2, 3}, 4},
-	}
-	for _, tc := range cases {
+	for _, tc := range ownerships {
 		t.Run(tc.name, func(t *testing.T) {
 			got, _ := runClusterPipeline(t, workers, n, tc.owner, tc.nprocs)
 			if len(got) != len(want) {

@@ -12,7 +12,7 @@ import (
 // joiners, ...) that write to variables captured from the enclosing scope.
 // Every UDF runs concurrently on one goroutine per partition, so an
 // unsynchronized captured write is a data race — exactly the class of the
-// Rebalance race fixed in PR 1. Literals that take a mutex (a .Lock() call
+// race fixed in PR 1. Literals that take a mutex (a .Lock() call
 // anywhere in the body) are assumed to synchronize their writes and are
 // skipped; sync/atomic operations are calls, not assignments, and never
 // trigger the check.

@@ -39,10 +39,6 @@ type Options struct {
 	// Vertex and Edge are the session-wide morphism semantics.
 	Vertex operators.Semantics
 	Edge   operators.Semantics
-	// Hint selects the physical join strategy.
-	Hint dataflow.JoinHint
-	// DisableSubqueryReuse turns off recurring-subquery leaf sharing.
-	DisableSubqueryReuse bool
 
 	// NoPlanCache disables the plan cache (every request re-parses and
 	// re-plans); NoResultCache disables the result cache. Benchmarks use
@@ -324,12 +320,7 @@ type Response struct {
 
 // baseConfig assembles the session-wide parts of a core.Config.
 func (s *Session) baseConfig() core.Config {
-	return core.Config{
-		Vertex:               s.opts.Vertex,
-		Edge:                 s.opts.Edge,
-		Hint:                 s.opts.Hint,
-		DisableSubqueryReuse: s.opts.DisableSubqueryReuse,
-	}
+	return core.Config{Vertex: s.opts.Vertex, Edge: s.opts.Edge}
 }
 
 // prepareToken is the trace token for the compile span.
