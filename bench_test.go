@@ -198,31 +198,6 @@ func BenchmarkAblationIndexedGraph(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) { run(b, planner.IndexedAccess{Index: idx}) })
 }
 
-// BenchmarkAblationJoinStrategy compares the repartition hash join against
-// broadcasting the smaller input (the strategy choice §3.2 delegates to the
-// dataflow layer).
-func BenchmarkAblationJoinStrategy(b *testing.B) {
-	g, st := ablationGraph(b, 8)
-	query := `MATCH (p:Person)-[:knows]->(q:Person)-[:hasInterest]->(t:Tag) RETURN *`
-	for _, hint := range []struct {
-		name string
-		h    dataflow.JoinHint
-	}{{"repartition", dataflow.RepartitionHash}, {"broadcast", dataflow.BroadcastLeft}} {
-		b.Run(hint.name, func(b *testing.B) {
-			cfg := core.Config{Stats: st, Hint: hint.h, Edge: operators.Isomorphism}
-			var sim float64
-			for i := 0; i < b.N; i++ {
-				g.Env().ResetMetrics()
-				if _, err := core.Execute(g, query, cfg); err != nil {
-					b.Fatal(err)
-				}
-				sim = float64(g.Env().Metrics().SimTime.Microseconds()) / 1000
-			}
-			b.ReportMetric(sim, "simMs")
-		})
-	}
-}
-
 // BenchmarkAblationPredicatePushdown compares the engine's early predicate
 // evaluation against the GraphFrames-style baseline that materializes all
 // label-only matches first (§5): the "intermediate" metric shows the blowup

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gradoop/internal/core"
-	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/planner"
@@ -54,15 +53,12 @@ func WithStatistics(s *Statistics) QueryOption {
 }
 
 // WithIndex executes leaf scans against a label-partitioned graph index
-// (§3.4), loading only the datasets a label predicate selects.
+// (§3.4), loading only the datasets a label predicate selects. Over an index
+// a join whose one input turns out small against a leaf on its other side
+// broadcasts it into the leaf's scan instead of repartitioning both; rows
+// without ORDER BY may come out in another order than from a plain scan.
 func WithIndex(idx *GraphIndex) QueryOption {
 	return func(q *queryConfig) { q.cfg.Access = planner.IndexedAccess{Index: idx.idx} }
-}
-
-// WithBroadcastJoin switches JoinEmbeddings to broadcasting the smaller
-// input instead of repartitioning both.
-func WithBroadcastJoin() QueryOption {
-	return func(q *queryConfig) { q.cfg.Hint = dataflow.BroadcastLeft }
 }
 
 // WithTimeout aborts query execution after d: the dataflow job is

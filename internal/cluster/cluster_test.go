@@ -2,9 +2,12 @@ package cluster_test
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"reflect"
+	"sort"
 	"testing"
+	_ "unsafe" // go:linkname, below
 
 	"gradoop/internal/cluster"
 	"gradoop/internal/dataflow"
@@ -88,7 +91,13 @@ func run(t *testing.T, s *session.Session, firstName string) map[string]*session
 // TestClusterBitIdentity is the tentpole's core guarantee: the same
 // session-level queries, executed across 1, 2 and 4 worker processes,
 // return rows byte-identical — including order — to the single-process
-// engine, and the merged metrics reproduce the single-process charges.
+// engine, and the merged metrics reproduce the single-process charges. That
+// holds for a join that broadcasts its small side into a leaf's scan too
+// ("filter"-like queries over the pinned store take that path on both
+// sides of the comparison): its rows follow the scan's partitions, which are
+// cut from the same array in every process. Across the two ways to join the
+// order differs - rows without ORDER BY are unordered - and
+// TestProbeInPlaceOnCluster compares those as bags.
 func TestClusterBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -152,6 +161,84 @@ func TestClusterBitIdentity(t *testing.T) {
 	}
 }
 
+// probeInPlaceScale is operators': the factor on n x P in the rule that sends
+// a join into a leaf's scan (1 as shipped; +Inf is never, 0 whenever a leaf is
+// eligible). The workers of these tests run in this process and read the same
+// variable.
+//
+//go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
+var probeInPlaceScale float64
+
+// TestProbeInPlaceOnCluster: with the rule at never, as shipped and at
+// whenever a leaf is eligible, selective joins over 1, 2 and 4 workers return
+// the bag of rows the single-process engine returns with the rule at never.
+// Every process of a job counts the same n, reads the same m off its copy of
+// the store and so takes the same side of the rule: a job whose processes
+// disagreed would wait on each other's collectives until the test timed out.
+func TestProbeInPlaceOnCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP worker meshes")
+	}
+	if probeInPlaceScale != 1 {
+		t.Fatalf("probeInPlaceScale reads %v: the name no longer links to operators' variable", probeInPlaceScale)
+	}
+	defer func() { probeInPlaceScale = 1 }()
+	data, d := testGraph(t)
+	common, medium, rare := d.FirstNamesBySelectivity()
+	queries := []string{
+		`MATCH (person:Person)<-[:hasCreator]-(message:Comment|Post) WHERE person.firstName = $firstName RETURN *`,
+		`MATCH (p1:Person)-[:knows]->(p2:Person), (p2)<-[:hasCreator]-(c:Comment) WHERE p1.firstName = $firstName RETURN *`,
+		`MATCH (p:Person)-[:isLocatedIn]->(city:City), (p)-[s:studyAt]->(u:University) WHERE s.classYear > 2010 AND p.firstName = $firstName RETURN *`,
+		`MATCH (p:Person)-[:knows]->(q:Person) WHERE p.firstName = 'nobody is called this' RETURN *`,
+	}
+	opts := session.Options{Workers: 4, NoResultCache: true}
+	bags := func(s *session.Session) [][]string {
+		var out [][]string
+		for _, q := range queries {
+			for _, name := range []string{common, medium, rare} {
+				resp, err := s.Execute(session.Request{Query: q, Params: map[string]epgm.PropertyValue{"firstName": epgm.PVString(name)}})
+				if err != nil {
+					t.Fatalf("%s (firstName=%q): %v", q, name, err)
+				}
+				rows := make([]string, 0, resp.Count)
+				for _, r := range resp.Result.Rows() {
+					rows = append(rows, r.String())
+				}
+				sort.Strings(rows)
+				out = append(out, rows)
+			}
+		}
+		return out
+	}
+	probeInPlaceScale = math.Inf(1)
+	want := bags(session.New(d.Graph, opts))
+	matched := 0
+	for _, rows := range want {
+		matched += len(rows)
+	}
+	if matched == 0 {
+		t.Fatal("the queries match nothing on the test graph")
+	}
+	for _, scale := range []float64{math.Inf(1), 1, 0} {
+		probeInPlaceScale = scale
+		for _, n := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("scale=%v/workers=%d", scale, n), func(t *testing.T) {
+				_, addrs := startWorkers(t, data, n)
+				coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: opts.Workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer coord.Close()
+				copts := opts
+				copts.Remote = coord
+				if got := bags(session.New(d.Graph, copts)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("the cluster's rows are not the single-process engine's")
+				}
+			})
+		}
+	}
+}
+
 // TestClusterStageReport checks the predicted-vs-actual surface: shuffle
 // stages must report model bytes (cost-model charge) and, with more than
 // one worker, actual wire bytes on the sockets.
@@ -160,6 +247,7 @@ func TestClusterStageReport(t *testing.T) {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
+	common, _, _ := d.FirstNamesBySelectivity()
 	_, addrs := startWorkers(t, data, 2)
 	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 	if err != nil {
@@ -167,35 +255,44 @@ func TestClusterStageReport(t *testing.T) {
 	}
 	defer coord.Close()
 	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord})
-	resp, err := s.Execute(session.Request{Query: `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shuffles, modelled, wired int
-	for _, st := range resp.Cluster.Stages {
-		if st.Predicted <= 0 {
-			t.Fatalf("stage %d (%s): no prediction", st.Stage, st.Kind)
+	for _, q := range []struct {
+		name, query string
+		kind        string // the stage kind the query must have put bytes on the wire in,
+		stages      int    // in at least this many stages
+	}{
+		{"two-hop join", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`, "Shuffle", 1},
+		// A join that counts its selective side: the count is a collective
+		// and so is the broadcast it decides on, each in a Broadcast stage
+		// of its own.
+		{"selective join", `MATCH (p:Person)-[:knows]->(q:Person) WHERE p.firstName = $firstName RETURN *`, "Broadcast", 2},
+	} {
+		resp, err := s.Execute(session.Request{Query: q.query, Params: map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Shuffle {
-			shuffles++
-			if st.ModelBytes > 0 {
-				modelled++
+		var modelled int
+		wired := map[string]int{}
+		for _, st := range resp.Cluster.Stages {
+			if st.Predicted <= 0 {
+				t.Fatalf("%s: stage %d (%s): no prediction", q.name, st.Stage, st.Kind)
 			}
-			if st.WireBytes > 0 {
-				wired++
+			if st.Shuffle {
+				if st.ModelBytes > 0 {
+					modelled++
+				}
+				if st.WireBytes > 0 {
+					wired[st.Kind]++
+				}
+			} else if st.WireBytes != 0 {
+				t.Fatalf("%s: stage %d (%s): wire bytes on a non-shuffle stage", q.name, st.Stage, st.Kind)
 			}
-		} else if st.WireBytes != 0 {
-			t.Fatalf("stage %d (%s): wire bytes on a non-shuffle stage", st.Stage, st.Kind)
 		}
-	}
-	if shuffles == 0 {
-		t.Fatal("two-hop join reported no shuffle stages")
-	}
-	if modelled == 0 {
-		t.Fatal("the cost model charged no shuffle stage any bytes")
-	}
-	if wired == 0 {
-		t.Fatal("no shuffle stage put bytes on the wire across 2 workers")
+		if modelled == 0 {
+			t.Fatalf("%s: the cost model charged no shuffle stage any bytes", q.name)
+		}
+		if wired[q.kind] < q.stages {
+			t.Fatalf("%s: %d %s stages put bytes on the wire across 2 workers, want at least %d (wired: %v)", q.name, wired[q.kind], q.kind, q.stages, wired)
+		}
 	}
 }
 

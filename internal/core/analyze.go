@@ -69,6 +69,7 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 			continue
 		}
 		om.Act = st.Rows
+		om.Note = st.Note
 		om.WallNs = int64(st.Wall)
 		om.Shared = inner != n.Op
 		var sim time.Duration
@@ -110,6 +111,9 @@ func (r *Result) AnalyzedPlan() string {
 			return "[not executed]"
 		}
 		annot := fmt.Sprintf("act=%d", om.Act)
+		if om.Note != "" {
+			annot = om.Note + " " + annot
+		}
 		if om.HasEstimate {
 			annot += fmt.Sprintf(" err=%.1fx", om.QError)
 		}

@@ -38,8 +38,6 @@ type Config struct {
 	// over the input graph is used. Pass an IndexedAccess to exploit the
 	// label-partitioned representation (§3.4).
 	Access planner.GraphAccess
-	// Hint selects the physical join strategy.
-	Hint dataflow.JoinHint
 	// DisableSubqueryReuse turns off recurring-subquery leaf sharing.
 	DisableSubqueryReuse bool
 	// Context cancels the dataflow job when it is done; Execute then

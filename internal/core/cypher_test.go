@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"gradoop/internal/baseline"
+	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/planner"
+	"gradoop/internal/trace"
 )
 
 // figure1 builds a graph like the paper's Figure 1: persons, a university,
@@ -62,31 +65,53 @@ func run(t *testing.T, g *epgm.LogicalGraph, query string, cfg Config) *Result {
 func compareWithReference(t *testing.T, g *epgm.LogicalGraph, query string, cfg Config) int {
 	t.Helper()
 	res := run(t, g, query, cfg)
+	wantKeys := referenceKeys(g, res.QueryGraph, operators.Morphism{Vertex: cfg.Vertex, Edge: cfg.Edge})
+	gotKeys := resultKeys(res)
+	if len(gotKeys) != len(wantKeys) {
+		t.Fatalf("query %q: engine found %d matches, reference %d\nplan:\n%s",
+			query, len(gotKeys), len(wantKeys), res.Explain())
+	}
+	for i := range wantKeys {
+		if gotKeys[i] != wantKeys[i] {
+			t.Fatalf("query %q: binding mismatch at %d:\n got %s\nwant %s", query, i, gotKeys[i], wantKeys[i])
+		}
+	}
+	return len(wantKeys)
+}
 
-	ref := baseline.NewReference(g)
-	morph := operators.Morphism{Vertex: cfg.Vertex, Edge: cfg.Edge}
-	want := ref.Match(res.QueryGraph, morph)
-
-	var vertexVars, edgeVars, pathVars []string
-	for _, qv := range res.QueryGraph.Vertices {
+// bindingVars lists a query graph's variables by the kind of thing they bind.
+func bindingVars(qg *cypher.QueryGraph) (vertexVars, edgeVars, pathVars []string) {
+	for _, qv := range qg.Vertices {
 		vertexVars = append(vertexVars, qv.Var)
 	}
-	for _, qe := range res.QueryGraph.Edges {
+	for _, qe := range qg.Edges {
 		if qe.IsVarLength() {
 			pathVars = append(pathVars, qe.Var)
 		} else {
 			edgeVars = append(edgeVars, qe.Var)
 		}
 	}
+	return vertexVars, edgeVars, pathVars
+}
 
-	wantKeys := make([]string, len(want))
+// referenceKeys is the bag of matches the brute-force oracle finds, one key
+// per binding, sorted.
+func referenceKeys(g *epgm.LogicalGraph, qg *cypher.QueryGraph, morph operators.Morphism) []string {
+	vertexVars, edgeVars, pathVars := bindingVars(qg)
+	want := baseline.NewReference(g).Match(qg, morph)
+	keys := make([]string, len(want))
 	for i, b := range want {
-		wantKeys[i] = b.Key(vertexVars, edgeVars, pathVars)
+		keys[i] = b.Key(vertexVars, edgeVars, pathVars)
 	}
-	sort.Strings(wantKeys)
+	sort.Strings(keys)
+	return keys
+}
 
+// resultKeys is the bag of matches an execution found, in referenceKeys' form.
+func resultKeys(res *Result) []string {
+	vertexVars, edgeVars, pathVars := bindingVars(res.QueryGraph)
 	meta := res.Meta
-	var gotKeys []string
+	var keys []string
 	for _, e := range res.Embeddings.Collect() {
 		b := baseline.Binding{Vertices: map[string]epgm.ID{}, Edges: map[string]epgm.ID{}, Paths: map[string][]epgm.ID{}}
 		for c := 0; c < meta.Columns(); c++ {
@@ -99,20 +124,10 @@ func compareWithReference(t *testing.T, g *epgm.LogicalGraph, query string, cfg 
 				b.Paths[meta.Var(c)] = e.Path(c)
 			}
 		}
-		gotKeys = append(gotKeys, b.Key(vertexVars, edgeVars, pathVars))
+		keys = append(keys, b.Key(vertexVars, edgeVars, pathVars))
 	}
-	sort.Strings(gotKeys)
-
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("query %q: engine found %d matches, reference %d\nplan:\n%s",
-			query, len(gotKeys), len(wantKeys), res.Explain())
-	}
-	for i := range wantKeys {
-		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("query %q: binding mismatch at %d:\n got %s\nwant %s", query, i, gotKeys[i], wantKeys[i])
-		}
-	}
-	return len(wantKeys)
+	sort.Strings(keys)
+	return keys
 }
 
 func TestSimpleEdgePattern(t *testing.T) {
@@ -288,13 +303,27 @@ func TestIndexedAccessSameResults(t *testing.T) {
 	}
 }
 
-func TestBroadcastHintSameResults(t *testing.T) {
-	g := figure1(3)
-	q := `MATCH (p1:Person)-[:knows]->(p2:Person)-[:knows]->(p3:Person) RETURN *`
-	a := run(t, g, q, Config{Hint: dataflow.RepartitionHash})
-	b := run(t, g, q, Config{Hint: dataflow.BroadcastLeft})
-	if a.Count() != b.Count() {
-		t.Fatalf("repartition=%d broadcast=%d", a.Count(), b.Count())
+// TestSelectiveSideIsBroadcast: how a join runs is a fact of its inputs. Over
+// an index, Alice - one row, counted - is broadcast into the scan of the five
+// knows edges, and what comes of it into the scan of the four persons; over
+// the plain graph, which knows no sizes but its own partitions', the same
+// query repartitions as it always did. Both find the reference's matches.
+func TestSelectiveSideIsBroadcast(t *testing.T) {
+	g := figure1(1)
+	q := `MATCH (p1:Person)-[:knows]->(p2:Person) WHERE p1.name = 'Alice' RETURN *`
+	col := trace.NewCollector()
+	compareWithReference(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col})
+	indexed := run(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col}).AnalyzedPlan()
+	for _, want := range []string{"[broadcast n=1 act=1 ", "[probed in place: scanned=5 act=1 ", "[probed in place: scanned=4 act=1 "} {
+		if !strings.Contains(indexed, want) {
+			t.Errorf("indexed plan lacks %q:\n%s", want, indexed)
+		}
+	}
+	plain := run(t, g, q, Config{Trace: trace.NewCollector()}).AnalyzedPlan()
+	for _, not := range []string{"broadcast", "repartition", "probed"} {
+		if strings.Contains(plain, not) {
+			t.Errorf("plain plan says %q:\n%s", not, plain)
+		}
 	}
 }
 
@@ -444,5 +473,66 @@ func TestExecuteErrors(t *testing.T) {
 	}
 	if _, err := Execute(g, `MATCH (a) WHERE b.x = 1 RETURN *`, Config{}); err == nil {
 		t.Fatal("semantic error not reported")
+	}
+}
+
+// TestSelectiveBitIsSetAtPlanAndRebind: every operator's Selective bit, which
+// its constructor sets from its inputs', is what a walk of its subtree finds -
+// in the template plan and in the plan a request is rebound to. (A join asks
+// it of its inputs on every request; walking there instead cost a predicate-
+// free four-join query 37 objects.)
+func TestSelectiveBitIsSetAtPlanAndRebind(t *testing.T) {
+	var below func(op operators.Operator) bool
+	below = func(op operators.Operator) bool {
+		switch o := op.(type) {
+		case *operators.FilterAndProjectVertices:
+			return len(o.Vertex.Predicates) > 0
+		case *operators.FilterAndProjectEdges:
+			return len(o.Edge.Predicates) > 0
+		case *operators.FilterEmbeddings:
+			return true
+		case *operators.ExpandEmbeddings:
+			if len(o.Edge.Predicates) > 0 {
+				return true
+			}
+		}
+		for _, c := range op.Children() {
+			if below(c) {
+				return true
+			}
+		}
+		return false
+	}
+	g := figure1(2)
+	cfg := Config{Params: map[string]epgm.PropertyValue{"n": epgm.PVString("Alice")}}
+	selective := 0
+	for _, q := range []string{
+		`MATCH (p:Person)-[:knows]->(q:Person), (q)-[:studyAt]->(u:University) RETURN *`,
+		`MATCH (p:Person {name: $n})-[:knows]->(q:Person), (q)-[:studyAt]->(u:University) RETURN *`,
+		`MATCH (p:Person)-[:knows]->(q:Person), (q)-[s:studyAt]->(u:University) WHERE s.classYear > 2014 RETURN *`,
+		`MATCH (p:Person)-[:knows]->(q:Person), (p)-[:knows]->(r:Person) WHERE q.gender <> r.gender RETURN *`,
+		`MATCH (p:Person)-[e:knows*1..2]->(q:Person), (q)-[:studyAt]->(u:University) RETURN *`,
+		`MATCH (p:Person)-[:knows]->(q:Person) OPTIONAL MATCH (q)-[s:studyAt]->(u:University) WHERE s.classYear > 2014 RETURN *`,
+	} {
+		prep, err := Prepare(g, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := prep.Bind(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []*planner.QueryPlan{prep.Plan, bound.Plan} {
+			for _, n := range plan.Nodes() {
+				if got, want := n.Op.Selective(), below(n.Op); got != want {
+					t.Errorf("%s: %s says Selective %v, its subtree %v\n%s", q, n.Op.Description(), got, want, plan.Explain())
+				} else if got {
+					selective++
+				}
+			}
+		}
+	}
+	if selective == 0 {
+		t.Fatal("no operator of any plan is selective: the queries do not exercise the bit")
 	}
 }

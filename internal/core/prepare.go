@@ -58,7 +58,6 @@ func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query st
 	pl := &planner.Planner{
 		Stats:        st,
 		Morph:        morph,
-		Hint:         cfg.Hint,
 		DisableReuse: cfg.DisableSubqueryReuse,
 	}
 	plan, err := pl.Plan(access, tpl)

@@ -63,6 +63,37 @@ func BenchmarkRepartitionJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationJoinStrategy compares the two ways JoinWith joins - both
+// inputs repartitioned by key, or the left one broadcast to every worker - on
+// the simulated cluster time of one join of a build side of 16, 1 024 and
+// 65 536 rows with 100 000 probe rows on eight workers: broadcast wins while
+// the build side is tiny and loses as it grows, which is the rule
+// operators.JoinEmbeddings decides by (n x P against the other side's size).
+func BenchmarkAblationJoinStrategy(b *testing.B) {
+	key := func(x int) uint64 { return uint64(x) }
+	for _, build := range []int{16, 1 << 10, 1 << 16} {
+		for _, hint := range []struct {
+			name string
+			h    JoinHint
+		}{{"repartition", RepartitionHash}, {"broadcast", BroadcastLeft}} {
+			b.Run(fmt.Sprintf("build=%d/%s", build, hint.name), func(b *testing.B) {
+				e := NewEnv(DefaultConfig(8))
+				l := FromSlice(e, benchData(build))
+				r := FromSlice(e, benchData(100000))
+				var sim float64
+				for i := 0; i < b.N; i++ {
+					e.ResetMetrics()
+					JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+						return func(a, _ int, emit func(int)) { emit(a) }
+					}, hint.h, 0)
+					sim = float64(e.Metrics().SimTime.Microseconds()) / 1000
+				}
+				b.ReportMetric(sim, "simMs")
+			})
+		}
+	}
+}
+
 func BenchmarkReduceByKey(b *testing.B) {
 	e := NewEnv(DefaultConfig(8))
 	d := FromSlice(e, benchData(100000))

@@ -82,7 +82,7 @@ func (s *Store) Index(env *dataflow.Env) *IndexedLogicalGraph {
 // Store bound to an environment. When a query element carries a label
 // predicate, the planner loads only that label's range of the array instead
 // of scanning (and replicating) all elements. Datasets are cut on request
-// and copy nothing: a single label's is a sub-slice of the store's array.
+// and copy nothing: a label's is a sub-slice of the store's array.
 type IndexedLogicalGraph struct {
 	env   *dataflow.Env
 	store *Store
@@ -94,35 +94,68 @@ func BuildIndex(g *LogicalGraph) *IndexedLogicalGraph { return NewStore(g).Index
 // Env returns the execution environment.
 func (x *IndexedLogicalGraph) Env() *dataflow.Env { return x.env }
 
-// Vertices returns the dataset for one or more vertex labels (unknown labels
-// select nothing), or all vertices, in label-major order, when no label is
-// given.
-func (x *IndexedLogicalGraph) Vertices(labels ...string) *dataflow.Dataset[Vertex] {
+// Scan is what a leaf operator reads of a graph.
+type Scan[T any] struct {
+	// Parts is one dataset per populated label range the leaf reads, in the
+	// order its labels were given - each a sub-slice of the store's array,
+	// nothing is copied - or the one dataset of a plain graph. It is never
+	// empty: labels that select nothing read one empty dataset.
+	Parts []*dataflow.Dataset[T]
+	// Pinned is how many elements Parts hold over all processes of a job when
+	// they are ranges of a Store - the sum of the ranges' lengths, which every
+	// process reads off its own copy of the store - and 0 for a plain graph,
+	// whose dataset knows its own partitions only.
+	Pinned int64
+}
+
+// PlainScan is the scan of a plain graph's dataset: all of it, whatever the
+// labels.
+func PlainScan[T any](d *dataflow.Dataset[T]) Scan[T] {
+	return Scan[T]{Parts: []*dataflow.Dataset[T]{d}}
+}
+
+// Union is the scan as one dataset: its parts concatenated partition by
+// partition, which copies only if there are two or more.
+func (s Scan[T]) Union() *dataflow.Dataset[T] {
+	if len(s.Parts) == 1 {
+		return s.Parts[0]
+	}
+	return dataflow.UnionAll(s.Parts...)
+}
+
+// Vertices returns what a scan of one or more vertex labels reads (unknown
+// labels select nothing), or all vertices, in label-major order, when no
+// label is given.
+func (x *IndexedLogicalGraph) Vertices(labels ...string) Scan[Vertex] {
 	return scan(x.env, x.store.Vertices, x.store.VertexRanges, labels)
 }
 
-// Edges returns the dataset for one or more edge labels, or all edges when
-// no label is given.
-func (x *IndexedLogicalGraph) Edges(labels ...string) *dataflow.Dataset[Edge] {
+// Edges returns what a scan of one or more edge labels reads, or all edges
+// when no label is given.
+func (x *IndexedLogicalGraph) Edges(labels ...string) Scan[Edge] {
 	return scan(x.env, x.store.Edges, x.store.EdgeRanges, labels)
 }
 
-// scan cuts the dataset of a label alternation out of a store array. Each
-// label costs one Union stage that moves nothing while a single label is
-// populated; two populated labels are concatenated partition by partition.
-func scan[T any](env *dataflow.Env, all []T, ranges []LabelRange, labels []string) *dataflow.Dataset[T] {
+// scan cuts a label alternation out of a store array: one dataset per
+// populated label, the whole array for no label. No stage runs and no
+// element moves; a leaf walks the parts one by one.
+func scan[T any](env *dataflow.Env, all []T, ranges []LabelRange, labels []string) Scan[T] {
 	if len(labels) == 0 {
-		return dataflow.FromSlice(env, all)
+		return Scan[T]{Parts: []*dataflow.Dataset[T]{dataflow.FromSlice(env, all)}, Pinned: int64(len(all))}
 	}
-	out := dataflow.Empty[T](env)
+	s := Scan[T]{Parts: make([]*dataflow.Dataset[T], 0, len(labels))}
 	for _, l := range labels {
 		for _, r := range ranges { // a schema's worth of labels: a walk, not a search
-			if r.Label == l {
-				out = dataflow.Union(out, dataflow.FromSlice(env, all[r.Lo:r.Hi]))
+			if r.Label == l && r.Hi > r.Lo {
+				s.Parts = append(s.Parts, dataflow.FromSlice(env, all[r.Lo:r.Hi]))
+				s.Pinned += int64(r.Hi - r.Lo)
 			}
 		}
 	}
-	return out
+	if len(s.Parts) == 0 {
+		s.Parts = append(s.Parts, dataflow.Empty[T](env))
+	}
+	return s
 }
 
 // VertexLabels returns the indexed vertex labels in sorted order.
@@ -142,5 +175,5 @@ func labelsOf(ranges []LabelRange) []string {
 // ToLogicalGraph flattens the index back into a plain logical graph over the
 // store's arrays.
 func (x *IndexedLogicalGraph) ToLogicalGraph() *LogicalGraph {
-	return &LogicalGraph{env: x.env, Head: x.store.Head, Vertices: x.Vertices(), Edges: x.Edges()}
+	return &LogicalGraph{env: x.env, Head: x.store.Head, Vertices: x.Vertices().Union(), Edges: x.Edges().Union()}
 }

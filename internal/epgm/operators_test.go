@@ -252,20 +252,21 @@ func TestCollectionGraphExtraction(t *testing.T) {
 func TestIndexedLogicalGraph(t *testing.T) {
 	g := socialGraph(t, 3)
 	idx := BuildIndex(g)
-	if got := idx.Vertices("Person").Count(); got != 4 {
+	if got := idx.Vertices("Person").Union().Count(); got != 4 {
 		t.Fatalf("Person vertices=%d want 4", got)
 	}
-	if got := idx.Edges("knows").Count(); got != 4 {
+	if got := idx.Edges("knows").Union().Count(); got != 4 {
 		t.Fatalf("knows edges=%d want 4", got)
 	}
-	if got := idx.Vertices("Comment", "Post").Count(); got != 0 {
+	if got := idx.Vertices("Comment", "Post").Union().Count(); got != 0 {
 		t.Fatalf("unknown labels should be empty, got %d", got)
 	}
-	if got := idx.Vertices().Count(); got != 6 {
+	if got := idx.Vertices().Union().Count(); got != 6 {
 		t.Fatalf("all vertices=%d want 6", got)
 	}
-	if got := idx.Vertices("Person", "City").Count(); got != 5 {
-		t.Fatalf("multi-label vertices=%d want 5", got)
+	multi := idx.Vertices("Person", "City")
+	if got := multi.Union().Count(); got != 5 || multi.Pinned != 5 || len(multi.Parts) != 2 {
+		t.Fatalf("multi-label vertices=%d pinned=%d in %d parts, want 5, 5 and one part per label", got, multi.Pinned, len(multi.Parts))
 	}
 	labels := idx.VertexLabels()
 	if len(labels) != 3 || labels[0] != "City" {

@@ -64,6 +64,8 @@ func benchGraph(env *dataflow.Env, n int) (*dataflow.Dataset[epgm.Vertex], *data
 type materialized struct {
 	rows *dataflow.Dataset[embedding.Embedding]
 	meta *embedding.Meta
+	// selective is what the operator says of itself to a join over it.
+	selective bool
 }
 
 func materialize(op Operator) materialized { return materialized{rows: op.Evaluate(), meta: op.Meta()} }
@@ -72,6 +74,7 @@ func (m materialized) Evaluate() *dataflow.Dataset[embedding.Embedding] { return
 func (m materialized) Meta() *embedding.Meta                            { return m.meta }
 func (m materialized) Description() string                              { return "materialized" }
 func (m materialized) Children() []Operator                             { return nil }
+func (m materialized) Selective() bool                                  { return m.selective }
 
 func knowsEdge(v, src, tgt string) *cypher.QueryEdge {
 	return &cypher.QueryEdge{Var: v, Types: []string{"knows"}, Source: src, Target: tgt,
@@ -81,9 +84,9 @@ func knowsEdge(v, src, tgt string) *cypher.QueryEdge {
 func BenchmarkRowLeafScan(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, es := benchGraph(env, benchRows/4)
-	vertices := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+	vertices := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}})
-	edges := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b"))
+	edges := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b"))
 	// Every element makes one row, so rows out are rows in.
 	bytes := reportAllocsPerRow(b, benchRows, func() {
 		vertices.Evaluate()
@@ -95,7 +98,7 @@ func BenchmarkRowLeafScan(b *testing.B) {
 func BenchmarkRowMerge(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
 	_, es := benchGraph(env, benchRows/3)
-	rows := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")).Evaluate().Collect()
+	rows := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")).Evaluate().Collect()
 	drop := []int{0}
 	reportAllocsPerRow(b, len(rows), func() {
 		var slab embedding.Slab
@@ -112,7 +115,7 @@ func BenchmarkRowMerge(b *testing.B) {
 func BenchmarkRowShuffle(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	_, es := benchGraph(env, benchRows/3)
-	rows := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")).Evaluate()
+	rows := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")).Evaluate()
 	target := []int{2}
 	reportAllocsPerRow(b, benchRows, func() {
 		dataflow.PartitionByKey(rows, func(e embedding.Embedding) uint64 { return keyOf(e, target) })
@@ -126,9 +129,9 @@ func BenchmarkRowShuffle(b *testing.B) {
 func BenchmarkRowJoinProbe(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	_, es := benchGraph(env, benchRows/6)
-	left := materialize(NewFilterAndProjectEdges(es, knowsEdge("e1", "a", "b")))
-	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e2", "b", "c")))
-	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, dataflow.RepartitionHash)
+	left := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e1", "a", "b")))
+	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e2", "b", "c")))
+	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
 	var joined int64
 	bytes := reportAllocsPerRow(b, benchRows, func() {
 		if joined = join.Evaluate().Count(); joined == 0 {
@@ -136,6 +139,36 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 		}
 	})
 	b.ReportMetric(bytes/float64(joined), "B/row")
+}
+
+// BenchmarkRowProbeInPlace is a join that broadcasts its selective side - 64
+// persons - into the scan of the knows edges of a pinned store: a count, a
+// broadcast and one probe of benchRows edges, of which the 192 that leave one
+// of the 64 get a row and are merged. The scan builds nothing for the others,
+// so what a step allocates is the four tables over the 64 rows, the slab
+// chunks of the 192 and the stages' own objects. Rows are the elements
+// scanned, for allocs/row and for B/row alike: heap bytes per scanned edge,
+// where the leaf scan that the join replaces pays B/row for every one of them.
+func BenchmarkRowProbeInPlace(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, es := benchGraph(env, benchRows/3)
+	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
+	persons := NewFilterAndProjectVertices(idx.Vertices("Person"), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}})
+	small := materialized{rows: dataflow.FromSlice(env, persons.Evaluate().Collect()[:64]), meta: persons.Meta(), selective: true}
+	knows := NewFilterAndProjectEdges(idx.Edges("knows"), knowsEdge("e", "a", "b"))
+	join := NewJoinEmbeddings(small, knows, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
+	scanned := int(knows.scanned())
+	env.ResetMetrics()
+	bytes := reportAllocsPerRow(b, scanned, func() {
+		if out := join.Evaluate().Count(); out != 3*64 {
+			b.Fatalf("join emitted %d rows", out)
+		}
+	})
+	if stages := env.Metrics().Stages; stages%3 != 0 {
+		b.Fatalf("%d stages: a step is not a count, a broadcast and a join", stages)
+	}
+	b.ReportMetric(bytes/float64(scanned), "B/row")
 }
 
 // BenchmarkRowOuterJoin is an OPTIONAL MATCH of every person's knows edges
@@ -147,9 +180,9 @@ func BenchmarkRowOuterJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, _ := benchGraph(env, benchRows/2)
 	_, es := benchGraph(env, benchRows/4)
-	left := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+	left := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}}))
-	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b")))
+	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")))
 	outer := NewOptionalJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
 	in := int(left.rows.Count() + right.rows.Count())
 	var out int64
@@ -172,9 +205,9 @@ func BenchmarkRowSemiJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, _ := benchGraph(env, benchRows/2)
 	_, es := benchGraph(env, benchRows/4)
-	left := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+	left := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}}))
-	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e", "x", "y")))
+	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "x", "y")))
 	semi := NewSemiJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	in := int(left.rows.Count() + right.rows.Count())
 	reportAllocsPerRow(b, in, func() {
@@ -190,7 +223,7 @@ func BenchmarkRowSemiJoin(b *testing.B) {
 func BenchmarkRowExpandHop(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, es := benchGraph(env, benchRows/4)
-	in := materialize(NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}))
+	in := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}))
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
 	expand, err := NewExpandEmbeddings(in, es, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	if err != nil {

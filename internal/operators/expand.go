@@ -31,6 +31,7 @@ type ExpandEmbeddings struct {
 	startCol   int
 	endVar     string
 	meta       *embedding.Meta
+	selective  bool
 }
 
 // NewExpandEmbeddings builds an expansion of in along qe. The input must
@@ -56,11 +57,15 @@ func NewExpandEmbeddings(in Operator, edges *dataflow.Dataset[epgm.Edge], qe *cy
 	return &ExpandEmbeddings{
 		In: in, Edges: edges, Edge: qe, Morph: morph, Reverse: reverse,
 		bindTarget: bindTarget, startCol: startCol, endVar: endVar, meta: meta,
+		selective: in.Selective() || len(qe.Predicates) > 0,
 	}, nil
 }
 
 // Meta implements Operator.
 func (op *ExpandEmbeddings) Meta() *embedding.Meta { return op.meta }
+
+// Selective implements Operator.
+func (op *ExpandEmbeddings) Selective() bool { return op.selective }
 
 // Children implements Operator.
 func (op *ExpandEmbeddings) Children() []Operator { return []Operator{op.In} }

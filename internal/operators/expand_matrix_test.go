@@ -104,13 +104,13 @@ func (c matrixCase) run(t *testing.T) (rows []embedding.Embedding, got, want []s
 	var in operators.Operator
 	if c.closing {
 		qf := &cypher.QueryEdge{Var: "f", Types: []string{"likes"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-		in = operators.NewFilterAndProjectEdges(g.Edges, qf)
+		in = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), qf)
 		edges = []*cypher.QueryEdge{qf, qe}
 		edgeVars = []string{"f"}
 	} else if c.reverse {
-		in = operators.NewFilterAndProjectVertices(g.Vertices, qb)
+		in = operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qb)
 	} else {
-		in = operators.NewFilterAndProjectVertices(g.Vertices, qa)
+		in = operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qa)
 	}
 	op, err := operators.NewExpandEmbeddings(in, g.Edges, qe, c.morph, c.reverse)
 	if err != nil {

@@ -27,7 +27,7 @@ func ringExpand(t testing.TB, env *dataflow.Env, n, starts, minHops, maxHops int
 	for i := range es {
 		es[i] = epgm.Edge{ID: epgm.ID(1_000_000 + i), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+1)%n)}
 	}
-	in := NewFilterAndProjectVertices(dataflow.FromSlice(env, vs), &cypher.QueryVertex{Var: "a"})
+	in := NewFilterAndProjectVertices(epgm.PlainScan(dataflow.FromSlice(env, vs)), &cypher.QueryVertex{Var: "a"})
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: minHops, MaxHops: maxHops}
 	op, err := NewExpandEmbeddings(in, dataflow.FromSlice(env, es), qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	if err != nil {

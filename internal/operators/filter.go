@@ -24,6 +24,9 @@ func NewFilterEmbeddings(in Operator, predicates []cypher.Expr) *FilterEmbedding
 // Meta implements Operator.
 func (op *FilterEmbeddings) Meta() *embedding.Meta { return op.In.Meta() }
 
+// Selective implements Operator.
+func (op *FilterEmbeddings) Selective() bool { return true }
+
 // Children implements Operator.
 func (op *FilterEmbeddings) Children() []Operator { return []Operator{op.In} }
 
@@ -65,6 +68,7 @@ type ProjectEmbeddings struct {
 	outputMeta *embedding.Meta
 	idCols     []int
 	propCols   []int
+	selective  bool
 }
 
 // NewProjectEmbeddings builds a projection. Unknown variables or property
@@ -87,12 +91,15 @@ func NewProjectEmbeddings(in Operator, keepVars []string, keepProps []embedding.
 	}
 	return &ProjectEmbeddings{
 		In: in, KeepVars: keepVars, KeepProps: keepProps,
-		outputMeta: outputMeta, idCols: idCols, propCols: propCols,
+		outputMeta: outputMeta, idCols: idCols, propCols: propCols, selective: in.Selective(),
 	}
 }
 
 // Meta implements Operator.
 func (op *ProjectEmbeddings) Meta() *embedding.Meta { return op.outputMeta }
+
+// Selective implements Operator.
+func (op *ProjectEmbeddings) Selective() bool { return op.selective }
 
 // Children implements Operator.
 func (op *ProjectEmbeddings) Children() []Operator { return []Operator{op.In} }

@@ -67,6 +67,11 @@ type Operator interface {
 	Description() string
 	// Children returns the operator's inputs.
 	Children() []Operator
+	// Selective reports whether a predicate restricts the operator's rows
+	// somewhere in its subtree: a join over it may expect few of them. It is a
+	// bit every constructor sets from its inputs' - planning and rebinding build
+	// the tree bottom-up - so asking costs a request no walk.
+	Selective() bool
 }
 
 // scratch is the state the row function of one partition attempt keeps

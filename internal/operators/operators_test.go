@@ -30,7 +30,7 @@ func TestFilterAndProjectVertices(t *testing.T) {
 	en := env()
 	vs, _, ids := chainGraph(en)
 	qv := &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}, Projection: []string{"name"}}
-	op := NewFilterAndProjectVertices(vs, qv)
+	op := NewFilterAndProjectVertices(epgm.PlainScan(vs), qv)
 	out := op.Evaluate().Collect()
 	if len(out) != 2 {
 		t.Fatalf("persons=%d", len(out))
@@ -63,13 +63,13 @@ func TestFilterAndProjectEdgesDirectedAndUndirected(t *testing.T) {
 	en := env()
 	_, es, _ := chainGraph(en)
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	directed := NewFilterAndProjectEdges(es, qe).Evaluate()
+	directed := NewFilterAndProjectEdges(epgm.PlainScan(es), qe).Evaluate()
 	if directed.Count() != 2 {
 		t.Fatalf("directed=%d", directed.Count())
 	}
 	und := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b",
 		Undirected: true, MinHops: 1, MaxHops: 1}
-	undirected := NewFilterAndProjectEdges(es, und).Evaluate()
+	undirected := NewFilterAndProjectEdges(epgm.PlainScan(es), und).Evaluate()
 	if undirected.Count() != 4 {
 		t.Fatalf("undirected=%d want 4 (both orientations)", undirected.Count())
 	}
@@ -82,7 +82,7 @@ func TestFilterAndProjectEdgesLoop(t *testing.T) {
 	other := epgm.Edge{ID: epgm.NewID(), Label: "self", Source: v.ID, Target: epgm.NewID()}
 	es := dataflow.FromSlice(en, []epgm.Edge{loop, other})
 	qe := &cypher.QueryEdge{Var: "e", Source: "a", Target: "a", MinHops: 1, MaxHops: 1}
-	op := NewFilterAndProjectEdges(es, qe)
+	op := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
 	out := op.Evaluate().Collect()
 	if len(out) != 1 {
 		t.Fatalf("loops=%d", len(out))
@@ -95,27 +95,27 @@ func TestFilterAndProjectEdgesLoop(t *testing.T) {
 func TestJoinEmbeddingsPanicsWithoutSharedVars(t *testing.T) {
 	en := env()
 	vs, _, _ := chainGraph(en)
-	a := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a"})
-	b := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "b"})
+	a := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a"})
+	b := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewJoinEmbeddings(a, b, Morphism{}, dataflow.RepartitionHash)
+	NewJoinEmbeddings(a, b, Morphism{})
 }
 
 func TestCartesianProduct(t *testing.T) {
 	en := env()
 	vs, _, _ := chainGraph(en)
-	a := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
-	b := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "b", Labels: []string{"Tag"}})
+	a := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
+	b := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b", Labels: []string{"Tag"}})
 	cp := NewCartesianProduct(a, b, Morphism{})
 	if got := cp.Evaluate().Count(); got != 2 {
 		t.Fatalf("cartesian=%d want 2", got)
 	}
 	// ISO with overlapping labels: (a:Person),(b:Person) forbids a=b.
-	b2 := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "b", Labels: []string{"Person"}})
+	b2 := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b", Labels: []string{"Person"}})
 	iso := NewCartesianProduct(a, b2, Morphism{Vertex: Isomorphism})
 	if got := iso.Evaluate().Count(); got != 2 {
 		t.Fatalf("iso cartesian=%d want 2 (4 minus diagonal)", got)
@@ -126,9 +126,9 @@ func TestProjectEmbeddingsOperator(t *testing.T) {
 	en := env()
 	vs, es, _ := chainGraph(en)
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	leaf := NewFilterAndProjectEdges(es, qe)
-	vleaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a", Projection: []string{"name"}})
-	join := NewJoinEmbeddings(vleaf, leaf, Morphism{}, dataflow.RepartitionHash)
+	leaf := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
+	vleaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Projection: []string{"name"}})
+	join := NewJoinEmbeddings(vleaf, leaf, Morphism{})
 	proj := NewProjectEmbeddings(join, []string{"b"}, []embedding.PropRef{{Var: "a", Key: "name"}})
 	out := proj.Evaluate().Collect()
 	if len(out) != 2 {
@@ -149,12 +149,12 @@ func TestExpandEmbeddingsForwardAndReverseAgree(t *testing.T) {
 	vs, es, _ := chainGraph(en)
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
 
-	aLeaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "a"})
+	aLeaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a"})
 	fwd, err := NewExpandEmbeddings(aLeaf, es, qe, Morphism{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bLeaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "b"})
+	bLeaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b"})
 	rev, err := NewExpandEmbeddings(bLeaf, es, qe, Morphism{}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func pathKey(ids []epgm.ID) string {
 func TestExpandRequiresBoundEndpoint(t *testing.T) {
 	en := env()
 	vs, es, _ := chainGraph(en)
-	leaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "z"})
+	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "z"})
 	qe := &cypher.QueryEdge{Var: "e", Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
 	if _, err := NewExpandEmbeddings(leaf, es, qe, Morphism{}, false); err == nil {
 		t.Fatal("expected error: input binds neither endpoint")

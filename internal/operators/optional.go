@@ -30,7 +30,7 @@ type OptionalJoinEmbeddings struct {
 // tried (a cartesian outer join).
 func NewOptionalJoinEmbeddings(left, right Operator, morph Morphism, predicates []cypher.Expr) *OptionalJoinEmbeddings {
 	return &OptionalJoinEmbeddings{Left: left, Right: right, Morph: morph, Predicates: predicates,
-		joinShape: newJoinShape(left.Meta(), right.Meta())}
+		joinShape: newJoinShape(left, right)}
 }
 
 // Meta implements Operator.

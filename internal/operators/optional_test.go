@@ -23,9 +23,9 @@ func likesGraph(e *dataflow.Env) (*dataflow.Dataset[epgm.Vertex], *dataflow.Data
 func TestOptionalJoinEmbeddingsDirect(t *testing.T) {
 	en := env()
 	vs, es, ids := likesGraph(en)
-	persons := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1}
-	likes := NewFilterAndProjectEdges(es, qe)
+	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
 	opt := NewOptionalJoinEmbeddings(persons, likes, Morphism{}, nil)
 
 	if opt.Meta().Columns() != 3 { // p, e, m
@@ -66,10 +66,10 @@ func TestOptionalJoinEmbeddingsDirect(t *testing.T) {
 func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 	en := env()
 	vs, es, _ := likesGraph(en)
-	persons := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
-	mleaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
-	likes := NewFilterAndProjectEdges(es, &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
-	sub := NewJoinEmbeddings(mleaf, likes, Morphism{}, dataflow.RepartitionHash)
+	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	mleaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
+	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
+	sub := NewJoinEmbeddings(mleaf, likes, Morphism{})
 
 	// Predicate m.year > 1990 fails for the only movie: every person ends
 	// up with a null extension.
@@ -89,8 +89,8 @@ func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 func TestSemiAndAntiJoinDirect(t *testing.T) {
 	en := env()
 	vs, es, ids := likesGraph(en)
-	persons := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
-	likes := NewFilterAndProjectEdges(es, &cypher.QueryEdge{Var: "e", Types: []string{"likes"},
+	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), &cypher.QueryEdge{Var: "e", Types: []string{"likes"},
 		Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
 
 	semi := NewSemiJoinEmbeddings(persons, likes, Morphism{}, false)
@@ -115,7 +115,7 @@ func TestSemiAndAntiJoinDirect(t *testing.T) {
 func TestCachedEvaluatesOnce(t *testing.T) {
 	en := env()
 	vs, _, _ := likesGraph(en)
-	leaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "p"})
+	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p"})
 	cached := NewCached(leaf)
 	en.ResetMetrics()
 	a := cached.Evaluate()
@@ -135,7 +135,7 @@ func TestCachedEvaluatesOnce(t *testing.T) {
 func TestFilterEmbeddingsDirect(t *testing.T) {
 	en := env()
 	vs, _, _ := likesGraph(en)
-	leaf := NewFilterAndProjectVertices(vs, &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
+	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
 	q, err := cypher.Parse(`MATCH (m) WHERE m.year = 1979 RETURN *`)
 	if err != nil {
 		t.Fatal(err)

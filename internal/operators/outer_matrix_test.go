@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"gradoop/internal/cypher"
-	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
@@ -72,15 +71,15 @@ func (c outerCase) build(t *testing.T, g *epgm.LogicalGraph) (op, left, right op
 	}
 	switch c.shared {
 	case 1:
-		left = operators.NewFilterAndProjectEdges(g.Edges, single("f", []string{"knows"}, "c", "a"))
+		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows"}, "c", "a"))
 	case 2:
-		left = operators.NewFilterAndProjectEdges(g.Edges, single("f", []string{"knows", "likes"}, "a", "b"))
+		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows", "likes"}, "a", "b"))
 	default:
-		left = operators.NewFilterAndProjectEdges(g.Edges, single("f", []string{"knows"}, "c", "d"))
+		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows"}, "c", "d"))
 	}
-	bLeaf := operators.NewFilterAndProjectVertices(g.Vertices, &cypher.QueryVertex{Var: "b", Projection: []string{"n"}})
-	eLeaf := operators.NewFilterAndProjectEdges(g.Edges, single("e", []string{"knows"}, "a", "b"))
-	right = operators.NewJoinEmbeddings(bLeaf, eLeaf, c.morph, dataflow.RepartitionHash)
+	bLeaf := operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), &cypher.QueryVertex{Var: "b", Projection: []string{"n"}})
+	eLeaf := operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("e", []string{"knows"}, "a", "b"))
+	right = operators.NewJoinEmbeddings(bLeaf, eLeaf, c.morph)
 
 	var preds []cypher.Expr
 	if c.reject != "none" {

@@ -7,6 +7,7 @@ import (
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 )
 
 // TestOutputIsAllocatedOnce: what a leaf and a join allocate is what they
@@ -35,7 +36,7 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 	}
 
 	_, es := benchGraph(env, 33_334)
-	leaf := NewFilterAndProjectEdges(es, knowsEdge("e", "a", "b"))
+	leaf := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b"))
 	rows, got := allocated(leaf.Evaluate)
 	if len(rows) != 100_002 {
 		t.Fatalf("the leaf emitted %d rows, want 100 002", len(rows))
@@ -47,9 +48,9 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 
 	// Three edges into every vertex and three out of it: nine pairs a vertex.
 	_, es = benchGraph(env, 11_112)
-	left := materialize(NewFilterAndProjectEdges(es, knowsEdge("e1", "a", "b")))
-	right := materialize(NewFilterAndProjectEdges(es, knowsEdge("e2", "b", "c")))
-	join := NewJoinEmbeddings(left, right, Morphism{}, dataflow.RepartitionHash)
+	left := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e1", "a", "b")))
+	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e2", "b", "c")))
+	join := NewJoinEmbeddings(left, right, Morphism{})
 	rows, got = allocated(join.Evaluate)
 	if len(rows) != 100_008 {
 		t.Fatalf("the join emitted %d rows, want 100 008", len(rows))

@@ -25,6 +25,9 @@ import (
 type Cached struct {
 	Inner Operator
 
+	// shared is set once an Alias reads the operator too: only then does the
+	// wrapper have a second consumer to save an evaluation for.
+	shared bool
 	once   sync.Once
 	result *dataflow.Dataset[embedding.Embedding]
 }
@@ -40,6 +43,9 @@ func (op *Cached) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 
 // Meta implements Operator.
 func (op *Cached) Meta() *embedding.Meta { return op.Inner.Meta() }
+
+// Selective implements Operator.
+func (op *Cached) Selective() bool { return op.Inner.Selective() }
 
 // Children implements Operator.
 func (op *Cached) Children() []Operator { return []Operator{op.Inner} }
@@ -58,8 +64,11 @@ type Alias struct {
 }
 
 // NewAlias builds an alias over in. Variables absent from rename keep their
-// names.
+// names. A Cached operator it reads is shared from here on.
 func NewAlias(in Operator, rename map[string]string) *Alias {
+	if c, ok := in.(*Cached); ok {
+		c.shared = true
+	}
 	inMeta := in.Meta()
 	meta := embedding.NewMeta()
 	mapped := func(v string) string {
@@ -83,6 +92,9 @@ func (op *Alias) Evaluate() *dataflow.Dataset[embedding.Embedding] { return op.I
 
 // Meta implements Operator.
 func (op *Alias) Meta() *embedding.Meta { return op.meta }
+
+// Selective implements Operator.
+func (op *Alias) Selective() bool { return op.In.Selective() }
 
 // Children implements Operator.
 func (op *Alias) Children() []Operator { return []Operator{op.In} }

@@ -26,7 +26,7 @@ type SemiJoinEmbeddings struct {
 // as a global non-emptiness test.
 func NewSemiJoinEmbeddings(left, right Operator, morph Morphism, negated bool) *SemiJoinEmbeddings {
 	return &SemiJoinEmbeddings{Left: left, Right: right, Morph: morph, Negated: negated,
-		joinShape: newJoinShape(left.Meta(), right.Meta())}
+		joinShape: newJoinShape(left, right)}
 }
 
 // Meta implements Operator.

@@ -15,6 +15,7 @@ func (panicOp) Evaluate() *dataflow.Dataset[embedding.Embedding] { panic("unused
 func (panicOp) Meta() *embedding.Meta                            { return nil }
 func (panicOp) Description() string                              { return "PanicOp" }
 func (panicOp) Children() []Operator                             { return nil }
+func (panicOp) Selective() bool                                  { return false }
 
 // TestTracedClosesScopeOnPanic: traced's operator scope (trace.Collector.InOp,
 // which defers its own pop) closes when eval panics, so the frame does not

@@ -23,7 +23,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 	seenVertex := map[string]bool{}
 	vertexLeaf := func(name string) *partial {
 		qv, _ := qg.VertexByVar(name)
-		leaf := operators.NewFilterAndProjectVertices(access.VertexDataset(qv.Labels), qv)
+		leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
 		card := pl.vertexLeafCard(qv)
 		est[leaf] = card
 		seenVertex[name] = true
@@ -41,7 +41,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 			varLength = append(varLength, qe)
 			continue
 		}
-		leaf := operators.NewFilterAndProjectEdges(access.EdgeDataset(qe.Types), qe)
+		leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
 		card := pl.edgeLeafCard(qe)
 		est[leaf] = card
 		leaves = append(leaves, &partial{op: leaf, card: card,
@@ -96,7 +96,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 		for i, qe := range varLength {
 			if cur.covers(qe.Source) || cur.covers(qe.Target) {
 				reverse := !cur.covers(qe.Source)
-				op, err := operators.NewExpandEmbeddings(cur.op, access.EdgeDataset(qe.Types), qe, pl.Morph, reverse)
+				op, err := operators.NewExpandEmbeddings(cur.op, access.Edges(qe.Types).Union(), qe, pl.Morph, reverse)
 				if err != nil {
 					return nil, err
 				}
@@ -118,7 +118,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 			if len(sharedVars(cur, p)) == 0 {
 				continue
 			}
-			op := operators.NewJoinEmbeddings(cur.op, p.op, pl.Morph, pl.Hint)
+			op := operators.NewJoinEmbeddings(cur.op, p.op, pl.Morph)
 			cur = &partial{op: op, card: cur.card * p.card, vars: unionVars(cur.vars, p.vars)}
 			est[op] = cur.card
 			applyPredicates(cur)

@@ -25,11 +25,11 @@ import (
 // IndexedLogicalGraph (per-label datasets, §3.4).
 type GraphAccess interface {
 	Env() *dataflow.Env
-	// VertexDataset returns the vertices to scan for a label alternation
-	// (empty = all).
-	VertexDataset(labels []string) *dataflow.Dataset[epgm.Vertex]
-	// EdgeDataset returns the edges to scan for a type alternation.
-	EdgeDataset(types []string) *dataflow.Dataset[epgm.Edge]
+	// Vertices returns what a leaf scans for a label alternation (empty =
+	// all).
+	Vertices(labels []string) epgm.Scan[epgm.Vertex]
+	// Edges returns what a leaf scans for a type alternation.
+	Edges(types []string) epgm.Scan[epgm.Edge]
 }
 
 // PlainAccess scans the full vertex and edge datasets regardless of labels.
@@ -38,27 +38,29 @@ type PlainAccess struct{ Graph *epgm.LogicalGraph }
 // Env implements GraphAccess.
 func (a PlainAccess) Env() *dataflow.Env { return a.Graph.Env() }
 
-// VertexDataset implements GraphAccess.
-func (a PlainAccess) VertexDataset([]string) *dataflow.Dataset[epgm.Vertex] { return a.Graph.Vertices }
+// Vertices implements GraphAccess.
+func (a PlainAccess) Vertices([]string) epgm.Scan[epgm.Vertex] {
+	return epgm.PlainScan(a.Graph.Vertices)
+}
 
-// EdgeDataset implements GraphAccess.
-func (a PlainAccess) EdgeDataset([]string) *dataflow.Dataset[epgm.Edge] { return a.Graph.Edges }
+// Edges implements GraphAccess.
+func (a PlainAccess) Edges([]string) epgm.Scan[epgm.Edge] { return epgm.PlainScan(a.Graph.Edges) }
 
 // IndexedAccess reads the label-partitioned store, loading only the ranges a
-// label predicate selects. A session and a cluster worker plan and execute
-// against it.
+// label predicate selects - one dataset per label, which a leaf walks one by
+// one. A session and a cluster worker plan and execute against it.
 type IndexedAccess struct{ Index *epgm.IndexedLogicalGraph }
 
 // Env implements GraphAccess.
 func (a IndexedAccess) Env() *dataflow.Env { return a.Index.Env() }
 
-// VertexDataset implements GraphAccess.
-func (a IndexedAccess) VertexDataset(labels []string) *dataflow.Dataset[epgm.Vertex] {
+// Vertices implements GraphAccess.
+func (a IndexedAccess) Vertices(labels []string) epgm.Scan[epgm.Vertex] {
 	return a.Index.Vertices(labels...)
 }
 
-// EdgeDataset implements GraphAccess.
-func (a IndexedAccess) EdgeDataset(types []string) *dataflow.Dataset[epgm.Edge] {
+// Edges implements GraphAccess.
+func (a IndexedAccess) Edges(types []string) epgm.Scan[epgm.Edge] {
 	return a.Index.Edges(types...)
 }
 
@@ -66,8 +68,6 @@ func (a IndexedAccess) EdgeDataset(types []string) *dataflow.Dataset[epgm.Edge] 
 type Planner struct {
 	Stats *stats.GraphStatistics
 	Morph operators.Morphism
-	// Hint is the join strategy passed to JoinEmbeddings.
-	Hint dataflow.JoinHint
 	// DisableReuse turns off recurring-subquery reuse: by default,
 	// structurally identical leaf sub-patterns (same labels, predicates and
 	// projections, differing only in variable names) share one cached leaf
@@ -176,7 +176,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 		if canon, ok := vertexLeaves[sig]; ok && !pl.DisableReuse {
 			op = operators.NewAlias(canon.op, map[string]string{canon.vars[0]: qv.Var})
 		} else {
-			leaf := operators.NewFilterAndProjectVertices(access.VertexDataset(qv.Labels), qv)
+			leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
 			est[leaf] = card
 			if !pl.DisableReuse {
 				cached := operators.NewCached(leaf)
@@ -206,7 +206,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 			}
 			op = operators.NewAlias(canon.op, rename)
 		} else {
-			leaf := operators.NewFilterAndProjectEdges(access.EdgeDataset(qe.Types), qe)
+			leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
 			est[leaf] = card
 			if !pl.DisableReuse {
 				cached := operators.NewCached(leaf)
@@ -397,7 +397,7 @@ func (pl *Planner) combine(access GraphAccess, qg *cypher.QueryGraph, plans []*p
 			if r.card < l.card {
 				l, r = r, l
 			}
-			op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph, pl.Hint)
+			op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph)
 			merged := &partial{op: op, card: best.card, vars: unionVars(l.vars, r.vars)}
 			est[op] = best.card
 			applyPredicates(merged)
@@ -411,7 +411,7 @@ func (pl *Planner) combine(access GraphAccess, qg *cypher.QueryGraph, plans []*p
 		case "expand":
 			p := plans[best.i]
 			qe := varLength[best.edge]
-			op, err := operators.NewExpandEmbeddings(p.op, access.EdgeDataset(qe.Types), qe, pl.Morph, best.reverse)
+			op, err := operators.NewExpandEmbeddings(p.op, access.Edges(qe.Types).Union(), qe, pl.Morph, best.reverse)
 			if err != nil {
 				return nil, err
 			}
@@ -446,13 +446,13 @@ func groupVars(group *cypher.OptionalGroup) map[string]bool {
 func (pl *Planner) planOptionalGroup(access GraphAccess, qg *cypher.QueryGraph, group *cypher.OptionalGroup, est map[operators.Operator]float64) (operators.Operator, float64, error) {
 	var plans []*partial
 	for _, qv := range group.Vertices {
-		leaf := operators.NewFilterAndProjectVertices(access.VertexDataset(qv.Labels), qv)
+		leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
 		card := pl.vertexLeafCard(qv)
 		est[leaf] = card
 		plans = append(plans, &partial{op: leaf, card: card, vars: map[string]bool{qv.Var: true}})
 	}
 	for _, qe := range group.Edges {
-		leaf := operators.NewFilterAndProjectEdges(access.EdgeDataset(qe.Types), qe)
+		leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
 		card := pl.edgeLeafCard(qe)
 		est[leaf] = card
 		plans = append(plans, &partial{op: leaf, card: card,

@@ -11,7 +11,7 @@ import (
 
 // Fingerprint returns a deterministic canonical key for the plan: an FNV-64a
 // hash over the operator tree's structure (descriptions in tree order). Two
-// plans of the same query template under the same semantics, hint and
+// plans of the same query template under the same semantics and
 // statistics produce the same fingerprint; the session's plan cache and the
 // /explain endpoint report it.
 func (p *QueryPlan) Fingerprint() string {
@@ -82,13 +82,13 @@ func (r *rebinder) build(op operators.Operator) (operators.Operator, error) {
 		if !ok {
 			return nil, fmt.Errorf("planner: rebind: unknown query vertex %q", x.Vertex.Var)
 		}
-		return operators.NewFilterAndProjectVertices(r.access.VertexDataset(qv.Labels), qv), nil
+		return operators.NewFilterAndProjectVertices(r.access.Vertices(qv.Labels), qv), nil
 	case *operators.FilterAndProjectEdges:
 		qe, ok := r.b.Edges[x.Edge]
 		if !ok {
 			return nil, fmt.Errorf("planner: rebind: unknown query edge %q", x.Edge.Var)
 		}
-		return operators.NewFilterAndProjectEdges(r.access.EdgeDataset(qe.Types), qe), nil
+		return operators.NewFilterAndProjectEdges(r.access.Edges(qe.Types), qe), nil
 	case *operators.Cached:
 		inner, err := r.rebind(x.Inner)
 		if err != nil {
@@ -122,7 +122,7 @@ func (r *rebinder) build(op operators.Operator) (operators.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return operators.NewJoinEmbeddings(l, rgt, x.Morph, x.Hint), nil
+		return operators.NewJoinEmbeddings(l, rgt, x.Morph), nil
 	case *operators.CartesianProduct:
 		l, rgt, err := r.pair(x.Left, x.Right)
 		if err != nil {
@@ -138,7 +138,7 @@ func (r *rebinder) build(op operators.Operator) (operators.Operator, error) {
 		if !ok {
 			return nil, fmt.Errorf("planner: rebind: unknown query edge %q", x.Edge.Var)
 		}
-		return operators.NewExpandEmbeddings(in, r.access.EdgeDataset(qe.Types), qe, x.Morph, x.Reverse)
+		return operators.NewExpandEmbeddings(in, r.access.Edges(qe.Types).Union(), qe, x.Morph, x.Reverse)
 	case *operators.SemiJoinEmbeddings:
 		l, rgt, err := r.pair(x.Left, x.Right)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gradoop/internal/cypher"
+	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/stats"
 )
@@ -143,7 +144,7 @@ func TestAliasOperator(t *testing.T) {
 	ast, _ := cypher.Parse(`MATCH (p:Person) RETURN *`)
 	qg, _ := cypher.BuildQueryGraph(ast, nil)
 	qv := qg.Vertices[0]
-	leaf := operators.NewFilterAndProjectVertices(g.Vertices, qv)
+	leaf := operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qv)
 	alias := operators.NewAlias(leaf, map[string]string{"p": "q"})
 	if !alias.Meta().HasVar("q") || alias.Meta().HasVar("p") {
 		t.Fatalf("alias meta: %s", alias.Meta())

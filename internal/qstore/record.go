@@ -61,6 +61,11 @@ type OpMetrics struct {
 	// (dataset caching); NotExecuted marks plan subtrees never evaluated.
 	Shared      bool `json:"shared,omitempty"`
 	NotExecuted bool `json:"notExecuted,omitempty"`
+	// Note is what the operator says about how it ran: a join that counted
+	// an input names its strategy and the counts ("broadcast n=387",
+	// "repartition n=8148 m=27000"), a leaf such a join probed in place says
+	// so and how many elements it scanned - its Act is the rows it built.
+	Note string `json:"note,omitempty"`
 }
 
 // Record is one completed execution. Records are self-contained: replaying

@@ -36,8 +36,8 @@ func aliases[T any](t *testing.T, what string, ds *dataflow.Dataset[T], want []T
 }
 
 // TestLabeledReadAliasesPinnedArray: what a leaf reads for one label is that
-// label's range of the one pinned array, and what it reads for none is the
-// array.
+// label's range of the one pinned array, for two labels the two ranges one
+// after the other, and what it reads for none is the array.
 func TestLabeledReadAliasesPinnedArray(t *testing.T) {
 	data := NewGraphData(ldbcGraph(t, 0.05))
 	g, access := data.Bind(dataflow.NewEnv(dataflow.DefaultConfig(4)))
@@ -45,15 +45,36 @@ func TestLabeledReadAliasesPinnedArray(t *testing.T) {
 		t.Fatalf("test graph has %d vertex and %d edge labels, want the LDBC schema's sixteen", len(data.VertexRanges), len(data.EdgeRanges))
 	}
 	for _, r := range data.VertexRanges {
-		aliases(t, "vertices of "+r.Label, access.VertexDataset([]string{r.Label}), data.Vertices[r.Lo:r.Hi])
+		aliases(t, "vertices of "+r.Label, access.Vertices([]string{r.Label}).Union(), data.Vertices[r.Lo:r.Hi])
 	}
 	for _, r := range data.EdgeRanges {
-		aliases(t, "edges of "+r.Label, access.EdgeDataset([]string{r.Label}), data.Edges[r.Lo:r.Hi])
+		aliases(t, "edges of "+r.Label, access.Edges([]string{r.Label}).Union(), data.Edges[r.Lo:r.Hi])
 	}
-	aliases(t, "all vertices", access.VertexDataset(nil), data.Vertices)
-	aliases(t, "all edges", access.EdgeDataset(nil), data.Edges)
+	messages := access.Vertices([]string{"Post", "Comment"})
+	if len(messages.Parts) != 2 {
+		t.Fatalf("a two-label scan has %d parts, want one per label", len(messages.Parts))
+	}
+	for i, r := range []epgm.LabelRange{data.VertexRanges[labelAt(t, data, "Post")], data.VertexRanges[labelAt(t, data, "Comment")]} {
+		aliases(t, "the "+r.Label+" part of Post|Comment", messages.Parts[i], data.Vertices[r.Lo:r.Hi])
+	}
+	if want := int64(len(messages.Parts[0].Collect()) + len(messages.Parts[1].Collect())); messages.Pinned != want {
+		t.Fatalf("a two-label scan says it reads %d elements, its parts hold %d", messages.Pinned, want)
+	}
+	aliases(t, "all vertices", access.Vertices(nil).Union(), data.Vertices)
+	aliases(t, "all edges", access.Edges(nil).Union(), data.Edges)
 	aliases(t, "the bound graph's vertices", g.Vertices, data.Vertices)
 	aliases(t, "the bound graph's edges", g.Edges, data.Edges)
+}
+
+func labelAt(t testing.TB, data *GraphData, label string) int {
+	t.Helper()
+	for i, r := range data.VertexRanges {
+		if r.Label == label {
+			return i
+		}
+	}
+	t.Fatalf("no vertex label %s", label)
+	return -1
 }
 
 // TestStoreIsLabelMajor: the ranges are in label order and tile the array,
@@ -138,7 +159,7 @@ func TestPinnedGraphIsOneCopy(t *testing.T) {
 }
 
 // bound keeps BenchmarkBind's datasets alive.
-var bound *dataflow.Dataset[epgm.Vertex]
+var bound epgm.Scan[epgm.Vertex]
 
 // BenchmarkBind is what a request pays to read the pinned graph: a fresh
 // environment, the bind, one single-label and one two-label scan. `make
@@ -150,7 +171,7 @@ func BenchmarkBind(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		_, access := data.Bind(dataflow.NewEnv(cfg))
-		bound = access.VertexDataset([]string{"Person"})
-		bound = access.VertexDataset([]string{"Comment", "Post"})
+		bound = access.Vertices([]string{"Person"})
+		bound = access.Vertices([]string{"Comment", "Post"})
 	}
 }

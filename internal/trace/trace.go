@@ -169,6 +169,10 @@ type OpStats struct {
 	// sub-plans evaluate once however often they are referenced).
 	Evaluations int     `json:"evaluations"`
 	Stages      []int64 `json:"stages"`
+	// Note is what the operator has to say about how it ran, if anything: a
+	// join's strategy and the counts it chose it on, a leaf that was probed
+	// where it lay.
+	Note string `json:"note,omitempty"`
 }
 
 // Collector accumulates spans and operator statistics for one job. It is
@@ -247,6 +251,16 @@ func (c *Collector) popOp(token any, rows int64) {
 	st.Evaluations++
 	if n > 1 {
 		c.stack[n-2].inner += elapsed
+	}
+}
+
+// Note records what an operator says about how it ran (OpStats.Note). The
+// operator must have been in scope: InOp is what makes it known.
+func (c *Collector) Note(token any, note string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.ops[token]; ok {
+		st.Note = note
 	}
 }
 
