@@ -211,7 +211,9 @@ func main() {
 	logger.Info("graph loaded", "dir", *graphDir, "vertices", vertices, "edges", edges)
 
 	handler := server.New(sess, server.Config{Metrics: registry, Logger: logger})
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// A client gets as long to send its headers as a query gets to run; the
+	// handler gives the delivery of a query's answer the same time itself.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: *timeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

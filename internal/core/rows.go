@@ -19,8 +19,8 @@ import (
 //
 // The clause is compiled once per walk into one cell per output column, and
 // the walk feeds the table to a sink row by row: Rows collects property
-// values (the library API), AppendRowsJSON appends the HTTP body's rows
-// array (rowsjson.go). RETURN is a projection of the bag of records, so a
+// values (the library API), WriteRowsJSON writes the HTTP body's rows array
+// (rowsjson.go). RETURN is a projection of the bag of records, so a
 // plain RETURN, with or without SKIP and LIMIT, goes to the sink straight
 // from the embeddings; aggregation, DISTINCT and ORDER BY are operations on
 // the whole table and materialise it first.
@@ -180,11 +180,12 @@ func (p *returnPlan) streams() bool {
 // rowSink receives the result table in order: first the plan and the number
 // of rows to come, then one row at a time, either as an embedding to render
 // the plan's cells from (streamed rows) or as values already computed (rows
-// of the materialising pipeline).
+// of the materialising pipeline). A row method that returns false wants no
+// more rows: the walk ends there.
 type rowSink interface {
 	begin(p *returnPlan, rows int)
-	embedding(emb embedding.Embedding)
-	values(vals []epgm.PropertyValue)
+	embedding(emb embedding.Embedding) bool
+	values(vals []epgm.PropertyValue) bool
 }
 
 // walk evaluates the RETURN clause and feeds the resulting table to sink:
@@ -202,7 +203,9 @@ func (r *Result) walk(sink rowSink) {
 			n := int64(len(part))
 			from, to := min(max(lo-at, 0), n), min(hi-at, n)
 			for _, emb := range part[from:to] {
-				sink.embedding(emb)
+				if !sink.embedding(emb) {
+					return
+				}
 			}
 			at += n
 		}
@@ -211,7 +214,9 @@ func (r *Result) walk(sink rowSink) {
 	rows := r.materialize(p)
 	sink.begin(p, len(rows))
 	for _, vals := range rows {
-		sink.values(vals)
+		if !sink.values(vals) {
+			return
+		}
 	}
 }
 
@@ -277,7 +282,7 @@ func (s *rowsSink) begin(p *returnPlan, rows int) {
 	}
 }
 
-func (s *rowsSink) embedding(emb embedding.Embedding) {
+func (s *rowsSink) embedding(emb embedding.Embedding) bool {
 	n := len(s.plan.cells)
 	vals := s.backing[:n:n]
 	s.backing = s.backing[n:]
@@ -285,11 +290,12 @@ func (s *rowsSink) embedding(emb embedding.Embedding) {
 	for i, c := range s.plan.cells {
 		vals[i] = c.value(&s.row)
 	}
-	s.values(vals)
+	return s.values(vals)
 }
 
-func (s *rowsSink) values(vals []epgm.PropertyValue) {
+func (s *rowsSink) values(vals []epgm.PropertyValue) bool {
 	s.out = append(s.out, Row{Columns: s.plan.columns, Values: vals})
+	return true
 }
 
 // Rows materializes the RETURN clause as a table of property values.

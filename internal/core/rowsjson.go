@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -9,17 +10,49 @@ import (
 	"gradoop/internal/epgm"
 )
 
-// jsonSink appends the table as a JSON array of row arrays. A streamed row
-// is written straight from the embedding: ids and path lists as digits,
-// property values from their propData encoding. The buffer grows as append
-// grows it, so its capacity stays within a constant factor of what was
-// written whatever the rows look like.
+// RowsChunk bounds what WriteRowsJSON holds of the array at any time: the
+// encoder hands its buffer to the writer whenever a finished row leaves it at
+// or past this length. Every write but the last is therefore at least
+// RowsChunk long, and an array shorter than RowsChunk arrives in one write -
+// which is how the server tells a body it can announce the length of from one
+// it must send chunked.
+const RowsChunk = 64 << 10
+
+// jsonSink writes the table as a JSON array of row arrays. A streamed row is
+// appended straight from the embedding: ids and path lists as digits,
+// property values from their propData encoding. The buffer is the chunk: it
+// is flushed at the first row boundary at or past RowsChunk, so it holds less
+// than a chunk plus one row, and a row longer than its spare capacity grows
+// it for that row.
 type jsonSink struct {
+	w     io.Writer
 	dst   []byte
 	cells []cell
-	rows  int // written so far
+	rows  int   // begun so far
+	n     int64 // bytes w has taken
+	err   error // w's first, which ends the walk
 	row   located
 }
+
+// chunkSlack is the room behind RowsChunk in a fresh buffer: the row that
+// crosses the boundary lands in it instead of growing the buffer.
+const chunkSlack = 4 << 10
+
+// spareSinks keeps sinks with their chunks between calls, so that in the
+// steady state a response of any size costs the heap no buffer: a body of a
+// few bytes does not pay for a chunk, and a body of megabytes does not pay the
+// steps of growing to one (a buffer grown by append allocates about five
+// times what it ends up holding: 300 KiB a request for every body past a
+// chunk). It is a free list and not a sync.Pool because the pool lost the
+// chunk in a third of the requests of the benchmark: a sink waits out the
+// next request's execution, which is when the collector runs and empties the
+// pool, and a pool's fast slot belongs to one P and the handler to whichever
+// runs it. The list holds at most four, which the process then keeps for
+// good - 4 x 68 KiB (RowsChunk + chunkSlack each). The number bounds that
+// retention and not the writers, which run outside the admission slots and are
+// as many as there are connections: one that finds the list empty allocates
+// its chunk, and one that finds it full drops it.
+var spareSinks = make(chan *jsonSink, 4)
 
 func (s *jsonSink) begin(p *returnPlan, _ int) {
 	s.cells = p.cells
@@ -34,7 +67,22 @@ func (s *jsonSink) beginRow() {
 	s.dst = append(s.dst, '[')
 }
 
-func (s *jsonSink) embedding(emb embedding.Embedding) {
+// endRow closes the row and reports whether the walk goes on.
+func (s *jsonSink) endRow() bool {
+	s.dst = append(s.dst, ']')
+	return len(s.dst) < RowsChunk || s.flush()
+}
+
+// flush hands the buffer to the writer and reports whether it took it.
+func (s *jsonSink) flush() bool {
+	n, err := s.w.Write(s.dst)
+	s.n += int64(n)
+	s.err = err
+	s.dst = s.dst[:0]
+	return err == nil
+}
+
+func (s *jsonSink) embedding(emb embedding.Embedding) bool {
 	s.beginRow()
 	s.row.set(emb)
 	for i, c := range s.cells {
@@ -43,10 +91,10 @@ func (s *jsonSink) embedding(emb embedding.Embedding) {
 		}
 		s.dst = c.appendJSON(s.dst, &s.row)
 	}
-	s.dst = append(s.dst, ']')
+	return s.endRow()
 }
 
-func (s *jsonSink) values(vals []epgm.PropertyValue) {
+func (s *jsonSink) values(vals []epgm.PropertyValue) bool {
 	s.beginRow()
 	for i, v := range vals {
 		if i > 0 {
@@ -54,7 +102,7 @@ func (s *jsonSink) values(vals []epgm.PropertyValue) {
 		}
 		s.dst = AppendJSONValue(s.dst, v)
 	}
-	s.dst = append(s.dst, ']')
+	return s.endRow()
 }
 
 // appendJSON appends the JSON form of the cell's value for one embedding:
@@ -80,15 +128,35 @@ func (c cell) appendJSON(dst []byte, emb *located) []byte {
 	}
 }
 
-// AppendRowsJSON appends the RETURN clause's table to dst as a JSON array of
-// row arrays, cells in Columns order, and returns the extended slice. It is
-// Rows rendered by AppendJSONValue, byte for byte what encoding/json writes
-// for those values, without building them: a plain RETURN allocates nothing
-// per row.
-func (r *Result) AppendRowsJSON(dst []byte) []byte {
-	s := jsonSink{dst: dst}
-	r.walk(&s)
-	return append(s.dst, ']')
+// WriteRowsJSON writes the RETURN clause's table to w as a JSON array of row
+// arrays, cells in Columns order, and returns the bytes w took. It is Rows
+// rendered by AppendJSONValue, byte for byte what encoding/json writes for
+// those values, without building them or the array: a plain RETURN allocates
+// nothing per row, and w receives the array in pieces (see RowsChunk). The
+// first error w returns ends the walk and is returned; w is not called again.
+func (r *Result) WriteRowsJSON(w io.Writer) (int64, error) {
+	var s *jsonSink
+	select {
+	case s = <-spareSinks:
+	default:
+		s = &jsonSink{dst: make([]byte, 0, RowsChunk+chunkSlack)}
+	}
+	s.w = w
+	r.walk(s)
+	if s.err == nil {
+		s.dst = append(s.dst, ']')
+		s.flush()
+	}
+	n, err := s.n, s.err
+	// A buffer some huge row grew is not kept: the spares are chunks.
+	if cap(s.dst) <= 2*RowsChunk {
+		*s = jsonSink{dst: s.dst[:0], row: located{offs: s.row.offs[:0]}}
+		select {
+		case spareSinks <- s:
+		default:
+		}
+	}
+	return n, err
 }
 
 // What follows is the one cell-to-JSON routine of the output path. Its bytes

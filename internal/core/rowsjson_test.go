@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strconv"
@@ -90,10 +93,63 @@ func FuzzAppendJSONValue(f *testing.F) {
 	})
 }
 
-// TestAppendRowsJSONMatchesRows: for every shape of RETURN clause the byte
-// sink writes what encoding/json makes of Rows, at one partition and at
-// several.
-func TestAppendRowsJSONMatchesRows(t *testing.T) {
+// builtBody is the oracle of the rows array: the table boxed into any values,
+// row by row, and marshalled by encoding/json - the body the server once
+// built before it sent it.
+func builtBody(t testing.TB, res *Result) []byte {
+	t.Helper()
+	boxed := [][]any{}
+	for _, row := range res.Rows() {
+		cells := make([]any, len(row.Values))
+		for i, v := range row.Values {
+			cells[i] = boxedValue(v)
+		}
+		boxed = append(boxed, cells)
+	}
+	want, err := marshalNoHTML(t, boxed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// pieces is a reader's end of WriteRowsJSON: what arrived, write by write.
+type pieces struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (p *pieces) Write(b []byte) (int, error) {
+	p.sizes = append(p.sizes, len(b))
+	return p.Buffer.Write(b)
+}
+
+// checkStreamed holds what a reader receives to the built body, and the
+// pieces to the contract the server frames by: all but the last are at least
+// a chunk long.
+func checkStreamed(t *testing.T, name string, res *Result) *pieces {
+	t.Helper()
+	want := builtBody(t, res)
+	var got pieces
+	n, err := res.WriteRowsJSON(&got)
+	if err != nil || n != int64(len(want)) {
+		t.Errorf("%s: wrote %d bytes, err %v; the built body has %d", name, n, err, len(want))
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s\n got %.300s\nwant %.300s", name, got.Bytes(), want)
+	}
+	for i, size := range got.sizes[:len(got.sizes)-1] {
+		if size < RowsChunk {
+			t.Errorf("%s: piece %d of %d has %d bytes, less than a chunk", name, i, len(got.sizes), size)
+		}
+	}
+	return &got
+}
+
+// TestStreamedBodyIsTheBuiltBody: for every shape of RETURN clause, at one
+// partition and at several, and for bodies around the chunk boundary, the
+// bytes a reader receives are what encoding/json makes of Rows.
+func TestStreamedBodyIsTheBuiltBody(t *testing.T) {
 	queries := []string{
 		`MATCH (p:Person)-[:likes]->(m:Movie) RETURN p.name, m.title, m.year, m.rating`,
 		`MATCH (p:Person)-[l:likes]->(m:Movie) RETURN *`,
@@ -116,44 +172,136 @@ func TestAppendRowsJSONMatchesRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Execute(%q): %v", q, err)
 			}
-			boxed := [][]any{}
-			for _, row := range res.Rows() {
-				cells := make([]any, len(row.Values))
-				for i, v := range row.Values {
-					cells[i] = boxedValue(v)
-				}
-				boxed = append(boxed, cells)
-			}
-			want, err := marshalNoHTML(t, boxed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.AppendRowsJSON(nil); !bytes.Equal(got, want) {
-				t.Errorf("workers=%d %s\n got %s\nwant %s", workers, q, got, want)
-			}
+			checkStreamed(t, fmt.Sprintf("workers=%d %s", workers, q), res)
 		}
+	}
+
+	// Bodies of an exact length: 40 rows, the last one's string sized so.
+	sized := func(total int) *Result {
+		last := 0
+		build := func() *Result {
+			return benchRowsResult(t, 40, func(i int) string {
+				if i == 39 {
+					return strings.Repeat("x", last)
+				}
+				return strings.Repeat("y", 1000)
+			})
+		}
+		last = total - len(builtBody(t, build()))
+		res := build()
+		if n := len(builtBody(t, res)); n != total {
+			t.Fatalf("sized(%d) built %d bytes", total, n)
+		}
+		return res
+	}
+	for _, c := range []struct{ total, pieces int }{
+		{RowsChunk - 1, 1}, // never filled the chunk: one piece, shorter than one
+		{RowsChunk, 1},     // filled by the closing bracket: one piece of a chunk
+		{RowsChunk + 1, 2}, // filled by the last row: the bracket travels alone
+		{3*RowsChunk + 17, 2},
+	} {
+		got := checkStreamed(t, fmt.Sprintf("%d bytes", c.total), sized(c.total))
+		if len(got.sizes) != c.pieces {
+			t.Errorf("%d bytes arrived in pieces of %v, want %d pieces", c.total, got.sizes, c.pieces)
+		}
+	}
+
+	// One row longer than a chunk among short ones, then rows in front of an
+	// aggregation, a sort and a window, which reach the sink as values.
+	long := benchRowsResult(t, 3000, func(i int) string {
+		if i == 1 {
+			return strings.Repeat("z", RowsChunk+RowsChunk/2)
+		}
+		return "Alice \"Al\" Liddell"
+	})
+	if got := checkStreamed(t, "a row longer than a chunk", long); len(got.sizes) < 3 {
+		t.Errorf("a long row and 3000 short ones arrived in pieces of %v", got.sizes)
+	}
+	for _, ret := range []string{
+		`RETURN a.birthday, count(*), min(a.score) ORDER BY a.birthday`,
+		`RETURN a, a.firstName ORDER BY a.score DESC SKIP 7 LIMIT 2900`,
+		`RETURN a, a.firstName, a.nick SKIP 7 LIMIT 2900`,
+	} {
+		res, err := Execute(long.Graph, `MATCH (a:Person) `+ret, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStreamed(t, ret, res)
 	}
 }
 
-// TestAppendRowsJSONCapacityBounded: the buffer is never sized from what
-// some rows took, so rows that are far larger than the rest - big strings on
-// the lowest ids, which a plain RETURN walks first - leave its capacity
-// within a constant factor of its length, as do uniform rows.
-func TestAppendRowsJSONCapacityBounded(t *testing.T) {
-	skewed := func(i int) string {
-		if i < 64 {
-			return strings.Repeat("x", 16<<10)
+// TestResponseBytesAreBounded: what writing a result allocates does not
+// depend on how long the result is - the array is never built, and the chunk
+// it passes through is kept for the next call. Ten times the rows cost less than a chunk
+// more.
+func TestResponseBytesAreBounded(t *testing.T) {
+	cost := func(rows int) int64 {
+		res := benchRowsResult(t, rows, func(int) string { return "Alice \"Al\" Liddell" })
+		least := int64(math.MaxInt64)
+		var before, after runtime.MemStats
+		for range 2 { // the first call may be the one that makes the spare
+			runtime.ReadMemStats(&before)
+			n, err := res.WriteRowsJSON(io.Discard)
+			runtime.ReadMemStats(&after)
+			if err != nil || n < int64(rows)*40 {
+				t.Fatalf("%d rows: wrote %d bytes, err %v", rows, n, err)
+			}
+			least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
 		}
-		return "y"
+		return least
 	}
-	uniform := func(int) string { return "Alice \"Al\" Liddell" }
-	for name, firstName := range map[string]func(int) string{"skewed": skewed, "uniform": uniform} {
-		body := benchRowsResult(t, 5000, firstName).AppendRowsJSON(nil)
-		if rows := bytes.Count(body, []byte("],[")) + 1; rows != 5000 {
-			t.Fatalf("%s: rows=%d want 5000", name, rows)
+	small, big := cost(5_000), cost(50_000)
+	t.Logf("allocated writing 5 000 rows: %d B, 50 000 rows: %d B", small, big)
+	if big-small >= RowsChunk {
+		t.Fatalf("50 000 rows allocate %d B, 5 000 rows %d B: the difference is a chunk or more", big, small)
+	}
+}
+
+// failingWriter takes writes until its budget of them is spent.
+type failingWriter struct{ ok, calls int }
+
+var errClientGone = errors.New("client gone")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.calls++; w.calls > w.ok {
+		return 0, errClientGone
+	}
+	return len(p), nil
+}
+
+// TestClientGoneStopsTheWalk: the first write error ends the walk where it
+// is - the writer is not called again, and no further row is rendered.
+func TestClientGoneStopsTheWalk(t *testing.T) {
+	const rows = 20_000 // about 1 MiB: sixteen pieces to a patient reader
+	res := benchRowsResult(t, rows, func(int) string { return "Alice \"Al\" Liddell" })
+
+	w := &failingWriter{ok: 1}
+	n, err := res.WriteRowsJSON(w)
+	if !errors.Is(err, errClientGone) || w.calls != 2 {
+		t.Fatalf("err %v after %d writes, want the writer's error after 2", err, w.calls)
+	}
+	if n < RowsChunk || n > RowsChunk+chunkSlack {
+		t.Fatalf("%d bytes taken, want the one piece that was", n)
+	}
+
+	w = &failingWriter{ok: 1}
+	sink := &jsonSink{w: w}
+	res.walk(sink)
+	if perPiece := rows / 16; sink.rows < perPiece || sink.rows > 3*perPiece {
+		t.Fatalf("the walk rendered %d of %d rows for two pieces of about %d", sink.rows, rows, perPiece)
+	}
+	if w.calls != 2 || sink.err == nil {
+		t.Fatalf("%d writes, err %v", w.calls, sink.err)
+	}
+
+	for _, ordered := range []string{`ORDER BY a.score`, ``} {
+		res, err := Execute(res.Graph, `MATCH (a:Person) RETURN a, a.firstName, a.score `+ordered, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cap(body) > 2*len(body) {
-			t.Fatalf("%s: cap=%d for len=%d", name, cap(body), len(body))
+		w = &failingWriter{ok: 0}
+		if _, err := res.WriteRowsJSON(w); !errors.Is(err, errClientGone) || w.calls != 1 {
+			t.Fatalf("%q: err %v after %d writes", ordered, err, w.calls)
 		}
 	}
 }
@@ -180,20 +328,22 @@ func benchRowsResult(t testing.TB, n int, firstName func(i int) string) *Result 
 
 // BenchmarkRowJSON is the output path's kernel of make alloc-guard: the
 // streaming writer over embedding-shaped rows with id, string, int, float
-// and null cells, into a buffer that already has the room. What is left is
-// the compiled RETURN plan, a handful of allocations per call.
+// and null cells, through its recycled chunk. What is left is the compiled
+// RETURN plan, a handful of allocations per call.
 func BenchmarkRowJSON(b *testing.B) {
 	const rows = 20_000
 	res := benchRowsResult(b, rows, func(int) string { return "Alice \"Al\" Liddell" })
-	buf := res.AppendRowsJSON(nil)
+	size, _ := res.WriteRowsJSON(io.Discard)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = res.AppendRowsJSON(buf[:0])
+		if n, err := res.WriteRowsJSON(io.Discard); n != size || err != nil {
+			b.Fatalf("wrote %d of %d bytes: %v", n, size, err)
+		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(size)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
 }

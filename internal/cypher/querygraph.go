@@ -491,6 +491,15 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// MissingParamError reports a $parameter the request bound no value to. A
+// template plan meets it when it is bound, at execution time; callers tell it
+// from an execution failure with errors.As.
+type MissingParamError struct{ Name string }
+
+func (e *MissingParamError) Error() string {
+	return "cypher: missing value for parameter $" + e.Name
+}
+
 // resolveParams substitutes $parameters with literal values.
 func resolveParams(e Expr, params map[string]epgm.PropertyValue) (Expr, error) {
 	switch x := e.(type) {
@@ -513,7 +522,7 @@ func resolveParams(e Expr, params map[string]epgm.PropertyValue) (Expr, error) {
 	case *Param:
 		v, ok := params[x.Name]
 		if !ok {
-			return nil, fmt.Errorf("cypher: missing value for parameter $%s", x.Name)
+			return nil, &MissingParamError{Name: x.Name}
 		}
 		return &Literal{Value: v}, nil
 	case *ListExpr:
@@ -627,7 +636,7 @@ func resolveValue(e Expr, params map[string]epgm.PropertyValue) (epgm.PropertyVa
 	case *Param:
 		v, ok := params[x.Name]
 		if !ok {
-			return epgm.Null, fmt.Errorf("cypher: missing value for parameter $%s", x.Name)
+			return epgm.Null, &MissingParamError{Name: x.Name}
 		}
 		return v, nil
 	default:

@@ -107,6 +107,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.observe(r, sw, time.Since(start))
 }
 
+// execute runs the request and gives the delivery of its answer - result or
+// error - the time the request had for itself: its own timeout, else the
+// session's default. A client that stops reading then fails the handler's
+// next write instead of holding the handler, and the result it holds, for as
+// long as the connection lives. The bound starts when the answer is ready and
+// not when the request arrived: a query that ran into its timeout has none of
+// it left, and is still owed its 504. net/http clears the connection's write
+// deadline when the request ends, so the next one starts without.
+func (s *Server) execute(w http.ResponseWriter, req session.Request) (*session.Response, error) {
+	res, err := s.session.Execute(req)
+	timeout := req.Timeout
+	if timeout <= 0 {
+		timeout = s.session.Options().DefaultTimeout
+	}
+	if timeout > 0 {
+		// ErrNotSupported: a writer that is no connection has no reader to stall on.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout))
+	}
+	return res, err
+}
+
 // queryRequest is the POST /query (and /analyze) body.
 type queryRequest struct {
 	Query string `json:"query"`
@@ -206,7 +227,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.session.Execute(req)
+	res, err := s.execute(w, req)
 	if err != nil {
 		writeSessionError(w, r, err)
 		return
@@ -237,35 +258,83 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQuery writes the /query body: {"columns":[...],"rows":[...] and then
-// the envelope's fields. The rows are the session's encoded bytes, written
-// as they are, neither copied nor parsed: on a result-cache hit the body is
-// two small buffers around the cache entry.
+// the envelope's fields. The rows are never a value of this package: a
+// result-cache hit's are the cache entry's bytes, written as they are between
+// two small buffers, and an execution's are encoded from its result a chunk
+// at a time (session.Response.WriteRows). Everything the envelope says is
+// known before the first row is written, so the body's length is known as
+// soon as the rows' is.
 func writeQuery(w http.ResponseWriter, res *session.Response, env queryEnvelope) {
-	head := append(make([]byte, 0, 128), `{"columns":[`...)
+	body := &bodyWriter{w: w, rowsLen: res.RowsLen}
+	n := len(`{"columns":[],"rows":`)
+	for _, c := range res.Columns {
+		n += len(c) + len(`"",`) // exactly, unless a name needs escaping
+	}
+	body.head = append(make([]byte, 0, n), `{"columns":[`...)
 	for i, c := range res.Columns {
 		if i > 0 {
-			head = append(head, ',')
+			body.head = append(body.head, ',')
 		}
-		head = core.AppendJSONValue(head, epgm.PVString(c))
+		body.head = core.AppendJSONValue(body.head, epgm.PVString(c))
 	}
-	head = append(head, `],"rows":`...)
+	body.head = append(body.head, `],"rows":`...)
 
-	var tail bytes.Buffer
-	enc := json.NewEncoder(&tail)
+	enc := json.NewEncoder(&body.tail)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(env); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	tail.Bytes()[0] = ',' // the envelope's opening brace: its fields carry on the body's object
+	body.tail[0] = ',' // the envelope's opening brace: its fields carry on the body's object
 
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(head)+len(res.RowsJSON)+tail.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(head) // a write fails when the client has gone: nobody to tell
-	_, _ = w.Write(res.RowsJSON)
-	_, _ = w.Write(tail.Bytes())
+	w.Header().Set("Content-Type", "application/json")
+	// A write fails when the client has gone or has stopped reading for
+	// longer than the request's deadline: nobody to tell, nothing more to send.
+	if _, err := res.WriteRows(body); err == nil {
+		_, _ = w.Write(body.tail)
+	}
+}
+
+// bodyWriter is the /query body around its rows, and the writer the rows go
+// through: it commits the response at their first piece, which is where its
+// framing is decided. A result-cache hit knows its rows' length and announces
+// the body's. An execution learns it from the piece: an array shorter than a
+// chunk arrives as one (core.RowsChunk), so the length is known and is
+// announced - the response of a small result is byte for byte what it was
+// when the body was built first; a piece of a chunk or more is the first of
+// several, and the body starts leaving without a length, chunked.
+type bodyWriter struct {
+	w         http.ResponseWriter
+	head      []byte
+	tail      appendWriter
+	rowsLen   int // 0 until known
+	committed bool
+}
+
+// appendWriter is the writer json.Encoder needs, over a slice that lives in
+// the bodyWriter: the envelope's one Write allocates its bytes and no more.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
+}
+
+func (b *bodyWriter) Write(p []byte) (int, error) {
+	if !b.committed {
+		b.committed = true
+		if b.rowsLen == 0 && len(p) < core.RowsChunk {
+			b.rowsLen = len(p)
+		}
+		if b.rowsLen > 0 {
+			b.w.Header().Set("Content-Length", strconv.Itoa(len(b.head)+b.rowsLen+len(b.tail)))
+		}
+		b.w.WriteHeader(http.StatusOK)
+		if _, err := b.w.Write(b.head); err != nil {
+			return 0, err
+		}
+	}
+	return b.w.Write(p)
 }
 
 // handleExplain renders the cached template plan without executing.
@@ -295,7 +364,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Trace = true
-	res, err := s.session.Execute(req)
+	res, err := s.execute(w, req)
 	if err != nil {
 		writeSessionError(w, r, err)
 		return

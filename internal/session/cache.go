@@ -160,27 +160,37 @@ func (c *planCache) len() int {
 
 // cachedResult is one query result as the HTTP body carries it: the column
 // names, the encoded rows array and the count of a fully bound execution,
-// reusable until the graph is swapped. Hits share RowsJSON, so nobody writes
-// to it.
+// reusable until the graph is swapped. The entry is the only owner of rows:
+// hits write them out and nobody writes to them.
 type cachedResult struct {
-	Columns  []string
-	RowsJSON []byte
-	Count    int64
+	columns []string
+	// rows is the array in the pieces its execution wrote it in, each held at
+	// exactly its length.
+	rows  [][]byte
+	count int64
 
 	key        string
 	generation uint64
 	bytes      int64
 }
 
-// size is what the entry holds, in bytes: its key, its column names and the
-// buffer of its encoded rows - the capacity, since the slack append left
-// behind the rows is pinned with them.
+// size is what the entry holds, in bytes: its key, its column names and its
+// encoded rows.
 func (r *cachedResult) size() int64 {
-	n := len(r.key) + cap(r.RowsJSON)
-	for _, c := range r.Columns {
+	n := len(r.key) + r.rowsLen()
+	for _, c := range r.columns {
 		n += len(c)
 	}
 	return int64(n)
+}
+
+// rowsLen is the length of the encoded rows array.
+func (r *cachedResult) rowsLen() int {
+	n := 0
+	for _, p := range r.rows {
+		n += len(p)
+	}
+	return n
 }
 
 // resultCache is a byte-budgeted LRU of encoded results. Entries from

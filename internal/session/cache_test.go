@@ -79,24 +79,23 @@ func TestParamsKeyCollisionProof(t *testing.T) {
 }
 
 // TestResultCacheAccountsRealBytes: an entry weighs what it holds - its key,
-// its column names and the buffer of its encoded rows, slack included - so
+// its column names and its encoded rows - so
 // usage() is the sum of those, an entry over the whole budget is refused, and every way an entry
 // leaves (replacement, LRU eviction, stale generation, reclaim, purge) hands
 // the broker back exactly the bytes TryReserve took for it. Ungoverned, the
 // same arithmetic runs against a nil broker.
 func TestResultCacheAccountsRealBytes(t *testing.T) {
 	entry := func(key string, rows int) *cachedResult {
-		body := bytes.Repeat([]byte(`["x",1],`), rows)
 		return &cachedResult{
-			Columns:    []string{"a.name", "n"},
-			RowsJSON:   append(make([]byte, 0, len(body)+len(body)/4), body...), // as append-grown
-			Count:      int64(rows),
+			columns:    []string{"a.name", "n"},
+			rows:       [][]byte{bytes.Repeat([]byte(`["x",1],`), rows/2), bytes.Repeat([]byte(`["x",1],`), rows-rows/2)},
+			count:      int64(rows),
 			key:        key,
 			generation: 1,
 		}
 	}
 	weigh := func(r *cachedResult) int64 {
-		return int64(len(r.key) + len("a.name") + len("n") + cap(r.RowsJSON))
+		return int64(len(r.key) + len("a.name") + len("n") + len(r.rows[0]) + len(r.rows[1]))
 	}
 	for _, broker := range []*govern.Broker{nil, govern.NewBroker(1<<20, govern.ShedLargest)} {
 		c := newResultCache(1000)

@@ -37,7 +37,7 @@ func TestConcurrentQueries(t *testing.T) {
 	soloCPU := map[string]int64{}
 	for _, q := range queries {
 		p := params
-		r, err := s.Execute(Request{Query: q, Params: p})
+		r, err := serve(s, Request{Query: q, Params: p})
 		if err != nil {
 			t.Fatalf("warm-up %q: %v", q, err)
 		}

@@ -125,7 +125,7 @@ func TestGovernedSessionParity(t *testing.T) {
 // emptied) before queries are killed for them.
 func TestBrownoutReclaimsResultCache(t *testing.T) {
 	s := New(testGraph(4), Options{MemoryBudget: 64 << 10})
-	if _, err := s.Execute(Request{Query: wellBehavedQuery}); err != nil {
+	if _, err := serve(s, Request{Query: wellBehavedQuery}); err != nil {
 		t.Fatal(err)
 	}
 	cached, _ := s.results.usage()

@@ -30,11 +30,11 @@ func obsWorkload(s *Session) {
 		if strings.Contains(q, "$n") {
 			req.Params = map[string]epgm.PropertyValue{"n": epgm.PVString("Alice")}
 		}
-		s.Execute(req)
+		serve(s, req)
 	}
 	// Same canonical query, different binding: a result-cache miss that is
 	// a plan-cache hit.
-	s.Execute(Request{
+	serve(s, Request{
 		Query:  `MATCH (p:Person) WHERE p.name = $n RETURN p.name`,
 		Params: map[string]epgm.PropertyValue{"n": epgm.PVString("Bob")},
 	})
@@ -62,7 +62,7 @@ func TestSessionRegistryParity(t *testing.T) {
 				Columns []string
 				Rows    json.RawMessage
 				Count   int64
-			}{resp.Columns, resp.RowsJSON, resp.Count})
+			}{resp.Columns, rowsOf(t, resp), resp.Count})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestSlowQueryLog(t *testing.T) {
 		SlowQueryThreshold: 1, // 1ns: everything is slow
 	})
 	ctx := obs.WithTraceID(context.Background(), "feedc0de")
-	if _, err := s.Execute(Request{
+	if _, err := serve(s, Request{
 		Query:   `MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name`,
 		Context: ctx,
 	}); err != nil {
@@ -277,11 +277,11 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// Result-cache hits are never slow-logged (no execution happened) —
 	// second identical query leaves the counter at 1.
-	if _, err := s.Execute(Request{
+	if hit, err := s.Execute(Request{
 		Query:   `MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name`,
 		Context: ctx,
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !hit.FromResultCache {
+		t.Fatalf("second request: %+v, %v", hit, err)
 	}
 	if !strings.Contains(r.Exposition(), "gradoop_slow_queries_total 1") {
 		t.Errorf("result-cache hit was slow-logged:\n%s", r.Exposition())

@@ -94,7 +94,7 @@ func TestRecordPerExitPath(t *testing.T) {
 			}},
 		{name: "result-cache hit", req: Request{Query: knows}, outcome: qstore.OutcomeOK,
 			arrange: func(t *testing.T, s *Session) func() {
-				if _, err := s.Execute(Request{Query: knows}); err != nil {
+				if _, err := serve(s, Request{Query: knows}); err != nil {
 					t.Fatal(err)
 				}
 				return nil
@@ -289,7 +289,7 @@ func TestTracedRunRecordsOps(t *testing.T) {
 func sortedRows(t *testing.T, r *Response) []string {
 	t.Helper()
 	var rows []json.RawMessage
-	if err := json.Unmarshal(r.RowsJSON, &rows); err != nil {
+	if err := json.Unmarshal(rowsOf(t, r), &rows); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]string, len(rows))

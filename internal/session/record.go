@@ -103,12 +103,13 @@ type outcome struct {
 	job dataflow.MetricsSnapshot
 
 	// The response's parts. res is the execution itself and nil on a
-	// result-cache hit, which executed nothing.
-	columns  []string
-	rowsJSON []byte
-	count    int64
-	res      *core.Result
-	cluster  *ClusterReport
+	// result-cache hit, which executed nothing; entry is the cache's on a
+	// hit, the one to fill on a cacheable execution.
+	columns []string
+	count   int64
+	entry   *cachedResult
+	res     *core.Result
+	cluster *ClusterReport
 }
 
 // fail ends the request with a failure.
@@ -180,7 +181,6 @@ func (s *Session) settle(o outcome) (*Response, error) {
 	}
 	resp := &Response{
 		Columns:         o.columns,
-		RowsJSON:        o.rowsJSON,
 		Count:           o.count,
 		Fingerprint:     o.planHash,
 		PlanCacheHit:    o.plan == lookupHit,
@@ -190,9 +190,14 @@ func (s *Session) settle(o outcome) (*Response, error) {
 		Metrics:         o.job,
 		Result:          o.res,
 		Cluster:         o.cluster,
+		entry:           o.entry,
+		cache:           s.results,
 	}
 	if o.res != nil {
 		resp.Trace = o.res.Trace
+	}
+	if resp.FromResultCache {
+		resp.RowsLen = o.entry.rowsLen()
 	}
 	return resp, nil
 }

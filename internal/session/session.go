@@ -13,12 +13,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
 	"gradoop/internal/core"
+	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/govern"
@@ -287,12 +288,7 @@ type Response struct {
 	// Columns are the RETURN clause's column names, present whether or not
 	// anything matched.
 	Columns []string
-	// RowsJSON is the result table as the JSON array of row arrays the HTTP
-	// body carries, cells in Columns order (core.Result.AppendRowsJSON). A
-	// result-cache hit hands out the cache entry's own bytes: read them,
-	// never write them. Callers that want values use Result.Rows().
-	RowsJSON []byte
-	Count    int64
+	Count   int64
 	// Fingerprint is the canonical plan key.
 	Fingerprint string
 	// PlanCacheHit reports whether the compilation was served from the plan
@@ -316,6 +312,73 @@ type Response struct {
 	// Cluster reports the distributed execution when the session runs with
 	// Options.Remote (nil for in-process executions and cache hits).
 	Cluster *ClusterReport
+
+	// RowsLen is the length of the rows array where it is known before it is
+	// written: on a result-cache hit. An execution's array is never built, so
+	// its length is what WriteRows returns, and RowsLen is 0.
+	RowsLen int
+
+	// entry is the result-cache side of the rows: on a hit the cache's entry,
+	// whose bytes WriteRows hands out; on a cacheable execution the entry
+	// WriteRows fills and puts into cache; nil otherwise.
+	entry *cachedResult
+	cache *resultCache
+}
+
+// WriteRows writes the result table to w as the JSON array of row arrays the
+// HTTP body carries, cells in Columns order, and returns the bytes w took.
+// A result-cache hit writes the cache entry's own bytes (w reads them, never
+// writes them). An execution is encoded from its Result as it is written, a
+// bounded chunk at a time (core.Result.WriteRowsJSON), and stops at w's first
+// error. The caller is outside the admission slot by now, so a slow reader
+// holds no job slot. A cacheable execution's chunks are copied into its cache
+// entry on the way, once, and stay the pieces they were; the entry is put
+// when the whole array has gone out: a response nobody writes, one whose
+// writer failed and one larger than the cache's budget cache nothing.
+func (r *Response) WriteRows(w io.Writer) (int64, error) {
+	if r.FromResultCache {
+		var n int64
+		for _, p := range r.entry.rows {
+			m, err := w.Write(p)
+			if n += int64(m); err != nil {
+				return n, err
+			}
+		}
+		return n, nil
+	}
+	if r.entry == nil {
+		return r.Result.WriteRowsJSON(w)
+	}
+	e := r.entry
+	r.entry = nil // a second call only writes
+	t := teeWriter{w: w, budget: r.cache.budget - e.size()}
+	n, err := r.Result.WriteRowsJSON(&t)
+	if err == nil && t.budget >= 0 {
+		e.rows = t.parts
+		r.cache.put(e)
+	}
+	return n, err
+}
+
+// teeWriter passes an execution's chunks on to the response's writer and
+// keeps a copy of each while their total fits what the cache could hold.
+type teeWriter struct {
+	w      io.Writer
+	budget int64 // what may still be kept; negative once the body is too big
+	parts  [][]byte
+}
+
+func (t *teeWriter) Write(p []byte) (int, error) {
+	if t.budget >= 0 {
+		if t.budget -= int64(len(p)); t.budget < 0 {
+			t.parts = nil
+		} else {
+			kept := make([]byte, len(p)) // exactly: the entry is charged its length
+			copy(kept, p)
+			t.parts = append(t.parts, kept)
+		}
+	}
+	return t.w.Write(p)
 }
 
 // baseConfig assembles the session-wide parts of a core.Config.
@@ -425,7 +488,7 @@ func (s *Session) execute(req Request) outcome {
 	if cacheable {
 		if r, ok := s.results.get(resultKey, st.generation); ok {
 			o.result = lookupHit
-			o.columns, o.rowsJSON, o.count = r.Columns, r.RowsJSON, r.Count
+			o.columns, o.entry, o.count = r.columns, r, r.count
 			return o
 		}
 		o.result = lookupMiss
@@ -503,10 +566,7 @@ func (s *Session) execute(req Request) outcome {
 		o.job = env.Metrics()
 		return o.fail(exitOf(err, reservation))
 	}
-	// The table is encoded here rather than in the server so that the bytes
-	// have one owner: this response, and the cache entry it may become.
 	o.columns = o.res.Columns()
-	o.rowsJSON = o.res.AppendRowsJSON(nil)
 	o.count = o.res.Count()
 	o.job = env.Metrics()
 	if o.cluster != nil {
@@ -516,13 +576,13 @@ func (s *Session) execute(req Request) outcome {
 	}
 	o.job.SlotWait = o.queueWait
 	if cacheable {
-		s.results.put(&cachedResult{
-			Columns:    o.columns,
-			RowsJSON:   o.rowsJSON,
-			Count:      o.count,
+		// Response.WriteRows fills in the rows and puts it.
+		o.entry = &cachedResult{
+			columns:    o.columns,
+			count:      o.count,
 			key:        resultKey,
 			generation: st.generation,
-		})
+		}
 	}
 	return o
 }
@@ -541,18 +601,13 @@ func exitOf(err error, r *govern.Reservation) (exit, error) {
 		return exitMemoryKill, err
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return exitTimeout, err
-	case isMissingParam(err):
+	case errors.As(err, new(*cypher.MissingParamError)):
+		// The binder's complaint surfaces at execution time for a template
+		// plan, but it is the request that is wrong.
 		return exitInvalid, err
 	default:
 		return exitFailed, err
 	}
-}
-
-// isMissingParam detects the binder's missing-parameter error, which
-// surfaces at execution time (binding) rather than compile time for
-// template plans.
-func isMissingParam(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "parameter $")
 }
 
 // Explain compiles a query (through the plan cache, warming it for later

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,28 @@ func testGraph(workers int) *epgm.LogicalGraph {
 		})
 }
 
+// rowsOf drains a response as the server does and returns the rows array its
+// reader got.
+func rowsOf(t testing.TB, r *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if n, err := r.WriteRows(&buf); err != nil || n != int64(buf.Len()) {
+		t.Fatalf("WriteRows: %d of %d bytes, err %v", n, buf.Len(), err)
+	}
+	return buf.Bytes()
+}
+
+// serve is a request as a client sees it served: executed and, if that went
+// well, its rows written out in full - which is what leaves a cacheable
+// result in the result cache.
+func serve(s *Session, req Request) (*Response, error) {
+	r, err := s.Execute(req)
+	if err == nil {
+		_, err = r.WriteRows(io.Discard)
+	}
+	return r, err
+}
+
 // TestExecuteBasics: a session serves a query, reports rows and a count,
 // and the second identical request is a result-cache hit with identical
 // rows.
@@ -59,6 +82,7 @@ func TestExecuteBasics(t *testing.T) {
 	if r1.Metrics.TotalCPU == 0 {
 		t.Fatal("first execution reported no work")
 	}
+	rows1 := rowsOf(t, r1) // written in full, which is what makes it a cache entry
 
 	r2, err := s.Execute(req)
 	if err != nil {
@@ -67,8 +91,8 @@ func TestExecuteBasics(t *testing.T) {
 	if !r2.FromResultCache {
 		t.Fatal("second identical request must hit the result cache")
 	}
-	if !bytes.Equal(r2.RowsJSON, r1.RowsJSON) || len(r2.RowsJSON) == 0 {
-		t.Fatalf("cached rows=%s want %s", r2.RowsJSON, r1.RowsJSON)
+	if rows2 := rowsOf(t, r2); !bytes.Equal(rows2, rows1) || len(rows2) == 0 {
+		t.Fatalf("cached rows=%s want %s", rows2, rows1)
 	}
 	m := s.Metrics()
 	if m.ResultHits != 1 || m.PlanMisses != 1 {
@@ -99,7 +123,7 @@ func TestPlanCacheParameterized(t *testing.T) {
 	if r1.Count != 1 || r2.Count != 1 {
 		t.Fatalf("counts: %d, %d", r1.Count, r2.Count)
 	}
-	if bytes.Equal(r1.RowsJSON, r2.RowsJSON) {
+	if bytes.Equal(rowsOf(t, r1), rowsOf(t, r2)) {
 		t.Fatal("bindings returned the same row")
 	}
 	if r1.Fingerprint != r2.Fingerprint {
@@ -149,7 +173,7 @@ func TestCacheEscapeHatches(t *testing.T) {
 			s := New(testGraph(2), c.opts)
 			req := Request{Query: `MATCH (a:Person) RETURN a.name`}
 			for i := 0; i < 3; i++ {
-				if _, err := s.Execute(req); err != nil {
+				if _, err := serve(s, req); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -213,8 +237,8 @@ func TestSwapGraphInvalidates(t *testing.T) {
 	if r2.FromResultCache || r2.PlanCacheHit {
 		t.Fatalf("caches must be purged on swap: %+v", r2)
 	}
-	if r2.Count != 1 || string(r2.RowsJSON) != `[["Zoe"]]` {
-		t.Fatalf("swap not visible: count=%d rows=%s", r2.Count, r2.RowsJSON)
+	if rows := rowsOf(t, r2); r2.Count != 1 || string(rows) != `[["Zoe"]]` {
+		t.Fatalf("swap not visible: count=%d rows=%s", r2.Count, rows)
 	}
 }
 
@@ -323,8 +347,8 @@ func TestLiteralWhitespacePreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Count != 1 || string(two.RowsJSON) != `[["John  Smith"]]` {
-		t.Fatalf("double-space literal: count=%d rows=%s", two.Count, two.RowsJSON)
+	if rows := rowsOf(t, two); two.Count != 1 || string(rows) != `[["John  Smith"]]` {
+		t.Fatalf("double-space literal: count=%d rows=%s", two.Count, rows)
 	}
 	one, err := s.Execute(Request{Query: "MATCH (a:Person)  WHERE a.name = 'John Smith'  RETURN a.name"})
 	if err != nil {
@@ -333,8 +357,8 @@ func TestLiteralWhitespacePreserved(t *testing.T) {
 	if one.FromResultCache || one.PlanCacheHit {
 		t.Fatalf("queries differing inside a literal shared a cache entry: %+v", one)
 	}
-	if one.Count != 1 || string(one.RowsJSON) != `[["John Smith"]]` {
-		t.Fatalf("single-space literal: count=%d rows=%s", one.Count, one.RowsJSON)
+	if rows := rowsOf(t, one); one.Count != 1 || string(rows) != `[["John Smith"]]` {
+		t.Fatalf("single-space literal: count=%d rows=%s", one.Count, rows)
 	}
 }
 
