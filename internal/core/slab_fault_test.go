@@ -13,13 +13,14 @@ import (
 )
 
 // TestSlabRowsSurviveRetries: the operators carve rows from one slab per
-// partition attempt. A join-and-expand query on four partitions, under a
-// seeded schedule that kills an attempt of every kind of stage - leaf, join,
-// expand hop, finalize - some of them twice, must return rows bit-identical
-// to the failure-free run, in the same order, and as many as the brute-force
-// oracle counts: a retried attempt builds on a slab of its own, and nothing
-// an attempt emitted before it was killed is seen again. Run under -race,
-// it also shows that partitions share no slab.
+// partition, kept in the partition's lane for the job. A join-and-expand query
+// on four partitions, under a seeded schedule that kills an attempt of every
+// kind of stage - leaf, join, expand hop, finalize - some of them twice, must
+// return rows bit-identical to the failure-free run, in the same order, and as
+// many as the brute-force oracle counts: a retried attempt carves on behind
+// what the killed one built, and nothing an attempt emitted before it was
+// killed is seen again. Run under -race, it also shows that partitions share
+// no slab.
 func TestSlabRowsSurviveRetries(t *testing.T) {
 	const workers = 4
 	query := `MATCH (a:Person)-[k:knows]->(b:Person), (b)-[e:knows*1..2]->(c:Person) WHERE a.i < 12 RETURN *`

@@ -22,7 +22,7 @@ func TestWithVariantsGiveEveryAttemptFreshState(t *testing.T) {
 		d := FromSlice(e, ints(400))
 		// Stage 1: each row is tagged with how many rows its attempt has
 		// seen before it.
-		numbered := FlatMapWith(d, func() func(int, func(int)) {
+		numbered := FlatMapWith(d, func(*Lane) func(int, func(int)) {
 			made.Add(1)
 			seen := 0
 			return func(x int, emit func(int)) {
@@ -31,7 +31,7 @@ func TestWithVariantsGiveEveryAttemptFreshState(t *testing.T) {
 			}
 		}, 1)
 		// Stages 2-4: shuffle both sides, then a stateful joiner.
-		joined := JoinWith(numbered, numbered, key, key, func() func(int, int, func(int)) {
+		joined := JoinWith(numbered, numbered, key, key, func(*Lane) func(int, int, func(int)) {
 			made.Add(1)
 			pairs := 0
 			return func(a, b int, emit func(int)) {

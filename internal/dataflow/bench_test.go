@@ -83,7 +83,7 @@ func BenchmarkAblationJoinStrategy(b *testing.B) {
 				var sim float64
 				for i := 0; i < b.N; i++ {
 					e.ResetMetrics()
-					JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+					JoinWith(l, r, key, key, func(*Lane) func(int, int, func(int)) {
 						return func(a, _ int, emit func(int)) { emit(a) }
 					}, hint.h, 0)
 					sim = float64(e.Metrics().SimTime.Microseconds()) / 1000
@@ -118,7 +118,7 @@ func BenchmarkStageAttempt(b *testing.B) {
 	b.Run("FlatMapWith", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			FlatMapWith(d, func() func(int, func(int)) {
+			FlatMapWith(d, func(*Lane) func(int, func(int)) {
 				return func(x int, emit func(int)) { emit(x + 1) }
 			}, 1)
 		}
@@ -126,7 +126,7 @@ func BenchmarkStageAttempt(b *testing.B) {
 	b.Run("JoinWith", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+			JoinWith(l, r, key, key, func(*Lane) func(int, int, func(int)) {
 				return func(a, _ int, emit func(int)) { emit(a) }
 			}, RepartitionHash, tag)
 		}

@@ -8,7 +8,7 @@ import (
 
 type pair struct{ L, R int }
 
-func pairJoiner() func(int, int, func(pair)) {
+func pairJoiner(*Lane) func(int, int, func(pair)) {
 	return func(l, r int, emit func(pair)) { emit(pair{l, r}) }
 }
 
@@ -105,9 +105,9 @@ func TestBuildProbeRecovery(t *testing.T) {
 		var calls, made atomic.Int64
 		b := Build(FromSlice(env, ints(400)), func(v int) uint64 { calls.Add(1); return uint64(v % 37) })
 		for i := 0; i < 2; i++ {
-			out := Probe(b, FromSlice(env, ints(300)), modKey(37), func() func(int, int, func(pair)) {
+			out := Probe(b, FromSlice(env, ints(300)), modKey(37), func(*Lane) func(int, int, func(pair)) {
 				made.Add(1)
-				return pairJoiner()
+				return pairJoiner(nil)
 			})
 			rows = append(rows, out.Collect())
 		}

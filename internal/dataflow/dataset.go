@@ -161,7 +161,7 @@ func (d *Dataset[T]) IsEmpty() bool { return d.Count() == 0 }
 // Map applies f to every element, preserving partitioning. It is one to
 // one, so every output partition is allocated once, at its input's length.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return FlatMapWith(d, func() func(T, func(U)) {
+	return FlatMapWith(d, func(*Lane) func(T, func(U)) {
 		return func(t T, emit func(U)) { emit(f(t)) }
 	}, 1)
 }
@@ -182,15 +182,16 @@ func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 // is the transformation the paper's FilterAndProject operators fuse their
 // Select→Project→Transform steps into (§3.1).
 func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
-	return FlatMapWith(d, func() func(T, func(U)) { return f }, 0)
+	return FlatMapWith(d, func(*Lane) func(T, func(U)) { return f }, 0)
 }
 
 // FlatMapWith is FlatMap for a row function that keeps state: newF is called
-// once per partition attempt and the function it returns is called by that
-// attempt's goroutine only. Whatever the function closes over - a slab its
-// output rows are carved from, scratch slices - therefore needs no lock, and
-// because a retried attempt gets a fresh function, nothing a failed attempt
-// built is reused. JoinWith follows the same contract.
+// once per partition attempt, with the partition's lane, and the function it
+// returns is called by that attempt's goroutine only. What newF declares is
+// the attempt's own and a retried attempt gets a fresh one; what it keeps in
+// the lane - a slab its output rows are carved from, scratch slices - lasts
+// the job and is the partition's own (Lane). Neither needs a lock. JoinWith,
+// Probe, OuterJoinWith and SemiJoinWith follow the same contract.
 //
 // perInput is what the caller knows of the function's fan-out: an output
 // partition is allocated once, with room for perInput outputs per input
@@ -199,7 +200,7 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // has it copied to its length (see publish) - and 0 says nothing is known:
 // the partition grows as rows are emitted, which is right for a selective
 // function.
-func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput int) *Dataset[U] {
+func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -207,7 +208,7 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func() func(T, func(U)), perInput
 	env.beginStage("FlatMap", false)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
-		f := newF()
+		f := newF(a.lane)
 		var res []U
 		if n := perInput * len(part); n > 0 {
 			res = make([]U, 0, n)

@@ -161,6 +161,10 @@ type Env struct {
 	mu        sync.Mutex
 	err       error
 	killsUsed map[killKey]int
+
+	// lanes[p] is what partition p works in for the length of a job (Lane).
+	// Allocated by the job's first stage, dropped by Finish and ResetMetrics.
+	lanes []Lane
 }
 
 type killKey struct {
@@ -197,10 +201,12 @@ func (e *Env) Workers() int { return e.cfg.Workers }
 func (e *Env) Metrics() MetricsSnapshot { return e.metrics.snapshot(e.cfg) }
 
 // ResetMetrics clears all accumulated metrics, e.g. between the load phase
-// and the query phase of a benchmark. It also re-arms the fault plan: kill
-// stage numbers refer to the stages executed after the reset.
+// and the query phase of a benchmark. It also re-arms the fault plan - kill
+// stage numbers refer to the stages executed after the reset - and drops the
+// partitions' lanes.
 func (e *Env) ResetMetrics() {
 	e.metrics.init(e.cfg.Workers)
+	e.lanes = nil
 	e.mu.Lock()
 	e.killsUsed = nil
 	e.mu.Unlock()
@@ -224,11 +230,14 @@ func (e *Env) Begin(ctx context.Context) {
 }
 
 // Finish ends the current job: it detaches the cancellation context,
-// closes the tracer's open span, closes the observer's open stage timing
-// and returns the job's error, if any. A failed environment stays failed —
-// further transformations keep short-circuiting — until the next Begin.
+// closes the tracer's open span, closes the observer's open stage timing,
+// drops the partitions' lanes - an Env kept for the next job pins nothing of
+// this one - and returns the job's error, if any. A failed environment stays
+// failed — further transformations keep short-circuiting — until the next
+// Begin.
 func (e *Env) Finish() error {
 	e.ctx, e.done = nil, nil
+	e.lanes = nil
 	if e.tracer != nil {
 		e.tracer.Finish()
 	}
@@ -443,20 +452,23 @@ func (w work) plus(w2 work) work {
 }
 
 // An attempt is one execution of one partition of a stage, as the stage's
-// body sees it: where it polls (tick) and where it accounts the bytes it
-// materializes (hold). A retried partition gets a fresh one, so nothing a
-// killed attempt held is carried over. The handles of a stage share one
+// body sees it: where it polls (tick), where it accounts the bytes it
+// materializes (hold) and the lane it works in. A retried partition gets a
+// fresh one, so nothing a killed attempt held is carried over - the lane is
+// the partition's, not the attempt's, and what is in it is rewritten from
+// empty or never handed out twice (Lane). The handles of a stage share one
 // allocation and are written by one goroutine each, hence the padding to a
 // cache line.
 type attempt struct {
-	env *Env
-	p   int   // the partition
-	mem int64 // held since the last flush to the governor
+	env  *Env
+	lane *Lane
+	p    int   // the partition
+	mem  int64 // held since the last flush to the governor
 	// dead: the job was cancelled, failed or killed under this attempt. The
 	// body returns (whatever it returns is dropped) and nothing is charged,
 	// traced or published.
 	dead bool
-	_    [32]byte // the 32 bytes above, padded to 64
+	_    [24]byte // the 40 bytes above, padded to 64
 }
 
 // tick is the poll of a per-element loop, i the loop's index: every
@@ -498,11 +510,14 @@ func runStage[O any](e *Env, n int, body func(a *attempt) (O, work)) []O {
 		return out
 	}
 	stage := e.metrics.stageCount()
+	if len(e.lanes) < n {
+		e.lanes = make([]Lane, n)
+	}
 	attempts := make([]attempt, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for p := range attempts {
-		attempts[p] = attempt{env: e, p: p}
+		attempts[p] = attempt{env: e, lane: &e.lanes[p], p: p}
 		go func() {
 			defer wg.Done()
 			runPartition(stage, &attempts[p], body, &out[p])
@@ -523,7 +538,7 @@ func runPartition[O any](stage int64, a *attempt, body func(*attempt) (O, work),
 		if e.tracer != nil {
 			started = time.Now()
 		}
-		*a = attempt{env: e, p: p} // a retry inherits nothing
+		*a = attempt{env: e, lane: a.lane, p: p} // a retry inherits nothing but the lane
 		err := runAttempt(stage, a, body, out)
 		if e.tracer != nil {
 			e.tracer.Attempt(stage, p, n, started, time.Now(), err != nil)

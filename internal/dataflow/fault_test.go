@@ -102,7 +102,7 @@ func TestEnvMismatch(t *testing.T) {
 		{"OuterJoinWith", func(a, b *Dataset[int]) *Env { return OuterJoinWith(a, b, key, key, leftOuter).Env() }},
 		{"SemiJoinWith", func(a, b *Dataset[int]) *Env { return SemiJoinWith(a, b, key, key, semi).Env() }},
 		{"Probe against another env's Build", func(a, b *Dataset[int]) *Env {
-			return Probe(Build(a, key), b, key, func() func(int, int, func(int)) { return sum }).Env()
+			return Probe(Build(a, key), b, key, func(*Lane) func(int, int, func(int)) { return sum }).Env()
 		}},
 		{"BulkIteration foreign seed", func(a, b *Dataset[int]) *Env {
 			return BulkIteration(a, b, 3, func(_ int, working *Dataset[int]) (*Dataset[int], *Dataset[int]) {

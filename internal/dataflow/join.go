@@ -34,14 +34,14 @@ func Join[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey f
 // output rows on the partition their key hashes to).
 func JoinTagged[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	joiner func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
-	return JoinWith(l, r, lkey, rkey, func() func(L, R, func(U)) { return joiner }, hint, tag)
+	return JoinWith(l, r, lkey, rkey, func(*Lane) func(L, R, func(U)) { return joiner }, hint, tag)
 }
 
 // JoinWith is JoinTagged for a joiner that keeps state: newJoiner is called
-// once per partition attempt (see FlatMapWith). The key functions stay
-// shared and must stay pure.
+// once per partition attempt, with the partition's lane (see FlatMapWith). The
+// key functions stay shared and must stay pure.
 func JoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	newJoiner func() func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
+	newJoiner func(*Lane) func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
 	if mismatch(l.env, r.env, "Join") || l.env.Failed() {
 		return Empty[U](l.env)
 	}
@@ -62,9 +62,9 @@ func JoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rk
 // notes that the probe row found a partner, its after emits the padded probe
 // row if none did. Rows come out in the probe side's partition order.
 func OuterJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	newJoiner func() (pair func(L, R, func(U)), after func(R, func(U)))) *Dataset[U] {
-	return perRowJoin(l, r, lkey, rkey, "OuterJoin", func() (func(L, R, func(U)), *perRow[L, R, U]) {
-		pair, after := newJoiner()
+	newJoiner func(*Lane) (pair func(L, R, func(U)), after func(R, func(U)))) *Dataset[U] {
+	return perRowJoin(l, r, lkey, rkey, "OuterJoin", func(lane *Lane) (func(L, R, func(U)), *perRow[L, R, U]) {
+		pair, after := newJoiner(lane)
 		return pair, &perRow[L, R, U]{after: after}
 	})
 }
@@ -75,9 +75,9 @@ func OuterJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 // row, and the rest of the key's chain is not walked; after then emits the
 // probe row or nothing. The output is sized by the probe rows alone.
 func SemiJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	newJoiner func() (match func(L, R) bool, after func(R, func(U)))) *Dataset[U] {
-	return perRowJoin(l, r, lkey, rkey, "SemiJoin", func() (func(L, R, func(U)), *perRow[L, R, U]) {
-		match, after := newJoiner()
+	newJoiner func(*Lane) (match func(L, R) bool, after func(R, func(U)))) *Dataset[U] {
+	return perRowJoin(l, r, lkey, rkey, "SemiJoin", func(lane *Lane) (func(L, R, func(U)), *perRow[L, R, U]) {
+		match, after := newJoiner(lane)
 		return nil, &perRow[L, R, U]{after: after, match: match}
 	})
 }
@@ -85,7 +85,7 @@ func SemiJoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64
 // perRowJoin is the stage pair behind OuterJoinWith and SemiJoinWith: two
 // shuffles and one Join stage, like an untagged repartitionJoin.
 func perRowJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64, name string,
-	newJoiner func() (func(L, R, func(U)), *perRow[L, R, U])) *Dataset[U] {
+	newJoiner func(*Lane) (func(L, R, func(U)), *perRow[L, R, U])) *Dataset[U] {
 	env := l.env
 	if mismatch(env, r.env, name) || env.Failed() {
 		return Empty[U](env)
@@ -94,26 +94,26 @@ func perRowJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, 
 	rs := shuffle(r, rkey)
 	env.beginStage("Join", false)
 	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
-		joiner, row := newJoiner()
+		joiner, row := newJoiner(a.lane)
 		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, joiner, row)
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
 
 func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	newJoiner func() func(L, R, func(U)), tag uint64) *Dataset[U] {
+	newJoiner func(*Lane) func(L, R, func(U)), tag uint64) *Dataset[U] {
 	env := l.env
 	ls := shuffleTagged(l, lkey, tag)
 	rs := shuffleTagged(r, rkey, tag)
 	env.beginStage("Join", false)
 	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
-		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner(), nil)
+		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner(a.lane), nil)
 	})
 	return &Dataset[U]{env: env, parts: out, partTag: tag}
 }
 
 func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	newJoiner func() func(L, R, func(U))) *Dataset[U] {
+	newJoiner func(*Lane) func(L, R, func(U))) *Dataset[U] {
 	env := l.env
 	build := broadcast(l)
 	env.beginStage("Join", false)
@@ -125,7 +125,7 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 		if !env.owns(a.p) {
 			return nil, work{}
 		}
-		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner(), nil)
+		return hashJoinPartition(a, build, r.parts[a.p], lkey, rkey, newJoiner(a.lane), nil)
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -155,7 +155,7 @@ func Build[L any](l *Dataset[L], key func(L) uint64) *HashBuild[L] {
 	}
 	env.beginStage("Build", false)
 	tables := runStage(env, len(ls.parts), func(a *attempt) (joinTable, work) {
-		return buildPartition(a, ls.parts[a.p], key)
+		return buildPartition(a, ls.parts[a.p], key, true)
 	})
 	return &HashBuild[L]{env: env, rows: ls.parts, tables: tables}
 }
@@ -165,7 +165,7 @@ func Build[L any](l *Dataset[L], key func(L) uint64) *HashBuild[L] {
 // contract, row order and charges are JoinWith's under RepartitionHash,
 // minus the build side's.
 func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
-	newJoiner func() func(L, R, func(U))) *Dataset[U] {
+	newJoiner func(*Lane) func(L, R, func(U))) *Dataset[U] {
 	env := b.env
 	if mismatch(env, r.env, "Probe") || env.Failed() {
 		return Empty[U](env)
@@ -173,7 +173,7 @@ func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
 	rs := shuffle(r, rkey)
 	env.beginStage("Probe", false)
 	out := runStage(env, len(rs.parts), func(a *attempt) ([]U, work) {
-		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner(), nil)
+		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner(a.lane), nil)
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -202,7 +202,14 @@ type joinTable struct {
 // must not be taken from those bits.
 func (t *joinTable) slot(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> t.shift }
 
-func newJoinTable(rows int) joinTable {
+// newJoinTable returns the empty table of a build side of rows rows. A kept
+// table - Build's, which an expansion probes for ten hops - has arrays of its
+// own. One that dies with the attempt that builds it (hashJoinPartition) is
+// laid over the arrays of the attempt's lane, grown if this build side is the
+// largest of the job so far: the slots are cleared, and keys and next hold
+// what the lane's last table left there until buildPartition and link have
+// written every one of them.
+func newJoinTable(a *attempt, rows int, kept bool) (t joinTable) {
 	if rows >= math.MaxInt32 {
 		panic("dataflow: join build side exceeds 2^31-1 rows in one partition")
 	}
@@ -210,12 +217,20 @@ func newJoinTable(rows int) joinTable {
 	if rows > 0 {
 		slotBits = bits.Len(uint(2*rows - 1)) // at most half full
 	}
-	return joinTable{
-		keys:  make([]uint64, rows),
-		head:  make([]int32, 1<<slotBits),
-		next:  make([]int32, rows),
-		shift: uint(64 - slotBits),
+	t.shift = uint(64 - slotBits)
+	if kept {
+		t.keys = make([]uint64, rows)
+		t.head = make([]int32, 1<<slotBits)
+		t.next = make([]int32, rows)
+		return t
 	}
+	lane := a.lane
+	lane.keys = grown(lane.keys, rows)
+	lane.head = grown(lane.head, 1<<slotBits)
+	lane.next = grown(lane.next, rows)
+	clear(lane.head)
+	t.keys, t.head, t.next = lane.keys, lane.head, lane.next
+	return t
 }
 
 // link threads every row into its slot's chain, last row first so that each
@@ -238,10 +253,10 @@ type perRow[L, R, U any] struct {
 }
 
 // hashJoinPartition builds a hash table over the left side and probes it
-// with the right side, in one attempt.
+// with the right side, in one attempt, which is why the table is the lane's.
 func hashJoinPartition[L, R, U any](a *attempt, left []L, right []R, lkey func(L) uint64, rkey func(R) uint64,
 	joiner func(L, R, func(U)), row *perRow[L, R, U]) ([]U, work) {
-	table, built := buildPartition(a, left, lkey)
+	table, built := buildPartition(a, left, lkey, false)
 	if a.dead {
 		return nil, work{}
 	}
@@ -254,9 +269,9 @@ func hashJoinPartition[L, R, U any](a *attempt, left []L, right []R, lkey func(L
 // budget, the write of the excess to a grace hash join's partition files;
 // the table is real materialized memory and is held as it grows, so an
 // oversized build side dies before it is complete. A dead attempt's table is
-// not linked.
-func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64) (joinTable, work) {
-	table := newJoinTable(len(left))
+// not linked. kept is newJoinTable's.
+func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64, kept bool) (joinTable, work) {
+	table := newJoinTable(a, len(left), kept)
 	lsz := sizingOf[L]()
 	var buildBytes int64
 	for i := range left {

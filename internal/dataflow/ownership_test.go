@@ -37,7 +37,7 @@ func exchangeConsumers(e *Env, n int, emptyOperand bool) []*Dataset[wrec] {
 	d, dimsDS := FromSlice(e, src), FromSlice(e, dims)
 	key := func(r wrec) uint64 { return r.K }
 	mod := func(r wrec) uint64 { return r.K % 13 }
-	sum := func() func(l, r wrec, emit func(wrec)) {
+	sum := func(*Lane) func(l, r wrec, emit func(wrec)) {
 		return func(l, r wrec, emit func(wrec)) { emit(wrec{K: l.K, V: l.V + r.V}) }
 	}
 
@@ -47,7 +47,7 @@ func exchangeConsumers(e *Env, n int, emptyOperand bool) []*Dataset[wrec] {
 	probed := Probe(Build(dimsDS, key), d, mod, sum)
 	// Dimensions 0..6 only: half the probe rows come out padded.
 	few := Filter(dimsDS, func(r wrec) bool { return r.K < 7 })
-	outer := OuterJoinWith(few, d, key, mod, func() (func(l, r wrec, emit func(wrec)), func(r wrec, emit func(wrec))) {
+	outer := OuterJoinWith(few, d, key, mod, func(*Lane) (func(l, r wrec, emit func(wrec)), func(r wrec, emit func(wrec))) {
 		matched := false
 		return func(l, r wrec, emit func(wrec)) { matched = true; emit(wrec{K: r.K, V: r.V + l.V}) },
 			func(r wrec, emit func(wrec)) {
@@ -57,7 +57,7 @@ func exchangeConsumers(e *Env, n int, emptyOperand bool) []*Dataset[wrec] {
 				matched = false
 			}
 	})
-	semi := SemiJoinWith(few, d, key, mod, func() (func(l, r wrec) bool, func(r wrec, emit func(wrec))) {
+	semi := SemiJoinWith(few, d, key, mod, func(*Lane) (func(l, r wrec) bool, func(r wrec, emit func(wrec))) {
 		found := false
 		return func(l, r wrec) bool { found = true; return true },
 			func(r wrec, emit func(wrec)) {

@@ -77,7 +77,7 @@ func TestOuterJoinWith(t *testing.T) {
 	probe := FromSlice(e, []int{1, 1, 2, 3})
 	key := func(x int) uint64 { return uint64(x) }
 	type row struct{ probe, pairs int }
-	out := OuterJoinWith(build, probe, key, key, func() (func(int, int, func(row)), func(int, func(row))) {
+	out := OuterJoinWith(build, probe, key, key, func(*Lane) (func(int, int, func(row)), func(int, func(row))) {
 		pairs := 0
 		return func(b, p int, _ func(row)) {
 				if b != p {
@@ -106,8 +106,8 @@ func TestSemiJoinWithStopsAtTheFirstMatch(t *testing.T) {
 	same := func(int) uint64 { return 7 }
 	var pairs, rows atomic.Int64
 	// accept is asked about the nth pair of a probe row.
-	semi := func(accept func(nth int) bool) func() (func(int, int) bool, func(int, func(int))) {
-		return func() (func(int, int) bool, func(int, func(int))) {
+	semi := func(accept func(nth int) bool) func(*Lane) (func(int, int) bool, func(int, func(int))) {
+		return func(*Lane) (func(int, int) bool, func(int, func(int))) {
 			nth, found := 0, false
 			return func(int, int) bool { pairs.Add(1); nth++; found = accept(nth); return found },
 				func(p int, emit func(int)) {
@@ -149,7 +149,7 @@ func TestOuterJoinWithLeftOuterShape(t *testing.T) {
 	r := FromSlice(e, []int{2})
 	key := func(x int) uint64 { return uint64(x) }
 	// A classic left outer join: the preserved side probes.
-	out := OuterJoinWith(r, l, key, key, func() (func(int, int, func([2]int)), func(int, func([2]int))) {
+	out := OuterJoinWith(r, l, key, key, func(*Lane) (func(int, int, func([2]int)), func(int, func([2]int))) {
 		matched := false
 		return func(rv, lv int, emit func([2]int)) { matched = true; emit([2]int{lv, rv}) },
 			func(lv int, emit func([2]int)) {

@@ -136,7 +136,7 @@ func TestCountStopsAtTheCeiling(t *testing.T) {
 		t.Errorf("over the ceiling: %d rows in room for %d, want 10000 in 10000", len(got), cap(got))
 	}
 	a := &attempt{env: e}
-	table, _ := buildPartition(a, ints(100), same)
+	table, _ := buildPartition(a, ints(100), same, true)
 	if n := countMatches(a, &table, ints(100), same); n != 1000 {
 		t.Errorf("a 10 000-pair product counted %d matches, want the ceiling, 1000", n)
 	}
@@ -155,7 +155,7 @@ func TestCountStopsAtTheCeiling(t *testing.T) {
 func TestAppendToPublishedPartitionCopies(t *testing.T) {
 	e := env(2)
 	key := func(x int) uint64 { return uint64(x) }
-	third := func() func(int, func(int)) {
+	third := func(*Lane) func(int, func(int)) {
 		return func(x int, emit func(int)) {
 			if x%3 == 0 {
 				emit(x)
@@ -246,8 +246,8 @@ func TestOuterJoinDiesInsideItsKeyGroup(t *testing.T) {
 	type row [3]int
 	same := func(row) uint64 { return 1 }
 	side := make([]row, 3000)
-	outer := func(onPair func()) func() (func(row, row, func(row)), func(row, func(row))) {
-		return func() (func(row, row, func(row)), func(row, func(row))) {
+	outer := func(onPair func()) func(*Lane) (func(row, row, func(row)), func(row, func(row))) {
+		return func(*Lane) (func(row, row, func(row)), func(row, func(row))) {
 			matched := false
 			return func(l, r row, emit func(row)) { onPair(); matched = true; emit(row{l[0], r[0]}) },
 				func(r row, emit func(row)) {

@@ -82,6 +82,18 @@ type routeTotal struct {
 	bytes int64
 }
 
+// newRoute returns the empty route of a source partition of n elements over w
+// destinations, laid over the lane's arrays: a route is read until its
+// exchange has placed and charged every element and never after, and the
+// partition's next exchange - or this one's retried attempt - rewrites it from
+// empty. dest holds the last route's destinations until the routing loop has
+// written every one of them.
+func newRoute(lane *Lane, n, w int) route {
+	lane.dest, lane.to = grown(lane.dest, n), grown(lane.to, w)
+	clear(lane.to)
+	return route{dest: lane.dest, to: lane.to}
+}
+
 // exchange moves every element of d to partition mix64(key) % P, in one
 // sequence whoever owns the partitions - a job in one process is a cluster of
 // one. First a stage of partition attempts like any other routes: it records
@@ -109,7 +121,7 @@ func exchange[T any](d *Dataset[T], key func(T) uint64) ([][]T, bool) {
 	sz := sizingOf[T]()
 	routes := runStage(env, w, func(a *attempt) (route, work) {
 		p, part := a.p, d.parts[a.p]
-		r := route{dest: make([]uint32, len(part)), to: make([]routeTotal, w)}
+		r := newRoute(a.lane, len(part), w)
 		for i := range part {
 			if !a.tick(i) {
 				return route{}, work{}

@@ -91,7 +91,7 @@ var stageCases = []struct {
 	}},
 	{"Probe", 4, func(env *Env) published {
 		b := Build(FromSlice(env, ints(300)), stageKey)
-		return lens(Probe(b, FromSlice(env, ints(500)), stageKey, func() func(int, int, func(int)) { return emitSum }))
+		return lens(Probe(b, FromSlice(env, ints(500)), stageKey, func(*Lane) func(int, int, func(int)) { return emitSum }))
 	}},
 	{"OuterJoinWith", 4, func(env *Env) published { return perRowStage(env, OuterJoinWith[int, int, int], leftOuter) }},
 	{"SemiJoinWith", 4, func(env *Env) published { return perRowStage(env, SemiJoinWith[int, int, int], semi) }},
@@ -125,7 +125,7 @@ func perRowStage[J any](env *Env, join func(l, r *Dataset[int], lkey, rkey func(
 
 // leftOuter is an OuterJoinWith joiner: the sum of every pair, and the
 // negated probe row where there was none.
-func leftOuter() (func(int, int, func(int)), func(int, func(int))) {
+func leftOuter(*Lane) (func(int, int, func(int)), func(int, func(int))) {
 	matched := false
 	return func(l, r int, emit func(int)) { matched = true; emit(l + r) },
 		func(r int, emit func(int)) {
@@ -137,7 +137,7 @@ func leftOuter() (func(int, int, func(int)), func(int, func(int))) {
 }
 
 // semi is a SemiJoinWith joiner: it keeps the probe rows that found a partner.
-func semi() (func(int, int) bool, func(int, func(int))) {
+func semi(*Lane) (func(int, int) bool, func(int, func(int))) {
 	matched := false
 	return func(int, int) bool { matched = true; return true },
 		func(r int, emit func(int)) {
@@ -345,19 +345,19 @@ func TestAbortedAttemptPublishesNothing(t *testing.T) {
 			return Join(d, d, id, rkey, emitSum, RepartitionHash).parts
 		}},
 		{"Probe", 0, func(d *Dataset[int], hook func()) [][]int {
-			return Probe(Build(d, id), d, id, func() func(int, int, func(int)) { return hooked(hook) }).parts
+			return Probe(Build(d, id), d, id, func(*Lane) func(int, int, func(int)) { return hooked(hook) }).parts
 		}},
 		{"Probe/cancelled while counting", n, func(d *Dataset[int], hook func()) [][]int {
 			rkey := func(x int) uint64 { hook(); return uint64(x) }
-			return Probe(Build(d, id), d, rkey, func() func(int, int, func(int)) { return emitSum }).parts
+			return Probe(Build(d, id), d, rkey, func(*Lane) func(int, int, func(int)) { return emitSum }).parts
 		}},
 		{"OuterJoinWith", 0, func(d *Dataset[int], hook func()) [][]int {
-			return OuterJoinWith(d, d, id, id, func() (func(int, int, func(int)), func(int, func(int))) {
+			return OuterJoinWith(d, d, id, id, func(*Lane) (func(int, int, func(int)), func(int, func(int))) {
 				return hooked(hook), func(int, func(int)) {}
 			}).parts
 		}},
 		{"SemiJoinWith/cancelled in the epilogue", 0, func(d *Dataset[int], hook func()) [][]int {
-			return SemiJoinWith(d, d, id, id, func() (func(int, int) bool, func(int, func(int))) {
+			return SemiJoinWith(d, d, id, id, func(*Lane) (func(int, int) bool, func(int, func(int))) {
 				return func(int, int) bool { return true }, func(r int, emit func(int)) { hook(); emit(r) }
 			}).parts
 		}},

@@ -23,10 +23,15 @@ const (
 type chunks[T any] struct {
 	free []T // what is left of the current chunk
 	next int // size of the chunk to allocate next
+	// made counts the elements of every chunk allocated, left those of the
+	// tails abandoned for a run that did not fit: made - left - len(free) is
+	// what was carved (Slab.Usage).
+	made, left int
 }
 
 // alloc returns n zeroed elements with cap == len, from chunks that double
-// from lo to hi elements.
+// from lo to hi elements. A run of more than a quarter of the largest chunk
+// is an allocation of its own and counts for nothing here.
 func (c *chunks[T]) alloc(n, lo, hi int) []T {
 	if n > hi/4 {
 		return make([]T, n)
@@ -36,6 +41,8 @@ func (c *chunks[T]) alloc(n, lo, hi int) []T {
 		for size < 4*n {
 			size *= 2
 		}
+		c.left += len(c.free)
+		c.made += size
 		c.free = make([]T, size)
 		c.next = min(2*size, hi)
 	}
@@ -44,26 +51,39 @@ func (c *chunks[T]) alloc(n, lo, hi int) []T {
 	return run
 }
 
-// A Slab hands out the bytes of the rows one partition attempt builds, and
-// the identifier lists that go with them, so that a row costs a pointer
-// bump, not a trip to the allocator.
+// A Slab hands out the bytes of the rows one partition builds, and the
+// identifier lists that go with them, so that a row costs a pointer bump, not
+// a trip to the allocator.
 //
 // A row is immutable once built, and every view of it ends where it ends,
 // so an append to one reallocates instead of writing into the row's
 // neighbour in the chunk.
 //
-// A slab belongs to one goroutine - the dataflow engine creates a row
-// function's state once per partition attempt, so a retried attempt starts
-// on a slab of its own and nothing a failed attempt built is reused. The
-// slab keeps no list of its chunks: a chunk lives exactly as long as some
-// row carved from it is reachable, which also means a consumer that keeps
-// one row in a hundred keeps the whole chunk.
+// A slab belongs to one partition of one job: it lives in the partition's
+// dataflow.Lane, whose holder is the only goroutine that touches it, and every
+// stage of the job carves on where the partition's last one stopped. So a
+// chunk may hold rows of two adjacent stages, and what a job leaves unused is
+// the tail of one open chunk per partition, not of one per attempt. No byte is
+// handed out twice: a retried attempt carves on behind what the killed one
+// built and reuses none of it. The slab keeps no list of its chunks: a chunk
+// lives exactly as long as some row carved from it is reachable, which also
+// means a consumer that keeps one row in a hundred keeps the whole chunk - and
+// that a row which outlives its stage may keep a neighbour stage's rows with
+// it, one chunk per partition per stage boundary at most.
 //
 // The row-building methods accept a nil *Slab and then allocate each row on
 // its own; that is what the value-semantic methods on Embedding do.
 type Slab struct {
 	rows chunks[byte]
 	ids  chunks[epgm.ID]
+}
+
+// Usage reports, in bytes, the chunks the slab has allocated and what it has
+// carved from them; the difference is the tails it abandoned and the rest of
+// its open chunks.
+func (s *Slab) Usage() (made, carved int) {
+	made = s.rows.made + 8*s.ids.made
+	return made, made - s.rows.left - len(s.rows.free) - 8*(s.ids.left+len(s.ids.free))
 }
 
 // alloc returns n zeroed bytes with cap == len.

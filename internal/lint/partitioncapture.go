@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"gradoop/internal/lint/analysis"
@@ -16,6 +17,12 @@ import (
 // anywhere in the body) are assumed to synchronize their writes and are
 // skipped; sync/atomic operations are calls, not assignments, and never
 // trigger the check.
+//
+// A With variant's factory is handed its partition's lane, which the attempt
+// it was called for is the only goroutine to touch. A factory that parks the
+// lane, or state it reached through it (a slab, say), in a captured variable
+// hands it to every other partition's closure; a mutex orders that store and
+// not what is later done through it, so this one is reported with or without.
 var PartitionCaptureAnalyzer = &analysis.Analyzer{
 	Name: "partitioncapture",
 	Doc:  "flags per-partition UDF closures that mutate captured shared state",
@@ -35,6 +42,7 @@ var udfFuncs = map[string]bool{
 	// written by the functions it returns - an OuterJoinWith or SemiJoinWith
 	// factory returns two, and "this probe row found a partner" is what
 	// passes between them; what it captures is as shared as for any other UDF.
+	// A factory is handed the partition's lane (checkLaneEscape).
 	"FlatMapWith": true, "JoinWith": true, "OuterJoinWith": true, "SemiJoinWith": true,
 	// A join in two halves: Build's key function and Probe's key function
 	// and joiner factory run per partition like JoinWith's.
@@ -64,6 +72,7 @@ func runPartitionCapture(pass *analysis.Pass) (any, error) {
 					continue
 				}
 				checkCapturedWrites(pass, fn.Name(), lit)
+				checkLaneEscape(pass, fn.Name(), lit)
 			}
 			return true
 		})
@@ -133,4 +142,118 @@ func usesMutex(info *types.Info, lit *ast.FuncLit) bool {
 		return true
 	})
 	return found
+}
+
+// checkLaneEscape reports a factory literal that stores its lane, or state
+// reached from it, where another partition's closure can reach it: in a
+// variable it captured, or down a channel. What counts as reached from the
+// lane is the lane parameter itself and every local defined as a field of,
+// the address of, a type assertion on or a pointer some function returned
+// for something already reached - not the value of a method call on it, which
+// is a row the slab handed out and the stage's to hand on.
+func checkLaneEscape(pass *analysis.Pass, udfOf string, lit *ast.FuncLit) {
+	info := pass.TypesInfo
+	reached := map[types.Object]bool{}
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := info.Defs[name]; obj != nil && isLanePointer(obj.Type()) {
+				reached[obj] = true
+			}
+		}
+	}
+	if len(reached) == 0 {
+		return
+	}
+	var reaches func(ast.Expr) bool
+	reaches = func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return reached[info.Uses[e]]
+		case *ast.SelectorExpr:
+			return reaches(e.X)
+		case *ast.StarExpr:
+			return reaches(e.X)
+		case *ast.TypeAssertExpr:
+			return reaches(e.X)
+		case *ast.UnaryExpr:
+			return e.Op == token.AND && reaches(e.X)
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+				return false // a method's value
+			}
+			if _, ptr := info.TypeOf(e).Underlying().(*types.Pointer); !ptr && !isAppend(info, e) {
+				return false
+			}
+			for _, arg := range e.Args {
+				if reaches(arg) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	// Locals defined from what is reached are reached; source order is enough
+	// for the straight-line set-up a factory is.
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range s.Lhs {
+				rhs := s.Rhs[0]
+				if len(s.Rhs) == len(s.Lhs) {
+					rhs = s.Rhs[i]
+				}
+				if !reaches(rhs) {
+					continue
+				}
+				id := rootIdent(lhs)
+				if id == nil {
+					continue
+				}
+				obj := info.Defs[id]
+				if obj == nil {
+					obj = info.Uses[id]
+				}
+				v, ok := obj.(*types.Var)
+				if !ok || v.IsField() {
+					continue
+				}
+				if declaredWithin(v, lit) {
+					if _, plain := lhs.(*ast.Ident); plain {
+						reached[v] = true
+					}
+					continue
+				}
+				pass.Reportf(s.Pos(),
+					"factory passed to dataflow.%s stores its lane, or state reached through it, in captured variable %q; a lane is touched by the attempt it was handed to and by nothing else, whatever lock orders the store",
+					udfOf, v.Name())
+			}
+		case *ast.SendStmt:
+			if reaches(s.Value) {
+				pass.Reportf(s.Pos(),
+					"factory passed to dataflow.%s sends its lane, or state reached through it, down a channel; a lane is touched by the attempt it was handed to and by nothing else",
+					udfOf)
+			}
+		}
+		return true
+	})
+}
+
+// isLanePointer reports whether t is *dataflow.Lane.
+func isLanePointer(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := p.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Lane" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == dataflowPath
+}
+
+// isAppend reports whether call is the append builtin.
+func isAppend(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
 }

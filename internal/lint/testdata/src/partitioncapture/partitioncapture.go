@@ -79,7 +79,7 @@ func atomicCounter(d *dataflow.Dataset[int]) {
 // once per partition attempt, so state it declares belongs to one goroutine
 // and the row function may write it.
 func perAttemptState(d *dataflow.Dataset[int]) {
-	dataflow.FlatMapWith(d, func() func(int, func(int)) {
+	dataflow.FlatMapWith(d, func(*dataflow.Lane) func(int, func(int)) {
 		seen := 0
 		return func(v int, emit func(int)) {
 			seen++
@@ -93,7 +93,7 @@ func perAttemptState(d *dataflow.Dataset[int]) {
 func sharedThroughFactory(l, r *dataflow.Dataset[int]) {
 	pairs := 0
 	key := func(v int) uint64 { return uint64(v) }
-	dataflow.JoinWith(l, r, key, key, func() func(int, int, func(int)) {
+	dataflow.JoinWith(l, r, key, key, func(*dataflow.Lane) func(int, int, func(int)) {
 		return func(x, y int, emit func(int)) {
 			pairs++ // want `UDF passed to dataflow\.JoinWith writes captured variable "pairs"`
 			emit(x + y)
@@ -108,7 +108,7 @@ func sharedThroughFactory(l, r *dataflow.Dataset[int]) {
 // every partition.
 func outerJoinState(l, r *dataflow.Dataset[int]) {
 	key := func(v int) uint64 { return uint64(v) }
-	dataflow.OuterJoinWith(l, r, key, key, func() (func(int, int, func(int)), func(int, func(int))) {
+	dataflow.OuterJoinWith(l, r, key, key, func(*dataflow.Lane) (func(int, int, func(int)), func(int, func(int))) {
 		matched := false
 		return func(x, y int, emit func(int)) {
 				matched = true
@@ -121,7 +121,7 @@ func outerJoinState(l, r *dataflow.Dataset[int]) {
 			}
 	})
 	matched := false
-	dataflow.OuterJoinWith(l, r, key, key, func() (func(int, int, func(int)), func(int, func(int))) {
+	dataflow.OuterJoinWith(l, r, key, key, func(*dataflow.Lane) (func(int, int, func(int)), func(int, func(int))) {
 		return func(x, y int, emit func(int)) {
 				matched = true // want `UDF passed to dataflow\.OuterJoinWith writes captured variable "matched"`
 				emit(x + y)
@@ -137,7 +137,7 @@ func outerJoinState(l, r *dataflow.Dataset[int]) {
 // semiJoinState is outerJoinState for a join whose pairs are only tested.
 func semiJoinState(l, r *dataflow.Dataset[int]) {
 	key := func(v int) uint64 { return uint64(v) }
-	dataflow.SemiJoinWith(l, r, key, key, func() (func(int, int) bool, func(int, func(int))) {
+	dataflow.SemiJoinWith(l, r, key, key, func(*dataflow.Lane) (func(int, int) bool, func(int, func(int))) {
 		found := false
 		return func(x, y int) bool {
 				found = true
@@ -150,7 +150,7 @@ func semiJoinState(l, r *dataflow.Dataset[int]) {
 			}
 	})
 	found := false
-	dataflow.SemiJoinWith(l, r, key, key, func() (func(int, int) bool, func(int, func(int))) {
+	dataflow.SemiJoinWith(l, r, key, key, func(*dataflow.Lane) (func(int, int) bool, func(int, func(int))) {
 		return func(x, y int) bool {
 				found = true // want `UDF passed to dataflow\.SemiJoinWith writes captured variable "found"`
 				return true
@@ -174,7 +174,7 @@ func sharedThroughProbe(l, r *dataflow.Dataset[int]) {
 		return uint64(v)
 	})
 	var last int
-	dataflow.Probe(built, r, func(v int) uint64 { return uint64(v) }, func() func(int, int, func(int)) {
+	dataflow.Probe(built, r, func(v int) uint64 { return uint64(v) }, func(*dataflow.Lane) func(int, int, func(int)) {
 		seen := 0
 		return func(x, y int, emit func(int)) {
 			seen++
@@ -183,4 +183,60 @@ func sharedThroughProbe(l, r *dataflow.Dataset[int]) {
 		}
 	})
 	_ = hashed + last
+}
+
+// arena stands in for what a row function keeps in its lane.
+type arena struct{ carved int }
+
+func arenaOf(lane *dataflow.Lane) *arena {
+	a, ok := lane.State.(*arena)
+	if !ok {
+		a = new(arena)
+		lane.State = a
+	}
+	return a
+}
+
+// laneState is what the lane is for: the factory takes its partition's state
+// out of the lane it was handed, or puts it there, and the row function it
+// returns works on it. Nothing leaves the attempt but rows.
+func laneState(d *dataflow.Dataset[int]) {
+	dataflow.FlatMapWith(d, func(lane *dataflow.Lane) func(int, func(int)) {
+		a := arenaOf(lane)
+		return func(v int, emit func(int)) {
+			a.carved++
+			emit(v + a.carved)
+		}
+	}, 1)
+}
+
+// parkedLane stores the lane, and state reached through it, where every other
+// partition's closure can reach it. The lock orders the stores; it does not
+// make the lane anybody's but the attempt's it was handed to.
+func parkedLane(l, r *dataflow.Dataset[int]) {
+	var mu sync.Mutex
+	var lanes []*dataflow.Lane
+	arenas := map[int]*arena{}
+	var last *arena
+	dataflow.FlatMapWith(l, func(lane *dataflow.Lane) func(int, func(int)) {
+		a := arenaOf(lane)
+		mu.Lock()
+		lanes = append(lanes, lane) // want `factory passed to dataflow\.FlatMapWith stores its lane, or state reached through it, in captured variable "lanes"`
+		arenas[len(arenas)] = a     // want `factory passed to dataflow\.FlatMapWith stores its lane, or state reached through it, in captured variable "arenas"`
+		mu.Unlock()
+		return func(v int, emit func(int)) { emit(v) }
+	}, 1)
+	key := func(v int) uint64 { return uint64(v) }
+	handoff := make(chan *arena, 16) // roomy: the fixture is never run
+	dataflow.JoinWith(l, r, key, key, func(lane *dataflow.Lane) func(int, int, func(int)) {
+		state := &lane.State
+		handoff <- arenaOf(lane) // want `factory passed to dataflow\.JoinWith sends its lane, or state reached through it, down a channel`
+		return func(x, y int, emit func(int)) {
+			mu.Lock()
+			last = (*state).(*arena) // want `factory passed to dataflow\.JoinWith stores its lane, or state reached through it, in captured variable "last"`
+			mu.Unlock()
+			emit(x + y)
+		}
+	}, dataflow.RepartitionHash, 0)
+	_, _, _ = lanes, arenas, last
 }

@@ -174,7 +174,7 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 // BenchmarkRowOuterJoin is an OPTIONAL MATCH of every person's knows edges
 // where the second half of the persons has none: both inputs are shuffled,
 // 15 000 pairs are checked and merged and 5 000 mandatory rows come out
-// NULL-padded, all carved from the attempt's slab into a partition allocated
+// NULL-padded, all carved from the lane's slab into a partition allocated
 // once.
 func BenchmarkRowOuterJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))

@@ -128,7 +128,7 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 			emit(edgeTriple{S: t, E: de.ID, T: s})
 		}
 	}
-	triples := dataflow.FlatMapWith(op.Edges, func() func(epgm.Edge, func(edgeTriple)) { return selectTriple },
+	triples := dataflow.FlatMapWith(op.Edges, func(*dataflow.Lane) func(epgm.Edge, func(edgeTriple)) { return selectTriple },
 		leafFanOut(len(qe.Predicates), false, qe.Undirected))
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
@@ -147,10 +147,10 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 		func(hop int, working *dataflow.Dataset[pathState]) (next *dataflow.Dataset[pathState], results *dataflow.Dataset[embedding.Embedding]) {
 			next = dataflow.Probe(build, working,
 				func(s pathState) uint64 { return uint64(s.end) },
-				func() func(edgeTriple, pathState, func(pathState)) {
+				func(lane *dataflow.Lane) func(edgeTriple, pathState, func(pathState)) {
 					// Via lists are written once, here, and clipped to their length,
 					// so extending a path copies it and never grows in place.
-					var slab embedding.Slab
+					slab := &scratchOf(lane).slab
 					return func(t edgeTriple, s pathState, emit func(pathState)) {
 						if t.S != s.end || !op.hopAllowed(s, t) {
 							return
@@ -223,8 +223,8 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 	if bindTarget {
 		fanOut = 0
 	}
-	return dataflow.FlatMapWith(states, func() func(pathState, func(embedding.Embedding)) {
-		var sc scratch
+	return dataflow.FlatMapWith(states, func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
+		sc := scratchOf(lane)
 		return func(s pathState, emit func(embedding.Embedding)) {
 			if bindTarget && s.base.ID(endCol) != s.end {
 				return

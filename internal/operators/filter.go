@@ -114,8 +114,8 @@ func (op *ProjectEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 	in := op.In.Evaluate()
 	idCols, propCols := op.idCols, op.propCols
 	return traced(op, in.Env(), func() *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapWith(in, func() func(embedding.Embedding, func(embedding.Embedding)) {
-			var slab embedding.Slab
+		return dataflow.FlatMapWith(in, func(lane *dataflow.Lane) func(embedding.Embedding, func(embedding.Embedding)) {
+			slab := &scratchOf(lane).slab
 			return func(e embedding.Embedding, emit func(embedding.Embedding)) {
 				emit(slab.Project(e, idCols, propCols))
 			}

@@ -235,8 +235,8 @@ func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding
 	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
-		func() func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
-			var sc scratch
+		func(lane *dataflow.Lane) func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+			sc := scratchOf(lane)
 			return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
 				// Keys and morphism are checked on the two inputs: a rejected
 				// candidate is never materialized.
@@ -295,9 +295,9 @@ func probeScan[T any](small *dataflow.Dataset[embedding.Embedding], smallCols []
 	key func(T) uint64, id func(T) epgm.ID, row func(*scratch, T) (embedding.Embedding, bool),
 	pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
 	smallKey := func(e embedding.Embedding) uint64 { return keyOf(e, smallCols) }
-	newJoiner := func() func(embedding.Embedding, T, func(embedding.Embedding)) {
+	newJoiner := func(lane *dataflow.Lane) func(embedding.Embedding, T, func(embedding.Embedding)) {
+		sc := scratchOf(lane)
 		var st struct {
-			sc   scratch
 			id   epgm.ID
 			row  embedding.Embedding
 			ok   bool // the element has a row
@@ -306,12 +306,12 @@ func probeScan[T any](small *dataflow.Dataset[embedding.Embedding], smallCols []
 		return func(s embedding.Embedding, t T, emit func(embedding.Embedding)) {
 			if eid := id(t); !st.seen || st.id != eid {
 				st.id, st.seen = eid, true
-				if st.row, st.ok = row(&st.sc, t); st.ok && built != nil {
+				if st.row, st.ok = row(sc, t); st.ok && built != nil {
 					built.Add(1)
 				}
 			}
 			if st.ok {
-				pair(&st.sc, s, st.row, emit)
+				pair(sc, s, st.row, emit)
 			}
 		}
 	}
@@ -389,8 +389,8 @@ func (op *CartesianProduct) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 		return dataflow.JoinWith(left, right,
 			func(embedding.Embedding) uint64 { return 0 },
 			func(embedding.Embedding) uint64 { return 0 },
-			func() func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
-				var sc scratch
+			func(lane *dataflow.Lane) func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
+				sc := scratchOf(lane)
 				return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
 					if sc.validPair(l, lm, r, rm, nil, morph) {
 						emit(sc.slab.Merge(l, r, nil))

@@ -55,10 +55,10 @@ func (op *FilterAndProjectVertices) Evaluate() *dataflow.Dataset[embedding.Embed
 func (op *FilterAndProjectVertices) evaluate() *dataflow.Dataset[embedding.Embedding] {
 	fanOut := leafFanOut(len(op.Vertex.Predicates), false, false)
 	return perPart(op.In, func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapWith(part, func() func(epgm.Vertex, func(embedding.Embedding)) {
-			var sc scratch
+		return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
+			sc := scratchOf(lane)
 			return func(v epgm.Vertex, emit func(embedding.Embedding)) {
-				if row, ok := op.row(&sc, &v); ok {
+				if row, ok := op.row(sc, &v); ok {
 					emit(row)
 				}
 			}
@@ -173,16 +173,16 @@ func (op *FilterAndProjectEdges) evaluate() *dataflow.Dataset[embedding.Embeddin
 	qe := op.Edge
 	fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
 	return perPart(op.In, func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapWith(part, func() func(epgm.Edge, func(embedding.Embedding)) {
-			var sc scratch
+		return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
+			sc := scratchOf(lane)
 			return func(de epgm.Edge, emit func(embedding.Embedding)) {
-				row, ok := op.row(&sc, &de, false)
+				row, ok := op.row(sc, &de, false)
 				if !ok {
 					return
 				}
 				emit(row)
 				if qe.Undirected && de.Source != de.Target {
-					row, _ = op.row(&sc, &de, true)
+					row, _ = op.row(sc, &de, true)
 					emit(row)
 				}
 			}

@@ -74,14 +74,27 @@ type Operator interface {
 	Selective() bool
 }
 
-// scratch is the state the row function of one partition attempt keeps
-// (dataflow.FlatMapWith, JoinWith): the slab its output rows are carved from
-// and buffers it reuses from row to row. One goroutine owns it, so nothing
-// in it is locked.
+// scratch is what the row functions of one partition keep, for the length of
+// the job, in the partition's lane: the slab their output rows and via lists
+// are carved from - a stage carves on where the last one stopped - and buffers
+// reused from row to row, which whoever takes them rewrites from empty. The
+// lane's holder is the one goroutine that touches it, so nothing in it is
+// locked.
 type scratch struct {
 	slab  embedding.Slab
 	ids   []epgm.ID            // the identifiers of a morphism check, a flipped path
 	props []epgm.PropertyValue // the projected values of a leaf row
+}
+
+// scratchOf returns the scratch kept in lane, which the first row function to
+// run on the lane puts there. It is the one way an operator comes by a slab.
+func scratchOf(lane *dataflow.Lane) *scratch {
+	sc, ok := lane.State.(*scratch)
+	if !ok {
+		sc = new(scratch)
+		lane.State = sc
+	}
+	return sc
 }
 
 // appendBound appends to dst the data vertices (kind VertexEntry) or data
@@ -148,7 +161,7 @@ func (sc *scratch) distinct(l embedding.Embedding, lm *embedding.Meta, r embeddi
 	return allDistinct(sc.ids)
 }
 
-// valid is ValidMorphism on the attempt's scratch.
+// valid is ValidMorphism on the lane's scratch.
 func (sc *scratch) valid(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
 	return sc.validPair(e, meta, embedding.Embedding{}, nil, nil, m)
 }
@@ -157,8 +170,7 @@ func (sc *scratch) valid(e embedding.Embedding, meta *embedding.Meta, m Morphism
 // isomorphic vertices require all bound vertex ids to be pairwise distinct,
 // isomorphic edges likewise for edge ids. Homomorphism imposes nothing.
 func ValidMorphism(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
-	var sc scratch
-	return sc.valid(e, meta, m)
+	return new(scratch).valid(e, meta, m) // builds no row: the identifier buffer is all it uses
 }
 
 // bindsEdge reports whether the embedding binds the data edge id, in an

@@ -69,8 +69,8 @@ func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embeddi
 	return dataflow.OuterJoinWith(right, left,
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
-		func() (pair func(r, l embedding.Embedding, emit func(embedding.Embedding)), after func(l embedding.Embedding, emit func(embedding.Embedding))) {
-			var sc scratch
+		func(lane *dataflow.Lane) (pair func(r, l embedding.Embedding, emit func(embedding.Embedding)), after func(l embedding.Embedding, emit func(embedding.Embedding))) {
+			sc := scratchOf(lane)
 			matched := false
 			pair = func(r, l embedding.Embedding, emit func(embedding.Embedding)) {
 				if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) {

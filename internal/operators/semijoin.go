@@ -66,8 +66,8 @@ func (op *SemiJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.E
 	return dataflow.SemiJoinWith(right, left,
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
-		func() (match func(r, l embedding.Embedding) bool, after func(l embedding.Embedding, emit func(embedding.Embedding))) {
-			var sc scratch
+		func(lane *dataflow.Lane) (match func(r, l embedding.Embedding) bool, after func(l embedding.Embedding, emit func(embedding.Embedding))) {
+			sc := scratchOf(lane)
 			found := false
 			match = func(r, l embedding.Embedding) bool {
 				// The combined binding is checked on the two inputs; a semi

@@ -48,10 +48,12 @@ func (s pathState) AppendWire(dst []byte) []byte {
 
 // WireReader returns a reader that owns the slab its via lists are carved
 // from, capacity-clipped like the ones expansion builds: one bucket, one
-// chunk source, whatever the number of rows.
+// chunk source, whatever the number of rows. A bucket off the socket is
+// decoded between stages, by the job's driving goroutine, which holds no
+// partition's lane; this is the one slab of the package that is not a lane's.
 func (pathState) WireReader() func(*pathState, []byte) ([]byte, error) {
-	var slab embedding.Slab
-	return func(s *pathState, b []byte) ([]byte, error) { return s.decodeWire(b, &slab) }
+	slab := new(embedding.Slab)
+	return func(s *pathState, b []byte) ([]byte, error) { return s.decodeWire(b, slab) }
 }
 
 // decodeWire reads one path state; the base row is a view of b.
