@@ -91,42 +91,3 @@ func TestFullPipelineRoundTrip(t *testing.T) {
 		t.Fatalf("difference: %d", got)
 	}
 }
-
-// TestSemanticsMatrixOnPublicAPI pins the four morphism combinations on a
-// graph where they all differ.
-func TestSemanticsMatrixOnPublicAPI(t *testing.T) {
-	env := NewEnvironment(WithWorkers(2))
-	db, err := env.ParseGDL(`g [
-		(a)-[:x]->(b)
-		(b)-[:x]->(a)
-	]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := db.WholeGraph()
-	query := `MATCH (p)-[:x]->(q)-[:x]->(r) RETURN *`
-	counts := map[[2]Semantics]int64{}
-	for _, v := range []Semantics{Homomorphism, Isomorphism} {
-		for _, e := range []Semantics{Homomorphism, Isomorphism} {
-			n, err := g.CypherCount(query, WithVertexSemantics(v), WithEdgeSemantics(e))
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[[2]Semantics{v, e}] = n
-		}
-	}
-	// a->b->a and b->a->b: valid under vertex-HOMO (p=r), never under
-	// vertex-ISO; edges are distinct so edge semantics don't matter here.
-	if counts[[2]Semantics{Homomorphism, Homomorphism}] != 2 {
-		t.Fatalf("homo/homo=%d", counts[[2]Semantics{Homomorphism, Homomorphism}])
-	}
-	if counts[[2]Semantics{Homomorphism, Isomorphism}] != 2 {
-		t.Fatalf("homo/iso=%d", counts[[2]Semantics{Homomorphism, Isomorphism}])
-	}
-	if counts[[2]Semantics{Isomorphism, Isomorphism}] != 0 {
-		t.Fatalf("iso/iso=%d", counts[[2]Semantics{Isomorphism, Isomorphism}])
-	}
-	if counts[[2]Semantics{Isomorphism, Homomorphism}] != 0 {
-		t.Fatalf("iso/homo=%d", counts[[2]Semantics{Isomorphism, Homomorphism}])
-	}
-}

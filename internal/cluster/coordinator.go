@@ -537,6 +537,15 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		traceID = fmt.Sprintf("job-%08x", jobID)
 	}
 
+	// The result is the one an in-process execution binds, with the workers'
+	// rows in place of a local run's. Bound before any worker is asked, a
+	// request that cannot be bound - a $param without a value - fails with the
+	// binder's own error, as it does in process.
+	res, err := prep.Bind(g, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	spec := jobSpec{
 		JobID:       jobID,
 		TraceID:     traceID,
@@ -616,7 +625,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			return nil, nil, out.queryErr
 		}
 		assembleStart := time.Since(start)
-		res, rep, err := c.assemble(g, prep, cfg, st)
+		rep, err := c.assemble(res, st)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -710,10 +719,10 @@ func (c *Coordinator) abortAttempt(st *attemptState) {
 	}
 }
 
-// assemble decodes the shipped partitions, rebuilds the coordinator-side
-// Result exactly as core.Prepared.Execute would, and merges the workers'
-// stage records and metrics.
-func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg core.Config, st *attemptState) (*core.Result, *session.ClusterReport, error) {
+// assemble decodes the shipped partitions into res, the bound Result, as
+// core.Prepared.Execute fills a local run's, and merges the workers' stage
+// records and metrics.
+func (c *Coordinator) assemble(res *core.Result, st *attemptState) (*session.ClusterReport, error) {
 	st.mu.Lock()
 	results := st.results
 	dones := make([]*jobDone, 0, len(st.roster))
@@ -731,20 +740,13 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 	for p := range blobs {
 		body, ok := results[p]
 		if !ok {
-			return nil, nil, fmt.Errorf("cluster: partition %d missing from results", p)
+			return nil, fmt.Errorf("cluster: partition %d missing from results", p)
 		}
 		blobs[p] = body
 	}
 	flat, p, err := dataflow.Concat[embedding.Embedding](nil, blobs, make([]bool, len(blobs)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
-	}
-
-	// The result is the one an in-process execution binds, with the workers'
-	// rows in place of a local run's.
-	res, err := prep.Bind(g, cfg)
-	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("cluster: result partition %d: %w", p, err)
 	}
 	res.Embeddings = dataflow.FromSlice(res.Env, flat)
 	rep := &session.ClusterReport{
@@ -768,7 +770,7 @@ func (c *Coordinator) assemble(g *epgm.LogicalGraph, prep *core.Prepared, cfg co
 		}
 		rep.WorkerReports = append(rep.WorkerReports, wr)
 	}
-	return res, rep, nil
+	return rep, nil
 }
 
 // foldStages builds the cluster-wide predicted-vs-actual table from the

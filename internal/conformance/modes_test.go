@@ -1,0 +1,342 @@
+package conformance
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	_ "unsafe" // go:linkname, below
+
+	"gradoop"
+	"gradoop/internal/cluster"
+	"gradoop/internal/core"
+	"gradoop/internal/cypher"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/epgm"
+	"gradoop/internal/obs"
+	"gradoop/internal/planner"
+	"gradoop/internal/qstore"
+	"gradoop/internal/server"
+	"gradoop/internal/session"
+	"gradoop/internal/trace"
+)
+
+// mode is one way to execute a case: run is a function of the case and of
+// the fixture the case carries.
+type mode struct {
+	name string
+	run  func(c *kase) outcome
+	// twin is the mode this one must equal row for row and in order: the same
+	// deployment at the same partition count with this mode's feature off. It
+	// comes earlier in the table.
+	twin string
+	// sameWork: the feature claims the twin's work, so the charges are the
+	// twin's too.
+	sameWork bool
+	cluster  bool // the mode starts TCP workers; -short leaves it out
+}
+
+// modes is every execution path. The first is the anchor. The probe modes set
+// a variable every mode in the process reads, so modes run one at a time.
+var modes = []mode{
+	{name: "engine/1", run: engine{partitions: 1}.run},
+	{name: "engine/4", run: engine{partitions: 4}.run},
+	{name: "engine/16", run: engine{partitions: 16}.run},
+	{name: "indexed/1", run: engine{partitions: 1, indexed: true}.run},
+	{name: "indexed/4", run: engine{partitions: 4, indexed: true}.run},
+	{name: "indexed/16", run: engine{partitions: 16, indexed: true}.run},
+	{name: "no-reuse/4", run: engine{partitions: 4, noReuse: true}.run},
+	{name: "traced/4", run: engine{partitions: 4, traced: true}.run, twin: "engine/4", sameWork: true},
+	{name: "killed/4", run: engine{partitions: 4, faults: killEveryStage}.run, twin: "engine/4"},
+	{name: "random-kills/4", run: engine{partitions: 4, faults: randomKills}.run, twin: "engine/4"},
+	{name: "probe-never/4", run: probing(never, engine{partitions: 4, indexed: true}.run)},
+	{name: "probe-always/4", run: probing(always, engine{partitions: 4, indexed: true}.run)},
+	{name: "probe-always/16", run: probing(always, engine{partitions: 16, indexed: true}.run)},
+	{name: "api/4", run: library, twin: "engine/4"},
+	{name: "session/1", run: served{partitions: 1}.run},
+	{name: "session/4", run: served{partitions: 4}.run},
+	{name: "session/16", run: served{partitions: 16}.run},
+	{name: "no-plan-cache/4", run: served{partitions: 4, with: noPlanCache}.run, twin: "session/4", sameWork: true},
+	{name: "result-cache-hit/4", run: served{partitions: 4, hit: true}.run, twin: "session/4"},
+	{name: "governed/4", run: served{partitions: 4, with: governed}.run, twin: "session/4", sameWork: true},
+	{name: "registry/4", run: served{partitions: 4, with: registry}.run, twin: "session/4", sameWork: true},
+	{name: "qstore/4", run: served{partitions: 4, with: queryStore}.run, twin: "session/4", sameWork: true},
+	{name: "http/4", run: overHTTP{}.run, twin: "session/4"},
+	{name: "http-hit/4", run: overHTTP{hit: true}.run, twin: "session/4"},
+	{name: "cluster-1w/4", run: served{partitions: 4, with: workers(1, true)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-2w/4", run: served{partitions: 4, with: workers(2, true)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-4w/4", run: served{partitions: 4, with: workers(4, true)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-1w-no-telemetry/4", run: served{partitions: 4, with: workers(1, false)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-2w-no-telemetry/4", run: served{partitions: 4, with: workers(2, false)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-4w-no-telemetry/4", run: served{partitions: 4, with: workers(4, false)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-2w-probe-never/4", run: probing(never, served{partitions: 4, with: workers(2, true)}.run), cluster: true},
+	{name: "cluster-2w-probe-always/4", run: probing(always, served{partitions: 4, with: workers(2, true)}.run), cluster: true},
+}
+
+// anyError is the kind of an error its mode cannot classify: the library
+// returns the engine's error as it is.
+const anyError = "error"
+
+// probeInPlaceScale is operators': the factor on n x P in the rule that sends
+// a join into a leaf's scan, 1 as shipped. It has no setter - to everything
+// but the probe modes it is a constant - so the harness reaches it by name.
+//
+//go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
+var probeInPlaceScale float64
+
+// The rule at its two ends.
+var never, always = math.Inf(1), 0.0
+
+// probing runs a mode with the rule at scale.
+func probing(scale float64, run func(c *kase) outcome) func(c *kase) outcome {
+	return func(c *kase) outcome {
+		defer func(was float64) { probeInPlaceScale = was }(probeInPlaceScale)
+		probeInPlaceScale = scale
+		return run(c)
+	}
+}
+
+// engine runs a case through core.Prepare and Prepared.Execute on a graph of
+// its own.
+type engine struct {
+	partitions int
+	indexed    bool // leaves read the label index, as a session's do
+	noReuse    bool // a recurring leaf is planned once per occurrence
+	traced     bool
+	// faults plans the kills for a job that ran clean in stages stages.
+	faults func(stages int64, partitions int) *dataflow.FaultPlan
+}
+
+func (e engine) run(c *kase) outcome {
+	o := e.once(c, nil)
+	if e.faults == nil || o.err != "" {
+		return o
+	}
+	return e.once(c, e.faults(o.job.Stages, e.partitions))
+}
+
+func (e engine) once(c *kase, plan *dataflow.FaultPlan) outcome {
+	g := c.f.graph(e.partitions)
+	cfg := core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: c.f.stats, DisableSubqueryReuse: e.noReuse}
+	if e.indexed {
+		cfg.Access = planner.IndexedAccess{Index: epgm.BuildIndex(g)}
+	}
+	if e.traced {
+		cfg.Trace = trace.NewCollector()
+	}
+	prep, err := core.Prepare(g, c.query, cfg)
+	if err != nil {
+		return outcome{err: session.KindInvalid.String()}
+	}
+	g.Env().ResetMetrics()
+	g.Env().InjectFaults(plan)
+	res, err := prep.Execute(g, cfg)
+	switch {
+	case errors.As(err, new(*cypher.MissingParamError)):
+		return outcome{err: session.KindInvalid.String()}
+	case err != nil:
+		return outcome{err: session.KindFailed.String()}
+	}
+	o := table(res.Columns(), res.Rows())
+	job := g.Env().Metrics()
+	o.job = &job
+	return o
+}
+
+// killEveryStage kills partition 0 of every stage once.
+func killEveryStage(stages int64, _ int) *dataflow.FaultPlan {
+	plan := &dataflow.FaultPlan{}
+	for stage := range stages {
+		plan.Kills = append(plan.Kills, dataflow.Kill{Stage: stage + 1})
+	}
+	return plan
+}
+
+// randomKills is a seeded schedule of three kills a stage, some of one
+// attempt twice.
+func randomKills(stages int64, partitions int) *dataflow.FaultPlan {
+	return &dataflow.FaultPlan{MaxRetries: 3 * int(stages), Kills: dataflow.RandomKills(2017, 3*int(stages), stages, partitions)}
+}
+
+// library runs a case through CypherRows on one graph per fixture, as a
+// program of the library's would.
+func library(c *kase) outcome {
+	g := hold(c.f, "graph", func() (*gradoop.LogicalGraph, func()) {
+		return gradoop.NewEnvironment(gradoop.WithWorkers(4)).GraphFromSlices(c.f.name, c.f.vs, c.f.es), func() {}
+	})
+	rows, err := g.CypherRows(c.query, gradoop.WithVertexSemantics(c.morph.Vertex), gradoop.WithEdgeSemantics(c.morph.Edge), gradoop.WithParams(c.params))
+	if err != nil {
+		return outcome{err: anyError}
+	}
+	o := table(nil, rows)
+	if len(rows) > 0 {
+		o.cols = rows[0].Columns
+	}
+	return o
+}
+
+// served runs a case through a session the fixture keeps for the mode and
+// the case's morphism, and drains the rows as a response is drained.
+type served struct {
+	partitions int
+	hit        bool                                 // the outcome is the result-cache hit after the miss
+	with       func(f *fixture, o *session.Options) // turns the mode's feature on
+}
+
+func (s served) run(c *kase) outcome {
+	sess := hold(c.f, fmt.Sprint(c.morph), func() (*session.Session, func()) {
+		o := session.Options{Workers: s.partitions, Vertex: c.morph.Vertex, Edge: c.morph.Edge}
+		if s.with != nil {
+			s.with(c.f, &o)
+		}
+		sess := session.New(c.f.graph(s.partitions), o)
+		return sess, sess.Close
+	})
+	o := serve(sess, c)
+	if s.hit && o.err == "" {
+		if o = serve(sess, c); o.job != nil {
+			o.err = "executed where the result cache should have answered"
+		}
+	}
+	return o
+}
+
+func serve(s *session.Session, c *kase) outcome {
+	resp, err := s.Execute(session.Request{Query: c.query, Params: c.params})
+	if err != nil {
+		return outcome{err: session.KindOf(err).String()}
+	}
+	var body bytes.Buffer
+	var rows []json.RawMessage
+	if _, err := resp.WriteRows(&body); err != nil {
+		return outcome{err: err.Error()}
+	}
+	if err := json.Unmarshal(body.Bytes(), &rows); err != nil {
+		return outcome{err: err.Error()}
+	}
+	o := outcome{cols: resp.Columns, rows: raw(rows)}
+	if !resp.FromResultCache {
+		o.job = &resp.Metrics
+	}
+	return o
+}
+
+func raw(rows []json.RawMessage) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = string(r)
+	}
+	return out
+}
+
+func noPlanCache(_ *fixture, o *session.Options) { o.NoPlanCache = true }
+func governed(_ *fixture, o *session.Options)    { o.MemoryBudget = 1 << 30 }
+func registry(_ *fixture, o *session.Options)    { o.Metrics = obs.NewRegistry() }
+
+// queryStore records the mode's executions on the fixture into one store.
+func queryStore(f *fixture, o *session.Options) {
+	o.QueryStore = hold(f, "qstore", func() (*qstore.Store, func()) {
+		dir, err := os.MkdirTemp("", "conformance")
+		if err != nil {
+			panic(err)
+		}
+		st, err := qstore.Open(qstore.Options{Dir: dir})
+		if err != nil {
+			panic(err)
+		}
+		return st, func() { st.Close(); os.RemoveAll(dir) }
+	})
+}
+
+// workers runs the session's jobs on n TCP workers over loopback, one cluster
+// per fixture for all the mode's sessions; telemetry on gives each worker a
+// registry, off is NoTelemetry.
+func workers(n int, telemetry bool) func(f *fixture, o *session.Options) {
+	return func(f *fixture, o *session.Options) {
+		o.Remote = hold(f, "cluster", func() (*cluster.Coordinator, func()) {
+			data := session.NewGraphData(f.graph(o.Workers))
+			var ws []*cluster.Worker
+			var addrs []string
+			for i := range n {
+				wo := cluster.WorkerOptions{NoTelemetry: !telemetry}
+				if telemetry {
+					wo.Metrics = obs.NewRegistry()
+				}
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					panic(err)
+				}
+				w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data, wo)
+				go w.Serve(ln)
+				ws, addrs = append(ws, w), append(addrs, ln.Addr().String())
+			}
+			coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: o.Workers})
+			if err != nil {
+				panic(err)
+			}
+			return coord, func() {
+				coord.Close()
+				for _, w := range ws {
+					w.Close()
+				}
+			}
+		})
+	}
+}
+
+// overHTTP posts a case to server.New over a session at four partitions; an
+// error is the kind its status code stands for.
+type overHTTP struct {
+	hit bool // the outcome is the result-cache hit after the miss
+}
+
+var kindOfStatus = map[int]session.Kind{
+	http.StatusBadRequest:          session.KindInvalid,
+	http.StatusTooManyRequests:     session.KindRejected,
+	http.StatusGatewayTimeout:      session.KindTimeout,
+	http.StatusInternalServerError: session.KindFailed,
+	http.StatusServiceUnavailable:  session.KindMemoryBudget,
+}
+
+func (h overHTTP) run(c *kase) outcome {
+	handler := hold(c.f, fmt.Sprint(c.morph), func() (http.Handler, func()) {
+		sess := session.New(c.f.graph(4), session.Options{Workers: 4, Vertex: c.morph.Vertex, Edge: c.morph.Edge})
+		return server.New(sess, server.Config{}), sess.Close
+	})
+	o, cached := post(handler, c)
+	if h.hit && o.err == "" {
+		if o, cached = post(handler, c); !cached {
+			o.err = "executed where the result cache should have answered"
+		}
+	}
+	return o
+}
+
+func post(h http.Handler, c *kase) (o outcome, cached bool) {
+	req, err := json.Marshal(map[string]any{"query": c.query, "params": c.json})
+	if err != nil {
+		return outcome{err: err.Error()}, false
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(req)))
+	if rr.Code != http.StatusOK {
+		if kind, ok := kindOfStatus[rr.Code]; ok {
+			return outcome{err: kind.String()}, false
+		}
+		return outcome{err: fmt.Sprintf("status %d", rr.Code)}, false
+	}
+	var body struct {
+		Columns         []string          `json:"columns"`
+		Rows            []json.RawMessage `json:"rows"`
+		FromResultCache bool              `json:"fromResultCache"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		return outcome{err: err.Error()}, false
+	}
+	return outcome{cols: body.Columns, rows: raw(body.Rows)}, body.FromResultCache
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"gradoop/internal/operators"
@@ -111,7 +112,7 @@ func TestExistsExplainShowsSemiJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !contains(res.Explain(), "AntiJoinEmbeddings") {
+	if !strings.Contains(res.Explain(), "AntiJoinEmbeddings") {
 		t.Fatalf("plan:\n%s", res.Explain())
 	}
 }

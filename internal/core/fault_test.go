@@ -4,29 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
-	"gradoop/internal/baseline"
-	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/stats"
 )
-
-// wireRows copies out every row's bytes. Rows are compared by these, never
-// by reflect.DeepEqual on the rows themselves: an Embedding is a pointer to
-// its first byte, and DeepEqual would compare that one byte.
-func wireRows(rows []embedding.Embedding) [][]byte {
-	out := make([][]byte, len(rows))
-	for i, e := range rows {
-		out[i] = e.AppendWire(nil)
-	}
-	return out
-}
 
 // denseGraph builds a complete directed graph over n Person vertices —
 // small, but with ~n^k k-hop paths it makes an unbounded variable-length
@@ -49,11 +35,9 @@ func denseGraph(env *dataflow.Env, n int) *epgm.LogicalGraph {
 		dataflow.FromSlice(env, vs), dataflow.FromSlice(env, es))
 }
 
-// ringElements builds the elements of a deterministic sparse graph — a
-// ring of n Person vertices with chord edges, enough structure for
-// multi-stage plans. The slices can be wrapped into graphs on several
-// environments so runs share identical element identities.
-func ringElements(n int) ([]epgm.Vertex, []epgm.Edge) {
+// ringGraph builds a deterministic sparse graph on env - a ring of n Person
+// vertices with chord edges, enough structure for multi-stage plans.
+func ringGraph(env *dataflow.Env, n int) *epgm.LogicalGraph {
 	vs := make([]epgm.Vertex, 0, n)
 	for i := 0; i < n; i++ {
 		vs = append(vs, epgm.Vertex{
@@ -66,12 +50,6 @@ func ringElements(n int) ([]epgm.Vertex, []epgm.Edge) {
 		es = append(es, epgm.Edge{ID: epgm.NewID(), Label: "knows", Source: vs[i].ID, Target: vs[(i+1)%n].ID})
 		es = append(es, epgm.Edge{ID: epgm.NewID(), Label: "knows", Source: vs[i].ID, Target: vs[(i*7+3)%n].ID})
 	}
-	return vs, es
-}
-
-// ringGraph wraps ringElements into a logical graph on env.
-func ringGraph(env *dataflow.Env, n int) *epgm.LogicalGraph {
-	vs, es := ringElements(n)
 	return epgm.NewLogicalGraph(env, epgm.GraphHead{ID: epgm.NewID()},
 		dataflow.FromSlice(env, vs), dataflow.FromSlice(env, es))
 }
@@ -124,66 +102,26 @@ func TestQueryContextCancellation(t *testing.T) {
 }
 
 // TestInjectedFailureRecoveryMatchesOracle: a query executed under injected
-// worker failures recovers transparently and produces results bit-identical
-// to a failure-free run — and the match count agrees with the brute-force
-// baseline oracle.
+// worker failures recovers transparently, and the recovery is observed in the
+// metrics. (That the rows are the failure-free run's, in order, is
+// internal/conformance's killed and random-kills modes.)
 func TestInjectedFailureRecoveryMatchesOracle(t *testing.T) {
-	const workers = 4
-	query := `MATCH (x:Person)-[e:knows*1..3]->(y:Person) WHERE x.i < 10 RETURN *`
-	morph := operators.Morphism{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
-	cfg := Config{Vertex: morph.Vertex, Edge: morph.Edge}
-
-	vs, es := ringElements(40)
-	run := func(plan *dataflow.FaultPlan) (*Result, *dataflow.Env, error) {
-		env := dataflow.NewEnv(dataflow.DefaultConfig(workers))
-		g := epgm.NewLogicalGraph(env, epgm.GraphHead{ID: epgm.NewID()},
-			dataflow.FromSlice(env, vs), dataflow.FromSlice(env, es))
-		cfg := cfg
-		cfg.Stats = stats.Collect(g)
-		env.ResetMetrics()
-		env.InjectFaults(plan)
-		res, err := Execute(g, query, cfg)
-		return res, env, err
-	}
-
-	clean, _, err := run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wireRows(clean.Embeddings.Collect())
-
-	kills := []dataflow.Kill{
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	g := ringGraph(env, 40)
+	cfg := Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: stats.Collect(g)}
+	env.ResetMetrics()
+	env.InjectFaults(&dataflow.FaultPlan{Kills: []dataflow.Kill{
 		{Stage: 1, Partition: 0},
 		{Stage: 2, Partition: 1},
 		{Stage: 3, Partition: 2, Times: 2},
 		{Stage: 5, Partition: 3},
 		{Stage: 8, Partition: 0},
-	}
-	faulty, env, err := run(&dataflow.FaultPlan{Kills: kills})
-	if err != nil {
+	}})
+	if _, err := Execute(g, `MATCH (x:Person)-[e:knows*1..3]->(y:Person) WHERE x.i < 10 RETURN *`, cfg); err != nil {
 		t.Fatalf("recovery must be transparent, got %v", err)
 	}
-	got := wireRows(faulty.Embeddings.Collect())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("faulty run differs from failure-free run: %d vs %d embeddings", len(got), len(want))
-	}
-	m := env.Metrics()
-	if m.Retries == 0 || m.RetriedStages == 0 {
+	if m := env.Metrics(); m.Retries == 0 || m.RetriedStages == 0 {
 		t.Errorf("expected observed retries, got retries=%d retriedStages=%d", m.Retries, m.RetriedStages)
-	}
-
-	// Independent correctness check against the brute-force oracle.
-	ast, err := cypher.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qgraph, err := cypher.BuildQueryGraph(ast, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := baseline.NewReference(faulty.Graph).Count(qgraph, morph)
-	if int64(oracle) != faulty.Count() {
-		t.Fatalf("oracle disagrees: engine %d, oracle %d", faulty.Count(), oracle)
 	}
 }
 

@@ -43,22 +43,22 @@ func laneRun(t testing.TB, g *epgm.LogicalGraph, common string, q benchkit.Query
 // table, a route, a slab carved some way into a chunk. Q2 and Q3 (a
 // variable-length expansion whose kept table is probed hop after hop between
 // joins that reuse the lane's) with partition 0 of every stage killed once
-// return the unfaulted run's rows, byte for byte and in its order.
+// complete, retrying at least half their stages. That they return the
+// unfaulted run's rows, byte for byte and in its order, is
+// internal/conformance's killed mode, which kills the same way on the paper's
+// queries.
 func TestKilledPartitionIsInvisibleToTheLane(t *testing.T) {
 	for _, q := range []benchkit.QueryID{benchkit.Q2, benchkit.Q3} {
 		g, common := goldenGraph(4)
-		want, m := laneRun(t, g, common, q, nil)
+		_, m := laneRun(t, g, common, q, nil)
 		var kills []dataflow.Kill
 		for stage := int64(1); stage <= m.Stages; stage++ {
 			kills = append(kills, dataflow.Kill{Stage: stage, Partition: 0})
 		}
-		got, fm := laneRun(t, g, common, q, &dataflow.FaultPlan{Kills: kills})
+		_, fm := laneRun(t, g, common, q, &dataflow.FaultPlan{Kills: kills})
 		core.DropGraphStats(g)
 		if fm.Retries < m.Stages/2 {
 			t.Fatalf("%s: schedule too thin: %d retries over %d stages", q, fm.Retries, m.Stages)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: rows after %d retries differ from the unfaulted run's", q, fm.Retries)
 		}
 	}
 }

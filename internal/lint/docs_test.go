@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -73,4 +74,50 @@ func tableAfter(text, header string) string {
 		table = table[:end[0]]
 	}
 	return table
+}
+
+// TestDocsCiteDeclaredTests holds the documents that send a reader to a test
+// - DESIGN.md, README.md and the verify skill - to the tests there are: every
+// Test... name they cite is a test function declared in the module, or the
+// prefix of one (a -run pattern that names a family). Folding or renaming a
+// test without fixing its citations is a red test, not a dead link.
+func TestDocsCiteDeclaredTests(t *testing.T) {
+	root, err := load.ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("locating module root: %v", err)
+	}
+	var declared []string
+	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			src, err := os.ReadFile(path)
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				declared = append(declared, string(m[1]))
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := cited.FindAllString(string(text), -1)
+		slices.Sort(names)
+		for _, name := range slices.Compact(names) {
+			if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				t.Errorf("%s cites %s, which no test function of the module is or begins with", doc, name)
+			}
+		}
+	}
 }

@@ -16,9 +16,11 @@ import (
 // (§2.2/§2.3: unlike Neo4j, the caller chooses both independently).
 type Semantics int
 
-// Matching semantics.
+// Matching semantics. The zero value is neither: the engine reads it as
+// homomorphism, and a session takes it for "not set" (the paper's setting),
+// so that HOMO/HOMO set explicitly is not mistaken for an unset option.
 const (
-	Homomorphism Semantics = iota
+	Homomorphism Semantics = iota + 1
 	Isomorphism
 )
 

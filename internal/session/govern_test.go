@@ -89,21 +89,15 @@ func TestOptionalBlowupIsShedLikeAJoin(t *testing.T) {
 	}
 }
 
-// TestGovernedSessionParity: with an ample budget, governed execution
-// returns exactly the ungoverned results, and releases everything.
+// TestGovernedSessionParity: with an ample budget, governed execution kills
+// nothing, accounts the bytes it materialized and releases everything. That
+// it returns the ungoverned rows, in order, for the same charges is
+// internal/conformance's governed mode.
 func TestGovernedSessionParity(t *testing.T) {
-	plain := New(testGraph(4), Options{})
 	governed := New(testGraph(4), Options{MemoryBudget: 1 << 30})
-	want, err := plain.Execute(Request{Query: wellBehavedQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := governed.Execute(Request{Query: wellBehavedQuery})
 	if err != nil {
 		t.Fatalf("governed execution failed: %v", err)
-	}
-	if got.Count != want.Count || len(got.Result.Rows()) != len(want.Result.Rows()) {
-		t.Errorf("governed count=%d rows=%d, want %d/%d", got.Count, len(got.Result.Rows()), want.Count, len(want.Result.Rows()))
 	}
 	if got.Metrics.TotalMem == 0 {
 		t.Error("governed job should account materialized bytes")

@@ -3,10 +3,8 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -39,42 +37,6 @@ func obsWorkload(s *Session) {
 		Params: map[string]epgm.PropertyValue{"n": epgm.PVString("Bob")},
 	})
 	s.Execute(Request{Query: `MATCH (a:Person RETURN a`}) // invalid
-}
-
-// TestSessionRegistryParity: the same workload against a session with and
-// without a registry produces byte-identical responses — telemetry observes
-// the service, it never alters results.
-func TestSessionRegistryParity(t *testing.T) {
-	g := testGraph(4) // one graph: row order follows the element ids
-	run := func(r *obs.Registry) []string {
-		s := New(g, Options{Metrics: r})
-		var out []string
-		for _, q := range []string{
-			`MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name`,
-			`MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name, b.name`,
-			`MATCH (p:Person)-[:studyAt]->(u:University) RETURN p.name`,
-		} {
-			resp, err := s.Execute(Request{Query: q})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(struct {
-				Columns []string
-				Rows    json.RawMessage
-				Count   int64
-			}{resp.Columns, rowsOf(t, resp), resp.Count})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, string(b))
-		}
-		return out
-	}
-	with := run(obs.NewRegistry())
-	without := run(nil)
-	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("registry changed results:\nwith:    %v\nwithout: %v", with, without)
-	}
 }
 
 // TestSessionInstruments: after a mixed workload the registry exposes the
