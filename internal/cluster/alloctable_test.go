@@ -1,0 +1,84 @@
+package cluster_test
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"slices"
+	"testing"
+
+	"gradoop/internal/benchkit"
+	"gradoop/internal/cluster"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/ldbc"
+	"gradoop/internal/session"
+)
+
+var allocTable = flag.Bool("alloc-table", false, "run TestAllocTable (make alloc-table)")
+
+// analyticClasses are the request classes of the benchmark's analytic and
+// cluster_2w workloads.
+var analyticClasses = []string{"q2_common", "q4", "q5", "q6"}
+
+// TestAllocTable is the cluster's section of make alloc-table, a tool and not
+// a check: the four analytic classes - cluster_2w's - served through a session
+// whose jobs run on a coordinator and two workers over loopback TCP, all in
+// this process, as the benchmark runs them. Over SF 3 (seed 2017, 4
+// partitions, result cache off) it prints KiB and heap objects a request per
+// class, coordinator and workers together, then the flat table of bytes by
+// allocating function over one more pass (benchkit.AllocTable). The workers
+// share one copy of the graph, not one each read from CSV, and nothing goes
+// over HTTP: the per-class numbers sit a little under the benchmark's
+// alloc_kb_per_req and move as it moves.
+func TestAllocTable(t *testing.T) {
+	if !*allocTable {
+		t.Skip("a tool: run it with make alloc-table")
+	}
+	gen := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(1)), ldbc.Config{ScaleFactor: 3, Seed: 2017})
+	data := session.NewGraphData(gen.Graph)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		w := cluster.NewWorker(fmt.Sprintf("w%d", i+1), data, nil)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go w.Serve(ln)
+		defer w.Wait()
+		defer w.Close()
+		addrs = append(addrs, ln.Addr().String())
+	}
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	s := session.New(gen.Graph, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
+	defer s.Close()
+
+	var classes []benchkit.RequestClass
+	for _, c := range benchkit.RequestClasses(gen) {
+		if slices.Contains(analyticClasses, c.Name) {
+			classes = append(classes, c)
+		}
+	}
+	names := make([]string, len(classes))
+	for i, c := range classes {
+		names[i] = c.Name
+	}
+	benchkit.AllocTable(os.Stdout, names, func(i int) int64 {
+		r, err := s.Execute(session.Request{Query: classes[i].Query, Params: classes[i].Params})
+		if err != nil {
+			t.Fatalf("%s: %v", classes[i].Name, err)
+		}
+		if r.Cluster == nil || r.Cluster.Attempts != 1 {
+			t.Fatalf("%s: not one clean cluster attempt: %+v", classes[i].Name, r.Cluster)
+		}
+		if _, err := r.WriteRows(io.Discard); err != nil {
+			t.Fatalf("%s: %v", classes[i].Name, err)
+		}
+		return r.Count
+	}, 8, 12)
+}

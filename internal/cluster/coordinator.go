@@ -257,7 +257,7 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			var f resultFrame
 			hc := field.Reader(payload)
 			f.layout(&hc)
-			body, err := checkedBody(&hc, f.crc)
+			body, err := checkedBody(&hc)
 			if err != nil {
 				c.memberDown(m, err)
 				return
@@ -285,7 +285,7 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			var f telemetryFrame
 			hc := field.Reader(payload)
 			f.layout(&hc)
-			body, err := checkedBody(&hc, f.crc)
+			body, err := checkedBody(&hc)
 			var bundle *telemetryBundle
 			if err == nil {
 				bundle, err = decodeTelemetryBundle(body)
@@ -363,7 +363,7 @@ func (c *Coordinator) heartbeat() {
 				c.memberDown(m, fmt.Errorf("heartbeat timeout (%v silent)", silent))
 				continue
 			}
-			m.send.send(framePing)
+			m.send.send(framePing, nil, nil)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
 
-	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/trace"
 )
@@ -91,34 +91,42 @@ func TestTelemetryBundleGolden(t *testing.T) {
 	}
 }
 
-// TestFrameHeaderGolden pins the three checksummed frame headers, the CRC
-// taken over a body written in segments.
+// TestFrameHeaderGolden pins the three checksummed frames as a sender puts
+// them on the socket - length, type, header, body written in pieces, and the
+// CRC32 of the body behind it - in both directions. Protocol version 4 moved
+// the checksum from the end of the header to behind the body, and the frames
+// kept their length: the same header and trailer bytes as version 3's headers,
+// 7d0afa94 still the CRC of the body.
 func TestFrameHeaderGolden(t *testing.T) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
 	flat := bytes.Join(body, nil)
 	for _, tc := range []struct {
 		name       string
+		typ        byte
 		head, into frameHead
 		want       string
 	}{
-		{"data", &dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindAllGather, From: 2, Stage: 9, crc: checksum(body...)},
-			&dataFrame{}, "0000000000000007000000010000000000000003010000000200000000000000097d0afa94"},
-		{"result", &resultFrame{JobID: 7, Attempt: 1, Partition: 3, crc: checksum(flat)},
-			&resultFrame{}, "000000000000000700000001000000037d0afa94"},
-		{"telemetry", &telemetryFrame{JobID: 42, Attempt: 1, From: 2, crc: checksum(flat)},
-			&telemetryFrame{}, "000000000000002a00000001000000027d0afa94"},
+		{"data", frameData, &dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindAllGather, From: 2, Stage: 9}, &dataFrame{},
+			"0000003a0a" + "0000000000000007000000010000000000000003010000000200000000000000" + "09" + hex.EncodeToString(flat) + "7d0afa94"},
+		{"result", frameResult, &resultFrame{JobID: 7, Attempt: 1, Partition: 3}, &resultFrame{},
+			"0000002906" + "00000000000000070000000100000003" + hex.EncodeToString(flat) + "7d0afa94"},
+		{"telemetry", frameTelemetry, &telemetryFrame{JobID: 42, Attempt: 1, From: 2}, &telemetryFrame{},
+			"000000290b" + "000000000000002a0000000100000002" + hex.EncodeToString(flat) + "7d0afa94"},
 	} {
 		want, err := hex.DecodeString(tc.want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := headBytes(tc.head); !bytes.Equal(got, want) {
-			t.Errorf("%s header bytes moved\n got %x\nwant %x", tc.name, got, want)
+		if got := frameBytes(tc.typ, headBytes(tc.head), body...); !bytes.Equal(got, want) {
+			t.Errorf("%s frame bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
-		c := field.Reader(want)
-		tc.into.layout(&c)
-		if err := c.End(); err != nil || !reflect.DeepEqual(tc.into, tc.head) {
-			t.Errorf("%s header decodes to %+v (%v), want %+v", tc.name, tc.into, err, tc.head)
+		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(want)))
+		if err != nil || typ != tc.typ {
+			t.Fatalf("%s frame reads as type %d, %v", tc.name, typ, err)
+		}
+		got, err := openFrame(tc.into, payload)
+		if err != nil || !reflect.DeepEqual(tc.into, tc.head) || !bytes.Equal(got, flat) {
+			t.Errorf("%s frame decodes to %+v, body %q (%v), want %+v, %q", tc.name, tc.into, got, err, tc.head, flat)
 		}
 	}
 }

@@ -34,10 +34,12 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 3: the job spec carries no join hint and no reuse switch
+	// protoVersion 4: a data, result or telemetry frame carries its checksum
+	// behind the body, which is written from the rows as it is sent (head |
+	// body | crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 3
+	protoVersion = 4
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -45,6 +47,10 @@ const (
 
 	// frameHeader is the fixed per-frame overhead: uint32 length + type byte.
 	frameHeader = 5
+
+	// crcTrailer is what a checksummed frame carries behind its body: the
+	// CRC32 of the body.
+	crcTrailer = 4
 )
 
 // Frame types. Control payloads (hello, job, done, abort) are JSON inside
@@ -220,26 +226,17 @@ type abortMsg struct {
 	Attempt int    `json:"attempt"`
 }
 
-// writeFrame writes one length-prefixed frame whose payload is the given
-// segments back to back: a data or result frame is its header followed by the
-// encoded buckets where they lie, never concatenated.
-func writeFrame(w io.Writer, typ byte, payload ...[]byte) error {
-	n := 1
-	for _, seg := range payload {
-		n += len(seg)
-	}
+// writeFrame writes one frame whose payload is given whole: the handshake's,
+// sent before a connection has a sender.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
 	hdr[4] = typ
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, seg := range payload {
-		if _, err := w.Write(seg); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(payload)
+	return err
 }
 
 // readFrame reads one frame, guarding against torn and hostile length
@@ -251,6 +248,9 @@ func writeFrame(w io.Writer, typ byte, payload ...[]byte) error {
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("cluster: torn frame length: %w", err)
+		}
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -280,11 +280,17 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 }
 
 // The three checksummed frames - data, result, telemetry - share one shape,
-// head | body: a fixed header whose last field is the CRC32 of the body, then
-// the body where it was encoded, sent as segments of its own. Each header has
-// one layout function naming its fields in wire order, walked by field.Codec in
-// both directions; checksum fills the CRC on the way out and checkedBody holds
-// the body to it on the way in.
+// head | body | crc32: a fixed header, the body, and the CRC32 of the body
+// behind it, because the body is written from the rows as it is sent and its
+// checksum is known only once it has been. Each header has one layout
+// function naming its fields in wire order, walked by field.Codec in both
+// directions; frameWriter takes the checksum on the way out and checkedBody
+// holds the body to it on the way in.
+
+// sealed reports whether a frame type is a checksummed one.
+func sealed(typ byte) bool {
+	return typ == frameData || typ == frameResult || typ == frameTelemetry
+}
 
 // dataFrame heads a frameData payload; the body is one collective's buckets
 // for one peer.
@@ -295,7 +301,6 @@ type dataFrame struct {
 	Kind    byte
 	From    int
 	Stage   int64
-	crc     uint32
 }
 
 func (f *dataFrame) layout(c *field.Codec) {
@@ -305,98 +310,227 @@ func (f *dataFrame) layout(c *field.Codec) {
 	c.U8(&f.Kind)
 	c.Int32(&f.From)
 	c.I64(&f.Stage)
-	c.U32(&f.crc)
 }
 
 // resultFrame heads a frameResult payload; the body is the partition's rows as
-// one dataflow.EncodeBucket.
+// one bucket (dataflow.Dataset.Bucket).
 type resultFrame struct {
 	JobID     uint64
 	Attempt   int
 	Partition int
-	crc       uint32
 }
 
 func (f *resultFrame) layout(c *field.Codec) {
 	c.U64(&f.JobID)
 	c.Int32(&f.Attempt)
 	c.Int32(&f.Partition)
-	c.U32(&f.crc)
-}
-
-// checksum is the CRC32 of a frame body, taken segment by segment.
-func checksum(body ...[]byte) uint32 {
-	var crc uint32
-	for _, seg := range body {
-		crc = crc32.Update(crc, crc32.IEEETable, seg)
-	}
-	return crc
 }
 
 // checkedBody is the body of the frame whose header c has just read - what is
-// left of the payload, a view of it - once the header decoded whole and the
-// body matches the checksum the header carried: a flipped bit in a shipped
-// bucket is an error, not a wrong row.
-func checkedBody(c *field.Codec, want uint32) ([]byte, error) {
+// left of the payload but the trailer, a view of it - once the header decoded
+// whole and the body matches the checksum behind it: a flipped bit in a
+// shipped bucket is an error, not a wrong row.
+func checkedBody(c *field.Codec) ([]byte, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: frame header: %w", err)
 	}
-	body := c.Rest()
-	if got := crc32.ChecksumIEEE(body); got != want {
+	rest := c.Rest()
+	if len(rest) < crcTrailer {
+		return nil, fmt.Errorf("cluster: frame has no checksum trailer (%d bytes after the header)", len(rest))
+	}
+	body := rest[:len(rest)-crcTrailer]
+	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(rest[len(body):]); got != want {
 		return nil, fmt.Errorf("cluster: frame CRC mismatch (%08x != %08x)", got, want)
 	}
 	return body, nil
 }
 
+// segment is a piece of a frame body: bytes - a bucket's head in a data frame,
+// a telemetry bundle - and then, if it has one, a bucket written from its
+// rows.
+type segment struct {
+	raw    []byte
+	bucket dataflow.Bucket
+}
+
+// bodySize is what a frame body of these segments puts on the socket.
+func bodySize(body []segment) int {
+	n := 0
+	for i := range body {
+		n += len(body[i].raw) + body[i].bucket.WireSize()
+	}
+	return n
+}
+
+// wireSize is what a checksummed frame of this head and body puts on the
+// socket, length prefix and trailer included.
+func wireSize(head []byte, body []segment) int64 {
+	return int64(frameHeader + len(head) + bodySize(body) + crcTrailer)
+}
+
+// outFrame is one queued frame: a control frame's payload is its head; a
+// checksummed frame's head is its header, and its body is written behind it,
+// then the trailer.
+type outFrame struct {
+	typ  byte
+	head []byte
+	body []segment
+}
+
+// frameWriter puts frames into a connection's write buffer. A body is written
+// a piece at a time - a bucket's count, one row - each appended where it is
+// sent from, so a bucket is never built: it goes from the rows to the buffer,
+// and the buffer to the socket when it fills. It is the dataflow.BucketWriter
+// buckets encode into. The checksum is taken over exactly the bytes written,
+// but a run of the buffer at a time rather than a row at a time: over a
+// 50-byte row crc32 runs its byte-table loop, which cost more than the row
+// (40 % of the wire kernel), and over a run of the buffer its vector one.
+type frameWriter struct {
+	bw  *bufio.Writer
+	crc uint32 // of the body before run
+	run []byte // the body's bytes in the buffer not yet in crc, where they lie
+	n   int    // bytes of the body written so far
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+}
+
+// Buffer is room for n bytes where they will be sent from: the buffer's free
+// space, flushed to the socket first if it has less - or, for a piece longer
+// than the whole buffer, scratch of that piece's size, which Write hands to
+// the socket directly.
+func (fw *frameWriter) Buffer(n int) []byte {
+	if fw.bw.Available() < n {
+		fw.sum()
+		fw.bw.Flush() // a failure stays in bw, and Write returns it
+	}
+	if fw.bw.Available() >= n {
+		return fw.bw.AvailableBuffer()
+	}
+	return make([]byte, 0, n)
+}
+
+// Write adds a piece to the body. A piece appended to the buffer's free space
+// joins the run the checksum has yet to take; any other is taken at once.
+func (fw *frameWriter) Write(piece []byte) error {
+	fw.n += len(piece)
+	if free := fw.bw.AvailableBuffer(); len(piece) > 0 && cap(free) > 0 && &piece[0] == &free[:1][0] {
+		if fw.run == nil {
+			fw.run = piece
+		} else {
+			fw.run = fw.run[:len(fw.run)+len(piece)] // the run ends where free space begins
+		}
+	} else {
+		fw.sum()
+		fw.crc = crc32.Update(fw.crc, crc32.IEEETable, piece)
+	}
+	_, err := fw.bw.Write(piece)
+	return err
+}
+
+// sum brings the checksum up to the last byte written: before the buffer is
+// flushed and its bytes overwritten, and at the end of the body.
+func (fw *frameWriter) sum() {
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, fw.run)
+	fw.run = nil
+}
+
+// frame writes f: length and type, head, and for a checksummed frame its body
+// and the CRC32 of what was written. A bucket that writes other than the
+// length it declared would make the frame's length prefix a lie, and is an
+// error.
+func (fw *frameWriter) frame(f *outFrame) error {
+	size := 1 + len(f.head)
+	if sealed(f.typ) {
+		size += bodySize(f.body) + crcTrailer
+	}
+	hdr := binary.BigEndian.AppendUint32(fw.Buffer(frameHeader), uint32(size))
+	if _, err := fw.bw.Write(append(hdr, f.typ)); err != nil {
+		return err
+	}
+	if _, err := fw.bw.Write(f.head); err != nil || !sealed(f.typ) {
+		return err
+	}
+	fw.crc, fw.run, fw.n = 0, nil, 0
+	for i := range f.body {
+		seg := &f.body[i]
+		if len(seg.raw) > 0 {
+			if err := fw.Write(seg.raw); err != nil {
+				return err
+			}
+		}
+		if err := seg.bucket.Encode(fw); err != nil {
+			return err
+		}
+	}
+	if want := size - 1 - len(f.head) - crcTrailer; fw.n != want {
+		return fmt.Errorf("cluster: a frame body declared %d bytes and wrote %d", want, fw.n)
+	}
+	fw.sum()
+	_, err := fw.bw.Write(binary.BigEndian.AppendUint32(fw.Buffer(crcTrailer), fw.crc))
+	return err
+}
+
 // sender serializes and coalesces writes on one connection: frames are
 // enqueued from any goroutine, a single writer goroutine drains the queue
-// through a buffered writer and flushes only when the queue runs dry — a
-// burst of small frames (one shuffle's per-peer buckets, heartbeats riding
-// alongside results) coalesces into few syscalls without any timer.
+// into the connection's write buffer and flushes only when the queue runs dry
+// — a burst of small frames (one shuffle's per-peer buckets, heartbeats
+// riding alongside results) coalesces into few syscalls without any timer.
+//
+// A frame's body may be written from rows its sender will rewrite, so a frame
+// has a place in the sender's order (send returns it) and wait(seq) returns
+// once the writer has written frame seq into the buffer - after which nothing
+// reads its rows - or has stopped without writing it: the connection failed,
+// and every frame still queued was dropped. A count of frames written, not a
+// channel per frame.
 type sender struct {
 	conn net.Conn
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []outFrame
-	closed bool
-	err    error
+	mu      sync.Mutex
+	more    *sync.Cond // the writer's: a frame was queued, or the sender closed
+	written *sync.Cond // waiters': a frame was written, or the writer stopped
+	queue   []outFrame
+	queued  uint64 // frames accepted; the last one's seq
+	wrote   uint64 // the last frame the writer has written into the buffer
+	stopped bool   // the writer has returned
+	closed  bool
+	err     error
 
 	done chan struct{}
 }
 
-type outFrame struct {
-	typ     byte
-	payload [][]byte
-}
-
 func newSender(conn net.Conn) *sender {
 	s := &sender{conn: conn, done: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
+	s.more = sync.NewCond(&s.mu)
+	s.written = sync.NewCond(&s.mu)
 	go s.run()
 	return s
 }
 
 func (s *sender) run() {
-	defer close(s.done)
-	bw := bufio.NewWriterSize(s.conn, 64<<10)
+	defer s.stop()
+	fw := newFrameWriter(s.conn)
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
+			s.more.Wait()
 		}
 		batch := s.queue
 		s.queue = nil
 		closed := s.closed
 		s.mu.Unlock()
-		for _, f := range batch {
-			if err := writeFrame(bw, f.typ, f.payload...); err != nil {
+		for i := range batch {
+			if err := fw.frame(&batch[i]); err != nil {
 				s.fail(err)
+				return
+			}
+			if !s.advance() {
 				return
 			}
 		}
 		// Queue drained: flush the coalesced batch before sleeping.
-		if err := bw.Flush(); err != nil {
+		if err := fw.bw.Flush(); err != nil {
 			s.fail(err)
 			return
 		}
@@ -407,6 +541,32 @@ func (s *sender) run() {
 	}
 }
 
+// advance records that the writer has written its next frame, and reports
+// whether it is to go on: an abort stops it between two frames, and the
+// frames left in its batch are abandoned.
+func (s *sender) advance() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wrote++
+	s.written.Broadcast()
+	return s.err == nil
+}
+
+// stop marks the writer gone: every frame it did not write is released.
+func (s *sender) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	if s.err == nil {
+		s.err = net.ErrClosed
+	}
+	s.written.Broadcast()
+	s.mu.Unlock()
+	close(s.done)
+}
+
+// fail records the connection's first error, drops the queued frames and
+// closes the connection, which ends a write in flight: the writer stops, and
+// with it every wait for a frame it did not write.
 func (s *sender) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -414,15 +574,16 @@ func (s *sender) fail(err error) {
 	}
 	s.queue = nil
 	s.closed = true
+	s.more.Broadcast()
 	s.mu.Unlock()
 	s.conn.Close()
 }
 
-// send enqueues one frame, its payload given as segments the sender must be
-// left to read until they are written. It returns the connection's sticky
-// error, if any; enqueueing after close is a silent no-op with that error
-// returned.
-func (s *sender) send(typ byte, payload ...[]byte) error {
+// send enqueues one frame and returns its place in the sender's order. A
+// body's buckets are the sender's to read until wait(seq) returns. It returns
+// the connection's sticky error, if any; enqueueing after close is a no-op
+// with that error returned.
+func (s *sender) send(typ byte, head []byte, body []segment) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.err != nil {
@@ -430,11 +591,26 @@ func (s *sender) send(typ byte, payload ...[]byte) error {
 		if err == nil {
 			err = net.ErrClosed
 		}
-		return err
+		return 0, err
 	}
-	s.queue = append(s.queue, outFrame{typ: typ, payload: payload})
-	s.cond.Signal()
-	return nil
+	s.queue = append(s.queue, outFrame{typ: typ, head: head, body: body})
+	s.queued++
+	s.more.Signal()
+	return s.queued, nil
+}
+
+// wait blocks until frame seq has been written into the connection's buffer
+// (nil) or never will be: the writer has stopped (the connection's error).
+func (s *sender) wait(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.wrote < seq && !s.stopped {
+		s.written.Wait()
+	}
+	if s.wrote >= seq {
+		return nil
+	}
+	return s.err
 }
 
 // sendJSON marshals and enqueues a control frame.
@@ -443,21 +619,21 @@ func (s *sender) sendJSON(typ byte, v any) error {
 	if err != nil {
 		return err
 	}
-	return s.send(typ, payload)
+	_, err = s.send(typ, payload, nil)
+	return err
 }
 
 // close drains pending frames, flushes, and closes the connection.
 func (s *sender) close() {
 	s.mu.Lock()
 	s.closed = true
+	s.more.Broadcast()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 	<-s.done
 }
 
 // abort closes the connection immediately, discarding queued frames.
 func (s *sender) abort() {
 	s.fail(net.ErrClosed)
-	s.cond.Broadcast()
 	<-s.done
 }

@@ -33,12 +33,50 @@ func headBytes(h frameHead) []byte {
 	return c.Bytes()
 }
 
-// openFrame decodes a frame payload into h, whose checksum field is crc, and
-// returns the checked body.
-func openFrame(h frameHead, crc *uint32, payload []byte) ([]byte, error) {
+// openFrame decodes a frame payload into h and returns the checked body.
+func openFrame(h frameHead, payload []byte) ([]byte, error) {
 	c := field.Reader(payload)
 	h.layout(&c)
-	return checkedBody(&c, *crc)
+	return checkedBody(&c)
+}
+
+// frameBytes is a checksummed frame as a sender puts it on the socket, its
+// body the given pieces.
+func frameBytes(typ byte, head []byte, body ...[]byte) []byte {
+	segs := make([]segment, len(body))
+	for i, b := range body {
+		segs[i] = segment{raw: b}
+	}
+	return framed(&outFrame{typ: typ, head: head, body: segs})
+}
+
+// framed is f as the sender's writer puts it on the socket.
+func framed(f *outFrame) []byte {
+	var socket bytes.Buffer
+	fw := newFrameWriter(&socket)
+	if err := fw.frame(f); err != nil {
+		panic(err)
+	}
+	if err := fw.bw.Flush(); err != nil {
+		panic(err)
+	}
+	return socket.Bytes()
+}
+
+// bucketOf is rows as a result partition ships them.
+func bucketOf(rows []embedding.Embedding) dataflow.Bucket {
+	b, err := dataflow.FromSlice(dataflow.NewEnv(dataflow.DefaultConfig(1)), rows).Bucket(0)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// encoded is a bucket's bytes, as the frame body carries them.
+func encoded(b dataflow.Bucket) []byte {
+	head := headBytes(&resultFrame{})
+	frame := framed(&outFrame{typ: frameResult, head: head, body: []segment{{bucket: b}}})
+	return frame[frameHeader+len(head) : len(frame)-crcTrailer]
 }
 
 // TestFrameRoundTrip pins the framing: length prefix, type byte, payload.
@@ -98,20 +136,16 @@ func TestFrameZeroLength(t *testing.T) {
 }
 
 // TestDataFrameCRC checks that payload corruption is caught by the per-frame
-// checksum, taken over a body that is written in segments and read as one.
+// checksum, taken over a body that is written in pieces and read as one.
 func TestDataFrameCRC(t *testing.T) {
-	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
-	head := headBytes(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9, crc: checksum(body...)})
-	var wire bytes.Buffer
-	if err := writeFrame(&wire, frameData, append([][]byte{head}, body...)...); err != nil {
-		t.Fatal(err)
-	}
-	typ, enc, err := readFrame(bufio.NewReader(&wire))
+	head := headBytes(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9})
+	wire := bytes.NewReader(frameBytes(frameData, head, []byte("shuffle "), nil, []byte("bucket bytes")))
+	typ, enc, err := readFrame(bufio.NewReader(wire))
 	if err != nil || typ != frameData {
 		t.Fatalf("frame type %d, err %v", typ, err)
 	}
 	var f dataFrame
-	got, err := openFrame(&f, &f.crc, enc)
+	got, err := openFrame(&f, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +155,17 @@ func TestDataFrameCRC(t *testing.T) {
 	if string(got) != "shuffle bucket bytes" {
 		t.Fatalf("body %q", got)
 	}
-	enc[len(enc)-1] ^= 0x40
-	if _, err := openFrame(&f, &f.crc, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("corrupted frame: got %v, want CRC mismatch", err)
+	for _, at := range []int{len(head), len(enc) - crcTrailer - 1, len(enc) - 1} { // body, its last byte, the trailer
+		enc[at] ^= 0x40
+		if _, err := openFrame(&f, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("byte %d flipped: got %v, want CRC mismatch", at, err)
+		}
+		enc[at] ^= 0x40
 	}
-	if _, err := openFrame(&f, &f.crc, enc[:len(head)-2]); err == nil {
+	if _, err := openFrame(&f, enc[:len(head)+crcTrailer-1]); err == nil || !strings.Contains(err.Error(), "trailer") {
+		t.Fatalf("a frame shorter than its trailer: got %v", err)
+	}
+	if _, err := openFrame(&f, enc[:len(head)-2]); err == nil {
 		t.Fatal("truncated data header accepted")
 	}
 }
@@ -138,28 +178,26 @@ func TestResultFrameCRC(t *testing.T) {
 		embedding.Embedding{}.AppendID(1).AppendProps(epgm.PVString("Leipzig")),
 		embedding.Embedding{}.AppendID(2).AppendProps(epgm.PVString("Dresden")),
 	}
-	body, err := dataflow.EncodeBucket(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := headBytes(&resultFrame{JobID: 7, Attempt: 1, Partition: 3, crc: checksum(body)})
-	enc := append(head[:len(head):len(head)], body...)
+	b := bucketOf(rows)
+	body := encoded(b)
+	head := headBytes(&resultFrame{JobID: 7, Attempt: 1, Partition: 3})
+	enc := framed(&outFrame{typ: frameResult, head: head, body: []segment{{bucket: b}}})[frameHeader:]
 	var f resultFrame
-	got, err := openFrame(&f, &f.crc, enc)
+	got, err := openFrame(&f, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.JobID != 7 || f.Attempt != 1 || f.Partition != 3 || !bytes.Equal(got, body) {
 		t.Fatalf("round trip: %+v, body %x", f, got)
 	}
-	for i := len(head); i < len(enc); i++ {
+	for i := len(head); i < len(enc); i++ { // the body and its trailer
 		enc[i] ^= 0x01
-		if _, err := openFrame(&f, &f.crc, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+		if _, err := openFrame(&f, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("bit flipped at byte %d: got %v, want CRC mismatch", i, err)
 		}
 		enc[i] ^= 0x01
 	}
-	if _, err := openFrame(&f, &f.crc, enc[:len(head)-1]); err == nil {
+	if _, err := openFrame(&f, enc[:len(head)-1]); err == nil {
 		t.Fatal("truncated result header accepted")
 	}
 }
@@ -179,9 +217,9 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 		c.readMember(m, bufio.NewReader(server))
 		close(read)
 	}()
-	body := []byte{0, 0, 0, 0}
-	head := headBytes(&resultFrame{JobID: 7, Partition: 0, crc: checksum(body)})
-	if err := writeFrame(client, frameResult, head, []byte{0, 0, 0, 1}); err != nil {
+	frame := frameBytes(frameResult, headBytes(&resultFrame{JobID: 7, Partition: 0}), []byte{0, 0, 0, 0})
+	frame[len(frame)-crcTrailer-1] = 1 // the body says one row; the trailer was taken over none
+	if _, err := client.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	<-read
@@ -203,11 +241,7 @@ func TestFramesNeverShareBytes(t *testing.T) {
 		for i := range rows {
 			rows[i] = embedding.Embedding{}.AppendID(epgm.ID(i)).AppendProps(epgm.PVInt(tag), epgm.PVString("name"))
 		}
-		b, err := dataflow.EncodeBucket(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return encoded(bucketOf(rows))
 	}
 	var wire bytes.Buffer
 	for tag := int64(1); tag <= 2; tag++ {
@@ -243,9 +277,9 @@ func TestFramesNeverShareBytes(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionMismatch dials a worker as a version 1 peer would -
-// one that frames rows the old way and sends results without a checksum -
-// and requires a structured frameReject, then a close.
+// TestHandshakeVersionMismatch dials a worker as a version 3 peer would -
+// one that puts a frame's checksum in its header, before the body - and
+// requires a structured frameReject, then a close.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	w := NewWorker("w0", nil, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -261,7 +295,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	if err := writeJSONFrame(conn, frameHello, hello{
-		Magic: protoMagic, Version: 1, Role: roleControl,
+		Magic: protoMagic, Version: 3, Role: roleControl,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +428,9 @@ func TestMailBeforeDropStillConsumable(t *testing.T) {
 		close(routed)
 	}()
 
-	body := []byte("owed")
-	head := headBytes(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1, crc: checksum(body)})
+	frame := frameBytes(frameData, headBytes(&dataFrame{JobID: 1, Seq: 1, Kind: kindExchange, From: 1}), []byte("owed"))
 	go func() {
-		writeFrame(client, frameData, head, body)
+		client.Write(frame)
 		client.Close()
 	}()
 	<-routed // reader saw the frame, then the close
@@ -442,7 +475,7 @@ func TestSenderCoalescing(t *testing.T) {
 		}
 	}()
 	for i := 0; i < frames; i++ {
-		if err := s.send(frameData, binary.BigEndian.AppendUint32(nil, uint32(i))); err != nil {
+		if _, err := s.send(frameJob, binary.BigEndian.AppendUint32(nil, uint32(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,7 +492,7 @@ func TestSenderCoalescing(t *testing.T) {
 			t.Fatalf("frame %d out of order: %v", i, p)
 		}
 	}
-	if err := s.send(frameData, nil); err == nil {
+	if _, err := s.send(frameJob, nil, nil); err == nil {
 		t.Fatal("send after close succeeded")
 	}
 }

@@ -12,12 +12,11 @@ import (
 )
 
 // sealTelemetry is a telemetry frame payload as the worker sends it: the
-// header, then the encoded bundle. It returns the header's length too.
+// header, the encoded bundle and its checksum. It returns the header's length
+// too.
 func sealTelemetry(f telemetryFrame, b *telemetryBundle) (payload []byte, headLen int) {
-	body := encodeTelemetryBundle(b)
-	f.crc = checksum(body)
 	head := headBytes(&f)
-	return append(head, body...), len(head)
+	return frameBytes(frameTelemetry, head, encodeTelemetryBundle(b))[frameHeader:], len(head)
 }
 
 // testBundle builds a telemetry bundle exercising every encoded field.
@@ -50,7 +49,7 @@ func TestTelemetryFrameRoundTrip(t *testing.T) {
 	bundle := testBundle()
 	enc, _ := sealTelemetry(telemetryFrame{JobID: 42, Attempt: 1, From: 2}, &bundle)
 	var dec telemetryFrame
-	body, err := openFrame(&dec, &dec.crc, enc)
+	body, err := openFrame(&dec, enc)
 	if err != nil {
 		t.Fatalf("telemetry frame: %v", err)
 	}
@@ -74,7 +73,7 @@ func TestTelemetryFrameTruncated(t *testing.T) {
 	enc, _ := sealTelemetry(telemetryFrame{JobID: 7}, &bundle)
 	for cut := 0; cut < len(enc); cut++ {
 		var f telemetryFrame
-		body, err := openFrame(&f, &f.crc, enc[:cut])
+		body, err := openFrame(&f, enc[:cut])
 		if err != nil {
 			continue // header too short, or CRC over a cut body failed
 		}
@@ -93,7 +92,7 @@ func TestTelemetryFrameCRC(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x40
 		var f telemetryFrame
-		if _, err := openFrame(&f, &f.crc, bad); err == nil {
+		if _, err := openFrame(&f, bad); err == nil {
 			t.Fatalf("bit flip at byte %d passed the CRC", i)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
+	"gradoop/internal/embedding"
 	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
@@ -356,7 +357,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		}
 		switch typ {
 		case framePing:
-			send.send(framePong)
+			send.send(framePong, nil, nil)
 		case frameJob:
 			var spec jobSpec
 			if err := json.Unmarshal(payload, &spec); err != nil {
@@ -447,15 +448,15 @@ func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, spans []trace.Span, 
 		Metrics:   w.metrics.Snapshot(),
 	}
 	body := encodeTelemetryBundle(&bundle)
-	f := telemetryFrame{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self, crc: checksum(body)}
+	f := telemetryFrame{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self}
 	c := field.Appender(nil)
 	f.layout(&c)
 	head := c.Bytes()
-	if err := ctrl.send(frameTelemetry, head, body); err != nil {
+	if _, err := ctrl.send(frameTelemetry, head, []segment{{raw: body}}); err != nil {
 		return // the control connection is gone; the done report will fail too
 	}
 	w.winst.shipped.Inc()
-	w.winst.teleBytes.Add(int64(len(head) + len(body)))
+	w.winst.teleBytes.Add(int64(len(head) + len(body) + crcTrailer))
 }
 
 // executeJob builds the peer mesh, runs the planned query over this
@@ -504,22 +505,43 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 	if err != nil {
 		return nil, zero, err
 	}
-	for p := 0; p < spec.Workers; p++ {
+	if err := shipResults(spec, res.Embeddings, ctrl); err != nil {
+		return nil, zero, err
+	}
+	return pt.wireOut, env.Metrics(), nil
+}
+
+// shipResults sends the owned partitions of the result to the coordinator,
+// one result frame each, and returns once the frames have been written into
+// the connection's buffer: like a collective's, they are written from the
+// rows (DESIGN decision 34).
+func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctrl *sender) error {
+	var last uint64
+	var err error
+	body := make([]segment, 0, spec.Workers)
+	for p := 0; p < spec.Workers && err == nil; p++ {
 		if spec.Owner[p] != spec.Self {
 			continue
 		}
-		body, err := dataflow.EncodeBucket(res.Embeddings.Partition(p))
-		if err != nil {
-			return nil, zero, err
+		var b dataflow.Bucket
+		if b, err = rows.Bucket(p); err != nil {
+			break
 		}
-		f := resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p, crc: checksum(body)}
+		f := resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p}
 		c := field.Appender(nil)
 		f.layout(&c)
-		if err := ctrl.send(frameResult, c.Bytes(), body); err != nil {
-			return nil, zero, fmt.Errorf("cluster: shipping partition %d: %w", p, err)
+		body = append(body, segment{bucket: b})
+		var seq uint64
+		if seq, err = ctrl.send(frameResult, c.Bytes(), body[len(body)-1:]); err != nil {
+			err = fmt.Errorf("cluster: shipping partition %d: %w", p, err)
+			break
 		}
+		last = seq
 	}
-	return pt.wireOut, env.Metrics(), nil
+	if werr := ctrl.wait(last); err == nil && werr != nil {
+		err = fmt.Errorf("cluster: shipping results: %w", werr)
+	}
+	return err
 }
 
 // connectMesh establishes the attempt's worker-to-worker connections:
@@ -577,6 +599,10 @@ type mailKey struct {
 type peerLink struct {
 	conn net.Conn
 	send *sender
+	// sent is the last data frame queued on the link, the one a collective
+	// waits for before it returns. Only the job's driving goroutine sends on
+	// a peer link, so only it touches sent.
+	sent uint64
 }
 
 // jobRuntime is the per-attempt state shared between the job's driving
@@ -673,7 +699,7 @@ func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
 		var f dataFrame
 		c := field.Reader(payload)
 		f.layout(&c)
-		body, err := checkedBody(&c, f.crc)
+		body, err := checkedBody(&c)
 		if err != nil {
 			rt.failPeer(idx, err)
 			return
@@ -712,9 +738,9 @@ func (rt *jobRuntime) waitMail(key mailKey) ([]byte, error) {
 	}
 }
 
-// peerSend enqueues a data frame, its payload in segments, to roster member
-// idx; a connection-level send failure is a peer loss.
-func (rt *jobRuntime) peerSend(idx int, payload [][]byte) error {
+// peerSend enqueues a data frame to roster member idx; a connection-level
+// send failure is a peer loss.
+func (rt *jobRuntime) peerSend(idx int, head []byte, body []segment) error {
 	rt.mu.Lock()
 	link := rt.peers[idx]
 	err := rt.err
@@ -725,21 +751,58 @@ func (rt *jobRuntime) peerSend(idx int, payload [][]byte) error {
 	if link == nil {
 		return fmt.Errorf("%w: no connection to peer %d", ErrPeerLost, idx)
 	}
-	if err := link.send.send(frameData, payload...); err != nil {
+	seq, err := link.send.send(frameData, head, body)
+	if err != nil {
 		rt.failPeer(idx, err)
 		return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
 	}
+	link.sent = seq
 	return nil
 }
 
-// fail records the attempt's first failure and wakes every waiter.
+// peerWritten blocks until the last data frame queued to member idx has been
+// written into its connection's buffer, or never will be. A frame its
+// connection dropped is a lost peer - unless the attempt has failed, which
+// aborts the links, and then the attempt's failure is the error.
+func (rt *jobRuntime) peerWritten(idx int) error {
+	rt.mu.Lock()
+	link := rt.peers[idx]
+	rt.mu.Unlock()
+	if link == nil {
+		return nil
+	}
+	err := link.send.wait(link.sent)
+	if err == nil {
+		return nil
+	}
+	rt.mu.Lock()
+	failed := rt.err
+	rt.mu.Unlock()
+	if failed != nil {
+		return failed
+	}
+	rt.failPeer(idx, err)
+	return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
+}
+
+// fail records the attempt's first failure, wakes every waiter and aborts
+// the attempt's peer links: a collective that waits for its frame to be
+// written into a connection nobody reads returns when the link's writer
+// stops, and not before.
 func (rt *jobRuntime) fail(err error) {
 	rt.mu.Lock()
 	if rt.err == nil {
 		rt.err = err
 	}
+	links := make([]*peerLink, 0, len(rt.peers))
+	for _, l := range rt.peers {
+		links = append(links, l)
+	}
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
+	for _, l := range links {
+		l.send.abort()
+	}
 }
 
 // failPeer records a peer loss and wakes waiters; blame lands lazily on
@@ -827,21 +890,26 @@ func (t *peerTransport) maybeCrash() error {
 // Exchange implements dataflow.Transport: one frame per peer carries every
 // (src partition, dst partition) bucket this process owes it; the mailbox
 // wait returns the symmetric frames.
-func (t *peerTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, error) {
+func (t *peerTransport) Exchange(stage int64, outgoing [][]dataflow.Bucket) ([][][]byte, error) {
 	t.seq++
 	if err := t.maybeCrash(); err != nil {
 		return nil, err
 	}
 	w, self, owner := t.spec.Workers, t.spec.Self, t.spec.Owner
+	head := t.dataHead(stage, kindExchange)
+	var err error
 	for j := range t.spec.Procs {
 		if j == self {
 			continue
 		}
-		payload := exchangePayload(owner, self, j, outgoing)
-		t.wireOut[stage] += t.seal(stage, kindExchange, payload)
-		if err := t.rt.peerSend(j, payload); err != nil {
-			return nil, err
+		body := exchangeBody(owner, self, j, outgoing)
+		t.wireOut[stage] += wireSize(head, body)
+		if err = t.rt.peerSend(j, head, body); err != nil {
+			break
 		}
+	}
+	if err = t.written(err); err != nil {
+		return nil, err
 	}
 	incoming := make([][][]byte, w)
 	for q := 0; q < w; q++ {
@@ -864,11 +932,28 @@ func (t *peerTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, 
 	return incoming, nil
 }
 
-// exchangePayload lays out the body of the data frame that carries every
-// bucket roster member self owes member j in one shuffle: per bucket a
-// 12-byte head (source, destination, length) and the bucket where the engine
-// encoded it - nothing is concatenated. Element 0 is left for the header.
-func exchangePayload(owner []int, self, j int, outgoing [][][]byte) [][]byte {
+// written waits until every frame the collective queued has been written into
+// its connection's buffer or dropped with its connection, and returns err or
+// else the first failure to write one. A collective returns only then, having
+// failed or not: its frames are written from rows and routes the engine
+// rewrites as soon as it has returned.
+func (t *peerTransport) written(err error) error {
+	for j := range t.spec.Procs {
+		if j == t.spec.Self {
+			continue
+		}
+		if werr := t.rt.peerWritten(j); err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+// exchangeBody lays out the body of the data frame that carries every bucket
+// roster member self owes member j in one shuffle: per bucket a 12-byte head
+// (source, destination, length) and the bucket, written from its rows when
+// the frame is sent.
+func exchangeBody(owner []int, self, j int, outgoing [][]dataflow.Bucket) []segment {
 	var mine, theirs int
 	for _, o := range owner {
 		if o == self {
@@ -878,7 +963,7 @@ func exchangePayload(owner []int, self, j int, outgoing [][][]byte) [][]byte {
 		}
 	}
 	heads := make([]byte, 0, 12*mine*theirs)
-	payload := make([][]byte, 1, 1+2*mine*theirs)
+	body := make([]segment, 0, mine*theirs)
 	for p := range owner {
 		if owner[p] != self {
 			continue
@@ -890,14 +975,14 @@ func exchangePayload(owner []int, self, j int, outgoing [][][]byte) [][]byte {
 			at := len(heads)
 			heads = binary.BigEndian.AppendUint32(heads, uint32(p))
 			heads = binary.BigEndian.AppendUint32(heads, uint32(q))
-			heads = binary.BigEndian.AppendUint32(heads, uint32(len(outgoing[p][q])))
-			payload = append(payload, heads[at:], outgoing[p][q])
+			heads = binary.BigEndian.AppendUint32(heads, uint32(outgoing[p][q].WireSize()))
+			body = append(body, segment{raw: heads[at:], bucket: outgoing[p][q]})
 		}
 	}
-	return payload
+	return body
 }
 
-// splitExchange is the receiving end of exchangePayload: it files the buckets
+// splitExchange is the receiving end of exchangeBody: it files the buckets
 // of member j's frame body under incoming[destination][source], each a view
 // of the body clipped to its own length.
 func splitExchange(owner []int, self, j int, body []byte, incoming [][][]byte) error {
@@ -923,40 +1008,30 @@ func splitExchange(owner []int, self, j int, body []byte, incoming [][][]byte) e
 }
 
 // AllGather implements dataflow.Transport: every process frames its owned
-// partitions' blobs once and sends the identical body to each peer.
-func (t *peerTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error) {
+// partitions' buckets once and sends the identical frame to each peer.
+func (t *peerTransport) AllGather(stage int64, blobs []dataflow.Bucket) ([][]byte, error) {
 	t.seq++
 	if err := t.maybeCrash(); err != nil {
 		return nil, err
 	}
 	w, self, owner := t.spec.Workers, t.spec.Self, t.spec.Owner
-	heads := make([]byte, 0, 8*w)
-	payload := make([][]byte, 1, 1+2*w)
-	for p := 0; p < w; p++ {
-		if owner[p] != self {
-			continue
-		}
-		at := len(heads)
-		heads = binary.BigEndian.AppendUint32(heads, uint32(p))
-		heads = binary.BigEndian.AppendUint32(heads, uint32(len(blobs[p])))
-		payload = append(payload, heads[at:], blobs[p])
-	}
-	wire := t.seal(stage, kindAllGather, payload)
+	head := t.dataHead(stage, kindAllGather)
+	body := gatherBody(owner, self, blobs)
+	wire := wireSize(head, body)
+	var err error
 	for j := range t.spec.Procs {
 		if j == self {
 			continue
 		}
 		t.wireOut[stage] += wire
-		if err := t.rt.peerSend(j, payload); err != nil {
-			return nil, err
+		if err = t.rt.peerSend(j, head, body); err != nil {
+			break
 		}
+	}
+	if err = t.written(err); err != nil {
+		return nil, err
 	}
 	out := make([][]byte, w)
-	for p := 0; p < w; p++ {
-		if owner[p] == self {
-			out[p] = blobs[p]
-		}
-	}
 	for j := range t.spec.Procs {
 		if j == self {
 			continue
@@ -965,31 +1040,64 @@ func (t *peerTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error)
 		if err != nil {
 			return nil, err
 		}
-		for len(body) > 0 {
-			if len(body) < 8 {
-				return nil, fmt.Errorf("cluster: truncated all-gather header from peer %d", j)
-			}
-			p := int(binary.BigEndian.Uint32(body))
-			n := int(binary.BigEndian.Uint32(body[4:]))
-			body = body[8:]
-			if n > len(body) {
-				return nil, fmt.Errorf("cluster: all-gather blob length %d exceeds frame from peer %d", n, j)
-			}
-			if p < 0 || p >= w || owner[p] != j {
-				return nil, fmt.Errorf("cluster: misrouted all-gather blob for partition %d from peer %d", p, j)
-			}
-			out[p] = body[:n:n]
-			body = body[n:]
+		if err := splitAllGather(owner, j, body, out); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// seal completes one collective's contribution to a peer: payload[1:] is
-// the body and payload[0], left free, gets the header. It returns what the
-// frame puts on the socket. Once handed to a sender the segments are
-// read-only; an all-gather sends the same ones to every peer.
-func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int64) {
+// gatherBody lays out the body of the data frame that carries roster member
+// self's share of an all-gather: per owned partition an 8-byte head
+// (partition, length) and its bucket. Every peer is sent the same one.
+func gatherBody(owner []int, self int, blobs []dataflow.Bucket) []segment {
+	mine := 0
+	for _, o := range owner {
+		if o == self {
+			mine++
+		}
+	}
+	heads := make([]byte, 0, 8*mine)
+	body := make([]segment, 0, mine)
+	for p := range owner {
+		if owner[p] != self {
+			continue
+		}
+		at := len(heads)
+		heads = binary.BigEndian.AppendUint32(heads, uint32(p))
+		heads = binary.BigEndian.AppendUint32(heads, uint32(blobs[p].WireSize()))
+		body = append(body, segment{raw: heads[at:], bucket: blobs[p]})
+	}
+	return body
+}
+
+// splitAllGather is the receiving end of gatherBody: it files member j's
+// buckets under out[partition], each a view of the body clipped to its own
+// length.
+func splitAllGather(owner []int, j int, body []byte, out [][]byte) error {
+	w := len(owner)
+	for len(body) > 0 {
+		if len(body) < 8 {
+			return fmt.Errorf("cluster: truncated all-gather header from peer %d", j)
+		}
+		p := int(binary.BigEndian.Uint32(body))
+		n := int(binary.BigEndian.Uint32(body[4:]))
+		body = body[8:]
+		if n > len(body) {
+			return fmt.Errorf("cluster: all-gather blob length %d exceeds frame from peer %d", n, j)
+		}
+		if p < 0 || p >= w || owner[p] != j {
+			return fmt.Errorf("cluster: misrouted all-gather blob for partition %d from peer %d", p, j)
+		}
+		out[p] = body[:n:n]
+		body = body[n:]
+	}
+	return nil
+}
+
+// dataHead is the header of this process's data frames of the current
+// collective, the same for every peer.
+func (t *peerTransport) dataHead(stage int64, kind byte) []byte {
 	f := dataFrame{
 		JobID:   t.spec.JobID,
 		Attempt: t.spec.Attempt,
@@ -997,16 +1105,10 @@ func (t *peerTransport) seal(stage int64, kind byte, payload [][]byte) (wire int
 		Kind:    kind,
 		From:    t.spec.Self,
 		Stage:   stage,
-		crc:     checksum(payload[1:]...),
 	}
 	c := field.Appender(nil)
 	f.layout(&c)
-	payload[0] = c.Bytes()
-	wire = frameHeader
-	for _, seg := range payload {
-		wire += int64(len(seg))
-	}
-	return wire
+	return c.Bytes()
 }
 
 // stageRecords derives the predicted-vs-actual table from the worker's

@@ -32,7 +32,7 @@ var settings = map[string]operators.Morphism{
 
 // corpus is every case of every fixture; short leaves out the LDBC fixture.
 func corpus(short bool) []*kase {
-	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes}
+	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, wide}
 	if !short {
 		fixtures = append(fixtures, ldbcFixture)
 	}
@@ -254,6 +254,37 @@ func shapes() (*fixture, []spec) {
 		{query: `MATCH (a:A)-[e:x]->(b) RETURN b.color, count(*) ORDER BY b.color`},
 		{query: `MATCH (a:A) WHERE NOT exists((a)-[:x]->(:B)) RETURN a.n ORDER BY a.n`},
 		{query: `MATCH (a:A)-[e:x]->(b:B) WHERE a.n = 1 OPTIONAL MATCH (b)-[f:y]->(c:A) RETURN a.n, b.n, c.n`, morphs: "HH HI"},
+	}
+}
+
+// wide is what a cluster's sender has to write across more than one fill of
+// its 64 KiB write buffer. Four Huge vertices carry a 200 KiB string each, a
+// row longer than the buffer, through the shuffles of a join and in the result
+// frames. Thirty-two W vertices carry a text that grows fourfold from one
+// partition to the next, 2 KiB to 128 KiB, so the buckets a partition owes
+// another reach hundreds of KiB and whichever partitions a process owns, what
+// it sends its peer and what it receives are of different sizes. The joins
+// over them shuffle both inputs back to back: a process whose transport
+// returned once the peer's smaller frame had arrived, before its own was
+// written, would write the rest of the first shuffle's buckets through the
+// route the second one writes over it.
+func wide() (*fixture, []spec) {
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for i := 1; i <= 4; i++ {
+		vs = append(vs, vertex(i, "Huge", "n", i, "blob", strings.Repeat(fmt.Sprintf("%c%07d", 'a'+i, i), 200<<10/8)))
+	}
+	const w = 32
+	for i := 0; i < w; i++ {
+		size := 2 << 10 << (2 * (4 * i / w)) // a quarter of the label is one partition
+		vs = append(vs, vertex(100+i, "W", "n", i, "text", strings.Repeat(fmt.Sprintf("w%07d", i), size/8)))
+		es = edges(es, "r", [2]int{100 + i, 100 + (5*i+1)%w})
+	}
+	es = edges(es, "has", [2]int{1, 100}, [2]int{2, 109}, [2]int{3, 118}, [2]int{4, 127}, [2]int{1, 131}, [2]int{3, 104})
+	return &fixture{name: "wide", vs: vs, es: es}, []spec{
+		{query: `MATCH (h:Huge)-[:has]->(w:W) RETURN h.n, h.blob, w.n`},
+		{query: `MATCH (a:W)-[:r]->(b:W) RETURN a.n, a.text, b.text`},
+		{query: `MATCH (a:W)-[:r]->(b:W)-[:r]->(c:W) RETURN a.n, b.text, c.n`, morphs: "HH HI"},
 	}
 }
 

@@ -220,6 +220,11 @@ func serve(s *session.Session, c *kase) outcome {
 		return outcome{err: err.Error()}
 	}
 	o := outcome{cols: resp.Columns, rows: raw(rows)}
+	if rep := resp.Cluster; rep != nil && rep.Attempts != 1 {
+		// Nothing fails a worker here: an attempt retried is a frame that
+		// failed, which a recovered result would hide.
+		o.err = fmt.Sprintf("a cluster job ran %d attempts", rep.Attempts)
+	}
 	if !resp.FromResultCache {
 		o.job = &resp.Metrics
 	}

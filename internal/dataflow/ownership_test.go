@@ -297,10 +297,10 @@ func TestOwnershipMatrix(t *testing.T) {
 type bucketTransport struct{ incoming [][][]byte }
 
 func (bucketTransport) Owns(p int) bool { return p < 2 }
-func (b bucketTransport) Exchange(int64, [][][]byte) ([][][]byte, error) {
+func (b bucketTransport) Exchange(int64, [][]Bucket) ([][][]byte, error) {
 	return b.incoming, nil
 }
-func (bucketTransport) AllGather(_ int64, blobs [][]byte) ([][]byte, error) { return blobs, nil }
+func (bucketTransport) AllGather(int64, []Bucket) ([][]byte, error) { return nil, nil }
 
 // TestForeignBucketFailsTheExchange: what arrives from another process is
 // checked before and while it is decoded. A bucket with bytes behind its
@@ -317,7 +317,7 @@ func TestForeignBucketFailsTheExchange(t *testing.T) {
 		for q := 0; q < 2; q++ {
 			incoming[q] = make([][]byte, 4)
 			for p := 2; p < 4; p++ {
-				b, err := EncodeBucket(foreign(p, q))
+				b, err := encodeBucket(foreign(p, q))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -98,10 +98,11 @@ func newRoute(lane *Lane, n, w int) route {
 // sequence whoever owns the partitions - a job in one process is a cluster of
 // one. First a stage of partition attempts like any other routes: it records
 // every element's destination and counts and sizes what goes where. What an
-// owned source owes a partition of another process is then encoded straight
-// from its route and swapped for what the other processes owe this one
+// owned source owes a partition of another process is then sized from its
+// route and swapped for what the other processes owe this one
 // (Transport.Exchange, the only statement that knows there are other
-// processes). Now every owned destination's size is known - an owned source's
+// processes, which writes each bucket from the rows and the route before it
+// returns). Now every owned destination's size is known - an owned source's
 // count is in its route, a foreign one's in its encoded bucket's header - so
 // the partition is allocated once, at its exact size, and cut into one window
 // per source, in source order. Every window is written once: placeAll copies
@@ -142,7 +143,7 @@ func exchange[T any](d *Dataset[T], key func(T) uint64) ([][]T, bool) {
 	stage := env.metrics.stageCount()
 	var incoming [][][]byte // [q][p]: foreign source p's bucket for owned destination q
 	if env.transport != nil {
-		outgoing, p, err := encodeForeign(env, d.parts, routes)
+		outgoing, p, err := foreignBuckets(env, d.parts, routes)
 		if err != nil {
 			env.fail(&JobError{Stage: stage, Partition: p, Cause: err})
 			return nil, false

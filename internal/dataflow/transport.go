@@ -11,36 +11,42 @@ import (
 // (the Env's worker count), owns a subset of the partitions — non-owned
 // partitions are empty slices, so every transformation works unchanged —
 // and meets the others only at exchange points, where the transport moves
-// encoded buckets between processes. Because P and the per-partition
-// contents and order are fixed by the program, results are bit-identical
-// for any ownership assignment, including the remapped one a recovery
-// attempt runs with.
+// buckets between processes. Because P and the per-partition contents and
+// order are fixed by the program, results are bit-identical for any
+// ownership assignment, including the remapped one a recovery attempt runs
+// with.
 //
 // All methods are called sequentially from the job's driving goroutine
 // (runStage parallelism is confined to a stage's interior), so transports
 // may keep an internal sequence counter to pair collective calls across
 // processes. The stage argument is the current stage number, used for
 // per-stage wire-byte attribution only.
+//
+// What a transport is handed is not bytes: a Bucket is written, when the
+// transport asks, from rows and routes the engine rewrites as soon as the call
+// returns (a route is the lane's, decision 32). So Exchange and AllGather
+// return only once every bucket they were handed has been written - or never
+// will be, its connection gone - and keep none of them.
 type Transport interface {
 	// Owns reports whether this process owns logical partition p.
 	Owns(p int) bool
 
-	// Exchange performs the all-to-all move of one shuffle: outgoing[p][q]
-	// is the encoded bucket from owned partition p to partition q (rows for
-	// non-owned p are ignored and may be nil). It returns incoming[q][p] —
-	// the encoded bucket from remote partition p to owned partition q — with
-	// entries for non-owned q and locally-owned p left nil (the caller has
-	// those buckets in memory). The outgoing buckets are the transport's to
-	// read until they are sent; the incoming ones are the caller's, for good:
-	// decoded elements are views of them, so a transport must not reuse a
-	// receive buffer. Errors (peer loss, abort, corrupt frames) must be
-	// returned, never hung on.
-	Exchange(stage int64, outgoing [][][]byte) (incoming [][][]byte, err error)
+	// Exchange performs the all-to-all move of one shuffle: outgoing[p][q] is
+	// the bucket owned partition p owes partition q of another process
+	// (outgoing[p] is nil for non-owned p, outgoing[p][q] the zero Bucket for
+	// owned q). It returns incoming[q][p] — the encoded bucket from remote
+	// partition p to owned partition q — with entries for non-owned q and
+	// locally-owned p left nil (the caller has those rows in memory). The
+	// incoming buckets are the caller's, for good: decoded elements are views
+	// of them, so a transport must not reuse a receive buffer. Errors (peer
+	// loss, abort, corrupt frames) must be returned, never hung on.
+	Exchange(stage int64, outgoing [][]Bucket) (incoming [][][]byte, err error)
 
-	// AllGather replicates one blob per owned partition to every process:
-	// blobs[p] is set for owned p, nil otherwise; the result has all P
-	// entries filled (locally-owned entries may be returned as passed).
-	AllGather(stage int64, blobs [][]byte) ([][]byte, error)
+	// AllGather replicates one bucket per owned partition to every process:
+	// blobs[p] is set for owned p; the result holds, for every partition of
+	// another process, the bytes its owner's bucket wrote, and nil for the
+	// owned ones.
+	AllGather(stage int64, blobs []Bucket) ([][]byte, error)
 }
 
 // SetTransport installs (or, with nil, removes) the job's transport, and with
@@ -48,7 +54,7 @@ type Transport interface {
 // Owns is asked here, once per partition. Without a transport (the default)
 // the process owns every partition and is its own cluster: the engine runs the
 // same exchange, gather and convergence checks, and the two statements that
-// hand bytes to a transport (Exchange in exchange, AllGather in allGather)
+// hand buckets to a transport (Exchange in exchange, AllGather in allGather)
 // have nobody to hand them to.
 func (e *Env) SetTransport(t Transport) {
 	e.transport, e.owned, e.foreign = t, nil, 0
@@ -94,22 +100,92 @@ type Wire[T any] interface {
 	WireReader() func(t *T, b []byte) (rest []byte, err error)
 }
 
-// EncodeBucket encodes one bucket, a uint32 count followed by each element's
-// wire form, into a buffer sized first and written once.
-func EncodeBucket[T any](bucket []T) ([]byte, error) {
+// A Bucket is what one partition owes another in an exchange, or one
+// partition's share of an all-gather, as a transport takes it: its length on
+// the wire and a way to write it, not its bytes. A bucket of rows is a uint32
+// count followed by each element's wire form (what DecodeBucket reads); a
+// count's is the partition's size. Encode writes it a piece at a time into a
+// BucketWriter, straight from the rows it was made of, so nothing
+// proportional to a bucket is allocated to send it; until it has, the rows
+// and their route must stay as they are (see Transport).
+type Bucket struct {
+	size int
+	src  bucketSource
+	p, q int
+}
+
+// bucketSource writes the bucket partition p owes partition q.
+type bucketSource interface {
+	encodeBucket(p, q int, w BucketWriter) error
+}
+
+// WireSize is the number of bytes Encode writes.
+func (b Bucket) WireSize() int { return b.size }
+
+// Encode writes the bucket into w, a piece at a time, and returns w's first
+// error. The zero Bucket writes nothing.
+func (b Bucket) Encode(w BucketWriter) error {
+	if b.src == nil {
+		return nil
+	}
+	return b.src.encodeBucket(b.p, b.q, w)
+}
+
+// A BucketWriter is where a Bucket writes itself, one piece - its count, one
+// element - at a time: Buffer(n) returns an empty slice with room for at least
+// n bytes, the bucket appends the piece to it and hands it straight back to
+// Write. A connection's write buffer implements it with
+// bufio.Writer.AvailableBuffer, so a piece is appended where it is sent from.
+type BucketWriter interface {
+	Buffer(n int) []byte
+	Write(piece []byte) error
+}
+
+// encodeRows writes the bucket of the n elements of part whose destination is
+// q - all of them when dest is nil - each appended where w says.
+func encodeRows[T any](w BucketWriter, part []T, n int, dest []uint32, q uint32) error {
+	if err := w.Write(binary.BigEndian.AppendUint32(w.Buffer(4), uint32(n))); err != nil {
+		return err
+	}
+	for i := range part {
+		if dest != nil && dest[i] != q {
+			continue
+		}
+		e := any(&part[i]).(Wire[T])
+		if err := w.Write(e.AppendWire(w.Buffer(e.WireSize()))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Bucket returns partition p of d as a bucket of rows: how a cluster worker
+// ships a result partition and a gather replicates one. An element type
+// without a codec is an error.
+func (d *Dataset[T]) Bucket(p int) (Bucket, error) {
 	size := 4
-	for i := range bucket {
-		w, ok := any(&bucket[i]).(Wire[T])
+	for i := range d.parts[p] {
+		w, ok := any(&d.parts[p][i]).(Wire[T])
 		if !ok {
-			return nil, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", bucket[i])
+			return Bucket{}, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", d.parts[p][i])
 		}
 		size += w.WireSize()
 	}
-	dst := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(bucket)))
-	for i := range bucket {
-		dst = any(&bucket[i]).(Wire[T]).AppendWire(dst)
-	}
-	return dst, nil
+	return Bucket{size: size, src: d, p: p}, nil
+}
+
+func (d *Dataset[T]) encodeBucket(p, _ int, w BucketWriter) error {
+	return encodeRows(w, d.parts[p], len(d.parts[p]), nil, 0)
+}
+
+// counts is a dataset as GlobalCount all-gathers it: a partition's bucket is
+// its size, eight bytes.
+type counts[T any] Dataset[T]
+
+func (c *counts[T]) bucket(p int) (Bucket, error) { return Bucket{size: 8, src: c, p: p}, nil }
+
+func (c *counts[T]) encodeBucket(p, _ int, w BucketWriter) error {
+	return w.Write(binary.BigEndian.AppendUint64(w.Buffer(8), uint64(len(c.parts[p]))))
 }
 
 // BucketCount returns the number of elements of an encoded bucket, which is
@@ -156,18 +232,32 @@ func DecodeBucket[T any](dst []T, b []byte) error {
 	return nil
 }
 
-// encodeForeign encodes what this process's partitions owe the partitions of
+// foreign is what the owned partitions of one exchange owe the partitions of
+// other processes: their rows and routes, written bucket by bucket when the
+// transport asks.
+type foreign[T any] struct {
+	parts  [][]T
+	routes []route
+}
+
+func (f *foreign[T]) encodeBucket(p, q int, w BucketWriter) error {
+	r := f.routes[p]
+	return encodeRows(w, f.parts[p], r.to[q].count, r.dest, uint32(q))
+}
+
+// foreignBuckets sizes what this process's partitions owe the partitions of
 // other processes, straight from the rows and their routes: outgoing[p][q] is
 // owned source p's bucket for foreign destination q, as Transport.Exchange
-// takes it. A pass over WireSize gives each bucket's size, so it is allocated
-// once and written once, and nothing is placed anywhere in between; the rows
-// of outgoing are cut from one table, and the sizes are counted on the stack
-// up to placeStack partitions. An element type without a codec is an error,
-// with the source partition it was met in.
-func encodeForeign[T any](env *Env, parts [][]T, routes []route) ([][][]byte, int, error) {
+// takes it. A pass over WireSize gives each bucket its length; the buckets are
+// cut from one table and written, later, by the transport from the same rows
+// and routes. The sizes are counted on the stack up to placeStack partitions.
+// An element type without a codec is an error, with the source partition it
+// was met in.
+func foreignBuckets[T any](env *Env, parts [][]T, routes []route) ([][]Bucket, int, error) {
 	w := len(parts)
-	outgoing := make([][][]byte, w)
-	table := make([][]byte, (w-env.foreign)*w)
+	src := &foreign[T]{parts: parts, routes: routes}
+	outgoing := make([][]Bucket, w)
+	table := make([]Bucket, (w-env.foreign)*w)
 	var stack [placeStack]int
 	size := stack[:]
 	if w > placeStack {
@@ -177,13 +267,13 @@ func encodeForeign[T any](env *Env, parts [][]T, routes []route) ([][][]byte, in
 		if !env.owns(p) {
 			continue
 		}
-		var row [][]byte
+		var row []Bucket
 		row, table = table[:w:w], table[w:]
 		outgoing[p] = row
-		r := routes[p]
+		dest := routes[p].dest
 		clear(size)
 		for i := range part {
-			if q := r.dest[i]; !env.owns(int(q)) {
+			if q := dest[i]; !env.owns(int(q)) {
 				wire, ok := any(&part[i]).(Wire[T])
 				if !ok {
 					return nil, p, fmt.Errorf("dataflow: element type %T is not wire-encodable for a remote exchange", part[i])
@@ -193,12 +283,7 @@ func encodeForeign[T any](env *Env, parts [][]T, routes []route) ([][][]byte, in
 		}
 		for q := range row {
 			if !env.owns(q) {
-				row[q] = binary.BigEndian.AppendUint32(make([]byte, 0, 4+size[q]), uint32(r.to[q].count))
-			}
-		}
-		for i := range part {
-			if q := r.dest[i]; !env.owns(int(q)) {
-				row[q] = any(&part[i]).(Wire[T]).AppendWire(row[q])
+				row[q] = Bucket{size: 4 + size[q], src: src, p: p, q: q}
 			}
 		}
 	}
@@ -246,17 +331,17 @@ func Concat[T any](parts [][]T, blobs [][]byte, owned []bool) ([]T, int, error) 
 	return all, 0, nil
 }
 
-// allGather replicates one blob per owned partition, blob(p), to every
-// process of the job and returns all P of them (Transport.AllGather: a
-// collective every process must reach together, like an exchange). A process
-// that is its own cluster has nobody to tell and gets nil. On failure it
-// returns false with the env failed.
-func (e *Env) allGather(blob func(p int) ([]byte, error)) ([][]byte, bool) {
+// allGather replicates one bucket per owned partition, blob(p), to every
+// process of the job and returns the bytes of every partition of another
+// process (Transport.AllGather: a collective every process must reach
+// together, like an exchange). A process that is its own cluster has nobody to
+// tell and gets nil. On failure it returns false with the env failed.
+func (e *Env) allGather(blob func(p int) (Bucket, error)) ([][]byte, bool) {
 	if e.transport == nil {
 		return nil, true
 	}
 	stage := e.metrics.stageCount()
-	blobs := make([][]byte, len(e.owned))
+	blobs := make([]Bucket, len(e.owned))
 	for p := range blobs {
 		if !e.owned[p] {
 			continue
@@ -279,7 +364,7 @@ func (e *Env) allGather(blob func(p int) ([]byte, error)) ([][]byte, bool) {
 // partition order: what a single process Collects, whoever owns what.
 func gather[T any](d *Dataset[T]) ([]T, bool) {
 	env := d.env
-	blobs, ok := env.allGather(func(p int) ([]byte, error) { return EncodeBucket(d.parts[p]) })
+	blobs, ok := env.allGather(d.Bucket)
 	if !ok {
 		return nil, false
 	}
@@ -299,9 +384,7 @@ func gather[T any](d *Dataset[T]) ([]T, bool) {
 // env failed, which terminates the convergence loops that call it.
 func (d *Dataset[T]) GlobalCount() int64 {
 	env := d.env
-	all, ok := env.allGather(func(p int) ([]byte, error) {
-		return binary.BigEndian.AppendUint64(nil, uint64(len(d.parts[p]))), nil
-	})
+	all, ok := env.allGather((*counts[T])(d).bucket)
 	if !ok {
 		return 0
 	}

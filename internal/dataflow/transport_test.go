@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,13 +119,38 @@ func (c *memCluster) transport(proc int) *memTransport {
 type memTransport struct {
 	c    *memCluster
 	proc int
+	buf  appendWriter // what the last collective sent
 }
 
 func (t *memTransport) Owns(p int) bool { return t.c.owner[p] == t.proc }
 
-func (t *memTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, error) {
-	all := t.c.rendezvous(t.proc, outgoing)
+// send writes what this process sends in one collective into one buffer -
+// before the rendezvous, from rows and routes the engine rewrites once the
+// call returns - and returns sent[i], the view of bucket i.
+func (t *memTransport) send(buckets []Bucket) [][]byte {
+	total := 0
+	for _, b := range buckets {
+		total += b.WireSize()
+	}
+	t.buf = make(appendWriter, 0, total)
+	sent := make([][]byte, len(buckets))
+	for i, b := range buckets {
+		at := len(t.buf)
+		if err := b.Encode(&t.buf); err != nil {
+			panic(err)
+		}
+		sent[i] = t.buf[at:len(t.buf):len(t.buf)]
+	}
+	return sent
+}
+
+func (t *memTransport) Exchange(stage int64, outgoing [][]Bucket) ([][][]byte, error) {
 	w := len(t.c.owner)
+	flat := make([]Bucket, w*w)
+	for p, row := range outgoing {
+		copy(flat[p*w:], row)
+	}
+	all := t.c.rendezvous(t.proc, t.send(flat))
 	in := make([][][]byte, w)
 	for q := 0; q < w; q++ {
 		if !t.Owns(q) {
@@ -132,28 +158,45 @@ func (t *memTransport) Exchange(stage int64, outgoing [][][]byte) ([][][]byte, e
 		}
 		in[q] = make([][]byte, w)
 		for p := 0; p < w; p++ {
-			if t.Owns(p) {
-				continue
+			if !t.Owns(p) {
+				in[q][p] = all[t.c.owner[p]].([][]byte)[p*w+q]
 			}
-			src := all[t.c.owner[p]].([][][]byte)
-			in[q][p] = src[p][q]
 		}
 	}
 	return in, nil
 }
 
-func (t *memTransport) AllGather(stage int64, blobs [][]byte) ([][]byte, error) {
-	all := t.c.rendezvous(t.proc, blobs)
-	w := len(t.c.owner)
-	out := make([][]byte, w)
-	for p := 0; p < w; p++ {
-		if t.Owns(p) {
-			out[p] = blobs[p]
-			continue
+func (t *memTransport) AllGather(stage int64, blobs []Bucket) ([][]byte, error) {
+	all := t.c.rendezvous(t.proc, t.send(blobs))
+	out := make([][]byte, len(t.c.owner))
+	for p := range out {
+		if !t.Owns(p) {
+			out[p] = all[t.c.owner[p]].([][]byte)[p]
 		}
-		out[p] = all[t.c.owner[p]].([][]byte)[p]
 	}
 	return out, nil
+}
+
+// encodeBucket is the wire form of a bucket of rows, written through a
+// BucketWriter as a connection's buffer is.
+func encodeBucket[T any](rows []T) ([]byte, error) {
+	b, err := FromSlice(NewEnv(DefaultConfig(1)), rows).Bucket(0)
+	if err != nil {
+		return nil, err
+	}
+	w := appendWriter(make([]byte, 0, b.WireSize()))
+	err = b.Encode(&w)
+	return w, err
+}
+
+// appendWriter is a BucketWriter that keeps what it is written.
+type appendWriter []byte
+
+func (a *appendWriter) Buffer(n int) []byte { return slices.Grow(*a, n)[len(*a):] }
+
+func (a *appendWriter) Write(piece []byte) error {
+	*a = append(*a, piece...)
+	return nil
 }
 
 // --- pipeline bit-identity --------------------------------------------------
@@ -359,10 +402,10 @@ func TestTransportUnencodableType(t *testing.T) {
 type errTransport struct{ err error }
 
 func (t errTransport) Owns(p int) bool { return p == 0 }
-func (t errTransport) Exchange(int64, [][][]byte) ([][][]byte, error) {
+func (t errTransport) Exchange(int64, [][]Bucket) ([][][]byte, error) {
 	return nil, t.err
 }
-func (t errTransport) AllGather(int64, [][]byte) ([][]byte, error) {
+func (t errTransport) AllGather(int64, []Bucket) ([][]byte, error) {
 	return nil, t.err
 }
 

@@ -233,12 +233,30 @@ type memTransport struct {
 
 func (t memTransport) Owns(p int) bool { return t.c.owner[p] == t.proc }
 
-func (t memTransport) Exchange(_ int64, outgoing [][][]byte) ([][][]byte, error) {
-	all, err := t.c.rendezvous(t.proc, memCall{"exchange", outgoing})
+// sent is what a collective puts on the wire: every bucket written before the
+// rendezvous, from rows and routes the engine rewrites once the call returns.
+func sent(buckets []dataflow.Bucket) [][]byte {
+	out := make([][]byte, len(buckets))
+	for i, b := range buckets {
+		var w appendWriter
+		if err := b.Encode(&w); err != nil {
+			panic(err)
+		}
+		out[i] = w
+	}
+	return out
+}
+
+func (t memTransport) Exchange(_ int64, outgoing [][]dataflow.Bucket) ([][][]byte, error) {
+	w := len(t.c.owner)
+	flat := make([]dataflow.Bucket, w*w)
+	for p, row := range outgoing {
+		copy(flat[p*w:], row)
+	}
+	all, err := t.c.rendezvous(t.proc, memCall{"exchange", sent(flat)})
 	if err != nil {
 		return nil, err
 	}
-	w := len(t.c.owner)
 	in := make([][][]byte, w)
 	for q := 0; q < w; q++ {
 		if !t.Owns(q) {
@@ -247,21 +265,23 @@ func (t memTransport) Exchange(_ int64, outgoing [][][]byte) ([][][]byte, error)
 		in[q] = make([][]byte, w)
 		for p := 0; p < w; p++ {
 			if !t.Owns(p) {
-				in[q][p] = all[t.c.owner[p]].payload.([][][]byte)[p][q]
+				in[q][p] = all[t.c.owner[p]].payload.([][]byte)[p*w+q]
 			}
 		}
 	}
 	return in, nil
 }
 
-func (t memTransport) AllGather(_ int64, blobs [][]byte) ([][]byte, error) {
-	all, err := t.c.rendezvous(t.proc, memCall{"all-gather", blobs})
+func (t memTransport) AllGather(_ int64, blobs []dataflow.Bucket) ([][]byte, error) {
+	all, err := t.c.rendezvous(t.proc, memCall{"all-gather", sent(blobs)})
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(t.c.owner))
 	for p := range out {
-		out[p] = all[t.c.owner[p]].payload.([][]byte)[p]
+		if !t.Owns(p) {
+			out[p] = all[t.c.owner[p]].payload.([][]byte)[p]
+		}
 	}
 	return out, nil
 }
