@@ -40,7 +40,7 @@ func TestAllocTable(t *testing.T) {
 	data := session.NewGraphData(gen.Graph)
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		w := cluster.NewWorker(fmt.Sprintf("w%d", i+1), data, nil)
+		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i+1), data, cluster.WorkerOptions{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

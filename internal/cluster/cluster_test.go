@@ -32,7 +32,7 @@ func startWorkers(t *testing.T, data *session.GraphData, n int) ([]*cluster.Work
 	workers := make([]*cluster.Worker, n)
 	addrs := make([]string, n)
 	for i := range workers {
-		w := cluster.NewWorker(fmt.Sprintf("w%d", i), data, nil)
+		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data, cluster.WorkerOptions{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -31,20 +31,19 @@ type Options struct {
 	Workers int
 	// Partitioner assigns partitions to live workers (default rendezvous).
 	Partitioner Partitioner
-	// HeartbeatInterval is how often workers are pinged (default 500ms);
-	// HeartbeatTimeout is how long a silent worker stays in the roster
-	// (default 2s). The heartbeat catches wedged-but-open connections;
-	// outright connection drops are detected immediately.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// MaxAttempts bounds lost-worker re-executions per query (default:
-	// cluster size, so every query survives all-but-one worker dying).
-	MaxAttempts int
 	// Metrics registers the gradoop_cluster_* instruments (nil disables).
 	Metrics *obs.Registry
 	// Logger records roster changes and recoveries (nil disables).
 	Logger *slog.Logger
 }
+
+// The heartbeat pings every live worker each heartbeatInterval and drops one
+// that has been silent for heartbeatTimeout: it catches wedged-but-open
+// connections, and a dropped connection is seen at once.
+const (
+	heartbeatInterval = 500 * time.Millisecond
+	heartbeatTimeout  = 2 * time.Second
+)
 
 // Coordinator fronts a set of worker processes and implements
 // session.RemoteExecutor: it plans once on the session's pinned statistics,
@@ -56,9 +55,11 @@ type Coordinator struct {
 	opts Options
 	part Partitioner
 	inst *clusterInstruments
+	// members is the roster as dialled, fixed once NewCoordinator returns: a
+	// lost member stays in it, marked dead.
+	members []*member
 
 	mu      sync.Mutex
-	members []*member
 	pending map[jobKey]*attemptState
 	jobSeq  uint64
 	closed  bool
@@ -86,16 +87,7 @@ type member struct {
 	jobsDone int64
 	// snap is the worker's most recent metrics-registry snapshot, carried
 	// by its latest telemetry bundle; the federated /metrics view serves it.
-	snap   *obs.Snapshot
-	snapAt time.Time
-}
-
-// storeTelemetry retains the worker's latest registry snapshot.
-func (m *member) storeTelemetry(b *telemetryBundle) {
-	m.mu.Lock()
-	m.snap = &b.Metrics
-	m.snapAt = time.Now()
-	m.mu.Unlock()
+	snap *obs.Snapshot
 }
 
 var _ session.RemoteExecutor = (*Coordinator)(nil)
@@ -113,15 +105,6 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 	if opts.Partitioner == nil {
 		opts.Partitioner = RendezvousPartitioner{}
 	}
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 2 * time.Second
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = len(addrs)
-	}
 	c := &Coordinator{
 		opts:    opts,
 		part:    opts.Partitioner,
@@ -129,13 +112,6 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 		pending: map[jobKey]*attemptState{},
 		stopHB:  make(chan struct{}),
 	}
-	// The heartbeat starts before the dial loop so the error path below can
-	// unconditionally Close (which waits for it) without a started-yet check.
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.heartbeat()
-	}()
 	now := time.Now()
 	for i, addr := range addrs {
 		conn, br, wl, err := dialHello(addr, hello{Magic: protoMagic, Version: protoVersion, Role: roleControl})
@@ -151,6 +127,11 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 			c.readMember(m, br)
 		}()
 	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.heartbeat()
+	}()
 	c.inst.bindRoster(c)
 	return c, nil
 }
@@ -162,11 +143,10 @@ func (c *Coordinator) Close() {
 	c.mu.Lock()
 	alreadyClosed := c.closed
 	c.closed = true
-	members := append([]*member(nil), c.members...)
 	c.mu.Unlock()
 	if !alreadyClosed {
 		close(c.stopHB)
-		for _, m := range members {
+		for _, m := range c.members {
 			m.send.abort()
 		}
 	}
@@ -174,28 +154,15 @@ func (c *Coordinator) Close() {
 }
 
 // LiveWorkers reports the currently live roster size.
-func (c *Coordinator) LiveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.members {
-		if m.isAlive() {
-			n++
-		}
-	}
-	return n
-}
+func (c *Coordinator) LiveWorkers() int { return len(c.liveRoster()) }
 
 var _ session.ClusterIntrospector = (*Coordinator)(nil)
 
 // ClusterWorkers reports the roster for the /cluster/workers endpoint:
 // node, address, liveness, heartbeat age and per-worker job counts.
 func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
-	c.mu.Lock()
-	members := append([]*member(nil), c.members...)
-	c.mu.Unlock()
-	infos := make([]session.WorkerInfo, 0, len(members))
-	for _, m := range members {
+	infos := make([]session.WorkerInfo, 0, len(c.members))
+	for _, m := range c.members {
 		m.mu.Lock()
 		infos = append(infos, session.WorkerInfo{
 			Node:            m.node,
@@ -214,11 +181,8 @@ func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
 // carried by its latest telemetry bundle) for the federated /metrics view.
 // Workers that have never shipped a bundle are omitted.
 func (c *Coordinator) WorkerMetrics() []session.WorkerMetrics {
-	c.mu.Lock()
-	members := append([]*member(nil), c.members...)
-	c.mu.Unlock()
 	var out []session.WorkerMetrics
-	for _, m := range members {
+	for _, m := range c.members {
 		m.mu.Lock()
 		if m.snap != nil {
 			out = append(out, session.WorkerMetrics{Node: m.node, Snap: m.snap})
@@ -254,16 +218,18 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 		case framePong:
 			m.markPong()
 		case frameResult:
-			var f resultFrame
+			var f attemptHead
 			hc := field.Reader(payload)
 			f.layout(&hc)
 			body, err := checkedBody(&hc)
+			if err == nil {
+				if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil && !st.deliverResult(m.idx, body) {
+					err = errors.New("cluster: a second result frame for one attempt")
+				}
+			}
 			if err != nil {
 				c.memberDown(m, err)
 				return
-			}
-			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
-				st.deliverResult(f.Partition, body)
 			}
 		case frameJobDone:
 			var done jobDone
@@ -279,10 +245,11 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			}
 		case frameTelemetry:
 			// Telemetry degrades, never fails: a corrupt bundle inside an
-			// intact frame is counted and skipped (the attempt settles with a
-			// partial-telemetry marker), and a bundle for an attempt no
-			// longer pending — a superseded retry's straggler — is dropped.
-			var f telemetryFrame
+			// intact frame - its header, checksum or encoding - is counted and
+			// skipped (the attempt settles with a partial-telemetry marker),
+			// and a bundle for an attempt no longer pending - a superseded
+			// retry's straggler - is dropped.
+			var f attemptHead
 			hc := field.Reader(payload)
 			f.layout(&hc)
 			body, err := checkedBody(&hc)
@@ -299,7 +266,9 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			}
 			c.inst.teleFrames.Inc()
 			c.inst.teleBytes.Add(int64(len(payload)))
-			m.storeTelemetry(bundle)
+			m.mu.Lock()
+			m.snap = &bundle.Metrics
+			m.mu.Unlock()
 			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
 				st.deliverTelemetry(m.idx, bundle)
 			}
@@ -341,7 +310,7 @@ func (c *Coordinator) attempt(key jobKey) *attemptState {
 
 // heartbeat pings live members and expires the silent ones.
 func (c *Coordinator) heartbeat() {
-	ticker := time.NewTicker(c.opts.HeartbeatInterval)
+	ticker := time.NewTicker(heartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -349,17 +318,14 @@ func (c *Coordinator) heartbeat() {
 			return
 		case <-ticker.C:
 		}
-		c.mu.Lock()
-		members := append([]*member(nil), c.members...)
-		c.mu.Unlock()
-		for _, m := range members {
+		for _, m := range c.members {
 			if !m.isAlive() {
 				continue
 			}
 			m.mu.Lock()
 			silent := time.Since(m.lastPong)
 			m.mu.Unlock()
-			if silent > c.opts.HeartbeatTimeout {
+			if silent > heartbeatTimeout {
 				c.memberDown(m, fmt.Errorf("heartbeat timeout (%v silent)", silent))
 				continue
 			}
@@ -372,20 +338,22 @@ func (c *Coordinator) heartbeat() {
 type attemptState struct {
 	key    jobKey
 	roster []int // participating member indices, in roster order
+	owner  []int // partition -> roster index, as the attempt was launched
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	results   map[int][]byte           // partition -> encoded rows
+	results   map[int][]byte           // member idx -> its one result body
 	dones     map[int]*jobDone         // member idx -> terminal report
 	telemetry map[int]*telemetryBundle // member idx -> shipped observability
 	down      map[int]bool             // member idx -> died during the attempt
 	err       error                    // external failure (context cancellation)
 }
 
-func newAttemptState(key jobKey, roster []int) *attemptState {
+func newAttemptState(key jobKey, roster, owner []int) *attemptState {
 	st := &attemptState{
 		key:       key,
 		roster:    roster,
+		owner:     owner,
 		results:   map[int][]byte{},
 		dones:     map[int]*jobDone{},
 		telemetry: map[int]*telemetryBundle{},
@@ -395,10 +363,36 @@ func newAttemptState(key jobKey, roster []int) *attemptState {
 	return st
 }
 
-func (st *attemptState) deliverResult(partition int, body []byte) {
+// deliverResult keeps a member's result body and reports whether it is the
+// first: a worker sends one result frame per attempt.
+func (st *attemptState) deliverResult(memberIdx int, body []byte) bool {
 	st.mu.Lock()
-	st.results[partition] = body
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	_, dup := st.results[memberIdx]
+	st.results[memberIdx] = body
+	return !dup
+}
+
+// file files every roster member's result body with splitAllGather against
+// the owner map the attempt was launched with, and returns the result's
+// buckets in partition order. A body that names a partition its sender does
+// not own or names one twice, or a partition no body carries, is an error,
+// with the member to blame for it.
+func (st *attemptState) file() ([][]byte, int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	blobs := make([][]byte, len(st.owner))
+	for i, idx := range st.roster {
+		if err := splitAllGather(st.owner, i, st.results[idx], blobs); err != nil {
+			return nil, idx, err
+		}
+	}
+	for p, b := range blobs {
+		if b == nil {
+			return nil, st.roster[st.owner[p]], fmt.Errorf("cluster: result partition %d missing", p)
+		}
+	}
+	return blobs, 0, nil
 }
 
 // deliverTelemetry records a worker's bundle. Telemetry frames are sent
@@ -576,7 +570,8 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 	// exactly like the workers rebase theirs.
 	var coordSpans []trace.Span
 	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	// A job survives all but one worker dying: as many attempts as workers.
+	for attempt := 0; attempt < len(c.members); attempt++ {
 		roster := c.liveRoster()
 		if len(roster) == 0 {
 			return nil, nil, fmt.Errorf("cluster: all workers lost (job %d attempt %d)", jobID, attempt)
@@ -594,7 +589,9 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		if stopWatch != nil {
 			stopWatch()
 		}
-		c.unregister(st)
+		c.mu.Lock()
+		delete(c.pending, st.key)
+		c.mu.Unlock()
 		coordSpans = append(coordSpans, trace.Span{
 			Stage: int64(attempt),
 			Op:    fmt.Sprintf("attempt %d (%d workers)", attempt, len(roster)),
@@ -605,6 +602,16 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			return nil, nil, err
 		}
 		out := st.classify()
+		var blobs [][]byte
+		if !out.recoverable && out.queryErr == nil {
+			var bad int
+			if blobs, bad, err = st.file(); err != nil {
+				// A result that does not file fails its sender as a corrupt
+				// frame does, and the attempt is retried without it.
+				c.memberDown(c.members[bad], err)
+				out.recoverable, out.accused = true, []int{bad}
+			}
+		}
 		if out.recoverable {
 			// Mark every accused member dead by force-closing it: a worker
 			// whose sockets break asymmetrically is indistinguishable from a
@@ -625,7 +632,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			return nil, nil, out.queryErr
 		}
 		assembleStart := time.Since(start)
-		rep, err := c.assemble(res, st)
+		rep, err := c.assemble(res, st, blobs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -654,13 +661,11 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		c.inst.observe(rep, time.Since(start))
 		return res, rep, nil
 	}
-	return nil, nil, fmt.Errorf("cluster: job %d exhausted %d attempts: %w", jobID, c.opts.MaxAttempts, lastErr)
+	return nil, nil, fmt.Errorf("cluster: job %d exhausted %d attempts: %w", jobID, len(c.members), lastErr)
 }
 
 // liveRoster snapshots the live member indices.
 func (c *Coordinator) liveRoster() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var roster []int
 	for _, m := range c.members {
 		if m.isAlive() {
@@ -680,7 +685,7 @@ func (c *Coordinator) launchAttempt(spec *jobSpec, attempt int, roster []int) (*
 	}
 	owner := c.part.Assign(spec.Workers, nodes)
 
-	st := newAttemptState(jobKey{job: spec.JobID, attempt: attempt}, roster)
+	st := newAttemptState(jobKey{job: spec.JobID, attempt: attempt}, roster, owner)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -703,12 +708,6 @@ func (c *Coordinator) launchAttempt(spec *jobSpec, attempt int, roster []int) (*
 	return st, nil
 }
 
-func (c *Coordinator) unregister(st *attemptState) {
-	c.mu.Lock()
-	delete(c.pending, st.key)
-	c.mu.Unlock()
-}
-
 // abortAttempt tells the live roster members to stop an attempt.
 func (c *Coordinator) abortAttempt(st *attemptState) {
 	for _, idx := range st.roster {
@@ -719,12 +718,11 @@ func (c *Coordinator) abortAttempt(st *attemptState) {
 	}
 }
 
-// assemble decodes the shipped partitions into res, the bound Result, as
-// core.Prepared.Execute fills a local run's, and merges the workers' stage
-// records and metrics.
-func (c *Coordinator) assemble(res *core.Result, st *attemptState) (*session.ClusterReport, error) {
+// assemble decodes the result's buckets, as file returned them, into res, the
+// bound Result, as core.Prepared.Execute fills a local run's, and merges the
+// workers' stage records and metrics.
+func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byte) (*session.ClusterReport, error) {
 	st.mu.Lock()
-	results := st.results
 	dones := make([]*jobDone, 0, len(st.roster))
 	bundles := make([]*telemetryBundle, 0, len(st.roster))
 	for _, idx := range st.roster {
@@ -736,14 +734,6 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState) (*session.Clu
 	// The coordinator owns no partition: the result is the workers' buckets in
 	// partition order, every row decoded in place as a view of the frame body
 	// it arrived in.
-	blobs := make([][]byte, c.opts.Workers)
-	for p := range blobs {
-		body, ok := results[p]
-		if !ok {
-			return nil, fmt.Errorf("cluster: partition %d missing from results", p)
-		}
-		blobs[p] = body
-	}
 	flat, p, err := dataflow.Concat[embedding.Embedding](nil, blobs, make([]bool, len(blobs)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: result partition %d: %w", p, err)

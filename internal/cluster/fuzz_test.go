@@ -56,7 +56,8 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 // bytes must read as a frame or as a structured error - and so must what is
 // done with a frame before a row of it is decoded: the header of its type,
 // the checksum behind its body, and the split of a data frame's body into the
-// buckets of an exchange or of an all-gather. Nothing panics, no bucket
+// buckets of an exchange or of an all-gather, and of a result frame's into the
+// partitions the coordinator files. Nothing panics, no bucket
 // reaches past the body, and nothing is allocated but the frame's body, which
 // maxFrame bounds, and a fixed allowance. (An input whose first frame claims
 // more bytes than the input has is a torn frame, TestFrameTorn's: read here,
@@ -64,10 +65,11 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
 	f.Add(frameBytes(frameData, headBytes(&dataFrame{JobID: 7, Seq: 3, Kind: kindAllGather, From: 1}), body...))
-	f.Add(frameBytes(frameResult, headBytes(&resultFrame{JobID: 7, Partition: 1}), body...))
-	tb := testBundle()
-	f.Add(frameBytes(frameTelemetry, headBytes(&telemetryFrame{JobID: 7}), encodeTelemetryBundle(&tb)))
 	rows := bucketOf(wideRows(3))
+	f.Add(framed(&outFrame{typ: frameResult, head: headBytes(&attemptHead{JobID: 7, From: 1}),
+		body: gatherBody(fuzzOwner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})}))
+	tb := testBundle()
+	f.Add(frameBytes(frameTelemetry, headBytes(&attemptHead{JobID: 7}), encodeTelemetryBundle(&tb)))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindExchange, From: 1}),
 		body: exchangeBody(fuzzOwner, 1, 0, [][]dataflow.Bucket{nil, {rows, {}, rows, {}}, nil, {rows, {}, rows, {}}})}))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindAllGather, From: 1}),
@@ -118,12 +120,8 @@ func readAndSplit(t *testing.T, raw []byte) {
 		var h dataFrame
 		c = field.Reader(payload)
 		h.layout(&c)
-	case frameResult:
-		var h resultFrame
-		c = field.Reader(payload)
-		h.layout(&c)
-	case frameTelemetry:
-		var h telemetryFrame
+	case frameResult, frameTelemetry:
+		var h attemptHead
 		c = field.Reader(payload)
 		h.layout(&c)
 	default:
@@ -138,17 +136,20 @@ func readAndSplit(t *testing.T, raw []byte) {
 			structured(t, err)
 		}
 	}
-	if typ != frameData || c.Err() != nil || len(c.Rest()) < crcTrailer {
+	if typ == frameTelemetry || c.Err() != nil || len(c.Rest()) < crcTrailer {
 		return
 	}
 	// The split of a body that failed its checksum too: the checksum is what
 	// stops a corrupt body in production, not what the fuzzer should stop at.
 	body := c.Rest()[:len(c.Rest())-crcTrailer]
-	incoming := [][][]byte{make([][]byte, 4), nil, make([][]byte, 4), nil}
-	if err := splitExchange(fuzzOwner, 0, 1, body, incoming); err != nil {
-		structured(t, err)
+	if typ == frameData {
+		incoming := [][][]byte{make([][]byte, 4), nil, make([][]byte, 4), nil}
+		if err := splitExchange(fuzzOwner, 0, 1, body, incoming); err != nil {
+			structured(t, err)
+		}
+		within(t, body, incoming[0], incoming[2])
 	}
-	within(t, body, incoming[0], incoming[2])
+	// An all-gather's body, and a result's as the coordinator files it.
 	out := make([][]byte, 4)
 	if err := splitAllGather(fuzzOwner, 1, body, out); err != nil {
 		structured(t, err)

@@ -96,7 +96,9 @@ func TestTelemetryBundleGolden(t *testing.T) {
 // CRC32 of the body behind it - in both directions. Protocol version 4 moved
 // the checksum from the end of the header to behind the body, and the frames
 // kept their length: the same header and trailer bytes as version 3's headers,
-// 7d0afa94 still the CRC of the body.
+// 7d0afa94 still the CRC of the body. Version 5 headed a result frame as a
+// telemetry frame is, and the bytes stayed: the field that named the one
+// partition a frame carried is where the sender's roster index is now.
 func TestFrameHeaderGolden(t *testing.T) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
 	flat := bytes.Join(body, nil)
@@ -108,9 +110,9 @@ func TestFrameHeaderGolden(t *testing.T) {
 	}{
 		{"data", frameData, &dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindAllGather, From: 2, Stage: 9}, &dataFrame{},
 			"0000003a0a" + "0000000000000007000000010000000000000003010000000200000000000000" + "09" + hex.EncodeToString(flat) + "7d0afa94"},
-		{"result", frameResult, &resultFrame{JobID: 7, Attempt: 1, Partition: 3}, &resultFrame{},
+		{"result", frameResult, &attemptHead{JobID: 7, Attempt: 1, From: 3}, &attemptHead{},
 			"0000002906" + "00000000000000070000000100000003" + hex.EncodeToString(flat) + "7d0afa94"},
-		{"telemetry", frameTelemetry, &telemetryFrame{JobID: 42, Attempt: 1, From: 2}, &telemetryFrame{},
+		{"telemetry", frameTelemetry, &attemptHead{JobID: 42, Attempt: 1, From: 2}, &attemptHead{},
 			"000000290b" + "000000000000002a0000000100000002" + hex.EncodeToString(flat) + "7d0afa94"},
 	} {
 		want, err := hex.DecodeString(tc.want)

@@ -34,12 +34,14 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 4: a data, result or telemetry frame carries its checksum
-	// behind the body, which is written from the rows as it is sent (head |
-	// body | crc32). 3: the job spec carries no join hint and no reuse switch
+	// protoVersion 5: an attempt's result is one frame, headed like a telemetry
+	// frame (attemptHead), whose body is a gather of the sender's partitions.
+	// 4: a data, result or telemetry frame carries its checksum behind the
+	// body, which is written from the rows as it is sent (head | body |
+	// crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 4
+	protoVersion = 5
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -62,7 +64,7 @@ const (
 	frameReject  = byte(3)  // handshake refusal, then close
 	frameJob     = byte(4)  // coordinator -> worker: run this job
 	frameJobDone = byte(5)  // worker -> coordinator: job finished (ok or not)
-	frameResult  = byte(6)  // worker -> coordinator: one owned partition's rows
+	frameResult  = byte(6)  // worker -> coordinator: an attempt's rows, its owned partitions
 	frameAbort   = byte(7)  // coordinator -> worker: stop an attempt
 	framePing    = byte(8)  // coordinator -> worker liveness probe
 	framePong    = byte(9)  // worker -> coordinator liveness answer
@@ -212,12 +214,6 @@ type jobDone struct {
 	// coordinator fills them when it merges the reports.
 	Stages  []session.ClusterStage   `json:"stages,omitempty"`
 	Metrics dataflow.MetricsSnapshot `json:"metrics"`
-	// Telemetry marks that the worker shipped a telemetry bundle for this
-	// attempt (ordered before this report on the same connection). False
-	// means the worker runs with telemetry disabled; the coordinator then
-	// marks the job's report partial instead of waiting for a bundle that
-	// will never come.
-	Telemetry bool `json:"telemetry,omitempty"`
 }
 
 // abortMsg tells workers to stop one attempt.
@@ -312,18 +308,29 @@ func (f *dataFrame) layout(c *field.Codec) {
 	c.I64(&f.Stage)
 }
 
-// resultFrame heads a frameResult payload; the body is the partition's rows as
-// one bucket (dataflow.Dataset.Bucket).
-type resultFrame struct {
-	JobID     uint64
-	Attempt   int
-	Partition int
+// attemptHead heads what a worker sends the coordinator about one attempt: the
+// attempt and the sender's roster index in it. A result frame's body is
+// gatherBody over the sender's partitions, a telemetry frame's the encoded
+// telemetryBundle.
+type attemptHead struct {
+	JobID   uint64
+	Attempt int
+	From    int
 }
 
-func (f *resultFrame) layout(c *field.Codec) {
+func (f *attemptHead) layout(c *field.Codec) {
 	c.U64(&f.JobID)
 	c.Int32(&f.Attempt)
-	c.Int32(&f.Partition)
+	c.Int32(&f.From)
+}
+
+// head is the header of this worker's result and telemetry frames of the
+// attempt.
+func (s *jobSpec) head() []byte {
+	f := attemptHead{JobID: s.JobID, Attempt: s.Attempt, From: s.Self}
+	c := field.Appender(nil)
+	f.layout(&c)
+	return c.Bytes()
 }
 
 // checkedBody is the body of the frame whose header c has just read - what is

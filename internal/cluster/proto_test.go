@@ -72,10 +72,10 @@ func bucketOf(rows []embedding.Embedding) dataflow.Bucket {
 	return b
 }
 
-// encoded is a bucket's bytes, as the frame body carries them.
-func encoded(b dataflow.Bucket) []byte {
-	head := headBytes(&resultFrame{})
-	frame := framed(&outFrame{typ: frameResult, head: head, body: []segment{{bucket: b}}})
+// encoded is the body of a frame of these segments, as the socket carries it.
+func encoded(body ...segment) []byte {
+	head := headBytes(&attemptHead{})
+	frame := framed(&outFrame{typ: frameResult, head: head, body: body})
 	return frame[frameHeader+len(head) : len(frame)-crcTrailer]
 }
 
@@ -170,25 +170,31 @@ func TestDataFrameCRC(t *testing.T) {
 	}
 }
 
-// TestResultFrameCRC: a shipped result partition is checksummed like a
-// shuffle bucket - a flipped bit anywhere in the body is a structured error,
-// where it used to be a decode error by luck and a wrong row otherwise.
+// TestResultFrameCRC: an attempt's result is one frame, the gather of the
+// sender's partitions, checksummed like a shuffle bucket - a flipped bit
+// anywhere in the body is a structured error, where it used to be a decode
+// error by luck and a wrong row otherwise.
 func TestResultFrameCRC(t *testing.T) {
-	rows := []embedding.Embedding{
+	rows := bucketOf([]embedding.Embedding{
 		embedding.Embedding{}.AppendID(1).AppendProps(epgm.PVString("Leipzig")),
 		embedding.Embedding{}.AppendID(2).AppendProps(epgm.PVString("Dresden")),
-	}
-	b := bucketOf(rows)
-	body := encoded(b)
-	head := headBytes(&resultFrame{JobID: 7, Attempt: 1, Partition: 3})
-	enc := framed(&outFrame{typ: frameResult, head: head, body: []segment{{bucket: b}}})[frameHeader:]
-	var f resultFrame
+	})
+	owner := []int{0, 1, 0, 1}
+	body := gatherBody(owner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})
+	head := headBytes(&attemptHead{JobID: 7, Attempt: 1, From: 1})
+	enc := framed(&outFrame{typ: frameResult, head: head, body: body})[frameHeader:]
+	var f attemptHead
 	got, err := openFrame(&f, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.JobID != 7 || f.Attempt != 1 || f.Partition != 3 || !bytes.Equal(got, body) {
+	filed := make([][]byte, len(owner))
+	if f != (attemptHead{JobID: 7, Attempt: 1, From: 1}) || !bytes.Equal(got, encoded(body...)) {
 		t.Fatalf("round trip: %+v, body %x", f, got)
+	}
+	if err := splitAllGather(owner, f.From, got, filed); err != nil || !bytes.Equal(filed[1], encoded(segment{bucket: rows})) ||
+		len(filed[3]) != 4 || filed[0] != nil || filed[2] != nil {
+		t.Fatalf("the body files as %x (%v)", filed, err)
 	}
 	for i := len(head); i < len(enc); i++ { // the body and its trailer
 		enc[i] ^= 0x01
@@ -210,15 +216,17 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 	c := &Coordinator{inst: newClusterInstruments(nil), pending: map[jobKey]*attemptState{}}
 	m := &member{idx: 0, node: "w0", conn: server, send: newSender(server), alive: true}
 	c.members = []*member{m}
-	st := newAttemptState(jobKey{job: 7}, []int{0})
+	st := newAttemptState(jobKey{job: 7}, []int{0}, []int{0})
 	c.pending[st.key] = st
 	read := make(chan struct{})
 	go func() {
 		c.readMember(m, bufio.NewReader(server))
 		close(read)
 	}()
-	frame := frameBytes(frameResult, headBytes(&resultFrame{JobID: 7, Partition: 0}), []byte{0, 0, 0, 0})
-	frame[len(frame)-crcTrailer-1] = 1 // the body says one row; the trailer was taken over none
+	// Partition 0, an empty bucket: the body says one row, the trailer was
+	// taken over none.
+	frame := frameBytes(frameResult, headBytes(&attemptHead{JobID: 7}), []byte{0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0})
+	frame[len(frame)-crcTrailer-1] = 1
 	if _, err := client.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 		t.Fatal("member survived a corrupt result frame")
 	}
 	if out := st.classify(); !out.recoverable || len(st.results) != 0 {
-		t.Fatalf("attempt after a corrupt result: %+v with %d partitions delivered", out, len(st.results))
+		t.Fatalf("attempt after a corrupt result: %+v with %d bodies delivered", out, len(st.results))
 	}
 }
 
@@ -241,7 +249,7 @@ func TestFramesNeverShareBytes(t *testing.T) {
 		for i := range rows {
 			rows[i] = embedding.Embedding{}.AppendID(epgm.ID(i)).AppendProps(epgm.PVInt(tag), epgm.PVString("name"))
 		}
-		return encoded(bucketOf(rows))
+		return encoded(segment{bucket: bucketOf(rows)})
 	}
 	var wire bytes.Buffer
 	for tag := int64(1); tag <= 2; tag++ {
@@ -277,11 +285,11 @@ func TestFramesNeverShareBytes(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionMismatch dials a worker as a version 3 peer would -
-// one that puts a frame's checksum in its header, before the body - and
-// requires a structured frameReject, then a close.
+// TestHandshakeVersionMismatch dials a worker as a version 4 peer would -
+// one that ships a result frame per partition - and requires a structured
+// frameReject, then a close.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	w := NewWorker("w0", nil, nil)
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +303,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	if err := writeJSONFrame(conn, frameHello, hello{
-		Magic: protoMagic, Version: 3, Role: roleControl,
+		Magic: protoMagic, Version: 4, Role: roleControl,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +330,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 
 // TestHandshakeBadMagic mirrors the version check for the magic number.
 func TestHandshakeBadMagic(t *testing.T) {
-	w := NewWorker("w0", nil, nil)
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +397,7 @@ func TestDialRejectsForeignWelcome(t *testing.T) {
 // collective is waiting on it and requires a structured ErrPeerLost, not a
 // hang.
 func TestMidStreamDropFailsCollective(t *testing.T) {
-	rt := newJobRuntime(NewWorker("w0", nil, nil), jobKey{job: 1})
+	rt := newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1})
 	client, server := net.Pipe()
 	defer client.Close()
 	link := rt.addPeer(1, server)
@@ -419,7 +427,7 @@ func TestMidStreamDropFailsCollective(t *testing.T) {
 // TestMailBeforeDropStillConsumable pins the orderly-departure contract:
 // frames delivered before the sender's close stay readable from the inbox.
 func TestMailBeforeDropStillConsumable(t *testing.T) {
-	rt := newJobRuntime(NewWorker("w0", nil, nil), jobKey{job: 1})
+	rt := newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1})
 	client, server := net.Pipe()
 	link := rt.addPeer(1, server)
 	routed := make(chan struct{})
@@ -503,7 +511,7 @@ func TestSenderCoalescing(t *testing.T) {
 // to re-create the attempt's runtime for the life of the process. It lives
 // orphanAfter now; one the job frame claims in time lives until its job ends.
 func TestOrphanRuntimeIsDropped(t *testing.T) {
-	w := NewWorker("w0", nil, nil)
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	w.orphanAfter = 20 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -541,8 +549,8 @@ func TestOrphanRuntimeIsDropped(t *testing.T) {
 		t.Fatalf("%d runtimes left behind an unclaimed hello, want 0", n)
 	}
 
-	claimed := w.runtime(jobKey{job: 100}, false)
-	if w.runtime(jobKey{job: 100}, true) != claimed {
+	claimed := w.runtime(jobKey{job: 100}, nil)
+	if w.runtime(jobKey{job: 100}, &sender{}) != claimed {
 		t.Fatal("the job frame did not get the runtime its peer's hello made")
 	}
 	time.Sleep(5 * w.orphanAfter)
@@ -559,9 +567,9 @@ func TestOrphanRuntimeIsDropped(t *testing.T) {
 // pending when its attempt has ended, and must not be what keeps the runtime,
 // and behind it the worker and its graph, in memory until it fires.
 func TestOrphanTimerPinsNothing(t *testing.T) {
-	w := NewWorker("w0", nil, nil) // orphanAfter is handshakeTimeout: the timer outlives the test
-	rt := w.runtime(jobKey{job: 1}, false)
-	w.runtime(jobKey{job: 1}, true)
+	w := NewWorkerWith("w0", nil, WorkerOptions{}) // orphanAfter is handshakeTimeout: the timer outlives the test
+	rt := w.runtime(jobKey{job: 1}, nil)
+	w.runtime(jobKey{job: 1}, &sender{})
 	w.dropRuntime(rt)
 	ref := weak.Make(rt)
 	rt, w = nil, nil

@@ -30,7 +30,7 @@ func wideRows(n int) []embedding.Embedding {
 // attempt's transport owns partition 0 of two.
 func stalledPeer(t *testing.T, w *Worker) (rt *jobRuntime, far net.Conn, pt *peerTransport) {
 	t.Helper()
-	rt = w.runtime(jobKey{job: 1}, true)
+	rt = w.runtime(jobKey{job: 1}, &sender{})
 	near, far := net.Pipe()
 	link := rt.addPeer(1, near)
 	if link == nil {
@@ -81,7 +81,7 @@ func goroutinesBack(t *testing.T, before int) {
 // goroutine is left behind.
 func TestStalledPeerFailsExchange(t *testing.T) {
 	before := runtime.NumGoroutine()
-	rt, far, pt := stalledPeer(t, NewWorker("w0", nil, nil))
+	rt, far, pt := stalledPeer(t, NewWorkerWith("w0", nil, WorkerOptions{}))
 	done := exchangeInBackground(t, pt)
 	if _, err := far.Read(make([]byte, 1000)); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestStalledPeerFailsExchange(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the link's writer outlived its connection")
 	}
-	rt.shutdown()
+	rt.fail(errFinished)
 	goroutinesBack(t, before)
 }
 
@@ -112,7 +112,7 @@ func TestStalledPeerFailsExchange(t *testing.T) {
 // would never end.
 func TestAbortEndsHalfWrittenFrame(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := NewWorker("w0", nil, nil)
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	rt, far, pt := stalledPeer(t, w)
 	defer far.Close()
 	ctrl, served := net.Pipe()
@@ -251,7 +251,7 @@ func TestWriterHoldsBucketsToTheirSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &outFrame{typ: frameResult, head: headBytes(&resultFrame{}), body: []segment{{bucket: b}}}
+	f := &outFrame{typ: frameResult, head: headBytes(&attemptHead{}), body: []segment{{bucket: b}}}
 	err = newFrameWriter(discardConn{}).frame(f)
 	if want := "declared 14 bytes and wrote 24"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("got %v, want %q", err, want)

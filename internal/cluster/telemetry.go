@@ -17,24 +17,6 @@ import (
 // bundles from different machines align without trusting anyone's wall
 // clock. A failed attempt ships nothing: its spans die with its collector.
 
-// telemetryFrame heads a frameTelemetry payload, one worker's observability
-// shipment for one attempt; the body is the encoded telemetryBundle, the
-// checksum behind it. A header or checksum failure here must degrade the
-// report, never the query: the outer frame boundary was already validated, so
-// the coordinator skips the bundle and settles the attempt with a
-// partial-telemetry marker.
-type telemetryFrame struct {
-	JobID   uint64
-	Attempt int
-	From    int // the worker's roster index within the attempt
-}
-
-func (f *telemetryFrame) layout(c *field.Codec) {
-	c.U64(&f.JobID)
-	c.Int32(&f.Attempt)
-	c.Int32(&f.From)
-}
-
 // telemetryBundle is the body of a telemetry frame: who recorded it, under
 // which trace identity, how long the attempt ran on that worker, the full
 // span set (per-stage, per-partition, per-attempt, times rebased to the

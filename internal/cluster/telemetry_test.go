@@ -14,7 +14,7 @@ import (
 // sealTelemetry is a telemetry frame payload as the worker sends it: the
 // header, the encoded bundle and its checksum. It returns the header's length
 // too.
-func sealTelemetry(f telemetryFrame, b *telemetryBundle) (payload []byte, headLen int) {
+func sealTelemetry(f attemptHead, b *telemetryBundle) (payload []byte, headLen int) {
 	head := headBytes(&f)
 	return frameBytes(frameTelemetry, head, encodeTelemetryBundle(b))[frameHeader:], len(head)
 }
@@ -47,8 +47,8 @@ func testBundle() telemetryBundle {
 // TestTelemetryFrameRoundTrip pins the frame and bundle codecs end to end.
 func TestTelemetryFrameRoundTrip(t *testing.T) {
 	bundle := testBundle()
-	enc, _ := sealTelemetry(telemetryFrame{JobID: 42, Attempt: 1, From: 2}, &bundle)
-	var dec telemetryFrame
+	enc, _ := sealTelemetry(attemptHead{JobID: 42, Attempt: 1, From: 2}, &bundle)
+	var dec attemptHead
 	body, err := openFrame(&dec, enc)
 	if err != nil {
 		t.Fatalf("telemetry frame: %v", err)
@@ -70,9 +70,9 @@ func TestTelemetryFrameRoundTrip(t *testing.T) {
 // never panics the read loop.
 func TestTelemetryFrameTruncated(t *testing.T) {
 	bundle := testBundle()
-	enc, _ := sealTelemetry(telemetryFrame{JobID: 7}, &bundle)
+	enc, _ := sealTelemetry(attemptHead{JobID: 7}, &bundle)
 	for cut := 0; cut < len(enc); cut++ {
-		var f telemetryFrame
+		var f attemptHead
 		body, err := openFrame(&f, enc[:cut])
 		if err != nil {
 			continue // header too short, or CRC over a cut body failed
@@ -87,11 +87,11 @@ func TestTelemetryFrameTruncated(t *testing.T) {
 // must catch each corruption before the bundle decoder sees it.
 func TestTelemetryFrameCRC(t *testing.T) {
 	bundle := testBundle()
-	enc, headLen := sealTelemetry(telemetryFrame{JobID: 7}, &bundle)
+	enc, headLen := sealTelemetry(attemptHead{JobID: 7}, &bundle)
 	for i := headLen; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x40
-		var f telemetryFrame
+		var f attemptHead
 		if _, err := openFrame(&f, bad); err == nil {
 			t.Fatalf("bit flip at byte %d passed the CRC", i)
 		}

@@ -37,6 +37,9 @@ var ErrPeerLost = errors.New("cluster: peer lost")
 // errAborted marks attempts stopped by a coordinator abort.
 var errAborted = errors.New("cluster: attempt aborted by coordinator")
 
+// errFinished ends an attempt that is over, failed or not (jobRuntime.fail).
+var errFinished = errors.New("cluster: attempt finished")
+
 // Worker is one process of the cluster: it holds the full graph data, owns
 // the partitions the coordinator assigns per job, executes shipped stage
 // programs on the ordinary dataflow engine, and exchanges shuffle buckets
@@ -95,14 +98,7 @@ type WorkerOptions struct {
 	NoTelemetry bool
 }
 
-// NewWorker creates a worker serving the given pinned graph data, with
-// telemetry shipping enabled and no metrics registry. A nil logger
-// disables logging.
-func NewWorker(node string, data *session.GraphData, logger *slog.Logger) *Worker {
-	return NewWorkerWith(node, data, WorkerOptions{Logger: logger})
-}
-
-// NewWorkerWith creates a worker with explicit options.
+// NewWorkerWith creates a worker serving the given pinned graph data.
 func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Worker {
 	w := &Worker{
 		node:      node,
@@ -224,24 +220,25 @@ type jobKey struct {
 
 // runtime returns (creating if needed) the runtime for one attempt. Peer
 // connections may arrive before the coordinator's Job frame, so both paths
-// get-or-create; the job frame's (claim) is the one that owns the runtime and
-// drops it when the attempt ends. A hello may also arrive for an attempt whose
-// job has already come and gone here - this worker was aborted while a slower
-// peer was still dialling - or never comes: a runtime no job frame has
+// get-or-create; the job frame's - ctrl, the sender of the control connection
+// it came on - is the one that owns the runtime and drops it when the attempt
+// ends, and a peer's hello passes nil. A hello may also arrive for an attempt
+// whose job has already come and gone here - this worker was aborted while a
+// slower peer was still dialling - or never comes: a runtime no job frame has
 // claimed orphanAfter its creation is dropped, and the peers that wait on it
 // lose their connection. The timer that does so holds the runtime weakly:
 // whether hello or job frame is first is a race every attempt runs, and a
 // strong reference kept the runtime of each one the hello won - and through it
 // the worker and its pinned graph, closed or not - alive for orphanAfter
 // (40 MiB of resident set in one bench run and not in the next).
-func (w *Worker) runtime(key jobKey, claim bool) *jobRuntime {
+func (w *Worker) runtime(key jobKey, ctrl *sender) *jobRuntime {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	rt, ok := w.jobs[key]
 	if !ok {
 		rt = newJobRuntime(w, key)
 		w.jobs[key] = rt
-		if !claim {
+		if ctrl == nil {
 			ref := weak.Make(rt)
 			time.AfterFunc(w.orphanAfter, func() {
 				if rt := ref.Value(); rt != nil {
@@ -250,21 +247,21 @@ func (w *Worker) runtime(key jobKey, claim bool) *jobRuntime {
 			})
 		}
 	}
-	if claim {
-		rt.claimed = true
+	if ctrl != nil {
+		rt.ctrl = ctrl
 	}
 	return rt
 }
 
 func (w *Worker) dropOrphan(rt *jobRuntime) {
 	w.mu.Lock()
-	orphan := !rt.claimed && w.jobs[rt.key] == rt
+	orphan := rt.ctrl == nil && w.jobs[rt.key] == rt
 	if orphan {
 		delete(w.jobs, rt.key)
 	}
 	w.mu.Unlock()
 	if orphan {
-		rt.shutdown()
+		rt.fail(errFinished)
 	}
 }
 
@@ -274,7 +271,7 @@ func (w *Worker) dropRuntime(rt *jobRuntime) {
 		delete(w.jobs, rt.key)
 	}
 	w.mu.Unlock()
-	rt.shutdown()
+	rt.fail(errFinished)
 }
 
 // handleConn performs the handshake and runs the connection's read loop:
@@ -317,7 +314,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 	case roleControl:
 		w.serveControl(conn, br)
 	case rolePeer:
-		rt := w.runtime(jobKey{job: h.JobID, attempt: h.Attempt}, false)
+		rt := w.runtime(jobKey{job: h.JobID, attempt: h.Attempt}, nil)
 		link := rt.addPeer(h.From, conn)
 		if link == nil {
 			conn.Close()
@@ -330,18 +327,18 @@ func (w *Worker) handleConn(conn net.Conn) {
 }
 
 // serveControl is the coordinator-facing loop: jobs start, aborts land,
-// pings answer. When the connection drops every job it started fails — an
-// orphaned worker must not keep executing for a coordinator that cannot
-// hear the answer.
+// pings answer. When the connection drops every attempt it claimed and is
+// still running fails - an orphaned worker must not keep executing for a
+// coordinator that cannot hear the answer. A finished attempt has left
+// w.jobs, so the connection keeps nothing per job.
 func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	send := newSender(conn)
 	defer send.abort()
-	var started []jobKey
 	defer func() {
+		var rts []*jobRuntime
 		w.mu.Lock()
-		rts := make([]*jobRuntime, 0, len(started))
-		for _, key := range started {
-			if rt, ok := w.jobs[key]; ok {
+		for _, rt := range w.jobs {
+			if rt.ctrl == send {
 				rts = append(rts, rt)
 			}
 		}
@@ -363,11 +360,11 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 			if err := json.Unmarshal(payload, &spec); err != nil {
 				continue
 			}
-			started = append(started, jobKey{job: spec.JobID, attempt: spec.Attempt})
+			rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt}, send)
 			w.wg.Add(1)
 			go func() {
 				defer w.wg.Done()
-				w.runJob(&spec, send)
+				w.runJob(&spec, rt, send)
 			}()
 		case frameAbort:
 			var a abortMsg
@@ -390,10 +387,9 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 // bundle after seeing the done. A failed attempt's spans have no reader -
 // the coordinator merges the winning attempt's bundles only - so they are
 // never copied out and die with the collector.
-func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
+func (w *Worker) runJob(spec *jobSpec, rt *jobRuntime, ctrl *sender) {
 	start := time.Now()
 	done := jobDone{JobID: spec.JobID, Attempt: spec.Attempt}
-	rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt}, true)
 	defer w.dropRuntime(rt)
 	// Workers always trace: the per-stage predicted-vs-actual records the
 	// coordinator publishes are derived from the spans. The collector epoch
@@ -409,7 +405,6 @@ func (w *Worker) runJob(spec *jobSpec, ctrl *sender) {
 		spans := col.Spans()
 		done.Stages = stageRecords(spans, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
 		done.Metrics = metrics
-		done.Telemetry = w.telemetry
 		if w.telemetry {
 			w.shipTelemetry(spec, ctrl, spans, time.Since(start))
 		}
@@ -448,10 +443,7 @@ func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, spans []trace.Span, 
 		Metrics:   w.metrics.Snapshot(),
 	}
 	body := encodeTelemetryBundle(&bundle)
-	f := telemetryFrame{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self}
-	c := field.Appender(nil)
-	f.layout(&c)
-	head := c.Bytes()
+	head := spec.head()
 	if _, err := ctrl.send(frameTelemetry, head, []segment{{raw: body}}); err != nil {
 		return // the control connection is gone; the done report will fail too
 	}
@@ -511,37 +503,30 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 	return pt.wireOut, env.Metrics(), nil
 }
 
-// shipResults sends the owned partitions of the result to the coordinator,
-// one result frame each, and returns once the frames have been written into
-// the connection's buffer: like a collective's, they are written from the
+// shipResults sends the attempt's result to the coordinator as a gather: one
+// result frame whose body is gatherBody over the partitions this worker owns -
+// empty when it owns none - and returns once the frame has been written into
+// the connection's buffer, since, like a collective's, it is written from the
 // rows (DESIGN decision 34).
 func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctrl *sender) error {
-	var last uint64
-	var err error
-	body := make([]segment, 0, spec.Workers)
-	for p := 0; p < spec.Workers && err == nil; p++ {
+	blobs := make([]dataflow.Bucket, spec.Workers)
+	for p := range blobs {
 		if spec.Owner[p] != spec.Self {
 			continue
 		}
-		var b dataflow.Bucket
-		if b, err = rows.Bucket(p); err != nil {
-			break
+		var err error
+		if blobs[p], err = rows.Bucket(p); err != nil {
+			return err
 		}
-		f := resultFrame{JobID: spec.JobID, Attempt: spec.Attempt, Partition: p}
-		c := field.Appender(nil)
-		f.layout(&c)
-		body = append(body, segment{bucket: b})
-		var seq uint64
-		if seq, err = ctrl.send(frameResult, c.Bytes(), body[len(body)-1:]); err != nil {
-			err = fmt.Errorf("cluster: shipping partition %d: %w", p, err)
-			break
-		}
-		last = seq
 	}
-	if werr := ctrl.wait(last); err == nil && werr != nil {
-		err = fmt.Errorf("cluster: shipping results: %w", werr)
+	seq, err := ctrl.send(frameResult, spec.head(), gatherBody(spec.Owner, spec.Self, blobs))
+	if err == nil {
+		err = ctrl.wait(seq)
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("cluster: shipping results: %w", err)
+	}
+	return nil
 }
 
 // connectMesh establishes the attempt's worker-to-worker connections:
@@ -614,8 +599,10 @@ type peerLink struct {
 type jobRuntime struct {
 	w   *Worker
 	key jobKey
-	// claimed: the attempt's job frame has arrived (under w.mu).
-	claimed bool
+	// ctrl is the sender of the control connection whose job frame claimed
+	// the attempt, nil until one has (under w.mu): the connection whose loss
+	// fails it.
+	ctrl *sender
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -632,7 +619,6 @@ type jobRuntime struct {
 	// already in the inbox, so a genuine wait on a lost peer means a real
 	// loss.
 	lost map[int]error
-	done bool
 }
 
 func newJobRuntime(w *Worker, key jobKey) *jobRuntime {
@@ -652,7 +638,7 @@ func newJobRuntime(w *Worker, key jobKey) *jobRuntime {
 func (rt *jobRuntime) addPeer(idx int, conn net.Conn) *peerLink {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.done || rt.err != nil || rt.peers[idx] != nil {
+	if rt.err != nil || rt.peers[idx] != nil {
 		return nil
 	}
 	link := &peerLink{conn: conn, send: newSender(conn)}
@@ -785,10 +771,13 @@ func (rt *jobRuntime) peerWritten(idx int) error {
 	return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
 }
 
-// fail records the attempt's first failure, wakes every waiter and aborts
-// the attempt's peer links: a collective that waits for its frame to be
-// written into a connection nobody reads returns when the link's writer
-// stops, and not before.
+// fail records the attempt's first failure, wakes every waiter and stops the
+// attempt's peer links. A failure aborts them: a collective that waits for
+// its frame to be written into a connection nobody reads returns when the
+// link's writer stops, and not before. The end of the attempt, errFinished,
+// closes them gracefully, draining any queued frames first, so an orderly
+// finisher's last collective contributions reach the slower peers before the
+// FIN does.
 func (rt *jobRuntime) fail(err error) {
 	rt.mu.Lock()
 	if rt.err == nil {
@@ -801,7 +790,11 @@ func (rt *jobRuntime) fail(err error) {
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
 	for _, l := range links {
-		l.send.abort()
+		if err == errFinished {
+			l.send.close()
+		} else {
+			l.send.abort()
+		}
 	}
 }
 
@@ -834,26 +827,6 @@ func (rt *jobRuntime) lossInfo(err error) (bool, []int) {
 	return true, idxs
 }
 
-// shutdown closes the attempt's peer connections — gracefully, draining
-// any queued frames first, so an orderly finisher's last collective
-// contributions reach the slower peers before the FIN does.
-func (rt *jobRuntime) shutdown() {
-	rt.mu.Lock()
-	rt.done = true
-	if rt.err == nil {
-		rt.err = errors.New("cluster: attempt finished")
-	}
-	links := make([]*peerLink, 0, len(rt.peers))
-	for _, l := range rt.peers {
-		links = append(links, l)
-	}
-	rt.cond.Broadcast()
-	rt.mu.Unlock()
-	for _, l := range links {
-		l.send.close()
-	}
-}
-
 // peerTransport implements dataflow.Transport over the attempt's peer mesh.
 // All methods run on the job's driving goroutine (the engine's contract),
 // so the sequence counter needs no synchronization; each collective is
@@ -873,71 +846,68 @@ type peerTransport struct {
 // Owns implements dataflow.Transport.
 func (t *peerTransport) Owns(p int) bool { return t.spec.Owner[p] == t.spec.Self }
 
-// maybeCrash drives the deterministic fault injection: when armed, the
-// worker dies (as a process: every socket closed) after the configured
-// number of collectives.
-func (t *peerTransport) maybeCrash() error {
-	if t.rt.w.failAfter.Load() <= 0 {
-		return nil
-	}
-	if t.rt.w.failAfter.Add(-1) == 0 {
-		t.rt.w.Crash()
-		return errors.New("cluster: injected worker crash")
-	}
-	return nil
-}
-
 // Exchange implements dataflow.Transport: one frame per peer carries every
-// (src partition, dst partition) bucket this process owes it; the mailbox
-// wait returns the symmetric frames.
+// (src partition, dst partition) bucket this process owes it, and each peer's
+// frame is filed under incoming[destination][source].
 func (t *peerTransport) Exchange(stage int64, outgoing [][]dataflow.Bucket) ([][][]byte, error) {
-	t.seq++
-	if err := t.maybeCrash(); err != nil {
-		return nil, err
-	}
-	w, self, owner := t.spec.Workers, t.spec.Self, t.spec.Owner
-	head := t.dataHead(stage, kindExchange)
-	var err error
-	for j := range t.spec.Procs {
-		if j == self {
-			continue
-		}
-		body := exchangeBody(owner, self, j, outgoing)
-		t.wireOut[stage] += wireSize(head, body)
-		if err = t.rt.peerSend(j, head, body); err != nil {
-			break
-		}
-	}
-	if err = t.written(err); err != nil {
-		return nil, err
-	}
-	incoming := make([][][]byte, w)
-	for q := 0; q < w; q++ {
+	owner, self := t.spec.Owner, t.spec.Self
+	incoming := make([][][]byte, len(owner))
+	for q := range incoming {
 		if owner[q] == self {
-			incoming[q] = make([][]byte, w)
+			incoming[q] = make([][]byte, len(owner))
 		}
 	}
-	for j := range t.spec.Procs {
-		if j == self {
-			continue
-		}
-		body, err := t.rt.waitMail(mailKey{seq: t.seq, kind: kindExchange, from: j})
-		if err != nil {
-			return nil, err
-		}
-		if err := splitExchange(owner, self, j, body, incoming); err != nil {
-			return nil, err
-		}
+	err := t.collective(stage, kindExchange,
+		func(j int) []segment { return exchangeBody(owner, self, j, outgoing) },
+		func(j int, body []byte) error { return splitExchange(owner, self, j, body, incoming) })
+	if err != nil {
+		return nil, err
 	}
 	return incoming, nil
 }
 
-// written waits until every frame the collective queued has been written into
-// its connection's buffer or dropped with its connection, and returns err or
-// else the first failure to write one. A collective returns only then, having
-// failed or not: its frames are written from rows and routes the engine
-// rewrites as soon as it has returned.
-func (t *peerTransport) written(err error) error {
+// AllGather implements dataflow.Transport: every process frames its owned
+// partitions' buckets once and sends the identical frame to each peer.
+func (t *peerTransport) AllGather(stage int64, blobs []dataflow.Bucket) ([][]byte, error) {
+	owner := t.spec.Owner
+	body := gatherBody(owner, t.spec.Self, blobs)
+	out := make([][]byte, len(owner))
+	err := t.collective(stage, kindAllGather,
+		func(int) []segment { return body },
+		func(j int, b []byte) error { return splitAllGather(owner, j, b, out) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// collective is the one sequence every collective runs. It numbers the
+// collective - the number that pairs it across processes - and runs the crash
+// hook: an armed worker dies, as a process, every socket closed, after that
+// many collectives. It queues one data frame of this kind to every peer j,
+// body(j) its body, and waits until each has been written into its
+// connection's buffer or dropped with it: a collective returns only then,
+// having failed or not, because its frames are written from rows and routes
+// the engine rewrites as soon as it has returned (DESIGN decision 34). Then it
+// hands each peer's frame of the same collective to split.
+func (t *peerTransport) collective(stage int64, kind byte, body func(j int) []segment, split func(j int, body []byte) error) error {
+	t.seq++
+	if w := t.rt.w; w.failAfter.Load() > 0 && w.failAfter.Add(-1) == 0 {
+		w.Crash()
+		return errors.New("cluster: injected worker crash")
+	}
+	head := t.dataHead(stage, kind)
+	var err error
+	for j := range t.spec.Procs {
+		if j == t.spec.Self {
+			continue
+		}
+		b := body(j)
+		t.wireOut[stage] += wireSize(head, b)
+		if err = t.rt.peerSend(j, head, b); err != nil {
+			break
+		}
+	}
 	for j := range t.spec.Procs {
 		if j == t.spec.Self {
 			continue
@@ -946,7 +916,22 @@ func (t *peerTransport) written(err error) error {
 			err = werr
 		}
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	for j := range t.spec.Procs {
+		if j == t.spec.Self {
+			continue
+		}
+		b, err := t.rt.waitMail(mailKey{seq: t.seq, kind: kind, from: j})
+		if err != nil {
+			return err
+		}
+		if err := split(j, b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // exchangeBody lays out the body of the data frame that carries every bucket
@@ -984,7 +969,8 @@ func exchangeBody(owner []int, self, j int, outgoing [][]dataflow.Bucket) []segm
 
 // splitExchange is the receiving end of exchangeBody: it files the buckets
 // of member j's frame body under incoming[destination][source], each a view
-// of the body clipped to its own length.
+// of the body clipped to its own length. A bucket between partitions j and
+// self do not own, or filed twice, is an error.
 func splitExchange(owner []int, self, j int, body []byte, incoming [][][]byte) error {
 	w := len(owner)
 	for len(body) > 0 {
@@ -1001,55 +987,19 @@ func splitExchange(owner []int, self, j int, body []byte, incoming [][][]byte) e
 		if p < 0 || p >= w || q < 0 || q >= w || owner[p] != j || owner[q] != self {
 			return fmt.Errorf("cluster: misrouted exchange bucket %d->%d from peer %d", p, q, j)
 		}
-		incoming[q][p] = body[:n:n]
+		if incoming[q][p] != nil {
+			return fmt.Errorf("cluster: exchange bucket %d->%d filed twice by peer %d", p, q, j)
+		}
+		incoming[q][p] = body[:n:n] // a view of a body is never nil, empty or not
 		body = body[n:]
 	}
 	return nil
 }
 
-// AllGather implements dataflow.Transport: every process frames its owned
-// partitions' buckets once and sends the identical frame to each peer.
-func (t *peerTransport) AllGather(stage int64, blobs []dataflow.Bucket) ([][]byte, error) {
-	t.seq++
-	if err := t.maybeCrash(); err != nil {
-		return nil, err
-	}
-	w, self, owner := t.spec.Workers, t.spec.Self, t.spec.Owner
-	head := t.dataHead(stage, kindAllGather)
-	body := gatherBody(owner, self, blobs)
-	wire := wireSize(head, body)
-	var err error
-	for j := range t.spec.Procs {
-		if j == self {
-			continue
-		}
-		t.wireOut[stage] += wire
-		if err = t.rt.peerSend(j, head, body); err != nil {
-			break
-		}
-	}
-	if err = t.written(err); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, w)
-	for j := range t.spec.Procs {
-		if j == self {
-			continue
-		}
-		body, err := t.rt.waitMail(mailKey{seq: t.seq, kind: kindAllGather, from: j})
-		if err != nil {
-			return nil, err
-		}
-		if err := splitAllGather(owner, j, body, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// gatherBody lays out the body of the data frame that carries roster member
-// self's share of an all-gather: per owned partition an 8-byte head
-// (partition, length) and its bucket. Every peer is sent the same one.
+// gatherBody lays out the body of a frame that carries roster member self's
+// share of a gather: per owned partition an 8-byte head (partition, length)
+// and its bucket. Every peer of an all-gather is sent the same one, and the
+// coordinator a result.
 func gatherBody(owner []int, self int, blobs []dataflow.Bucket) []segment {
 	mine := 0
 	for _, o := range owner {
@@ -1073,7 +1023,7 @@ func gatherBody(owner []int, self int, blobs []dataflow.Bucket) []segment {
 
 // splitAllGather is the receiving end of gatherBody: it files member j's
 // buckets under out[partition], each a view of the body clipped to its own
-// length.
+// length. A bucket of a partition j does not own, or filed twice, is an error.
 func splitAllGather(owner []int, j int, body []byte, out [][]byte) error {
 	w := len(owner)
 	for len(body) > 0 {
@@ -1089,7 +1039,10 @@ func splitAllGather(owner []int, j int, body []byte, out [][]byte) error {
 		if p < 0 || p >= w || owner[p] != j {
 			return fmt.Errorf("cluster: misrouted all-gather blob for partition %d from peer %d", p, j)
 		}
-		out[p] = body[:n:n]
+		if out[p] != nil {
+			return fmt.Errorf("cluster: all-gather blob for partition %d filed twice by peer %d", p, j)
+		}
+		out[p] = body[:n:n] // a view of a body is never nil, empty or not
 		body = body[n:]
 	}
 	return nil

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gradoop/internal/epgm"
@@ -259,80 +260,131 @@ func ExprString(e Expr) string {
 	}
 }
 
-// RenameVars returns a copy of the expression with variable references
-// renamed per the map; unmapped variables stay. It is used to normalize
-// predicates when detecting recurring sub-patterns and to re-target shared
-// sub-plans.
-func RenameVars(e Expr, rename map[string]string) Expr {
-	mapped := func(v string) string {
-		if n, ok := rename[v]; ok {
-			return n
-		}
-		return v
-	}
+// walkExpr calls visit on e and then, depth first and left to right, on every
+// expression below it. With rewriteExpr it is the one place that names the
+// children of each node type; an ExistsExpr is a leaf, its pattern is not an
+// expression.
+func walkExpr(e Expr, visit func(Expr)) {
+	visit(e)
 	switch x := e.(type) {
 	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, L: RenameVars(x.L, rename), R: RenameVars(x.R, rename)}
+		walkExpr(x.L, visit)
+		walkExpr(x.R, visit)
 	case *NotExpr:
-		return &NotExpr{X: RenameVars(x.X, rename)}
-	case *ListExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, elem := range x.Elems {
-			elems[i] = RenameVars(elem, rename)
-		}
-		return &ListExpr{Elems: elems}
+		walkExpr(x.X, visit)
 	case *IsNullExpr:
-		return &IsNullExpr{X: RenameVars(x.X, rename), Negated: x.Negated}
+		walkExpr(x.X, visit)
+	case *ListExpr:
+		for _, elem := range x.Elems {
+			walkExpr(elem, visit)
+		}
+	case *FuncCall:
+		if x.Arg != nil {
+			walkExpr(x.Arg, visit)
+		}
+	}
+}
+
+// rewriteExpr returns e with leaf(x) in place of every leaf x below it -
+// property access, variable, literal, parameter, exists() and count(*) - and
+// every other node rebuilt around its rewritten children. A node none of whose
+// children changed is returned as it is: expressions are never modified in
+// place, so a rewrite shares what it did not change and allocates nothing for
+// it. The first error leaf returns is the rewrite's.
+func rewriteExpr(e Expr, leaf func(Expr) (Expr, error)) (Expr, error) {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		l, err := rewriteExpr(x.L, leaf)
+		if err != nil {
+			return nil, err
+		}
+		r, err := rewriteExpr(x.R, leaf)
+		if err != nil || (l == x.L && r == x.R) {
+			return x, err
+		}
+		return &BinaryExpr{Op: x.Op, L: l, R: r}, nil
+	case *NotExpr:
+		in, err := rewriteExpr(x.X, leaf)
+		if err != nil || in == x.X {
+			return x, err
+		}
+		return &NotExpr{X: in}, nil
+	case *IsNullExpr:
+		in, err := rewriteExpr(x.X, leaf)
+		if err != nil || in == x.X {
+			return x, err
+		}
+		return &IsNullExpr{X: in, Negated: x.Negated}, nil
+	case *ListExpr:
+		var elems []Expr // nil until an element changes
+		for i, elem := range x.Elems {
+			out, err := rewriteExpr(elem, leaf)
+			if err != nil {
+				return nil, err
+			}
+			if out != elem && elems == nil {
+				elems = append(make([]Expr, 0, len(x.Elems)), x.Elems[:i]...)
+			}
+			if elems != nil {
+				elems = append(elems, out)
+			}
+		}
+		if elems == nil {
+			return x, nil
+		}
+		return &ListExpr{Elems: elems}, nil
 	case *FuncCall:
 		if x.Arg == nil {
-			return x
+			return leaf(x)
 		}
-		return &FuncCall{Name: x.Name, Star: x.Star, Arg: RenameVars(x.Arg, rename)}
-	case *PropertyAccess:
-		return &PropertyAccess{Var: mapped(x.Var), Key: x.Key}
-	case *VarRef:
-		return &VarRef{Var: mapped(x.Var)}
+		arg, err := rewriteExpr(x.Arg, leaf)
+		if err != nil || arg == x.Arg {
+			return x, err
+		}
+		return &FuncCall{Name: x.Name, Star: x.Star, Arg: arg}, nil
 	default:
-		return e
+		return leaf(e)
 	}
+}
+
+// RenameVars returns the expression with variable references renamed per the
+// map; unmapped variables stay. It is used to normalize predicates when
+// detecting recurring sub-patterns and to re-target shared sub-plans.
+func RenameVars(e Expr, rename map[string]string) Expr {
+	out, _ := rewriteExpr(e, func(x Expr) (Expr, error) {
+		switch x := x.(type) {
+		case *PropertyAccess:
+			if n, ok := rename[x.Var]; ok {
+				return &PropertyAccess{Var: n, Key: x.Key}, nil
+			}
+		case *VarRef:
+			if n, ok := rename[x.Var]; ok {
+				return &VarRef{Var: n}, nil
+			}
+		}
+		return x, nil
+	})
+	return out
 }
 
 // ExprVars returns the distinct variables referenced by an expression, in
 // first-occurrence order.
 func ExprVars(e Expr) []string {
 	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.X)
-		case *ListExpr:
-			for _, elem := range x.Elems {
-				walk(elem)
-			}
-		case *IsNullExpr:
-			walk(x.X)
-		case *FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
+	walkExpr(e, func(x Expr) {
+		var v string
+		switch x := x.(type) {
 		case *PropertyAccess:
-			if !seen[x.Var] {
-				seen[x.Var] = true
-				out = append(out, x.Var)
-			}
+			v = x.Var
 		case *VarRef:
-			if !seen[x.Var] {
-				seen[x.Var] = true
-				out = append(out, x.Var)
-			}
+			v = x.Var
+		default:
+			return
 		}
-	}
-	walk(e)
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	})
 	return out
 }
 

@@ -19,9 +19,10 @@ type Binding struct {
 }
 
 // Bind instantiates a deferred query-graph template with parameter values,
-// substituting every Param expression. It returns an error for a $parameter
-// without a value — the same validation the eager BuildQueryGraph performs.
-// The template itself is not modified and may be bound again concurrently.
+// substituting every Param expression. It returns a *MissingParamError for a
+// $parameter without a value. The template itself is not modified and may be
+// bound again concurrently; the binding shares its expressions where they hold
+// no parameter (expressions are never modified in place).
 func (g *QueryGraph) Bind(params map[string]epgm.PropertyValue) (*Binding, error) {
 	b := &Binding{
 		Params:   params,
@@ -130,7 +131,7 @@ func (g *QueryGraph) Bind(params map[string]epgm.PropertyValue) (*Binding, error
 	if len(g.Return.Items) > 0 {
 		ret.Items = make([]ReturnItem, len(g.Return.Items))
 		for i, item := range g.Return.Items {
-			resolved, err := resolveParams(item.Expr, params)
+			resolved, err := ResolveParams(item.Expr, params)
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +141,7 @@ func (g *QueryGraph) Bind(params map[string]epgm.PropertyValue) (*Binding, error
 	if len(g.Return.OrderBy) > 0 {
 		ret.OrderBy = make([]SortItem, len(g.Return.OrderBy))
 		for i, s := range g.Return.OrderBy {
-			resolved, err := resolveParams(s.Expr, params)
+			resolved, err := ResolveParams(s.Expr, params)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +162,7 @@ func bindExprs(exprs []Expr, params map[string]epgm.PropertyValue) ([]Expr, erro
 	}
 	out := make([]Expr, len(exprs))
 	for i, e := range exprs {
-		resolved, err := resolveParams(e, params)
+		resolved, err := ResolveParams(e, params)
 		if err != nil {
 			return nil, err
 		}
@@ -171,8 +172,18 @@ func bindExprs(exprs []Expr, params map[string]epgm.PropertyValue) ([]Expr, erro
 }
 
 // ResolveParams substitutes $parameters in an expression with literal values,
-// erroring on a parameter without a value. It is the exported form of the
-// substitution used by Bind, for callers that hold raw expressions.
+// erroring on a parameter without a value: the substitution Bind makes in
+// every predicate and the planner's Rebind in the expressions operators hold.
 func ResolveParams(e Expr, params map[string]epgm.PropertyValue) (Expr, error) {
-	return resolveParams(e, params)
+	return rewriteExpr(e, func(x Expr) (Expr, error) {
+		p, ok := x.(*Param)
+		if !ok {
+			return x, nil
+		}
+		v, ok := params[p.Name]
+		if !ok {
+			return nil, &MissingParamError{Name: p.Name}
+		}
+		return &Literal{Value: v}, nil
+	})
 }

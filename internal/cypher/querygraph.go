@@ -114,58 +114,27 @@ func AssembleQueryGraph(vertices []*QueryVertex, edges []*QueryEdge, global []Ex
 	return g
 }
 
-// BuildQueryGraph simplifies a parsed query into a query graph, resolving
-// $parameters from params. It validates that WHERE and RETURN reference only
-// declared variables.
+// BuildQueryGraph simplifies a parsed query into a query graph with its
+// $parameters bound from params: BuildQueryGraphDeferred, then Bind.
 func BuildQueryGraph(q *Query, params map[string]epgm.PropertyValue) (*QueryGraph, error) {
-	return buildQueryGraph(q, resolver{params: params})
-}
-
-// BuildQueryGraphDeferred simplifies a parsed query into a query graph
-// template: $parameters are kept as Param expressions instead of being
-// resolved, so one template serves every binding of the same query. Bind
-// later substitutes concrete values (and reports missing parameters). The
-// input query AST is not mutated, so it may be cached alongside the result.
-func BuildQueryGraphDeferred(q *Query) (*QueryGraph, error) {
-	return buildQueryGraph(q, resolver{deferred: true})
-}
-
-// resolver is the parameter-substitution strategy of one query-graph build:
-// eager (substitute from params, erroring on missing values) or deferred
-// (keep Param expressions for a later Bind).
-type resolver struct {
-	params   map[string]epgm.PropertyValue
-	deferred bool
-}
-
-// expr resolves $parameters inside a full expression tree.
-func (r resolver) expr(e Expr) (Expr, error) {
-	if r.deferred {
-		return e, nil
-	}
-	return resolveParams(e, r.params)
-}
-
-// valueExpr resolves an inline property-map value (`{key: value}`) to the
-// expression stored in the equality predicate: a Literal eagerly, or the
-// original Literal/Param expression when deferred.
-func (r resolver) valueExpr(e Expr) (Expr, error) {
-	if r.deferred {
-		switch e.(type) {
-		case *Literal, *Param:
-			return e, nil
-		default:
-			return nil, fmt.Errorf("cypher: expected literal or parameter, got %s", ExprString(e))
-		}
-	}
-	lit, err := resolveValue(e, r.params)
+	tpl, err := BuildQueryGraphDeferred(q)
 	if err != nil {
 		return nil, err
 	}
-	return &Literal{Value: lit}, nil
+	b, err := tpl.Bind(params)
+	if err != nil {
+		return nil, err
+	}
+	return b.Graph, nil
 }
 
-func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
+// BuildQueryGraphDeferred simplifies a parsed query into a query graph
+// template: $parameters are kept as Param expressions, so one template serves
+// every binding of the same query, and Bind substitutes concrete values (and
+// reports missing parameters). It validates that WHERE, RETURN and ORDER BY
+// reference only declared variables. The input query AST is not mutated, so
+// it may be cached alongside the result.
+func BuildQueryGraphDeferred(q *Query) (*QueryGraph, error) {
 	g := &QueryGraph{
 		Return:      q.Return,
 		vertexByVar: map[string]*QueryVertex{},
@@ -213,15 +182,11 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 			}
 		}
 		for _, pe := range n.Props {
-			value, err := res.valueExpr(pe.Value)
+			pred, err := propPredicate(name, pe)
 			if err != nil {
 				return nil, err
 			}
-			qv.Predicates = append(qv.Predicates, &BinaryExpr{
-				Op: OpEQ,
-				L:  &PropertyAccess{Var: name, Key: pe.Key},
-				R:  value,
-			})
+			qv.Predicates = append(qv.Predicates, pred)
 		}
 		return qv, nil
 	}
@@ -269,15 +234,11 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 						qe.Undirected = true
 					}
 					for _, pe := range rel.Props {
-						value, err := res.valueExpr(pe.Value)
+						pred, err := propPredicate(name, pe)
 						if err != nil {
 							return err
 						}
-						qe.Predicates = append(qe.Predicates, &BinaryExpr{
-							Op: OpEQ,
-							L:  &PropertyAccess{Var: name, Key: pe.Key},
-							R:  value,
-						})
+						qe.Predicates = append(qe.Predicates, pred)
 					}
 					g.edgeByVar[name] = qe
 					if group != nil {
@@ -301,11 +262,7 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 		if containsAggregate(q.Where) {
 			return nil, fmt.Errorf("cypher: aggregate functions are not allowed in WHERE")
 		}
-		resolved, err := res.expr(q.Where)
-		if err != nil {
-			return nil, err
-		}
-		for _, conj := range splitConjuncts(resolved) {
+		for _, conj := range splitConjuncts(q.Where) {
 			// exists() predicates become semi/anti-join groups; they are
 			// only supported as top-level conjuncts (possibly negated).
 			if ex, negated, ok := asExistsConjunct(conj); ok {
@@ -367,11 +324,7 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 			if containsAggregate(om.Where) {
 				return nil, fmt.Errorf("cypher: aggregate functions are not allowed in WHERE")
 			}
-			resolved, err := res.expr(om.Where)
-			if err != nil {
-				return nil, err
-			}
-			for _, conj := range splitConjuncts(resolved) {
+			for _, conj := range splitConjuncts(om.Where) {
 				if containsExists(conj) {
 					return nil, fmt.Errorf("cypher: exists() is not supported in OPTIONAL MATCH WHERE")
 				}
@@ -408,24 +361,19 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 		need[variable][key] = struct{}{}
 	}
 	for _, conj := range g.Global {
-		collectPropAccesses(conj, addNeed)
+		CollectPropAccesses(conj, addNeed)
 	}
 	for _, group := range g.Optional {
 		for _, conj := range group.Predicates {
-			collectPropAccesses(conj, addNeed)
+			CollectPropAccesses(conj, addNeed)
 		}
 	}
 	if !g.Return.Star {
-		for i, item := range g.Return.Items {
-			resolved, err := res.expr(item.Expr)
-			if err != nil {
+		for _, item := range g.Return.Items {
+			if err := g.validateVars(ExprVars(item.Expr), "RETURN"); err != nil {
 				return nil, err
 			}
-			g.Return.Items[i].Expr = resolved
-			if err := g.validateVars(ExprVars(resolved), "RETURN"); err != nil {
-				return nil, err
-			}
-			collectPropAccesses(resolved, addNeed)
+			CollectPropAccesses(item.Expr, addNeed)
 		}
 	}
 	aliases := map[string]bool{}
@@ -434,17 +382,12 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 			aliases[item.Alias] = true
 		}
 	}
-	for i, sortItem := range g.Return.OrderBy {
-		resolved, err := res.expr(sortItem.Expr)
-		if err != nil {
-			return nil, err
-		}
-		g.Return.OrderBy[i].Expr = resolved
+	for _, sortItem := range g.Return.OrderBy {
 		// A bare variable in ORDER BY may name a RETURN alias instead of a
 		// query variable.
 		var vars []string
-		for _, v := range ExprVars(resolved) {
-			if ref, ok := resolved.(*VarRef); ok && ref.Var == v && aliases[v] {
+		for _, v := range ExprVars(sortItem.Expr) {
+			if ref, ok := sortItem.Expr.(*VarRef); ok && ref.Var == v && aliases[v] {
 				continue
 			}
 			vars = append(vars, v)
@@ -452,7 +395,7 @@ func buildQueryGraph(q *Query, res resolver) (*QueryGraph, error) {
 		if err := g.validateVars(vars, "ORDER BY"); err != nil {
 			return nil, err
 		}
-		collectPropAccesses(resolved, addNeed)
+		CollectPropAccesses(sortItem.Expr, addNeed)
 	}
 	for v, keys := range need {
 		sorted := make([]string, 0, len(keys))
@@ -500,59 +443,14 @@ func (e *MissingParamError) Error() string {
 	return "cypher: missing value for parameter $" + e.Name
 }
 
-// resolveParams substitutes $parameters with literal values.
-func resolveParams(e Expr, params map[string]epgm.PropertyValue) (Expr, error) {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		l, err := resolveParams(x.L, params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := resolveParams(x.R, params)
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: x.Op, L: l, R: r}, nil
-	case *NotExpr:
-		inner, err := resolveParams(x.X, params)
-		if err != nil {
-			return nil, err
-		}
-		return &NotExpr{X: inner}, nil
-	case *Param:
-		v, ok := params[x.Name]
-		if !ok {
-			return nil, &MissingParamError{Name: x.Name}
-		}
-		return &Literal{Value: v}, nil
-	case *ListExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, elem := range x.Elems {
-			resolved, err := resolveParams(elem, params)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = resolved
-		}
-		return &ListExpr{Elems: elems}, nil
-	case *IsNullExpr:
-		inner, err := resolveParams(x.X, params)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{X: inner, Negated: x.Negated}, nil
-	case *FuncCall:
-		if x.Arg == nil {
-			return x, nil
-		}
-		arg, err := resolveParams(x.Arg, params)
-		if err != nil {
-			return nil, err
-		}
-		return &FuncCall{Name: x.Name, Star: x.Star, Arg: arg}, nil
-	default:
-		return e, nil
+// propPredicate is the equality an inline `{key: value}` entry of variable
+// name stands for; its value must be a literal or a $parameter.
+func propPredicate(name string, pe PropEq) (Expr, error) {
+	switch pe.Value.(type) {
+	case *Literal, *Param:
+		return &BinaryExpr{Op: OpEQ, L: &PropertyAccess{Var: name, Key: pe.Key}, R: pe.Value}, nil
 	}
+	return nil, fmt.Errorf("cypher: expected literal or parameter, got %s", ExprString(pe.Value))
 }
 
 // asExistsConjunct matches `exists(...)` and `NOT exists(...)` conjuncts.
@@ -572,29 +470,11 @@ func asExistsConjunct(e Expr) (*ExistsExpr, bool, bool) {
 // predicate anywhere.
 func containsExists(e Expr) bool {
 	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ExistsExpr:
+	walkExpr(e, func(x Expr) {
+		if _, ok := x.(*ExistsExpr); ok {
 			found = true
-		case *BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.X)
-		case *ListExpr:
-			for _, elem := range x.Elems {
-				walk(elem)
-			}
-		case *IsNullExpr:
-			walk(x.X)
-		case *FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
 		}
-	}
-	walk(e)
+	})
 	return found
 }
 
@@ -602,75 +482,23 @@ func containsExists(e Expr) bool {
 // aggregate function call.
 func containsAggregate(e Expr) bool {
 	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.X)
-		case *ListExpr:
-			for _, elem := range x.Elems {
-				walk(elem)
-			}
-		case *IsNullExpr:
-			walk(x.X)
-		case *FuncCall:
-			if x.Aggregate() {
-				found = true
-			}
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
+	walkExpr(e, func(x Expr) {
+		if f, ok := x.(*FuncCall); ok && f.Aggregate() {
+			found = true
 		}
-	}
-	walk(e)
+	})
 	return found
-}
-
-func resolveValue(e Expr, params map[string]epgm.PropertyValue) (epgm.PropertyValue, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, nil
-	case *Param:
-		v, ok := params[x.Name]
-		if !ok {
-			return epgm.Null, &MissingParamError{Name: x.Name}
-		}
-		return v, nil
-	default:
-		return epgm.Null, fmt.Errorf("cypher: expected literal or parameter, got %s", ExprString(e))
-	}
 }
 
 // CollectPropAccesses invokes add for every property access in the
 // expression tree. Callers use it to determine which property columns a
 // predicate needs.
 func CollectPropAccesses(e Expr, add func(variable, key string)) {
-	collectPropAccesses(e, add)
-}
-
-func collectPropAccesses(e Expr, add func(variable, key string)) {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		collectPropAccesses(x.L, add)
-		collectPropAccesses(x.R, add)
-	case *NotExpr:
-		collectPropAccesses(x.X, add)
-	case *ListExpr:
-		for _, elem := range x.Elems {
-			collectPropAccesses(elem, add)
+	walkExpr(e, func(x Expr) {
+		if pa, ok := x.(*PropertyAccess); ok {
+			add(pa.Var, pa.Key)
 		}
-	case *IsNullExpr:
-		collectPropAccesses(x.X, add)
-	case *FuncCall:
-		if x.Arg != nil {
-			collectPropAccesses(x.Arg, add)
-		}
-	case *PropertyAccess:
-		add(x.Var, x.Key)
-	}
+	})
 }
 
 func intersectStrings(a, b []string) []string {

@@ -262,9 +262,6 @@ func (e *Env) SetGovernor(r *govern.Reservation) {
 	e.memKilled.Store(false)
 }
 
-// Governor returns the installed memory reservation, or nil.
-func (e *Env) Governor() *govern.Reservation { return e.governor }
-
 // Tracer returns the installed trace collector, or nil.
 func (e *Env) Tracer() *trace.Collector { return e.tracer }
 

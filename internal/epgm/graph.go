@@ -65,16 +65,6 @@ func NewGraphCollection(env *dataflow.Env, heads *dataflow.Dataset[GraphHead], v
 	return &GraphCollection{env: env, Heads: heads, Vertices: vertices, Edges: edges}
 }
 
-// EmptyCollection returns a collection with no graphs.
-func EmptyCollection(env *dataflow.Env) *GraphCollection {
-	return &GraphCollection{
-		env:      env,
-		Heads:    dataflow.Empty[GraphHead](env),
-		Vertices: dataflow.Empty[Vertex](env),
-		Edges:    dataflow.Empty[Edge](env),
-	}
-}
-
 // Env returns the collection's execution environment.
 func (c *GraphCollection) Env() *dataflow.Env { return c.env }
 

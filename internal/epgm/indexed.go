@@ -159,14 +159,9 @@ func scan[T any](env *dataflow.Env, all []T, ranges []LabelRange, labels []strin
 }
 
 // VertexLabels returns the indexed vertex labels in sorted order.
-func (x *IndexedLogicalGraph) VertexLabels() []string { return labelsOf(x.store.VertexRanges) }
-
-// EdgeLabels returns the indexed edge labels in sorted order.
-func (x *IndexedLogicalGraph) EdgeLabels() []string { return labelsOf(x.store.EdgeRanges) }
-
-func labelsOf(ranges []LabelRange) []string {
-	labels := make([]string, len(ranges))
-	for i, r := range ranges {
+func (x *IndexedLogicalGraph) VertexLabels() []string {
+	labels := make([]string, len(x.store.VertexRanges))
+	for i, r := range x.store.VertexRanges {
 		labels[i] = r.Label
 	}
 	return labels

@@ -215,14 +215,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Mean returns the arithmetic mean of the observations, 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 func (h *Histogram) metricName() string { return h.name }
 
 func (h *Histogram) expose(sb *strings.Builder) {
