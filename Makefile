@@ -123,7 +123,10 @@ chaos-smoke:
 # scan concatenated its labels); and the join that probes a leaf where it lies
 # (decision 30): a count, a broadcast and a probe of 20 000 edges by 64 rows
 # cost hundredths of an object and two bytes per scanned edge, because a row is
-# built for an edge that joins and for no other.
+# built for an edge that joins and for no other; and a prepared query bound to
+# a request (decision 11): a fresh environment, the pinned store bound to it and
+# the binding cost 36 to 44 objects per yardstick query, because every run
+# shares the plan's operator tree and binding copies none of it.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -161,6 +164,10 @@ alloc-guard:
 	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkBind' -benchmem | awk ' \
 		/^BenchmarkBind/ { print; seen++; if ($$(NF-1)+0 > 26) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: binding the pinned graph and two scans allocate more than 26 objects (24 measured + 10%; 34 when a two-label scan concatenated its labels, 67 when Bind built a dataset per label)"; exit 1 } }'
+	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkPreparedBind' -benchmem | awk ' \
+		BEGIN { max["Q1"] = 39; max["Q2"] = 44; max["Q3"] = 48; max["Q4"] = 47; max["Q5"] = 42; max["Q6"] = 45 } \
+		/^BenchmarkPreparedBind\// { print; split($$1, name, "[/-]"); seen++; if ($$(NF-1)+0 > max[name[2]]) bad = 1 } \
+		END { if (bad || seen != 6) { print "alloc-guard: binding a prepared yardstick query to a request builds objects per operator (Q1-Q6 <= 39, 44, 48, 47, 42, 45 allocs/op with a fresh Env and access: 36, 40, 44, 43, 39 and 41 measured + 10%; 91, 132, 197, 235, 150 and 198 while Bind copied the operator tree)"; exit 1 } }'
 
 # alloc-table prints where an executed request's bytes go: per request class
 # of the benchmark KiB and objects a request, then bytes by allocating

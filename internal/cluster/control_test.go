@@ -16,7 +16,6 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
-	"gradoop/internal/planner"
 	"gradoop/internal/session"
 	"gradoop/internal/stats"
 )
@@ -86,7 +85,7 @@ func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 // are empty. A body that files is assembled, one row a partition.
 func TestResultFilesAgainstTheOwnerMap(t *testing.T) {
 	g := tinyGraph()
-	prep, err := core.PrepareWith(planner.PlainAccess{Graph: g}, stats.Collect(g), `MATCH (p:Person) RETURN *`, core.Config{})
+	prep, err := core.PrepareWith(stats.Collect(g), `MATCH (p:Person) RETURN *`, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +178,7 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 
 	const query = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`
 	st := stats.Collect(g)
-	_, access := data.Bind(dataflow.NewEnv(dataflow.DefaultConfig(2)))
-	prep, err := core.PrepareWith(access, st, query, core.Config{})
+	prep, err := core.PrepareWith(st, query, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

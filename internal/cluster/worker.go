@@ -484,7 +484,7 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 		Trace:   col,
 		Timeout: time.Duration(spec.TimeoutNs),
 	}
-	prep, err := core.PrepareWith(access, spec.Stats, spec.Query, ccfg)
+	prep, err := core.PrepareWith(spec.Stats, spec.Query, ccfg)
 	if err != nil {
 		return nil, zero, fmt.Errorf("cluster: worker planning failed: %w", err)
 	}

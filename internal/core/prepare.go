@@ -15,9 +15,10 @@ import (
 
 // Prepared is a compiled query: the parsed AST, the deferred query-graph
 // template ($parameters unresolved) and the physical plan built from it.
-// A Prepared is immutable and safe for concurrent use — Execute instantiates
-// a fresh operator tree per call — so it is what the session's plan cache
-// stores: parameterized calls reuse one Prepared and only bind differently.
+// A Prepared is immutable and safe for concurrent use — every Execute runs the
+// one operator tree, which no run writes, over its own graph access and
+// binding — so it is what the session's plan cache stores: parameterized calls
+// reuse one Prepared and only bind differently.
 type Prepared struct {
 	Query    string
 	AST      *cypher.Query
@@ -28,24 +29,20 @@ type Prepared struct {
 }
 
 // Prepare parses, simplifies and plans a query once, without binding
-// parameters, so the result can be cached and executed many times. Stats and
-// Access follow the same defaulting as Execute (memoized per-graph stats,
-// plain access).
+// parameters, so the result can be cached and executed many times. Stats
+// follow the same defaulting as Execute (memoized per-graph stats).
 func Prepare(g *epgm.LogicalGraph, query string, cfg Config) (*Prepared, error) {
-	access := cfg.Access
-	if access == nil {
-		access = planner.PlainAccess{Graph: g}
-	}
 	st := cfg.Stats
 	if st == nil {
 		st = GraphStats(g)
 	}
-	return PrepareWith(access, st, query, cfg)
+	return PrepareWith(st, query, cfg)
 }
 
-// PrepareWith is Prepare for callers that manage their own graph access and
-// statistics (the session engine): no defaulting, no graph handle needed.
-func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query string, cfg Config) (*Prepared, error) {
+// PrepareWith is Prepare for callers that keep their own statistics (the
+// session engine, a cluster worker): no defaulting, no graph handle needed.
+// Planning reads no graph; every run gets its access from Bind.
+func PrepareWith(st *stats.GraphStatistics, query string, cfg Config) (*Prepared, error) {
 	ast, err := cypher.Parse(query)
 	if err != nil {
 		return nil, err
@@ -60,7 +57,7 @@ func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query st
 		Morph:        morph,
 		DisableReuse: cfg.DisableSubqueryReuse,
 	}
-	plan, err := pl.Plan(access, tpl)
+	plan, err := pl.Plan(cfg.Access, tpl)
 	if err != nil {
 		return nil, err
 	}
@@ -78,11 +75,11 @@ func PrepareWith(access planner.GraphAccess, st *stats.GraphStatistics, query st
 func (p *Prepared) Fingerprint() string { return p.Plan.Fingerprint() }
 
 // Bind is the one step from a compiled query to a run of it: cfg.Params go
-// into the template and the cached plan is re-instantiated against the run's
-// graph access (cfg.Access, or a plain scan of g). Each call builds a fresh
-// operator tree, so one Prepared serves concurrent executions, each on its
-// own Env. The Result it returns is complete but for what a run produces:
-// Execute fills in Embeddings from the engine, a cluster coordinator from its
+// into the template, and the plan is attached to that binding and to the
+// run's graph access (cfg.Access, or a plain scan of g). It builds no
+// operator, so one Prepared serves concurrent executions, each on its own
+// Env. The Result it returns is complete but for what a run produces: Execute
+// fills in Embeddings from the engine, a cluster coordinator from its
 // workers' partitions, and Plan only renders it.
 func (p *Prepared) Bind(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
 	access := cfg.Access

@@ -5,8 +5,8 @@ import "gradoop/internal/epgm"
 // Binding is a query-graph template instantiated with concrete parameter
 // values: a deep copy of the template in which every $parameter has been
 // substituted by its literal. The Vertices and Edges maps translate template
-// elements to their bound counterparts, which planner.Rebind uses to
-// re-instantiate a cached physical plan against the binding.
+// elements to their bound counterparts, which a run of a cached physical plan
+// reads its query elements through.
 type Binding struct {
 	// Graph is the bound query graph; it shares no mutable predicate state
 	// with the template, so concurrent bindings of one template are safe.
@@ -173,7 +173,7 @@ func bindExprs(exprs []Expr, params map[string]epgm.PropertyValue) ([]Expr, erro
 
 // ResolveParams substitutes $parameters in an expression with literal values,
 // erroring on a parameter without a value: the substitution Bind makes in
-// every predicate and the planner's Rebind in the expressions operators hold.
+// every predicate and a plan's run in the expressions operators hold.
 func ResolveParams(e Expr, params map[string]epgm.PropertyValue) (Expr, error) {
 	return rewriteExpr(e, func(x Expr) (Expr, error) {
 		p, ok := x.(*Param)

@@ -25,21 +25,16 @@ const (
 // separate filter stage (§3.1).
 func Join[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	joiner func(L, R, func(U)), hint JoinHint) *Dataset[U] {
-	return JoinTagged(l, r, lkey, rkey, joiner, hint, 0)
+	return JoinWith(l, r, lkey, rkey, func(*Lane) func(L, R, func(U)) { return joiner }, hint, 0)
 }
 
-// JoinTagged is Join with partition reuse: tag identifies the logical join
-// key. Inputs already partitioned under tag skip their shuffle, and the
-// result is marked as partitioned under tag (a repartition hash join leaves
-// output rows on the partition their key hashes to).
-func JoinTagged[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
-	joiner func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
-	return JoinWith(l, r, lkey, rkey, func(*Lane) func(L, R, func(U)) { return joiner }, hint, tag)
-}
-
-// JoinWith is JoinTagged for a joiner that keeps state: newJoiner is called
-// once per partition attempt, with the partition's lane (see FlatMapWith). The
-// key functions stay shared and must stay pure.
+// JoinWith is Join for a joiner that keeps state, with partition reuse:
+// newJoiner is called once per partition attempt, with the partition's lane
+// (see FlatMapWith), and the key functions stay shared and must stay pure.
+// tag identifies the logical join key (0: none). Inputs already partitioned
+// under tag skip their shuffle, and the result is marked as partitioned under
+// tag (a repartition hash join leaves output rows on the partition their key
+// hashes to).
 func JoinWith[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, rkey func(R) uint64,
 	newJoiner func(*Lane) func(L, R, func(U)), hint JoinHint, tag uint64) *Dataset[U] {
 	if mismatch(l.env, r.env, "Join") || l.env.Failed() {

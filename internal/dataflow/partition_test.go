@@ -165,16 +165,16 @@ func TestOuterJoinWithLeftOuterShape(t *testing.T) {
 	}
 }
 
-func TestJoinTaggedReusesPartitioning(t *testing.T) {
+func TestJoinWithReusesPartitioning(t *testing.T) {
 	run := func(tag uint64) (MetricsSnapshot, []int) {
 		e := env(4)
 		l := FromSlice(e, ints(500))
 		r := FromSlice(e, ints(500))
 		key := func(x int) uint64 { return uint64(x) }
-		pair := func(a, b int, emit func(int)) { emit(a) }
-		j1 := JoinTagged(l, r, key, key, pair, RepartitionHash, tag)
+		pair := func(*Lane) func(a, b int, emit func(int)) { return func(a, b int, emit func(int)) { emit(a) } }
+		j1 := JoinWith(l, r, key, key, pair, RepartitionHash, tag)
 		// Second join on the same key: with a tag, j1 needs no reshuffle.
-		j2 := JoinTagged(j1, r, key, key, pair, RepartitionHash, tag)
+		j2 := JoinWith(j1, r, key, key, pair, RepartitionHash, tag)
 		got := j2.Collect()
 		sort.Ints(got)
 		return e.Metrics(), got

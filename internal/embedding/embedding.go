@@ -230,13 +230,6 @@ func (e Embedding) Merge(o Embedding, dropColumns []int) Embedding {
 	return (*Slab)(nil).Merge(e, o, dropColumns)
 }
 
-// Project returns an embedding that keeps only the given id columns (in the
-// given order) and property columns. It is the physical counterpart of
-// ProjectEmbeddings.
-func (e Embedding) Project(idColumns []int, propColumns []int) Embedding {
-	return (*Slab)(nil).Project(e, idColumns, propColumns)
-}
-
 // IDsAt returns the identifiers at the given columns. Path columns
 // contribute all of their identifiers; null columns contribute nothing.
 func (e Embedding) IDsAt(columns []int) []epgm.ID {

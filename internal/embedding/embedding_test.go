@@ -109,19 +109,6 @@ func TestMergeMultipleDrops(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	var e Embedding
-	e = e.AppendID(1).AppendPath([]epgm.ID{9}).AppendID(3)
-	e = e.AppendProps(epgm.PVString("x"), epgm.PVString("y"), epgm.PVString("z"))
-	p := e.Project([]int{2, 1}, []int{2, 0})
-	if p.Columns() != 2 || p.ID(0) != 3 || !p.IsPath(1) {
-		t.Fatalf("projected: %v", p)
-	}
-	if p.Prop(0).Str() != "z" || p.Prop(1).Str() != "x" {
-		t.Fatalf("projected props: %v", p)
-	}
-}
-
 func TestDistinctAt(t *testing.T) {
 	var e Embedding
 	e = e.AppendID(1).AppendID(2).AppendID(1)
@@ -163,11 +150,6 @@ func TestNullColumns(t *testing.T) {
 	}
 	if !e.DistinctAt([]int{0, 1}) {
 		t.Fatal("null should not collide")
-	}
-	// Projection keeps nulls.
-	p := e.Project([]int{1, 0}, nil)
-	if !p.IsNullAt(0) || p.ID(1) != 5 {
-		t.Fatalf("projected: %v", p)
 	}
 	// Merge carries nulls through.
 	var r Embedding

@@ -213,34 +213,3 @@ func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {
 	}
 	return row
 }
-
-// Project is Embedding.Project: the given id columns, in the given order,
-// and the given property columns, sized first and then written once.
-func (s *Slab) Project(e Embedding, idColumns, propColumns []int) Embedding {
-	pathLen, propLen := 0, 0
-	for _, c := range idColumns {
-		if e.IsPath(c) {
-			pathLen += 4 + len(e.path(c))
-		}
-	}
-	for _, pc := range propColumns {
-		propLen += len(e.PropBytes(pc))
-	}
-	row, buf, idAt, pathAt, propAt := s.extend(Embedding{}, len(idColumns)*entrySize, pathLen, propLen)
-	pathStart := pathAt
-	for _, c := range idColumns {
-		flag, payload := e.entry(c)
-		if flag == flagPath {
-			enc := e.path(c)
-			payload = uint64(pathAt - pathStart)
-			binary.BigEndian.PutUint32(buf[pathAt:], uint32(len(enc)/8))
-			pathAt += 4 + copy(buf[pathAt+4:], enc)
-		}
-		putEntry(buf[idAt:], flag, payload)
-		idAt += entrySize
-	}
-	for _, pc := range propColumns {
-		propAt += copy(buf[propAt:], e.PropBytes(pc))
-	}
-	return row
-}

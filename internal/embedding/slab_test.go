@@ -21,7 +21,7 @@ func slabRows(s *Slab, n int) (rows []Embedding, want []string) {
 			leaf,
 			s.AppendPath(leaf, path, id+7, true),
 			s.Merge(leaf, s.PadNull(leaf, 1, 2), []int{0}),
-			s.Project(s.AppendPath(leaf, path, 0, false), []int{2, 0}, []int{1}),
+			s.AppendPath(leaf, path, 0, false),
 		} {
 			rows = append(rows, e)
 			want = append(want, e.String())

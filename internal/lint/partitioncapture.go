@@ -36,7 +36,7 @@ var PartitionCaptureAnalyzer = &analysis.Analyzer{
 // writes it to the one slot that goroutine owns.
 var udfFuncs = map[string]bool{
 	"Map": true, "Filter": true, "FlatMap": true, "MapPartition": true,
-	"Join": true, "JoinTagged": true, "GroupBy": true,
+	"Join": true, "GroupBy": true,
 	// The With variants take a factory that runs once per partition attempt.
 	// What the factory declares is that attempt's own state and may be
 	// written by the functions it returns - an OuterJoinWith or SemiJoinWith

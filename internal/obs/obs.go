@@ -220,6 +220,19 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
+// Value returns the count of the child for the given label value, 0 if it
+// has none (or the vec is nil). Unlike With it creates no child, so reading a
+// family does not change its exposition.
+func (v *CounterVec) Value(value string) int64 {
+	if v == nil {
+		return 0
+	}
+	v.mu.RLock()
+	c := v.children[value]
+	v.mu.RUnlock()
+	return c.Value()
+}
+
 func (v *CounterVec) metricName() string { return v.name }
 
 func (v *CounterVec) expose(sb *strings.Builder) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gradoop/internal/dataflow"
-	"gradoop/internal/epgm"
 )
 
 // laneUsage sums, over the lanes of env's partitions, what their slabs have
@@ -53,25 +52,26 @@ func laneUsage(t *testing.T, env *dataflow.Env) (made, carved int) {
 // leaves the tail of its last chunk, half a chunk on average.
 func TestArenaTailIsBounded(t *testing.T) {
 	const maxChunk = 64 << 10
-	plans := map[string]func(env *dataflow.Env) Operator{
-		"ten-hop expansion": func(env *dataflow.Env) Operator { return ringExpand(t, env, 6000, 6000, 1, 10) },
-		"five joins": func(env *dataflow.Env) Operator {
+	plans := map[string]func(env *dataflow.Env) (Operator, GraphAccess){
+		"ten-hop expansion": func(env *dataflow.Env) (Operator, GraphAccess) { return ringExpand(t, env, 6000, 6000, 1, 10) },
+		"five joins": func(env *dataflow.Env) (Operator, GraphAccess) {
 			_, es := benchGraph(env, 60)
 			vars := []string{"a", "b", "c", "d", "e", "f", "g"}
-			var plan Operator = NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e0", vars[0], vars[1]))
+			var plan Operator = NewFilterAndProjectEdges(knowsEdge("e0", vars[0], vars[1]))
 			for i := 1; i <= 5; i++ {
-				next := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge(fmt.Sprint("e", i), vars[i], vars[i+1]))
+				next := NewFilterAndProjectEdges(knowsEdge(fmt.Sprint("e", i), vars[i], vars[i+1]))
 				plan = NewJoinEmbeddings(plan, next, Morphism{})
 			}
-			return plan
+			return plan, plainAccess{es: es}
 		},
 	}
 	for name, plan := range plans {
 		for _, workers := range []int{4, 16} {
 			env := dataflow.NewEnv(dataflow.DefaultConfig(workers))
+			op, access := plan(env)
 			var rows int64
 			for run := 0; run < 4; run++ {
-				rows += plan(env).Evaluate().Count()
+				rows += op.Evaluate(NewRun(access, nil)).Count()
 			}
 			made, carved := laneUsage(t, env)
 			stages := env.Metrics().Stages

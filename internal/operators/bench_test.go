@@ -68,13 +68,15 @@ type materialized struct {
 	selective bool
 }
 
-func materialize(op Operator) materialized { return materialized{rows: op.Evaluate(), meta: op.Meta()} }
+func materialize(op Operator, r *Run) materialized {
+	return materialized{rows: op.Evaluate(r), meta: op.Meta()}
+}
 
-func (m materialized) Evaluate() *dataflow.Dataset[embedding.Embedding] { return m.rows }
-func (m materialized) Meta() *embedding.Meta                            { return m.meta }
-func (m materialized) Description() string                              { return "materialized" }
-func (m materialized) Children() []Operator                             { return nil }
-func (m materialized) Selective() bool                                  { return m.selective }
+func (m materialized) Evaluate(*Run) *dataflow.Dataset[embedding.Embedding] { return m.rows }
+func (m materialized) Meta() *embedding.Meta                                { return m.meta }
+func (m materialized) Description() string                                  { return "materialized" }
+func (m materialized) Children() []Operator                                 { return nil }
+func (m materialized) Selective() bool                                      { return m.selective }
 
 func knowsEdge(v, src, tgt string) *cypher.QueryEdge {
 	return &cypher.QueryEdge{Var: v, Types: []string{"knows"}, Source: src, Target: tgt,
@@ -84,13 +86,13 @@ func knowsEdge(v, src, tgt string) *cypher.QueryEdge {
 func BenchmarkRowLeafScan(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, es := benchGraph(env, benchRows/4)
-	vertices := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+	vertices := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}})
-	edges := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b"))
+	edges := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
 	// Every element makes one row, so rows out are rows in.
 	bytes := reportAllocsPerRow(b, benchRows, func() {
-		vertices.Evaluate()
-		edges.Evaluate()
+		vertices.Evaluate(plainRun(vs, es))
+		edges.Evaluate(plainRun(vs, es))
 	})
 	b.ReportMetric(bytes/benchRows, "B/row")
 }
@@ -98,7 +100,7 @@ func BenchmarkRowLeafScan(b *testing.B) {
 func BenchmarkRowMerge(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
 	_, es := benchGraph(env, benchRows/3)
-	rows := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")).Evaluate().Collect()
+	rows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b")).Evaluate(plainRun(nil, es)).Collect()
 	drop := []int{0}
 	reportAllocsPerRow(b, len(rows), func() {
 		var slab embedding.Slab
@@ -115,7 +117,7 @@ func BenchmarkRowMerge(b *testing.B) {
 func BenchmarkRowShuffle(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	_, es := benchGraph(env, benchRows/3)
-	rows := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")).Evaluate()
+	rows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b")).Evaluate(plainRun(nil, es))
 	target := []int{2}
 	reportAllocsPerRow(b, benchRows, func() {
 		dataflow.PartitionByKey(rows, func(e embedding.Embedding) uint64 { return keyOf(e, target) })
@@ -129,12 +131,12 @@ func BenchmarkRowShuffle(b *testing.B) {
 func BenchmarkRowJoinProbe(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	_, es := benchGraph(env, benchRows/6)
-	left := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e1", "a", "b")))
-	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e2", "b", "c")))
+	left := materialize(NewFilterAndProjectEdges(knowsEdge("e1", "a", "b")), plainRun(nil, es))
+	right := materialize(NewFilterAndProjectEdges(knowsEdge("e2", "b", "c")), plainRun(nil, es))
 	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
 	var joined int64
 	bytes := reportAllocsPerRow(b, benchRows, func() {
-		if joined = join.Evaluate().Count(); joined == 0 {
+		if joined = join.Evaluate(plainRun(nil, es)).Count(); joined == 0 {
 			b.Fatal("join emitted nothing")
 		}
 	})
@@ -153,15 +155,15 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, es := benchGraph(env, benchRows/3)
 	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
-	persons := NewFilterAndProjectVertices(idx.Vertices("Person"), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}})
-	small := materialized{rows: dataflow.FromSlice(env, persons.Evaluate().Collect()[:64]), meta: persons.Meta(), selective: true}
-	knows := NewFilterAndProjectEdges(idx.Edges("knows"), knowsEdge("e", "a", "b"))
+	small := materialized{rows: dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64]), meta: persons.Meta(), selective: true}
+	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
 	join := NewJoinEmbeddings(small, knows, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
-	scanned := int(knows.scanned())
+	scanned := int(knows.scanned(indexedRun(idx)))
 	env.ResetMetrics()
 	bytes := reportAllocsPerRow(b, scanned, func() {
-		if out := join.Evaluate().Count(); out != 3*64 {
+		if out := join.Evaluate(indexedRun(idx)).Count(); out != 3*64 {
 			b.Fatalf("join emitted %d rows", out)
 		}
 	})
@@ -180,14 +182,14 @@ func BenchmarkRowOuterJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, _ := benchGraph(env, benchRows/2)
 	_, es := benchGraph(env, benchRows/4)
-	left := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
-		Projection: []string{"firstName", "birthday"}}))
-	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b")))
+	left := materialize(NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}}), plainRun(vs, es))
+	right := materialize(NewFilterAndProjectEdges(knowsEdge("e", "a", "b")), plainRun(vs, es))
 	outer := NewOptionalJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
 	in := int(left.rows.Count() + right.rows.Count())
 	var out int64
 	bytes := reportAllocsPerRow(b, in, func() {
-		if out = outer.Evaluate().Count(); out != benchRows {
+		if out = outer.Evaluate(plainRun(vs, es)).Count(); out != benchRows {
 			b.Fatalf("outer join emitted %d rows", out)
 		}
 	})
@@ -205,13 +207,13 @@ func BenchmarkRowSemiJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, _ := benchGraph(env, benchRows/2)
 	_, es := benchGraph(env, benchRows/4)
-	left := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
-		Projection: []string{"firstName", "birthday"}}))
-	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "x", "y")))
+	left := materialize(NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}}), plainRun(vs, es))
+	right := materialize(NewFilterAndProjectEdges(knowsEdge("e", "x", "y")), plainRun(vs, es))
 	semi := NewSemiJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	in := int(left.rows.Count() + right.rows.Count())
 	reportAllocsPerRow(b, in, func() {
-		if out := semi.Evaluate().Count(); out != benchRows/2 {
+		if out := semi.Evaluate(plainRun(vs, es)).Count(); out != benchRows/2 {
 			b.Fatalf("semi join kept %d rows", out)
 		}
 	})
@@ -223,14 +225,14 @@ func BenchmarkRowSemiJoin(b *testing.B) {
 func BenchmarkRowExpandHop(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	vs, es := benchGraph(env, benchRows/4)
-	in := materialize(NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}))
+	in := materialize(NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}), plainRun(vs, es))
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	expand, err := NewExpandEmbeddings(in, es, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	expand, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reportAllocsPerRow(b, benchRows, func() {
-		if expand.Evaluate().Count() == 0 {
+		if expand.Evaluate(plainRun(vs, es)).Count() == 0 {
 			b.Fatal("expansion emitted nothing")
 		}
 	})
@@ -248,9 +250,9 @@ func BenchmarkRowExpandLoop(b *testing.B) {
 	const maxHopBytes = 128 << 10
 	measure := func(hops int) (bytesPerOp, mallocsPerOp float64) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
-		expand := ringExpand(b, env, benchRows, 64, 1, hops)
+		expand, ring := ringExpand(b, env, benchRows, 64, 1, hops)
 		step := func() {
-			if expand.Evaluate().Count() != int64(64*hops) {
+			if expand.Evaluate(NewRun(ring, nil)).Count() != int64(64*hops) {
 				b.Fatal("wrong expansion")
 			}
 		}

@@ -17,10 +17,10 @@ import (
 // semantics, and unions iterations ≥ the lower bound into the result. The
 // resulting embeddings carry the path as a PATH column (the "via" entries of
 // Table 2b) plus, when the far endpoint was not already bound, a new vertex
-// column for it.
+// column for it. The edges it reads are the run's: the access's datasets for
+// the query edge's types, concatenated.
 type ExpandEmbeddings struct {
 	In    Operator
-	Edges *dataflow.Dataset[epgm.Edge]
 	Edge  *cypher.QueryEdge
 	Morph Morphism
 	// Reverse expands against edge direction: the input binds the query
@@ -38,7 +38,7 @@ type ExpandEmbeddings struct {
 // bind the query edge's source (forward) or target (reverse); if it binds
 // both, the expansion closes a cycle and checks the far endpoint instead of
 // binding a new column.
-func NewExpandEmbeddings(in Operator, edges *dataflow.Dataset[epgm.Edge], qe *cypher.QueryEdge, morph Morphism, reverse bool) (*ExpandEmbeddings, error) {
+func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reverse bool) (*ExpandEmbeddings, error) {
 	inMeta := in.Meta()
 	startVar, endVar := qe.Source, qe.Target
 	if reverse {
@@ -55,7 +55,7 @@ func NewExpandEmbeddings(in Operator, edges *dataflow.Dataset[epgm.Edge], qe *cy
 		meta.AddEntry(endVar, embedding.VertexEntry)
 	}
 	return &ExpandEmbeddings{
-		In: in, Edges: edges, Edge: qe, Morph: morph, Reverse: reverse,
+		In: in, Edge: qe, Morph: morph, Reverse: reverse,
 		bindTarget: bindTarget, startCol: startCol, endVar: endVar, meta: meta,
 		selective: in.Selective() || len(qe.Predicates) > 0,
 	}, nil
@@ -100,15 +100,15 @@ type pathState struct {
 func (s pathState) SizeBytes() int { return s.base.SizeBytes() + 8*len(s.via) + 8 }
 
 // Evaluate implements Operator.
-func (op *ExpandEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	in := op.In.Evaluate()
-	return traced(op, in.Env(), func() *dataflow.Dataset[embedding.Embedding] {
-		return op.evaluate(in)
+func (op *ExpandEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	in := op.In.Evaluate(r)
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+		return op.evaluate(r, in)
 	})
 }
 
-func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	qe := op.Edge
+func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+	qe := r.edge(op.Edge)
 
 	// Select the relevant edges. They are loop-invariant: shuffled and hashed
 	// once, here, and only probed by every hop.
@@ -128,7 +128,7 @@ func (op *ExpandEmbeddings) evaluate(in *dataflow.Dataset[embedding.Embedding]) 
 			emit(edgeTriple{S: t, E: de.ID, T: s})
 		}
 	}
-	triples := dataflow.FlatMapWith(op.Edges, func(*dataflow.Lane) func(epgm.Edge, func(edgeTriple)) { return selectTriple },
+	triples := dataflow.FlatMapWith(r.access.Edges(qe.Types).Union(), func(*dataflow.Lane) func(epgm.Edge, func(edgeTriple)) { return selectTriple },
 		leafFanOut(len(qe.Predicates), false, qe.Undirected))
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })

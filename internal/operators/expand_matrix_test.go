@@ -17,6 +17,7 @@ import (
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
+	"gradoop/internal/planner"
 )
 
 // matrixGraph is a small knows graph with everything a path can trip over:
@@ -104,19 +105,19 @@ func (c matrixCase) run(t *testing.T) (rows []embedding.Embedding, got, want []s
 	var in operators.Operator
 	if c.closing {
 		qf := &cypher.QueryEdge{Var: "f", Types: []string{"likes"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-		in = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), qf)
+		in = operators.NewFilterAndProjectEdges(qf)
 		edges = []*cypher.QueryEdge{qf, qe}
 		edgeVars = []string{"f"}
 	} else if c.reverse {
-		in = operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qb)
+		in = operators.NewFilterAndProjectVertices(qb)
 	} else {
-		in = operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qa)
+		in = operators.NewFilterAndProjectVertices(qa)
 	}
-	op, err := operators.NewExpandEmbeddings(in, g.Edges, qe, c.morph, c.reverse)
+	op, err := operators.NewExpandEmbeddings(in, qe, c.morph, c.reverse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = op.Evaluate().Collect()
+	rows = op.Evaluate(operators.NewRun(planner.PlainAccess{Graph: g}, nil)).Collect()
 	if err := g.Env().Err(); err != nil {
 		t.Fatal(err)
 	}

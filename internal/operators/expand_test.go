@@ -16,8 +16,9 @@ import (
 // ringExpand is a *minHops..maxHops expansion from the first starts vertices
 // of a ring of n persons, every vertex knowing only its successor: one path
 // per start and hop, so the working set never drains before maxHops and the
-// edge side (n triples) outweighs everything the hops produce.
-func ringExpand(t testing.TB, env *dataflow.Env, n, starts, minHops, maxHops int) *ExpandEmbeddings {
+// edge side (n triples) outweighs everything the hops produce. It returns the
+// expansion and the ring as a run reads it.
+func ringExpand(t testing.TB, env *dataflow.Env, n, starts, minHops, maxHops int) (*ExpandEmbeddings, GraphAccess) {
 	t.Helper()
 	vs := make([]epgm.Vertex, starts)
 	for i := range vs {
@@ -27,13 +28,13 @@ func ringExpand(t testing.TB, env *dataflow.Env, n, starts, minHops, maxHops int
 	for i := range es {
 		es[i] = epgm.Edge{ID: epgm.ID(1_000_000 + i), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+1)%n)}
 	}
-	in := NewFilterAndProjectVertices(epgm.PlainScan(dataflow.FromSlice(env, vs)), &cypher.QueryVertex{Var: "a"})
+	in := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a"})
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: minHops, MaxHops: maxHops}
-	op, err := NewExpandEmbeddings(in, dataflow.FromSlice(env, es), qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	op, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return op
+	return op, plainAccess{dataflow.FromSlice(env, vs), dataflow.FromSlice(env, es)}
 }
 
 func rowBytes(rows []embedding.Embedding) [][]byte {
@@ -62,8 +63,8 @@ func TestExpandShufflesAndBuildsOnce(t *testing.T) {
 			env := dataflow.NewEnv(dataflow.DefaultConfig(workers))
 			col := trace.NewCollector()
 			env.SetTracer(col)
-			op := ringExpand(t, env, tc.ring, tc.starts, 1, tc.maxHops)
-			rows := op.Evaluate().Count()
+			op, ring := ringExpand(t, env, tc.ring, tc.starts, 1, tc.maxHops)
+			rows := op.Evaluate(NewRun(ring, nil)).Count()
 			if err := env.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,8 @@ func TestExpandRecoversBuildAndProbe(t *testing.T) {
 		env := dataflow.NewEnv(cfg)
 		col := trace.NewCollector()
 		env.SetTracer(col)
-		rows := ringExpand(t, env, 64, 16, 0, 5).Evaluate().Collect()
+		op, ring := ringExpand(t, env, 64, 16, 0, 5)
+		rows := op.Evaluate(NewRun(ring, nil)).Collect()
 		if err := env.Finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +175,8 @@ func TestGovernedExpandReservesWhatItHolds(t *testing.T) {
 		res := broker.Begin("expand")
 		defer res.Release()
 		env.SetGovernor(res)
-		rows := ringExpand(t, env, triples, starts, 1, maxHops).Evaluate().Count()
+		op, ring := ringExpand(t, env, triples, starts, 1, maxHops)
+		rows := op.Evaluate(NewRun(ring, nil)).Count()
 		return rows, res.Used(), env.Finish()
 	}
 	rows, oneHop, err := governed(1<<40, 1)

@@ -34,13 +34,13 @@ func inplaceStore(persons, outDegree int) *epgm.Store {
 }
 
 // firstPersons is the selective side: the persons with n <= k.
-func firstPersons(t testing.TB, idx *epgm.IndexedLogicalGraph, v string, k int) *FilterAndProjectVertices {
+func firstPersons(t testing.TB, v string, k int) *FilterAndProjectVertices {
 	t.Helper()
 	q, err := cypher.Parse(fmt.Sprintf("MATCH (%s) WHERE %s.n <= %d RETURN *", v, v, k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewFilterAndProjectVertices(idx.Vertices("Person"), &cypher.QueryVertex{Var: v, Labels: []string{"Person"},
+	return NewFilterAndProjectVertices(&cypher.QueryVertex{Var: v, Labels: []string{"Person"},
 		Predicates: []cypher.Expr{q.Where}, Projection: []string{"n"}})
 }
 
@@ -73,32 +73,28 @@ func TestProbeInPlaceOnEitherSide(t *testing.T) {
 	store := inplaceStore(30, 3)
 	for _, leaf := range []string{"vertex", "edge-by-source", "edge-by-target"} {
 		for _, onLeft := range []bool{false, true} {
-			build := func(env *dataflow.Env) Operator {
-				idx := store.Index(env)
-				var small, probed Operator
-				switch leaf {
-				case "vertex":
-					small = NewJoinEmbeddings(firstPersons(t, idx, "a", 4), NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b")), Morphism{})
-					probed = NewFilterAndProjectVertices(idx.Vertices("Person"), &cypher.QueryVertex{Var: "b", Labels: []string{"Person"}, Projection: []string{"n"}})
-				case "edge-by-source":
-					small = firstPersons(t, idx, "a", 4)
-					probed = NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b"))
-				default:
-					small = firstPersons(t, idx, "b", 4)
-					probed = NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b"))
-				}
-				if onLeft {
-					return NewJoinEmbeddings(probed, small, Morphism{})
-				}
-				return NewJoinEmbeddings(small, probed, Morphism{})
+			var small, probed Operator
+			switch leaf {
+			case "vertex":
+				small = NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+				probed = NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}, Projection: []string{"n"}})
+			case "edge-by-source":
+				small = firstPersons(t, "a", 4)
+				probed = NewFilterAndProjectEdges(plainKnows("e", "a", "b"))
+			default:
+				small = firstPersons(t, "b", 4)
+				probed = NewFilterAndProjectEdges(plainKnows("e", "a", "b"))
+			}
+			op := NewJoinEmbeddings(small, probed, Morphism{})
+			if onLeft {
+				op = NewJoinEmbeddings(probed, small, Morphism{})
 			}
 			run := func(scale float64) ([][]byte, string) {
 				setProbeScale(t, scale)
 				env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 				col := trace.NewCollector()
 				env.SetTracer(col)
-				op := build(env)
-				rows := op.Evaluate().Collect()
+				rows := op.Evaluate(indexedRun(store.Index(env))).Collect()
 				if err := env.Err(); err != nil {
 					t.Fatal(err)
 				}
@@ -130,10 +126,9 @@ func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	col := trace.NewCollector()
 	env.SetTracer(col)
-	idx := inplaceStore(30, 3).Index(env)
-	small := firstPersons(t, idx, "a", 4)
-	join := NewJoinEmbeddings(small, NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b")), Morphism{})
-	if n := join.Evaluate().Count(); n != 12 {
+	small := firstPersons(t, "a", 4)
+	join := NewJoinEmbeddings(small, NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+	if n := join.Evaluate(indexedRun(inplaceStore(30, 3).Index(env))).Count(); n != 12 {
 		t.Fatalf("join found %d rows, want 12", n)
 	}
 	if m := env.Metrics(); m.Stages != 6 {
@@ -152,12 +147,11 @@ func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 // runs again (lineage) and the bag of rows is the unfaulted one.
 func TestProbeInPlaceRecoversByRescanning(t *testing.T) {
 	store := inplaceStore(30, 3)
+	join := NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
 	run := func(plan *dataflow.FaultPlan) ([][]byte, dataflow.MetricsSnapshot) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 		env.InjectFaults(plan)
-		idx := store.Index(env)
-		join := NewJoinEmbeddings(firstPersons(t, idx, "a", 4), NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b")), Morphism{})
-		rows := join.Evaluate().Collect()
+		rows := join.Evaluate(indexedRun(store.Index(env))).Collect()
 		if err := env.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -314,6 +308,8 @@ func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 	// job runs the join on every process of the cluster, or on one process
 	// without a transport if there is no cluster.
 	job := func(n int, stores []*epgm.Store) []outcome {
+		// One plan, run by every process.
+		join := NewJoinEmbeddings(firstPersons(t, "a", n), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
 		var c *memCluster
 		if len(stores) > 1 {
 			c = newMemCluster(owner, len(stores))
@@ -330,9 +326,7 @@ func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 				}
 				col := trace.NewCollector()
 				env.SetTracer(col)
-				idx := store.Index(env)
-				join := NewJoinEmbeddings(firstPersons(t, idx, "a", n), NewFilterAndProjectEdges(idx.Edges("knows"), plainKnows("e", "a", "b")), Morphism{})
-				out := join.Evaluate()
+				out := join.Evaluate(indexedRun(store.Index(env)))
 				o := &outs[proc]
 				for p := 0; p < partitions; p++ {
 					o.parts = append(o.parts, out.Partition(p))

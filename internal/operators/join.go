@@ -12,12 +12,12 @@ import (
 )
 
 // joinShape is what a join of two inputs reads off their metadata, the same
-// for an inner, an outer and a semi join: the variables both bind, sorted -
-// a canonical order makes the shuffle key deterministic for a variable set,
-// enabling partition reuse across joins on the same variables - with their
-// columns on either side, the right columns a merged row leaves out because
-// the left already has them, and the merged row's metadata. It also carries
-// the join's Selective bit: a predicate under either input.
+// for an inner, an outer, a semi and a cross join: the variables both bind,
+// sorted - a canonical order makes the shuffle key deterministic for a
+// variable set, enabling partition reuse across joins on the same variables -
+// with their columns on either side, the right columns a merged row leaves out
+// because the left already has them, and the merged row's metadata. It also
+// carries the join's Selective bit: a predicate under either input.
 type joinShape struct {
 	joinVars   []string
 	leftCols   []int
@@ -131,15 +131,15 @@ var probeInPlaceScale = 1.0
 // its probe loop, of the elements the leaf would have scanned.
 type inPlaceLeaf interface {
 	Operator
-	// scanned is the number of elements the leaf reads over all processes of
-	// the job, 0 if they are not ranges of a pinned store - the only input
-	// whose size every process knows without asking the others.
-	scanned() int64
+	// scanned is the number of elements the leaf reads in r over all
+	// processes of the job, 0 if they are not ranges of a pinned store - the
+	// only input whose size every process knows without asking the others.
+	scanned(r *Run) int64
 	// probe joins small, keyed by its columns smallCols, with the leaf's
-	// elements, keyed by the identifiers its row would have at leafCols, and
-	// hands every pair of a small row and the leaf's row of a matching element
-	// to pair. The rows it made are added to built, if there is one.
-	probe(small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding]
+	// elements in r, keyed by the identifiers its row would have at leafCols,
+	// and hands every pair of a small row and the leaf's row of a matching
+	// element to pair. The rows it made are added to built, if there is one.
+	probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding]
 }
 
 // pairFunc is what a join does with a candidate pair: small is the broadcast
@@ -171,14 +171,14 @@ func soleLeaf(op Operator) inPlaceLeaf {
 // a predicate below it - without one nothing says the other side is small, and
 // the count that would tell is a collective. The planner puts the input it
 // expects to be smaller on the left, so the right one is tried first.
-func (op *JoinEmbeddings) inPlaceCandidate() (leaf inPlaceLeaf, onLeft bool) {
+func (op *JoinEmbeddings) inPlaceCandidate(r *Run) (leaf inPlaceLeaf, onLeft bool) {
 	if op.Left.Selective() {
-		if leaf := soleLeaf(op.Right); leaf != nil && leaf.scanned() > 0 {
+		if leaf := soleLeaf(op.Right); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, false
 		}
 	}
 	if op.Right.Selective() {
-		if leaf := soleLeaf(op.Left); leaf != nil && leaf.scanned() > 0 {
+		if leaf := soleLeaf(op.Left); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, true
 		}
 	}
@@ -186,12 +186,12 @@ func (op *JoinEmbeddings) inPlaceCandidate() (leaf inPlaceLeaf, onLeft bool) {
 }
 
 // Evaluate implements Operator.
-func (op *JoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	leaf, onLeft := op.inPlaceCandidate()
+func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	leaf, onLeft := op.inPlaceCandidate(r)
 	if leaf == nil {
-		left := op.Left.Evaluate()
-		right := op.Right.Evaluate()
-		return traced(op, left.Env(), func() *dataflow.Dataset[embedding.Embedding] {
+		left := op.Left.Evaluate(r)
+		right := op.Right.Evaluate(r)
+		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 			return op.join(left, right)
 		})
 	}
@@ -202,23 +202,22 @@ func (op *JoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
 	if onLeft {
 		scan, other = op.Left, op.Right
 	}
-	small := other.Evaluate()
-	env := small.Env()
-	return traced(op, env, func() *dataflow.Dataset[embedding.Embedding] {
+	small := other.Evaluate(r)
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		// Every input of the decision is the same number in every process of
 		// the job: n is counted over all of them, m is read off the store.
-		n, m := small.CountAll(), leaf.scanned()
-		c := env.Tracer()
-		if float64(n)*float64(env.Workers())*probeInPlaceScale < float64(m) {
+		n, m := small.CountAll(), leaf.scanned(r)
+		c := r.env.Tracer()
+		if float64(n)*float64(r.env.Workers())*probeInPlaceScale < float64(m) {
 			if c != nil {
 				c.Note(op, fmt.Sprintf("broadcast n=%d", n))
 			}
-			return op.probeInPlace(small, leaf, onLeft)
+			return op.probeInPlace(r, small, leaf, onLeft)
 		}
 		if c != nil {
 			c.Note(op, fmt.Sprintf("repartition n=%d m=%d", n, m))
 		}
-		rows := scan.Evaluate() // a scope of its own inside this one
+		rows := scan.Evaluate(r) // a scope of its own inside this one
 		if onLeft {
 			return op.join(rows, small)
 		}
@@ -255,7 +254,7 @@ func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding
 // Rows come out in scan order and carry no partition tag; without ORDER BY a
 // result is a bag. The leaf is reported to a tracer as evaluated, with the
 // rows it built.
-func (op *JoinEmbeddings) probeInPlace(small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool) *dataflow.Dataset[embedding.Embedding] {
+func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
 	lm, rm := op.Left.Meta(), op.Right.Meta()
@@ -264,12 +263,12 @@ func (op *JoinEmbeddings) probeInPlace(small *dataflow.Dataset[embedding.Embeddi
 	if onLeft {
 		smallCols, leafCols = rc, lc
 	}
-	c := small.Env().Tracer()
+	c := run.env.Tracer()
 	var built *atomic.Int64
 	if c != nil {
 		built = new(atomic.Int64)
 	}
-	out := leaf.probe(small, smallCols, leafCols, func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding)) {
+	out := leaf.probe(run, small, smallCols, leafCols, func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding)) {
 		l, r := small, row
 		if onLeft {
 			l, r = row, small
@@ -280,7 +279,7 @@ func (op *JoinEmbeddings) probeInPlace(small *dataflow.Dataset[embedding.Embeddi
 	}, built)
 	if c != nil {
 		c.InOp(leaf, leaf.Description(), built.Load)
-		c.Note(leaf, fmt.Sprintf("probed in place: scanned=%d", leaf.scanned()))
+		c.Note(leaf, fmt.Sprintf("probed in place: scanned=%d", leaf.scanned(run)))
 	}
 	return out
 }
@@ -320,22 +319,24 @@ func probeScan[T any](small *dataflow.Dataset[embedding.Embedding], smallCols []
 	})
 }
 
-func (op *FilterAndProjectVertices) scanned() int64 { return op.In.Pinned }
+func (op *FilterAndProjectVertices) scanned(r *Run) int64 { return r.vertexScan(op).Pinned }
 
-func (op *FilterAndProjectVertices) probe(small *dataflow.Dataset[embedding.Embedding], smallCols, _ []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+func (op *FilterAndProjectVertices) probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, _ []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+	qv := r.vertex(op.Vertex)
 	// The row's one column is the vertex.
-	return probeScan(small, smallCols, op.In,
+	return probeScan(small, smallCols, r.vertexScan(op),
 		func(v epgm.Vertex) uint64 { return mixKey(keySeed, v.ID) },
 		func(v epgm.Vertex) epgm.ID { return v.ID },
-		func(sc *scratch, v epgm.Vertex) (embedding.Embedding, bool) { return op.row(sc, &v) },
+		func(sc *scratch, v epgm.Vertex) (embedding.Embedding, bool) { return op.row(sc, qv, &v) },
 		pair, built)
 }
 
-func (op *FilterAndProjectEdges) scanned() int64 { return op.In.Pinned }
+func (op *FilterAndProjectEdges) scanned(r *Run) int64 { return r.edgeScan(op).Pinned }
 
-func (op *FilterAndProjectEdges) probe(small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+func (op *FilterAndProjectEdges) probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+	qe := r.edge(op.Edge)
 	// The row's columns are source, edge, target.
-	return probeScan(small, smallCols, op.In,
+	return probeScan(small, smallCols, r.edgeScan(op),
 		func(de epgm.Edge) uint64 {
 			ids := [3]epgm.ID{de.Source, de.ID, de.Target}
 			h := keySeed
@@ -345,7 +346,7 @@ func (op *FilterAndProjectEdges) probe(small *dataflow.Dataset[embedding.Embeddi
 			return h
 		},
 		func(de epgm.Edge) epgm.ID { return de.ID },
-		func(sc *scratch, de epgm.Edge) (embedding.Embedding, bool) { return op.row(sc, &de, false) },
+		func(sc *scratch, de epgm.Edge) (embedding.Embedding, bool) { return op.row(sc, qe, &de, false) },
 		pair, built)
 }
 
@@ -356,22 +357,16 @@ type CartesianProduct struct {
 	Left, Right Operator
 	Morph       Morphism
 
-	outputMeta *embedding.Meta
-	selective  bool
+	joinShape // of two inputs that share no variable
 }
 
 // NewCartesianProduct builds a cross join.
 func NewCartesianProduct(left, right Operator, morph Morphism) *CartesianProduct {
-	outputMeta, _ := left.Meta().Merge(right.Meta())
-	return &CartesianProduct{Left: left, Right: right, Morph: morph, outputMeta: outputMeta,
-		selective: left.Selective() || right.Selective()}
+	return &CartesianProduct{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right)}
 }
 
 // Meta implements Operator.
 func (op *CartesianProduct) Meta() *embedding.Meta { return op.outputMeta }
-
-// Selective implements Operator.
-func (op *CartesianProduct) Selective() bool { return op.selective }
 
 // Children implements Operator.
 func (op *CartesianProduct) Children() []Operator { return []Operator{op.Left, op.Right} }
@@ -380,12 +375,12 @@ func (op *CartesianProduct) Children() []Operator { return []Operator{op.Left, o
 func (op *CartesianProduct) Description() string { return "CartesianProduct" }
 
 // Evaluate implements Operator.
-func (op *CartesianProduct) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	left := op.Left.Evaluate()
-	right := op.Right.Evaluate()
+func (op *CartesianProduct) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	left := op.Left.Evaluate(r)
+	right := op.Right.Evaluate(r)
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	return traced(op, left.Env(), func() *dataflow.Dataset[embedding.Embedding] {
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		return dataflow.JoinWith(left, right,
 			func(embedding.Embedding) uint64 { return 0 },
 			func(embedding.Embedding) uint64 { return 0 },

@@ -14,22 +14,22 @@ import (
 // FlatMap it selects vertices satisfying the element-centric predicates,
 // projects the property keys required downstream and transforms each
 // survivor into a single-column embedding (§3.1's fused
-// Select→Project→Transform).
+// Select→Project→Transform). What it scans is the run's: the access's
+// datasets for the vertex's labels, and its predicates are the binding's.
 type FilterAndProjectVertices struct {
-	In     epgm.Scan[epgm.Vertex]
 	Vertex *cypher.QueryVertex
 
 	meta *embedding.Meta
 }
 
 // NewFilterAndProjectVertices builds the leaf and its output metadata.
-func NewFilterAndProjectVertices(in epgm.Scan[epgm.Vertex], qv *cypher.QueryVertex) *FilterAndProjectVertices {
+func NewFilterAndProjectVertices(qv *cypher.QueryVertex) *FilterAndProjectVertices {
 	meta := embedding.NewMeta()
 	meta.AddEntry(qv.Var, embedding.VertexEntry)
 	for _, key := range qv.Projection {
 		meta.AddProp(qv.Var, key)
 	}
-	return &FilterAndProjectVertices{In: in, Vertex: qv, meta: meta}
+	return &FilterAndProjectVertices{Vertex: qv, meta: meta}
 }
 
 // Meta implements Operator.
@@ -48,29 +48,28 @@ func (op *FilterAndProjectVertices) Description() string {
 }
 
 // Evaluate implements Operator.
-func (op *FilterAndProjectVertices) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	return traced(op, op.In.Parts[0].Env(), op.evaluate)
-}
-
-func (op *FilterAndProjectVertices) evaluate() *dataflow.Dataset[embedding.Embedding] {
-	fanOut := leafFanOut(len(op.Vertex.Predicates), false, false)
-	return perPart(op.In, func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
-			sc := scratchOf(lane)
-			return func(v epgm.Vertex, emit func(embedding.Embedding)) {
-				if row, ok := op.row(sc, &v); ok {
-					emit(row)
+func (op *FilterAndProjectVertices) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+		qv := r.vertex(op.Vertex)
+		fanOut := leafFanOut(len(qv.Predicates), false, false)
+		return perPart(r.vertexScan(op), func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
+			return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
+				sc := scratchOf(lane)
+				return func(v epgm.Vertex, emit func(embedding.Embedding)) {
+					if row, ok := op.row(sc, qv, &v); ok {
+						emit(row)
+					}
 				}
-			}
-		}, fanOut)
+			}, fanOut)
+		})
 	})
 }
 
-// row is the leaf's Select-Project-Transform of one data vertex: its row, if
-// it has one. The scan calls it on every vertex, a join that probes the leaf
-// where it lies (JoinEmbeddings) on those whose id it is looking for.
-func (op *FilterAndProjectVertices) row(sc *scratch, v *epgm.Vertex) (embedding.Embedding, bool) {
-	qv := op.Vertex
+// row is the leaf's Select-Project-Transform of one data vertex for the run's
+// instance qv of its query vertex: its row, if it has one. The scan calls it
+// on every vertex, a join that probes the leaf where it lies (JoinEmbeddings)
+// on those whose id it is looking for.
+func (op *FilterAndProjectVertices) row(sc *scratch, qv *cypher.QueryVertex, v *epgm.Vertex) (embedding.Embedding, bool) {
 	if !cypher.MatchesLabel(v.Label, qv.Labels) || !cypher.EvalElement(qv.Predicates, qv.Var, v.Properties) {
 		return embedding.Embedding{}, false
 	}
@@ -123,7 +122,6 @@ func (sc *scratch) project(props epgm.Properties, keys []string) []epgm.Property
 // query edges additionally emit the reversed orientation, and loop query
 // edges ((a)-[e]->(a)) emit two columns after checking source = target.
 type FilterAndProjectEdges struct {
-	In   epgm.Scan[epgm.Edge]
 	Edge *cypher.QueryEdge
 
 	meta *embedding.Meta
@@ -131,7 +129,7 @@ type FilterAndProjectEdges struct {
 }
 
 // NewFilterAndProjectEdges builds the leaf and its output metadata.
-func NewFilterAndProjectEdges(in epgm.Scan[epgm.Edge], qe *cypher.QueryEdge) *FilterAndProjectEdges {
+func NewFilterAndProjectEdges(qe *cypher.QueryEdge) *FilterAndProjectEdges {
 	meta := embedding.NewMeta()
 	loop := qe.Source == qe.Target
 	meta.AddEntry(qe.Source, embedding.VertexEntry)
@@ -142,7 +140,7 @@ func NewFilterAndProjectEdges(in epgm.Scan[epgm.Edge], qe *cypher.QueryEdge) *Fi
 	for _, key := range qe.Projection {
 		meta.AddProp(qe.Var, key)
 	}
-	return &FilterAndProjectEdges{In: in, Edge: qe, meta: meta, loop: loop}
+	return &FilterAndProjectEdges{Edge: qe, meta: meta, loop: loop}
 }
 
 // Meta implements Operator.
@@ -165,39 +163,37 @@ func (op *FilterAndProjectEdges) Description() string {
 }
 
 // Evaluate implements Operator.
-func (op *FilterAndProjectEdges) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	return traced(op, op.In.Parts[0].Env(), op.evaluate)
-}
-
-func (op *FilterAndProjectEdges) evaluate() *dataflow.Dataset[embedding.Embedding] {
-	qe := op.Edge
-	fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
-	return perPart(op.In, func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
-			sc := scratchOf(lane)
-			return func(de epgm.Edge, emit func(embedding.Embedding)) {
-				row, ok := op.row(sc, &de, false)
-				if !ok {
-					return
-				}
-				emit(row)
-				if qe.Undirected && de.Source != de.Target {
-					row, _ = op.row(sc, &de, true)
+func (op *FilterAndProjectEdges) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+		qe := r.edge(op.Edge)
+		fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
+		return perPart(r.edgeScan(op), func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
+			return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
+				sc := scratchOf(lane)
+				return func(de epgm.Edge, emit func(embedding.Embedding)) {
+					row, ok := op.row(sc, qe, &de, false)
+					if !ok {
+						return
+					}
 					emit(row)
+					if qe.Undirected && de.Source != de.Target {
+						row, _ = op.row(sc, qe, &de, true)
+						emit(row)
+					}
 				}
-			}
-		}, fanOut)
+			}, fanOut)
+		})
 	})
 }
 
-// row is the leaf's Select-Project-Transform of one data edge: its row, if
-// it has one. reversed asks for the second row an undirected query edge makes
-// of a data edge that is no loop, read against its direction; it is asked of
-// an edge that has just made its first, and the tests are not repeated. The
-// scan calls row on every edge, a join that probes the leaf where it lies on
-// those whose endpoints it is looking for.
-func (op *FilterAndProjectEdges) row(sc *scratch, de *epgm.Edge, reversed bool) (embedding.Embedding, bool) {
-	qe := op.Edge
+// row is the leaf's Select-Project-Transform of one data edge for the run's
+// instance qe of its query edge: its row, if it has one. reversed asks for the
+// second row an undirected query edge makes of a data edge that is no loop,
+// read against its direction; it is asked of an edge that has just made its
+// first, and the tests are not repeated. The scan calls row on every edge, a
+// join that probes the leaf where it lies on those whose endpoints it is
+// looking for.
+func (op *FilterAndProjectEdges) row(sc *scratch, qe *cypher.QueryEdge, de *epgm.Edge, reversed bool) (embedding.Embedding, bool) {
 	ids := [3]epgm.ID{de.Source, de.ID, de.Target}
 	if reversed {
 		ids[0], ids[2] = ids[2], ids[0]

@@ -1,7 +1,8 @@
 // Package operators implements the physical query operators of §3.1. Every
 // operator consumes and produces dataflow datasets of embeddings and carries
 // the embedding metadata describing its output columns. The planner
-// assembles operators into a tree; Evaluate walks the tree bottom-up.
+// assembles operators into a tree, built once per query; Evaluate walks it
+// bottom-up in a Run, which supplies the graph and the parameters.
 package operators
 
 import (
@@ -45,9 +46,9 @@ type Morphism struct {
 // token (EXPLAIN ANALYZE resolves plan nodes through it). Children must be
 // evaluated before entering the scope so their stages attribute to
 // themselves; eval therefore receives already-evaluated inputs. Without a
-// collector on the environment the wrapper is a single nil check.
-func traced(op Operator, env *dataflow.Env, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	c := env.Tracer()
+// collector on the run's environment the wrapper is a single nil check.
+func traced(op Operator, r *Run, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+	c := r.env.Tracer()
 	if c == nil {
 		return eval()
 	}
@@ -59,20 +60,22 @@ func traced(op Operator, env *dataflow.Env, eval func() *dataflow.Dataset[embedd
 	return out
 }
 
-// Operator is one node of a physical query plan.
+// Operator is one node of a physical query plan. It is built at plan time
+// and read, never written, by every run of the plan.
 type Operator interface {
-	// Evaluate executes the subtree and returns its embeddings.
-	Evaluate() *dataflow.Dataset[embedding.Embedding]
+	// Evaluate executes the subtree in r and returns its embeddings.
+	Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding]
 	// Meta describes the embedding columns Evaluate produces.
 	Meta() *embedding.Meta
-	// Description names the operator and its parameters for EXPLAIN output.
+	// Description names the operator and its parameters for EXPLAIN output,
+	// a $parameter by its name.
 	Description() string
 	// Children returns the operator's inputs.
 	Children() []Operator
 	// Selective reports whether a predicate restricts the operator's rows
 	// somewhere in its subtree: a join over it may expect few of them. It is a
-	// bit every constructor sets from its inputs' - planning and rebinding build
-	// the tree bottom-up - so asking costs a request no walk.
+	// bit every constructor sets from its inputs' - planning builds the tree
+	// bottom-up - so asking costs a run no walk.
 	Selective() bool
 }
 

@@ -12,6 +12,40 @@ import (
 
 func env() *dataflow.Env { return dataflow.NewEnv(dataflow.DefaultConfig(3)) }
 
+// plainAccess is a test graph as a run reads it: every leaf scans all of vs or
+// all of es, whatever its labels, like the planner's PlainAccess.
+type plainAccess struct {
+	vs *dataflow.Dataset[epgm.Vertex]
+	es *dataflow.Dataset[epgm.Edge]
+}
+
+func (a plainAccess) Env() *dataflow.Env {
+	if a.vs == nil {
+		return a.es.Env()
+	}
+	return a.vs.Env()
+}
+func (a plainAccess) Vertices([]string) epgm.Scan[epgm.Vertex] { return epgm.PlainScan(a.vs) }
+func (a plainAccess) Edges([]string) epgm.Scan[epgm.Edge]      { return epgm.PlainScan(a.es) }
+
+// plainRun is a run of a plan over the test graph vs, es.
+func plainRun(vs *dataflow.Dataset[epgm.Vertex], es *dataflow.Dataset[epgm.Edge]) *Run {
+	return NewRun(plainAccess{vs, es}, nil)
+}
+
+// indexedAccess is a pinned store as a run reads it, like the planner's
+// IndexedAccess.
+type indexedAccess struct{ idx *epgm.IndexedLogicalGraph }
+
+func (a indexedAccess) Env() *dataflow.Env { return a.idx.Env() }
+func (a indexedAccess) Vertices(labels []string) epgm.Scan[epgm.Vertex] {
+	return a.idx.Vertices(labels...)
+}
+func (a indexedAccess) Edges(types []string) epgm.Scan[epgm.Edge] { return a.idx.Edges(types...) }
+
+// indexedRun is a run of a plan over a pinned store.
+func indexedRun(idx *epgm.IndexedLogicalGraph) *Run { return NewRun(indexedAccess{idx}, nil) }
+
 // chainGraph: v1 -e1-> v2 -e2-> v3 -e3-> v1 (a directed triangle), labels
 // Person, knows; v1 has name=x.
 func chainGraph(e *dataflow.Env) (*dataflow.Dataset[epgm.Vertex], *dataflow.Dataset[epgm.Edge], []epgm.ID) {
@@ -30,8 +64,8 @@ func TestFilterAndProjectVertices(t *testing.T) {
 	en := env()
 	vs, _, ids := chainGraph(en)
 	qv := &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}, Projection: []string{"name"}}
-	op := NewFilterAndProjectVertices(epgm.PlainScan(vs), qv)
-	out := op.Evaluate().Collect()
+	op := NewFilterAndProjectVertices(qv)
+	out := op.Evaluate(plainRun(vs, nil)).Collect()
 	if len(out) != 2 {
 		t.Fatalf("persons=%d", len(out))
 	}
@@ -63,13 +97,13 @@ func TestFilterAndProjectEdgesDirectedAndUndirected(t *testing.T) {
 	en := env()
 	_, es, _ := chainGraph(en)
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	directed := NewFilterAndProjectEdges(epgm.PlainScan(es), qe).Evaluate()
+	directed := NewFilterAndProjectEdges(qe).Evaluate(plainRun(nil, es))
 	if directed.Count() != 2 {
 		t.Fatalf("directed=%d", directed.Count())
 	}
 	und := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b",
 		Undirected: true, MinHops: 1, MaxHops: 1}
-	undirected := NewFilterAndProjectEdges(epgm.PlainScan(es), und).Evaluate()
+	undirected := NewFilterAndProjectEdges(und).Evaluate(plainRun(nil, es))
 	if undirected.Count() != 4 {
 		t.Fatalf("undirected=%d want 4 (both orientations)", undirected.Count())
 	}
@@ -82,8 +116,8 @@ func TestFilterAndProjectEdgesLoop(t *testing.T) {
 	other := epgm.Edge{ID: epgm.NewID(), Label: "self", Source: v.ID, Target: epgm.NewID()}
 	es := dataflow.FromSlice(en, []epgm.Edge{loop, other})
 	qe := &cypher.QueryEdge{Var: "e", Source: "a", Target: "a", MinHops: 1, MaxHops: 1}
-	op := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
-	out := op.Evaluate().Collect()
+	op := NewFilterAndProjectEdges(qe)
+	out := op.Evaluate(plainRun(nil, es)).Collect()
 	if len(out) != 1 {
 		t.Fatalf("loops=%d", len(out))
 	}
@@ -93,10 +127,8 @@ func TestFilterAndProjectEdgesLoop(t *testing.T) {
 }
 
 func TestJoinEmbeddingsPanicsWithoutSharedVars(t *testing.T) {
-	en := env()
-	vs, _, _ := chainGraph(en)
-	a := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a"})
-	b := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b"})
+	a := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a"})
+	b := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -108,39 +140,17 @@ func TestJoinEmbeddingsPanicsWithoutSharedVars(t *testing.T) {
 func TestCartesianProduct(t *testing.T) {
 	en := env()
 	vs, _, _ := chainGraph(en)
-	a := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
-	b := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b", Labels: []string{"Tag"}})
+	a := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
+	b := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Tag"}})
 	cp := NewCartesianProduct(a, b, Morphism{})
-	if got := cp.Evaluate().Count(); got != 2 {
+	if got := cp.Evaluate(plainRun(vs, nil)).Count(); got != 2 {
 		t.Fatalf("cartesian=%d want 2", got)
 	}
 	// ISO with overlapping labels: (a:Person),(b:Person) forbids a=b.
-	b2 := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b", Labels: []string{"Person"}})
+	b2 := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}})
 	iso := NewCartesianProduct(a, b2, Morphism{Vertex: Isomorphism})
-	if got := iso.Evaluate().Count(); got != 2 {
+	if got := iso.Evaluate(plainRun(vs, nil)).Count(); got != 2 {
 		t.Fatalf("iso cartesian=%d want 2 (4 minus diagonal)", got)
-	}
-}
-
-func TestProjectEmbeddingsOperator(t *testing.T) {
-	en := env()
-	vs, es, _ := chainGraph(en)
-	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	leaf := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
-	vleaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a", Projection: []string{"name"}})
-	join := NewJoinEmbeddings(vleaf, leaf, Morphism{})
-	proj := NewProjectEmbeddings(join, []string{"b"}, []embedding.PropRef{{Var: "a", Key: "name"}})
-	out := proj.Evaluate().Collect()
-	if len(out) != 2 {
-		t.Fatalf("rows=%d", len(out))
-	}
-	if proj.Meta().Columns() != 1 || proj.Meta().PropColumns() != 1 {
-		t.Fatalf("meta: %s", proj.Meta())
-	}
-	for _, e := range out {
-		if e.Columns() != 1 {
-			t.Fatalf("columns=%d", e.Columns())
-		}
 	}
 }
 
@@ -149,13 +159,13 @@ func TestExpandEmbeddingsForwardAndReverseAgree(t *testing.T) {
 	vs, es, _ := chainGraph(en)
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
 
-	aLeaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "a"})
-	fwd, err := NewExpandEmbeddings(aLeaf, es, qe, Morphism{}, false)
+	aLeaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a"})
+	fwd, err := NewExpandEmbeddings(aLeaf, qe, Morphism{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bLeaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "b"})
-	rev, err := NewExpandEmbeddings(bLeaf, es, qe, Morphism{}, true)
+	bLeaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b"})
+	rev, err := NewExpandEmbeddings(bLeaf, qe, Morphism{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +177,10 @@ func TestExpandEmbeddingsForwardAndReverseAgree(t *testing.T) {
 		return (e.ID(ca).String() + "|" + e.ID(cb).String() + "|" + pathKey(e.Path(cp)))
 	}
 	var fk, rk []string
-	for _, e := range fwd.Evaluate().Collect() {
+	for _, e := range fwd.Evaluate(plainRun(vs, es)).Collect() {
 		fk = append(fk, key(e, fwd.Meta()))
 	}
-	for _, e := range rev.Evaluate().Collect() {
+	for _, e := range rev.Evaluate(plainRun(vs, es)).Collect() {
 		rk = append(rk, key(e, rev.Meta()))
 	}
 	sort.Strings(fk)
@@ -194,11 +204,9 @@ func pathKey(ids []epgm.ID) string {
 }
 
 func TestExpandRequiresBoundEndpoint(t *testing.T) {
-	en := env()
-	vs, es, _ := chainGraph(en)
-	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "z"})
+	leaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "z"})
 	qe := &cypher.QueryEdge{Var: "e", Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
-	if _, err := NewExpandEmbeddings(leaf, es, qe, Morphism{}, false); err == nil {
+	if _, err := NewExpandEmbeddings(leaf, qe, Morphism{}, false); err == nil {
 		t.Fatal("expected error: input binds neither endpoint")
 	}
 }

@@ -46,11 +46,11 @@ func (op *OptionalJoinEmbeddings) Description() string {
 }
 
 // Evaluate implements Operator.
-func (op *OptionalJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	left := op.Left.Evaluate()
-	right := op.Right.Evaluate()
-	return traced(op, left.Env(), func() *dataflow.Dataset[embedding.Embedding] {
-		return op.evaluate(left, right)
+func (op *OptionalJoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	left := op.Left.Evaluate(r)
+	right := op.Right.Evaluate(r)
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+		return op.evaluate(left, right, r.resolve(op.Predicates))
 	})
 }
 
@@ -58,13 +58,13 @@ func (op *OptionalJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embeddi
 // mandatory one: a pair that passes keys, morphism and the group predicates
 // is emitted merged, and a probe row none of whose candidates passed is
 // emitted once they are through, its right-only columns and properties NULL.
-func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+// preds are the group predicates with the run's parameter values.
+func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding], preds []cypher.Expr) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop := op.dropCols
 	meta := op.outputMeta
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	preds := op.Predicates
 	nullCols, nullProps := rm.Columns()-len(drop), rm.PropColumns()
 	return dataflow.OuterJoinWith(right, left,
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },

@@ -23,15 +23,15 @@ func likesGraph(e *dataflow.Env) (*dataflow.Dataset[epgm.Vertex], *dataflow.Data
 func TestOptionalJoinEmbeddingsDirect(t *testing.T) {
 	en := env()
 	vs, es, ids := likesGraph(en)
-	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1}
-	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), qe)
+	likes := NewFilterAndProjectEdges(qe)
 	opt := NewOptionalJoinEmbeddings(persons, likes, Morphism{}, nil)
 
 	if opt.Meta().Columns() != 3 { // p, e, m
 		t.Fatalf("meta: %s", opt.Meta())
 	}
-	out := opt.Evaluate().Collect()
+	out := opt.Evaluate(plainRun(vs, es)).Collect()
 	if len(out) != 2 {
 		t.Fatalf("rows=%d", len(out))
 	}
@@ -66,9 +66,9 @@ func TestOptionalJoinEmbeddingsDirect(t *testing.T) {
 func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 	en := env()
 	vs, es, _ := likesGraph(en)
-	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
-	mleaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
-	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	mleaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
+	likes := NewFilterAndProjectEdges(&cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
 	sub := NewJoinEmbeddings(mleaf, likes, Morphism{})
 
 	// Predicate m.year > 1990 fails for the only movie: every person ends
@@ -78,7 +78,7 @@ func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := NewOptionalJoinEmbeddings(persons, sub, Morphism{}, []cypher.Expr{pred.Where})
-	for _, emb := range opt.Evaluate().Collect() {
+	for _, emb := range opt.Evaluate(plainRun(vs, es)).Collect() {
 		mCol, _ := opt.Meta().Column("m")
 		if !emb.IsNullAt(mCol) {
 			t.Fatalf("expected null extension: %v", emb)
@@ -89,21 +89,21 @@ func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 func TestSemiAndAntiJoinDirect(t *testing.T) {
 	en := env()
 	vs, es, ids := likesGraph(en)
-	persons := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
-	likes := NewFilterAndProjectEdges(epgm.PlainScan(es), &cypher.QueryEdge{Var: "e", Types: []string{"likes"},
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
+	likes := NewFilterAndProjectEdges(&cypher.QueryEdge{Var: "e", Types: []string{"likes"},
 		Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
 
 	semi := NewSemiJoinEmbeddings(persons, likes, Morphism{}, false)
 	if semi.Meta().Columns() != 1 {
 		t.Fatalf("semi meta must be the left meta: %s", semi.Meta())
 	}
-	out := semi.Evaluate().Collect()
+	out := semi.Evaluate(plainRun(vs, es)).Collect()
 	if len(out) != 1 || out[0].ID(0) != ids[0] {
 		t.Fatalf("semi: %v", out)
 	}
 
 	anti := NewSemiJoinEmbeddings(persons, likes, Morphism{}, true)
-	out = anti.Evaluate().Collect()
+	out = anti.Evaluate(plainRun(vs, es)).Collect()
 	if len(out) != 1 || out[0].ID(0) != ids[1] {
 		t.Fatalf("anti: %v", out)
 	}
@@ -112,20 +112,26 @@ func TestSemiAndAntiJoinDirect(t *testing.T) {
 	}
 }
 
+// TestCachedEvaluatesOnce: a Cached operator's subtree runs once per run, and
+// the result is the run's - another run of the same tree evaluates it again.
 func TestCachedEvaluatesOnce(t *testing.T) {
 	en := env()
 	vs, _, _ := likesGraph(en)
-	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "p"})
+	leaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p"})
 	cached := NewCached(leaf)
 	en.ResetMetrics()
-	a := cached.Evaluate()
+	r := plainRun(vs, nil)
+	a := cached.Evaluate(r)
 	first := en.Metrics().TotalCPU
-	b := cached.Evaluate()
+	b := cached.Evaluate(r)
 	if en.Metrics().TotalCPU != first {
 		t.Fatal("second evaluation did work")
 	}
 	if a != b {
 		t.Fatal("cached result not shared")
+	}
+	if c := cached.Evaluate(plainRun(vs, nil)); c == a || en.Metrics().TotalCPU != 2*first {
+		t.Fatal("a second run read the first run's result")
 	}
 	if cached.Description() != "Cached" || len(cached.Children()) != 1 {
 		t.Fatal("cached metadata")
@@ -135,18 +141,18 @@ func TestCachedEvaluatesOnce(t *testing.T) {
 func TestFilterEmbeddingsDirect(t *testing.T) {
 	en := env()
 	vs, _, _ := likesGraph(en)
-	leaf := NewFilterAndProjectVertices(epgm.PlainScan(vs), &cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
+	leaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
 	q, err := cypher.Parse(`MATCH (m) WHERE m.year = 1979 RETURN *`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := NewFilterEmbeddings(leaf, []cypher.Expr{q.Where})
-	if got := f.Evaluate().Count(); got != 1 {
+	if got := f.Evaluate(plainRun(vs, nil)).Count(); got != 1 {
 		t.Fatalf("filter passed %d", got)
 	}
 	q2, _ := cypher.Parse(`MATCH (m) WHERE m.year = 1980 RETURN *`)
 	f2 := NewFilterEmbeddings(leaf, []cypher.Expr{q2.Where})
-	if got := f2.Evaluate().Count(); got != 0 {
+	if got := f2.Evaluate(plainRun(vs, nil)).Count(); got != 0 {
 		t.Fatalf("filter passed %d", got)
 	}
 	if !containsStr(f.Description(), "FilterEmbeddings") {

@@ -14,6 +14,7 @@ import (
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
+	"gradoop/internal/planner"
 )
 
 type outerCase struct {
@@ -53,7 +54,7 @@ func outerCases() []outerCase {
 // keeps the candidates that end at vertex 4 or beyond, "all" keeps none.
 var rejectBelow = map[string]int64{"none": 0, "some": 4, "all": 100}
 
-// build assembles the case's operator over matrixGraph. The mandatory side
+// build assembles the case's operator, for matrixGraph. The mandatory side
 // binds an edge f, so that edge isomorphism has something to reject and some
 // mandatory rows find no partner:
 //
@@ -64,21 +65,21 @@ var rejectBelow = map[string]int64{"none": 0, "some": 4, "all": 100}
 // The other side carries b.n for the predicate. An OPTIONAL MATCH takes the
 // predicate as its group predicate; an exists() has no such slot and filters
 // its sub-pattern instead, which rejects the same candidates.
-func (c outerCase) build(t *testing.T, g *epgm.LogicalGraph) (op, left, right operators.Operator) {
+func (c outerCase) build(t *testing.T) (op, left, right operators.Operator) {
 	t.Helper()
 	single := func(v string, types []string, s, tg string) *cypher.QueryEdge {
 		return &cypher.QueryEdge{Var: v, Types: types, Source: s, Target: tg, MinHops: 1, MaxHops: 1}
 	}
 	switch c.shared {
 	case 1:
-		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows"}, "c", "a"))
+		left = operators.NewFilterAndProjectEdges(single("f", []string{"knows"}, "c", "a"))
 	case 2:
-		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows", "likes"}, "a", "b"))
+		left = operators.NewFilterAndProjectEdges(single("f", []string{"knows", "likes"}, "a", "b"))
 	default:
-		left = operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("f", []string{"knows"}, "c", "d"))
+		left = operators.NewFilterAndProjectEdges(single("f", []string{"knows"}, "c", "d"))
 	}
-	bLeaf := operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), &cypher.QueryVertex{Var: "b", Projection: []string{"n"}})
-	eLeaf := operators.NewFilterAndProjectEdges(epgm.PlainScan(g.Edges), single("e", []string{"knows"}, "a", "b"))
+	bLeaf := operators.NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Projection: []string{"n"}})
+	eLeaf := operators.NewFilterAndProjectEdges(single("e", []string{"knows"}, "a", "b"))
 	right = operators.NewJoinEmbeddings(bLeaf, eLeaf, c.morph)
 
 	var preds []cypher.Expr
@@ -227,9 +228,12 @@ func TestOuterMatrix(t *testing.T) {
 	var table strings.Builder // what the golden file would read if recorded now
 	for _, c := range outerCases() {
 		g := matrixGraph(c.workers)
-		op, left, right := c.build(t, g)
-		rows := op.Evaluate().Collect()
-		want := c.reference(left.Evaluate().Collect(), right.Evaluate().Collect(), left.Meta(), right.Meta())
+		op, left, right := c.build(t)
+		run := func(op operators.Operator) []embedding.Embedding {
+			return op.Evaluate(operators.NewRun(planner.PlainAccess{Graph: g}, nil)).Collect()
+		}
+		rows := run(op)
+		want := c.reference(run(left), run(right), left.Meta(), right.Meta())
 		if err := g.Env().Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +250,7 @@ func TestOuterMatrix(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: engine and reference differ:\n got %q\nwant %q", c, got, want)
 		}
-		if c.kind != "outer" && len(rows) < int(left.Evaluate().Count()) {
+		if c.kind != "outer" && len(rows) < len(run(left)) {
 			dropped++
 		}
 		slices.SortFunc(wire, bytes.Compare)

@@ -7,7 +7,6 @@ import (
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
-	"gradoop/internal/epgm"
 )
 
 // TestOutputIsAllocatedOnce: what a leaf and a join allocate is what they
@@ -36,8 +35,8 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 	}
 
 	_, es := benchGraph(env, 33_334)
-	leaf := NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e", "a", "b"))
-	rows, got := allocated(leaf.Evaluate)
+	leaf := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
+	rows, got := allocated(func() *dataflow.Dataset[embedding.Embedding] { return leaf.Evaluate(plainRun(nil, es)) })
 	if len(rows) != 100_002 {
 		t.Fatalf("the leaf emitted %d rows, want 100 002", len(rows))
 	}
@@ -48,10 +47,10 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 
 	// Three edges into every vertex and three out of it: nine pairs a vertex.
 	_, es = benchGraph(env, 11_112)
-	left := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e1", "a", "b")))
-	right := materialize(NewFilterAndProjectEdges(epgm.PlainScan(es), knowsEdge("e2", "b", "c")))
+	left := materialize(NewFilterAndProjectEdges(knowsEdge("e1", "a", "b")), plainRun(nil, es))
+	right := materialize(NewFilterAndProjectEdges(knowsEdge("e2", "b", "c")), plainRun(nil, es))
 	join := NewJoinEmbeddings(left, right, Morphism{})
-	rows, got = allocated(join.Evaluate)
+	rows, got = allocated(func() *dataflow.Dataset[embedding.Embedding] { return join.Evaluate(plainRun(nil, es)) })
 	if len(rows) != 100_008 {
 		t.Fatalf("the join emitted %d rows, want 100 008", len(rows))
 	}

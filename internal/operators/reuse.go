@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
@@ -19,26 +18,28 @@ import (
 // derives the others through Alias, which renames the embedding metadata
 // without touching the data.
 
-// Cached wraps an operator so that Evaluate runs its subtree exactly once;
-// later calls return the same dataset. Embeddings are immutable, so sharing
-// the dataset between consumers is safe.
+// Cached wraps an operator so that a run evaluates its subtree exactly once;
+// later calls in the same run return the same dataset, which the run keeps.
+// Embeddings are immutable, so sharing the dataset between consumers is safe.
 type Cached struct {
 	Inner Operator
 
 	// shared is set once an Alias reads the operator too: only then does the
 	// wrapper have a second consumer to save an evaluation for.
 	shared bool
-	once   sync.Once
-	result *dataflow.Dataset[embedding.Embedding]
 }
 
 // NewCached wraps op with single-evaluation semantics.
 func NewCached(op Operator) *Cached { return &Cached{Inner: op} }
 
 // Evaluate implements Operator.
-func (op *Cached) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	op.once.Do(func() { op.result = op.Inner.Evaluate() })
-	return op.result
+func (op *Cached) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	k, ok := r.kept[op]
+	if !ok {
+		k.rows = op.Inner.Evaluate(r)
+		r.kept[op] = k
+	}
+	return k.rows
 }
 
 // Meta implements Operator.
@@ -88,7 +89,7 @@ func NewAlias(in Operator, rename map[string]string) *Alias {
 }
 
 // Evaluate implements Operator.
-func (op *Alias) Evaluate() *dataflow.Dataset[embedding.Embedding] { return op.In.Evaluate() }
+func (op *Alias) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] { return op.In.Evaluate(r) }
 
 // Meta implements Operator.
 func (op *Alias) Meta() *embedding.Meta { return op.meta }

@@ -45,10 +45,10 @@ func (op *SemiJoinEmbeddings) Description() string {
 }
 
 // Evaluate implements Operator.
-func (op *SemiJoinEmbeddings) Evaluate() *dataflow.Dataset[embedding.Embedding] {
-	left := op.Left.Evaluate()
-	right := op.Right.Evaluate()
-	return traced(op, left.Env(), func() *dataflow.Dataset[embedding.Embedding] {
+func (op *SemiJoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	left := op.Left.Evaluate(r)
+	right := op.Right.Evaluate(r)
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		return op.evaluate(left, right)
 	})
 }

@@ -5,17 +5,18 @@ import (
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 	"gradoop/internal/trace"
 )
 
 // panicOp is a minimal Operator for exercising traced directly.
 type panicOp struct{}
 
-func (panicOp) Evaluate() *dataflow.Dataset[embedding.Embedding] { panic("unused") }
-func (panicOp) Meta() *embedding.Meta                            { return nil }
-func (panicOp) Description() string                              { return "PanicOp" }
-func (panicOp) Children() []Operator                             { return nil }
-func (panicOp) Selective() bool                                  { return false }
+func (panicOp) Evaluate(*Run) *dataflow.Dataset[embedding.Embedding] { panic("unused") }
+func (panicOp) Meta() *embedding.Meta                                { return nil }
+func (panicOp) Description() string                                  { return "PanicOp" }
+func (panicOp) Children() []Operator                                 { return nil }
+func (panicOp) Selective() bool                                      { return false }
 
 // TestTracedClosesScopeOnPanic: traced's operator scope (trace.Collector.InOp,
 // which defers its own pop) closes when eval panics, so the frame does not
@@ -32,7 +33,7 @@ func TestTracedClosesScopeOnPanic(t *testing.T) {
 				t.Fatal("eval panic did not propagate")
 			}
 		}()
-		traced(panicOp{}, env, func() *dataflow.Dataset[embedding.Embedding] {
+		traced(panicOp{}, plainRun(dataflow.Empty[epgm.Vertex](env), nil), func() *dataflow.Dataset[embedding.Embedding] {
 			panic("eval failure")
 		})
 	}()

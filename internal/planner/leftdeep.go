@@ -23,7 +23,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 	seenVertex := map[string]bool{}
 	vertexLeaf := func(name string) *partial {
 		qv, _ := qg.VertexByVar(name)
-		leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
+		leaf := operators.NewFilterAndProjectVertices(qv)
 		card := pl.vertexLeafCard(qv)
 		est[leaf] = card
 		seenVertex[name] = true
@@ -41,7 +41,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 			varLength = append(varLength, qe)
 			continue
 		}
-		leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
+		leaf := operators.NewFilterAndProjectEdges(qe)
 		card := pl.edgeLeafCard(qe)
 		est[leaf] = card
 		leaves = append(leaves, &partial{op: leaf, card: card,
@@ -56,29 +56,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 	pending := append([]cypher.Expr(nil), qg.Global...)
 	applyPredicates := func(p *partial) {
 		var usable []cypher.Expr
-		rest := pending[:0]
-		meta := p.op.Meta()
-		for _, g := range pending {
-			ok := true
-			for _, v := range cypher.ExprVars(g) {
-				if !p.covers(v) {
-					ok = false
-					break
-				}
-			}
-			cypher.CollectPropAccesses(g, func(variable, key string) {
-				if _, has := meta.PropColumn(variable, key); !has {
-					ok = false
-				}
-			})
-			if ok {
-				usable = append(usable, g)
-			} else {
-				rest = append(rest, g)
-			}
-		}
-		pending = rest
-		if len(usable) > 0 {
+		if usable, pending = p.evaluable(pending); len(usable) > 0 {
 			f := operators.NewFilterEmbeddings(p.op, usable)
 			est[f] = p.card
 			p.op = f
@@ -96,7 +74,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 		for i, qe := range varLength {
 			if cur.covers(qe.Source) || cur.covers(qe.Target) {
 				reverse := !cur.covers(qe.Source)
-				op, err := operators.NewExpandEmbeddings(cur.op, access.Edges(qe.Types).Union(), qe, pl.Morph, reverse)
+				op, err := operators.NewExpandEmbeddings(cur.op, qe, pl.Morph, reverse)
 				if err != nil {
 					return nil, err
 				}
@@ -145,7 +123,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 		cur.op = f
 	}
 	for _, eg := range qg.Existence {
-		sub, _, err := pl.planOptionalGroup(access, qg, &eg.OptionalGroup, est)
+		sub, _, err := pl.planOptionalGroup(qg, &eg.OptionalGroup, est)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +132,7 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 		cur = &partial{op: op, card: cur.card, vars: cur.vars}
 	}
 	for _, group := range qg.Optional {
-		sub, _, err := pl.planOptionalGroup(access, qg, group, est)
+		sub, _, err := pl.planOptionalGroup(qg, group, est)
 		if err != nil {
 			return nil, err
 		}
@@ -162,5 +140,5 @@ func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*Que
 		est[op] = cur.card
 		cur = &partial{op: op, card: cur.card, vars: unionVars(cur.vars, groupVars(group))}
 	}
-	return &QueryPlan{Root: cur.op, Estimates: est}, nil
+	return &QueryPlan{Root: cur.op, Estimates: est, access: access}, nil
 }

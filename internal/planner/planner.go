@@ -20,17 +20,10 @@ import (
 	"gradoop/internal/stats"
 )
 
-// GraphAccess abstracts how leaf operators read the data graph, so the
-// planner works over both the plain representation (full scans) and the
-// IndexedLogicalGraph (per-label datasets, §3.4).
-type GraphAccess interface {
-	Env() *dataflow.Env
-	// Vertices returns what a leaf scans for a label alternation (empty =
-	// all).
-	Vertices(labels []string) epgm.Scan[epgm.Vertex]
-	// Edges returns what a leaf scans for a type alternation.
-	Edges(types []string) epgm.Scan[epgm.Edge]
-}
+// GraphAccess is how a run of a plan reads the data graph: the plain
+// representation (full scans) or the IndexedLogicalGraph (per-label datasets,
+// §3.4).
+type GraphAccess = operators.GraphAccess
 
 // PlainAccess scans the full vertex and edge datasets regardless of labels.
 type PlainAccess struct{ Graph *epgm.LogicalGraph }
@@ -76,14 +69,22 @@ type Planner struct {
 }
 
 // QueryPlan is the output of planning: a physical operator tree plus the
-// estimates recorded while building it.
+// estimates recorded while building it, and what Execute runs it on - a graph
+// access and a binding of the query graph (none: the planned one as it is).
+// Rebind attaches another of each to the same tree and estimates, which no
+// run writes.
 type QueryPlan struct {
 	Root      operators.Operator
 	Estimates map[operators.Operator]float64
+
+	access  GraphAccess
+	binding *cypher.Binding
 }
 
-// Execute evaluates the plan.
-func (p *QueryPlan) Execute() *dataflow.Dataset[embedding.Embedding] { return p.Root.Evaluate() }
+// Execute evaluates the plan in a run of its own.
+func (p *QueryPlan) Execute() *dataflow.Dataset[embedding.Embedding] {
+	return p.Root.Evaluate(operators.NewRun(p.access, p.binding))
+}
 
 // Meta returns the root operator's embedding metadata.
 func (p *QueryPlan) Meta() *embedding.Meta { return p.Root.Meta() }
@@ -99,23 +100,18 @@ func (p *QueryPlan) Explain() string { return p.ExplainWith(nil) }
 // tracer.
 func (p *QueryPlan) ExplainWith(annot func(operators.Operator) string) string {
 	var sb strings.Builder
-	var walk func(op operators.Operator, depth int)
-	walk = func(op operators.Operator, depth int) {
-		fmt.Fprintf(&sb, "%s%s", strings.Repeat("  ", depth), op.Description())
-		if est, ok := p.Estimates[op]; ok {
+	for _, n := range p.Nodes() {
+		fmt.Fprintf(&sb, "%s%s", strings.Repeat("  ", n.Depth), n.Op.Description())
+		if est, ok := p.Estimates[n.Op]; ok {
 			fmt.Fprintf(&sb, "  ~%.0f rows", est)
 		}
 		if annot != nil {
-			if a := annot(op); a != "" {
+			if a := annot(n.Op); a != "" {
 				sb.WriteString("  " + a)
 			}
 		}
 		sb.WriteByte('\n')
-		for _, c := range op.Children() {
-			walk(c, depth+1)
-		}
 	}
-	walk(p.Root, 0)
 	return sb.String()
 }
 
@@ -126,9 +122,9 @@ type PlanNode struct {
 	Depth int
 }
 
-// Nodes flattens the operator tree in exactly the order ExplainWith visits
-// it, so per-node metadata built from this slice lines up index-for-index
-// with Explain's annotator calls.
+// Nodes flattens the operator tree in the order ExplainWith renders it, so
+// per-node metadata built from this slice lines up index-for-index with
+// Explain's annotator calls.
 func (p *QueryPlan) Nodes() []PlanNode {
 	var out []PlanNode
 	var walk func(op operators.Operator, depth int)
@@ -151,7 +147,34 @@ type partial struct {
 
 func (p *partial) covers(v string) bool { return p.vars[v] }
 
-// Plan builds a physical plan for the query graph.
+// evaluable splits predicates into those the partial's rows can be filtered
+// by - the partial covers every variable a predicate names and its rows carry
+// every property the predicate reads (vertex properties live on vertex leaves,
+// not on the edge leaves that first cover the variable) - and the rest, in
+// their order, in preds' own array.
+func (p *partial) evaluable(preds []cypher.Expr) (usable, rest []cypher.Expr) {
+	meta := p.op.Meta()
+	rest = preds[:0]
+	for _, e := range preds {
+		ok := true
+		for _, v := range cypher.ExprVars(e) {
+			ok = ok && p.covers(v)
+		}
+		cypher.CollectPropAccesses(e, func(variable, key string) {
+			_, has := meta.PropColumn(variable, key)
+			ok = ok && has
+		})
+		if ok {
+			usable = append(usable, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	return usable, rest
+}
+
+// Plan builds a physical plan for the query graph, which Execute runs over
+// access.
 func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
 	if len(qg.Vertices) == 0 {
 		return nil, fmt.Errorf("planner: query graph has no vertices")
@@ -160,35 +183,41 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 
 	// Leaf plans: one per query vertex and one per simple query edge.
 	// Structurally identical leaves share one cached operator behind
-	// aliases unless reuse is disabled.
+	// aliases unless reuse is disabled: the first leaf of a signature is
+	// wrapped in a Cached, every later one is an Alias of that which renames
+	// the first one's variables, column by column, to its own.
 	type canonicalLeaf struct {
 		op   operators.Operator
 		vars []string // canonical variable names in column order
 	}
-	vertexLeaves := map[string]canonicalLeaf{}
-	edgeLeaves := map[string]canonicalLeaf{}
-
+	canonical := map[string]canonicalLeaf{}
 	var plans []*partial
-	for _, qv := range qg.Vertices {
-		card := pl.vertexLeafCard(qv)
+	addLeaf := func(sig string, cols []string, card float64, leaf func() operators.Operator) {
 		var op operators.Operator
-		sig := vertexSignature(qv)
-		if canon, ok := vertexLeaves[sig]; ok && !pl.DisableReuse {
-			op = operators.NewAlias(canon.op, map[string]string{canon.vars[0]: qv.Var})
+		if canon, ok := canonical[sig]; ok {
+			rename := make(map[string]string, len(cols))
+			for i, v := range canon.vars {
+				rename[v] = cols[i]
+			}
+			op = operators.NewAlias(canon.op, rename)
 		} else {
-			leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
-			est[leaf] = card
+			op = leaf()
+			est[op] = card
 			if !pl.DisableReuse {
-				cached := operators.NewCached(leaf)
-				est[cached] = card
-				vertexLeaves[sig] = canonicalLeaf{op: cached, vars: []string{qv.Var}}
-				op = cached
-			} else {
-				op = leaf
+				op = operators.NewCached(op)
+				canonical[sig] = canonicalLeaf{op: op, vars: cols}
 			}
 		}
 		est[op] = card
-		plans = append(plans, &partial{op: op, card: card, vars: map[string]bool{qv.Var: true}})
+		vars := make(map[string]bool, len(cols))
+		for _, v := range cols {
+			vars[v] = true
+		}
+		plans = append(plans, &partial{op: op, card: card, vars: vars})
+	}
+	for _, qv := range qg.Vertices {
+		addLeaf("vertex\x01"+vertexSignature(qv), []string{qv.Var}, pl.vertexLeafCard(qv),
+			func() operators.Operator { return operators.NewFilterAndProjectVertices(qv) })
 	}
 	var varLength []*cypher.QueryEdge
 	for _, qe := range qg.Edges {
@@ -196,80 +225,20 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 			varLength = append(varLength, qe)
 			continue
 		}
-		card := pl.edgeLeafCard(qe)
-		var op operators.Operator
-		sig := edgeSignature(qe)
-		if canon, ok := edgeLeaves[sig]; ok && !pl.DisableReuse {
-			rename := map[string]string{canon.vars[0]: qe.Source, canon.vars[1]: qe.Var}
-			if len(canon.vars) == 3 {
-				rename[canon.vars[2]] = qe.Target
-			}
-			op = operators.NewAlias(canon.op, rename)
-		} else {
-			leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
-			est[leaf] = card
-			if !pl.DisableReuse {
-				cached := operators.NewCached(leaf)
-				est[cached] = card
-				vars := []string{qe.Source, qe.Var}
-				if qe.Source != qe.Target {
-					vars = append(vars, qe.Target)
-				}
-				edgeLeaves[sig] = canonicalLeaf{op: cached, vars: vars}
-				op = cached
-			} else {
-				op = leaf
-			}
+		cols := []string{qe.Source, qe.Var}
+		if qe.Source != qe.Target {
+			cols = append(cols, qe.Target)
 		}
-		est[op] = card
-		vars := map[string]bool{qe.Source: true, qe.Var: true, qe.Target: true}
-		plans = append(plans, &partial{op: op, card: card, vars: vars})
+		addLeaf("edge\x01"+edgeSignature(qe), cols, pl.edgeLeafCard(qe),
+			func() operators.Operator { return operators.NewFilterAndProjectEdges(qe) })
 	}
 
-	// Global predicates not yet applied, keyed by their variable sets and
-	// property references: a predicate is evaluable only once the partial
-	// covers all referenced variables AND its embeddings carry the needed
-	// property columns (vertex properties live on vertex leaves, not on the
-	// edge leaves that first cover the variable).
-	type pendingPred struct {
-		expr  cypher.Expr
-		vars  []string
-		props []embedding.PropRef
-	}
-	var pending []pendingPred
-	for _, g := range qg.Global {
-		pp := pendingPred{expr: g, vars: cypher.ExprVars(g)}
-		cypher.CollectPropAccesses(g, func(variable, key string) {
-			pp.props = append(pp.props, embedding.PropRef{Var: variable, Key: key})
-		})
-		pending = append(pending, pp)
-	}
+	// Global predicates not yet applied: each goes on the first partial that
+	// can evaluate it (partial.evaluable).
+	pending := append([]cypher.Expr(nil), qg.Global...)
 	applyPredicates := func(p *partial) {
 		var usable []cypher.Expr
-		rest := pending[:0]
-		meta := p.op.Meta()
-		for _, pp := range pending {
-			all := true
-			for _, v := range pp.vars {
-				if !p.covers(v) {
-					all = false
-					break
-				}
-			}
-			for _, ref := range pp.props {
-				if _, ok := meta.PropColumn(ref.Var, ref.Key); !ok {
-					all = false
-					break
-				}
-			}
-			if all {
-				usable = append(usable, pp.expr)
-			} else {
-				rest = append(rest, pp)
-			}
-		}
-		pending = rest
-		if len(usable) > 0 {
+		if usable, pending = p.evaluable(pending); len(usable) > 0 {
 			f := operators.NewFilterEmbeddings(p.op, usable)
 			p.card *= math.Pow(0.25, float64(len(usable)))
 			if p.card < 1 {
@@ -283,16 +252,12 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 		applyPredicates(p)
 	}
 
-	root, err := pl.combine(access, qg, plans, varLength, est, applyPredicates)
+	root, err := pl.combine(qg, plans, varLength, est, applyPredicates)
 	if err != nil {
 		return nil, err
 	}
 	if len(pending) > 0 {
-		exprs := make([]cypher.Expr, len(pending))
-		for i, pp := range pending {
-			exprs[i] = pp.expr
-		}
-		f := operators.NewFilterEmbeddings(root.op, exprs)
+		f := operators.NewFilterEmbeddings(root.op, pending)
 		est[f] = root.card
 		root.op = f
 	}
@@ -300,7 +265,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 	// exists()/NOT exists() predicates filter the mandatory solutions
 	// through semi/anti joins.
 	for _, eg := range qg.Existence {
-		sub, _, err := pl.planOptionalGroup(access, qg, &eg.OptionalGroup, est)
+		sub, _, err := pl.planOptionalGroup(qg, &eg.OptionalGroup, est)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +278,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 	// OPTIONAL MATCH groups extend the mandatory solutions through left
 	// outer joins, in clause order.
 	for _, group := range qg.Optional {
-		sub, subCard, err := pl.planOptionalGroup(access, qg, group, est)
+		sub, subCard, err := pl.planOptionalGroup(qg, group, est)
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +289,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 		est[op] = card
 		root = &partial{op: op, card: card, vars: unionVars(root.vars, groupVars(group))}
 	}
-	return &QueryPlan{Root: root.op, Estimates: est}, nil
+	return &QueryPlan{Root: root.op, Estimates: est, access: access}, nil
 }
 
 // combine is the greedy loop of §3.2, the planner's only one: until a single
@@ -333,7 +298,7 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 // cartesian product when nothing connects - records its estimate and hands
 // the new partial to applyPredicates. A query's mandatory pattern and every
 // OPTIONAL MATCH or exists() group are ordered by it.
-func (pl *Planner) combine(access GraphAccess, qg *cypher.QueryGraph, plans []*partial, varLength []*cypher.QueryEdge,
+func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []*cypher.QueryEdge,
 	est map[operators.Operator]float64, applyPredicates func(*partial)) (*partial, error) {
 	for len(plans) > 1 || len(varLength) > 0 {
 		type candidate struct {
@@ -411,7 +376,7 @@ func (pl *Planner) combine(access GraphAccess, qg *cypher.QueryGraph, plans []*p
 		case "expand":
 			p := plans[best.i]
 			qe := varLength[best.edge]
-			op, err := operators.NewExpandEmbeddings(p.op, access.Edges(qe.Types).Union(), qe, pl.Morph, best.reverse)
+			op, err := operators.NewExpandEmbeddings(p.op, qe, pl.Morph, best.reverse)
 			if err != nil {
 				return nil, err
 			}
@@ -443,16 +408,16 @@ func groupVars(group *cypher.OptionalGroup) map[string]bool {
 // planOptionalGroup builds the sub-plan producing one OPTIONAL MATCH
 // group's embeddings: leaves for the group's new vertices and its edges,
 // combined greedily by estimated cardinality.
-func (pl *Planner) planOptionalGroup(access GraphAccess, qg *cypher.QueryGraph, group *cypher.OptionalGroup, est map[operators.Operator]float64) (operators.Operator, float64, error) {
+func (pl *Planner) planOptionalGroup(qg *cypher.QueryGraph, group *cypher.OptionalGroup, est map[operators.Operator]float64) (operators.Operator, float64, error) {
 	var plans []*partial
 	for _, qv := range group.Vertices {
-		leaf := operators.NewFilterAndProjectVertices(access.Vertices(qv.Labels), qv)
+		leaf := operators.NewFilterAndProjectVertices(qv)
 		card := pl.vertexLeafCard(qv)
 		est[leaf] = card
 		plans = append(plans, &partial{op: leaf, card: card, vars: map[string]bool{qv.Var: true}})
 	}
 	for _, qe := range group.Edges {
-		leaf := operators.NewFilterAndProjectEdges(access.Edges(qe.Types), qe)
+		leaf := operators.NewFilterAndProjectEdges(qe)
 		card := pl.edgeLeafCard(qe)
 		est[leaf] = card
 		plans = append(plans, &partial{op: leaf, card: card,
@@ -461,7 +426,7 @@ func (pl *Planner) planOptionalGroup(access GraphAccess, qg *cypher.QueryGraph, 
 	if len(plans) == 0 {
 		return nil, 0, fmt.Errorf("planner: empty OPTIONAL MATCH group")
 	}
-	root, err := pl.combine(access, qg, plans, nil, est, func(*partial) {})
+	root, err := pl.combine(qg, plans, nil, est, func(*partial) {})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gradoop/internal/cypher"
-	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
 	"gradoop/internal/stats"
 )
@@ -136,12 +135,13 @@ func TestAliasOperator(t *testing.T) {
 	ast, _ := cypher.Parse(`MATCH (p:Person) RETURN *`)
 	qg, _ := cypher.BuildQueryGraph(ast, nil)
 	qv := qg.Vertices[0]
-	leaf := operators.NewFilterAndProjectVertices(epgm.PlainScan(g.Vertices), qv)
+	leaf := operators.NewFilterAndProjectVertices(qv)
 	alias := operators.NewAlias(leaf, map[string]string{"p": "q"})
 	if !alias.Meta().HasVar("q") || alias.Meta().HasVar("p") {
 		t.Fatalf("alias meta: %s", alias.Meta())
 	}
-	if alias.Evaluate().Count() != leaf.Evaluate().Count() {
+	run := func() *operators.Run { return operators.NewRun(PlainAccess{Graph: g}, nil) }
+	if alias.Evaluate(run()).Count() != leaf.Evaluate(run()).Count() {
 		t.Fatal("alias changed data")
 	}
 }

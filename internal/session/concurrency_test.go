@@ -99,10 +99,10 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Early stage numbers are consumed by the rebind-time per-label
-			// unions (which run unpartitioned and can't be killed), so the
-			// kills cover a stage range to be sure some land on real
-			// partitioned stages.
+			// Some stages run no partition attempt and cannot be killed - a
+			// union that concatenates a multi-label scan, for one - so the
+			// kills cover a stage range to be sure some land on partitioned
+			// stages whatever the plan's stage order.
 			var kills []dataflow.Kill
 			for stage := int64(1); stage <= 10; stage++ {
 				kills = append(kills, dataflow.Kill{Stage: stage, Partition: 0})

@@ -9,18 +9,11 @@ import (
 	"gradoop/internal/dataflow"
 )
 
-// counters is the session's internal accounting: request and cache
-// counters as atomics, plus the running merge of every job's metrics
-// snapshot (job-slot accounting included) under a mutex.
+// counters is what the session counts beside its instruments, which hold the
+// request and cache counts: the query-store records it appended, and the
+// running merge of every job's metrics snapshot (job-slot accounting
+// included) under a mutex.
 type counters struct {
-	queries atomic.Int64
-	// exits counts the requests by how they ended.
-	exits        [numExits]atomic.Int64
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
-	resultHits   atomic.Int64
-	resultMisses atomic.Int64
-	slowQueries  atomic.Int64
 	// qstoreRecords counts the records this session appended (the store's
 	// own counter also includes startup replay).
 	qstoreRecords atomic.Int64
@@ -98,31 +91,33 @@ type Metrics struct {
 	Cluster dataflow.MetricsSnapshot `json:"cluster"`
 }
 
-// Metrics returns the session's current service counters. The cluster
-// aggregate is deep-copied under the merge lock (MetricsSnapshot.Clone), so
-// a snapshot taken while queries are completing is never torn: its slices
-// are the serializer's own, and its totals are one consistent merge state —
-// concurrent mergeJob calls either fully precede or fully follow it.
+// Metrics returns the session's current service counters, the request and
+// cache counts read off its instruments. The cluster aggregate is deep-copied
+// under the merge lock (MetricsSnapshot.Clone), so a snapshot taken while
+// queries are completing is never torn: its slices are the serializer's own,
+// and its totals are one consistent merge state — concurrent mergeJob calls
+// either fully precede or fully follow it.
 func (s *Session) Metrics() Metrics {
-	c := s.metrics
+	c, in := s.metrics, s.obs
 	c.mu.Lock()
 	cluster := c.cluster.Clone()
 	c.mu.Unlock()
 	resultBytes, resultEntries := s.results.usage()
 	qs := s.qstore.Stats()
+	exited := func(x exit) int64 { return in.errors.Value(exits[x].kind.String()) }
 	return Metrics{
-		Queries:            c.queries.Load(),
-		Rejected:           c.exits[exitRejected].Load(),
-		Timeouts:           c.exits[exitTimeout].Load(),
-		Invalid:            c.exits[exitInvalid].Load(),
-		Failed:             c.exits[exitFailed].Load(),
-		MemoryKilled:       c.exits[exitMemoryKill].Load(),
+		Queries:            in.queries.Value(),
+		Rejected:           exited(exitRejected),
+		Timeouts:           exited(exitTimeout),
+		Invalid:            exited(exitInvalid),
+		Failed:             exited(exitFailed),
+		MemoryKilled:       exited(exitMemoryKill),
 		MemBudget:          s.broker.Budget(),
 		MemReserved:        s.broker.Reserved(),
 		MemKills:           s.broker.Kills(),
 		MemSheds:           s.broker.Sheds(),
 		MemBrownouts:       s.broker.Brownouts(),
-		SlowQueries:        c.slowQueries.Load(),
+		SlowQueries:        in.slowQueries.Value(),
 		QStoreRecords:      c.qstoreRecords.Load(),
 		QStoreTotal:        qs.Records,
 		QStoreRegressions:  qs.Regressions,
@@ -130,10 +125,10 @@ func (s *Session) Metrics() Metrics {
 		QStoreSegments:     qs.Segments,
 		QStoreFingerprints: qs.Fingerprints,
 		QStoreDrops:        qs.Drops,
-		PlanHits:           c.planHits.Load(),
-		PlanMisses:         c.planMisses.Load(),
-		ResultHits:         c.resultHits.Load(),
-		ResultMisses:       c.resultMisses.Load(),
+		PlanHits:           in.planCache.Value("hit"),
+		PlanMisses:         in.planCache.Value("miss"),
+		ResultHits:         in.resultCache.Value("hit"),
+		ResultMisses:       in.resultCache.Value("miss"),
 		PlanEntries:        s.plans.len(),
 		ResultEntries:      resultEntries,
 		ResultBytes:        resultBytes,

@@ -1,9 +1,12 @@
 package session
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +285,44 @@ func TestTracedRunRecordsOps(t *testing.T) {
 	// Untraced runs carry no per-op data (no collector ran).
 	if _, err := s.Execute(Request{Query: q + " "}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParameterValuesStayOutOfPlans: what a parameterized request's plan
+// says of itself - EXPLAIN ANALYZE, the slow-query log's plan and the query
+// store's operators - names a $parameter and never its value, as the
+// record's canonical query does: one plan serves every binding, and a value
+// may be a secret.
+func TestParameterValuesStayOutOfPlans(t *testing.T) {
+	var log bytes.Buffer
+	s, st := qstoreSession(t, t.TempDir(), Options{Logger: slog.New(slog.NewJSONHandler(&log, nil)), SlowQueryThreshold: time.Nanosecond})
+	defer st.Close()
+	q := `MATCH (p:Person)-[:knows]->(q:Person) WHERE p.name + $secret <> q.name RETURN p.name`
+	resp, err := s.Execute(Request{Query: q, Params: map[string]epgm.PropertyValue{"secret": epgm.PVString("hunter2")}, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, ok := st.Fingerprint(qstore.QueryFingerprint(CanonicalQuery(q)))
+	if !ok || len(recs) != 1 {
+		t.Fatalf("want 1 record, got ok=%v recs=%d", ok, len(recs))
+	}
+	var ops strings.Builder
+	for _, op := range recs[0].Ops {
+		ops.WriteString(op.Op + "\n")
+	}
+	var slow struct{ Plan string }
+	if err := json.Unmarshal(log.Bytes(), &slow); err != nil {
+		t.Fatalf("slow-query log %q: %v", log.String(), err)
+	}
+	for where, plan := range map[string]string{
+		"EXPLAIN ANALYZE":         resp.Result.AnalyzedPlan(),
+		"the slow-query log":      slow.Plan,
+		"the query store's Ops":   ops.String(),
+		"the query store's Query": recs[0].Query,
+	} {
+		if !strings.Contains(plan, "$secret") || strings.Contains(plan, "hunter2") {
+			t.Errorf("%s does not name $secret, or names its value:\n%s", where, plan)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"gradoop/internal/core"
@@ -27,9 +26,8 @@ const (
 
 // exits says, per exit, what each ledger calls it: the classification of the
 // *Error the caller gets (whose name is also the gradoop_query_errors_total
-// label) and the query-store outcome. The session's own counter is
-// counters.exits at the same index. A new way to end is a new row here and
-// nothing else.
+// label, which Metrics reads back) and the query-store outcome. A new way to
+// end is a new row here and nothing else.
 var exits = [numExits]struct {
 	kind    Kind // meaningless for exitOK: there is no error to classify
 	outcome qstore.Outcome
@@ -58,14 +56,12 @@ func lookupOf(hit bool) lookup {
 	return lookupMiss
 }
 
-// count books one lookup into a cache's counter pair and labelled series.
-func (l lookup) count(hits, misses *atomic.Int64, series *obs.CounterVec) {
+// count books one lookup into a cache's labelled series.
+func (l lookup) count(series *obs.CounterVec) {
 	switch l {
 	case lookupHit:
-		hits.Add(1)
 		series.With("hit").Inc()
 	case lookupMiss:
-		misses.Add(1)
 		series.With("miss").Inc()
 	}
 }
@@ -118,23 +114,21 @@ func (o outcome) fail(how exit, err error) outcome {
 	return o
 }
 
-// settle is the session's only ledger writer: the counters, the instruments,
-// the query store and the slow-query log each get their view of the one
-// outcome here, once, and the caller's (*Response, error) is built from it
+// settle is the session's only ledger writer: the instruments, the job
+// total, the query store and the slow-query log each get their view of the
+// one outcome here, once, and the caller's (*Response, error) is built from it
 // too - so the ledgers cannot disagree about a request, and a request cannot
 // end without being booked.
 func (s *Session) settle(o outcome) (*Response, error) {
 	elapsed := time.Since(o.start)
 	row, c, in := exits[o.exit], s.metrics, s.obs
 
-	c.queries.Add(1)
 	in.queries.Inc()
-	c.exits[o.exit].Add(1)
 	if o.exit != exitOK {
 		in.errors.With(row.kind.String()).Inc()
 	}
-	o.result.count(&c.resultHits, &c.resultMisses, in.resultCache)
-	o.plan.count(&c.planHits, &c.planMisses, in.planCache)
+	o.result.count(in.resultCache)
+	o.plan.count(in.planCache)
 	if o.queued {
 		in.admissionWait.Observe(int64(o.queueWait))
 	}
@@ -142,7 +136,6 @@ func (s *Session) settle(o outcome) (*Response, error) {
 	if o.res != nil {
 		c.mergeJob(o.job)
 		if th := s.opts.SlowQueryThreshold; th > 0 && elapsed >= th {
-			c.slowQueries.Add(1)
 			in.slowQueries.Inc()
 			s.logSlow(o, elapsed)
 		}

@@ -398,9 +398,7 @@ type prepareToken struct{}
 func (s *Session) compile(st *graphState, canonical string, col *trace.Collector) (*core.Prepared, bool, error) {
 	build := func() (p *core.Prepared, err error) {
 		prepare := func() int64 {
-			env := dataflow.NewEnv(dataflow.DefaultConfig(s.opts.Workers))
-			_, access := st.data.Bind(env)
-			p, err = core.PrepareWith(access, st.stats, canonical, s.baseConfig())
+			p, err = core.PrepareWith(st.stats, canonical, s.baseConfig())
 			return 0
 		}
 		if col == nil {

@@ -6,9 +6,13 @@ import (
 	"sort"
 	"testing"
 
+	"gradoop/internal/benchkit"
+	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/operators"
+	"gradoop/internal/stats"
 	csvstore "gradoop/internal/storage/csv"
 )
 
@@ -173,5 +177,37 @@ func BenchmarkBind(b *testing.B) {
 		_, access := data.Bind(dataflow.NewEnv(cfg))
 		bound = access.Vertices([]string{"Person"})
 		bound = access.Vertices([]string{"Comment", "Post"})
+	}
+}
+
+// BenchmarkPreparedBind is what a request of each yardstick query pays between
+// a plan-cache hit and its job: a fresh environment, the pinned graph bound to
+// it, and the prepared query bound to that access and the request's
+// parameters. `make alloc-guard` pins its allocations per query: the plan's
+// operator tree is shared by every run, so binding builds no operator.
+func BenchmarkPreparedBind(b *testing.B) {
+	g := ldbcGraph(b, 0.05)
+	data, st := NewGraphData(g), stats.Collect(g)
+	cfg := dataflow.DefaultConfig(4)
+	for _, q := range benchkit.AllQueries {
+		base := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st}
+		prep, err := core.PrepareWith(st, CanonicalQuery(q.Text()), base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if q.Operational() {
+			base.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString("Jan")}
+		}
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				g, access := data.Bind(dataflow.NewEnv(cfg))
+				run := base
+				run.Access = access
+				if _, err := prep.Bind(g, run); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
