@@ -126,7 +126,11 @@ chaos-smoke:
 # built for an edge that joins and for no other; and a prepared query bound to
 # a request (decision 11): a fresh environment, the pinned store bound to it and
 # the binding cost 36 to 44 objects per yardstick query, because every run
-# shares the plan's operator tree and binding copies none of it.
+# shares the plan's operator tree and binding copies none of it; and planning
+# (decision 35): core.PrepareWith of a yardstick query, which a cluster worker
+# runs for every job, allocates no more than before the planner worked out what
+# every join keeps, + 10%, because the rule reads sets of the query's variables
+# built once per query and nothing per candidate join.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -168,6 +172,10 @@ alloc-guard:
 		BEGIN { max["Q1"] = 39; max["Q2"] = 44; max["Q3"] = 48; max["Q4"] = 47; max["Q5"] = 42; max["Q6"] = 45 } \
 		/^BenchmarkPreparedBind\// { print; split($$1, name, "[/-]"); seen++; if ($$(NF-1)+0 > max[name[2]]) bad = 1 } \
 		END { if (bad || seen != 6) { print "alloc-guard: binding a prepared yardstick query to a request builds objects per operator (Q1-Q6 <= 39, 44, 48, 47, 42, 45 allocs/op with a fresh Env and access: 36, 40, 44, 43, 39 and 41 measured + 10%; 91, 132, 197, 235, 150 and 198 while Bind copied the operator tree)"; exit 1 } }'
+	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkPrepare$$' -benchmem | awk ' \
+		BEGIN { max["Q1"] = 155; max["Q2"] = 233; max["Q3"] = 389; max["Q4"] = 468; max["Q5"] = 325; max["Q6"] = 398 } \
+		/^BenchmarkPrepare\// { print; split($$1, name, "[/-]"); seen++; if ($$(NF-1)+0 > max[name[2]]) bad = 1 } \
+		END { if (bad || seen != 6) { print "alloc-guard: planning a yardstick query, which a cluster worker does for every job, allocates more than it did before its rows were narrowed (Q1-Q6 <= 155, 233, 389, 468, 325, 398 allocs/op over the statistics of SF 3: 141, 212, 354, 426, 296 and 362 measured then + 10%; the keep-masks are worked out with no object per candidate join)"; exit 1 } }'
 
 # alloc-table prints where an executed request's bytes go: per request class
 # of the benchmark KiB and objects a request, then bytes by allocating

@@ -84,23 +84,27 @@ func WithoutSubqueryReuse() QueryOption {
 	return func(q *queryConfig) { q.cfg.DisableSubqueryReuse = true }
 }
 
-func (g *LogicalGraph) execute(query string, opts []QueryOption) (*core.Result, error) {
+func queryConfigOf(opts []QueryOption) queryConfig {
 	var qc queryConfig
 	for _, o := range opts {
 		o(&qc)
 	}
-	return core.Execute(g.g, query, qc.cfg)
+	return qc
+}
+
+func (g *LogicalGraph) execute(query string, opts []QueryOption) (*core.Result, error) {
+	return core.Execute(g.g, query, queryConfigOf(opts).cfg)
 }
 
 // Cypher evaluates a pattern matching query and returns the matches as a
 // graph collection (Definition 2.4): one new logical graph per match, with
 // variable bindings stored as graph head properties.
 func (g *LogicalGraph) Cypher(query string, opts ...QueryOption) (*GraphCollection, error) {
-	res, err := g.execute(query, opts)
+	coll, err := core.ExecuteGraphs(g.g, query, queryConfigOf(opts).cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &GraphCollection{env: g.env, c: res.GraphCollection()}, nil
+	return &GraphCollection{env: g.env, c: coll}, nil
 }
 
 // Row is one tabular query result.
@@ -130,11 +134,7 @@ func (g *LogicalGraph) CypherCount(query string, opts ...QueryOption) (int64, er
 // cardinality estimates without executing it... it executes leaf statistics
 // collection only when no statistics were supplied.
 func (g *LogicalGraph) ExplainCypher(query string, opts ...QueryOption) (string, error) {
-	var qc queryConfig
-	for _, o := range opts {
-		o(&qc)
-	}
-	res, err := core.Plan(g.g, query, qc.cfg)
+	res, err := core.Plan(g.g, query, queryConfigOf(opts).cfg)
 	if err != nil {
 		return "", err
 	}

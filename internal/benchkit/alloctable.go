@@ -8,8 +8,11 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"gradoop/internal/core"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/operators"
+	"gradoop/internal/planner"
 )
 
 // RequestClass is one request class of the benchmark: a query of the paper,
@@ -90,6 +93,77 @@ func AllocTable(w io.Writer, names []string, serve func(i int) int64, reps, top 
 	}
 	fmt.Fprintf(out, "(%d more)\t%d\t%.1f %%\t\n", max(len(table)-top, 0), (total-shown)>>10, 100*float64(total-shown)/float64(total))
 	fmt.Fprintf(out, "all %d classes, once\t%d\t\t\n", len(names), total>>10)
+	out.Flush()
+}
+
+// Written is what one operator writes in a run: its rows and the bytes of
+// their id, path and property sections.
+type Written struct {
+	Op                   string
+	Rows, ID, Path, Prop int64
+}
+
+// WrittenBy runs, one at a time, the subtree of every operator of prep's plan
+// that writes rows - a join, a cartesian product, an outer join, an
+// expansion - over access with params bound, and returns what each wrote, in
+// EXPLAIN order. It is a tool's walk (make alloc-table): every subtree runs
+// from its leaves again.
+func WrittenBy(prep *core.Prepared, access planner.GraphAccess, params map[string]epgm.PropertyValue) ([]Written, error) {
+	binding, err := prep.Template.Bind(params)
+	if err != nil {
+		return nil, err
+	}
+	var out []Written
+	var offs []uint32
+	for _, n := range prep.Plan.Nodes() {
+		switch n.Op.(type) {
+		case *operators.JoinEmbeddings, *operators.CartesianProduct, *operators.OptionalJoinEmbeddings, *operators.ExpandEmbeddings:
+		default:
+			continue
+		}
+		sub, err := planner.Rebind(&planner.QueryPlan{Root: n.Op}, access, binding)
+		if err != nil {
+			return nil, err
+		}
+		env := access.Env()
+		env.Begin(nil)
+		rows := sub.Execute().Collect()
+		if err := env.Finish(); err != nil {
+			return nil, err
+		}
+		w := Written{Op: n.Op.Description(), Rows: int64(len(rows))}
+		for _, e := range rows {
+			var props []byte
+			offs, props = e.AppendPropOffsets(offs[:0])
+			id := int64(9 * e.Columns())
+			w.ID += id
+			w.Prop += int64(len(props))
+			w.Path += int64(e.SizeBytes()) - id - int64(len(props))
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
+// WrittenTable prints, per class and per operator that writes rows, the KiB
+// of the id, path and property sections of what a request of the class writes
+// (WrittenBy): what a row carries that the next operator or the result reads.
+func WrittenTable(w io.Writer, names []string, written func(i int) []Written) {
+	out := tabwriter.NewWriter(w, 0, 8, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(out, "class / operator that writes rows\trows\tid KiB\tpath KiB\tprop KiB\t")
+	kib := func(b int64) string { return fmt.Sprintf("%.0f", float64(b)/1024) }
+	for i, name := range names {
+		ops := written(i)
+		var sum Written
+		for _, op := range ops {
+			sum.Rows += op.Rows
+			sum.ID, sum.Path, sum.Prop = sum.ID+op.ID, sum.Path+op.Path, sum.Prop+op.Prop
+		}
+		fmt.Fprintf(out, "%s\t%d\t%s\t%s\t%s\t\n", name, sum.Rows, kib(sum.ID), kib(sum.Path), kib(sum.Prop))
+		for _, op := range ops {
+			fmt.Fprintf(out, "  %s\t%d\t%s\t%s\t%s\t\n", op.Op, op.Rows, kib(op.ID), kib(op.Path), kib(op.Prop))
+		}
+	}
 	out.Flush()
 }
 

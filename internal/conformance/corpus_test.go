@@ -32,7 +32,7 @@ var settings = map[string]operators.Morphism{
 
 // corpus is every case of every fixture; short leaves out the LDBC fixture.
 func corpus(short bool) []*kase {
-	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, wide}
+	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, masks, wide}
 	if !short {
 		fixtures = append(fixtures, ldbcFixture)
 	}
@@ -254,6 +254,58 @@ func shapes() (*fixture, []spec) {
 		{query: `MATCH (a:A)-[e:x]->(b) RETURN b.color, count(*) ORDER BY b.color`},
 		{query: `MATCH (a:A) WHERE NOT exists((a)-[:x]->(:B)) RETURN a.n ORDER BY a.n`},
 		{query: `MATCH (a:A)-[e:x]->(b:B) WHERE a.n = 1 OPTIONAL MATCH (b)-[f:y]->(c:A) RETURN a.n, b.n, c.n`, morphs: "HH HI"},
+		// A selective edge leaf is the smaller input of its first join, whose
+		// other side has only the source: the loop 2->2 meets the check there,
+		// as the leaf's own two endpoints.
+		{query: `MATCH (a)-[e:y]->(b) WHERE e.w = 0 RETURN *`, morphs: "HH HI IH II"},
+	}
+}
+
+// masks is where a row writer's keep-mask has an edge: a column the rest of
+// the query reads once more - a cross-variable WHERE, ORDER BY, an OPTIONAL
+// MATCH or exists() joining on it - or only through the morphism check, where
+// an edge of one type sits next to an alternation, an untyped edge or a path
+// that may bind it again. Every case runs under all four settings.
+func masks() (*fixture, []spec) {
+	vs := []epgm.Vertex{
+		vertex(1, "Person", "name", "Ann", "age", 30),
+		vertex(2, "Person", "name", "Bob", "age", 25),
+		vertex(3, "Person", "name", "Cid", "age", 35),
+		vertex(4, "Person", "name", "Dee", "age", 41),
+		vertex(10, "Post", "title", "p10"),
+		vertex(11, "Post", "title", "p11"),
+		vertex(20, "Comment", "text", "c20"),
+		vertex(21, "Comment", "text", "c21"),
+		vertex(22, "Comment", "text", "c22"),
+	}
+	es := edges(nil, "knows", [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 1}, [2]int{1, 3}, [2]int{2, 1}, [2]int{3, 4})
+	es = edges(es, "likes", [2]int{1, 2}, [2]int{1, 10}, [2]int{2, 10}, [2]int{3, 11}, [2]int{2, 3})
+	es = edges(es, "replyOf", [2]int{20, 10}, [2]int{21, 20}, [2]int{22, 21}, [2]int{22, 11})
+	es = edges(es, "hasCreator", [2]int{20, 1}, [2]int{21, 2}, [2]int{22, 3}, [2]int{10, 4}, [2]int{11, 1})
+	all := "HH HI IH II"
+	return &fixture{name: "masks", vs: vs, es: es}, []spec{
+		{query: `MATCH (a:Person)-[:knows]->(b:Person) WHERE a.age < b.age RETURN a.name, b.name`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b), (a)-[:knows|likes]->(c) RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b), (b)-[]->(c) RETURN *`, morphs: all},
+		// A selective start is joined to each edge before the edges meet: the
+		// first joins' rows carry an anonymous edge, path or vertex nothing but
+		// the check reads, and RETURN * holds them to the reference.
+		{query: `MATCH (a:Person {name: 'Ann'})-[:knows]->(b), (a)-[:knows|likes]->(c) RETURN *`, morphs: all},
+		{query: `MATCH (a:Person {name: 'Ann'})-[:knows]->(b), (a)-[]->(c) RETURN *`, morphs: all},
+		{query: `MATCH (a:Person {name: 'Ann'})-[:knows]->(:Person), (a)-[:likes]->(c:Person) RETURN *`, morphs: all},
+		{query: `MATCH (c:Comment {text: 'c22'})-[:replyOf*1..3]->(m), (c)-[:replyOf]->(p) RETURN *`, morphs: all},
+		{query: `MATCH (c:Comment {text: 'c22'})-[:replyOf]->(p), (c)-[:replyOf*1..3]->(:Post) RETURN *`, morphs: all},
+		{query: `MATCH (a)-[e:knows]->(b), (a)-[]->(c) RETURN *`, morphs: all},
+		{query: `MATCH (c:Comment)-[:replyOf*1..3]->(m), (c)-[:replyOf]->(p) RETURN c.text, m`, morphs: all},
+		{query: `MATCH (c:Comment)-[r:replyOf*1..3]->(m), (c)-[f:replyOf]->(p) RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[e:knows]->(b:Person)-[p:likes*1..2]->(x) RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[e:knows]->(b:Person)-[:likes]->(x) RETURN a, e`, morphs: all},
+		{query: `MATCH (c:Comment)-[p:replyOf*1..2]->(m:Post)<-[:hasCreator]-(x) RETURN p`, morphs: all, empty: "*"},
+		{query: `MATCH (c:Comment)-[p:replyOf*1..2]->(m:Post)-[:hasCreator]->(x) RETURN p, x.name`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person) RETURN a.name ORDER BY b.age DESC, a.name`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person) OPTIONAL MATCH (b)-[:likes]->(p:Post) RETURN a.name, p.title`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person) WHERE exists((b)-[:likes]->(:Post)) RETURN a.name`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person) WHERE NOT exists((b)-[:likes]->(:Person)) RETURN a.name, b.name`, morphs: all},
 	}
 }
 

@@ -118,39 +118,62 @@ func (o outcome) bag() []string {
 	return out
 }
 
-// reference is the brute-force reference's answer to a pattern-only RETURN *
-// case: a row per binding of the named variables. ok is false for any other
-// query - the reference knows no OPTIONAL MATCH, exists() or RETURN items.
-func reference(c *kase) (want outcome, ok bool) {
+// pattern returns the query graph of a pattern-only RETURN * case, the kind
+// the reference evaluates; ok is false for any other query - the reference
+// knows no OPTIONAL MATCH, exists() or RETURN items.
+func pattern(c *kase) (qg *cypher.QueryGraph, ok bool) {
 	ast, err := cypher.Parse(c.query)
 	if err != nil {
-		return want, false
+		return nil, false
 	}
-	qg, err := cypher.BuildQueryGraph(ast, c.params)
+	qg, err = cypher.BuildQueryGraph(ast, c.params)
 	if err != nil {
-		return want, false
+		return nil, false
 	}
 	r := qg.Return
 	if !r.Star || r.Distinct || len(r.OrderBy) > 0 || r.Skip >= 0 || r.Limit >= 0 || len(qg.Optional) > 0 || len(qg.Existence) > 0 {
-		return want, false
+		return nil, false
 	}
-	var cells []func(b baseline.Binding) epgm.PropertyValue
+	return qg, true
+}
+
+// bindings lists the variables of qg a match binds: the named ones, or every
+// one if all is set.
+func bindings(qg *cypher.QueryGraph, all bool) []string {
+	var vars []string
 	for _, qv := range qg.Vertices {
-		if !qv.Anonymous {
-			want.cols = append(want.cols, qv.Var)
-			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVInt(int64(b.Vertices[qv.Var])) })
+		if all || !qv.Anonymous {
+			vars = append(vars, qv.Var)
 		}
 	}
 	for _, qe := range qg.Edges {
-		switch {
-		case qe.Anonymous:
-			continue
-		case qe.IsVarLength(): // "[e1 v1 e2]", as a path cell reads
-			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVString(fmt.Sprint(b.Paths[qe.Var])) })
-		default:
-			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVInt(int64(b.Edges[qe.Var])) })
+		if all || !qe.Anonymous {
+			vars = append(vars, qe.Var)
 		}
-		want.cols = append(want.cols, qe.Var)
+	}
+	return vars
+}
+
+// reference is the brute-force reference's answer to a pattern-only RETURN *
+// case (pattern): a row per binding of the named variables, or of every
+// variable if all is set.
+func reference(c *kase, all bool) (want outcome, ok bool) {
+	qg, ok := pattern(c)
+	if !ok {
+		return want, false
+	}
+	want.cols = bindings(qg, all)
+	var cells []func(b baseline.Binding) epgm.PropertyValue
+	for _, v := range want.cols {
+		qe, isEdge := qg.EdgeByVar(v)
+		switch {
+		case !isEdge:
+			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVInt(int64(b.Vertices[v])) })
+		case qe.IsVarLength(): // "[e1 v1 e2]", as a path cell reads
+			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVString(fmt.Sprint(b.Paths[v])) })
+		default:
+			cells = append(cells, func(b baseline.Binding) epgm.PropertyValue { return epgm.PVInt(int64(b.Edges[v])) })
+		}
 	}
 	var rows []core.Row
 	for _, b := range baseline.NewReference(c.f.graph(1)).Match(qg, c.morph) {
@@ -225,7 +248,7 @@ func TestConformance(t *testing.T) {
 	var anchorOnly []string
 	for i, c := range all {
 		anchor[i] = modes[0].run(c)
-		ref, ok := reference(c)
+		ref, ok := reference(c, false)
 		switch {
 		case c.err != "":
 			want[i] = outcome{err: c.err}
@@ -278,7 +301,14 @@ func TestConformance(t *testing.T) {
 				if twin != nil {
 					tw = &twin[i]
 				}
-				if msg := judge(m, got[i], want[i], tw); msg != "" {
+				w := want[i]
+				if m.bindings && c.err == "" {
+					var ok bool
+					if w, ok = reference(c, true); !ok {
+						continue
+					}
+				}
+				if msg := judge(m, got[i], w, tw); msg != "" {
 					t.Errorf("%s: %s\n%s", c.name, msg, c.query)
 				}
 			}

@@ -39,6 +39,10 @@ type mode struct {
 	// twin's too.
 	sameWork bool
 	cluster  bool // the mode starts TCP workers; -short leaves it out
+	// bindings: the mode answers with every binding of a match, anonymous
+	// variables included. It is held to the reference's bindings, on the
+	// cases the reference evaluates and no others.
+	bindings bool
 }
 
 // modes is every execution path. The first is the anchor. The probe modes set
@@ -58,6 +62,7 @@ var modes = []mode{
 	{name: "probe-always/4", run: probing(always, engine{partitions: 4, indexed: true}.run)},
 	{name: "probe-always/16", run: probing(always, engine{partitions: 16, indexed: true}.run)},
 	{name: "api/4", run: library, twin: "engine/4"},
+	{name: "graphs/4", run: graphs, bindings: true},
 	{name: "session/1", run: served{partitions: 1}.run},
 	{name: "session/4", run: served{partitions: 4}.run},
 	{name: "session/16", run: served{partitions: 16}.run},
@@ -177,6 +182,35 @@ func library(c *kase) outcome {
 	if len(rows) > 0 {
 		o.cols = rows[0].Columns
 	}
+	return o
+}
+
+// graphs runs a case through LogicalGraph.Cypher, the paper's operator, whose
+// graph collection has a graph per match: a row per graph head, a cell per
+// variable of the query, anonymous ones included, read off the head's
+// properties - the one result that reads every binding.
+func graphs(c *kase) outcome {
+	g := hold(c.f, "graph", func() (*gradoop.LogicalGraph, func()) {
+		return gradoop.NewEnvironment(gradoop.WithWorkers(4)).GraphFromSlices(c.f.name, c.f.vs, c.f.es), func() {}
+	})
+	coll, err := g.Cypher(c.query, gradoop.WithVertexSemantics(c.morph.Vertex), gradoop.WithEdgeSemantics(c.morph.Edge), gradoop.WithParams(c.params))
+	if err != nil {
+		return outcome{err: anyError}
+	}
+	qg, ok := pattern(c)
+	if !ok {
+		return outcome{} // not judged: the reference has no bindings for it
+	}
+	heads := coll.Heads()
+	rows := make([]core.Row, len(heads))
+	o := outcome{cols: bindings(qg, true)}
+	for i, h := range heads {
+		rows[i].Values = make([]epgm.PropertyValue, len(o.cols))
+		for j, v := range o.cols {
+			rows[i].Values[j] = h.Properties.Get(v)
+		}
+	}
+	o.rows = table(nil, rows).rows
 	return o
 }
 

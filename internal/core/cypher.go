@@ -107,6 +107,26 @@ func Execute(g *epgm.LogicalGraph, query string, cfg Config) (*Result, error) {
 	return p.Execute(g, cfg)
 }
 
+// ExecuteGraphs runs a query for the EPGM operator's result, the graph
+// collection of Definition 2.4 - the one consumer that reads every binding of
+// a match, so its plan writes every id column to the end, where Execute's
+// writes what the RETURN clause reads.
+func ExecuteGraphs(g *epgm.LogicalGraph, query string, cfg Config) (*epgm.GraphCollection, error) {
+	res, err := executeGraphs(g, query, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.graphCollection(), nil
+}
+
+func executeGraphs(g *epgm.LogicalGraph, query string, cfg Config) (*Result, error) {
+	p, err := prepare(statsFor(g, cfg), query, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(g, cfg)
+}
+
 // Count returns the number of matches.
 func (r *Result) Count() int64 { return r.Embeddings.Count() }
 
@@ -131,11 +151,12 @@ func (row Row) String() string {
 	return s
 }
 
-// GraphCollection materializes the matches as new logical graphs
+// graphCollection materializes the matches as new logical graphs
 // (Definition 2.4): every embedding becomes a graph whose head stores the
 // variable bindings as properties, and the matched data vertices and edges
-// gain membership in the new graph.
-func (r *Result) GraphCollection() *epgm.GraphCollection {
+// gain membership in the new graph. The result must be ExecuteGraphs': one
+// planned for its rows carries the bindings RETURN reads and no more.
+func (r *Result) graphCollection() *epgm.GraphCollection {
 	env := r.Graph.Env()
 	meta := r.Meta
 	embeddings := r.Embeddings.Collect()

@@ -60,31 +60,52 @@ func run(t *testing.T, g *epgm.LogicalGraph, query string, cfg Config) *Result {
 	return res
 }
 
-// compareWithReference executes the query on the engine and on the
-// brute-force oracle and requires identical binding multisets.
+// compareWithReference executes a RETURN * query on the engine and on the
+// brute-force oracle and requires identical binding multisets, twice: planned
+// for the graph collection, whose rows keep every binding, anonymous ones
+// included, and planned for its rows as Execute - and CypherRows, a session, a
+// cluster - runs it, whose rows keep the named variables RETURN * reads.
 func compareWithReference(t *testing.T, g *epgm.LogicalGraph, query string, cfg Config) int {
 	t.Helper()
-	res := run(t, g, query, cfg)
-	wantKeys := referenceKeys(g, res.QueryGraph, operators.Morphism{Vertex: cfg.Vertex, Edge: cfg.Edge})
-	gotKeys := resultKeys(res)
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("query %q: engine found %d matches, reference %d\nplan:\n%s",
-			query, len(gotKeys), len(wantKeys), res.Explain())
+	graphs, err := executeGraphs(g, query, cfg)
+	if err != nil {
+		t.Fatalf("ExecuteGraphs(%q): %v", query, err)
 	}
-	for i := range wantKeys {
-		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("query %q: binding mismatch at %d:\n got %s\nwant %s", query, i, gotKeys[i], wantKeys[i])
+	morph := operators.Morphism{Vertex: cfg.Vertex, Edge: cfg.Edge}
+	n := 0
+	for _, c := range []struct {
+		res *Result
+		all bool
+	}{{graphs, true}, {run(t, g, query, cfg), false}} {
+		wantKeys := referenceKeys(g, c.res.QueryGraph, morph, c.all)
+		gotKeys := resultKeys(c.res, c.all)
+		if len(gotKeys) != len(wantKeys) {
+			t.Fatalf("query %q (every binding: %v): engine found %d matches, reference %d\nplan:\n%s",
+				query, c.all, len(gotKeys), len(wantKeys), c.res.Explain())
 		}
+		for i := range wantKeys {
+			if gotKeys[i] != wantKeys[i] {
+				t.Fatalf("query %q (every binding: %v): binding mismatch at %d:\n got %s\nwant %s\nplan:\n%s",
+					query, c.all, i, gotKeys[i], wantKeys[i], c.res.Explain())
+			}
+		}
+		n = len(wantKeys)
 	}
-	return len(wantKeys)
+	return n
 }
 
-// bindingVars lists a query graph's variables by the kind of thing they bind.
-func bindingVars(qg *cypher.QueryGraph) (vertexVars, edgeVars, pathVars []string) {
+// bindingVars lists a query graph's variables by the kind of thing they bind:
+// every one if all is set, else the named ones.
+func bindingVars(qg *cypher.QueryGraph, all bool) (vertexVars, edgeVars, pathVars []string) {
 	for _, qv := range qg.Vertices {
-		vertexVars = append(vertexVars, qv.Var)
+		if all || !qv.Anonymous {
+			vertexVars = append(vertexVars, qv.Var)
+		}
 	}
 	for _, qe := range qg.Edges {
+		if !all && qe.Anonymous {
+			continue
+		}
 		if qe.IsVarLength() {
 			pathVars = append(pathVars, qe.Var)
 		} else {
@@ -95,9 +116,9 @@ func bindingVars(qg *cypher.QueryGraph) (vertexVars, edgeVars, pathVars []string
 }
 
 // referenceKeys is the bag of matches the brute-force oracle finds, one key
-// per binding, sorted.
-func referenceKeys(g *epgm.LogicalGraph, qg *cypher.QueryGraph, morph operators.Morphism) []string {
-	vertexVars, edgeVars, pathVars := bindingVars(qg)
+// per binding of bindingVars' variables, sorted.
+func referenceKeys(g *epgm.LogicalGraph, qg *cypher.QueryGraph, morph operators.Morphism, all bool) []string {
+	vertexVars, edgeVars, pathVars := bindingVars(qg, all)
 	want := baseline.NewReference(g).Match(qg, morph)
 	keys := make([]string, len(want))
 	for i, b := range want {
@@ -108,8 +129,8 @@ func referenceKeys(g *epgm.LogicalGraph, qg *cypher.QueryGraph, morph operators.
 }
 
 // resultKeys is the bag of matches an execution found, in referenceKeys' form.
-func resultKeys(res *Result) []string {
-	vertexVars, edgeVars, pathVars := bindingVars(res.QueryGraph)
+func resultKeys(res *Result, all bool) []string {
+	vertexVars, edgeVars, pathVars := bindingVars(res.QueryGraph, all)
 	meta := res.Meta
 	var keys []string
 	for _, e := range res.Embeddings.Collect() {
@@ -273,6 +294,53 @@ func TestAnonymousElements(t *testing.T) {
 	compareWithReference(t, g, `MATCH (p:Person)-->(x) RETURN *`, Config{})
 }
 
+// TestQueryOfManyVariables: a query of more than 64 vertices and edges - a
+// variable set and a row writer's keep-mask past their first word - plans and
+// runs like any other: a 40-hop chain, its edges anonymous, around a ring of
+// 41 vertices, under homomorphism and isomorphism, and with a second ring's
+// chain joined in by a cartesian product, whose rows are 162 columns wide.
+func TestQueryOfManyVariables(t *testing.T) {
+	const n = 41
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for ring := range 2 {
+		label := []string{"A", "B"}[ring]
+		first := len(vs)
+		for range n {
+			vs = append(vs, epgm.Vertex{ID: epgm.NewID(), Label: label})
+		}
+		for i := range n {
+			es = append(es, epgm.Edge{ID: epgm.NewID(), Label: "next", Source: vs[first+i].ID, Target: vs[first+(i+1)%n].ID})
+		}
+	}
+	g := epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(3)), "Rings", vs, es)
+	chain := func(label, prefix string) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "(%s0:%s)", prefix, label)
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&b, "-->(%s%d)", prefix, i)
+		}
+		return b.String()
+	}
+	iso := Config{Vertex: operators.Isomorphism, Edge: operators.Isomorphism}
+	for _, cfg := range []Config{{}, iso} {
+		if got := compareWithReference(t, g, "MATCH "+chain("A", "a")+" RETURN *", cfg); got != n {
+			t.Fatalf("%v: %d chains around the ring, want %d", cfg.Vertex, got, n)
+		}
+		res := run(t, g, "MATCH "+chain("A", "a")+", "+chain("B", "b")+" RETURN a0, a40, b0", cfg)
+		if res.Count() != n*n || res.Meta.Columns() != 3 {
+			t.Fatalf("%v: %d rows of %s, want %d of a0, a40, b0", cfg.Vertex, res.Count(), res.Meta, n*n)
+		}
+		coll, err := ExecuteGraphs(g, "MATCH "+chain("A", "a")+", "+chain("B", "b")+" RETURN *", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coll.GraphCount() != n*n {
+			t.Fatalf("%v: %d graphs, want %d", cfg.Vertex, coll.GraphCount(), n*n)
+		}
+	}
+}
+
 func TestDisconnectedPatternCartesian(t *testing.T) {
 	g := figure1(3)
 	n := compareWithReference(t, g, `MATCH (u:University), (c:City) RETURN *`, Config{})
@@ -318,8 +386,10 @@ func TestSelectiveSideIsBroadcast(t *testing.T) {
 
 func TestGraphCollectionResult(t *testing.T) {
 	g := figure1(2)
-	res := run(t, g, `MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *`, Config{})
-	coll := res.GraphCollection()
+	coll, err := ExecuteGraphs(g, `MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *`, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if coll.GraphCount() != 3 {
 		t.Fatalf("graphs=%d want 3", coll.GraphCount())
 	}

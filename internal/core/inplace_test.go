@@ -276,7 +276,7 @@ func checkInplaceMatrix(t *testing.T, setting string, partitions []int) {
 				if err != nil {
 					t.Fatalf("%s at %d partitions: %v", name, p, err)
 				}
-				got := core.ResultKeys(res)
+				got := core.ResultKeys(res, false)
 				probed := probedLeaves(res)
 				switch setting {
 				case "never":

@@ -181,14 +181,13 @@ func TestOptionalMatchMorphism(t *testing.T) {
 
 func TestOptionalMatchGraphCollectionSkipsNulls(t *testing.T) {
 	g := optionalGraph(2)
-	res, err := Execute(g, `
+	coll, err := ExecuteGraphs(g, `
 		MATCH (p:Person {name: 'Cy'})
 		OPTIONAL MATCH (p)-[:likes]->(m:Movie)
 		RETURN *`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coll := res.GraphCollection()
 	if coll.GraphCount() != 1 {
 		t.Fatalf("graphs=%d", coll.GraphCount())
 	}

@@ -32,17 +32,29 @@ type Prepared struct {
 // parameters, so the result can be cached and executed many times. Stats
 // follow the same defaulting as Execute (memoized per-graph stats).
 func Prepare(g *epgm.LogicalGraph, query string, cfg Config) (*Prepared, error) {
-	st := cfg.Stats
-	if st == nil {
-		st = GraphStats(g)
+	return prepare(statsFor(g, cfg), query, cfg, false)
+}
+
+// statsFor returns cfg's statistics, or g's memoized ones.
+func statsFor(g *epgm.LogicalGraph, cfg Config) *stats.GraphStatistics {
+	if cfg.Stats != nil {
+		return cfg.Stats
 	}
-	return PrepareWith(st, query, cfg)
+	return GraphStats(g)
 }
 
 // PrepareWith is Prepare for callers that keep their own statistics (the
 // session engine, a cluster worker): no defaulting, no graph handle needed.
-// Planning reads no graph; every run gets its access from Bind.
+// Planning reads no graph; every run gets its access from Bind. The plan's
+// rows carry what the query's RETURN clause reads: a result's rows are its
+// table (Result.Rows).
 func PrepareWith(st *stats.GraphStatistics, query string, cfg Config) (*Prepared, error) {
+	return prepare(st, query, cfg, false)
+}
+
+// prepare is PrepareWith; graphs plans for the graph collection instead,
+// whose rows carry every binding of a match (ExecuteGraphs).
+func prepare(st *stats.GraphStatistics, query string, cfg Config, graphs bool) (*Prepared, error) {
 	ast, err := cypher.Parse(query)
 	if err != nil {
 		return nil, err
@@ -57,7 +69,11 @@ func PrepareWith(st *stats.GraphStatistics, query string, cfg Config) (*Prepared
 		Morph:        morph,
 		DisableReuse: cfg.DisableSubqueryReuse,
 	}
-	plan, err := pl.Plan(cfg.Access, tpl)
+	planFor := pl.Plan
+	if graphs {
+		planFor = pl.PlanGraphs
+	}
+	plan, err := planFor(cfg.Access, tpl)
 	if err != nil {
 		return nil, err
 	}

@@ -203,19 +203,19 @@ func (e Embedding) SizeBytes() int {
 
 // AppendID returns a copy of e with an identifier column appended.
 func (e Embedding) AppendID(id epgm.ID) Embedding {
-	row, buf, idAt, _, _ := (*Slab)(nil).extend(e, entrySize, 0, 0)
+	row, buf, idAt, _, _, _ := (*Slab)(nil).extend(e, Drop{}, entrySize, 0, 0)
 	putEntry(buf[idAt:], flagID, uint64(id))
 	return row
 }
 
 // AppendPath returns a copy of e with a path column appended.
 func (e Embedding) AppendPath(ids []epgm.ID) Embedding {
-	return (*Slab)(nil).AppendPath(e, ids, 0, false)
+	return (*Slab)(nil).AppendPath(e, Keep{}, ids, 0, false)
 }
 
 // AppendProps returns a copy of e with property values appended to propData.
 func (e Embedding) AppendProps(values ...epgm.PropertyValue) Embedding {
-	row, buf, _, _, propAt := (*Slab)(nil).extend(e, 0, 0, encodedSize(values))
+	row, buf, _, _, propAt, _ := (*Slab)(nil).extend(e, Drop{}, 0, 0, encodedSize(values))
 	encodeProps(buf, propAt, values)
 	return row
 }
@@ -223,11 +223,15 @@ func (e Embedding) AppendProps(values ...epgm.PropertyValue) Embedding {
 // Merge combines two embeddings after a join: all of o's columns except the
 // ones listed in dropColumns (the join keys, already present in e) are
 // appended to e, path offsets in o are rebased onto the combined pathData,
-// and o's property values are appended. dropColumns must be sorted
-// ascending. Merging is append-only for ids and properties, exactly as the
-// paper describes; only o's path offsets need adjustment.
+// and o's property values are appended. Merging is append-only for ids and
+// properties, exactly as the paper describes; only o's path offsets need
+// adjustment.
 func (e Embedding) Merge(o Embedding, dropColumns []int) Embedding {
-	return (*Slab)(nil).Merge(e, o, dropColumns)
+	var k Keep
+	for _, c := range dropColumns {
+		k.Right.dropID(c)
+	}
+	return (*Slab)(nil).Merge(e, o, k)
 }
 
 // IDsAt returns the identifiers at the given columns. Path columns

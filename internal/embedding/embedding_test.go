@@ -132,7 +132,7 @@ func TestDistinctAt(t *testing.T) {
 }
 
 // nullCol appends one unbound column.
-func nullCol(e Embedding) Embedding { return (*Slab)(nil).PadNull(e, 1, 0) }
+func nullCol(e Embedding) Embedding { return (*Slab)(nil).PadNull(e, Keep{}, 1, 0) }
 
 func TestNullColumns(t *testing.T) {
 	var e Embedding
@@ -162,7 +162,7 @@ func TestNullColumns(t *testing.T) {
 	// or without one.
 	var s Slab
 	for _, slab := range []*Slab{nil, &s} {
-		p := slab.PadNull(e.AppendProps(epgm.PVInt(1)), 2, 3)
+		p := slab.PadNull(e.AppendProps(epgm.PVInt(1)), Keep{}, 2, 3)
 		if p.Columns() != 5 || p.ID(0) != 5 || !p.IsNullAt(3) || !p.IsNullAt(4) || len(p.Path(2)) != 1 {
 			t.Fatalf("padded columns: %v", p)
 		}
@@ -173,7 +173,7 @@ func TestNullColumns(t *testing.T) {
 			t.Fatalf("padded size %d over %d", p.SizeBytes(), e.SizeBytes())
 		}
 	}
-	if p := (*Slab)(nil).PadNull(Embedding{}, 0, 0); p.Columns() != 0 || p.SizeBytes() != 0 {
+	if p := (*Slab)(nil).PadNull(Embedding{}, Keep{}, 0, 0); p.Columns() != 0 || p.SizeBytes() != 0 {
 		t.Fatalf("nothing padded with nothing: %v", p)
 	}
 }
@@ -261,12 +261,6 @@ func TestMetaBasics(t *testing.T) {
 	if _, ok := m.PropColumn("p1", "age"); ok {
 		t.Fatal("phantom prop")
 	}
-	if got := m.VertexColumns(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("vertex columns=%v", got)
-	}
-	if got := m.EdgeColumns(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("edge columns=%v", got)
-	}
 	if m.Kind(1) != PathEntry || m.Var(1) != "e" {
 		t.Fatal("kind/var")
 	}
@@ -285,9 +279,9 @@ func TestMetaMergeMirrorsEmbeddingMerge(t *testing.T) {
 	r.AddEntry("c", VertexEntry)
 	r.AddProp("c", "name")
 
-	merged, drop := l.Merge(r)
-	if len(drop) != 1 || drop[0] != 0 {
-		t.Fatalf("drop=%v", drop)
+	merged, keep := l.Merge(r, nil)
+	if keep != (Keep{Right: Drop{IDs: 1}}) {
+		t.Fatalf("keep=%+v, want only the right's b left out", keep)
 	}
 	wantVars := []string{"a", "e1", "b", "e2", "c"}
 	if got := merged.Vars(); len(got) != len(wantVars) {

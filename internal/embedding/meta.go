@@ -2,7 +2,6 @@ package embedding
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -49,15 +48,6 @@ type PropRef struct {
 
 // NewMeta returns an empty metadata object.
 func NewMeta() *Meta { return &Meta{} }
-
-// Clone returns an independent copy.
-func (m *Meta) Clone() *Meta {
-	return &Meta{
-		vars:  append([]string(nil), m.vars...),
-		kinds: append([]EntryKind(nil), m.kinds...),
-		props: append([]PropRef(nil), m.props...),
-	}
-}
 
 // Columns returns the number of id columns.
 func (m *Meta) Columns() int { return len(m.vars) }
@@ -113,31 +103,15 @@ func (m *Meta) PropColumn(variable, key string) (int, bool) {
 	return 0, false
 }
 
+// HasProp reports whether the metadata has a property column for
+// variable.key.
+func (m *Meta) HasProp(variable, key string) bool {
+	_, ok := m.PropColumn(variable, key)
+	return ok
+}
+
 // PropRefAt returns the reference stored at property column i.
 func (m *Meta) PropRefAt(i int) PropRef { return m.props[i] }
-
-// VertexColumns returns the indices of all vertex columns.
-func (m *Meta) VertexColumns() []int { return m.columnsOfKind(VertexEntry) }
-
-// EdgeColumns returns the indices of all edge and path columns (paths are
-// sequences of edges and intermediate vertices; for edge-uniqueness checks
-// their edge ids participate).
-func (m *Meta) EdgeColumns() []int {
-	out := m.columnsOfKind(EdgeEntry)
-	out = append(out, m.columnsOfKind(PathEntry)...)
-	sort.Ints(out)
-	return out
-}
-
-func (m *Meta) columnsOfKind(k EntryKind) []int {
-	var out []int
-	for i, kk := range m.kinds {
-		if kk == k {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // SharedVars returns the variables present in both metadata objects —
 // the join keys of a JoinEmbeddings operator.
@@ -151,24 +125,48 @@ func (m *Meta) SharedVars(o *Meta) []string {
 	return shared
 }
 
-// Merge computes the metadata resulting from joining embeddings described
-// by m and o on their shared variables: o's shared columns are dropped, all
-// other columns and all property columns are appended. It returns the new
-// metadata and the sorted list of o's columns that Embedding.Merge must
-// drop.
-func (m *Meta) Merge(o *Meta) (*Meta, []int) {
-	out := m.Clone()
-	var drop []int
-	for c, v := range o.vars {
-		if m.HasVar(v) {
-			drop = append(drop, c)
+// Merge computes the metadata of the rows a writer makes of rows described by
+// m (left) and o (right), and the keep-mask it writes them with: m's columns,
+// then o's other than the variables m has - those are m's column - then the
+// property columns of both, each only if live reads it. A property column
+// past the 64th is kept.
+func (m *Meta) Merge(o *Meta, live Live) (*Meta, Keep) {
+	out := &Meta{
+		vars:  make([]string, 0, len(m.vars)+len(o.vars)),
+		kinds: make([]EntryKind, 0, len(m.vars)+len(o.vars)),
+		props: make([]PropRef, 0, len(m.props)+len(o.props)),
+	}
+	var k Keep
+	out.keepIDs(m, &k.Left, func(v string) bool { return live.reads(v, "") })
+	out.keepIDs(o, &k.Right, func(v string) bool { return !m.HasVar(v) && live.reads(v, "") })
+	out.keepProps(m, &k.Left, live)
+	out.keepProps(o, &k.Right, live)
+	return out, k
+}
+
+// keepProps appends the property columns of in that live reads to m and marks
+// the others in d.
+func (m *Meta) keepProps(in *Meta, d *Drop, live Live) {
+	for c, p := range in.props {
+		if c < 64 && !live.reads(p.Var, p.Key) {
+			d.Props |= 1 << c
 			continue
 		}
-		out.vars = append(out.vars, v)
-		out.kinds = append(out.kinds, o.kinds[c])
+		m.props = append(m.props, p)
 	}
-	out.props = append(out.props, o.props...)
-	return out, drop
+}
+
+// keepIDs appends the id columns of in that keep says to write to m and marks
+// the others in d.
+func (m *Meta) keepIDs(in *Meta, d *Drop, keep func(v string) bool) {
+	for c, v := range in.vars {
+		if !keep(v) {
+			d.dropID(c)
+			continue
+		}
+		m.vars = append(m.vars, v)
+		m.kinds = append(m.kinds, in.kinds[c])
+	}
 }
 
 // String renders the mapping like the paper's example

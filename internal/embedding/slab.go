@@ -105,32 +105,44 @@ func putEntry(dst []byte, flag byte, payload uint64) {
 	binary.BigEndian.PutUint64(dst[1:entrySize], payload)
 }
 
-// extend starts a row that holds e's three arrays grown by addID, addPath
-// and addProp bytes: it returns the new row with e's arrays copied to the
-// front of their sections and the length words set, plus the row's bytes for
-// the caller to finish and the offsets in them at which the added bytes of
-// each section go. This is one of the two places a row pointer is minted
-// (row.go): buf is exactly the 4+n bytes its first word says.
-func (s *Slab) extend(e Embedding, addID, addPath, addProp int) (row Embedding, buf []byte, idAt, pathAt, propAt int) {
+// extend starts a row of the columns of e that d keeps grown by addID,
+// addPath and addProp bytes: it returns the new row with those columns at the
+// front of their sections - e's arrays copied whole when d keeps every column
+// - and the length words set, plus the row's bytes for the caller to finish,
+// the offsets in them at which the added bytes of each section go and where
+// pathData starts, which a path's offset counts from. This is one of the two
+// places a row pointer is minted (row.go): buf is exactly the 4+n bytes its
+// first word says.
+func (s *Slab) extend(e Embedding, d Drop, addID, addPath, addProp int) (row Embedding, buf []byte, idAt, pathAt, propAt, pathBase int) {
 	idData, pathData, propData := e.arrays()
-	id, path, prop := len(idData)+addID, len(pathData)+addPath, len(propData)+addProp
+	id, path, prop := len(idData), len(pathData), len(propData)
+	if d != (Drop{}) {
+		id, path, prop = d.kept(idData, pathData, propData)
+	}
+	id, path, prop = id+addID, path+addPath, prop+addProp
 	if id+path+prop == 0 {
-		return Embedding{}, nil, 0, 0, 0
+		return Embedding{}, nil, 0, 0, 0, 0
 	}
 	buf = s.alloc(headSize + id + path + prop)
 	binary.BigEndian.PutUint32(buf, uint32(prefixSize+id+path+prop))
 	binary.BigEndian.PutUint32(buf[4:], uint32(id))
 	binary.BigEndian.PutUint32(buf[8:], uint32(path))
-	idAt = headSize + copy(buf[headSize:], idData)
-	pathAt = headSize + id + copy(buf[headSize+id:], pathData)
-	propAt = headSize + id + path + copy(buf[headSize+id+path:], propData)
-	return Embedding{p: &buf[0]}, buf, idAt, pathAt, propAt
+	pathBase = headSize + id
+	if d == (Drop{}) {
+		idAt = headSize + copy(buf[headSize:], idData)
+		pathAt = pathBase + copy(buf[pathBase:], pathData)
+		propAt = pathBase + path + copy(buf[pathBase+path:], propData)
+	} else {
+		idAt, pathAt = d.writeIDs(buf, headSize, pathBase, pathBase, idData, pathData)
+		propAt = d.writeProps(buf, pathBase+path, propData)
+	}
+	return Embedding{p: &buf[0]}, buf, idAt, pathAt, propAt, pathBase
 }
 
 // Row builds a row of plain identifier columns and property values in one
 // write - what the leaf operators emit.
 func (s *Slab) Row(ids []epgm.ID, props []epgm.PropertyValue) Embedding {
-	row, buf, idAt, _, propAt := s.extend(Embedding{}, len(ids)*entrySize, 0, encodedSize(props))
+	row, buf, idAt, _, propAt, _ := s.extend(Embedding{}, Drop{}, len(ids)*entrySize, 0, encodedSize(props))
 	for i, id := range ids {
 		putEntry(buf[idAt+i*entrySize:], flagID, uint64(id))
 	}
@@ -154,31 +166,42 @@ func encodeProps(buf []byte, at int, values []epgm.PropertyValue) {
 	}
 }
 
-// AppendPath returns e with a path column appended and, when bindEnd is
-// set, an identifier column for end after it - the far endpoint a
-// variable-length expansion binds together with its path, in the same write.
-func (s *Slab) AppendPath(e Embedding, path []epgm.ID, end epgm.ID, bindEnd bool) Embedding {
-	_, pathLen := e.lens()
-	idBytes := entrySize
-	if bindEnd {
-		idBytes += entrySize
+// AppendPath returns the columns of e that k.Left keeps with the path column
+// of an expansion after them and, when bindEnd is set, an identifier column for
+// end - the far endpoint a variable-length expansion binds together with its
+// path - in the same write. The path and the end are the expansion's right
+// row, columns 0 and 1 of k.Right.
+func (s *Slab) AppendPath(e Embedding, k Keep, path []epgm.ID, end epgm.ID, bindEnd bool) Embedding {
+	withPath, withEnd := !k.Right.dropsID(0), bindEnd && !k.Right.dropsID(1)
+	var addID, addPath int
+	if withPath {
+		addID, addPath = entrySize, 4+8*len(path)
 	}
-	row, buf, idAt, pathAt, _ := s.extend(e, idBytes, 4+8*len(path), 0)
-	putEntry(buf[idAt:], flagPath, uint64(pathLen))
-	if bindEnd {
-		putEntry(buf[idAt+entrySize:], flagID, uint64(end))
+	if withEnd {
+		addID += entrySize
 	}
-	binary.BigEndian.PutUint32(buf[pathAt:], uint32(len(path)))
-	for i, id := range path {
-		binary.BigEndian.PutUint64(buf[pathAt+4+8*i:], uint64(id))
+	row, buf, idAt, pathAt, _, pathBase := s.extend(e, k.Left, addID, addPath, 0)
+	if withPath {
+		putEntry(buf[idAt:], flagPath, uint64(pathAt-pathBase))
+		idAt += entrySize
+		binary.BigEndian.PutUint32(buf[pathAt:], uint32(len(path)))
+		for i, id := range path {
+			binary.BigEndian.PutUint64(buf[pathAt+4+8*i:], uint64(id))
+		}
+	}
+	if withEnd {
+		putEntry(buf[idAt:], flagID, uint64(end))
 	}
 	return row
 }
 
-// PadNull returns e with cols unbound columns and props NULL property values
-// appended, in one write: a mandatory row no OPTIONAL MATCH extension joined.
-func (s *Slab) PadNull(e Embedding, cols, props int) Embedding {
-	row, buf, idAt, _, propAt := s.extend(e, cols*entrySize, 0, props*epgm.Null.EncodedSize())
+// PadNull returns the columns of e that k.Left keeps with, in the same write,
+// an unbound column for each of the first cols id columns and a NULL value
+// for each of the first props property columns of a right row that k.Right
+// keeps: a mandatory row no OPTIONAL MATCH extension joined.
+func (s *Slab) PadNull(e Embedding, k Keep, cols, props int) Embedding {
+	cols, props = k.Right.count(cols, props)
+	row, buf, idAt, _, propAt, _ := s.extend(e, k.Left, cols*entrySize, 0, props*epgm.Null.EncodedSize())
 	for i := 0; i < cols; i++ {
 		putEntry(buf[idAt+i*entrySize:], flagNull, 0)
 	}
@@ -189,27 +212,14 @@ func (s *Slab) PadNull(e Embedding, cols, props int) Embedding {
 	return row
 }
 
-// Merge is Embedding.Merge: l, then r's columns other than dropColumns,
-// r's path offsets rebased, then both property lists.
-func (s *Slab) Merge(l, r Embedding, dropColumns []int) Embedding {
+// Merge writes the row of a join: the columns of l that k.Left keeps, then
+// those of r that k.Right keeps, r's path offsets rebased, then both property
+// lists as the two keep them.
+func (s *Slab) Merge(l, r Embedding, k Keep) Embedding {
 	rIDs, rPaths, rProps := r.arrays()
-	_, pathBase := l.lens()
-	row, buf, idAt, pathAt, propAt := s.extend(l, len(rIDs)-len(dropColumns)*entrySize, len(rPaths), len(rProps))
-	copy(buf[pathAt:], rPaths)
-	copy(buf[propAt:], rProps)
-	di := 0
-	for c := 0; c*entrySize < len(rIDs); c++ {
-		if di < len(dropColumns) && dropColumns[di] == c {
-			di++
-			continue
-		}
-		ent := rIDs[c*entrySize : (c+1)*entrySize]
-		payload := binary.BigEndian.Uint64(ent[1:])
-		if ent[0] == flagPath {
-			payload += uint64(pathBase)
-		}
-		putEntry(buf[idAt:], ent[0], payload)
-		idAt += entrySize
-	}
+	id, path, prop := k.Right.kept(rIDs, rPaths, rProps)
+	row, buf, idAt, pathAt, propAt, pathBase := s.extend(l, k.Left, id, path, prop)
+	k.Right.writeIDs(buf, idAt, pathAt, pathBase, rIDs, rPaths)
+	k.Right.writeProps(buf, propAt, rProps)
 	return row
 }

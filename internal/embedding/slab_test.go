@@ -19,9 +19,9 @@ func slabRows(s *Slab, n int) (rows []Embedding, want []string) {
 		}
 		for _, e := range []Embedding{
 			leaf,
-			s.AppendPath(leaf, path, id+7, true),
-			s.Merge(leaf, s.PadNull(leaf, 1, 2), []int{0}),
-			s.AppendPath(leaf, path, 0, false),
+			s.AppendPath(leaf, Keep{}, path, id+7, true),
+			s.Merge(leaf, s.PadNull(leaf, Keep{}, 1, 2), Keep{Right: Drop{IDs: 1}}),
+			s.AppendPath(leaf, Keep{}, path, 0, false),
 		} {
 			rows = append(rows, e)
 			want = append(want, e.String())
@@ -110,8 +110,8 @@ func TestSlabSiblingsSurviveAppends(t *testing.T) {
 			t.Fatalf("row %d: AppendID gave %v", i, grown)
 		}
 		_ = e.AppendProps(epgm.PVString("a longer value than any before it"))
-		_ = s.AppendPath(e, []epgm.ID{1, 2, 3}, 4, true)
-		_ = s.Merge(e, e, nil)
+		_ = s.AppendPath(e, Keep{}, []epgm.ID{1, 2, 3}, 4, true)
+		_ = s.Merge(e, e, Keep{})
 	}
 	for i, e := range rows {
 		if got := e.String(); got != want[i] {
@@ -176,7 +176,7 @@ func TestDecodedRowsAreClippedViews(t *testing.T) {
 		}
 		for _, grown := range []Embedding{
 			e.AppendID(7), e.AppendProps(epgm.PVInt(1)), e.Merge(e, nil), e.AppendPath([]epgm.ID{1, 2, 3}),
-			s.Merge(e, e, nil), s.AppendPath(e, []epgm.ID{4}, 5, true),
+			s.Merge(e, e, Keep{}), s.AppendPath(e, Keep{}, []epgm.ID{4}, 5, true),
 		} {
 			b := bytesOf(grown)
 			b[len(b)-1] ^= 0xff

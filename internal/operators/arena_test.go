@@ -60,7 +60,7 @@ func TestArenaTailIsBounded(t *testing.T) {
 			var plan Operator = NewFilterAndProjectEdges(knowsEdge("e0", vars[0], vars[1]))
 			for i := 1; i <= 5; i++ {
 				next := NewFilterAndProjectEdges(knowsEdge(fmt.Sprint("e", i), vars[i], vars[i+1]))
-				plan = NewJoinEmbeddings(plan, next, Morphism{})
+				plan = NewJoinEmbeddings(plan, next, Morphism{}, nil)
 			}
 			return plan, plainAccess{es: es}
 		},

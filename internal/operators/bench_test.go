@@ -101,12 +101,12 @@ func BenchmarkRowMerge(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
 	_, es := benchGraph(env, benchRows/3)
 	rows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b")).Evaluate(plainRun(nil, es)).Collect()
-	drop := []int{0}
+	keep := embedding.Keep{Right: embedding.Drop{IDs: 1}}
 	reportAllocsPerRow(b, len(rows), func() {
 		var slab embedding.Slab
 		cols := 0
 		for i := 1; i < len(rows); i++ {
-			cols += slab.Merge(rows[i-1], rows[i], drop).Columns()
+			cols += slab.Merge(rows[i-1], rows[i], keep).Columns()
 		}
 		if cols != 5*(len(rows)-1) {
 			b.Fatal("wrong merge")
@@ -133,7 +133,7 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 	_, es := benchGraph(env, benchRows/6)
 	left := materialize(NewFilterAndProjectEdges(knowsEdge("e1", "a", "b")), plainRun(nil, es))
 	right := materialize(NewFilterAndProjectEdges(knowsEdge("e2", "b", "c")), plainRun(nil, es))
-	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
+	join := NewJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
 	var joined int64
 	bytes := reportAllocsPerRow(b, benchRows, func() {
 		if joined = join.Evaluate(plainRun(nil, es)).Count(); joined == 0 {
@@ -159,7 +159,7 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 		Projection: []string{"firstName", "birthday"}})
 	small := materialized{rows: dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64]), meta: persons.Meta(), selective: true}
 	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
-	join := NewJoinEmbeddings(small, knows, Morphism{Vertex: Isomorphism, Edge: Isomorphism})
+	join := NewJoinEmbeddings(small, knows, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
 	scanned := int(knows.scanned(indexedRun(idx)))
 	env.ResetMetrics()
 	bytes := reportAllocsPerRow(b, scanned, func() {
@@ -185,7 +185,7 @@ func BenchmarkRowOuterJoin(b *testing.B) {
 	left := materialize(NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}}), plainRun(vs, es))
 	right := materialize(NewFilterAndProjectEdges(knowsEdge("e", "a", "b")), plainRun(vs, es))
-	outer := NewOptionalJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
+	outer := NewOptionalJoinEmbeddings(left, right, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil, nil)
 	in := int(left.rows.Count() + right.rows.Count())
 	var out int64
 	bytes := reportAllocsPerRow(b, in, func() {
@@ -227,7 +227,7 @@ func BenchmarkRowExpandHop(b *testing.B) {
 	vs, es := benchGraph(env, benchRows/4)
 	in := materialize(NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}}), plainRun(vs, es))
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 1}
-	expand, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	expand, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,15 +30,17 @@ type ExpandEmbeddings struct {
 	bindTarget bool
 	startCol   int
 	endVar     string
-	meta       *embedding.Meta
 	selective  bool
+	// rowShape is that of the input's rows joined with the path and, unless
+	// bindTarget, the far endpoint: the expansion's right row.
+	rowShape
 }
 
-// NewExpandEmbeddings builds an expansion of in along qe. The input must
-// bind the query edge's source (forward) or target (reverse); if it binds
-// both, the expansion closes a cycle and checks the far endpoint instead of
-// binding a new column.
-func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reverse bool) (*ExpandEmbeddings, error) {
+// NewExpandEmbeddings builds an expansion of in along qe whose rows carry
+// what live reads. The input must bind the query edge's source (forward) or
+// target (reverse); if it binds both, the expansion closes a cycle and checks
+// the far endpoint instead of binding a new column.
+func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reverse bool, live embedding.Live) (*ExpandEmbeddings, error) {
 	inMeta := in.Meta()
 	startVar, endVar := qe.Source, qe.Target
 	if reverse {
@@ -49,20 +51,21 @@ func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reve
 		return nil, fmt.Errorf("operators: expand input does not bind %q", startVar)
 	}
 	bindTarget := inMeta.HasVar(endVar)
-	meta := inMeta.Clone()
-	meta.AddEntry(qe.Var, embedding.PathEntry)
+	path := embedding.NewMeta()
+	path.AddEntry(qe.Var, embedding.PathEntry)
 	if !bindTarget {
-		meta.AddEntry(endVar, embedding.VertexEntry)
+		path.AddEntry(endVar, embedding.VertexEntry)
 	}
 	return &ExpandEmbeddings{
 		In: in, Edge: qe, Morph: morph, Reverse: reverse,
-		bindTarget: bindTarget, startCol: startCol, endVar: endVar, meta: meta,
+		bindTarget: bindTarget, startCol: startCol, endVar: endVar,
 		selective: in.Selective() || len(qe.Predicates) > 0,
+		rowShape:  newRowShape(inMeta, path, live),
 	}, nil
 }
 
 // Meta implements Operator.
-func (op *ExpandEmbeddings) Meta() *embedding.Meta { return op.meta }
+func (op *ExpandEmbeddings) Meta() *embedding.Meta { return op.outputMeta }
 
 // Selective implements Operator.
 func (op *ExpandEmbeddings) Selective() bool { return op.selective }
@@ -76,8 +79,8 @@ func (op *ExpandEmbeddings) Description() string {
 	if op.Reverse {
 		dir = "reverse"
 	}
-	return fmt.Sprintf("ExpandEmbeddings(%s%s*%d..%d, %s, bindTarget=%v)",
-		op.Edge.Var, labelSuffix(op.Edge.Types), op.Edge.MinHops, op.Edge.MaxHops, dir, op.bindTarget)
+	return fmt.Sprintf("ExpandEmbeddings(%s%s*%d..%d, %s, bindTarget=%v%s)",
+		op.Edge.Var, labelSuffix(op.Edge.Types), op.Edge.MinHops, op.Edge.MaxHops, dir, op.bindTarget, op.dropped)
 }
 
 // edgeTriple is the slim edge representation joined against the working set
@@ -206,14 +209,15 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 }
 
 // finalize turns path states of an admissible length into result embeddings
-// and applies the full morphism check.
+// and applies the full morphism check - to the state, before a row is
+// written, since the row carries only what the rest of the query reads.
 func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
-	meta := op.meta
-	morph := op.Morph
+	inMeta := op.In.Meta()
+	morph, keep := op.Morph, op.keep
 	bindTarget := op.bindTarget
 	var endCol int
 	if bindTarget {
-		endCol, _ = op.In.Meta().Column(op.endVar)
+		endCol, _ = inMeta.Column(op.endVar)
 	}
 	reverse := op.Reverse
 	// An open far end keeps every state the morphism check passes - nearly
@@ -226,7 +230,7 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 	return dataflow.FlatMapWith(states, func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		return func(s pathState, emit func(embedding.Embedding)) {
-			if bindTarget && s.base.ID(endCol) != s.end {
+			if bindTarget && s.base.ID(endCol) != s.end || !sc.validState(s, inMeta, !bindTarget, morph) {
 				return
 			}
 			via := s.via
@@ -238,10 +242,35 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 				via = sc.ids
 			}
 			// The path and the far endpoint go on in one write.
-			e := sc.slab.AppendPath(s.base, via, s.end, !bindTarget)
-			if sc.valid(e, meta, morph) {
-				emit(e)
-			}
+			emit(sc.slab.AppendPath(s.base, keep, via, s.end, !bindTarget))
 		}
 	}, fanOut)
+}
+
+// validState is valid on the row a path state makes: the base row's
+// bindings, the path's edges and interior vertices and, when the expansion
+// binds it, the far endpoint.
+func (sc *scratch) validState(s pathState, inMeta *embedding.Meta, newEnd bool, m Morphism) bool {
+	if m.Vertex == Isomorphism {
+		sc.ids = appendBound(sc.ids[:0], s.base, inMeta, nil, embedding.VertexEntry)
+		for j := 1; j < len(s.via); j += 2 {
+			sc.ids = append(sc.ids, s.via[j])
+		}
+		if newEnd {
+			sc.ids = append(sc.ids, s.end)
+		}
+		if !allDistinct(sc.ids) {
+			return false
+		}
+	}
+	if m.Edge == Isomorphism {
+		sc.ids = appendBound(sc.ids[:0], s.base, inMeta, nil, embedding.EdgeEntry)
+		for j := 0; j < len(s.via); j += 2 {
+			sc.ids = append(sc.ids, s.via[j])
+		}
+		if !allDistinct(sc.ids) {
+			return false
+		}
+	}
+	return true
 }

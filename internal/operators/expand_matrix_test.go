@@ -113,7 +113,7 @@ func (c matrixCase) run(t *testing.T) (rows []embedding.Embedding, got, want []s
 	} else {
 		in = operators.NewFilterAndProjectVertices(qa)
 	}
-	op, err := operators.NewExpandEmbeddings(in, qe, c.morph, c.reverse)
+	op, err := operators.NewExpandEmbeddings(in, qe, c.morph, c.reverse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

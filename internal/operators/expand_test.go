@@ -30,7 +30,7 @@ func ringExpand(t testing.TB, env *dataflow.Env, n, starts, minHops, maxHops int
 	}
 	in := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a"})
 	qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: minHops, MaxHops: maxHops}
-	op, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false)
+	op, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

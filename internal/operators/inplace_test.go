@@ -76,7 +76,7 @@ func TestProbeInPlaceOnEitherSide(t *testing.T) {
 			var small, probed Operator
 			switch leaf {
 			case "vertex":
-				small = NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+				small = NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
 				probed = NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}, Projection: []string{"n"}})
 			case "edge-by-source":
 				small = firstPersons(t, "a", 4)
@@ -85,9 +85,9 @@ func TestProbeInPlaceOnEitherSide(t *testing.T) {
 				small = firstPersons(t, "b", 4)
 				probed = NewFilterAndProjectEdges(plainKnows("e", "a", "b"))
 			}
-			op := NewJoinEmbeddings(small, probed, Morphism{})
+			op := NewJoinEmbeddings(small, probed, Morphism{}, nil)
 			if onLeft {
-				op = NewJoinEmbeddings(probed, small, Morphism{})
+				op = NewJoinEmbeddings(probed, small, Morphism{}, nil)
 			}
 			run := func(scale float64) ([][]byte, string) {
 				setProbeScale(t, scale)
@@ -127,7 +127,7 @@ func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 	col := trace.NewCollector()
 	env.SetTracer(col)
 	small := firstPersons(t, "a", 4)
-	join := NewJoinEmbeddings(small, NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+	join := NewJoinEmbeddings(small, NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
 	if n := join.Evaluate(indexedRun(inplaceStore(30, 3).Index(env))).Count(); n != 12 {
 		t.Fatalf("join found %d rows, want 12", n)
 	}
@@ -147,7 +147,7 @@ func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 // runs again (lineage) and the bag of rows is the unfaulted one.
 func TestProbeInPlaceRecoversByRescanning(t *testing.T) {
 	store := inplaceStore(30, 3)
-	join := NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+	join := NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
 	run := func(plan *dataflow.FaultPlan) ([][]byte, dataflow.MetricsSnapshot) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 		env.InjectFaults(plan)
@@ -309,7 +309,7 @@ func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 	// without a transport if there is no cluster.
 	job := func(n int, stores []*epgm.Store) []outcome {
 		// One plan, run by every process.
-		join := NewJoinEmbeddings(firstPersons(t, "a", n), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{})
+		join := NewJoinEmbeddings(firstPersons(t, "a", n), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
 		var c *memCluster
 		if len(stores) > 1 {
 			c = newMemCluster(owner, len(stores))

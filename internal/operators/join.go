@@ -15,16 +15,16 @@ import (
 // for an inner, an outer, a semi and a cross join: the variables both bind,
 // sorted - a canonical order makes the shuffle key deterministic for a
 // variable set, enabling partition reuse across joins on the same variables -
-// with their columns on either side, the right columns a merged row leaves out
-// because the left already has them, and the merged row's metadata. It also
-// carries the join's Selective bit: a predicate under either input.
+// with their columns on either side, and the right columns that repeat the
+// left's bindings and stay out of the morphism check. It also carries the
+// join's Selective bit: a predicate under either input. A join that writes
+// rows has a row shape too (rowShape).
 type joinShape struct {
-	joinVars   []string
-	leftCols   []int
-	rightCols  []int
-	dropCols   []int
-	outputMeta *embedding.Meta
-	selective  bool
+	joinVars  []string
+	leftCols  []int
+	rightCols []int
+	dropCols  []int
+	selective bool
 }
 
 // Selective implements Operator for the joins that embed the shape.
@@ -40,8 +40,51 @@ func newJoinShape(left, right Operator) joinShape {
 		sh.leftCols[i], _ = lm.Column(v)
 		sh.rightCols[i], _ = rm.Column(v)
 	}
-	sh.outputMeta, sh.dropCols = lm.Merge(rm)
+	for c := 0; c < rm.Columns(); c++ {
+		if lm.HasVar(rm.Var(c)) {
+			sh.dropCols = append(sh.dropCols, c)
+		}
+	}
 	return sh
+}
+
+// rowShape is what an operator that writes rows of two inputs - a join, an
+// outer join, a cartesian product, an expansion - writes: the metadata of its
+// rows and the keep-mask it writes them with, which leaves out every column
+// the rest of the query does not read - the planner's embedding.Live, nil for
+// every column (embedding.Meta.Merge) - and the names of what it leaves out,
+// for its Description.
+type rowShape struct {
+	outputMeta *embedding.Meta
+	keep       embedding.Keep
+	dropped    string
+}
+
+func newRowShape(lm, rm *embedding.Meta, live embedding.Live) rowShape {
+	out, keep := lm.Merge(rm, live)
+	return rowShape{outputMeta: out, keep: keep, dropped: dropNote(out, lm, rm)}
+}
+
+// dropNote names the variables and properties of two inputs that out does not
+// carry, as a Description shows them (", drop=a,e,a.name"), or is empty.
+func dropNote(out, lm, rm *embedding.Meta) string {
+	var names []string
+	for _, in := range [2]*embedding.Meta{lm, rm} {
+		for c := 0; c < in.Columns(); c++ {
+			if v := in.Var(c); !out.HasVar(v) && (in == lm || !lm.HasVar(v)) {
+				names = append(names, v)
+			}
+		}
+		for i := 0; i < in.PropColumns(); i++ {
+			if p := in.PropRefAt(i); !out.HasProp(p.Var, p.Key) {
+				names = append(names, p.Var+"."+p.Key)
+			}
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	return ", drop=" + strings.Join(names, ",")
 }
 
 // JoinEmbeddings combines two sub-query results on their shared variables.
@@ -57,13 +100,15 @@ type JoinEmbeddings struct {
 	Morph       Morphism
 
 	joinShape
+	rowShape
 }
 
 // NewJoinEmbeddings builds a join on the variables shared between the two
-// inputs. It panics if the inputs share no variables; the planner uses
-// NewCartesianProduct for that case.
-func NewJoinEmbeddings(left, right Operator, morph Morphism) *JoinEmbeddings {
-	op := &JoinEmbeddings{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right)}
+// inputs, whose rows carry what live reads. It panics if the inputs share no
+// variables; the planner uses NewCartesianProduct for that case.
+func NewJoinEmbeddings(left, right Operator, morph Morphism, live embedding.Live) *JoinEmbeddings {
+	op := &JoinEmbeddings{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right),
+		rowShape: newRowShape(left.Meta(), right.Meta(), live)}
 	if len(op.joinVars) == 0 {
 		panic("operators: JoinEmbeddings requires shared variables")
 	}
@@ -78,8 +123,8 @@ func (op *JoinEmbeddings) Children() []Operator { return []Operator{op.Left, op.
 
 // Description implements Operator.
 func (op *JoinEmbeddings) Description() string {
-	return fmt.Sprintf("JoinEmbeddings(on=%s, %s/%s)",
-		strings.Join(op.joinVars, ","), op.Morph.Vertex, op.Morph.Edge)
+	return fmt.Sprintf("JoinEmbeddings(on=%s, %s/%s%s)",
+		strings.Join(op.joinVars, ","), op.Morph.Vertex, op.Morph.Edge, op.dropped)
 }
 
 // keyOf combines the identifiers at the join columns into one shuffle key.
@@ -228,7 +273,7 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 // join is the repartition hash join of the two evaluated inputs.
 func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
-	drop := op.dropCols
+	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	return dataflow.JoinWith(left, right,
@@ -240,7 +285,7 @@ func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding
 				// Keys and morphism are checked on the two inputs: a rejected
 				// candidate is never materialized.
 				if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
-					emit(sc.slab.Merge(l, r, drop))
+					emit(sc.slab.Merge(l, r, keep))
 				}
 			}
 		}, dataflow.RepartitionHash, partitionTag(op.joinVars))
@@ -256,7 +301,7 @@ func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding
 // rows it built.
 func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
-	drop := op.dropCols
+	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	smallCols, leafCols := lc, rc
@@ -274,7 +319,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 			l, r = row, small
 		}
 		if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
-			emit(sc.slab.Merge(l, r, drop))
+			emit(sc.slab.Merge(l, r, keep))
 		}
 	}, built)
 	if c != nil {
@@ -358,11 +403,13 @@ type CartesianProduct struct {
 	Morph       Morphism
 
 	joinShape // of two inputs that share no variable
+	rowShape
 }
 
-// NewCartesianProduct builds a cross join.
-func NewCartesianProduct(left, right Operator, morph Morphism) *CartesianProduct {
-	return &CartesianProduct{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right)}
+// NewCartesianProduct builds a cross join whose rows carry what live reads.
+func NewCartesianProduct(left, right Operator, morph Morphism, live embedding.Live) *CartesianProduct {
+	return &CartesianProduct{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right),
+		rowShape: newRowShape(left.Meta(), right.Meta(), live)}
 }
 
 // Meta implements Operator.
@@ -372,14 +419,19 @@ func (op *CartesianProduct) Meta() *embedding.Meta { return op.outputMeta }
 func (op *CartesianProduct) Children() []Operator { return []Operator{op.Left, op.Right} }
 
 // Description implements Operator.
-func (op *CartesianProduct) Description() string { return "CartesianProduct" }
+func (op *CartesianProduct) Description() string {
+	if op.dropped == "" {
+		return "CartesianProduct"
+	}
+	return "CartesianProduct(" + strings.TrimPrefix(op.dropped, ", ") + ")"
+}
 
 // Evaluate implements Operator.
 func (op *CartesianProduct) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
 	left := op.Left.Evaluate(r)
 	right := op.Right.Evaluate(r)
 	lm, rm := op.Left.Meta(), op.Right.Meta()
-	morph := op.Morph
+	morph, keep := op.Morph, op.keep
 	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		return dataflow.JoinWith(left, right,
 			func(embedding.Embedding) uint64 { return 0 },
@@ -388,7 +440,7 @@ func (op *CartesianProduct) Evaluate(r *Run) *dataflow.Dataset[embedding.Embeddi
 				sc := scratchOf(lane)
 				return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
 					if sc.validPair(l, lm, r, rm, nil, morph) {
-						emit(sc.slab.Merge(l, r, nil))
+						emit(sc.slab.Merge(l, r, keep))
 					}
 				}
 			}, dataflow.BroadcastLeft, 0)

@@ -150,7 +150,10 @@ func allDistinct(ids []epgm.ID) bool {
 // vertices require all bound vertex ids to be pairwise distinct, isomorphic
 // edges likewise for edge ids, homomorphism imposes nothing. r's drop
 // columns repeat bindings l already has and stay out of the comparison. A
-// single row is the pair of itself and the empty embedding.
+// single row is the pair of itself and the empty embedding. Rows a join
+// writes leave out columns, but never one the check still needs: a column
+// stays while an element not bound yet may be the one it binds (DESIGN
+// decision 35), so the ids the inputs carry decide as all of them would.
 func (sc *scratch) validPair(l embedding.Embedding, lm *embedding.Meta, r embedding.Embedding, rm *embedding.Meta, drop []int, m Morphism) bool {
 	return (m.Vertex != Isomorphism || sc.distinct(l, lm, r, rm, drop, embedding.VertexEntry)) &&
 		(m.Edge != Isomorphism || sc.distinct(l, lm, r, rm, drop, embedding.EdgeEntry))
@@ -166,16 +169,12 @@ func (sc *scratch) distinct(l embedding.Embedding, lm *embedding.Meta, r embeddi
 	return allDistinct(sc.ids)
 }
 
-// valid is ValidMorphism on the lane's scratch.
-func (sc *scratch) valid(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
-	return sc.validPair(e, meta, embedding.Embedding{}, nil, nil, m)
-}
-
 // ValidMorphism checks an embedding against the configured semantics:
 // isomorphic vertices require all bound vertex ids to be pairwise distinct,
 // isomorphic edges likewise for edge ids. Homomorphism imposes nothing.
 func ValidMorphism(e embedding.Embedding, meta *embedding.Meta, m Morphism) bool {
-	return new(scratch).valid(e, meta, m) // builds no row: the identifier buffer is all it uses
+	// builds no row: the identifier buffer is all it uses
+	return new(scratch).validPair(e, meta, embedding.Embedding{}, nil, nil, m)
 }
 
 // bindsEdge reports whether the embedding binds the data edge id, in an

@@ -134,7 +134,7 @@ func TestJoinEmbeddingsPanicsWithoutSharedVars(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewJoinEmbeddings(a, b, Morphism{})
+	NewJoinEmbeddings(a, b, Morphism{}, nil)
 }
 
 func TestCartesianProduct(t *testing.T) {
@@ -142,13 +142,13 @@ func TestCartesianProduct(t *testing.T) {
 	vs, _, _ := chainGraph(en)
 	a := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
 	b := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Tag"}})
-	cp := NewCartesianProduct(a, b, Morphism{})
+	cp := NewCartesianProduct(a, b, Morphism{}, nil)
 	if got := cp.Evaluate(plainRun(vs, nil)).Count(); got != 2 {
 		t.Fatalf("cartesian=%d want 2", got)
 	}
 	// ISO with overlapping labels: (a:Person),(b:Person) forbids a=b.
 	b2 := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}})
-	iso := NewCartesianProduct(a, b2, Morphism{Vertex: Isomorphism})
+	iso := NewCartesianProduct(a, b2, Morphism{Vertex: Isomorphism}, nil)
 	if got := iso.Evaluate(plainRun(vs, nil)).Count(); got != 2 {
 		t.Fatalf("iso cartesian=%d want 2 (4 minus diagonal)", got)
 	}
@@ -160,12 +160,12 @@ func TestExpandEmbeddingsForwardAndReverseAgree(t *testing.T) {
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
 
 	aLeaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a"})
-	fwd, err := NewExpandEmbeddings(aLeaf, qe, Morphism{}, false)
+	fwd, err := NewExpandEmbeddings(aLeaf, qe, Morphism{}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bLeaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b"})
-	rev, err := NewExpandEmbeddings(bLeaf, qe, Morphism{}, true)
+	rev, err := NewExpandEmbeddings(bLeaf, qe, Morphism{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func pathKey(ids []epgm.ID) string {
 func TestExpandRequiresBoundEndpoint(t *testing.T) {
 	leaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "z"})
 	qe := &cypher.QueryEdge{Var: "e", Source: "a", Target: "b", MinHops: 1, MaxHops: 2}
-	if _, err := NewExpandEmbeddings(leaf, qe, Morphism{}, false); err == nil {
+	if _, err := NewExpandEmbeddings(leaf, qe, Morphism{}, false, nil); err == nil {
 		t.Fatal("expected error: input binds neither endpoint")
 	}
 }

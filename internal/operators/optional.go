@@ -7,6 +7,7 @@ import (
 	"gradoop/internal/cypher"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 )
 
 // OptionalJoinEmbeddings implements OPTIONAL MATCH: a left outer join of the
@@ -23,14 +24,15 @@ type OptionalJoinEmbeddings struct {
 	Predicates []cypher.Expr
 
 	joinShape
+	rowShape
 }
 
 // NewOptionalJoinEmbeddings builds the outer join on the variables shared
-// between the two inputs; without shared variables every combination is
-// tried (a cartesian outer join).
-func NewOptionalJoinEmbeddings(left, right Operator, morph Morphism, predicates []cypher.Expr) *OptionalJoinEmbeddings {
+// between the two inputs, whose rows carry what live reads; without shared
+// variables every combination is tried (a cartesian outer join).
+func NewOptionalJoinEmbeddings(left, right Operator, morph Morphism, predicates []cypher.Expr, live embedding.Live) *OptionalJoinEmbeddings {
 	return &OptionalJoinEmbeddings{Left: left, Right: right, Morph: morph, Predicates: predicates,
-		joinShape: newJoinShape(left, right)}
+		joinShape: newJoinShape(left, right), rowShape: newRowShape(left.Meta(), right.Meta(), live)}
 }
 
 // Meta implements Operator.
@@ -41,8 +43,8 @@ func (op *OptionalJoinEmbeddings) Children() []Operator { return []Operator{op.L
 
 // Description implements Operator.
 func (op *OptionalJoinEmbeddings) Description() string {
-	return fmt.Sprintf("OptionalJoinEmbeddings(on=%s, preds=%d, %s/%s)",
-		strings.Join(op.joinVars, ","), len(op.Predicates), op.Morph.Vertex, op.Morph.Edge)
+	return fmt.Sprintf("OptionalJoinEmbeddings(on=%s, preds=%d, %s/%s%s)",
+		strings.Join(op.joinVars, ","), len(op.Predicates), op.Morph.Vertex, op.Morph.Edge, op.dropped)
 }
 
 // Evaluate implements Operator.
@@ -58,14 +60,13 @@ func (op *OptionalJoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.E
 // mandatory one: a pair that passes keys, morphism and the group predicates
 // is emitted merged, and a probe row none of whose candidates passed is
 // emitted once they are through, its right-only columns and properties NULL.
-// preds are the group predicates with the run's parameter values.
+// preds are the group predicates with the run's parameter values; they read
+// the pair, so a property only they read need not be written.
 func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embedding.Embedding], preds []cypher.Expr) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
-	drop := op.dropCols
-	meta := op.outputMeta
+	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	nullCols, nullProps := rm.Columns()-len(drop), rm.PropColumns()
 	return dataflow.OuterJoinWith(right, left,
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
@@ -73,19 +74,15 @@ func (op *OptionalJoinEmbeddings) evaluate(left, right *dataflow.Dataset[embeddi
 			sc := scratchOf(lane)
 			matched := false
 			pair = func(r, l embedding.Embedding, emit func(embedding.Embedding)) {
-				if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) {
+				if !sameKeys(l, r, lc, rc) || !sc.validPair(l, lm, r, rm, drop, morph) || !passesPair(l, lm, r, rm, preds) {
 					return
 				}
-				// A candidate the predicates reject has been built; its bytes
-				// stay in the slab's chunk, unreferenced.
-				if merged := sc.slab.Merge(l, r, drop); passes(merged, meta, preds) {
-					matched = true
-					emit(merged)
-				}
+				matched = true
+				emit(sc.slab.Merge(l, r, keep))
 			}
 			after = func(l embedding.Embedding, emit func(embedding.Embedding)) {
 				if !matched {
-					emit(sc.slab.PadNull(l, nullCols, nullProps))
+					emit(sc.slab.PadNull(l, keep, rm.Columns(), rm.PropColumns()))
 				}
 				matched = false
 			}
@@ -97,7 +94,27 @@ func passes(e embedding.Embedding, meta *embedding.Meta, preds []cypher.Expr) bo
 	if len(preds) == 0 {
 		return true
 	}
-	lookup := embeddingLookup(e, meta)
+	return passesLookup(embeddingLookup(e, meta), preds)
+}
+
+// passesPair is passes on the row merging l with r would give, without
+// building it: a property is read from whichever side carries it.
+func passesPair(l embedding.Embedding, lm *embedding.Meta, r embedding.Embedding, rm *embedding.Meta, preds []cypher.Expr) bool {
+	if len(preds) == 0 {
+		return true
+	}
+	return passesLookup(func(variable, key string) epgm.PropertyValue {
+		if col, ok := lm.PropColumn(variable, key); ok {
+			return l.Prop(col)
+		}
+		if col, ok := rm.PropColumn(variable, key); ok {
+			return r.Prop(col)
+		}
+		return epgm.Null
+	}, preds)
+}
+
+func passesLookup(lookup cypher.Lookup, preds []cypher.Expr) bool {
 	for _, p := range preds {
 		if !cypher.EvalPredicate(p, lookup) {
 			return false

@@ -26,7 +26,7 @@ func TestOptionalJoinEmbeddingsDirect(t *testing.T) {
 	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
 	qe := &cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1}
 	likes := NewFilterAndProjectEdges(qe)
-	opt := NewOptionalJoinEmbeddings(persons, likes, Morphism{}, nil)
+	opt := NewOptionalJoinEmbeddings(persons, likes, Morphism{}, nil, nil)
 
 	if opt.Meta().Columns() != 3 { // p, e, m
 		t.Fatalf("meta: %s", opt.Meta())
@@ -69,7 +69,7 @@ func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "p", Labels: []string{"Person"}})
 	mleaf := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "m", Labels: []string{"Movie"}, Projection: []string{"year"}})
 	likes := NewFilterAndProjectEdges(&cypher.QueryEdge{Var: "e", Types: []string{"likes"}, Source: "p", Target: "m", MinHops: 1, MaxHops: 1})
-	sub := NewJoinEmbeddings(mleaf, likes, Morphism{})
+	sub := NewJoinEmbeddings(mleaf, likes, Morphism{}, nil)
 
 	// Predicate m.year > 1990 fails for the only movie: every person ends
 	// up with a null extension.
@@ -77,7 +77,7 @@ func TestOptionalJoinPredicateTurnsRowNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := NewOptionalJoinEmbeddings(persons, sub, Morphism{}, []cypher.Expr{pred.Where})
+	opt := NewOptionalJoinEmbeddings(persons, sub, Morphism{}, []cypher.Expr{pred.Where}, nil)
 	for _, emb := range opt.Evaluate(plainRun(vs, es)).Collect() {
 		mCol, _ := opt.Meta().Column("m")
 		if !emb.IsNullAt(mCol) {

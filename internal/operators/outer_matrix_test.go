@@ -80,7 +80,7 @@ func (c outerCase) build(t *testing.T) (op, left, right operators.Operator) {
 	}
 	bLeaf := operators.NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Projection: []string{"n"}})
 	eLeaf := operators.NewFilterAndProjectEdges(single("e", []string{"knows"}, "a", "b"))
-	right = operators.NewJoinEmbeddings(bLeaf, eLeaf, c.morph)
+	right = operators.NewJoinEmbeddings(bLeaf, eLeaf, c.morph, nil)
 
 	var preds []cypher.Expr
 	if c.reject != "none" {
@@ -92,7 +92,7 @@ func (c outerCase) build(t *testing.T) (op, left, right operators.Operator) {
 	}
 	switch c.kind {
 	case "outer":
-		return operators.NewOptionalJoinEmbeddings(left, right, c.morph, preds), left, right
+		return operators.NewOptionalJoinEmbeddings(left, right, c.morph, preds, nil), left, right
 	default:
 		if preds != nil {
 			right = operators.NewFilterEmbeddings(right, preds)

@@ -49,7 +49,7 @@ func TestOutputIsAllocatedOnce(t *testing.T) {
 	_, es = benchGraph(env, 11_112)
 	left := materialize(NewFilterAndProjectEdges(knowsEdge("e1", "a", "b")), plainRun(nil, es))
 	right := materialize(NewFilterAndProjectEdges(knowsEdge("e2", "b", "c")), plainRun(nil, es))
-	join := NewJoinEmbeddings(left, right, Morphism{})
+	join := NewJoinEmbeddings(left, right, Morphism{}, nil)
 	rows, got = allocated(func() *dataflow.Dataset[embedding.Embedding] { return join.Evaluate(plainRun(nil, es)) })
 	if len(rows) != 100_008 {
 		t.Fatalf("the join emitted %d rows, want 100 008", len(rows))

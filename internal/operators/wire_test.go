@@ -58,7 +58,7 @@ func wireRows() []embedding.Embedding {
 	return []embedding.Embedding{
 		e.AppendID(1).AppendProps(epgm.PVString("Leipzig")),
 		{}, // the empty embedding travels as its length alone
-		(*embedding.Slab)(nil).PadNull(e.AppendID(2), 1, 0).AppendPath([]epgm.ID{5, 20, 7}).AppendProps(epgm.Null, epgm.PVInt(-1984)),
+		(*embedding.Slab)(nil).PadNull(e.AppendID(2), embedding.Keep{}, 1, 0).AppendPath([]epgm.ID{5, 20, 7}).AppendProps(epgm.Null, epgm.PVInt(-1984)),
 	}
 }
 

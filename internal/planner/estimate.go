@@ -95,11 +95,13 @@ func (pl *Planner) varDistinct(qg *cypher.QueryGraph, v string) float64 {
 
 // joinCard applies |L ⋈ R| = |L|·|R| / Π_v max(1, d(v)) over the shared
 // variables v (Garcia-Molina et al.).
-func (pl *Planner) joinCard(qg *cypher.QueryGraph, l, r *partial, shared []string) float64 {
+func (pl *Planner) joinCard(qg *cypher.QueryGraph, lv *liveness, l, r *partial) float64 {
 	card := l.card * r.card
-	for _, v := range shared {
-		card /= math.Max(1, pl.varDistinct(qg, v))
-	}
+	l.vars.each(func(i int) { // in name order
+		if r.vars.has(i) {
+			card /= math.Max(1, pl.varDistinct(qg, lv.vars[i].name))
+		}
+	})
 	return math.Max(card, 1)
 }
 
@@ -107,7 +109,7 @@ func (pl *Planner) joinCard(qg *cypher.QueryGraph, l, r *partial, shared []strin
 // the average out-degree of the traversed edge types, summed over the
 // admissible path lengths. Closing a cycle (far endpoint already bound)
 // divides by the endpoint's distinct count.
-func (pl *Planner) expandCard(qg *cypher.QueryGraph, p *partial, qe *cypher.QueryEdge, reverse bool) float64 {
+func (pl *Planner) expandCard(qg *cypher.QueryGraph, lv *liveness, p *partial, qe *cypher.QueryEdge, reverse bool) float64 {
 	deg := pl.Stats.AverageOutDegree(qe.Types)
 	if qe.Undirected {
 		deg *= 2
@@ -125,7 +127,7 @@ func (pl *Planner) expandCard(qg *cypher.QueryGraph, p *partial, qe *cypher.Quer
 	if reverse {
 		endVar = qe.Source
 	}
-	if p.covers(endVar) {
+	if p.vars.meets(lv.bit(endVar)) {
 		card /= math.Max(1, pl.varDistinct(qg, endVar))
 	}
 	return math.Max(card, 1)

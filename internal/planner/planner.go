@@ -138,31 +138,26 @@ func (p *QueryPlan) Nodes() []PlanNode {
 	return out
 }
 
-// partial is one in-progress sub-plan during greedy enumeration.
+// partial is one in-progress sub-plan during greedy enumeration: its
+// operator, its estimated cardinality and the variables its rows bind.
 type partial struct {
 	op   operators.Operator
 	card float64
-	vars map[string]bool
+	vars varSet
 }
-
-func (p *partial) covers(v string) bool { return p.vars[v] }
 
 // evaluable splits predicates into those the partial's rows can be filtered
 // by - the partial covers every variable a predicate names and its rows carry
 // every property the predicate reads (vertex properties live on vertex leaves,
 // not on the edge leaves that first cover the variable) - and the rest, in
 // their order, in preds' own array.
-func (p *partial) evaluable(preds []cypher.Expr) (usable, rest []cypher.Expr) {
+func (p *partial) evaluable(lv *liveness, preds []cypher.Expr) (usable, rest []cypher.Expr) {
 	meta := p.op.Meta()
 	rest = preds[:0]
 	for _, e := range preds {
-		ok := true
-		for _, v := range cypher.ExprVars(e) {
-			ok = ok && p.covers(v)
-		}
+		ok := lv.predReads(e).ids.within(p.vars)
 		cypher.CollectPropAccesses(e, func(variable, key string) {
-			_, has := meta.PropColumn(variable, key)
-			ok = ok && has
+			ok = ok && meta.HasProp(variable, key)
 		})
 		if ok {
 			usable = append(usable, e)
@@ -173,13 +168,54 @@ func (p *partial) evaluable(preds []cypher.Expr) (usable, rest []cypher.Expr) {
 	return usable, rest
 }
 
-// Plan builds a physical plan for the query graph, which Execute runs over
-// access.
-func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
+// planning is the planning of one query: the planner, the query's liveness
+// index, the estimates recorded so far and the WHERE conjuncts no operator
+// applies yet.
+type planning struct {
+	*Planner
+	qg      *cypher.QueryGraph
+	lv      *liveness
+	est     map[operators.Operator]float64
+	pending []cypher.Expr
+}
+
+func (pl *Planner) start(qg *cypher.QueryGraph, graphs bool) (*planning, error) {
 	if len(qg.Vertices) == 0 {
 		return nil, fmt.Errorf("planner: query graph has no vertices")
 	}
-	est := map[operators.Operator]float64{}
+	return &planning{Planner: pl, qg: qg, lv: newLiveness(qg, pl.Morph, graphs), est: map[operators.Operator]float64{},
+		pending: append([]cypher.Expr(nil), qg.Global...)}, nil
+}
+
+// filter puts the pending predicates p's rows can be filtered by on p, in a
+// FilterEmbeddings, and reports how many it put there.
+func (pn *planning) filter(p *partial) int {
+	var usable []cypher.Expr
+	if usable, pn.pending = p.evaluable(pn.lv, pn.pending); len(usable) == 0 {
+		return 0
+	}
+	p.op = operators.NewFilterEmbeddings(p.op, usable)
+	return len(usable)
+}
+
+// Plan builds a physical plan for the query graph, which Execute runs over
+// access. Its rows carry what the RETURN clause reads.
+func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
+	return pl.plan(access, qg, false)
+}
+
+// PlanGraphs is Plan for the graph collection of Definition 2.4: its rows
+// carry every binding of a match, anonymous variables included.
+func (pl *Planner) PlanGraphs(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
+	return pl.plan(access, qg, true)
+}
+
+func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool) (*QueryPlan, error) {
+	pn, err := pl.start(qg, graphs)
+	if err != nil {
+		return nil, err
+	}
+	lv, est := pn.lv, pn.est
 
 	// Leaf plans: one per query vertex and one per simple query edge.
 	// Structurally identical leaves share one cached operator behind
@@ -209,9 +245,9 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 			}
 		}
 		est[op] = card
-		vars := make(map[string]bool, len(cols))
+		var vars varSet
 		for _, v := range cols {
-			vars[v] = true
+			vars = vars.union(lv.bit(v))
 		}
 		plans = append(plans, &partial{op: op, card: card, vars: vars})
 	}
@@ -235,41 +271,40 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 
 	// Global predicates not yet applied: each goes on the first partial that
 	// can evaluate it (partial.evaluable).
-	pending := append([]cypher.Expr(nil), qg.Global...)
 	applyPredicates := func(p *partial) {
-		var usable []cypher.Expr
-		if usable, pending = p.evaluable(pending); len(usable) > 0 {
-			f := operators.NewFilterEmbeddings(p.op, usable)
-			p.card *= math.Pow(0.25, float64(len(usable)))
-			if p.card < 1 {
-				p.card = 1
-			}
-			est[f] = p.card
-			p.op = f
+		if n := pn.filter(p); n > 0 {
+			p.card = math.Max(p.card*math.Pow(0.25, float64(n)), 1)
+			est[p.op] = p.card
 		}
 	}
 	for _, p := range plans {
 		applyPredicates(p)
 	}
 
-	root, err := pl.combine(qg, plans, varLength, est, applyPredicates)
+	// What the groups read of the mandatory pattern's rows: the variables
+	// they join on and their predicates.
+	groups := append(append([]*cypher.OptionalGroup(nil), qg.Optional...), existenceGroups(qg)...)
+	outer := lv.predReads(groupPredicates(qg.Optional)...)
+	outer.ids = outer.ids.union(lv.groupVars(groups...))
+	root, err := pn.combine(plans, varLength, outer, applyPredicates)
 	if err != nil {
 		return nil, err
 	}
-	if len(pending) > 0 {
-		f := operators.NewFilterEmbeddings(root.op, pending)
+	if len(pn.pending) > 0 {
+		f := operators.NewFilterEmbeddings(root.op, pn.pending)
 		est[f] = root.card
 		root.op = f
+		pn.pending = nil
 	}
 
 	// exists()/NOT exists() predicates filter the mandatory solutions
 	// through semi/anti joins.
 	for _, eg := range qg.Existence {
-		sub, _, err := pl.planOptionalGroup(qg, &eg.OptionalGroup, est)
+		sub, err := pn.planGroup(&eg.OptionalGroup, groups)
 		if err != nil {
 			return nil, err
 		}
-		op := operators.NewSemiJoinEmbeddings(root.op, sub, pl.Morph, eg.Negated)
+		op := operators.NewSemiJoinEmbeddings(root.op, sub.op, pl.Morph, eg.Negated)
 		card := math.Max(root.card*0.5, 1)
 		est[op] = card
 		root = &partial{op: op, card: card, vars: root.vars}
@@ -277,19 +312,47 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 
 	// OPTIONAL MATCH groups extend the mandatory solutions through left
 	// outer joins, in clause order.
-	for _, group := range qg.Optional {
-		sub, subCard, err := pl.planOptionalGroup(qg, group, est)
+	for i, group := range qg.Optional {
+		sub, err := pn.planGroup(group, groups)
 		if err != nil {
 			return nil, err
 		}
-		op := operators.NewOptionalJoinEmbeddings(root.op, sub, pl.Morph, group.Predicates)
+		out := root.vars.union(sub.vars)
+		op := operators.NewOptionalJoinEmbeddings(root.op, sub.op, pl.Morph, group.Predicates,
+			pn.extended(out, qg.Optional[i+1:]).live)
 		// Every left row survives; extensions multiply at most by the
 		// group's fan-out estimate.
-		card := math.Max(root.card, root.card*subCard/math.Max(1, float64(pl.Stats.VertexCount)))
+		card := math.Max(root.card, root.card*sub.card/math.Max(1, float64(pl.Stats.VertexCount)))
 		est[op] = card
-		root = &partial{op: op, card: card, vars: unionVars(root.vars, groupVars(group))}
+		root = &partial{op: op, card: card, vars: out}
 	}
 	return &QueryPlan{Root: root.op, Estimates: est, access: access}, nil
+}
+
+// extended is what the rest of the query reads of the rows of an outer join
+// that binds out: the result and the OPTIONAL MATCH groups after it.
+func (pn *planning) extended(out varSet, later []*cypher.OptionalGroup) readSet {
+	rest := pn.lv.predReads(groupPredicates(later)...)
+	rest.ids = rest.ids.union(pn.lv.groupVars(later...))
+	return pn.lv.rowsOf(out, rest)
+}
+
+// joined is what the rest of the query reads of the rows of an operator that
+// binds out, built in a combine call whose partials outer is what the query
+// outside them reads of: that, the pending predicates and the variables of
+// what is left to join - the partials of plans but those at skip and the
+// variable-length edges.
+func (pn *planning) joined(out varSet, plans []*partial, skip [2]int, varLength []*cypher.QueryEdge, outer reads) readSet {
+	rest := outer.union(pn.lv.predReads(pn.pending...))
+	for k, p := range plans {
+		if k != skip[0] && k != skip[1] {
+			rest.ids = rest.ids.union(p.vars)
+		}
+	}
+	for _, qe := range varLength {
+		rest.ids = rest.ids.union(pn.lv.bit(qe.Source)).union(pn.lv.bit(qe.Target))
+	}
+	return pn.lv.rowsOf(out, rest)
 }
 
 // combine is the greedy loop of §3.2, the planner's only one: until a single
@@ -297,9 +360,11 @@ func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, 
 // the join or expansion with the smallest estimated result - the cheapest
 // cartesian product when nothing connects - records its estimate and hands
 // the new partial to applyPredicates. A query's mandatory pattern and every
-// OPTIONAL MATCH or exists() group are ordered by it.
-func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []*cypher.QueryEdge,
-	est map[operators.Operator]float64, applyPredicates func(*partial)) (*partial, error) {
+// OPTIONAL MATCH or exists() group are ordered by it. outer is what the query
+// outside these partials reads of them.
+func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, outer reads,
+	applyPredicates func(*partial)) (*partial, error) {
+	pl, qg, lv, est := pn.Planner, pn.qg, pn.lv, pn.est
 	for len(plans) > 1 || len(varLength) > 0 {
 		type candidate struct {
 			kind    string // "join", "expand", "cross"
@@ -312,11 +377,10 @@ func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []
 
 		for i := 0; i < len(plans); i++ {
 			for j := i + 1; j < len(plans); j++ {
-				shared := sharedVars(plans[i], plans[j])
-				if len(shared) == 0 {
+				if !plans[i].vars.meets(plans[j].vars) {
 					continue
 				}
-				card := pl.joinCard(qg, plans[i], plans[j], shared)
+				card := pl.joinCard(qg, lv, plans[i], plans[j])
 				if card < best.card {
 					best = candidate{kind: "join", i: i, j: j, card: card}
 				}
@@ -324,16 +388,16 @@ func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []
 		}
 		for ei, qe := range varLength {
 			for i, p := range plans {
-				fw := p.covers(qe.Source)
-				bw := p.covers(qe.Target)
+				fw := p.vars.meets(lv.bit(qe.Source))
+				bw := p.vars.meets(lv.bit(qe.Target))
 				if fw {
-					card := pl.expandCard(qg, p, qe, false)
+					card := pl.expandCard(qg, lv, p, qe, false)
 					if card < best.card {
 						best = candidate{kind: "expand", i: i, edge: ei, reverse: false, card: card}
 					}
 				}
 				if bw && !fw {
-					card := pl.expandCard(qg, p, qe, true)
+					card := pl.expandCard(qg, lv, p, qe, true)
 					if card < best.card {
 						best = candidate{kind: "expand", i: i, edge: ei, reverse: true, card: card}
 					}
@@ -347,8 +411,9 @@ func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []
 			}
 			sort.Slice(plans, func(a, b int) bool { return plans[a].card < plans[b].card })
 			l, r := plans[0], plans[1]
-			op := operators.NewCartesianProduct(l.op, r.op, pl.Morph)
-			merged := &partial{op: op, card: l.card * r.card, vars: unionVars(l.vars, r.vars)}
+			out := l.vars.union(r.vars)
+			op := operators.NewCartesianProduct(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{0, 1}, varLength, outer).live)
+			merged := &partial{op: op, card: l.card * r.card, vars: out}
 			est[op] = merged.card
 			applyPredicates(merged)
 			plans = append([]*partial{merged}, plans[2:]...)
@@ -362,8 +427,9 @@ func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []
 			if r.card < l.card {
 				l, r = r, l
 			}
-			op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph)
-			merged := &partial{op: op, card: best.card, vars: unionVars(l.vars, r.vars)}
+			out := l.vars.union(r.vars)
+			op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{best.i, best.j}, varLength, outer).live)
+			merged := &partial{op: op, card: best.card, vars: out}
 			est[op] = best.card
 			applyPredicates(merged)
 			next := plans[:0]
@@ -376,61 +442,74 @@ func (pl *Planner) combine(qg *cypher.QueryGraph, plans []*partial, varLength []
 		case "expand":
 			p := plans[best.i]
 			qe := varLength[best.edge]
-			op, err := operators.NewExpandEmbeddings(p.op, qe, pl.Morph, best.reverse)
+			varLength = append(varLength[:best.edge], varLength[best.edge+1:]...)
+			out := p.vars.union(lv.edgeVars(qe))
+			op, err := operators.NewExpandEmbeddings(p.op, qe, pl.Morph, best.reverse,
+				pn.joined(out, plans, [2]int{best.i, best.i}, varLength, outer).live)
 			if err != nil {
 				return nil, err
 			}
-			merged := &partial{op: op, card: best.card, vars: unionVars(p.vars, map[string]bool{
-				qe.Var: true, qe.Source: true, qe.Target: true,
-			})}
+			merged := &partial{op: op, card: best.card, vars: out}
 			est[op] = best.card
 			applyPredicates(merged)
 			plans[best.i] = merged
-			varLength = append(varLength[:best.edge], varLength[best.edge+1:]...)
 		}
 	}
 	return plans[0], nil
 }
 
-func groupVars(group *cypher.OptionalGroup) map[string]bool {
-	vars := map[string]bool{}
-	for _, qv := range group.Vertices {
-		vars[qv.Var] = true
+// groupPredicates returns the predicates of the groups.
+func groupPredicates(groups []*cypher.OptionalGroup) []cypher.Expr {
+	var out []cypher.Expr
+	for _, g := range groups {
+		out = append(out, g.Predicates...)
 	}
-	for _, qe := range group.Edges {
-		vars[qe.Var] = true
-		vars[qe.Source] = true
-		vars[qe.Target] = true
-	}
-	return vars
+	return out
 }
 
-// planOptionalGroup builds the sub-plan producing one OPTIONAL MATCH
+func existenceGroups(qg *cypher.QueryGraph) []*cypher.OptionalGroup {
+	out := make([]*cypher.OptionalGroup, len(qg.Existence))
+	for i, eg := range qg.Existence {
+		out[i] = &eg.OptionalGroup
+	}
+	return out
+}
+
+// planGroup builds the sub-plan producing one OPTIONAL MATCH or exists()
 // group's embeddings: leaves for the group's new vertices and its edges,
-// combined greedily by estimated cardinality.
-func (pl *Planner) planOptionalGroup(qg *cypher.QueryGraph, group *cypher.OptionalGroup, est map[operators.Operator]float64) (operators.Operator, float64, error) {
+// combined greedily by estimated cardinality. Its rows carry what the join
+// with the mandatory solutions and the other groups of groups read.
+func (pn *planning) planGroup(group *cypher.OptionalGroup, groups []*cypher.OptionalGroup) (*partial, error) {
+	lv, est := pn.lv, pn.est
 	var plans []*partial
 	for _, qv := range group.Vertices {
 		leaf := operators.NewFilterAndProjectVertices(qv)
-		card := pl.vertexLeafCard(qv)
+		card := pn.vertexLeafCard(qv)
 		est[leaf] = card
-		plans = append(plans, &partial{op: leaf, card: card, vars: map[string]bool{qv.Var: true}})
+		plans = append(plans, &partial{op: leaf, card: card, vars: lv.bit(qv.Var)})
 	}
 	for _, qe := range group.Edges {
 		leaf := operators.NewFilterAndProjectEdges(qe)
-		card := pl.edgeLeafCard(qe)
+		card := pn.edgeLeafCard(qe)
 		est[leaf] = card
-		plans = append(plans, &partial{op: leaf, card: card,
-			vars: map[string]bool{qe.Source: true, qe.Var: true, qe.Target: true}})
+		plans = append(plans, &partial{op: leaf, card: card, vars: lv.edgeVars(qe)})
 	}
 	if len(plans) == 0 {
-		return nil, 0, fmt.Errorf("planner: empty OPTIONAL MATCH group")
+		return nil, fmt.Errorf("planner: empty OPTIONAL MATCH group")
 	}
-	root, err := pl.combine(qg, plans, nil, est, func(*partial) {})
-	if err != nil {
-		return nil, 0, err
+	outer := lv.predReads(groupPredicates(pn.qg.Optional)...)
+	for _, qv := range pn.qg.Vertices {
+		outer.ids = outer.ids.union(lv.bit(qv.Var))
 	}
-	return root.op, root.card, nil
+	for _, qe := range pn.qg.Edges {
+		outer.ids = outer.ids.union(lv.edgeVars(qe))
+	}
+	for _, g := range groups {
+		if g != group {
+			outer.ids = outer.ids.union(lv.groupVars(g))
+		}
+	}
+	return pn.combine(plans, nil, outer, func(*partial) {})
 }
 
 // vertexSignature renders a query vertex's structure with its variable name
@@ -459,26 +538,4 @@ func normalizePreds(preds []cypher.Expr, rename map[string]string) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "&")
-}
-
-func sharedVars(a, b *partial) []string {
-	var out []string
-	for v := range a.vars {
-		if b.vars[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func unionVars(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for v := range a {
-		out[v] = true
-	}
-	for v := range b {
-		out[v] = true
-	}
-	return out
 }

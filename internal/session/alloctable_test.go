@@ -2,6 +2,7 @@ package session
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"testing"
@@ -22,7 +23,9 @@ var allocTable = flag.Bool("alloc-table", false, "run TestAllocTable (make alloc
 // table of bytes by allocating function (benchkit.AllocTable). The graph is
 // bound in memory, not read back from CSV, and nothing goes over HTTP, so the
 // per-class numbers sit a little under the benchmark's alloc_kb_per_req;
-// between two commits they move as it moves. The cluster's section is
+// between two commits they move as it moves. Last, per class and per operator
+// that writes rows, the KiB of the id, path and property sections of what it
+// writes a request (benchkit.WrittenTable). The cluster's section is
 // internal/cluster's TestAllocTable.
 func TestAllocTable(t *testing.T) {
 	if !*allocTable {
@@ -46,4 +49,20 @@ func TestAllocTable(t *testing.T) {
 		}
 		return r.Count
 	}, 8, 12)
+
+	// What the operators that write rows write a request, by section.
+	fmt.Println()
+	st := s.snapshot()
+	benchkit.WrittenTable(os.Stdout, names, func(i int) []benchkit.Written {
+		prep, _, err := s.compile(st, CanonicalQuery(classes[i].Query), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", classes[i].Name, err)
+		}
+		_, access := st.data.Bind(dataflow.NewEnv(dataflow.DefaultConfig(s.opts.Workers)))
+		written, err := benchkit.WrittenBy(prep, access, classes[i].Params)
+		if err != nil {
+			t.Fatalf("%s: %v", classes[i].Name, err)
+		}
+		return written
+	})
 }

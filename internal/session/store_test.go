@@ -180,6 +180,26 @@ func BenchmarkBind(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepare is what planning costs a cluster worker, which plans every
+// job it runs: core.PrepareWith of each yardstick query, canonical as the
+// coordinator ships it, over the statistics of the benchmark's graph (SF 3,
+// seed 2017). `make alloc-guard` pins its allocations per query.
+func BenchmarkPrepare(b *testing.B) {
+	st := stats.Collect(ldbcGraph(b, 3))
+	for _, q := range benchkit.AllQueries {
+		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st}
+		query := CanonicalQuery(q.Text())
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := core.PrepareWith(st, query, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPreparedBind is what a request of each yardstick query pays between
 // a plan-cache hit and its job: a fresh environment, the pinned graph bound to
 // it, and the prepared query bound to that access and the request's
