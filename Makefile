@@ -127,10 +127,13 @@ chaos-smoke:
 # a request (decision 11): a fresh environment, the pinned store bound to it and
 # the binding cost 36 to 44 objects per yardstick query, because every run
 # shares the plan's operator tree and binding copies none of it; and planning
-# (decision 35): core.PrepareWith of a yardstick query, which a cluster worker
-# runs for every job, allocates no more than before the planner worked out what
-# every join keeps, + 10%, because the rule reads sets of the query's variables
-# built once per query and nothing per candidate join.
+# (decision 35): core.PrepareWith of a yardstick query, which a session runs on
+# a plan-cache miss and a cluster worker on its own cache's, allocates no more
+# than before the planner worked out what every join keeps, + 10%, because the
+# rule reads sets of the query's variables built once per query and nothing per
+# candidate join; and what a plan is paid once for (decision 36): a prepared
+# query's fingerprint costs nothing after its first call, and a worker job
+# whose plan is cached allocates 19 to 23 objects between its mesh and its run.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -175,7 +178,14 @@ alloc-guard:
 	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkPrepare$$' -benchmem | awk ' \
 		BEGIN { max["Q1"] = 155; max["Q2"] = 233; max["Q3"] = 389; max["Q4"] = 468; max["Q5"] = 325; max["Q6"] = 398 } \
 		/^BenchmarkPrepare\// { print; split($$1, name, "[/-]"); seen++; if ($$(NF-1)+0 > max[name[2]]) bad = 1 } \
-		END { if (bad || seen != 6) { print "alloc-guard: planning a yardstick query, which a cluster worker does for every job, allocates more than it did before its rows were narrowed (Q1-Q6 <= 155, 233, 389, 468, 325, 398 allocs/op over the statistics of SF 3: 141, 212, 354, 426, 296 and 362 measured then + 10%; the keep-masks are worked out with no object per candidate join)"; exit 1 } }'
+		END { if (bad || seen != 6) { print "alloc-guard: planning a yardstick query, which a session does on a plan-cache miss and a cluster worker on the first job of a query on a statistics snapshot, allocates more than it did before its rows were narrowed (Q1-Q6 <= 155, 233, 389, 468, 325, 398 allocs/op over the statistics of SF 3: 141, 212, 354, 426, 296 and 362 measured then + 10%; the keep-masks are worked out with no object per candidate join)"; exit 1 } }'
+	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkFingerprint' -benchmem | awk ' \
+		/^BenchmarkFingerprint\// { print; seen++; if ($$(NF-1)+0 != 0) bad = 1 } \
+		END { if (bad || seen != 6) { print "alloc-guard: the fingerprint of a prepared yardstick query is rendered again after its first call (Q1-Q6 must be 0 allocs/op: the session, the coordinator and every worker job read the memo)"; exit 1 } }'
+	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerPlanHit' -benchmem | awk ' \
+		BEGIN { max["Q1"] = 25; max["Q2"] = 25; max["Q3"] = 25; max["Q4"] = 20; max["Q5"] = 20; max["Q6"] = 20 } \
+		/^BenchmarkWorkerPlanHit\// { print; split($$1, name, "[/-]"); seen++; if ($$(NF-1)+0 > max[name[2]]) bad = 1 } \
+		END { if (bad || seen != 6) { print "alloc-guard: a worker job whose plan is cached allocates more between its mesh and its run than decoding its parameters and binding a fresh environment (Q1-Q6 <= 25, 25, 25, 20, 20, 20 allocs/op: 23, 23, 23, 19, 19 and 19 measured + 10%; 160-380 while every job planned)"; exit 1 } }'
 
 # alloc-table prints where an executed request's bytes go: per request class
 # of the benchmark KiB and objects a request, then bytes by allocating

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -42,12 +43,12 @@ func RequestClasses(d *ldbc.Dataset) []RequestClass {
 	return classes
 }
 
-// AllocTable prints where the bytes of requests go (make alloc-table): per
-// class, after one request that plans and warms, KiB and heap objects a
-// request over reps more; then - from the heap profile at one sample per
-// 4 KiB, over one more pass of every class - the top rows of the flat table of
-// bytes by allocating function. serve runs one request of class i and returns
-// its row count.
+// AllocTable prints where the bytes and objects of requests go (make
+// alloc-table): per class, after one request that plans and warms, KiB and
+// heap objects a request over reps more; then - from the heap profile of one
+// more pass of every class - the top rows, by bytes, of the flat table of
+// bytes and objects by allocating function. serve runs one request of class i
+// and returns its row count.
 func AllocTable(w io.Writer, names []string, serve func(i int) int64, reps, top int) {
 	out := tabwriter.NewWriter(w, 0, 8, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(out, "class\trows\tKiB/req\tobjects/req\t")
@@ -64,36 +65,143 @@ func AllocTable(w io.Writer, names []string, serve func(i int) int64, reps, top 
 	}
 	out.Flush()
 
-	// The flat table: bytes by the function that called the allocator, summed
-	// over one pass of the classes.
-	runtime.MemProfileRate = 4096
-	before := allocatedByFunction()
+	// The flat table: bytes and objects by the function that called the
+	// allocator, summed over one pass of the classes.
+	byFunc := map[string]allocs{}
+	var total allocs
+	for _, s := range onePass(names, serve) {
+		fn := caller(s.stack)
+		byFunc[fn] = byFunc[fn].plus(s.allocs)
+		total = total.plus(s.allocs)
+	}
+	type row struct {
+		fn string
+		allocs
+	}
+	var table []row
+	for fn, a := range byFunc {
+		table = append(table, row{fn, a})
+	}
+	sort.Slice(table, func(i, j int) bool { return table[i].bytes > table[j].bytes })
+	fmt.Fprintf(out, "\nfunction\tKiB\tshare\tobjects\tshare\t\n")
+	var shown allocs
+	for _, r := range table[:min(len(table), top)] {
+		r.print(out, r.fn, total)
+		shown = shown.plus(r.allocs)
+	}
+	allocs{total.bytes - shown.bytes, total.objects - shown.objects}.print(out, fmt.Sprintf("(%d more)", max(len(table)-top, 0)), total)
+	fmt.Fprintf(out, "all %d classes, once\t%d\t\t%d\t\t\n", len(names), total.bytes>>10, total.objects)
+	out.Flush()
+}
+
+// Phase is a share of a request's allocations told by call stack: a sample
+// belongs to the first phase one of whose rules it satisfies, a rule being the
+// functions that must all be on the sample's stack, named as the flat table
+// names them ("cluster.(*Worker).runJob"); a name that ends in "." stands for
+// every function of that package; one that starts with "-" must not be on the
+// stack, and one that starts with "@" must be the function that called the
+// allocator.
+type Phase struct {
+	Name  string
+	Rules [][]string
+}
+
+// PhaseTable prints, from the heap profile of one pass of every class, the
+// KiB and objects of each of phases and of the rest, over the pass and a
+// request.
+func PhaseTable(w io.Writer, names []string, serve func(i int) int64, phases []Phase) {
+	byPhase := make([]allocs, len(phases)+1) // the last is the rest
+	var total allocs
+	for _, s := range onePass(names, serve) {
+		p := phaseOf(s.stack, phases)
+		byPhase[p] = byPhase[p].plus(s.allocs)
+		total = total.plus(s.allocs)
+	}
+	out := tabwriter.NewWriter(w, 0, 8, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(out, "\nphase\tKiB\tshare\tobjects\tshare\tobjects/req\t\n")
+	for p, a := range byPhase {
+		name := "rest"
+		if p < len(phases) {
+			name = phases[p].Name
+		}
+		fmt.Fprintf(out, "%s\t%d\t%.1f %%\t%d\t%.1f %%\t%.0f\t\n", name, a.bytes>>10, pct(a.bytes, total.bytes),
+			a.objects, pct(a.objects, total.objects), float64(a.objects)/float64(len(names)))
+	}
+	fmt.Fprintf(out, "all %d classes, once\t%d\t\t%d\t\t%.0f\t\n", len(names), total.bytes>>10, total.objects,
+		float64(total.objects)/float64(len(names)))
+	out.Flush()
+}
+
+// phaseOf returns the index of the phase of a sample of stack, len(phases)
+// for the rest.
+func phaseOf(stack []string, phases []Phase) int {
+	on := func(name string) bool {
+		return slices.ContainsFunc(stack, func(fn string) bool { return matches(fn, name) })
+	}
+	for p, ph := range phases {
+		for _, rule := range ph.Rules {
+			all := true
+			for _, name := range rule {
+				if not, ok := strings.CutPrefix(name, "-"); ok {
+					all = all && !on(not)
+				} else if fn, ok := strings.CutPrefix(name, "@"); ok {
+					all = all && matches(caller(stack), fn)
+				} else {
+					all = all && on(name)
+				}
+			}
+			if all {
+				return p
+			}
+		}
+	}
+	return len(phases)
+}
+
+// matches reports whether fn is the function name names, or of the package
+// a name ending in "." does.
+func matches(fn, name string) bool {
+	return fn == name || strings.HasSuffix(name, ".") && strings.HasPrefix(fn, name)
+}
+
+// allocs is what a heap profile counts: bytes and objects allocated.
+type allocs struct{ bytes, objects int64 }
+
+func (a allocs) plus(b allocs) allocs { return allocs{a.bytes + b.bytes, a.objects + b.objects} }
+
+func (a allocs) print(w io.Writer, name string, total allocs) {
+	fmt.Fprintf(w, "%s\t%d\t%.1f %%\t%d\t%.1f %%\t\n", name, a.bytes>>10, pct(a.bytes, total.bytes), a.objects, pct(a.objects, total.objects))
+}
+
+// pct is part as a percentage of whole.
+func pct(part, whole int64) float64 { return 100 * float64(part) / float64(whole) }
+
+// sample is what the allocations of one call stack came to: the functions on
+// it, innermost first, as the tables name them.
+type sample struct {
+	stack []string
+	allocs
+}
+
+// onePass serves every class once and returns what the pass allocated, by
+// call stack. Every allocation is in the heap profile (MemProfileRate 1), so
+// objects are counted, not estimated from samples.
+func onePass(names []string, serve func(i int) int64) []sample {
+	runtime.MemProfileRate = 1
+	before := heapProfile()
 	for i := range names {
 		serve(i)
 	}
-	after := allocatedByFunction()
-	type row struct {
-		fn    string
-		bytes int64
-	}
-	var table []row
-	var total int64
-	for fn, n := range after {
-		if d := n - before[fn]; d > 0 {
-			table = append(table, row{fn, d})
-			total += d
+	var out []sample
+	for stack, a := range heapProfile() {
+		b := before[stack]
+		if d := (allocs{a.bytes - b.bytes, a.objects - b.objects}); d.objects > 0 {
+			if fns := functions(stack); !slices.Contains(fns, "benchkit.heapProfile") { // the profile of before
+				out = append(out, sample{fns, d})
+			}
 		}
 	}
-	sort.Slice(table, func(i, j int) bool { return table[i].bytes > table[j].bytes })
-	fmt.Fprintf(out, "\nfunction\tKiB\tshare\t\n")
-	var shown int64
-	for _, r := range table[:min(len(table), top)] {
-		fmt.Fprintf(out, "%s\t%d\t%.1f %%\t\n", r.fn, r.bytes>>10, 100*float64(r.bytes)/float64(total))
-		shown += r.bytes
-	}
-	fmt.Fprintf(out, "(%d more)\t%d\t%.1f %%\t\n", max(len(table)-top, 0), (total-shown)>>10, 100*float64(total-shown)/float64(total))
-	fmt.Fprintf(out, "all %d classes, once\t%d\t\t\n", len(names), total>>10)
-	out.Flush()
+	return out
 }
 
 // Written is what one operator writes in a run: its rows and the bytes of
@@ -167,11 +275,10 @@ func WrittenTable(w io.Writer, names []string, written func(i int) []Written) {
 	out.Flush()
 }
 
-// allocatedByFunction reads the heap profile - as of the last garbage
-// collection, hence the two it runs first - and returns the bytes allocated so
-// far by calling function: the first frame of a sample's stack outside the
-// runtime, generic instantiations folded into one name.
-func allocatedByFunction() map[string]int64 {
+// heapProfile reads the heap profile - as of the last garbage collection,
+// hence the two it runs first - and returns what has been allocated so far by
+// call stack (its innermost 32 frames).
+func heapProfile() map[[32]uintptr]allocs {
 	runtime.GC()
 	runtime.GC()
 	var records []runtime.MemProfileRecord
@@ -181,27 +288,43 @@ func allocatedByFunction() map[string]int64 {
 			records = records[:n]
 		}
 	}
-	byFunc := map[string]int64{}
+	byStack := map[[32]uintptr]allocs{}
 	for _, r := range records {
-		if r.AllocBytes == 0 {
-			continue
-		}
-		name := "(unknown)"
-		frames := runtime.CallersFrames(r.Stack())
-		for {
-			f, more := frames.Next()
-			if f.Function != "" && !strings.HasPrefix(f.Function, "runtime.") {
-				name = f.Function
-				break
-			}
-			if !more {
-				break
-			}
-		}
-		for open := strings.LastIndex(name, "["); open >= 0; open = strings.LastIndex(name, "[") {
-			name = name[:open] + name[open+strings.Index(name[open:], "]")+1:] // innermost first: type arguments nest
-		}
-		byFunc[strings.TrimPrefix(name, "gradoop/internal/")] += r.AllocBytes
+		byStack[r.Stack0] = byStack[r.Stack0].plus(allocs{r.AllocBytes, r.AllocObjects})
 	}
-	return byFunc
+	return byStack
+}
+
+// functions names the functions of a stack, innermost first: their package
+// path without gradoop/internal/, generic instantiations folded into one name.
+func functions(stack [32]uintptr) []string {
+	var names []string
+	pcs := stack[:]
+	if i := slices.Index(pcs, 0); i >= 0 {
+		pcs = pcs[:i]
+	}
+	frames := runtime.CallersFrames(pcs)
+	for {
+		f, more := frames.Next()
+		if name := f.Function; name != "" {
+			for open := strings.LastIndex(name, "["); open >= 0; open = strings.LastIndex(name, "[") {
+				name = name[:open] + name[open+strings.Index(name[open:], "]")+1:] // innermost first: type arguments nest
+			}
+			names = append(names, strings.TrimPrefix(name, "gradoop/internal/"))
+		}
+		if !more {
+			return names
+		}
+	}
+}
+
+// caller is the function of a stack that called the allocator: the first
+// outside the runtime.
+func caller(stack []string) string {
+	for _, fn := range stack {
+		if !strings.HasPrefix(fn, "runtime.") && !strings.HasPrefix(fn, "internal/runtime/") {
+			return fn
+		}
+	}
+	return "(unknown)"
 }

@@ -27,11 +27,13 @@ var analyticClasses = []string{"q2_common", "q4", "q5", "q6"}
 // whose jobs run on a coordinator and two workers over loopback TCP, all in
 // this process, as the benchmark runs them. Over SF 3 (seed 2017, 4
 // partitions, result cache off) it prints KiB and heap objects a request per
-// class, coordinator and workers together, then the flat table of bytes by
-// allocating function over one more pass (benchkit.AllocTable). The workers
-// share one copy of the graph, not one each read from CSV, and nothing goes
-// over HTTP: the per-class numbers sit a little under the benchmark's
-// alloc_kb_per_req and move as it moves.
+// class, coordinator and workers together, then the flat table of bytes and
+// objects by allocating function over one more pass (benchkit.AllocTable), and
+// over another the same split by the phase of a job that pays them
+// (benchkit.PhaseTable, jobPhases). The workers share one copy of the graph,
+// not one each read from CSV, and nothing goes over HTTP: the per-class
+// numbers sit a little under the benchmark's alloc_kb_per_req and move as it
+// moves.
 func TestAllocTable(t *testing.T) {
 	if !*allocTable {
 		t.Skip("a tool: run it with make alloc-table")
@@ -68,7 +70,7 @@ func TestAllocTable(t *testing.T) {
 	for i, c := range classes {
 		names[i] = c.Name
 	}
-	benchkit.AllocTable(os.Stdout, names, func(i int) int64 {
+	serve := func(i int) int64 {
 		r, err := s.Execute(session.Request{Query: classes[i].Query, Params: classes[i].Params})
 		if err != nil {
 			t.Fatalf("%s: %v", classes[i].Name, err)
@@ -80,5 +82,58 @@ func TestAllocTable(t *testing.T) {
 			t.Fatalf("%s: %v", classes[i].Name, err)
 		}
 		return r.Count
-	}, 8, 12)
+	}
+	benchkit.AllocTable(os.Stdout, names, serve, 8, 12)
+	benchkit.PhaseTable(os.Stdout, names, serve, jobPhases)
+}
+
+// jobPhases tell a cluster request's costs apart by call stack, each by the
+// functions that pay it, on the coordinator and on the workers: first a job's
+// fixed costs, then the frames of rows, then what is left on the coordinator.
+// The rest is the workers' run of the query.
+var jobPhases = []benchkit.Phase{
+	{Name: "telemetry encode/decode", Rules: [][]string{
+		{"cluster.(*Worker).shipTelemetry"},
+		{"cluster.decodeTelemetryBundle"},
+	}},
+	{Name: "done report", Rules: [][]string{
+		{"cluster.stageRecords"},
+		{"encoding/json.Marshal", "cluster.(*Worker).runJob"},
+		{"encoding/json.Unmarshal", "cluster.(*Coordinator).readMember"},
+		{"cluster.foldStages"},
+	}},
+	{Name: "job spec encode/decode", Rules: [][]string{
+		{"encoding/json.Marshal", "cluster.(*Coordinator).launchAttempt"},
+		{"wire.AppendParams", "cluster.(*Coordinator).ExecuteRemote"},
+		{"cluster.(*Worker).serveControl"},
+		{"wire.ReadParams"},
+	}},
+	{Name: "plan fingerprint", Rules: [][]string{{"planner.(*QueryPlan).Fingerprint"}}},
+	{Name: "worker planning", Rules: [][]string{
+		{"core.PrepareWith"},
+		{"cluster.(*Worker).plan"},
+	}},
+	{Name: "mesh set-up", Rules: [][]string{
+		{"cluster.(*Worker).connectMesh"},
+		{"cluster.(*Worker).runtime"},
+		{"cluster.(*jobRuntime).addPeer"},
+		{"cluster.(*jobRuntime).waitPeer"},
+		{"cluster.(*Worker).handleConn", "-cluster.(*jobRuntime).routePeer"},
+	}},
+	// The spans, and what an operator renders for its span before its run.
+	{Name: "tracing", Rules: [][]string{
+		{"@trace."},
+		{"operators.traced", "-trace.(*Collector).InOp"},
+	}},
+	{Name: "frames of rows", Rules: [][]string{
+		{"cluster.(*peerTransport)."},
+		{"cluster.(*jobRuntime).routePeer"},
+		{"cluster.(*sender).run"},
+		{"cluster.shipResults"},
+		{"cluster.(*Coordinator).readMember"},
+	}},
+	{Name: "coordinator: session, bind, assembly", Rules: [][]string{
+		{"session.(*Session).Execute"},
+		{"session.(*Response).WriteRows"},
+	}},
 }

@@ -3,13 +3,21 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
+	"gradoop/internal/benchkit"
+	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/field"
+	"gradoop/internal/operators"
+	"gradoop/internal/session"
+	"gradoop/internal/stats"
+	"gradoop/internal/trace"
+	"gradoop/internal/wire"
 )
 
 // BenchmarkRowFrame is the wire kernel of make alloc-guard: one worker's
@@ -103,4 +111,47 @@ func BenchmarkRowFrame(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/rows, "B/row")
 	b.ReportMetric(float64(wire)/rows, "wireB/row")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}
+
+// BenchmarkWorkerPlanHit is what a worker pays for an attempt between its mesh
+// and its run when the plan is in its cache - every job of a query but its
+// first on a statistics snapshot: the parameters decoded, the plan looked up
+// and held to the coordinator's fingerprint, a fresh environment and the pinned
+// graph bound to it (bindJob). `make alloc-guard` pins its allocations per
+// yardstick query.
+func BenchmarkWorkerPlanHit(b *testing.B) {
+	g := tinyGraph()
+	st := stats.Collect(g)
+	w := NewWorkerWith("w0", session.NewGraphData(g), WorkerOptions{})
+	payload, err := json.Marshal(statsMsg{ID: 1, Stats: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := w.receiveStats(payload)
+	rt := newJobRuntime(w, jobKey{job: 1})
+	col := trace.NewCollector()
+	morph := operators.Morphism{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
+	for _, q := range benchkit.AllQueries {
+		query := session.CanonicalQuery(q.Text())
+		prep, err := core.PrepareWith(st, query, core.Config{Vertex: morph.Vertex, Edge: morph.Edge})
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := &jobSpec{JobID: 1, Query: query, Snapshot: 1, Workers: 4, Owner: []int{0, 0, 0, 0},
+			Procs: []procSpec{{Node: "w0"}}, Vertex: int(morph.Vertex), Edge: int(morph.Edge), Fingerprint: prep.Fingerprint()}
+		if q.Operational() {
+			spec.Params = wire.AppendParams(nil, map[string]epgm.PropertyValue{"firstName": epgm.PVString("Jan")})
+		}
+		if _, err := w.bindJob(spec, snap, rt, col); err != nil { // the miss that plans
+			b.Fatal(err)
+		}
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := w.bindJob(spec, snap, rt, col); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

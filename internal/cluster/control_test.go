@@ -190,8 +190,11 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := jobSpec{JobID: job, Query: query, Stats: st, Workers: 2, Owner: []int{0, 1},
+		spec := jobSpec{JobID: job, Query: query, Snapshot: 1, Workers: 2, Owner: []int{0, 1},
 			Procs: []procSpec{{Node: "peer"}, {Node: "w1", Addr: addr}}, Self: 1, Fingerprint: prep.Fingerprint()}
+		if err := writeJSONFrame(ctrl, frameStats, statsMsg{ID: 1, Stats: st}); err != nil {
+			t.Fatal(err)
+		}
 		if err := writeJSONFrame(ctrl, frameJob, &spec); err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/session"
+	"gradoop/internal/stats"
 	"gradoop/internal/trace"
 	"gradoop/internal/wire"
 )
@@ -88,6 +89,29 @@ type member struct {
 	// snap is the worker's most recent metrics-registry snapshot, carried
 	// by its latest telemetry bundle; the federated /metrics view serves it.
 	snap *obs.Snapshot
+	// stats is the statistics snapshot last queued on the control connection,
+	// under the id statsID (ship).
+	stats   *stats.GraphStatistics
+	statsID uint64
+}
+
+// ship queues a job frame for the member, behind a statistics frame when st is
+// not the snapshot the connection was last sent, and names in the spec the id
+// st goes by on this connection. Both frames are queued under the member's
+// lock, so no job frame overtakes the snapshot it names - not even one of two
+// concurrent first jobs - and a graph swap re-ships the snapshot once.
+func (m *member) ship(spec *jobSpec, st *stats.GraphStatistics) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.stats != st {
+		m.statsID++
+		if err := m.send.sendJSON(frameStats, statsMsg{ID: m.statsID, Stats: st}); err != nil {
+			return err
+		}
+		m.stats = st
+	}
+	spec.Snapshot = m.statsID
+	return m.send.sendJSON(frameJob, spec)
 }
 
 var _ session.RemoteExecutor = (*Coordinator)(nil)
@@ -545,7 +569,6 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		TraceID:     traceID,
 		Query:       prep.Query,
 		Params:      wire.AppendParams(nil, cfg.Params),
-		Stats:       prep.Stats,
 		Workers:     c.opts.Workers,
 		Vertex:      int(prep.Morph.Vertex),
 		Edge:        int(prep.Morph.Edge),
@@ -577,7 +600,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			return nil, nil, fmt.Errorf("cluster: all workers lost (job %d attempt %d)", jobID, attempt)
 		}
 		attemptStart := time.Since(start)
-		st, err := c.launchAttempt(&spec, attempt, roster)
+		st, err := c.launchAttempt(&spec, prep.Stats, attempt, roster)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -675,8 +698,9 @@ func (c *Coordinator) liveRoster() []int {
 	return roster
 }
 
-// launchAttempt registers the attempt and ships the per-worker specs.
-func (c *Coordinator) launchAttempt(spec *jobSpec, attempt int, roster []int) (*attemptState, error) {
+// launchAttempt registers the attempt and ships the per-worker specs, which
+// plan on the statistics snap.
+func (c *Coordinator) launchAttempt(spec *jobSpec, snap *stats.GraphStatistics, attempt int, roster []int) (*attemptState, error) {
 	nodes := make([]string, len(roster))
 	procs := make([]procSpec, len(roster))
 	for i, idx := range roster {
@@ -699,7 +723,7 @@ func (c *Coordinator) launchAttempt(spec *jobSpec, attempt int, roster []int) (*
 		ws.Owner = owner
 		ws.Procs = procs
 		ws.Self = i
-		if err := c.members[idx].send.sendJSON(frameJob, &ws); err != nil {
+		if err := c.members[idx].ship(&ws, snap); err != nil {
 			// The send failed because the member just died; its absence will
 			// settle the attempt as recoverable through memberDown.
 			c.memberDown(c.members[idx], err)

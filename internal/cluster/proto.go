@@ -34,14 +34,16 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 5: an attempt's result is one frame, headed like a telemetry
+	// protoVersion 6: the statistics snapshot is a frame of its own, sent once
+	// per control connection ahead of the first job that names its id.
+	// 5: an attempt's result is one frame, headed like a telemetry
 	// frame (attemptHead), whose body is a gather of the sender's partitions.
 	// 4: a data, result or telemetry frame carries its checksum behind the
 	// body, which is written from the rows as it is sent (head | body |
 	// crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 5
+	protoVersion = 6
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -55,7 +57,7 @@ const (
 	crcTrailer = 4
 )
 
-// Frame types. Control payloads (hello, job, done, abort) are JSON inside
+// Frame types. Control payloads (hello, job, stats, done, abort) are JSON inside
 // the binary framing — they are rare and small; the hot path (data, result)
 // is pure binary.
 const (
@@ -75,6 +77,9 @@ const (
 	// report is the guarantee that the bundle — if the worker ships one —
 	// has already arrived.
 	frameTelemetry = byte(11)
+	// frameStats ships a statistics snapshot (statsMsg) on a control
+	// connection, ahead of the first job frame that names it.
+	frameStats = byte(12)
 )
 
 // Exchange kinds inside a data frame.
@@ -161,11 +166,22 @@ type procSpec struct {
 	Addr string `json:"addr"`
 }
 
-// jobSpec ships one planned query to a worker. The worker re-plans the
-// canonical query text against the coordinator's pinned statistics — the
-// planner is deterministic, so every process builds the identical plan,
-// and the expected fingerprint turns any drift (version skew, divergent
-// stats) into a hard error instead of a wrong answer.
+// statsMsg is the body of a statistics frame: the coordinator's pinned
+// statistics snapshot, and the id the jobs that plan on it name. A
+// coordinator sends it on a control connection once, ahead of the first job
+// frame that names it, and again only when the snapshot changes (a graph
+// swap).
+type statsMsg struct {
+	ID    uint64                 `json:"id"`
+	Stats *stats.GraphStatistics `json:"stats"`
+}
+
+// jobSpec ships one planned query to a worker. The worker plans the
+// canonical query text against the coordinator's statistics, once per
+// snapshot and query: the planner is deterministic, so every process builds
+// the identical plan, and the expected fingerprint, checked on every job,
+// turns any drift (version skew, divergent stats) into a hard error instead
+// of a wrong answer.
 type jobSpec struct {
 	JobID   uint64 `json:"jobId"`
 	Attempt int    `json:"attempt"`
@@ -173,9 +189,10 @@ type jobSpec struct {
 	// Params is the wire.AppendParams encoding of the parameter bindings —
 	// the same bytes the session's result-cache key uses.
 	Params []byte `json:"params,omitempty"`
-	// Stats is the coordinator's pinned statistics snapshot; workers must
-	// plan on it, not on locally collected numbers.
-	Stats *stats.GraphStatistics `json:"stats"`
+	// Snapshot names the statistics the worker plans on: the id of the last
+	// statsMsg the job's control connection delivered before it. Workers never
+	// plan on locally collected numbers.
+	Snapshot uint64 `json:"snapshot"`
 	// Workers is the logical partition count P (the session's worker
 	// count); Owner maps each partition to a roster index.
 	Workers int   `json:"workers"`

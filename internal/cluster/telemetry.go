@@ -65,13 +65,21 @@ type workerInstruments struct {
 	jobTime   *obs.Histogram
 	teleBytes *obs.Counter
 	shipped   *obs.Counter
+	// plansBuilt and plansReused count the job attempts whose plan this
+	// worker made and those that found it in the worker's cache.
+	plansBuilt  *obs.Counter
+	plansReused *obs.Counter
 }
 
 // newWorkerInstruments registers the worker's instruments. A nil registry
 // yields instruments whose fields are all nil — every obs instrument method
 // is nil-safe, so callers never guard.
 func newWorkerInstruments(r *obs.Registry) *workerInstruments {
+	plans := r.NewCounterVec("gradoop_worker_plans_total",
+		"Job attempts whose plan this worker built (a plan-cache miss) or reused (a hit)", "outcome")
 	return &workerInstruments{
+		plansBuilt:  plans.With("built"),
+		plansReused: plans.With("reused"),
 		jobs: r.NewCounter("gradoop_worker_jobs_total",
 			"Job attempts this worker executed"),
 		failures: r.NewCounter("gradoop_worker_job_failures_total",

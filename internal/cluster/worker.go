@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +18,13 @@ import (
 	"gradoop/internal/core"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
+	"gradoop/internal/planner"
 	"gradoop/internal/session"
+	"gradoop/internal/stats"
 	"gradoop/internal/trace"
 	"gradoop/internal/wire"
 )
@@ -57,6 +61,13 @@ type Worker struct {
 	metrics   *obs.Registry
 	observer  *dataflow.Observer
 	winst     *workerInstruments
+
+	// plans are the plans this worker has made, keyed by the statistics
+	// snapshot, query, semantics and P of a job (planKey); snapshots numbers
+	// the snapshots the worker has decoded, which is what the key says of
+	// one: two coordinators may give theirs the same id.
+	plans     *session.PlanCache
+	snapshots atomic.Uint64
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -98,6 +109,10 @@ type WorkerOptions struct {
 	NoTelemetry bool
 }
 
+// planCacheEntries bounds a worker's plan cache, as a session's is by
+// default.
+const planCacheEntries = 128
+
 // NewWorkerWith creates a worker serving the given pinned graph data.
 func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Worker {
 	w := &Worker{
@@ -107,6 +122,7 @@ func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Wo
 		telemetry: !opts.NoTelemetry,
 		metrics:   opts.Metrics,
 		observer:  dataflow.NewObserver(opts.Metrics),
+		plans:     session.NewPlanCache(planCacheEntries),
 		conns:     map[net.Conn]struct{}{},
 		jobs:      map[jobKey]*jobRuntime{},
 
@@ -326,11 +342,13 @@ func (w *Worker) handleConn(conn net.Conn) {
 	}
 }
 
-// serveControl is the coordinator-facing loop: jobs start, aborts land,
-// pings answer. When the connection drops every attempt it claimed and is
-// still running fails - an orphaned worker must not keep executing for a
-// coordinator that cannot hear the answer. A finished attempt has left
-// w.jobs, so the connection keeps nothing per job.
+// serveControl is the coordinator-facing loop: statistics arrive, jobs start,
+// aborts land, pings answer. When the connection drops every attempt it
+// claimed and is still running fails - an orphaned worker must not keep
+// executing for a coordinator that cannot hear the answer. A finished attempt
+// has left w.jobs, so the connection keeps nothing per job: it keeps one
+// statistics snapshot, the last it delivered, and a job takes it when its
+// frame is read, in the order the frames came (DESIGN decision 36).
 func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	send := newSender(conn)
 	defer send.abort()
@@ -347,6 +365,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 			rt.fail(errors.New("cluster: coordinator connection lost"))
 		}
 	}()
+	var slot *snapshot
 	for {
 		typ, payload, err := readFrame(br)
 		if err != nil {
@@ -355,16 +374,19 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		switch typ {
 		case framePing:
 			send.send(framePong, nil, nil)
+		case frameStats:
+			slot = w.receiveStats(payload)
 		case frameJob:
 			var spec jobSpec
 			if err := json.Unmarshal(payload, &spec); err != nil {
 				continue
 			}
+			snap := slot.named(spec.Snapshot)
 			rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt}, send)
 			w.wg.Add(1)
 			go func() {
 				defer w.wg.Done()
-				w.runJob(&spec, rt, send)
+				w.runJob(&spec, snap, rt, send)
 			}()
 		case frameAbort:
 			var a abortMsg
@@ -381,13 +403,58 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
+// snapshot is a statistics snapshot as a control connection delivered it: the
+// coordinator's id for it, the worker's own number for it (Worker.snapshots)
+// and the statistics. err, when set, fails every job that names it.
+type snapshot struct {
+	id    uint64
+	local uint64
+	stats *stats.GraphStatistics
+	err   error
+}
+
+// receiveStats decodes a statistics frame: the connection's next snapshot. One
+// that does not describe this worker's graph - its vertex or edge count is not
+// the store's - fails every job that names it. A worker started on another
+// dataset than the coordinator's would plan what the coordinator planned, on
+// the coordinator's numbers, and return wrong rows.
+func (w *Worker) receiveStats(payload []byte) *snapshot {
+	var msg statsMsg
+	err := json.Unmarshal(payload, &msg)
+	snap := &snapshot{id: msg.ID, local: w.snapshots.Add(1), stats: msg.Stats}
+	switch {
+	case err != nil:
+		snap.err = fmt.Errorf("cluster: statistics snapshot %d does not decode: %w", msg.ID, err)
+	case msg.Stats == nil:
+		snap.err = fmt.Errorf("cluster: statistics snapshot %d carries no statistics", msg.ID)
+	case msg.Stats.VertexCount != int64(len(w.data.Vertices)) || msg.Stats.EdgeCount != int64(len(w.data.Edges)):
+		snap.err = fmt.Errorf("cluster: statistics snapshot %d describes %d vertices and %d edges, this worker's graph has %d and %d: it serves another dataset than the coordinator",
+			msg.ID, msg.Stats.VertexCount, msg.Stats.EdgeCount, len(w.data.Vertices), len(w.data.Edges))
+	}
+	return snap
+}
+
+// named is the snapshot a job that names id runs on: s, the last one its
+// connection delivered, if that is the one, and else one that fails the job -
+// a worker never plans on other statistics than the job's.
+func (s *snapshot) named(id uint64) *snapshot {
+	if s != nil && s.id == id {
+		return s
+	}
+	var last uint64
+	if s != nil {
+		last = s.id
+	}
+	return &snapshot{id: id, err: fmt.Errorf("cluster: the job names statistics snapshot %d, which its control connection has not delivered (the last it delivered is %d)", id, last)}
+}
+
 // runJob executes one shipped job attempt and reports its terminal state.
 // A successful attempt ships its telemetry bundle strictly before the done
 // report (same ordered sender), so the coordinator never has to wait for a
 // bundle after seeing the done. A failed attempt's spans have no reader -
 // the coordinator merges the winning attempt's bundles only - so they are
 // never copied out and die with the collector.
-func (w *Worker) runJob(spec *jobSpec, rt *jobRuntime, ctrl *sender) {
+func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender) {
 	start := time.Now()
 	done := jobDone{JobID: spec.JobID, Attempt: spec.Attempt}
 	defer w.dropRuntime(rt)
@@ -396,7 +463,7 @@ func (w *Worker) runJob(spec *jobSpec, rt *jobRuntime, ctrl *sender) {
 	// is the attempt start, so every span offset is already rebased.
 	col := trace.NewCollector()
 	w.winst.jobs.Inc()
-	wireOut, metrics, err := w.executeJob(spec, rt, ctrl, col)
+	wireOut, metrics, err := w.executeJob(spec, snap, rt, ctrl, col)
 	if err != nil {
 		w.failed(&done, spec, rt, err)
 	} else {
@@ -454,7 +521,7 @@ func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, spans []trace.Span, 
 // executeJob builds the peer mesh, runs the planned query over this
 // worker's owned partitions, and ships the owned result partitions. It
 // returns the bytes the transport framed per stage and the job's metrics.
-func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *trace.Collector) (map[int64]int64, dataflow.MetricsSnapshot, error) {
+func (w *Worker) executeJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender, col *trace.Collector) (map[int64]int64, dataflow.MetricsSnapshot, error) {
 	var zero dataflow.MetricsSnapshot
 	if spec.Workers <= 0 || len(spec.Owner) != spec.Workers || spec.Self < 0 || spec.Self >= len(spec.Procs) {
 		return nil, zero, fmt.Errorf("cluster: malformed job spec (workers=%d owners=%d self=%d procs=%d)",
@@ -463,44 +530,100 @@ func (w *Worker) executeJob(spec *jobSpec, rt *jobRuntime, ctrl *sender, col *tr
 	if err := w.connectMesh(spec, rt); err != nil {
 		return nil, zero, err
 	}
-	params, err := wire.ReadParams(spec.Params)
+	run, err := w.bindJob(spec, snap, rt, col)
 	if err != nil {
-		return nil, zero, fmt.Errorf("cluster: corrupt parameter encoding: %w", err)
+		return nil, zero, err
 	}
-
-	cfg := dataflow.DefaultConfig(spec.Workers)
-	env := dataflow.NewEnv(cfg)
-	pt := &peerTransport{rt: rt, spec: spec, wireOut: map[int64]int64{}}
-	env.SetTransport(pt)
-	env.SetObserver(w.observer)
-
-	g, access := w.data.Bind(env)
-	ccfg := core.Config{
-		Vertex:  operators.Semantics(spec.Vertex),
-		Edge:    operators.Semantics(spec.Edge),
-		Params:  params,
-		Stats:   spec.Stats,
-		Access:  access,
-		Trace:   col,
-		Timeout: time.Duration(spec.TimeoutNs),
-	}
-	prep, err := core.PrepareWith(spec.Stats, spec.Query, ccfg)
-	if err != nil {
-		return nil, zero, fmt.Errorf("cluster: worker planning failed: %w", err)
-	}
-	if fp := prep.Fingerprint(); fp != spec.Fingerprint {
-		// Divergent plans would deadlock or silently mis-shuffle; refuse hard.
-		return nil, zero, fmt.Errorf("cluster: plan fingerprint mismatch (coordinator %s, worker %s) — version or statistics skew",
-			spec.Fingerprint, fp)
-	}
-	res, err := prep.Execute(g, ccfg)
+	res, err := run.prep.Execute(run.g, run.cfg)
 	if err != nil {
 		return nil, zero, err
 	}
 	if err := shipResults(spec, res.Embeddings, ctrl); err != nil {
 		return nil, zero, err
 	}
-	return pt.wireOut, env.Metrics(), nil
+	return run.pt.wireOut, run.env.Metrics(), nil
+}
+
+// jobRun is an attempt ready to run: its plan, and the environment, graph and
+// configuration a run of it reads.
+type jobRun struct {
+	prep *core.Prepared
+	env  *dataflow.Env
+	pt   *peerTransport
+	g    *epgm.LogicalGraph
+	cfg  core.Config
+}
+
+// bindJob is what an attempt does between its mesh and its run: it decodes the
+// parameters, takes the plan from the worker's cache and holds it to the
+// coordinator's fingerprint, and binds this worker's graph to a fresh
+// environment over the attempt's transport.
+func (w *Worker) bindJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, col *trace.Collector) (jobRun, error) {
+	var run jobRun
+	params, err := wire.ReadParams(spec.Params)
+	if err != nil {
+		return run, fmt.Errorf("cluster: corrupt parameter encoding: %w", err)
+	}
+	if run.prep, err = w.plan(spec, snap); err != nil {
+		return run, err
+	}
+	if fp := run.prep.Fingerprint(); fp != spec.Fingerprint {
+		// Divergent plans would deadlock or silently mis-shuffle; refuse hard.
+		return run, fmt.Errorf("cluster: plan fingerprint mismatch (coordinator %s, worker %s) — version or statistics skew",
+			spec.Fingerprint, fp)
+	}
+	run.env = dataflow.NewEnv(dataflow.DefaultConfig(spec.Workers))
+	run.pt = &peerTransport{rt: rt, spec: spec, wireOut: map[int64]int64{}}
+	run.env.SetTransport(run.pt)
+	run.env.SetObserver(w.observer)
+	var access planner.GraphAccess
+	run.g, access = w.data.Bind(run.env)
+	run.cfg = core.Config{
+		Vertex:  operators.Semantics(spec.Vertex),
+		Edge:    operators.Semantics(spec.Edge),
+		Params:  params,
+		Stats:   snap.stats,
+		Access:  access,
+		Trace:   col,
+		Timeout: time.Duration(spec.TimeoutNs),
+	}
+	return run, nil
+}
+
+// plan returns the plan of the job's query on the statistics snap from the
+// worker's cache, planning it on a miss: a worker plans a query once per
+// snapshot, semantics and P. The plan is made with no graph access and no
+// tracer, so a cached plan holds no attempt's environment, index or spans.
+func (w *Worker) plan(spec *jobSpec, snap *snapshot) (*core.Prepared, error) {
+	if snap.err != nil {
+		return nil, snap.err
+	}
+	prep, built, err := w.plans.Prepare(planKey(spec, snap), func() (*core.Prepared, error) {
+		return core.PrepareWith(snap.stats, spec.Query, core.Config{
+			Vertex: operators.Semantics(spec.Vertex),
+			Edge:   operators.Semantics(spec.Edge),
+		})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker planning failed: %w", err)
+	}
+	if built {
+		w.winst.plansBuilt.Inc()
+	} else {
+		w.winst.plansReused.Inc()
+	}
+	return prep, nil
+}
+
+// planKey is a job's key in the worker's plan cache: the worker's number for
+// the snapshot, the semantics, P and the query.
+func planKey(spec *jobSpec, snap *snapshot) string {
+	var buf [64]byte
+	b := strconv.AppendUint(buf[:0], snap.local, 10)
+	for _, n := range [...]int{spec.Vertex, spec.Edge, spec.Workers} {
+		b = strconv.AppendInt(append(b, ' '), int64(n), 10)
+	}
+	return string(append(append(b, 0), spec.Query...))
 }
 
 // shipResults sends the attempt's result to the coordinator as a gather: one

@@ -26,6 +26,10 @@ type Prepared struct {
 	Plan     *planner.QueryPlan
 	Stats    *stats.GraphStatistics
 	Morph    operators.Morphism
+
+	// fingerprint is Fingerprint's memo, filled by its first call: its zero
+	// value is an empty memo, so a Prepared built as a struct literal has one.
+	fingerprint atomic.Pointer[string]
 }
 
 // Prepare parses, simplifies and plans a query once, without binding
@@ -87,8 +91,18 @@ func prepare(st *stats.GraphStatistics, query string, cfg Config, graphs bool) (
 	}, nil
 }
 
-// Fingerprint returns the template plan's canonical key.
-func (p *Prepared) Fingerprint() string { return p.Plan.Fingerprint() }
+// Fingerprint returns the template plan's canonical key. The plan is
+// rendered once: the session's plan hash, a coordinator's job spec and a
+// worker's check of it all read the memo. Two first calls that race both
+// render it and store the same string.
+func (p *Prepared) Fingerprint() string {
+	if fp := p.fingerprint.Load(); fp != nil {
+		return *fp
+	}
+	fp := p.Plan.Fingerprint()
+	p.fingerprint.Store(&fp)
+	return fp
+}
 
 // Bind is the one step from a compiled query to a run of it: cfg.Params go
 // into the template, and the plan is attached to that binding and to the

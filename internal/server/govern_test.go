@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -47,38 +48,50 @@ func TestQueueFullCarriesRetryAfter(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var saw429 bool
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b, _ := json.Marshal(map[string]any{
-				"query": "MATCH (a:Person)-[:knows]->(b)-[:knows]->(c) RETURN a.name"})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var out map[string]any
-			_ = json.NewDecoder(resp.Body).Decode(&out)
-			if resp.StatusCode != http.StatusTooManyRequests {
-				return
-			}
-			mu.Lock()
-			saw429 = true
-			mu.Unlock()
-			if got := resp.Header.Get("Retry-After"); got != "1" {
-				t.Errorf("429 Retry-After=%q want 1", got)
-			}
-			if out["kind"] != "rejected" {
-				t.Errorf("429 kind=%v want rejected", out["kind"])
-			}
-			if out["traceId"] != resp.Header.Get("X-Trace-Id") {
-				t.Errorf("429 traceId=%v want %q", out["traceId"], resp.Header.Get("X-Trace-Id"))
-			}
-		}()
+	seen := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return saw429
 	}
-	wg.Wait()
+	post := func(burst int) {
+		defer wg.Done()
+		b, _ := json.Marshal(map[string]any{
+			"query": fmt.Sprintf("MATCH (a:Person)-[:knows]->(b)-[:knows]->(c) WHERE a.name <> 'burst %d' RETURN a.name", burst)})
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return
+		}
+		mu.Lock()
+		saw429 = true
+		mu.Unlock()
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("429 Retry-After=%q want 1", got)
+		}
+		if out["kind"] != "rejected" {
+			t.Errorf("429 kind=%v want rejected", out["kind"])
+		}
+		if out["traceId"] != resp.Header.Get("X-Trace-Id") {
+			t.Errorf("429 traceId=%v want %q", out["traceId"], resp.Header.Get("X-Trace-Id"))
+		}
+	}
+	// A burst overflows the single slot only if two of its requests meet
+	// there before its first answer fills the result cache, which a busy
+	// machine can keep from happening: up to five bursts, each of a query of
+	// its own.
+	for burst := 0; burst < 5 && !seen(); burst++ {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go post(burst)
+		}
+		wg.Wait()
+	}
 	if !saw429 {
 		t.Skip("burst never overflowed the single slot; nothing to assert")
 	}

@@ -322,6 +322,7 @@ var expositionExempt = map[string]bool{
 	"gradoop_cluster_worker_job_seconds":             true,
 	"gradoop_cluster_worker_telemetry_bytes_total":   true,
 	"gradoop_cluster_worker_telemetry_bundles_total": true,
+	"gradoop_cluster_worker_plans_total":             true,
 	"gradoop_cluster_stage_duration_seconds":         true,
 	"gradoop_cluster_stages_total":                   true,
 	"gradoop_cluster_shuffle_bytes_total":            true,

@@ -19,8 +19,8 @@ var allocTable = flag.Bool("alloc-table", false, "run TestAllocTable (make alloc
 // benchmark runs on (SF 3, seed 2017, 4 partitions, result cache off) it
 // serves the benchmark's twelve request classes through Execute + WriteRows
 // and prints, per class, KiB and heap objects a request, then - from the heap
-// profile at one sample per 4 KiB, over one more pass of all twelve - the flat
-// table of bytes by allocating function (benchkit.AllocTable). The graph is
+// profile of every allocation of one more pass of all twelve - the flat table
+// of bytes and objects by allocating function (benchkit.AllocTable). The graph is
 // bound in memory, not read back from CSV, and nothing goes over HTTP, so the
 // per-class numbers sit a little under the benchmark's alloc_kb_per_req;
 // between two commits they move as it moves. Last, per class and per operator

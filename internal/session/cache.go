@@ -90,11 +90,12 @@ type planEntry struct {
 	err  error
 }
 
-// planCache is an LRU cache of Prepared queries, keyed by planKey —
-// generation-scoped canonical query text (semantics, hint and reuse mode are
-// session-wide). The cache is additionally purged when the graph — and with
-// it the statistics — is swapped.
-type planCache struct {
+// PlanCache is an LRU cache of Prepared queries. A session keys it by planKey
+// — generation-scoped canonical query text (semantics and reuse mode are
+// session-wide) — and purges it when the graph, and with it the statistics,
+// is swapped; a cluster worker keys it by the statistics snapshot a job names,
+// the query, its semantics and P.
+type PlanCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
@@ -106,17 +107,36 @@ type planItem struct {
 	entry *planEntry
 }
 
-func newPlanCache(max int) *planCache {
+// NewPlanCache returns a cache of at most max plans (at least one).
+func NewPlanCache(max int) *PlanCache {
 	if max < 1 {
 		max = 1
 	}
-	return &planCache{max: max, entries: map[string]*list.Element{}, order: list.New()}
+	return &PlanCache{max: max, entries: map[string]*list.Element{}, order: list.New()}
 }
 
-// get returns the entry for key, creating it when absent. Whether a call is
-// a hit or a miss is decided by whose once.Do closure runs the build, not by
-// who inserted the entry — the creator can lose that race to another caller.
-func (c *planCache) get(key string) *planEntry {
+// Prepare returns the plan cached under key, building it with build when no
+// call has, and reports whether this call built it. It is single-flight:
+// concurrent first calls build once and the rest wait for that build. Whether
+// a call built the plan is decided by whose once.Do closure ran, not by who
+// inserted the entry — the creator can lose that race to another caller. A
+// build that fails is not kept.
+func (c *PlanCache) Prepare(key string, build func() (*core.Prepared, error)) (*core.Prepared, bool, error) {
+	entry := c.get(key)
+	var built bool
+	entry.once.Do(func() {
+		built = true
+		entry.p, entry.err = build()
+	})
+	if entry.err != nil {
+		c.Drop(key)
+		return nil, built, entry.err
+	}
+	return entry.p, built, nil
+}
+
+// get returns the entry for key, creating it when absent.
+func (c *PlanCache) get(key string) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -133,8 +153,9 @@ func (c *planCache) get(key string) *planEntry {
 	return entry
 }
 
-// drop removes a key (used when a build fails, so the error is not pinned).
-func (c *planCache) drop(key string) {
+// Drop removes a key: a failed build, so the error is not pinned, or a plan
+// that must not outlive the graph it was made for.
+func (c *PlanCache) Drop(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -144,15 +165,15 @@ func (c *planCache) drop(key string) {
 }
 
 // purge empties the cache (graph swap).
-func (c *planCache) purge() {
+func (c *PlanCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[string]*list.Element{}
 	c.order.Init()
 }
 
-// len reports the number of cached plans.
-func (c *planCache) len() int {
+// Len reports the number of cached plans.
+func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

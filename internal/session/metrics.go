@@ -129,7 +129,7 @@ func (s *Session) Metrics() Metrics {
 		PlanMisses:         in.planCache.Value("miss"),
 		ResultHits:         in.resultCache.Value("hit"),
 		ResultMisses:       in.resultCache.Value("miss"),
-		PlanEntries:        s.plans.len(),
+		PlanEntries:        s.plans.Len(),
 		ResultEntries:      resultEntries,
 		ResultBytes:        resultBytes,
 		InFlight:           s.gate.inFlight(),

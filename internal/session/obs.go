@@ -63,7 +63,7 @@ func newInstruments(r *obs.Registry, s *Session) *instruments {
 		func() float64 { return float64(s.gate.inFlight()) })
 	own.NewGaugeFunc("gradoop_plan_cache_entries",
 		"Plans currently cached",
-		func() float64 { return float64(s.plans.len()) })
+		func() float64 { return float64(s.plans.Len()) })
 	own.NewGaugeFunc("gradoop_result_cache_bytes",
 		"Bytes currently held by the result cache",
 		func() float64 { bytes, _ := s.results.usage(); return float64(bytes) })

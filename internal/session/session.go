@@ -170,7 +170,7 @@ func newGraphState(g *epgm.LogicalGraph, generation uint64) *graphState {
 type Session struct {
 	opts    Options
 	gate    *gate
-	plans   *planCache
+	plans   *PlanCache
 	results *resultCache
 	broker  *govern.Broker
 	metrics *counters
@@ -192,7 +192,7 @@ func New(g *epgm.LogicalGraph, opts Options) *Session {
 	s := &Session{
 		opts:    opts,
 		gate:    newGate(opts.MaxConcurrent, opts.MaxQueued),
-		plans:   newPlanCache(opts.PlanCacheEntries),
+		plans:   NewPlanCache(opts.PlanCacheEntries),
 		results: newResultCache(opts.ResultCacheBytes),
 		broker:  broker,
 		metrics: &counters{},
@@ -413,28 +413,20 @@ func (s *Session) compile(st *graphState, canonical string, col *trace.Collector
 		return p, false, err
 	}
 	key := planKey(st.generation, canonical)
-	entry := s.plans.get(key)
-	// built records whether THIS call's closure ran the build. The goroutine
-	// that inserted the entry is not necessarily the one whose once.Do
-	// closure runs, and each caller's closure captures its own col — so the
-	// builder, and only the builder, is the miss and carries the Prepare
-	// span; everyone else is a hit with no span.
-	var built bool
-	entry.once.Do(func() {
-		built = true
-		entry.p, entry.err = build()
-	})
-	if entry.err != nil {
-		s.plans.drop(key)
-		return nil, false, entry.err
+	// Each caller's build captures its own col, so the builder, and only the
+	// builder, is the miss and carries the Prepare span; everyone else is a
+	// hit with no span.
+	p, built, err := s.plans.Prepare(key, build)
+	if err != nil {
+		return nil, false, err
 	}
 	if s.snapshot().generation != st.generation {
 		// The graph was swapped since this request's snapshot: the plan is
 		// still valid for this execution (st is immutable) but must not
 		// linger in the cache pinning the retired graph's slices.
-		s.plans.drop(key)
+		s.plans.Drop(key)
 	}
-	return entry.p, !built, nil
+	return p, !built, nil
 }
 
 // Execute serves one query. Every failure is classified: *Error with

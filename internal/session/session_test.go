@@ -380,7 +380,7 @@ func TestStaleCompileAfterSwap(t *testing.T) {
 	if _, hit, err := s.compile(st, q, nil); err != nil || hit {
 		t.Fatalf("stale compile: hit=%v err=%v", hit, err)
 	}
-	if n := s.plans.len(); n != 0 {
+	if n := s.plans.Len(); n != 0 {
 		t.Fatalf("stale plan lingers in the cache: %d entries", n)
 	}
 	// A post-swap request must rebuild against the new generation, not reuse

@@ -180,9 +180,10 @@ func BenchmarkBind(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepare is what planning costs a cluster worker, which plans every
-// job it runs: core.PrepareWith of each yardstick query, canonical as the
-// coordinator ships it, over the statistics of the benchmark's graph (SF 3,
+// BenchmarkPrepare is what planning costs a session on a plan-cache miss, and a
+// cluster worker on a miss of its own cache - the first job of a query on a
+// statistics snapshot: core.PrepareWith of each yardstick query, canonical as
+// the coordinator ships it, over the statistics of the benchmark's graph (SF 3,
 // seed 2017). `make alloc-guard` pins its allocations per query.
 func BenchmarkPrepare(b *testing.B) {
 	st := stats.Collect(ldbcGraph(b, 3))
@@ -194,6 +195,30 @@ func BenchmarkPrepare(b *testing.B) {
 			for b.Loop() {
 				if _, err := core.PrepareWith(st, query, cfg); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFingerprint is what the plan fingerprint costs each of its readers
+// - the session's plan hash, a coordinator's job spec, a worker's check of it -
+// once a prepared yardstick query has rendered it: nothing. `make alloc-guard`
+// pins it at 0 allocs/op; rendered per call, it is a string for every
+// operator's description.
+func BenchmarkFingerprint(b *testing.B) {
+	st := stats.Collect(ldbcGraph(b, 0.05))
+	for _, q := range benchkit.AllQueries {
+		prep, err := core.PrepareWith(st, CanonicalQuery(q.Text()), core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism})
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := prep.Fingerprint()
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if prep.Fingerprint() != want {
+					b.Fatal("the fingerprint changed")
 				}
 			}
 		})
