@@ -133,7 +133,10 @@ chaos-smoke:
 # rule reads sets of the query's variables built once per query and nothing per
 # candidate join; and what a plan is paid once for (decision 36): a prepared
 # query's fingerprint costs nothing after its first call, and a worker job
-# whose plan is cached allocates 19 to 23 objects between its mesh and its run.
+# whose plan is cached allocates 19 to 23 objects between its mesh and its run;
+# and what a worker reports (decision 37): the done report of an untraced
+# attempt is read from the collector in place and sent as one binary message,
+# and a collector carves a stage from chunks, a fixed few objects a job.
 alloc-guard:
 	$(GO) test ./internal/obs -run '^$$' -bench 'Registry' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
@@ -154,6 +157,12 @@ alloc-guard:
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerTelemetryDisabled' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
 		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
+	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerReport' -benchmem | awk ' \
+		/^BenchmarkWorkerReport/ { print; seen++; if ($$(NF-1)+0 > 41) bad = 1 } \
+		END { if (bad || seen != 1) { print "alloc-guard: the done report of an untraced attempt - stage table, encode and decode - allocates more than 41 objects (38 measured + 10%; the stage table is read from the collector in place, not from a copy of its spans)"; exit 1 } }'
+	$(GO) test ./internal/trace -run '^$$' -bench 'BenchmarkCollectorStage' -benchmem | awk ' \
+		/^BenchmarkCollectorStage/ { print; seen++; if ($$(NF-1)+0 > 6) bad = 1 } \
+		END { if (bad || seen != 1) { print "alloc-guard: a collector of one stage of four partition attempts allocates more than 6 objects (6 measured; a span, its partition slots and its attempts are carved from the collector\x27s chunks and read in place: 13 objects when each was allocated and the spans were copied out to be read)"; exit 1 } }'
 
 	$(GO) test ./internal/operators ./internal/core ./internal/cluster -run '^$$' -bench 'BenchmarkRow' -benchtime 20x | awk ' \
 		/^BenchmarkRow/ { print; v = -1; bytes = -1; for (i = 2; i <= NF; i++) { if ($$i == "allocs/row") v = $$(i-1) + 0; if ($$i == "B/row") bytes = $$(i-1) + 0 } \

@@ -13,12 +13,14 @@
 // kills itself (listener and every connection closed, exactly as a crash
 // would) after that many collective shuffle exchanges.
 //
-// Each worker keeps its own metrics registry and ships it — together with
-// its execution spans — to the coordinator inside the per-job telemetry
-// bundle; the coordinator's federated /metrics serves the result.
-// -no-telemetry turns the shipping off (spans are still recorded for the
-// per-stage records in the done report, but nothing extra crosses the
-// wire and the coordinator marks the query's report partial-telemetry).
+// Each worker keeps its own metrics registry and ships a snapshot of it to
+// the coordinator on the heartbeat - when the coordinator connects, then
+// after a job, at most one heartbeat (500 ms) late - and the coordinator's
+// federated /metrics serves the result; a request that asks for a trace also
+// gets the worker's execution spans of its job. -no-telemetry turns all of
+// that shipping off: a job's stages are still recorded, for the per-stage
+// records of the done report, but no span and no snapshot crosses the wire,
+// and the coordinator marks every query's report partial-telemetry.
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7481", "listen address for coordinator and peer connections")
 	node := flag.String("node", "", "stable node ID for partition placement (default: the listen address)")
 	failAfter := flag.Int64("fail-after", 0, "fault injection: crash after N collective exchanges (0 disables)")
-	noTelemetry := flag.Bool("no-telemetry", false, "do not ship span/metrics bundles to the coordinator")
+	noTelemetry := flag.Bool("no-telemetry", false, "do not ship spans or registry snapshots to the coordinator")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	flag.Parse()

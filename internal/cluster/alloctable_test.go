@@ -13,6 +13,7 @@ import (
 	"gradoop/internal/cluster"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/obs"
 	"gradoop/internal/session"
 )
 
@@ -42,7 +43,9 @@ func TestAllocTable(t *testing.T) {
 	data := session.NewGraphData(gen.Graph)
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i+1), data, cluster.WorkerOptions{})
+		// A registry of its own, as the benchmark gives each worker: what the
+		// telemetry plane ships is the registry's snapshot.
+		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i+1), data, cluster.WorkerOptions{Metrics: obs.NewRegistry()})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -90,14 +93,27 @@ func TestAllocTable(t *testing.T) {
 // jobPhases tell a cluster request's costs apart by call stack, each by the
 // functions that pay it, on the coordinator and on the workers: first a job's
 // fixed costs, then the frames of rows, then what is left on the coordinator.
-// The rest is the workers' run of the query.
+// The rest is the workers' run of the query. The rules name the functions of
+// this commit and of the ones before protocol version 7 (a telemetry bundle of
+// spans and registry on every job, a JSON done report), so that the table can
+// be run on a parent commit too.
 var jobPhases = []benchkit.Phase{
-	{Name: "telemetry encode/decode", Rules: [][]string{
+	// The worker's registry snapshot, taken and encoded on the worker and
+	// decoded on the coordinator: the heartbeat's bundle, or every job's.
+	{Name: "registry snapshot", Rules: [][]string{
+		{"cluster.(*Worker).shipRegistry"},
+		{"obs.(*Registry).Snapshot", "cluster."},
+		{"obs.(*Snapshot).Layout", "cluster."},
+	}},
+	{Name: "telemetry encode/decode (spans)", Rules: [][]string{
+		{"cluster.(*Worker).shipSpans"},
 		{"cluster.(*Worker).shipTelemetry"},
 		{"cluster.decodeTelemetryBundle"},
 	}},
 	{Name: "done report", Rules: [][]string{
 		{"cluster.stageRecords"},
+		{"cluster.encodeJobDone"},
+		{"cluster.decodeJobDone"},
 		{"encoding/json.Marshal", "cluster.(*Worker).runJob"},
 		{"encoding/json.Unmarshal", "cluster.(*Coordinator).readMember"},
 		{"cluster.foldStages"},

@@ -155,3 +155,31 @@ func BenchmarkWorkerPlanHit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkerReport is what the done report of an untraced successful
+// attempt costs, worker and coordinator together: the stage table read from
+// the attempt's collector in place, the report encoded, and decoded as the
+// coordinator's read loop does. The collector is a run of a two-hop join over
+// tinyGraph on four partitions. `make alloc-guard` pins its allocations.
+func BenchmarkWorkerReport(b *testing.B) {
+	g := tinyGraph()
+	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := trace.NewCollector()
+	res, err := prep.Execute(g, core.Config{Trace: col})
+	if err != nil {
+		b.Fatal(err)
+	}
+	metrics := res.Env.Metrics()
+	cost := dataflow.DefaultConfig(4).Cost()
+	wireOut := map[int64]int64{}
+	b.ReportAllocs()
+	for b.Loop() {
+		done := jobDone{Telemetry: true, ElapsedNs: 1, Stages: stageRecords(col, cost, wireOut), Metrics: metrics}
+		if _, err := decodeJobDone(encodeJobDone(&done)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"log/slog"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -70,7 +73,7 @@ func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 					return
 				}
 				send.send(frameResult, spec.head(), result(&spec))
-				send.sendJSON(frameJobDone, jobDone{JobID: spec.JobID, Attempt: spec.Attempt})
+				send.send(frameJobDone, spec.head(), []segment{{raw: encodeJobDone(&jobDone{})}})
 			}
 		}
 	}()
@@ -235,5 +238,127 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 	defer rt.mu.Unlock()
 	if rt.err != nil {
 		t.Fatalf("the job of the other control connection failed: %v", rt.err)
+	}
+}
+
+// corruptingProxy relays control connections to the worker at addr, with the
+// body of every job frame the coordinator sends replaced by "{", which is no
+// JSON.
+func corruptingProxy(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", addr)
+			if err != nil {
+				in.Close()
+				return
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				defer in.Close()
+				io.Copy(in, out)
+			}()
+			go func() {
+				defer wg.Done()
+				defer out.Close()
+				br := bufio.NewReader(in)
+				for {
+					typ, payload, err := readFrame(br)
+					if err != nil {
+						return
+					}
+					if typ == frameJob {
+						payload = []byte("{")
+					}
+					if err := writeFrame(out, typ, payload); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestUndecodableControlFrameDropsTheConnection: a job frame the worker cannot
+// decode closes its control connection - no done report would ever come, and
+// the pongs would keep the member alive - so the coordinator sees a lost
+// member: it recovers on the survivors, and with none left it returns an
+// error. It never waits.
+func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
+	g := tinyGraph()
+	data := session.NewGraphData(g)
+	_, addr := serveWorker(t, "w0", data)
+
+	ctrl := dialControl(t, addr)
+	ctrl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(ctrl.conn, frameJob, []byte("{")); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, _, err := readFrame(ctrl.br); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("the worker kept the control connection of an undecodable job frame open")
+			}
+			break
+		}
+	}
+
+	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, survivor := serveWorker(t, "w1", data)
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+	}{
+		{"survivor", []string{corruptingProxy(t, addr), survivor}},
+		{"none left", []string{corruptingProxy(t, addr)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := NewCoordinator(tc.addrs, Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			type outcome struct {
+				rep *session.ClusterReport
+				err error
+			}
+			ch := make(chan outcome, 1)
+			go func() {
+				_, rep, err := coord.ExecuteRemote(g, prep, core.Config{})
+				ch <- outcome{rep, err}
+			}()
+			var o outcome
+			select {
+			case o = <-ch:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the job of an undecodable job frame hangs")
+			}
+			switch {
+			case len(tc.addrs) > 1 && (o.err != nil || !o.rep.Recovered):
+				t.Fatalf("want a recovery on the survivor, got %+v, %v", o.rep, o.err)
+			case len(tc.addrs) == 1 && o.err == nil:
+				t.Fatal("want an error with no worker left")
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -16,7 +15,6 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
-	"gradoop/internal/field"
 	"gradoop/internal/obs"
 	"gradoop/internal/session"
 	"gradoop/internal/stats"
@@ -82,12 +80,17 @@ type member struct {
 	conn net.Conn
 	send *sender
 
+	// telemetry is the worker's telemetry bit, as its welcome said.
+	telemetry bool
+
 	mu       sync.Mutex
 	alive    bool
 	lastPong time.Time
 	jobsDone int64
-	// snap is the worker's most recent metrics-registry snapshot, carried
-	// by its latest telemetry bundle; the federated /metrics view serves it.
+	// snap is the worker's most recent metrics-registry snapshot, carried by
+	// the last registry bundle its heartbeat brought - at most one
+	// heartbeatInterval after a job ended; the federated /metrics view serves
+	// it.
 	snap *obs.Snapshot
 	// stats is the statistics snapshot last queued on the control connection,
 	// under the id statsID (ship).
@@ -143,7 +146,7 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 			c.Close()
 			return nil, fmt.Errorf("cluster: worker %d (%s): %w", i, addr, err)
 		}
-		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), alive: true, lastPong: now}
+		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), telemetry: wl.Telemetry, alive: true, lastPong: now}
 		c.members = append(c.members, m)
 		c.wg.Add(1)
 		go func() {
@@ -194,7 +197,7 @@ func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
 			Alive:           m.alive,
 			LastHeartbeatMs: time.Since(m.lastPong).Milliseconds(),
 			Jobs:            m.jobsDone,
-			Telemetry:       m.snap != nil,
+			Telemetry:       m.telemetry,
 		})
 		m.mu.Unlock()
 	}
@@ -202,8 +205,8 @@ func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
 }
 
 // WorkerMetrics returns each worker's most recent registry snapshot (as
-// carried by its latest telemetry bundle) for the federated /metrics view.
-// Workers that have never shipped a bundle are omitted.
+// carried by its heartbeat's latest registry bundle) for the federated
+// /metrics view. Workers that have never shipped one are omitted.
 func (c *Coordinator) WorkerMetrics() []session.WorkerMetrics {
 	var out []session.WorkerMetrics
 	for _, m := range c.members {
@@ -229,8 +232,9 @@ func (m *member) markPong() {
 }
 
 // readMember is the control connection's read loop: results and terminal
-// reports route to the attempt they belong to, pongs feed the heartbeat.
-// A read error is the definitive death signal for the member.
+// reports route to the attempt they belong to, pongs feed the heartbeat and
+// registry bundles the federated /metrics. A read error, or a result or done
+// report that does not decode, is the definitive death signal for the member.
 func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 	for {
 		typ, payload, err := readFrame(br)
@@ -242,10 +246,7 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 		case framePong:
 			m.markPong()
 		case frameResult:
-			var f attemptHead
-			hc := field.Reader(payload)
-			f.layout(&hc)
-			body, err := checkedBody(&hc)
+			f, body, err := openAttempt(payload)
 			if err == nil {
 				if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil && !st.deliverResult(m.idx, body) {
 					err = errors.New("cluster: a second result frame for one attempt")
@@ -256,16 +257,20 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 				return
 			}
 		case frameJobDone:
-			var done jobDone
-			if err := json.Unmarshal(payload, &done); err != nil {
+			f, body, err := openAttempt(payload)
+			var done *jobDone
+			if err == nil {
+				done, err = decodeJobDone(body)
+			}
+			if err != nil {
 				c.memberDown(m, err)
 				return
 			}
 			m.mu.Lock()
 			m.jobsDone++
 			m.mu.Unlock()
-			if st := c.attempt(jobKey{job: done.JobID, attempt: done.Attempt}); st != nil {
-				st.deliverDone(m.idx, &done)
+			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
+				st.deliverDone(m.idx, done)
 			}
 		case frameTelemetry:
 			// Telemetry degrades, never fails: a corrupt bundle inside an
@@ -273,10 +278,7 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			// skipped (the attempt settles with a partial-telemetry marker),
 			// and a bundle for an attempt no longer pending - a superseded
 			// retry's straggler - is dropped.
-			var f attemptHead
-			hc := field.Reader(payload)
-			f.layout(&hc)
-			body, err := checkedBody(&hc)
+			f, body, err := openAttempt(payload)
 			var bundle *telemetryBundle
 			if err == nil {
 				bundle, err = decodeTelemetryBundle(body)
@@ -290,10 +292,11 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			}
 			c.inst.teleFrames.Inc()
 			c.inst.teleBytes.Add(int64(len(payload)))
-			m.mu.Lock()
-			m.snap = &bundle.Metrics
-			m.mu.Unlock()
-			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
+			if bundle.Metrics != nil {
+				m.mu.Lock()
+				m.snap = bundle.Metrics
+				m.mu.Unlock()
+			} else if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
 				st.deliverTelemetry(m.idx, bundle)
 			}
 		}
@@ -564,9 +567,11 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		return nil, nil, err
 	}
 
+	traced := cfg.Trace != nil
 	spec := jobSpec{
 		JobID:       jobID,
 		TraceID:     traceID,
+		Traced:      traced,
 		Query:       prep.Query,
 		Params:      wire.AppendParams(nil, cfg.Params),
 		Workers:     c.opts.Workers,
@@ -588,9 +593,9 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		defer cancel()
 	}
 
-	// coordSpans is the coordinator's own lane of the merged trace: one
-	// span per attempt plus the assembly, offsets rebased to the job start
-	// exactly like the workers rebase theirs.
+	// coordSpans is the coordinator's own lane of the merged trace, built for
+	// a traced request only: one span per attempt plus the assembly, offsets
+	// rebased to the job start exactly like the workers rebase theirs.
 	var coordSpans []trace.Span
 	var lastErr error
 	// A job survives all but one worker dying: as many attempts as workers.
@@ -615,11 +620,13 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		c.mu.Lock()
 		delete(c.pending, st.key)
 		c.mu.Unlock()
-		coordSpans = append(coordSpans, trace.Span{
-			Stage: int64(attempt),
-			Op:    fmt.Sprintf("attempt %d (%d workers)", attempt, len(roster)),
-			Kind:  "attempt", Start: attemptStart, End: time.Since(start),
-		})
+		if traced {
+			coordSpans = append(coordSpans, trace.Span{
+				Stage: int64(attempt),
+				Op:    fmt.Sprintf("attempt %d (%d workers)", attempt, len(roster)),
+				Kind:  "attempt", Start: attemptStart, End: time.Since(start),
+			})
+		}
 		if err != nil {
 			c.abortAttempt(st)
 			return nil, nil, err
@@ -655,14 +662,14 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			return nil, nil, out.queryErr
 		}
 		assembleStart := time.Since(start)
-		rep, err := c.assemble(res, st, blobs)
+		rep, err := c.assemble(res, st, blobs, traced)
 		if err != nil {
 			return nil, nil, err
 		}
 		rep.Attempts = attempt + 1
 		rep.Recovered = attempt > 0
 		rep.TraceID = traceID
-		if cfg.Trace != nil {
+		if traced {
 			// The caller asked for a trace; merge the winning attempt's
 			// bundles into one document — coordinator lane plus one process
 			// lane per worker that shipped spans.
@@ -744,8 +751,9 @@ func (c *Coordinator) abortAttempt(st *attemptState) {
 
 // assemble decodes the result's buckets, as file returned them, into res, the
 // bound Result, as core.Prepared.Execute fills a local run's, and merges the
-// workers' stage records and metrics.
-func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byte) (*session.ClusterReport, error) {
+// workers' stage records and metrics. traced says whether the request asked
+// for a trace, and with it the workers for their spans.
+func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byte, traced bool) (*session.ClusterReport, error) {
 	st.mu.Lock()
 	dones := make([]*jobDone, 0, len(st.roster))
 	bundles := make([]*telemetryBundle, 0, len(st.roster))
@@ -771,15 +779,20 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 		rep.Metrics.MergeProcess(done.Metrics)
 	}
 	for i, idx := range st.roster {
-		wr := session.WorkerReport{Node: c.members[idx].node}
-		if b := bundles[i]; b != nil {
+		done, b := dones[i], bundles[i]
+		wr := session.WorkerReport{Node: c.members[idx].node, WallNs: done.ElapsedNs}
+		switch {
+		case b != nil:
 			wr.Spans = len(b.Spans)
-			wr.WallNs = b.ElapsedNs
-			wr.Telemetry = true
-		} else {
-			// No decoded bundle for a winning-roster member: telemetry is
-			// off on that worker, its bundle was corrupt, or it died after
-			// its part finished. The result is whole; the report says so.
+		case done.Telemetry:
+			wr.Spans = len(done.Stages)
+		}
+		// A worker's telemetry is whole when it is on and, for a traced
+		// request, its bundle arrived: a worker that runs -no-telemetry, or
+		// whose bundle was corrupt, leaves the report partial. The result is
+		// whole either way.
+		wr.Telemetry = done.Telemetry && (b != nil || !traced)
+		if !wr.Telemetry {
 			rep.PartialTelemetry = true
 		}
 		rep.WorkerReports = append(rep.WorkerReports, wr)
@@ -797,14 +810,22 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 // roster mean. All of it comes from the done reports, not the telemetry
 // bundles, so the skew table survives -no-telemetry workers.
 func foldStages(dones []*jobDone) []session.ClusterStage {
-	var out []session.ClusterStage
+	n := 0
+	for _, done := range dones {
+		n = max(n, len(done.Stages))
+	}
+	w := len(dones)
+	// Every stage's WorkerNs and WorkerBytes are carved from one array.
+	cols := make([]int64, 2*w*n)
+	out := make([]session.ClusterStage, 0, n)
 	for wi, done := range dones {
 		for si, s := range done.Stages {
 			if si == len(out) { // the first report of a stage names its row
+				at := 2 * w * si
 				out = append(out, session.ClusterStage{
 					Stage: s.Stage, Op: s.Op, Kind: s.Kind, Shuffle: s.Shuffle,
-					WorkerNs:    make([]int64, len(dones)),
-					WorkerBytes: make([]int64, len(dones)),
+					WorkerNs:    cols[at : at+w : at+w],
+					WorkerBytes: cols[at+w : at+2*w : at+2*w],
 				})
 			}
 			m := &out[si]
@@ -819,7 +840,7 @@ func foldStages(dones []*jobDone) []session.ClusterStage {
 	}
 	for si := range out {
 		m := &out[si]
-		m.MeanNs /= int64(len(dones))
+		m.MeanNs /= int64(w)
 		if m.MeanNs > 0 {
 			m.Skew = float64(m.Actual) / float64(m.MeanNs)
 		}

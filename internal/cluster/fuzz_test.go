@@ -32,15 +32,18 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		elems := len(b.Spans) + len(b.Metrics.Families)
+		elems := len(b.Spans)
 		for i := range b.Spans {
 			elems += len(b.Spans[i].Parts) + len(b.Spans[i].Attempts)
 		}
-		for i := range b.Metrics.Families {
-			fam := &b.Metrics.Families[i]
-			elems += len(fam.Samples)
-			for j := range fam.Samples {
-				elems += len(fam.Samples[j].Labels)
+		if b.Metrics != nil {
+			elems += len(b.Metrics.Families)
+			for i := range b.Metrics.Families {
+				fam := &b.Metrics.Families[i]
+				elems += len(fam.Samples)
+				for j := range fam.Samples {
+					elems += len(fam.Samples[j].Labels)
+				}
 			}
 		}
 		if elems > len(raw) {
@@ -55,7 +58,8 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 // FuzzReadFrame: a frame arrives off a socket from another process, so any
 // bytes must read as a frame or as a structured error - and so must what is
 // done with a frame before a row of it is decoded: the header of its type,
-// the checksum behind its body, and the split of a data frame's body into the
+// the checksum behind its body, the decode of a done report or a telemetry
+// bundle, and the split of a data frame's body into the
 // buckets of an exchange or of an all-gather, and of a result frame's into the
 // partitions the coordinator files. Nothing panics, no bucket
 // reaches past the body, and nothing is allocated but the frame's body, which
@@ -70,6 +74,9 @@ func FuzzReadFrame(f *testing.F) {
 		body: gatherBody(fuzzOwner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})}))
 	tb := testBundle()
 	f.Add(frameBytes(frameTelemetry, headBytes(&attemptHead{JobID: 7}), encodeTelemetryBundle(&tb)))
+	done := goldenDone()
+	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7, From: 1}), encodeJobDone(&done)))
+	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7}), encodeJobDone(&jobDone{Error: "boom", PeerLost: true, LostPeers: []int{1}})))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindExchange, From: 1}),
 		body: exchangeBody(fuzzOwner, 1, 0, [][]dataflow.Bucket{nil, {rows, {}, rows, {}}, nil, {rows, {}, rows, {}}})}))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindAllGather, From: 1}),
@@ -120,7 +127,7 @@ func readAndSplit(t *testing.T, raw []byte) {
 		var h dataFrame
 		c = field.Reader(payload)
 		h.layout(&c)
-	case frameResult, frameTelemetry:
+	case frameResult, frameJobDone, frameTelemetry:
 		var h attemptHead
 		c = field.Reader(payload)
 		h.layout(&c)
@@ -131,12 +138,18 @@ func readAndSplit(t *testing.T, raw []byte) {
 	if err != nil {
 		structured(t, err)
 	}
-	if typ == frameTelemetry && err == nil {
-		if _, err := decodeTelemetryBundle(checked); err != nil {
+	if err == nil {
+		switch typ {
+		case frameTelemetry:
+			_, err = decodeTelemetryBundle(checked)
+		case frameJobDone:
+			_, err = decodeJobDone(checked)
+		}
+		if err != nil {
 			structured(t, err)
 		}
 	}
-	if typ == frameTelemetry || c.Err() != nil || len(c.Rest()) < crcTrailer {
+	if typ == frameTelemetry || typ == frameJobDone || c.Err() != nil || len(c.Rest()) < crcTrailer {
 		return
 	}
 	// The split of a body that failed its checksum too: the checksum is what

@@ -34,7 +34,11 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 6: the statistics snapshot is a frame of its own, sent once
+	// protoVersion 7: the done report is a sealed binary frame headed like a
+	// result (attemptHead), the welcome carries the worker's telemetry bit, a
+	// job spec says whether its request is traced, and a telemetry bundle
+	// carries either an attempt's spans or the worker's registry, never both.
+	// 6: the statistics snapshot is a frame of its own, sent once
 	// per control connection ahead of the first job that names its id.
 	// 5: an attempt's result is one frame, headed like a telemetry
 	// frame (attemptHead), whose body is a gather of the sender's partitions.
@@ -43,7 +47,7 @@ const (
 	// crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 6
+	protoVersion = 7
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation.
@@ -57,9 +61,9 @@ const (
 	crcTrailer = 4
 )
 
-// Frame types. Control payloads (hello, job, stats, done, abort) are JSON inside
-// the binary framing — they are rare and small; the hot path (data, result)
-// is pure binary.
+// Frame types. Control payloads (hello, job, stats, abort) are JSON inside
+// the binary framing — they are rare and small; what a worker sends about an
+// attempt (result, done, telemetry) and the hot path (data) are binary.
 const (
 	frameHello   = byte(1)  // connection opener, both roles
 	frameWelcome = byte(2)  // handshake accept
@@ -71,11 +75,12 @@ const (
 	framePing    = byte(8)  // coordinator -> worker liveness probe
 	framePong    = byte(9)  // worker -> coordinator liveness answer
 	frameData    = byte(10) // worker <-> worker: one collective's buckets
-	// frameTelemetry ships a worker's observability bundle (span set +
-	// registry snapshot) for one attempt. It is sent on the control
-	// connection immediately before the attempt's frameJobDone, so a done
-	// report is the guarantee that the bundle — if the worker ships one —
-	// has already arrived.
+	// frameTelemetry ships a telemetry bundle: a traced attempt's spans, sent
+	// on the control connection immediately before the attempt's
+	// frameJobDone, so a done report is the guarantee that the bundle - if
+	// the worker ships one - has already arrived; or the worker's registry
+	// snapshot, headed by job 0, sent once a connection is up and then ahead
+	// of the pong to a ping when a job has finished since the last one.
 	frameTelemetry = byte(11)
 	// frameStats ships a statistics snapshot (statsMsg) on a control
 	// connection, ahead of the first job frame that names it.
@@ -107,11 +112,13 @@ type hello struct {
 	From    int    `json:"from,omitempty"`
 }
 
-// welcome acknowledges a hello.
+// welcome acknowledges a hello. Telemetry is whether the worker ships
+// telemetry at all (WorkerOptions.NoTelemetry unset).
 type welcome struct {
-	Magic   uint32 `json:"magic"`
-	Version int    `json:"version"`
-	Node    string `json:"node"`
+	Magic     uint32 `json:"magic"`
+	Version   int    `json:"version"`
+	Node      string `json:"node"`
+	Telemetry bool   `json:"telemetry,omitempty"`
 }
 
 // reject refuses a hello.
@@ -210,27 +217,80 @@ type jobSpec struct {
 	// into worker logs and telemetry bundles so every process's records of
 	// one distributed job correlate under a single ID.
 	TraceID string `json:"traceId,omitempty"`
+	// Traced is set when the request asked for a trace: only then does the
+	// winning attempt ship its spans.
+	Traced bool `json:"traced,omitempty"`
 }
 
-// jobDone is a worker's terminal report for one attempt.
+// jobDone is the body of a done report, a worker's terminal report for one
+// attempt: a sealed frame headed by the attempt (attemptHead).
 type jobDone struct {
-	JobID   uint64 `json:"jobId"`
-	Attempt int    `json:"attempt"`
-	Error   string `json:"error,omitempty"`
+	Error string
 	// PeerLost marks failures caused by a dead peer rather than by the
 	// query itself; LostPeers names the roster indices that dropped. The
 	// coordinator recovers from these, and only these, by re-running on a
 	// remapped roster.
-	PeerLost  bool  `json:"peerLost,omitempty"`
-	LostPeers []int `json:"lostPeers,omitempty"`
+	PeerLost  bool
+	LostPeers []int
+	// ElapsedNs is the attempt's wall time on the worker; Telemetry whether
+	// the worker's telemetry is on.
+	ElapsedNs int64
+	Telemetry bool
 
 	// Stages is the worker's predicted-vs-actual table, one entry per executed
 	// stage: the cost model's SimTime over the stage's owned per-partition
 	// charges against the measured wall time and the bytes the transport
 	// framed. The per-worker attribution fields stay empty on the wire; the
 	// coordinator fills them when it merges the reports.
-	Stages  []session.ClusterStage   `json:"stages,omitempty"`
-	Metrics dataflow.MetricsSnapshot `json:"metrics"`
+	Stages  []session.ClusterStage
+	Metrics dataflow.MetricsSnapshot
+}
+
+func (d *jobDone) layout(c *field.Codec) {
+	c.String(&d.Error)
+	c.Bool(&d.PeerLost)
+	field.Slice(c, &d.LostPeers, 4, func(v *int, c *field.Codec) { c.Int32(v) })
+	c.I64(&d.ElapsedNs)
+	c.Bool(&d.Telemetry)
+	field.Slice(c, &d.Stages, 8+4+4+1+4*8, layoutStage)
+	d.Metrics.Layout(c)
+}
+
+// layoutStage lays out what a worker reports of one stage; the per-worker
+// attribution is the coordinator's to fill (foldStages).
+func layoutStage(s *session.ClusterStage, c *field.Codec) {
+	c.I64(&s.Stage)
+	c.String(&s.Op)
+	c.String(&s.Kind)
+	c.Bool(&s.Shuffle)
+	c.I64(&s.Predicted)
+	c.I64(&s.Actual)
+	c.I64(&s.ModelBytes)
+	c.I64(&s.WireBytes)
+}
+
+// encodeJobDone encodes a done report's body into one buffer, sized for it:
+// a stage record is 49 bytes and its two strings, the metrics snapshot 136
+// bytes and four int64s a worker, the rest under 64 bytes and the error.
+func encodeJobDone(d *jobDone) []byte {
+	n := 64 + len(d.Error) + 4*len(d.LostPeers) + 136 + 32*len(d.Metrics.CPUElements)
+	for i := range d.Stages {
+		n += 49 + len(d.Stages[i].Op) + len(d.Stages[i].Kind)
+	}
+	c := field.Appender(make([]byte, 0, n))
+	d.layout(&c)
+	return c.Bytes()
+}
+
+// decodeJobDone decodes a done report's body, which it must fill.
+func decodeJobDone(body []byte) (*jobDone, error) {
+	d := new(jobDone)
+	c := field.Reader(body)
+	d.layout(&c)
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("cluster: done report: %w", err)
+	}
+	return d, nil
 }
 
 // abortMsg tells workers to stop one attempt.
@@ -292,7 +352,7 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, payload)
 }
 
-// The three checksummed frames - data, result, telemetry - share one shape,
+// The four checksummed frames - data, result, done, telemetry - share one shape,
 // head | body | crc32: a fixed header, the body, and the CRC32 of the body
 // behind it, because the body is written from the rows as it is sent and its
 // checksum is known only once it has been. Each header has one layout
@@ -300,10 +360,14 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 // directions; frameWriter takes the checksum on the way out and checkedBody
 // holds the body to it on the way in.
 
+// sealedFrames marks the checksummed frame types. A table rather than
+// comparisons, because cypherlint's wiresym takes a comparison with a frame
+// type for a reader of it: the one reader of a sealed frame is the read loop
+// that handles it, and without it the type is reported unread.
+var sealedFrames = [256]bool{frameData: true, frameResult: true, frameJobDone: true, frameTelemetry: true}
+
 // sealed reports whether a frame type is a checksummed one.
-func sealed(typ byte) bool {
-	return typ == frameData || typ == frameResult || typ == frameTelemetry
-}
+func sealed(typ byte) bool { return sealedFrames[typ] }
 
 // dataFrame heads a frameData payload; the body is one collective's buckets
 // for one peer.
@@ -327,8 +391,9 @@ func (f *dataFrame) layout(c *field.Codec) {
 
 // attemptHead heads what a worker sends the coordinator about one attempt: the
 // attempt and the sender's roster index in it. A result frame's body is
-// gatherBody over the sender's partitions, a telemetry frame's the encoded
-// telemetryBundle.
+// gatherBody over the sender's partitions, a done frame's the encoded
+// jobDone, a telemetry frame's the encoded telemetryBundle (job 0: the
+// registry snapshot no attempt owns).
 type attemptHead struct {
 	JobID   uint64
 	Attempt int
@@ -341,13 +406,27 @@ func (f *attemptHead) layout(c *field.Codec) {
 	c.Int32(&f.From)
 }
 
-// head is the header of this worker's result and telemetry frames of the
-// attempt.
+// head is the header of this worker's result, done and telemetry frames of
+// the attempt.
 func (s *jobSpec) head() []byte {
 	f := attemptHead{JobID: s.JobID, Attempt: s.Attempt, From: s.Self}
+	return f.bytes()
+}
+
+func (f *attemptHead) bytes() []byte {
 	c := field.Appender(nil)
 	f.layout(&c)
 	return c.Bytes()
+}
+
+// openAttempt reads the header of a frame a worker sent about one attempt and
+// returns it with the body, once that matches its checksum.
+func openAttempt(payload []byte) (attemptHead, []byte, error) {
+	var f attemptHead
+	c := field.Reader(payload)
+	f.layout(&c)
+	body, err := checkedBody(&c)
+	return f, body, err
 }
 
 // checkedBody is the body of the frame whose header c has just read - what is

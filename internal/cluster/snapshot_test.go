@@ -253,12 +253,16 @@ func (c *control) run(job uint64, query string, id uint64, fp string) jobDone {
 		if typ != frameJobDone {
 			continue // the job's result and telemetry frames
 		}
-		var done jobDone
-		if err := json.Unmarshal(payload, &done); err != nil {
+		f, body, err := openAttempt(payload)
+		if err != nil {
 			c.t.Fatal(err)
 		}
-		if done.JobID == job {
-			return done
+		done, err := decodeJobDone(body)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		if f.JobID == job {
+			return *done
 		}
 	}
 }

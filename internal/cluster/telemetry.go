@@ -8,33 +8,45 @@ import (
 	"gradoop/internal/trace"
 )
 
-// The distributed telemetry plane's worker half. Every job attempt records
-// its spans into a fresh per-job collector; the winning attempt ships them
-// — together with a snapshot of the worker's metrics registry — to the
-// coordinator in one frameTelemetry, sent on the control connection
-// immediately before the attempt's frameJobDone so ordering is free. Span
-// times are offsets from the attempt's own start (the collector epoch), so
-// bundles from different machines align without trusting anyone's wall
-// clock. A failed attempt ships nothing: its spans die with its collector.
+// The distributed telemetry plane's worker half. A worker sends the
+// coordinator what it will read, when it will read it (DESIGN decision 18).
+// Every job attempt records its spans into a fresh per-job collector, which
+// the attempt's done report reads its stage table from; a traced request's
+// winning attempt also ships the spans, in one frameTelemetry sent on the
+// control connection immediately before the attempt's done report, so
+// ordering is free. Span times are offsets from the attempt's own start (the
+// collector epoch), so bundles from different machines align without
+// trusting anyone's wall clock. A failed or untraced attempt ships no spans:
+// they die with its collector. The worker's metrics registry rides the
+// heartbeat instead of a job: a bundle of its snapshot once a control
+// connection is up, and then one ahead of the pong to a ping whenever a job
+// has finished since the last.
 
-// telemetryBundle is the body of a telemetry frame: who recorded it, under
-// which trace identity, how long the attempt ran on that worker, the full
-// span set (per-stage, per-partition, per-attempt, times rebased to the
-// attempt start) and a snapshot of the worker's metrics registry.
+// telemetryBundle is the body of a telemetry frame: who recorded it and
+// either a traced attempt's span set (per-stage, per-partition, per-attempt,
+// times rebased to the attempt start) under the request's trace identity, or a
+// snapshot of the worker's metrics registry.
 type telemetryBundle struct {
-	Node      string
-	TraceID   string
-	ElapsedNs int64
-	Spans     []trace.Span
-	Metrics   obs.Snapshot
+	Node    string
+	TraceID string
+	Spans   []trace.Span
+	// Metrics is the registry snapshot of a heartbeat's bundle, nil in an
+	// attempt's.
+	Metrics *obs.Snapshot
 }
 
 func (b *telemetryBundle) layout(c *field.Codec) {
 	c.String(&b.Node)
 	c.String(&b.TraceID)
-	c.I64(&b.ElapsedNs)
 	trace.LayoutSpans(c, &b.Spans)
-	b.Metrics.Layout(c)
+	registry := b.Metrics != nil
+	c.Bool(&registry)
+	if registry {
+		if b.Metrics == nil {
+			b.Metrics = new(obs.Snapshot)
+		}
+		b.Metrics.Layout(c)
+	}
 }
 
 func encodeTelemetryBundle(b *telemetryBundle) []byte {
@@ -57,14 +69,15 @@ func decodeTelemetryBundle(buf []byte) (*telemetryBundle, error) {
 
 // workerInstruments is a worker process's own metrics surface. Workers are
 // not scraped directly; these series reach operators through the registry
-// snapshot each telemetry bundle carries, federated per-worker by the
-// coordinator's /metrics.
+// snapshot the heartbeat carries, federated per-worker by the coordinator's
+// /metrics.
 type workerInstruments struct {
 	jobs      *obs.Counter
 	failures  *obs.Counter
 	jobTime   *obs.Histogram
 	teleBytes *obs.Counter
 	shipped   *obs.Counter
+	snapshots *obs.Counter
 	// plansBuilt and plansReused count the job attempts whose plan this
 	// worker made and those that found it in the worker's cache.
 	plansBuilt  *obs.Counter
@@ -89,6 +102,8 @@ func newWorkerInstruments(r *obs.Registry) *workerInstruments {
 		teleBytes: r.NewCounter("gradoop_worker_telemetry_bytes_total",
 			"Encoded telemetry bundle bytes shipped to the coordinator"),
 		shipped: r.NewCounter("gradoop_worker_telemetry_bundles_total",
-			"Telemetry bundles shipped to the coordinator"),
+			"Span bundles of traced requests shipped to the coordinator"),
+		snapshots: r.NewCounter("gradoop_worker_registry_snapshots_total",
+			"Registry snapshots shipped to the coordinator on the heartbeat"),
 	}
 }

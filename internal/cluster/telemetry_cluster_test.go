@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"gradoop/internal/cluster"
 	"gradoop/internal/obs"
@@ -278,4 +279,136 @@ func TestClusterTelemetryRetryDropsSpans(t *testing.T) {
 	if rep.PartialTelemetry {
 		t.Fatal("winning roster all shipped; report flagged partial")
 	}
+}
+
+// counter reads a counter of a worker's registry (0 when it has no sample).
+func counter(r *obs.Registry, name string) float64 {
+	snap := r.Snapshot()
+	for _, f := range snap.Families {
+		if f.Name == name && len(f.Samples) > 0 {
+			return f.Samples[0].Value
+		}
+	}
+	return 0
+}
+
+// federated is the coordinator's federated exposition of its workers'
+// registries, as /metrics appends it.
+func federated(coord *cluster.Coordinator) string {
+	var feds []obs.FederatedSnapshot
+	for _, m := range coord.WorkerMetrics() {
+		feds = append(feds, obs.FederatedSnapshot{Label: m.Node, Snap: m.Snap})
+	}
+	var sb strings.Builder
+	obs.WriteFederated(&sb, "gradoop_cluster_", "worker", feds)
+	return sb.String()
+}
+
+// TestClusterShipsSpansOnRequest: a worker ships an attempt's spans only
+// when the request asked for a trace. An untraced request leaves every
+// worker's bundle counter where it was and still reports every worker's wall
+// time and its stage records; a traced one adds exactly one bundle a worker.
+func TestClusterShipsSpansOnRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP worker meshes")
+	}
+	data, d := testGraph(t)
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, addrs := startWorkersWith(t, data, 2, func(i int) cluster.WorkerOptions {
+		return cluster.WorkerOptions{Metrics: regs[i]}
+	})
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord, NoResultCache: true})
+	bundles := func() (n []float64) {
+		for _, r := range regs {
+			n = append(n, counter(r, "gradoop_worker_telemetry_bundles_total"))
+		}
+		return n
+	}
+
+	resp, err := s.Execute(session.Request{Query: twoHop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bundles(); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("an untraced request shipped %v span bundles, want none", got)
+	}
+	rep := resp.Cluster
+	if rep.PartialTelemetry || rep.Trace != nil {
+		t.Fatalf("untraced report: partial %v, trace %v", rep.PartialTelemetry, rep.Trace != nil)
+	}
+	for _, wr := range rep.WorkerReports {
+		if wr.WallNs <= 0 || !wr.Telemetry || wr.Spans != len(rep.Stages) {
+			t.Fatalf("untraced worker report %+v, want wall time and %d stage records", wr, len(rep.Stages))
+		}
+	}
+
+	if _, err := s.Execute(session.Request{Query: twoHop, Trace: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bundles(); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("a traced request shipped %v span bundles, want one a worker", got)
+	}
+}
+
+// TestClusterRegistryRidesTheHeartbeat: a worker's registry reaches the
+// federated /metrics on the heartbeat: the job a worker ran shows in its
+// gradoop_cluster_worker_jobs_total within a heartbeat or so - 2 s at most -
+// and a worker that runs no job ships no snapshot on its pongs, only the one
+// its connection opened with.
+func TestClusterRegistryRidesTheHeartbeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP worker meshes")
+	}
+	data, d := testGraph(t)
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, addrs := startWorkersWith(t, data, 2, func(i int) cluster.WorkerOptions {
+		return cluster.WorkerOptions{Metrics: regs[i]}
+	})
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	snapshots := func() (n []float64) {
+		for _, r := range regs {
+			n = append(n, counter(r, "gradoop_worker_registry_snapshots_total"))
+		}
+		return n
+	}
+	// idle holds the snapshot counters at want over three heartbeats.
+	idle := func(want float64) {
+		t.Helper()
+		time.Sleep(1600 * time.Millisecond)
+		if got := snapshots(); got[0] != want || got[1] != want {
+			t.Fatalf("idle workers shipped %v registry snapshots, want %v each", got, want)
+		}
+	}
+	idle(1)
+	for _, wm := range coord.WorkerMetrics() {
+		if wm.Snap == nil {
+			t.Fatalf("worker %s: no snapshot from the connection's opening", wm.Node)
+		}
+	}
+
+	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord})
+	if _, err := s.Execute(session.Request{Query: twoHop}); err != nil {
+		t.Fatal(err)
+	}
+	ended := time.Now()
+	for _, w := range []string{"w0", "w1"} {
+		want := `gradoop_cluster_worker_jobs_total{worker="` + w + `"} 1` + "\n"
+		for !strings.Contains(federated(coord), want) {
+			if time.Since(ended) > 2*time.Second {
+				t.Fatalf("2 s after the job the federated exposition lacks %q:\n%s", want, federated(coord))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	t.Logf("the job reached the federated /metrics %v after it ended", time.Since(ended))
+	idle(2)
 }

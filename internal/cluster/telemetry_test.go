@@ -26,10 +26,10 @@ func testBundle() telemetryBundle {
 	c.Add(3)
 	h := r.NewHistogram("gradoop_worker_job_seconds", "job time", obs.ScaleNanos)
 	h.Observe(int64(5 * time.Millisecond))
+	snap := r.Snapshot()
 	return telemetryBundle{
-		Node:      "w0",
-		TraceID:   "job-0000002a",
-		ElapsedNs: int64(12 * time.Millisecond),
+		Node:    "w0",
+		TraceID: "job-0000002a",
 		Spans: []trace.Span{
 			{
 				Stage: 0, Op: "scan", Kind: "map",
@@ -40,7 +40,7 @@ func testBundle() telemetryBundle {
 			{Stage: 1, Op: "join", Kind: "join", Shuffle: true,
 				Start: 90 * time.Microsecond, End: 400 * time.Microsecond},
 		},
-		Metrics: r.Snapshot(),
+		Metrics: &snap,
 	}
 }
 
@@ -113,8 +113,8 @@ func TestTelemetryBundleTrailing(t *testing.T) {
 func TestTelemetryBundleHostileCounts(t *testing.T) {
 	bundle := testBundle()
 	enc := encodeTelemetryBundle(&bundle)
-	// The span count sits right after the two strings and the elapsed u64.
-	off := 4 + len(bundle.Node) + 4 + len(bundle.TraceID) + 8
+	// The span count sits right after the two strings.
+	off := 4 + len(bundle.Node) + 4 + len(bundle.TraceID)
 	forged := append([]byte(nil), enc...)
 	binary.BigEndian.PutUint32(forged[off:], 1<<31)
 	if _, err := decodeTelemetryBundle(forged); err == nil {

@@ -55,12 +55,15 @@ type Worker struct {
 
 	// Telemetry plane: telemetry gates bundle shipping entirely (the
 	// -no-telemetry escape hatch); metrics is the worker's own registry,
-	// snapshotted into every bundle; observer feeds the engine's continuous
-	// series into it.
+	// snapshotted onto the heartbeat; observer feeds the engine's continuous
+	// series into it. finished counts the job attempts that have ended, which
+	// a control connection holds against the count its last snapshot was
+	// taken at.
 	telemetry bool
 	metrics   *obs.Registry
 	observer  *dataflow.Observer
 	winst     *workerInstruments
+	finished  atomic.Uint64
 
 	// plans are the plans this worker has made, keyed by the statistics
 	// snapshot, query, semantics and P of a job (planKey); snapshots numbers
@@ -99,13 +102,16 @@ type WorkerOptions struct {
 	Logger *slog.Logger
 	// Metrics is the worker's own registry: the engine's continuous series
 	// (stage histograms, retry counters) and the gradoop_worker_* surface
-	// register here, and a snapshot rides in every telemetry bundle so the
+	// register here, and a snapshot rides the heartbeat - once a coordinator
+	// has connected, then after every job, at most once a heartbeat - so the
 	// coordinator can federate per-worker series (nil disables).
 	Metrics *obs.Registry
-	// NoTelemetry disables bundle shipping entirely —
-	// the behavior-parity escape hatch. Execution is unaffected: workers
-	// still trace (the per-stage records in jobDone derive from the spans),
-	// rows stay bit-identical, retries unchanged.
+	// NoTelemetry disables bundle shipping entirely - no spans, traced
+	// request or not, and no registry snapshot - the behavior-parity escape
+	// hatch. Execution is unaffected: workers still record each job's stages
+	// (the per-stage records of the done report, which the coordinator's skew
+	// table needs, are read from them), rows stay bit-identical, retries
+	// unchanged.
 	NoTelemetry bool
 }
 
@@ -322,7 +328,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: w.node}); err != nil {
+	if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: w.node, Telemetry: w.telemetry}); err != nil {
 		conn.Close()
 		return
 	}
@@ -343,12 +349,17 @@ func (w *Worker) handleConn(conn net.Conn) {
 }
 
 // serveControl is the coordinator-facing loop: statistics arrive, jobs start,
-// aborts land, pings answer. When the connection drops every attempt it
-// claimed and is still running fails - an orphaned worker must not keep
-// executing for a coordinator that cannot hear the answer. A finished attempt
-// has left w.jobs, so the connection keeps nothing per job: it keeps one
-// statistics snapshot, the last it delivered, and a job takes it when its
-// frame is read, in the order the frames came (DESIGN decision 36).
+// aborts land, pings answer - behind a registry snapshot when a job has
+// finished since the connection's last one, which it was sent as soon as it
+// was up. When the connection drops every attempt it claimed and is still
+// running fails - an orphaned worker must not keep executing for a
+// coordinator that cannot hear the answer. A job or abort frame that does not
+// decode drops the connection too: the coordinator would wait for a done
+// report that never comes, and the pongs would keep telling it the worker is
+// alive. A finished attempt has left w.jobs, so the connection keeps nothing
+// per job: it keeps one statistics snapshot, the last it delivered, and a job
+// takes it when its frame is read, in the order the frames came (DESIGN
+// decision 36).
 func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	send := newSender(conn)
 	defer send.abort()
@@ -366,6 +377,9 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		}
 	}()
 	var slot *snapshot
+	// shipped is w.finished as of the last registry snapshot sent here.
+	shipped := w.finished.Load()
+	w.shipRegistry(send)
 	for {
 		typ, payload, err := readFrame(br)
 		if err != nil {
@@ -373,13 +387,18 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		}
 		switch typ {
 		case framePing:
+			if n := w.finished.Load(); n != shipped {
+				shipped = n
+				w.shipRegistry(send)
+			}
 			send.send(framePong, nil, nil)
 		case frameStats:
 			slot = w.receiveStats(payload)
 		case frameJob:
 			var spec jobSpec
 			if err := json.Unmarshal(payload, &spec); err != nil {
-				continue
+				w.undecodable("job", err)
+				return
 			}
 			snap := slot.named(spec.Snapshot)
 			rt := w.runtime(jobKey{job: spec.JobID, attempt: spec.Attempt}, send)
@@ -391,7 +410,8 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		case frameAbort:
 			var a abortMsg
 			if err := json.Unmarshal(payload, &a); err != nil {
-				continue
+				w.undecodable("abort", err)
+				return
 			}
 			w.mu.Lock()
 			rt := w.jobs[jobKey{job: a.JobID, attempt: a.Attempt}]
@@ -400,6 +420,26 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 				rt.fail(errAborted)
 			}
 		}
+	}
+}
+
+// undecodable logs the control frame that drops its connection.
+func (w *Worker) undecodable(what string, err error) {
+	if w.logger != nil {
+		w.logger.Error("cluster: dropping the control connection: a frame does not decode", "frame", what, "err", err)
+	}
+}
+
+// shipRegistry sends the worker's registry snapshot in a bundle headed by job
+// 0, if the worker ships telemetry and has a registry.
+func (w *Worker) shipRegistry(ctrl *sender) {
+	if !w.telemetry || w.metrics == nil {
+		return
+	}
+	snap := w.metrics.Snapshot()
+	head := attemptHead{}
+	if w.ship(ctrl, head.bytes(), &telemetryBundle{Node: w.node, Metrics: &snap}) {
+		w.winst.snapshots.Inc()
 	}
 }
 
@@ -448,15 +488,16 @@ func (s *snapshot) named(id uint64) *snapshot {
 	return &snapshot{id: id, err: fmt.Errorf("cluster: the job names statistics snapshot %d, which its control connection has not delivered (the last it delivered is %d)", id, last)}
 }
 
-// runJob executes one shipped job attempt and reports its terminal state.
-// A successful attempt ships its telemetry bundle strictly before the done
-// report (same ordered sender), so the coordinator never has to wait for a
-// bundle after seeing the done. A failed attempt's spans have no reader -
-// the coordinator merges the winning attempt's bundles only - so they are
-// never copied out and die with the collector.
+// runJob executes one shipped job attempt and reports its terminal state in a
+// done report. A traced request's winning attempt ships its spans strictly
+// before the done report (same ordered sender), so the coordinator never has
+// to wait for a bundle after seeing the done. Every other attempt's spans
+// have no reader - the coordinator merges the winning attempt's bundles, and
+// only for a trace - so they are never copied out and die with the collector:
+// the stage table is read from the collector in place.
 func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender) {
 	start := time.Now()
-	done := jobDone{JobID: spec.JobID, Attempt: spec.Attempt}
+	done := jobDone{Telemetry: w.telemetry}
 	defer w.dropRuntime(rt)
 	// Workers always trace: the per-stage predicted-vs-actual records the
 	// coordinator publishes are derived from the spans. The collector epoch
@@ -467,17 +508,16 @@ func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sen
 	if err != nil {
 		w.failed(&done, spec, rt, err)
 	} else {
-		// One copy out of the collector: the stage table and the bundle
-		// read the same spans.
-		spans := col.Spans()
-		done.Stages = stageRecords(spans, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
+		done.Stages = stageRecords(col, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
 		done.Metrics = metrics
-		if w.telemetry {
-			w.shipTelemetry(spec, ctrl, spans, time.Since(start))
+		if w.telemetry && spec.Traced {
+			w.shipSpans(spec, ctrl, col.Spans())
 		}
 	}
+	done.ElapsedNs = int64(time.Since(start))
 	w.winst.jobTime.ObserveSince(start)
-	ctrl.sendJSON(frameJobDone, &done)
+	w.finished.Add(1)
+	ctrl.send(frameJobDone, spec.head(), []segment{{raw: encodeJobDone(&done)}})
 }
 
 // failed fills the done report of an attempt that ended in err. It touches
@@ -497,25 +537,26 @@ func (w *Worker) failed(done *jobDone, spec *jobSpec, rt *jobRuntime, err error)
 // attempt that ran more stages than that.
 const maxShippedSpans = 512
 
-// shipTelemetry encodes and sends the winning attempt's bundle.
-func (w *Worker) shipTelemetry(spec *jobSpec, ctrl *sender, spans []trace.Span, elapsed time.Duration) {
+// shipSpans sends a traced request's winning attempt's spans.
+func (w *Worker) shipSpans(spec *jobSpec, ctrl *sender, spans []trace.Span) {
 	if len(spans) > maxShippedSpans {
 		spans = spans[len(spans)-maxShippedSpans:]
 	}
-	bundle := telemetryBundle{
-		Node:      w.node,
-		TraceID:   spec.TraceID,
-		ElapsedNs: int64(elapsed),
-		Spans:     spans,
-		Metrics:   w.metrics.Snapshot(),
+	if w.ship(ctrl, spec.head(), &telemetryBundle{Node: w.node, TraceID: spec.TraceID, Spans: spans}) {
+		w.winst.shipped.Inc()
 	}
-	body := encodeTelemetryBundle(&bundle)
-	head := spec.head()
+}
+
+// ship encodes a bundle and queues it under head, and reports whether it was
+// queued: a control connection that is gone takes no bundle, and its done
+// report, if any, fails too.
+func (w *Worker) ship(ctrl *sender, head []byte, b *telemetryBundle) bool {
+	body := encodeTelemetryBundle(b)
 	if _, err := ctrl.send(frameTelemetry, head, []segment{{raw: body}}); err != nil {
-		return // the control connection is gone; the done report will fail too
+		return false
 	}
-	w.winst.shipped.Inc()
 	w.winst.teleBytes.Add(int64(len(head) + len(body) + crcTrailer))
+	return true
 }
 
 // executeJob builds the peer mesh, runs the planned query over this
@@ -1188,14 +1229,13 @@ func (t *peerTransport) dataHead(stage int64, kind byte) []byte {
 }
 
 // stageRecords derives the predicted-vs-actual table from the worker's
-// trace: prediction is the cost model's SimTime over the stage's owned
-// per-partition charges, actual is the stage's measured wall clock, model
-// bytes are the charged cross-partition bytes, wire bytes what the
-// transport framed.
-func stageRecords(spans []trace.Span, cost trace.CostModel, wireOut map[int64]int64) []session.ClusterStage {
-	recs := make([]session.ClusterStage, 0, len(spans))
-	for i := range spans {
-		s := &spans[i]
+// trace, read in place: prediction is the cost model's SimTime over the
+// stage's owned per-partition charges, actual is the stage's measured wall
+// clock, model bytes are the charged cross-partition bytes, wire bytes what
+// the transport framed.
+func stageRecords(col *trace.Collector, cost trace.CostModel, wireOut map[int64]int64) []session.ClusterStage {
+	recs := make([]session.ClusterStage, 0, col.Len())
+	col.Walk(func(s *trace.Span) {
 		recs = append(recs, session.ClusterStage{
 			Stage:      s.Stage,
 			Op:         s.Op,
@@ -1206,6 +1246,6 @@ func stageRecords(spans []trace.Span, cost trace.CostModel, wireOut map[int64]in
 			ModelBytes: s.NetBytes(),
 			WireBytes:  wireOut[s.Stage],
 		})
-	}
+	})
 	return recs
 }

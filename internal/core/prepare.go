@@ -27,9 +27,17 @@ type Prepared struct {
 	Stats    *stats.GraphStatistics
 	Morph    operators.Morphism
 
-	// fingerprint is Fingerprint's memo, filled by its first call: its zero
-	// value is an empty memo, so a Prepared built as a struct literal has one.
-	fingerprint atomic.Pointer[string]
+	// rendered is the memo Fingerprint and Label read, filled by the first
+	// call of either: its zero value is an empty memo, so a Prepared built as a
+	// struct literal has one.
+	rendered atomic.Pointer[rendering]
+}
+
+// rendering is a plan rendered once: its fingerprint, and its operators'
+// labels, which the same walk renders.
+type rendering struct {
+	fingerprint string
+	labels      map[operators.Operator]string
 }
 
 // Prepare parses, simplifies and plans a query once, without binding
@@ -81,27 +89,44 @@ func prepare(st *stats.GraphStatistics, query string, cfg Config, graphs bool) (
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{
+	prep := &Prepared{
 		Query:    query,
 		AST:      ast,
 		Template: tpl,
 		Plan:     plan,
 		Stats:    st,
 		Morph:    morph,
-	}, nil
+	}
+	plan.Labels = prep
+	return prep, nil
 }
 
 // Fingerprint returns the template plan's canonical key. The plan is
-// rendered once: the session's plan hash, a coordinator's job spec and a
-// worker's check of it all read the memo. Two first calls that race both
-// render it and store the same string.
-func (p *Prepared) Fingerprint() string {
-	if fp := p.fingerprint.Load(); fp != nil {
-		return *fp
+// rendered once: the session's plan hash, a coordinator's job spec, a
+// worker's check of it and every traced run's labels all read the memo.
+func (p *Prepared) Fingerprint() string { return p.render().fingerprint }
+
+// Label implements operators.Labeler: op's Description as the plan's one
+// rendering has it, so that a traced run - every job of a cluster worker, an
+// EXPLAIN ANALYZE - formats no label. An operator outside the plan renders
+// its own.
+func (p *Prepared) Label(op operators.Operator) string {
+	if l, ok := p.render().labels[op]; ok {
+		return l
 	}
-	fp := p.Plan.Fingerprint()
-	p.fingerprint.Store(&fp)
-	return fp
+	return op.Description()
+}
+
+// render returns the plan's rendering, rendering it on the first call. Two
+// first calls that race both render it and store equal renderings.
+func (p *Prepared) render() *rendering {
+	if r := p.rendered.Load(); r != nil {
+		return r
+	}
+	r := &rendering{labels: map[operators.Operator]string{}}
+	r.fingerprint = p.Plan.Render(r.labels)
+	p.rendered.Store(r)
+	return r
 }
 
 // Bind is the one step from a compiled query to a run of it: cfg.Params go

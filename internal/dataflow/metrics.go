@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gradoop/internal/field"
 )
 
 // Metrics accumulates the cost drivers of a dataflow job per worker. The
@@ -129,6 +131,24 @@ type MetricsSnapshot struct {
 	// slot before starting (admission-control accounting; zero for jobs
 	// admitted immediately).
 	SlotWait time.Duration
+}
+
+// Layout names the snapshot's fields in wire order for field.Codec, walked in
+// both directions: a cluster worker's done report carries its job's snapshot.
+// A field added to the struct is added here, or it does not cross
+// (TestMetricsSnapshotLayoutIsWhole).
+func (s *MetricsSnapshot) Layout(c *field.Codec) {
+	c.Int32(&s.Workers)
+	for _, v := range [...]*[]int64{&s.CPUElements, &s.NetBytes, &s.SpillBytes, &s.MemBytes} {
+		field.Slice(c, v, 8, func(v *int64, c *field.Codec) { c.I64(v) })
+	}
+	for _, v := range [...]*int64{&s.Stages, &s.Shuffles, &s.TotalCPU, &s.TotalNet, &s.TotalSpill, &s.TotalMem,
+		&s.MaxWorkerCPU, &s.MemKills, &s.Retries, &s.RetriedStages, &s.Jobs} {
+		c.I64(v)
+	}
+	c.Dur(&s.SimTime)
+	c.Dur(&s.RecoveryTime)
+	c.Dur(&s.SlotWait)
 }
 
 // addCharges adds what o's workers were charged into s: the per-worker

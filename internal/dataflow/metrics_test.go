@@ -1,10 +1,13 @@
 package dataflow
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gradoop/internal/field"
 )
 
 // TestSkewEdgeCases: Skew must degrade to the neutral 1.0 instead of
@@ -102,5 +105,38 @@ func TestAddStageNumbers(t *testing.T) {
 	s := m.snapshot(DefaultConfig(2))
 	if s.Stages != 2 || s.Shuffles != 1 {
 		t.Errorf("stages/shuffles = %d/%d, want 2/1", s.Stages, s.Shuffles)
+	}
+}
+
+// TestMetricsSnapshotLayoutIsWhole sets every field of a snapshot, by
+// reflection, to a value of its own and round-trips it through Layout: a
+// field the layout leaves out comes back zero, and the test names it.
+func TestMetricsSnapshotLayoutIsWhole(t *testing.T) {
+	var in MetricsSnapshot
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int64{int64(i + 1), -1}))
+		default:
+			t.Fatalf("field %s of kind %s: teach this test (and Layout) its encoding", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	c := field.Appender(nil)
+	in.Layout(&c)
+	var out MetricsSnapshot
+	r := field.Reader(c.Bytes())
+	out.Layout(&r)
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	got := reflect.ValueOf(out)
+	for i := 0; i < v.NumField(); i++ {
+		if !reflect.DeepEqual(got.Field(i).Interface(), v.Field(i).Interface()) {
+			t.Errorf("field %s does not cross: got %v, want %v", v.Type().Field(i).Name, got.Field(i), v.Field(i))
+		}
 	}
 }

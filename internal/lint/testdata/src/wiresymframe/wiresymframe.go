@@ -17,7 +17,34 @@ const (
 	frameNeverSent = byte(3) // want `frame type frameNeverSent has no writer: it is never passed to a frame-writing call`
 	// frameNeverRead is written but missing from the reader switch.
 	frameNeverRead = byte(4) // want `frame type frameNeverRead has no reader: it never appears in a frame-type switch case or comparison`
+	// frameSealed is a checksummed frame: marked in a table, sent by one
+	// writer, handled by one reader.
+	frameSealed = byte(5)
+	// frameSealedUnread is marked and sent, and no reader handles it: the
+	// table is neither side of the protocol.
+	frameSealedUnread = byte(6) // want `frame type frameSealedUnread has no reader: it never appears in a frame-type switch case or comparison`
 )
+
+// sealedFrames marks the checksummed frame types by key.
+var sealedFrames = [256]bool{frameSealed: true, frameSealedUnread: true}
+
+func sendSealed(w io.Writer, body []byte) error {
+	if !sealedFrames[frameSealed] {
+		return nil
+	}
+	if err := writeFrame(w, frameSealed, body); err != nil {
+		return err
+	}
+	return writeFrame(w, frameSealedUnread, body)
+}
+
+func readSealed(typ byte) bool {
+	switch typ {
+	case frameSealed:
+		return true
+	}
+	return false
+}
 
 // frameHeaderLen is untyped and not a frame type; it is exempt.
 const frameHeaderLen = 5

@@ -323,7 +323,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 		}
 	}, built)
 	if c != nil {
-		c.InOp(leaf, leaf.Description(), built.Load)
+		c.InOp(leaf, run.label(leaf), built.Load)
 		c.Note(leaf, fmt.Sprintf("probed in place: scanned=%d", leaf.scanned(run)))
 	}
 	return out

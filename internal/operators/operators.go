@@ -41,19 +41,20 @@ type Morphism struct {
 
 // traced wraps the dataflow-facing part of an operator's evaluation in a
 // tracing scope: stages launched inside eval are attributed to the
-// operator's Description, and the operator's actual output cardinality and
-// self wall time are recorded under the operator itself as the lookup
-// token (EXPLAIN ANALYZE resolves plan nodes through it). Children must be
-// evaluated before entering the scope so their stages attribute to
-// themselves; eval therefore receives already-evaluated inputs. Without a
-// collector on the run's environment the wrapper is a single nil check.
+// operator's label (its Description, as the run's Labeler has it), and the
+// operator's actual output cardinality and self wall time are recorded under
+// the operator itself as the lookup token (EXPLAIN ANALYZE resolves plan
+// nodes through it). Children must be evaluated before entering the scope so
+// their stages attribute to themselves; eval therefore receives
+// already-evaluated inputs. Without a collector on the run's environment the
+// wrapper is a single nil check.
 func traced(op Operator, r *Run, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	c := r.env.Tracer()
 	if c == nil {
 		return eval()
 	}
 	var out *dataflow.Dataset[embedding.Embedding]
-	c.InOp(op, op.Description(), func() int64 {
+	c.InOp(op, r.label(op), func() int64 {
 		out = eval()
 		return out.Count()
 	})

@@ -31,6 +31,13 @@ type Run struct {
 	binding *cypher.Binding
 	env     *dataflow.Env
 	kept    map[Operator]kept
+	labels  Labeler
+}
+
+// Labeler names a plan's operators in a trace: each one's Description,
+// rendered once for the plan rather than once for every traced evaluation.
+type Labeler interface {
+	Label(op Operator) string
 }
 
 // kept is what a run keeps of one operator: a leaf's scan or a Cached
@@ -45,6 +52,21 @@ type kept struct {
 // plan was built from; nil runs the plan's own query elements as they are.
 func NewRun(access GraphAccess, b *cypher.Binding) *Run {
 	return &Run{access: access, binding: b, env: access.Env(), kept: map[Operator]kept{}}
+}
+
+// WithLabels has the run's traced operators named by l instead of rendering
+// their Description (nil: render it). It returns r.
+func (r *Run) WithLabels(l Labeler) *Run {
+	r.labels = l
+	return r
+}
+
+// label is what the run's trace calls op.
+func (r *Run) label(op Operator) string {
+	if r.labels != nil {
+		return r.labels.Label(op)
+	}
+	return op.Description()
 }
 
 // vertexScan is what a vertex leaf reads in this run, cut the first time it

@@ -76,6 +76,9 @@ type Planner struct {
 type QueryPlan struct {
 	Root      operators.Operator
 	Estimates map[operators.Operator]float64
+	// Labels names the operators in a traced run of the plan (nil: each
+	// one's Description, rendered per evaluation).
+	Labels operators.Labeler
 
 	access  GraphAccess
 	binding *cypher.Binding
@@ -83,7 +86,7 @@ type QueryPlan struct {
 
 // Execute evaluates the plan in a run of its own.
 func (p *QueryPlan) Execute() *dataflow.Dataset[embedding.Embedding] {
-	return p.Root.Evaluate(operators.NewRun(p.access, p.binding))
+	return p.Root.Evaluate(operators.NewRun(p.access, p.binding).WithLabels(p.Labels))
 }
 
 // Meta returns the root operator's embedding metadata.

@@ -15,11 +15,20 @@ import (
 // plans of the same query template under the same semantics and
 // statistics produce the same fingerprint; the session's plan cache and the
 // /explain endpoint report it.
-func (p *QueryPlan) Fingerprint() string {
+func (p *QueryPlan) Fingerprint() string { return p.Render(nil) }
+
+// Render is Fingerprint, and when labels is not nil it also fills labels with
+// every operator's Description, in the same walk: what a traced run calls the
+// operators (operators.Labeler).
+func (p *QueryPlan) Render(labels map[operators.Operator]string) string {
 	h := fnv.New64a()
 	var walk func(op operators.Operator)
 	walk = func(op operators.Operator) {
-		io.WriteString(h, op.Description())
+		d := op.Description()
+		if labels != nil {
+			labels[op] = d
+		}
+		io.WriteString(h, d)
 		io.WriteString(h, "(")
 		for _, c := range op.Children() {
 			walk(c)
@@ -30,8 +39,8 @@ func (p *QueryPlan) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Rebind attaches another run to a plan: the same operator tree and
-// estimates, run over access with the binding's query elements and parameter
+// Rebind attaches another run to a plan: the same operator tree, estimates
+// and labels, run over access with the binding's query elements and parameter
 // values in place of the planned ones. The tree is shared by every run of the
 // query and written by none of them, so Rebind builds no operator, and
 // Explain of the plan it returns is the template's.
@@ -39,5 +48,5 @@ func Rebind(p *QueryPlan, access GraphAccess, b *cypher.Binding) (*QueryPlan, er
 	if access == nil {
 		return nil, errors.New("planner: rebind: no graph access")
 	}
-	return &QueryPlan{Root: p.Root, Estimates: p.Estimates, access: access, binding: b}, nil
+	return &QueryPlan{Root: p.Root, Estimates: p.Estimates, Labels: p.Labels, access: access, binding: b}, nil
 }

@@ -317,17 +317,18 @@ var expositionExempt = map[string]bool{
 	// under gradoop_cluster_ and labeled per worker by the /metrics
 	// federation. Remote state by design — never mirrored into the
 	// coordinator's own /metrics.json.
-	"gradoop_cluster_worker_jobs_total":              true,
-	"gradoop_cluster_worker_job_failures_total":      true,
-	"gradoop_cluster_worker_job_seconds":             true,
-	"gradoop_cluster_worker_telemetry_bytes_total":   true,
-	"gradoop_cluster_worker_telemetry_bundles_total": true,
-	"gradoop_cluster_worker_plans_total":             true,
-	"gradoop_cluster_stage_duration_seconds":         true,
-	"gradoop_cluster_stages_total":                   true,
-	"gradoop_cluster_shuffle_bytes_total":            true,
-	"gradoop_cluster_spill_bytes_total":              true,
-	"gradoop_cluster_stage_retries_total":            true,
+	"gradoop_cluster_worker_jobs_total":               true,
+	"gradoop_cluster_worker_job_failures_total":       true,
+	"gradoop_cluster_worker_job_seconds":              true,
+	"gradoop_cluster_worker_telemetry_bytes_total":    true,
+	"gradoop_cluster_worker_telemetry_bundles_total":  true,
+	"gradoop_cluster_worker_registry_snapshots_total": true,
+	"gradoop_cluster_worker_plans_total":              true,
+	"gradoop_cluster_stage_duration_seconds":          true,
+	"gradoop_cluster_stages_total":                    true,
+	"gradoop_cluster_shuffle_bytes_total":             true,
+	"gradoop_cluster_spill_bytes_total":               true,
+	"gradoop_cluster_stage_retries_total":             true,
 }
 
 // TestMetricsJSONCoversExposition scrapes /metrics after a workload that

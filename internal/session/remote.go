@@ -59,19 +59,21 @@ type ClusterStage struct {
 }
 
 // WorkerReport is one worker's contribution to a distributed query as seen
-// through its telemetry bundle.
+// through its done report and, for a traced request, its telemetry bundle.
 type WorkerReport struct {
 	// Node is the worker's self-reported node name.
 	Node string `json:"node"`
-	// Spans is how many spans the worker's bundle carried (0 when the
-	// worker shipped no bundle).
+	// Spans is how many spans the worker's bundle carried when one arrived,
+	// and else how many stage records its done report carried (0 when the
+	// worker runs with telemetry off).
 	Spans int `json:"spans"`
-	// WallNs is the winning attempt's wall time on that worker.
+	// WallNs is the winning attempt's wall time on that worker, from its done
+	// report: every request has it.
 	WallNs int64 `json:"wallNs"`
-	// Telemetry reports whether the worker's bundle arrived intact. False
-	// means the worker ran with telemetry off, its bundle was corrupt, or
-	// it died after finishing its part — the query result is unaffected
-	// either way.
+	// Telemetry reports whether the worker's telemetry is whole: on, and for
+	// a traced request its bundle arrived intact. False means the worker ran
+	// with telemetry off, or a traced request's bundle was corrupt or never
+	// came — the query result is unaffected either way.
 	Telemetry bool `json:"telemetry"`
 }
 
@@ -90,9 +92,10 @@ type ClusterReport struct {
 	// context trace ID when present, else a coordinator-minted job ID.
 	// Every worker's spans and logs for this query carry it.
 	TraceID string `json:"traceId,omitempty"`
-	// PartialTelemetry is set when at least one winning-roster worker has
-	// no decoded telemetry bundle — the result is complete, the
-	// observability is not.
+	// PartialTelemetry is set when at least one winning-roster worker's
+	// telemetry is not whole (WorkerReport.Telemetry): it runs -no-telemetry,
+	// or the request was traced and its bundle is missing — the result is
+	// complete, the observability is not.
 	PartialTelemetry bool           `json:"partialTelemetry,omitempty"`
 	WorkerReports    []WorkerReport `json:"workerReports,omitempty"`
 	// Trace is the merged cluster-wide Chrome trace (coordinator lane plus
@@ -112,12 +115,15 @@ type WorkerInfo struct {
 	LastHeartbeatMs int64  `json:"lastHeartbeatMs"`
 	// Jobs counts job-done reports received from this worker.
 	Jobs int64 `json:"jobs"`
-	// Telemetry reports whether this worker has ever shipped a bundle.
+	// Telemetry reports whether this worker ships telemetry, as its
+	// handshake said.
 	Telemetry bool `json:"telemetry"`
 }
 
 // WorkerMetrics pairs a worker's node name with its most recent metrics
-// registry snapshot, for the coordinator's federated /metrics view.
+// registry snapshot, for the coordinator's federated /metrics view: one the
+// worker ships when it is connected and then on the heartbeat after a job, at
+// most one heartbeat (500 ms) stale.
 type WorkerMetrics struct {
 	Node string
 	Snap *obs.Snapshot

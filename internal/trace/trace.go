@@ -179,17 +179,40 @@ type OpStats struct {
 // safe for concurrent use by the engine's partition goroutines. The zero
 // value is not usable; call NewCollector.
 type Collector struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	spans   []*Span
-	byStage map[int64]*Span
-	cur     *Span
+	mu    sync.Mutex
+	epoch time.Time
+	spans []*Span
+	cur   *Span
 
 	ops     map[any]*OpStats
 	opOrder []any
 	stack   []opFrame
 
 	iteration int
+
+	// The chunks spans, their per-partition slots and their attempts are
+	// carved from: a stage costs the collector no object of its own, a few
+	// chunks cost a job.
+	spanChunk    []Span
+	partChunk    []PartStats
+	attemptChunk []Attempt
+	opChunk      []OpStats
+}
+
+// chunkStages is how many stages' worth of spans, partition slots and attempts
+// a chunk holds.
+const chunkStages = 16
+
+// carve returns n zeroed elements from the front of *chunk, clipped to their
+// length so that growing them never reaches the next carve, and refills the
+// chunk with max(n, size) elements when it holds fewer than n.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, size))
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
 }
 
 type opFrame struct {
@@ -202,9 +225,8 @@ type opFrame struct {
 // from now.
 func NewCollector() *Collector {
 	return &Collector{
-		epoch:   time.Now(),
-		byStage: map[int64]*Span{},
-		ops:     map[any]*OpStats{},
+		epoch: time.Now(),
+		ops:   map[any]*OpStats{},
 	}
 }
 
@@ -227,7 +249,9 @@ func (c *Collector) pushOp(token any, label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.ops[token]; !ok {
-		c.ops[token] = &OpStats{Label: label}
+		st := &carve(&c.opChunk, 1, chunkStages)[0]
+		st.Label = label
+		c.ops[token] = st
 		c.opOrder = append(c.opOrder, token)
 	}
 	c.stack = append(c.stack, opFrame{token: token, start: time.Now()})
@@ -273,32 +297,48 @@ func (c *Collector) BeginStage(stage int64, kind string, shuffle bool, parts int
 	if c.cur != nil {
 		c.cur.End = now
 	}
-	s := &Span{
+	s := &carve(&c.spanChunk, 1, chunkStages)[0]
+	*s = Span{
 		Stage:     stage,
 		Kind:      kind,
 		Shuffle:   shuffle,
 		Iteration: c.iteration,
 		Start:     now,
-		Parts:     make([]PartStats, parts),
+		Parts:     carve(&c.partChunk, parts, chunkStages*parts),
+		// A stage makes one attempt per partition unless one fails.
+		Attempts: carve(&c.attemptChunk, parts, chunkStages*parts)[:0],
 	}
 	if n := len(c.stack); n > 0 {
 		top := c.ops[c.stack[n-1].token]
 		s.Op = top.Label
 		top.Stages = append(top.Stages, stage)
 	}
+	if c.spans == nil {
+		c.spans = make([]*Span, 0, chunkStages)
+	}
 	c.spans = append(c.spans, s)
-	c.byStage[stage] = s
 	c.cur = s
+}
+
+// span returns the span of a stage: the open one, or else the latest of that
+// number.
+func (c *Collector) span(stage int64) *Span {
+	if c.cur != nil && c.cur.Stage == stage {
+		return c.cur
+	}
+	for i := len(c.spans) - 1; i >= 0; i-- {
+		if c.spans[i].Stage == stage {
+			return c.spans[i]
+		}
+	}
+	return nil
 }
 
 // Finish closes the currently open span. Call it when the job ends.
 func (c *Collector) Finish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cur != nil {
-		c.cur.End = c.since()
-		c.cur = nil
-	}
+	c.close()
 }
 
 // part returns the current span's stats slot for partition p, growing the
@@ -362,7 +402,7 @@ func (c *Collector) Mem(p int, bytes int64) {
 func (c *Collector) Attempt(stage int64, part, n int, start, end time.Time, failed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.byStage[stage]
+	s := c.span(stage)
 	if s == nil {
 		return
 	}
@@ -380,7 +420,7 @@ func (c *Collector) Attempt(stage int64, part, n int, start, end time.Time, fail
 func (c *Collector) Retry(stage int64, part int, recovery time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.byStage[stage]
+	s := c.span(stage)
 	if s == nil {
 		return
 	}
@@ -404,10 +444,7 @@ func (c *Collector) SetIteration(it int) {
 func (c *Collector) Spans() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cur != nil {
-		c.cur.End = c.since()
-		c.cur = nil
-	}
+	c.close()
 	out := make([]Span, len(c.spans))
 	for i, s := range c.spans {
 		out[i] = *s
@@ -415,6 +452,34 @@ func (c *Collector) Spans() []Span {
 		out[i].Attempts = append([]Attempt(nil), s.Attempts...)
 	}
 	return out
+}
+
+// Len returns how many spans have been recorded.
+func (c *Collector) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.spans)
+}
+
+// Walk calls fn with every recorded span in execution order, closing the open
+// span first, and copies none of them: what a caller that only reads the
+// spans - a cluster worker's stage table - pays nothing for. It holds the
+// collector's lock throughout, so fn must not call the collector or keep s.
+func (c *Collector) Walk(fn func(s *Span)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.close()
+	for _, s := range c.spans {
+		fn(s)
+	}
+}
+
+// close ends the open span now. The caller holds c.mu.
+func (c *Collector) close() {
+	if c.cur != nil {
+		c.cur.End = c.since()
+		c.cur = nil
+	}
 }
 
 // Current returns a copy of the span of the stage executing right now, with
