@@ -92,7 +92,8 @@ func TestAllocTable(t *testing.T) {
 
 // jobPhases tell a cluster request's costs apart by call stack, each by the
 // functions that pay it, on the coordinator and on the workers: first a job's
-// fixed costs, then the frames of rows, then what is left on the coordinator.
+// fixed costs, then the frames of rows - sent, received by a worker, received
+// by the coordinator - then what is left on the coordinator.
 // The rest is the workers' run of the query. The rules name the functions of
 // this commit and of the ones before protocol version 7 (a telemetry bundle of
 // spans and registry on every job, a JSON done report), so that the table can
@@ -141,13 +142,16 @@ var jobPhases = []benchkit.Phase{
 		{"@trace."},
 		{"operators.traced", "-trace.(*Collector).InOp"},
 	}},
-	{Name: "frames of rows", Rules: [][]string{
+	// The frames of rows: what the sending side pays, what a worker's peer
+	// links read (shuffles and all-gathers, into the attempt's receive arena
+	// since decision 38), and what the coordinator reads (the results).
+	{Name: "frames of rows: send", Rules: [][]string{
 		{"cluster.(*peerTransport)."},
-		{"cluster.(*jobRuntime).routePeer"},
 		{"cluster.(*sender).run"},
 		{"cluster.shipResults"},
-		{"cluster.(*Coordinator).readMember"},
 	}},
+	{Name: "frames of rows: worker receive", Rules: [][]string{{"cluster.(*jobRuntime).routePeer"}}},
+	{Name: "frames of rows: coordinator receive (results)", Rules: [][]string{{"cluster.(*Coordinator).readMember"}}},
 	{Name: "coordinator: session, bind, assembly", Rules: [][]string{
 		{"session.(*Session).Execute"},
 		{"session.(*Response).WriteRows"},

@@ -25,11 +25,13 @@ import (
 // destinations of one peer - four buckets of embedding-shaped rows - is framed
 // for the peer, written into the connection's buffer a row at a time, read
 // back off a reader, split, and decoded into the four destination partitions.
-// A wire byte is allocated once, on the receiving side (the frame body); the
-// rows are views of it, and the sending side allocates a fixed handful per
-// frame whatever its rows. So what is left is hundredths of an allocation a
-// row, and the heap bytes a row are the frame's: B/row is held to wireB/row,
-// the receiving copy, plus 10 %.
+// The sending side allocates a fixed handful per frame whatever its rows, and
+// the rows are views of the frame body, so what is left is hundredths of an
+// allocation a row and, in bytes, the receiving copy. The coordinator reads a
+// frame into a body of its own (readFrame with no arena, as for a result):
+// B/row is held to wireB/row plus 10 %. A worker reads it into an attempt's
+// receive arena, and the attempt ends every op: its buffers go back to the
+// worker, and the next op's attempt carves from them, so B/row is about 0.
 func BenchmarkRowFrame(b *testing.B) {
 	const rows, ways = 20_000, 4
 	var slab embedding.Slab
@@ -57,7 +59,7 @@ func BenchmarkRowFrame(b *testing.B) {
 	fw := newFrameWriter(&socket)
 	br := bufio.NewReaderSize(&socket, 64<<10)
 	wire := 0
-	step := func() {
+	step := func(w *Worker) {
 		head := dataFrame{JobID: 1, Seq: 1, Kind: kindExchange}
 		hc := field.Appender(nil)
 		head.layout(&hc)
@@ -68,7 +70,15 @@ func BenchmarkRowFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 
-		_, frame, err := readFrame(br)
+		var frame []byte
+		var err error
+		var rt *jobRuntime
+		if w == nil {
+			_, frame, err = readFrame(br, nil)
+		} else {
+			rt = newJobRuntime(w, jobKey{job: 1})
+			_, frame, err = readFrame(br, rt)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,20 +107,33 @@ func BenchmarkRowFrame(b *testing.B) {
 		if got != rows {
 			b.Fatalf("%d rows arrived, want %d", got, rows)
 		}
+		if rt != nil {
+			rt.readEnded()
+			w.dropRuntime(rt)
+		}
 	}
-	step()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	for _, side := range []struct {
+		name   string
+		worker *Worker
+	}{{"coordinator", nil}, {"worker", NewWorkerWith("w1", nil, WorkerOptions{})}} {
+		b.Run(side.name, func(b *testing.B) {
+			defer func(was bool) { scribbleSpare = was }(scribbleSpare)
+			scribbleSpare = false // a test's net, not the kernel's cost
+			step(side.worker)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(side.worker)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/rows, "B/row")
+			b.ReportMetric(float64(wire)/rows, "wireB/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/rows, "B/row")
-	b.ReportMetric(float64(wire)/rows, "wireB/row")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
 
 // BenchmarkWorkerPlanHit is what a worker pays for an attempt between its mesh

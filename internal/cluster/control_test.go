@@ -50,7 +50,7 @@ func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 		}
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		if _, _, err := readFrame(br); err != nil {
+		if _, _, err := readFrame(br, nil); err != nil {
 			return
 		}
 		if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: ln.Addr().String()}); err != nil {
@@ -59,7 +59,7 @@ func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 		send := newSender(conn)
 		defer send.abort()
 		for {
-			typ, payload, err := readFrame(br)
+			typ, payload, err := readFrame(br, nil)
 			if err != nil {
 				return
 			}
@@ -208,7 +208,7 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 		t.Cleanup(func() { peer.Close() })
 		peer.SetReadDeadline(time.Now().Add(10 * time.Second))
 		for typ := byte(0); typ != frameData; {
-			if typ, _, err = readFrame(br); err != nil {
+			if typ, _, err = readFrame(br, nil); err != nil {
 				t.Fatalf("job %d sent its peer no collective: %v", job, err)
 			}
 		}
@@ -279,7 +279,7 @@ func corruptingProxy(t *testing.T, addr string) string {
 				defer out.Close()
 				br := bufio.NewReader(in)
 				for {
-					typ, payload, err := readFrame(br)
+					typ, payload, err := readFrame(br, nil)
 					if err != nil {
 						return
 					}
@@ -312,7 +312,7 @@ func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, _, err := readFrame(ctrl.br); err != nil {
+		if _, _, err := readFrame(ctrl.br, nil); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatal("the worker kept the control connection of an undecodable job frame open")
 			}

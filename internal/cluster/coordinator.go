@@ -237,7 +237,7 @@ func (m *member) markPong() {
 // report that does not decode, is the definitive death signal for the member.
 func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil {
 			c.memberDown(m, err)
 			return
@@ -464,7 +464,11 @@ func (st *attemptState) fail(err error) {
 // a terminal state or died — or a loss has been observed (a dead member or
 // a peer-loss report), in which case the attempt is already doomed and the
 // caller aborts the stragglers instead of waiting out their rendezvous
-// timeouts.
+// timeouts. A peer-loss report settles it once every member it names has
+// reported or died: a member that fails on an error of its own queues its
+// done report before it closes its peer links, so the report of a peer that
+// saw it go may overtake its own, and only its own tells a failure from a
+// loss.
 func (st *attemptState) await() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -478,7 +482,7 @@ func (st *attemptState) await() error {
 		settled := true
 		for _, idx := range st.roster {
 			done := st.dones[idx]
-			if done != nil && done.PeerLost {
+			if done != nil && done.PeerLost && st.heardFrom(done.LostPeers) {
 				return nil
 			}
 			if done == nil {
@@ -490,6 +494,26 @@ func (st *attemptState) await() error {
 		}
 		st.cond.Wait()
 	}
+}
+
+// heardFrom reports whether every roster member of lost - roster-relative, as
+// a done report names them - has reported or died. Under mu.
+func (st *attemptState) heardFrom(lost []int) bool {
+	for _, r := range lost {
+		if r >= 0 && r < len(st.roster) {
+			if idx := st.roster[r]; st.dones[idx] == nil && !st.down[idx] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// failedOnItsOwn reports whether member idx is alive and reported an error
+// that is not a lost peer: it left its peers because it failed. Under mu.
+func (st *attemptState) failedOnItsOwn(idx int) bool {
+	done := st.dones[idx]
+	return !st.down[idx] && done != nil && !done.PeerLost && done.Error != ""
 }
 
 // outcome classifies a settled attempt.
@@ -505,19 +529,21 @@ func (st *attemptState) classify() outcome {
 	var out outcome
 	accused := map[int]bool{}
 	for idx := range st.down {
-		out.recoverable = true
 		accused[idx] = true
 	}
+	lossReported := false
 	for _, idx := range st.roster {
 		done := st.dones[idx]
 		if done == nil {
 			continue
 		}
 		if done.PeerLost {
-			out.recoverable = true
-			// LostPeers are roster-relative; translate to member indices.
+			lossReported = true
+			// LostPeers are roster-relative; translate to member indices. A
+			// member that failed on its own error is not lost: its peers saw
+			// it leave, and its error is the attempt's.
 			for _, r := range done.LostPeers {
-				if r >= 0 && r < len(st.roster) {
+				if r >= 0 && r < len(st.roster) && !st.failedOnItsOwn(st.roster[r]) {
 					accused[st.roster[r]] = true
 				}
 			}
@@ -527,6 +553,7 @@ func (st *attemptState) classify() outcome {
 			out.queryErr = errors.New(done.Error)
 		}
 	}
+	out.recoverable = len(accused) > 0 || (lossReported && out.queryErr == nil)
 	for idx := range accused {
 		out.accused = append(out.accused, idx)
 	}

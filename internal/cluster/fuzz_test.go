@@ -111,7 +111,7 @@ var fuzzOwner = []int{0, 1, 0, 1}
 // readAndSplit reads a frame from raw and takes it as far as a receiver does
 // before decoding rows, failing t on a panic-free but unstructured error.
 func readAndSplit(t *testing.T, raw []byte) {
-	typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(raw)))
+	typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), nil)
 	if err != nil {
 		if err != io.EOF {
 			structured(t, err)

@@ -179,7 +179,7 @@ func TestFrameHeaderGolden(t *testing.T) {
 		if got := frameBytes(tc.typ, headBytes(tc.head), body...); !bytes.Equal(got, want) {
 			t.Errorf("%s frame bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
-		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(want)))
+		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(want)), nil)
 		if err != nil || typ != tc.typ {
 			t.Fatalf("%s frame reads as type %d, %v", tc.name, typ, err)
 		}

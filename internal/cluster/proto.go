@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -50,7 +51,8 @@ const (
 	protoVersion = 7
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
-	// prefix is rejected before any allocation.
+	// prefix is rejected before any allocation, and a worker holds a frame of
+	// rows to it before it queues one (fits).
 	maxFrame = 256 << 20
 
 	// frameHeader is the fixed per-frame overhead: uint32 length + type byte.
@@ -143,7 +145,7 @@ func dialHello(addr string, h hello) (net.Conn, *bufio.Reader, welcome, error) {
 	var typ byte
 	var payload []byte
 	if err == nil {
-		typ, payload, err = readFrame(br)
+		typ, payload, err = readFrame(br, nil)
 	}
 	switch {
 	case err != nil:
@@ -315,10 +317,14 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 // readFrame reads one frame, guarding against torn and hostile length
 // prefixes: a prefix of zero, or beyond maxFrame, fails before any
 // allocation, and a short read surfaces as io.ErrUnexpectedEOF rather than
-// a misparse of the next frame. Every frame gets a body of its own that
-// nothing reuses, so what is decoded from it may keep views of it: a frame
-// body belongs to the attempt that received it.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
+// a misparse of the next frame. The body is read into the receive arena of
+// the worker attempt into (DESIGN decision 38), or, when into is nil, into a
+// heap allocation of its own that nothing reuses. Either way it is the body's
+// alone, so what is decoded from it may keep views of it for as long as its
+// owner - the attempt that received it, or the caller - lives. A read into an
+// arena ends with into.readEnded: readFrame's own when the body does not
+// arrive whole, the frame's reader's once it is done with the frame.
+func readFrame(r *bufio.Reader, into *jobRuntime) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -333,14 +339,36 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame length %d exceeds limit %d", n, maxFrame)
 	}
-	body := make([]byte, n)
+	var body []byte
+	if into == nil {
+		body = make([]byte, n)
+	} else {
+		body = into.frameBody(int(n))
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
+		if into != nil {
+			into.readEnded()
+		}
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, fmt.Errorf("cluster: torn frame (want %d bytes): %w", n, err)
 	}
 	return body[0], body[1:], nil
+}
+
+// errFrameTooLarge is the failure of an attempt that would have sent a frame
+// over maxFrame, which its receiver refuses: the attempt fails with it, the
+// connection stays up and no peer is blamed.
+var errFrameTooLarge = errors.New("cluster: frame too large")
+
+// fits fails a frame of size bytes on the socket (wireSize) whose length
+// prefix would declare more than readFrame takes.
+func fits(size int64) error {
+	if n := size - 4; n > maxFrame {
+		return fmt.Errorf("%w: %d bytes, the limit is %d", errFrameTooLarge, n, maxFrame)
+	}
+	return nil
 }
 
 // writeJSONFrame marshals a control message into a frame.

@@ -86,7 +86,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, frameData, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(bufio.NewReader(&buf))
+	typ, got, err := readFrame(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFrameTorn(t *testing.T) {
 	var buf bytes.Buffer
 	writeFrame(&buf, frameData, []byte("0123456789"))
 	torn := buf.Bytes()[:buf.Len()-4]
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(torn)))
+	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(torn)), nil)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn frame: got %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -109,7 +109,7 @@ func TestFrameTorn(t *testing.T) {
 
 // TestFrameTruncatedHeader checks a read that dies inside the length prefix.
 func TestFrameTruncatedHeader(t *testing.T) {
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0})))
+	_, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0})), nil)
 	if err == nil {
 		t.Fatal("truncated header accepted")
 	}
@@ -120,7 +120,7 @@ func TestFrameTruncatedHeader(t *testing.T) {
 func TestFrameOversizedLength(t *testing.T) {
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])))
+	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])), nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized length: got %v", err)
 	}
@@ -129,7 +129,7 @@ func TestFrameOversizedLength(t *testing.T) {
 // TestFrameZeroLength checks that a zero-length prefix (no type byte) is
 // rejected.
 func TestFrameZeroLength(t *testing.T) {
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 0})))
+	_, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 0})), nil)
 	if err == nil || !strings.Contains(err.Error(), "zero-length") {
 		t.Fatalf("zero-length frame: got %v", err)
 	}
@@ -140,7 +140,7 @@ func TestFrameZeroLength(t *testing.T) {
 func TestDataFrameCRC(t *testing.T) {
 	head := headBytes(&dataFrame{JobID: 7, Attempt: 1, Seq: 3, Kind: kindExchange, From: 2, Stage: 9})
 	wire := bytes.NewReader(frameBytes(frameData, head, []byte("shuffle "), nil, []byte("bucket bytes")))
-	typ, enc, err := readFrame(bufio.NewReader(wire))
+	typ, enc, err := readFrame(bufio.NewReader(wire), nil)
 	if err != nil || typ != frameData {
 		t.Fatalf("frame type %d, err %v", typ, err)
 	}
@@ -241,8 +241,11 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 }
 
 // TestFramesNeverShareBytes pins what lets decoded rows be views: readFrame
-// gives every frame a body of its own, so the rows of one frame survive the
-// next frame arriving through the same reader, and being scribbled over.
+// gives every frame a body of its own - a heap allocation, or a piece of a
+// worker attempt's receive arena clipped to its length - so the rows of one
+// frame survive the next frame arriving through the same reader, and being
+// scribbled over. (That the arena is reused only once its attempt has ended
+// and no frame is being read into it is TestInFlightFrameHoldsTheArena.)
 func TestFramesNeverShareBytes(t *testing.T) {
 	bucket := func(tag int64) []byte {
 		rows := make([]embedding.Embedding, 50)
@@ -251,36 +254,47 @@ func TestFramesNeverShareBytes(t *testing.T) {
 		}
 		return encoded(segment{bucket: bucketOf(rows)})
 	}
-	var wire bytes.Buffer
-	for tag := int64(1); tag <= 2; tag++ {
-		if err := writeFrame(&wire, frameResult, bucket(tag)); err != nil {
-			t.Fatal(err)
+	for name, into := range map[string]*jobRuntime{
+		"heap":  nil,
+		"arena": newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1}),
+	} {
+		var wire bytes.Buffer
+		for tag := int64(1); tag <= 2; tag++ {
+			if err := writeFrame(&wire, frameResult, bucket(tag)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	br := bufio.NewReaderSize(&wire, 64) // smaller than a frame, like a busy socket
-	decode := func() ([]byte, []embedding.Embedding) {
-		_, body, err := readFrame(br)
-		if err != nil {
-			t.Fatal(err)
+		br := bufio.NewReaderSize(&wire, 64) // smaller than a frame, like a busy socket
+		decode := func() ([]byte, []embedding.Embedding) {
+			_, body, err := readFrame(br, into)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(body) != len(body) {
+				t.Fatalf("%s: a body of %d bytes has room for %d", name, len(body), cap(body))
+			}
+			rows := make([]embedding.Embedding, 50)
+			if err := dataflow.DecodeBucket(rows, body); err != nil {
+				t.Fatal(err)
+			}
+			return body, rows
 		}
-		rows := make([]embedding.Embedding, 50)
-		if err := dataflow.DecodeBucket(rows, body); err != nil {
-			t.Fatal(err)
+		firstBody, first := decode()
+		want := make([]string, len(first))
+		for i, e := range first {
+			want[i] = e.String()
 		}
-		return body, rows
-	}
-	_, first := decode()
-	want := make([]string, len(first))
-	for i, e := range first {
-		want[i] = e.String()
-	}
-	second, _ := decode()
-	for i := range second {
-		second[i] = 0xee
-	}
-	for i, e := range first {
-		if got := e.String(); got != want[i] {
-			t.Fatalf("row %d of the first frame reads %s after the second was overwritten, want %s", i, got, want[i])
+		second, _ := decode()
+		if overlaps(firstBody, second) {
+			t.Fatalf("%s: two frames share bytes", name)
+		}
+		for i := range second {
+			second[i] = 0xee
+		}
+		for i, e := range first {
+			if got := e.String(); got != want[i] {
+				t.Fatalf("%s: row %d of the first frame reads %s after the second was overwritten, want %s", name, i, got, want[i])
+			}
 		}
 	}
 }
@@ -309,7 +323,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +337,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if !strings.Contains(rej.Reason, "protocol mismatch") {
 		t.Fatalf("reject reason %q", rej.Reason)
 	}
-	if _, _, err := readFrame(br); err == nil {
+	if _, _, err := readFrame(br, nil); err == nil {
 		t.Fatal("connection stayed open after reject")
 	}
 }
@@ -345,7 +359,7 @@ func TestHandshakeBadMagic(t *testing.T) {
 	defer conn.Close()
 	writeJSONFrame(conn, frameHello, hello{Magic: 0xDEADBEEF, Version: protoVersion, Role: roleControl})
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := readFrame(bufio.NewReader(conn))
+	typ, _, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil || typ != frameReject {
 		t.Fatalf("got type %d err %v, want frameReject", typ, err)
 	}
@@ -372,7 +386,7 @@ func TestDialRejectsForeignWelcome(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if _, _, err := readFrame(bufio.NewReader(conn)); err != nil {
+				if _, _, err := readFrame(bufio.NewReader(conn), nil); err != nil {
 					served <- err
 					return
 				}
@@ -472,7 +486,7 @@ func TestSenderCoalescing(t *testing.T) {
 		defer wg.Done()
 		br := bufio.NewReader(server)
 		for {
-			_, payload, err := readFrame(br)
+			_, payload, err := readFrame(br, nil)
 			if err != nil {
 				if err != io.EOF {
 					readErr = err
@@ -540,7 +554,7 @@ func TestOrphanRuntimeIsDropped(t *testing.T) {
 	}
 	// The drop ends the connection of the peer that waited for the attempt.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readFrame(br); err == nil {
+	if _, _, err := readFrame(br, nil); err == nil {
 		t.Fatal("a frame arrived on an orphaned peer connection")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("the orphaned runtime kept its peer connection open")

@@ -246,7 +246,7 @@ func (c *control) run(job uint64, query string, id uint64, fp string) jobDone {
 		Procs: []procSpec{{Node: "w0", Addr: c.addr}}, Fingerprint: fp})
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		typ, payload, err := readFrame(c.br)
+		typ, payload, err := readFrame(c.br, nil)
 		if err != nil {
 			c.t.Fatalf("job %d: %v", job, err)
 		}

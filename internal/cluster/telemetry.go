@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gradoop/internal/field"
 	"gradoop/internal/obs"
@@ -82,6 +83,12 @@ type workerInstruments struct {
 	// worker made and those that found it in the worker's cache.
 	plansBuilt  *obs.Counter
 	plansReused *obs.Counter
+	// recvSpare and recvHeap count the bytes of the buffers attempts' receive
+	// arenas took from the worker's spare list and from the heap, added when
+	// an arena goes back; spareBytes is the spare list's size as of then.
+	recvSpare  *obs.Counter
+	recvHeap   *obs.Counter
+	spareBytes atomic.Int64
 }
 
 // newWorkerInstruments registers the worker's instruments. A nil registry
@@ -90,7 +97,11 @@ type workerInstruments struct {
 func newWorkerInstruments(r *obs.Registry) *workerInstruments {
 	plans := r.NewCounterVec("gradoop_worker_plans_total",
 		"Job attempts whose plan this worker built (a plan-cache miss) or reused (a hit)", "outcome")
-	return &workerInstruments{
+	recv := r.NewCounterVec("gradoop_worker_recv_bytes_total",
+		"Bytes of receive memory job attempts took from the worker's spare list or the heap", "from")
+	wi := &workerInstruments{
+		recvSpare:   recv.With("spare"),
+		recvHeap:    recv.With("heap"),
 		plansBuilt:  plans.With("built"),
 		plansReused: plans.With("reused"),
 		jobs: r.NewCounter("gradoop_worker_jobs_total",
@@ -106,4 +117,8 @@ func newWorkerInstruments(r *obs.Registry) *workerInstruments {
 		snapshots: r.NewCounter("gradoop_worker_registry_snapshots_total",
 			"Registry snapshots shipped to the coordinator on the heartbeat"),
 	}
+	r.NewGaugeFunc("gradoop_worker_recv_spare_bytes",
+		"Bytes of receive memory the worker keeps between job attempts",
+		func() float64 { return float64(wi.spareBytes.Load()) })
+	return wi
 }

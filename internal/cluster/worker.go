@@ -72,6 +72,14 @@ type Worker struct {
 	plans     *session.PlanCache
 	snapshots atomic.Uint64
 
+	// spare is the receive memory the worker keeps between attempts: the
+	// buffers of ended attempts' receive arenas, spareBytes in all and at most
+	// spareRecvBytes, which the next attempts carve frame bodies from (DESIGN
+	// decision 38).
+	spareMu    sync.Mutex
+	spare      [][]byte
+	spareBytes int
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	ln     net.Listener
@@ -118,6 +126,25 @@ type WorkerOptions struct {
 // planCacheEntries bounds a worker's plan cache, as a session's is by
 // default.
 const planCacheEntries = 128
+
+// recvChunk is what an attempt's receive arena carves the bodies of frames
+// smaller than it from; a larger frame gets a buffer of its own. At 256 KiB
+// nearly every frame of the benchmark's queries at SF 3 (1 364 of 1 430) is
+// carved from chunks, which are all alike, and a worker keeps 3.4-4.8 MB
+// between attempts; at 64 KiB a third of the frames got buffers of their own
+// sizes, which stayed on the spare list until it was full.
+const recvChunk = 256 << 10
+
+// spareRecvBytes bounds the receive memory a worker keeps between attempts:
+// about twice the most one attempt of the benchmark's queries receives at
+// SF 3 (4.8 MB). An attempt that receives more allocates what the spare list
+// cannot give it, and a buffer larger than the bound is never kept.
+const spareRecvBytes = 8 << 20
+
+// scribbleSpare, set by tests, overwrites every buffer an attempt's arena
+// gives back before the worker keeps it, so that a row still read from it
+// reads garbage instead of the bytes it had.
+var scribbleSpare bool
 
 // NewWorkerWith creates a worker serving the given pinned graph data.
 func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Worker {
@@ -284,9 +311,13 @@ func (w *Worker) dropOrphan(rt *jobRuntime) {
 	w.mu.Unlock()
 	if orphan {
 		rt.fail(errFinished)
+		rt.release()
 	}
 }
 
+// dropRuntime ends an attempt: runJob defers it, so by then every reader of
+// the attempt's rows has returned, and its receive arena goes back to the
+// worker.
 func (w *Worker) dropRuntime(rt *jobRuntime) {
 	w.mu.Lock()
 	if w.jobs[rt.key] == rt {
@@ -294,6 +325,48 @@ func (w *Worker) dropRuntime(rt *jobRuntime) {
 	}
 	w.mu.Unlock()
 	rt.fail(errFinished)
+	rt.release()
+}
+
+// takeSpare takes the smallest spare buffer of at least n bytes off the
+// worker's list, or returns nil when none is that large.
+func (w *Worker) takeSpare(n int) []byte {
+	w.spareMu.Lock()
+	defer w.spareMu.Unlock()
+	best := -1
+	for i, b := range w.spare {
+		if len(b) >= n && (best < 0 || len(b) < len(w.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := w.spare[best]
+	last := len(w.spare) - 1
+	w.spare[best], w.spare[last] = w.spare[last], nil
+	w.spare = w.spare[:last]
+	w.spareBytes -= len(b)
+	return b
+}
+
+// keepSpare puts an ended attempt's receive buffers on the worker's list, as
+// many as fit under spareRecvBytes; the others are left to the collector.
+func (w *Worker) keepSpare(bufs [][]byte) {
+	w.spareMu.Lock()
+	defer w.spareMu.Unlock()
+	for _, b := range bufs {
+		if scribbleSpare {
+			for i := range b {
+				b[i] = 0xee
+			}
+		}
+		if w.spareBytes+len(b) <= spareRecvBytes {
+			w.spare = append(w.spare, b)
+			w.spareBytes += len(b)
+		}
+	}
+	w.winst.spareBytes.Store(int64(w.spareBytes))
 }
 
 // handleConn performs the handshake and runs the connection's read loop:
@@ -307,7 +380,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 	defer w.untrack(conn)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil || typ != frameHello {
 		conn.Close()
 		return
@@ -381,7 +454,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	shipped := w.finished.Load()
 	w.shipRegistry(send)
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil {
 			return
 		}
@@ -671,7 +744,9 @@ func planKey(spec *jobSpec, snap *snapshot) string {
 // result frame whose body is gatherBody over the partitions this worker owns -
 // empty when it owns none - and returns once the frame has been written into
 // the connection's buffer, since, like a collective's, it is written from the
-// rows (DESIGN decision 34).
+// rows (DESIGN decision 34). A result over maxFrame, which the coordinator
+// would take for a lost member, is never queued: the attempt fails with
+// errFrameTooLarge.
 func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctrl *sender) error {
 	blobs := make([]dataflow.Bucket, spec.Workers)
 	for p := range blobs {
@@ -683,7 +758,11 @@ func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctr
 			return err
 		}
 	}
-	seq, err := ctrl.send(frameResult, spec.head(), gatherBody(spec.Owner, spec.Self, blobs))
+	head, body := spec.head(), gatherBody(spec.Owner, spec.Self, blobs)
+	if err := fits(wireSize(head, body)); err != nil {
+		return err
+	}
+	seq, err := ctrl.send(frameResult, head, body)
 	if err == nil {
 		err = ctrl.wait(seq)
 	}
@@ -783,6 +862,19 @@ type jobRuntime struct {
 	// already in the inbox, so a genuine wait on a lost peer means a real
 	// loss.
 	lost map[int]error
+
+	// The receive arena: the peer frames of the attempt are read into
+	// buffers taken from the worker's spare list or the heap (held, whole),
+	// carved a body at a time - free is what is left of the buffer carved
+	// last. fromSpare and fromHeap are the bytes of the buffers taken from
+	// each. reading counts the frames being read into the arena or checked;
+	// once the attempt is released and none is, the buffers go back to the
+	// worker (reclaim).
+	free                []byte
+	held                [][]byte
+	fromSpare, fromHeap int64
+	reading             int
+	released            bool
 }
 
 func newJobRuntime(w *Worker, key jobKey) *jobRuntime {
@@ -832,37 +924,110 @@ func (rt *jobRuntime) waitPeer(idx int) error {
 	return nil
 }
 
-// routePeer is a peer connection's read loop: data frames for this attempt
-// land in the mailbox; anything else (stale attempts, corrupt frames,
-// connection loss) fails the peer so waiters never hang.
+// routePeer is a peer connection's read loop: frames are read into the
+// attempt's receive arena, and data frames for this attempt land in the
+// mailbox; a corrupt frame or the connection's loss fails the peer so waiters
+// never hang.
 func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
 	defer link.send.abort()
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, rt)
+		if err == nil {
+			err = rt.deliver(typ, payload)
+			rt.readEnded()
+		}
 		if err != nil {
 			rt.failPeer(idx, err)
 			return
 		}
-		if typ != frameData {
-			continue
-		}
-		var f dataFrame
-		c := field.Reader(payload)
-		f.layout(&c)
-		body, err := checkedBody(&c)
-		if err != nil {
-			rt.failPeer(idx, err)
-			return
-		}
-		if f.JobID != rt.key.job || f.Attempt != rt.key.attempt {
-			// A frame from a retired attempt; drop it.
-			continue
-		}
-		rt.mu.Lock()
-		rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = body
-		rt.cond.Broadcast()
-		rt.mu.Unlock()
 	}
+}
+
+// deliver files a data frame of this attempt in the mailbox, once its body
+// matches its checksum. Any other frame is dropped.
+func (rt *jobRuntime) deliver(typ byte, payload []byte) error {
+	if typ != frameData {
+		return nil
+	}
+	var f dataFrame
+	c := field.Reader(payload)
+	f.layout(&c)
+	body, err := checkedBody(&c)
+	if err != nil || f.JobID != rt.key.job || f.Attempt != rt.key.attempt {
+		return err // nil for a frame from a retired attempt
+	}
+	rt.mu.Lock()
+	rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = body
+	rt.cond.Broadcast()
+	rt.mu.Unlock()
+	return nil
+}
+
+// frameBody is where readFrame reads the body of a peer frame of n bytes, and
+// begins a read: a body carved from the attempt's receive arena. A body
+// smaller than recvChunk is carved from what is left of the buffer carved
+// last, or from a new chunk; a larger one gets a buffer of its own, unless
+// what is left holds it. A new buffer is the
+// smallest spare one that is large enough, or a heap allocation. A body is
+// clipped to its length, so nothing appends into the next. Once the attempt
+// has been released, a body is a heap allocation of its own that nothing
+// reuses.
+func (rt *jobRuntime) frameBody(n int) []byte {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.reading++
+	if rt.released {
+		rt.w.winst.recvHeap.Add(int64(n))
+		return make([]byte, n)
+	}
+	if n > len(rt.free) {
+		size := max(n, recvChunk)
+		buf := rt.w.takeSpare(size)
+		if buf == nil {
+			buf = make([]byte, size)
+			rt.fromHeap += int64(size)
+		} else {
+			rt.fromSpare += int64(len(buf))
+		}
+		rt.held = append(rt.held, buf)
+		if len(buf)-n <= len(rt.free) {
+			return buf[:n:n] // what is left of the last buffer is the larger
+		}
+		rt.free = buf
+	}
+	body := rt.free[:n:n]
+	rt.free = rt.free[n:]
+	return body
+}
+
+// readEnded ends a read frameBody began: the frame's reader is done with it.
+func (rt *jobRuntime) readEnded() {
+	rt.mu.Lock()
+	rt.reading--
+	rt.reclaim()
+	rt.mu.Unlock()
+}
+
+// release ends the attempt's hold on its receive arena: nothing of the job
+// reads a row of it any more. Its buffers go back to the worker now, or when
+// the last frame being read lands.
+func (rt *jobRuntime) release() {
+	rt.mu.Lock()
+	rt.released = true
+	rt.reclaim()
+	rt.mu.Unlock()
+}
+
+// reclaim gives the arena's buffers to the worker, and counts them, once the
+// attempt has been released and no frame is being read into them. Under mu.
+func (rt *jobRuntime) reclaim() {
+	if !rt.released || rt.reading > 0 || rt.held == nil {
+		return
+	}
+	rt.w.keepSpare(rt.held)
+	rt.w.winst.recvSpare.Add(rt.fromSpare)
+	rt.w.winst.recvHeap.Add(rt.fromHeap)
+	rt.held, rt.free = nil, nil
 }
 
 // waitMail blocks until the addressed contribution arrives, the sender is
@@ -1049,7 +1214,9 @@ func (t *peerTransport) AllGather(stage int64, blobs []dataflow.Bucket) ([][]byt
 // collective - the number that pairs it across processes - and runs the crash
 // hook: an armed worker dies, as a process, every socket closed, after that
 // many collectives. It queues one data frame of this kind to every peer j,
-// body(j) its body, and waits until each has been written into its
+// body(j) its body - a frame its peer would refuse as over maxFrame is never
+// queued, and fails the collective with errFrameTooLarge, not as a lost peer -
+// and waits until each has been written into its
 // connection's buffer or dropped with it: a collective returns only then,
 // having failed or not, because its frames are written from rows and routes
 // the engine rewrites as soon as it has returned (DESIGN decision 34). Then it
@@ -1067,7 +1234,11 @@ func (t *peerTransport) collective(stage int64, kind byte, body func(j int) []se
 			continue
 		}
 		b := body(j)
-		t.wireOut[stage] += wireSize(head, b)
+		size := wireSize(head, b)
+		if err = fits(size); err != nil {
+			break
+		}
+		t.wireOut[stage] += size
 		if err = t.rt.peerSend(j, head, b); err != nil {
 			break
 		}

@@ -94,6 +94,17 @@ const anyError = "error"
 //go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
 var probeInPlaceScale float64
 
+// scribbleSpare is cluster's: set, a worker overwrites the receive memory an
+// attempt gives back before it keeps it for the next. A cluster mode runs a
+// fixture's cases back to back on one cluster, so every case but the first
+// receives into memory an earlier one gave back, and a row still read from it
+// after its attempt ended is garbage, not the right row by luck.
+//
+//go:linkname scribbleSpare gradoop/internal/cluster.scribbleSpare
+var scribbleSpare bool
+
+func init() { scribbleSpare = true }
+
 // The rule at its two ends.
 var never, always = math.Inf(1), 0.0
 

@@ -37,9 +37,11 @@ type Transport interface {
 	// owned q). It returns incoming[q][p] — the encoded bucket from remote
 	// partition p to owned partition q — with entries for non-owned q and
 	// locally-owned p left nil (the caller has those rows in memory). The
-	// incoming buckets are the caller's, for good: decoded elements are views
-	// of them, so a transport must not reuse a receive buffer. Errors (peer
-	// loss, abort, corrupt frames) must be returned, never hung on.
+	// incoming buckets are the caller's for the rest of the job: decoded
+	// elements are views of them, so a transport may reuse a receive buffer
+	// once nothing of the job can reach it - after the job has ended - and
+	// not before. Errors (peer loss, abort, corrupt frames) must be returned,
+	// never hung on.
 	Exchange(stage int64, outgoing [][]Bucket) (incoming [][][]byte, err error)
 
 	// AllGather replicates one bucket per owned partition to every process:

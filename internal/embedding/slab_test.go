@@ -135,7 +135,9 @@ func TestSlabMatchesValueSemantics(t *testing.T) {
 
 // TestDecodedRowsAreClippedViews: a decoded row is a view of the frame it
 // came in, which the receiving attempt owns (cluster.readFrame gives every
-// frame a body of its own - TestFramesNeverShareBytes there), clipped to its
+// frame a body of its own, from the attempt's receive arena on a worker, and
+// the arena is reused only once the attempt has ended -
+// TestFramesNeverShareBytes and TestInFlightFrameHoldsTheArena there), clipped to its
 // own length: an append to a view of row i reallocates instead of writing
 // into row i+1, and the routines that grow a row copy it, so nothing built from a
 // decoded row writes to the frame.

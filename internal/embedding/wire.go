@@ -36,7 +36,8 @@ func (Embedding) WireReader() func(*Embedding, []byte) ([]byte, error) {
 // DecodeWireInto reads one AppendWire encoding from b into the receiver and
 // returns the remaining bytes. The row is a view of b - its address is
 // inside b - so the caller must own b for as long as the row lives and never
-// write to it again: a frame body belongs to the attempt that received it.
+// write to it again: a frame body belongs to the attempt that received it,
+// and a worker reuses its memory only once the attempt has ended.
 // The row's length is checked against b, the prefix against the row's
 // length, and idData against the entry size, so a corrupt frame fails here
 // and not as an index panic in a partition goroutine later. With those

@@ -78,16 +78,18 @@ func tableAfter(text, header string) string {
 
 // TestDocsCiteDeclaredTests holds the documents that send a reader to a test
 // - DESIGN.md, README.md and the verify skill - to the tests there are: every
-// Test... name they cite is a test function declared in the module, or the
-// prefix of one (a -run pattern that names a family). Folding or renaming a
-// test without fixing its citations is a red test, not a dead link.
+// Test... or Benchmark... name they cite is a test or benchmark function
+// declared in the module, or the prefix of one (a -run or -bench pattern that
+// names a family), and every `make <target>` they cite is a target of the
+// Makefile. Folding or renaming a test, a benchmark or a target without
+// fixing its citations is a red test, not a dead link.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	root, err := load.ModuleRoot(".")
 	if err != nil {
 		t.Fatalf("locating module root: %v", err)
 	}
 	var declared []string
-	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -106,7 +108,16 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][\w-]*):`).FindAllSubmatch(makefile, -1) {
+		targets = append(targets, string(m[1]))
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
+	makeCmd := regexp.MustCompile("`make\\s+([a-z][\\w-]*)")
 	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -116,7 +127,12 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 		slices.Sort(names)
 		for _, name := range slices.Compact(names) {
 			if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
-				t.Errorf("%s cites %s, which no test function of the module is or begins with", doc, name)
+				t.Errorf("%s cites %s, which no test or benchmark function of the module is or begins with", doc, name)
+			}
+		}
+		for _, m := range makeCmd.FindAllStringSubmatch(string(text), -1) {
+			if !slices.Contains(targets, m[1]) {
+				t.Errorf("%s cites make %s, which is not a target of the Makefile", doc, m[1])
 			}
 		}
 	}
