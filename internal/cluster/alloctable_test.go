@@ -130,12 +130,16 @@ var jobPhases = []benchkit.Phase{
 		{"core.PrepareWith"},
 		{"cluster.(*Worker).plan"},
 	}},
+	// The per-job mesh of a parent commit (connectMesh, addPeer, waitPeer), or,
+	// since decision 39, an attempt's transport over the links its worker
+	// dials once (transport: link, dial).
 	{Name: "mesh set-up", Rules: [][]string{
 		{"cluster.(*Worker).connectMesh"},
+		{"cluster.(*Worker).transport"},
 		{"cluster.(*Worker).runtime"},
 		{"cluster.(*jobRuntime).addPeer"},
 		{"cluster.(*jobRuntime).waitPeer"},
-		{"cluster.(*Worker).handleConn", "-cluster.(*jobRuntime).routePeer"},
+		{"cluster.(*Worker).handleConn", "-cluster.(*jobRuntime).routePeer", "-cluster.(*Worker).routeFrame"},
 	}},
 	// The spans, and what an operator renders for its span before its run.
 	{Name: "tracing", Rules: [][]string{
@@ -150,7 +154,7 @@ var jobPhases = []benchkit.Phase{
 		{"cluster.(*sender).run"},
 		{"cluster.shipResults"},
 	}},
-	{Name: "frames of rows: worker receive", Rules: [][]string{{"cluster.(*jobRuntime).routePeer"}}},
+	{Name: "frames of rows: worker receive", Rules: [][]string{{"cluster.(*jobRuntime).routePeer"}, {"cluster.(*Worker).routeFrame"}}},
 	{Name: "frames of rows: coordinator receive (results)", Rules: [][]string{{"cluster.(*Coordinator).readMember"}}},
 	{Name: "coordinator: session, bind, assembly", Rules: [][]string{
 		{"session.(*Session).Execute"},

@@ -136,7 +136,7 @@ func BenchmarkRowFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerPlanHit is what a worker pays for an attempt between its mesh
+// BenchmarkWorkerPlanHit is what a worker pays for an attempt between its links
 // and its run when the plan is in its cache - every job of a query but its
 // first on a statistics snapshot: the parameters decoded, the plan looked up
 // and held to the coordinator's fingerprint, a fresh environment and the pinned
@@ -165,13 +165,17 @@ func BenchmarkWorkerPlanHit(b *testing.B) {
 		if q.Operational() {
 			spec.Params = wire.AppendParams(nil, map[string]epgm.PropertyValue{"firstName": epgm.PVString("Jan")})
 		}
-		if _, err := w.bindJob(spec, snap, rt, col); err != nil { // the miss that plans
+		pt, err := w.transport(spec, rt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.bindJob(spec, snap, pt, col); err != nil { // the miss that plans
 			b.Fatal(err)
 		}
 		b.Run(q.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := w.bindJob(spec, snap, rt, col); err != nil {
+				if _, err := w.bindJob(spec, snap, pt, col); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,11 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 	_ "unsafe" // go:linkname, below
 
 	"gradoop/internal/cluster"
@@ -26,22 +30,56 @@ func testGraph(t *testing.T) (*session.GraphData, *ldbc.Dataset) {
 	return session.NewGraphData(d.Graph), d
 }
 
-// startWorkers launches n in-process workers on loopback listeners.
-func startWorkers(t *testing.T, data *session.GraphData, n int) ([]*cluster.Worker, []string) {
+// countingListener is a worker's listener that counts the connections it
+// accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// startNodes launches an in-process worker per node name on a loopback
+// listener, and returns the workers, their addresses and their listeners.
+func startNodes(t *testing.T, data *session.GraphData, nodes ...string) ([]*cluster.Worker, []string, []*countingListener) {
 	t.Helper()
-	workers := make([]*cluster.Worker, n)
-	addrs := make([]string, n)
-	for i := range workers {
-		w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data, cluster.WorkerOptions{})
+	workers := make([]*cluster.Worker, len(nodes))
+	addrs := make([]string, len(nodes))
+	lns := make([]*countingListener, len(nodes))
+	for i, node := range nodes {
+		w := cluster.NewWorkerWith(node, data, cluster.WorkerOptions{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		go w.Serve(ln)
+		lns[i] = &countingListener{Listener: ln}
+		go w.Serve(lns[i])
 		t.Cleanup(w.Close)
 		workers[i] = w
 		addrs[i] = ln.Addr().String()
 	}
+	return workers, addrs, lns
+}
+
+// nodeNames is w0 to w(n-1).
+func nodeNames(n int) []string {
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("w%d", i)
+	}
+	return nodes
+}
+
+// startWorkers launches n in-process workers, w0 to w(n-1).
+func startWorkers(t *testing.T, data *session.GraphData, n int) ([]*cluster.Worker, []string) {
+	t.Helper()
+	workers, addrs, _ := startNodes(t, data, nodeNames(n)...)
 	return workers, addrs
 }
 
@@ -49,7 +87,9 @@ func startWorkers(t *testing.T, data *session.GraphData, n int) ([]*cluster.Work
 // what ran it - the roster, one attempt, no recovery, a record per stage.
 // That its rows are the single-process engine's, byte for byte and in order,
 // and its merged charges the single-process charges (each worker charges only
-// its owned partitions), is internal/conformance's cluster modes.
+// its owned partitions), is internal/conformance's cluster modes. Five jobs
+// later each worker has accepted n connections in all: the coordinator's, and
+// one link from each peer, which every job shares (DESIGN decision 39).
 func TestClusterBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -57,20 +97,45 @@ func TestClusterBitIdentity(t *testing.T) {
 	data, d := testGraph(t)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			_, addrs := startWorkers(t, data, n)
+			_, addrs, lns := startNodes(t, data, nodeNames(n)...)
 			coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer coord.Close()
-			resp, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: twoHop})
-			if err != nil {
-				t.Fatal(err)
+			s := session.New(d.Graph, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
+			for range 5 {
+				resp, err := s.Execute(session.Request{Query: twoHop})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep := resp.Cluster; rep == nil || rep.Workers != n || rep.Attempts != 1 || rep.Recovered || len(rep.Stages) == 0 {
+					t.Fatalf("report %+v, want workers=%d, one attempt and a record per stage", rep, n)
+				}
 			}
-			if rep := resp.Cluster; rep == nil || rep.Workers != n || rep.Attempts != 1 || rep.Recovered || len(rep.Stages) == 0 {
-				t.Fatalf("report %+v, want workers=%d, one attempt and a record per stage", rep, n)
+			for i, ln := range lns {
+				if got := ln.accepted.Load(); got != int64(n) {
+					t.Errorf("worker %d accepted %d connections over five jobs, want %d: one control connection and %d peer links", i, got, n, n-1)
+				}
 			}
 		})
+	}
+}
+
+// TestDuplicateNodeIsRefused: two workers that report the same node name
+// cannot share a roster - the partitioner would place every partition of the
+// name on the first, and their peers could not tell their links apart - so
+// the coordinator refuses them and names both addresses.
+func TestDuplicateNodeIsRefused(t *testing.T) {
+	data, _ := testGraph(t)
+	_, addrs, _ := startNodes(t, data, "w0", "twin", "twin")
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err == nil {
+		coord.Close()
+		t.Fatal("a roster with two workers of one node name was accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, addrs[1]) || !strings.Contains(msg, addrs[2]) || !strings.Contains(msg, `"twin"`) {
+		t.Fatalf("the refusal %q does not name both addresses and the node", msg)
 	}
 }
 
@@ -182,59 +247,99 @@ func TestClusterStageReport(t *testing.T) {
 	}
 }
 
-// TestClusterRecovery kills a worker mid-query (after its second collective
-// exchange) and requires the re-executed job to return the bit-identical
-// result, flagged as recovered.
+// TestClusterRecovery kills the middle worker of three at each collective of a
+// two-hop join in turn: at the k-th it runs, for k from 1 to K+1, K being the
+// collectives of one job (one per shuffle stage); past the last, the crash is
+// the next job's first. See recoverFrom for what each crash point must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	opts := session.Options{Workers: 4}
-	query := `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`
-
-	want, err := session.New(d.Graph, opts).Execute(session.Request{Query: query})
+	want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: twoHop})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	workers, addrs := startWorkers(t, data, 3)
-	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: opts.Workers})
+	_, addrs := startWorkers(t, data, 3)
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	workers[1].SetFailAfterExchanges(2)
-
-	copts := opts
-	copts.Remote = coord
-	resp, err := session.New(d.Graph, copts).Execute(session.Request{Query: query})
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	if resp.Cluster == nil || !resp.Cluster.Recovered || resp.Cluster.Attempts < 2 {
-		t.Fatalf("expected a recovered execution, got report %+v", resp.Cluster)
-	}
-	if resp.Cluster.Workers != 2 {
-		t.Fatalf("recovered roster size %d, want 2 survivors", resp.Cluster.Workers)
-	}
-	if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
-		t.Fatalf("recovered rows differ from single-process rows (%d vs %d)", resp.Count, want.Count)
-	}
-	if coord.LiveWorkers() != 2 {
-		t.Fatalf("live workers %d, want 2 after the kill", coord.LiveWorkers())
-	}
-
-	// The cluster keeps serving — and stays correct — after the loss.
-	resp2, err := session.New(d.Graph, copts).Execute(session.Request{Query: query})
+	clean, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: twoHop})
+	coord.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp2.Result.Rows(), want.Result.Rows()) {
-		t.Fatal("post-recovery execution diverged")
+	collectives := 0
+	for _, st := range clean.Cluster.Stages {
+		if st.Shuffle {
+			collectives++
+		}
 	}
-	if resp2.Cluster.Recovered || resp2.Cluster.Attempts != 1 {
-		t.Fatalf("post-recovery report %+v, want a clean first attempt", resp2.Cluster)
+	if collectives == 0 {
+		t.Fatal("the two-hop join ran no collective")
+	}
+	for k := 1; k <= collectives+1; k++ {
+		t.Run(fmt.Sprintf("crash=%d", k), func(t *testing.T) {
+			recoverFrom(t, data, d.Graph, want, k, collectives)
+		})
+	}
+}
+
+// recoverFrom arms the middle worker of three to crash at its k-th collective,
+// of a job of K. The job it falls in is re-executed on the two survivors, with
+// the single-process rows, flagged as recovered, in two attempts: no survivor
+// was accused. The next job is a clean first attempt on the survivors' link
+// between them, which it does not dial again. Closed, the cluster leaves no
+// goroutine behind.
+func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, want *session.Response, k, K int) {
+	before := runtime.NumGoroutine()
+	workers, addrs, lns := startNodes(t, data, nodeNames(3)...)
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers[1].SetFailAfterExchanges(int64(k))
+	s := session.New(g, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
+	run := func() *session.ClusterReport {
+		t.Helper()
+		resp, err := s.Execute(session.Request{Query: twoHop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
+			t.Fatalf("rows differ from single-process rows (%d vs %d)", resp.Count, want.Count)
+		}
+		return resp.Cluster
+	}
+	if k > K {
+		if rep := run(); rep.Recovered || rep.Workers != 3 {
+			t.Fatalf("a crash past the job's last collective fell in the job: %+v", rep)
+		}
+	}
+	if rep := run(); !rep.Recovered || rep.Attempts != 2 || rep.Workers != 2 {
+		t.Fatalf("report %+v, want the job recovered in two attempts on the 2 survivors", rep)
+	}
+	if n := coord.LiveWorkers(); n != 2 {
+		t.Fatalf("%d live workers after the crash, want the 2 survivors", n)
+	}
+	dialled := lns[0].accepted.Load() + lns[2].accepted.Load()
+	if rep := run(); rep.Recovered || rep.Attempts != 1 || rep.Workers != 2 {
+		t.Fatalf("the job after the recovery: %+v, want a clean first attempt on the survivors", rep)
+	}
+	if got := lns[0].accepted.Load() + lns[2].accepted.Load(); got != dialled {
+		t.Fatalf("the survivors accepted %d connections for the job after the recovery, want none", got-dialled)
+	}
+	coord.Close()
+	for _, w := range workers {
+		w.Close()
+		w.Wait()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

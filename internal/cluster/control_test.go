@@ -162,9 +162,10 @@ func (l *lockedBuffer) String() string {
 // TestControlDropFailsItsJobsOnly: a worker serves two control connections -
 // a coordinator keeps its own for the life of its process - each of which has
 // started a job that now waits in a collective for a peer that never answers.
+// Both jobs send to the peer on the one link the worker dialled for the first.
 // Dropping one connection fails its job promptly, with "coordinator connection
 // lost", and the job leaves w.jobs; the job the other connection started runs
-// on.
+// on, and so does the link.
 func TestControlDropFailsItsJobsOnly(t *testing.T) {
 	g := tinyGraph()
 	data := session.NewGraphData(g)
@@ -179,40 +180,68 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 	defer w.Close()
 	addr := ln.Addr().String()
 
+	// The jobs' other roster member is the test: it takes every link dialled to
+	// it, and answers nothing.
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerLn.Close()
+	links := make(chan *bufio.Reader, 2)
+	go func() {
+		for {
+			conn, err := peerLn.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { conn.Close() })
+			br := bufio.NewReader(conn)
+			if _, _, err := readFrame(br, nil); err != nil {
+				return
+			}
+			if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: "peer"}); err != nil {
+				return
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			links <- br
+		}
+	}()
+	var link *bufio.Reader
+
 	const query = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`
 	st := stats.Collect(g)
 	prep, err := core.PrepareWith(st, query, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// start sends job over a control connection of its own and plays the
-	// job's other roster member: it returns once the job's first collective
-	// has sent it a frame, and answers nothing.
+	// start sends job over a control connection of its own and returns once
+	// the job's first collective has sent the peer a frame.
 	start := func(job uint64) net.Conn {
 		ctrl, _, _, err := dialHello(addr, hello{Magic: protoMagic, Version: protoVersion, Role: roleControl})
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec := jobSpec{JobID: job, Query: query, Snapshot: 1, Workers: 2, Owner: []int{0, 1},
-			Procs: []procSpec{{Node: "peer"}, {Node: "w1", Addr: addr}}, Self: 1, Fingerprint: prep.Fingerprint()}
+			Procs: []procSpec{{Node: "peer", Addr: peerLn.Addr().String()}, {Node: "w1", Addr: addr}}, Self: 1, Fingerprint: prep.Fingerprint()}
 		if err := writeJSONFrame(ctrl, frameStats, statsMsg{ID: 1, Stats: st}); err != nil {
 			t.Fatal(err)
 		}
 		if err := writeJSONFrame(ctrl, frameJob, &spec); err != nil {
 			t.Fatal(err)
 		}
-		peer, br, _, err := dialHello(addr, hello{Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: "peer", JobID: job})
-		if err != nil {
-			t.Fatal(err)
+		if link == nil {
+			link = <-links
 		}
-		t.Cleanup(func() { peer.Close() })
-		peer.SetReadDeadline(time.Now().Add(10 * time.Second))
-		for typ := byte(0); typ != frameData; {
-			if typ, _, err = readFrame(br, nil); err != nil {
+		for {
+			typ, payload, err := readFrame(link, nil)
+			if err != nil {
 				t.Fatalf("job %d sent its peer no collective: %v", job, err)
 			}
+			var f dataFrame
+			if _, err := openFrame(&f, payload); typ == frameData && err == nil && f.JobID == job {
+				return ctrl
+			}
 		}
-		return ctrl
 	}
 	running := func(job uint64) *jobRuntime {
 		w.mu.Lock()
@@ -234,16 +263,30 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 	if rt == nil {
 		t.Fatal("the job of the other control connection is gone")
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.err != nil {
-		t.Fatalf("the job of the other control connection failed: %v", rt.err)
+	if err := rt.failure(); err != nil {
+		t.Fatalf("the job of the other control connection failed: %v", err)
+	}
+	select {
+	case <-links:
+		t.Fatal("the second job dialled the peer again")
+	default:
+	}
+	w.mu.Lock()
+	l := w.links["peer"]
+	w.mu.Unlock()
+	if l == nil {
+		t.Fatal("the link went down with the job that failed")
+	}
+	select {
+	case <-l.send.done:
+		t.Fatal("the link's writer stopped with the job that failed")
+	default:
 	}
 }
 
-// corruptingProxy relays control connections to the worker at addr, with the
-// body of every job frame the coordinator sends replaced by "{", which is no
-// JSON.
+// corruptingProxy relays connections to the worker at addr, with the body of
+// every job frame replaced by "{", which is no JSON. Its cleanup closes what it
+// relays: a link a worker dialled through it lives as long as that worker.
 func corruptingProxy(t *testing.T, addr string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -251,8 +294,15 @@ func corruptingProxy(t *testing.T, addr string) string {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var relayed []net.Conn
 	t.Cleanup(func() {
 		ln.Close()
+		mu.Lock()
+		for _, c := range relayed {
+			c.Close()
+		}
+		mu.Unlock()
 		wg.Wait()
 	})
 	wg.Add(1)
@@ -268,6 +318,9 @@ func corruptingProxy(t *testing.T, addr string) string {
 				in.Close()
 				return
 			}
+			mu.Lock()
+			relayed = append(relayed, in, out)
+			mu.Unlock()
 			wg.Add(2)
 			go func() {
 				defer wg.Done()

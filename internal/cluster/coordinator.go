@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -148,6 +149,12 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 		}
 		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), telemetry: wl.Telemetry, alive: true, lastPong: now}
 		c.members = append(c.members, m)
+		// A node is a worker's identity: the partitioner places by it, and a
+		// worker tells its peers' links apart by it.
+		if j := slices.IndexFunc(c.members[:i], func(o *member) bool { return o.node == m.node }); j >= 0 {
+			c.Close()
+			return nil, fmt.Errorf("cluster: workers %d (%s) and %d (%s) both report node %q", j, addrs[j], i, addr, m.node)
+		}
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -461,14 +468,11 @@ func (st *attemptState) fail(err error) {
 }
 
 // await blocks until the attempt settles: every roster member has reported
-// a terminal state or died — or a loss has been observed (a dead member or
-// a peer-loss report), in which case the attempt is already doomed and the
-// caller aborts the stragglers instead of waiting out their rendezvous
-// timeouts. A peer-loss report settles it once every member it names has
-// reported or died: a member that fails on an error of its own queues its
-// done report before it closes its peer links, so the report of a peer that
-// saw it go may overtake its own, and only its own tells a failure from a
-// loss.
+// a terminal state, or one has died or failed - its own error or a lost peer -
+// in which case the attempt is already doomed and the caller aborts the
+// stragglers: a peer that waits in a collective for a member that has failed
+// waits for good, since the link between them outlives the attempt (DESIGN
+// decision 39).
 func (st *attemptState) await() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -482,7 +486,7 @@ func (st *attemptState) await() error {
 		settled := true
 		for _, idx := range st.roster {
 			done := st.dones[idx]
-			if done != nil && done.PeerLost && st.heardFrom(done.LostPeers) {
+			if done != nil && done.Error != "" {
 				return nil
 			}
 			if done == nil {
@@ -494,26 +498,6 @@ func (st *attemptState) await() error {
 		}
 		st.cond.Wait()
 	}
-}
-
-// heardFrom reports whether every roster member of lost - roster-relative, as
-// a done report names them - has reported or died. Under mu.
-func (st *attemptState) heardFrom(lost []int) bool {
-	for _, r := range lost {
-		if r >= 0 && r < len(st.roster) {
-			if idx := st.roster[r]; st.dones[idx] == nil && !st.down[idx] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// failedOnItsOwn reports whether member idx is alive and reported an error
-// that is not a lost peer: it left its peers because it failed. Under mu.
-func (st *attemptState) failedOnItsOwn(idx int) bool {
-	done := st.dones[idx]
-	return !st.down[idx] && done != nil && !done.PeerLost && done.Error != ""
 }
 
 // outcome classifies a settled attempt.
@@ -540,10 +524,10 @@ func (st *attemptState) classify() outcome {
 		if done.PeerLost {
 			lossReported = true
 			// LostPeers are roster-relative; translate to member indices. A
-			// member that failed on its own error is not lost: its peers saw
-			// it leave, and its error is the attempt's.
+			// peer is named only when its link dropped: a member that fails
+			// on its own error keeps its links, and its peers never see it go.
 			for _, r := range done.LostPeers {
-				if r >= 0 && r < len(st.roster) && !st.failedOnItsOwn(st.roster[r]) {
+				if r >= 0 && r < len(st.roster) {
 					accused[st.roster[r]] = true
 				}
 			}
@@ -686,6 +670,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 			continue
 		}
 		if out.queryErr != nil {
+			c.abortAttempt(st)
 			return nil, nil, out.queryErr
 		}
 		assembleStart := time.Since(start)

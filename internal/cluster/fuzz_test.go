@@ -9,6 +9,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"gradoop/internal/dataflow"
@@ -65,7 +66,9 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 // reaches past the body, and nothing is allocated but the frame's body, which
 // maxFrame bounds, and a fixed allowance. (An input whose first frame claims
 // more bytes than the input has is a torn frame, TestFrameTorn's: read here,
-// it would allocate what it claims, up to maxFrame an input.)
+// it would allocate what it claims, up to maxFrame an input.) The same bytes
+// then come on a link a peer dialled, as the worker's router reads it
+// (routed).
 func FuzzReadFrame(f *testing.F) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
 	f.Add(frameBytes(frameData, headBytes(&dataFrame{JobID: 7, Seq: 3, Kind: kindAllGather, From: 1}), body...))
@@ -87,6 +90,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameData})
+	// On a peer link: a frame of an attempt the worker does not run, a result
+	// frame, and a data frame whose head is one byte short.
+	f.Add(frameBytes(frameData, headBytes(&dataFrame{JobID: 8, Seq: 1, From: 1}), []byte("early")))
+	f.Add(frameBytes(frameResult, headBytes(&attemptHead{JobID: 7, From: 1})))
+	f.Add(frameBytes(frameData, make([]byte, dataHead-1)))
+
+	// The router's worker, with a receive chunk to spare so that a body carved
+	// from one allocates nothing; the runtime a frame makes for an attempt the
+	// worker does not run is dropped within a millisecond.
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
+	w.orphanAfter = time.Millisecond
+	w.keepSpare([][]byte{make([]byte, recvChunk)})
 	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) >= 4 {
@@ -94,14 +109,51 @@ func FuzzReadFrame(f *testing.F) {
 				t.Skip("a torn frame longer than the input")
 			}
 		}
-		metrics.Read(allocated)
-		before := allocated[0].Value.Uint64()
-		readAndSplit(t, raw)
-		metrics.Read(allocated)
-		if grew := allocated[0].Value.Uint64() - before; grew > uint64(len(raw))+64<<10 {
-			t.Fatalf("%d input bytes allocated %d", len(raw), grew)
+		for _, read := range []func(){
+			func() { readAndSplit(t, raw) },
+			func() { routed(t, w, raw) },
+		} {
+			metrics.Read(allocated)
+			before := allocated[0].Value.Uint64()
+			read()
+			metrics.Read(allocated)
+			if grew := allocated[0].Value.Uint64() - before; grew > uint64(len(raw))+64<<10 {
+				t.Fatalf("%d input bytes allocated %d", len(raw), grew)
+			}
 		}
 	})
+}
+
+// routed reads the first frame of raw as the router of a link a peer dialled
+// to w does, while w runs attempt 7: head first, then the body into the
+// receive arena of the attempt the head names. Anything but a data frame is a
+// structured error, and a data frame of attempt 7 is filed in its mailbox.
+func routed(t *testing.T, w *Worker, raw []byte) {
+	rt := w.runtime(jobKey{job: 7}, &sender{})
+	err := w.routeFrame(bufio.NewReader(bytes.NewReader(raw)))
+	switch {
+	case err == io.EOF:
+	case err != nil:
+		structured(t, err)
+	case raw[frameHeader-1] != frameData:
+		t.Fatalf("a frame of type %d was routed", raw[frameHeader-1])
+	}
+	rt.mu.Lock()
+	for _, body := range rt.inbox {
+		if len(body) > len(raw) {
+			t.Fatalf("a %d-byte body filed from %d bytes", len(body), len(raw))
+		}
+	}
+	rt.mu.Unlock()
+	w.mu.Lock()
+	rts := make([]*jobRuntime, 0, len(w.jobs))
+	for _, rt := range w.jobs {
+		rts = append(rts, rt)
+	}
+	w.mu.Unlock()
+	for _, rt := range rts {
+		w.dropRuntime(rt)
+	}
 }
 
 // fuzzOwner is the layout FuzzReadFrame splits by: this process, member 0,

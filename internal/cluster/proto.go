@@ -35,7 +35,10 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 7: the done report is a sealed binary frame headed like a
+	// protoVersion 8: a worker dials each peer once, not once per job
+	// attempt, and every job's data frames to the peer share that link; the
+	// peer hello names only the dialling worker's node.
+	// 7: the done report is a sealed binary frame headed like a
 	// result (attemptHead), the welcome carries the worker's telemetry bit, a
 	// job spec says whether its request is traced, and a telemetry bundle
 	// carries either an attempt's spans or the worker's registry, never both.
@@ -48,7 +51,7 @@ const (
 	// crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 7
+	protoVersion = 8
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation, and a worker holds a frame of
@@ -98,20 +101,17 @@ const (
 // Roles a connecting peer announces in its hello.
 const (
 	roleControl = "control" // coordinator -> worker
-	rolePeer    = "peer"    // worker -> worker, scoped to one job attempt
+	rolePeer    = "peer"    // worker -> worker, one link a pair and direction, every job's data frames
 )
 
-// hello opens every connection.
+// hello opens every connection. Node is the dialling worker's, on a peer
+// link: the link outlives every job, and each of its frames names its own
+// attempt.
 type hello struct {
 	Magic   uint32 `json:"magic"`
 	Version int    `json:"version"`
 	Role    string `json:"role"`
 	Node    string `json:"node"`
-	// Peer connections are scoped to one job attempt; From is the dialing
-	// worker's roster index within it.
-	JobID   uint64 `json:"jobId,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	From    int    `json:"from,omitempty"`
 }
 
 // welcome acknowledges a hello. Telemetry is whether the worker ships
@@ -357,6 +357,36 @@ func readFrame(r *bufio.Reader, into *jobRuntime) (byte, []byte, error) {
 	return body[0], body[1:], nil
 }
 
+// peekData reads the head of the next frame of a link a peer dialled, without
+// consuming it, and returns it with the frame's length. Only data frames come
+// on such a link: any other type, a frame too short to hold a data head and
+// its checksum, or one over maxFrame is an error before a byte of its body is
+// read.
+func peekData(br *bufio.Reader) (dataFrame, int, error) {
+	var f dataFrame
+	head, err := br.Peek(frameHeader + dataHead)
+	if len(head) < frameHeader {
+		if len(head) > 0 {
+			err = fmt.Errorf("cluster: torn frame length: %w", io.ErrUnexpectedEOF)
+		}
+		return f, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(head))
+	switch {
+	case n > maxFrame:
+		return f, 0, fmt.Errorf("cluster: frame length %d exceeds limit %d", n, maxFrame)
+	case head[frameHeader-1] != frameData:
+		return f, 0, fmt.Errorf("cluster: a frame of type %d on a peer link", head[frameHeader-1])
+	case n < 1+dataHead+crcTrailer:
+		return f, 0, fmt.Errorf("cluster: a data frame of %d bytes, shorter than its head and checksum", n)
+	case err != nil:
+		return f, 0, fmt.Errorf("cluster: torn frame (want %d bytes): %w", n, io.ErrUnexpectedEOF)
+	}
+	c := field.Reader(head[frameHeader:])
+	f.layout(&c)
+	return f, n, nil
+}
+
 // errFrameTooLarge is the failure of an attempt that would have sent a frame
 // over maxFrame, which its receiver refuses: the attempt fails with it, the
 // connection stays up and no peer is blamed.
@@ -396,6 +426,9 @@ var sealedFrames = [256]bool{frameData: true, frameResult: true, frameJobDone: t
 
 // sealed reports whether a frame type is a checksummed one.
 func sealed(typ byte) bool { return sealedFrames[typ] }
+
+// dataHead is the size of a dataFrame on the wire.
+const dataHead = 8 + 4 + 8 + 1 + 4 + 8
 
 // dataFrame heads a frameData payload; the body is one collective's buckets
 // for one peer.
@@ -619,14 +652,13 @@ type sender struct {
 	conn net.Conn
 
 	mu      sync.Mutex
-	more    *sync.Cond // the writer's: a frame was queued, or the sender closed
+	more    *sync.Cond // the writer's: a frame was queued, or the sender failed
 	written *sync.Cond // waiters': a frame was written, or the writer stopped
 	queue   []outFrame
 	queued  uint64 // frames accepted; the last one's seq
 	wrote   uint64 // the last frame the writer has written into the buffer
 	stopped bool   // the writer has returned
-	closed  bool
-	err     error
+	err     error  // the connection's first error: the sender has failed
 
 	done chan struct{}
 }
@@ -644,13 +676,15 @@ func (s *sender) run() {
 	fw := newFrameWriter(s.conn)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for len(s.queue) == 0 && s.err == nil {
 			s.more.Wait()
 		}
-		batch := s.queue
+		batch, failed := s.queue, s.err != nil
 		s.queue = nil
-		closed := s.closed
 		s.mu.Unlock()
+		if failed {
+			return
+		}
 		for i := range batch {
 			if err := fw.frame(&batch[i]); err != nil {
 				s.fail(err)
@@ -663,10 +697,6 @@ func (s *sender) run() {
 		// Queue drained: flush the coalesced batch before sleeping.
 		if err := fw.bw.Flush(); err != nil {
 			s.fail(err)
-			return
-		}
-		if closed {
-			s.conn.Close()
 			return
 		}
 	}
@@ -704,7 +734,6 @@ func (s *sender) fail(err error) {
 		s.err = err
 	}
 	s.queue = nil
-	s.closed = true
 	s.more.Broadcast()
 	s.mu.Unlock()
 	s.conn.Close()
@@ -712,17 +741,13 @@ func (s *sender) fail(err error) {
 
 // send enqueues one frame and returns its place in the sender's order. A
 // body's buckets are the sender's to read until wait(seq) returns. It returns
-// the connection's sticky error, if any; enqueueing after close is a no-op
-// with that error returned.
+// the connection's sticky error, if any; enqueueing after a failure is a
+// no-op with that error returned.
 func (s *sender) send(typ byte, head []byte, body []segment) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.err != nil {
-		err := s.err
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return 0, err
+	if s.err != nil {
+		return 0, s.err
 	}
 	s.queue = append(s.queue, outFrame{typ: typ, head: head, body: body})
 	s.queued++
@@ -752,15 +777,6 @@ func (s *sender) sendJSON(typ byte, v any) error {
 	}
 	_, err = s.send(typ, payload, nil)
 	return err
-}
-
-// close drains pending frames, flushes, and closes the connection.
-func (s *sender) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.more.Broadcast()
-	s.mu.Unlock()
-	<-s.done
 }
 
 // abort closes the connection immediately, discarding queued frames.

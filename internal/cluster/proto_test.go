@@ -407,22 +407,19 @@ func TestDialRejectsForeignWelcome(t *testing.T) {
 	}
 }
 
-// TestMidStreamDropFailsCollective severs a peer connection while a
-// collective is waiting on it and requires a structured ErrPeerLost, not a
-// hang.
+// TestMidStreamDropFailsCollective severs the link a peer dialled while a
+// collective is waiting on that peer and requires a structured ErrPeerLost,
+// not a hang.
 func TestMidStreamDropFailsCollective(t *testing.T) {
-	rt := newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1})
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
+	rt := w.runtime(jobKey{job: 1}, &sender{})
 	client, server := net.Pipe()
 	defer client.Close()
-	link := rt.addPeer(1, server)
-	if link == nil {
-		t.Fatal("addPeer refused")
-	}
-	go rt.routePeer(1, link, bufio.NewReader(server))
+	go w.route("w1", bufio.NewReader(server))
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := rt.waitMail(mailKey{seq: 1, kind: kindExchange, from: 1})
+		_, err := rt.waitMail(mailKey{seq: 1, kind: kindExchange, from: 1}, "w1")
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -438,15 +435,15 @@ func TestMidStreamDropFailsCollective(t *testing.T) {
 	}
 }
 
-// TestMailBeforeDropStillConsumable pins the orderly-departure contract:
-// frames delivered before the sender's close stay readable from the inbox.
+// TestMailBeforeDropStillConsumable: frames a peer delivered before its link
+// dropped stay readable from the inbox; the collective after them fails.
 func TestMailBeforeDropStillConsumable(t *testing.T) {
-	rt := newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1})
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
+	rt := w.runtime(jobKey{job: 1}, &sender{})
 	client, server := net.Pipe()
-	link := rt.addPeer(1, server)
 	routed := make(chan struct{})
 	go func() {
-		rt.routePeer(1, link, bufio.NewReader(server))
+		w.route("w1", bufio.NewReader(server))
 		close(routed)
 	}()
 
@@ -457,7 +454,7 @@ func TestMailBeforeDropStillConsumable(t *testing.T) {
 	}()
 	<-routed // reader saw the frame, then the close
 
-	got, err := rt.waitMail(mailKey{seq: 1, kind: kindExchange, from: 1})
+	got, err := rt.waitMail(mailKey{seq: 1, kind: kindExchange, from: 1}, "w1")
 	if err != nil {
 		t.Fatalf("mail delivered before the drop must stay consumable: %v", err)
 	}
@@ -465,14 +462,14 @@ func TestMailBeforeDropStillConsumable(t *testing.T) {
 		t.Fatalf("mail body %q", got)
 	}
 	// The next, never-sent collective must fail instead of hanging.
-	if _, err := rt.waitMail(mailKey{seq: 2, kind: kindExchange, from: 1}); !errors.Is(err, ErrPeerLost) {
+	if _, err := rt.waitMail(mailKey{seq: 2, kind: kindExchange, from: 1}, "w1"); !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("owed collective after drop: got %v, want ErrPeerLost", err)
 	}
 }
 
 // TestSenderCoalescing checks the write path end to end: many frames
-// enqueued concurrently all arrive intact, in order per sender, and close()
-// drains the queue before the FIN.
+// enqueued back to back all arrive intact and in order, and a sender that has
+// been aborted takes no frame.
 func TestSenderCoalescing(t *testing.T) {
 	client, server := net.Pipe()
 	s := newSender(client)
@@ -485,12 +482,10 @@ func TestSenderCoalescing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		br := bufio.NewReader(server)
-		for {
+		for len(received) < frames {
 			_, payload, err := readFrame(br, nil)
 			if err != nil {
-				if err != io.EOF {
-					readErr = err
-				}
+				readErr = err
 				return
 			}
 			received = append(received, payload)
@@ -501,13 +496,10 @@ func TestSenderCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.close()
 	wg.Wait()
+	s.abort()
 	if readErr != nil {
 		t.Fatal(readErr)
-	}
-	if len(received) != frames {
-		t.Fatalf("received %d frames, want %d (close must drain the queue)", len(received), frames)
 	}
 	for i, p := range received {
 		if int(binary.BigEndian.Uint32(p)) != i {
@@ -515,15 +507,16 @@ func TestSenderCoalescing(t *testing.T) {
 		}
 	}
 	if _, err := s.send(frameJob, nil, nil); err == nil {
-		t.Fatal("send after close succeeded")
+		t.Fatal("send after abort succeeded")
 	}
 }
 
-// TestOrphanRuntimeIsDropped: a peer's hello for an attempt no job frame
+// TestOrphanRuntimeIsDropped: a peer's data frame for an attempt no job frame
 // claims - the worker was aborted and has dropped the attempt while a slower
-// peer was still dialling, the normal order of events after an abort - used
-// to re-create the attempt's runtime for the life of the process. It lives
-// orphanAfter now; one the job frame claims in time lives until its job ends.
+// peer was still sending, the normal order of events after an abort - makes a
+// runtime for it, which lives orphanAfter; one the job frame claims in time
+// lives until its job ends. The link is the peer's and not the attempt's: it
+// outlives the orphan and carries the next attempt's frames.
 func TestOrphanRuntimeIsDropped(t *testing.T) {
 	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	w.orphanAfter = 20 * time.Millisecond
@@ -533,52 +526,51 @@ func TestOrphanRuntimeIsDropped(t *testing.T) {
 	}
 	go w.Serve(ln)
 	defer w.Close()
-	runtimes := func() int {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return len(w.jobs)
+	runtimes := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			w.mu.Lock()
+			n := len(w.jobs)
+			w.mu.Unlock()
+			if n == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d runtimes, want %d", n, want)
+			}
+		}
 	}
 
-	conn, br, _, err := dialHello(ln.Addr().String(), hello{
-		Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: "w1", JobID: 99, From: 1,
-	})
+	conn, _, _, err := dialHello(ln.Addr().String(), hello{Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: "w1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// The welcome is written before the runtime is made.
-	for deadline := time.Now().Add(5 * time.Second); runtimes() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d runtimes behind a welcomed peer hello, want 1", runtimes())
+	send := func(job uint64, body string) {
+		t.Helper()
+		if _, err := conn.Write(frameBytes(frameData, headBytes(&dataFrame{JobID: job, Seq: 1, From: 1}), []byte(body))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The drop ends the connection of the peer that waited for the attempt.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readFrame(br, nil); err == nil {
-		t.Fatal("a frame arrived on an orphaned peer connection")
-	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("the orphaned runtime kept its peer connection open")
-	}
-	if n := runtimes(); n != 0 {
-		t.Fatalf("%d runtimes left behind an unclaimed hello, want 0", n)
-	}
+	send(99, "early")
+	runtimes(1) // the frame's runtime
+	runtimes(0) // dropped, as nobody claimed it
 
-	claimed := w.runtime(jobKey{job: 100}, nil)
-	if w.runtime(jobKey{job: 100}, &sender{}) != claimed {
-		t.Fatal("the job frame did not get the runtime its peer's hello made")
+	send(100, "claimed")
+	runtimes(1)
+	claimed := w.runtime(jobKey{job: 100}, &sender{})
+	if body, err := claimed.waitMail(mailKey{seq: 1, from: 1}, "w1"); err != nil || string(body) != "claimed" {
+		t.Fatalf("the job frame's runtime holds %q (%v), want the frame that made it", body, err)
 	}
 	time.Sleep(5 * w.orphanAfter)
-	if n := runtimes(); n != 1 {
-		t.Fatalf("%d runtimes, want the claimed one", n)
-	}
+	runtimes(1)
 	w.dropRuntime(claimed)
-	if n := runtimes(); n != 0 {
-		t.Fatalf("%d runtimes after the job ended, want 0", n)
-	}
+	runtimes(0)
 }
 
-// TestOrphanTimerPinsNothing: the timer a hello-first runtime starts is still
-// pending when its attempt has ended, and must not be what keeps the runtime,
+// TestOrphanTimerPinsNothing: the timer of a runtime a peer's frame made before
+// its job frame came is still pending when its attempt has ended, and must not
+// be what keeps the runtime,
 // and behind it the worker and its graph, in memory until it fires.
 func TestOrphanTimerPinsNothing(t *testing.T) {
 	w := NewWorkerWith("w0", nil, WorkerOptions{}) // orphanAfter is handshakeTimeout: the timer outlives the test

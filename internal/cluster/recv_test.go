@@ -355,13 +355,13 @@ func repeatedRows(size, n int) *dataflow.Dataset[embedding.Embedding] {
 func TestOversizedFrameIsNeverSent(t *testing.T) {
 	const rowSize = 1 << 20
 	big := repeatedRows(rowSize, maxFrame/rowSize+1)
-	check := func(what string, err error, rt *jobRuntime, conn net.Conn) {
+	check := func(what string, err error, pt *peerTransport, conn net.Conn) {
 		t.Helper()
 		if !errors.Is(err, errFrameTooLarge) || errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), fmt.Sprint(maxFrame)) {
 			t.Fatalf("%s over the limit: %v, want errFrameTooLarge naming the limit", what, err)
 		}
-		if rt != nil {
-			if lost, _ := rt.lossInfo(err); lost {
+		if pt != nil {
+			if lost, _ := pt.rt.lossInfo(err, pt.spec.Procs); lost {
 				t.Fatalf("%s over the limit reports a lost peer", what)
 			}
 		}
@@ -373,19 +373,18 @@ func TestOversizedFrameIsNeverSent(t *testing.T) {
 	}
 
 	t.Run("exchange", func(t *testing.T) {
-		rt := newJobRuntime(NewWorkerWith("w0", nil, WorkerOptions{}), jobKey{job: 1})
-		local, remote := net.Pipe()
+		w := NewWorkerWith("w0", nil, WorkerOptions{})
+		defer w.Close()
+		rt, remote, pt := stalledPeer(t, w)
 		defer remote.Close()
-		link := rt.addPeer(1, local)
-		defer link.send.abort()
-		pt := &peerTransport{rt: rt, spec: &jobSpec{JobID: 1, Workers: 2, Owner: []int{0, 1}, Procs: make([]procSpec, 2)}, wireOut: map[int64]int64{}}
+		defer w.dropRuntime(rt)
 		bucket, err := big.Bucket(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = pt.Exchange(1, [][]dataflow.Bucket{{{}, bucket}, nil})
-		check("an exchange", err, rt, remote)
-		go rt.peerSend(1, headBytes(&dataFrame{JobID: 1, Seq: 2}), nil)
+		check("an exchange", err, pt, remote)
+		go pt.out[1].send.send(frameData, headBytes(&dataFrame{JobID: 1, Seq: 2}), nil)
 		remote.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if typ, _, err := readFrame(bufio.NewReader(remote), nil); err != nil || typ != frameData {
 			t.Fatalf("the link after a refused frame: type %d, %v", typ, err)
@@ -407,39 +406,54 @@ func TestOversizedFrameIsNeverSent(t *testing.T) {
 }
 
 // TestFailedMemberIsNotLost: a worker that fails an attempt on an error of
-// its own - a frame over the limit, a timeout - leaves its peers, and a peer
-// that needed it reports it lost, often before its own report arrives. The
-// attempt waits for that report, fails with the worker's error, and blames
-// and retries nobody; a member that reported nothing and is not down is still
-// waited for, and one that is down is lost.
+// its own - a frame over the limit, a timeout - keeps its links, so no peer
+// reports it lost; a peer that needs it waits in a collective. Its report
+// settles the attempt at once, for the caller to abort the peers: the attempt
+// fails with the worker's error and blames and retries nobody. A loss report
+// names a peer whose link dropped, and settles the attempt at once with that
+// peer lost. Reports of success settle it only once every member has sent
+// one.
 func TestFailedMemberIsNotLost(t *testing.T) {
 	lostReport := &jobDone{Error: "cluster: peer lost", PeerLost: true, LostPeers: []int{0}}
 	own := &jobDone{Error: "cluster: frame too large: 268435460 bytes, the limit is 268435456"}
+	settles := func(st *attemptState) outcome {
+		t.Helper()
+		settled := make(chan error, 1)
+		go func() { settled <- st.await() }()
+		select {
+		case err := <-settled:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the attempt did not settle")
+		}
+		return st.classify()
+	}
 
 	st := newAttemptState(jobKey{job: 1}, []int{0, 1}, []int{0, 0, 1, 1})
-	st.deliverDone(1, lostReport)
-	settled := make(chan error, 1)
-	go func() { settled <- st.await() }()
-	select {
-	case <-settled:
-		t.Fatal("a loss report settled the attempt before the member it names reported")
-	case <-time.After(20 * time.Millisecond):
-	}
 	st.deliverDone(0, own)
-	if err := <-settled; err != nil {
-		t.Fatal(err)
-	}
-	if out := st.classify(); out.recoverable || len(out.accused) != 0 || out.queryErr == nil || out.queryErr.Error() != own.Error {
+	if out := settles(st); out.recoverable || len(out.accused) != 0 || out.queryErr == nil || out.queryErr.Error() != own.Error {
 		t.Fatalf("outcome %+v, want the member's own error, nobody accused", out)
 	}
 
 	st = newAttemptState(jobKey{job: 2}, []int{0, 1}, []int{0, 0, 1, 1})
 	st.deliverDone(1, lostReport)
-	st.memberDown(0)
-	if err := st.await(); err != nil {
-		t.Fatal(err)
-	}
-	if out := st.classify(); !out.recoverable || !reflect.DeepEqual(out.accused, []int{0}) {
+	if out := settles(st); !out.recoverable || !reflect.DeepEqual(out.accused, []int{0}) {
 		t.Fatalf("outcome %+v, want member 0 lost", out)
+	}
+
+	st = newAttemptState(jobKey{job: 3}, []int{0, 1}, []int{0, 0, 1, 1})
+	st.deliverDone(0, &jobDone{})
+	settled := make(chan error, 1)
+	go func() { settled <- st.await() }()
+	select {
+	case <-settled:
+		t.Fatal("one report of success settled an attempt of two members")
+	case <-time.After(20 * time.Millisecond):
+	}
+	st.deliverDone(1, &jobDone{})
+	if err := <-settled; err != nil {
+		t.Fatal(err)
 	}
 }

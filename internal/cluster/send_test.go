@@ -25,20 +25,53 @@ func wideRows(n int) []embedding.Embedding {
 	return rows
 }
 
-// stalledPeer is an attempt of w whose one peer, member 1, is connected over
-// a pipe: far is the peer's end, and it reads only what the test reads. The
-// attempt's transport owns partition 0 of two.
+// pipeLink gives w a link to peer p over a pipe, as if w had dialled it, and
+// returns the peer's end, which reads only what the test reads.
+func pipeLink(w *Worker, p procSpec) net.Conn {
+	near, far := net.Pipe()
+	ready := make(chan struct{})
+	close(ready)
+	w.mu.Lock()
+	w.links[p.Node] = &peerLink{addr: p.Addr, ready: ready, send: newSender(stallConn{near})}
+	w.mu.Unlock()
+	return far
+}
+
+// stalledPeer is an attempt of w whose one peer, member 1 (node w1), is linked
+// over a pipe: far is the peer's end. The attempt's transport owns partition 0
+// of two.
 func stalledPeer(t *testing.T, w *Worker) (rt *jobRuntime, far net.Conn, pt *peerTransport) {
 	t.Helper()
 	rt = w.runtime(jobKey{job: 1}, &sender{})
-	near, far := net.Pipe()
-	link := rt.addPeer(1, near)
-	if link == nil {
-		t.Fatal("addPeer refused")
+	peer := procSpec{Node: "w1", Addr: "pipe"}
+	far = pipeLink(w, peer)
+	spec := &jobSpec{JobID: 1, Workers: 2, Owner: []int{0, 1}, Self: 0, Procs: []procSpec{{Node: "w0"}, peer}}
+	pt, err := w.transport(spec, rt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	go rt.routePeer(1, link, bufio.NewReader(near))
-	spec := &jobSpec{JobID: 1, Workers: 2, Owner: []int{0, 1}, Self: 0, Procs: make([]procSpec, 2)}
-	return rt, far, &peerTransport{rt: rt, spec: spec, wireOut: map[int64]int64{}}
+	return rt, far, pt
+}
+
+// linkLostTo checks that w's link to w1, the pipe peer of stalledPeer, is
+// down - its writer gone, and the link forgotten, so that the next job dials
+// it again - and that rt recorded the loss of w1.
+func linkLostTo(t *testing.T, w *Worker, rt *jobRuntime, pt *peerTransport) {
+	t.Helper()
+	select {
+	case <-pt.out[1].send.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the link's writer outlived its connection")
+	}
+	if lost, peers := rt.lossInfo(ErrPeerLost, pt.spec.Procs); !lost || len(peers) != 1 || peers[0] != 1 {
+		t.Fatalf("the attempt records lost peers %v, want member 1", peers)
+	}
+	w.mu.Lock()
+	l := w.links["w1"]
+	w.mu.Unlock()
+	if l != nil {
+		t.Fatal("the worker keeps a link whose writer failed: the next job would not dial it again")
+	}
 }
 
 // exchangeInBackground runs one exchange of a bucket larger than the sender's
@@ -77,11 +110,13 @@ func goroutinesBack(t *testing.T, before int) {
 // TestStalledPeerFailsExchange is TestMidStreamDropFailsCollective's send-side
 // twin: the peer reads the first bytes of the frame, stops reading, then
 // closes, while Exchange waits for its own frame to be written from the rows.
-// The wait ends with a structured ErrPeerLost, the link's writer ends, and no
-// goroutine is left behind.
+// The wait ends with a structured ErrPeerLost, the link's writer ends, the
+// worker holds the link down and the attempt its peer lost, and no goroutine
+// is left behind.
 func TestStalledPeerFailsExchange(t *testing.T) {
 	before := runtime.NumGoroutine()
-	rt, far, pt := stalledPeer(t, NewWorkerWith("w0", nil, WorkerOptions{}))
+	w := NewWorkerWith("w0", nil, WorkerOptions{})
+	rt, far, pt := stalledPeer(t, w)
 	done := exchangeInBackground(t, pt)
 	if _, err := far.Read(make([]byte, 1000)); err != nil {
 		t.Fatal(err)
@@ -96,20 +131,17 @@ func TestStalledPeerFailsExchange(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Exchange hung on a frame its peer stopped reading")
 	}
-	select {
-	case <-rt.peers[1].send.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the link's writer outlived its connection")
-	}
-	rt.fail(errFinished)
+	linkLostTo(t, w, rt, pt)
+	w.dropRuntime(rt)
 	goroutinesBack(t, before)
 }
 
 // TestAbortEndsHalfWrittenFrame: an abort frame - what the coordinator sends
 // when an attempt is given up, its timeout included - lands while a frame is
-// half written to a peer that has stopped reading. The attempt's links are
-// aborted, and Exchange returns the abort instead of waiting for a write that
-// would never end.
+// half written to a peer that has stopped reading but keeps its connection.
+// The link is the worker's, and the abort leaves it be: the write that makes
+// no progress fails heartbeatTimeout after it began, the link with it, and
+// Exchange returns the abort then, not never.
 func TestAbortEndsHalfWrittenFrame(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := NewWorkerWith("w0", nil, WorkerOptions{})
@@ -126,17 +158,18 @@ func TestAbortEndsHalfWrittenFrame(t *testing.T) {
 	}
 	select {
 	case err := <-done:
+		t.Fatalf("Exchange returned (%v) as the abort landed: the attempt's end tore the link down", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	select {
+	case err := <-done:
 		if !errors.Is(err, errAborted) {
 			t.Fatalf("got %v, want the abort", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Exchange outlived the abort of its attempt")
+	case <-time.After(heartbeatTimeout + time.Second):
+		t.Fatal("Exchange outlived the abort of its attempt by more than the link's write deadline")
 	}
-	select {
-	case <-rt.peers[1].send.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the aborted attempt's link is still writing")
-	}
+	linkLostTo(t, w, rt, pt)
 	ctrl.Close()
 	w.dropRuntime(rt)
 	goroutinesBack(t, before)
@@ -191,7 +224,7 @@ func TestSenderAbortReleasesWaiters(t *testing.T) {
 	}
 
 	ok := newSender(discardConn{})
-	defer ok.close()
+	defer ok.abort()
 	seq, err := ok.send(frameJob, make([]byte, 100), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +240,7 @@ func TestSenderAbortReleasesWaiters(t *testing.T) {
 // connection's buffer, a row at a time, and never built.
 func TestFrameSendIsBounded(t *testing.T) {
 	s := newSender(discardConn{})
-	defer s.close()
+	defer s.abort()
 	spec := &jobSpec{JobID: 1, Workers: 1, Owner: []int{0}}
 	sent := func(n int) uint64 {
 		rows := dataflow.FromSlice(dataflow.NewEnv(dataflow.DefaultConfig(1)), wideRows(n))

@@ -45,8 +45,8 @@ func TestClusterShutdownJoinsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord})
-	// A two-hop join forces shuffles across the peer mesh, so both workers
-	// hold routed peer connections when shutdown starts.
+	// A join forces shuffles across the peer links, so both workers hold a
+	// link each way, with its writer and its router, when shutdown starts.
 	if _, err := s.Execute(session.Request{Query: `MATCH (p:Person)-[:knows]->(q:Person) RETURN *`}); err != nil {
 		t.Fatal(err)
 	}

@@ -375,7 +375,11 @@ func TestCachedPlanPinsNoJob(t *testing.T) {
 	attempt := func(job uint64) weak.Pointer[dataflow.Env] {
 		rt := w.runtime(jobKey{job: job}, &sender{})
 		defer w.dropRuntime(rt)
-		run, err := w.bindJob(spec, snap, rt, trace.NewCollector())
+		pt, err := w.transport(spec, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := w.bindJob(spec, snap, pt, trace.NewCollector())
 		if err != nil {
 			t.Fatal(err)
 		}

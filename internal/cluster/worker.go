@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -29,13 +28,12 @@ import (
 	"gradoop/internal/wire"
 )
 
-// handshakeTimeout bounds every synchronous protocol step (hello/welcome,
-// peer-mesh rendezvous) so a half-open connection can never park a job
-// forever.
+// handshakeTimeout bounds the one synchronous protocol step, a dial and its
+// hello and welcome, so a half-open connection can never park a job forever.
 const handshakeTimeout = 15 * time.Second
 
-// ErrPeerLost is wrapped into the structured job error when a shuffle
-// participant's connection drops mid-collective.
+// ErrPeerLost is wrapped into the structured job error when a link to a
+// shuffle participant drops, or cannot be dialled.
 var ErrPeerLost = errors.New("cluster: peer lost")
 
 // errAborted marks attempts stopped by a coordinator abort.
@@ -86,15 +84,18 @@ type Worker struct {
 	conns  map[net.Conn]struct{}
 	jobs   map[jobKey]*jobRuntime
 	closed bool
-	// orphanAfter is how long a runtime a peer's hello created waits for its
+	// links are the worker's links to its peers, by node (peerLink).
+	links map[string]*peerLink
+	// orphanAfter is how long a runtime a peer's frame created waits for its
 	// job frame: handshakeTimeout, and less in the test of it.
 	orphanAfter time.Duration
 
-	// wg counts every goroutine the worker spawned (connection handlers,
-	// job executions, peer routers) so Wait can observe the full drain
-	// after Crash/Close severed their sockets. Crash itself must NOT wait:
-	// the fault-injection path calls it from inside a counted runJob
-	// goroutine, where waiting would self-deadlock.
+	// wg counts every goroutine the worker spawned (connection handlers, the
+	// routers of the links its peers dialled among them, and job executions)
+	// so Wait can observe the full drain after Crash/Close severed their
+	// sockets. Crash itself must NOT wait: the fault-injection path calls it
+	// from inside a counted runJob goroutine, where waiting would
+	// self-deadlock.
 	wg sync.WaitGroup
 
 	// failAfter > 0 injects a crash (full process death from the cluster's
@@ -158,6 +159,7 @@ func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Wo
 		plans:     session.NewPlanCache(planCacheEntries),
 		conns:     map[net.Conn]struct{}{},
 		jobs:      map[jobKey]*jobRuntime{},
+		links:     map[string]*peerLink{},
 
 		orphanAfter: handshakeTimeout,
 	}
@@ -219,6 +221,12 @@ func (w *Worker) Crash() {
 	for c := range w.conns {
 		conns = append(conns, c)
 	}
+	var links []*sender
+	for _, l := range w.links {
+		if l.send != nil {
+			links = append(links, l.send)
+		}
+	}
 	jobs := make([]*jobRuntime, 0, len(w.jobs))
 	for _, rt := range w.jobs {
 		jobs = append(jobs, rt)
@@ -229,6 +237,9 @@ func (w *Worker) Crash() {
 	}
 	for _, c := range conns {
 		c.Close()
+	}
+	for _, s := range links {
+		s.abort()
 	}
 	for _, rt := range jobs {
 		rt.fail(errors.New("cluster: worker crashed"))
@@ -267,19 +278,19 @@ type jobKey struct {
 	attempt int
 }
 
-// runtime returns (creating if needed) the runtime for one attempt. Peer
-// connections may arrive before the coordinator's Job frame, so both paths
+// runtime returns (creating if needed) the runtime for one attempt. A peer's
+// data frames may arrive before the coordinator's Job frame, so both paths
 // get-or-create; the job frame's - ctrl, the sender of the control connection
 // it came on - is the one that owns the runtime and drops it when the attempt
-// ends, and a peer's hello passes nil. A hello may also arrive for an attempt
-// whose job has already come and gone here - this worker was aborted while a
-// slower peer was still dialling - or never comes: a runtime no job frame has
-// claimed orphanAfter its creation is dropped, and the peers that wait on it
-// lose their connection. The timer that does so holds the runtime weakly:
-// whether hello or job frame is first is a race every attempt runs, and a
-// strong reference kept the runtime of each one the hello won - and through it
-// the worker and its pinned graph, closed or not - alive for orphanAfter
-// (40 MiB of resident set in one bench run and not in the next).
+// ends, and a peer link's router passes nil. A frame may also arrive for an
+// attempt whose job has already come and gone here - this worker was aborted
+// while a slower peer was still sending - and then its job frame never comes:
+// a runtime no job frame has claimed orphanAfter its creation is dropped. The
+// timer that does so holds the runtime weakly: whether a peer's frame or the
+// job frame is first is a race every attempt runs, and a strong reference kept
+// the runtime of each one the frame won - and through it the worker and its
+// pinned graph, closed or not - alive for orphanAfter (40 MiB of resident set
+// in one bench run and not in the next).
 func (w *Worker) runtime(key jobKey, ctrl *sender) *jobRuntime {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -369,12 +380,12 @@ func (w *Worker) keepSpare(bufs [][]byte) {
 	w.winst.spareBytes.Store(int64(w.spareBytes))
 }
 
-// handleConn performs the handshake and runs the connection's read loop:
-// a control connection serves the coordinator until it drops; a peer
-// connection is handed to the job attempt it belongs to and routed there.
+// handleConn performs the handshake and runs the connection's read loop until
+// the connection drops: a control connection serves the coordinator; a link a
+// peer dialled is routed a frame at a time to the attempts its frames name.
 func (w *Worker) handleConn(conn net.Conn) {
+	defer conn.Close()
 	if !w.track(conn) {
-		conn.Close()
 		return
 	}
 	defer w.untrack(conn)
@@ -382,12 +393,10 @@ func (w *Worker) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	typ, payload, err := readFrame(br, nil)
 	if err != nil || typ != frameHello {
-		conn.Close()
 		return
 	}
 	var h hello
 	if err := json.Unmarshal(payload, &h); err != nil {
-		conn.Close()
 		return
 	}
 	if h.Magic != protoMagic || h.Version != protoVersion {
@@ -397,28 +406,160 @@ func (w *Worker) handleConn(conn net.Conn) {
 			Reason: fmt.Sprintf("protocol mismatch: want magic %08x version %d, got %08x version %d",
 				protoMagic, protoVersion, h.Magic, h.Version),
 		})
-		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: w.node, Telemetry: w.telemetry}); err != nil {
-		conn.Close()
 		return
 	}
 	switch h.Role {
 	case roleControl:
 		w.serveControl(conn, br)
 	case rolePeer:
-		rt := w.runtime(jobKey{job: h.JobID, attempt: h.Attempt}, nil)
-		link := rt.addPeer(h.From, conn)
-		if link == nil {
-			conn.Close()
+		w.route(h.Node, br)
+	}
+}
+
+// route is the read loop of a link peer node dialled: every frame goes to the
+// attempt its head names (routeFrame) until the link drops or carries anything
+// but a data frame, and that is the peer's loss (linkLost).
+func (w *Worker) route(node string, br *bufio.Reader) {
+	for {
+		if err := w.routeFrame(br); err != nil {
+			w.linkLost(node, nil, err)
 			return
 		}
-		rt.routePeer(h.From, link, br)
-	default:
+	}
+}
+
+// routeFrame reads the next frame of a link a peer dialled. Its head is read
+// first, in place (peekData), and names the attempt: one this worker runs, or
+// one whose job frame has yet to come (runtime). Then its body is read into
+// that attempt's receive arena (DESIGN decision 38) and, once it matches its
+// checksum, filed in the attempt's mailbox. The frame of an attempt that has
+// failed is skipped unread.
+func (w *Worker) routeFrame(br *bufio.Reader) error {
+	f, n, err := peekData(br)
+	if err != nil {
+		return err
+	}
+	rt := w.runtime(jobKey{job: f.JobID, attempt: f.Attempt}, nil)
+	if rt.failure() != nil {
+		if _, err := br.Discard(4 + n); err != nil { // the length and what it counts
+			return fmt.Errorf("cluster: torn frame (want %d bytes): %w", n, err)
+		}
+		return nil
+	}
+	_, payload, err := readFrame(br, rt)
+	if err != nil {
+		return err
+	}
+	defer rt.readEnded()
+	c := field.Reader(payload)
+	f.layout(&c)
+	body, err := checkedBody(&c)
+	if err != nil {
+		return err
+	}
+	rt.mu.Lock()
+	rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = body
+	rt.cond.Broadcast()
+	rt.mu.Unlock()
+	return nil
+}
+
+// linkLost is the drop of a link to or from peer node - a read error on one it
+// dialled, a write error on this worker's (out, the link's sender; nil for the
+// former) - which is that peer's loss to every attempt this worker runs: each
+// records it (failPeer), and one whose roster names the node fails on it where
+// it needs the peer. The worker's link to the node goes down with it, so the
+// next job that names the node dials it again.
+func (w *Worker) linkLost(node string, out *sender, cause error) {
+	w.mu.Lock()
+	rts := make([]*jobRuntime, 0, len(w.jobs))
+	for _, rt := range w.jobs {
+		rts = append(rts, rt)
+	}
+	l := w.links[node]
+	down := l != nil && l.send != nil && (out == nil || l.send == out) // not a dial that runs, nor a newer link
+	if down {
+		delete(w.links, node)
+	}
+	w.mu.Unlock()
+	if down {
+		l.send.abort()
+	}
+	for _, rt := range rts {
+		rt.failPeer(node, cause)
+	}
+}
+
+// peerLink is this worker's link to one peer node, at addr. The worker dials
+// it the first time a job names the peer, and again only once it has dropped
+// (linkLost) or the peer has moved, and every job's frames to the peer share
+// it, one way: the peer's frames come on the link it dialled. ready is closed
+// once the dial has ended, with send set or err the dial's error; both are
+// written under the worker's mu.
+type peerLink struct {
+	addr  string
+	ready chan struct{}
+	send  *sender
+	err   error
+}
+
+// link returns the sender of the worker's link to peer p, dialling the link
+// when no job has named the peer yet or it has dropped. Concurrent first jobs
+// share one dial.
+func (w *Worker) link(p procSpec) (*sender, error) {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return nil, net.ErrClosed
+	}
+	l := w.links[p.Node]
+	dial := l == nil || l.addr != p.Addr
+	if dial {
+		l = &peerLink{addr: p.Addr, ready: make(chan struct{})}
+		w.links[p.Node] = l
+	}
+	w.mu.Unlock()
+	if dial {
+		w.dial(p.Node, l)
+	}
+	<-l.ready
+	return l.send, l.err
+}
+
+// dial opens link l to node: a hello that names this worker's node and
+// nothing else, and a sender whose every write must end within
+// heartbeatTimeout, so that a peer which stops reading is lost instead of
+// holding the link's writer, and every collective behind it, for ever. A link
+// that could not be dialled is forgotten once its waiters have its error.
+func (w *Worker) dial(node string, l *peerLink) {
+	conn, _, _, err := dialHello(l.addr, hello{Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: w.node})
+	w.mu.Lock()
+	if err == nil && w.closed {
+		err = net.ErrClosed
+	} else if err == nil {
+		l.send = newSender(stallConn{conn})
+	}
+	if l.err = err; err != nil && w.links[node] == l {
+		delete(w.links, node)
+	}
+	close(l.ready)
+	w.mu.Unlock()
+	if err != nil && conn != nil {
 		conn.Close()
 	}
+}
+
+// stallConn is a link's connection as its sender writes it: a write that has
+// not ended heartbeatTimeout after it began fails, and the link with it.
+type stallConn struct{ net.Conn }
+
+func (c stallConn) Write(p []byte) (int, error) {
+	c.SetWriteDeadline(time.Now().Add(heartbeatTimeout))
+	return c.Conn.Write(p)
 }
 
 // serveControl is the coordinator-facing loop: statistics arrive, jobs start,
@@ -598,7 +739,7 @@ func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sen
 // a peer was lost or a logger is set (BenchmarkWorkerTelemetryDisabled).
 func (w *Worker) failed(done *jobDone, spec *jobSpec, rt *jobRuntime, err error) {
 	done.Error = err.Error()
-	done.PeerLost, done.LostPeers = rt.lossInfo(err)
+	done.PeerLost, done.LostPeers = rt.lossInfo(err, spec.Procs)
 	w.winst.failures.Inc()
 	if w.logger != nil {
 		w.logger.Error("cluster job failed", "job", spec.JobID, "attempt", spec.Attempt,
@@ -632,19 +773,21 @@ func (w *Worker) ship(ctrl *sender, head []byte, b *telemetryBundle) bool {
 	return true
 }
 
-// executeJob builds the peer mesh, runs the planned query over this
-// worker's owned partitions, and ships the owned result partitions. It
-// returns the bytes the transport framed per stage and the job's metrics.
+// executeJob takes the worker's links to the attempt's peers, runs the
+// planned query over this worker's owned partitions, and ships the owned
+// result partitions. It returns the bytes the transport framed per stage and
+// the job's metrics.
 func (w *Worker) executeJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender, col *trace.Collector) (map[int64]int64, dataflow.MetricsSnapshot, error) {
 	var zero dataflow.MetricsSnapshot
 	if spec.Workers <= 0 || len(spec.Owner) != spec.Workers || spec.Self < 0 || spec.Self >= len(spec.Procs) {
 		return nil, zero, fmt.Errorf("cluster: malformed job spec (workers=%d owners=%d self=%d procs=%d)",
 			spec.Workers, len(spec.Owner), spec.Self, len(spec.Procs))
 	}
-	if err := w.connectMesh(spec, rt); err != nil {
+	pt, err := w.transport(spec, rt)
+	if err != nil {
 		return nil, zero, err
 	}
-	run, err := w.bindJob(spec, snap, rt, col)
+	run, err := w.bindJob(spec, snap, pt, col)
 	if err != nil {
 		return nil, zero, err
 	}
@@ -668,12 +811,12 @@ type jobRun struct {
 	cfg  core.Config
 }
 
-// bindJob is what an attempt does between its mesh and its run: it decodes the
-// parameters, takes the plan from the worker's cache and holds it to the
+// bindJob is what an attempt does between its links and its run: it decodes
+// the parameters, takes the plan from the worker's cache and holds it to the
 // coordinator's fingerprint, and binds this worker's graph to a fresh
-// environment over the attempt's transport.
-func (w *Worker) bindJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, col *trace.Collector) (jobRun, error) {
-	var run jobRun
+// environment over the attempt's transport pt.
+func (w *Worker) bindJob(spec *jobSpec, snap *snapshot, pt *peerTransport, col *trace.Collector) (jobRun, error) {
+	run := jobRun{pt: pt}
 	params, err := wire.ReadParams(spec.Params)
 	if err != nil {
 		return run, fmt.Errorf("cluster: corrupt parameter encoding: %w", err)
@@ -687,8 +830,7 @@ func (w *Worker) bindJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, col *tra
 			spec.Fingerprint, fp)
 	}
 	run.env = dataflow.NewEnv(dataflow.DefaultConfig(spec.Workers))
-	run.pt = &peerTransport{rt: rt, spec: spec, wireOut: map[int64]int64{}}
-	run.env.SetTransport(run.pt)
+	run.env.SetTransport(pt)
 	run.env.SetObserver(w.observer)
 	var access planner.GraphAccess
 	run.g, access = w.data.Bind(run.env)
@@ -772,50 +914,6 @@ func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctr
 	return nil
 }
 
-// connectMesh establishes the attempt's worker-to-worker connections:
-// every worker dials the roster members above its own index and accepts
-// from those below, so each pair shares exactly one connection.
-func (w *Worker) connectMesh(spec *jobSpec, rt *jobRuntime) error {
-	for j := range spec.Procs {
-		if j == spec.Self {
-			continue
-		}
-		if j < spec.Self {
-			if err := rt.waitPeer(j); err != nil {
-				return err
-			}
-			continue
-		}
-		conn, br, _, err := dialHello(spec.Procs[j].Addr, hello{
-			Magic: protoMagic, Version: protoVersion, Role: rolePeer, Node: w.node,
-			JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self,
-		})
-		if err != nil {
-			rt.failPeer(j, err)
-			return fmt.Errorf("%w: peer %d (%s): %v", ErrPeerLost, j, spec.Procs[j].Addr, err)
-		}
-		// Tracked once established: Close need not reach a handshake in
-		// flight, its own deadline ends it.
-		if !w.track(conn) {
-			conn.Close()
-			return errors.New("cluster: worker closed")
-		}
-		link := rt.addPeer(j, conn)
-		if link == nil {
-			conn.Close()
-			w.untrack(conn)
-			return errors.New("cluster: attempt already failed")
-		}
-		w.wg.Add(1)
-		go func(j int) {
-			defer w.wg.Done()
-			defer w.untrack(conn)
-			rt.routePeer(j, link, br)
-		}(j)
-	}
-	return nil
-}
-
 // mailKey addresses one peer's contribution to one collective.
 type mailKey struct {
 	seq  uint64
@@ -823,22 +921,12 @@ type mailKey struct {
 	from int
 }
 
-// peerLink is one established worker-to-worker connection.
-type peerLink struct {
-	conn net.Conn
-	send *sender
-	// sent is the last data frame queued on the link, the one a collective
-	// waits for before it returns. Only the job's driving goroutine sends on
-	// a peer link, so only it touches sent.
-	sent uint64
-}
-
 // jobRuntime is the per-attempt state shared between the job's driving
 // goroutine (which executes the dataflow program and blocks in collectives)
-// and the peer routers (which deliver incoming frames): a mailbox keyed by
-// (seq, kind, sender) plus the attempt's failure state. Any failure —
-// peer loss, abort, worker crash — wakes every waiter, so a collective can
-// error out but never hang.
+// and the routers of the worker's inbound links (which deliver incoming
+// frames): a mailbox keyed by (seq, kind, sender) plus the attempt's failure
+// state. Any failure — peer loss, abort, worker crash — wakes every waiter, so
+// a collective can error out but never hang.
 type jobRuntime struct {
 	w   *Worker
 	key jobKey
@@ -849,19 +937,14 @@ type jobRuntime struct {
 
 	mu    sync.Mutex
 	cond  *sync.Cond
-	peers map[int]*peerLink
 	inbox map[mailKey][]byte
 	err   error
-	// lost marks peers whose connection dropped, with the observed cause.
-	// A loss is deliberately NOT a whole-attempt failure: a worker that
-	// finishes a job with no remaining collectives closes its mesh
-	// connections while slower peers may still be executing, and that
-	// orderly departure is indistinguishable from a crash at the socket.
-	// Only a collective that actually needs the lost peer's data (or its
-	// socket) fails — by then every frame an orderly finisher owed us is
-	// already in the inbox, so a genuine wait on a lost peer means a real
-	// loss.
-	lost map[int]error
+	// lost marks, by node, the peers whose link dropped while the attempt ran,
+	// with the observed cause (linkLost). A link outlives its jobs, so a drop
+	// is a lost peer and nothing else. It is still not a whole-attempt
+	// failure: only a collective that needs the lost peer's data fails, and
+	// the frames it delivered before the drop stay consumable.
+	lost map[string]error
 
 	// The receive arena: the peer frames of the attempt are read into
 	// buffers taken from the worker's spare list or the heap (held, whole),
@@ -881,86 +964,11 @@ func newJobRuntime(w *Worker, key jobKey) *jobRuntime {
 	rt := &jobRuntime{
 		w:     w,
 		key:   key,
-		peers: map[int]*peerLink{},
 		inbox: map[mailKey][]byte{},
-		lost:  map[int]error{},
+		lost:  map[string]error{},
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	return rt
-}
-
-// addPeer registers an established peer connection, returning nil when the
-// attempt has already failed or the slot is taken.
-func (rt *jobRuntime) addPeer(idx int, conn net.Conn) *peerLink {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.err != nil || rt.peers[idx] != nil {
-		return nil
-	}
-	link := &peerLink{conn: conn, send: newSender(conn)}
-	rt.peers[idx] = link
-	rt.cond.Broadcast()
-	return link
-}
-
-// waitPeer blocks until peer idx has connected, the attempt fails, or the
-// handshake window elapses.
-func (rt *jobRuntime) waitPeer(idx int) error {
-	deadline := time.AfterFunc(handshakeTimeout, func() {
-		rt.failPeer(idx, errors.New("peer rendezvous timed out"))
-	})
-	defer deadline.Stop()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for rt.peers[idx] == nil && rt.err == nil && rt.lost[idx] == nil {
-		rt.cond.Wait()
-	}
-	if rt.err != nil {
-		return rt.err
-	}
-	if cause := rt.lost[idx]; cause != nil && rt.peers[idx] == nil {
-		return fmt.Errorf("%w: peer %d: %v", ErrPeerLost, idx, cause)
-	}
-	return nil
-}
-
-// routePeer is a peer connection's read loop: frames are read into the
-// attempt's receive arena, and data frames for this attempt land in the
-// mailbox; a corrupt frame or the connection's loss fails the peer so waiters
-// never hang.
-func (rt *jobRuntime) routePeer(idx int, link *peerLink, br *bufio.Reader) {
-	defer link.send.abort()
-	for {
-		typ, payload, err := readFrame(br, rt)
-		if err == nil {
-			err = rt.deliver(typ, payload)
-			rt.readEnded()
-		}
-		if err != nil {
-			rt.failPeer(idx, err)
-			return
-		}
-	}
-}
-
-// deliver files a data frame of this attempt in the mailbox, once its body
-// matches its checksum. Any other frame is dropped.
-func (rt *jobRuntime) deliver(typ byte, payload []byte) error {
-	if typ != frameData {
-		return nil
-	}
-	var f dataFrame
-	c := field.Reader(payload)
-	f.layout(&c)
-	body, err := checkedBody(&c)
-	if err != nil || f.JobID != rt.key.job || f.Attempt != rt.key.attempt {
-		return err // nil for a frame from a retired attempt
-	}
-	rt.mu.Lock()
-	rt.inbox[mailKey{seq: f.Seq, kind: f.Kind, from: f.From}] = body
-	rt.cond.Broadcast()
-	rt.mu.Unlock()
-	return nil
 }
 
 // frameBody is where readFrame reads the body of a peer frame of n bytes, and
@@ -1030,11 +1038,11 @@ func (rt *jobRuntime) reclaim() {
 	rt.held, rt.free = nil, nil
 }
 
-// waitMail blocks until the addressed contribution arrives, the sender is
-// lost with the mail still owed, or the attempt fails. The inbox check
-// comes first: frames an orderly-departed peer delivered before closing
-// stay consumable.
-func (rt *jobRuntime) waitMail(key mailKey) ([]byte, error) {
+// waitMail blocks until the addressed contribution of peer node arrives, the
+// peer is lost with the mail still owed, or the attempt fails. The inbox check
+// comes first: frames a peer delivered before its link dropped stay
+// consumable.
+func (rt *jobRuntime) waitMail(key mailKey, node string) ([]byte, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
@@ -1045,131 +1053,106 @@ func (rt *jobRuntime) waitMail(key mailKey) ([]byte, error) {
 		if rt.err != nil {
 			return nil, rt.err
 		}
-		if cause := rt.lost[key.from]; cause != nil {
-			return nil, fmt.Errorf("%w: peer %d dropped owing collective %d: %v",
-				ErrPeerLost, key.from, key.seq, cause)
+		if cause := rt.lost[node]; cause != nil {
+			return nil, fmt.Errorf("%w: peer %d (%s) dropped owing collective %d: %v",
+				ErrPeerLost, key.from, node, key.seq, cause)
 		}
 		rt.cond.Wait()
 	}
 }
 
-// peerSend enqueues a data frame to roster member idx; a connection-level
-// send failure is a peer loss.
-func (rt *jobRuntime) peerSend(idx int, head []byte, body []segment) error {
-	rt.mu.Lock()
-	link := rt.peers[idx]
-	err := rt.err
-	rt.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if link == nil {
-		return fmt.Errorf("%w: no connection to peer %d", ErrPeerLost, idx)
-	}
-	seq, err := link.send.send(frameData, head, body)
-	if err != nil {
-		rt.failPeer(idx, err)
-		return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
-	}
-	link.sent = seq
-	return nil
-}
-
-// peerWritten blocks until the last data frame queued to member idx has been
-// written into its connection's buffer, or never will be. A frame its
-// connection dropped is a lost peer - unless the attempt has failed, which
-// aborts the links, and then the attempt's failure is the error.
-func (rt *jobRuntime) peerWritten(idx int) error {
-	rt.mu.Lock()
-	link := rt.peers[idx]
-	rt.mu.Unlock()
-	if link == nil {
-		return nil
-	}
-	err := link.send.wait(link.sent)
-	if err == nil {
-		return nil
-	}
-	rt.mu.Lock()
-	failed := rt.err
-	rt.mu.Unlock()
-	if failed != nil {
-		return failed
-	}
-	rt.failPeer(idx, err)
-	return fmt.Errorf("%w: sending to peer %d: %v", ErrPeerLost, idx, err)
-}
-
-// fail records the attempt's first failure, wakes every waiter and stops the
-// attempt's peer links. A failure aborts them: a collective that waits for
-// its frame to be written into a connection nobody reads returns when the
-// link's writer stops, and not before. The end of the attempt, errFinished,
-// closes them gracefully, draining any queued frames first, so an orderly
-// finisher's last collective contributions reach the slower peers before the
-// FIN does.
+// fail records the attempt's first failure and wakes every waiter. The links
+// are the worker's and carry on: a collective waiting for its frames to be
+// written returns once they are, or once their link drops.
 func (rt *jobRuntime) fail(err error) {
 	rt.mu.Lock()
 	if rt.err == nil {
 		rt.err = err
 	}
-	links := make([]*peerLink, 0, len(rt.peers))
-	for _, l := range rt.peers {
-		links = append(links, l)
-	}
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
-	for _, l := range links {
-		if err == errFinished {
-			l.send.close()
-		} else {
-			l.send.abort()
-		}
-	}
 }
 
-// failPeer records a peer loss and wakes waiters; blame lands lazily on
-// whichever collective actually needs the peer (see the lost field's doc).
-func (rt *jobRuntime) failPeer(idx int, cause error) {
+// failure is the attempt's failure, nil while it runs.
+func (rt *jobRuntime) failure() error {
 	rt.mu.Lock()
-	if rt.lost[idx] == nil {
-		rt.lost[idx] = cause
+	defer rt.mu.Unlock()
+	return rt.err
+}
+
+// failPeer records the loss of peer node and wakes waiters; blame lands
+// lazily on whichever collective actually needs the peer (see the lost
+// field's doc).
+func (rt *jobRuntime) failPeer(node string, cause error) {
+	rt.mu.Lock()
+	if rt.lost[node] == nil {
+		rt.lost[node] = cause
 	}
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
 }
 
 // lossInfo reports, for a failed attempt, whether the failure traces to a
-// lost peer and which peers this worker saw drop. Only the peers the
-// returned error actually blames matter — recorded-but-harmless losses
-// (orderly finishers) must not be accused.
-func (rt *jobRuntime) lossInfo(err error) (bool, []int) {
+// lost peer and the roster indices of procs whose link dropped while the
+// attempt ran: those peers, and only those, were lost.
+func (rt *jobRuntime) lossInfo(err error, procs []procSpec) (bool, []int) {
 	if !errors.Is(err, ErrPeerLost) {
 		return false, nil
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	idxs := make([]int, 0, len(rt.lost))
-	for i := range rt.lost {
-		idxs = append(idxs, i)
+	var idxs []int
+	for j, p := range procs {
+		if rt.lost[p.Node] != nil {
+			idxs = append(idxs, j)
+		}
 	}
-	sort.Ints(idxs)
 	return true, idxs
 }
 
-// peerTransport implements dataflow.Transport over the attempt's peer mesh.
-// All methods run on the job's driving goroutine (the engine's contract),
-// so the sequence counter needs no synchronization; each collective is
-// matched across processes by that counter, and the router's mailbox holds
-// early arrivals from faster peers.
+// peerTransport implements dataflow.Transport over the worker's links to the
+// attempt's peers. All methods run on the job's driving goroutine (the
+// engine's contract), so the sequence counter needs no synchronization; each
+// collective is matched across processes by that counter, and the mailbox
+// holds early arrivals from faster peers.
 type peerTransport struct {
 	rt   *jobRuntime
 	spec *jobSpec
-	seq  uint64
+	// out is, by roster index, the link to each peer (none at Self) and the
+	// last data frame the attempt queued on it, which a collective waits for
+	// before it returns.
+	out []peerOut
+	seq uint64
 	// wireOut attributes the bytes this process actually framed to peers,
 	// per stage — the "actual shuffle bytes" side of the predicted-vs-actual
 	// report (received bytes are the sending peer's wireOut; counting both
 	// sides would double every byte in the cluster-wide sum).
 	wireOut map[int64]int64
+}
+
+// peerOut is an attempt's use of one link.
+type peerOut struct {
+	send *sender
+	sent uint64
+}
+
+// transport is the attempt's peerTransport over the worker's links to the
+// other members of its roster, each dialled if no job has named it before or
+// its link has dropped. A peer that cannot be dialled is lost.
+func (w *Worker) transport(spec *jobSpec, rt *jobRuntime) (*peerTransport, error) {
+	pt := &peerTransport{rt: rt, spec: spec, out: make([]peerOut, len(spec.Procs)), wireOut: map[int64]int64{}}
+	for j, p := range spec.Procs {
+		if j == spec.Self {
+			continue
+		}
+		s, err := w.link(p)
+		if err != nil {
+			rt.failPeer(p.Node, err)
+			return nil, fmt.Errorf("%w: peer %d (%s): %v", ErrPeerLost, j, p.Addr, err)
+		}
+		pt.out[j].send = s
+	}
+	return pt, nil
 }
 
 // Owns implements dataflow.Transport.
@@ -1217,7 +1200,7 @@ func (t *peerTransport) AllGather(stage int64, blobs []dataflow.Bucket) ([][]byt
 // body(j) its body - a frame its peer would refuse as over maxFrame is never
 // queued, and fails the collective with errFrameTooLarge, not as a lost peer -
 // and waits until each has been written into its
-// connection's buffer or dropped with it: a collective returns only then,
+// link's buffer or dropped with it: a collective returns only then,
 // having failed or not, because its frames are written from rows and routes
 // the engine rewrites as soon as it has returned (DESIGN decision 34). Then it
 // hands each peer's frame of the same collective to split.
@@ -1229,7 +1212,7 @@ func (t *peerTransport) collective(stage int64, kind byte, body func(j int) []se
 	}
 	head := t.dataHead(stage, kind)
 	var err error
-	for j := range t.spec.Procs {
+	for j := range t.out {
 		if j == t.spec.Self {
 			continue
 		}
@@ -1239,26 +1222,29 @@ func (t *peerTransport) collective(stage int64, kind byte, body func(j int) []se
 			break
 		}
 		t.wireOut[stage] += size
-		if err = t.rt.peerSend(j, head, b); err != nil {
+		seq, serr := t.out[j].send.send(frameData, head, b)
+		if serr != nil {
+			err = t.lost(j, serr)
 			break
 		}
+		t.out[j].sent = seq
 	}
-	for j := range t.spec.Procs {
+	for j := range t.out {
 		if j == t.spec.Self {
 			continue
 		}
-		if werr := t.rt.peerWritten(j); err == nil {
-			err = werr
+		if werr := t.out[j].send.wait(t.out[j].sent); werr != nil && err == nil {
+			err = t.lost(j, werr)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	for j := range t.spec.Procs {
+	for j := range t.out {
 		if j == t.spec.Self {
 			continue
 		}
-		b, err := t.rt.waitMail(mailKey{seq: t.seq, kind: kind, from: j})
+		b, err := t.rt.waitMail(mailKey{seq: t.seq, kind: kind, from: j}, t.spec.Procs[j].Node)
 		if err != nil {
 			return err
 		}
@@ -1267,6 +1253,19 @@ func (t *peerTransport) collective(stage int64, kind byte, body func(j int) []se
 		}
 	}
 	return nil
+}
+
+// lost is a write error on the link to peer j: the link has dropped, which is
+// the peer's loss to every attempt (linkLost) and this attempt's error -
+// unless the attempt has failed already, an abort say, and then that failure
+// is its error.
+func (t *peerTransport) lost(j int, cause error) error {
+	p := t.spec.Procs[j]
+	t.rt.w.linkLost(p.Node, t.out[j].send, cause)
+	if err := t.rt.failure(); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: sending to peer %d (%s): %v", ErrPeerLost, j, p.Node, cause)
 }
 
 // exchangeBody lays out the body of the data frame that carries every bucket
