@@ -159,7 +159,7 @@ alloc-guard:
 		END { if (bad || seen != 4) { print "alloc-guard: a stage on a warm lane allocates more objects than its output allocated once and the stage\x27s own few (FlatMapWith <= 23 allocs/op, JoinWith <= 23: 21 and 21 measured + 10%, 33 for the join while its table\x27s three arrays were allocated per attempt, 33 and 46 with append-grown outputs; the attempt handle must cost no object per attempt, and an inner join none for the epilogue of the outer join), or the one exchange more than its windows and buckets (Shuffle, in process, <= 26; Shuffle2proc, two processes of the test cluster owning two partitions each, <= 69: 24 and 63 measured + 10%, 32 and 75 while a route\x27s two arrays were allocated per attempt)"; exit 1 } }'
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerTelemetryDisabled' -benchmem | awk ' \
 		/^Benchmark/ { print; if ($$(NF-1)+0 != 0) bad = 1 } \
-		END { if (bad) { print "alloc-guard: -no-telemetry worker path allocates (disabled shipping must be free)"; exit 1 } }'
+		END { if (bad) { print "alloc-guard: a failed attempt\x27s done report allocates (it must allocate nothing)"; exit 1 } }'
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkWorkerReport' -benchmem | awk ' \
 		/^BenchmarkWorkerReport/ { print; seen++; if ($$(NF-1)+0 > 41) bad = 1 } \
 		END { if (bad || seen != 1) { print "alloc-guard: the done report of an untraced attempt - stage table, encode and decode - allocates more than 41 objects (38 measured + 10%; the stage table is read from the collector in place, not from a copy of its spans)"; exit 1 } }'

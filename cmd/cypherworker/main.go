@@ -17,10 +17,7 @@
 // the coordinator on the heartbeat - when the coordinator connects, then
 // after a job, at most one heartbeat (500 ms) late - and the coordinator's
 // federated /metrics serves the result; a request that asks for a trace also
-// gets the worker's execution spans of its job. -no-telemetry turns all of
-// that shipping off: a job's stages are still recorded, for the per-stage
-// records of the done report, but no span and no snapshot crosses the wire,
-// and the coordinator marks every query's report partial-telemetry.
+// gets the worker's execution spans of its job, and no other request does.
 package main
 
 import (
@@ -70,7 +67,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7481", "listen address for coordinator and peer connections")
 	node := flag.String("node", "", "stable node ID for partition placement (default: the listen address)")
 	failAfter := flag.Int64("fail-after", 0, "fault injection: crash after N collective exchanges (0 disables)")
-	noTelemetry := flag.Bool("no-telemetry", false, "do not ship spans or registry snapshots to the coordinator")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	flag.Parse()
@@ -108,9 +104,8 @@ func main() {
 		id = ln.Addr().String()
 	}
 	w := cluster.NewWorkerWith(id, data, cluster.WorkerOptions{
-		Logger:      logger,
-		Metrics:     obs.NewRegistry(),
-		NoTelemetry: *noTelemetry,
+		Logger:  logger,
+		Metrics: obs.NewRegistry(),
 	})
 	if *failAfter > 0 {
 		w.SetFailAfterExchanges(*failAfter)

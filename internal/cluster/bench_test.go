@@ -204,7 +204,7 @@ func BenchmarkWorkerReport(b *testing.B) {
 	wireOut := map[int64]int64{}
 	b.ReportAllocs()
 	for b.Loop() {
-		done := jobDone{Telemetry: true, ElapsedNs: 1, Stages: stageRecords(col, cost, wireOut), Metrics: metrics}
+		done := jobDone{ElapsedNs: 1, Stages: stageRecords(col, cost, wireOut), Metrics: metrics}
 		if _, err := decodeJobDone(encodeJobDone(&done)); err != nil {
 			b.Fatal(err)
 		}

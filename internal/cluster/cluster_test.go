@@ -1,12 +1,17 @@
 package cluster_test
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,6 +86,100 @@ func startWorkers(t *testing.T, data *session.GraphData, n int) ([]*cluster.Work
 	t.Helper()
 	workers, addrs, _ := startNodes(t, data, nodeNames(n)...)
 	return workers, addrs
+}
+
+// proxy listens in front of the worker at target and forwards every
+// connection to it: the coordinator's control connection and its peers' links,
+// since the proxy's address is the one the roster gives them. Every frame the
+// worker sends passes through tap, which may read and change its payload;
+// what the other side sends is copied as it comes, and a close on either side
+// closes both. stop closes the proxy and waits for its goroutines.
+func proxy(t *testing.T, target string, tap func(typ byte, payload []byte)) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		conns   = map[net.Conn]struct{}{}
+		stopped bool
+	)
+	track := func(cs ...net.Conn) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range cs {
+			conns[c] = struct{}{}
+		}
+		return !stopped
+	}
+	pipe := func(a, b net.Conn, run func()) {
+		defer wg.Done()
+		run()
+		a.Close()
+		b.Close()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			if !track(client, server) {
+				client.Close()
+				server.Close()
+				continue
+			}
+			wg.Add(2)
+			go pipe(client, server, func() { io.Copy(server, client) })
+			go pipe(client, server, func() { copyFrames(client, server, tap) })
+		}
+	}()
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			ln.Close()
+			mu.Lock()
+			stopped = true
+			for c := range conns {
+				c.Close()
+			}
+			mu.Unlock()
+			wg.Wait()
+		})
+	}
+	t.Cleanup(stop)
+	return ln.Addr().String(), stop
+}
+
+// copyFrames copies the frames src sends to dst, each through tap, until
+// either side fails.
+func copyFrames(dst io.Writer, src io.Reader, tap func(typ byte, payload []byte)) {
+	br := bufio.NewReader(src)
+	for {
+		var hdr [4]byte
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		frame := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return
+		}
+		if len(frame) > 0 {
+			tap(frame[0], frame[1:])
+		}
+		if _, err := dst.Write(append(hdr[:], frame...)); err != nil {
+			return
+		}
+	}
 }
 
 // TestClusterBitIdentity: a job across 1, 2 and 4 worker processes reports
@@ -289,12 +388,31 @@ func TestClusterRecovery(t *testing.T) {
 // recoverFrom arms the middle worker of three to crash at its k-th collective,
 // of a job of K. The job it falls in is re-executed on the two survivors, with
 // the single-process rows, flagged as recovered, in two attempts: no survivor
-// was accused. The next job is a clean first attempt on the survivors' link
-// between them, which it does not dial again. Closed, the cluster leaves no
-// goroutine behind.
+// was accused. Every done report that fails on a lost peer names the crashed
+// worker and no other. The next job is a clean first attempt on the
+// survivors' link between them, which it does not dial again. Closed, the
+// cluster leaves no goroutine behind.
 func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, want *session.Response, k, K int) {
 	before := runtime.NumGoroutine()
-	workers, addrs, lns := startNodes(t, data, nodeNames(3)...)
+	workers, direct, lns := startNodes(t, data, nodeNames(3)...)
+	// Every worker is reached through a proxy that reads its done reports. A
+	// loss can only be the first attempt's, in which w1 is roster index 1.
+	addrs := make([]string, len(direct))
+	stops := make([]func(), len(direct))
+	for i, a := range direct {
+		addrs[i], stops[i] = proxy(t, a, func(typ byte, payload []byte) {
+			if typ != cluster.FrameJobDone {
+				return
+			}
+			attempt, text, lost, err := cluster.DoneReport(payload)
+			switch {
+			case err != nil:
+				t.Errorf("w%d's done report does not decode: %v", i, err)
+			case strings.Contains(text, cluster.ErrPeerLost.Error()) && (attempt != 0 || !slices.Equal(lost, []int{1})):
+				t.Errorf("w%d's done report of attempt %d fails on a lost peer and names roster indices %v, want [1], the crashed w1", i, attempt, lost)
+			}
+		})
+	}
 	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +452,9 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, wa
 	for _, w := range workers {
 		w.Close()
 		w.Wait()
+	}
+	for _, stop := range stops {
+		stop()
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -81,9 +81,6 @@ type member struct {
 	conn net.Conn
 	send *sender
 
-	// telemetry is the worker's telemetry bit, as its welcome said.
-	telemetry bool
-
 	mu       sync.Mutex
 	alive    bool
 	lastPong time.Time
@@ -147,7 +144,7 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 			c.Close()
 			return nil, fmt.Errorf("cluster: worker %d (%s): %w", i, addr, err)
 		}
-		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), telemetry: wl.Telemetry, alive: true, lastPong: now}
+		m := &member{idx: i, node: wl.Node, addr: addr, conn: conn, send: newSender(conn), alive: true, lastPong: now}
 		c.members = append(c.members, m)
 		// A node is a worker's identity: the partitioner places by it, and a
 		// worker tells its peers' links apart by it.
@@ -204,7 +201,6 @@ func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
 			Alive:           m.alive,
 			LastHeartbeatMs: time.Since(m.lastPong).Milliseconds(),
 			Jobs:            m.jobsDone,
-			Telemetry:       m.telemetry,
 		})
 		m.mu.Unlock()
 	}
@@ -515,29 +511,27 @@ func (st *attemptState) classify() outcome {
 	for idx := range st.down {
 		accused[idx] = true
 	}
-	lossReported := false
 	for _, idx := range st.roster {
 		done := st.dones[idx]
 		if done == nil {
 			continue
 		}
-		if done.PeerLost {
-			lossReported = true
-			// LostPeers are roster-relative; translate to member indices. A
-			// peer is named only when its link dropped: a member that fails
-			// on its own error keeps its links, and its peers never see it go.
-			for _, r := range done.LostPeers {
-				if r >= 0 && r < len(st.roster) {
-					accused[st.roster[r]] = true
-				}
+		// LostPeers are roster-relative; translate to member indices. A peer
+		// is named only when its link dropped: a member that fails on its own
+		// error keeps its links, and its peers never see it go. A failure
+		// that names no peer is the query's.
+		named := false
+		for _, r := range done.LostPeers {
+			if r >= 0 && r < len(st.roster) {
+				accused[st.roster[r]] = true
+				named = true
 			}
-			continue
 		}
-		if done.Error != "" && out.queryErr == nil {
+		if !named && done.Error != "" && out.queryErr == nil {
 			out.queryErr = errors.New(done.Error)
 		}
 	}
-	out.recoverable = len(accused) > 0 || (lossReported && out.queryErr == nil)
+	out.recoverable = len(accused) > 0
 	for idx := range accused {
 		out.accused = append(out.accused, idx)
 	}
@@ -792,19 +786,13 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 	}
 	for i, idx := range st.roster {
 		done, b := dones[i], bundles[i]
-		wr := session.WorkerReport{Node: c.members[idx].node, WallNs: done.ElapsedNs}
-		switch {
-		case b != nil:
+		wr := session.WorkerReport{Node: c.members[idx].node, WallNs: done.ElapsedNs, Spans: len(done.Stages)}
+		if b != nil {
 			wr.Spans = len(b.Spans)
-		case done.Telemetry:
-			wr.Spans = len(done.Stages)
 		}
-		// A worker's telemetry is whole when it is on and, for a traced
-		// request, its bundle arrived: a worker that runs -no-telemetry, or
-		// whose bundle was corrupt, leaves the report partial. The result is
-		// whole either way.
-		wr.Telemetry = done.Telemetry && (b != nil || !traced)
-		if !wr.Telemetry {
+		// A traced request whose bundle from a worker was corrupt or never
+		// came leaves the report partial. The result is whole either way.
+		if traced && b == nil {
 			rep.PartialTelemetry = true
 		}
 		rep.WorkerReports = append(rep.WorkerReports, wr)
@@ -820,7 +808,7 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 // is the merged Actual by construction - WorkerBytes[i] its framed shuffle
 // bytes, and Skew the straggler factor: the slowest worker's time over the
 // roster mean. All of it comes from the done reports, not the telemetry
-// bundles, so the skew table survives -no-telemetry workers.
+// bundles, so the skew table survives a lost bundle and an untraced request.
 func foldStages(dones []*jobDone) []session.ClusterStage {
 	n := 0
 	for _, done := range dones {

@@ -79,7 +79,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(frameTelemetry, headBytes(&attemptHead{JobID: 7}), encodeTelemetryBundle(&tb)))
 	done := goldenDone()
 	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7, From: 1}), encodeJobDone(&done)))
-	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7}), encodeJobDone(&jobDone{Error: "boom", PeerLost: true, LostPeers: []int{1}})))
+	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7}), encodeJobDone(&jobDone{Error: "boom", LostPeers: []int{1}})))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindExchange, From: 1}),
 		body: exchangeBody(fuzzOwner, 1, 0, [][]dataflow.Bucket{nil, {rows, {}, rows, {}}, nil, {rows, {}, rows, {}}})}))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindAllGather, From: 1}),

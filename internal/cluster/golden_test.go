@@ -99,10 +99,8 @@ func TestTelemetryBundleGolden(t *testing.T) {
 func goldenDone() jobDone {
 	return jobDone{
 		Error:     "cluster: peer lost",
-		PeerLost:  true,
 		LostPeers: []int{0, 2},
 		ElapsedNs: int64(12 * time.Millisecond),
-		Telemetry: true,
 		Stages: []session.ClusterStage{
 			{Stage: 1, Op: "scan", Kind: "FlatMap", Predicted: 900, Actual: 1200, ModelBytes: 0, WireBytes: 0},
 			{Stage: 2, Op: "join knows", Kind: "Shuffle", Shuffle: true, Predicted: 5000, Actual: 4000, ModelBytes: 8192, WireBytes: 9000},
@@ -116,14 +114,14 @@ func goldenDone() jobDone {
 }
 
 const goldenDoneHex = "" +
-	"00000012636c75737465723a2070656572206c6f7374010000000200000000000000020000000000b71b000100000002" +
-	"0000000000000001000000047363616e00000007466c61744d617000000000000000038400000000000004b000000000" +
-	"00000000000000000000000000000000000000020000000a6a6f696e206b6e6f77730000000753687566666c65010000" +
-	"0000000013880000000000000fa0000000000000200000000000000023280000000200000002000000000000000a0000" +
-	"000000000014000000020000000000000000000000000000200000000002000000000000000000000000000000000000" +
-	"00020000000000000040000000000000000000000000000000020000000000000001000000000000001e000000000000" +
-	"200000000000000000000000000000000040000000000000001400000000000000000000000000000001000000000000" +
-	"0001000000000000000000000000002dc6c000000000000003e80000000000000000"
+	"00000012636c75737465723a2070656572206c6f73740000000200000000000000020000000000b71b00000000020000" +
+	"000000000001000000047363616e00000007466c61744d617000000000000000038400000000000004b0000000000000" +
+	"0000000000000000000000000000000000020000000a6a6f696e206b6e6f77730000000753687566666c650100000000" +
+	"000013880000000000000fa0000000000000200000000000000023280000000200000002000000000000000a00000000" +
+	"000000140000000200000000000000000000000000002000000000020000000000000000000000000000000000000002" +
+	"0000000000000040000000000000000000000000000000020000000000000001000000000000001e0000000000002000" +
+	"000000000000000000000000000000400000000000000014000000000000000000000000000000010000000000000001" +
+	"000000000000000000000000002dc6c000000000000003e80000000000000000"
 
 // TestDoneReportGolden pins the done report's bytes - and with them the
 // metrics snapshot's layout of internal/dataflow - in both directions.

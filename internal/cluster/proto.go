@@ -35,7 +35,9 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 8: a worker dials each peer once, not once per job
+	// protoVersion 9: the welcome and the done report carry no telemetry
+	// bit, and the done report no lost-peer bit: a worker's lost peers are
+	// the ones it names. 8: a worker dials each peer once, not once per job
 	// attempt, and every job's data frames to the peer share that link; the
 	// peer hello names only the dialling worker's node.
 	// 7: the done report is a sealed binary frame headed like a
@@ -51,7 +53,7 @@ const (
 	// crc32). 3: the job spec carries no join hint and no reuse switch
 	// (nothing set them). 2: a row travels as its in-memory buffer behind one
 	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 8
+	protoVersion = 9
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation, and a worker holds a frame of
@@ -114,13 +116,11 @@ type hello struct {
 	Node    string `json:"node"`
 }
 
-// welcome acknowledges a hello. Telemetry is whether the worker ships
-// telemetry at all (WorkerOptions.NoTelemetry unset).
+// welcome acknowledges a hello.
 type welcome struct {
-	Magic     uint32 `json:"magic"`
-	Version   int    `json:"version"`
-	Node      string `json:"node"`
-	Telemetry bool   `json:"telemetry,omitempty"`
+	Magic   uint32 `json:"magic"`
+	Version int    `json:"version"`
+	Node    string `json:"node"`
 }
 
 // reject refuses a hello.
@@ -228,16 +228,13 @@ type jobSpec struct {
 // attempt: a sealed frame headed by the attempt (attemptHead).
 type jobDone struct {
 	Error string
-	// PeerLost marks failures caused by a dead peer rather than by the
-	// query itself; LostPeers names the roster indices that dropped. The
-	// coordinator recovers from these, and only these, by re-running on a
-	// remapped roster.
-	PeerLost  bool
+	// LostPeers names the roster indices whose link dropped, when the
+	// attempt failed on a dead peer rather than on the query itself. The
+	// coordinator recovers from these failures, and only these, by
+	// re-running on a remapped roster.
 	LostPeers []int
-	// ElapsedNs is the attempt's wall time on the worker; Telemetry whether
-	// the worker's telemetry is on.
+	// ElapsedNs is the attempt's wall time on the worker.
 	ElapsedNs int64
-	Telemetry bool
 
 	// Stages is the worker's predicted-vs-actual table, one entry per executed
 	// stage: the cost model's SimTime over the stage's owned per-partition
@@ -250,10 +247,8 @@ type jobDone struct {
 
 func (d *jobDone) layout(c *field.Codec) {
 	c.String(&d.Error)
-	c.Bool(&d.PeerLost)
 	field.Slice(c, &d.LostPeers, 4, func(v *int, c *field.Codec) { c.Int32(v) })
 	c.I64(&d.ElapsedNs)
-	c.Bool(&d.Telemetry)
 	field.Slice(c, &d.Stages, 8+4+4+1+4*8, layoutStage)
 	d.Metrics.Layout(c)
 }

@@ -361,7 +361,7 @@ func TestOversizedFrameIsNeverSent(t *testing.T) {
 			t.Fatalf("%s over the limit: %v, want errFrameTooLarge naming the limit", what, err)
 		}
 		if pt != nil {
-			if lost, _ := pt.rt.lossInfo(err, pt.spec.Procs); lost {
+			if lost := pt.rt.lostPeers(err, pt.spec.Procs); lost != nil {
 				t.Fatalf("%s over the limit reports a lost peer", what)
 			}
 		}
@@ -414,7 +414,7 @@ func TestOversizedFrameIsNeverSent(t *testing.T) {
 // peer lost. Reports of success settle it only once every member has sent
 // one.
 func TestFailedMemberIsNotLost(t *testing.T) {
-	lostReport := &jobDone{Error: "cluster: peer lost", PeerLost: true, LostPeers: []int{0}}
+	lostReport := &jobDone{Error: "cluster: peer lost", LostPeers: []int{0}}
 	own := &jobDone{Error: "cluster: frame too large: 268435460 bytes, the limit is 268435456"}
 	settles := func(st *attemptState) outcome {
 		t.Helper()

@@ -63,7 +63,7 @@ func linkLostTo(t *testing.T, w *Worker, rt *jobRuntime, pt *peerTransport) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the link's writer outlived its connection")
 	}
-	if lost, peers := rt.lossInfo(ErrPeerLost, pt.spec.Procs); !lost || len(peers) != 1 || peers[0] != 1 {
+	if peers := rt.lostPeers(ErrPeerLost, pt.spec.Procs); len(peers) != 1 || peers[0] != 1 {
 		t.Fatalf("the attempt records lost peers %v, want member 1", peers)
 	}
 	w.mu.Lock()

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 )
 
 // startWorkersWith launches n in-process workers with explicit options
-// (metrics registries, telemetry off) on loopback listeners.
+// (metrics registries) on loopback listeners.
 func startWorkersWith(t *testing.T, data *session.GraphData, n int, opts func(i int) cluster.WorkerOptions) ([]*cluster.Worker, []string) {
 	t.Helper()
 	workers := make([]*cluster.Worker, n)
@@ -87,8 +88,8 @@ func TestClusterTelemetryReport(t *testing.T) {
 		t.Fatalf("%d worker reports, want 2", len(rep.WorkerReports))
 	}
 	for _, wr := range rep.WorkerReports {
-		if !wr.Telemetry || wr.Spans == 0 || wr.WallNs <= 0 {
-			t.Fatalf("worker report %+v, want telemetry with spans and wall time", wr)
+		if wr.Spans == 0 || wr.WallNs <= 0 {
+			t.Fatalf("worker report %+v, want spans and wall time", wr)
 		}
 	}
 
@@ -134,88 +135,106 @@ func TestClusterTelemetryReport(t *testing.T) {
 	}
 }
 
-// TestClusterTelemetryParity is the cost pin's behavioral half: a query
-// through -no-telemetry workers takes as many attempts as through workers
-// that ship telemetry, the report is flagged partial, and the skew table -
-// derived from the done reports, not the bundles - is still attributed. That
-// the rows are bit-identical is internal/conformance's no-telemetry cluster
-// modes.
+// TestClusterTelemetryParity is the cost pin's behavioral half: on one
+// two-worker cluster a traced and an untraced request take the same attempts
+// and return the same rows, and their skew tables - derived from the done
+// reports, not the bundles - attribute the same stages to both workers. Only
+// the traced one carries spans, and neither is partial. That the rows are the
+// reference's is internal/conformance's traced cluster mode.
 func TestClusterTelemetryParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	report := func(opts func(i int) cluster.WorkerOptions) *session.ClusterReport {
-		_, addrs := startWorkersWith(t, data, 2, opts)
-		coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		resp, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: twoHop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Cluster
-	}
-	on := report(func(int) cluster.WorkerOptions { return cluster.WorkerOptions{Metrics: obs.NewRegistry()} })
-	off := report(func(int) cluster.WorkerOptions { return cluster.WorkerOptions{NoTelemetry: true} })
-	if off.Attempts != on.Attempts {
-		t.Fatalf("attempts %d != %d", off.Attempts, on.Attempts)
-	}
-	if on.PartialTelemetry {
-		t.Fatal("telemetry run flagged partial")
-	}
-	if !off.PartialTelemetry {
-		t.Fatal("-no-telemetry run not flagged partial")
-	}
-	for _, wr := range off.WorkerReports {
-		if wr.Telemetry || wr.Spans != 0 {
-			t.Fatalf("-no-telemetry worker report %+v", wr)
-		}
-	}
-	// Skew attribution never depends on the bundles.
-	for _, st := range off.Stages {
-		if len(st.WorkerNs) != 2 {
-			t.Fatalf("stage %d lost attribution without telemetry", st.Stage)
-		}
-	}
-}
-
-// TestClusterTelemetryMixedRoster marks the report partial when only some
-// workers ship bundles — the query itself stays whole.
-func TestClusterTelemetryMixedRoster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns TCP worker meshes")
-	}
-	data, d := testGraph(t)
-	_, addrs := startWorkersWith(t, data, 2, func(i int) cluster.WorkerOptions {
-		return cluster.WorkerOptions{NoTelemetry: i == 1}
+	_, addrs := startWorkersWith(t, data, 2, func(int) cluster.WorkerOptions {
+		return cluster.WorkerOptions{Metrics: obs.NewRegistry()}
 	})
 	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord})
-	resp, err := s.Execute(session.Request{
-		Query: `MATCH (p:Person)-[:knows]->(q:Person) RETURN *`,
-		Trace: true,
+	s := session.New(d.Graph, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
+	run := func(traced bool) *session.Response {
+		t.Helper()
+		resp, err := s.Execute(session.Request{Query: twoHop, Trace: traced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cluster.PartialTelemetry {
+			t.Fatalf("traced=%v: report flagged partial: %+v", traced, resp.Cluster.WorkerReports)
+		}
+		return resp
+	}
+	off, on := run(false), run(true)
+	if off.Cluster.Attempts != on.Cluster.Attempts {
+		t.Fatalf("attempts %d untraced, %d traced", off.Cluster.Attempts, on.Cluster.Attempts)
+	}
+	if !reflect.DeepEqual(off.Result.Rows(), on.Result.Rows()) {
+		t.Fatal("a traced request's rows differ from an untraced one's")
+	}
+	if off.Cluster.Trace != nil || on.Cluster.Trace == nil {
+		t.Fatalf("merged trace untraced %v, traced %v: want only the traced request's", off.Cluster.Trace != nil, on.Cluster.Trace != nil)
+	}
+	if len(off.Cluster.Stages) != len(on.Cluster.Stages) {
+		t.Fatalf("%d stages untraced, %d traced", len(off.Cluster.Stages), len(on.Cluster.Stages))
+	}
+	for i, a := range off.Cluster.Stages {
+		b := on.Cluster.Stages[i]
+		if a.Stage != b.Stage || a.Op != b.Op || len(a.WorkerNs) != 2 || len(b.WorkerNs) != 2 {
+			t.Fatalf("stage %d attributed %d %q to %d workers untraced, %d %q to %d traced",
+				i, a.Stage, a.Op, len(a.WorkerNs), b.Stage, b.Op, len(b.WorkerNs))
+		}
+	}
+}
+
+// TestClusterTelemetryMixedRoster marks the report partial when only some
+// workers' bundles arrive - the one way that happens is a bundle lost on the
+// way in, which a proxy in front of w1 makes of every telemetry frame by
+// flipping a byte of its body. The coordinator counts the drop, the rows stay
+// whole, and the merged trace renders the lanes that did arrive.
+func TestClusterTelemetryMixedRoster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP worker meshes")
+	}
+	const query = `MATCH (p:Person)-[:knows]->(q:Person) RETURN *`
+	data, d := testGraph(t)
+	want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addrs := startWorkersWith(t, data, 2, func(int) cluster.WorkerOptions {
+		return cluster.WorkerOptions{Metrics: obs.NewRegistry()}
 	})
+	addrs[1], _ = proxy(t, addrs[1], func(typ byte, payload []byte) {
+		if typ == cluster.FrameTelemetry {
+			payload[len(payload)-5] ^= 0xff // the body's last byte, ahead of its checksum
+		}
+	})
+	reg := obs.NewRegistry()
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	dropped := counter(reg, "gradoop_cluster_telemetry_dropped_total")
+	resp, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: query, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := resp.Cluster
 	if !rep.PartialTelemetry {
-		t.Fatal("mixed roster not flagged partial")
+		t.Fatal("a report missing w1's bundle is not flagged partial")
 	}
-	if !rep.WorkerReports[0].Telemetry || rep.WorkerReports[1].Telemetry {
-		t.Fatalf("worker reports %+v, want only w0 shipping", rep.WorkerReports)
+	if got := counter(reg, "gradoop_cluster_telemetry_dropped_total"); got <= dropped {
+		t.Fatalf("dropped telemetry bundles %v, %v before the request: the corrupt bundle was not counted", got, dropped)
 	}
-	// The merged trace still renders — with the lanes that did ship.
+	if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
+		t.Fatalf("rows differ from single-process rows (%d vs %d)", resp.Count, want.Count)
+	}
 	lanes := processLanes(rep.Trace)
-	if !lanes["coordinator"] || !lanes["worker w0"] || lanes["worker w1"] {
-		t.Fatalf("mixed-roster lanes %v, want coordinator + worker w0 only", lanes)
+	if len(lanes) != 2 || !lanes["coordinator"] || !lanes["worker w0"] {
+		t.Fatalf("lanes %v, want coordinator + worker w0 only", lanes)
 	}
 }
 
@@ -342,7 +361,7 @@ func TestClusterShipsSpansOnRequest(t *testing.T) {
 		t.Fatalf("untraced report: partial %v, trace %v", rep.PartialTelemetry, rep.Trace != nil)
 	}
 	for _, wr := range rep.WorkerReports {
-		if wr.WallNs <= 0 || !wr.Telemetry || wr.Spans != len(rep.Stages) {
+		if wr.WallNs <= 0 || wr.Spans != len(rep.Stages) {
 			t.Fatalf("untraced worker report %+v, want wall time and %d stage records", wr, len(rep.Stages))
 		}
 	}

@@ -122,13 +122,12 @@ func TestTelemetryBundleHostileCounts(t *testing.T) {
 	}
 }
 
-// BenchmarkWorkerTelemetryDisabled pins what a failed attempt costs a
-// -no-telemetry worker at zero allocations: its done report is filled
-// without touching the collector - a failed attempt's spans are never copied
-// out, there is nothing to ship them in (make alloc-guard enforces the 0
-// allocs/op).
+// BenchmarkWorkerTelemetryDisabled pins what a failed attempt's done report
+// costs at zero allocations: it is filled without touching the collector - a
+// failed attempt's spans are never copied out, nothing ships them (make
+// alloc-guard enforces the 0 allocs/op).
 func BenchmarkWorkerTelemetryDisabled(b *testing.B) {
-	w := &Worker{telemetry: false, winst: newWorkerInstruments(nil)}
+	w := &Worker{winst: newWorkerInstruments(nil)}
 	spec := &jobSpec{JobID: 1}
 	rt := &jobRuntime{}
 	err := errors.New("stage failed")

@@ -51,17 +51,14 @@ type Worker struct {
 	data   *session.GraphData
 	logger *slog.Logger
 
-	// Telemetry plane: telemetry gates bundle shipping entirely (the
-	// -no-telemetry escape hatch); metrics is the worker's own registry,
-	// snapshotted onto the heartbeat; observer feeds the engine's continuous
-	// series into it. finished counts the job attempts that have ended, which
-	// a control connection holds against the count its last snapshot was
-	// taken at.
-	telemetry bool
-	metrics   *obs.Registry
-	observer  *dataflow.Observer
-	winst     *workerInstruments
-	finished  atomic.Uint64
+	// Telemetry plane: metrics is the worker's own registry, snapshotted onto
+	// the heartbeat; observer feeds the engine's continuous series into it.
+	// finished counts the job attempts that have ended, which a control
+	// connection holds against the count its last snapshot was taken at.
+	metrics  *obs.Registry
+	observer *dataflow.Observer
+	winst    *workerInstruments
+	finished atomic.Uint64
 
 	// plans are the plans this worker has made, keyed by the statistics
 	// snapshot, query, semantics and P of a job (planKey); snapshots numbers
@@ -115,13 +112,6 @@ type WorkerOptions struct {
 	// has connected, then after every job, at most once a heartbeat - so the
 	// coordinator can federate per-worker series (nil disables).
 	Metrics *obs.Registry
-	// NoTelemetry disables bundle shipping entirely - no spans, traced
-	// request or not, and no registry snapshot - the behavior-parity escape
-	// hatch. Execution is unaffected: workers still record each job's stages
-	// (the per-stage records of the done report, which the coordinator's skew
-	// table needs, are read from them), rows stay bit-identical, retries
-	// unchanged.
-	NoTelemetry bool
 }
 
 // planCacheEntries bounds a worker's plan cache, as a session's is by
@@ -150,16 +140,15 @@ var scribbleSpare bool
 // NewWorkerWith creates a worker serving the given pinned graph data.
 func NewWorkerWith(node string, data *session.GraphData, opts WorkerOptions) *Worker {
 	w := &Worker{
-		node:      node,
-		data:      data,
-		logger:    opts.Logger,
-		telemetry: !opts.NoTelemetry,
-		metrics:   opts.Metrics,
-		observer:  dataflow.NewObserver(opts.Metrics),
-		plans:     session.NewPlanCache(planCacheEntries),
-		conns:     map[net.Conn]struct{}{},
-		jobs:      map[jobKey]*jobRuntime{},
-		links:     map[string]*peerLink{},
+		node:     node,
+		data:     data,
+		logger:   opts.Logger,
+		metrics:  opts.Metrics,
+		observer: dataflow.NewObserver(opts.Metrics),
+		plans:    session.NewPlanCache(planCacheEntries),
+		conns:    map[net.Conn]struct{}{},
+		jobs:     map[jobKey]*jobRuntime{},
+		links:    map[string]*peerLink{},
 
 		orphanAfter: handshakeTimeout,
 	}
@@ -409,7 +398,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: w.node, Telemetry: w.telemetry}); err != nil {
+	if err := writeJSONFrame(conn, frameWelcome, welcome{Magic: protoMagic, Version: protoVersion, Node: w.node}); err != nil {
 		return
 	}
 	switch h.Role {
@@ -645,9 +634,9 @@ func (w *Worker) undecodable(what string, err error) {
 }
 
 // shipRegistry sends the worker's registry snapshot in a bundle headed by job
-// 0, if the worker ships telemetry and has a registry.
+// 0, if the worker has a registry.
 func (w *Worker) shipRegistry(ctrl *sender) {
-	if !w.telemetry || w.metrics == nil {
+	if w.metrics == nil {
 		return
 	}
 	snap := w.metrics.Snapshot()
@@ -711,7 +700,7 @@ func (s *snapshot) named(id uint64) *snapshot {
 // the stage table is read from the collector in place.
 func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender) {
 	start := time.Now()
-	done := jobDone{Telemetry: w.telemetry}
+	var done jobDone
 	defer w.dropRuntime(rt)
 	// Workers always trace: the per-stage predicted-vs-actual records the
 	// coordinator publishes are derived from the spans. The collector epoch
@@ -724,7 +713,7 @@ func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sen
 	} else {
 		done.Stages = stageRecords(col, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
 		done.Metrics = metrics
-		if w.telemetry && spec.Traced {
+		if spec.Traced {
 			w.shipSpans(spec, ctrl, col.Spans())
 		}
 	}
@@ -739,7 +728,7 @@ func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sen
 // a peer was lost or a logger is set (BenchmarkWorkerTelemetryDisabled).
 func (w *Worker) failed(done *jobDone, spec *jobSpec, rt *jobRuntime, err error) {
 	done.Error = err.Error()
-	done.PeerLost, done.LostPeers = rt.lossInfo(err, spec.Procs)
+	done.LostPeers = rt.lostPeers(err, spec.Procs)
 	w.winst.failures.Inc()
 	if w.logger != nil {
 		w.logger.Error("cluster job failed", "job", spec.JobID, "attempt", spec.Attempt,
@@ -1092,12 +1081,13 @@ func (rt *jobRuntime) failPeer(node string, cause error) {
 	rt.mu.Unlock()
 }
 
-// lossInfo reports, for a failed attempt, whether the failure traces to a
-// lost peer and the roster indices of procs whose link dropped while the
-// attempt ran: those peers, and only those, were lost.
-func (rt *jobRuntime) lossInfo(err error, procs []procSpec) (bool, []int) {
+// lostPeers is, for an attempt that failed on a lost peer, the roster
+// indices of procs whose link dropped while the attempt ran: those peers, and
+// only those, were lost. Every path that fails an attempt with ErrPeerLost
+// records the peer first, so the list is never empty then.
+func (rt *jobRuntime) lostPeers(err error, procs []procSpec) []int {
 	if !errors.Is(err, ErrPeerLost) {
-		return false, nil
+		return nil
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -1107,7 +1097,7 @@ func (rt *jobRuntime) lossInfo(err error, procs []procSpec) (bool, []int) {
 			idxs = append(idxs, j)
 		}
 	}
-	return true, idxs
+	return idxs
 }
 
 // peerTransport implements dataflow.Transport over the worker's links to the

@@ -73,14 +73,12 @@ var modes = []mode{
 	{name: "qstore/4", run: served{partitions: 4, with: queryStore}.run, twin: "session/4", sameWork: true},
 	{name: "http/4", run: overHTTP{}.run, twin: "session/4"},
 	{name: "http-hit/4", run: overHTTP{hit: true}.run, twin: "session/4"},
-	{name: "cluster-1w/4", run: served{partitions: 4, with: workers(1, true)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-2w/4", run: served{partitions: 4, with: workers(2, true)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-4w/4", run: served{partitions: 4, with: workers(4, true)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-1w-no-telemetry/4", run: served{partitions: 4, with: workers(1, false)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-2w-no-telemetry/4", run: served{partitions: 4, with: workers(2, false)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-4w-no-telemetry/4", run: served{partitions: 4, with: workers(4, false)}.run, twin: "session/4", sameWork: true, cluster: true},
-	{name: "cluster-2w-probe-never/4", run: probing(never, served{partitions: 4, with: workers(2, true)}.run), cluster: true},
-	{name: "cluster-2w-probe-always/4", run: probing(always, served{partitions: 4, with: workers(2, true)}.run), cluster: true},
+	{name: "cluster-1w/4", run: served{partitions: 4, with: workers(1)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-2w/4", run: served{partitions: 4, with: workers(2)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-4w/4", run: served{partitions: 4, with: workers(4)}.run, twin: "session/4", sameWork: true, cluster: true},
+	{name: "cluster-2w-traced/4", run: served{partitions: 4, with: workers(2), traced: true}.run, twin: "cluster-2w/4", sameWork: true, cluster: true},
+	{name: "cluster-2w-probe-never/4", run: probing(never, served{partitions: 4, with: workers(2)}.run), cluster: true},
+	{name: "cluster-2w-probe-always/4", run: probing(always, served{partitions: 4, with: workers(2)}.run), cluster: true},
 }
 
 // anyError is the kind of an error its mode cannot classify: the library
@@ -230,6 +228,7 @@ func graphs(c *kase) outcome {
 type served struct {
 	partitions int
 	hit        bool                                 // the outcome is the result-cache hit after the miss
+	traced     bool                                 // every request asks for a trace
 	with       func(f *fixture, o *session.Options) // turns the mode's feature on
 }
 
@@ -242,17 +241,17 @@ func (s served) run(c *kase) outcome {
 		sess := session.New(c.f.graph(s.partitions), o)
 		return sess, sess.Close
 	})
-	o := serve(sess, c)
+	o := serve(sess, c, s.traced)
 	if s.hit && o.err == "" {
-		if o = serve(sess, c); o.job != nil {
+		if o = serve(sess, c, s.traced); o.job != nil {
 			o.err = "executed where the result cache should have answered"
 		}
 	}
 	return o
 }
 
-func serve(s *session.Session, c *kase) outcome {
-	resp, err := s.Execute(session.Request{Query: c.query, Params: c.params})
+func serve(s *session.Session, c *kase, traced bool) outcome {
+	resp, err := s.Execute(session.Request{Query: c.query, Params: c.params, Trace: traced})
 	if err != nil {
 		return outcome{err: session.KindOf(err).String()}
 	}
@@ -269,6 +268,8 @@ func serve(s *session.Session, c *kase) outcome {
 		// Nothing fails a worker here: an attempt retried is a frame that
 		// failed, which a recovered result would hide.
 		o.err = fmt.Sprintf("a cluster job ran %d attempts", rep.Attempts)
+	} else if rep != nil && traced && (rep.PartialTelemetry || rep.Trace == nil) {
+		o.err = "a traced cluster job came back without every worker's spans"
 	}
 	if !resp.FromResultCache {
 		o.job = &resp.Metrics
@@ -304,24 +305,20 @@ func queryStore(f *fixture, o *session.Options) {
 }
 
 // workers runs the session's jobs on n TCP workers over loopback, one cluster
-// per fixture for all the mode's sessions; telemetry on gives each worker a
-// registry, off is NoTelemetry.
-func workers(n int, telemetry bool) func(f *fixture, o *session.Options) {
+// per fixture for all the mode's sessions. Each worker has a registry, as a
+// deployed one does.
+func workers(n int) func(f *fixture, o *session.Options) {
 	return func(f *fixture, o *session.Options) {
 		o.Remote = hold(f, "cluster", func() (*cluster.Coordinator, func()) {
 			data := session.NewGraphData(f.graph(o.Workers))
 			var ws []*cluster.Worker
 			var addrs []string
 			for i := range n {
-				wo := cluster.WorkerOptions{NoTelemetry: !telemetry}
-				if telemetry {
-					wo.Metrics = obs.NewRegistry()
-				}
 				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					panic(err)
 				}
-				w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data, wo)
+				w := cluster.NewWorkerWith(fmt.Sprintf("w%d", i), data, cluster.WorkerOptions{Metrics: obs.NewRegistry()})
 				go w.Serve(ln)
 				ws, addrs = append(ws, w), append(addrs, ln.Addr().String())
 			}

@@ -80,9 +80,11 @@ func tableAfter(text, header string) string {
 // - DESIGN.md, README.md and the verify skill - to the tests there are: every
 // Test... or Benchmark... name they cite is a test or benchmark function
 // declared in the module, or the prefix of one (a -run or -bench pattern that
-// names a family), and every `make <target>` they cite is a target of the
-// Makefile. Folding or renaming a test, a benchmark or a target without
-// fixing its citations is a red test, not a dead link.
+// names a family), every `make <target>` they cite is a target of the
+// Makefile, and every module-relative path they quote is there: one under
+// internal/, cmd/, bench/ or examples/, or a <pkg>/<file>.go under internal/.
+// Folding or renaming a test, a benchmark, a target or a file without fixing
+// its citations is a red test, not a dead link.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	root, err := load.ModuleRoot(".")
 	if err != nil {
@@ -118,6 +120,9 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
 	makeCmd := regexp.MustCompile("`make\\s+([a-z][\\w-]*)")
+	quoted := regexp.MustCompile("`([^`\\n]+)`")
+	modulePath := regexp.MustCompile(`^(?:internal|cmd|bench|examples)/[\w./-]*$`)
+	pkgFile := regexp.MustCompile(`^[a-z]\w*(?:/\w+)*/\w+\.go$`)
 	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -133,6 +138,19 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 		for _, m := range makeCmd.FindAllStringSubmatch(string(text), -1) {
 			if !slices.Contains(targets, m[1]) {
 				t.Errorf("%s cites make %s, which is not a target of the Makefile", doc, m[1])
+			}
+		}
+		for _, m := range quoted.FindAllStringSubmatch(string(text), -1) {
+			path := m[1]
+			switch {
+			case modulePath.MatchString(path):
+			case pkgFile.MatchString(path):
+				path = "internal/" + path
+			default:
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(path))); err != nil {
+				t.Errorf("%s quotes %s, which is not a path of the module", doc, m[1])
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func startTwoWorkers(t *testing.T, data *session.GraphData) []string {
 }
 
 // TestClusterWorkersEndpoint: /cluster/workers serves the roster — node
-// names, liveness, job counts and whether each worker ships telemetry.
+// names, liveness, job counts and heartbeat ages.
 func TestClusterWorkersEndpoint(t *testing.T) {
 	ts := newClusterTestServer(t)
 	postJSON(t, ts.URL+"/query", map[string]any{
@@ -77,8 +77,8 @@ func TestClusterWorkersEndpoint(t *testing.T) {
 		if w["jobs"].(float64) < 1 {
 			t.Fatalf("worker %v ran %v jobs, want >=1", w["node"], w["jobs"])
 		}
-		if w["telemetry"] != true {
-			t.Fatalf("worker %v shipped no telemetry", w["node"])
+		if _, ok := w["lastHeartbeatMs"].(float64); !ok {
+			t.Fatalf("worker %v has no heartbeat age: %v", w["node"], w)
 		}
 	}
 	if !seen["w0"] || !seen["w1"] {

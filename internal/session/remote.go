@@ -64,17 +64,11 @@ type WorkerReport struct {
 	// Node is the worker's self-reported node name.
 	Node string `json:"node"`
 	// Spans is how many spans the worker's bundle carried when one arrived,
-	// and else how many stage records its done report carried (0 when the
-	// worker runs with telemetry off).
+	// and else how many stage records its done report carried.
 	Spans int `json:"spans"`
 	// WallNs is the winning attempt's wall time on that worker, from its done
 	// report: every request has it.
 	WallNs int64 `json:"wallNs"`
-	// Telemetry reports whether the worker's telemetry is whole: on, and for
-	// a traced request its bundle arrived intact. False means the worker ran
-	// with telemetry off, or a traced request's bundle was corrupt or never
-	// came — the query result is unaffected either way.
-	Telemetry bool `json:"telemetry"`
 }
 
 // ClusterReport describes one distributed execution: the roster size, how
@@ -92,9 +86,8 @@ type ClusterReport struct {
 	// context trace ID when present, else a coordinator-minted job ID.
 	// Every worker's spans and logs for this query carry it.
 	TraceID string `json:"traceId,omitempty"`
-	// PartialTelemetry is set when at least one winning-roster worker's
-	// telemetry is not whole (WorkerReport.Telemetry): it runs -no-telemetry,
-	// or the request was traced and its bundle is missing — the result is
+	// PartialTelemetry is set when the request was traced and at least one
+	// winning-roster worker's bundle did not arrive intact — the result is
 	// complete, the observability is not.
 	PartialTelemetry bool           `json:"partialTelemetry,omitempty"`
 	WorkerReports    []WorkerReport `json:"workerReports,omitempty"`
@@ -115,9 +108,6 @@ type WorkerInfo struct {
 	LastHeartbeatMs int64  `json:"lastHeartbeatMs"`
 	// Jobs counts job-done reports received from this worker.
 	Jobs int64 `json:"jobs"`
-	// Telemetry reports whether this worker ships telemetry, as its
-	// handshake said.
-	Telemetry bool `json:"telemetry"`
 }
 
 // WorkerMetrics pairs a worker's node name with its most recent metrics
