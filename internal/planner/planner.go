@@ -358,6 +358,15 @@ func (pn *planning) joined(out varSet, plans []*partial, skip [2]int, varLength 
 	return pn.lv.rowsOf(out, rest)
 }
 
+// choose is the greedy step's test hook: when set, a step takes the
+// candidate choose(n) picks of its n legal ones - every join in either input
+// order, every expansion in every direction its input allows, every cartesian
+// product of two partials that share no variable - instead of the one with
+// the smallest estimate. It is nil but in the conformance harness, which
+// reaches it by go:linkname to run each case under seeded random plans: a
+// result must not depend on its plan.
+var choose func(n int) int
+
 // combine is the greedy loop of §3.2, the planner's only one: until a single
 // plan covers every leaf and every variable-length edge is expanded, it takes
 // the join or expansion with the smallest estimated result - the cheapest
@@ -371,21 +380,29 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 	for len(plans) > 1 || len(varLength) > 0 {
 		type candidate struct {
 			kind    string // "join", "expand", "cross"
-			i, j    int    // plan indices (j unused for expand)
+			i, j    int    // plan indices (j unused for expand); a join's left input is the smaller unless swap
 			edge    int    // index into varLength for expand
 			reverse bool
+			swap    bool // a chosen join whose left input is plans[j]
 			card    float64
 		}
 		best := candidate{card: math.Inf(1)}
+		var legal []candidate // what choose picks from
 
 		for i := 0; i < len(plans); i++ {
 			for j := i + 1; j < len(plans); j++ {
 				if !plans[i].vars.meets(plans[j].vars) {
+					if choose != nil {
+						legal = append(legal, candidate{kind: "cross", i: i, j: j, card: plans[i].card * plans[j].card})
+					}
 					continue
 				}
 				card := pl.joinCard(qg, lv, plans[i], plans[j])
 				if card < best.card {
 					best = candidate{kind: "join", i: i, j: j, card: card}
+				}
+				if choose != nil {
+					legal = append(legal, candidate{kind: "join", i: i, j: j, card: card}, candidate{kind: "join", i: i, j: j, swap: true, card: card})
 				}
 			}
 		}
@@ -398,14 +415,23 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 					if card < best.card {
 						best = candidate{kind: "expand", i: i, edge: ei, reverse: false, card: card}
 					}
+					if choose != nil {
+						legal = append(legal, candidate{kind: "expand", i: i, edge: ei, card: card})
+					}
 				}
-				if bw && !fw {
+				if bw && (!fw || choose != nil) {
 					card := pl.expandCard(qg, lv, p, qe, true)
-					if card < best.card {
+					if card < best.card && !fw {
 						best = candidate{kind: "expand", i: i, edge: ei, reverse: true, card: card}
+					}
+					if choose != nil {
+						legal = append(legal, candidate{kind: "expand", i: i, edge: ei, reverse: true, card: card})
 					}
 				}
 			}
+		}
+		if len(legal) > 0 {
+			best = legal[choose(len(legal))]
 		}
 		if math.IsInf(best.card, 1) {
 			// Disconnected pattern: cheapest cartesian product.
@@ -413,21 +439,22 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 				return nil, fmt.Errorf("planner: cannot complete plan (unreachable variable-length edge)")
 			}
 			sort.Slice(plans, func(a, b int) bool { return plans[a].card < plans[b].card })
-			l, r := plans[0], plans[1]
-			out := l.vars.union(r.vars)
-			op := operators.NewCartesianProduct(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{0, 1}, varLength, outer).live)
-			merged := &partial{op: op, card: l.card * r.card, vars: out}
-			est[op] = merged.card
-			applyPredicates(merged)
-			plans = append([]*partial{merged}, plans[2:]...)
-			continue
+			best = candidate{kind: "cross", i: 0, j: 1}
 		}
 
 		switch best.kind {
+		case "cross":
+			l, r := plans[best.i], plans[best.j]
+			out := l.vars.union(r.vars)
+			op := operators.NewCartesianProduct(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{best.i, best.j}, varLength, outer).live)
+			merged := &partial{op: op, card: l.card * r.card, vars: out}
+			est[op] = merged.card
+			applyPredicates(merged)
+			plans = append([]*partial{merged}, without(plans, best.i, best.j)...)
 		case "join":
 			l, r := plans[best.i], plans[best.j]
 			// Build side (left) should be the smaller input.
-			if r.card < l.card {
+			if r.card < l.card && choose == nil || best.swap {
 				l, r = r, l
 			}
 			out := l.vars.union(r.vars)
@@ -435,13 +462,7 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 			merged := &partial{op: op, card: best.card, vars: out}
 			est[op] = best.card
 			applyPredicates(merged)
-			next := plans[:0]
-			for k, p := range plans {
-				if k != best.i && k != best.j {
-					next = append(next, p)
-				}
-			}
-			plans = append(next, merged)
+			plans = append(without(plans, best.i, best.j), merged)
 		case "expand":
 			p := plans[best.i]
 			qe := varLength[best.edge]
@@ -459,6 +480,18 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 		}
 	}
 	return plans[0], nil
+}
+
+// without returns plans but those at i and j, in their order, in plans' own
+// array.
+func without(plans []*partial, i, j int) []*partial {
+	next := plans[:0]
+	for k, p := range plans {
+		if k != i && k != j {
+			next = append(next, p)
+		}
+	}
+	return next
 }
 
 // groupPredicates returns the predicates of the groups.
