@@ -10,6 +10,8 @@ import (
 	"text/tabwriter"
 
 	"gradoop/internal/core"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
 	"gradoop/internal/operators"
@@ -205,42 +207,43 @@ func onePass(names []string, serve func(i int) int64) []sample {
 }
 
 // Written is what one operator writes in a run: its rows and the bytes of
-// their id, path and property sections.
+// their id, path and property sections, and the rows of its larger input.
 type Written struct {
 	Op                   string
 	Rows, ID, Path, Prop int64
+	In                   int64
 }
 
-// WrittenBy runs, one at a time, the subtree of every operator of prep's plan
-// that writes rows - a join, a cartesian product, an outer join, an
-// expansion - over access with params bound, and returns what each wrote, in
-// EXPLAIN order. It is a tool's walk (make alloc-table): every subtree runs
-// from its leaves again.
+// Yield is the operator's rows over its larger input's rows, or 0 for an
+// operator whose inputs wrote nothing.
+func (w Written) Yield() float64 {
+	if w.In == 0 {
+		return 0
+	}
+	return float64(w.Rows) / float64(w.In)
+}
+
+// WrittenBy runs prep's plan over access with params bound, once, and returns
+// what each of its operators that write rows - a join, a cartesian product,
+// an outer join, an expansion - wrote in that run, in EXPLAIN order. It is a
+// tool's walk (make alloc-table).
 func WrittenBy(prep *core.Prepared, access planner.GraphAccess, params map[string]epgm.PropertyValue) ([]Written, error) {
 	binding, err := prep.Template.Bind(params)
 	if err != nil {
 		return nil, err
 	}
-	var out []Written
+	byOp := map[operators.Operator]Written{}
+	rows := map[operators.Operator]int64{}
 	var offs []uint32
-	for _, n := range prep.Plan.Nodes() {
-		switch n.Op.(type) {
+	run := operators.NewRun(access, binding).Observe(func(op operators.Operator, out *dataflow.Dataset[embedding.Embedding]) {
+		rows[op] = out.Count()
+		switch op.(type) {
 		case *operators.JoinEmbeddings, *operators.CartesianProduct, *operators.OptionalJoinEmbeddings, *operators.ExpandEmbeddings:
 		default:
-			continue
+			return
 		}
-		sub, err := planner.Rebind(&planner.QueryPlan{Root: n.Op}, access, binding)
-		if err != nil {
-			return nil, err
-		}
-		env := access.Env()
-		env.Begin(nil)
-		rows := sub.Execute().Collect()
-		if err := env.Finish(); err != nil {
-			return nil, err
-		}
-		w := Written{Op: n.Op.Description(), Rows: int64(len(rows))}
-		for _, e := range rows {
+		w := Written{Op: op.Description(), Rows: out.Count()}
+		for _, e := range out.Collect() {
 			var props []byte
 			offs, props = e.AppendPropOffsets(offs[:0])
 			id := int64(9 * e.Columns())
@@ -248,17 +251,49 @@ func WrittenBy(prep *core.Prepared, access planner.GraphAccess, params map[strin
 			w.Prop += int64(len(props))
 			w.Path += int64(e.SizeBytes()) - id - int64(len(props))
 		}
+		byOp[op] = w
+	})
+	env := access.Env()
+	env.Begin(nil)
+	prep.Plan.Root.Evaluate(run)
+	if err := env.Finish(); err != nil {
+		return nil, err
+	}
+	var out []Written
+	for _, n := range prep.Plan.Nodes() {
+		w, ok := byOp[n.Op]
+		if !ok {
+			continue
+		}
+		for _, in := range n.Op.Children() {
+			w.In = max(w.In, rows[unwrap(in)])
+		}
 		out = append(out, w)
 	}
 	return out, nil
 }
 
+// unwrap is the operator whose output a reuse wrapper hands on.
+func unwrap(op operators.Operator) operators.Operator {
+	for {
+		switch o := op.(type) {
+		case *operators.Alias:
+			op = o.In
+		case *operators.Cached:
+			op = o.Inner
+		default:
+			return op
+		}
+	}
+}
+
 // WrittenTable prints, per class and per operator that writes rows, the KiB
 // of the id, path and property sections of what a request of the class writes
-// (WrittenBy): what a row carries that the next operator or the result reads.
+// (WrittenBy): what a row carries that the next operator or the result reads,
+// and the operator's yield, its rows over its larger input's.
 func WrittenTable(w io.Writer, names []string, written func(i int) []Written) {
 	out := tabwriter.NewWriter(w, 0, 8, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(out, "class / operator that writes rows\trows\tid KiB\tpath KiB\tprop KiB\t")
+	fmt.Fprintln(out, "class / operator that writes rows\trows\tyield\tid KiB\tpath KiB\tprop KiB\t")
 	kib := func(b int64) string { return fmt.Sprintf("%.0f", float64(b)/1024) }
 	for i, name := range names {
 		ops := written(i)
@@ -267,9 +302,9 @@ func WrittenTable(w io.Writer, names []string, written func(i int) []Written) {
 			sum.Rows += op.Rows
 			sum.ID, sum.Path, sum.Prop = sum.ID+op.ID, sum.Path+op.Path, sum.Prop+op.Prop
 		}
-		fmt.Fprintf(out, "%s\t%d\t%s\t%s\t%s\t\n", name, sum.Rows, kib(sum.ID), kib(sum.Path), kib(sum.Prop))
+		fmt.Fprintf(out, "%s\t%d\t\t%s\t%s\t%s\t\n", name, sum.Rows, kib(sum.ID), kib(sum.Path), kib(sum.Prop))
 		for _, op := range ops {
-			fmt.Fprintf(out, "  %s\t%d\t%s\t%s\t%s\t\n", op.Op, op.Rows, kib(op.ID), kib(op.Path), kib(op.Prop))
+			fmt.Fprintf(out, "  %s\t%d\t%.3g\t%s\t%s\t%s\t\n", op.Op, op.Rows, op.Yield(), kib(op.ID), kib(op.Path), kib(op.Prop))
 		}
 	}
 	out.Flush()

@@ -17,12 +17,17 @@ import (
 	"time"
 	_ "unsafe" // go:linkname, below
 
+	"gradoop/internal/benchkit"
 	"gradoop/internal/cluster"
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
 	"gradoop/internal/session"
 )
+
+// triangle closes a cycle: its last join filters its right input by the key
+// set of its left one, all-gathered.
+const triangle = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN *`
 
 // twoHop is a join whose shuffles cross the workers' sockets.
 const twoHop = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`
@@ -289,6 +294,54 @@ func TestProbeInPlaceOnCluster(t *testing.T) {
 	}
 }
 
+// TestSIPOnCluster: on two TCP workers the join that closes a cycle - Q5's
+// triangle, Q6's four-cycle - all-gathers its left input's key set once, in
+// the one Broadcast stage of the job, whose bytes cross the sockets, and the
+// rows are the ones a single process finds, which filters the same way.
+func TestSIPOnCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP worker meshes")
+	}
+	data, d := testGraph(t)
+	_, addrs := startWorkers(t, data, 2)
+	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	local := session.New(d.Graph, session.Options{Workers: 4, NoResultCache: true})
+	defer local.Close()
+	remote := session.New(d.Graph, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
+	defer remote.Close()
+	for _, q := range []benchkit.QueryID{benchkit.Q5, benchkit.Q6} {
+		want, err := local.Execute(session.Request{Query: q.Text(), Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := want.Result.AnalyzedPlan(); strings.Count(plan, "sip n=") != 1 || strings.Count(plan, "sip dropped=") != 1 {
+			t.Fatalf("%s: in one process, not one join handing one target its key set:\n%s", q, plan)
+		}
+		got, err := remote.Execute(session.Request{Query: q.Text()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Count != want.Count || !reflect.DeepEqual(got.Result.Rows(), want.Result.Rows()) {
+			t.Fatalf("%s: %d rows on the cluster, %d in one process", q, got.Count, want.Count)
+		}
+		var sets int
+		for _, st := range got.Cluster.Stages {
+			if st.Kind == "Broadcast" {
+				if sets++; st.WireBytes == 0 {
+					t.Fatalf("%s: the key set's stage %d put nothing on the wire", q, st.Stage)
+				}
+			}
+		}
+		if sets != 1 || got.Cluster.Attempts != 1 {
+			t.Fatalf("%s: %d Broadcast stages in %d attempts, want the one key set in one", q, sets, got.Cluster.Attempts)
+		}
+	}
+}
+
 // TestClusterStageReport checks the predicted-vs-actual surface: shuffle
 // stages must report model bytes (cost-model charge) and, with more than
 // one worker, actual wire bytes on the sockets.
@@ -315,6 +368,8 @@ func TestClusterStageReport(t *testing.T) {
 		// and so is the broadcast it decides on, each in a Broadcast stage
 		// of its own.
 		{"selective join", `MATCH (p:Person)-[:knows]->(q:Person) WHERE p.firstName = $firstName RETURN *`, "Broadcast", 2},
+		// The join that closes a triangle all-gathers its left input's keys.
+		{"triangle", triangle, "Broadcast", 1},
 	} {
 		resp, err := s.Execute(session.Request{Query: q.query, Params: map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}})
 		if err != nil {
@@ -347,41 +402,45 @@ func TestClusterStageReport(t *testing.T) {
 }
 
 // TestClusterRecovery kills the middle worker of three at each collective of a
-// two-hop join in turn: at the k-th it runs, for k from 1 to K+1, K being the
-// collectives of one job (one per shuffle stage); past the last, the crash is
-// the next job's first. See recoverFrom for what each crash point must give.
+// two-hop join in turn, and of a triangle, whose closing join's key set is
+// all-gathered in one of them: at the k-th it runs, for k from 1 to K+1, K
+// being the collectives of one job (one per shuffle stage); past the last, the
+// crash is the next job's first. See recoverFrom for what each crash point
+// must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: twoHop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, addrs := startWorkers(t, data, 3)
-	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: twoHop})
-	coord.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectives := 0
-	for _, st := range clean.Cluster.Stages {
-		if st.Shuffle {
-			collectives++
+	for _, job := range []struct{ name, query string }{{"two-hop", twoHop}, {"triangle", triangle}} {
+		want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: job.query})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if collectives == 0 {
-		t.Fatal("the two-hop join ran no collective")
-	}
-	for k := 1; k <= collectives+1; k++ {
-		t.Run(fmt.Sprintf("crash=%d", k), func(t *testing.T) {
-			recoverFrom(t, data, d.Graph, want, k, collectives)
-		})
+		_, addrs := startWorkers(t, data, 3)
+		coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: job.query})
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectives := 0
+		for _, st := range clean.Cluster.Stages {
+			if st.Shuffle {
+				collectives++
+			}
+		}
+		if collectives == 0 {
+			t.Fatalf("the %s job ran no collective", job.name)
+		}
+		for k := 1; k <= collectives+1; k++ {
+			t.Run(fmt.Sprintf("%s/crash=%d", job.name, k), func(t *testing.T) {
+				recoverFrom(t, data, d.Graph, job.query, want, k, collectives)
+			})
+		}
 	}
 }
 
@@ -392,7 +451,7 @@ func TestClusterRecovery(t *testing.T) {
 // worker and no other. The next job is a clean first attempt on the
 // survivors' link between them, which it does not dial again. Closed, the
 // cluster leaves no goroutine behind.
-func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, want *session.Response, k, K int) {
+func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, query string, want *session.Response, k, K int) {
 	before := runtime.NumGoroutine()
 	workers, direct, lns := startNodes(t, data, nodeNames(3)...)
 	// Every worker is reached through a proxy that reads its done reports. A
@@ -421,7 +480,7 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, wa
 	s := session.New(g, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
 	run := func() *session.ClusterReport {
 		t.Helper()
-		resp, err := s.Execute(session.Request{Query: twoHop})
+		resp, err := s.Execute(session.Request{Query: query})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ var settings = map[string]operators.Morphism{
 
 // corpus is every case of every fixture; short leaves out the LDBC fixture.
 func corpus(short bool) []*kase {
-	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, masks, wide}
+	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, masks, wide, cycles}
 	if !short {
 		fixtures = append(fixtures, ldbcFixture)
 	}
@@ -258,6 +258,31 @@ func shapes() (*fixture, []spec) {
 		// other side has only the source: the loop 2->2 meets the check there,
 		// as the leaf's own two endpoints.
 		{query: `MATCH (a)-[e:y]->(b) WHERE e.w = 0 RETURN *`, morphs: "HH HI IH II"},
+	}
+}
+
+// cycles is where a join closes a cycle and filters its other side by the
+// keys of the first (DESIGN decision 40): eight vertices that each know the
+// next three on a ring, so a two-path is expected to be larger than an edge
+// and is the closing join's right input. A triangle, a square, a diamond, a
+// directed three-cycle of named edges, and one closed by an undirected edge,
+// under every setting.
+func cycles() (*fixture, []spec) {
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for i := range 8 {
+		vs = append(vs, vertex(1+i, "N", "n", 1+i))
+		for hop := 1; hop <= 3; hop++ {
+			es = edges(es, "x", [2]int{1 + i, 1 + (i+hop)%8})
+		}
+	}
+	all := "HH HI IH II"
+	return &fixture{name: "cycles", vs: vs, es: es}, []spec{
+		{query: `MATCH (a:N)-[:x]->(b:N), (b)-[:x]->(c:N), (a)-[:x]->(c) RETURN *`, morphs: all},
+		{query: `MATCH (a:N)-[:x]->(b:N), (b)-[:x]->(c:N), (c)-[:x]->(d:N), (a)-[:x]->(d) RETURN *`, morphs: all},
+		{query: `MATCH (a:N)-[:x]->(b:N), (a)-[:x]->(c:N), (b)-[:x]->(d:N), (c)-[:x]->(d) RETURN *`, morphs: all},
+		{query: `MATCH (a:N)-[e1:x]->(b:N), (b)-[e2:x]->(c:N), (c)-[e3:x]->(a) RETURN *`, morphs: all},
+		{query: `MATCH (a:N)-[e1:x]->(b:N), (b)-[e2:x]->(c:N), (c)-[e3:x]-(a) RETURN *`, morphs: all},
 	}
 }
 

@@ -90,8 +90,27 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 	return out
 }
 
+// joinYield is the yield of the join at ops[i] - its output rows over its
+// larger input's - if it is an operator of two inputs and they wrote rows.
+// Its inputs are the nodes after it one level deeper, up to the next node at
+// its level or above.
+func joinYield(ops []qstore.OpMetrics, i int) (float64, bool) {
+	var inputs int
+	var in int64
+	for j := i + 1; j < len(ops) && ops[j].Depth > ops[i].Depth; j++ {
+		if ops[j].Depth == ops[i].Depth+1 {
+			inputs++
+			in = max(in, ops[j].Act)
+		}
+	}
+	if inputs != 2 || in == 0 {
+		return 0, false
+	}
+	return float64(ops[i].Act) / float64(in), true
+}
+
 // AnalyzedPlan renders the executed plan annotated, per operator, with
-// actual output cardinality, estimate q-error, self wall time (children
+// actual output cardinality, a join's yield, estimate q-error, self wall time (children
 // excluded), the simulated cluster time of the operator's stages, and —
 // when memory governance metered the run — the materialized bytes charged
 // to the broker. It requires the query to have run with Config.Trace set;
@@ -111,6 +130,9 @@ func (r *Result) AnalyzedPlan() string {
 			return "[not executed]"
 		}
 		annot := fmt.Sprintf("act=%d", om.Act)
+		if y, ok := joinYield(ops, i-1); ok {
+			annot += fmt.Sprintf(" yield=%.3g", y)
+		}
 		if om.Note != "" {
 			annot = om.Note + " " + annot
 		}

@@ -94,13 +94,152 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // How it joins is a fact of its inputs, not a setting: both are shuffled by
 // key and hashed partition by partition, unless one of them is a leaf over a
 // pinned store that the other, counted, turns out to be small against - then
-// the small input is broadcast into the leaf's scan (probeInPlace).
+// the small input is broadcast into the leaf's scan (probeInPlace). A join of
+// a query's mandatory pattern whose right input binds the join variables only
+// in a join below it hands that join the key set of its left input, which
+// drops a pair that cannot join here before it is merged (FilterRight).
 type JoinEmbeddings struct {
 	Left, Right Operator
 	Morph       Morphism
 
 	joinShape
 	rowShape
+
+	// target is the join of the right input a run hands this join's left
+	// keys to, and targetCols where a pair of the target holds them, in
+	// joinVars order; nil if the join filters nothing.
+	target     *JoinEmbeddings
+	targetCols []pairCol
+}
+
+// pairCol is where a pair of rows of a join holds one identifier: a column of
+// its left or of its right row.
+type pairCol struct {
+	right bool
+	col   int
+}
+
+// FilterRight has the join filter its right input by the keys of its left
+// one, if the right input has a target: the lowest join whose two inputs bind
+// the join variables only together, reached from the right input through
+// inner joins, into the input that binds all of them, and filters. A walk
+// that meets any other operator first - a leaf, an expansion, a shared leaf's
+// Cached or Alias, an outer or a semi join - finds none, and the join filters
+// nothing. So a join on one variable never filters: a leaf binds it. Every
+// row of the right input comes of one pair of the target and carries that
+// pair's identifiers of the join variables, so a pair whose key is not among
+// the left input's cannot make a row this join keeps (DESIGN decision 40).
+// The planner calls it on the joins of a query's mandatory pattern while it
+// builds the plan, which no run writes.
+func (op *JoinEmbeddings) FilterRight() {
+	bindsAll := func(in Operator) bool {
+		m := in.Meta()
+		for _, v := range op.joinVars {
+			if !m.HasVar(v) {
+				return false
+			}
+		}
+		return true
+	}
+	node := op.Right
+	for {
+		switch n := node.(type) {
+		case *FilterEmbeddings:
+			node = n.In
+			continue
+		case *JoinEmbeddings:
+			switch {
+			case bindsAll(n.Left):
+				node = n.Left
+				continue
+			case bindsAll(n.Right):
+				node = n.Right
+				continue
+			}
+			op.target = n
+			op.targetCols = make([]pairCol, len(op.joinVars))
+			for i, v := range op.joinVars {
+				c, onLeft := n.Left.Meta().Column(v)
+				if !onLeft {
+					c, _ = n.Right.Meta().Column(v)
+				}
+				op.targetCols[i] = pairCol{right: !onLeft, col: c}
+			}
+		}
+		return
+	}
+}
+
+// Target returns the join FilterRight found below the right input, or nil.
+func (op *JoinEmbeddings) Target() *JoinEmbeddings { return op.target }
+
+// keyFilter is a key set at its target in a run: the left keys of a join
+// above it, where a pair of the target holds them and, in a traced run, a
+// count of the pairs it dropped.
+type keyFilter struct {
+	set     *dataflow.KeySet
+	cols    []pairCol
+	dropped *atomic.Int64
+}
+
+// keeps reports whether the key of the pair l, r is in every set of filters,
+// and counts a pair that is not where it is traced.
+func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
+	for _, f := range filters {
+		h := keySeed
+		for _, c := range f.cols {
+			row := l
+			if c.right {
+				row = r
+			}
+			h = mixKey(h, row.ID(c.col))
+		}
+		if !f.set.Has(h) {
+			if f.dropped != nil {
+				f.dropped.Add(1)
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// filtered evaluates the right input of a join that has a target with the key
+// set of left, all-gathered once, handed to the target for as long as it
+// runs.
+func (op *JoinEmbeddings) filtered(r *Run, left *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+	lc := op.leftCols
+	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, lc) }), cols: op.targetCols}
+	if c := r.env.Tracer(); c != nil {
+		c.Note(op, fmt.Sprintf("sip n=%d", f.set.Len()))
+		f.dropped = new(atomic.Int64)
+	}
+	if r.filters == nil {
+		r.filters = map[*JoinEmbeddings][]*keyFilter{}
+	}
+	t := op.target
+	r.filters[t] = append(r.filters[t], f)
+	right := op.Right.Evaluate(r) // a scope of its own inside this one
+	if fs := r.filters[t]; len(fs) > 1 {
+		r.filters[t] = fs[:len(fs)-1]
+	} else {
+		delete(r.filters, t)
+	}
+	return right
+}
+
+// noteDropped tells a tracer how many pairs the key sets of filters dropped
+// at op.
+func (op *JoinEmbeddings) noteDropped(r *Run, filters []*keyFilter) {
+	c := r.env.Tracer()
+	if c == nil || len(filters) == 0 {
+		return
+	}
+	var n int64
+	for _, f := range filters {
+		n += f.dropped.Load()
+	}
+	c.Note(op, fmt.Sprintf("sip dropped=%d", n))
 }
 
 // NewJoinEmbeddings builds a join on the variables shared between the two
@@ -215,14 +354,16 @@ func soleLeaf(op Operator) inPlaceLeaf {
 // one: a leaf over a pinned store, consumed here only, whose other input has
 // a predicate below it - without one nothing says the other side is small, and
 // the count that would tell is a collective. The planner puts the input it
-// expects to be smaller on the left, so the right one is tried first.
+// expects to be smaller on the left, so the right one is tried first. A join
+// with a target runs its left input first, to filter the right one, so its
+// left leaf is no candidate.
 func (op *JoinEmbeddings) inPlaceCandidate(r *Run) (leaf inPlaceLeaf, onLeft bool) {
 	if op.Left.Selective() {
 		if leaf := soleLeaf(op.Right); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, false
 		}
 	}
-	if op.Right.Selective() {
+	if op.Right.Selective() && op.target == nil {
 		if leaf := soleLeaf(op.Left); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, true
 		}
@@ -235,9 +376,15 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 	leaf, onLeft := op.inPlaceCandidate(r)
 	if leaf == nil {
 		left := op.Left.Evaluate(r)
-		right := op.Right.Evaluate(r)
+		var right *dataflow.Dataset[embedding.Embedding]
+		if op.target == nil {
+			right = op.Right.Evaluate(r)
+		}
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			return op.join(left, right)
+			if right == nil {
+				right = op.filtered(r, left)
+			}
+			return op.join(r, left, right)
 		})
 	}
 	// The other input runs first and is counted; what the count says decides
@@ -264,27 +411,30 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 		}
 		rows := scan.Evaluate(r) // a scope of its own inside this one
 		if onLeft {
-			return op.join(rows, small)
+			return op.join(r, rows, small)
 		}
-		return op.join(small, rows)
+		return op.join(r, small, rows)
 	})
 }
 
-// join is the repartition hash join of the two evaluated inputs.
-func (op *JoinEmbeddings) join(left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+// join is the repartition hash join of the two evaluated inputs in run.
+func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
+	filters := run.filters[op]
+	defer op.noteDropped(run, filters)
 	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
 		func(lane *dataflow.Lane) func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
 			sc := scratchOf(lane)
 			return func(l, r embedding.Embedding, emit func(embedding.Embedding)) {
-				// Keys and morphism are checked on the two inputs: a rejected
-				// candidate is never materialized.
-				if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
+				// Keys, the run's key sets at this join and morphism are
+				// checked on the two inputs: a rejected candidate is never
+				// materialized.
+				if sameKeys(l, r, lc, rc) && keeps(filters, l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
 					emit(sc.slab.Merge(l, r, keep))
 				}
 			}
@@ -308,6 +458,8 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 	if onLeft {
 		smallCols, leafCols = rc, lc
 	}
+	filters := run.filters[op]
+	defer op.noteDropped(run, filters)
 	c := run.env.Tracer()
 	var built *atomic.Int64
 	if c != nil {
@@ -318,7 +470,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 		if onLeft {
 			l, r = row, small
 		}
-		if sameKeys(l, r, lc, rc) && sc.validPair(l, lm, r, rm, drop, morph) {
+		if sameKeys(l, r, lc, rc) && keeps(filters, l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
 			emit(sc.slab.Merge(l, r, keep))
 		}
 	}, built)

@@ -44,20 +44,23 @@ type Morphism struct {
 // operator's label (its Description, as the run's Labeler has it), and the
 // operator's actual output cardinality and self wall time are recorded under
 // the operator itself as the lookup token (EXPLAIN ANALYZE resolves plan
-// nodes through it). Children must be evaluated before entering the scope so
-// their stages attribute to themselves; eval therefore receives
-// already-evaluated inputs. Without a collector on the run's environment the
-// wrapper is a single nil check.
+// nodes through it). Children must be evaluated before entering the scope,
+// or inside it in a scope of their own, so their stages attribute to
+// themselves. Without a collector on the run's environment and an observer
+// on the run the wrapper is two nil checks.
 func traced(op Operator, r *Run, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	c := r.env.Tracer()
-	if c == nil {
-		return eval()
-	}
 	var out *dataflow.Dataset[embedding.Embedding]
-	c.InOp(op, r.label(op), func() int64 {
+	if c := r.env.Tracer(); c == nil {
 		out = eval()
-		return out.Count()
-	})
+	} else {
+		c.InOp(op, r.label(op), func() int64 {
+			out = eval()
+			return out.Count()
+		})
+	}
+	if r.observe != nil {
+		r.observe(op, out)
+	}
 	return out
 }
 

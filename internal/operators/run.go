@@ -31,7 +31,12 @@ type Run struct {
 	binding *cypher.Binding
 	env     *dataflow.Env
 	kept    map[Operator]kept
+	// filters are the key sets the joins being evaluated hand the joins
+	// below them (JoinEmbeddings.FilterRight), by target: a run's, never an
+	// operator's, as the plan is every run's.
+	filters map[*JoinEmbeddings][]*keyFilter
 	labels  Labeler
+	observe func(Operator, *dataflow.Dataset[embedding.Embedding])
 }
 
 // Labeler names a plan's operators in a trace: each one's Description,
@@ -58,6 +63,15 @@ func NewRun(access GraphAccess, b *cypher.Binding) *Run {
 // their Description (nil: render it). It returns r.
 func (r *Run) WithLabels(l Labeler) *Run {
 	r.labels = l
+	return r
+}
+
+// Observe has the run hand f the output of every operator that evaluates in
+// a traced scope - every one but the reuse wrappers - as it returns it: what
+// a tool that measures one run's operators reads (benchkit.WrittenBy). It
+// returns r.
+func (r *Run) Observe(f func(op Operator, out *dataflow.Dataset[embedding.Embedding])) *Run {
+	r.observe = f
 	return r
 }
 

@@ -299,6 +299,7 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool) 
 		root.op = f
 		pn.pending = nil
 	}
+	filterRight(root.op)
 
 	// exists()/NOT exists() predicates filter the mandatory solutions
 	// through semi/anti joins.
@@ -330,6 +331,19 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool) 
 		root = &partial{op: op, card: card, vars: out}
 	}
 	return &QueryPlan{Root: root.op, Estimates: est, access: access}, nil
+}
+
+// filterRight has every inner join of op's tree, the mandatory pattern's,
+// filter its right input by its left input's keys where the right input has a
+// join to take them (JoinEmbeddings.FilterRight). The joins of an OPTIONAL
+// MATCH or exists() group take none: they are planned apart.
+func filterRight(op operators.Operator) {
+	if j, ok := op.(*operators.JoinEmbeddings); ok {
+		j.FilterRight()
+	}
+	for _, c := range op.Children() {
+		filterRight(c)
+	}
 }
 
 // extended is what the rest of the query reads of the rows of an outer join

@@ -214,3 +214,51 @@ func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
 		t.Fatal("expected error for empty query graph")
 	}
 }
+
+// TestOnlyTheMandatoryPatternFilters: the planner has the joins of a query's
+// mandatory pattern filter their right input where it can
+// (JoinEmbeddings.FilterRight), and the joins of an OPTIONAL MATCH group none:
+// the same triangle takes a key set as the pattern and none as the group.
+func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
+	// Eight persons who know the next three on a ring: a two-path is
+	// expected to be larger than an edge, so it is a closing join's right
+	// input.
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for i := range 8 {
+		vs = append(vs, epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"})
+		for hop := 1; hop <= 3; hop++ {
+			es = append(es, epgm.Edge{ID: epgm.ID(100 + len(es)), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+hop)%8)})
+		}
+	}
+	g := epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(2)), "G", vs, es)
+	targets := func(qp *QueryPlan) (joins, filtering int) {
+		for _, n := range qp.Nodes() {
+			if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
+				joins++
+				if j.Target() != nil {
+					filtering++
+				}
+			}
+		}
+		return joins, filtering
+	}
+	const triangle = `(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), (a)-[:knows]->(c)`
+	qp := plan(t, g, `MATCH `+triangle+` RETURN *`)
+	if _, n := targets(qp); n != 1 {
+		t.Fatalf("the triangle's closing join takes no key set\n%s", qp.Explain())
+	}
+	qp = plan(t, g, `MATCH (a:Person) OPTIONAL MATCH (a)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), (a)-[:knows]->(c) RETURN *`)
+	if joins, n := targets(qp); joins < 3 || n != 0 {
+		t.Fatalf("%d of %d joins of a plan whose triangle is an OPTIONAL MATCH group take a key set\n%s", n, joins, qp.Explain())
+	}
+	// Not for want of a target: the group's closing join has one.
+	for _, n := range qp.Nodes() {
+		if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
+			j.FilterRight()
+		}
+	}
+	if _, n := targets(qp); n != 1 {
+		t.Fatalf("the group's triangle has no join that could take a key set\n%s", qp.Explain())
+	}
+}

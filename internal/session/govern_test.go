@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gradoop/internal/dataflow"
 	"gradoop/internal/govern"
 )
 
@@ -360,5 +361,40 @@ func TestMetricsSnapshotUntornWithGovernance(t *testing.T) {
 	}
 	if got := s.Broker().Reserved(); got != 0 {
 		t.Errorf("broker holds %d B after the run, want 0", got)
+	}
+}
+
+// TestKeySetOverBudget: a budget that holds every byte a triangle's plan
+// charges before its closing join's key set, but not the set, fails the query
+// in the set's stage with the structured budget error, and returns no rows.
+func TestKeySetOverBudget(t *testing.T) {
+	g := ldbcGraph(t, 0.1)
+	const triangle = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN p1.firstName, p3.lastName`
+	traced, err := New(g, Options{Workers: 4, MemoryBudget: 1 << 30}).Execute(Request{Query: triangle, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, set int64
+	var stage int64
+	for _, sp := range traced.Trace.Spans() {
+		switch {
+		case stage != 0:
+		case sp.Kind == "Broadcast":
+			stage, set = sp.Stage, sp.MemBytes()
+		default:
+			before += sp.MemBytes()
+		}
+	}
+	if stage == 0 || set == 0 {
+		t.Fatalf("the triangle ran no key set that charged the governor (stage %d, %d B)", stage, set)
+	}
+	s := New(g, Options{Workers: 4, MemoryBudget: before + set - 1, NoResultCache: true})
+	resp, err := s.Execute(Request{Query: triangle})
+	var je *dataflow.JobError
+	if resp != nil || KindOf(err) != KindMemoryBudget || !errors.As(err, &je) || je.Stage != stage {
+		t.Fatalf("response %v, err %v; want the budget error in stage %d, the key set's", resp, err, stage)
+	}
+	if got := s.Broker().Reserved(); got != 0 {
+		t.Errorf("broker holds %d B after the kill, want 0", got)
 	}
 }

@@ -278,12 +278,16 @@ func (c *Collector) popOp(token any, rows int64) {
 	}
 }
 
-// Note records what an operator says about how it ran (OpStats.Note). The
-// operator must have been in scope: InOp is what makes it known.
+// Note records what an operator says about how it ran (OpStats.Note), after
+// what it said before, if anything. The operator must have been in scope:
+// InOp is what makes it known.
 func (c *Collector) Note(token any, note string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st, ok := c.ops[token]; ok {
+		if st.Note != "" {
+			note = st.Note + " " + note
+		}
 		st.Note = note
 	}
 }
