@@ -120,17 +120,17 @@ type pairCol struct {
 }
 
 // FilterRight has the join filter its right input by the keys of its left
-// one, if the right input has a target: the lowest join whose two inputs bind
-// the join variables only together, reached from the right input through
-// inner joins, into the input that binds all of them, and filters. A walk
-// that meets any other operator first - a leaf, an expansion, a shared leaf's
-// Cached or Alias, an outer or a semi join - finds none, and the join filters
-// nothing. So a join on one variable never filters: a leaf binds it. Every
-// row of the right input comes of one pair of the target and carries that
-// pair's identifiers of the join variables, so a pair whose key is not among
-// the left input's cannot make a row this join keeps (DESIGN decision 40).
-// The planner calls it on the joins of a query's mandatory pattern while it
-// builds the plan, which no run writes.
+// one, if the right input has a target. The walk for it goes down from the
+// right input through FilterEmbeddings and inner joins, each time into the
+// input that binds every join variable, and the target is the first join
+// neither of whose inputs does. A walk that meets any other operator first -
+// a leaf, an expansion, a Cached or Alias, an outer or a semi join - finds
+// none, and the join filters nothing; so a join on one variable never
+// filters, as a leaf binds it. Every row of the right input comes of one pair
+// of the target and carries that pair's identifiers of the join variables, so
+// a pair whose key is not among the left input's cannot make a row this join
+// keeps (DESIGN decision 40). The planner calls it on the joins of a query's
+// mandatory pattern while it builds the plan, which no run writes.
 func (op *JoinEmbeddings) FilterRight() {
 	bindsAll := func(in Operator) bool {
 		m := in.Meta()
@@ -376,14 +376,13 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 	leaf, onLeft := op.inPlaceCandidate(r)
 	if leaf == nil {
 		left := op.Left.Evaluate(r)
-		var right *dataflow.Dataset[embedding.Embedding]
-		if op.target == nil {
-			right = op.Right.Evaluate(r)
+		if op.target != nil {
+			return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+				return op.join(r, left, op.filtered(r, left))
+			})
 		}
+		right := op.Right.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			if right == nil {
-				right = op.filtered(r, left)
-			}
 			return op.join(r, left, right)
 		})
 	}

@@ -394,10 +394,10 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 	for len(plans) > 1 || len(varLength) > 0 {
 		type candidate struct {
 			kind    string // "join", "expand", "cross"
-			i, j    int    // plan indices (j unused for expand); a join's left input is the smaller unless swap
+			i, j    int    // plan indices (j unused for expand)
 			edge    int    // index into varLength for expand
 			reverse bool
-			swap    bool // a chosen join whose left input is plans[j]
+			swap    bool // a chosen join's left input is plans[j], not plans[i]
 			card    float64
 		}
 		best := candidate{card: math.Inf(1)}
@@ -467,8 +467,8 @@ func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, out
 			plans = append([]*partial{merged}, without(plans, best.i, best.j)...)
 		case "join":
 			l, r := plans[best.i], plans[best.j]
-			// Build side (left) should be the smaller input.
-			if r.card < l.card && choose == nil || best.swap {
+			// Build side (left) should be the smaller input, unless chosen.
+			if choose == nil && r.card < l.card || best.swap {
 				l, r = r, l
 			}
 			out := l.vars.union(r.vars)
