@@ -266,25 +266,11 @@ func WrittenBy(prep *core.Prepared, access planner.GraphAccess, params map[strin
 			continue
 		}
 		for _, in := range n.Op.Children() {
-			w.In = max(w.In, rows[unwrap(in)])
+			w.In = max(w.In, rows[operators.Unwrap(in)])
 		}
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// unwrap is the operator whose output a reuse wrapper hands on.
-func unwrap(op operators.Operator) operators.Operator {
-	for {
-		switch o := op.(type) {
-		case *operators.Alias:
-			op = o.In
-		case *operators.Cached:
-			op = o.Inner
-		default:
-			return op
-		}
-	}
 }
 
 // WrittenTable prints, per class and per operator that writes rows, the KiB

@@ -19,22 +19,6 @@ import (
 // (qstore.OpMetrics) is shared with the query store so the HTTP /analyze
 // view and a persisted execution record carry one schema.
 
-// traceToken unwraps the reuse wrappers to the operator that actually
-// recorded trace statistics: Alias and Cached pass evaluation through to
-// their inner operator, so their actuals live under its token.
-func traceToken(op operators.Operator) operators.Operator {
-	for {
-		switch o := op.(type) {
-		case *operators.Alias:
-			op = o.In
-		case *operators.Cached:
-			op = o.Inner
-		default:
-			return op
-		}
-	}
-}
-
 // AnalyzedOps is the execution's per-operator profile in Explain order
 // (parent before children), one qstore.OpMetrics per plan node. It requires
 // the query to have run with Config.Trace set and is nil otherwise. The
@@ -60,7 +44,7 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 	out := make([]qstore.OpMetrics, 0, len(nodes))
 	for _, n := range nodes {
 		om := qstore.OpMetrics{Op: n.Op.Description(), Depth: n.Depth}
-		inner := traceToken(n.Op)
+		inner := operators.Unwrap(n.Op)
 		st, ok := c.Op(inner)
 		if !ok {
 			// Never evaluated (e.g. a subtree skipped after a failure).
@@ -110,10 +94,10 @@ func joinYield(ops []qstore.OpMetrics, i int) (float64, bool) {
 }
 
 // AnalyzedPlan renders the executed plan annotated, per operator, with
-// actual output cardinality, a join's yield, estimate q-error, self wall time (children
-// excluded), the simulated cluster time of the operator's stages, and —
-// when memory governance metered the run — the materialized bytes charged
-// to the broker. It requires the query to have run with Config.Trace set;
+// actual output cardinality, a join's yield, estimate q-error, self wall
+// time (children excluded), the simulated cluster time of the operator's
+// stages, and — when memory governance metered the run — the materialized
+// bytes charged to the broker. It requires the query to have run with Config.Trace set;
 // without a trace it degrades to the plain Explain rendering.
 func (r *Result) AnalyzedPlan() string {
 	ops := r.AnalyzedOps()

@@ -27,7 +27,7 @@ var sharedPlanQueries = []string{
 	benchkit.Q2.Text(),
 	benchkit.Q5.Text(),
 	`MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3)
-	 WHERE p1.firstName <> $firstName RETURN p1.lastName, p2.lastName, p3.lastName`,
+	 WHERE p3.firstName <> $firstName RETURN p1.lastName, p2.lastName, p3.lastName`,
 	`MATCH (p:Person)-[:knows]->(q:Person)
 	 WHERE p.firstName = $firstName AND p.lastName + $firstName <> q.lastName
 	 OPTIONAL MATCH (q)-[:studyAt]->(u:University) WHERE u.name <> $firstName

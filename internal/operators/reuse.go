@@ -109,3 +109,20 @@ func (op *Alias) Description() string {
 	slices.Sort(pairs) // map order is random; a plan must print the same twice
 	return fmt.Sprintf("Alias(%s)", strings.Join(pairs, ", "))
 }
+
+// Unwrap returns the operator that evaluates for op: op, or the one the
+// reuse wrappers around it - Alias and Cached - pass evaluation through to.
+// A trace records an operator's actuals, and Observe hands on its output,
+// under that one.
+func Unwrap(op Operator) Operator {
+	for {
+		switch o := op.(type) {
+		case *Alias:
+			op = o.In
+		case *Cached:
+			op = o.Inner
+		default:
+			return op
+		}
+	}
+}
