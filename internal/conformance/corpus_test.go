@@ -32,7 +32,7 @@ var settings = map[string]operators.Morphism{
 
 // corpus is every case of every fixture; short leaves out the LDBC fixture.
 func corpus(short bool) []*kase {
-	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, masks, wide, cycles}
+	fixtures := []func() (*fixture, []spec){social, parity, morphisms, shapes, masks, wide, cycles, replies}
 	if !short {
 		fixtures = append(fixtures, ldbcFixture)
 	}
@@ -283,6 +283,59 @@ func cycles() (*fixture, []spec) {
 		{query: `MATCH (a:N)-[:x]->(b:N), (a)-[:x]->(c:N), (b)-[:x]->(d:N), (c)-[:x]->(d) RETURN *`, morphs: all},
 		{query: `MATCH (a:N)-[e1:x]->(b:N), (b)-[e2:x]->(c:N), (c)-[e3:x]->(a) RETURN *`, morphs: all},
 		{query: `MATCH (a:N)-[e1:x]->(b:N), (b)-[e2:x]->(c:N), (c)-[e3:x]-(a) RETURN *`, morphs: all},
+	}
+}
+
+// replies is where a closing join filters a variable-length path below it
+// (DESIGN decision 40): Q2's shape, whose path's far end is the only join
+// variable (an end set), and Q3's, whose path starts from rows that bind a
+// join variable (a seed set), forward, reverse and undirected, from no hops
+// and from one. Five persons who know the next two on a ring, each with a
+// post and two comments; a person's first comment answers the post of one who
+// knows them, the second answers the first, and every third comment also
+// answers a post. Fay writes only a post, which nobody answers, so her
+// messages reach a post only by the path of no hops; nobody is called Zed.
+func replies() (*fixture, []spec) {
+	names := []string{"Ann", "Bob", "Cid", "Dee", "Eve", "Fay"}
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for i, name := range names {
+		vs = append(vs, vertex(1+i, "Person", "name", name), vertex(11+i, "Post", "title", fmt.Sprintf("p%d", 11+i)))
+		es = edges(es, "hasCreator", [2]int{11 + i, 1 + i})
+		if i < 5 {
+			es = edges(es, "knows", [2]int{1 + i, 1 + (i+1)%5}, [2]int{1 + i, 1 + (i+2)%5})
+		}
+	}
+	for i := range 10 {
+		c := 21 + i
+		vs = append(vs, vertex(c, "Comment", "text", fmt.Sprintf("c%d", c)))
+		es = edges(es, "hasCreator", [2]int{c, 1 + i%5})
+		if i < 5 {
+			es = edges(es, "replyOf", [2]int{c, 11 + (i+4)%5})
+		} else {
+			es = edges(es, "replyOf", [2]int{c, c - 5})
+		}
+		if i%3 == 2 {
+			es = edges(es, "replyOf", [2]int{c, 11 + (i+3)%5})
+		}
+	}
+	es = edges(es, "replyOf", [2]int{30, 27})
+	all := "HH HI IH II"
+	return &fixture{name: "replies", vs: vs, es: es}, []spec{
+		{query: `MATCH (p:Person)<-[:hasCreator]-(m:Comment|Post), (m)-[r:replyOf*0..3]->(post:Post) WHERE p.name = 'Ann' RETURN *`, morphs: all},
+		{query: `MATCH (p:Person)<-[:hasCreator]-(m:Comment), (m)-[r:replyOf*1..3]->(post:Post) WHERE p.name = 'Bob' RETURN *`, morphs: all},
+		{query: `MATCH (p:Person)<-[:hasCreator]-(m:Comment), (m)-[r:replyOf*1..2]-(x) WHERE p.name = 'Cid' RETURN *`, morphs: all},
+		{query: `MATCH (post:Post)<-[r:replyOf*1..3]-(m:Comment), (m)-[:hasCreator]->(p:Person) WHERE p.name = 'Dee' RETURN *`, morphs: all},
+		{query: `MATCH (p:Person)<-[:hasCreator]-(m), (m)-[r:replyOf*0..2]->(post:Post) WHERE p.name = 'Fay' RETURN *`, morphs: all, empty: "IH II"},
+		{query: `MATCH (p:Person)<-[:hasCreator]-(m), (m)-[r:replyOf*0..2]->(post:Post) WHERE p.name = 'Zed' RETURN *`, morphs: all, empty: "*"},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person), (b)<-[:hasCreator]-(c:Comment), (c)-[r:replyOf*1..3]->(post:Post),
+			(post)-[:hasCreator]->(a) WHERE a.name = 'Ann' RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person), (b)<-[:hasCreator]-(c:Comment), (c)-[r:replyOf*0..3]->(m),
+			(m)-[:hasCreator]->(a) WHERE a.name = 'Eve' RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person), (b)<-[:hasCreator]-(c:Comment), (c)-[r:replyOf*1..3]-(m:Post),
+			(m)-[:hasCreator]->(a) WHERE a.name = 'Dee' RETURN *`, morphs: all},
+		{query: `MATCH (a:Person)-[:knows]->(b:Person), (b)<-[:hasCreator]-(c:Comment), (c)-[r:replyOf*1..3]->(post:Post),
+			(post)-[:hasCreator]->(a) WHERE a.name = 'Zed' RETURN *`, morphs: all, empty: "*"},
 	}
 }
 

@@ -187,19 +187,32 @@ func reference(c *kase, all bool) (want outcome, ok bool) {
 	return want, true
 }
 
-// filters reports whether a case's plan, as engine/4 runs it, has a join
-// that filters its right input by its left one's keys.
-func filters(c *kase) bool {
+// keySets says which key sets a case's plan, as engine/4 runs it, hands on
+// (JoinEmbeddings.FilterRight): a join's, that a closing join hands a join
+// below it, and an expansion's seed set and end set.
+type keySets struct{ join, seed, end bool }
+
+func filters(c *kase) keySets {
+	var sets keySets
 	prep, err := core.Prepare(c.f.graph(4), c.query, core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: c.f.stats})
 	if err != nil {
-		return false
+		return sets
 	}
 	for _, n := range prep.Plan.Nodes() {
-		if j, ok := n.Op.(*operators.JoinEmbeddings); ok && j.Target() != nil {
-			return true
+		j, ok := n.Op.(*operators.JoinEmbeddings)
+		if !ok || j.Target() == nil {
+			continue
+		}
+		switch _, expands := j.Target().(*operators.ExpandEmbeddings); {
+		case !expands:
+			sets.join = true
+		case j.EndSet():
+			sets.end = true
+		default:
+			sets.seed = true
 		}
 	}
-	return false
+	return sets
 }
 
 // judge holds got to the expected outcome as a bag and, for a mode with a
@@ -229,6 +242,13 @@ func judge(m *mode, got, want outcome, twin *outcome) string {
 		return fmt.Sprintf("charged cpu, net %v, %s %v", charges(got.job), m.twin, charges(twin.job))
 	}
 	return ""
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func charges(job *dataflow.MetricsSnapshot) [2]int64 {
@@ -261,7 +281,7 @@ func TestConformance(t *testing.T) {
 	anchor := make([]outcome, len(all))
 	want := make([]outcome, len(all))
 	var anchorOnly []string
-	filtering := 0
+	var filtering, joinSets, seedSets, endSets int
 	for i, c := range all {
 		anchor[i] = modes[0].run(c)
 		ref, ok := reference(c, false)
@@ -270,9 +290,13 @@ func TestConformance(t *testing.T) {
 			want[i] = outcome{err: c.err}
 		case ok:
 			want[i] = ref
-			if filters(c) {
+			sets := filters(c)
+			if sets != (keySets{}) {
 				filtering++
 			}
+			joinSets += b2i(sets.join)
+			seedSets += b2i(sets.seed)
+			endSets += b2i(sets.end)
 		default:
 			want[i] = anchor[i]
 			anchorOnly = append(anchorOnly, c.name+" "+c.query)
@@ -335,6 +359,7 @@ func TestConformance(t *testing.T) {
 		})
 	}
 	t.Logf("%d modes x %d cases = %d runs", judged, len(all), judged*len(all))
-	t.Logf("%d cases the reference evaluates take a key set in engine/4", filtering)
+	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set",
+		filtering, joinSets, seedSets, endSets)
 	t.Logf("%d cases the reference cannot evaluate, held to the anchor:\n%s", len(anchorOnly), strings.Join(anchorOnly, "\n"))
 }

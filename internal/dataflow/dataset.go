@@ -201,6 +201,23 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // the partition grows as rows are emitted, which is right for a selective
 // function.
 func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int) *Dataset[U] {
+	return flatMapWith(d, newF, perInput, nil)
+}
+
+// FlatMapCounted is FlatMapWith for a function that writes at most one output
+// for an element count passes and none for any other, and is known to drop
+// most of its input: every partition attempt counts what count passes first,
+// then allocates its output once at that count and writes, as a join's probe
+// counts its pairs before it writes them (probePartition). Sized at the input
+// length instead, the output of a function that keeps few would be copied down
+// to its length; grown as emitted, it would be copied up to it. count is a
+// size, not a filter - the function still decides what it writes - and it may
+// be called from several attempts at once.
+func FlatMapCounted[T, U any](d *Dataset[T], count func(T) bool, newF func(*Lane) func(T, func(U))) *Dataset[U] {
+	return flatMapWith(d, newF, 0, count)
+}
+
+func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int, count func(T) bool) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -209,8 +226,19 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
+		n := perInput * len(part)
+		if count != nil {
+			for i, t := range part {
+				if !a.tick(i) {
+					return nil, work{}
+				}
+				if count(t) {
+					n++
+				}
+			}
+		}
 		var res []U
-		if n := perInput * len(part); n > 0 {
+		if n > 0 {
 			res = make([]U, 0, n)
 		}
 		emit := emitter(a, &res)
@@ -220,8 +248,8 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 			}
 			f(t, emit)
 		}
-		n := int64(len(part))
-		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		in := int64(len(part))
+		return publish(res), work{cpu: in, rowsIn: in, rowsOut: int64(len(res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }

@@ -96,16 +96,13 @@ func (k keyLists) encodeBucket(p, _ int, w BucketWriter) error {
 	return nil
 }
 
-// decodeKeys reads a keyLists bucket.
-func decodeKeys(b []byte) ([]uint64, error) {
+// keyCount is the number of keys a keyLists bucket holds, or an error if b
+// is not one.
+func keyCount(b []byte) (int, error) {
 	if len(b) < 4 || len(b) != 4+8*int(binary.BigEndian.Uint32(b)) {
-		return nil, fmt.Errorf("dataflow: bad key set frame (%d bytes)", len(b))
+		return 0, fmt.Errorf("dataflow: bad key set frame (%d bytes)", len(b))
 	}
-	keys := make([]uint64, binary.BigEndian.Uint32(b))
-	for i := range keys {
-		keys[i] = binary.BigEndian.Uint64(b[4+8*i:])
-	}
-	return keys, nil
+	return int(binary.BigEndian.Uint32(b)), nil
 }
 
 // Keys returns the set of key(t) over every element of d, of every process of
@@ -139,24 +136,30 @@ func Keys[T any](d *Dataset[T], key func(T) uint64) *KeySet {
 	if !ok {
 		return newKeySet(0)
 	}
-	for p := range blobs {
-		if env.owns(p) {
-			continue
-		}
-		var err error
-		if lists[p], err = decodeKeys(blobs[p]); err != nil {
-			env.fail(&JobError{Stage: env.metrics.stageCount(), Partition: p, Cause: err})
-			return newKeySet(0)
-		}
-	}
+	// A peer's keys go from its frame straight into the set, which the
+	// frames' counts size.
 	shipped := 0
-	for _, keys := range lists {
-		shipped += len(keys)
+	for p := range lists {
+		n := len(lists[p])
+		if !env.owns(p) {
+			var err error
+			if n, err = keyCount(blobs[p]); err != nil {
+				env.fail(&JobError{Stage: env.metrics.stageCount(), Partition: p, Cause: err})
+				return newKeySet(0)
+			}
+		}
+		shipped += n
 	}
 	set := newKeySet(shipped)
-	for _, keys := range lists {
-		for _, k := range keys {
-			set.add(k)
+	for p := range lists {
+		if env.owns(p) {
+			for _, k := range lists[p] {
+				set.add(k)
+			}
+			continue
+		}
+		for b := blobs[p][4:]; len(b) > 0; b = b[8:] {
+			set.add(binary.BigEndian.Uint64(b))
 		}
 	}
 	bytes := 8 * int64(shipped)

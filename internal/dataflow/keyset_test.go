@@ -3,6 +3,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,5 +89,48 @@ func TestKeysOverBudget(t *testing.T) {
 	}
 	if s.Len() != 0 || s.Has(5) {
 		t.Fatalf("a failed key set holds %d keys", s.Len())
+	}
+}
+
+// TestKeysFromEmptyAndZeroFrames: a peer's frame of no keys adds nothing, and
+// one that holds the key 0 - which the set keeps apart from its slots - adds
+// it, on both processes of a job whose every key lives on one of them.
+func TestKeysFromEmptyAndZeroFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		parts [][]uint64
+		want  []uint64
+	}{
+		{"no keys anywhere", [][]uint64{{}, {}, {}, {}}, nil},
+		{"the key 0 alone", [][]uint64{{}, {0, 0}, {}, {}}, []uint64{0}},
+		{"the key 0 and one other", [][]uint64{{}, {0}, {}, {7, 0}}, []uint64{0, 7}},
+	} {
+		c := newMemCluster([]int{0, 1, 1, 0}, 2)
+		sets := make([]*KeySet, 2)
+		var wg sync.WaitGroup
+		for proc := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				env := NewEnv(DefaultConfig(4))
+				env.SetTransport(c.transport(proc))
+				env.Begin(nil)
+				sets[proc] = Keys(FromPartitions(env, tc.parts), func(k uint64) uint64 { return k })
+				if err := env.Finish(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for proc, s := range sets {
+			if s.Len() != len(tc.want) {
+				t.Errorf("%s, process %d: %d keys, want %d", tc.name, proc, s.Len(), len(tc.want))
+			}
+			for _, k := range []uint64{0, 7, 8} {
+				if got, want := s.Has(k), slices.Contains(tc.want, k); got != want {
+					t.Errorf("%s, process %d: Has(%d) = %v, want %v", tc.name, proc, k, got, want)
+				}
+			}
+		}
 	}
 }

@@ -112,6 +112,8 @@ func (op *ExpandEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embeddi
 
 func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	qe := r.edge(op.Edge)
+	filters := r.filters[op]
+	defer noteDropped(r, op, filters)
 
 	// Select the relevant edges. They are loop-invariant: shuffled and hashed
 	// once, here, and only probed by every hop.
@@ -136,15 +138,22 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
 
+	// An input row whose key is not in a seed set starts no path.
 	startCol := op.startCol
-	working := dataflow.Map(in, func(e embedding.Embedding) pathState {
-		start := e.ID(startCol)
-		return pathState{base: e, end: start}
-	})
+	working := dataflow.FlatMapCounted(in,
+		func(e embedding.Embedding) bool { return keepsRow(filters, false, e, 0, false) },
+		func(*dataflow.Lane) func(embedding.Embedding, func(pathState)) {
+			return func(e embedding.Embedding, emit func(pathState)) {
+				if keepsRow(filters, false, e, 0, true) {
+					emit(pathState{base: e, end: e.ID(startCol)})
+				}
+			}
+		})
 
+	finalize := op.finalizer(filters)
 	var zeroHops *dataflow.Dataset[embedding.Embedding]
 	if qe.MinHops == 0 {
-		zeroHops = op.finalize(working)
+		zeroHops = finalize(working)
 	}
 	return dataflow.BulkIteration(working, zeroHops, qe.MaxHops,
 		func(hop int, working *dataflow.Dataset[pathState]) (next *dataflow.Dataset[pathState], results *dataflow.Dataset[embedding.Embedding]) {
@@ -168,10 +177,34 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 					}
 				})
 			if hop >= qe.MinHops {
-				results = op.finalize(next)
+				results = finalize(next)
 			}
 			return next, results
 		})
+}
+
+// keepsRow reports whether the key of e - an input row, or the far end of
+// its path if end - is in every set of filters of that kind. If tally, it
+// counts a row it drops where that is traced.
+func keepsRow(filters []*keyFilter, end bool, e embedding.Embedding, far epgm.ID, tally bool) bool {
+	for _, f := range filters {
+		if f.end == end && !f.set.Has(f.rowKey(e, far)) {
+			if tally {
+				f.drop()
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// rowKey is the key an expansion tests against f: of its input row e at f's
+// columns, or of the path's far end.
+func (f *keyFilter) rowKey(e embedding.Embedding, far epgm.ID) uint64 {
+	if f.end {
+		return mixKey(keySeed, far)
+	}
+	return f.key(e, e)
 }
 
 // hopAllowed prunes extensions that can never satisfy the morphism
@@ -208,10 +241,14 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 	return true
 }
 
-// finalize turns path states of an admissible length into result embeddings
-// and applies the full morphism check - to the state, before a row is
-// written, since the row carries only what the rest of the query reads.
-func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
+// finalizer returns what turns path states of an admissible length into
+// result embeddings in a run whose key sets at the expansion are filters. It
+// applies the full morphism check - to the state, before a row is written,
+// since the row carries only what the rest of the query reads - and drops a
+// state whose far end is not in an end set. Every partition counts the states
+// that end where they may first - on the bound vertex of a closing expansion,
+// in every end set - and writes no more rows than that.
+func (op *ExpandEmbeddings) finalizer(filters []*keyFilter) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
 	inMeta := op.In.Meta()
 	morph, keep := op.Morph, op.keep
 	bindTarget := op.bindTarget
@@ -220,17 +257,14 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 		endCol, _ = inMeta.Column(op.endVar)
 	}
 	reverse := op.Reverse
-	// An open far end keeps every state the morphism check passes - nearly
-	// all, hopAllowed pruned the rest; a closing expansion keeps the few
-	// whose path ends on the bound vertex.
-	fanOut := 1
-	if bindTarget {
-		fanOut = 0
+	count := func(s pathState) bool {
+		return (!bindTarget || s.base.ID(endCol) == s.end) && keepsRow(filters, true, s.base, s.end, false)
 	}
-	return dataflow.FlatMapWith(states, func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
+	newF := func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		return func(s pathState, emit func(embedding.Embedding)) {
-			if bindTarget && s.base.ID(endCol) != s.end || !sc.validState(s, inMeta, !bindTarget, morph) {
+			if bindTarget && s.base.ID(endCol) != s.end || !keepsRow(filters, true, s.base, s.end, true) ||
+				!sc.validState(s, inMeta, !bindTarget, morph) {
 				return
 			}
 			via := s.via
@@ -244,7 +278,10 @@ func (op *ExpandEmbeddings) finalize(states *dataflow.Dataset[pathState]) *dataf
 			// The path and the far endpoint go on in one write.
 			emit(sc.slab.AppendPath(s.base, keep, via, s.end, !bindTarget))
 		}
-	}, fanOut)
+	}
+	return func(states *dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
+		return dataflow.FlatMapCounted(states, count, newF)
+	}
 }
 
 // validState is valid on the row a path state makes: the base row's

@@ -96,8 +96,9 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // pinned store that the other, counted, turns out to be small against - then
 // the small input is broadcast into the leaf's scan (probeInPlace). A join of
 // a query's mandatory pattern whose right input binds the join variables only
-// in a join below it hands that join the key set of its left input, which
-// drops a pair that cannot join here before it is merged (FilterRight).
+// in a join or an expansion below it hands that operator the key set of its
+// left input, which drops a pair, an input row or a path that cannot join here
+// before it is written (FilterRight).
 type JoinEmbeddings struct {
 	Left, Right Operator
 	Morph       Morphism
@@ -105,15 +106,20 @@ type JoinEmbeddings struct {
 	joinShape
 	rowShape
 
-	// target is the join of the right input a run hands this join's left
-	// keys to, and targetCols where a pair of the target holds them, in
-	// joinVars order; nil if the join filters nothing.
-	target     *JoinEmbeddings
+	// target is the operator of the right input - a join or an expansion - a
+	// run hands this join's left keys to; nil if the join filters nothing.
+	// setCols are the left columns the keys are hashed from and targetCols
+	// where the target holds them, in the same order: in a pair of a join or
+	// in an expansion's input row. endSet says the target is an expansion
+	// that tests its paths' far end against the set instead.
+	target     Operator
+	setCols    []int
 	targetCols []pairCol
+	endSet     bool
 }
 
 // pairCol is where a pair of rows of a join holds one identifier: a column of
-// its left or of its right row.
+// its left or of its right row. An expansion's input row is a left row.
 type pairCol struct {
 	right bool
 	col   int
@@ -121,16 +127,22 @@ type pairCol struct {
 
 // FilterRight has the join filter its right input by the keys of its left
 // one, if the right input has a target. The walk for it goes down from the
-// right input through FilterEmbeddings and inner joins, each time into the
-// input that binds every join variable, and the target is the first join
-// neither of whose inputs does. A walk that meets any other operator first -
-// a leaf, an expansion, a Cached or Alias, an outer or a semi join - finds
-// none, and the join filters nothing; so a join on one variable never
-// filters, as a leaf binds it. Every row of the right input comes of one pair
-// of the target and carries that pair's identifiers of the join variables, so
-// a pair whose key is not among the left input's cannot make a row this join
-// keeps (DESIGN decision 40). The planner calls it on the joins of a query's
-// mandatory pattern while it builds the plan, which no run writes.
+// right input through FilterEmbeddings, inner joins and expansions, each time
+// into the input that binds every join variable. The target is the first join
+// neither of whose inputs does, or the first expansion whose input lacks just
+// one join variable, the path's far end. Such an expansion takes one of two
+// sets: if its input binds some join variables, the left rows' keys of just
+// those, against which it tests its input rows before the first hop (a seed
+// set); if the far end is the only join variable, the left rows' keys, against
+// which it tests each path's end before it writes the path (an end set). A
+// walk that meets any other operator first - a leaf, an expansion joined on
+// its path, a Cached or Alias, an outer or a semi join - finds none, and the
+// join filters nothing. Every row of the right input comes of one pair of a
+// target join, or of one input row and path of a target expansion, and
+// carries its identifiers of the join variables, so one whose key is not among
+// the left input's cannot make a row this join keeps (DESIGN decision 40). The
+// planner calls it on the joins of a query's mandatory pattern while it builds
+// the plan, which no run writes.
 func (op *JoinEmbeddings) FilterRight() {
 	bindsAll := func(in Operator) bool {
 		m := in.Meta()
@@ -156,7 +168,7 @@ func (op *JoinEmbeddings) FilterRight() {
 				node = n.Right
 				continue
 			}
-			op.target = n
+			op.target, op.setCols = n, op.leftCols
 			op.targetCols = make([]pairCol, len(op.joinVars))
 			for i, v := range op.joinVars {
 				c, onLeft := n.Left.Meta().Column(v)
@@ -165,39 +177,82 @@ func (op *JoinEmbeddings) FilterRight() {
 				}
 				op.targetCols[i] = pairCol{right: !onLeft, col: c}
 			}
+		case *ExpandEmbeddings:
+			in := n.In.Meta()
+			var seed []int // the join variables the input binds
+			for i, v := range op.joinVars {
+				switch {
+				case in.HasVar(v):
+					seed = append(seed, i)
+				case v != n.endVar:
+					return
+				}
+			}
+			switch len(seed) {
+			case len(op.joinVars):
+				node = n.In
+				continue
+			case 0:
+				op.target, op.setCols, op.endSet = n, op.leftCols, true
+				return
+			}
+			op.target = n
+			for _, i := range seed {
+				c, _ := in.Column(op.joinVars[i])
+				op.setCols = append(op.setCols, op.leftCols[i])
+				op.targetCols = append(op.targetCols, pairCol{col: c})
+			}
 		}
 		return
 	}
 }
 
-// Target returns the join FilterRight found below the right input, or nil.
-func (op *JoinEmbeddings) Target() *JoinEmbeddings { return op.target }
+// Target returns the join or the expansion FilterRight found below the right
+// input, or nil.
+func (op *JoinEmbeddings) Target() Operator { return op.target }
+
+// EndSet reports whether the target is an expansion that tests its paths'
+// far end, not its input rows.
+func (op *JoinEmbeddings) EndSet() bool { return op.endSet }
 
 // keyFilter is a key set at its target in a run: the left keys of a join
-// above it, where a pair of the target holds them and, in a traced run, a
-// count of the pairs it dropped.
+// above it, where the target holds them - in a pair of a join, in an input row
+// of an expansion or, if end, as a path's far end - and, in a traced run, a
+// count of what it dropped.
 type keyFilter struct {
 	set     *dataflow.KeySet
 	cols    []pairCol
+	end     bool
 	dropped *atomic.Int64
+}
+
+// drop counts a key not in the set where it is traced.
+func (f *keyFilter) drop() {
+	if f.dropped != nil {
+		f.dropped.Add(1)
+	}
+}
+
+// key is the key of the pair l, r at f's columns; an expansion's input row is
+// l.
+func (f *keyFilter) key(l, r embedding.Embedding) uint64 {
+	h := keySeed
+	for _, c := range f.cols {
+		row := l
+		if c.right {
+			row = r
+		}
+		h = mixKey(h, row.ID(c.col))
+	}
+	return h
 }
 
 // keeps reports whether the key of the pair l, r is in every set of filters,
 // and counts a pair that is not where it is traced.
 func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
 	for _, f := range filters {
-		h := keySeed
-		for _, c := range f.cols {
-			row := l
-			if c.right {
-				row = r
-			}
-			h = mixKey(h, row.ID(c.col))
-		}
-		if !f.set.Has(h) {
-			if f.dropped != nil {
-				f.dropped.Add(1)
-			}
+		if !f.set.Has(f.key(l, r)) {
+			f.drop()
 			return false
 		}
 	}
@@ -208,14 +263,14 @@ func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
 // set of left, all-gathered once, handed to the target for as long as it
 // runs.
 func (op *JoinEmbeddings) filtered(r *Run, left *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	lc := op.leftCols
-	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, lc) }), cols: op.targetCols}
+	sc := op.setCols
+	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, sc) }), cols: op.targetCols, end: op.endSet}
 	if c := r.env.Tracer(); c != nil {
 		c.Note(op, fmt.Sprintf("sip n=%d", f.set.Len()))
 		f.dropped = new(atomic.Int64)
 	}
 	if r.filters == nil {
-		r.filters = map[*JoinEmbeddings][]*keyFilter{}
+		r.filters = map[Operator][]*keyFilter{}
 	}
 	t := op.target
 	r.filters[t] = append(r.filters[t], f)
@@ -228,9 +283,9 @@ func (op *JoinEmbeddings) filtered(r *Run, left *dataflow.Dataset[embedding.Embe
 	return right
 }
 
-// noteDropped tells a tracer how many pairs the key sets of filters dropped
-// at op.
-func (op *JoinEmbeddings) noteDropped(r *Run, filters []*keyFilter) {
+// noteDropped tells a tracer how many pairs, input rows or paths the key sets
+// of filters dropped at op.
+func noteDropped(r *Run, op Operator, filters []*keyFilter) {
 	c := r.env.Tracer()
 	if c == nil || len(filters) == 0 {
 		return
@@ -423,7 +478,7 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
 	filters := run.filters[op]
-	defer op.noteDropped(run, filters)
+	defer noteDropped(run, op, filters)
 	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
@@ -458,7 +513,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 		smallCols, leafCols = rc, lc
 	}
 	filters := run.filters[op]
-	defer op.noteDropped(run, filters)
+	defer noteDropped(run, op, filters)
 	c := run.env.Tracer()
 	var built *atomic.Int64
 	if c != nil {

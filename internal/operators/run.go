@@ -31,10 +31,10 @@ type Run struct {
 	binding *cypher.Binding
 	env     *dataflow.Env
 	kept    map[Operator]kept
-	// filters are the key sets the joins being evaluated hand the joins
-	// below them (JoinEmbeddings.FilterRight), by target: a run's, never an
-	// operator's, as the plan is every run's.
-	filters map[*JoinEmbeddings][]*keyFilter
+	// filters are the key sets the joins being evaluated hand the joins and
+	// expansions below them (JoinEmbeddings.FilterRight), by target: a run's,
+	// never an operator's, as the plan is every run's.
+	filters map[Operator][]*keyFilter
 	labels  Labeler
 	observe func(Operator, *dataflow.Dataset[embedding.Embedding])
 }

@@ -3,13 +3,17 @@ package session
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gradoop/internal/benchkit"
 	"gradoop/internal/dataflow"
+	"gradoop/internal/epgm"
 	"gradoop/internal/govern"
+	"gradoop/internal/ldbc"
 )
 
 // blowupQuery is the adversarial cartesian product the ISSUE motivates: no
@@ -364,37 +368,57 @@ func TestMetricsSnapshotUntornWithGovernance(t *testing.T) {
 	}
 }
 
-// TestKeySetOverBudget: a budget that holds every byte a triangle's plan
-// charges before its closing join's key set, but not the set, fails the query
-// in the set's stage with the structured budget error, and returns no rows.
+// TestKeySetOverBudget: a budget that holds every byte a plan charges before
+// its closing join's key set, but not the set, fails the query in the set's
+// stage with the structured budget error, and returns no rows - for a
+// triangle's closing join, which hands the set to a join, and for Q3's, which
+// hands it to the expansion of its replyOf path. The set's stage is the plan's
+// last Broadcast stage: Q3's selective joins count and broadcast in the left
+// input, before it.
 func TestKeySetOverBudget(t *testing.T) {
-	g := ldbcGraph(t, 0.1)
-	const triangle = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN p1.firstName, p3.lastName`
-	traced, err := New(g, Options{Workers: 4, MemoryBudget: 1 << 30}).Execute(Request{Query: triangle, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, set int64
-	var stage int64
-	for _, sp := range traced.Trace.Spans() {
-		switch {
-		case stage != 0:
-		case sp.Kind == "Broadcast":
-			stage, set = sp.Stage, sp.MemBytes()
-		default:
-			before += sp.MemBytes()
+	d := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(4)), ldbc.Config{ScaleFactor: 0.1, Seed: 2017})
+	_, medium, _ := d.FirstNamesBySelectivity()
+	for _, job := range []struct {
+		name, query string
+		params      map[string]epgm.PropertyValue
+	}{
+		{"triangle", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN p1.firstName, p3.lastName`, nil},
+		{"q3", benchkit.Q3.Text(), map[string]epgm.PropertyValue{"firstName": epgm.PVString(medium)}},
+	} {
+		traced, err := New(d.Graph, Options{Workers: 4, MemoryBudget: 1 << 30}).Execute(Request{Query: job.query, Params: job.params, Trace: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if stage == 0 || set == 0 {
-		t.Fatalf("the triangle ran no key set that charged the governor (stage %d, %d B)", stage, set)
-	}
-	s := New(g, Options{Workers: 4, MemoryBudget: before + set - 1, NoResultCache: true})
-	resp, err := s.Execute(Request{Query: triangle})
-	var je *dataflow.JobError
-	if resp != nil || KindOf(err) != KindMemoryBudget || !errors.As(err, &je) || je.Stage != stage {
-		t.Fatalf("response %v, err %v; want the budget error in stage %d, the key set's", resp, err, stage)
-	}
-	if got := s.Broker().Reserved(); got != 0 {
-		t.Errorf("broker holds %d B after the kill, want 0", got)
+		if plan := traced.Result.AnalyzedPlan(); strings.Count(plan, "sip n=") != 1 {
+			t.Fatalf("%s: not one join that hands on a key set:\n%s", job.name, plan)
+		}
+		spans := traced.Trace.Spans()
+		var stage int64
+		for _, sp := range spans {
+			if sp.Kind == "Broadcast" {
+				stage = sp.Stage
+			}
+		}
+		var before, set int64
+		for _, sp := range spans {
+			switch {
+			case sp.Stage < stage:
+				before += sp.MemBytes()
+			case sp.Stage == stage:
+				set = sp.MemBytes()
+			}
+		}
+		if stage == 0 || set == 0 {
+			t.Fatalf("%s: no key set that charged the governor (stage %d, %d B)", job.name, stage, set)
+		}
+		s := New(d.Graph, Options{Workers: 4, MemoryBudget: before + set - 1, NoResultCache: true})
+		resp, err := s.Execute(Request{Query: job.query, Params: job.params})
+		var je *dataflow.JobError
+		if resp != nil || KindOf(err) != KindMemoryBudget || !errors.As(err, &je) || je.Stage != stage {
+			t.Fatalf("%s: response %v, err %v; want the budget error in stage %d, the key set's", job.name, resp, err, stage)
+		}
+		if got := s.Broker().Reserved(); got != 0 {
+			t.Errorf("%s: broker holds %d B after the kill, want 0", job.name, got)
+		}
 	}
 }
