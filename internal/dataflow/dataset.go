@@ -205,14 +205,14 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 }
 
 // FlatMapCounted is FlatMapWith for a function that writes at most one output
-// for an element count passes and none for any other, and is known to drop
-// most of its input: every partition attempt counts what count passes first,
-// then allocates its output once at that count and writes, as a join's probe
-// counts its pairs before it writes them (probePartition). Sized at the input
-// length instead, the output of a function that keeps few would be copied down
-// to its length; grown as emitted, it would be copied up to it. count is a
-// size, not a filter - the function still decides what it writes - and it may
-// be called from several attempts at once.
+// for an element count passes and none for any other: every partition attempt
+// counts what count passes first, then allocates its output once at that
+// count and writes, as a join's probe counts its pairs before it writes them
+// (probePartition). Sized at the input length instead, the output of a
+// function that keeps few would be copied down to its length; grown as
+// emitted, it would be copied up to it. count is a size, not a filter - the
+// function still decides what it writes - and it may be called from several
+// attempts at once.
 func FlatMapCounted[T, U any](d *Dataset[T], count func(T) bool, newF func(*Lane) func(T, func(U))) *Dataset[U] {
 	return flatMapWith(d, newF, 0, count)
 }

@@ -61,8 +61,8 @@ func TestFilterRightTargets(t *testing.T) {
 		{"over an expansion under Cached: none", join(e("e1", "a", "c"), NewCached(expand(e("e2", "a", "b"), "b", "c"))), nil, false},
 		{"over an expansion under Alias: none",
 			join(e("e1", "a", "c"), NewAlias(expand(e("e2", "a", "b"), "b", "c"), map[string]string{"p": "q"})), nil, false},
-		{"over an OPTIONAL group's expansion: none",
-			join(e("e1", "a", "c"), NewOptionalJoinEmbeddings(v("a"), optional, Morphism{}, nil, nil)), nil, false},
+		{"over an OPTIONAL MATCH's join, whose mandatory side is an expansion: none",
+			join(e("e1", "a", "c"), NewOptionalJoinEmbeddings(optional, e("e5", "c", "z"), Morphism{}, nil, nil)), nil, false},
 		{"under a shared leaf's Cached: none", join(e("e1", "a", "c"), NewCached(join(e("e2", "a", "b"), e("e3", "b", "c")))), nil, false},
 		{"on one variable: none, a leaf binds it", join(v("b"), join(e("e2", "a", "b"), e("e3", "b", "c"))), nil, false},
 	} {

@@ -218,7 +218,8 @@ func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
 // TestOnlyTheMandatoryPatternFilters: the planner has the joins of a query's
 // mandatory pattern filter their right input where it can
 // (JoinEmbeddings.FilterRight), and the joins of an OPTIONAL MATCH group none:
-// the same triangle takes a key set as the pattern and none as the group.
+// the same triangle takes a key set as the pattern and none as the group. A
+// join over a path whose far end it joins on hands the expansion an end set.
 func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 	// Eight persons who know the next three on a ring: a two-path is
 	// expected to be larger than an edge, so it is a closing join's right
@@ -260,5 +261,19 @@ func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 	}
 	if _, n := targets(qp); n != 1 {
 		t.Fatalf("the group's triangle has no join that could take a key set\n%s", qp.Explain())
+	}
+	// A path whose far end is the join variable takes the set too. An
+	// OPTIONAL MATCH group holds no variable-length path (the parser refuses
+	// one), so no group has an expansion to hand a set to.
+	qp = plan(t, g, `MATCH (a)-[:knows]->(b:Person), (c:Person)-[:knows*1..2]->(b) WHERE a.n = 1 RETURN *`)
+	if _, n := targets(qp); n != 1 {
+		t.Fatalf("the join over the path takes no key set\n%s", qp.Explain())
+	}
+	for _, n := range qp.Nodes() {
+		if j, ok := n.Op.(*operators.JoinEmbeddings); ok && j.Target() != nil {
+			if _, ok := j.Target().(*operators.ExpandEmbeddings); !ok || !j.EndSet() {
+				t.Fatalf("the join over the path hands its set to %s, end set %v\n%s", j.Target().Description(), j.EndSet(), qp.Explain())
+			}
+		}
 	}
 }
