@@ -212,8 +212,13 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 // function that keeps few would be copied down to its length; grown as
 // emitted, it would be copied up to it. count is a size, not a filter - the
 // function still decides what it writes - and it may be called from several
-// attempts at once.
+// attempts at once. A nil count passes every element: the output is allocated
+// at the input length without a counting pass, as FlatMapWith's with one
+// output per element.
 func FlatMapCounted[T, U any](d *Dataset[T], count func(T) bool, newF func(*Lane) func(T, func(U))) *Dataset[U] {
+	if count == nil {
+		return flatMapWith(d, newF, 1, nil)
+	}
 	return flatMapWith(d, newF, 0, count)
 }
 

@@ -114,6 +114,15 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 	qe := r.edge(op.Edge)
 	filters := r.filters[op]
 	defer noteDropped(r, op, filters)
+	// An end set is the one kind with no columns: its key is a path's far end.
+	var seeds, ends []*keyFilter
+	for _, f := range filters {
+		if len(f.cols) == 0 {
+			ends = append(ends, f)
+		} else {
+			seeds = append(seeds, f)
+		}
+	}
 
 	// Select the relevant edges. They are loop-invariant: shuffled and hashed
 	// once, here, and only probed by every hop.
@@ -138,19 +147,23 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
 
-	// An input row whose key is not in a seed set starts no path.
+	// An input row whose key is not in a seed set starts no path; without
+	// one, every row does.
 	startCol := op.startCol
-	working := dataflow.FlatMapCounted(in,
-		func(e embedding.Embedding) bool { return keepsRow(filters, false, e, 0, false) },
+	var seeded func(embedding.Embedding) bool
+	if len(seeds) > 0 {
+		seeded = func(e embedding.Embedding) bool { return miss(seeds, e, e) == nil }
+	}
+	working := dataflow.FlatMapCounted(in, seeded,
 		func(*dataflow.Lane) func(embedding.Embedding, func(pathState)) {
 			return func(e embedding.Embedding, emit func(pathState)) {
-				if keepsRow(filters, false, e, 0, true) {
+				if keeps(seeds, e, e) {
 					emit(pathState{base: e, end: e.ID(startCol)})
 				}
 			}
 		})
 
-	finalize := op.finalizer(filters)
+	finalize := op.finalizer(ends)
 	var zeroHops *dataflow.Dataset[embedding.Embedding]
 	if qe.MinHops == 0 {
 		zeroHops = finalize(working)
@@ -183,28 +196,16 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 		})
 }
 
-// keepsRow reports whether the key of e - an input row, or the far end of
-// its path if end - is in every set of filters of that kind. If tally, it
-// counts a row it drops where that is traced.
-func keepsRow(filters []*keyFilter, end bool, e embedding.Embedding, far epgm.ID, tally bool) bool {
-	for _, f := range filters {
-		if f.end == end && !f.set.Has(f.rowKey(e, far)) {
-			if tally {
-				f.drop()
-			}
-			return false
+// missEnd returns the first of the end sets ends a path's far end is not in,
+// or nil.
+func missEnd(ends []*keyFilter, far epgm.ID) *keyFilter {
+	k := mixKey(keySeed, far)
+	for _, f := range ends {
+		if !f.set.Has(k) {
+			return f
 		}
 	}
-	return true
-}
-
-// rowKey is the key an expansion tests against f: of its input row e at f's
-// columns, or of the path's far end.
-func (f *keyFilter) rowKey(e embedding.Embedding, far epgm.ID) uint64 {
-	if f.end {
-		return mixKey(keySeed, far)
-	}
-	return f.key(e, e)
+	return nil
 }
 
 // hopAllowed prunes extensions that can never satisfy the morphism
@@ -242,13 +243,15 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 }
 
 // finalizer returns what turns path states of an admissible length into
-// result embeddings in a run whose key sets at the expansion are filters. It
+// result embeddings in a run whose end sets at the expansion are ends. It
 // applies the full morphism check - to the state, before a row is written,
 // since the row carries only what the rest of the query reads - and drops a
-// state whose far end is not in an end set. Every partition counts the states
-// that end where they may first - on the bound vertex of a closing expansion,
-// in every end set - and writes no more rows than that.
-func (op *ExpandEmbeddings) finalizer(filters []*keyFilter) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
+// state whose far end is not in an end set. Where a state may end elsewhere -
+// off the bound vertex of a closing expansion, outside an end set - every
+// partition counts the states that end where they may first and writes no
+// more rows than that; an open expansion without an end set writes a row of
+// nearly every state (hopAllowed pruned the rest).
+func (op *ExpandEmbeddings) finalizer(ends []*keyFilter) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
 	inMeta := op.In.Meta()
 	morph, keep := op.Morph, op.keep
 	bindTarget := op.bindTarget
@@ -257,14 +260,23 @@ func (op *ExpandEmbeddings) finalizer(filters []*keyFilter) func(*dataflow.Datas
 		endCol, _ = inMeta.Column(op.endVar)
 	}
 	reverse := op.Reverse
-	count := func(s pathState) bool {
-		return (!bindTarget || s.base.ID(endCol) == s.end) && keepsRow(filters, true, s.base, s.end, false)
+	var count func(pathState) bool
+	if bindTarget || len(ends) > 0 {
+		count = func(s pathState) bool {
+			return (!bindTarget || s.base.ID(endCol) == s.end) && missEnd(ends, s.end) == nil
+		}
 	}
 	newF := func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		return func(s pathState, emit func(embedding.Embedding)) {
-			if bindTarget && s.base.ID(endCol) != s.end || !keepsRow(filters, true, s.base, s.end, true) ||
-				!sc.validState(s, inMeta, !bindTarget, morph) {
+			if bindTarget && s.base.ID(endCol) != s.end {
+				return
+			}
+			if f := missEnd(ends, s.end); f != nil {
+				f.drop()
+				return
+			}
+			if !sc.validState(s, inMeta, !bindTarget, morph) {
 				return
 			}
 			via := s.via

@@ -110,12 +110,11 @@ type JoinEmbeddings struct {
 	// run hands this join's left keys to; nil if the join filters nothing.
 	// setCols are the left columns the keys are hashed from and targetCols
 	// where the target holds them, in the same order: in a pair of a join or
-	// in an expansion's input row. endSet says the target is an expansion
-	// that tests its paths' far end against the set instead.
+	// in an expansion's input row. A target with no columns is an expansion
+	// that tests its paths' far end against the set instead (an end set).
 	target     Operator
 	setCols    []int
 	targetCols []pairCol
-	endSet     bool
 }
 
 // pairCol is where a pair of rows of a join holds one identifier: a column of
@@ -193,7 +192,7 @@ func (op *JoinEmbeddings) FilterRight() {
 				node = n.In
 				continue
 			case 0:
-				op.target, op.setCols, op.endSet = n, op.leftCols, true
+				op.target, op.setCols = n, op.leftCols
 				return
 			}
 			op.target = n
@@ -213,16 +212,15 @@ func (op *JoinEmbeddings) Target() Operator { return op.target }
 
 // EndSet reports whether the target is an expansion that tests its paths'
 // far end, not its input rows.
-func (op *JoinEmbeddings) EndSet() bool { return op.endSet }
+func (op *JoinEmbeddings) EndSet() bool { return op.target != nil && len(op.targetCols) == 0 }
 
 // keyFilter is a key set at its target in a run: the left keys of a join
 // above it, where the target holds them - in a pair of a join, in an input row
-// of an expansion or, if end, as a path's far end - and, in a traced run, a
-// count of what it dropped.
+// of an expansion or, with no columns, as a path's far end - and, in a traced
+// run, a count of what it dropped.
 type keyFilter struct {
 	set     *dataflow.KeySet
 	cols    []pairCol
-	end     bool
 	dropped *atomic.Int64
 }
 
@@ -250,13 +248,22 @@ func (f *keyFilter) key(l, r embedding.Embedding) uint64 {
 // keeps reports whether the key of the pair l, r is in every set of filters,
 // and counts a pair that is not where it is traced.
 func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
-	for _, f := range filters {
-		if !f.set.Has(f.key(l, r)) {
-			f.drop()
-			return false
-		}
+	if f := miss(filters, l, r); f != nil {
+		f.drop()
+		return false
 	}
 	return true
+}
+
+// miss returns the first of filters the key of the pair l, r is not in, or
+// nil.
+func miss(filters []*keyFilter, l, r embedding.Embedding) *keyFilter {
+	for _, f := range filters {
+		if !f.set.Has(f.key(l, r)) {
+			return f
+		}
+	}
+	return nil
 }
 
 // filtered evaluates the right input of a join that has a target with the key
@@ -264,7 +271,7 @@ func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
 // runs.
 func (op *JoinEmbeddings) filtered(r *Run, left *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	sc := op.setCols
-	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, sc) }), cols: op.targetCols, end: op.endSet}
+	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, sc) }), cols: op.targetCols}
 	if c := r.env.Tracer(); c != nil {
 		c.Note(op, fmt.Sprintf("sip n=%d", f.set.Len()))
 		f.dropped = new(atomic.Int64)
