@@ -26,7 +26,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs cypherlint (the in-tree go/analysis suite enforcing the engine's
-# concurrency, telemetry and wire invariants; see internal/lint) over the
+# concurrency, cancellation and telemetry invariants; see internal/lint) over the
 # module, both standalone and as a vet tool so test files are covered too,
 # then staticcheck and govulncheck when they are on PATH. The standalone pass
 # prints per-analyzer wall time and finding counts (-stats) so a slow or

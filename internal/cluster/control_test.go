@@ -3,10 +3,10 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -21,6 +21,7 @@ import (
 	"gradoop/internal/ldbc"
 	"gradoop/internal/session"
 	"gradoop/internal/stats"
+	"gradoop/internal/trace"
 )
 
 // tinyGraph is a small LDBC graph, generated over four partitions.
@@ -284,10 +285,11 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 	}
 }
 
-// corruptingProxy relays connections to the worker at addr, with the body of
-// every job frame replaced by "{", which is no JSON. Its cleanup closes what it
-// relays: a link a worker dialled through it lives as long as that worker.
-func corruptingProxy(t *testing.T, addr string) string {
+// relay relays connections to the worker at addr a frame at a time, each frame
+// as edit returns it; toWorker says which way the frame goes. Its cleanup
+// closes what it relays: a link a worker dialled through it lives as long as
+// that worker.
+func relay(t *testing.T, addr string, edit func(toWorker bool, typ byte, payload []byte) (byte, []byte)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -305,6 +307,21 @@ func corruptingProxy(t *testing.T, addr string) string {
 		mu.Unlock()
 		wg.Wait()
 	})
+	pump := func(dst, src net.Conn, toWorker bool) {
+		defer wg.Done()
+		defer dst.Close()
+		br := bufio.NewReader(src)
+		for {
+			typ, payload, err := readFrame(br, nil)
+			if err != nil {
+				return
+			}
+			typ, payload = edit(toWorker, typ, payload)
+			if err := writeFrame(dst, typ, payload); err != nil {
+				return
+			}
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -322,55 +339,70 @@ func corruptingProxy(t *testing.T, addr string) string {
 			relayed = append(relayed, in, out)
 			mu.Unlock()
 			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				defer in.Close()
-				io.Copy(in, out)
-			}()
-			go func() {
-				defer wg.Done()
-				defer out.Close()
-				br := bufio.NewReader(in)
-				for {
-					typ, payload, err := readFrame(br, nil)
-					if err != nil {
-						return
-					}
-					if typ == frameJob {
-						payload = []byte("{")
-					}
-					if err := writeFrame(out, typ, payload); err != nil {
-						return
-					}
-				}
-			}()
+			go pump(out, in, true)
+			go pump(in, out, false)
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// TestUndecodableControlFrameDropsTheConnection: a job frame the worker cannot
-// decode closes its control connection - no done report would ever come, and
-// the pongs would keep the member alive - so the coordinator sees a lost
-// member: it recovers on the survivors, and with none left it returns an
+// corruptingProxy relays connections to the worker at addr, with the body of
+// every job frame replaced by "{", which is no JSON.
+func corruptingProxy(t *testing.T, addr string) string {
+	return relay(t, addr, func(toWorker bool, typ byte, payload []byte) (byte, []byte) {
+		if toWorker && typ == frameJob {
+			payload = []byte("{")
+		}
+		return typ, payload
+	})
+}
+
+// retypingProxy relays connections to the worker at addr, with every result
+// frame the worker sends re-typed as a ping, which no coordinator reads.
+func retypingProxy(t *testing.T, addr string) string {
+	return relay(t, addr, func(toWorker bool, typ byte, payload []byte) (byte, []byte) {
+		if !toWorker && typ == frameResult {
+			typ = framePing
+		}
+		return typ, payload
+	})
+}
+
+// TestUndecodableControlFrameDropsTheConnection: a control frame the worker
+// cannot decode, or one of a type its read loop does not take, closes its
+// control connection - no done report would ever come, and the pongs would
+// keep the member alive. A frame the coordinator cannot decode or does not
+// take from a worker is that member's loss. Either way the coordinator sees a
+// lost member: it recovers on the survivors, and with none left it returns an
 // error. It never waits.
 func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 	g := tinyGraph()
 	data := session.NewGraphData(g)
 	_, addr := serveWorker(t, "w0", data)
 
-	ctrl := dialControl(t, addr)
-	ctrl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(ctrl.conn, frameJob, []byte("{")); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, _, err := readFrame(ctrl.br, nil); err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatal("the worker kept the control connection of an undecodable job frame open")
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"undecodable job", frameJob, []byte("{")},
+		{"unread type", framePong, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl := dialControl(t, addr)
+			ctrl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if err := writeFrame(ctrl.conn, tc.typ, tc.payload); err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
+			for {
+				if _, _, err := readFrame(ctrl.br, nil); err != nil {
+					if errors.Is(err, os.ErrDeadlineExceeded) {
+						t.Fatal("the worker kept the control connection open")
+					}
+					break
+				}
+			}
+		})
 	}
 
 	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
@@ -384,6 +416,8 @@ func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 	}{
 		{"survivor", []string{corruptingProxy(t, addr), survivor}},
 		{"none left", []string{corruptingProxy(t, addr)}},
+		{"unread type, survivor", []string{retypingProxy(t, addr), survivor}},
+		{"unread type, none left", []string{retypingProxy(t, addr)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, err := NewCoordinator(tc.addrs, Options{Workers: 4})
@@ -404,14 +438,101 @@ func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 			select {
 			case o = <-ch:
 			case <-time.After(10 * time.Second):
-				t.Fatal("the job of an undecodable job frame hangs")
+				t.Fatal("the job hangs")
 			}
 			switch {
 			case len(tc.addrs) > 1 && (o.err != nil || !o.rep.Recovered):
 				t.Fatalf("want a recovery on the survivor, got %+v, %v", o.rep, o.err)
 			case len(tc.addrs) == 1 && o.err == nil:
 				t.Fatal("want an error with no worker left")
+			case coord.LiveWorkers() != len(tc.addrs)-1:
+				t.Fatalf("%d of %d members alive, want one lost", coord.LiveWorkers(), len(tc.addrs))
 			}
 		})
+	}
+}
+
+// TestEveryFrameTypeCrosses: every frame type the protocol declares is sent by
+// the code that speaks it, across a socket. Two workers, each behind a relay
+// that records the type of every frame it passes, run a traced job (hello,
+// welcome, stats, job, data, result, telemetry, done) and a job whose context
+// is cancelled (abort), refuse a hello from another build (reject) and answer
+// the heartbeat (ping, pong). A type no code sends is dead protocol; one its
+// receiver does not take costs a member.
+func TestEveryFrameTypeCrosses(t *testing.T) {
+	g := tinyGraph()
+	data := session.NewGraphData(g)
+	var mu sync.Mutex
+	var crossed [256]bool
+	var held chan struct{} // while set, a job frame waits for it to close
+	record := func(_ bool, typ byte, payload []byte) (byte, []byte) {
+		mu.Lock()
+		crossed[typ] = true
+		gate := held
+		mu.Unlock()
+		if typ == frameJob && gate != nil {
+			<-gate
+		}
+		return typ, payload
+	}
+	var addrs []string
+	for _, node := range []string{"w0", "w1"} {
+		_, addr := serveWorker(t, node, data)
+		addrs = append(addrs, relay(t, addr, record))
+	}
+	coord, err := NewCoordinator(addrs, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coord.ExecuteRemote(g, prep, core.Config{Trace: trace.NewCollector()}); err != nil {
+		t.Fatal(err)
+	}
+	// The job of a cancelled context is held from the workers until the
+	// coordinator has given up on it, so its abort always follows it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gate := make(chan struct{})
+	mu.Lock()
+	held = gate
+	mu.Unlock()
+	_, _, err = coord.ExecuteRemote(g, prep, core.Config{Context: ctx})
+	mu.Lock()
+	held = nil
+	mu.Unlock()
+	close(gate)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled job returned %v", err)
+	}
+	if _, _, _, err := dialHello(addrs[0], hello{Magic: protoMagic, Version: protoVersion + 1, Role: roleControl}); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("a hello from another build: %v", err)
+	}
+	missing := func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []byte
+		for typ := frameHello; typ < frameTypes; typ++ {
+			if !crossed[typ] {
+				out = append(out, typ)
+			}
+		}
+		return out
+	}
+	deadline := time.Now().Add(4 * heartbeatInterval)
+	for len(missing()) > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if m := missing(); len(m) > 0 {
+		t.Fatalf("frame types %v never crossed", m)
+	}
+	// A read loop drops the connection of a type it does not take: one more
+	// round of the heartbeat, and a frame that crossed unread has cost a member.
+	time.Sleep(heartbeatInterval)
+	if n := coord.LiveWorkers(); n != len(addrs) {
+		t.Fatalf("%d of %d members alive: a frame that crossed was not read", n, len(addrs))
 	}
 }

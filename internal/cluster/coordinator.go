@@ -236,8 +236,9 @@ func (m *member) markPong() {
 
 // readMember is the control connection's read loop: results and terminal
 // reports route to the attempt they belong to, pongs feed the heartbeat and
-// registry bundles the federated /metrics. A read error, or a result or done
-// report that does not decode, is the definitive death signal for the member.
+// registry bundles the federated /metrics. A read error, a result or done
+// report that does not decode, or a frame of a type a worker does not send
+// here is the definitive death signal for the member.
 func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 	for {
 		typ, payload, err := readFrame(br, nil)
@@ -302,6 +303,9 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			} else if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
 				st.deliverTelemetry(m.idx, bundle)
 			}
+		default:
+			c.memberDown(m, fmt.Errorf("cluster: a frame of type %d on a control connection", typ))
+			return
 		}
 	}
 }

@@ -70,28 +70,32 @@ const (
 
 // Frame types. Control payloads (hello, job, stats, abort) are JSON inside
 // the binary framing — they are rare and small; what a worker sends about an
-// attempt (result, done, telemetry) and the hot path (data) are binary.
+// attempt (result, done, telemetry) and the hot path (data) are binary. Every
+// read loop refuses a type it does not handle by dropping the connection, and
+// TestEveryFrameTypeCrosses sends each type below frameTypes over a socket.
 const (
-	frameHello   = byte(1)  // connection opener, both roles
-	frameWelcome = byte(2)  // handshake accept
-	frameReject  = byte(3)  // handshake refusal, then close
-	frameJob     = byte(4)  // coordinator -> worker: run this job
-	frameJobDone = byte(5)  // worker -> coordinator: job finished (ok or not)
-	frameResult  = byte(6)  // worker -> coordinator: an attempt's rows, its owned partitions
-	frameAbort   = byte(7)  // coordinator -> worker: stop an attempt
-	framePing    = byte(8)  // coordinator -> worker liveness probe
-	framePong    = byte(9)  // worker -> coordinator liveness answer
-	frameData    = byte(10) // worker <-> worker: one collective's buckets
+	frameHello   byte = iota + 1 // 1: connection opener, both roles
+	frameWelcome                 // 2: handshake accept
+	frameReject                  // 3: handshake refusal, then close
+	frameJob                     // 4: coordinator -> worker: run this job
+	frameJobDone                 // 5: worker -> coordinator: job finished (ok or not)
+	frameResult                  // 6: worker -> coordinator: an attempt's rows, its owned partitions
+	frameAbort                   // 7: coordinator -> worker: stop an attempt
+	framePing                    // 8: coordinator -> worker liveness probe
+	framePong                    // 9: worker -> coordinator liveness answer
+	frameData                    // 10: worker <-> worker: one collective's buckets
 	// frameTelemetry ships a telemetry bundle: a traced attempt's spans, sent
 	// on the control connection immediately before the attempt's
 	// frameJobDone, so a done report is the guarantee that the bundle - if
 	// the worker ships one - has already arrived; or the worker's registry
 	// snapshot, headed by job 0, sent once a connection is up and then ahead
 	// of the pong to a ping when a job has finished since the last one.
-	frameTelemetry = byte(11)
+	frameTelemetry // 11
 	// frameStats ships a statistics snapshot (statsMsg) on a control
 	// connection, ahead of the first job frame that names it.
-	frameStats = byte(12)
+	frameStats // 12
+	// frameTypes is one past the last frame type; a new type goes above it.
+	frameTypes
 )
 
 // Exchange kinds inside a data frame.
@@ -413,10 +417,9 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 // directions; frameWriter takes the checksum on the way out and checkedBody
 // holds the body to it on the way in.
 
-// sealedFrames marks the checksummed frame types. A table rather than
-// comparisons, because cypherlint's wiresym takes a comparison with a frame
-// type for a reader of it: the one reader of a sealed frame is the read loop
-// that handles it, and without it the type is reported unread.
+// sealedFrames marks the checksummed frame types. Marking a type is not
+// reading it: the read loop that takes a sealed frame still needs a case for
+// it, and without one it drops the connection.
 var sealedFrames = [256]bool{frameData: true, frameResult: true, frameJobDone: true, frameTelemetry: true}
 
 // sealed reports whether a frame type is a checksummed one.

@@ -557,12 +557,12 @@ func (c stallConn) Write(p []byte) (int, error) {
 // was up. When the connection drops every attempt it claimed and is still
 // running fails - an orphaned worker must not keep executing for a
 // coordinator that cannot hear the answer. A job or abort frame that does not
-// decode drops the connection too: the coordinator would wait for a done
-// report that never comes, and the pongs would keep telling it the worker is
-// alive. A finished attempt has left w.jobs, so the connection keeps nothing
-// per job: it keeps one statistics snapshot, the last it delivered, and a job
-// takes it when its frame is read, in the order the frames came (DESIGN
-// decision 36).
+// decode, or a frame of a type the coordinator does not send here, drops the
+// connection too: the coordinator would wait for a done report that never
+// comes, and the pongs would keep telling it the worker is alive. A finished
+// attempt has left w.jobs, so the connection keeps nothing per job: it keeps
+// one statistics snapshot, the last it delivered, and a job takes it when its
+// frame is read, in the order the frames came (DESIGN decision 36).
 func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	send := newSender(conn)
 	defer send.abort()
@@ -622,6 +622,9 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 			if rt != nil {
 				rt.fail(errAborted)
 			}
+		default:
+			w.undecodable(fmt.Sprintf("type %d", typ), errors.New("cluster: not a control frame"))
+			return
 		}
 	}
 }

@@ -29,9 +29,7 @@ const headSize = 4 + prefixSize
 func (e Embedding) head() *[headSize]byte { return (*[headSize]byte)(unsafe.Pointer(e.p)) }
 
 // rowBytes returns the wire row at p whole, length word included, clipped to
-// its own length; p must not be nil. It takes the pointer, not the Embedding,
-// so that AppendWire names the field it ships: the wiresym analyzer pairs
-// that read with DecodeWireInto's write.
+// its own length; p must not be nil.
 func rowBytes(p *byte) []byte {
 	return unsafe.Slice(p, 4+int(binary.BigEndian.Uint32((*[4]byte)(unsafe.Pointer(p))[:])))
 }

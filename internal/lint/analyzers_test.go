@@ -22,8 +22,6 @@ func TestAnalyzers(t *testing.T) {
 		{lint.ObsRegisterAnalyzer, "obsregister", ""},
 		{lint.LockOrderAnalyzer, "lockorder", ""},
 		{lint.GoLeakAnalyzer, "goleak", ""},
-		{lint.WireSymAnalyzer, "wiresym", "gradoop/internal/embedding"},
-		{lint.WireSymAnalyzer, "wiresymframe", "gradoop/internal/cluster"},
 		{lint.CloseOnErrAnalyzer, "closeonerr", ""},
 	}
 	for _, tc := range cases {

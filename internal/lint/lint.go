@@ -28,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		ObsRegisterAnalyzer,
 		LockOrderAnalyzer,
 		GoLeakAnalyzer,
-		WireSymAnalyzer,
 		CloseOnErrAnalyzer,
 	}
 }

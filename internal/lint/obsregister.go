@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"gradoop/internal/lint/analysis"
 )
@@ -20,16 +21,6 @@ var ObsRegisterAnalyzer = &analysis.Analyzer{
 	Name: "obsregister",
 	Doc:  "flags obs instrument construction inside function literals or request handlers",
 	Run:  runObsRegister,
-}
-
-// instrumentCtors are the Registry methods that register a new instrument.
-var instrumentCtors = map[string]bool{
-	"NewCounter":      true,
-	"NewGaugeFunc":    true,
-	"NewCounterVec":   true,
-	"NewCounterVec2":  true,
-	"NewHistogram":    true,
-	"NewHistogramVec": true,
 }
 
 func runObsRegister(pass *analysis.Pass) (any, error) {
@@ -57,7 +48,8 @@ func walkObsCtors(pass *analysis.Pass, n ast.Node, inHandler, inLit bool) {
 			return false
 		case *ast.CallExpr:
 			fn := calleeOf(pass.TypesInfo, e)
-			if fn == nil || !instrumentCtors[fn.Name()] || !isMethod(fn, obsPath, "Registry", fn.Name()) {
+			// Every Registry method named New* registers an instrument.
+			if fn == nil || !strings.HasPrefix(fn.Name(), "New") || !isMethod(fn, obsPath, "Registry", fn.Name()) {
 				return true
 			}
 			switch {

@@ -64,6 +64,13 @@ func ctorInNestedLit(r *obs.Registry) func() {
 	}
 }
 
+// counterFuncInLit registers a callback counter per call of the literal.
+func counterFuncInLit(r *obs.Registry, each func(func(int))) {
+	each(func(int) {
+		r.NewCounterFunc("callbacks_total", "callbacks", func() float64 { return 0 }) // want `obs instrument NewCounterFunc created inside a function literal`
+	})
+}
+
 // handler is an http.HandlerFunc-shaped function constructing per request.
 func handler(r *obs.Registry) http.HandlerFunc {
 	reg := r
@@ -84,6 +91,11 @@ type server struct {
 func (s *server) handleHits(w http.ResponseWriter, r *http.Request) {
 	c := s.registry.NewCounter("hits_total", "hits") // want `obs instrument NewCounter created inside a request handler`
 	c.Inc()
+}
+
+// handleCounterFunc registers a callback counter per request.
+func (s *server) handleCounterFunc(w http.ResponseWriter, r *http.Request) {
+	s.registry.NewCounterFunc("served_total", "served", func() float64 { return 0 }) // want `obs instrument NewCounterFunc created inside a request handler`
 }
 
 // handleClean records into a captured instrument — the sanctioned handler

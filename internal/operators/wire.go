@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 )
@@ -11,7 +12,13 @@ import (
 // The operator layer's two internal join-record types cross shuffles inside
 // variable-length expansion, so in a distributed job they cross processes:
 // both implement dataflow.Wire, the codec the remote exchange resolves once
-// per element type.
+// per element type. A codec missing a method does not compile; one whose two
+// directions disagree on field order fails TestBucketRoundTrip.
+var (
+	_ dataflow.Wire[embedding.Embedding] = (*embedding.Embedding)(nil)
+	_ dataflow.Wire[edgeTriple]          = (*edgeTriple)(nil)
+	_ dataflow.Wire[pathState]           = (*pathState)(nil)
+)
 
 func (edgeTriple) WireSize() int { return 24 }
 
