@@ -7,6 +7,7 @@
 package conformance
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -79,6 +80,9 @@ type outcome struct {
 	rows []string
 	err  string
 	job  *dataflow.MetricsSnapshot
+	// seedCPU is the plans mode's: the least and the most CPU its seeded
+	// plans charged.
+	seedCPU [2]int64
 }
 
 // table renders library rows as JSON arrays, cell by cell as a body does.
@@ -242,6 +246,33 @@ func judge(m *mode, got, want outcome, twin *outcome) string {
 	return ""
 }
 
+// worklist logs the ten cases whose greedy plan, as indexed/4 runs it,
+// charges the most CPU over the cheapest of the plans mode's seeded plans on
+// the same deployment - a join order or expansion direction the estimates
+// miss - with the dearest seed's.
+func worklist(t *testing.T, all []*kase, greedy, seeded []outcome) {
+	if greedy == nil || seeded == nil {
+		return
+	}
+	type entry struct {
+		ratio               float64
+		greedy, best, worst int64
+		c                   *kase
+	}
+	var es []entry
+	for i, c := range all {
+		if g, s := greedy[i].job, seeded[i].seedCPU; g != nil && s[0] > 0 {
+			es = append(es, entry{float64(g.TotalCPU) / float64(s[0]), g.TotalCPU, s[0], s[1], c})
+		}
+	}
+	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(b.ratio, a.ratio) })
+	var lines []string
+	for _, e := range es[:min(10, len(es))] {
+		lines = append(lines, fmt.Sprintf("%.2fx: greedy %d, seeds %d-%d  %s %s", e.ratio, e.greedy, e.best, e.worst, e.c.name, strings.Join(strings.Fields(e.c.query), " ")))
+	}
+	t.Logf("the %d cases whose greedy plan charges the most CPU over the cheapest seeded plan:\n%s", len(lines), strings.Join(lines, "\n"))
+}
+
 func charges(job *dataflow.MetricsSnapshot) [2]int64 {
 	if job == nil {
 		return [2]int64{-1, -1}
@@ -350,6 +381,7 @@ func TestConformance(t *testing.T) {
 		})
 	}
 	t.Logf("%d modes x %d cases = %d runs", judged, len(all), judged*len(all))
+	worklist(t, all, outcomes["indexed/4"], outcomes["plans/4"])
 	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set",
 		filtering, byKind["join"], byKind["seed"], byKind["end"])
 	t.Logf("%d cases the reference cannot evaluate, held to the anchor:\n%s", len(anchorOnly), strings.Join(anchorOnly, "\n"))

@@ -25,6 +25,7 @@ import (
 	"gradoop/internal/qstore"
 	"gradoop/internal/server"
 	"gradoop/internal/session"
+	"gradoop/internal/stats"
 	"gradoop/internal/trace"
 )
 
@@ -64,6 +65,7 @@ var modes = []mode{
 	{name: "probe-always/4", run: probing(always, engine{partitions: 4, indexed: true}.run)},
 	{name: "probe-always/16", run: probing(always, engine{partitions: 16, indexed: true}.run)},
 	{name: "plans/4", run: planned(8, engine{partitions: 4, indexed: true}.run)},
+	{name: "flat-stats/4", run: engine{partitions: 4, indexed: true, flat: true}.run},
 	{name: "api/4", run: library, twin: "engine/4"},
 	{name: "graphs/4", run: graphs, bindings: true},
 	{name: "session/1", run: served{partitions: 1}.run},
@@ -116,11 +118,13 @@ var choose func(n int) int
 // planned runs a case k times, each under a plan of its own that a seeded
 // chooser picks step by step, and answers with the first run's outcome if all
 // k agree as bags - the judge holds that one to the expected rows - or else
-// with an error naming the seed that disagrees.
+// with an error naming the seed that disagrees. The outcome carries the least
+// and the most CPU the seeds' runs charged.
 func planned(k int, run func(c *kase) outcome) func(c *kase) outcome {
 	return func(c *kase) outcome {
 		defer func() { choose = nil }()
 		var first outcome
+		var cpu []int64
 		for seed := range k {
 			choose = rand.New(rand.NewPCG(uint64(seed), 2017)).IntN
 			o := run(c)
@@ -129,6 +133,12 @@ func planned(k int, run func(c *kase) outcome) func(c *kase) outcome {
 			} else if o.err != first.err || !slices.Equal(o.bag(), first.bag()) {
 				return outcome{err: fmt.Sprintf("plan seed %d: %d rows, error %q; seed 0: %d rows, error %q", seed, len(o.rows), o.err, len(first.rows), first.err)}
 			}
+			if o.job != nil {
+				cpu = append(cpu, o.job.TotalCPU)
+			}
+		}
+		if len(cpu) > 0 {
+			first.seedCPU = [2]int64{slices.Min(cpu), slices.Max(cpu)}
 		}
 		return first
 	}
@@ -151,6 +161,7 @@ func probing(scale float64, run func(c *kase) outcome) func(c *kase) outcome {
 type engine struct {
 	partitions int
 	indexed    bool // leaves read the label index, as a session's do
+	flat       bool // the planner knows the counts of elements and labels and no more (flatStats)
 	noReuse    bool // a recurring leaf is planned once per occurrence
 	traced     bool
 	// faults plans the kills for a job that ran clean in stages stages.
@@ -167,7 +178,11 @@ func (e engine) run(c *kase) outcome {
 
 func (e engine) once(c *kase, plan *dataflow.FaultPlan) outcome {
 	g := c.f.graph(e.partitions)
-	cfg := core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: c.f.stats, DisableSubqueryReuse: e.noReuse}
+	st := c.f.stats
+	if e.flat {
+		st = flatStats(st)
+	}
+	cfg := core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: st, DisableSubqueryReuse: e.noReuse}
 	if e.indexed {
 		cfg.Access = planner.IndexedAccess{Index: epgm.BuildIndex(g)}
 	}
@@ -191,6 +206,14 @@ func (e engine) once(c *kase, plan *dataflow.FaultPlan) outcome {
 	job := g.Env().Metrics()
 	o.job = &job
 	return o
+}
+
+// flatStats keeps of st the counts of vertices, edges and each label: no
+// distinct counts of ids or property values, so every estimate past a leaf's
+// label count is a default - the plan a bad estimate produces.
+func flatStats(st *stats.GraphStatistics) *stats.GraphStatistics {
+	return &stats.GraphStatistics{VertexCount: st.VertexCount, EdgeCount: st.EdgeCount,
+		VertexCountByLabel: st.VertexCountByLabel, EdgeCountByLabel: st.EdgeCountByLabel}
 }
 
 // killEveryStage kills partition 0 of every stage once.

@@ -9,6 +9,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -142,11 +143,15 @@ func (p *QueryPlan) Nodes() []PlanNode {
 }
 
 // partial is one in-progress sub-plan during greedy enumeration: its
-// operator, its estimated cardinality and the variables its rows bind.
+// operator, its estimated cardinality, the variables its rows bind and where
+// the query states the first of its leaves - 3e for the source of edge e, 3e+1
+// for its target and 3e+2 for the edge, but for a vertex an earlier edge
+// names, and then the vertices no edge names, in their order.
 type partial struct {
-	op   operators.Operator
-	card float64
-	vars varSet
+	op    operators.Operator
+	card  float64
+	vars  varSet
+	first int
 }
 
 // evaluable splits predicates into those the partial's rows can be filtered
@@ -172,22 +177,17 @@ func (p *partial) evaluable(lv *liveness, preds []cypher.Expr) (usable, rest []c
 }
 
 // planning is the planning of one query: the planner, the query's liveness
-// index, the estimates recorded so far and the WHERE conjuncts no operator
-// applies yet.
+// index, the estimates recorded so far, the WHERE conjuncts no operator
+// applies yet, the chooser that picks each step and the slice the steps'
+// candidates are listed in.
 type planning struct {
 	*Planner
 	qg      *cypher.QueryGraph
 	lv      *liveness
 	est     map[operators.Operator]float64
 	pending []cypher.Expr
-}
-
-func (pl *Planner) start(qg *cypher.QueryGraph, graphs bool) (*planning, error) {
-	if len(qg.Vertices) == 0 {
-		return nil, fmt.Errorf("planner: query graph has no vertices")
-	}
-	return &planning{Planner: pl, qg: qg, lv: newLiveness(qg, pl.Morph, graphs), est: map[operators.Operator]float64{},
-		pending: append([]cypher.Expr(nil), qg.Global...)}, nil
+	pick    chooser
+	cands   []candidate
 }
 
 // filter puts the pending predicates p's rows can be filtered by on p, in a
@@ -204,73 +204,36 @@ func (pn *planning) filter(p *partial) int {
 // Plan builds a physical plan for the query graph, which Execute runs over
 // access. Its rows carry what the RETURN clause reads.
 func (pl *Planner) Plan(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
-	return pl.plan(access, qg, false)
+	return pl.plan(access, qg, false, greedy)
 }
 
 // PlanGraphs is Plan for the graph collection of Definition 2.4: its rows
 // carry every binding of a match, anonymous variables included.
 func (pl *Planner) PlanGraphs(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
-	return pl.plan(access, qg, true)
+	return pl.plan(access, qg, true, greedy)
 }
 
-func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool) (*QueryPlan, error) {
-	pn, err := pl.start(qg, graphs)
-	if err != nil {
-		return nil, err
-	}
-	lv, est := pn.lv, pn.est
+// PlanLeftDeep builds a plan without cost-based reordering: the query's
+// leaves are joined left-deep in the order it states them (leftDeep). It
+// exists as the ablation baseline for the greedy planner. Everything but the
+// choice of each step - leaves, reuse, predicate placement, the columns a row
+// carries, key sets and the groups - is Plan's, so the difference between the
+// two is exactly the benefit of §3.2's statistics-driven join ordering.
+func (pl *Planner) PlanLeftDeep(access GraphAccess, qg *cypher.QueryGraph) (*QueryPlan, error) {
+	return pl.plan(access, qg, false, leftDeep)
+}
 
-	// Leaf plans: one per query vertex and one per simple query edge.
-	// Structurally identical leaves share one cached operator behind
-	// aliases unless reuse is disabled: the first leaf of a signature is
-	// wrapped in a Cached, every later one is an Alias of that which renames
-	// the first one's variables, column by column, to its own.
-	type canonicalLeaf struct {
-		op   operators.Operator
-		vars []string // canonical variable names in column order
+func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool, pick chooser) (*QueryPlan, error) {
+	if len(qg.Vertices) == 0 {
+		return nil, fmt.Errorf("planner: query graph has no vertices")
 	}
-	canonical := map[string]canonicalLeaf{}
-	var plans []*partial
-	addLeaf := func(sig string, cols []string, card float64, leaf func() operators.Operator) {
-		var op operators.Operator
-		if canon, ok := canonical[sig]; ok {
-			rename := make(map[string]string, len(cols))
-			for i, v := range canon.vars {
-				rename[v] = cols[i]
-			}
-			op = operators.NewAlias(canon.op, rename)
-		} else {
-			op = leaf()
-			est[op] = card
-			if !pl.DisableReuse {
-				op = operators.NewCached(op)
-				canonical[sig] = canonicalLeaf{op: op, vars: cols}
-			}
-		}
-		est[op] = card
-		var vars varSet
-		for _, v := range cols {
-			vars = vars.union(lv.bit(v))
-		}
-		plans = append(plans, &partial{op: op, card: card, vars: vars})
+	if choose != nil {
+		pick = seeded
 	}
-	for _, qv := range qg.Vertices {
-		addLeaf("vertex\x01"+vertexSignature(qv), []string{qv.Var}, pl.vertexLeafCard(qv),
-			func() operators.Operator { return operators.NewFilterAndProjectVertices(qv) })
-	}
-	var varLength []*cypher.QueryEdge
-	for _, qe := range qg.Edges {
-		if qe.IsVarLength() {
-			varLength = append(varLength, qe)
-			continue
-		}
-		cols := []string{qe.Source, qe.Var}
-		if qe.Source != qe.Target {
-			cols = append(cols, qe.Target)
-		}
-		addLeaf("edge\x01"+edgeSignature(qe), cols, pl.edgeLeafCard(qe),
-			func() operators.Operator { return operators.NewFilterAndProjectEdges(qe) })
-	}
+	lv, est := newLiveness(qg, pl.Morph, graphs), map[operators.Operator]float64{}
+	pn := &planning{Planner: pl, qg: qg, lv: lv, est: est, pending: append([]cypher.Expr(nil), qg.Global...), pick: pick}
+
+	plans, varLength := pn.leaves(qg.Vertices, qg.Edges, !pl.DisableReuse)
 
 	// Global predicates not yet applied: each goes on the first partial that
 	// can evaluate it (partial.evaluable).
@@ -372,125 +335,178 @@ func (pn *planning) joined(out varSet, plans []*partial, skip [2]int, varLength 
 	return pn.lv.rowsOf(out, rest)
 }
 
-// choose is the greedy step's test hook: when set, a step takes the
-// candidate choose(n) picks of its n legal ones - every join in either input
-// order, every expansion in every direction its input allows, every cartesian
-// product of two partials that share no variable - instead of the one with
-// the smallest estimate. It is nil but in the conformance harness, which
-// reaches it by go:linkname to run each case under seeded random plans: a
-// result must not depend on its plan.
+// A candidate is one step combine may take next: a join or a cartesian
+// product of plans[i], its left input, with plans[j], or an expansion of
+// plans[i] by varLength[edge], which closes a cycle if the input binds both
+// ends of the edge. card is the step's estimated result.
+type candidate struct {
+	kind            int
+	i, j, edge      int
+	reverse, closes bool
+	card            float64
+}
+
+// What a candidate builds, in the order leftDeep prefers them.
+const (
+	expand = iota
+	join
+	cross
+)
+
+// A chooser picks combine's next step: the index of one of cands, every
+// legal step over plans. Choosers differ only in this: every plan is
+// built by the one loop, and a Cypher result does not depend on its plan.
+type chooser func(plans []*partial, cands []candidate) int
+
+// greedy is §3.2's rule: the join or expansion with the smallest estimate,
+// the first of equal ones, whose smaller input builds - the earlier of two
+// equal ones - and which runs forward if it closes a cycle. Only when nothing
+// connects, the cheapest cartesian product.
+func greedy(plans []*partial, cands []candidate) int {
+	best, cheapest := -1, -1
+	for k, c := range cands {
+		switch l, r := plans[c.i], plans[c.j]; {
+		case c.kind == join && (r.card < l.card || r.card == l.card && c.j < c.i):
+		case c.kind == expand && c.reverse && c.closes:
+		case c.kind == cross:
+			if cheapest < 0 || c.card < cands[cheapest].card {
+				cheapest = k
+			}
+		case best < 0 || c.card < cands[best].card:
+			best = k
+		}
+	}
+	if best < 0 {
+		return cheapest
+	}
+	return best
+}
+
+// leftDeep is the ablation baseline's order: the partial holding the query's
+// first leaf grows - as the left input of a join - by its first expansion in
+// query order, else by a join with the partial whose first leaf the query
+// states earliest of those it meets, else by a cartesian product with the
+// earliest one.
+func leftDeep(plans []*partial, cands []candidate) int {
+	cur := 0
+	for k, p := range plans {
+		if p.first < plans[cur].first {
+			cur = k
+		}
+	}
+	pick, best := -1, [2]int{}
+	for k, c := range cands {
+		with := c.j // an expansion's is 0: of cur's expansions, the first wins
+		switch {
+		case c.i == cur:
+		case c.kind == cross && c.j == cur:
+			with = c.i
+		default:
+			continue
+		}
+		if key := [2]int{c.kind, plans[with].first}; pick < 0 || slices.Compare(key[:], best[:]) < 0 {
+			pick, best = k, key
+		}
+	}
+	return pick
+}
+
+// seeded takes the step choose picks.
+func seeded(_ []*partial, cands []candidate) int { return choose(len(cands)) }
+
+// choose is the test hook of the seeded chooser: when set, every plan takes
+// the steps choose(n) picks of its n candidates instead of greedy's or
+// leftDeep's. It is nil but in the conformance harness, which reaches it by
+// go:linkname to run each case under seeded random plans: a result must not
+// depend on its plan.
 var choose func(n int) int
+
+// candidates lists every step combine may take over plans and varLength, in
+// the planning's one slice: for each two partials, a join in either input
+// order if they meet, and else a cartesian product with the smaller one - the
+// earlier of equal ones - as its left input, which it broadcasts; then for
+// each variable-length edge, its expansion from every partial that binds an
+// end, forward before reverse.
+func (pn *planning) candidates(plans []*partial, varLength []*cypher.QueryEdge) []candidate {
+	if n := len(plans)*(len(plans)-1) + 2*len(plans)*len(varLength); cap(pn.cands) < n {
+		pn.cands = make([]candidate, 0, n) // the first step's are the most
+	}
+	cands := pn.cands[:0]
+	for i, l := range plans {
+		for j := i + 1; j < len(plans); j++ {
+			r := plans[j]
+			switch {
+			case l.vars.meets(r.vars):
+				card := pn.joinCard(pn.qg, pn.lv, l, r)
+				cands = append(cands, candidate{kind: join, i: i, j: j, card: card}, candidate{kind: join, i: j, j: i, card: card})
+			case r.card < l.card:
+				cands = append(cands, candidate{kind: cross, i: j, j: i, card: l.card * r.card})
+			default:
+				cands = append(cands, candidate{kind: cross, i: i, j: j, card: l.card * r.card})
+			}
+		}
+	}
+	for e, qe := range varLength {
+		for i, p := range plans {
+			fw, bw := p.vars.meets(pn.lv.bit(qe.Source)), p.vars.meets(pn.lv.bit(qe.Target))
+			if fw {
+				cands = append(cands, candidate{kind: expand, i: i, edge: e, closes: bw, card: pn.expandCard(pn.qg, pn.lv, p, qe, false)})
+			}
+			if bw {
+				cands = append(cands, candidate{kind: expand, i: i, edge: e, reverse: true, closes: fw, card: pn.expandCard(pn.qg, pn.lv, p, qe, true)})
+			}
+		}
+	}
+	pn.cands = cands
+	return cands
+}
 
 // combine is the greedy loop of §3.2, the planner's only one: until a single
 // plan covers every leaf and every variable-length edge is expanded, it takes
-// the join or expansion with the smallest estimated result - the cheapest
-// cartesian product when nothing connects - records its estimate and hands
-// the new partial to applyPredicates. A query's mandatory pattern and every
-// OPTIONAL MATCH or exists() group are ordered by it. outer is what the query
-// outside these partials reads of them.
+// the step the planning's chooser picks of the candidates, records its
+// estimate and hands the new partial to applyPredicates. A query's mandatory
+// pattern and every OPTIONAL MATCH or exists() group are ordered by it. outer
+// is what the query outside these partials reads of them.
 func (pn *planning) combine(plans []*partial, varLength []*cypher.QueryEdge, outer reads,
 	applyPredicates func(*partial)) (*partial, error) {
-	pl, qg, lv, est := pn.Planner, pn.qg, pn.lv, pn.est
+	pl, lv, est := pn.Planner, pn.lv, pn.est
 	for len(plans) > 1 || len(varLength) > 0 {
-		type candidate struct {
-			kind    string // "join", "expand", "cross"
-			i, j    int    // plan indices (j unused for expand)
-			edge    int    // index into varLength for expand
-			reverse bool
-			swap    bool // a chosen join's left input is plans[j], not plans[i]
-			card    float64
+		cands := pn.candidates(plans, varLength)
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("planner: cannot complete plan (unreachable variable-length edge)")
 		}
-		best := candidate{card: math.Inf(1)}
-		var legal []candidate // what choose picks from
-
-		for i := 0; i < len(plans); i++ {
-			for j := i + 1; j < len(plans); j++ {
-				if !plans[i].vars.meets(plans[j].vars) {
-					if choose != nil {
-						legal = append(legal, candidate{kind: "cross", i: i, j: j, card: plans[i].card * plans[j].card})
-					}
-					continue
-				}
-				card := pl.joinCard(qg, lv, plans[i], plans[j])
-				if card < best.card {
-					best = candidate{kind: "join", i: i, j: j, card: card}
-				}
-				if choose != nil {
-					legal = append(legal, candidate{kind: "join", i: i, j: j, card: card}, candidate{kind: "join", i: i, j: j, swap: true, card: card})
-				}
-			}
-		}
-		for ei, qe := range varLength {
-			for i, p := range plans {
-				fw := p.vars.meets(lv.bit(qe.Source))
-				bw := p.vars.meets(lv.bit(qe.Target))
-				if fw {
-					card := pl.expandCard(qg, lv, p, qe, false)
-					if card < best.card {
-						best = candidate{kind: "expand", i: i, edge: ei, reverse: false, card: card}
-					}
-					if choose != nil {
-						legal = append(legal, candidate{kind: "expand", i: i, edge: ei, card: card})
-					}
-				}
-				if bw && (!fw || choose != nil) {
-					card := pl.expandCard(qg, lv, p, qe, true)
-					if card < best.card && !fw {
-						best = candidate{kind: "expand", i: i, edge: ei, reverse: true, card: card}
-					}
-					if choose != nil {
-						legal = append(legal, candidate{kind: "expand", i: i, edge: ei, reverse: true, card: card})
-					}
-				}
-			}
-		}
-		if len(legal) > 0 {
-			best = legal[choose(len(legal))]
-		}
-		if math.IsInf(best.card, 1) {
-			// Disconnected pattern: cheapest cartesian product.
-			if len(plans) < 2 {
-				return nil, fmt.Errorf("planner: cannot complete plan (unreachable variable-length edge)")
-			}
-			sort.Slice(plans, func(a, b int) bool { return plans[a].card < plans[b].card })
-			best = candidate{kind: "cross", i: 0, j: 1}
-		}
-
-		switch best.kind {
-		case "cross":
-			l, r := plans[best.i], plans[best.j]
-			out := l.vars.union(r.vars)
-			op := operators.NewCartesianProduct(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{best.i, best.j}, varLength, outer).live)
-			merged := &partial{op: op, card: l.card * r.card, vars: out}
-			est[op] = merged.card
-			applyPredicates(merged)
-			plans = append([]*partial{merged}, without(plans, best.i, best.j)...)
-		case "join":
-			l, r := plans[best.i], plans[best.j]
-			// Build side (left) should be the smaller input, unless chosen.
-			if choose == nil && r.card < l.card || best.swap {
-				l, r = r, l
-			}
-			out := l.vars.union(r.vars)
-			op := operators.NewJoinEmbeddings(l.op, r.op, pl.Morph, pn.joined(out, plans, [2]int{best.i, best.j}, varLength, outer).live)
-			merged := &partial{op: op, card: best.card, vars: out}
-			est[op] = best.card
-			applyPredicates(merged)
-			plans = append(without(plans, best.i, best.j), merged)
-		case "expand":
-			p := plans[best.i]
-			qe := varLength[best.edge]
-			varLength = append(varLength[:best.edge], varLength[best.edge+1:]...)
+		c := cands[pn.pick(plans, cands)]
+		if c.kind == expand {
+			p, qe := plans[c.i], varLength[c.edge]
+			varLength = append(varLength[:c.edge], varLength[c.edge+1:]...)
 			out := p.vars.union(lv.edgeVars(qe))
-			op, err := operators.NewExpandEmbeddings(p.op, qe, pl.Morph, best.reverse,
-				pn.joined(out, plans, [2]int{best.i, best.i}, varLength, outer).live)
+			op, err := operators.NewExpandEmbeddings(p.op, qe, pl.Morph, c.reverse,
+				pn.joined(out, plans, [2]int{c.i, c.i}, varLength, outer).live)
 			if err != nil {
 				return nil, err
 			}
-			merged := &partial{op: op, card: best.card, vars: out}
-			est[op] = best.card
-			applyPredicates(merged)
-			plans[best.i] = merged
+			plans[c.i] = &partial{op: op, card: c.card, vars: out, first: p.first}
+			est[op] = c.card
+			applyPredicates(plans[c.i])
+			continue
+		}
+		l, r := plans[c.i], plans[c.j]
+		out := l.vars.union(r.vars)
+		live := pn.joined(out, plans, [2]int{c.i, c.j}, varLength, outer).live
+		merged := &partial{card: c.card, vars: out, first: min(l.first, r.first)}
+		if c.kind == join {
+			merged.op = operators.NewJoinEmbeddings(l.op, r.op, pl.Morph, live)
+		} else {
+			merged.op = operators.NewCartesianProduct(l.op, r.op, pl.Morph, live)
+		}
+		est[merged.op] = c.card
+		applyPredicates(merged)
+		if c.kind == join {
+			plans = append(without(plans, c.i, c.j), merged)
+		} else {
+			// A cartesian product leads: greedy's next step is one too, and
+			// takes it first of equal inputs.
+			plans = append([]*partial{merged}, without(plans, c.i, c.j)...)
 		}
 	}
 	return plans[0], nil
@@ -527,39 +543,84 @@ func existenceGroups(qg *cypher.QueryGraph) []*cypher.OptionalGroup {
 
 // planGroup builds the sub-plan producing one OPTIONAL MATCH or exists()
 // group's embeddings: leaves for the group's new vertices and its edges,
-// combined greedily by estimated cardinality. Its rows carry what the join
+// combined by the planning's chooser. Its rows carry what the join
 // with the mandatory solutions and the other groups of groups read.
 func (pn *planning) planGroup(group *cypher.OptionalGroup, groups []*cypher.OptionalGroup) (*partial, error) {
-	lv, est := pn.lv, pn.est
-	var plans []*partial
-	for _, qv := range group.Vertices {
-		leaf := operators.NewFilterAndProjectVertices(qv)
-		card := pn.vertexLeafCard(qv)
-		est[leaf] = card
-		plans = append(plans, &partial{op: leaf, card: card, vars: lv.bit(qv.Var)})
-	}
-	for _, qe := range group.Edges {
-		leaf := operators.NewFilterAndProjectEdges(qe)
-		card := pn.edgeLeafCard(qe)
-		est[leaf] = card
-		plans = append(plans, &partial{op: leaf, card: card, vars: lv.edgeVars(qe)})
-	}
+	lv := pn.lv
+	plans, _ := pn.leaves(group.Vertices, group.Edges, false) // a group has no variable-length edge
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("planner: empty OPTIONAL MATCH group")
 	}
 	outer := lv.predReads(groupPredicates(pn.qg.Optional)...)
-	for _, qv := range pn.qg.Vertices {
-		outer.ids = outer.ids.union(lv.bit(qv.Var))
-	}
-	for _, qe := range pn.qg.Edges {
-		outer.ids = outer.ids.union(lv.edgeVars(qe))
-	}
+	outer.ids = outer.ids.union(lv.groupVars(&cypher.OptionalGroup{Vertices: pn.qg.Vertices, Edges: pn.qg.Edges}))
 	for _, g := range groups {
 		if g != group {
 			outer.ids = outer.ids.union(lv.groupVars(g))
 		}
 	}
 	return pn.combine(plans, nil, outer, func(*partial) {})
+}
+
+// leaves returns a leaf plan per vertex and per simple edge, and the
+// variable-length edges apart. With reuse, structurally identical leaves share
+// one cached operator behind aliases: the first leaf of a signature is wrapped
+// in a Cached, every later one is an Alias of that which renames the first
+// one's variables, column by column, to its own.
+func (pn *planning) leaves(vertices []*cypher.QueryVertex, edges []*cypher.QueryEdge, reuse bool) (plans []*partial, varLength []*cypher.QueryEdge) {
+	type canonicalLeaf struct {
+		op   operators.Operator
+		vars []string // canonical variable names in column order
+	}
+	canonical := map[string]canonicalLeaf{}
+	add := func(sig string, cols []string, first int, card float64, leaf func() operators.Operator) {
+		var op operators.Operator
+		if canon, ok := canonical[sig]; ok {
+			rename := make(map[string]string, len(cols))
+			for i, v := range canon.vars {
+				rename[v] = cols[i]
+			}
+			op = operators.NewAlias(canon.op, rename)
+		} else {
+			op = leaf()
+			pn.est[op] = card
+			if reuse {
+				op = operators.NewCached(op)
+				canonical[sig] = canonicalLeaf{op: op, vars: cols}
+			}
+		}
+		pn.est[op] = card
+		var vars varSet
+		for _, v := range cols {
+			vars = vars.union(pn.lv.bit(v))
+		}
+		plans = append(plans, &partial{op: op, card: card, vars: vars, first: first})
+	}
+	for k, qv := range vertices {
+		first := 3*len(edges) + k
+		for e := len(edges) - 1; e >= 0; e-- { // the earliest edge, its source first
+			if edges[e].Target == qv.Var {
+				first = 3*e + 1
+			}
+			if edges[e].Source == qv.Var {
+				first = 3 * e
+			}
+		}
+		add("vertex\x01"+vertexSignature(qv), []string{qv.Var}, first, pn.vertexLeafCard(qv),
+			func() operators.Operator { return operators.NewFilterAndProjectVertices(qv) })
+	}
+	for e, qe := range edges {
+		if qe.IsVarLength() {
+			varLength = append(varLength, qe)
+			continue
+		}
+		cols := []string{qe.Source, qe.Var}
+		if qe.Source != qe.Target {
+			cols = append(cols, qe.Target)
+		}
+		add("edge\x01"+edgeSignature(qe), cols, 3*e+2, pn.edgeLeafCard(qe),
+			func() operators.Operator { return operators.NewFilterAndProjectEdges(qe) })
+	}
+	return plans, varLength
 }
 
 // vertexSignature renders a query vertex's structure with its variable name

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +37,21 @@ func skewedGraph(workers int) *epgm.LogicalGraph {
 			Source: persons[i].ID, Target: persons[i+1].ID})
 	}
 	return epgm.GraphFromSlices(env, "G", vertices, edges)
+}
+
+// ringGraph has eight persons who know the next three on a ring: a two-path
+// is expected to be larger than an edge, so it is a closing join's right
+// input.
+func ringGraph() *epgm.LogicalGraph {
+	var vs []epgm.Vertex
+	var es []epgm.Edge
+	for i := range 8 {
+		vs = append(vs, epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"})
+		for hop := 1; hop <= 3; hop++ {
+			es = append(es, epgm.Edge{ID: epgm.ID(100 + len(es)), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+hop)%8)})
+		}
+	}
+	return epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(2)), "G", vs, es)
 }
 
 func plan(t *testing.T, g *epgm.LogicalGraph, query string) *QueryPlan {
@@ -173,18 +190,32 @@ func TestPlannerIndexedAccessScansLess(t *testing.T) {
 	}
 }
 
+// TestLeftDeepPlannerAgreesWithGreedy: the left-deep order and the greedy
+// one plan a query into rows carrying the same variables and the same bag of
+// bindings - over the paths the two share: reuse, a predicate pending until a
+// join, the exists() and OPTIONAL MATCH tail, and key sets. A left-deep plan
+// joins nothing but leaves on the right, so none of its joins has a target
+// for a key set (JoinEmbeddings.FilterRight); the greedy plan of the cycle
+// has one.
 func TestLeftDeepPlannerAgreesWithGreedy(t *testing.T) {
-	g := skewedGraph(3)
-	st := stats.Collect(g)
-	queries := []string{
-		`MATCH (p:Person)-[:knows]->(q:Person) RETURN *`,
-		`MATCH (post:Post)-[:hasCreator]->(p:Person), (p)-[:knows]->(q:Person) RETURN *`,
-		`MATCH (p:Person)-[e:knows*1..2]->(q:Person) RETURN *`,
-		`MATCH (p:Person) WHERE p.name = 'a' RETURN *`,
-		`MATCH (p:Person), (q:Post) RETURN *`,
-	}
-	for _, src := range queries {
-		ast, err := cypher.Parse(src)
+	skewed, ring := skewedGraph(3), ringGraph()
+	for _, tc := range []struct {
+		g       *epgm.LogicalGraph
+		src     string
+		filters bool // the greedy plan hands a key set
+	}{
+		{skewed, `MATCH (p:Person)-[:knows]->(q:Person) RETURN *`, false},
+		{skewed, `MATCH (post:Post)-[:hasCreator]->(p:Person), (p)-[:knows]->(q:Person) RETURN *`, false},
+		{skewed, `MATCH (p:Person)-[e:knows*1..2]->(q:Person) RETURN *`, true},
+		{skewed, `MATCH (p:Person) WHERE p.name = 'a' RETURN *`, false},
+		{skewed, `MATCH (p:Person), (q:Post) RETURN *`, false},
+		{skewed, `MATCH (p:Person) OPTIONAL MATCH (p)-[:knows]->(q:Person) RETURN *`, false},
+		{skewed, `MATCH (p:Person) WHERE exists((p)-[:knows]->(:Person)) RETURN *`, false},
+		{skewed, `MATCH (p:Person) WHERE NOT exists((p)-[:knows]->(:Person)) RETURN *`, false},
+		{skewed, `MATCH (post:Post)-[:hasCreator]->(p:Person), (p)-[:knows]->(q:Person) WHERE p.name = 'a' OR q.name = 'e' RETURN *`, false},
+		{ring, `MATCH (a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), (a)-[:knows]->(c) RETURN *`, true},
+	} {
+		ast, err := cypher.Parse(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,19 +223,77 @@ func TestLeftDeepPlannerAgreesWithGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := &Planner{Stats: st, Morph: operators.Morphism{Edge: operators.Isomorphism}}
-		greedy, err := pl.Plan(PlainAccess{Graph: g}, qg)
+		pl := &Planner{Stats: stats.Collect(tc.g), Morph: operators.Morphism{Edge: operators.Isomorphism}}
+		greedy, err := pl.Plan(PlainAccess{Graph: tc.g}, qg)
 		if err != nil {
-			t.Fatalf("%s: greedy: %v", src, err)
+			t.Fatalf("%s: greedy: %v", tc.src, err)
 		}
-		leftDeep, err := pl.PlanLeftDeep(PlainAccess{Graph: g}, qg)
+		leftDeep, err := pl.PlanLeftDeep(PlainAccess{Graph: tc.g}, qg)
 		if err != nil {
-			t.Fatalf("%s: left-deep: %v", src, err)
+			t.Fatalf("%s: left-deep: %v", tc.src, err)
 		}
-		if a, b := greedy.Execute().Count(), leftDeep.Execute().Count(); a != b {
-			t.Fatalf("%s: greedy=%d left-deep=%d", src, a, b)
+		for _, n := range leftDeep.Nodes() {
+			var right operators.Operator
+			switch op := n.Op.(type) {
+			case *operators.JoinEmbeddings:
+				right = op.Right
+			case *operators.CartesianProduct:
+				right = op.Right
+			default:
+				continue
+			}
+			if joins, _ := targets(&QueryPlan{Root: right}); joins > 0 {
+				t.Fatalf("%s: a left-deep join's right input joins\n%s", tc.src, leftDeep.Explain())
+			}
+		}
+		if _, n := targets(greedy); (n > 0) != tc.filters {
+			t.Fatalf("%s: %d joins of the greedy plan hand a key set\n%s", tc.src, n, greedy.Explain())
+		}
+		vars := slices.Sorted(slices.Values(greedy.Meta().Vars()))
+		if got := slices.Sorted(slices.Values(leftDeep.Meta().Vars())); !slices.Equal(got, vars) {
+			t.Fatalf("%s: left-deep rows carry %q, greedy rows %q", tc.src, got, vars)
+		}
+		want, got := bag(greedy, vars), bag(leftDeep, vars)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: left-deep %d rows, greedy %d\n%s\n%s", tc.src, len(got), len(want), leftDeep.Explain(), greedy.Explain())
 		}
 	}
+}
+
+// targets counts the inner joins of qp and those of them that hand a key set.
+func targets(qp *QueryPlan) (joins, filtering int) {
+	for _, n := range qp.Nodes() {
+		if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
+			joins++
+			if j.Target() != nil {
+				filtering++
+			}
+		}
+	}
+	return joins, filtering
+}
+
+// bag runs qp and returns its rows as a sorted multiset, each row its
+// bindings of vars.
+func bag(qp *QueryPlan, vars []string) []string {
+	meta := qp.Meta()
+	var rows []string
+	for _, e := range qp.Execute().Collect() {
+		var sb strings.Builder
+		for _, v := range vars {
+			switch c, _ := meta.Column(v); {
+			case e.IsNullAt(c):
+				fmt.Fprintf(&sb, "%s=NULL ", v)
+			case e.IsPath(c):
+				fmt.Fprintf(&sb, "%s=%v ", v, e.Path(c))
+			default:
+				fmt.Fprintf(&sb, "%s=%v ", v, e.ID(c))
+			}
+		}
+		rows = append(rows, sb.String())
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
@@ -221,29 +310,7 @@ func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
 // the same triangle takes a key set as the pattern and none as the group. A
 // join over a path whose far end it joins on hands the expansion an end set.
 func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
-	// Eight persons who know the next three on a ring: a two-path is
-	// expected to be larger than an edge, so it is a closing join's right
-	// input.
-	var vs []epgm.Vertex
-	var es []epgm.Edge
-	for i := range 8 {
-		vs = append(vs, epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"})
-		for hop := 1; hop <= 3; hop++ {
-			es = append(es, epgm.Edge{ID: epgm.ID(100 + len(es)), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+hop)%8)})
-		}
-	}
-	g := epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(2)), "G", vs, es)
-	targets := func(qp *QueryPlan) (joins, filtering int) {
-		for _, n := range qp.Nodes() {
-			if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
-				joins++
-				if j.Target() != nil {
-					filtering++
-				}
-			}
-		}
-		return joins, filtering
-	}
+	g := ringGraph()
 	const triangle = `(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), (a)-[:knows]->(c)`
 	qp := plan(t, g, `MATCH `+triangle+` RETURN *`)
 	if _, n := targets(qp); n != 1 {
