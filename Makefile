@@ -26,9 +26,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs cypherlint (the in-tree go/analysis suite enforcing the engine's
-# concurrency, cancellation and telemetry invariants; see internal/lint) over the
-# module, both standalone and as a vet tool so test files are covered too,
-# then staticcheck and govulncheck when they are on PATH. The standalone pass
+# lock order, goroutine joins and resource release on every path; see
+# internal/lint) over the module, both standalone and as a vet tool so test
+# files are covered too, then staticcheck and govulncheck when they are on
+# PATH. The standalone pass
 # prints per-analyzer wall time and finding counts (-stats) so a slow or
 # noisy analyzer is visible in every CI log. The linter is built once, into
 # bin/cypherlint, for both passes and for CI's summary step.

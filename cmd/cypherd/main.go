@@ -112,7 +112,6 @@ func main() {
 	qstoreMaxBytes := flag.Int64("qstore-max-bytes", qstore.DefaultMaxTotalBytes, "query-store total size bound in bytes; oldest segments are pruned past it")
 	qstoreThreshold := flag.Float64("qstore-regression-threshold", qstore.DefaultRegressionThreshold, "flag a fingerprint when its recent latency or q-error exceeds its own baseline by this factor")
 	clusterAddrs := flag.String("cluster", "", "comma-separated cypherworker addresses; queries execute across these processes instead of in-process")
-	clusterPart := flag.String("cluster-partitioner", "rendezvous", "partition placement policy: rendezvous|range")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -163,25 +162,20 @@ func main() {
 
 	var remote session.RemoteExecutor
 	if *clusterAddrs != "" {
-		part, ok := cluster.PartitionerByName(*clusterPart)
-		if !ok {
-			fail(fmt.Errorf("unknown -cluster-partitioner %q (want rendezvous or range)", *clusterPart))
-		}
 		coord, err := cluster.NewCoordinator(strings.Split(*clusterAddrs, ","), cluster.Options{
 			// The logical partition count is the session's worker count: the
 			// coordinator's plan and every worker's plan must be the same
 			// deterministic function of (query, stats, workers).
-			Workers:     *workers,
-			Partitioner: part,
-			Metrics:     registry,
-			Logger:      logger,
+			Workers: *workers,
+			Metrics: registry,
+			Logger:  logger,
 		})
 		if err != nil {
 			fail(err)
 		}
 		defer coord.Close()
 		remote = coord
-		logger.Info("cluster mode", "workers", coord.LiveWorkers(), "partitioner", part.Name())
+		logger.Info("cluster mode", "workers", coord.LiveWorkers())
 	}
 
 	sess, err := session.Open(*graphDir, session.Options{

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -481,6 +483,11 @@ func TestClusterRecovery(t *testing.T) {
 	}
 }
 
+// recoveryDeadline is the timeout of each job recoverFrom runs. A job that has
+// not answered by then hangs: the test logs every goroutine and fails on the
+// job and the crash point, instead of running into the package's timeout.
+const recoveryDeadline = time.Minute
+
 // recoverFrom arms the middle worker of three to crash at its k-th collective,
 // of a job of K. The job it falls in is re-executed on the two survivors, with
 // the single-process rows, flagged as recovered, in two attempts: no survivor
@@ -515,9 +522,15 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, qu
 	}
 	workers[1].SetFailAfterExchanges(int64(k))
 	s := session.New(g, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
-	run := func() *session.ClusterReport {
+	run := func(job string) *session.ClusterReport {
 		t.Helper()
-		resp, err := s.Execute(session.Request{Query: query})
+		resp, err := s.Execute(session.Request{Query: query, Timeout: recoveryDeadline})
+		if session.KindOf(err) == session.KindTimeout {
+			var dump bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&dump, 2)
+			t.Log(dump.String())
+			t.Fatalf("%s, crash at collective %d of %d: no answer in %v (goroutines above): %v", job, k, K, recoveryDeadline, err)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,18 +540,18 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, qu
 		return resp.Cluster
 	}
 	if k > K {
-		if rep := run(); rep.Recovered || rep.Workers != 3 {
+		if rep := run("the job before the crash"); rep.Recovered || rep.Workers != 3 {
 			t.Fatalf("a crash past the job's last collective fell in the job: %+v", rep)
 		}
 	}
-	if rep := run(); !rep.Recovered || rep.Attempts != 2 || rep.Workers != 2 {
+	if rep := run("the job the crash falls in"); !rep.Recovered || rep.Attempts != 2 || rep.Workers != 2 {
 		t.Fatalf("report %+v, want the job recovered in two attempts on the 2 survivors", rep)
 	}
 	if n := coord.LiveWorkers(); n != 2 {
 		t.Fatalf("%d live workers after the crash, want the 2 survivors", n)
 	}
 	dialled := lns[0].accepted.Load() + lns[2].accepted.Load()
-	if rep := run(); rep.Recovered || rep.Attempts != 1 || rep.Workers != 2 {
+	if rep := run("the job after the recovery"); rep.Recovered || rep.Attempts != 1 || rep.Workers != 2 {
 		t.Fatalf("the job after the recovery: %+v, want a clean first attempt on the survivors", rep)
 	}
 	if got := lns[0].accepted.Load() + lns[2].accepted.Load(); got != dialled {

@@ -126,7 +126,7 @@ func TestResultFilesAgainstTheOwnerMap(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs := []string{fakeWorker(t, tc.body), fakeWorker(t, empty)}
-			coord, err := NewCoordinator(addrs, Options{Workers: 4, Partitioner: RangePartitioner{}})
+			coord, err := NewCoordinator(addrs, Options{Workers: 4, Partitioner: rangePartitioner{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,6 +140,20 @@ func TestResultFilesAgainstTheOwnerMap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rangePartitioner assigns contiguous partition ranges in roster order, so a
+// test knows which member owns which partition.
+type rangePartitioner struct{}
+
+func (rangePartitioner) Name() string { return "range" }
+
+func (rangePartitioner) Assign(partitions int, nodes []string) []int {
+	owner := make([]int, partitions)
+	for p := range owner {
+		owner[p] = p * len(nodes) / partitions
+	}
+	return owner
 }
 
 // lockedBuffer is a log the worker's goroutines write while the test reads it.

@@ -43,32 +43,12 @@ func (RendezvousPartitioner) Assign(partitions int, nodes []string) []int {
 	return owner
 }
 
-// RangePartitioner assigns contiguous partition ranges in roster order —
-// the simplest possible layout, useful for reasoning about tests and for
-// comparing placement policies in benchmarks. A roster change moves more
-// partitions than rendezvous hashing would.
-type RangePartitioner struct{}
-
-// Name implements Partitioner.
-func (RangePartitioner) Name() string { return "range" }
-
-// Assign implements Partitioner.
-func (RangePartitioner) Assign(partitions int, nodes []string) []int {
-	owner := make([]int, partitions)
-	n := len(nodes)
-	for p := range owner {
-		owner[p] = p * n / partitions
-	}
-	return owner
-}
-
-// PartitionerByName resolves a -cluster-partitioner flag value.
+// PartitionerByName resolves a placement policy by name: "" and
+// "rendezvous" are RendezvousPartitioner, the one policy there is.
 func PartitionerByName(name string) (Partitioner, bool) {
 	switch name {
 	case "", "rendezvous":
 		return RendezvousPartitioner{}, true
-	case "range":
-		return RangePartitioner{}, true
 	default:
 		return nil, false
 	}

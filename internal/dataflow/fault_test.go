@@ -50,7 +50,6 @@ func TestShortCircuitAfterFailure(t *testing.T) {
 	Map(d, func(int) int { panic("boom") })
 	stages := env.Metrics().Stages
 	calls := 0
-	//lint:ignore partitioncapture the UDF must never run on a failed env; the test asserts calls stays 0
 	out := Map(d, func(v int) int { calls++; return v })
 	out = Filter(out, func(int) bool { return true })
 	out = PartitionByKey(out, func(v int) uint64 { return uint64(v) })

@@ -127,6 +127,9 @@ func Keys[T any](d *Dataset[T], key func(T) uint64) *KeySet {
 		}
 		keys := make([]uint64, len(part))
 		for i := range part {
+			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
+				return newKeySet(0)
+			}
 			keys[i] = key(part[i])
 		}
 		slices.Sort(keys)

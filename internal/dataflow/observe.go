@@ -11,8 +11,8 @@ import (
 // per-stage wall-time histograms keyed by transformation kind, shuffle and
 // spill byte counters, and retry counts. One Observer is shared by every Env
 // a service creates (the instruments are registered once, at constructor
-// scope — the obsregister analyzer enforces this), unlike the per-job
-// trace.Collector.
+// scope — a registry that has been read refuses new ones), unlike the
+// per-job trace.Collector.
 //
 // A nil *Observer disables engine telemetry entirely; every hook the engine
 // calls is guarded by a nil check, mirroring the nil-tracer zero-cost

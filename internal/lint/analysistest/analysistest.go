@@ -46,22 +46,16 @@ func sharedLoader(t *testing.T) *load.Loader {
 	return loader
 }
 
-// Run type-checks the fixture package in testdata/src/<dir> under
-// importPath and compares the analyzer's findings against the fixture's
-// want annotations. importPath matters: analyzers that match unexported
-// engine API (ctxpoll) only fire when the fixture masquerades
-// as gradoop/internal/dataflow itself; fixtures using exported API pass
-// their own name.
-func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
+// Run type-checks the fixture package in testdata/src/<dir>, under the
+// import path dir, and compares the analyzer's findings against the
+// fixture's want annotations.
+func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
-	if importPath == "" {
-		importPath = dir
-	}
 	abs, err := filepath.Abs(filepath.Join("testdata", "src", dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := sharedLoader(t).CheckDir(importPath, abs)
+	c, err := sharedLoader(t).CheckDir(dir, abs)
 	if err != nil {
 		t.Fatalf("checking fixture %s: %v", dir, err)
 	}

@@ -4,29 +4,15 @@ import (
 	"testing"
 
 	"gradoop/internal/lint"
-	"gradoop/internal/lint/analysis"
 	"gradoop/internal/lint/analysistest"
 )
 
-// TestAnalyzers runs each analyzer against its annotated fixture package
-// under testdata/src. The ctxpoll fixture is type-checked under the real
-// dataflow import path because that analyzer matches unexported engine API.
+// TestAnalyzers runs each analyzer of the suite against its annotated fixture
+// package, testdata/src/<name>.
 func TestAnalyzers(t *testing.T) {
-	cases := []struct {
-		analyzer   *analysis.Analyzer
-		dir        string
-		importPath string
-	}{
-		{lint.PartitionCaptureAnalyzer, "partitioncapture", ""},
-		{lint.CtxPollAnalyzer, "ctxpoll", "gradoop/internal/dataflow"},
-		{lint.ObsRegisterAnalyzer, "obsregister", ""},
-		{lint.LockOrderAnalyzer, "lockorder", ""},
-		{lint.GoLeakAnalyzer, "goleak", ""},
-		{lint.CloseOnErrAnalyzer, "closeonerr", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.analyzer.Name, func(t *testing.T) {
-			analysistest.Run(t, tc.analyzer, tc.dir, tc.importPath)
+	for _, a := range lint.Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			analysistest.Run(t, a, a.Name)
 		})
 	}
 }

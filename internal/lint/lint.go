@@ -23,9 +23,6 @@ import (
 // Analyzers returns the full cypherlint suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		PartitionCaptureAnalyzer,
-		CtxPollAnalyzer,
-		ObsRegisterAnalyzer,
 		LockOrderAnalyzer,
 		GoLeakAnalyzer,
 		CloseOnErrAnalyzer,

@@ -16,7 +16,7 @@ func missingReason() int {
 }
 
 func unknownInList() int {
-	//lint:ignore lockorder,ctxpol second name is a typo of ctxpoll
+	//lint:ignore lockorder,ctxpol the second name is no analyzer
 	return 3
 }
 

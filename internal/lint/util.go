@@ -5,14 +5,6 @@ import (
 	"go/types"
 )
 
-// Engine package paths the analyzers key on. Matching is exact against
-// types.Package.Path(), so the analyzers fire both when other packages use
-// the engine and when the engine packages are analyzed themselves.
-const (
-	dataflowPath = "gradoop/internal/dataflow"
-	obsPath      = "gradoop/internal/obs"
-)
-
 // calleeOf resolves the function or method object a call expression invokes,
 // or nil for indirect calls (function values, interface methods resolved
 // dynamically keep their declared object). Generic instantiations resolve to
@@ -72,33 +64,6 @@ func isMethod(fn *types.Func, pkgPath, recv, name string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == recv
-}
-
-// declaredWithin reports whether obj's declaration lies inside node's source
-// range — i.e. the object is local to the function literal, not captured.
-func declaredWithin(obj types.Object, node ast.Node) bool {
-	return obj.Pos() >= node.Pos() && obj.Pos() <= node.End()
-}
-
-// rootIdent peels index, selector, paren and star layers off an lvalue and
-// returns the identifier at its base, or nil.
-func rootIdent(expr ast.Expr) *ast.Ident {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return e
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		default:
-			return nil
-		}
-	}
 }
 
 // funcDecls indexes a package's function declarations by their object, so

@@ -27,8 +27,11 @@ import (
 
 // Registry holds a process's metric instruments and renders them in
 // Prometheus text exposition format. Instruments are registered once, at
-// package or constructor scope (the obsregister analyzer enforces this), and
-// recorded into from arbitrarily many goroutines.
+// setup, and recorded into from arbitrarily many goroutines. The first read
+// (WritePrometheus or Snapshot) seals the registry: a NewX after it panics,
+// as a second NewX of one name does, so a constructor in a request handler
+// or a per-partition closure fails on its first call after a scrape or on
+// its second call, whichever comes first.
 //
 // A nil *Registry disables telemetry: every NewX constructor returns a nil
 // instrument whose methods are no-ops.
@@ -36,6 +39,7 @@ type Registry struct {
 	mu          sync.Mutex
 	instruments []instrument
 	names       map[string]struct{}
+	read        bool
 }
 
 // instrument is anything the registry can expose: it reports its metric name
@@ -50,9 +54,10 @@ func NewRegistry() *Registry {
 	return &Registry{names: map[string]struct{}{}}
 }
 
-// register validates the instrument's name and adds it; duplicate names and
-// malformed names panic, because both are programming errors caught at
-// construction time (instruments are registered once, at startup).
+// register validates the instrument's name and adds it; duplicate names,
+// malformed names and registration after a read panic, because all three
+// are programming errors caught at construction time (instruments are
+// registered once, at startup).
 func (r *Registry) register(in instrument) {
 	name := in.metricName()
 	if !validMetricName(name) {
@@ -60,6 +65,9 @@ func (r *Registry) register(in instrument) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.read {
+		panic(fmt.Sprintf("obs: metric %q registered after the registry was read", name))
+	}
 	if _, dup := r.names[name]; dup {
 		panic(fmt.Sprintf("obs: duplicate metric name %q", name))
 	}
@@ -383,21 +391,28 @@ func (h *Histogram) ObserveSince(start time.Time) {
 }
 
 // WritePrometheus renders every registered instrument in Prometheus text
-// exposition format (version 0.0.4), sorted by metric name. A nil registry
-// writes nothing — an empty exposition is a valid one.
+// exposition format (version 0.0.4), sorted by metric name, and seals the
+// registry. A nil registry writes nothing — an empty exposition is a valid
+// one.
 func (r *Registry) WritePrometheus(sb *strings.Builder) {
 	if r == nil {
 		return
 	}
+	for _, in := range r.seal() {
+		in.expose(sb)
+	}
+}
+
+// seal marks the registry read and returns its instruments sorted by name.
+func (r *Registry) seal() []instrument {
 	r.mu.Lock()
+	r.read = true
 	instruments := append([]instrument(nil), r.instruments...)
 	r.mu.Unlock()
 	sort.SliceStable(instruments, func(i, j int) bool {
 		return instruments[i].metricName() < instruments[j].metricName()
 	})
-	for _, in := range instruments {
-		in.expose(sb)
-	}
+	return instruments
 }
 
 // Exposition returns the registry's full Prometheus text exposition.

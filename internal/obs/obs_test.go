@@ -157,14 +157,36 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 	}
 	r := NewRegistry()
 	r.NewCounter("dup", "")
-	// The closures below construct inside literals on purpose: they prove
-	// the duplicate/malformed-name panics obsregister exists to prevent.
-	//lint:ignore obsregister panic-path test constructs inside closures deliberately
 	expectPanic("duplicate", func() { r.NewCounter("dup", "") })
-	//lint:ignore obsregister panic-path test constructs inside closures deliberately
 	expectPanic("bad name", func() { r.NewCounter("bad-name", "") })
-	//lint:ignore obsregister panic-path test constructs inside closures deliberately
 	expectPanic("empty name", func() { r.NewCounter("", "") })
+}
+
+// TestRegistrySealedAfterRead: a scrape or a snapshot seals the registry, so
+// a constructor that runs per request or per partition panics, with the
+// instrument's name, on its first call after a read even when its name is
+// new each time.
+func TestRegistrySealedAfterRead(t *testing.T) {
+	for _, read := range []struct {
+		name string
+		read func(*Registry)
+	}{
+		{"WritePrometheus", func(r *Registry) { r.Exposition() }},
+		{"Snapshot", func(r *Registry) { r.Snapshot() }},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.NewCounter("before_read", "")
+			read.read(r)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"per_request_1"`) || !strings.Contains(msg, "after the registry was read") {
+					t.Errorf("register after %s: panic %q, want one naming per_request_1", read.name, msg)
+				}
+			}()
+			r.NewCounter("per_request_1", "")
+		})
+	}
 }
 
 // TestTraceIDHandler: records logged with a stamped context carry trace_id;

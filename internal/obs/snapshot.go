@@ -45,20 +45,14 @@ type Snapshot struct {
 	Families []MetricFamily
 }
 
-// Snapshot captures the registry's current state. A nil registry yields an
-// empty snapshot.
+// Snapshot captures the registry's current state and seals the registry. A
+// nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	instruments := append([]instrument(nil), r.instruments...)
-	r.mu.Unlock()
-	sort.SliceStable(instruments, func(i, j int) bool {
-		return instruments[i].metricName() < instruments[j].metricName()
-	})
-	for _, in := range instruments {
+	for _, in := range r.seal() {
 		s.Families = append(s.Families, familySnapshot(in))
 	}
 	return s

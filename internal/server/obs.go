@@ -13,9 +13,9 @@ import (
 
 // httpInstruments is the server's per-endpoint telemetry: request counts by
 // endpoint × status code and latency histograms by endpoint. Registered
-// once at construction (the obsregister analyzer rejects instrument
-// creation inside handlers); nil-instrument recording is free when the
-// server runs without a registry.
+// once at construction (a handler that registered would panic on its second
+// request, or on its first after a scrape sealed the registry);
+// nil-instrument recording is free when the server runs without a registry.
 type httpInstruments struct {
 	requests *obs.CounterVec2
 	latency  *obs.HistogramVec

@@ -232,7 +232,8 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 // TestPrometheusEndpoint: after a small workload /metrics serves a parsable
 // Prometheus text exposition containing series from all three layers —
 // engine (stage histograms), session (query and cache counters, admission
-// wait) and server (per-endpoint request counts and latency).
+// wait) and server (per-endpoint request counts and latency) - and a query
+// after the scrape is still served.
 func TestPrometheusEndpoint(t *testing.T) {
 	ts := newTestServer(t, session.Options{})
 	body := map[string]any{"query": "MATCH (a:Person)-[:knows]->(b) RETURN a.name, b.name"}
@@ -270,6 +271,11 @@ func TestPrometheusEndpoint(t *testing.T) {
 		if !strings.Contains(exp, series) {
 			t.Errorf("exposition missing %q:\n%s", series, exp)
 		}
+	}
+	// The scrape sealed the registry: a request path that registers an
+	// instrument, under whatever name, panics from here on.
+	if resp, _ := postJSON(t, ts.URL+"/query", body); resp.StatusCode != http.StatusOK {
+		t.Errorf("query after the scrape: status %d", resp.StatusCode)
 	}
 }
 

@@ -132,6 +132,8 @@ func (s *GraphStatistics) EdgeCardinality(types []string) int64 {
 
 // AverageOutDegree estimates the mean out-degree restricted to edges of the
 // given types — the expansion factor of one hop of a variable length path.
+// Statistics that know a type's edges but not its distinct sources take every
+// vertex as a source, the least degree those edges allow.
 func (s *GraphStatistics) AverageOutDegree(types []string) float64 {
 	edges := s.EdgeCardinality(types)
 	if edges == 0 {
@@ -142,8 +144,16 @@ func (s *GraphStatistics) AverageOutDegree(types []string) float64 {
 		sources = s.DistinctSourceIDs
 	} else {
 		for _, t := range types {
-			sources += s.DistinctSourceIDsByLabel[t]
+			n := s.DistinctSourceIDsByLabel[t]
+			if n == 0 && s.EdgeCountByLabel[t] > 0 {
+				sources = 0 // not counted: every vertex, below
+				break
+			}
+			sources += n
 		}
+	}
+	if sources == 0 {
+		sources = s.VertexCount
 	}
 	if sources == 0 {
 		return 0

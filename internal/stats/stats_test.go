@@ -105,6 +105,37 @@ func TestCardinalityHelpers(t *testing.T) {
 	}
 }
 
+// TestAverageOutDegreeWithoutDistinctSources: statistics that count a type's
+// edges but not its distinct sources - element and label counts only - take
+// every vertex as a source instead of estimating the degree at 0.
+func TestAverageOutDegreeWithoutDistinctSources(t *testing.T) {
+	full := Collect(testGraph(2))
+	flat := &GraphStatistics{VertexCount: full.VertexCount, EdgeCount: full.EdgeCount,
+		VertexCountByLabel: full.VertexCountByLabel, EdgeCountByLabel: full.EdgeCountByLabel}
+	for _, tc := range []struct {
+		types []string
+		want  float64
+	}{
+		{[]string{"knows"}, 3.0 / 4},          // 3 edges over 4 vertices
+		{[]string{"knows", "hasInterest"}, 1}, // 4 edges over 4 vertices
+		{nil, 1},                              // every type: 4 edges over 4 vertices
+		{[]string{"nope"}, 0},                 // no edges, no degree
+	} {
+		if got := flat.AverageOutDegree(tc.types); got != tc.want {
+			t.Errorf("flat degree of %v = %v, want %v", tc.types, got, tc.want)
+		}
+	}
+	// A counted type beside an uncounted one: the sum is unknown too.
+	partial := *full
+	partial.DistinctSourceIDsByLabel = map[string]int64{"knows": 2}
+	if got := partial.AverageOutDegree([]string{"knows", "hasInterest"}); got != 1 {
+		t.Errorf("degree with hasInterest's sources missing = %v, want 1", got)
+	}
+	if got := full.AverageOutDegree([]string{"knows", "hasInterest"}); got != 4.0/3 {
+		t.Errorf("full degree = %v, want 4/3", got)
+	}
+}
+
 func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	a := Collect(testGraph(1))
 	b := Collect(testGraph(8))
