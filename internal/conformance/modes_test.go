@@ -61,6 +61,7 @@ var modes = []mode{
 	{name: "traced/4", run: engine{partitions: 4, traced: true}.run, twin: "engine/4", sameWork: true},
 	{name: "killed/4", run: engine{partitions: 4, faults: killEveryStage}.run, twin: "engine/4"},
 	{name: "random-kills/4", run: engine{partitions: 4, faults: randomKills}.run, twin: "engine/4"},
+	{name: "indexed-killed/4", run: engine{partitions: 4, indexed: true, faults: killEveryStage}.run, twin: "indexed/4"},
 	{name: "probe-never/4", run: probing(never, engine{partitions: 4, indexed: true}.run)},
 	{name: "probe-always/4", run: probing(always, engine{partitions: 4, indexed: true}.run)},
 	{name: "probe-always/16", run: probing(always, engine{partitions: 16, indexed: true}.run)},

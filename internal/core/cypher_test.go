@@ -384,6 +384,24 @@ func TestSelectiveSideIsBroadcast(t *testing.T) {
 	}
 }
 
+// TestWalkedExpansionIsNoted: over an index a variable-length path walks the
+// store in place, and EXPLAIN ANALYZE says how many edges it visited - from
+// Alice, her edge to Bob and Bob's two; over the plain graph it is the bulk
+// iteration and says nothing of a walk. Both find the reference's matches.
+func TestWalkedExpansionIsNoted(t *testing.T) {
+	g := figure1(1)
+	q := `MATCH (p1:Person)-[:knows*1..2]->(p2:Person) WHERE p1.name = 'Alice' RETURN *`
+	compareWithReference(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}})
+	walked := run(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: trace.NewCollector()}).AnalyzedPlan()
+	if !strings.Contains(walked, "[walked in place: edges=3 act=3 ") {
+		t.Errorf("indexed plan lacks the walk's note:\n%s", walked)
+	}
+	plain := run(t, g, q, Config{Trace: trace.NewCollector()}).AnalyzedPlan()
+	if strings.Contains(plain, "walked") || !strings.Contains(plain, "ExpandEmbeddings") {
+		t.Errorf("plain plan:\n%s", plain)
+	}
+}
+
 func TestGraphCollectionResult(t *testing.T) {
 	g := figure1(2)
 	coll, err := ExecuteGraphs(g, `MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *`, Config{})

@@ -11,6 +11,7 @@ import (
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/operators"
+	"gradoop/internal/planner"
 	"gradoop/internal/stats"
 )
 
@@ -58,7 +59,23 @@ func ringGraph(env *dataflow.Env, n int) *epgm.LogicalGraph {
 // dense graph is cancelled mid-stage by Config.Timeout and returns
 // context.DeadlineExceeded promptly, with partial metrics intact. Without
 // the timeout the query would enumerate ~24^10 homomorphic paths.
-func TestQueryTimeoutAbortsExpansion(t *testing.T) {
+func TestQueryTimeoutAbortsExpansion(t *testing.T) { checkTimeoutAbortsExpansion(t, false) }
+
+// TestQueryTimeoutAbortsWalk is TestQueryTimeoutAbortsExpansion over the
+// pinned store, where the expansion walks it: the walk is stopped in the
+// middle of an input row, whose paths alone never end.
+func TestQueryTimeoutAbortsWalk(t *testing.T) { checkTimeoutAbortsExpansion(t, true) }
+
+// access is how a test query reads g: the plain graph's datasets, or the
+// pinned store of g, where a variable-length path walks the store in place.
+func access(g *epgm.LogicalGraph, indexed bool) planner.GraphAccess {
+	if indexed {
+		return planner.IndexedAccess{Index: epgm.BuildIndex(g)}
+	}
+	return planner.PlainAccess{Graph: g}
+}
+
+func checkTimeoutAbortsExpansion(t *testing.T, indexed bool) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	g := denseGraph(env, 24)
 	st := stats.Collect(g)
@@ -67,6 +84,7 @@ func TestQueryTimeoutAbortsExpansion(t *testing.T) {
 	start := time.Now()
 	_, err := Execute(g, `MATCH (a)-[e:knows*1..10]->(b) RETURN *`, Config{
 		Stats:   st,
+		Access:  access(g, indexed),
 		Timeout: 50 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
@@ -82,7 +100,13 @@ func TestQueryTimeoutAbortsExpansion(t *testing.T) {
 }
 
 // TestQueryContextCancellation: an external context cancels a running query.
-func TestQueryContextCancellation(t *testing.T) {
+func TestQueryContextCancellation(t *testing.T) { checkContextCancellation(t, false) }
+
+// TestQueryContextCancellationWalk is TestQueryContextCancellation over the
+// pinned store, where the expansion walks it.
+func TestQueryContextCancellationWalk(t *testing.T) { checkContextCancellation(t, true) }
+
+func checkContextCancellation(t *testing.T, indexed bool) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	g := denseGraph(env, 24)
 	st := stats.Collect(g)
@@ -92,12 +116,17 @@ func TestQueryContextCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
+	start := time.Now()
 	_, err := Execute(g, `MATCH (a)-[e:knows*1..10]->(b) RETURN *`, Config{
 		Stats:   st,
+		Access:  access(g, indexed),
 		Context: ctx,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancellation took %s; the expansion must abort mid-stage", elapsed)
 	}
 }
 

@@ -83,6 +83,20 @@ var pollRows = []pollRow{
 		FlatMapCounted(FromSlice(env, ints(pollN)), func(int) bool { hit(); return true },
 			func(*Lane) func(int, func(int)) { return func(v int, emit func(int)) { emit(v) } })
 	}},
+	// One element whose work - a row emitted per unit - is all in the function:
+	// only the function's own poll runs there.
+	{name: "FlatMapPolled", run: func(env *Env, hit func()) {
+		FlatMapPolled(FromSlice(env, []int{0}), func(*Lane) func(int, func(int), func() bool) {
+			return func(_ int, emit func(int), poll func() bool) {
+				for i := 0; i < pollN; i++ {
+					hit()
+					if emit(i); !poll() {
+						return
+					}
+				}
+			}
+		})
+	}},
 	{name: "MapPartition", governed: true, run: func(env *Env, hit func()) {
 		MapPartition(FromSlice(env, ints(pollN)), func(part []int, emit func(sizedRow)) {
 			for range part {

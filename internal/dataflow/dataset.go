@@ -259,6 +259,46 @@ func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 	return &Dataset[U]{env: env, parts: out}
 }
 
+// FlatMapPolled is FlatMapWith for a function whose work on one element has
+// no bound: a walk that may visit millions of edges, and write a row for
+// each, from one input row. Besides the element and emit, the function is
+// handed poll, which it calls once per unit of that work - an edge visited -
+// and which, like the poll between elements, checks for cancellation and
+// flushes the bytes the attempt holds to the governor every cancelCheckMask+1
+// calls, so a runaway element is stopped in the middle. Once poll reports
+// false the attempt is dead: the function returns at once and the stage drops
+// what it wrote. Nothing is known of the fan-out - the output grows as rows
+// are emitted - and the simulated CPU charge is one per element and one per
+// poll.
+func FlatMapPolled[T, U any](d *Dataset[T], newF func(*Lane) func(t T, emit func(U), poll func() bool)) *Dataset[U] {
+	env := d.env
+	if env.Failed() {
+		return Empty[U](env)
+	}
+	env.beginStage("FlatMap", false)
+	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
+		part := d.parts[a.p]
+		f := newF(a.lane)
+		var res []U
+		emit := emitter(a, &res)
+		polls := 0
+		poll := func() bool {
+			polls++
+			return a.tick(polls)
+		}
+		for _, t := range part {
+			if !poll() {
+				return nil, work{}
+			}
+			if f(t, emit, poll); a.dead {
+				return nil, work{}
+			}
+		}
+		return publish(res), work{cpu: int64(polls), rowsIn: int64(len(part)), rowsOut: int64(len(res))}
+	})
+	return &Dataset[U]{env: env, parts: out}
+}
+
 // presizeCeiling is the most rows an output partition is allocated at on the
 // strength of a count (probePartition): 2^18 rows, 2 MiB of the one-word
 // headers of embedding rows. It is a constant - nothing sets it but TestPresizeIsInvisible,

@@ -2,6 +2,7 @@ package epgm
 
 import (
 	"sort"
+	"sync"
 
 	"gradoop/internal/dataflow"
 )
@@ -13,7 +14,9 @@ import (
 // loads the same dataset derives the identical arrays and, with them, the
 // identical chunk boundaries of every dataset cut from them. A Store belongs
 // to no environment and is immutable once built: any number of concurrent
-// queries Index it onto their own.
+// queries Index it onto their own. What it builds on first use - the
+// adjacency of a label a walk reads (Adjacency) - is a function of the arrays
+// alone, built once and never changed.
 type Store struct {
 	Head     GraphHead
 	Vertices []Vertex
@@ -21,6 +24,11 @@ type Store struct {
 	// VertexRanges and EdgeRanges are in label order and tile their array.
 	VertexRanges []LabelRange
 	EdgeRanges   []LabelRange
+
+	adjMu sync.Mutex
+	// adj[2i] and adj[2i+1] are EdgeRanges[i]'s outgoing and incoming
+	// adjacency, nil until a walk first asks for them.
+	adj []*Adjacency
 }
 
 // LabelRange locates one label's elements in a Store's array.
@@ -93,6 +101,9 @@ func BuildIndex(g *LogicalGraph) *IndexedLogicalGraph { return NewStore(g).Index
 
 // Env returns the execution environment.
 func (x *IndexedLogicalGraph) Env() *dataflow.Env { return x.env }
+
+// Store returns the pinned store the graph's datasets are cut from.
+func (x *IndexedLogicalGraph) Store() *Store { return x.store }
 
 // Scan is what a leaf operator reads of a graph.
 type Scan[T any] struct {

@@ -274,3 +274,72 @@ func BenchmarkRowExpandLoop(b *testing.B) {
 		b.Fatalf("a hop beyond the second allocates %.0f bytes, more than the working set's share (%d): the triple side is paid per hop", perHop, maxHopBytes)
 	}
 }
+
+// BenchmarkRowExpandWalk is a six-hop expansion over a pinned ring of benchRows
+// persons, which walks the store's adjacency in place (DESIGN decision 41):
+// from every sixth person six hops on, a row a hop, benchRows rows. What a step
+// allocates is the rows it writes - their slab chunks and the output
+// partitions - and the stage's own few objects; allocs/row is over the rows.
+// The same walk closed on its start, which six hops around the ring never
+// reach, visits as many edges and writes no row: it must allocate nothing per
+// visited edge (allocs/edge, held to hundredths here: one object an edge would
+// read 1).
+func BenchmarkRowExpandWalk(b *testing.B) {
+	const hops, starts = 6, benchRows / 6
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs := make([]epgm.Vertex, benchRows)
+	es := make([]epgm.Edge, benchRows)
+	for i := range vs {
+		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"}
+		es[i] = epgm.Edge{ID: epgm.ID(1_000_000 + i), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+1)%benchRows)}
+	}
+	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs, es)).Index(env)
+	// The input rows: the start vertex as a, and again as b for the closed walk.
+	startRows := func(vars ...string) materialized {
+		meta := embedding.NewMeta()
+		for _, v := range vars {
+			meta.AddEntry(v, embedding.VertexEntry)
+		}
+		var slab embedding.Slab
+		rows := make([]embedding.Embedding, starts)
+		ids := make([]epgm.ID, len(vars))
+		for i := range rows {
+			for j := range ids {
+				ids[j] = epgm.ID(1 + 6*i)
+			}
+			rows[i] = slab.Row(ids, nil)
+		}
+		return materialized{rows: dataflow.FromSlice(env, rows), meta: meta}
+	}
+	walk := func(in materialized) *ExpandEmbeddings {
+		qe := &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 1, MaxHops: hops}
+		x, err := NewExpandEmbeddings(in, qe, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return x
+	}
+	open, closed := walk(startRows("a")), walk(startRows("a", "b"))
+	reportAllocsPerRow(b, starts*hops, func() {
+		if n := open.Evaluate(indexedRun(idx)).Count(); n != starts*hops {
+			b.Fatalf("the walk wrote %d rows, want %d", n, starts*hops)
+		}
+	})
+	closedStep := func() {
+		if n := closed.Evaluate(indexedRun(idx)).Count(); n != 0 {
+			b.Fatalf("the closed walk wrote %d rows", n)
+		}
+	}
+	closedStep()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		closedStep()
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.Mallocs-before.Mallocs) / float64(b.N) / float64(starts*hops)
+	b.ReportMetric(perEdge, "allocs/edge")
+	if perEdge > 0.01 {
+		b.Fatalf("a walk that writes no row allocates %.3f objects per visited edge", perEdge)
+	}
+}

@@ -10,15 +10,18 @@ import (
 	"gradoop/internal/epgm"
 )
 
-// ExpandEmbeddings evaluates a variable length path expression (§3.1): a
-// bulk iteration that grows paths one hop per iteration by joining the
-// working set with the edge set - the iteration's static path, shuffled and
-// hashed once and probed per hop - keeps only paths satisfying the morphism
-// semantics, and unions iterations ≥ the lower bound into the result. The
-// resulting embeddings carry the path as a PATH column (the "via" entries of
-// Table 2b) plus, when the far endpoint was not already bound, a new vertex
-// column for it. The edges it reads are the run's: the access's datasets for
-// the query edge's types, concatenated.
+// ExpandEmbeddings evaluates a variable length path expression (§3.1). Over a
+// plain graph it is the paper's bulk iteration, which grows paths one hop per
+// iteration by joining the working set with the edge set - the iteration's
+// static path, shuffled and hashed once and probed per hop - keeps only paths
+// satisfying the morphism semantics, and unions iterations ≥ the lower bound
+// into the result; the edges it reads are the run's: the access's datasets
+// for the query edge's types, concatenated. Over a pinned store it is one
+// partition-local stage that walks the store's adjacency depth first from
+// each input row (walk, DESIGN decision 41). Which one runs is a fact of the
+// access, not a setting. The resulting embeddings carry the path as a PATH
+// column (the "via" entries of Table 2b) plus, when the far endpoint was not
+// already bound, a new vertex column for it.
 type ExpandEmbeddings struct {
 	In    Operator
 	Edge  *cypher.QueryEdge
@@ -30,6 +33,7 @@ type ExpandEmbeddings struct {
 	bindTarget bool
 	startCol   int
 	endVar     string
+	endCol     int // the far end's column in the input, if bindTarget
 	selective  bool
 	// rowShape is that of the input's rows joined with the path and, unless
 	// bindTarget, the far endpoint: the expansion's right row.
@@ -50,7 +54,7 @@ func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reve
 	if !ok {
 		return nil, fmt.Errorf("operators: expand input does not bind %q", startVar)
 	}
-	bindTarget := inMeta.HasVar(endVar)
+	endCol, bindTarget := inMeta.Column(endVar)
 	path := embedding.NewMeta()
 	path.AddEntry(qe.Var, embedding.PathEntry)
 	if !bindTarget {
@@ -58,7 +62,7 @@ func NewExpandEmbeddings(in Operator, qe *cypher.QueryEdge, morph Morphism, reve
 	}
 	return &ExpandEmbeddings{
 		In: in, Edge: qe, Morph: morph, Reverse: reverse,
-		bindTarget: bindTarget, startCol: startCol, endVar: endVar,
+		bindTarget: bindTarget, startCol: startCol, endVar: endVar, endCol: endCol,
 		selective: in.Selective() || len(qe.Predicates) > 0,
 		rowShape:  newRowShape(inMeta, path, live),
 	}, nil
@@ -122,6 +126,9 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 		} else {
 			seeds = append(seeds, f)
 		}
+	}
+	if store := r.access.Store(); store != nil {
+		return op.walk(r, qe, store, in, seeds, ends)
 	}
 
 	// Select the relevant edges. They are loop-invariant: shuffled and hashed
@@ -243,23 +250,14 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 }
 
 // finalizer returns what turns path states of an admissible length into
-// result embeddings in a run whose end sets at the expansion are ends. It
-// applies the full morphism check - to the state, before a row is written,
-// since the row carries only what the rest of the query reads - and drops a
-// state whose far end is not in an end set. Where a state may end elsewhere -
-// off the bound vertex of a closing expansion, outside an end set - every
-// partition counts the states that end where they may first and writes no
-// more rows than that; an open expansion without an end set writes a row of
-// nearly every state (hopAllowed pruned the rest).
+// result embeddings in a run whose end sets at the expansion are ends (finish).
+// Where a state may end elsewhere - off the bound vertex of a closing
+// expansion, outside an end set - every partition counts the states that end
+// where they may first and writes no more rows than that; an open expansion
+// without an end set writes a row of nearly every state (hopAllowed pruned
+// the rest).
 func (op *ExpandEmbeddings) finalizer(ends []*keyFilter) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
-	inMeta := op.In.Meta()
-	morph, keep := op.Morph, op.keep
-	bindTarget := op.bindTarget
-	var endCol int
-	if bindTarget {
-		endCol, _ = inMeta.Column(op.endVar)
-	}
-	reverse := op.Reverse
+	bindTarget, endCol := op.bindTarget, op.endCol
 	var count func(pathState) bool
 	if bindTarget || len(ends) > 0 {
 		count = func(s pathState) bool {
@@ -268,32 +266,39 @@ func (op *ExpandEmbeddings) finalizer(ends []*keyFilter) func(*dataflow.Dataset[
 	}
 	newF := func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
-		return func(s pathState, emit func(embedding.Embedding)) {
-			if bindTarget && s.base.ID(endCol) != s.end {
-				return
-			}
-			if f := missEnd(ends, s.end); f != nil {
-				f.drop()
-				return
-			}
-			if !sc.validState(s, inMeta, !bindTarget, morph) {
-				return
-			}
-			via := s.via
-			if reverse && len(via) > 1 {
-				// A reverse expansion walked the path from its target; the via
-				// entries are stored source-to-target (Table 2b), so flip them.
-				sc.ids = append(sc.ids[:0], via...)
-				slices.Reverse(sc.ids)
-				via = sc.ids
-			}
-			// The path and the far endpoint go on in one write.
-			emit(sc.slab.AppendPath(s.base, keep, via, s.end, !bindTarget))
-		}
+		return func(s pathState, emit func(embedding.Embedding)) { op.finish(sc, s, ends, emit) }
 	}
 	return func(states *dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
 		return dataflow.FlatMapCounted(states, count, newF)
 	}
+}
+
+// finish writes the row of a path of an admissible length, if it has one. It
+// drops a path off the bound vertex of a closing expansion and one whose far
+// end is not in an end set of ends, and applies the full morphism check - to
+// the state, before a row is written, since the row carries only what the
+// rest of the query reads. The via list is copied into the row.
+func (op *ExpandEmbeddings) finish(sc *scratch, s pathState, ends []*keyFilter, emit func(embedding.Embedding)) {
+	if op.bindTarget && s.base.ID(op.endCol) != s.end {
+		return
+	}
+	if f := missEnd(ends, s.end); f != nil {
+		f.drop()
+		return
+	}
+	if !sc.validState(s, op.In.Meta(), !op.bindTarget, op.Morph) {
+		return
+	}
+	via := s.via
+	if op.Reverse && len(via) > 1 {
+		// A reverse expansion walked the path from its target; the via
+		// entries are stored source-to-target (Table 2b), so flip them.
+		sc.ids = append(sc.ids[:0], via...)
+		slices.Reverse(sc.ids)
+		via = sc.ids
+	}
+	// The path and the far endpoint go on in one write.
+	emit(sc.slab.AppendPath(s.base, op.keep, via, s.end, !op.bindTarget))
 }
 
 // validState is valid on the row a path state makes: the base row's

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,9 +92,10 @@ func matrixCases() []matrixCase {
 
 const matrixMaxHops = 3
 
-// run evaluates the case's expansion and returns its rows in engine order,
-// the sorted binding keys of those rows and of the oracle's matches.
-func (c matrixCase) run(t *testing.T) (rows []embedding.Embedding, got, want []string) {
+// run evaluates the case's expansion over the graph as access reads it and
+// returns its rows in engine order, the sorted binding keys of those rows and
+// of the oracle's matches.
+func (c matrixCase) run(t *testing.T, access func(*epgm.LogicalGraph) operators.GraphAccess) (rows []embedding.Embedding, got, want []string) {
 	t.Helper()
 	g := matrixGraph(c.workers)
 	qa, qb := &cypher.QueryVertex{Var: "a"}, &cypher.QueryVertex{Var: "b"}
@@ -117,7 +119,7 @@ func (c matrixCase) run(t *testing.T) (rows []embedding.Embedding, got, want []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = op.Evaluate(operators.NewRun(planner.PlainAccess{Graph: g}, nil)).Collect()
+	rows = op.Evaluate(operators.NewRun(access(g), nil)).Collect()
 	if err := g.Env().Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +178,41 @@ func TestExpandMatrixWithLoweredCeiling(t *testing.T) {
 	}
 }
 
+func plain(g *epgm.LogicalGraph) operators.GraphAccess { return planner.PlainAccess{Graph: g} }
+
+func indexed(g *epgm.LogicalGraph) operators.GraphAccess {
+	return planner.IndexedAccess{Index: epgm.BuildIndex(g)}
+}
+
+// TestExpandMatrixIndexed runs the 144 expansions again over the pinned store,
+// where they walk its adjacency in place: the oracle's matches, and the rows
+// of the bulk iteration over the plain graph byte for byte, as a bag. The
+// order is the walk's, depth first from each input row, not the iteration's
+// hop by hop.
+func TestExpandMatrixIndexed(t *testing.T) {
+	for _, c := range matrixCases() {
+		rows, got, want := c.run(t, indexed)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: walked %d matches, reference %d:\n got %v\nwant %v", c, len(got), len(want), got, want)
+			continue
+		}
+		plainRows, _, _ := c.run(t, plain)
+		if w, p := wireBag(rows), wireBag(plainRows); !slices.Equal(w, p) {
+			t.Errorf("%s: the walk's rows are not the bulk iteration's bytes", c)
+		}
+	}
+}
+
+// wireBag is rows' wire encodings, sorted.
+func wireBag(rows []embedding.Embedding) []string {
+	out := make([]string, len(rows))
+	for i, e := range rows {
+		out[i] = string(e.AppendWire(nil))
+	}
+	sort.Strings(out)
+	return out
+}
+
 func checkExpandMatrix(t *testing.T) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/expand_matrix.golden")
@@ -194,7 +231,7 @@ func checkExpandMatrix(t *testing.T) {
 	nonEmpty := 0
 	var table strings.Builder // what the golden file would read if recorded now
 	for _, c := range matrixCases() {
-		rows, got, want := c.run(t)
+		rows, got, want := c.run(t, plain)
 		if len(got) != len(want) {
 			t.Errorf("%s: engine found %d matches, reference %d", c, len(got), len(want))
 			continue

@@ -93,6 +93,9 @@ type scratch struct {
 	slab  embedding.Slab
 	ids   []epgm.ID            // the identifiers of a morphism check, a flipped path
 	props []epgm.PropertyValue // the projected values of a leaf row
+	// via and frames are a walk's path so far and its stack (walker.from).
+	via    []epgm.ID
+	frames []walkFrame
 }
 
 // scratchOf returns the scratch kept in lane, which the first row function to

@@ -27,6 +27,7 @@ func (a plainAccess) Env() *dataflow.Env {
 }
 func (a plainAccess) Vertices([]string) epgm.Scan[epgm.Vertex] { return epgm.PlainScan(a.vs) }
 func (a plainAccess) Edges([]string) epgm.Scan[epgm.Edge]      { return epgm.PlainScan(a.es) }
+func (a plainAccess) Store() *epgm.Store                       { return nil }
 
 // plainRun is a run of a plan over the test graph vs, es.
 func plainRun(vs *dataflow.Dataset[epgm.Vertex], es *dataflow.Dataset[epgm.Edge]) *Run {
@@ -42,6 +43,7 @@ func (a indexedAccess) Vertices(labels []string) epgm.Scan[epgm.Vertex] {
 	return a.idx.Vertices(labels...)
 }
 func (a indexedAccess) Edges(types []string) epgm.Scan[epgm.Edge] { return a.idx.Edges(types...) }
+func (a indexedAccess) Store() *epgm.Store                        { return a.idx.Store() }
 
 // indexedRun is a run of a plan over a pinned store.
 func indexedRun(idx *epgm.IndexedLogicalGraph) *Run { return NewRun(indexedAccess{idx}, nil) }

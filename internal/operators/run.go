@@ -18,6 +18,11 @@ type GraphAccess interface {
 	Vertices(labels []string) epgm.Scan[epgm.Vertex]
 	// Edges returns what a leaf scans for a type alternation.
 	Edges(types []string) epgm.Scan[epgm.Edge]
+	// Store returns the pinned store the edges are ranges of, nil for a plain
+	// graph. Over a store a variable-length path walks the store's adjacency
+	// in place (ExpandEmbeddings); over a plain graph it is the bulk
+	// iteration.
+	Store() *epgm.Store
 }
 
 // Run is one evaluation of a plan: the graph it reads and the binding that

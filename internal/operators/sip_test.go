@@ -131,10 +131,18 @@ func TestKeySetFiltersTheTarget(t *testing.T) {
 
 // TestKeySetFiltersAnExpansion runs a closing join over an expansion against
 // the same plan that does not filter: with a seed set (the join variables the
-// expansion's input binds) and with an end set (the path's far end alone). The
-// rows are the same, the expansion writes fewer, and a trace counts what it
-// dropped: input rows before the first hop, or paths before they are written.
+// expansion's input binds) and with an end set (the path's far end alone), over
+// the plain graph, where the expansion is the bulk iteration, and over the
+// pinned store, where it walks the store in place. The rows are the same, the
+// expansion writes fewer, and a trace counts what it dropped: input rows
+// before the first hop, or paths before they are written.
 func TestKeySetFiltersAnExpansion(t *testing.T) {
+	for _, walked := range []bool{false, true} {
+		t.Run(fmt.Sprint("walked=", walked), func(t *testing.T) { checkKeySetFiltersAnExpansion(t, walked) })
+	}
+}
+
+func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3
 	expand := func(in Operator, minHops int) *ExpandEmbeddings {
 		x, err := NewExpandEmbeddings(in, &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "b", Target: "c", MinHops: minHops, MaxHops: 2},
@@ -172,7 +180,11 @@ func TestKeySetFiltersAnExpansion(t *testing.T) {
 			c = trace.NewCollector()
 			env.SetTracer(c)
 			env.Begin(nil)
-			rows = closing.Evaluate(indexedRun(store.Index(env))).Collect()
+			r := plainRun(dataflow.FromSlice(env, store.Vertices), dataflow.FromSlice(env, store.Edges))
+			if walked {
+				r = indexedRun(store.Index(env))
+			}
+			rows = closing.Evaluate(r).Collect()
 			if err := env.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -191,8 +203,12 @@ func TestKeySetFiltersAnExpansion(t *testing.T) {
 		}
 		st, _ := c.Op(x)
 		all, _ := wantC.Op(wantX)
+		if strings.HasPrefix(st.Note, "walked in place: edges=") != walked {
+			t.Errorf("%s: expansion's note %q", tc.name, st.Note)
+		}
 		var dropped int
-		if _, err := fmt.Sscanf(st.Note, "sip dropped=%d", &dropped); err != nil || dropped == 0 ||
+		_, sip, _ := strings.Cut(st.Note, "sip dropped=")
+		if _, err := fmt.Sscanf(sip, "%d", &dropped); err != nil || dropped == 0 ||
 			tc.dropped >= 0 && dropped != tc.dropped {
 			t.Errorf("%s: expansion's note %q, want the input rows or paths it dropped (%d)", tc.name, st.Note, tc.dropped)
 		}

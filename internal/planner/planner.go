@@ -40,9 +40,13 @@ func (a PlainAccess) Vertices([]string) epgm.Scan[epgm.Vertex] {
 // Edges implements GraphAccess.
 func (a PlainAccess) Edges([]string) epgm.Scan[epgm.Edge] { return epgm.PlainScan(a.Graph.Edges) }
 
+// Store implements GraphAccess: a plain graph has none.
+func (a PlainAccess) Store() *epgm.Store { return nil }
+
 // IndexedAccess reads the label-partitioned store, loading only the ranges a
 // label predicate selects - one dataset per label, which a leaf walks one by
-// one. A session and a cluster worker plan and execute against it.
+// one - and hands a variable-length path the store's adjacency to walk. A
+// session and a cluster worker plan and execute against it.
 type IndexedAccess struct{ Index *epgm.IndexedLogicalGraph }
 
 // Env implements GraphAccess.
@@ -57,6 +61,9 @@ func (a IndexedAccess) Vertices(labels []string) epgm.Scan[epgm.Vertex] {
 func (a IndexedAccess) Edges(types []string) epgm.Scan[epgm.Edge] {
 	return a.Index.Edges(types...)
 }
+
+// Store implements GraphAccess.
+func (a IndexedAccess) Store() *epgm.Store { return a.Index.Store() }
 
 // Planner holds the planning inputs that stay fixed across queries.
 type Planner struct {

@@ -25,15 +25,19 @@ import (
 
 // chaosBlowups are the adversarial queries of the overload harness, issued
 // in turn: an unconstrained four-way cartesian product over every Person,
-// and the same kind of product written as an OPTIONAL MATCH that shares no
+// the same kind of product written as an OPTIONAL MATCH that shares no
 // variable with its MATCH - an outer join with one key group, 2 500 pairs of
-// persons by 300 comments. Their materialized embeddings exceed any budget
-// the harness configures by orders of magnitude. They are syntactically
-// valid, planner-approved work — exactly the traffic an admission gate
-// cannot reject up front and only a memory governor can stop.
+// persons by 300 comments - and a variable-length path of up to eight knows
+// hops from every Person, which the session walks in the pinned store, where
+// one input row alone leads to more paths than the budget holds. Their
+// materialized embeddings exceed any budget the harness configures by orders
+// of magnitude. They are syntactically valid, planner-approved work — exactly
+// the traffic an admission gate cannot reject up front and only a memory
+// governor can stop.
 var chaosBlowups = []string{
 	`MATCH (a:Person),(b:Person),(c:Person),(d:Person) RETURN a, b, c, d`,
 	`MATCH (a:Person),(b:Person) OPTIONAL MATCH (m:Comment) RETURN a, b, m`,
+	`MATCH (a:Person)-[:knows*1..8]->(b:Person) RETURN a, b`,
 }
 
 // The overload run CI executes under -race and a tight GOMEMLIMIT: small
