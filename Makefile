@@ -1,8 +1,10 @@
-# Build/verify entry points. `make check` is the CI gate: vet, the project's
-# own static-analysis suite (cypherlint), plus the full test suite under the
-# race detector — load-bearing, because runStage spawns one goroutine per
-# partition and the fault-tolerance layer (panic containment, cancellation
-# polling, retry loops) is concurrent by design.
+# Build/verify entry points. `make check` is the CI gate: vet, plus the full
+# test suite under the race detector — load-bearing, because runStage spawns
+# one goroutine per partition and the fault-tolerance layer (panic
+# containment, cancellation polling, retry loops) is concurrent by design. The
+# packages that start goroutines or open connections and files run under
+# internal/leakcheck, so the same run fails on a goroutine or a descriptor a
+# test left behind.
 
 GO ?= go
 
@@ -25,18 +27,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs cypherlint (the in-tree go/analysis suite enforcing the engine's
-# lock order, goroutine joins and resource release on every path; see
-# internal/lint) over the module, both standalone and as a vet tool so test
-# files are covered too, then staticcheck and govulncheck when they are on
-# PATH. The standalone pass
-# prints per-analyzer wall time and finding counts (-stats) so a slow or
-# noisy analyzer is visible in every CI log. The linter is built once, into
-# bin/cypherlint, for both passes and for CI's summary step.
-lint:
-	$(GO) build -o bin/cypherlint ./cmd/cypherlint
-	bin/cypherlint -stats ./...
-	$(GO) vet -vettool=bin/cypherlint ./...
+# lint is vet, then staticcheck and govulncheck when they are on PATH.
+lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -65,7 +57,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cypher -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gdl -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run '^FuzzParamsRoundTrip$$' -fuzz '^FuzzParamsRoundTrip$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/lint/analysis -run '^FuzzCFGBuild$$' -fuzz '^FuzzCFGBuild$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzAppendJSONValue$$' -fuzz '^FuzzAppendJSONValue$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/operators -run '^FuzzDecodeBucket$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime=$(FUZZTIME)
 	$(GO) test -race ./internal/embedding -run '^FuzzDecodeWire$$' -fuzz '^FuzzDecodeWire$$' -fuzztime=$(FUZZTIME)

@@ -88,56 +88,74 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	return slog.New(obs.NewLogHandler(h)), nil
 }
 
-func main() {
-	graphDir := flag.String("graph", "", "Gradoop-CSV dataset directory (required)")
-	addr := flag.String("addr", ":7474", "HTTP listen address")
-	workers := flag.Int("workers", 4, "number of dataflow workers per query job")
-	vertexSem := flag.String("vertex-sem", "homo", "vertex semantics: homo|iso")
-	edgeSem := flag.String("edge-sem", "iso", "edge semantics: homo|iso")
-	maxConcurrent := flag.Int("max-concurrent", 4, "query job slots (concurrent executions)")
-	maxQueued := flag.Int("max-queue", 16, "bounded wait queue beyond the job slots; -1 rejects immediately when slots are full")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline, including queue wait (0 = none)")
-	planEntries := flag.Int("plan-cache-entries", 128, "plan cache capacity (entries)")
-	resultMB := flag.Int("result-cache-mb", 16, "result cache byte budget in MiB")
-	memBudgetMB := flag.Int("mem-budget", 0, "process-wide memory budget for materialized embeddings, in MiB (0 disables governance)")
-	shedPolicy := flag.String("shed-policy", "largest", "victim selection on budget exhaustion: largest|self")
-	noPlanCache := flag.Bool("no-plan-cache", false, "disable the plan cache (recompile every request)")
-	noResultCache := flag.Bool("no-result-cache", false, "disable the result cache (re-execute every request)")
-	noTelemetry := flag.Bool("no-telemetry", false, "disable the metrics registry (nil instruments; /metrics serves an empty exposition)")
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold (0 disables)")
-	opsAddr := flag.String("ops-addr", "", "operator-only listen address for pprof (empty disables); bind to loopback")
-	qstoreDir := flag.String("qstore-dir", "", "query-store directory for persistent per-execution records (empty disables the store)")
-	qstoreMaxBytes := flag.Int64("qstore-max-bytes", qstore.DefaultMaxTotalBytes, "query-store total size bound in bytes; oldest segments are pruned past it")
-	qstoreThreshold := flag.Float64("qstore-regression-threshold", qstore.DefaultRegressionThreshold, "flag a fingerprint when its recent latency or q-error exceeds its own baseline by this factor")
-	clusterAddrs := flag.String("cluster", "", "comma-separated cypherworker addresses; queries execute across these processes instead of in-process")
-	flag.Parse()
+// errUsage is run's error for a command line it cannot run, whose usage it
+// has printed.
+var errUsage = errors.New("usage")
 
-	fail := func(err error) {
+func main() {
+	switch err := run(os.Args[1:]); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintf(os.Stderr, "cypherd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run serves until an interrupt or SIGTERM, or until the server fails. It
+// returns only once what it opened is closed, the query store synced.
+func run(args []string) error {
+	fs := flag.NewFlagSet("cypherd", flag.ContinueOnError)
+	graphDir := fs.String("graph", "", "Gradoop-CSV dataset directory (required)")
+	addr := fs.String("addr", ":7474", "HTTP listen address")
+	workers := fs.Int("workers", 4, "number of dataflow workers per query job")
+	vertexSem := fs.String("vertex-sem", "homo", "vertex semantics: homo|iso")
+	edgeSem := fs.String("edge-sem", "iso", "edge semantics: homo|iso")
+	maxConcurrent := fs.Int("max-concurrent", 4, "query job slots (concurrent executions)")
+	maxQueued := fs.Int("max-queue", 16, "bounded wait queue beyond the job slots; -1 rejects immediately when slots are full")
+	timeout := fs.Duration("timeout", 30*time.Second, "default per-query deadline, including queue wait (0 = none)")
+	planEntries := fs.Int("plan-cache-entries", 128, "plan cache capacity (entries)")
+	resultMB := fs.Int("result-cache-mb", 16, "result cache byte budget in MiB")
+	memBudgetMB := fs.Int("mem-budget", 0, "process-wide memory budget for materialized embeddings, in MiB (0 disables governance)")
+	shedPolicy := fs.String("shed-policy", "largest", "victim selection on budget exhaustion: largest|self")
+	noPlanCache := fs.Bool("no-plan-cache", false, "disable the plan cache (recompile every request)")
+	noResultCache := fs.Bool("no-result-cache", false, "disable the result cache (re-execute every request)")
+	noTelemetry := fs.Bool("no-telemetry", false, "disable the metrics registry (nil instruments; /metrics serves an empty exposition)")
+	logFormat := fs.String("log-format", "text", "structured log format: text|json")
+	logLevel := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
+	slowQuery := fs.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold (0 disables)")
+	opsAddr := fs.String("ops-addr", "", "operator-only listen address for pprof (empty disables); bind to loopback")
+	qstoreDir := fs.String("qstore-dir", "", "query-store directory for persistent per-execution records (empty disables the store)")
+	qstoreMaxBytes := fs.Int64("qstore-max-bytes", qstore.DefaultMaxTotalBytes, "query-store total size bound in bytes; oldest segments are pruned past it")
+	qstoreThreshold := fs.Float64("qstore-regression-threshold", qstore.DefaultRegressionThreshold, "flag a fingerprint when its recent latency or q-error exceeds its own baseline by this factor")
+	clusterAddrs := fs.String("cluster", "", "comma-separated cypherworker addresses; queries execute across these processes instead of in-process")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *graphDir == "" {
 		fmt.Fprintln(os.Stderr, "cypherd: -graph is required")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	vs, err := parseSemantics(*vertexSem)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	es, err := parseSemantics(*edgeSem)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	logger, err := newLogger(*logFormat, *logLevel)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	policy, err := govern.ParsePolicy(*shedPolicy)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	var registry *obs.Registry
@@ -155,7 +173,7 @@ func main() {
 			Logger:              logger,
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer store.Close()
 	}
@@ -171,7 +189,7 @@ func main() {
 			Logger:  logger,
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer coord.Close()
 		remote = coord
@@ -198,7 +216,7 @@ func main() {
 		Remote:             remote,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer sess.Close()
 	vertices, edges := sess.GraphSize()
@@ -213,7 +231,8 @@ func main() {
 
 	if *opsAddr != "" {
 		opsSrv := &http.Server{Addr: *opsAddr, Handler: server.NewOpsMux()}
-		//lint:ignore goleak process-lifetime listener; the deferred opsSrv.Close below bounds it at shutdown
+		// A process-lifetime listener: the deferred opsSrv.Close below bounds
+		// it at shutdown.
 		go func() {
 			logger.Info("ops listener up", "addr", *opsAddr)
 			if err := opsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -232,15 +251,14 @@ func main() {
 
 	select {
 	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
 		}
+		return err
 	case <-ctx.Done():
 		logger.Info("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fail(err)
-		}
+		return httpSrv.Shutdown(shutdownCtx)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -24,6 +23,7 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/leakcheck"
 	"gradoop/internal/session"
 )
 
@@ -496,7 +496,7 @@ const recoveryDeadline = time.Minute
 // survivors' link between them, which it does not dial again. Closed, the
 // cluster leaves no goroutine behind.
 func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, query string, want *session.Response, k, K int) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	workers, direct, lns := startNodes(t, data, nodeNames(3)...)
 	// Every worker is reached through a proxy that reads its done reports. A
 	// loss can only be the first attempt's, in which w1 is roster index 1.
@@ -564,12 +564,6 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, qu
 	}
 	for _, stop := range stops {
 		stop()
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/leakcheck"
 	"gradoop/internal/obs"
 	"gradoop/internal/session"
 )
@@ -66,7 +66,7 @@ func TestRecycledReceiveMemoryIsDead(t *testing.T) {
 	if !scribbleSpare {
 		t.Fatal("scribbleSpare is off: export_test.go's init sets it")
 	}
-	goroutines := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	d := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(4)), ldbc.Config{ScaleFactor: 0.02, Seed: 4})
 	g := wideGraph(d.Graph)
 	common, _, _ := d.FirstNamesBySelectivity()
@@ -158,11 +158,6 @@ func TestRecycledReceiveMemoryIsDead(t *testing.T) {
 	for _, w := range ws {
 		w.Close()
 		w.Wait()
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the cluster closed, %d before it started", runtime.NumGoroutine(), goroutines)
-		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
 	"gradoop/internal/epgm"
+	"gradoop/internal/leakcheck"
 )
 
 // wideRows is n rows of about 60 bytes on the wire.
@@ -96,17 +97,6 @@ func exchangeInBackground(t *testing.T, pt *peerTransport) <-chan error {
 	return done
 }
 
-// goroutinesBack waits until no more goroutines run than before.
-func goroutinesBack(t *testing.T, before int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
-	}
-}
-
 // TestStalledPeerFailsExchange is TestMidStreamDropFailsCollective's send-side
 // twin: the peer reads the first bytes of the frame, stops reading, then
 // closes, while Exchange waits for its own frame to be written from the rows.
@@ -114,7 +104,7 @@ func goroutinesBack(t *testing.T, before int) {
 // worker holds the link down and the attempt its peer lost, and no goroutine
 // is left behind.
 func TestStalledPeerFailsExchange(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	rt, far, pt := stalledPeer(t, w)
 	done := exchangeInBackground(t, pt)
@@ -133,7 +123,6 @@ func TestStalledPeerFailsExchange(t *testing.T) {
 	}
 	linkLostTo(t, w, rt, pt)
 	w.dropRuntime(rt)
-	goroutinesBack(t, before)
 }
 
 // TestAbortEndsHalfWrittenFrame: an abort frame - what the coordinator sends
@@ -143,7 +132,7 @@ func TestStalledPeerFailsExchange(t *testing.T) {
 // no progress fails heartbeatTimeout after it began, the link with it, and
 // Exchange returns the abort then, not never.
 func TestAbortEndsHalfWrittenFrame(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	w := NewWorkerWith("w0", nil, WorkerOptions{})
 	rt, far, pt := stalledPeer(t, w)
 	defer far.Close()
@@ -172,7 +161,6 @@ func TestAbortEndsHalfWrittenFrame(t *testing.T) {
 	linkLostTo(t, w, rt, pt)
 	ctrl.Close()
 	w.dropRuntime(rt)
-	goroutinesBack(t, before)
 }
 
 // discardConn is a connection that takes every write.

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -83,6 +85,9 @@ type Worker struct {
 	closed bool
 	// links are the worker's links to its peers, by node (peerLink).
 	links map[string]*peerLink
+	// moved are the links to a peer's old address: a job that named it there
+	// may still send on one, so each stays up until the worker closes.
+	moved []*peerLink
 	// orphanAfter is how long a runtime a peer's frame created waits for its
 	// job frame: handshakeTimeout, and less in the test of it.
 	orphanAfter time.Duration
@@ -211,7 +216,7 @@ func (w *Worker) Crash() {
 		conns = append(conns, c)
 	}
 	var links []*sender
-	for _, l := range w.links {
+	for _, l := range append(slices.Collect(maps.Values(w.links)), w.moved...) {
 		if l.send != nil {
 			links = append(links, l.send)
 		}
@@ -507,6 +512,9 @@ func (w *Worker) link(p procSpec) (*sender, error) {
 	}
 	l := w.links[p.Node]
 	dial := l == nil || l.addr != p.Addr
+	if l != nil && dial {
+		w.moved = append(w.moved, l)
+	}
 	if dial {
 		l = &peerLink{addr: p.Addr, ready: make(chan struct{})}
 		w.links[p.Node] = l

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	"gradoop/internal/epgm"
 	"gradoop/internal/govern"
 	"gradoop/internal/ldbc"
+	"gradoop/internal/leakcheck"
 	"gradoop/internal/obs"
 	"gradoop/internal/operators"
 	"gradoop/internal/session"
@@ -87,11 +87,6 @@ type chaosReport struct {
 	ReservedAfter           int64
 	LiveAfter               int
 
-	// GoroutineGrowth is the post-run goroutine count minus the pre-run
-	// count after the server shut down (leak detector; small scheduler
-	// noise is tolerated by Check).
-	GoroutineGrowth int
-
 	Wall time.Duration
 }
 
@@ -113,8 +108,6 @@ func (rep chaosReport) Check() error {
 		return fmt.Errorf("well-behaved accounting leak: %d ok of %d", rep.WellBehavedOK, rep.WellBehaved)
 	case rep.ReservedAfter != 0 || rep.LiveAfter != 0:
 		return fmt.Errorf("broker did not drain: %d B across %d live reservations", rep.ReservedAfter, rep.LiveAfter)
-	case rep.GoroutineGrowth > 4:
-		return fmt.Errorf("goroutine leak: %d more goroutines than before the run", rep.GoroutineGrowth)
 	}
 	return nil
 }
@@ -123,10 +116,11 @@ func (rep chaosReport) Check() error {
 // a fully governed session served over HTTP and classifies every response:
 // blowups must die with 503 + Retry-After and kind "memory-budget",
 // well-behaved queries must return their oracle-verified counts, and
-// afterwards every broker reservation must be released and every goroutine
-// gone.
+// afterwards every broker reservation must be released and, once t ends,
+// every goroutine gone (leakcheck).
 func runChaos(t *testing.T, requests int) chaosReport {
 	t.Helper()
+	leakcheck.Check(t)
 	var rep chaosReport
 
 	// Dataset plus ground truth: the well-behaved traffic is the paper's
@@ -185,7 +179,6 @@ func runChaos(t *testing.T, requests int) chaosReport {
 		}
 	}
 
-	before := runtime.NumGoroutine()
 	var next atomic.Int64
 	var mu sync.Mutex // guards the classification counters below
 	var wg sync.WaitGroup
@@ -227,8 +220,7 @@ func runChaos(t *testing.T, requests int) chaosReport {
 	for {
 		rep.ReservedAfter = sess.Broker().Reserved() - sess.Metrics().ResultBytes
 		rep.LiveAfter = sess.Broker().Live()
-		rep.GoroutineGrowth = runtime.NumGoroutine() - before
-		if (rep.ReservedAfter == 0 && rep.LiveAfter == 0 && rep.GoroutineGrowth <= 0) || time.Now().After(deadline) {
+		if (rep.ReservedAfter == 0 && rep.LiveAfter == 0) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
