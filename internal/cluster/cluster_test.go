@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"regexp"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -297,12 +298,13 @@ func TestProbeInPlaceOnCluster(t *testing.T) {
 }
 
 // TestSIPOnCluster: on two TCP workers the join that closes a cycle - Q5's
-// triangle, Q6's four-cycle, and at the medium first name Q2's and Q3's joins
-// over a variable-length path, which take an end set and a seed set -
-// all-gathers its left input's key set once, in one Broadcast stage of its
-// own, whose bytes cross the sockets; the job has that one Broadcast stage
-// more than it would without the set, and the rows are the ones a single
-// process finds, which filters the same way.
+// triangle, Q6's four-cycle, and at the medium first name Q2's join over a
+// variable-length path, which takes an end set - all-gathers its left input's
+// key set once, in one Broadcast stage of its own, whose bytes cross the
+// sockets; Q3's, which runs its right input first, all-gathers its four sets
+// so. The job has those Broadcast stages more than it would without the sets,
+// and the rows are the ones a single process finds, which filters the same
+// way.
 func TestSIPOnCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -320,13 +322,17 @@ func TestSIPOnCluster(t *testing.T) {
 	defer remote.Close()
 	_, medium, _ := d.FirstNamesBySelectivity()
 	params := map[string]epgm.PropertyValue{"firstName": epgm.PVString(medium)}
+	sip := regexp.MustCompile(`sip (left|right|leaf)\([a-z0-9_,]+\) n=`)
 	for _, tc := range []struct {
 		q benchkit.QueryID
-		// The Broadcast stages of the job without the key set: Q3's selective
+		// The Broadcast stages of the job without the key sets: Q3's selective
 		// joins count their small side and broadcast it, each in a stage of
 		// that join's.
 		unfiltered int
-	}{{benchkit.Q5, 0}, {benchkit.Q6, 0}, {benchkit.Q2, 0}, {benchkit.Q3, 3}} {
+		// The closing join's key sets: Q3's runs its right input first and
+		// hands on its leaf's keys and three sets of the right input's.
+		sets int
+	}{{benchkit.Q5, 0, 1}, {benchkit.Q6, 0, 1}, {benchkit.Q2, 0, 1}, {benchkit.Q3, 3, 4}} {
 		q := tc.q
 		req := session.Request{Query: q.Text(), Params: params, Trace: true}
 		want, err := local.Execute(req)
@@ -334,14 +340,14 @@ func TestSIPOnCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := want.Result.AnalyzedPlan()
-		if strings.Count(plan, "sip n=") != 1 || strings.Count(plan, "sip dropped=") != 1 {
-			t.Fatalf("%s: in one process, not one join handing one target its key set:\n%s", q, plan)
+		if len(sip.FindAllString(plan, -1)) != tc.sets || strings.Count(plan, "sip dropped=") != tc.sets {
+			t.Fatalf("%s: in one process, not one join handing %d targets a key set each:\n%s", q, tc.sets, plan)
 		}
 		// The closing join, as a stage report names it: its plan line up to
 		// the estimate.
 		var closing string
 		for _, line := range strings.Split(plan, "\n") {
-			if strings.Contains(line, "sip n=") {
+			if sip.MatchString(line) {
 				closing, _, _ = strings.Cut(strings.TrimSpace(line), "  ~")
 			}
 		}
@@ -353,8 +359,8 @@ func TestSIPOnCluster(t *testing.T) {
 		if got.Count != want.Count || !reflect.DeepEqual(got.Result.Rows(), want.Result.Rows()) {
 			t.Fatalf("%s: %d rows on the cluster, %d in one process", q, got.Count, want.Count)
 		}
-		// The key set is the closing join's one Broadcast stage, and the only
-		// one the set adds to the job.
+		// Each key set is a Broadcast stage of the closing join's, and the
+		// sets are the only ones it adds to the job.
 		var sets, broadcasts int
 		for _, st := range got.Cluster.Stages {
 			if st.Kind != "Broadcast" {
@@ -367,9 +373,9 @@ func TestSIPOnCluster(t *testing.T) {
 				}
 			}
 		}
-		if sets != 1 || broadcasts != tc.unfiltered+1 || got.Cluster.Attempts != 1 {
-			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want %d, the one key set, in one",
-				q, broadcasts, sets, closing, got.Cluster.Attempts, tc.unfiltered+1)
+		if sets != tc.sets || broadcasts != tc.unfiltered+tc.sets || got.Cluster.Attempts != 1 {
+			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want %d, with the %d key sets, in one",
+				q, broadcasts, sets, closing, got.Cluster.Attempts, tc.unfiltered+tc.sets, tc.sets)
 		}
 	}
 }

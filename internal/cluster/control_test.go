@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -548,5 +549,89 @@ func TestEveryFrameTypeCrosses(t *testing.T) {
 	time.Sleep(heartbeatInterval)
 	if n := coord.LiveWorkers(); n != len(addrs) {
 		t.Fatalf("%d of %d members alive: a frame that crossed was not read", n, len(addrs))
+	}
+}
+
+// TestSharedWorkerKeepsCoordinatorsApart: a worker keys its runtimes and
+// aborts by job and attempt alone, so two coordinators that share it number
+// their jobs from random bases. The first runs a job; the second's job is
+// then held on the shared worker - its other worker's job frame waits in a
+// relay - while the first's late abort of its job reaches the shared worker,
+// and a second job of the first's behind the abort shows it has been read.
+// The second's job is not hit: one attempt, the first's rows.
+func TestSharedWorkerKeepsCoordinatorsApart(t *testing.T) {
+	g := tinyGraph()
+	data := session.NewGraphData(g)
+	shared, sharedAddr := serveWorker(t, "w0", data)
+	_, otherAddr := serveWorker(t, "w1", data)
+	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := NewCoordinator([]string{sharedAddr}, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	want, _, err := first.ExecuteRemote(g, prep, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.mu.Lock()
+	late := &attemptState{key: jobKey{job: first.jobSeq}, roster: []int{0}}
+	first.mu.Unlock()
+
+	gate := make(chan struct{})
+	held := relay(t, otherAddr, func(toWorker bool, typ byte, payload []byte) (byte, []byte) {
+		if toWorker && typ == frameJob {
+			<-gate
+		}
+		return typ, payload
+	})
+	second, err := NewCoordinator([]string{sharedAddr, held}, Options{Workers: 4})
+	if err != nil {
+		close(gate)
+		t.Fatal(err)
+	}
+	defer second.Close()
+	type outcome struct {
+		res *core.Result
+		rep *session.ClusterReport
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, rep, err := second.ExecuteRemote(g, prep, core.Config{})
+		ch <- outcome{res, rep, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		shared.mu.Lock()
+		n := len(shared.jobs)
+		shared.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("the second coordinator's job never reached the shared worker")
+		}
+	}
+	first.abortAttempt(late)
+	_, _, err = first.ExecuteRemote(g, prep, core.Config{})
+	close(gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o outcome
+	select {
+	case o = <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second coordinator's job hangs")
+	}
+	if o.err != nil || o.rep.Attempts != 1 {
+		t.Fatalf("the second coordinator's job: %+v, %v; want one clean attempt", o.rep, o.err)
+	}
+	if !reflect.DeepEqual(o.res.Rows(), want.Rows()) {
+		t.Fatalf("the second coordinator's job: %d rows, the first's %d", len(o.res.Rows()), len(want.Rows()))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net"
 	"slices"
 	"sort"
@@ -61,8 +62,12 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	pending map[jobKey]*attemptState
-	jobSeq  uint64
-	closed  bool
+	// jobSeq is the last job's id. It starts at a random 64-bit base: a
+	// worker keys its runtimes and aborts by job and attempt alone, so two
+	// coordinators sharing a worker must not both number their jobs from 1,
+	// or a late abort or data frame of one's job lands on the other's.
+	jobSeq uint64
+	closed bool
 
 	stopHB chan struct{}
 	// wg joins every goroutine the coordinator spawned — the per-member
@@ -135,6 +140,7 @@ func NewCoordinator(addrs []string, opts Options) (*Coordinator, error) {
 		part:    opts.Partitioner,
 		inst:    newClusterInstruments(opts.Metrics),
 		pending: map[jobKey]*attemptState{},
+		jobSeq:  rand.Uint64(),
 		stopHB:  make(chan struct{}),
 	}
 	now := time.Now()

@@ -22,8 +22,8 @@ import (
 // TestClusterE2E is the multi-process smoke: it builds the real cypherd and
 // cypherworker binaries, writes an LDBC dataset to disk, spawns a
 // coordinator plus two worker OS processes, and drives oracle queries over
-// HTTP. One worker is armed to crash mid-query (its first shuffle
-// exchange); the response must still be bit-identical to a plain
+// HTTP. One worker is armed to crash mid-query (its first collective, in
+// Q3's first key set); the response must still be bit-identical to a plain
 // single-process cypherd, with the recovery visible in the cluster report.
 //
 // Gated behind CLUSTER_E2E=1 (it compiles binaries and spawns processes);
@@ -71,20 +71,30 @@ func TestClusterE2E(t *testing.T) {
 	waitHealthy(t, refAddr)
 	waitHealthy(t, clusterAddr)
 
+	// The first query, whose first collective crashes w1, is Q3 at the
+	// dataset's most common first name: its closing join runs its right
+	// input first and hands key sets both ways, and its first collective is
+	// the all-gather of the person leaf's keys.
+	common, _, _ := d.FirstNamesBySelectivity()
+	const twoHop = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`
 	queries := []struct {
 		name    string
 		query   string
 		shuffle bool // expected to crash w1 and recover
 	}{
-		{"twohop", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`, true},
+		{"q3", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)<-[:hasCreator]-(comment:Comment),
+      (comment)-[:replyOf*1..10]->(post:Post), (post)-[:hasCreator]->(p1)
+WHERE p1.firstName = '` + common + `'
+RETURN p1.firstName, p1.lastName, p2.firstName, p2.lastName, post.content`, true},
+		{"twohop", twoHop, false},
 		{"scan", `MATCH (p:Person) RETURN *`, false},
 		{"expand", `MATCH (p:Person)-[:knows]->(q:Person) RETURN *`, false},
 	}
 	for _, q := range queries {
 		ref := postQuery(t, refAddr, q.query)
 		got := postQuery(t, clusterAddr, q.query)
-		if got.Count != ref.Count {
-			t.Fatalf("%s: count %d != single-process %d", q.name, got.Count, ref.Count)
+		if got.Count != ref.Count || ref.Count == 0 {
+			t.Fatalf("%s: count %d, single-process %d", q.name, got.Count, ref.Count)
 		}
 		if !reflect.DeepEqual(got.Rows, ref.Rows) {
 			t.Fatalf("%s: distributed rows differ from single-process rows", q.name)
@@ -126,7 +136,7 @@ func TestClusterE2E(t *testing.T) {
 		"-cluster", w2Addr+","+w3Addr)
 	waitHealthy(t, obsAddr)
 
-	traced := postQueryTraced(t, obsAddr, queries[0].query)
+	traced := postQueryTraced(t, obsAddr, twoHop)
 	if traced.Cluster == nil || traced.Cluster.TraceID == "" {
 		t.Fatal("traced query returned no cluster trace ID")
 	}

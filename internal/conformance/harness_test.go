@@ -192,8 +192,9 @@ func reference(c *kase, all bool) (want outcome, ok bool) {
 }
 
 // filters names the key sets a case's plan, as engine/4 runs it, hands on
-// (JoinEmbeddings.FilterRight): "join" for a set a closing join hands a join
-// below it, "seed" and "end" for an expansion's seed set and end set.
+// (JoinEmbeddings.PlaceKeySets): "join" for a set of a join's left input that
+// a join below its right one takes, "seed" and "end" for an expansion's seed
+// set and end set, and "right" for a join that runs its right input first.
 func filters(c *kase) map[string]bool {
 	sets := map[string]bool{}
 	prep, err := core.Prepare(c.f.graph(4), c.query, core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: c.f.stats})
@@ -202,16 +203,22 @@ func filters(c *kase) map[string]bool {
 	}
 	for _, n := range prep.Plan.Nodes() {
 		j, ok := n.Op.(*operators.JoinEmbeddings)
-		if !ok || j.Target() == nil {
+		if !ok || len(j.KeySets()) == 0 {
 			continue
 		}
-		switch _, expands := j.Target().(*operators.ExpandEmbeddings); {
-		case !expands:
-			sets["join"] = true
-		case j.EndSet():
+		if j.RightFirst() {
+			sets["right"] = true
+			continue
+		}
+		switch s := j.KeySets()[0]; {
+		case s.End():
 			sets["end"] = true
 		default:
-			sets["seed"] = true
+			if _, expands := s.Target.(*operators.ExpandEmbeddings); expands {
+				sets["seed"] = true
+			} else {
+				sets["join"] = true
+			}
 		}
 	}
 	return sets
@@ -382,7 +389,7 @@ func TestConformance(t *testing.T) {
 	}
 	t.Logf("%d modes x %d cases = %d runs", judged, len(all), judged*len(all))
 	worklist(t, all, outcomes["indexed/4"], outcomes["plans/4"])
-	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set",
-		filtering, byKind["join"], byKind["seed"], byKind["end"])
+	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set, %d a join's that runs right first",
+		filtering, byKind["join"], byKind["seed"], byKind["end"], byKind["right"])
 	t.Logf("%d cases the reference cannot evaluate, held to the anchor:\n%s", len(anchorOnly), strings.Join(anchorOnly, "\n"))
 }

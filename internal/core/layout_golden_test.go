@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,14 +68,17 @@ func goldenGraph(workers int) (*epgm.LogicalGraph, string) {
 // stages, shuffles, cpu and net of Q2 and Q3 - and only those - were recorded
 // again when that filter began to reach a variable-length expansion below the
 // closing join: one Broadcast stage more, the key set on the net, and fewer
-// input rows or paths the expansion writes.
+// input rows or paths the expansion writes. The stages, shuffles, cpu and net
+// of Q3 - and only those - were recorded again when its closing join began to
+// run its right input first: four key sets for one, three Broadcast stages
+// more, their keys on the net, and fewer rows written on both sides.
 var layoutGolden = map[string]string{
 	"Q1/1": "count=172 stages=9 shuffles=4 cpu=[4858] net=[0] rows=336e63a5898474a5",
 	"Q1/4": "count=172 stages=9 shuffles=4 cpu=[1080 1083 1321 1374] net=[6265 4375 4790 4663] rows=9b2eada02c6c9103",
 	"Q2/1": "count=172 stages=43 shuffles=15 cpu=[9602] net=[1376] rows=eb534e79142b6b86",
 	"Q2/4": "count=172 stages=43 shuffles=15 cpu=[2200 2525 2283 2594] net=[16448 13400 13952 14505] rows=049fa717c002fca6",
-	"Q3/1": "count=21 stages=53 shuffles=21 cpu=[14372] net=[176] rows=f3aac3dd8c6a4089",
-	"Q3/4": "count=21 stages=53 shuffles=21 cpu=[3381 3299 3712 3980] net=[26424 25193 26687 27221] rows=9d7db0c6323d488b",
+	"Q3/1": "count=21 stages=56 shuffles=24 cpu=[12474] net=[2616] rows=f3aac3dd8c6a4089",
+	"Q3/4": "count=21 stages=56 shuffles=24 cpu=[2952 2871 3203 3448] net=[18736 17029 18517 19285] rows=9d7db0c6323d488b",
 	"Q4/1": "count=298 stages=33 shuffles=16 cpu=[11008] net=[0] rows=14943ba276169f6a",
 	"Q4/4": "count=298 stages=33 shuffles=16 cpu=[2802 2779 2641 2786] net=[4801 4131 8242 9058] rows=f857273af86832a6",
 	"Q5/1": "count=609 stages=17 shuffles=10 cpu=[7067] net=[2488] rows=25b45830eb4fde57",
@@ -155,6 +159,68 @@ func TestKeepGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("what the operators that write rows leave out moved; testdata/keep.golden would read:\n%s", got.String())
+	}
+}
+
+// TestKeySetsSit pins, per yardstick query, every key set its plan hands on
+// (operators.KeySet): the join that makes it, its source - the join's left or
+// right input, or the leaf it runs first - and variables, and the join or
+// expansion it goes to. A planner change that moves a set, adds one or drops
+// one fails here by name, not only in the bench's bytes.
+func TestKeySetsSit(t *testing.T) {
+	g, common := goldenGraph(4)
+	defer core.DropGraphStats(g)
+	const (
+		q3     = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=p1,__e0,comment,__e1,__e3,__e2)"
+		q3Left = "JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"
+	)
+	want := map[benchkit.QueryID][]string{
+		benchkit.Q2: {"JoinEmbeddings(on=message, HOMO/ISO, drop=message,__e0,__e1) | left(message) -> " +
+			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false, drop=post), end set"},
+		benchkit.Q3: {
+			q3 + " | leaf p1(p1) -> JoinEmbeddings(on=post, HOMO/ISO)",
+			q3 + " | right(comment,p1) -> " + q3Left,
+			q3 + " | right(comment) -> JoinEmbeddings(on=comment, HOMO/ISO)",
+			q3 + " | right(p1) -> JoinEmbeddings(on=p1, HOMO/ISO)",
+		},
+		benchkit.Q5: {"JoinEmbeddings(on=p1,p3, HOMO/ISO, drop=p3,p1,__e2,__e0,__e1) | left(p1,p3) -> JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"},
+		benchkit.Q6: {"JoinEmbeddings(on=p2,t1, HOMO/ISO, drop=p2,__e2,t1,__e3,__e1) | left(p2,t1) -> JoinEmbeddings(on=p1, HOMO/ISO, drop=p1,__e0)"},
+	}
+	for _, q := range benchkit.AllQueries {
+		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
+		if q.Operational() {
+			cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}
+		}
+		plan, err := core.Plan(g, q.Text(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for _, n := range plan.Nodes() {
+			j, ok := n.Op.(*operators.JoinEmbeddings)
+			if !ok {
+				continue
+			}
+			for _, s := range j.KeySets() {
+				var source string
+				switch s.Source {
+				case j.Left:
+					source = "left"
+				case j.Right:
+					source = "right"
+				default:
+					source = "leaf " + s.Source.Meta().Var(0)
+				}
+				set := fmt.Sprintf("%s | %s(%s) -> %s", j.Description(), source, strings.Join(s.Vars, ","), s.Target.Description())
+				if s.End() {
+					set += ", end set"
+				}
+				got = append(got, set)
+			}
+		}
+		if !slices.Equal(got, want[q]) {
+			t.Errorf("%s: key sets\n%s\nwant\n%s", q, strings.Join(got, "\n"), strings.Join(want[q], "\n"))
+		}
 	}
 }
 

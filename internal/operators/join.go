@@ -95,10 +95,10 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // key and hashed partition by partition, unless one of them is a leaf over a
 // pinned store that the other, counted, turns out to be small against - then
 // the small input is broadcast into the leaf's scan (probeInPlace). A join of
-// a query's mandatory pattern whose right input binds the join variables only
-// in a join or an expansion below it hands that operator the key set of its
-// left input, which drops a pair, an input row or a path that cannot join here
-// before it is written (FilterRight).
+// a query's mandatory pattern that closes a cycle hands the keys of the input
+// it runs first to the joins and expansions below the other, which drop a
+// pair, an input row or a path that cannot join here before it is written
+// (PlaceKeySets, keyset.go).
 type JoinEmbeddings struct {
 	Left, Right Operator
 	Morph       Morphism
@@ -106,202 +106,10 @@ type JoinEmbeddings struct {
 	joinShape
 	rowShape
 
-	// target is the operator of the right input - a join or an expansion - a
-	// run hands this join's left keys to; nil if the join filters nothing.
-	// setCols are the left columns the keys are hashed from and targetCols
-	// where the target holds them, in the same order: in a pair of a join or
-	// in an expansion's input row. A target with no columns is an expansion
-	// that tests its paths' far end against the set instead (an end set).
-	target     Operator
-	setCols    []int
-	targetCols []pairCol
-}
-
-// pairCol is where a pair of rows of a join holds one identifier: a column of
-// its left or of its right row. An expansion's input row is a left row.
-type pairCol struct {
-	right bool
-	col   int
-}
-
-// FilterRight has the join filter its right input by the keys of its left
-// one, if the right input has a target. The walk for it goes down from the
-// right input through FilterEmbeddings, inner joins and expansions, each time
-// into the input that binds every join variable. The target is the first join
-// neither of whose inputs does, or the first expansion whose input lacks just
-// one join variable, the path's far end. Such an expansion takes one of two
-// sets: if its input binds some join variables, the left rows' keys of just
-// those, against which it tests its input rows before the first hop (a seed
-// set); if the far end is the only join variable, the left rows' keys, against
-// which it tests each path's end before it writes the path (an end set). A
-// walk that meets any other operator first - a leaf, an expansion joined on
-// its path, a Cached or Alias, an outer or a semi join - finds none, and the
-// join filters nothing. Every row of the right input comes of one pair of a
-// target join, or of one input row and path of a target expansion, and
-// carries its identifiers of the join variables, so one whose key is not among
-// the left input's cannot make a row this join keeps (DESIGN decision 40). The
-// planner calls it on the joins of a query's mandatory pattern while it builds
-// the plan, which no run writes.
-func (op *JoinEmbeddings) FilterRight() {
-	bindsAll := func(in Operator) bool {
-		m := in.Meta()
-		for _, v := range op.joinVars {
-			if !m.HasVar(v) {
-				return false
-			}
-		}
-		return true
-	}
-	node := op.Right
-	for {
-		switch n := node.(type) {
-		case *FilterEmbeddings:
-			node = n.In
-			continue
-		case *JoinEmbeddings:
-			switch {
-			case bindsAll(n.Left):
-				node = n.Left
-				continue
-			case bindsAll(n.Right):
-				node = n.Right
-				continue
-			}
-			op.target, op.setCols = n, op.leftCols
-			op.targetCols = make([]pairCol, len(op.joinVars))
-			for i, v := range op.joinVars {
-				c, onLeft := n.Left.Meta().Column(v)
-				if !onLeft {
-					c, _ = n.Right.Meta().Column(v)
-				}
-				op.targetCols[i] = pairCol{right: !onLeft, col: c}
-			}
-		case *ExpandEmbeddings:
-			in := n.In.Meta()
-			var seed []int // the join variables the input binds
-			for i, v := range op.joinVars {
-				switch {
-				case in.HasVar(v):
-					seed = append(seed, i)
-				case v != n.endVar:
-					return
-				}
-			}
-			switch len(seed) {
-			case len(op.joinVars):
-				node = n.In
-				continue
-			case 0:
-				op.target, op.setCols = n, op.leftCols
-				return
-			}
-			op.target = n
-			for _, i := range seed {
-				c, _ := in.Column(op.joinVars[i])
-				op.setCols = append(op.setCols, op.leftCols[i])
-				op.targetCols = append(op.targetCols, pairCol{col: c})
-			}
-		}
-		return
-	}
-}
-
-// Target returns the join or the expansion FilterRight found below the right
-// input, or nil.
-func (op *JoinEmbeddings) Target() Operator { return op.target }
-
-// EndSet reports whether the target is an expansion that tests its paths'
-// far end, not its input rows.
-func (op *JoinEmbeddings) EndSet() bool { return op.target != nil && len(op.targetCols) == 0 }
-
-// keyFilter is a key set at its target in a run: the left keys of a join
-// above it, where the target holds them - in a pair of a join, in an input row
-// of an expansion or, with no columns, as a path's far end - and, in a traced
-// run, a count of what it dropped.
-type keyFilter struct {
-	set     *dataflow.KeySet
-	cols    []pairCol
-	dropped *atomic.Int64
-}
-
-// drop counts a key not in the set where it is traced.
-func (f *keyFilter) drop() {
-	if f.dropped != nil {
-		f.dropped.Add(1)
-	}
-}
-
-// key is the key of the pair l, r at f's columns; an expansion's input row is
-// l.
-func (f *keyFilter) key(l, r embedding.Embedding) uint64 {
-	h := keySeed
-	for _, c := range f.cols {
-		row := l
-		if c.right {
-			row = r
-		}
-		h = mixKey(h, row.ID(c.col))
-	}
-	return h
-}
-
-// keeps reports whether the key of the pair l, r is in every set of filters,
-// and counts a pair that is not where it is traced.
-func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
-	if f := miss(filters, l, r); f != nil {
-		f.drop()
-		return false
-	}
-	return true
-}
-
-// miss returns the first of filters the key of the pair l, r is not in, or
-// nil.
-func miss(filters []*keyFilter, l, r embedding.Embedding) *keyFilter {
-	for _, f := range filters {
-		if !f.set.Has(f.key(l, r)) {
-			return f
-		}
-	}
-	return nil
-}
-
-// filtered evaluates the right input of a join that has a target with the key
-// set of left, all-gathered once, handed to the target for as long as it
-// runs.
-func (op *JoinEmbeddings) filtered(r *Run, left *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	sc := op.setCols
-	f := &keyFilter{set: dataflow.Keys(left, func(e embedding.Embedding) uint64 { return keyOf(e, sc) }), cols: op.targetCols}
-	if c := r.env.Tracer(); c != nil {
-		c.Note(op, fmt.Sprintf("sip n=%d", f.set.Len()))
-		f.dropped = new(atomic.Int64)
-	}
-	if r.filters == nil {
-		r.filters = map[Operator][]*keyFilter{}
-	}
-	t := op.target
-	r.filters[t] = append(r.filters[t], f)
-	right := op.Right.Evaluate(r) // a scope of its own inside this one
-	if fs := r.filters[t]; len(fs) > 1 {
-		r.filters[t] = fs[:len(fs)-1]
-	} else {
-		delete(r.filters, t)
-	}
-	return right
-}
-
-// noteDropped tells a tracer how many pairs, input rows or paths the key sets
-// of filters dropped at op.
-func noteDropped(r *Run, op Operator, filters []*keyFilter) {
-	c := r.env.Tracer()
-	if c == nil || len(filters) == 0 {
-		return
-	}
-	var n int64
-	for _, f := range filters {
-		n += f.dropped.Load()
-	}
-	c.Note(op, fmt.Sprintf("sip dropped=%d", n))
+	// sets are the key sets the join hands on, in the order a run makes them;
+	// none if it hands on nothing. If the first is a leaf's, not the left
+	// input's, the join runs its right input first (PlaceKeySets).
+	sets []KeySet
 }
 
 // NewJoinEmbeddings builds a join on the variables shared between the two
@@ -417,15 +225,18 @@ func soleLeaf(op Operator) inPlaceLeaf {
 // a predicate below it - without one nothing says the other side is small, and
 // the count that would tell is a collective. The planner puts the input it
 // expects to be smaller on the left, so the right one is tried first. A join
-// with a target runs its left input first, to filter the right one, so its
-// left leaf is no candidate.
+// that hands on key sets runs one input first to filter the other, so it has
+// none.
 func (op *JoinEmbeddings) inPlaceCandidate(r *Run) (leaf inPlaceLeaf, onLeft bool) {
+	if len(op.sets) > 0 {
+		return nil, false
+	}
 	if op.Left.Selective() {
 		if leaf := soleLeaf(op.Right); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, false
 		}
 	}
-	if op.Right.Selective() && op.target == nil {
+	if op.Right.Selective() {
 		if leaf := soleLeaf(op.Left); leaf != nil && leaf.scanned(r) > 0 {
 			return leaf, true
 		}
@@ -435,14 +246,26 @@ func (op *JoinEmbeddings) inPlaceCandidate(r *Run) (leaf inPlaceLeaf, onLeft boo
 
 // Evaluate implements Operator.
 func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	switch {
+	case op.RightFirst():
+		// The leaf runs first - its Cached keeps the rows for the left input -
+		// then the right input with the leaf's keys, then the left input with
+		// the right one's.
+		leaf := op.sets[0].Source
+		seeds := leaf.Evaluate(r)
+		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+			right := r.handOn(op, leaf, seeds, op.Right)
+			return op.join(r, r.handOn(op, op.Right, right, op.Left), right)
+		})
+	case len(op.sets) > 0:
+		left := op.Left.Evaluate(r)
+		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+			return op.join(r, left, r.handOn(op, op.Left, left, op.Right))
+		})
+	}
 	leaf, onLeft := op.inPlaceCandidate(r)
 	if leaf == nil {
 		left := op.Left.Evaluate(r)
-		if op.target != nil {
-			return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-				return op.join(r, left, op.filtered(r, left))
-			})
-		}
 		right := op.Right.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 			return op.join(r, left, right)

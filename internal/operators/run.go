@@ -37,8 +37,9 @@ type Run struct {
 	env     *dataflow.Env
 	kept    map[Operator]kept
 	// filters are the key sets the joins being evaluated hand the joins and
-	// expansions below them (JoinEmbeddings.FilterRight), by target: a run's,
-	// never an operator's, as the plan is every run's.
+	// expansions below them (JoinEmbeddings.PlaceKeySets), by target, each
+	// installed by Run.handOn for as long as the input it filters runs: a
+	// run's, never an operator's, as the plan is every run's.
 	filters map[Operator][]*keyFilter
 	labels  Labeler
 	observe func(Operator, *dataflow.Dataset[embedding.Embedding])

@@ -14,7 +14,7 @@ import (
 )
 
 // TestFilterRightTargets walks the right input of a join for the join or the
-// expansion that takes its key set (FilterRight), on every shape the walk
+// expansion that takes its key set (PlaceKeySets), on every shape the walk
 // tells apart, and says which set an expansion takes.
 func TestFilterRightTargets(t *testing.T) {
 	v := func(name string) Operator { return NewFilterAndProjectVertices(&cypher.QueryVertex{Var: name}) }
@@ -66,12 +66,183 @@ func TestFilterRightTargets(t *testing.T) {
 		{"under a shared leaf's Cached: none", join(e("e1", "a", "c"), NewCached(join(e("e2", "a", "b"), e("e3", "b", "c")))), nil, false},
 		{"on one variable: none, a leaf binds it", join(v("b"), join(e("e2", "a", "b"), e("e3", "b", "c"))), nil, false},
 	} {
-		tc.join.FilterRight()
-		if got := tc.join.Target(); got != tc.target {
-			t.Errorf("%s: target %v, want %v", tc.name, describe(got), describe(tc.target))
+		tc.join.PlaceKeySets()
+		sets := tc.join.KeySets()
+		if tc.target == nil {
+			if len(sets) != 0 {
+				t.Errorf("%s: %d sets, want none", tc.name, len(sets))
+			}
+			continue
 		}
-		if got := tc.join.EndSet(); got != tc.endSet {
-			t.Errorf("%s: end set %v, want %v", tc.name, got, tc.endSet)
+		if len(sets) != 1 || tc.join.RightFirst() {
+			t.Errorf("%s: %d sets, right first %v; want one of the left input's", tc.name, len(sets), tc.join.RightFirst())
+			continue
+		}
+		if s := sets[0]; s.Source != tc.join.Left || s.Target != tc.target || s.End() != tc.endSet {
+			t.Errorf("%s: set to %s, end set %v; want %s, %v", tc.name, describe(s.Target), s.End(), describe(tc.target), tc.endSet)
+		}
+	}
+}
+
+// TestKeySetWalk holds lowest, the one walk that places every key set, to the
+// lowest join or expansion that binds a set's variables, and place to where
+// that holds them: into an expansion's input, stopping above a leaf, a Cached or
+// an Alias, where both inputs bind the variables, and at the target mirrored
+// into the left input of a join that runs its right input first.
+func TestKeySetWalk(t *testing.T) {
+	v := func(name string) Operator { return NewFilterAndProjectVertices(&cypher.QueryVertex{Var: name}) }
+	e := func(name, src, tgt string) Operator { return NewFilterAndProjectEdges(plainKnows(name, src, tgt)) }
+	join := func(l, r Operator) *JoinEmbeddings { return NewJoinEmbeddings(l, r, Morphism{}, nil) }
+	expand := func(in Operator, src, tgt string) *ExpandEmbeddings {
+		x, err := NewExpandEmbeddings(in, &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: src, Target: tgt, MinHops: 1, MaxHops: 3},
+			Morphism{}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	source := v("a") // the sets' source: the walk reads only its columns
+	overLeaf := join(v("a"), e("e1", "a", "b"))
+	underExpansion := join(e("e1", "a", "b"), e("e2", "b", "d"))
+	overCached := join(NewCached(e("e1", "a", "b")), e("e2", "b", "d"))
+	cached := NewCached(e("e1", "x", "y"))
+	overAlias := join(v("b"), NewAlias(cached, map[string]string{"x": "a", "y": "b", "e1": "e9"}))
+	both := join(e("e1", "a", "b"), e("e2", "a", "c"))
+	overLeafExpansion := expand(e("e1", "a", "b"), "b", "c")
+	for _, tc := range []struct {
+		name   string
+		from   Operator
+		vars   []string
+		target Operator
+		cols   []pairCol
+	}{
+		{"stopping above a leaf", overLeaf, []string{"a"}, overLeaf, []pairCol{{col: 0}}},
+		{"into an expansion's input", expand(underExpansion, "d", "c"), []string{"a"}, underExpansion, []pairCol{{col: 0}}},
+		{"through a filter into an expansion's input",
+			NewFilterEmbeddings(expand(underExpansion, "d", "c"), nil), []string{"a"}, underExpansion, []pairCol{{col: 0}}},
+		{"stopping above a Cached", overCached, []string{"a"}, overCached, []pairCol{{col: 0}}},
+		{"stopping above an Alias", overAlias, []string{"a"}, overAlias, []pairCol{{right: true, col: 0}}},
+		{"both inputs binding the variables: the left one's", both, []string{"a"}, both, []pairCol{{col: 0}}},
+		{"both inputs binding them apart: each one's", both, []string{"c", "b"}, both, []pairCol{{right: true, col: 2}, {col: 2}}},
+		{"an expansion over a leaf: its input row", overLeafExpansion, []string{"a"}, overLeafExpansion, []pairCol{{col: 0}}},
+		{"an expansion's far end: an end set", overLeafExpansion, []string{"c"}, overLeafExpansion, nil},
+		{"an expansion's path: none", overLeafExpansion, []string{"p"}, nil, nil},
+		{"a leaf: none", e("e1", "a", "b"), []string{"a"}, nil, nil},
+		{"a Cached: none", cached, []string{"x"}, nil, nil},
+	} {
+		s, ok := place(source, tc.from, tc.vars)
+		if tc.target == nil {
+			if ok {
+				t.Errorf("%s: set to %s, want none", tc.name, describe(s.Target))
+			}
+			continue
+		}
+		if !ok || s.Target != tc.target || !slices.Equal(s.targetCols, tc.cols) {
+			t.Errorf("%s: set to %s at %v, want %s at %v", tc.name, describe(s.Target), s.targetCols, describe(tc.target), tc.cols)
+		}
+	}
+
+	// A join closing a cycle through an expansion whose seed set a selective
+	// leaf under its left input binds runs right first.
+	q := mirrored(t)
+	q.root.PlaceKeySets()
+	if !q.root.RightFirst() {
+		t.Fatal("the closing join runs its left input first")
+	}
+	var got []string
+	for _, s := range q.root.KeySets() {
+		got = append(got, fmt.Sprintf("%s(%s)->%s", q.root.from(&s), strings.Join(s.Vars, ","), s.Target.Description()))
+	}
+	want := []string{
+		"leaf(a)->" + q.forward.Description(),
+		"right(a,c)->" + q.composite.Description(),
+		"right(a)->" + q.onA.Description(),
+		"right(c)->" + q.onC.Description(),
+	}
+	if !slices.Equal(got, want) || q.root.KeySets()[0].Source != q.leaf {
+		t.Errorf("sets %q, want %q", got, want)
+	}
+}
+
+// rightFirst is a plan whose closing join runs its right input first, and
+// the targets of its sets: a->b->c->g on the left, the persons a filtered; on
+// the right a->d->f and a path from f to c.
+type rightFirst struct {
+	root                         *JoinEmbeddings
+	leaf                         *Cached
+	forward, composite, onA, onC *JoinEmbeddings
+}
+
+func mirrored(t testing.TB) rightFirst {
+	var q rightFirst
+	knows := func(name, src, tgt string) Operator { return NewFilterAndProjectEdges(plainKnows(name, src, tgt)) }
+	q.leaf = NewCached(firstPersons(t, "a", 3))
+	q.onA = NewJoinEmbeddings(q.leaf, knows("e1", "a", "b"), Morphism{}, nil)
+	q.onC = NewJoinEmbeddings(knows("e2", "b", "c"), knows("e5", "c", "g"), Morphism{}, nil)
+	q.composite = NewJoinEmbeddings(q.onA, q.onC, Morphism{}, nil)
+	q.forward = NewJoinEmbeddings(knows("e3", "a", "d"), knows("e4", "d", "f"), Morphism{}, nil)
+	x, err := NewExpandEmbeddings(q.forward, &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "f", Target: "c", MinHops: 1, MaxHops: 2},
+		Morphism{}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.root = NewJoinEmbeddings(q.composite, x, Morphism{}, nil)
+	return q
+}
+
+// TestRightFirstFiltersTheLeft runs a closing join that runs its right input
+// first against the same plan that hands on no set, over the plain graph and
+// the pinned store: the same rows, one all-gather for each of the four sets,
+// and a trace that names each set's source and size at the join and what it
+// dropped at its target, which writes fewer rows.
+func TestRightFirstFiltersTheLeft(t *testing.T) {
+	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3
+	for _, walked := range []bool{false, true} {
+		run := func(sets bool) (rows []embedding.Embedding, c *trace.Collector, q rightFirst, stages int64) {
+			q = mirrored(t)
+			if sets {
+				q.root.PlaceKeySets()
+			}
+			env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+			c = trace.NewCollector()
+			env.SetTracer(c)
+			env.Begin(nil)
+			r := plainRun(dataflow.FromSlice(env, store.Vertices), dataflow.FromSlice(env, store.Edges))
+			if walked {
+				r = indexedRun(store.Index(env))
+			}
+			rows = q.root.Evaluate(r).Collect()
+			if err := env.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			return rows, c, q, env.Metrics().Stages
+		}
+		want, wantC, wantQ, wantStages := run(false)
+		got, c, q, stages := run(true)
+		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
+			t.Fatalf("walked=%v: right first: %d rows, no sets %d", walked, len(got), len(want))
+		}
+		if stages != wantStages+4 {
+			t.Errorf("walked=%v: %d stages, %d with no sets: want four all-gathers more", walked, stages, wantStages)
+		}
+		st, _ := c.Op(q.root)
+		if n := strings.Count(st.Note, "sip "); n != 4 ||
+			!strings.HasPrefix(st.Note, "sip leaf(a) n=3 sip right(a,c) n=") {
+			t.Errorf("walked=%v: closing join's note %q, want the leaf's set and three of the right input's", walked, st.Note)
+		}
+		// Every person a reaches a path; the other targets drop what cannot
+		// close it.
+		for _, target := range []struct {
+			got, all Operator
+			drops    bool
+		}{
+			{q.forward, wantQ.forward, true}, {q.composite, wantQ.composite, true}, {q.onA, wantQ.onA, false}, {q.onC, wantQ.onC, true},
+		} {
+			st, _ := c.Op(target.got)
+			all, _ := wantC.Op(target.all)
+			if !strings.Contains(st.Note, "sip dropped=") || target.drops && (strings.HasSuffix(st.Note, "sip dropped=0") || st.Rows >= all.Rows) {
+				t.Errorf("walked=%v: %s wrote %d rows of %d, note %q", walked, target.got.Description(), st.Rows, all.Rows, st.Note)
+			}
 		}
 	}
 }
@@ -94,7 +265,7 @@ func TestKeySetFiltersTheTarget(t *testing.T) {
 			NewFilterAndProjectEdges(plainKnows("e3", "b", "c")), Morphism{}, nil)
 		closing := NewJoinEmbeddings(NewFilterAndProjectEdges(plainKnows("e1", "a", "c")), target, Morphism{}, nil)
 		if filter {
-			closing.FilterRight()
+			closing.PlaceKeySets()
 		}
 		return closing, target
 	}
@@ -124,8 +295,8 @@ func TestKeySetFiltersTheTarget(t *testing.T) {
 	if st.Rows != int64(len(want)) || !strings.HasPrefix(st.Note, "sip dropped=") || st.Note == "sip dropped=0" {
 		t.Errorf("target wrote %d rows, note %q; want %d and the pairs it dropped", st.Rows, st.Note, len(want))
 	}
-	if st, _ := c.Op(closing); st.Note != "sip n=60" {
-		t.Errorf("closing join's note %q, want sip n=60", st.Note)
+	if st, _ := c.Op(closing); st.Note != "sip left(a,c) n=60" {
+		t.Errorf("closing join's note %q, want sip left(a,c) n=60", st.Note)
 	}
 }
 
@@ -156,6 +327,7 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		name    string
 		plan    func() (*JoinEmbeddings, *ExpandEmbeddings)
 		endSet  bool
+		vars    string
 		keys    int
 		dropped int
 	}{
@@ -165,16 +337,16 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 			x := expand(NewFilterAndProjectEdges(plainKnows("e2", "a", "b")), 1)
 			left := NewJoinEmbeddings(firstPersons(t, "a", 3), NewFilterAndProjectEdges(plainKnows("e1", "a", "c")), Morphism{}, nil)
 			return NewJoinEmbeddings(left, x, Morphism{}, nil), x
-		}, false, 3, 60 - 9},
+		}, false, "a", 3, 60 - 9},
 		{"end set on c", func() (*JoinEmbeddings, *ExpandEmbeddings) {
 			x := expand(NewFilterAndProjectEdges(plainKnows("e2", "a", "b")), 0)
 			return NewJoinEmbeddings(firstPersons(t, "c", 3), x, Morphism{}, nil), x
-		}, true, 3, -1},
+		}, true, "c", 3, -1},
 	} {
 		run := func(filter bool) (rows []embedding.Embedding, c *trace.Collector, closing *JoinEmbeddings, x *ExpandEmbeddings, stages int64) {
 			closing, x = tc.plan()
 			if filter {
-				closing.FilterRight()
+				closing.PlaceKeySets()
 			}
 			env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 			c = trace.NewCollector()
@@ -192,14 +364,14 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		}
 		want, wantC, _, wantX, wantStages := run(false)
 		got, c, closing, x, stages := run(true)
-		if closing.Target() != x || closing.EndSet() != tc.endSet {
-			t.Fatalf("%s: target %s, end set %v", tc.name, describe(closing.Target()), closing.EndSet())
+		if sets := closing.KeySets(); len(sets) != 1 || sets[0].Target != x || sets[0].End() != tc.endSet {
+			t.Fatalf("%s: sets %v", tc.name, sets)
 		}
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 			t.Fatalf("%s: filtered: %d rows, unfiltered %d", tc.name, len(got), len(want))
 		}
-		if st, _ := c.Op(closing); st.Note != fmt.Sprintf("sip n=%d", tc.keys) {
-			t.Errorf("%s: closing join's note %q, want sip n=%d", tc.name, st.Note, tc.keys)
+		if st, _ := c.Op(closing); st.Note != fmt.Sprintf("sip left(%s) n=%d", tc.vars, tc.keys) {
+			t.Errorf("%s: closing join's note %q, want sip left(%s) n=%d", tc.name, st.Note, tc.vars, tc.keys)
 		}
 		st, _ := c.Op(x)
 		all, _ := wantC.Op(wantX)

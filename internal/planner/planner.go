@@ -269,7 +269,7 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool, 
 		root.op = f
 		pn.pending = nil
 	}
-	filterRight(root.op)
+	placeKeySets(root.op)
 
 	// exists()/NOT exists() predicates filter the mandatory solutions
 	// through semi/anti joins.
@@ -303,16 +303,16 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool, 
 	return &QueryPlan{Root: root.op, Estimates: est, access: access}, nil
 }
 
-// filterRight has every inner join of op's tree, the mandatory pattern's,
-// filter its right input by its left input's keys where the right input has a
-// join to take them (JoinEmbeddings.FilterRight). The joins of an OPTIONAL
-// MATCH or exists() group take none: they are planned apart.
-func filterRight(op operators.Operator) {
+// placeKeySets has every inner join of op's tree, the mandatory pattern's,
+// hand the keys of the input it runs first to the joins and expansions below
+// the other (JoinEmbeddings.PlaceKeySets). The joins of an OPTIONAL MATCH or
+// exists() group take none: they are planned apart.
+func placeKeySets(op operators.Operator) {
 	if j, ok := op.(*operators.JoinEmbeddings); ok {
-		j.FilterRight()
+		j.PlaceKeySets()
 	}
 	for _, c := range op.Children() {
-		filterRight(c)
+		placeKeySets(c)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestPlannerIndexedAccessScansLess(t *testing.T) {
 // bindings - over the paths the two share: reuse, a predicate pending until a
 // join, the exists() and OPTIONAL MATCH tail, and key sets. A left-deep plan
 // joins nothing but leaves on the right, so none of its joins has a target
-// for a key set (JoinEmbeddings.FilterRight); the greedy plan of the cycle
+// for a key set (JoinEmbeddings.PlaceKeySets); the greedy plan of the cycle
 // has one.
 func TestLeftDeepPlannerAgreesWithGreedy(t *testing.T) {
 	skewed, ring := skewedGraph(3), ringGraph()
@@ -265,7 +265,7 @@ func targets(qp *QueryPlan) (joins, filtering int) {
 	for _, n := range qp.Nodes() {
 		if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
 			joins++
-			if j.Target() != nil {
+			if len(j.KeySets()) > 0 {
 				filtering++
 			}
 		}
@@ -306,7 +306,7 @@ func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
 
 // TestOnlyTheMandatoryPatternFilters: the planner has the joins of a query's
 // mandatory pattern filter their right input where it can
-// (JoinEmbeddings.FilterRight), and the joins of an OPTIONAL MATCH group none:
+// (JoinEmbeddings.PlaceKeySets), and the joins of an OPTIONAL MATCH group none:
 // the same triangle takes a key set as the pattern and none as the group. A
 // join over a path whose far end it joins on hands the expansion an end set.
 func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
@@ -323,7 +323,7 @@ func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 	// Not for want of a target: the group's closing join has one.
 	for _, n := range qp.Nodes() {
 		if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
-			j.FilterRight()
+			j.PlaceKeySets()
 		}
 	}
 	if _, n := targets(qp); n != 1 {
@@ -337,9 +337,9 @@ func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 		t.Fatalf("the join over the path takes no key set\n%s", qp.Explain())
 	}
 	for _, n := range qp.Nodes() {
-		if j, ok := n.Op.(*operators.JoinEmbeddings); ok && j.Target() != nil {
-			if _, ok := j.Target().(*operators.ExpandEmbeddings); !ok || !j.EndSet() {
-				t.Fatalf("the join over the path hands its set to %s, end set %v\n%s", j.Target().Description(), j.EndSet(), qp.Explain())
+		if j, ok := n.Op.(*operators.JoinEmbeddings); ok && len(j.KeySets()) > 0 {
+			if s := j.KeySets()[0]; len(j.KeySets()) != 1 || !s.End() {
+				t.Fatalf("the join over the path hands %d sets, the first to %s, end set %v\n%s", len(j.KeySets()), s.Target.Description(), s.End(), qp.Explain())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,35 +370,52 @@ func TestMetricsSnapshotUntornWithGovernance(t *testing.T) {
 }
 
 // TestKeySetOverBudget: a budget that holds every byte a plan charges before
-// its closing join's key set, but not the set, fails the query in the set's
-// stage with the structured budget error, and returns no rows - for a
-// triangle's closing join, which hands the set to a join, and for Q3's, which
-// hands it to the expansion of its replyOf path. The set's stage is the plan's
-// last Broadcast stage: Q3's selective joins count and broadcast in the left
-// input, before it.
+// the last key set of its closing join that charges any, but not that set,
+// fails the query in the set's stage with the structured budget error, and
+// returns no rows - for a
+// triangle's closing join, which hands its one set to a join, and for Q3's,
+// which runs its right input first and hands on four: the person leaf's to
+// the join under its replyOf path, and the right input's to three joins of
+// its left one. A set's stage is a Broadcast stage of the closing join's: Q3's
+// selective joins count and broadcast in stages of their own.
 func TestKeySetOverBudget(t *testing.T) {
 	d := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(4)), ldbc.Config{ScaleFactor: 0.1, Seed: 2017})
 	_, medium, _ := d.FirstNamesBySelectivity()
+	sip := regexp.MustCompile(`sip (left|right|leaf)\([a-z0-9_,]+\) n=`)
 	for _, job := range []struct {
 		name, query string
 		params      map[string]epgm.PropertyValue
+		sets        int
 	}{
-		{"triangle", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN p1.firstName, p3.lastName`, nil},
-		{"q3", benchkit.Q3.Text(), map[string]epgm.PropertyValue{"firstName": epgm.PVString(medium)}},
+		{"triangle", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person), (p1)-[:knows]->(p3) RETURN p1.firstName, p3.lastName`, nil, 1},
+		{"q3", benchkit.Q3.Text(), map[string]epgm.PropertyValue{"firstName": epgm.PVString(medium)}, 4},
 	} {
 		traced, err := New(d.Graph, Options{Workers: 4, MemoryBudget: 1 << 30}).Execute(Request{Query: job.query, Params: job.params, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan := traced.Result.AnalyzedPlan(); strings.Count(plan, "sip n=") != 1 {
-			t.Fatalf("%s: not one join that hands on a key set:\n%s", job.name, plan)
+		var closing string // as a span names its operator
+		plan := traced.Result.AnalyzedPlan()
+		for _, line := range strings.Split(plan, "\n") {
+			if n := len(sip.FindAllString(line, -1)); n > 0 {
+				if closing != "" || n != job.sets {
+					t.Fatalf("%s: not one join that hands on %d key sets:\n%s", job.name, job.sets, plan)
+				}
+				closing, _, _ = strings.Cut(strings.TrimSpace(line), "  ~")
+			}
 		}
 		spans := traced.Trace.Spans()
 		var stage int64
+		sets := 0
 		for _, sp := range spans {
-			if sp.Kind == "Broadcast" {
-				stage = sp.Stage
+			if sp.Kind == "Broadcast" && sp.Op == closing {
+				if sets++; sp.MemBytes() > 0 {
+					stage = sp.Stage
+				}
 			}
+		}
+		if sets != job.sets {
+			t.Fatalf("%s: %d Broadcast stages of %s, want one a set", job.name, sets, closing)
 		}
 		var before, set int64
 		for _, sp := range spans {
