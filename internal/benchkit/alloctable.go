@@ -266,7 +266,13 @@ func WrittenBy(prep *core.Prepared, access planner.GraphAccess, params map[strin
 			continue
 		}
 		for _, in := range n.Op.Children() {
-			w.In = max(w.In, rows[operators.Unwrap(in)])
+			// A leaf's scan that tests a key set is its consumer's, observed
+			// under the input itself.
+			read, ok := rows[in]
+			if !ok {
+				read = rows[operators.Unwrap(in)]
+			}
+			w.In = max(w.In, read)
 		}
 		out = append(out, w)
 	}

@@ -42,10 +42,23 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 	}
 	nodes := r.Plan.Nodes()
 	out := make([]qstore.OpMetrics, 0, len(nodes))
+	// consumer[d] is what the parent of the node last seen at depth d reads:
+	// that node or, inside a chain of reuse wrappers, the chain's top. A leaf's
+	// scan that tests a key set is recorded under the operator its consumer
+	// reads, so two consumers of one shared leaf each have a line of their
+	// own; any other chain's actuals are the operator it unwraps to.
+	consumer := make([]operators.Operator, 0, 8)
 	for _, n := range nodes {
 		om := qstore.OpMetrics{Op: n.Op.Description(), Depth: n.Depth}
+		consumer = append(consumer[:n.Depth], n.Op)
+		if n.Depth > 0 && operators.Unwrap(consumer[n.Depth-1]) != consumer[n.Depth-1] {
+			consumer[n.Depth] = consumer[n.Depth-1]
+		}
 		inner := operators.Unwrap(n.Op)
-		st, ok := c.Op(inner)
+		st, ok := c.Op(consumer[n.Depth])
+		if !ok {
+			st, ok = c.Op(inner)
+		}
 		if !ok {
 			// Never evaluated (e.g. a subtree skipped after a failure).
 			om.NotExecuted = true

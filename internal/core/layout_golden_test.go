@@ -71,14 +71,19 @@ func goldenGraph(workers int) (*epgm.LogicalGraph, string) {
 // input rows or paths the expansion writes. The stages, shuffles, cpu and net
 // of Q3 - and only those - were recorded again when its closing join began to
 // run its right input first: four key sets for one, three Broadcast stages
-// more, their keys on the net, and fewer rows written on both sides.
+// more, their keys on the net, and fewer rows written on both sides. The
+// stages, cpu and net of Q3 - and only those - were recorded again when a key
+// set began to be tested in the scans of its target's input leaves: the
+// shared hasCreator leaf is scanned once for each of its two consumers, one
+// FlatMap stage more, and the joins above the scans shuffle and hash a few rows
+// where they had every element's.
 var layoutGolden = map[string]string{
 	"Q1/1": "count=172 stages=9 shuffles=4 cpu=[4858] net=[0] rows=336e63a5898474a5",
 	"Q1/4": "count=172 stages=9 shuffles=4 cpu=[1080 1083 1321 1374] net=[6265 4375 4790 4663] rows=9b2eada02c6c9103",
 	"Q2/1": "count=172 stages=43 shuffles=15 cpu=[9602] net=[1376] rows=eb534e79142b6b86",
 	"Q2/4": "count=172 stages=43 shuffles=15 cpu=[2200 2525 2283 2594] net=[16448 13400 13952 14505] rows=049fa717c002fca6",
-	"Q3/1": "count=21 stages=56 shuffles=24 cpu=[12474] net=[2616] rows=f3aac3dd8c6a4089",
-	"Q3/4": "count=21 stages=56 shuffles=24 cpu=[2952 2871 3203 3448] net=[18736 17029 18517 19285] rows=9d7db0c6323d488b",
+	"Q3/1": "count=21 stages=57 shuffles=24 cpu=[12128] net=[2616] rows=f3aac3dd8c6a4089",
+	"Q3/4": "count=21 stages=57 shuffles=24 cpu=[2974 2925 2946 3283] net=[14137 13177 13234 14371] rows=9d7db0c6323d488b",
 	"Q4/1": "count=298 stages=33 shuffles=16 cpu=[11008] net=[0] rows=14943ba276169f6a",
 	"Q4/4": "count=298 stages=33 shuffles=16 cpu=[2802 2779 2641 2786] net=[4801 4131 8242 9058] rows=f857273af86832a6",
 	"Q5/1": "count=609 stages=17 shuffles=10 cpu=[7067] net=[2488] rows=25b45830eb4fde57",
@@ -164,23 +169,29 @@ func TestKeepGolden(t *testing.T) {
 
 // TestKeySetsSit pins, per yardstick query, every key set its plan hands on
 // (operators.KeySet): the join that makes it, its source - the join's left or
-// right input, or the leaf it runs first - and variables, and the join or
-// expansion it goes to. A planner change that moves a set, adds one or drops
-// one fails here by name, not only in the bench's bytes.
+// right input, or the leaf it runs first - and variables, the join or
+// expansion it goes to and the inputs of that target whose scans test it over
+// a pinned store (JoinEmbeddings.ScanTests). A planner change that moves a
+// set, adds one or drops one fails here by name, not only in the bench's
+// bytes.
 func TestKeySetsSit(t *testing.T) {
 	g, common := goldenGraph(4)
 	defer core.DropGraphStats(g)
 	const (
-		q3     = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=p1,__e0,comment,__e1,__e3,__e2)"
-		q3Left = "JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"
+		q3          = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=p1,__e0,comment,__e1,__e3,__e2)"
+		q3Left      = "JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"
+		hasCreator  = "FilterAndProjectEdges((comment)-[__e1:hasCreator]->(p2), preds=0)"
+		commentLeaf = "FilterAndProjectVertices(comment:Comment, preds=0)"
 	)
 	want := map[benchkit.QueryID][]string{
 		benchkit.Q2: {"JoinEmbeddings(on=message, HOMO/ISO, drop=message,__e0,__e1) | left(message) -> " +
 			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false, drop=post), end set"},
 		benchkit.Q3: {
-			q3 + " | leaf p1(p1) -> JoinEmbeddings(on=post, HOMO/ISO)",
+			q3 + " | leaf p1(p1) -> JoinEmbeddings(on=post, HOMO/ISO), scans Alias(__e1->__e3, comment->post, p2->p1) of " + hasCreator,
 			q3 + " | right(comment,p1) -> " + q3Left,
-			q3 + " | right(comment) -> JoinEmbeddings(on=comment, HOMO/ISO)",
+			q3 + " | right(comment) -> JoinEmbeddings(on=comment, HOMO/ISO), scans Cached of " + commentLeaf + ", Cached of " + hasCreator,
+			// The join on p1 probes the knows leaf in place and tests the set
+			// there.
 			q3 + " | right(p1) -> JoinEmbeddings(on=p1, HOMO/ISO)",
 		},
 		benchkit.Q5: {"JoinEmbeddings(on=p1,p3, HOMO/ISO, drop=p3,p1,__e2,__e0,__e1) | left(p1,p3) -> JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"},
@@ -214,6 +225,13 @@ func TestKeySetsSit(t *testing.T) {
 				set := fmt.Sprintf("%s | %s(%s) -> %s", j.Description(), source, strings.Join(s.Vars, ","), s.Target.Description())
 				if s.End() {
 					set += ", end set"
+				}
+				var scans []string
+				for _, in := range j.ScanTests(s) {
+					scans = append(scans, in.Description()+" of "+operators.Unwrap(in).Description())
+				}
+				if len(scans) > 0 {
+					set += ", scans " + strings.Join(scans, ", ")
 				}
 				got = append(got, set)
 			}

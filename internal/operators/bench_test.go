@@ -173,6 +173,33 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 	b.ReportMetric(bytes/float64(scanned), "B/row")
 }
 
+// BenchmarkRowLeafKeySet is the scan of the knows edges of a pinned store
+// that tests a key set of 64 persons at the edges' sources, as a join given the
+// set has its input leaf scan (JoinEmbeddings.split): benchRows edges are read
+// and tested, and the 192 that leave one of the 64 get a row, in an output
+// allocated once at their count. What a step allocates is those rows' slab
+// chunks and the stage's own objects. Rows are the elements scanned, for
+// allocs/row and for B/row alike: heap bytes per scanned edge, where the
+// unfiltered scan pays BenchmarkRowLeafScan's B/row for every one of them.
+func BenchmarkRowLeafKeySet(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, es := benchGraph(env, benchRows/3)
+	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
+	chosen := dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64])
+	set := dataflow.Keys(chosen, func(e embedding.Embedding) uint64 { return keyOf(e, []int{0}) })
+	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
+	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{0}}}
+	scanned := int(knows.scanned(indexedRun(idx)))
+	env.ResetMetrics()
+	bytes := reportAllocsPerRow(b, scanned, func() {
+		if out := knows.scan(indexedRun(idx), test).Count(); out != 3*64 {
+			b.Fatalf("the scan kept %d rows", out)
+		}
+	})
+	b.ReportMetric(bytes/float64(scanned), "B/row")
+}
+
 // BenchmarkRowOuterJoin is an OPTIONAL MATCH of every person's knows edges
 // where the second half of the persons has none: both inputs are shuffled,
 // 15 000 pairs are checked and merged and 5 000 mandatory rows come out

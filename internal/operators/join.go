@@ -98,7 +98,8 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // a query's mandatory pattern that closes a cycle hands the keys of the input
 // it runs first to the joins and expansions below the other, which drop a
 // pair, an input row or a path that cannot join here before it is written
-// (PlaceKeySets, keyset.go).
+// (PlaceKeySets, keyset.go); a join given a set tests it in the scan of an
+// input leaf that binds its variables, if it has one (split).
 type JoinEmbeddings struct {
 	Left, Right Operator
 	Morph       Morphism
@@ -154,6 +155,16 @@ func mixKey(h uint64, id epgm.ID) uint64 {
 	return h ^ h>>29
 }
 
+// idsKey is keyOf of the row a leaf would make of an element whose
+// identifiers, as the row holds them, are ids (vertexIDs, edgeIDs).
+func idsKey(ids [3]epgm.ID, cols []int) uint64 {
+	h := keySeed
+	for _, c := range cols {
+		h = mixKey(h, ids[c])
+	}
+	return h
+}
+
 // sameKeys verifies actual id equality at the join columns (guarding
 // against hash collisions).
 func sameKeys(l, r embedding.Embedding, lc, rc []int) bool {
@@ -194,6 +205,9 @@ type inPlaceLeaf interface {
 	// and hands every pair of a small row and the leaf's row of a matching
 	// element to pair. The rows it made are added to built, if there is one.
 	probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding]
+	// scan is the leaf's scan in r, testing test's key sets if there is one
+	// (scanRows).
+	scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding]
 }
 
 // pairFunc is what a join does with a candidate pair: small is the broadcast
@@ -209,6 +223,12 @@ func soleLeaf(op Operator) inPlaceLeaf {
 	if c, ok := op.(*Cached); ok && !c.shared {
 		op = c.Inner
 	}
+	return keyedLeaf(op)
+}
+
+// keyedLeaf returns op if it is a leaf whose rows are keyed by their element:
+// a vertex leaf or a directed non-loop edge leaf.
+func keyedLeaf(op Operator) inPlaceLeaf {
 	switch leaf := op.(type) {
 	case *FilterAndProjectVertices:
 		return leaf
@@ -222,22 +242,30 @@ func soleLeaf(op Operator) inPlaceLeaf {
 
 // inPlaceCandidate names the input the join would probe in place, if it has
 // one: a leaf over a pinned store, consumed here only, whose other input has
-// a predicate below it - without one nothing says the other side is small, and
-// the count that would tell is a collective. The planner puts the input it
-// expects to be smaller on the left, so the right one is tried first. A join
-// that hands on key sets runs one input first to filter the other, so it has
-// none.
-func (op *JoinEmbeddings) inPlaceCandidate(r *Run) (leaf inPlaceLeaf, onLeft bool) {
+// a predicate below it or a scan that tests a key set (tests, split) - without
+// one nothing says the other side is small, and the count that would tell is a
+// collective. The planner puts the input it expects to be smaller on the left,
+// so the right one is tried first. A join that hands on key sets runs one
+// input first to filter the other, so it has none, and a leaf whose scan
+// tests a set is small already: it is scanned.
+func (op *JoinEmbeddings) inPlaceCandidate(r *Run, tests [2]*keyTest) (leaf inPlaceLeaf, onLeft bool) {
+	return op.candidate(func(leaf inPlaceLeaf) bool { return leaf.scanned(r) > 0 }, [2]bool{tests[0] != nil, tests[1] != nil})
+}
+
+// candidate is inPlaceCandidate's rule, pinned saying whether a leaf's
+// elements are ranges of a pinned store and tested which inputs' scans test a
+// key set.
+func (op *JoinEmbeddings) candidate(pinned func(inPlaceLeaf) bool, tested [2]bool) (leaf inPlaceLeaf, onLeft bool) {
 	if len(op.sets) > 0 {
 		return nil, false
 	}
-	if op.Left.Selective() {
-		if leaf := soleLeaf(op.Right); leaf != nil && leaf.scanned(r) > 0 {
+	if op.Left.Selective() || tested[0] {
+		if leaf := soleLeaf(op.Right); leaf != nil && !tested[1] && pinned(leaf) {
 			return leaf, false
 		}
 	}
-	if op.Right.Selective() {
-		if leaf := soleLeaf(op.Left); leaf != nil && leaf.scanned(r) > 0 {
+	if op.Right.Selective() || tested[1] {
+		if leaf := soleLeaf(op.Left); leaf != nil && !tested[0] && pinned(leaf) {
 			return leaf, true
 		}
 	}
@@ -255,30 +283,31 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 		seeds := leaf.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 			right := r.handOn(op, leaf, seeds, op.Right)
-			return op.join(r, r.handOn(op, op.Right, right, op.Left), right)
+			return op.join(r, r.handOn(op, op.Right, right, op.Left), right, r.filters[op])
 		})
 	case len(op.sets) > 0:
 		left := op.Left.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			return op.join(r, left, r.handOn(op, op.Left, left, op.Right))
+			return op.join(r, left, r.handOn(op, op.Left, left, op.Right), r.filters[op])
 		})
 	}
-	leaf, onLeft := op.inPlaceCandidate(r)
+	tests, pairs := op.split(r)
+	leaf, onLeft := op.inPlaceCandidate(r, tests)
 	if leaf == nil {
-		left := op.Left.Evaluate(r)
-		right := op.Right.Evaluate(r)
+		left := r.input(op.Left, tests[0])
+		right := r.input(op.Right, tests[1])
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			return op.join(r, left, right)
+			return op.join(r, left, right, pairs)
 		})
 	}
 	// The other input runs first and is counted; what the count says decides
 	// whether the leaf runs at all. Either way the counted rows are handed on
 	// as they are.
-	scan, other := op.Right, op.Left // the leaf as the plan has it, wrapper and all
+	scan, other, test := op.Right, op.Left, tests[0] // the leaf as the plan has it, wrapper and all
 	if onLeft {
-		scan, other = op.Left, op.Right
+		scan, other, test = op.Left, op.Right, tests[1]
 	}
-	small := other.Evaluate(r)
+	small := r.input(other, test)
 	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		// Every input of the decision is the same number in every process of
 		// the job: n is counted over all of them, m is read off the store.
@@ -288,26 +317,26 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 			if c != nil {
 				c.Note(op, fmt.Sprintf("broadcast n=%d", n))
 			}
-			return op.probeInPlace(r, small, leaf, onLeft)
+			return op.probeInPlace(r, small, leaf, onLeft, pairs)
 		}
 		if c != nil {
 			c.Note(op, fmt.Sprintf("repartition n=%d m=%d", n, m))
 		}
 		rows := scan.Evaluate(r) // a scope of its own inside this one
 		if onLeft {
-			return op.join(r, rows, small)
+			return op.join(r, rows, small, pairs)
 		}
-		return op.join(r, small, rows)
+		return op.join(r, small, rows, pairs)
 	})
 }
 
-// join is the repartition hash join of the two evaluated inputs in run.
-func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+// join is the repartition hash join of the two evaluated inputs in run,
+// whose pairs test the key sets of filters.
+func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding.Embedding], filters []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	filters := run.filters[op]
 	defer noteDropped(run, op, filters)
 	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
@@ -332,8 +361,8 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 // that joins, and for no other. What is done with the pair is what join does.
 // Rows come out in scan order and carry no partition tag; without ORDER BY a
 // result is a bag. The leaf is reported to a tracer as evaluated, with the
-// rows it built.
-func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool) *dataflow.Dataset[embedding.Embedding] {
+// rows it built. The pairs test the key sets of filters.
+func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool, filters []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
@@ -342,7 +371,6 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 	if onLeft {
 		smallCols, leafCols = rc, lc
 	}
-	filters := run.filters[op]
 	defer noteDropped(run, op, filters)
 	c := run.env.Tracer()
 	var built *atomic.Int64
@@ -418,14 +446,7 @@ func (op *FilterAndProjectEdges) probe(r *Run, small *dataflow.Dataset[embedding
 	qe := r.edge(op.Edge)
 	// The row's columns are source, edge, target.
 	return probeScan(small, smallCols, r.edgeScan(op),
-		func(de epgm.Edge) uint64 {
-			ids := [3]epgm.ID{de.Source, de.ID, de.Target}
-			h := keySeed
-			for _, c := range leafCols {
-				h = mixKey(h, ids[c])
-			}
-			return h
-		},
+		func(de epgm.Edge) uint64 { return idsKey(edgeIDs(de), leafCols) },
 		func(de epgm.Edge) epgm.ID { return de.ID },
 		func(sc *scratch, de epgm.Edge) (embedding.Embedding, bool) { return op.row(sc, qe, &de, false) },
 		pair, built)

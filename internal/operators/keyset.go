@@ -8,6 +8,7 @@ import (
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
 )
 
 // KeySet is one key set of a plan: the keys of Source's rows at the variables
@@ -288,6 +289,7 @@ func (op *JoinEmbeddings) from(s *KeySet) string {
 // dropped.
 type keyFilter struct {
 	set     *dataflow.KeySet
+	vars    []string
 	cols    []pairCol
 	dropped *atomic.Int64
 }
@@ -334,6 +336,147 @@ func miss(filters []*keyFilter, l, r embedding.Embedding) *keyFilter {
 	return nil
 }
 
+// keyTest is the key sets a leaf's scan tests in a run (JoinEmbeddings.split):
+// each set with the columns of the leaf's row that hold its variables, in the
+// set's order. A traced run counts the elements the test dropped; read is the
+// elements the scan read.
+type keyTest struct {
+	sets    []*dataflow.KeySet
+	cols    [][]int
+	read    int64
+	dropped *atomic.Int64
+}
+
+// has reports whether the key of an element whose row would hold ids is in
+// every set.
+func (t *keyTest) has(ids [3]epgm.ID) bool {
+	for i, set := range t.sets {
+		if !set.Has(idsKey(ids, t.cols[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// keeps is has, counting an element it drops where the run is traced.
+func (t *keyTest) keeps(ids [3]epgm.ID) bool {
+	if t.has(ids) {
+		return true
+	}
+	if t.dropped != nil {
+		t.dropped.Add(1)
+	}
+	return false
+}
+
+// testCols returns where a join's input holds vars, if a key set of them can
+// be tested in its scan: the input is a vertex leaf or a directed non-loop edge
+// leaf - one row an element, whose key is the row's - bare or behind an Alias
+// and a Cached, shared or not, and binds every variable.
+func testCols(in Operator, vars []string) ([]int, bool) {
+	if keyedLeaf(Unwrap(in)) == nil || !bindsAll(in, vars) {
+		return nil, false
+	}
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i], _ = in.Meta().Column(v)
+	}
+	return cols, true
+}
+
+// split divides the key sets installed at the join in r between its inputs'
+// scans and its pairs. A join that hands on sets of its own tests the ones it
+// is given at its pairs, and so does one that would probe a leaf in place -
+// in the probe. Otherwise each set goes to the scan of every input that can
+// test it (testCols) and whose rows the run does not hold already - a Cached
+// evaluated before, the leaf a join runs first - and the pairs test only the
+// sets no input took.
+func (op *JoinEmbeddings) split(r *Run) (tests [2]*keyTest, pairs []*keyFilter) {
+	filters := r.filters[op]
+	if len(filters) == 0 || len(op.sets) > 0 {
+		return tests, filters
+	}
+	if leaf, _ := op.inPlaceCandidate(r, tests); leaf != nil {
+		return tests, filters
+	}
+	pairs = filters // copied once a set is taken
+	copied := false
+	for j, f := range filters {
+		taken := false
+		for i, in := range [2]Operator{op.Left, op.Right} {
+			cols, ok := testCols(in, f.vars)
+			if !ok || r.holds(in) {
+				continue
+			}
+			if tests[i] == nil {
+				tests[i] = new(keyTest)
+			}
+			tests[i].sets = append(tests[i].sets, f.set)
+			tests[i].cols = append(tests[i].cols, cols)
+			taken = true
+		}
+		switch {
+		case taken && !copied:
+			pairs, copied = append([]*keyFilter(nil), filters[:j]...), true
+		case !taken && copied:
+			pairs = append(pairs, f)
+		}
+	}
+	return tests, pairs
+}
+
+// ScanTests returns the inputs of a set's target whose scans test the set in
+// a run over a pinned store (split): none if the target is not a join, hands on
+// sets of its own or would probe a leaf in place, else every input that can
+// test it but the leaf the join runs first, whose rows the run holds.
+func (op *JoinEmbeddings) ScanTests(s KeySet) []Operator {
+	t, ok := s.Target.(*JoinEmbeddings)
+	if !ok || len(t.sets) > 0 {
+		return nil
+	}
+	if leaf, _ := t.candidate(func(inPlaceLeaf) bool { return true }, [2]bool{}); leaf != nil {
+		return nil
+	}
+	var ins []Operator
+	for _, in := range [2]Operator{t.Left, t.Right} {
+		if _, ok := testCols(in, s.Vars); ok && !(op.RightFirst() && in == op.sets[0].Source) {
+			ins = append(ins, in)
+		}
+	}
+	return ins
+}
+
+// holds reports whether r keeps a join input's rows already: the input is a
+// Cached, bare or behind an Alias, that has been evaluated.
+func (r *Run) holds(in Operator) bool {
+	if a, ok := in.(*Alias); ok {
+		in = a.In
+	}
+	c, ok := in.(*Cached)
+	return ok && r.kept[c].rows != nil
+}
+
+// input evaluates a join's input in r: itself or, with a key test, the scan
+// of its leaf that tests it. A scan that tests a key set is its consumer's: it
+// is traced under the input - the Alias or the Cached the join reads, or the
+// bare leaf - named as the leaf, with what it read and dropped, and the Cached
+// of a shared leaf is evaluated only by a consumer that reads it whole.
+func (r *Run) input(in Operator, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
+	if test == nil {
+		return in.Evaluate(r)
+	}
+	leaf := keyedLeaf(Unwrap(in))
+	c := r.env.Tracer()
+	if c != nil {
+		test.dropped = new(atomic.Int64)
+	}
+	out := tracedAs(in, leaf, r, func() *dataflow.Dataset[embedding.Embedding] { return leaf.scan(r, test) })
+	if c != nil {
+		c.Note(in, fmt.Sprintf("sip scanned=%d dropped=%d", test.read, test.dropped.Load()))
+	}
+	return out
+}
+
 // handOn evaluates next in r with every set of op whose source is source made
 // of rows, source's output, and installed at its target for as long as next
 // runs.
@@ -348,7 +491,7 @@ func (r *Run) handOn(op *JoinEmbeddings, source Operator, rows *dataflow.Dataset
 			continue
 		}
 		cols := s.cols
-		f := &keyFilter{set: dataflow.Keys(rows, func(e embedding.Embedding) uint64 { return keyOf(e, cols) }), cols: s.targetCols}
+		f := &keyFilter{set: dataflow.Keys(rows, func(e embedding.Embedding) uint64 { return keyOf(e, cols) }), vars: s.Vars, cols: s.targetCols}
 		if c != nil {
 			c.Note(op, s.note+strconv.Itoa(f.set.Len()))
 			f.dropped = new(atomic.Int64)

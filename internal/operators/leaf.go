@@ -49,21 +49,31 @@ func (op *FilterAndProjectVertices) Description() string {
 
 // Evaluate implements Operator.
 func (op *FilterAndProjectVertices) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
-	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-		qv := r.vertex(op.Vertex)
-		fanOut := leafFanOut(len(qv.Predicates), false, false)
-		return perPart(r.vertexScan(op), func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
-			return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
-				sc := scratchOf(lane)
-				return func(v epgm.Vertex, emit func(embedding.Embedding)) {
-					if row, ok := op.row(sc, qv, &v); ok {
-						emit(row)
-					}
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] { return op.scan(r, nil) })
+}
+
+// scan is the leaf's one scan in r: the rows of every vertex it reads or, with
+// a key test, of those whose identifier passes it (scanRows).
+func (op *FilterAndProjectVertices) scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
+	qv := r.vertex(op.Vertex)
+	fanOut := leafFanOut(len(qv.Predicates), false, false)
+	return perPart(r.vertexScan(op), func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
+		return scanRows(part, fanOut, test, vertexIDs, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
+			sc := scratchOf(lane)
+			return func(v epgm.Vertex, emit func(embedding.Embedding)) {
+				if test != nil && !test.keeps(vertexIDs(v)) {
+					return
 				}
-			}, fanOut)
+				if row, ok := op.row(sc, qv, &v); ok {
+					emit(row)
+				}
+			}
 		})
 	})
 }
+
+// vertexIDs is a vertex's identifiers as a vertex leaf's row holds them.
+func vertexIDs(v epgm.Vertex) [3]epgm.ID { return [3]epgm.ID{v.ID} }
 
 // row is the leaf's Select-Project-Transform of one data vertex for the run's
 // instance qv of its query vertex: its row, if it has one. The scan calls it
@@ -90,6 +100,23 @@ func perPart[T any](in epgm.Scan[T], eval func(*dataflow.Dataset[T]) *dataflow.D
 		rows[i] = eval(part)
 	}
 	return dataflow.UnionAll(rows...)
+}
+
+// scanRows is a leaf's scan of one part of what it reads: newRows makes an
+// attempt's function that writes an element's rows - none for one whose
+// identifiers do not pass the key test, if there is one (keyTest.keeps) - and
+// ids reads an element's identifiers as the leaf's row holds them. Without a
+// test the scan is a FlatMapWith, its output sized at the leaf's known
+// fan-out. With one, as such a leaf writes at most one row an element, the
+// output is allocated once at the count of the elements that pass
+// (dataflow.FlatMapCounted), and the test counts the elements the scan reads.
+func scanRows[T any](part *dataflow.Dataset[T], fanOut int, test *keyTest, ids func(T) [3]epgm.ID,
+	newRows func(*dataflow.Lane) func(T, func(embedding.Embedding))) *dataflow.Dataset[embedding.Embedding] {
+	if test == nil {
+		return dataflow.FlatMapWith(part, newRows, fanOut)
+	}
+	test.read += part.Count()
+	return dataflow.FlatMapCounted(part, func(t T) bool { return test.has(ids(t)) }, newRows)
 }
 
 // leafFanOut is what a leaf knows of its rows per scanned element before it
@@ -164,27 +191,40 @@ func (op *FilterAndProjectEdges) Description() string {
 
 // Evaluate implements Operator.
 func (op *FilterAndProjectEdges) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
-	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-		qe := r.edge(op.Edge)
-		fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
-		return perPart(r.edgeScan(op), func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
-			return dataflow.FlatMapWith(part, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
-				sc := scratchOf(lane)
-				return func(de epgm.Edge, emit func(embedding.Embedding)) {
-					row, ok := op.row(sc, qe, &de, false)
-					if !ok {
-						return
-					}
-					emit(row)
-					if qe.Undirected && de.Source != de.Target {
-						row, _ = op.row(sc, qe, &de, true)
-						emit(row)
-					}
+	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] { return op.scan(r, nil) })
+}
+
+// scan is the leaf's one scan in r: the rows of every edge it reads or, with a
+// key test, of those whose identifiers pass it (scanRows) - asked of a
+// directed edge that is no loop only, whose row's columns are its source,
+// itself and its target.
+func (op *FilterAndProjectEdges) scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
+	qe := r.edge(op.Edge)
+	fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
+	return perPart(r.edgeScan(op), func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
+		return scanRows(part, fanOut, test, edgeIDs, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
+			sc := scratchOf(lane)
+			return func(de epgm.Edge, emit func(embedding.Embedding)) {
+				if test != nil && !test.keeps(edgeIDs(de)) {
+					return
 				}
-			}, fanOut)
+				row, ok := op.row(sc, qe, &de, false)
+				if !ok {
+					return
+				}
+				emit(row)
+				if qe.Undirected && de.Source != de.Target {
+					row, _ = op.row(sc, qe, &de, true)
+					emit(row)
+				}
+			}
 		})
 	})
 }
+
+// edgeIDs is an edge's identifiers as the row of a directed non-loop edge
+// leaf holds them: source, edge, target.
+func edgeIDs(de epgm.Edge) [3]epgm.ID { return [3]epgm.ID{de.Source, de.ID, de.Target} }
 
 // row is the leaf's Select-Project-Transform of one data edge for the run's
 // instance qe of its query edge: its row, if it has one. reversed asks for the

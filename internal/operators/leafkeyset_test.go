@@ -1,0 +1,196 @@
+package operators
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"gradoop/internal/cypher"
+	"gradoop/internal/dataflow"
+	"gradoop/internal/embedding"
+	"gradoop/internal/epgm"
+	"gradoop/internal/trace"
+)
+
+// TestKeySetFiltersTheLeaf gives joins a key set of the persons c with n <= 3
+// and runs them over the plain graph and the pinned store, with the rule that
+// probes a leaf in place at never and at whenever a leaf is eligible. A set is
+// tested in the scans of the input leaves that bind c: the rows are the ones
+// the same set tested at the join's pairs gives, and the ones of the
+// unfiltered join whose c has n <= 3; a scan builds a row for no element it
+// drops; and a leaf shared by two consumers that test the set and one that
+// reads it whole is built whole once, whichever runs first.
+func TestKeySetFiltersTheLeaf(t *testing.T) {
+	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3: three in and three out a person
+	for _, pinned := range []bool{false, true} {
+		for _, scale := range []float64{0, math.Inf(1)} {
+			t.Run(fmt.Sprintf("pinned=%v/scale=%v", pinned, scale), func(t *testing.T) {
+				setProbeScale(t, scale)
+				checkKeySetFiltersTheLeaf(t, store, pinned, scale == 0)
+			})
+		}
+	}
+}
+
+// leafSetPlan is three joins that take a set of c and one that reads the
+// shared knows leaf whole.
+type leafSetPlan struct {
+	both, intoB, fromC, whole *JoinEmbeddings
+	knows                     *Cached
+	aliases                   [2]*Alias
+}
+
+func newLeafSetPlan() leafSetPlan {
+	person := func(v string) Operator {
+		return NewFilterAndProjectVertices(&cypher.QueryVertex{Var: v, Labels: []string{"Person"}})
+	}
+	var p leafSetPlan
+	p.knows = NewCached(NewFilterAndProjectEdges(plainKnows("e", "x", "y")))
+	p.aliases[0] = NewAlias(p.knows, map[string]string{"x": "b", "y": "c", "e": "e2"})
+	p.aliases[1] = NewAlias(p.knows, map[string]string{"x": "c", "y": "d", "e": "e3"})
+	// Both inputs bind c: both scans test the set.
+	p.both = NewJoinEmbeddings(person("c"), NewFilterAndProjectEdges(plainKnows("e1", "b", "c")), Morphism{}, nil)
+	// Only the alias binds c: its scan tests the set, and over the store the
+	// person leaf is probed in place against it.
+	p.intoB = NewJoinEmbeddings(person("b"), p.aliases[0], Morphism{}, nil)
+	p.fromC = NewJoinEmbeddings(p.aliases[1], person("d"), Morphism{}, nil)
+	p.whole = NewJoinEmbeddings(p.knows, person("y"), Morphism{}, nil)
+	return p
+}
+
+func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bool) {
+	newRun := func(env *dataflow.Env) *Run {
+		if pinned {
+			return indexedRun(store.Index(env))
+		}
+		return plainRun(dataflow.FromSlice(env, store.Vertices), dataflow.FromSlice(env, store.Edges))
+	}
+	newEnv := func() (*dataflow.Env, *trace.Collector) {
+		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+		c := trace.NewCollector()
+		env.SetTracer(c)
+		env.Begin(nil)
+		return env, c
+	}
+	// The set and, per target, the filter a run installs for it.
+	env, _ := newEnv()
+	src := firstPersons(t, "c", 3)
+	set := dataflow.Keys(src.Evaluate(newRun(env)), func(e embedding.Embedding) uint64 { return keyOf(e, []int{0}) })
+	filterAt := func(target Operator) *keyFilter {
+		s, ok := newKeySet(src, target, []string{"c"})
+		if !ok {
+			t.Fatalf("no set of c at %s", target.Description())
+		}
+		return &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, dropped: new(atomic.Int64)}
+	}
+	inSet := func(e embedding.Embedding, meta *embedding.Meta) bool {
+		c, _ := meta.Column("c")
+		return e.ID(c) <= 3 // the persons are 1..20, in n's order
+	}
+
+	p := newLeafSetPlan()
+	targets := []*JoinEmbeddings{p.both, p.intoB, p.fromC}
+	for _, target := range targets {
+		// The truth: the unfiltered join's rows whose c is in the set.
+		var want []embedding.Embedding
+		for _, e := range target.Evaluate(newRun(env)).Collect() {
+			if inSet(e, target.Meta()) {
+				want = append(want, e)
+			}
+		}
+		// The set tested at the pairs.
+		r := newRun(env)
+		atPairs := target.join(r, target.Left.Evaluate(r), target.Right.Evaluate(r), []*keyFilter{filterAt(target)}).Collect()
+		// The set tested where the run puts it.
+		r = newRun(env)
+		r.filters = map[Operator][]*keyFilter{target: {filterAt(target)}}
+		got := target.Evaluate(r).Collect()
+		if len(want) == 0 || !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || !slices.EqualFunc(bag(atPairs), bag(want), bytes.Equal) {
+			t.Errorf("%s: %d rows with the set in the scans, %d with it at the pairs, want %d",
+				target.Description(), len(got), len(atPairs), len(want))
+		}
+	}
+	if err := env.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A scan builds the rows of the elements it keeps, and no other: what the
+	// lanes' slabs carve for them is what the whole scan carves for as many.
+	env, _ = newEnv()
+	r := newRun(env)
+	edges := NewFilterAndProjectEdges(plainKnows("e1", "b", "c"))
+	_, c0 := laneUsage(t, env)
+	all := edges.Evaluate(r).Count()
+	_, c1 := laneUsage(t, env)
+	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{2}}, dropped: new(atomic.Int64)}
+	kept := edges.scan(r, test).Count()
+	_, c2 := laneUsage(t, env)
+	if all != 60 || kept != 9 || test.read != 60 || test.dropped.Load() != 51 || (c2-c1)*int(all) != (c1-c0)*int(kept) {
+		t.Errorf("the scan kept %d of %d edges, read %d, dropped %d, carved %d bytes for them and %d for all %d",
+			kept, all, test.read, test.dropped.Load(), c2-c1, c1-c0, all)
+	}
+	if err := env.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The shared leaf, its two testing consumers first and last.
+	for _, wholeFirst := range []bool{false, true} {
+		p := newLeafSetPlan()
+		env, c := newEnv()
+		r := newRun(env)
+		r.filters = map[Operator][]*keyFilter{p.intoB: {filterAt(p.intoB)}, p.fromC: {filterAt(p.fromC)}}
+		observed := map[Operator][]int64{}
+		r.Observe(func(op Operator, out *dataflow.Dataset[embedding.Embedding]) {
+			observed[op] = append(observed[op], out.Count())
+		})
+		order := []*JoinEmbeddings{p.intoB, p.fromC, p.whole}
+		if wholeFirst {
+			order = []*JoinEmbeddings{p.whole, p.intoB, p.fromC}
+		}
+		rows := map[*JoinEmbeddings]int64{}
+		for _, j := range order {
+			rows[j] = j.Evaluate(r).Count()
+		}
+		if err := env.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		leaf := p.knows.Inner
+		if !slices.Equal(observed[leaf], []int64{60}) || rows[p.intoB] != 9 || rows[p.fromC] != 9 || rows[p.whole] != 60 {
+			t.Errorf("whole first %v: the shared leaf built %v rows, the joins wrote %d, %d and %d rows, want 60 once and 9, 9 and 60",
+				wholeFirst, observed[leaf], rows[p.intoB], rows[p.fromC], rows[p.whole])
+		}
+		// Over the store, the person leaf of a join whose other input's scan
+		// tests the set is its candidate to probe in place: the count of the
+		// tested side decides, as for a selective one.
+		wantNote := ""
+		switch {
+		case wholeFirst: // the pairs test the set
+			wantNote = "sip dropped=51"
+		case pinned && probe:
+			wantNote = "broadcast n=9"
+		case pinned:
+			wantNote = "repartition n=9 m=20"
+		}
+		if st, _ := c.Op(p.intoB); st.Note != wantNote {
+			t.Errorf("whole first %v: %s noted %q, want %q", wholeFirst, p.intoB.Description(), st.Note, wantNote)
+		}
+		for _, a := range p.aliases {
+			// A consumer that runs after the leaf was built reads its rows and
+			// tests the set at its pairs; one that runs before scans for itself,
+			// traced under its alias.
+			st, traced := c.Op(a)
+			want := []int64{9}
+			if wholeFirst {
+				want = nil
+			}
+			if !slices.Equal(observed[a], want) || traced != !wholeFirst ||
+				traced && (st.Rows != 9 || st.Note != "sip scanned=60 dropped=51") {
+				t.Errorf("whole first %v: %s scanned %v rows, traced %v with %d rows, note %q",
+					wholeFirst, a.Description(), observed[a], traced, st.Rows, st.Note)
+			}
+		}
+	}
+}

@@ -49,17 +49,24 @@ type Morphism struct {
 // themselves. Without a collector on the run's environment and an observer
 // on the run the wrapper is two nil checks.
 func traced(op Operator, r *Run, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
+	return tracedAs(op, op, r, eval)
+}
+
+// tracedAs is traced for an evaluation recorded under one operator, token,
+// and named as another, as: a leaf's scan that its consumer's input runs
+// (Run.input).
+func tracedAs(token, as Operator, r *Run, eval func() *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
 	var out *dataflow.Dataset[embedding.Embedding]
 	if c := r.env.Tracer(); c == nil {
 		out = eval()
 	} else {
-		c.InOp(op, r.label(op), func() int64 {
+		c.InOp(token, r.label(as), func() int64 {
 			out = eval()
 			return out.Count()
 		})
 	}
 	if r.observe != nil {
-		r.observe(op, out)
+		r.observe(token, out)
 	}
 	return out
 }

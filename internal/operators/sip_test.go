@@ -194,7 +194,8 @@ func mirrored(t testing.TB) rightFirst {
 // first against the same plan that hands on no set, over the plain graph and
 // the pinned store: the same rows, one all-gather for each of the four sets,
 // and a trace that names each set's source and size at the join and what it
-// dropped at its target, which writes fewer rows.
+// dropped at its target, which writes fewer rows - at the target's pairs or in
+// the scans of its input leaves that bind the set's variables.
 func TestRightFirstFiltersTheLeft(t *testing.T) {
 	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3
 	for _, walked := range []bool{false, true} {
@@ -222,8 +223,15 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 			t.Fatalf("walked=%v: right first: %d rows, no sets %d", walked, len(got), len(want))
 		}
-		if stages != wantStages+4 {
-			t.Errorf("walked=%v: %d stages, %d with no sets: want four all-gathers more", walked, stages, wantStages)
+		// Over the store the forward set's target probes its right leaf in
+		// place against its left one's tested scan: a count, a broadcast and
+		// the probe in place of a scan, two shuffles and the join.
+		wantMore := int64(4)
+		if walked {
+			wantMore--
+		}
+		if stages != wantStages+wantMore {
+			t.Errorf("walked=%v: %d stages, %d with no sets: want four all-gathers more, %d in all", walked, stages, wantStages, wantMore)
 		}
 		st, _ := c.Op(q.root)
 		if n := strings.Count(st.Note, "sip "); n != 4 ||
@@ -231,20 +239,57 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 			t.Errorf("walked=%v: closing join's note %q, want the leaf's set and three of the right input's", walked, st.Note)
 		}
 		// Every person a reaches a path; the other targets drop what cannot
-		// close it.
+		// close it. A set is tested in the scan of every input leaf that binds
+		// its variables, but the leaf the run holds already (onA's, run first),
+		// and at the pairs of a target that has none or probes one in place
+		// (onA over the store).
+		onA := []string{"right"}
+		if walked {
+			onA = []string{"pairs"}
+		}
 		for _, target := range []struct {
-			got, all Operator
+			got, all *JoinEmbeddings
 			drops    bool
+			at       []string
 		}{
-			{q.forward, wantQ.forward, true}, {q.composite, wantQ.composite, true}, {q.onA, wantQ.onA, false}, {q.onC, wantQ.onC, true},
+			{q.forward, wantQ.forward, true, []string{"left"}}, {q.composite, wantQ.composite, true, []string{"pairs"}},
+			{q.onA, wantQ.onA, false, onA}, {q.onC, wantQ.onC, true, []string{"left", "right"}},
 		} {
 			st, _ := c.Op(target.got)
 			all, _ := wantC.Op(target.all)
-			if !strings.Contains(st.Note, "sip dropped=") || target.drops && (strings.HasSuffix(st.Note, "sip dropped=0") || st.Rows >= all.Rows) {
-				t.Errorf("walked=%v: %s wrote %d rows of %d, note %q", walked, target.got.Description(), st.Rows, all.Rows, st.Note)
+			dropped, at := droppedAt(c, target.got)
+			if !slices.Equal(at, target.at) || target.drops && (dropped == 0 || st.Rows >= all.Rows) {
+				t.Errorf("walked=%v: %s wrote %d rows of %d, dropped %d at %q, want at %q",
+					walked, target.got.Description(), st.Rows, all.Rows, dropped, at, target.at)
 			}
 		}
 	}
+}
+
+// droppedAt reads a trace for what the key sets at a join dropped: at its
+// pairs ("sip dropped=") and in its inputs' scans ("sip scanned= dropped="),
+// and where they were tested: "pairs", "left", "right".
+func droppedAt(c *trace.Collector, j *JoinEmbeddings) (dropped int64, at []string) {
+	for i, op := range []Operator{j, j.Left, j.Right} {
+		st, ok := c.Op(op)
+		_, note, found := strings.Cut(st.Note, "sip ")
+		if !ok || !found {
+			continue
+		}
+		var scanned, n int64
+		var err error
+		if i == 0 { // the join's own note, at its pairs
+			_, err = fmt.Sscanf(note, "dropped=%d", &n)
+		} else {
+			_, err = fmt.Sscanf(note, "scanned=%d dropped=%d", &scanned, &n)
+		}
+		if err != nil {
+			continue
+		}
+		dropped += n
+		at = append(at, [...]string{"pairs", "left", "right"}[i])
+	}
+	return dropped, at
 }
 
 func describe(op Operator) string {
