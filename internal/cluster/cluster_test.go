@@ -303,9 +303,12 @@ func TestProbeInPlaceOnCluster(t *testing.T) {
 // key set once, in one Broadcast stage of its own, whose bytes cross the
 // sockets; Q3's, which runs its right input first, all-gathers its four sets
 // so, and two of them are tested in the scans of their targets' input leaves.
-// The job has those Broadcast stages and the counts of its joins that probe a
-// leaf in place or ask whether to, and the rows are the ones a single process
-// finds, which filters the same way.
+// Q2's end set is transferred back across the walk too, in one Broadcast stage
+// more of the closing join's, each process walking from its own partitions'
+// rows, and the Post leaf's scan tests the transfer. The job has those
+// Broadcast stages and the counts of its joins that probe a leaf in place or
+// ask whether to, and the rows are the ones a single process finds, which
+// filters the same way.
 func TestSIPOnCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -337,7 +340,10 @@ func TestSIPOnCluster(t *testing.T) {
 		// set, in the hasCreator scan under the join on post, and right(comment),
 		// in both scans under the join on comment.
 		scanned int
-	}{{benchkit.Q5, 0, 1, 0}, {benchkit.Q6, 0, 1, 0}, {benchkit.Q2, 0, 1, 0}, {benchkit.Q3, 4, 4, 2}} {
+		// The end sets transferred across a walk, each tested in the scan of
+		// the expansion's input leaf: Q2's, to the posts.
+		transfers int
+	}{{benchkit.Q5, 0, 1, 0, 0}, {benchkit.Q6, 0, 1, 0, 0}, {benchkit.Q2, 0, 1, 0, 1}, {benchkit.Q3, 4, 4, 2, 0}} {
 		q := tc.q
 		req := session.Request{Query: q.Text(), Params: params, Trace: true}
 		want, err := local.Execute(req)
@@ -346,8 +352,9 @@ func TestSIPOnCluster(t *testing.T) {
 		}
 		plan := want.Result.AnalyzedPlan()
 		if len(sip.FindAllString(plan, -1)) != tc.sets || strings.Count(plan, "sip dropped=") != tc.sets-tc.scanned ||
-			strings.Contains(plan, "sip scanned=") != (tc.scanned > 0) {
-			t.Fatalf("%s: in one process, not one join handing %d targets a key set each, %d tested in scans:\n%s", q, tc.sets, tc.scanned, plan)
+			strings.Count(plan, "sip transfer(") != tc.transfers || strings.Contains(plan, "sip scanned=") != (tc.scanned+tc.transfers > 0) {
+			t.Fatalf("%s: in one process, not one join handing %d targets a key set each, %d tested in scans, and %d transfers:\n%s",
+				q, tc.sets, tc.scanned, tc.transfers, plan)
 		}
 		// The closing join, as a stage report names it: its plan line up to
 		// the estimate.
@@ -365,8 +372,8 @@ func TestSIPOnCluster(t *testing.T) {
 		if got.Count != want.Count || !reflect.DeepEqual(got.Result.Rows(), want.Result.Rows()) {
 			t.Fatalf("%s: %d rows on the cluster, %d in one process", q, got.Count, want.Count)
 		}
-		// Each key set is a Broadcast stage of the closing join's, and the
-		// sets are the only ones it adds to the job.
+		// Each key set and each transfer is a Broadcast stage of the closing
+		// join's, and they are the only ones it adds to the job.
 		var sets, broadcasts int
 		for _, st := range got.Cluster.Stages {
 			if st.Kind != "Broadcast" {
@@ -379,9 +386,9 @@ func TestSIPOnCluster(t *testing.T) {
 				}
 			}
 		}
-		if sets != tc.sets || broadcasts != tc.unfiltered+tc.sets || got.Cluster.Attempts != 1 {
-			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want %d, with the %d key sets, in one",
-				q, broadcasts, sets, closing, got.Cluster.Attempts, tc.unfiltered+tc.sets, tc.sets)
+		if want := tc.sets + tc.transfers; sets != want || broadcasts != tc.unfiltered+want || got.Cluster.Attempts != 1 {
+			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want %d, with the %d key sets and transfers, in one",
+				q, broadcasts, sets, closing, got.Cluster.Attempts, tc.unfiltered+want, want)
 		}
 	}
 }
@@ -446,22 +453,25 @@ func TestClusterStageReport(t *testing.T) {
 }
 
 // TestClusterRecovery kills the middle worker of three at each collective of a
-// two-hop join in turn, and of a triangle, whose closing join's key set is
-// all-gathered in one of them: at the k-th it runs, for k from 1 to K+1, K
-// being the collectives of one job (one per shuffle stage); past the last, the
-// crash is the next job's first. See recoverFrom for what each crash point
+// two-hop join in turn, of a triangle, whose closing join's key set is
+// all-gathered in one of them, of Q3 and of Q2, whose end set and the set
+// transferred back across its walk are all-gathered in two: at the k-th it
+// runs, for k from 1 to K+1, K being the collectives of one job (one per
+// shuffle stage); past the last, the crash is the next job's first. See recoverFrom for what each crash point
 // must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	// The two-hop job's crash points keep their names; the triangle's and
-	// Q3's, whose closing join hands its expansion a seed set, are named
+	// The two-hop job's crash points keep their names; the triangle's, Q3's,
+	// whose closing join hands its expansion a seed set, and Q2's, whose end
+	// set is transferred across the walk in a collective of its own, are named
 	// after them.
 	_, medium, _ := d.FirstNamesBySelectivity()
 	q3 := strings.ReplaceAll(benchkit.Q3.Text(), "$firstName", "'"+medium+"'")
-	for _, job := range []struct{ name, query string }{{"", twoHop}, {"triangle/", triangle}, {"q3/", q3}} {
+	q2 := strings.ReplaceAll(benchkit.Q2.Text(), "$firstName", "'"+medium+"'")
+	for _, job := range []struct{ name, query string }{{"", twoHop}, {"triangle/", triangle}, {"q3/", q3}, {"q2/", q2}} {
 		want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: job.query})
 		if err != nil {
 			t.Fatal(err)

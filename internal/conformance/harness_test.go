@@ -194,7 +194,9 @@ func reference(c *kase, all bool) (want outcome, ok bool) {
 // filters names the key sets a case's plan, as engine/4 runs it, hands on
 // (JoinEmbeddings.PlaceKeySets): "join" for a set of a join's left input that
 // a join below its right one takes, "seed" and "end" for an expansion's seed
-// set and end set, and "right" for a join that runs its right input first.
+// set and end set, and "right" for a join that runs its right input first;
+// "transfer" for an end set the modes over a pinned store transfer back across
+// its expansion's walk.
 func filters(c *kase) map[string]bool {
 	sets := map[string]bool{}
 	prep, err := core.Prepare(c.f.graph(4), c.query, core.Config{Vertex: c.morph.Vertex, Edge: c.morph.Edge, Params: c.params, Stats: c.f.stats})
@@ -205,6 +207,11 @@ func filters(c *kase) map[string]bool {
 		j, ok := n.Op.(*operators.JoinEmbeddings)
 		if !ok || len(j.KeySets()) == 0 {
 			continue
+		}
+		for _, s := range j.KeySets() {
+			if _, ok := s.Transfer(); ok {
+				sets["transfer"] = true
+			}
 		}
 		if j.RightFirst() {
 			sets["right"] = true
@@ -389,7 +396,7 @@ func TestConformance(t *testing.T) {
 	}
 	t.Logf("%d modes x %d cases = %d runs", judged, len(all), judged*len(all))
 	worklist(t, all, outcomes["indexed/4"], outcomes["plans/4"])
-	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set, %d a join's that runs right first",
-		filtering, byKind["join"], byKind["seed"], byKind["end"], byKind["right"])
+	t.Logf("%d cases the reference evaluates take a key set in engine/4: %d a join's, %d an expansion's seed set, %d its end set, %d a join's that runs right first; %d an end set transferred across the walk over a pinned store",
+		filtering, byKind["join"], byKind["seed"], byKind["end"], byKind["right"], byKind["transfer"])
 	t.Logf("%d cases the reference cannot evaluate, held to the anchor:\n%s", len(anchorOnly), strings.Join(anchorOnly, "\n"))
 }

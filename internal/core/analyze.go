@@ -68,7 +68,9 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 		om.Act = st.Rows
 		om.Note = st.Note
 		om.WallNs = int64(st.Wall)
-		om.Shared = inner != n.Op
+		if c, ok := n.Op.(*operators.Cached); ok {
+			om.Shared = c.Shared()
+		}
 		var sim time.Duration
 		for _, stage := range st.Stages {
 			if s, found := spans[stage]; found {

@@ -170,10 +170,11 @@ func TestKeepGolden(t *testing.T) {
 // TestKeySetsSit pins, per yardstick query, every key set its plan hands on
 // (operators.KeySet): the join that makes it, its source - the join's left or
 // right input, or the leaf it runs first - and variables, the join or
-// expansion it goes to and the inputs of that target whose scans test it over
-// a pinned store (JoinEmbeddings.ScanTests). A planner change that moves a
-// set, adds one or drops one fails here by name, not only in the bench's
-// bytes.
+// expansion it goes to, the edge and vertex an end set is transferred across
+// and to, and the inputs of that target whose scans test the set or its
+// transfer over a pinned store (JoinEmbeddings.ScanTests). A planner change
+// that moves a set, adds one or drops one fails here by name, not only in the
+// bench's bytes.
 func TestKeySetsSit(t *testing.T) {
 	g, common := goldenGraph(4)
 	defer core.DropGraphStats(g)
@@ -184,8 +185,12 @@ func TestKeySetsSit(t *testing.T) {
 		commentLeaf = "FilterAndProjectVertices(comment:Comment, preds=0)"
 	)
 	want := map[benchkit.QueryID][]string{
+		// Over a pinned store the end set is transferred back across the
+		// replyOf walk to the posts its messages reach, which the Post leaf's
+		// scan tests.
 		benchkit.Q2: {"JoinEmbeddings(on=message, HOMO/ISO, drop=message,__e0,__e1) | left(message) -> " +
-			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false, drop=post), end set"},
+			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false, drop=post), end set, " +
+			"transferred over __e1 to post, scans Cached of FilterAndProjectVertices(post:Post, preds=0)"},
 		benchkit.Q3: {
 			q3 + " | leaf p1(p1) -> JoinEmbeddings(on=post, HOMO/ISO), scans Alias(__e1->__e3, comment->post, p2->p1) of " + hasCreator,
 			q3 + " | right(comment,p1) -> " + q3Left,
@@ -225,6 +230,9 @@ func TestKeySetsSit(t *testing.T) {
 				set := fmt.Sprintf("%s | %s(%s) -> %s", j.Description(), source, strings.Join(s.Vars, ","), s.Target.Description())
 				if s.End() {
 					set += ", end set"
+				}
+				if start, ok := s.Transfer(); ok {
+					set += ", transferred over " + s.Target.(*operators.ExpandEmbeddings).Edge.Var + " to " + start
 				}
 				var scans []string
 				for _, in := range j.ScanTests(s) {

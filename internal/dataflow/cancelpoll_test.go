@@ -189,7 +189,9 @@ var pollRows = []pollRow{
 		PartitionByKey(FromSlice(env, ints(pollN)), func(v int) uint64 { hit(); return uint64(v) })
 	}},
 	{name: "Keys", run: func(env *Env, hit func()) {
-		Keys(FromSlice(env, ints(pollN)), func(v int) uint64 { hit(); return uint64(v) })
+		Keys(FromSlice(env, ints(pollN)), func() func(int, []uint64) []uint64 {
+			return func(v int, keys []uint64) []uint64 { hit(); return append(keys, uint64(v)) }
+		})
 	}},
 }
 

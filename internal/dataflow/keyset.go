@@ -105,8 +105,13 @@ func keyCount(b []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(b)), nil
 }
 
-// Keys returns the set of key(t) over every element of d, of every process of
-// the job: each owned partition's distinct keys, all-gathered once. It is a
+// Keys returns the set of the keys of every element of d, of every process of
+// the job: each owned partition's distinct keys, all-gathered once. newKeys is
+// called once for every owned partition, in the partitions' order on one
+// goroutine, and returns what appends an element's keys - one, none or
+// several - to a partition's and returns them, so a function that walks from
+// an element can keep what it walked for the rest of its partition and no
+// further: a partition's keys are the same whichever process owns it. It is a
 // stage of its own of the Broadcast kind, a collective like CountAll, and it
 // is charged as broadcast charges a replicated input: eight bytes a key
 // shipped, to the network in every owned partition and to the memory governor
@@ -114,26 +119,37 @@ func keyCount(b []byte) (int, error) {
 // the job's run in one. Without a transport it reads the local partitions and
 // puts nothing on the wire. On failure it returns an empty set with the env
 // failed.
-func Keys[T any](d *Dataset[T], key func(T) uint64) *KeySet {
+func Keys[T any](d *Dataset[T], newKeys func() func(t T, keys []uint64) []uint64) *KeySet {
 	env := d.env
 	if env.Failed() {
 		return newKeySet(0)
 	}
 	env.beginStage("Broadcast", true)
+	// The owned partitions' keys go one after another into one array, sized
+	// at one key an element; each partition's are sorted and compacted in
+	// place, and the next one's go behind them.
 	lists := make(keyLists, len(d.parts))
+	var keys []uint64
 	for p, part := range d.parts {
 		if !env.owns(p) {
 			continue
 		}
-		keys := make([]uint64, len(part))
+		if keys == nil {
+			keys = make([]uint64, 0, d.Count())
+		}
+		start := len(keys)
+		key := newKeys()
 		for i := range part {
 			if i&cancelCheckMask == cancelCheckMask && env.aborted() {
 				return newKeySet(0)
 			}
-			keys[i] = key(part[i])
+			keys = key(part[i], keys)
 		}
-		slices.Sort(keys)
-		lists[p] = slices.Compact(keys)
+		own := keys[start:]
+		slices.Sort(own)
+		own = slices.Compact(own)
+		lists[p] = own[:len(own):len(own)]
+		keys = keys[:start+len(own)]
 	}
 	blobs, ok := env.allGather(lists.bucket)
 	if !ok {

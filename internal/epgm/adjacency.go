@@ -93,3 +93,41 @@ func (s *Store) Adjacency(labels []string, in bool) []*Adjacency {
 	}
 	return out
 }
+
+// Positions is a store's vertices by id: their ids in ascending order and
+// each one's position in the vertex array, twelve bytes a vertex, which a walk
+// searches for where a vertex it reaches lies - and so for its label - when
+// the ids are neither dense nor in order.
+type Positions struct {
+	ids []ID
+	pos []int32
+}
+
+// Of returns the position of the vertex with id v in the store's vertex
+// array, false if the store has none. Of two vertices with one id it returns
+// either.
+func (p *Positions) Of(v ID) (int, bool) {
+	i, ok := slices.BinarySearch(p.ids, v)
+	if !ok {
+		return 0, false
+	}
+	return int(p.pos[i]), true
+}
+
+// Positions returns the store's vertices by id. It is built the first time a
+// query asks for it and kept for every later one, as an adjacency is, and is
+// safe for concurrent use.
+func (s *Store) Positions() *Positions {
+	s.positionsOnce.Do(func() {
+		p := &Positions{ids: make([]ID, len(s.Vertices)), pos: make([]int32, len(s.Vertices))}
+		for i := range p.pos {
+			p.pos[i] = int32(i)
+		}
+		slices.SortFunc(p.pos, func(a, b int32) int { return cmp.Compare(s.Vertices[a].ID, s.Vertices[b].ID) })
+		for i, q := range p.pos {
+			p.ids[i] = s.Vertices[q].ID
+		}
+		s.positions = p
+	})
+	return s.positions
+}

@@ -88,3 +88,30 @@ func TestAdjacencyConcurrentFirstUse(t *testing.T) {
 		t.Fatal("building the adjacency moved the store's edges")
 	}
 }
+
+// TestPositions finds every vertex of a store by its id, on ids that are
+// neither dense nor in order, and no id the store does not hold.
+func TestPositions(t *testing.T) {
+	ids := []ID{900, 7, 1 << 40, 12, 3}
+	labels := []string{"Post", "Person", "Post", "Comment", "Person"}
+	vs := make([]Vertex, len(ids))
+	for i, id := range ids {
+		vs[i] = Vertex{ID: id, Label: labels[i]}
+	}
+	s := NewStore(GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(2)), "", vs, nil))
+	p := s.Positions()
+	for _, id := range ids {
+		pos, ok := p.Of(id)
+		if !ok || s.Vertices[pos].ID != id {
+			t.Errorf("vertex %d: position %d, %v", id, pos, ok)
+		}
+	}
+	for _, id := range []ID{0, 4, 13, 901, 1<<40 + 1} {
+		if pos, ok := p.Of(id); ok {
+			t.Errorf("no vertex %d, found at %d", id, pos)
+		}
+	}
+	if s.Positions() != p {
+		t.Error("a second call built the index again")
+	}
+}

@@ -29,6 +29,10 @@ type Store struct {
 	// adj[2i] and adj[2i+1] are EdgeRanges[i]'s outgoing and incoming
 	// adjacency, nil until a walk first asks for them.
 	adj []*Adjacency
+	// positions is the vertices by id, built once the first time a query
+	// asks for it (Positions).
+	positionsOnce sync.Once
+	positions     *Positions
 }
 
 // LabelRange locates one label's elements in a Store's array.

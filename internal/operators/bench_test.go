@@ -187,7 +187,7 @@ func BenchmarkRowLeafKeySet(b *testing.B) {
 	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
 	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}})
 	chosen := dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64])
-	set := dataflow.Keys(chosen, func(e embedding.Embedding) uint64 { return keyOf(e, []int{0}) })
+	set := dataflow.Keys(chosen, keysAt([]int{0}))
 	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
 	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{0}}}
 	scanned := int(knows.scanned(indexedRun(idx)))
@@ -198,6 +198,47 @@ func BenchmarkRowLeafKeySet(b *testing.B) {
 		}
 	})
 	b.ReportMetric(bytes/float64(scanned), "B/row")
+}
+
+// BenchmarkRowTransferWalk is an end set transferred back across a walk over a
+// pinned store (Run.transfer): a ring of benchRows persons, each knowing its
+// successor, an end set of every sixth and a *0..5 expansion, so that the walk
+// against the ring's direction from the set's keys reaches every person but
+// two once - the key itself at no hop and its five predecessors. What a step
+// allocates is the memo of a byte a vertex, the one array the partitions' keys
+// go into, grown from a key an input row, and the set the keys are
+// all-gathered into. Rows are the vertices reached, for allocs/row and for
+// B/row alike.
+func BenchmarkRowTransferWalk(b *testing.B) {
+	const hops, ends = 5, benchRows / 6
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs := make([]epgm.Vertex, benchRows)
+	es := make([]epgm.Edge, benchRows)
+	for i := range vs {
+		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person"}
+		es[i] = epgm.Edge{ID: epgm.ID(1_000_000 + i), Label: "knows", Source: epgm.ID(1 + i), Target: epgm.ID(1 + (i+1)%benchRows)}
+	}
+	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs, es)).Index(env)
+	var slab embedding.Slab
+	rows := make([]embedding.Embedding, ends)
+	for i := range rows {
+		rows[i] = slab.Row([]epgm.ID{epgm.ID(1 + 6*i)}, nil)
+	}
+	meta := embedding.NewMeta()
+	meta.AddEntry("a", embedding.VertexEntry)
+	in := materialized{rows: dataflow.FromSlice(env, rows), meta: meta}
+	x, err := NewExpandEmbeddings(in, &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "a", Target: "b", MinHops: 0, MaxHops: hops},
+		Morphism{Vertex: Isomorphism, Edge: Isomorphism}, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const reached = (hops + 1) * ends
+	bytes := reportAllocsPerRow(b, reached, func() {
+		if n := indexedRun(idx).transfer(x, in.rows, 0).Len(); n != reached {
+			b.Fatalf("the transfer reached %d vertices, want %d", n, reached)
+		}
+	})
+	b.ReportMetric(bytes/reached, "B/row")
 }
 
 // BenchmarkRowOuterJoin is an OPTIONAL MATCH of every person's knows edges

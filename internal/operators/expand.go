@@ -108,25 +108,45 @@ func (s pathState) SizeBytes() int { return s.base.SizeBytes() + 8*len(s.via) + 
 
 // Evaluate implements Operator.
 func (op *ExpandEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
-	in := op.In.Evaluate(r)
+	test, seeds, ends := op.split(r)
+	in := r.input(op.In, test)
 	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-		return op.evaluate(r, in)
+		return op.evaluate(r, in, seeds, ends)
 	})
 }
 
-func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding]) *dataflow.Dataset[embedding.Embedding] {
-	qe := r.edge(op.Edge)
-	filters := r.filters[op]
-	defer noteDropped(r, op, filters)
-	// An end set is the one kind with no columns: its key is a path's far end.
-	var seeds, ends []*keyFilter
-	for _, f := range filters {
-		if len(f.cols) == 0 {
+// split divides the key sets installed at the expansion in r between the scan
+// of its input and the expansion itself: its seed sets, which it tests per
+// input row, and its end sets, which it tests at its paths' far ends - the
+// one kind with no columns. Over a pinned store each seed set - an end set's
+// transfer among them - goes to the scan of the input instead if that is a
+// leaf whose row is its element's, bare or behind Alias/Cached (keyedLeaf),
+// whose rows the run does not hold already, as a join's sets go to its
+// inputs' scans: the input row is the leaf's row, so the set's columns are
+// where the leaf's row holds its variables.
+func (op *ExpandEmbeddings) split(r *Run) (test *keyTest, seeds, ends []*keyFilter) {
+	scans := r.access.Store() != nil && keyedLeaf(Unwrap(op.In)) != nil && !r.holds(op.In)
+	for _, f := range r.filters[op] {
+		switch {
+		case len(f.cols) == 0:
 			ends = append(ends, f)
-		} else {
+		case !scans:
 			seeds = append(seeds, f)
+		default:
+			if test == nil {
+				test = new(keyTest)
+			}
+			test.add(f.set, f.scan)
 		}
 	}
+	return test, seeds, ends
+}
+
+// evaluate is the expansion of in, the input's rows, in r, which tests the
+// seed sets seeds per input row and the end sets ends at its paths' far ends.
+func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding], seeds, ends []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
+	qe := r.edge(op.Edge)
+	defer noteDropped(r, op, seeds, ends)
 	if store := r.access.Store(); store != nil {
 		return op.walk(r, qe, store, in, seeds, ends)
 	}

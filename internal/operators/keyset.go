@@ -31,11 +31,40 @@ type KeySet struct {
 	// set's size: its source and variables, rendered once for every run (a
 	// cluster worker traces every run).
 	note string
+	// keys is what dataflow.Keys reads a source row's key with (keysAt),
+	// made once for every run.
+	keys func() func(embedding.Embedding, []uint64) []uint64
+	// scan is, for a seed set, where an expansion's input row holds Vars:
+	// the columns a scan of its input leaf tests the set at.
+	scan []int
+	// cross is, for an end set, the set a run over a pinned store transfers
+	// back across the expansion's walk (Run.transfer); nil for any other set.
+	cross *crossing
+}
+
+// crossing is an end set transferred back across its expansion's walk: the
+// vertices from which a path the expansion may write can reach one of the
+// set's keys, a seed set of the expansion's start vertex (DESIGN decision 44).
+type crossing struct {
+	vars []string  // the start vertex
+	cols []pairCol // where an input row holds it
+	scan []int     // the same, for a scan of the input leaf
+	note string    // what a trace notes at the join, up to the set's size
 }
 
 // End reports whether the set is an expansion's end set: its key is a path's
 // far end, not an input row's.
 func (s KeySet) End() bool { return len(s.targetCols) == 0 }
+
+// Transfer returns the variable an end set is transferred to across its
+// expansion's walk in a run over a pinned store - the expansion's start
+// vertex - and false for any other set.
+func (s KeySet) Transfer() (string, bool) {
+	if s.cross == nil {
+		return "", false
+	}
+	return s.cross.vars[0], true
+}
 
 // pairCol is where a pair of rows of a join holds one identifier: a column of
 // its left or of its right row. An expansion's input row is a left row.
@@ -191,6 +220,18 @@ func (op *JoinEmbeddings) PlaceKeySets() {
 	for i := range op.sets {
 		s := &op.sets[i]
 		s.note = "sip " + op.from(s) + "(" + strings.Join(s.Vars, ",") + ") n="
+		s.keys = keysAt(s.cols)
+		x, ok := s.Target.(*ExpandEmbeddings)
+		switch {
+		case ok && s.End():
+			start := x.In.Meta().Var(x.startCol)
+			s.cross = &crossing{vars: []string{start}, cols: []pairCol{{col: x.startCol}}, scan: []int{x.startCol},
+				note: "sip transfer(" + start + ") n="}
+		case ok:
+			for _, c := range s.targetCols {
+				s.scan = append(s.scan, c.col)
+			}
+		}
 	}
 }
 
@@ -286,17 +327,20 @@ func (op *JoinEmbeddings) from(s *KeySet) string {
 // keyFilter is a key set at its target in a run: the keys, where the target
 // holds them - in a pair of a join, in an input row of an expansion or, with
 // no columns, as a path's far end - and, in a traced run, a count of what it
-// dropped.
+// dropped. scan is an expansion's seed set's columns as ints, for the scan of
+// its input leaf.
 type keyFilter struct {
 	set     *dataflow.KeySet
 	vars    []string
 	cols    []pairCol
-	dropped *atomic.Int64
+	scan    []int
+	traced  bool
+	dropped atomic.Int64
 }
 
 // drop counts a key not in the set where it is traced.
 func (f *keyFilter) drop() {
-	if f.dropped != nil {
+	if f.traced {
 		f.dropped.Add(1)
 	}
 }
@@ -344,7 +388,21 @@ type keyTest struct {
 	sets    []*dataflow.KeySet
 	cols    [][]int
 	read    int64
-	dropped *atomic.Int64
+	traced  bool
+	dropped atomic.Int64
+	// setsBuf and colsBuf back sets and cols up to two sets: a test of no
+	// more is one object.
+	setsBuf [2]*dataflow.KeySet
+	colsBuf [2][]int
+}
+
+// add has the test test set at the leaf row's columns cols.
+func (t *keyTest) add(set *dataflow.KeySet, cols []int) {
+	if t.sets == nil {
+		t.sets, t.cols = t.setsBuf[:0], t.colsBuf[:0]
+	}
+	t.sets = append(t.sets, set)
+	t.cols = append(t.cols, cols)
 }
 
 // has reports whether the key of an element whose row would hold ids is in
@@ -363,7 +421,7 @@ func (t *keyTest) keeps(ids [3]epgm.ID) bool {
 	if t.has(ids) {
 		return true
 	}
-	if t.dropped != nil {
+	if t.traced {
 		t.dropped.Add(1)
 	}
 	return false
@@ -411,8 +469,7 @@ func (op *JoinEmbeddings) split(r *Run) (tests [2]*keyTest, pairs []*keyFilter) 
 			if tests[i] == nil {
 				tests[i] = new(keyTest)
 			}
-			tests[i].sets = append(tests[i].sets, f.set)
-			tests[i].cols = append(tests[i].cols, cols)
+			tests[i].add(f.set, cols)
 			taken = true
 		}
 		switch {
@@ -426,10 +483,19 @@ func (op *JoinEmbeddings) split(r *Run) (tests [2]*keyTest, pairs []*keyFilter) 
 }
 
 // ScanTests returns the inputs of a set's target whose scans test the set in
-// a run over a pinned store (split): none if the target is not a join, hands on
-// sets of its own or would probe a leaf in place, else every input that can
-// test it but the leaf the join runs first, whose rows the run holds.
+// a run over a pinned store. At an expansion (ExpandEmbeddings.split) that is
+// its input, if it is a keyed leaf, for a seed set or an end set's transfer.
+// At a join
+// (JoinEmbeddings.split) it is none if the join hands on sets of its own or
+// would probe a leaf in place, else every input that can test the set but the
+// leaf the join runs first, whose rows the run holds.
 func (op *JoinEmbeddings) ScanTests(s KeySet) []Operator {
+	if x, ok := s.Target.(*ExpandEmbeddings); ok {
+		if s.End() && s.cross == nil || keyedLeaf(Unwrap(x.In)) == nil {
+			return nil
+		}
+		return []Operator{x.In}
+	}
 	t, ok := s.Target.(*JoinEmbeddings)
 	if !ok || len(t.sets) > 0 {
 		return nil
@@ -468,7 +534,7 @@ func (r *Run) input(in Operator, test *keyTest) *dataflow.Dataset[embedding.Embe
 	leaf := keyedLeaf(Unwrap(in))
 	c := r.env.Tracer()
 	if c != nil {
-		test.dropped = new(atomic.Int64)
+		test.traced = true
 	}
 	out := tracedAs(in, leaf, r, func() *dataflow.Dataset[embedding.Embedding] { return leaf.scan(r, test) })
 	if c != nil {
@@ -479,48 +545,78 @@ func (r *Run) input(in Operator, test *keyTest) *dataflow.Dataset[embedding.Embe
 
 // handOn evaluates next in r with every set of op whose source is source made
 // of rows, source's output, and installed at its target for as long as next
-// runs.
+// runs. Over a pinned store an end set's transfer is made and installed too.
 func (r *Run) handOn(op *JoinEmbeddings, source Operator, rows *dataflow.Dataset[embedding.Embedding], next Operator) *dataflow.Dataset[embedding.Embedding] {
 	if r.filters == nil {
 		r.filters = map[Operator][]*keyFilter{}
 	}
-	c := r.env.Tracer()
 	for i := range op.sets {
 		s := &op.sets[i]
 		if s.Source != source {
 			continue
 		}
-		cols := s.cols
-		f := &keyFilter{set: dataflow.Keys(rows, func(e embedding.Embedding) uint64 { return keyOf(e, cols) }), vars: s.Vars, cols: s.targetCols}
-		if c != nil {
-			c.Note(op, s.note+strconv.Itoa(f.set.Len()))
-			f.dropped = new(atomic.Int64)
+		set := dataflow.Keys(rows, s.keys)
+		r.install(op, s.Target, &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, scan: s.scan}, s.note)
+		if r.transfers(s) {
+			x := s.Target.(*ExpandEmbeddings)
+			r.install(op, x, &keyFilter{set: r.transfer(x, rows, s.cols[0]), vars: s.cross.vars, cols: s.cross.cols, scan: s.cross.scan}, s.cross.note)
 		}
-		r.filters[s.Target] = append(r.filters[s.Target], f)
 	}
 	out := next.Evaluate(r) // a scope of its own inside the join's
 	for i := range op.sets {
-		if t := op.sets[i].Target; op.sets[i].Source == source {
-			if fs := r.filters[t]; len(fs) > 1 {
-				r.filters[t] = fs[:len(fs)-1]
-			} else {
-				delete(r.filters, t)
-			}
+		s := &op.sets[i]
+		if s.Source != source {
+			continue
+		}
+		n := 1
+		if r.transfers(s) {
+			n = 2
+		}
+		if fs := r.filters[s.Target]; len(fs) > n {
+			r.filters[s.Target] = fs[:len(fs)-n]
+		} else {
+			delete(r.filters, s.Target)
 		}
 	}
 	return out
 }
 
+// keysAt is what dataflow.Keys reads a row's key with for a set of the
+// identifiers the row holds at cols: one key.
+func keysAt(cols []int) func() func(embedding.Embedding, []uint64) []uint64 {
+	each := func(e embedding.Embedding, keys []uint64) []uint64 { return append(keys, keyOf(e, cols)) }
+	return func() func(embedding.Embedding, []uint64) []uint64 { return each }
+}
+
+// install puts f at target in r for the join op, which a trace notes with the
+// set's size.
+func (r *Run) install(op *JoinEmbeddings, target Operator, f *keyFilter, note string) {
+	if c := r.env.Tracer(); c != nil {
+		c.Note(op, note+strconv.Itoa(f.set.Len()))
+		f.traced = true
+	}
+	r.filters[target] = append(r.filters[target], f)
+}
+
+// transfers reports whether r transfers s across its expansion's walk: s is an
+// end set and r reads a pinned store.
+func (r *Run) transfers(s *KeySet) bool { return s.cross != nil && r.access.Store() != nil }
+
 // noteDropped tells a tracer how many pairs, input rows or paths the key sets
-// of filters dropped at op.
-func noteDropped(r *Run, op Operator, filters []*keyFilter) {
+// of filters dropped at op, if it was given any.
+func noteDropped(r *Run, op Operator, filters ...[]*keyFilter) {
 	c := r.env.Tracer()
-	if c == nil || len(filters) == 0 {
+	if c == nil {
 		return
 	}
-	var n int64
-	for _, f := range filters {
-		n += f.dropped.Load()
+	var n, sets int64
+	for _, fs := range filters {
+		for _, f := range fs {
+			n += f.dropped.Load()
+			sets++
+		}
 	}
-	c.Note(op, fmt.Sprintf("sip dropped=%d", n))
+	if sets > 0 {
+		c.Note(op, fmt.Sprintf("sip dropped=%d", n))
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"gradoop/internal/cypher"
@@ -78,13 +77,13 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 	// The set and, per target, the filter a run installs for it.
 	env, _ := newEnv()
 	src := firstPersons(t, "c", 3)
-	set := dataflow.Keys(src.Evaluate(newRun(env)), func(e embedding.Embedding) uint64 { return keyOf(e, []int{0}) })
+	set := dataflow.Keys(src.Evaluate(newRun(env)), keysAt([]int{0}))
 	filterAt := func(target Operator) *keyFilter {
 		s, ok := newKeySet(src, target, []string{"c"})
 		if !ok {
 			t.Fatalf("no set of c at %s", target.Description())
 		}
-		return &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, dropped: new(atomic.Int64)}
+		return &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, traced: true}
 	}
 	inSet := func(e embedding.Embedding, meta *embedding.Meta) bool {
 		c, _ := meta.Column("c")
@@ -125,7 +124,7 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 	_, c0 := laneUsage(t, env)
 	all := edges.Evaluate(r).Count()
 	_, c1 := laneUsage(t, env)
-	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{2}}, dropped: new(atomic.Int64)}
+	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{2}}, traced: true}
 	kept := edges.scan(r, test).Count()
 	_, c2 := laneUsage(t, env)
 	if all != 60 || kept != 9 || test.read != 60 || test.dropped.Load() != 51 || (c2-c1)*int(all) != (c1-c0)*int(kept) {

@@ -32,6 +32,10 @@ type Cached struct {
 // NewCached wraps op with single-evaluation semantics.
 func NewCached(op Operator) *Cached { return &Cached{Inner: op} }
 
+// Shared reports whether an Alias reads the operator too: whether a run that
+// evaluates it once serves a second consumer.
+func (op *Cached) Shared() bool { return op.shared }
+
 // Evaluate implements Operator.
 func (op *Cached) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
 	k, ok := r.kept[op]

@@ -351,7 +351,10 @@ func TestKeySetFiltersTheTarget(t *testing.T) {
 // the plain graph, where the expansion is the bulk iteration, and over the
 // pinned store, where it walks the store in place. The rows are the same, the
 // expansion writes fewer, and a trace counts what it dropped: input rows
-// before the first hop, or paths before they are written.
+// before the first hop, or paths before they are written. Over the store the
+// end set is transferred back across the walk too, in a Broadcast stage of its
+// own, and the input leaf's scan tests the seed set or the transfer: it counts
+// the input rows it dropped, and the expansion only the paths.
 func TestKeySetFiltersAnExpansion(t *testing.T) {
 	for _, walked := range []bool{false, true} {
 		t.Run(fmt.Sprint("walked=", walked), func(t *testing.T) { checkKeySetFiltersAnExpansion(t, walked) })
@@ -415,8 +418,14 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 			t.Fatalf("%s: filtered: %d rows, unfiltered %d", tc.name, len(got), len(want))
 		}
-		if st, _ := c.Op(closing); st.Note != fmt.Sprintf("sip left(%s) n=%d", tc.vars, tc.keys) {
-			t.Errorf("%s: closing join's note %q, want sip left(%s) n=%d", tc.name, st.Note, tc.vars, tc.keys)
+		// Over the store, the scan of the expansion's input tests the seed set
+		// or the end set's transfer: each b that reaches c <= 3 in 0 to 2 hops.
+		wantNote, sets := fmt.Sprintf("sip left(%s) n=%d", tc.vars, tc.keys), 1
+		if walked && tc.endSet {
+			wantNote, sets = wantNote+" sip transfer(b) n=9", 2
+		}
+		if st, _ := c.Op(closing); st.Note != wantNote {
+			t.Errorf("%s: closing join's note %q, want %q", tc.name, st.Note, wantNote)
 		}
 		st, _ := c.Op(x)
 		all, _ := wantC.Op(wantX)
@@ -425,18 +434,22 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		}
 		var dropped int
 		_, sip, _ := strings.Cut(st.Note, "sip dropped=")
-		if _, err := fmt.Sscanf(sip, "%d", &dropped); err != nil || dropped == 0 ||
+		if walked && !tc.endSet {
+			if leaf, _ := c.Op(x.In); sip != "" || leaf.Note != "sip scanned=60 dropped=51" || leaf.Rows != 9 {
+				t.Errorf("%s: expansion's note %q, its input's %q with %d rows; want the scan to drop 51 of 60", tc.name, st.Note, leaf.Note, leaf.Rows)
+			}
+		} else if _, err := fmt.Sscanf(sip, "%d", &dropped); err != nil || dropped == 0 ||
 			tc.dropped >= 0 && dropped != tc.dropped {
 			t.Errorf("%s: expansion's note %q, want the input rows or paths it dropped (%d)", tc.name, st.Note, tc.dropped)
 		}
 		if st.Rows >= all.Rows {
 			t.Errorf("%s: the expansion wrote %d rows, %d unfiltered", tc.name, st.Rows, all.Rows)
 		}
-		if tc.endSet && st.Rows+int64(dropped) != all.Rows {
+		if tc.endSet && (st.Rows+int64(dropped) != all.Rows) != walked {
 			t.Errorf("%s: %d paths written and %d dropped, %d unfiltered", tc.name, st.Rows, dropped, all.Rows)
 		}
-		if stages != wantStages+1 {
-			t.Errorf("%s: filtered: %d stages, unfiltered %d: want one all-gather more", tc.name, stages, wantStages)
+		if stages != wantStages+int64(sets) {
+			t.Errorf("%s: filtered: %d stages, unfiltered %d: want an all-gather more a set", tc.name, stages, wantStages)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package operators
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"gradoop/internal/cypher"
@@ -141,4 +143,165 @@ func (w *walker) from(e embedding.Embedding, emit func(embedding.Embedding), pol
 	}
 	sc.frames, sc.via = frames, via
 	return visited
+}
+
+// transfer is an end set transferred back across x's walk over the run's
+// pinned store (DESIGN decision 44): from the vertex each of rows holds at col,
+// a far end the set keeps, it walks x's edges - of its types, that pass its
+// predicates - against x's direction, both ways if they are undirected, and
+// keeps every vertex it reaches in MinHops to MaxHops hops, the far end itself
+// at none. A path x may keep is such a walk read backwards, so every input row
+// that starts one has its start vertex in the set: a seed set of the start
+// vertex that drops only rows that start no path x keeps. Where x's input is a
+// vertex leaf, only a vertex of the leaf's labels can start a row, and the set
+// keeps no other. Each process walks from the rows of its own partitions, and
+// the keys are all-gathered once (dataflow.Keys).
+func (r *Run) transfer(x *ExpandEmbeddings, rows *dataflow.Dataset[embedding.Embedding], col int) *dataflow.KeySet {
+	w := r.newReach(x)
+	each := func(e embedding.Embedding, keys []uint64) []uint64 { return w.from(e.ID(col), keys) }
+	return dataflow.Keys(rows, func() func(embedding.Embedding, []uint64) []uint64 {
+		clear(w.least)
+		clear(w.far)
+		clear(w.below)
+		return each
+	})
+}
+
+// newReach is what a transfer across x's walk in r walks with.
+func (r *Run) newReach(x *ExpandEmbeddings) *reach {
+	qe := r.edge(x.Edge)
+	store := r.access.Store()
+	lists := store.Adjacency(qe.Types, !x.Reverse)
+	if qe.Undirected {
+		lists = append(store.Adjacency(qe.Types, false), store.Adjacency(qe.Types, true)...)
+	}
+	w := &reach{qe: qe, edges: store.Edges, lists: lists, at: store.Positions()}
+	w.stack = w.stackBuf[:0]
+	if leaf, ok := Unwrap(x.In).(*FilterAndProjectVertices); ok && len(leaf.Vertex.Labels) > 0 {
+		w.starts = w.startsBuf[:0]
+		for _, lr := range store.VertexRanges {
+			if slices.Contains(leaf.Vertex.Labels, lr.Label) {
+				w.starts = append(w.starts, lr)
+			}
+		}
+	}
+	if qe.MaxHops < math.MaxUint8 {
+		w.least = make([]uint8, len(store.Vertices))
+	}
+	return w
+}
+
+// reach is what a transfer walks with: the run's instance of the query edge,
+// the store's edge array and the adjacency lists a hop may take, the store's
+// vertices by id and the label ranges of the vertices that can start an input
+// row (nil: any vertex), and what the partition has walked from.
+type reach struct {
+	qe     *cypher.QueryEdge
+	edges  []epgm.Edge
+	lists  []*epgm.Adjacency
+	at     *epgm.Positions
+	starts []epgm.LabelRange
+	// least holds, per position in the store's vertex array, 1 + the fewest
+	// hops of at least MinHops the vertex was walked from at, 0 for none: a
+	// byte a vertex of the graph, one object a transfer, rewritten for every
+	// partition. far holds that count for a vertex the store does not hold,
+	// and for every vertex where MaxHops does not fit a byte; below, every
+	// vertex and count of hops under MinHops walked from. A walk from a vertex
+	// at as many hops as before, or more, reaches nothing new, so every vertex
+	// and count of hops is walked from once a partition, at most.
+	least []uint8
+	far   map[epgm.ID]int
+	below map[hopAt]bool
+	stack []hopAt
+	// startsBuf and stackBuf back starts and stack up to a few labels and a
+	// walk of DefaultMaxHops hops with a few branches open: no object of their
+	// own.
+	startsBuf [2]epgm.LabelRange
+	stackBuf  [4 * cypher.DefaultMaxHops]hopAt
+}
+
+// hopAt is a vertex a walk reached after hops hops.
+type hopAt struct {
+	v    epgm.ID
+	hops int
+}
+
+// from walks from v and appends to keys the key of every vertex that can start
+// an input row and that it reaches in MinHops to MaxHops hops, the first time
+// the partition does.
+func (w *reach) from(v epgm.ID, keys []uint64) []uint64 {
+	qe := w.qe
+	w.stack = append(w.stack[:0], hopAt{v: v})
+	for len(w.stack) > 0 {
+		at := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		first, on := w.visit(at)
+		if first {
+			keys = append(keys, mixKey(keySeed, at.v))
+		}
+		if !on || at.hops >= qe.MaxHops {
+			continue
+		}
+		for _, l := range w.lists {
+			for _, p := range l.Of(at.v) {
+				de := &w.edges[p]
+				if len(qe.Predicates) > 0 && !cypher.EvalElement(qe.Predicates, qe.Var, de.Properties) {
+					continue
+				}
+				far := de.Target
+				if l.In {
+					far = de.Source
+				}
+				w.stack = append(w.stack, hopAt{v: far, hops: at.hops + 1})
+			}
+		}
+	}
+	return keys
+}
+
+// visit records that the walk reached at. It reports whether that is the
+// first time the partition reaches a vertex that can start an input row in
+// MinHops hops or more - its key goes into the set - and whether the walk goes
+// on from there.
+func (w *reach) visit(at hopAt) (first, on bool) {
+	if at.hops < w.qe.MinHops {
+		if w.below[at] {
+			return false, false
+		}
+		if w.below == nil {
+			w.below = map[hopAt]bool{}
+		}
+		w.below[at] = true
+		return false, true
+	}
+	pos, placed := w.at.Of(at.v)
+	dense := placed && w.least != nil
+	least, seen := w.far[at.v]
+	if dense {
+		least, seen = int(w.least[pos])-1, w.least[pos] > 0
+	}
+	if seen && least <= at.hops {
+		return false, false
+	}
+	first = !seen && (w.starts == nil || placed && startable(w.starts, pos))
+	if dense {
+		w.least[pos] = uint8(at.hops + 1)
+		return first, true
+	}
+	if w.far == nil {
+		w.far = map[epgm.ID]int{}
+	}
+	w.far[at.v] = at.hops
+	return first, true
+}
+
+// startable reports whether the vertex at position pos of the store's vertex
+// array lies in one of ranges.
+func startable(ranges []epgm.LabelRange, pos int) bool {
+	for _, r := range ranges {
+		if r.Lo <= pos && pos < r.Hi {
+			return true
+		}
+	}
+	return false
 }
