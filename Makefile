@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard alloc-table inline-guard figures-check figures-update cluster-smoke bench-smoke check bench clean
+.PHONY: all build test vet lint lint-tools fuzz-smoke race chaos-smoke alloc-guard alloc-table plan-notes inline-guard figures-check figures-update cluster-smoke bench-smoke check bench clean
 
 all: check
 
@@ -206,6 +206,15 @@ alloc-guard:
 alloc-table:
 	$(GO) test ./internal/session -run '^TestAllocTable$$' -count=1 -v -args -alloc-table
 	$(GO) test ./internal/cluster -run '^TestAllocTable$$' -count=1 -v -args -alloc-table
+
+# plan-notes prints, per request class of the benchmark, the analyzed plan of
+# one traced request over the pinned store (SF 3, seed 2017, 4 partitions)
+# without its wall times: which key sets were made and where they were tested,
+# which joins broadcast or repartitioned, and every operator's act= count. A
+# change meant to run the same plans the same way prints what its parent
+# prints. A tool for diffing two commits, not a check.
+plan-notes:
+	$(GO) test ./internal/session -run '^TestPlanNotes$$' -count=1 -v -args -plan-notes
 
 # inline-guard holds the embedding's accessors inside the inliner's budget.
 # They read a row through a pointer (DESIGN.md decision 29); written as

@@ -46,24 +46,28 @@ func RequestClasses(d *ldbc.Dataset) []RequestClass {
 }
 
 // AllocTable prints where the bytes and objects of requests go (make
-// alloc-table): per class, after one request that plans and warms, KiB and
-// heap objects a request over reps more; then - from the heap profile of one
+// alloc-table): per class, after one request that plans and warms, the
+// median KiB and heap objects of reps more, each measured alone - so that
+// what the process does beside the requests now and then, a cluster's
+// heartbeat and the registry snapshots it carries, moves a request or two of
+// the reps and not the figure; then - from the heap profile of one
 // more pass of every class - the top rows, by bytes, of the flat table of
 // bytes and objects by allocating function. serve runs one request of class i
 // and returns its row count.
 func AllocTable(w io.Writer, names []string, serve func(i int) int64, reps, top int) {
 	out := tabwriter.NewWriter(w, 0, 8, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(out, "class\trows\tKiB/req\tobjects/req\t")
+	kib, objects := make([]float64, reps), make([]float64, reps)
 	for i, name := range names {
 		rows := serve(i)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range reps {
+		for r := range reps {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			serve(i)
+			runtime.ReadMemStats(&after)
+			kib[r], objects[r] = float64(after.TotalAlloc-before.TotalAlloc)/1024, float64(after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		fmt.Fprintf(out, "%s\t%d\t%.1f\t%.1f\t\n", name, rows,
-			float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(reps), float64(after.Mallocs-before.Mallocs)/float64(reps))
+		fmt.Fprintf(out, "%s\t%d\t%.1f\t%.1f\t\n", name, rows, median(kib), median(objects))
 	}
 	out.Flush()
 
@@ -354,4 +358,13 @@ func caller(stack []string) string {
 		}
 	}
 	return "(unknown)"
+}
+
+// median returns the median of xs, which it sorts.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	if n := len(xs); n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[len(xs)/2]
 }

@@ -16,6 +16,8 @@ import (
 	"gradoop/internal/epgm"
 	"gradoop/internal/ldbc"
 	"gradoop/internal/operators"
+	"gradoop/internal/planner"
+	"gradoop/internal/trace"
 )
 
 // goldenGraph builds the fixed graph the layout goldens were recorded on.
@@ -172,12 +174,15 @@ func TestKeepGolden(t *testing.T) {
 // right input, or the leaf it runs first - and variables, the join or
 // expansion it goes to, the edge and vertex an end set is transferred across
 // and to, and the inputs of that target whose scans test the set or its
-// transfer over a pinned store (JoinEmbeddings.ScanTests). A planner change
-// that moves a set, adds one or drops one fails here by name, not only in the
-// bench's bytes.
+// transfer. The scans are what a run over a pinned store did: each query runs
+// traced over the store's index, and an input tested a set of its target if
+// its analyzed line notes "sip scanned=" and it binds the set's variables. A
+// planner change that moves a set, adds one or drops one, or a run that tests
+// one elsewhere, fails here by name, not only in the bench's bytes.
 func TestKeySetsSit(t *testing.T) {
 	g, common := goldenGraph(4)
 	defer core.DropGraphStats(g)
+	idx := epgm.BuildIndex(g)
 	const (
 		q3          = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=p1,__e0,comment,__e1,__e3,__e2)"
 		q3Left      = "JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"
@@ -203,21 +208,47 @@ func TestKeySetsSit(t *testing.T) {
 		benchkit.Q6: {"JoinEmbeddings(on=p2,t1, HOMO/ISO, drop=p2,__e2,t1,__e3,__e1) | left(p2,t1) -> JoinEmbeddings(on=p1, HOMO/ISO, drop=p1,__e0)"},
 	}
 	for _, q := range benchkit.AllQueries {
-		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
+		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism,
+			Access: planner.IndexedAccess{Index: idx}, Trace: trace.NewCollector()}
 		if q.Operational() {
 			cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}
 		}
-		plan, err := core.Plan(g, q.Text(), cfg)
+		res, err := core.Execute(g, q.Text(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+		// The inputs of each operator whose scans tested a key set.
+		nodes, ops := res.Plan.Nodes(), res.AnalyzedOps()
+		scanned := map[operators.Operator][]operators.Operator{}
+		for i, n := range nodes {
+			for k := i + 1; k < len(nodes) && nodes[k].Depth > n.Depth; k++ {
+				if nodes[k].Depth == n.Depth+1 && strings.Contains(ops[k].Note, "sip scanned=") {
+					scanned[n.Op] = append(scanned[n.Op], nodes[k].Op)
+				}
+			}
+		}
 		var got []string
-		for _, n := range plan.Nodes() {
+		for _, n := range nodes {
 			j, ok := n.Op.(*operators.JoinEmbeddings)
 			if !ok {
 				continue
 			}
 			for _, s := range j.KeySets() {
+				var scans []string
+				for _, in := range scanned[s.Target] {
+					if binds(in, s.Vars) {
+						scans = append(scans, in.Description()+" of "+operators.Unwrap(in).Description())
+					}
+				}
+				tested := ""
+				if len(scans) > 0 {
+					tested = ", scans " + strings.Join(scans, ", ")
+				}
+				// A transfer is told on the line of its end set, which it follows.
+				if start, ok := s.Transfer(); ok {
+					got[len(got)-1] += ", transferred over " + s.Target.(*operators.ExpandEmbeddings).Edge.Var + " to " + start + tested
+					continue
+				}
 				var source string
 				switch s.Source {
 				case j.Left:
@@ -231,23 +262,23 @@ func TestKeySetsSit(t *testing.T) {
 				if s.End() {
 					set += ", end set"
 				}
-				if start, ok := s.Transfer(); ok {
-					set += ", transferred over " + s.Target.(*operators.ExpandEmbeddings).Edge.Var + " to " + start
-				}
-				var scans []string
-				for _, in := range j.ScanTests(s) {
-					scans = append(scans, in.Description()+" of "+operators.Unwrap(in).Description())
-				}
-				if len(scans) > 0 {
-					set += ", scans " + strings.Join(scans, ", ")
-				}
-				got = append(got, set)
+				got = append(got, set+tested)
 			}
 		}
 		if !slices.Equal(got, want[q]) {
 			t.Errorf("%s: key sets\n%s\nwant\n%s", q, strings.Join(got, "\n"), strings.Join(want[q], "\n"))
 		}
 	}
+}
+
+// binds reports whether op's rows bind every variable of vars.
+func binds(op operators.Operator, vars []string) bool {
+	for _, v := range vars {
+		if !op.Meta().HasVar(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPlanIsThePlanExecuteRuns: core.Plan compiles and binds the way Execute

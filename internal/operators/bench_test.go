@@ -175,7 +175,7 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 
 // BenchmarkRowLeafKeySet is the scan of the knows edges of a pinned store
 // that tests a key set of 64 persons at the edges' sources, as a join given the
-// set has its input leaf scan (JoinEmbeddings.split): benchRows edges are read
+// set has its input leaf scan (Run.route): benchRows edges are read
 // and tested, and the 192 that leave one of the 64 get a row, in an output
 // allocated once at their count. What a step allocates is those rows' slab
 // chunks and the stage's own objects. Rows are the elements scanned, for
@@ -189,7 +189,7 @@ func BenchmarkRowLeafKeySet(b *testing.B) {
 	chosen := dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64])
 	set := dataflow.Keys(chosen, keysAt([]int{0}))
 	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
-	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{0}}}
+	test := (*keyTest)(nil).add(set, []pairCol{{col: 0}}, false)
 	scanned := int(knows.scanned(indexedRun(idx)))
 	env.ResetMetrics()
 	bytes := reportAllocsPerRow(b, scanned, func() {

@@ -179,7 +179,7 @@ func TestEndSetCrossesTheWalk(t *testing.T) {
 					if sets {
 						closing.PlaceKeySets()
 						if !transfer {
-							closing.sets[0].cross = nil
+							closing.sets = closing.sets[:1]
 						}
 					}
 					env := dataflow.NewEnv(dataflow.DefaultConfig(4))
@@ -244,7 +244,7 @@ func TestEndSetCrossesTheWalk(t *testing.T) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 		env.Begin(nil)
 		r := indexedRun(store.Index(env))
-		test := &keyTest{sets: []*dataflow.KeySet{r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0)}, cols: [][]int{{0}}}
+		test := (*keyTest)(nil).add(r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0), []pairCol{{col: 0}}, false)
 		leaf := x.In.(*FilterAndProjectVertices)
 		_, c0 := laneUsage(t, env)
 		all := leaf.Evaluate(r).Count()

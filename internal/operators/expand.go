@@ -108,43 +108,16 @@ func (s pathState) SizeBytes() int { return s.base.SizeBytes() + 8*len(s.via) + 
 
 // Evaluate implements Operator.
 func (op *ExpandEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
-	test, seeds, ends := op.split(r)
-	in := r.input(op.In, test)
+	scans, seeds, ends := r.route(op)
+	in := r.input(op.In, scans[0])
 	return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 		return op.evaluate(r, in, seeds, ends)
 	})
 }
 
-// split divides the key sets installed at the expansion in r between the scan
-// of its input and the expansion itself: its seed sets, which it tests per
-// input row, and its end sets, which it tests at its paths' far ends - the
-// one kind with no columns. Over a pinned store each seed set - an end set's
-// transfer among them - goes to the scan of the input instead if that is a
-// leaf whose row is its element's, bare or behind Alias/Cached (keyedLeaf),
-// whose rows the run does not hold already, as a join's sets go to its
-// inputs' scans: the input row is the leaf's row, so the set's columns are
-// where the leaf's row holds its variables.
-func (op *ExpandEmbeddings) split(r *Run) (test *keyTest, seeds, ends []*keyFilter) {
-	scans := r.access.Store() != nil && keyedLeaf(Unwrap(op.In)) != nil && !r.holds(op.In)
-	for _, f := range r.filters[op] {
-		switch {
-		case len(f.cols) == 0:
-			ends = append(ends, f)
-		case !scans:
-			seeds = append(seeds, f)
-		default:
-			if test == nil {
-				test = new(keyTest)
-			}
-			test.add(f.set, f.scan)
-		}
-	}
-	return test, seeds, ends
-}
-
 // evaluate is the expansion of in, the input's rows, in r, which tests the
-// seed sets seeds per input row and the end sets ends at its paths' far ends.
-func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding], seeds, ends []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
+// key test seeds per input row and ends at its paths' far ends.
+func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embedding], seeds, ends *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	qe := r.edge(op.Edge)
 	defer noteDropped(r, op, seeds, ends)
 	if store := r.access.Store(); store != nil {
@@ -178,13 +151,13 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 	// one, every row does.
 	startCol := op.startCol
 	var seeded func(embedding.Embedding) bool
-	if len(seeds) > 0 {
-		seeded = func(e embedding.Embedding) bool { return miss(seeds, e, e) == nil }
+	if seeds != nil {
+		seeded = func(e embedding.Embedding) bool { return seeds.has(e, e) }
 	}
 	working := dataflow.FlatMapCounted(in, seeded,
 		func(*dataflow.Lane) func(embedding.Embedding, func(pathState)) {
 			return func(e embedding.Embedding, emit func(pathState)) {
-				if keeps(seeds, e, e) {
+				if seeds.keeps(e, e) {
 					emit(pathState{base: e, end: e.ID(startCol)})
 				}
 			}
@@ -223,18 +196,6 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 		})
 }
 
-// missEnd returns the first of the end sets ends a path's far end is not in,
-// or nil.
-func missEnd(ends []*keyFilter, far epgm.ID) *keyFilter {
-	k := mixKey(keySeed, far)
-	for _, f := range ends {
-		if !f.set.Has(k) {
-			return f
-		}
-	}
-	return nil
-}
-
 // hopAllowed prunes extensions that can never satisfy the morphism
 // semantics: under edge isomorphism the new edge must be fresh; under
 // vertex isomorphism a revisited vertex can only ever produce duplicate
@@ -270,18 +231,18 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 }
 
 // finalizer returns what turns path states of an admissible length into
-// result embeddings in a run whose end sets at the expansion are ends (finish).
+// result embeddings, testing the end sets of ends at their far ends (finish).
 // Where a state may end elsewhere - off the bound vertex of a closing
 // expansion, outside an end set - every partition counts the states that end
 // where they may first and writes no more rows than that; an open expansion
 // without an end set writes a row of nearly every state (hopAllowed pruned
 // the rest).
-func (op *ExpandEmbeddings) finalizer(ends []*keyFilter) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
+func (op *ExpandEmbeddings) finalizer(ends *keyTest) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
 	bindTarget, endCol := op.bindTarget, op.endCol
 	var count func(pathState) bool
-	if bindTarget || len(ends) > 0 {
+	if bindTarget || ends != nil {
 		count = func(s pathState) bool {
-			return (!bindTarget || s.base.ID(endCol) == s.end) && missEnd(ends, s.end) == nil
+			return (!bindTarget || s.base.ID(endCol) == s.end) && ends.hasIDs([3]epgm.ID{s.end})
 		}
 	}
 	newF := func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
@@ -295,15 +256,11 @@ func (op *ExpandEmbeddings) finalizer(ends []*keyFilter) func(*dataflow.Dataset[
 
 // finish writes the row of a path of an admissible length, if it has one. It
 // drops a path off the bound vertex of a closing expansion and one whose far
-// end is not in an end set of ends, and applies the full morphism check - to
+// end the end sets of ends drop, and applies the full morphism check - to
 // the state, before a row is written, since the row carries only what the
 // rest of the query reads. The via list is copied into the row.
-func (op *ExpandEmbeddings) finish(sc *scratch, s pathState, ends []*keyFilter, emit func(embedding.Embedding)) {
-	if op.bindTarget && s.base.ID(op.endCol) != s.end {
-		return
-	}
-	if f := missEnd(ends, s.end); f != nil {
-		f.drop()
+func (op *ExpandEmbeddings) finish(sc *scratch, s pathState, ends *keyTest, emit func(embedding.Embedding)) {
+	if op.bindTarget && s.base.ID(op.endCol) != s.end || !ends.keepsIDs([3]epgm.ID{s.end}) {
 		return
 	}
 	if !sc.validState(s, op.In.Meta(), !op.bindTarget, op.Morph) {

@@ -99,7 +99,7 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // it runs first to the joins and expansions below the other, which drop a
 // pair, an input row or a path that cannot join here before it is written
 // (PlaceKeySets, keyset.go); a join given a set tests it in the scan of an
-// input leaf that binds its variables, if it has one (split).
+// input leaf that binds its variables, if it has one (Run.route).
 type JoinEmbeddings struct {
 	Left, Right Operator
 	Morph       Morphism
@@ -242,30 +242,23 @@ func keyedLeaf(op Operator) inPlaceLeaf {
 
 // inPlaceCandidate names the input the join would probe in place, if it has
 // one: a leaf over a pinned store, consumed here only, whose other input has
-// a predicate below it or a scan that tests a key set (tests, split) - without
-// one nothing says the other side is small, and the count that would tell is a
-// collective. The planner puts the input it expects to be smaller on the left,
-// so the right one is tried first. A join that hands on key sets runs one
-// input first to filter the other, so it has none, and a leaf whose scan
-// tests a set is small already: it is scanned.
+// a predicate below it or a scan that tests a key set (tests, Run.route) -
+// without one nothing says the other side is small, and the count that would
+// tell is a collective. The planner puts the input it expects to be smaller on
+// the left, so the right one is tried first. A join that hands on key sets
+// runs one input first to filter the other, so it has none, and a leaf whose
+// scan tests a set is small already: it is scanned.
 func (op *JoinEmbeddings) inPlaceCandidate(r *Run, tests [2]*keyTest) (leaf inPlaceLeaf, onLeft bool) {
-	return op.candidate(func(leaf inPlaceLeaf) bool { return leaf.scanned(r) > 0 }, [2]bool{tests[0] != nil, tests[1] != nil})
-}
-
-// candidate is inPlaceCandidate's rule, pinned saying whether a leaf's
-// elements are ranges of a pinned store and tested which inputs' scans test a
-// key set.
-func (op *JoinEmbeddings) candidate(pinned func(inPlaceLeaf) bool, tested [2]bool) (leaf inPlaceLeaf, onLeft bool) {
 	if len(op.sets) > 0 {
 		return nil, false
 	}
-	if op.Left.Selective() || tested[0] {
-		if leaf := soleLeaf(op.Right); leaf != nil && !tested[1] && pinned(leaf) {
+	if op.Left.Selective() || tests[0] != nil {
+		if leaf := soleLeaf(op.Right); leaf != nil && tests[1] == nil && leaf.scanned(r) > 0 {
 			return leaf, false
 		}
 	}
-	if op.Right.Selective() || tested[1] {
-		if leaf := soleLeaf(op.Left); leaf != nil && !tested[0] && pinned(leaf) {
+	if op.Right.Selective() || tests[1] != nil {
+		if leaf := soleLeaf(op.Left); leaf != nil && tests[0] == nil && leaf.scanned(r) > 0 {
 			return leaf, true
 		}
 	}
@@ -274,6 +267,7 @@ func (op *JoinEmbeddings) candidate(pinned func(inPlaceLeaf) bool, tested [2]boo
 
 // Evaluate implements Operator.
 func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding] {
+	tests, pairs, _ := r.route(op)
 	switch {
 	case op.RightFirst():
 		// The leaf runs first - its Cached keeps the rows for the left input -
@@ -283,15 +277,14 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 		seeds := leaf.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 			right := r.handOn(op, leaf, seeds, op.Right)
-			return op.join(r, r.handOn(op, op.Right, right, op.Left), right, r.filters[op])
+			return op.join(r, r.handOn(op, op.Right, right, op.Left), right, pairs)
 		})
 	case len(op.sets) > 0:
 		left := op.Left.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			return op.join(r, left, r.handOn(op, op.Left, left, op.Right), r.filters[op])
+			return op.join(r, left, r.handOn(op, op.Left, left, op.Right), pairs)
 		})
 	}
-	tests, pairs := op.split(r)
 	leaf, onLeft := op.inPlaceCandidate(r, tests)
 	if leaf == nil {
 		left := r.input(op.Left, tests[0])
@@ -331,13 +324,13 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 }
 
 // join is the repartition hash join of the two evaluated inputs in run,
-// whose pairs test the key sets of filters.
-func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding.Embedding], filters []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
+// whose pairs pass the key test pairs.
+func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding.Embedding], pairs *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	defer noteDropped(run, op, filters)
+	defer noteDropped(run, op, pairs)
 	return dataflow.JoinWith(left, right,
 		func(e embedding.Embedding) uint64 { return keyOf(e, lc) },
 		func(e embedding.Embedding) uint64 { return keyOf(e, rc) },
@@ -347,7 +340,7 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 				// Keys, the run's key sets at this join and morphism are
 				// checked on the two inputs: a rejected candidate is never
 				// materialized.
-				if sameKeys(l, r, lc, rc) && keeps(filters, l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
+				if sameKeys(l, r, lc, rc) && pairs.keeps(l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
 					emit(sc.slab.Merge(l, r, keep))
 				}
 			}
@@ -361,8 +354,8 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 // that joins, and for no other. What is done with the pair is what join does.
 // Rows come out in scan order and carry no partition tag; without ORDER BY a
 // result is a bag. The leaf is reported to a tracer as evaluated, with the
-// rows it built. The pairs test the key sets of filters.
-func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool, filters []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
+// rows it built. The pairs pass the key test pairs.
+func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool, pairs *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
@@ -371,7 +364,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 	if onLeft {
 		smallCols, leafCols = rc, lc
 	}
-	defer noteDropped(run, op, filters)
+	defer noteDropped(run, op, pairs)
 	c := run.env.Tracer()
 	var built *atomic.Int64
 	if c != nil {
@@ -382,7 +375,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 		if onLeft {
 			l, r = row, small
 		}
-		if sameKeys(l, r, lc, rc) && keeps(filters, l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
+		if sameKeys(l, r, lc, rc) && pairs.keeps(l, r) && sc.validPair(l, lm, r, rm, drop, morph) {
 			emit(sc.slab.Merge(l, r, keep))
 		}
 	}, built)

@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -13,61 +14,57 @@ import (
 
 // KeySet is one key set of a plan: the keys of Source's rows at the variables
 // Vars, which Target - a join or an expansion below the join that makes the
-// set - tests its pairs, its input rows or its paths' far ends against before
-// it writes a row (semi-join reduction, DESIGN decisions 40 and 42). Source is
-// an input of that join or, for a join that runs its right input first, the
-// selective leaf under its left input. It is a value of the plan, which no run
-// writes; a run makes the set itself, with one dataflow.Keys collective.
+// set - tests before it writes a row (semi-join reduction, DESIGN decision
+// 40), or has the scan of an input leaf test. Source is an input of that join
+// or, for a join that runs its right input first, the selective leaf under its
+// left input. It is a value of the plan, which no run writes; a run makes the
+// set itself, with one dataflow.Keys collective.
 type KeySet struct {
 	Source, Target Operator
 	Vars           []string
 
-	// cols are where Source's rows hold Vars and targetCols where Target holds
-	// them, in the same order: in a pair of a join or in an expansion's input
-	// row. None is an expansion's end set, tested against a path's far end.
+	// cols are where Source's rows hold Vars - for a transfer, the end set's
+	// far end - and targetCols where Target holds Vars, in the same order: in
+	// a pair of a join or in an expansion's input row. None is an expansion's
+	// end set, tested against a path's far end.
 	cols       []int
 	targetCols []pairCol
+	// scans are, per input of Target - a join's left and right, an
+	// expansion's one - where the input's rows hold Vars, if it is a keyed
+	// leaf, bare or behind Alias/Cached, that binds them all: the columns its
+	// scan tests the set at (leafCols). nil for any other input.
+	scans [2][]pairCol
+	// transfer marks an end set's transfer: the vertices from which the
+	// expansion's walk reaches one of the end set's keys, a set of its start
+	// vertex placed right after the end set, which a run makes over a pinned
+	// store only (Run.transfer).
+	transfer bool
 	// note is what a trace notes at the join the set is made for, up to the
 	// set's size: its source and variables, rendered once for every run (a
 	// cluster worker traces every run).
 	note string
 	// keys is what dataflow.Keys reads a source row's key with (keysAt),
-	// made once for every run.
+	// made once for every run; nil for a transfer.
 	keys func() func(embedding.Embedding, []uint64) []uint64
-	// scan is, for a seed set, where an expansion's input row holds Vars:
-	// the columns a scan of its input leaf tests the set at.
-	scan []int
-	// cross is, for an end set, the set a run over a pinned store transfers
-	// back across the expansion's walk (Run.transfer); nil for any other set.
-	cross *crossing
-}
-
-// crossing is an end set transferred back across its expansion's walk: the
-// vertices from which a path the expansion may write can reach one of the
-// set's keys, a seed set of the expansion's start vertex (DESIGN decision 44).
-type crossing struct {
-	vars []string  // the start vertex
-	cols []pairCol // where an input row holds it
-	scan []int     // the same, for a scan of the input leaf
-	note string    // what a trace notes at the join, up to the set's size
 }
 
 // End reports whether the set is an expansion's end set: its key is a path's
 // far end, not an input row's.
 func (s KeySet) End() bool { return len(s.targetCols) == 0 }
 
-// Transfer returns the variable an end set is transferred to across its
-// expansion's walk in a run over a pinned store - the expansion's start
-// vertex - and false for any other set.
+// Transfer reports whether the set is an end set's transfer across its
+// expansion's walk, and names the variable it is of: the expansion's start
+// vertex.
 func (s KeySet) Transfer() (string, bool) {
-	if s.cross == nil {
+	if !s.transfer {
 		return "", false
 	}
-	return s.cross.vars[0], true
+	return s.Vars[0], true
 }
 
 // pairCol is where a pair of rows of a join holds one identifier: a column of
-// its left or of its right row. An expansion's input row is a left row.
+// its left or of its right row. An expansion's input row is a left row, and
+// so is the row a leaf's scan would make of an element.
 type pairCol struct {
 	right bool
 	col   int
@@ -148,6 +145,7 @@ func newKeySet(source, target Operator, vars []string) (s KeySet, ok bool) {
 			}
 			s.targetCols = append(s.targetCols, pairCol{right: !onLeft, col: c})
 		}
+		s.scans = [2][]pairCol{leafCols(n.Left, vars), leafCols(n.Right, vars)}
 	case *ExpandEmbeddings:
 		in := n.In.Meta()
 		var bound []string
@@ -163,6 +161,7 @@ func newKeySet(source, target Operator, vars []string) (s KeySet, ok bool) {
 		}
 		if len(bound) > 0 {
 			s.Vars = bound
+			s.scans[0] = leafCols(n.In, bound)
 		}
 	default:
 		return KeySet{}, false
@@ -172,6 +171,21 @@ func newKeySet(source, target Operator, vars []string) (s KeySet, ok bool) {
 		s.cols[i], _ = source.Meta().Column(v)
 	}
 	return s, true
+}
+
+// leafCols returns where in's rows hold vars, if a key set of them can be
+// tested in its scan: in is a vertex leaf or a directed non-loop edge leaf -
+// one row an element, whose key is the row's - bare or behind an Alias and a
+// Cached, shared or not, and binds every variable. It returns nil otherwise.
+func leafCols(in Operator, vars []string) []pairCol {
+	if keyedLeaf(Unwrap(in)) == nil || !bindsAll(in, vars) {
+		return nil
+	}
+	cols := make([]pairCol, len(vars))
+	for i, v := range vars {
+		cols[i].col, _ = in.Meta().Column(v)
+	}
+	return cols
 }
 
 // place is the set of source's keys of vars at the lowest join or expansion
@@ -214,23 +228,20 @@ func apart(target Operator, vars []string) bool {
 // path, and carries its identifiers of the set's variables up to this join,
 // so one whose key is not in the set cannot make a row this join keeps. The
 // planner calls it on the joins of a query's mandatory pattern while it builds
-// the plan, which no run writes.
+// the plan, which no run writes. An end set is followed by its transfer.
 func (op *JoinEmbeddings) PlaceKeySets() {
 	op.sets = op.keySets()
-	for i := range op.sets {
+	for i := 0; i < len(op.sets); i++ {
 		s := &op.sets[i]
 		s.note = "sip " + op.from(s) + "(" + strings.Join(s.Vars, ",") + ") n="
 		s.keys = keysAt(s.cols)
-		x, ok := s.Target.(*ExpandEmbeddings)
-		switch {
-		case ok && s.End():
+		if x, ok := s.Target.(*ExpandEmbeddings); ok && s.End() {
 			start := x.In.Meta().Var(x.startCol)
-			s.cross = &crossing{vars: []string{start}, cols: []pairCol{{col: x.startCol}}, scan: []int{x.startCol},
-				note: "sip transfer(" + start + ") n="}
-		case ok:
-			for _, c := range s.targetCols {
-				s.scan = append(s.scan, c.col)
-			}
+			t := KeySet{Source: s.Source, Target: x, Vars: []string{start}, cols: s.cols,
+				targetCols: []pairCol{{col: x.startCol}}, transfer: true, note: "sip transfer(" + start + ") n="}
+			t.scans[0] = leafCols(x.In, t.Vars)
+			i++
+			op.sets = slices.Insert(op.sets, i, t)
 		}
 	}
 }
@@ -324,195 +335,147 @@ func (op *JoinEmbeddings) from(s *KeySet) string {
 	return "leaf"
 }
 
-// keyFilter is a key set at its target in a run: the keys, where the target
-// holds them - in a pair of a join, in an input row of an expansion or, with
-// no columns, as a path's far end - and, in a traced run, a count of what it
-// dropped. scan is an expansion's seed set's columns as ints, for the scan of
-// its input leaf.
-type keyFilter struct {
-	set     *dataflow.KeySet
-	vars    []string
-	cols    []pairCol
-	scan    []int
-	traced  bool
-	dropped atomic.Int64
+// made is a key set a run has made and installed at its target (Run.handOn):
+// the plan's set and the run's keys.
+type made struct {
+	*KeySet
+	set *dataflow.KeySet
 }
 
-// drop counts a key not in the set where it is traced.
-func (f *keyFilter) drop() {
-	if f.traced {
-		f.dropped.Add(1)
-	}
-}
-
-// key is the key of the pair l, r at f's columns; an expansion's input row is
-// l.
-func (f *keyFilter) key(l, r embedding.Embedding) uint64 {
-	h := keySeed
-	for _, c := range f.cols {
-		row := l
-		if c.right {
-			row = r
-		}
-		h = mixKey(h, row.ID(c.col))
-	}
-	return h
-}
-
-// keeps reports whether the key of the pair l, r is in every set of filters,
-// and counts a pair that is not where it is traced.
-func keeps(filters []*keyFilter, l, r embedding.Embedding) bool {
-	if f := miss(filters, l, r); f != nil {
-		f.drop()
-		return false
-	}
-	return true
-}
-
-// miss returns the first of filters the key of the pair l, r is not in, or
-// nil.
-func miss(filters []*keyFilter, l, r embedding.Embedding) *keyFilter {
-	for _, f := range filters {
-		if !f.set.Has(f.key(l, r)) {
-			return f
-		}
-	}
-	return nil
-}
-
-// keyTest is the key sets a leaf's scan tests in a run (JoinEmbeddings.split):
-// each set with the columns of the leaf's row that hold its variables, in the
-// set's order. A traced run counts the elements the test dropped; read is the
-// elements the scan read.
+// keyTest is key sets a run tests at one place, each at its own columns
+// there: the pairs of a join, the input rows - a left row - or the paths' far
+// ends of an expansion, or the scan of an input leaf. Where no row is made
+// yet, the columns are those of the identifiers as a row would hold them: an
+// element's in its leaf's row, a far end as the one column (farEnd). A traced
+// run counts what it dropped; a scan counts what it read.
 type keyTest struct {
 	sets    []*dataflow.KeySet
-	cols    [][]int
+	cols    [][]pairCol
 	read    int64
 	traced  bool
 	dropped atomic.Int64
 	// setsBuf and colsBuf back sets and cols up to two sets: a test of no
 	// more is one object.
 	setsBuf [2]*dataflow.KeySet
-	colsBuf [2][]int
+	colsBuf [2][]pairCol
 }
 
-// add has the test test set at the leaf row's columns cols.
-func (t *keyTest) add(set *dataflow.KeySet, cols []int) {
+// add has t test set at cols and returns it, a new test - of a traced run,
+// if traced - if t is nil.
+func (t *keyTest) add(set *dataflow.KeySet, cols []pairCol, traced bool) *keyTest {
+	if t == nil {
+		t = &keyTest{traced: traced}
+	}
 	if t.sets == nil {
 		t.sets, t.cols = t.setsBuf[:0], t.colsBuf[:0]
 	}
 	t.sets = append(t.sets, set)
 	t.cols = append(t.cols, cols)
+	return t
 }
 
-// has reports whether the key of an element whose row would hold ids is in
-// every set.
-func (t *keyTest) has(ids [3]epgm.ID) bool {
+// has reports whether the key of the pair l, r is in every set of t, and true
+// if t is nil; an expansion's input row is l.
+func (t *keyTest) has(l, r embedding.Embedding) bool {
+	if t == nil {
+		return true
+	}
 	for i, set := range t.sets {
-		if !set.Has(idsKey(ids, t.cols[i])) {
+		h := keySeed
+		for _, c := range t.cols[i] {
+			row := l
+			if c.right {
+				row = r
+			}
+			h = mixKey(h, row.ID(c.col))
+		}
+		if !set.Has(h) {
 			return false
 		}
 	}
 	return true
 }
 
-// keeps is has, counting an element it drops where the run is traced.
-func (t *keyTest) keeps(ids [3]epgm.ID) bool {
-	if t.has(ids) {
+// hasIDs is has for identifiers ids that no row holds yet: an element's as
+// its leaf's row would hold them (vertexIDs, edgeIDs), or a path's far end.
+func (t *keyTest) hasIDs(ids [3]epgm.ID) bool {
+	if t == nil {
 		return true
 	}
+	for i, set := range t.sets {
+		h := keySeed
+		for _, c := range t.cols[i] {
+			h = mixKey(h, ids[c.col])
+		}
+		if !set.Has(h) {
+			return false
+		}
+	}
+	return true
+}
+
+// keeps and keepsIDs are has and hasIDs, counting what they drop where the
+// run is traced.
+func (t *keyTest) keeps(l, r embedding.Embedding) bool { return t.has(l, r) || t.drop() }
+func (t *keyTest) keepsIDs(ids [3]epgm.ID) bool        { return t.hasIDs(ids) || t.drop() }
+
+func (t *keyTest) drop() bool {
 	if t.traced {
 		t.dropped.Add(1)
 	}
 	return false
 }
 
-// testCols returns where a join's input holds vars, if a key set of them can
-// be tested in its scan: the input is a vertex leaf or a directed non-loop edge
-// leaf - one row an element, whose key is the row's - bare or behind an Alias
-// and a Cached, shared or not, and binds every variable.
-func testCols(in Operator, vars []string) ([]int, bool) {
-	if keyedLeaf(Unwrap(in)) == nil || !bindsAll(in, vars) {
-		return nil, false
-	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i], _ = in.Meta().Column(v)
-	}
-	return cols, true
-}
+// farEnd is where an end set's key is: a path's far end, tested as the one
+// identifier of a row not made yet.
+var farEnd = []pairCol{{}}
 
-// split divides the key sets installed at the join in r between its inputs'
-// scans and its pairs. A join that hands on sets of its own tests the ones it
-// is given at its pairs, and so does one that would probe a leaf in place -
-// in the probe. Otherwise each set goes to the scan of every input that can
-// test it (testCols) and whose rows the run does not hold already - a Cached
-// evaluated before, the leaf a join runs first - and the pairs test only the
-// sets no input took.
-func (op *JoinEmbeddings) split(r *Run) (tests [2]*keyTest, pairs []*keyFilter) {
-	filters := r.filters[op]
-	if len(filters) == 0 || len(op.sets) > 0 {
-		return tests, filters
+// route is the one rule for where a run tests the key sets installed at
+// target, a join or an expansion. A set goes to the scan of every input of
+// the target that can test it (KeySet.scans) and whose rows the run does not
+// hold yet - a Cached evaluated before, such as the leaf a right-first join
+// runs first, is read as it is - if the target lets its inputs' scans test
+// sets at all. Otherwise the target tests it itself: at its pairs or its input
+// rows (at) or, an expansion's end set, at its paths' far ends (ends). A join
+// lets its scans test sets unless it hands on sets of its own, running one
+// input first to filter the other, or would probe a leaf in place, where it
+// tests them in the probe. An expansion does over a pinned store only: over a
+// plain graph it is the paper's bulk iteration, and its start step tests the
+// seed sets per input row.
+func (r *Run) route(target Operator) (scans [2]*keyTest, at, ends *keyTest) {
+	installed := r.filters[target]
+	if len(installed) == 0 {
+		return scans, nil, nil
 	}
-	if leaf, _ := op.inPlaceCandidate(r, tests); leaf != nil {
-		return tests, filters
+	var ins [2]Operator
+	var scan bool
+	switch t := target.(type) {
+	case *JoinEmbeddings:
+		leaf, _ := t.inPlaceCandidate(r, [2]*keyTest{})
+		ins, scan = [2]Operator{t.Left, t.Right}, len(t.sets) == 0 && leaf == nil
+	case *ExpandEmbeddings:
+		ins[0], scan = t.In, r.access.Store() != nil
 	}
-	pairs = filters // copied once a set is taken
-	copied := false
-	for j, f := range filters {
+	traced := r.env.Tracer() != nil
+	for _, k := range installed {
 		taken := false
-		for i, in := range [2]Operator{op.Left, op.Right} {
-			cols, ok := testCols(in, f.vars)
-			if !ok || r.holds(in) {
-				continue
+		for i, in := range ins {
+			if cols := k.scans[i]; scan && cols != nil && !r.holds(in) {
+				scans[i], taken = scans[i].add(k.set, cols, traced), true
 			}
-			if tests[i] == nil {
-				tests[i] = new(keyTest)
-			}
-			tests[i].add(f.set, cols)
-			taken = true
 		}
 		switch {
-		case taken && !copied:
-			pairs, copied = append([]*keyFilter(nil), filters[:j]...), true
-		case !taken && copied:
-			pairs = append(pairs, f)
+		case taken:
+		case k.End():
+			ends = ends.add(k.set, farEnd, traced)
+		default:
+			at = at.add(k.set, k.targetCols, traced)
 		}
 	}
-	return tests, pairs
+	return scans, at, ends
 }
 
-// ScanTests returns the inputs of a set's target whose scans test the set in
-// a run over a pinned store. At an expansion (ExpandEmbeddings.split) that is
-// its input, if it is a keyed leaf, for a seed set or an end set's transfer.
-// At a join
-// (JoinEmbeddings.split) it is none if the join hands on sets of its own or
-// would probe a leaf in place, else every input that can test the set but the
-// leaf the join runs first, whose rows the run holds.
-func (op *JoinEmbeddings) ScanTests(s KeySet) []Operator {
-	if x, ok := s.Target.(*ExpandEmbeddings); ok {
-		if s.End() && s.cross == nil || keyedLeaf(Unwrap(x.In)) == nil {
-			return nil
-		}
-		return []Operator{x.In}
-	}
-	t, ok := s.Target.(*JoinEmbeddings)
-	if !ok || len(t.sets) > 0 {
-		return nil
-	}
-	if leaf, _ := t.candidate(func(inPlaceLeaf) bool { return true }, [2]bool{}); leaf != nil {
-		return nil
-	}
-	var ins []Operator
-	for _, in := range [2]Operator{t.Left, t.Right} {
-		if _, ok := testCols(in, s.Vars); ok && !(op.RightFirst() && in == op.sets[0].Source) {
-			ins = append(ins, in)
-		}
-	}
-	return ins
-}
-
-// holds reports whether r keeps a join input's rows already: the input is a
+// holds reports whether r keeps an input's rows already: the input is a
 // Cached, bare or behind an Alias, that has been evaluated.
 func (r *Run) holds(in Operator) bool {
 	if a, ok := in.(*Alias); ok {
@@ -522,22 +485,19 @@ func (r *Run) holds(in Operator) bool {
 	return ok && r.kept[c].rows != nil
 }
 
-// input evaluates a join's input in r: itself or, with a key test, the scan
-// of its leaf that tests it. A scan that tests a key set is its consumer's: it
-// is traced under the input - the Alias or the Cached the join reads, or the
-// bare leaf - named as the leaf, with what it read and dropped, and the Cached
-// of a shared leaf is evaluated only by a consumer that reads it whole.
+// input evaluates an input of a join or an expansion in r: itself or, with a
+// key test, the scan of its leaf that tests it. A scan that tests a key set is
+// its consumer's: it is traced under the input - the Alias or the Cached the
+// consumer reads, or the bare leaf - named as the leaf, with what it read and
+// dropped, and the Cached of a shared leaf is evaluated only by a consumer
+// that reads it whole.
 func (r *Run) input(in Operator, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	if test == nil {
 		return in.Evaluate(r)
 	}
 	leaf := keyedLeaf(Unwrap(in))
-	c := r.env.Tracer()
-	if c != nil {
-		test.traced = true
-	}
 	out := tracedAs(in, leaf, r, func() *dataflow.Dataset[embedding.Embedding] { return leaf.scan(r, test) })
-	if c != nil {
+	if c := r.env.Tracer(); c != nil {
 		c.Note(in, fmt.Sprintf("sip scanned=%d dropped=%d", test.read, test.dropped.Load()))
 	}
 	return out
@@ -545,40 +505,46 @@ func (r *Run) input(in Operator, test *keyTest) *dataflow.Dataset[embedding.Embe
 
 // handOn evaluates next in r with every set of op whose source is source made
 // of rows, source's output, and installed at its target for as long as next
-// runs. Over a pinned store an end set's transfer is made and installed too.
+// runs: an end set's transfer walks for its keys (Run.transfer), every other
+// set reads them off the rows.
 func (r *Run) handOn(op *JoinEmbeddings, source Operator, rows *dataflow.Dataset[embedding.Embedding], next Operator) *dataflow.Dataset[embedding.Embedding] {
 	if r.filters == nil {
-		r.filters = map[Operator][]*keyFilter{}
+		r.filters = map[Operator][]made{}
 	}
+	c := r.env.Tracer()
 	for i := range op.sets {
 		s := &op.sets[i]
-		if s.Source != source {
+		if !r.makes(s, source) {
 			continue
 		}
-		set := dataflow.Keys(rows, s.keys)
-		r.install(op, s.Target, &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, scan: s.scan}, s.note)
-		if r.transfers(s) {
-			x := s.Target.(*ExpandEmbeddings)
-			r.install(op, x, &keyFilter{set: r.transfer(x, rows, s.cols[0]), vars: s.cross.vars, cols: s.cross.cols, scan: s.cross.scan}, s.cross.note)
+		var keys *dataflow.KeySet
+		if s.transfer {
+			keys = r.transfer(s.Target.(*ExpandEmbeddings), rows, s.cols[0])
+		} else {
+			keys = dataflow.Keys(rows, s.keys)
 		}
+		if c != nil {
+			c.Note(op, s.note+strconv.Itoa(keys.Len()))
+		}
+		r.filters[s.Target] = append(r.filters[s.Target], made{s, keys})
 	}
 	out := next.Evaluate(r) // a scope of its own inside the join's
 	for i := range op.sets {
-		s := &op.sets[i]
-		if s.Source != source {
-			continue
-		}
-		n := 1
-		if r.transfers(s) {
-			n = 2
-		}
-		if fs := r.filters[s.Target]; len(fs) > n {
-			r.filters[s.Target] = fs[:len(fs)-n]
-		} else {
-			delete(r.filters, s.Target)
+		if s := &op.sets[i]; r.makes(s, source) {
+			if fs := r.filters[s.Target]; len(fs) > 1 {
+				r.filters[s.Target] = fs[:len(fs)-1]
+			} else {
+				delete(r.filters, s.Target)
+			}
 		}
 	}
 	return out
+}
+
+// makes reports whether r makes s of source's rows: s is of source and, if it
+// is an end set's transfer, r reads a pinned store.
+func (r *Run) makes(s *KeySet, source Operator) bool {
+	return s.Source == source && (!s.transfer || r.access.Store() != nil)
 }
 
 // keysAt is what dataflow.Keys reads a row's key with for a set of the
@@ -588,35 +554,22 @@ func keysAt(cols []int) func() func(embedding.Embedding, []uint64) []uint64 {
 	return func() func(embedding.Embedding, []uint64) []uint64 { return each }
 }
 
-// install puts f at target in r for the join op, which a trace notes with the
-// set's size.
-func (r *Run) install(op *JoinEmbeddings, target Operator, f *keyFilter, note string) {
-	if c := r.env.Tracer(); c != nil {
-		c.Note(op, note+strconv.Itoa(f.set.Len()))
-		f.traced = true
-	}
-	r.filters[target] = append(r.filters[target], f)
-}
-
-// transfers reports whether r transfers s across its expansion's walk: s is an
-// end set and r reads a pinned store.
-func (r *Run) transfers(s *KeySet) bool { return s.cross != nil && r.access.Store() != nil }
-
-// noteDropped tells a tracer how many pairs, input rows or paths the key sets
-// of filters dropped at op, if it was given any.
-func noteDropped(r *Run, op Operator, filters ...[]*keyFilter) {
+// noteDropped tells a tracer how many pairs, input rows or paths the key tests
+// at op dropped, if it has any.
+func noteDropped(r *Run, op Operator, tests ...*keyTest) {
 	c := r.env.Tracer()
 	if c == nil {
 		return
 	}
-	var n, sets int64
-	for _, fs := range filters {
-		for _, f := range fs {
-			n += f.dropped.Load()
-			sets++
+	var n int64
+	var tested bool
+	for _, t := range tests {
+		if t != nil {
+			n += t.dropped.Load()
+			tested = true
 		}
 	}
-	if sets > 0 {
+	if tested {
 		c.Note(op, fmt.Sprintf("sip dropped=%d", n))
 	}
 }

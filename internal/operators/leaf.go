@@ -61,7 +61,7 @@ func (op *FilterAndProjectVertices) scan(r *Run, test *keyTest) *dataflow.Datase
 		return scanRows(part, fanOut, test, vertexIDs, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
 			sc := scratchOf(lane)
 			return func(v epgm.Vertex, emit func(embedding.Embedding)) {
-				if test != nil && !test.keeps(vertexIDs(v)) {
+				if !test.keepsIDs(vertexIDs(v)) {
 					return
 				}
 				if row, ok := op.row(sc, qv, &v); ok {
@@ -104,8 +104,8 @@ func perPart[T any](in epgm.Scan[T], eval func(*dataflow.Dataset[T]) *dataflow.D
 
 // scanRows is a leaf's scan of one part of what it reads: newRows makes an
 // attempt's function that writes an element's rows - none for one whose
-// identifiers do not pass the key test, if there is one (keyTest.keeps) - and
-// ids reads an element's identifiers as the leaf's row holds them. Without a
+// identifiers do not pass the key test, if there is one (keyTest.keepsIDs) -
+// and ids reads an element's identifiers as the leaf's row holds them. Without a
 // test the scan is a FlatMapWith, its output sized at the leaf's known
 // fan-out. With one, as such a leaf writes at most one row an element, the
 // output is allocated once at the count of the elements that pass
@@ -116,7 +116,7 @@ func scanRows[T any](part *dataflow.Dataset[T], fanOut int, test *keyTest, ids f
 		return dataflow.FlatMapWith(part, newRows, fanOut)
 	}
 	test.read += part.Count()
-	return dataflow.FlatMapCounted(part, func(t T) bool { return test.has(ids(t)) }, newRows)
+	return dataflow.FlatMapCounted(part, func(t T) bool { return test.hasIDs(ids(t)) }, newRows)
 }
 
 // leafFanOut is what a leaf knows of its rows per scanned element before it
@@ -205,7 +205,7 @@ func (op *FilterAndProjectEdges) scan(r *Run, test *keyTest) *dataflow.Dataset[e
 		return scanRows(part, fanOut, test, edgeIDs, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
 			sc := scratchOf(lane)
 			return func(de epgm.Edge, emit func(embedding.Embedding)) {
-				if test != nil && !test.keeps(edgeIDs(de)) {
+				if !test.keepsIDs(edgeIDs(de)) {
 					return
 				}
 				row, ok := op.row(sc, qe, &de, false)

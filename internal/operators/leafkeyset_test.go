@@ -78,12 +78,12 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 	env, _ := newEnv()
 	src := firstPersons(t, "c", 3)
 	set := dataflow.Keys(src.Evaluate(newRun(env)), keysAt([]int{0}))
-	filterAt := func(target Operator) *keyFilter {
+	filterAt := func(target Operator) made {
 		s, ok := newKeySet(src, target, []string{"c"})
 		if !ok {
 			t.Fatalf("no set of c at %s", target.Description())
 		}
-		return &keyFilter{set: set, vars: s.Vars, cols: s.targetCols, traced: true}
+		return made{&s, set}
 	}
 	inSet := func(e embedding.Embedding, meta *embedding.Meta) bool {
 		c, _ := meta.Column("c")
@@ -102,10 +102,10 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 		}
 		// The set tested at the pairs.
 		r := newRun(env)
-		atPairs := target.join(r, target.Left.Evaluate(r), target.Right.Evaluate(r), []*keyFilter{filterAt(target)}).Collect()
+		atPairs := target.join(r, target.Left.Evaluate(r), target.Right.Evaluate(r), (*keyTest)(nil).add(set, filterAt(target).targetCols, true)).Collect()
 		// The set tested where the run puts it.
 		r = newRun(env)
-		r.filters = map[Operator][]*keyFilter{target: {filterAt(target)}}
+		r.filters = map[Operator][]made{target: {filterAt(target)}}
 		got := target.Evaluate(r).Collect()
 		if len(want) == 0 || !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || !slices.EqualFunc(bag(atPairs), bag(want), bytes.Equal) {
 			t.Errorf("%s: %d rows with the set in the scans, %d with it at the pairs, want %d",
@@ -124,7 +124,7 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 	_, c0 := laneUsage(t, env)
 	all := edges.Evaluate(r).Count()
 	_, c1 := laneUsage(t, env)
-	test := &keyTest{sets: []*dataflow.KeySet{set}, cols: [][]int{{2}}, traced: true}
+	test := (*keyTest)(nil).add(set, []pairCol{{col: 2}}, true)
 	kept := edges.scan(r, test).Count()
 	_, c2 := laneUsage(t, env)
 	if all != 60 || kept != 9 || test.read != 60 || test.dropped.Load() != 51 || (c2-c1)*int(all) != (c1-c0)*int(kept) {
@@ -140,7 +140,7 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 		p := newLeafSetPlan()
 		env, c := newEnv()
 		r := newRun(env)
-		r.filters = map[Operator][]*keyFilter{p.intoB: {filterAt(p.intoB)}, p.fromC: {filterAt(p.fromC)}}
+		r.filters = map[Operator][]made{p.intoB: {filterAt(p.intoB)}, p.fromC: {filterAt(p.fromC)}}
 		observed := map[Operator][]int64{}
 		r.Observe(func(op Operator, out *dataflow.Dataset[embedding.Embedding]) {
 			observed[op] = append(observed[op], out.Count())

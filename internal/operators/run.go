@@ -38,9 +38,10 @@ type Run struct {
 	kept    map[Operator]kept
 	// filters are the key sets the joins being evaluated hand the joins and
 	// expansions below them (JoinEmbeddings.PlaceKeySets), by target, each
-	// installed by Run.handOn for as long as the input it filters runs: a
-	// run's, never an operator's, as the plan is every run's.
-	filters map[Operator][]*keyFilter
+	// installed by Run.handOn for as long as the input it filters runs and
+	// routed by Run.route: a run's, never an operator's, as the plan is every
+	// run's.
+	filters map[Operator][]made
 	labels  Labeler
 	observe func(Operator, *dataflow.Dataset[embedding.Embedding])
 }

@@ -74,12 +74,20 @@ func TestFilterRightTargets(t *testing.T) {
 			}
 			continue
 		}
-		if len(sets) != 1 || tc.join.RightFirst() {
-			t.Errorf("%s: %d sets, right first %v; want one of the left input's", tc.name, len(sets), tc.join.RightFirst())
+		// An end set is followed by its transfer to the same expansion.
+		want := 1
+		if tc.endSet {
+			want = 2
+		}
+		if len(sets) != want || tc.join.RightFirst() {
+			t.Errorf("%s: %d sets, right first %v; want %d of the left input's", tc.name, len(sets), tc.join.RightFirst(), want)
 			continue
 		}
-		if s := sets[0]; s.Source != tc.join.Left || s.Target != tc.target || s.End() != tc.endSet {
+		if s := sets[0]; s.Source != tc.join.Left || s.Target != tc.target || s.End() != tc.endSet || s.transfer {
 			t.Errorf("%s: set to %s, end set %v; want %s, %v", tc.name, describe(s.Target), s.End(), describe(tc.target), tc.endSet)
+		}
+		if s := sets[want-1]; tc.endSet && (s.Source != tc.join.Left || s.Target != tc.target || !s.transfer || s.End()) {
+			t.Errorf("%s: the end set's transfer goes to %s, transfer %v", tc.name, describe(s.Target), s.transfer)
 		}
 	}
 }
@@ -412,7 +420,14 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		}
 		want, wantC, _, wantX, wantStages := run(false)
 		got, c, closing, x, stages := run(true)
-		if sets := closing.KeySets(); len(sets) != 1 || sets[0].Target != x || sets[0].End() != tc.endSet {
+		// An end set is followed by its transfer, which a run makes over the
+		// store only.
+		placed := 1
+		if tc.endSet {
+			placed = 2
+		}
+		if sets := closing.KeySets(); len(sets) != placed || sets[0].Target != x || sets[0].End() != tc.endSet ||
+			tc.endSet && (sets[1].Target != x || !sets[1].transfer) {
 			t.Fatalf("%s: sets %v", tc.name, sets)
 		}
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
@@ -450,6 +465,77 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		}
 		if stages != wantStages+int64(sets) {
 			t.Errorf("%s: filtered: %d stages, unfiltered %d: want an all-gather more a set", tc.name, stages, wantStages)
+		}
+	}
+}
+
+// TestClosingJoinLeavesNoSetBehind: once a closing join returns, its run holds
+// none of the key sets it installed (Run.handOn) - an end set and its transfer
+// at one expansion, the four sets of a join that runs its right input first,
+// a join's set at the join below it - and a target the run evaluates again
+// afterwards writes what it writes with no set, over the plain graph and over
+// the pinned store.
+func TestClosingJoinLeavesNoSetBehind(t *testing.T) {
+	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3
+	knows := func(name, src, tgt string) Operator { return NewFilterAndProjectEdges(plainKnows(name, src, tgt)) }
+	for _, tc := range []struct {
+		name string
+		// plan returns the closing join and a target of its sets.
+		plan func() (*JoinEmbeddings, Operator)
+		// installed is how many sets the target holds while it runs, over the
+		// plain graph and over the store.
+		installed [2]int
+	}{
+		{"an end set and its transfer", func() (*JoinEmbeddings, Operator) {
+			x, err := NewExpandEmbeddings(knows("e2", "a", "b"), &cypher.QueryEdge{Var: "p", Types: []string{"knows"}, Source: "b", Target: "c", MinHops: 0, MaxHops: 2},
+				Morphism{}, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewJoinEmbeddings(firstPersons(t, "c", 3), x, Morphism{}, nil), x
+		}, [2]int{1, 2}},
+		{"a join that runs its right input first", func() (*JoinEmbeddings, Operator) {
+			q := mirrored(t)
+			return q.root, q.onC
+		}, [2]int{1, 1}},
+		{"a target evaluated again", func() (*JoinEmbeddings, Operator) {
+			target := NewJoinEmbeddings(knows("e2", "a", "b"), knows("e3", "b", "c"), Morphism{}, nil)
+			return NewJoinEmbeddings(knows("e1", "a", "c"), target, Morphism{}, nil), target
+		}, [2]int{1, 1}},
+	} {
+		for i, pinned := range []bool{false, true} {
+			closing, target := tc.plan()
+			closing.PlaceKeySets()
+			env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+			env.Begin(nil)
+			newRun := func() *Run {
+				if pinned {
+					return indexedRun(store.Index(env))
+				}
+				return plainRun(dataflow.FromSlice(env, store.Vertices), dataflow.FromSlice(env, store.Edges))
+			}
+			want := target.Evaluate(newRun()).Collect()
+			r := newRun()
+			installed := -1
+			r.Observe(func(op Operator, _ *dataflow.Dataset[embedding.Embedding]) {
+				if op == target {
+					installed = len(r.filters[target])
+				}
+			})
+			closing.Evaluate(r)
+			r.Observe(nil)
+			left := len(r.filters)
+			got := target.Evaluate(r).Collect()
+			if err := env.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if installed != tc.installed[i] || left != 0 {
+				t.Errorf("%s, pinned %v: the target held %d sets while it ran, want %d; %d targets hold sets after the join",
+					tc.name, pinned, installed, tc.installed[i], left)
+			}
+			if len(want) == 0 || !slices.EqualFunc(bag(got), bag(want), bytes.Equal) {
+				t.Errorf("%s, pinned %v: the target wrote %d rows after the join, %d in a run of its own", tc.name, pinned, len(got), len(want))
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // collective, so every process of a job walks its own partitions' rows alone.
 // A tracer is told how many edges the walk visited.
 func (op *ExpandEmbeddings) walk(r *Run, qe *cypher.QueryEdge, store *epgm.Store,
-	in *dataflow.Dataset[embedding.Embedding], seeds, ends []*keyFilter) *dataflow.Dataset[embedding.Embedding] {
+	in *dataflow.Dataset[embedding.Embedding], seeds, ends *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	// A reverse expansion walks the edges from their target; an undirected one
 	// walks them both ways, whichever end the path starts from.
 	lists := store.Adjacency(qe.Types, op.Reverse)
@@ -43,7 +43,7 @@ func (op *ExpandEmbeddings) walk(r *Run, qe *cypher.QueryEdge, store *epgm.Store
 			w.sc.frames, w.sc.via = make([]walkFrame, 0, depth), make([]epgm.ID, 0, 2*depth)
 		}
 		return func(e embedding.Embedding, emit func(embedding.Embedding), poll func() bool) {
-			if !keeps(seeds, e, e) {
+			if !seeds.keeps(e, e) {
 				return
 			}
 			if n := w.from(e, emit, poll); visited != nil {
@@ -65,7 +65,7 @@ type walker struct {
 	qe    *cypher.QueryEdge
 	edges []epgm.Edge
 	lists []*epgm.Adjacency
-	ends  []*keyFilter
+	ends  *keyTest
 	sc    *scratch
 }
 

@@ -308,7 +308,8 @@ func TestPlannerRejectsEmptyQueryGraph(t *testing.T) {
 // mandatory pattern filter their right input where it can
 // (JoinEmbeddings.PlaceKeySets), and the joins of an OPTIONAL MATCH group none:
 // the same triangle takes a key set as the pattern and none as the group. A
-// join over a path whose far end it joins on hands the expansion an end set.
+// join over a path whose far end it joins on hands the expansion an end set
+// and its transfer.
 func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 	g := ringGraph()
 	const triangle = `(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person), (a)-[:knows]->(c)`
@@ -338,8 +339,13 @@ func TestOnlyTheMandatoryPatternFilters(t *testing.T) {
 	}
 	for _, n := range qp.Nodes() {
 		if j, ok := n.Op.(*operators.JoinEmbeddings); ok && len(j.KeySets()) > 0 {
-			if s := j.KeySets()[0]; len(j.KeySets()) != 1 || !s.End() {
-				t.Fatalf("the join over the path hands %d sets, the first to %s, end set %v\n%s", len(j.KeySets()), s.Target.Description(), s.End(), qp.Explain())
+			// The end set and its transfer across the path.
+			sets := j.KeySets()
+			if s := sets[0]; len(sets) != 2 || !s.End() || sets[1].Target != s.Target {
+				t.Fatalf("the join over the path hands %d sets, the first to %s, end set %v\n%s", len(sets), s.Target.Description(), s.End(), qp.Explain())
+			}
+			if _, ok := sets[1].Transfer(); !ok {
+				t.Fatalf("the end set's second set is no transfer\n%s", qp.Explain())
 			}
 		}
 	}
