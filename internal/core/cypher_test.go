@@ -361,23 +361,35 @@ func TestParamsAndPropertyMap(t *testing.T) {
 }
 
 // TestSelectiveSideIsBroadcast: how a join runs is a fact of its inputs. Over
-// an index, Alice - one row, counted - is broadcast into the scan of the five
-// knows edges, and what comes of it into the scan of the four persons; over
-// the plain graph, which knows no sizes but its own partitions', the same
-// query repartitions as it always did. Both find the reference's matches.
+// an index, the join of Alice with the knows leaf walks her one edge off the
+// store's adjacency and makes one row of the leaf, whose lines say so; what
+// comes of it - one row, counted - is broadcast into the scan of the four
+// persons. Over the plain graph, which knows no sizes but its own partitions',
+// the same query repartitions as it always did. Both find the reference's
+// matches.
 func TestSelectiveSideIsBroadcast(t *testing.T) {
 	g := figure1(1)
 	q := `MATCH (p1:Person)-[:knows]->(p2:Person) WHERE p1.name = 'Alice' RETURN *`
 	col := trace.NewCollector()
 	compareWithReference(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col})
 	indexed := run(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col}).AnalyzedPlan()
-	for _, want := range []string{"[broadcast n=1 act=1 ", "[probed in place: scanned=5 act=1 ", "[probed in place: scanned=4 act=1 "} {
+	for _, want := range []string{"[walked in place: edges=1 act=1 ", "[broadcast n=1 act=1 ", "[probed in place: scanned=4 act=1 "} {
 		if !strings.Contains(indexed, want) {
 			t.Errorf("indexed plan lacks %q:\n%s", want, indexed)
 		}
 	}
+	// The walked leaf and its Cached say what the walk made.
+	lines := strings.Split(indexed, "\n")
+	for i, line := range lines {
+		if strings.Contains(line, "FilterAndProjectEdges") && (!strings.Contains(line, "[act=1 ") || !strings.Contains(lines[i-1], "Cached") || !strings.Contains(lines[i-1], "[act=1 ")) {
+			t.Errorf("the walked leaf's lines say %q and %q, want act=1 on both", lines[i-1], line)
+		}
+	}
+	if strings.Contains(indexed, "not executed") {
+		t.Errorf("indexed plan has an operator that did not run:\n%s", indexed)
+	}
 	plain := run(t, g, q, Config{Trace: trace.NewCollector()}).AnalyzedPlan()
-	for _, not := range []string{"broadcast", "repartition", "probed"} {
+	for _, not := range []string{"broadcast", "repartition", "probed", "walked"} {
 		if strings.Contains(plain, not) {
 			t.Errorf("plain plan says %q:\n%s", not, plain)
 		}

@@ -150,6 +150,8 @@ var inplaceCases = []struct{ name, query string }{
 	{"shared-leaf", `MATCH (a:A)-[e:x]->(b:A), (b)-[f:x]->(c:A) WHERE a.n = 1 RETURN *`},
 	// No predicate anywhere: nothing is counted.
 	{"no-predicate", `MATCH (a:A)-[e:x]->(b:B) RETURN *`},
+	// The vertex leaf is the right input of the join that probes it.
+	{"vertex-on-right", `MATCH (a:A)<-[e:y]-(b) WHERE a.n = 1 RETURN *`},
 }
 
 var inplaceMorphs = []operators.Morphism{
@@ -165,9 +167,11 @@ var inplaceMorphs = []operators.Morphism{
 // setting of the rule - never, as shipped, whenever a leaf is eligible - does
 // what it says over an index at 1, 4 and 16 partitions. The matrix above is
 // held to testdata/inplace_matrix.golden: per case its rows, and the leaves
-// probed with the rule at always, which is what says that a leaf on either
-// side of the merge, a two-label leaf and an empty small side took the path
-// and an undirected, a loop and a shared leaf did not. Over the paper's Q1-Q6
+// probed with the rule at always, which is what says that a vertex leaf on
+// either side of the merge, a two-label leaf and an empty small side took the
+// path. An edge leaf is never probed: over a store, a join walks it where the
+// other input binds an end (DESIGN decision 46), and an undirected, a loop and
+// a shared edge leaf are scanned. Over the paper's Q1-Q6
 // at three selectivities and the 72 random queries of
 // TestRandomQueriesAgainstReference, no join probes a leaf with the rule at
 // never, and with the rule at always some do, and no fewer than as shipped.

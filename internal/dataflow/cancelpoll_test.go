@@ -83,6 +83,11 @@ var pollRows = []pollRow{
 		FlatMapCounted(FromSlice(env, ints(pollN)), func(int) bool { hit(); return true },
 			func(*Lane) func(int, func(int)) { return func(v int, emit func(int)) { emit(v) } })
 	}},
+	// The sizing pass comes first and is the loop this row cancels in.
+	{name: "FlatMapSized", run: func(env *Env, hit func()) {
+		FlatMapSized(FromSlice(env, ints(pollN)), func(int) int { hit(); return 1 },
+			func(*Lane) func(int, func(int)) { return func(v int, emit func(int)) { emit(v) } })
+	}},
 	// One element whose work - a row emitted per unit - is all in the function:
 	// only the function's own poll runs there.
 	{name: "FlatMapPolled", run: func(env *Env, hit func()) {

@@ -201,7 +201,7 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // the partition grows as rows are emitted, which is right for a selective
 // function.
 func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int) *Dataset[U] {
-	return flatMapWith(d, newF, perInput, nil)
+	return flatMapWith(d, newF, perInput, nil, nil)
 }
 
 // FlatMapCounted is FlatMapWith for a function that writes at most one output
@@ -217,12 +217,23 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 // output per element.
 func FlatMapCounted[T, U any](d *Dataset[T], count func(T) bool, newF func(*Lane) func(T, func(U))) *Dataset[U] {
 	if count == nil {
-		return flatMapWith(d, newF, 1, nil)
+		return flatMapWith(d, newF, 1, nil, nil)
 	}
-	return flatMapWith(d, newF, 0, count)
+	return flatMapWith(d, newF, 0, count, nil)
 }
 
-func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int, count func(T) bool) *Dataset[U] {
+// FlatMapSized is FlatMapWith for a function whose outputs for an element are
+// at most size of it, a bound read off the element before the function runs:
+// every partition attempt sums size over its elements first, then allocates
+// its output once at that sum, but no more than presizeCeiling rows, and
+// writes - as a join's probe counts its pairs (probePartition). A function
+// that writes fewer than half has its output copied to its length (publish).
+// size may be called from several attempts at once.
+func FlatMapSized[T, U any](d *Dataset[T], size func(T) int, newF func(*Lane) func(T, func(U))) *Dataset[U] {
+	return flatMapWith(d, newF, 0, nil, size)
+}
+
+func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int, count func(T) bool, size func(T) int) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -232,14 +243,20 @@ func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 		part := d.parts[a.p]
 		f := newF(a.lane)
 		n := perInput * len(part)
-		if count != nil {
+		if count != nil || size != nil {
 			for i, t := range part {
 				if !a.tick(i) {
 					return nil, work{}
 				}
-				if count(t) {
+				switch {
+				case count == nil:
+					n += size(t)
+				case count(t):
 					n++
 				}
+			}
+			if size != nil {
+				n = min(n, presizeCeiling)
 			}
 		}
 		var res []U

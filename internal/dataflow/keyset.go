@@ -3,6 +3,7 @@ package dataflow
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 )
@@ -75,6 +76,20 @@ func (s *KeySet) Has(k uint64) bool {
 
 // Len is the number of distinct keys in the set.
 func (s *KeySet) Len() int { return s.n }
+
+// All is the keys of the set, in no particular order.
+func (s *KeySet) All() iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		if s.zero && !yield(0) {
+			return
+		}
+		for _, k := range s.slots {
+			if k != 0 && !yield(k) {
+				return
+			}
+		}
+	}
+}
 
 // keyLists is what the owned partitions of one Keys call all-gather: each
 // one's distinct keys, a bucket of a count and eight bytes a key.

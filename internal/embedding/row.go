@@ -12,13 +12,17 @@ import (
 //
 // with n = prefixSize + idLen + pathLen + len(propData), and the views below
 // are derived from those three words. They are sound because a pointer is
-// minted in two places only, each of which has established that n+4 bytes of
+// minted in three places only, each of which has established that n+4 bytes of
 // one allocation sit behind it and that idLen + pathLen fit in them:
-// Slab.extend, which writes the words into a buffer it has just sized from
-// them, and DecodeWireInto, after its checks against the frame. Rows are
-// never written again, so the words a view is derived from are the ones that
-// were checked. A row always has a body (the empty row is the nil pointer),
-// so the address behind the head is inside the allocation too.
+// Slab.extend and writeRow, which write the words into a buffer they have just
+// sized from them, and DecodeWireInto, after its checks against the frame. A
+// row carved from a slab or decoded is never written again, so the words a
+// view is derived from are the ones that were checked. A RowBuffer's row is
+// written over by the next one, in a buffer that only grows: a view of the old
+// row reads the new row's bytes, but still ends inside the allocation, and
+// its holder drops it before the next row is made. A row always has a body
+// (the empty row is the nil pointer), so the address behind the head is
+// inside the allocation too.
 
 // headSize is the width of the three length words.
 const headSize = 4 + prefixSize

@@ -110,7 +110,7 @@ func putEntry(dst []byte, flag byte, payload uint64) {
 // front of their sections - e's arrays copied whole when d keeps every column
 // - and the length words set, plus the row's bytes for the caller to finish,
 // the offsets in them at which the added bytes of each section go and where
-// pathData starts, which a path's offset counts from. This is one of the two
+// pathData starts, which a path's offset counts from. This is one of the three
 // places a row pointer is minted (row.go): buf is exactly the 4+n bytes its
 // first word says.
 func (s *Slab) extend(e Embedding, d Drop, addID, addPath, addProp int) (row Embedding, buf []byte, idAt, pathAt, propAt, pathBase int) {
@@ -142,12 +142,52 @@ func (s *Slab) extend(e Embedding, d Drop, addID, addPath, addProp int) (row Emb
 // Row builds a row of plain identifier columns and property values in one
 // write - what the leaf operators emit.
 func (s *Slab) Row(ids []epgm.ID, props []epgm.PropertyValue) Embedding {
-	row, buf, idAt, _, propAt, _ := s.extend(Embedding{}, Drop{}, len(ids)*entrySize, 0, encodedSize(props))
-	for i, id := range ids {
-		putEntry(buf[idAt+i*entrySize:], flagID, uint64(id))
+	n := rowSize(ids, props)
+	if n == headSize {
+		return Embedding{}
 	}
-	encodeProps(buf, propAt, props)
-	return row
+	return writeRow(s.alloc(n), ids, props)
+}
+
+// RowBuffer holds one row at a time: Row writes a row of plain identifier
+// columns and property values over the one it held before. It is for a row
+// that is read and dropped before the next one is made - the edge row a walked
+// join merges into its output - which then costs no slab bytes. A row it
+// returns is valid until the next call: it is never kept or emitted. The
+// buffer only grows, so a view of an earlier row still ends inside the
+// allocation it was made in.
+type RowBuffer struct{ buf []byte }
+
+// Row is Slab.Row written into the buffer.
+func (b *RowBuffer) Row(ids []epgm.ID, props []epgm.PropertyValue) Embedding {
+	n := rowSize(ids, props)
+	if n == headSize {
+		return Embedding{}
+	}
+	if cap(b.buf) < n {
+		b.buf = make([]byte, max(n, 2*cap(b.buf)))
+	}
+	return writeRow(b.buf[:n], ids, props)
+}
+
+// rowSize is the bytes of the row of ids and props, length word included.
+func rowSize(ids []epgm.ID, props []epgm.PropertyValue) int {
+	return headSize + len(ids)*entrySize + encodedSize(props)
+}
+
+// writeRow writes the row of ids and props into buf, which is exactly
+// rowSize(ids, props) bytes, and returns it. This is one of the three places a
+// row pointer is minted (row.go): buf is the 4+n bytes its first word says.
+func writeRow(buf []byte, ids []epgm.ID, props []epgm.PropertyValue) Embedding {
+	id := len(ids) * entrySize
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.BigEndian.PutUint32(buf[4:], uint32(id))
+	binary.BigEndian.PutUint32(buf[8:], 0)
+	for i, v := range ids {
+		putEntry(buf[headSize+i*entrySize:], flagID, uint64(v))
+	}
+	encodeProps(buf, headSize+id, props)
+	return Embedding{p: &buf[0]}
 }
 
 func encodedSize(values []epgm.PropertyValue) int {

@@ -143,27 +143,27 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 	b.ReportMetric(bytes/float64(joined), "B/row")
 }
 
-// BenchmarkRowProbeInPlace is a join that broadcasts its selective side - 64
-// persons - into the scan of the knows edges of a pinned store: a count, a
-// broadcast and one probe of benchRows edges, of which the 192 that leave one
-// of the 64 get a row and are merged. The scan builds nothing for the others,
-// so what a step allocates is the four tables over the 64 rows, the slab
-// chunks of the 192 and the stages' own objects. Rows are the elements
-// scanned, for allocs/row and for B/row alike: heap bytes per scanned edge,
+// BenchmarkRowProbeInPlace is a join that broadcasts its selective side - the
+// rows of 64 knows edges - into the scan of the persons of a pinned store: a
+// count, a broadcast and one probe of benchRows vertices, of which the 64 that
+// the edges enter get a row and are merged. The scan builds nothing for the
+// others, so what a step allocates is the four tables over the 64 rows, the
+// slab chunks of the 64 and the stages' own objects. Rows are the elements
+// scanned, for allocs/row and for B/row alike: heap bytes per scanned vertex,
 // where the leaf scan that the join replaces pays B/row for every one of them.
 func BenchmarkRowProbeInPlace(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
-	vs, es := benchGraph(env, benchRows/3)
+	vs, es := benchGraph(env, benchRows)
 	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
-	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
-		Projection: []string{"firstName", "birthday"}})
-	small := materialized{rows: dataflow.FromSlice(env, persons.Evaluate(indexedRun(idx)).Collect()[:64]), meta: persons.Meta(), selective: true}
 	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
-	join := NewJoinEmbeddings(small, knows, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
-	scanned := int(knows.scanned(indexedRun(idx)))
+	small := materialized{rows: dataflow.FromSlice(env, knows.Evaluate(indexedRun(idx)).Collect()[:64]), meta: knows.Meta(), selective: true}
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}})
+	join := NewJoinEmbeddings(small, persons, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
+	scanned := int(persons.scanned(indexedRun(idx)))
 	env.ResetMetrics()
 	bytes := reportAllocsPerRow(b, scanned, func() {
-		if out := join.Evaluate(indexedRun(idx)).Count(); out != 3*64 {
+		if out := join.Evaluate(indexedRun(idx)).Count(); out != 64 {
 			b.Fatalf("join emitted %d rows", out)
 		}
 	})
@@ -171,6 +171,36 @@ func BenchmarkRowProbeInPlace(b *testing.B) {
 		b.Fatalf("%d stages: a step is not a count, a broadcast and a join", stages)
 	}
 	b.ReportMetric(bytes/float64(scanned), "B/row")
+}
+
+// BenchmarkRowWalkJoin is a join of every person of a pinned store with the
+// knows edge leaf, walked (JoinEmbeddings.walk): one stage that reads each
+// person's three outgoing edges off the store's adjacency - benchRows edges -
+// makes each edge's leaf row in the lane's row buffer and merges it with the
+// person's, into an output allocated once at the edges the lists hold. What a
+// step allocates is the merged rows' slab chunks, the output and the stage's
+// own objects: no leaf, shuffle or table. Rows are the edges walked, for
+// allocs/row and for B/row alike; a walk that carved every edge's row in the
+// slab, or grew its output by append, pays tens of bytes more an edge.
+func BenchmarkRowWalkJoin(b *testing.B) {
+	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+	vs, es := benchGraph(env, benchRows/3)
+	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
+	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"},
+		Projection: []string{"firstName", "birthday"}})
+	in := materialize(persons, indexedRun(idx))
+	join := NewJoinEmbeddings(in, NewFilterAndProjectEdges(knowsEdge("e", "a", "b")), Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
+	walked := 3 * int(in.rows.Count())
+	env.ResetMetrics()
+	bytes := reportAllocsPerRow(b, walked, func() {
+		if out := join.Evaluate(indexedRun(idx)).Count(); int(out) != walked {
+			b.Fatalf("join emitted %d rows, want %d", out, walked)
+		}
+	})
+	if stages := env.Metrics().Stages; stages != int64(b.N+1) {
+		b.Fatalf("%d stages in %d steps: a step is not one stage", stages, b.N+1)
+	}
+	b.ReportMetric(bytes/float64(walked), "B/row")
 }
 
 // BenchmarkRowLeafKeySet is the scan of the knows edges of a pinned store
@@ -190,7 +220,7 @@ func BenchmarkRowLeafKeySet(b *testing.B) {
 	set := dataflow.Keys(chosen, keysAt([]int{0}))
 	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
 	test := (*keyTest)(nil).add(set, []pairCol{{col: 0}}, false)
-	scanned := int(knows.scanned(indexedRun(idx)))
+	scanned := int(indexedRun(idx).edgeScan(knows).Pinned)
 	env.ResetMetrics()
 	bytes := reportAllocsPerRow(b, scanned, func() {
 		if out := knows.scan(indexedRun(idx), test).Count(); out != 3*64 {
@@ -234,8 +264,8 @@ func BenchmarkRowTransferWalk(b *testing.B) {
 	}
 	const reached = (hops + 1) * ends
 	bytes := reportAllocsPerRow(b, reached, func() {
-		if n := indexedRun(idx).transfer(x, in.rows, 0).Len(); n != reached {
-			b.Fatalf("the transfer reached %d vertices, want %d", n, reached)
+		if set, _ := indexedRun(idx).transfer(x, in.rows, 0, nil); set.Len() != reached {
+			b.Fatalf("the transfer reached %d vertices, want %d", set.Len(), reached)
 		}
 	})
 	b.ReportMetric(bytes/reached, "B/row")

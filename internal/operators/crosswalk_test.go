@@ -244,7 +244,8 @@ func TestEndSetCrossesTheWalk(t *testing.T) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 		env.Begin(nil)
 		r := indexedRun(store.Index(env))
-		test := (*keyTest)(nil).add(r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0), []pairCol{{col: 0}}, false)
+		set, _ := r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0, nil)
+		test := (*keyTest)(nil).add(set, []pairCol{{col: 0}}, false)
 		leaf := x.In.(*FilterAndProjectVertices)
 		_, c0 := laneUsage(t, env)
 		all := leaf.Evaluate(r).Count()
@@ -283,7 +284,7 @@ func TestTransferReachesWhatTheWalksReach(t *testing.T) {
 			env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 			env.Begin(nil)
 			r := indexedRun(store.Index(env))
-			set := r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0)
+			set, _ := r.transfer(x, firstPersons(t, "c", crossEnd).Evaluate(r), 0, nil)
 			if err := env.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -296,6 +297,73 @@ func TestTransferReachesWhatTheWalksReach(t *testing.T) {
 					t.Errorf("*0..%d reverse %v: vertex %d in the set %v, want %v", maxHops, reverse, v, !want[v], want[v])
 				}
 			}
+		}
+	}
+}
+
+// TestWalkGoesOnlyWhereAnEndIs: past its first hop an expansion over the store
+// goes on from a vertex only if its end set's transfer reached it in the hops
+// a path has left. A post 1 and the comments 2 to 9 reply to it in three
+// branches - 2<-3<-4, 5<-6<-8<-9 and 7 - and the closing join's end set is
+// comment 4: walked from the post, reversed, *0..10, the expansion reads the
+// post's three replies and the two below 2 and goes into no other branch, five
+// edges of eight. Tested at the far ends alone, it reads all eight; the rows
+// are the same.
+func TestWalkGoesOnlyWhereAnEndIs(t *testing.T) {
+	vs := []epgm.Vertex{{ID: 1, Label: "Post", Properties: epgm.Properties{}.Set("n", epgm.PVInt(1))}}
+	for i := 2; i <= 9; i++ {
+		vs = append(vs, epgm.Vertex{ID: epgm.ID(i), Label: "Comment", Properties: epgm.Properties{}.Set("n", epgm.PVInt(int64(i)))})
+	}
+	var es []epgm.Edge
+	for _, r := range [][2]epgm.ID{{2, 1}, {3, 2}, {4, 3}, {5, 1}, {6, 5}, {8, 6}, {9, 8}, {7, 1}} {
+		es = append(es, epgm.Edge{ID: epgm.ID(100 + len(es)), Label: "replyOf", Source: r[0], Target: r[1]})
+	}
+	store := epgm.NewStore(epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", vs, es))
+	q, err := cypher.Parse("MATCH (c) WHERE c.n = 4 RETURN *")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(transfer bool) ([][]byte, string) {
+		end := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "c", Labels: []string{"Comment"}, Predicates: []cypher.Expr{q.Where}})
+		post := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Post"}})
+		x, err := NewExpandEmbeddings(post, &cypher.QueryEdge{Var: "p", Types: []string{"replyOf"}, Source: "c", Target: "b", MinHops: 0, MaxHops: 10},
+			Morphism{Vertex: Homomorphism, Edge: Isomorphism}, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closing := NewJoinEmbeddings(end, x, Morphism{Vertex: Homomorphism, Edge: Isomorphism}, nil)
+		closing.PlaceKeySets()
+		if !transfer {
+			closing.sets = closing.sets[:1]
+		}
+		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
+		c := trace.NewCollector()
+		env.SetTracer(c)
+		env.Begin(nil)
+		rows := closing.Evaluate(indexedRun(store.Index(env))).Collect()
+		if err := env.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := c.Op(x)
+		return bag(rows), st.Note
+	}
+	want, atEnds := run(false)
+	got, note := run(true)
+	if len(want) != 1 || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Errorf("%d rows with the transfer, %d with the end set alone, want 1", len(got), len(want))
+	}
+	if !strings.HasPrefix(atEnds, "walked in place: edges=8 ") || !strings.HasPrefix(note, "walked in place: edges=5 ") {
+		t.Errorf("the expansion notes %q with the transfer and %q with the end set alone, want 5 edges and 8", note, atEnds)
+	}
+}
+
+// TestVertexOfKeyUndoesTheKey: a vertex's key in a set of one vertex variable
+// names the vertex, for ids of every size.
+func TestVertexOfKeyUndoesTheKey(t *testing.T) {
+	ids := []epgm.ID{0, 1, 2, 77, 1 << 31, 1<<63 - 1, 1 << 63, ^epgm.ID(0), epgm.NewID(), epgm.NewID()}
+	for _, id := range ids {
+		if got := vertexOfKey(mixKey(keySeed, id)); got != id {
+			t.Errorf("the key of %d names %d", id, got)
 		}
 	}
 }

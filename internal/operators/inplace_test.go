@@ -65,25 +65,29 @@ func setProbeScale(t testing.TB, scale float64) {
 	t.Cleanup(func() { probeInPlaceScale = old })
 }
 
-// TestProbeInPlaceOnEitherSide: a vertex leaf and an edge leaf - keyed by its
-// source and by its target - each as the left and as the right input of the
-// join, probed in place, give the rows the repartition join gives, columns in
-// the same order.
+// walkedFrom is the selective side of a join that probes a vertex leaf: the
+// persons v with n <= k joined with their knows edges (e, src, tgt), which the
+// join walks over a pinned store.
+func walkedFrom(t testing.TB, v string, k int, e, src, tgt string) *JoinEmbeddings {
+	persons := firstPersons(t, v, k)
+	if v == src {
+		return NewJoinEmbeddings(persons, NewFilterAndProjectEdges(plainKnows(e, src, tgt)), Morphism{}, nil)
+	}
+	return NewJoinEmbeddings(NewFilterAndProjectEdges(plainKnows(e, src, tgt)), persons, Morphism{}, nil)
+}
+
+// TestProbeInPlaceOnEitherSide: a vertex leaf - the knows edges' target and
+// their source - as the left and as the right input of the join, probed in
+// place, gives the rows the repartition join gives, columns in the same order.
 func TestProbeInPlaceOnEitherSide(t *testing.T) {
 	store := inplaceStore(30, 3)
-	for _, leaf := range []string{"vertex", "edge-by-source", "edge-by-target"} {
+	for _, leaf := range []string{"target", "source"} {
 		for _, onLeft := range []bool{false, true} {
-			var small, probed Operator
-			switch leaf {
-			case "vertex":
-				small = NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
-				probed = NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}, Projection: []string{"n"}})
-			case "edge-by-source":
-				small = firstPersons(t, "a", 4)
-				probed = NewFilterAndProjectEdges(plainKnows("e", "a", "b"))
-			default:
-				small = firstPersons(t, "b", 4)
-				probed = NewFilterAndProjectEdges(plainKnows("e", "a", "b"))
+			small := walkedFrom(t, "a", 4, "e", "a", "b")
+			probed := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}, Projection: []string{"n"}})
+			if leaf == "source" {
+				small = walkedFrom(t, "b", 4, "e", "a", "b")
+				probed = NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "a", Labels: []string{"Person"}, Projection: []string{"n"}})
 			}
 			op := NewJoinEmbeddings(small, probed, Morphism{}, nil)
 			if onLeft {
@@ -118,26 +122,27 @@ func TestProbeInPlaceOnEitherSide(t *testing.T) {
 
 // TestCountedInputIsEvaluatedOnce: a join that counts an input and then does
 // not broadcast it hands the counted rows to the repartition join as they are.
-// By stage count: the selective leaf, the count, the other leaf, two shuffles
-// and the join are six stages; a second evaluation of the counted input would
-// be a seventh, and the tracer would have seen the leaf twice.
+// By stage count: the selective leaf and the walk of its knows edges, the
+// count, the person leaf, two shuffles and the join are seven stages; a second
+// evaluation of the counted input would be more, and the tracer would have
+// seen it twice.
 func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 	setProbeScale(t, math.Inf(1))
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 	col := trace.NewCollector()
 	env.SetTracer(col)
-	small := firstPersons(t, "a", 4)
-	join := NewJoinEmbeddings(small, NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
+	small := walkedFrom(t, "a", 4, "e", "a", "b")
+	join := NewJoinEmbeddings(small, NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}}), Morphism{}, nil)
 	if n := join.Evaluate(indexedRun(inplaceStore(30, 3).Index(env))).Count(); n != 12 {
 		t.Fatalf("join found %d rows, want 12", n)
 	}
-	if m := env.Metrics(); m.Stages != 6 {
-		t.Fatalf("the join ran %d stages, want 6: leaf, count, leaf, two shuffles, join", m.Stages)
+	if m := env.Metrics(); m.Stages != 7 {
+		t.Fatalf("the join ran %d stages, want 7: leaf, walk, count, leaf, two shuffles, join", m.Stages)
 	}
 	if st, _ := col.Op(small); st.Evaluations != 1 {
-		t.Fatalf("the counted leaf was evaluated %d times", st.Evaluations)
+		t.Fatalf("the counted input was evaluated %d times", st.Evaluations)
 	}
-	if st, _ := col.Op(join); st.Note != "repartition n=4 m=90" {
+	if st, _ := col.Op(join); st.Note != "repartition n=12 m=30" {
 		t.Fatalf("the join says %q", st.Note)
 	}
 }
@@ -147,7 +152,9 @@ func TestCountedInputIsEvaluatedOnce(t *testing.T) {
 // runs again (lineage) and the bag of rows is the unfaulted one.
 func TestProbeInPlaceRecoversByRescanning(t *testing.T) {
 	store := inplaceStore(30, 3)
-	join := NewJoinEmbeddings(firstPersons(t, "a", 4), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
+	// Six rows, counted: 6 x 4 < 30 persons.
+	join := NewJoinEmbeddings(walkedFrom(t, "a", 2, "e", "a", "b"),
+		NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}}), Morphism{}, nil)
 	run := func(plan *dataflow.FaultPlan) ([][]byte, dataflow.MetricsSnapshot) {
 		env := dataflow.NewEnv(dataflow.DefaultConfig(4))
 		env.InjectFaults(plan)
@@ -158,11 +165,12 @@ func TestProbeInPlaceRecoversByRescanning(t *testing.T) {
 		return bag(rows), env.Metrics()
 	}
 	want, m := run(nil)
-	if len(want) != 12 || m.Stages != 4 {
-		t.Fatalf("unfaulted: %d rows in %d stages, want 12 in 4 (leaf, count, broadcast, join)", len(want), m.Stages)
+	if len(want) != 6 || m.Stages != 5 {
+		t.Fatalf("unfaulted: %d rows in %d stages, want 6 in 5 (leaf, walk, count, broadcast, join)", len(want), m.Stages)
 	}
-	// Person 1's edges are in partition 0 of the knows range.
-	got, m := run(&dataflow.FaultPlan{Kills: []dataflow.Kill{{Stage: 4, Partition: 0}, {Stage: 4, Partition: 3, Times: 2}}})
+	// Persons 2 to 5, whom the edges enter, are in partition 0 of the person
+	// range.
+	got, m := run(&dataflow.FaultPlan{Kills: []dataflow.Kill{{Stage: 5, Partition: 0}, {Stage: 5, Partition: 3, Times: 2}}})
 	if m.Retries != 3 {
 		t.Fatalf("%d retries, want the 3 injected into the join stage", m.Retries)
 	}
@@ -283,22 +291,21 @@ func (t memTransport) AllGather(_ int64, blobs []dataflow.Bucket) ([][]byte, err
 // TestProbeInPlaceDecisionIsGlobal: the processes of a job take the same side
 // of the rule because every input of it is global - n is counted across them,
 // m is read off the store each has a copy of. Three of four partitions on one
-// process and one on the other, 40 edges under the leaf: nine persons (9 x 4 <
+// process and one on the other, 40 persons under the leaf: nine rows (9 x 4 <
 // 40) are broadcast and ten (10 x 4 = 40) are not, by both processes, and
 // either way the job ends and has the rows one process finds. (With m taken
 // from the owned partitions the two processes of the first job disagree and
 // wait for each other until the test binary is killed.) A process made to
-// disagree - its store has one edge more, so 10 x 4 < 41 - ends the job with an
-// error on both sides: one is in a shuffle's exchange, the other in a
+// disagree - its store has one person more, so 10 x 4 < 41 - ends the job with
+// an error on both sides: one is in a shuffle's exchange, the other in a
 // broadcast's all-gather.
 func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 	const partitions = 4
 	owner := []int{0, 0, 0, 1}
-	store := inplaceStore(20, 2) // 40 knows edges
-	bigger := inplaceStore(20, 2)
-	extra := bigger.Edges[len(bigger.Edges)-1]
-	extra.ID++
-	bigger = epgm.NewStore(epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", bigger.Vertices, append(bigger.Edges, extra)))
+	store := inplaceStore(40, 1) // 40 persons, each knowing the next
+	bigger := inplaceStore(40, 1)
+	extra := epgm.Vertex{ID: 41, Label: "Person", Properties: epgm.Properties{}.Set("n", epgm.PVInt(41))}
+	bigger = epgm.NewStore(epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(1)), "", append(bigger.Vertices, extra), bigger.Edges))
 
 	type outcome struct {
 		parts [][]embedding.Embedding
@@ -309,7 +316,8 @@ func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 	// without a transport if there is no cluster.
 	job := func(n int, stores []*epgm.Store) []outcome {
 		// One plan, run by every process.
-		join := NewJoinEmbeddings(firstPersons(t, "a", n), NewFilterAndProjectEdges(plainKnows("e", "a", "b")), Morphism{}, nil)
+		join := NewJoinEmbeddings(walkedFrom(t, "a", n, "e", "a", "b"),
+			NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"}}), Morphism{}, nil)
 		var c *memCluster
 		if len(stores) > 1 {
 			c = newMemCluster(owner, len(stores))
@@ -366,8 +374,8 @@ func TestProbeInPlaceDecisionIsGlobal(t *testing.T) {
 		for p := 0; p < partitions; p++ {
 			got = append(got, outs[owner[p]].parts[p]...)
 		}
-		if len(want) != 2*tc.n || !slices.EqualFunc(bag(got), bag(want), bytes.Equal) {
-			t.Fatalf("n=%d: two processes found %d rows, one process %d, want the same %d", tc.n, len(got), len(want), 2*tc.n)
+		if len(want) != tc.n || !slices.EqualFunc(bag(got), bag(want), bytes.Equal) {
+			t.Fatalf("n=%d: two processes found %d rows, one process %d, want the same %d", tc.n, len(got), len(want), tc.n)
 		}
 	}
 

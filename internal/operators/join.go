@@ -92,9 +92,12 @@ func dropNote(out, lm, rm *embedding.Meta) string {
 // configured morphism semantics hold, avoiding a separate filter stage.
 //
 // How it joins is a fact of its inputs, not a setting: both are shuffled by
-// key and hashed partition by partition, unless one of them is a leaf over a
-// pinned store that the other, counted, turns out to be small against - then
-// the small input is broadcast into the leaf's scan (probeInPlace). A join of
+// key and hashed partition by partition, unless, over a pinned store, one of
+// them is an edge leaf whose source or target the other binds - then the join
+// walks the store's adjacency from the other input's rows and never runs the
+// leaf (walk) - or a vertex leaf that the other, counted, turns out to be
+// small against - then the small input is broadcast into the leaf's scan
+// (probeInPlace). A join of
 // a query's mandatory pattern that closes a cycle hands the keys of the input
 // it runs first to the joins and expansions below the other, which drop a
 // pair, an input row or a path that cannot join here before it is written
@@ -111,6 +114,9 @@ type JoinEmbeddings struct {
 	// none if it hands on nothing. If the first is a leaf's, not the left
 	// input's, the join runs its right input first (PlaceKeySets).
 	sets []KeySet
+	// walks are how the join would walk its left and its right input, if it
+	// is an edge leaf whose ends the other input binds.
+	walks [2]edgeWalk
 }
 
 // NewJoinEmbeddings builds a join on the variables shared between the two
@@ -118,7 +124,8 @@ type JoinEmbeddings struct {
 // variables; the planner uses NewCartesianProduct for that case.
 func NewJoinEmbeddings(left, right Operator, morph Morphism, live embedding.Live) *JoinEmbeddings {
 	op := &JoinEmbeddings{Left: left, Right: right, Morph: morph, joinShape: newJoinShape(left, right),
-		rowShape: newRowShape(left.Meta(), right.Meta(), live)}
+		rowShape: newRowShape(left.Meta(), right.Meta(), live),
+		walks:    [2]edgeWalk{newEdgeWalk(left, right), newEdgeWalk(right, left)}}
 	if len(op.joinVars) == 0 {
 		panic("operators: JoinEmbeddings requires shared variables")
 	}
@@ -147,22 +154,12 @@ func keyOf(e embedding.Embedding, cols []int) uint64 {
 }
 
 // keySeed and mixKey are keyOf taken apart, for a key made of identifiers
-// that are not in a row yet (probeInPlace).
+// that are not in a row yet (probeInPlace, keyTest.hasIDs).
 const keySeed uint64 = 0x9e3779b97f4a7c15
 
 func mixKey(h uint64, id epgm.ID) uint64 {
 	h = (h ^ uint64(id)) * 0x100000001b3
 	return h ^ h>>29
-}
-
-// idsKey is keyOf of the row a leaf would make of an element whose
-// identifiers, as the row holds them, are ids (vertexIDs, edgeIDs).
-func idsKey(ids [3]epgm.ID, cols []int) uint64 {
-	h := keySeed
-	for _, c := range cols {
-		h = mixKey(h, ids[c])
-	}
-	return h
 }
 
 // sameKeys verifies actual id equality at the join columns (guarding
@@ -183,8 +180,8 @@ func partitionTag(vars []string) uint64 {
 	return dataflow.HashString(strings.Join(vars, "\x00")) | 1
 }
 
-// probeInPlaceScale is the rule that sends a join into a leaf's scan: with n
-// rows on the counted side, P partitions and m elements under the leaf, it
+// probeInPlaceScale is the rule that sends a join into a vertex leaf's scan:
+// with n rows on the counted side, P partitions and m elements under the leaf, it
 // probes in place if n x P x probeInPlaceScale < m - if every partition can
 // hold the whole counted side in a table smaller than the leaf it would
 // otherwise build, shuffle and hash. It is a constant, 1: nothing sets it but
@@ -192,43 +189,31 @@ func partitionTag(vars []string) uint64 {
 // never and 0 is whenever a leaf is eligible.
 var probeInPlaceScale = 1.0
 
-// inPlaceLeaf is a leaf operator whose rows a join can make itself, inside
-// its probe loop, of the elements the leaf would have scanned.
-type inPlaceLeaf interface {
+// scanLeaf is a leaf whose scan can test a key set: a vertex leaf or a
+// directed non-loop edge leaf, which make one row an element whose key is the
+// element's.
+type scanLeaf interface {
 	Operator
-	// scanned is the number of elements the leaf reads in r over all
-	// processes of the job, 0 if they are not ranges of a pinned store - the
-	// only input whose size every process knows without asking the others.
-	scanned(r *Run) int64
-	// probe joins small, keyed by its columns smallCols, with the leaf's
-	// elements in r, keyed by the identifiers its row would have at leafCols,
-	// and hands every pair of a small row and the leaf's row of a matching
-	// element to pair. The rows it made are added to built, if there is one.
-	probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding]
 	// scan is the leaf's scan in r, testing test's key sets if there is one
 	// (scanRows).
 	scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding]
 }
 
-// pairFunc is what a join does with a candidate pair: small is the broadcast
-// side's row, row the one the leaf made.
-type pairFunc func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding))
-
-// soleLeaf returns the leaf a join's input is, if the join is its only
-// consumer and may probe it in place: a vertex leaf or a directed non-loop
-// edge leaf - those make one row per element, so their key is the element's -
-// bare or behind a Cached wrapper no Alias shares. A leaf other consumers need
-// materialized is scanned once for all of them.
-func soleLeaf(op Operator) inPlaceLeaf {
+// soleLeaf returns the vertex leaf a join's input is, if the join is its only
+// consumer and may probe it in place: bare or behind a Cached wrapper no Alias
+// shares. A leaf other consumers need materialized is scanned once for all of
+// them.
+func soleLeaf(op Operator) *FilterAndProjectVertices {
 	if c, ok := op.(*Cached); ok && !c.shared {
 		op = c.Inner
 	}
-	return keyedLeaf(op)
+	leaf, _ := op.(*FilterAndProjectVertices)
+	return leaf
 }
 
 // keyedLeaf returns op if it is a leaf whose rows are keyed by their element:
 // a vertex leaf or a directed non-loop edge leaf.
-func keyedLeaf(op Operator) inPlaceLeaf {
+func keyedLeaf(op Operator) scanLeaf {
 	switch leaf := op.(type) {
 	case *FilterAndProjectVertices:
 		return leaf
@@ -241,14 +226,14 @@ func keyedLeaf(op Operator) inPlaceLeaf {
 }
 
 // inPlaceCandidate names the input the join would probe in place, if it has
-// one: a leaf over a pinned store, consumed here only, whose other input has
-// a predicate below it or a scan that tests a key set (tests, Run.route) -
-// without one nothing says the other side is small, and the count that would
-// tell is a collective. The planner puts the input it expects to be smaller on
-// the left, so the right one is tried first. A join that hands on key sets
-// runs one input first to filter the other, so it has none, and a leaf whose
-// scan tests a set is small already: it is scanned.
-func (op *JoinEmbeddings) inPlaceCandidate(r *Run, tests [2]*keyTest) (leaf inPlaceLeaf, onLeft bool) {
+// one: a vertex leaf over a pinned store, consumed here only, whose other
+// input has a predicate below it or a scan that tests a key set (tests,
+// Run.route) - without one nothing says the other side is small, and the
+// count that would tell is a collective. The planner puts the input it
+// expects to be smaller on the left, so the right one is tried first. A join
+// that hands on key sets runs one input first to filter the other, so it has
+// none, and a leaf whose scan tests a set is small already: it is scanned.
+func (op *JoinEmbeddings) inPlaceCandidate(r *Run, tests [2]*keyTest) (leaf *FilterAndProjectVertices, onLeft bool) {
 	if len(op.sets) > 0 {
 		return nil, false
 	}
@@ -283,6 +268,16 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 		left := op.Left.Evaluate(r)
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
 			return op.join(r, left, r.handOn(op, op.Left, left, op.Right), pairs)
+		})
+	}
+	if side, ok := op.walked(r, tests); ok {
+		other := op.Left
+		if side == 0 {
+			other = op.Right
+		}
+		rows := r.input(other, tests[1-side])
+		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
+			return op.walk(r, side, rows, pairs)
 		})
 	}
 	leaf, onLeft := op.inPlaceCandidate(r, tests)
@@ -347,7 +342,7 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 		}, dataflow.RepartitionHash, partitionTag(op.joinVars))
 }
 
-// probeInPlace joins small with a leaf that has not run: small is broadcast
+// probeInPlace joins small with a vertex leaf that has not run: small is broadcast
 // and hashed in every partition, the leaf's elements probe the table where the
 // store holds them, and the leaf's label test, predicates, projection and row
 // run for an element whose key is in it - so a row is built for an element
@@ -355,14 +350,14 @@ func (op *JoinEmbeddings) join(run *Run, left, right *dataflow.Dataset[embedding
 // Rows come out in scan order and carry no partition tag; without ORDER BY a
 // result is a bag. The leaf is reported to a tracer as evaluated, with the
 // rows it built. The pairs pass the key test pairs.
-func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf inPlaceLeaf, onLeft bool, pairs *keyTest) *dataflow.Dataset[embedding.Embedding] {
+func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embedding.Embedding], leaf *FilterAndProjectVertices, onLeft bool, pairs *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	lc, rc := op.leftCols, op.rightCols
 	drop, keep := op.dropCols, op.keep
 	lm, rm := op.Left.Meta(), op.Right.Meta()
 	morph := op.Morph
-	smallCols, leafCols := lc, rc
+	smallCols := lc
 	if onLeft {
-		smallCols, leafCols = rc, lc
+		smallCols = rc
 	}
 	defer noteDropped(run, op, pairs)
 	c := run.env.Tracer()
@@ -370,7 +365,7 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 	if c != nil {
 		built = new(atomic.Int64)
 	}
-	out := leaf.probe(run, small, smallCols, leafCols, func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding)) {
+	out := leaf.probe(run, small, smallCols, func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding)) {
 		l, r := small, row
 		if onLeft {
 			l, r = row, small
@@ -386,28 +381,36 @@ func (op *JoinEmbeddings) probeInPlace(run *Run, small *dataflow.Dataset[embeddi
 	return out
 }
 
-// probeScan is the stage pair behind every leaf's probe - per part of the scan,
-// small broadcast and the part's elements probing it - and its joiner: the row
-// of the element under the probe is made once and kept while the probe walks
-// that element's key matches, so an element that joins k rows of the small
-// side is tested and built once, not k times. key, id and row are the leaf's:
-// an element's join key, its identifier and its row, if it has one.
-func probeScan[T any](small *dataflow.Dataset[embedding.Embedding], smallCols []int, in epgm.Scan[T],
-	key func(T) uint64, id func(T) epgm.ID, row func(*scratch, T) (embedding.Embedding, bool),
-	pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+// pairFunc is what a join does with a candidate pair: small is the broadcast
+// side's row, row the one the leaf made.
+type pairFunc func(sc *scratch, small, row embedding.Embedding, emit func(embedding.Embedding))
+
+func (op *FilterAndProjectVertices) scanned(r *Run) int64 { return r.vertexScan(op).Pinned }
+
+// probe joins small, keyed by its columns smallCols, with the leaf's vertices
+// in r and hands every pair of a small row and the leaf's row of a matching
+// vertex to pair - per part of the scan, small broadcast and the part's
+// vertices probing it. The row of the vertex under the probe is made once and
+// kept while the probe walks that vertex's key matches, so a vertex that joins
+// k rows of the small side is tested and built once, not k times. The rows it
+// made are added to built, if there is one.
+func (op *FilterAndProjectVertices) probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
+	qv := r.vertex(op.Vertex)
 	smallKey := func(e embedding.Embedding) uint64 { return keyOf(e, smallCols) }
-	newJoiner := func(lane *dataflow.Lane) func(embedding.Embedding, T, func(embedding.Embedding)) {
+	// The row's one column is the vertex.
+	key := func(v epgm.Vertex) uint64 { return mixKey(keySeed, v.ID) }
+	newJoiner := func(lane *dataflow.Lane) func(embedding.Embedding, epgm.Vertex, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		var st struct {
 			id   epgm.ID
 			row  embedding.Embedding
-			ok   bool // the element has a row
-			seen bool // id, row and ok are some element's
+			ok   bool // the vertex has a row
+			seen bool // id, row and ok are some vertex's
 		}
-		return func(s embedding.Embedding, t T, emit func(embedding.Embedding)) {
-			if eid := id(t); !st.seen || st.id != eid {
-				st.id, st.seen = eid, true
-				if st.row, st.ok = row(sc, t); st.ok && built != nil {
+		return func(s embedding.Embedding, v epgm.Vertex, emit func(embedding.Embedding)) {
+			if !st.seen || st.id != v.ID {
+				st.id, st.seen = v.ID, true
+				if st.row, st.ok = op.row(sc, qv, &v); st.ok && built != nil {
 					built.Add(1)
 				}
 			}
@@ -416,33 +419,9 @@ func probeScan[T any](small *dataflow.Dataset[embedding.Embedding], smallCols []
 			}
 		}
 	}
-	return perPart(in, func(part *dataflow.Dataset[T]) *dataflow.Dataset[embedding.Embedding] {
+	return perPart(r.vertexScan(op), func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
 		return dataflow.JoinWith(small, part, smallKey, key, newJoiner, dataflow.BroadcastLeft, 0)
 	})
-}
-
-func (op *FilterAndProjectVertices) scanned(r *Run) int64 { return r.vertexScan(op).Pinned }
-
-func (op *FilterAndProjectVertices) probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, _ []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
-	qv := r.vertex(op.Vertex)
-	// The row's one column is the vertex.
-	return probeScan(small, smallCols, r.vertexScan(op),
-		func(v epgm.Vertex) uint64 { return mixKey(keySeed, v.ID) },
-		func(v epgm.Vertex) epgm.ID { return v.ID },
-		func(sc *scratch, v epgm.Vertex) (embedding.Embedding, bool) { return op.row(sc, qv, &v) },
-		pair, built)
-}
-
-func (op *FilterAndProjectEdges) scanned(r *Run) int64 { return r.edgeScan(op).Pinned }
-
-func (op *FilterAndProjectEdges) probe(r *Run, small *dataflow.Dataset[embedding.Embedding], smallCols, leafCols []int, pair pairFunc, built *atomic.Int64) *dataflow.Dataset[embedding.Embedding] {
-	qe := r.edge(op.Edge)
-	// The row's columns are source, edge, target.
-	return probeScan(small, smallCols, r.edgeScan(op),
-		func(de epgm.Edge) uint64 { return idsKey(edgeIDs(de), leafCols) },
-		func(de epgm.Edge) epgm.ID { return de.ID },
-		func(sc *scratch, de epgm.Edge) (embedding.Embedding, bool) { return op.row(sc, qe, &de, false) },
-		pair, built)
 }
 
 // CartesianProduct combines two sub-queries without shared variables. It

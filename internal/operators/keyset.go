@@ -340,6 +340,9 @@ func (op *JoinEmbeddings) from(s *KeySet) string {
 type made struct {
 	*KeySet
 	set *dataflow.KeySet
+	// reach is, for an end set's transfer, what a walk from every key of the
+	// end set reached, if the run made one (Run.transfer).
+	reach *reach
 }
 
 // keyTest is key sets a run tests at one place, each at its own columns
@@ -358,6 +361,10 @@ type keyTest struct {
 	// more is one object.
 	setsBuf [2]*dataflow.KeySet
 	colsBuf [2][]pairCol
+	// reach is, at an expansion's paths' far ends, what the end set's
+	// transfer reached, if the run made it: the walk goes no further than a
+	// vertex from which no path reaches a key in time.
+	reach *reach
 }
 
 // add has t test set at cols and returns it, a new test - of a traced run,
@@ -438,8 +445,9 @@ var farEnd = []pairCol{{}}
 // sets at all. Otherwise the target tests it itself: at its pairs or its input
 // rows (at) or, an expansion's end set, at its paths' far ends (ends). A join
 // lets its scans test sets unless it hands on sets of its own, running one
-// input first to filter the other, or would probe a leaf in place, where it
-// tests them in the probe. An expansion does over a pinned store only: over a
+// input first to filter the other, or reads a leaf where it lies beside a
+// small input (atPairs) and tests them at the pairs that makes. An expansion
+// does over a pinned store only: over a
 // plain graph it is the paper's bulk iteration, and its start step tests the
 // seed sets per input row.
 func (r *Run) route(target Operator) (scans [2]*keyTest, at, ends *keyTest) {
@@ -451,13 +459,16 @@ func (r *Run) route(target Operator) (scans [2]*keyTest, at, ends *keyTest) {
 	var scan bool
 	switch t := target.(type) {
 	case *JoinEmbeddings:
-		leaf, _ := t.inPlaceCandidate(r, [2]*keyTest{})
-		ins, scan = [2]Operator{t.Left, t.Right}, len(t.sets) == 0 && leaf == nil
+		ins, scan = [2]Operator{t.Left, t.Right}, len(t.sets) == 0 && !t.atPairs(r)
 	case *ExpandEmbeddings:
 		ins[0], scan = t.In, r.access.Store() != nil
 	}
 	traced := r.env.Tracer() != nil
+	var reached *reach
 	for _, k := range installed {
+		if k.reach != nil {
+			reached = k.reach
+		}
 		taken := false
 		for i, in := range ins {
 			if cols := k.scans[i]; scan && cols != nil && !r.holds(in) {
@@ -471,6 +482,9 @@ func (r *Run) route(target Operator) (scans [2]*keyTest, at, ends *keyTest) {
 		default:
 			at = at.add(k.set, k.targetCols, traced)
 		}
+	}
+	if ends != nil {
+		ends.reach = reached
 	}
 	return scans, at, ends
 }
@@ -518,15 +532,18 @@ func (r *Run) handOn(op *JoinEmbeddings, source Operator, rows *dataflow.Dataset
 			continue
 		}
 		var keys *dataflow.KeySet
+		var reached *reach
 		if s.transfer {
-			keys = r.transfer(s.Target.(*ExpandEmbeddings), rows, s.cols[0])
+			// The end set was made right before its transfer.
+			fs := r.filters[s.Target]
+			keys, reached = r.transfer(s.Target.(*ExpandEmbeddings), rows, s.cols[0], fs[len(fs)-1].set)
 		} else {
 			keys = dataflow.Keys(rows, s.keys)
 		}
 		if c != nil {
 			c.Note(op, s.note+strconv.Itoa(keys.Len()))
 		}
-		r.filters[s.Target] = append(r.filters[s.Target], made{s, keys})
+		r.filters[s.Target] = append(r.filters[s.Target], made{s, keys, reached})
 	}
 	out := next.Evaluate(r) // a scope of its own inside the join's
 	for i := range op.sets {

@@ -230,15 +230,14 @@ func edgeIDs(de epgm.Edge) [3]epgm.ID { return [3]epgm.ID{de.Source, de.ID, de.T
 // instance qe of its query edge: its row, if it has one. reversed asks for the
 // second row an undirected query edge makes of a data edge that is no loop,
 // read against its direction; it is asked of an edge that has just made its
-// first, and the tests are not repeated. The scan calls row on every edge, a
-// join that probes the leaf where it lies on those whose endpoints it is
-// looking for.
+// first, and the tests are not repeated. The scan calls row on every edge; a
+// join that walks the leaf (JoinEmbeddings.walk) selects the edges it reads
+// the same way and writes their rows into a buffer it reuses.
 func (op *FilterAndProjectEdges) row(sc *scratch, qe *cypher.QueryEdge, de *epgm.Edge, reversed bool) (embedding.Embedding, bool) {
 	ids := [3]epgm.ID{de.Source, de.ID, de.Target}
 	if reversed {
 		ids[0], ids[2] = ids[2], ids[0]
-	} else if !cypher.MatchesLabel(de.Label, qe.Types) || !cypher.EvalElement(qe.Predicates, qe.Var, de.Properties) ||
-		op.loop && de.Source != de.Target {
+	} else if !op.selects(qe, de) {
 		return embedding.Embedding{}, false
 	}
 	cols := ids[:]
@@ -246,6 +245,14 @@ func (op *FilterAndProjectEdges) row(sc *scratch, qe *cypher.QueryEdge, de *epgm
 		cols = ids[:2]
 	}
 	return sc.slab.Row(cols, sc.project(de.Properties, qe.Projection)), true
+}
+
+// selects reports whether the leaf makes a row of data edge de for the run's
+// instance qe of its query edge: its label, its predicates and, for a loop,
+// its ends.
+func (op *FilterAndProjectEdges) selects(qe *cypher.QueryEdge, de *epgm.Edge) bool {
+	return cypher.MatchesLabel(de.Label, qe.Types) && cypher.EvalElement(qe.Predicates, qe.Var, de.Properties) &&
+		(!op.loop || de.Source == de.Target)
 }
 
 func labelSuffix(labels []string) string {

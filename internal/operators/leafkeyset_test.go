@@ -35,7 +35,8 @@ func TestKeySetFiltersTheLeaf(t *testing.T) {
 }
 
 // leafSetPlan is three joins that take a set of c and one that reads the
-// shared knows leaf whole.
+// shared knows leaf whole: the leaf's 60 edges, each followed by the three
+// that leave its target.
 type leafSetPlan struct {
 	both, intoB, fromC, whole *JoinEmbeddings
 	knows                     *Cached
@@ -56,7 +57,9 @@ func newLeafSetPlan() leafSetPlan {
 	// person leaf is probed in place against it.
 	p.intoB = NewJoinEmbeddings(person("b"), p.aliases[0], Morphism{}, nil)
 	p.fromC = NewJoinEmbeddings(p.aliases[1], person("d"), Morphism{}, nil)
-	p.whole = NewJoinEmbeddings(p.knows, person("y"), Morphism{}, nil)
+	// The shared leaf's other consumer reads it whole: over the store it is
+	// the input the join walks another knows leaf from.
+	p.whole = NewJoinEmbeddings(p.knows, NewFilterAndProjectEdges(plainKnows("f", "y", "z")), Morphism{}, nil)
 	return p
 }
 
@@ -83,7 +86,7 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 		if !ok {
 			t.Fatalf("no set of c at %s", target.Description())
 		}
-		return made{&s, set}
+		return made{KeySet: &s, set: set}
 	}
 	inSet := func(e embedding.Embedding, meta *embedding.Meta) bool {
 		c, _ := meta.Column("c")
@@ -157,8 +160,8 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 			t.Fatal(err)
 		}
 		leaf := p.knows.Inner
-		if !slices.Equal(observed[leaf], []int64{60}) || rows[p.intoB] != 9 || rows[p.fromC] != 9 || rows[p.whole] != 60 {
-			t.Errorf("whole first %v: the shared leaf built %v rows, the joins wrote %d, %d and %d rows, want 60 once and 9, 9 and 60",
+		if !slices.Equal(observed[leaf], []int64{60}) || rows[p.intoB] != 9 || rows[p.fromC] != 9 || rows[p.whole] != 180 {
+			t.Errorf("whole first %v: the shared leaf built %v rows, the joins wrote %d, %d and %d rows, want 60 once and 9, 9 and 180",
 				wholeFirst, observed[leaf], rows[p.intoB], rows[p.fromC], rows[p.whole])
 		}
 		// Over the store, the person leaf of a join whose other input's scan

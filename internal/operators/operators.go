@@ -97,7 +97,9 @@ type Operator interface {
 // lane's holder is the one goroutine that touches it, so nothing in it is
 // locked.
 type scratch struct {
-	slab  embedding.Slab
+	slab embedding.Slab
+	// edge is the row of the edge a walked join merges next (JoinEmbeddings.walk).
+	edge  embedding.RowBuffer
 	ids   []epgm.ID            // the identifiers of a morphism check, a flipped path
 	props []epgm.PropertyValue // the projected values of a leaf row
 	// via and frames are a walk's path so far and its stack (walker.from).

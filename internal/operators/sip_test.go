@@ -231,12 +231,13 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 			t.Fatalf("walked=%v: right first: %d rows, no sets %d", walked, len(got), len(want))
 		}
-		// Over the store the forward set's target probes its right leaf in
-		// place against its left one's tested scan: a count, a broadcast and
-		// the probe in place of a scan, two shuffles and the join.
+		// Over the store every join of an edge leaf walks it, but onC, both of
+		// whose leaves bind c and test the set in their scans: two scans, two
+		// shuffles and the join in place of a leaf and a walk, three stages
+		// more.
 		wantMore := int64(4)
 		if walked {
-			wantMore--
+			wantMore += 3
 		}
 		if stages != wantStages+wantMore {
 			t.Errorf("walked=%v: %d stages, %d with no sets: want four all-gathers more, %d in all", walked, stages, wantStages, wantMore)
@@ -249,8 +250,8 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 		// Every person a reaches a path; the other targets drop what cannot
 		// close it. A set is tested in the scan of every input leaf that binds
 		// its variables, but the leaf the run holds already (onA's, run first),
-		// and at the pairs of a target that has none or probes one in place
-		// (onA over the store).
+		// and at the pairs of a target that has none or walks one beside a
+		// selective input (onA over the store).
 		onA := []string{"right"}
 		if walked {
 			onA = []string{"pairs"}
@@ -308,9 +309,9 @@ func describe(op Operator) string {
 }
 
 // TestKeySetFiltersTheTarget runs a triangle whose closing join filters its
-// right input against the same plan that does not: the same rows, the target
-// writes only the pairs whose key the left input has, and a trace says so on
-// both joins.
+// right input against the same plan that does not, over the pinned store: the
+// same rows, the target - which walks its right leaf - writes only the pairs
+// whose key the left input has, and a trace says so on both joins.
 func TestKeySetFiltersTheTarget(t *testing.T) {
 	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3
 	plan := func(filter bool) (*JoinEmbeddings, *JoinEmbeddings) {
@@ -339,13 +340,16 @@ func TestKeySetFiltersTheTarget(t *testing.T) {
 	if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 		t.Fatalf("filtered: %d rows, unfiltered %d", len(got), len(want))
 	}
-	if stages != wantStages+1 {
-		t.Errorf("filtered: %d stages, unfiltered %d: want one all-gather more", stages, wantStages)
+	// The unfiltered closing join walks its edge leaf, closing on both ends;
+	// the filtered one runs that leaf first for its keys and joins by hash:
+	// the leaf, the all-gather, two shuffles and the join in place of a walk.
+	if stages != wantStages+4 {
+		t.Errorf("filtered: %d stages, unfiltered %d: want four more", stages, wantStages)
 	}
-	// Each a->b->c with c = a+2..a+6 is a pair of the target; only c <= a+3
-	// closes on an edge a->c.
+	// Each a->b->c with c = a+2..a+6 is one of the target's 180 pairs; only
+	// c <= a+3 closes on an edge a->c.
 	st, _ := c.Op(target)
-	if st.Rows != int64(len(want)) || !strings.HasPrefix(st.Note, "sip dropped=") || st.Note == "sip dropped=0" {
+	if st.Rows != int64(len(want)) || st.Note != "walked in place: edges=180 sip dropped=120" {
 		t.Errorf("target wrote %d rows, note %q; want %d and the pairs it dropped", st.Rows, st.Note, len(want))
 	}
 	if st, _ := c.Op(closing); st.Note != "sip left(a,c) n=60" {

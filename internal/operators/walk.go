@@ -137,7 +137,9 @@ func (w *walker) from(e embedding.Embedding, emit func(embedding.Embedding), pol
 		if hops+1 >= qe.MinHops {
 			op.finish(sc, pathState{base: e, via: via, end: far}, w.ends, emit)
 		}
-		if hops+1 < qe.MaxHops {
+		// Past the first hop the walk goes on from a vertex only if the end
+		// set's transfer reached it in the hops a path has left from there.
+		if hops+1 < qe.MaxHops && (w.ends == nil || w.ends.reach == nil || w.ends.reach.within(far, qe.MaxHops-hops-1)) {
 			frames = append(frames, walkFrame{at: far})
 		}
 	}
@@ -156,15 +158,60 @@ func (w *walker) from(e embedding.Embedding, emit func(embedding.Embedding), pol
 // vertex leaf, only a vertex of the leaf's labels can start a row, and the set
 // keeps no other. Each process walks from the rows of its own partitions, and
 // the keys are all-gathered once (dataflow.Keys).
-func (r *Run) transfer(x *ExpandEmbeddings, rows *dataflow.Dataset[embedding.Embedding], col int) *dataflow.KeySet {
+//
+// It also returns what a walk from every key of ends, the end set, reaches:
+// the fewest hops from each vertex to a key, which the expansion's walk reads
+// to go no further than a vertex that reaches none in the hops it has left
+// (reach.within). A memo is a partition's while the keys are made - a
+// partition's keys are the same whichever process owns it - so this is a walk
+// of its own, into the same memo, after the last partition's, and from the set
+// every process holds: what it reaches, and so what the expansion walks, is
+// the same in every process. It is made only where a path may end after its
+// first hop (MinHops <= 1): the memo then holds every count of hops a path
+// has left.
+func (r *Run) transfer(x *ExpandEmbeddings, rows *dataflow.Dataset[embedding.Embedding], col int, ends *dataflow.KeySet) (*dataflow.KeySet, *reach) {
 	w := r.newReach(x)
 	each := func(e embedding.Embedding, keys []uint64) []uint64 { return w.from(e.ID(col), keys) }
-	return dataflow.Keys(rows, func() func(embedding.Embedding, []uint64) []uint64 {
-		clear(w.least)
-		clear(w.far)
-		clear(w.below)
+	set := dataflow.Keys(rows, func() func(embedding.Embedding, []uint64) []uint64 {
+		w.clear()
 		return each
 	})
+	if r.env.Failed() || ends == nil || w.qe.MinHops > 1 {
+		return set, nil
+	}
+	w.clear()
+	w.memoOnly = true
+	for k := range ends.All() {
+		w.from(vertexOfKey(k), nil)
+	}
+	return set, w
+}
+
+// vertexOfKey is the vertex whose key, as a set of one vertex variable holds
+// it, is k: mixKey(keySeed, v) undone. mixKey is an xor, a product with an odd
+// constant and an xor-shift, each of which has an inverse, so a key names one
+// vertex.
+func vertexOfKey(k uint64) epgm.ID {
+	h := k ^ k>>29 ^ k>>58
+	return epgm.ID(h*mixInverse ^ keySeed)
+}
+
+// mixInverse is the inverse of mixKey's odd factor modulo 2^64, by Newton's
+// iteration: each step doubles the bits that are right.
+var mixInverse = func() uint64 {
+	const f = 0x100000001b3
+	inv := uint64(f)
+	for range 6 {
+		inv *= 2 - f*inv
+	}
+	return inv
+}()
+
+// clear forgets what the walk has walked.
+func (w *reach) clear() {
+	clear(w.least)
+	clear(w.far)
+	clear(w.below)
 }
 
 // newReach is what a transfer across x's walk in r walks with.
@@ -213,6 +260,8 @@ type reach struct {
 	far   map[epgm.ID]int
 	below map[hopAt]bool
 	stack []hopAt
+	// memoOnly walks for the memo alone and makes no key.
+	memoOnly bool
 	// startsBuf and stackBuf back starts and stack up to a few labels and a
 	// walk of DefaultMaxHops hops with a few branches open: no object of their
 	// own.
@@ -236,7 +285,7 @@ func (w *reach) from(v epgm.ID, keys []uint64) []uint64 {
 		at := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		first, on := w.visit(at)
-		if first {
+		if first && !w.memoOnly {
 			keys = append(keys, mixKey(keySeed, at.v))
 		}
 		if !on || at.hops >= qe.MaxHops {
@@ -293,6 +342,17 @@ func (w *reach) visit(at hopAt) (first, on bool) {
 	}
 	w.far[at.v] = at.hops
 	return first, true
+}
+
+// within reports whether the walk reached v at hops or fewer: whether a walk
+// of the expansion's edges from v reaches a key of the end set in that many
+// hops, if v is not the key itself.
+func (w *reach) within(v epgm.ID, hops int) bool {
+	if pos, placed := w.at.Of(v); placed && w.least != nil {
+		return w.least[pos] > 0 && int(w.least[pos])-1 <= hops
+	}
+	least, seen := w.far[v]
+	return seen && least <= hops
 }
 
 // startable reports whether the vertex at position pos of the store's vertex
