@@ -459,9 +459,11 @@ func TestClusterStageReport(t *testing.T) {
 // two-hop join in turn, of a triangle, whose closing join's key set is
 // all-gathered in one of them, of Q3 and of Q2, whose end set and the set
 // transferred back across its walk are all-gathered in two: at the k-th it
-// runs, for k from 1 to K+1, K being the collectives of one job (one per
-// shuffle stage); past the last, the crash is the next job's first. See recoverFrom for what each crash point
-// must give.
+// runs, for k from 1 to 2K+1, K being the collectives of one job (one per
+// shuffle stage). Past a job's last collective the crash falls in the next
+// job, so the points cover every collective of a first job and of a second
+// that a clean job went before, and a third job's first. See recoverFrom for
+// what each crash point must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -500,7 +502,7 @@ func TestClusterRecovery(t *testing.T) {
 		if collectives == 0 {
 			t.Fatalf("the %s job ran no collective", job.query)
 		}
-		for k := 1; k <= collectives+1; k++ {
+		for k := 1; k <= 2*collectives+1; k++ {
 			t.Run(fmt.Sprintf("%scrash=%d", job.name, k), func(t *testing.T) {
 				recoverFrom(t, data, d.Graph, job.query, want, k, collectives)
 			})
@@ -514,7 +516,8 @@ func TestClusterRecovery(t *testing.T) {
 const recoveryDeadline = time.Minute
 
 // recoverFrom arms the middle worker of three to crash at its k-th collective,
-// of a job of K. The job it falls in is re-executed on the two survivors, with
+// of jobs of K each. The jobs before the one it falls in run clean on all
+// three workers. The job it falls in is re-executed on the two survivors, with
 // the single-process rows, flagged as recovered, in two attempts: no survivor
 // was accused. Every done report that fails on a lost peer names the crashed
 // worker and no other. The next job is a clean first attempt on the
@@ -564,9 +567,9 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, qu
 		}
 		return resp.Cluster
 	}
-	if k > K {
-		if rep := run("the job before the crash"); rep.Recovered || rep.Workers != 3 {
-			t.Fatalf("a crash past the job's last collective fell in the job: %+v", rep)
+	for j := 0; j < (k-1)/K; j++ {
+		if rep := run(fmt.Sprintf("job %d, before the crash", j+1)); rep.Recovered || rep.Workers != 3 {
+			t.Fatalf("a crash past job %d's last collective fell in it: %+v", j+1, rep)
 		}
 	}
 	if rep := run("the job the crash falls in"); !rep.Recovered || rep.Attempts != 2 || rep.Workers != 2 {
