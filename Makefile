@@ -182,6 +182,10 @@ alloc-guard:
 		/^BenchmarkQueryExecuted/ { print; v = -1; bytes = -1; for (i = 2; i <= NF; i++) { if ($$i == "allocs/row") v = $$(i-1) + 0; if ($$i == "B/row") bytes = $$(i-1) + 0 } \
 			seen++; if (v < 0 || v > 0.01 || bytes < 0 || bytes > 4) bad = 1 } \
 		END { if (bad || seen != 1) { print "alloc-guard: the output path of an executed request allocates per row (serving 20 000 rows over HTTP beyond executing them: <= 0.01 allocs/row and <= 4 B/row, one chunk over those rows; 0.002 and 0.8 measured, 312 B/row with the body built by append)"; exit 1 } }'
+	$(GO) test ./internal/storage/csv -run '^$$' -bench 'BenchmarkReadLogicalGraph' -benchtime 5x | awk ' \
+		/^BenchmarkReadLogicalGraph/ { print; v = -1; for (i = 2; i <= NF; i++) if ($$i == "allocs/elem") v = $$(i-1) + 0; \
+			seen++; if (v < 0 || v > 1.38) bad = 1 } \
+		END { if (bad || seen != 1) { print "alloc-guard: reading a CSV dataset allocates more than 1.38 objects per element (1.25 measured + 10%: an element\x27s properties, allocated at their final length, and one string of its string values; the file, its array and a label or graph membership per distinct field are per file; 10.75 when every line, field and membership was an object of its own and the arrays grew by append)"; exit 1 } }'
 	$(GO) test ./internal/session -run '^$$' -bench 'BenchmarkBind' -benchmem | awk ' \
 		/^BenchmarkBind/ { print; seen++; if ($$(NF-1)+0 > 26) bad = 1 } \
 		END { if (bad || !seen) { print "alloc-guard: binding the pinned graph and two scans allocate more than 26 objects (24 measured + 10%; 34 when a two-label scan concatenated its labels, 67 when Bind built a dataset per label)"; exit 1 } }'

@@ -125,6 +125,25 @@ func (v PropertyValue) String() string {
 	}
 }
 
+// AppendString appends the value to dst as String renders it, so that a
+// caller that renders many values reuses one buffer.
+func (v PropertyValue) AppendString(dst []byte) []byte {
+	switch v.typ {
+	case TypeNull:
+		return append(dst, "NULL"...)
+	case TypeBool:
+		return strconv.AppendBool(dst, v.Bool())
+	case TypeInt64:
+		return strconv.AppendInt(dst, v.Int(), 10)
+	case TypeFloat64:
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
+	case TypeString:
+		return append(dst, v.str...)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // numeric reports whether the value is int64 or float64.
 func (v PropertyValue) numeric() bool { return v.typ == TypeInt64 || v.typ == TypeFloat64 }
 

@@ -149,6 +149,26 @@ func TestQuickPropertyValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendStringIsString: a value appended to a buffer reads as String
+// renders it, whatever the buffer held before.
+func TestAppendStringIsString(t *testing.T) {
+	check := func(v PropertyValue) bool {
+		return string(v.AppendString(nil)) == v.String() && string(v.AppendString([]byte("x"))) == "x"+v.String()
+	}
+	for _, v := range []PropertyValue{Null, PVBool(true), PVBool(false), PVInt(0), PVInt(-7), PVFloat(1), PVFloat(0.1),
+		PVFloat(math.Inf(-1)), PVFloat(math.NaN()), PVFloat(1e21), PVString(""), PVString("a;b")} {
+		if !check(v) {
+			t.Errorf("%v: AppendString %q", v, v.AppendString(nil))
+		}
+	}
+	f := func(i int64, fl float64, s string, b bool) bool {
+		return check(PVInt(i)) && check(PVFloat(fl)) && check(PVString(s)) && check(PVBool(b))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestProperties(t *testing.T) {
 	var p Properties
 	p = p.Set("name", PVString("Alice"))

@@ -277,7 +277,7 @@ func (op *JoinEmbeddings) Evaluate(r *Run) *dataflow.Dataset[embedding.Embedding
 		}
 		rows := r.input(other, tests[1-side])
 		return traced(op, r, func() *dataflow.Dataset[embedding.Embedding] {
-			return op.walk(r, side, rows, pairs)
+			return op.walk(r, side, rows, pairs, tests[side])
 		})
 	}
 	leaf, onLeft := op.inPlaceCandidate(r, tests)

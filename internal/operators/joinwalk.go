@@ -45,16 +45,22 @@ func newEdgeWalk(in, other Operator) edgeWalk {
 
 // walked names the input the join walks in r, if it walks one: over a pinned
 // store, a join that hands on no key set walks an input edge leaf whose ends
-// the other input binds (edgeWalk), that the run does not hold yet and whose
-// scan tests no key set (tests, Run.route). The planner puts the input it
-// expects to be smaller on the left, so the right one is tried first.
+// the other input binds (edgeWalk) and that the run does not hold yet. A leaf
+// whose scan would test a key set (tests, Run.route) is small once tested, so
+// it is walked only beside an input that is small too - one with a predicate
+// below it or a scan that tests a set - and the walk tests the set on every
+// edge it reads. The planner puts the input it expects to be smaller on the
+// left, so the right one is tried first.
 func (op *JoinEmbeddings) walked(r *Run, tests [2]*keyTest) (side int, ok bool) {
 	if len(op.sets) > 0 || r.access.Store() == nil {
 		return 0, false
 	}
 	ins := [2]Operator{op.Left, op.Right}
 	for _, side := range [2]int{1, 0} {
-		if op.walks[side].leaf != nil && tests[side] == nil && !r.holds(ins[side]) {
+		if op.walks[side].leaf == nil || r.holds(ins[side]) {
+			continue
+		}
+		if tests[side] == nil || ins[1-side].Selective() || tests[1-side] != nil {
 			return side, true
 		}
 	}
@@ -91,7 +97,9 @@ func (op *JoinEmbeddings) atPairs(r *Run) bool {
 // off the run's pinned store, the edges of the leaf's types that leave the
 // vertex the row binds as the leaf's source, or else enter the one it binds as
 // its target. Where the row binds both ends, an edge whose far end is not the
-// row's is no candidate: the walk closes. Each candidate gets the leaf's row -
+// row's is no candidate: the walk closes; nor is one whose identifiers fail
+// scan, the key test the leaf's scan would have made, tested first as the
+// scan tests it. Each candidate gets the leaf's row -
 // label, predicates, projection - in the lane's row buffer, which is never
 // carved, and the pair is what join does with it: sameKeys, the key test
 // pairs, the morphism check and Slab.Merge, columns in the plan's order. The
@@ -99,14 +107,14 @@ func (op *JoinEmbeddings) atPairs(r *Run) bool {
 // count, broadcast, shuffle or hash table runs, so there is no collective:
 // rows come out in the other input's partitions, in its order, and carry no
 // partition tag. The leaf is reported to a tracer as evaluated, under the
-// input the join reads, with the rows it made; the join notes the edges it
-// read.
-func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embedding.Embedding], pairs *keyTest) *dataflow.Dataset[embedding.Embedding] {
+// input the join reads, with the rows it made and, if scan tests a set, the
+// edges it tested and dropped; the join notes the edges it read.
+func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embedding.Embedding], pairs, scan *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	w := op.walks[side]
 	qe, store := r.edge(w.leaf.Edge), r.access.Store()
 	// at is the end the lists are keyed by, closing the other one if the row
 	// binds it too.
-	jw := &joinWalk{op: op, leaf: w.leaf, qe: qe, edges: store.Edges, pairs: pairs, side: side, at: w.from, closing: w.to}
+	jw := &joinWalk{op: op, leaf: w.leaf, qe: qe, edges: store.Edges, pairs: pairs, scan: scan, side: side, at: w.from, closing: w.to}
 	if jw.at < 0 {
 		jw.at, jw.closing = w.to, -1
 	}
@@ -121,7 +129,11 @@ func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embeddin
 		return func(o embedding.Embedding, emit func(embedding.Embedding)) { jw.join(sc, o, emit) }
 	})
 	if c != nil {
-		c.InOp([2]Operator{op.Left, op.Right}[side], r.label(w.leaf), jw.made.Load)
+		in := [2]Operator{op.Left, op.Right}[side]
+		c.InOp(in, r.label(w.leaf), jw.made.Load)
+		if scan != nil { // tested on every edge read, as a scan tests every edge
+			c.Note(in, fmt.Sprintf("sip scanned=%d dropped=%d", jw.read.Load(), scan.dropped.Load()))
+		}
 		c.Note(op, fmt.Sprintf("walked in place: edges=%d", jw.read.Load()))
 	}
 	return out
@@ -129,18 +141,19 @@ func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embeddin
 
 // joinWalk is what every partition attempt of a walked join reads: the join,
 // the run's instance of the leaf's query edge, the store's edge array and the
-// adjacency lists of the leaf's types keyed by the end at, the key test of the
-// pairs, the side the leaf is on and the other input's columns of the end the
-// lists are keyed by and of the one the walk closes on (-1: none), and, where
-// the run is traced, the edges read and the rows made. It is one object a
-// walk, so that an attempt's function holds it and the lane's scratch only.
+// adjacency lists of the leaf's types keyed by the end at, the key tests of
+// the pairs and of the leaf's scan, the side the leaf is on and the other
+// input's columns of the end the lists are keyed by and of the one the walk
+// closes on (-1: none), and, where the run is traced, the edges read and the
+// rows made. It is one object a walk, so that an attempt's function holds it
+// and the lane's scratch only.
 type joinWalk struct {
 	op                *JoinEmbeddings
 	leaf              *FilterAndProjectEdges
 	qe                *cypher.QueryEdge
 	lists             []*epgm.Adjacency
 	edges             []epgm.Edge
-	pairs             *keyTest
+	pairs, scan       *keyTest
 	side, at, closing int
 	read, made        *atomic.Int64
 }
@@ -173,11 +186,11 @@ func (jw *joinWalk) join(sc *scratch, o embedding.Embedding, emit func(embedding
 		for _, p := range l.Of(o.ID(jw.at)) {
 			de := &jw.edges[p]
 			n++
-			if jw.closing >= 0 && de.Target != o.ID(jw.closing) || !jw.leaf.selects(qe, de) {
+			ids := [3]epgm.ID{de.Source, de.ID, de.Target}
+			if !jw.scan.keepsIDs(ids) || jw.closing >= 0 && de.Target != o.ID(jw.closing) || !jw.leaf.selects(qe, de) {
 				continue
 			}
 			m++
-			ids := [3]epgm.ID{de.Source, de.ID, de.Target}
 			row := sc.edge.Row(ids[:], sc.project(de.Properties, qe.Projection))
 			left, right := o, row
 			if jw.side == 0 {

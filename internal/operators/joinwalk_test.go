@@ -59,13 +59,14 @@ func walkEdge(t testing.TB, v, src, tgt string, types []string, where string) *F
 // walkCase is a plan whose join walks an edge leaf over the store: join is the
 // join that walks, root what runs, and prepare, if set, readies a run -
 // installs a key set, evaluates a consumer first - before root runs. walks
-// says whether the join must walk over the store.
+// says whether the join must walk over the store, scanSet whether the leaf's
+// scan would test a key set.
 type walkCase struct {
-	name    string
-	root    Operator
-	join    *JoinEmbeddings
-	walks   bool
-	prepare func(t *testing.T, r *Run)
+	name           string
+	root           Operator
+	join           *JoinEmbeddings
+	walks, scanSet bool
+	prepare        func(t *testing.T, r *Run)
 }
 
 func walkCases(t *testing.T, morph Morphism) []walkCase {
@@ -115,6 +116,26 @@ func walkCases(t *testing.T, morph Morphism) []walkCase {
 		}
 		r.filters = map[Operator][]made{set: {{KeySet: &s, set: dataflow.Keys(src.Evaluate(r), keysAt([]int{0}))}}}
 	}})
+
+	// A set whose target lets its input leaves' scans test it: the edge
+	// leaf's scan would test it, so the leaf is walked only beside a small
+	// input - one with a predicate, or one whose own scan tests a set - and
+	// the walk tests it on every edge it reads. Over the plain graph both
+	// scans test it.
+	scanSet := func(name string, j *JoinEmbeddings, v string, walks bool) {
+		cases = append(cases, walkCase{name: name, root: j, join: j, walks: walks, scanSet: true, prepare: func(t *testing.T, r *Run) {
+			src := firstPersons(t, v, 4)
+			s, ok := newKeySet(src, j, []string{v})
+			if !ok || s.scans[1] == nil {
+				t.Fatalf("no set of %s the edge leaf's scan tests", v)
+			}
+			r.filters = map[Operator][]made{j: {{KeySet: &s, set: dataflow.Keys(src.Evaluate(r), keysAt([]int{0}))}}}
+		}})
+	}
+	scanSet("scan-set-both-scans", NewJoinEmbeddings(person("a"), walkEdge(t, "e", "a", "b", knows, ""), morph, nil), "a", true)
+	shared := NewCached(walkEdge(t, "x", "s", "t", knows, "")) // an Alias's: the join does not test at its pairs
+	scanSet("scan-set-beside-selective", NewJoinEmbeddings(firstPersons(t, "a", 9), NewAlias(shared, map[string]string{"x": "e", "s": "a", "t": "b"}), morph, nil), "b", true)
+	scanSet("scan-set-beside-all", NewJoinEmbeddings(person("a"), NewAlias(shared, map[string]string{"x": "e1", "s": "a", "t": "b"}), morph, nil), "b", false)
 	return cases
 }
 
@@ -123,9 +144,11 @@ func walkCases(t *testing.T, morph Morphism) []walkCase {
 // instead of running the leaf (DESIGN decision 46). For edges by their source,
 // their target and both, the leaf on either side, an edge predicate, a type
 // alternation, a leaf shared by aliases that the run does not hold yet and one
-// it holds, a key set at the join's pairs, under every morphism, the rows over
-// the store are the rows over the plain graph, byte for byte as a bag; the
-// join says it walked, and the leaf says how many rows it made.
+// it holds, a key set at the join's pairs, a key set the leaf's scan would
+// test, under every morphism, the rows over the store are the rows over the
+// plain graph, byte for byte as a bag; the join says it walked, and the leaf
+// says how many rows it made and, if the walk tested a set, how many edges it
+// tested.
 func TestWalkedJoinIsInvisible(t *testing.T) {
 	store := walkStore()
 	morphs := []Morphism{{Vertex: Homomorphism, Edge: Homomorphism}, {Vertex: Homomorphism, Edge: Isomorphism}, {Vertex: Isomorphism, Edge: Isomorphism}}
@@ -169,8 +192,16 @@ func TestWalkedJoinIsInvisible(t *testing.T) {
 				if c.join.walks[1].leaf == nil {
 					in = c.join.Left
 				}
-				if leaf, ok := col.Op(in); !ok || leaf.Rows == 0 || leaf.Evaluations != 1 {
+				leaf, ok := col.Op(in)
+				if !ok || leaf.Rows == 0 || leaf.Evaluations != 1 {
 					t.Errorf("%s: the walked leaf is traced %v with %d rows in %d evaluations", name, ok, leaf.Rows, leaf.Evaluations)
+				}
+				// A set the leaf's scan would test is tested on every edge read.
+				var scanned, dropped, edges int64
+				_, errLeaf := fmt.Sscanf(leaf.Note, "sip scanned=%d dropped=%d", &scanned, &dropped)
+				_, errJoin := fmt.Sscanf(st.Note, "walked in place: edges=%d", &edges)
+				if c.scanSet && (errLeaf != nil || errJoin != nil || scanned != edges) {
+					t.Errorf("%s: the walked leaf notes %q, the join %q", name, leaf.Note, st.Note)
 				}
 			}
 		}

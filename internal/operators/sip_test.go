@@ -231,14 +231,10 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 		if !slices.EqualFunc(bag(got), bag(want), bytes.Equal) || len(got) == 0 {
 			t.Fatalf("walked=%v: right first: %d rows, no sets %d", walked, len(got), len(want))
 		}
-		// Over the store every join of an edge leaf walks it, but onC, both of
-		// whose leaves bind c and test the set in their scans: two scans, two
-		// shuffles and the join in place of a leaf and a walk, three stages
-		// more.
+		// Over the store every join of an edge leaf walks it, onC too, both of
+		// whose leaves bind c: its left leaf's scan tests the set, and the walk
+		// tests it on every edge of the right one it reads.
 		wantMore := int64(4)
-		if walked {
-			wantMore += 3
-		}
 		if stages != wantStages+wantMore {
 			t.Errorf("walked=%v: %d stages, %d with no sets: want four all-gathers more, %d in all", walked, stages, wantStages, wantMore)
 		}
@@ -249,9 +245,10 @@ func TestRightFirstFiltersTheLeft(t *testing.T) {
 		}
 		// Every person a reaches a path; the other targets drop what cannot
 		// close it. A set is tested in the scan of every input leaf that binds
-		// its variables, but the leaf the run holds already (onA's, run first),
-		// and at the pairs of a target that has none or walks one beside a
-		// selective input (onA over the store).
+		// its variables - or, over the store, in the walk of a leaf - but the
+		// leaf the run holds already (onA's, run first), and at the pairs of a
+		// target that has none or walks one beside a selective input (onA over
+		// the store).
 		onA := []string{"right"}
 		if walked {
 			onA = []string{"pairs"}

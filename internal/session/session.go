@@ -157,13 +157,11 @@ type graphState struct {
 }
 
 // newGraphState keeps nothing of g but what the store copied out of it, and
-// writes no process-wide memo: the statistics live and die with the state.
+// writes no process-wide memo: the statistics, read off the store, live and
+// die with the state.
 func newGraphState(g *epgm.LogicalGraph, generation uint64) *graphState {
-	return &graphState{
-		generation: generation,
-		data:       NewGraphData(g),
-		stats:      stats.Collect(g),
-	}
+	data := NewGraphData(g)
+	return &graphState{generation: generation, data: data, stats: stats.FromStore(data.Store)}
 }
 
 // Session is a long-lived query service over one pinned graph.

@@ -7,10 +7,11 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+	"sync"
 
-	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 )
 
@@ -39,70 +40,86 @@ type GraphStatistics struct {
 // PropKey builds the lookup key of the distinct-property tables.
 func PropKey(label, key string) string { return label + "\x00" + key }
 
-// Collect computes statistics with dataflow aggregations over the graph.
-func Collect(g *epgm.LogicalGraph) *GraphStatistics {
-	s := &GraphStatistics{
-		VertexCountByLabel:       map[string]int64{},
-		EdgeCountByLabel:         map[string]int64{},
-		DistinctSourceIDsByLabel: map[string]int64{},
-		DistinctTargetIDsByLabel: map[string]int64{},
-		DistinctVertexProperties: map[string]int64{},
-		DistinctEdgeProperties:   map[string]int64{},
-	}
+// Collect computes the statistics of a logical graph: those of its store.
+func Collect(g *epgm.LogicalGraph) *GraphStatistics { return FromStore(epgm.NewStore(g)) }
 
-	s.VertexCount = g.VertexCount()
-	s.EdgeCount = g.EdgeCount()
-
-	for _, kv := range dataflow.CountByKey(g.Vertices, func(v epgm.Vertex) string { return v.Label }).Collect() {
-		s.VertexCountByLabel[kv.Key] = kv.Value
+// FromStore computes statistics in one pass over a store's label ranges. A
+// label's count is its range's length; a property's values are counted as
+// PropertyValue.String renders them, so int 1 and string "1" are one value.
+func FromStore(st *epgm.Store) *GraphStatistics {
+	s := &GraphStatistics{VertexCount: int64(len(st.Vertices)), EdgeCount: int64(len(st.Edges)),
+		VertexCountByLabel: map[string]int64{}, EdgeCountByLabel: map[string]int64{},
+		DistinctSourceIDsByLabel: map[string]int64{}, DistinctTargetIDsByLabel: map[string]int64{}}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the vertices' values are read beside the edges
+		defer wg.Done()
+		s.DistinctVertexProperties = distinctValues(st.VertexRanges, func(i int) epgm.Properties { return st.Vertices[i].Properties })
+	}()
+	for _, r := range st.VertexRanges {
+		s.VertexCountByLabel[r.Label] = int64(r.Hi - r.Lo)
 	}
-	for _, kv := range dataflow.CountByKey(g.Edges, func(e epgm.Edge) string { return e.Label }).Collect() {
-		s.EdgeCountByLabel[kv.Key] = kv.Value
-	}
-
-	s.DistinctSourceIDs = dataflow.Distinct(dataflow.Map(g.Edges, func(e epgm.Edge) epgm.ID { return e.Source })).Count()
-	s.DistinctTargetIDs = dataflow.Distinct(dataflow.Map(g.Edges, func(e epgm.Edge) epgm.ID { return e.Target })).Count()
-
-	type labelID struct {
-		Label string
-		ID    epgm.ID
-	}
-	srcByLabel := dataflow.Distinct(dataflow.Map(g.Edges, func(e epgm.Edge) labelID {
-		return labelID{Label: e.Label, ID: e.Source}
-	}))
-	for _, kv := range dataflow.CountByKey(srcByLabel, func(l labelID) string { return l.Label }).Collect() {
-		s.DistinctSourceIDsByLabel[kv.Key] = kv.Value
-	}
-	tgtByLabel := dataflow.Distinct(dataflow.Map(g.Edges, func(e epgm.Edge) labelID {
-		return labelID{Label: e.Label, ID: e.Target}
-	}))
-	for _, kv := range dataflow.CountByKey(tgtByLabel, func(l labelID) string { return l.Label }).Collect() {
-		s.DistinctTargetIDsByLabel[kv.Key] = kv.Value
-	}
-
-	type labelKeyValue struct {
-		LabelKey string
-		Value    string
-	}
-	vertexProps := dataflow.FlatMap(g.Vertices, func(v epgm.Vertex, emit func(labelKeyValue)) {
-		for _, p := range v.Properties {
-			emit(labelKeyValue{LabelKey: PropKey(v.Label, p.Key), Value: p.Value.String()})
-			emit(labelKeyValue{LabelKey: PropKey("", p.Key), Value: p.Value.String()})
+	// An end maps to the last range it was seen in, counted from 1.
+	sources, targets := make(map[epgm.ID]int, len(st.Vertices)), make(map[epgm.ID]int, len(st.Vertices))
+	for i, r := range st.EdgeRanges {
+		s.EdgeCountByLabel[r.Label] = int64(r.Hi - r.Lo)
+		for _, e := range st.Edges[r.Lo:r.Hi] {
+			if sources[e.Source] != i+1 {
+				sources[e.Source] = i + 1
+				s.DistinctSourceIDsByLabel[r.Label]++
+			}
+			if targets[e.Target] != i+1 {
+				targets[e.Target] = i + 1
+				s.DistinctTargetIDsByLabel[r.Label]++
+			}
 		}
-	})
-	for _, kv := range dataflow.CountByKey(dataflow.Distinct(vertexProps), func(l labelKeyValue) string { return l.LabelKey }).Collect() {
-		s.DistinctVertexProperties[kv.Key] = kv.Value
 	}
-	edgeProps := dataflow.FlatMap(g.Edges, func(e epgm.Edge, emit func(labelKeyValue)) {
-		for _, p := range e.Properties {
-			emit(labelKeyValue{LabelKey: PropKey(e.Label, p.Key), Value: p.Value.String()})
-			emit(labelKeyValue{LabelKey: PropKey("", p.Key), Value: p.Value.String()})
-		}
-	})
-	for _, kv := range dataflow.CountByKey(dataflow.Distinct(edgeProps), func(l labelKeyValue) string { return l.LabelKey }).Collect() {
-		s.DistinctEdgeProperties[kv.Key] = kv.Value
-	}
+	s.DistinctSourceIDs, s.DistinctTargetIDs = int64(len(sources)), int64(len(targets))
+	s.DistinctEdgeProperties = distinctValues(st.EdgeRanges, func(i int) epgm.Properties { return st.Edges[i].Properties })
+	wg.Wait()
 	return s
+}
+
+// distinctValues maps PropKey(label, key) to the number of distinct values
+// of the key on the label's elements, props(i) being element i's properties,
+// and PropKey("", key) to that over all labels, which wins where the two are
+// one string: an unlabeled element's key, whose values are among them. A
+// string is its own rendering; any other value is rendered into a buffer.
+func distinctValues(ranges []epgm.LabelRange, props func(i int) epgm.Properties) map[string]int64 {
+	sets := map[[2]string]map[string]struct{}{}
+	var buf [32]byte
+	for _, r := range ranges {
+		for i := r.Lo; i < r.Hi; i++ {
+			for _, p := range props(i) {
+				set := sets[[2]string{r.Label, p.Key}]
+				if set == nil {
+					set = map[string]struct{}{}
+					sets[[2]string{r.Label, p.Key}] = set
+				}
+				if p.Value.Type() == epgm.TypeString {
+					set[p.Value.Str()] = struct{}{}
+					continue
+				}
+				b := p.Value.AppendString(buf[:0])
+				if _, ok := set[string(b)]; !ok {
+					set[string(b)] = struct{}{} // a string per distinct value only
+				}
+			}
+		}
+	}
+	out, all := map[string]int64{}, map[string]map[string]struct{}{}
+	for lk, set := range sets { // a key's first set grows by the others once counted
+		out[PropKey(lk[0], lk[1])] = int64(len(set))
+		if u := all[lk[1]]; u != nil {
+			maps.Copy(u, set)
+		} else {
+			all[lk[1]] = set
+		}
+	}
+	for key, u := range all {
+		out[PropKey("", key)] = int64(len(u))
+	}
+	return out
 }
 
 // VertexCardinality estimates the number of vertices matching a label
@@ -199,13 +216,8 @@ func (s *GraphStatistics) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "vertices=%d edges=%d\n", s.VertexCount, s.EdgeCount)
 	writeMap := func(name string, m map[string]int64) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintf(&sb, "%s:", name)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(m)) {
 			fmt.Fprintf(&sb, " %s=%d", strings.ReplaceAll(k, "\x00", "."), m[k])
 		}
 		sb.WriteByte('\n')

@@ -15,6 +15,7 @@
 package csv
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -52,42 +53,51 @@ func escape(s string) string {
 	return sb.String()
 }
 
+// unescape undoes escape; a string with nothing escaped is its own result.
 func unescape(s string) (string, error) {
 	if !strings.ContainsRune(s, '\\') {
 		return s, nil
 	}
-	var sb strings.Builder
+	b, err := appendUnescaped(nil, s)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// appendUnescaped appends s, escapes undone, to dst.
+func appendUnescaped[T ~string | ~[]byte](dst []byte, s T) ([]byte, error) {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c != '\\' {
-			sb.WriteByte(c)
+			dst = append(dst, c)
 			continue
 		}
 		i++
 		if i >= len(s) {
-			return "", fmt.Errorf("csv: dangling escape in %q", s)
+			return dst, fmt.Errorf("csv: dangling escape in %q", s)
 		}
 		switch s[i] {
 		case '\\':
-			sb.WriteByte('\\')
+			dst = append(dst, '\\')
 		case 's':
-			sb.WriteByte(';')
+			dst = append(dst, ';')
 		case 'p':
-			sb.WriteByte('|')
+			dst = append(dst, '|')
 		case 'c':
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		case 'n':
-			sb.WriteByte('\n')
+			dst = append(dst, '\n')
 		default:
-			return "", fmt.Errorf("csv: unknown escape \\%c in %q", s[i], s)
+			return dst, fmt.Errorf("csv: unknown escape \\%c in %q", s[i], s)
 		}
 	}
-	return sb.String(), nil
+	return dst, nil
 }
 
-// splitUnescaped splits s on sep, honoring backslash escapes.
-func splitUnescaped(s string, sep byte) []string {
-	var parts []string
+// splitUnescaped appends the fields of s, split on sep and honoring
+// backslash escapes, to parts: sub-slices of s, nothing copied.
+func splitUnescaped[T ~string | ~[]byte](parts []T, s T, sep byte) []T {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -132,38 +142,43 @@ func encodeValue(v epgm.PropertyValue) string {
 	return escape(v.String())
 }
 
-func decodeValue(s, typ string) (epgm.PropertyValue, error) {
-	if s == "" {
+// decodeValue decodes field, a column of type typ, into a value. A string's
+// payload is str: the field unescaped, which the caller allocates. A number or
+// a boolean is parsed in place: the conversion of a field of up to 32 bytes
+// that does not escape is not allocated.
+func decodeValue(field []byte, typ, str string) (epgm.PropertyValue, error) {
+	if len(field) == 0 {
 		return epgm.Null, nil
 	}
-	if s == emptyStringField && typ == "string" {
-		return epgm.PVString(""), nil
+	if typ == "string" {
+		return epgm.PVString(str), nil
 	}
-	raw, err := unescape(s)
-	if err != nil {
-		return epgm.Null, err
+	raw := field
+	if bytes.IndexByte(field, '\\') >= 0 {
+		var err error
+		if raw, err = appendUnescaped(nil, field); err != nil {
+			return epgm.Null, err
+		}
 	}
 	switch typ {
 	case "boolean":
-		b, err := strconv.ParseBool(raw)
+		b, err := strconv.ParseBool(string(raw))
 		if err != nil {
 			return epgm.Null, fmt.Errorf("csv: bad boolean %q: %v", raw, err)
 		}
 		return epgm.PVBool(b), nil
 	case "long":
-		n, err := strconv.ParseInt(raw, 10, 64)
+		n, err := strconv.ParseInt(string(raw), 10, 64)
 		if err != nil {
 			return epgm.Null, fmt.Errorf("csv: bad long %q: %v", raw, err)
 		}
 		return epgm.PVInt(n), nil
 	case "double":
-		f, err := strconv.ParseFloat(raw, 64)
+		f, err := strconv.ParseFloat(string(raw), 64)
 		if err != nil {
 			return epgm.Null, fmt.Errorf("csv: bad double %q: %v", raw, err)
 		}
 		return epgm.PVFloat(f), nil
-	case "string":
-		return epgm.PVString(raw), nil
 	default:
 		return epgm.Null, fmt.Errorf("csv: unknown property type %q", typ)
 	}
@@ -216,27 +231,4 @@ func (m *metadata) encodeProps(kind, label string, props epgm.Properties) string
 		fields[i] = encodeValue(props.Get(key))
 	}
 	return strings.Join(fields, "|")
-}
-
-func (m *metadata) decodeProps(kind, label, field string) (epgm.Properties, error) {
-	k := metaKey(kind, label)
-	keys := m.keys[k]
-	if len(keys) == 0 || field == "" {
-		return nil, nil
-	}
-	parts := splitUnescaped(field, '|')
-	var props epgm.Properties
-	for i, key := range keys {
-		if i >= len(parts) {
-			break
-		}
-		v, err := decodeValue(parts[i], m.types[k][i])
-		if err != nil {
-			return nil, fmt.Errorf("csv: label %s key %s: %v", label, key, err)
-		}
-		if !v.IsNull() {
-			props = props.Set(key, v)
-		}
-	}
-	return props, nil
 }
