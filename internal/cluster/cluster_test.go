@@ -459,11 +459,11 @@ func TestClusterStageReport(t *testing.T) {
 // two-hop join in turn, of a triangle, whose closing join's key set is
 // all-gathered in one of them, of Q3 and of Q2, whose end set and the set
 // transferred back across its walk are all-gathered in two: at the k-th it
-// runs, for k from 1 to 2K+1, K being the collectives of one job (one per
+// runs, for k from 1 to 3K+1, K being the collectives of one job (one per
 // shuffle stage). Past a job's last collective the crash falls in the next
-// job, so the points cover every collective of a first job and of a second
-// that a clean job went before, and a third job's first. See recoverFrom for
-// what each crash point must give.
+// job, so the points cover every collective of a first job, of a second that
+// a clean job went before and of a third that two did, and a fourth job's
+// first. See recoverFrom for what each crash point must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -502,7 +502,7 @@ func TestClusterRecovery(t *testing.T) {
 		if collectives == 0 {
 			t.Fatalf("the %s job ran no collective", job.query)
 		}
-		for k := 1; k <= 2*collectives+1; k++ {
+		for k := 1; k <= 3*collectives+1; k++ {
 			t.Run(fmt.Sprintf("%scrash=%d", job.name, k), func(t *testing.T) {
 				recoverFrom(t, data, d.Graph, job.query, want, k, collectives)
 			})
