@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"reflect"
 	"regexp"
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	_ "unsafe" // go:linkname, below
 
 	"gradoop/internal/benchkit"
 	"gradoop/internal/cluster"
@@ -246,57 +244,6 @@ func TestDuplicateNodeIsRefused(t *testing.T) {
 	}
 }
 
-// probeInPlaceScale is operators': the factor on n x P in the rule that sends
-// a join into a leaf's scan (1 as shipped; +Inf is never, 0 whenever a leaf is
-// eligible). The workers of these tests run in this process and read the same
-// variable.
-//
-//go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
-var probeInPlaceScale float64
-
-// TestProbeInPlaceOnCluster: with the rule at never, as shipped and at
-// whenever a leaf is eligible, a selective join over 1, 2 and 4 workers
-// completes in one attempt at each selectivity. Every process of a job counts
-// the same n, reads the same m off its copy of the store and so takes the
-// same side of the rule; processes that disagreed would fail the job. That
-// the rows are the single-process engine's is internal/conformance's cluster
-// modes, the rule as shipped and at never and always.
-func TestProbeInPlaceOnCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns TCP worker meshes")
-	}
-	if probeInPlaceScale != 1 {
-		t.Fatalf("probeInPlaceScale reads %v: the name no longer links to operators' variable", probeInPlaceScale)
-	}
-	defer func() { probeInPlaceScale = 1 }()
-	data, d := testGraph(t)
-	common, medium, rare := d.FirstNamesBySelectivity()
-	const query = `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)<-[:hasCreator]-(c:Comment) WHERE p1.firstName = $firstName RETURN *`
-	for _, scale := range []float64{math.Inf(1), 1, 0} {
-		probeInPlaceScale = scale
-		for _, n := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("scale=%v/workers=%d", scale, n), func(t *testing.T) {
-				_, addrs := startWorkers(t, data, n)
-				coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer coord.Close()
-				s := session.New(d.Graph, session.Options{Workers: 4, NoResultCache: true, Remote: coord})
-				for _, name := range []string{common, medium, rare} {
-					resp, err := s.Execute(session.Request{Query: query, Params: map[string]epgm.PropertyValue{"firstName": epgm.PVString(name)}})
-					if err != nil {
-						t.Fatalf("firstName=%q: %v", name, err)
-					}
-					if resp.Cluster.Attempts != 1 {
-						t.Fatalf("firstName=%q: %d attempts", name, resp.Cluster.Attempts)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestSIPOnCluster: on two TCP workers the join that closes a cycle - Q5's
 // triangle, Q6's four-cycle, and at the medium first name Q2's join over a
 // variable-length path, which takes an end set - all-gathers its left input's
@@ -305,10 +252,10 @@ func TestProbeInPlaceOnCluster(t *testing.T) {
 // so, and two of them are tested in the scans of their targets' input leaves.
 // Q2's end set is transferred back across the walk too, in one Broadcast stage
 // more of the closing join's, each process walking from its own partitions'
-// rows, and the Post leaf's scan tests the transfer. The job has those
-// Broadcast stages and the counts of its joins that probe a leaf in place or
-// ask whether to, and the rows are the ones a single process finds, which
-// filters the same way.
+// rows, and the Post leaf's scan tests the transfer. Those are the job's only
+// Broadcast stages - a join that reads a leaf in place runs no collective -
+// and the rows are the ones a single process finds, which filters the same
+// way.
 func TestSIPOnCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -329,11 +276,6 @@ func TestSIPOnCluster(t *testing.T) {
 	sip := regexp.MustCompile(`sip (left|right|leaf)\([a-z0-9_,]+\) n=`)
 	for _, tc := range []struct {
 		q benchkit.QueryID
-		// The Broadcast stages of the job that are not key sets: Q3's join
-		// over a scan-tested input counts it, and broadcasts it into its
-		// vertex leaf if the count is small, each in a stage of that join's;
-		// the one on p1 walks its knows leaf and counts nothing.
-		unfiltered int
 		// The closing join's key sets: Q3's runs its right input first and
 		// hands on its leaf's keys and three sets of the right input's.
 		sets int
@@ -344,7 +286,7 @@ func TestSIPOnCluster(t *testing.T) {
 		// The end sets transferred across a walk, each tested in the scan of
 		// the expansion's input leaf: Q2's, to the posts.
 		transfers int
-	}{{benchkit.Q5, 0, 1, 0, 0}, {benchkit.Q6, 0, 1, 0, 0}, {benchkit.Q2, 0, 1, 0, 1}, {benchkit.Q3, 2, 4, 2, 0}} {
+	}{{benchkit.Q5, 1, 0, 0}, {benchkit.Q6, 1, 0, 0}, {benchkit.Q2, 1, 0, 1}, {benchkit.Q3, 4, 2, 0}} {
 		q := tc.q
 		req := session.Request{Query: q.Text(), Params: params, Trace: true}
 		want, err := local.Execute(req)
@@ -387,9 +329,9 @@ func TestSIPOnCluster(t *testing.T) {
 				}
 			}
 		}
-		if want := tc.sets + tc.transfers; sets != want || broadcasts != tc.unfiltered+want || got.Cluster.Attempts != 1 {
-			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want %d, with the %d key sets and transfers, in one",
-				q, broadcasts, sets, closing, got.Cluster.Attempts, tc.unfiltered+want, want)
+		if want := tc.sets + tc.transfers; sets != want || broadcasts != want || got.Cluster.Attempts != 1 {
+			t.Fatalf("%s: %d Broadcast stages, %d of %s, in %d attempts; want the %d key sets and transfers, in one",
+				q, broadcasts, sets, closing, got.Cluster.Attempts, want)
 		}
 	}
 }
@@ -417,11 +359,10 @@ func TestClusterStageReport(t *testing.T) {
 		stages      int    // in at least this many stages
 	}{
 		{"two-hop join", `MATCH (p1:Person)-[:knows]->(p2:Person), (p2)-[:knows]->(p3:Person) RETURN *`, common, "Shuffle", 1},
-		// A join that counts its selective side - the knows edges a rare
-		// name's persons walk to - and probes the person leaf with it: the
-		// count is a collective and so is the broadcast it decides on, each
-		// in a Broadcast stage of its own.
-		{"selective join", `MATCH (p:Person)-[:knows]->(q:Person) WHERE p.firstName = $firstName RETURN *`, rare, "Broadcast", 2},
+		// A selective join of two paths that meet at q: the one from a rare
+		// name's persons and every person's knows edges, which are shuffled
+		// to it.
+		{"selective join", `MATCH (p:Person)-[:knows]->(q:Person)-[:knows]->(r:Person) WHERE p.firstName = $firstName RETURN *`, rare, "Shuffle", 2},
 		// The join that closes a triangle all-gathers its left input's keys.
 		{"triangle", triangle, common, "Broadcast", 1},
 	} {
@@ -458,25 +399,24 @@ func TestClusterStageReport(t *testing.T) {
 // TestClusterRecovery kills the middle worker of three at each collective of a
 // two-hop join in turn, of a triangle, whose closing join's key set is
 // all-gathered in one of them, of Q3 and of Q2, whose end set and the set
-// transferred back across its walk are all-gathered in two: at the k-th it
-// runs, for k from 1 to 3K+1, K being the collectives of one job (one per
-// shuffle stage). Past a job's last collective the crash falls in the next
-// job, so the points cover every collective of a first job, of a second that
-// a clean job went before and of a third that two did, and a fourth job's
-// first. See recoverFrom for what each crash point must give.
+// transferred back across its walk are all-gathered in two: at every
+// collective of a first job, of a second that a clean job went before and of
+// a third that two did, and at a fourth job's first. A crash point is named
+// by the job it falls in and by the collective's stage in the clean run -
+// its kind and its operator, the n-th of that kind the operator runs in the
+// job - so that a change that removes a collective removes its points and
+// renames no other. See recoverFrom for what each crash point must give.
 func TestClusterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	// The two-hop job's crash points keep their names; the triangle's, Q3's,
-	// whose closing join hands its expansion a seed set, and Q2's, whose end
-	// set is transferred across the walk in a collective of its own, are named
-	// after them.
+	// Q3's closing join hands its expansion a seed set, and Q2's end set is
+	// transferred across the walk in a collective of its own.
 	_, medium, _ := d.FirstNamesBySelectivity()
 	q3 := strings.ReplaceAll(benchkit.Q3.Text(), "$firstName", "'"+medium+"'")
 	q2 := strings.ReplaceAll(benchkit.Q2.Text(), "$firstName", "'"+medium+"'")
-	for _, job := range []struct{ name, query string }{{"", twoHop}, {"triangle/", triangle}, {"q3/", q3}, {"q2/", q2}} {
+	for _, job := range []struct{ name, query string }{{"two-hop", twoHop}, {"triangle", triangle}, {"q3", q3}, {"q2", q2}} {
 		want, err := session.New(d.Graph, session.Options{Workers: 4}).Execute(session.Request{Query: job.query})
 		if err != nil {
 			t.Fatal(err)
@@ -491,23 +431,42 @@ func TestClusterRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collectives := 0
-		for _, st := range clean.Cluster.Stages {
-			// A superstep's emptiness test is a collective too, in the stage
-			// before it, which is not a shuffle.
-			if st.Shuffle || st.WireBytes > 0 {
-				collectives++
-			}
-		}
-		if collectives == 0 {
+		points := crashPoints(clean.Cluster.Stages)
+		if len(points) == 0 {
 			t.Fatalf("the %s job ran no collective", job.query)
 		}
-		for k := 1; k <= 3*collectives+1; k++ {
-			t.Run(fmt.Sprintf("%scrash=%d", job.name, k), func(t *testing.T) {
-				recoverFrom(t, data, d.Graph, job.query, want, k, collectives)
+		K := len(points)
+		for k := 1; k <= 3*K+1; k++ {
+			name := fmt.Sprintf("%s/job%d/%s", job.name, 1+(k-1)/K, points[(k-1)%K])
+			t.Run(name, func(t *testing.T) {
+				recoverFrom(t, data, d.Graph, job.query, want, k, K)
 			})
 		}
 	}
+}
+
+// crashPoints names the collectives of a clean job's stages, in the order
+// they run: each as its stage's kind and its operator's plan line up to its
+// first argument, the n-th collective of that kind of that operator in the
+// job - "Shuffle#2:JoinEmbeddings(on=p2)".
+func crashPoints(stages []session.ClusterStage) []string {
+	var points []string
+	seen := map[string]int{}
+	for _, st := range stages {
+		// A superstep's emptiness test is a collective too, in the stage
+		// before it, which is not a shuffle.
+		if !st.Shuffle && st.WireBytes == 0 {
+			continue
+		}
+		op, _, cut := strings.Cut(st.Op, ", ")
+		if cut && !strings.HasSuffix(op, ")") {
+			op += ")"
+		}
+		key := st.Kind + ":" + op
+		seen[key]++
+		points = append(points, fmt.Sprintf("%s#%d:%s", st.Kind, seen[key], op))
+	}
+	return points
 }
 
 // recoveryDeadline is the timeout of each job recoverFrom runs. A job that has

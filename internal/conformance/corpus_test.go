@@ -216,7 +216,7 @@ func morphisms() (*fixture, []spec) {
 // shapes has what a pattern can run into: three labels and two edge types, a
 // loop of each type, parallel edges, two-cycles, vertices nothing points at
 // and an isolated one. Its selective joins over labeled leaves are the shapes
-// the in-place probe takes.
+// a join that reads a leaf in place takes.
 func shapes() (*fixture, []spec) {
 	colors := []string{"red", "green", "blue"}
 	var vs []epgm.Vertex

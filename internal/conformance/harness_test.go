@@ -306,9 +306,6 @@ func firstDiff(got, want []string) string {
 // TestConformance runs every mode over every case. Under -short it leaves out
 // the modes that start TCP workers and the LDBC fixture.
 func TestConformance(t *testing.T) {
-	if probeInPlaceScale != 1 {
-		t.Fatalf("probeInPlaceScale reads %v: the name no longer links to operators' variable", probeInPlaceScale)
-	}
 	all := corpus(testing.Short())
 
 	// A case's expected rows are the reference's, or the anchor's - modes[0],

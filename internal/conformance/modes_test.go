@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"net"
 	"net/http"
@@ -48,7 +47,7 @@ type mode struct {
 	bindings bool
 }
 
-// modes is every execution path. The first is the anchor. The probe modes set
+// modes is every execution path. The first is the anchor. The plans mode sets
 // a variable every mode in the process reads, so modes run one at a time.
 var modes = []mode{
 	{name: "engine/1", run: engine{partitions: 1}.run},
@@ -62,9 +61,6 @@ var modes = []mode{
 	{name: "killed/4", run: engine{partitions: 4, faults: killEveryStage}.run, twin: "engine/4"},
 	{name: "random-kills/4", run: engine{partitions: 4, faults: randomKills}.run, twin: "engine/4"},
 	{name: "indexed-killed/4", run: engine{partitions: 4, indexed: true, faults: killEveryStage}.run, twin: "indexed/4"},
-	{name: "probe-never/4", run: probing(never, engine{partitions: 4, indexed: true}.run)},
-	{name: "probe-always/4", run: probing(always, engine{partitions: 4, indexed: true}.run)},
-	{name: "probe-always/16", run: probing(always, engine{partitions: 16, indexed: true}.run)},
 	{name: "plans/4", run: planned(8, engine{partitions: 4, indexed: true}.run)},
 	{name: "flat-stats/4", run: engine{partitions: 4, indexed: true, flat: true}.run},
 	{name: "api/4", run: library, twin: "engine/4"},
@@ -83,20 +79,11 @@ var modes = []mode{
 	{name: "cluster-2w/4", run: served{partitions: 4, with: workers(2)}.run, twin: "session/4", sameWork: true, cluster: true},
 	{name: "cluster-4w/4", run: served{partitions: 4, with: workers(4)}.run, twin: "session/4", sameWork: true, cluster: true},
 	{name: "cluster-2w-traced/4", run: served{partitions: 4, with: workers(2), traced: true}.run, twin: "cluster-2w/4", sameWork: true, cluster: true},
-	{name: "cluster-2w-probe-never/4", run: probing(never, served{partitions: 4, with: workers(2)}.run), cluster: true},
-	{name: "cluster-2w-probe-always/4", run: probing(always, served{partitions: 4, with: workers(2)}.run), cluster: true},
 }
 
 // anyError is the kind of an error its mode cannot classify: the library
 // returns the engine's error as it is.
 const anyError = "error"
-
-// probeInPlaceScale is operators': the factor on n x P in the rule that sends
-// a join into a leaf's scan, 1 as shipped. It has no setter - to everything
-// but the probe modes it is a constant - so the harness reaches it by name.
-//
-//go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
-var probeInPlaceScale float64
 
 // scribbleSpare is cluster's: set, a worker overwrites the receive memory an
 // attempt gives back before it keeps it for the next. A cluster mode runs a
@@ -110,8 +97,8 @@ var scribbleSpare bool
 func init() { scribbleSpare = true }
 
 // choose is planner's: set, the greedy step takes the candidate it picks of
-// the legal ones instead of the cheapest. Like probeInPlaceScale it has no
-// setter; the plans mode reaches it by name.
+// the legal ones instead of the cheapest. It has no setter - to every other
+// mode it is nil - so the plans mode reaches it by name.
 //
 //go:linkname choose gradoop/internal/planner.choose
 var choose func(n int) int
@@ -142,18 +129,6 @@ func planned(k int, run func(c *kase) outcome) func(c *kase) outcome {
 			first.seedCPU = [2]int64{slices.Min(cpu), slices.Max(cpu)}
 		}
 		return first
-	}
-}
-
-// The rule at its two ends.
-var never, always = math.Inf(1), 0.0
-
-// probing runs a mode with the rule at scale.
-func probing(scale float64, run func(c *kase) outcome) func(c *kase) outcome {
-	return func(c *kase) outcome {
-		defer func(was float64) { probeInPlaceScale = was }(probeInPlaceScale)
-		probeInPlaceScale = scale
-		return run(c)
 	}
 }
 

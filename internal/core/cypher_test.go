@@ -360,36 +360,36 @@ func TestParamsAndPropertyMap(t *testing.T) {
 	}
 }
 
-// TestSelectiveSideIsBroadcast: how a join runs is a fact of its inputs. Over
+// TestSelectiveSideIsLookedUp: how a join runs is a fact of its inputs. Over
 // an index, the join of Alice with the knows leaf walks her one edge off the
-// store's adjacency and makes one row of the leaf, whose lines say so; what
-// comes of it - one row, counted - is broadcast into the scan of the four
-// persons. Over the plain graph, which knows no sizes but its own partitions',
-// the same query repartitions as it always did. Both find the reference's
-// matches.
-func TestSelectiveSideIsBroadcast(t *testing.T) {
+// store's adjacency and makes one row of the leaf, and the join of that row
+// with the persons looks Bob up by his id and makes one row of the person
+// leaf; their lines say so. Over the plain graph the same query repartitions
+// as it always did. Both find the reference's matches.
+func TestSelectiveSideIsLookedUp(t *testing.T) {
 	g := figure1(1)
 	q := `MATCH (p1:Person)-[:knows]->(p2:Person) WHERE p1.name = 'Alice' RETURN *`
 	col := trace.NewCollector()
 	compareWithReference(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col})
 	indexed := run(t, g, q, Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}, Trace: col}).AnalyzedPlan()
-	for _, want := range []string{"[walked in place: edges=1 act=1 ", "[broadcast n=1 act=1 ", "[probed in place: scanned=4 act=1 "} {
+	for _, want := range []string{"[walked in place: edges=1 act=1 ", "[looked up in place: vertices=1 act=1 "} {
 		if !strings.Contains(indexed, want) {
 			t.Errorf("indexed plan lacks %q:\n%s", want, indexed)
 		}
 	}
-	// The walked leaf and its Cached say what the walk made.
+	// The leaves read in place and their Cached say what the join made.
 	lines := strings.Split(indexed, "\n")
 	for i, line := range lines {
-		if strings.Contains(line, "FilterAndProjectEdges") && (!strings.Contains(line, "[act=1 ") || !strings.Contains(lines[i-1], "Cached") || !strings.Contains(lines[i-1], "[act=1 ")) {
-			t.Errorf("the walked leaf's lines say %q and %q, want act=1 on both", lines[i-1], line)
+		if (strings.Contains(line, "FilterAndProjectEdges") || strings.Contains(line, "FilterAndProjectVertices(p2")) &&
+			(!strings.Contains(line, "[act=1 ") || !strings.Contains(lines[i-1], "Cached") || !strings.Contains(lines[i-1], "[act=1 ")) {
+			t.Errorf("the lines of a leaf read in place say %q and %q, want act=1 on both", lines[i-1], line)
 		}
 	}
 	if strings.Contains(indexed, "not executed") {
 		t.Errorf("indexed plan has an operator that did not run:\n%s", indexed)
 	}
 	plain := run(t, g, q, Config{Trace: trace.NewCollector()}).AnalyzedPlan()
-	for _, not := range []string{"broadcast", "repartition", "probed", "walked"} {
+	for _, not := range []string{"looked up", "walked"} {
 		if strings.Contains(plain, not) {
 			t.Errorf("plain plan says %q:\n%s", not, plain)
 		}

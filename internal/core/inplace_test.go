@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
-	_ "unsafe" // go:linkname, below
 
 	"gradoop/internal/benchkit"
 	"gradoop/internal/core"
@@ -21,75 +20,32 @@ import (
 	"gradoop/internal/trace"
 )
 
-// probeInPlaceScale is operators': the factor on n x P in the rule that sends
-// a join into a leaf's scan. It has no setter - it is a constant to
-// everything but the tests that hold the two ways to join to the same rows -
-// so this test reaches it by name.
-//
-//go:linkname probeInPlaceScale gradoop/internal/operators.probeInPlaceScale
-var probeInPlaceScale float64
-
-// probeScales are the rule at never, as shipped, and whenever a leaf is
-// eligible.
-var probeScales = []struct {
-	name  string
-	scale float64
-}{{"never", math.Inf(1)}, {"default", 1}, {"always", 0}}
-
-// withProbeScale runs f under each setting of the rule.
-func withProbeScale(t *testing.T, f func(t *testing.T, setting string)) {
-	t.Helper()
-	if probeInPlaceScale != 1 {
-		t.Fatalf("probeInPlaceScale reads %v: the name no longer links to operators' variable", probeInPlaceScale)
-	}
-	defer func() { probeInPlaceScale = 1 }()
-	for _, s := range probeScales {
-		probeInPlaceScale = s.scale
-		t.Run(s.name, func(t *testing.T) { f(t, s.name) })
-	}
-}
-
 // repartitioned copies g onto an environment of the given partition count,
 // ids unchanged.
 func repartitioned(g *epgm.LogicalGraph, workers int) *epgm.LogicalGraph {
 	return epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(workers)), "", g.Vertices.Collect(), g.Edges.Collect())
 }
 
-// probedLeaves says, for every join of the executed plan that broadcast an
-// input into a leaf, which leaf - by its variable - and on which side of the
-// merge it was: "e:R,b:L", in plan order.
-func probedLeaves(res *core.Result) string {
-	unwrap := func(op operators.Operator) operators.Operator {
-		for {
-			switch o := op.(type) {
-			case *operators.Cached:
-				op = o.Inner
-			case *operators.Alias:
-				op = o.In
-			default:
-				return op
-			}
-		}
-	}
-	probed := func(op operators.Operator) (string, bool) {
-		op = unwrap(op)
-		if st, ok := res.Trace.Op(op); !ok || !strings.HasPrefix(st.Note, "probed in place") {
-			return "", false
-		}
-		if leaf, ok := op.(*operators.FilterAndProjectVertices); ok {
-			return leaf.Vertex.Var, true
-		}
-		return op.(*operators.FilterAndProjectEdges).Edge.Var, true
-	}
+// lookedUp says, for every join of the executed plan that looked a vertex
+// leaf up, which leaf - by its variable - and on which side of the merge it
+// was: "b:R,a:L", in plan order.
+func lookedUp(res *core.Result) string {
 	var sides []string
 	for _, n := range res.Plan.Nodes() {
-		if j, ok := n.Op.(*operators.JoinEmbeddings); ok {
-			if v, ok := probed(j.Left); ok {
-				sides = append(sides, v+":L")
-			} else if v, ok := probed(j.Right); ok {
-				sides = append(sides, v+":R")
-			}
+		j, ok := n.Op.(*operators.JoinEmbeddings)
+		if !ok {
+			continue
 		}
+		if st, ok := res.Trace.Op(j); !ok || !strings.HasPrefix(st.Note, "looked up in place") {
+			continue
+		}
+		// The right input is read in place if it can be (JoinEmbeddings.walked).
+		leaf, ok := operators.Unwrap(j.Right).(*operators.FilterAndProjectVertices)
+		side := "R"
+		if !ok {
+			leaf, side = operators.Unwrap(j.Left).(*operators.FilterAndProjectVertices), "L"
+		}
+		sides = append(sides, leaf.Vertex.Var+":"+side)
 	}
 	return strings.Join(sides, ",")
 }
@@ -97,7 +53,8 @@ func probedLeaves(res *core.Result) string {
 // inplaceGraph is a small graph for the in-place matrix: three vertex labels,
 // two edge types, a loop, a parallel edge, a two-cycle and vertices nothing
 // points at. Ids are constants, so the recorded hashes hold in any process.
-func inplaceGraph(workers int) *epgm.LogicalGraph {
+// The vertices of extra are added after the others.
+func inplaceGraph(workers int, extra ...epgm.Vertex) *epgm.LogicalGraph {
 	colors := []string{"red", "green", "blue"}
 	var vs []epgm.Vertex
 	for i, label := range []string{"A", "A", "A", "A", "A", "A", "B", "B", "B", "B", "C", "C", "C"} {
@@ -115,12 +72,13 @@ func inplaceGraph(workers int) *epgm.LogicalGraph {
 	for _, st := range [][2]int{{7, 1}, {8, 1}, {9, 2}, {7, 2}, {10, 6}, {2, 2}, {1, 3}, {3, 1}, {11, 1}, {12, 3}, {2, 7}} {
 		edge("y", st[0], st[1])
 	}
-	return epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(workers)), "", vs, es)
+	return epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(workers)), "", append(vs, extra...), es)
 }
 
-// inplaceCases are the shapes the rule has to get right, as Cypher text. The
-// comment says what the join that matters there does; which leaves end up
-// probed, and on which side of the merge, is recorded in the golden file.
+// inplaceCases are the shapes a join that reads a leaf in place has to get
+// right, as Cypher text. The comment says what the join that matters there
+// does; which vertex leaves end up looked up, and on which side of the merge,
+// is recorded in the golden file.
 var inplaceCases = []struct{ name, query string }{
 	// An edge leaf keyed by its source, then a vertex leaf.
 	{"edge-by-source", `MATCH (a:A)-[e:x]->(b:B) WHERE a.n = 1 RETURN *`},
@@ -132,15 +90,15 @@ var inplaceCases = []struct{ name, query string }{
 	{"vertex-on-vertex", `MATCH (a:A)-[e:x]->(b:A) WHERE a.n < 3 RETURN *`},
 	// Edge isomorphism decides: f, of any type, may be the edge e is.
 	{"edge-on-edge", `MATCH (a:A)-[e:x]->(b:B), (a)-[f]->(c:B) WHERE a.n = 1 RETURN *`},
-	// The probed leaves have predicates of their own.
+	// The leaves read in place have predicates of their own.
 	{"leaf-predicates", `MATCH (a:A)-[e:x]->(b:B) WHERE a.n < 3 AND e.w > 0 AND b.color = 'red' RETURN *`},
-	// A two-label vertex leaf and a two-type edge leaf: one probe per range.
+	// A two-label vertex leaf and a two-type edge leaf.
 	{"two-labels", `MATCH (a:A)-[e:x|y]->(b:B|C) WHERE a.n < 3 RETURN *`},
 	// An unlabeled leaf reads the whole array.
 	{"no-label", `MATCH (a:A)-[e]->(b) WHERE a.n = 2 RETURN *`},
-	// Nothing to broadcast.
+	// Nothing to look up.
 	{"empty-small-side", `MATCH (a:A)-[e:x]->(b:B) WHERE a.n = 99 RETURN *`},
-	// Several small rows share a key: the element's row is built once.
+	// Several rows look one vertex up.
 	{"shared-keys", `MATCH (c:B)-[f:y]->(a:A), (a)-[e:x]->(b:B) WHERE c.n < 9 RETURN *`},
 	// An undirected edge leaf makes two rows of an edge and is scanned.
 	{"undirected-edge", `MATCH (a:A)-[e:x]-(b) WHERE a.n = 1 RETURN *`},
@@ -148,9 +106,9 @@ var inplaceCases = []struct{ name, query string }{
 	{"loop-edge", `MATCH (a:A)-[e:x]->(a) WHERE a.n = 1 RETURN *`},
 	// e and f, b and c are one leaf behind aliases: scanned once for both.
 	{"shared-leaf", `MATCH (a:A)-[e:x]->(b:A), (b)-[f:x]->(c:A) WHERE a.n = 1 RETURN *`},
-	// No predicate anywhere: nothing is counted.
+	// No predicate anywhere.
 	{"no-predicate", `MATCH (a:A)-[e:x]->(b:B) RETURN *`},
-	// The vertex leaf is the right input of the join that probes it.
+	// The vertex leaf is the right input of the join that looks it up.
 	{"vertex-on-right", `MATCH (a:A)<-[e:y]-(b) WHERE a.n = 1 RETURN *`},
 }
 
@@ -160,101 +118,110 @@ var inplaceMorphs = []operators.Morphism{
 	{Vertex: operators.Isomorphism, Edge: operators.Isomorphism},
 }
 
-// TestProbeInPlaceIsInvisible: whether a join repartitions its inputs or
-// broadcasts one of them into the scan of the other decides nothing about the
-// result - internal/conformance holds its corpus to the reference's rows in
-// the probe-never and probe-always modes. What is held here is that each
-// setting of the rule - never, as shipped, whenever a leaf is eligible - does
-// what it says over an index at 1, 4 and 16 partitions. The matrix above is
-// held to testdata/inplace_matrix.golden: per case its rows, and the leaves
-// probed with the rule at always, which is what says that a vertex leaf on
-// either side of the merge, a two-label leaf and an empty small side took the
-// path. An edge leaf is never probed: over a store, a join walks it where the
-// other input binds an end (DESIGN decision 46), and an undirected, a loop and
-// a shared edge leaf are scanned. Over the paper's Q1-Q6
-// at three selectivities and the 72 random queries of
-// TestRandomQueriesAgainstReference, no join probes a leaf with the rule at
-// never, and with the rule at always some do, and no fewer than as shipped.
-func TestProbeInPlaceIsInvisible(t *testing.T) {
+// TestLookupIsInvisible: whether a join reads a leaf where the store holds it
+// - walks an edge leaf, looks a vertex leaf up - or hashes it with the other
+// input decides nothing about the result. Over an index at 1, 4 and 16
+// partitions, the matrix above is held to testdata/inplace_matrix.golden: per
+// case its rows, and the vertex leaves looked up, which is what says that a
+// vertex leaf on either side of the merge, a two-label leaf and an empty other
+// input took the path. Over the matrix on a graph that gives ids twice, the
+// paper's Q1-Q6 at three selectivities and 72 random queries, the rows over
+// the index are the rows over the plain graph, where every join hashes, and
+// some joins look a leaf up.
+func TestLookupIsInvisible(t *testing.T) {
 	partitions := []int{1, 4, 16}
-	asShipped := map[string]int{} // per corpus, the joins that probed a leaf with the rule as shipped
-	withProbeScale(t, func(t *testing.T, setting string) {
-		t.Run("matrix", func(t *testing.T) { checkInplaceMatrix(t, setting, partitions) })
-		t.Run("paper", func(t *testing.T) {
-			d := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(1)), ldbc.Config{ScaleFactor: 0.02, Seed: 4})
-			common, medium, rare := d.FirstNamesBySelectivity()
-			probed := 0
-			for _, p := range partitions {
-				g := repartitioned(d.Graph, p)
-				for _, q := range benchkit.AllQueries {
-					names := []string{""}
-					if q.Operational() {
-						names = []string{common, medium, rare}
+	t.Run("matrix", func(t *testing.T) { checkInplaceMatrix(t, partitions) })
+	t.Run("paper", func(t *testing.T) {
+		d := ldbc.Generate(dataflow.NewEnv(dataflow.DefaultConfig(1)), ldbc.Config{ScaleFactor: 0.02, Seed: 4})
+		common, medium, rare := d.FirstNamesBySelectivity()
+		looked := 0
+		for _, p := range partitions {
+			g := repartitioned(d.Graph, p)
+			for _, q := range benchkit.AllQueries {
+				names := []string{""}
+				if q.Operational() {
+					names = []string{common, medium, rare}
+				}
+				for _, name := range names {
+					cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
+					if name != "" {
+						cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(name)}
 					}
-					for _, name := range names {
-						cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
-						if name != "" {
-							cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(name)}
-						}
-						probed += probedJoins(t, g, q.Text(), cfg)
-					}
+					looked += lookupsAgainstPlain(t, g, q.Text(), cfg)
 				}
 			}
-			checkRule(t, setting, probed, asShipped, "paper")
-		})
-		t.Run("random", func(t *testing.T) {
-			probed := 0
-			for seed := int64(0); seed < 6; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				base := core.RandomGraph(rng, 1, 10, 16)
-				for i := 0; i < 12; i++ {
-					q := core.RandomQuery(rng)
-					morph := inplaceMorphs[rng.Intn(len(inplaceMorphs))]
-					for _, p := range partitions {
-						probed += probedJoins(t, repartitioned(base, p), q, core.Config{Vertex: morph.Vertex, Edge: morph.Edge})
-					}
+		}
+		if looked == 0 {
+			t.Error("no join of the paper's queries looked a leaf up")
+		}
+	})
+	t.Run("repeated-ids", func(t *testing.T) {
+		// An input may give two vertices one id - the readers do not reject
+		// it - and a join over the plain graph matches both: the matrix graph
+		// with a second vertex 2 of label A, a second vertex 7 of label B and
+		// one of label C, and a second vertex 11 of label A.
+		twice := []epgm.Vertex{
+			{ID: 2, Label: "A", Properties: epgm.Properties{}.Set("n", epgm.PVInt(20)).Set("color", epgm.PVString("red"))},
+			{ID: 7, Label: "B", Properties: epgm.Properties{}.Set("n", epgm.PVInt(70)).Set("color", epgm.PVString("red"))},
+			{ID: 7, Label: "C", Properties: epgm.Properties{}.Set("n", epgm.PVInt(71)).Set("color", epgm.PVString("blue"))},
+			{ID: 11, Label: "A", Properties: epgm.Properties{}.Set("n", epgm.PVInt(1)).Set("color", epgm.PVString("green"))},
+		}
+		looked := 0
+		for _, c := range inplaceCases {
+			for _, morph := range inplaceMorphs {
+				for _, p := range []int{1, 4} {
+					looked += lookupsAgainstPlain(t, inplaceGraph(p, twice...), c.query, core.Config{Vertex: morph.Vertex, Edge: morph.Edge})
 				}
 			}
-			checkRule(t, setting, probed, asShipped, "random")
-		})
+		}
+		if looked == 0 {
+			t.Error("no join of the matrix looked a leaf up")
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		looked := 0
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			base := core.RandomGraph(rng, 1, 10, 16)
+			for i := 0; i < 12; i++ {
+				q := core.RandomQuery(rng)
+				morph := inplaceMorphs[rng.Intn(len(inplaceMorphs))]
+				for _, p := range partitions {
+					looked += lookupsAgainstPlain(t, repartitioned(base, p), q, core.Config{Vertex: morph.Vertex, Edge: morph.Edge})
+				}
+			}
+		}
+		if looked == 0 {
+			t.Error("no join of the random queries looked a leaf up")
+		}
 	})
 }
 
-// probedJoins executes q over an index of g and counts the joins that
-// broadcast an input into a leaf's scan.
-func probedJoins(t *testing.T, g *epgm.LogicalGraph, q string, cfg core.Config) int {
+// lookupsAgainstPlain executes q over an index of g and over g itself, fails
+// the test if their rows differ, and counts the joins that looked a vertex
+// leaf up.
+func lookupsAgainstPlain(t *testing.T, g *epgm.LogicalGraph, q string, cfg core.Config) int {
 	t.Helper()
+	plain, err := core.Execute(g, q, cfg)
+	if err != nil {
+		t.Fatalf("%q at %d partitions: %v", q, g.Env().Workers(), err)
+	}
 	cfg.Access = planner.IndexedAccess{Index: epgm.BuildIndex(g)}
 	cfg.Trace = trace.NewCollector()
 	res, err := core.Execute(g, q, cfg)
 	if err != nil {
-		t.Fatalf("%q at %d partitions: %v", q, g.Env().Workers(), err)
+		t.Fatalf("%q at %d partitions over the index: %v", q, g.Env().Workers(), err)
 	}
-	if sides := probedLeaves(res); sides != "" {
+	if got, want := core.ResultKeys(res, false), core.ResultKeys(plain, false); !slices.Equal(got, want) {
+		t.Errorf("%q at %d partitions: %d rows over the index, %d over the plain graph\n%s", q, g.Env().Workers(), len(got), len(want), res.AnalyzedPlan())
+	}
+	if sides := lookedUp(res); sides != "" {
 		return strings.Count(sides, ",") + 1
 	}
 	return 0
 }
 
-// checkRule holds the joins a corpus probed in place under setting to what
-// the setting says.
-func checkRule(t *testing.T, setting string, probed int, asShipped map[string]int, corpus string) {
-	t.Logf("%d joins probed a leaf in place", probed)
-	switch setting {
-	case "never":
-		if probed != 0 {
-			t.Errorf("%d joins probed a leaf in place with the rule at never", probed)
-		}
-	case "default":
-		asShipped[corpus] = probed
-	case "always":
-		if probed == 0 || probed < asShipped[corpus] {
-			t.Errorf("%d joins probed a leaf in place with the rule at always, %d as shipped", probed, asShipped[corpus])
-		}
-	}
-}
-
-func checkInplaceMatrix(t *testing.T, setting string, partitions []int) {
+func checkInplaceMatrix(t *testing.T, partitions []int) {
 	golden := map[string]string{}
 	f, err := os.Open("testdata/inplace_matrix.golden")
 	if err != nil {
@@ -281,24 +248,15 @@ func checkInplaceMatrix(t *testing.T, setting string, partitions []int) {
 					t.Fatalf("%s at %d partitions: %v", name, p, err)
 				}
 				got := core.ResultKeys(res, false)
-				probed := probedLeaves(res)
-				switch setting {
-				case "never":
-					if probed != "" {
-						t.Errorf("%s at %d partitions: leaves probed in place with the rule at never:\n%s", name, p, res.AnalyzedPlan())
-					}
-					continue
-				case "default":
-					continue // fires or not with n, m and the partition count
-				}
+				looked := lookedUp(res)
 				h := sha256.New()
 				for _, k := range got {
 					fmt.Fprintln(h, k)
 				}
-				observed := fmt.Sprintf("%d %x probed=%s", len(got), h.Sum(nil)[:8], probed)
+				observed := fmt.Sprintf("%d %x lookup=%s", len(got), h.Sum(nil)[:8], looked)
 				if p == partitions[0] {
 					fmt.Fprintf(&table, "%s %s\n", name, observed)
-					sides += probed
+					sides += looked
 				}
 				if observed != golden[name] {
 					t.Errorf("%s at %d partitions: %s, recorded %s\n%s", name, p, observed, golden[name], res.AnalyzedPlan())
@@ -306,13 +264,10 @@ func checkInplaceMatrix(t *testing.T, setting string, partitions []int) {
 			}
 		}
 	}
-	if setting != "always" {
-		return
-	}
 	if t.Failed() {
 		t.Logf("observed:\n%s", table.String())
 	}
 	if !strings.Contains(sides, ":L") || !strings.Contains(sides, ":R") {
-		t.Fatalf("leaves were probed on sides %q: the matrix does not put one on either side of the merge", sides)
+		t.Fatalf("leaves were looked up on sides %q: the matrix does not put one on either side of the merge", sides)
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // sharedPlanQueries are the plan shapes a run could write if any could: a
-// Cached leaf behind Aliases (Q5), a join that probes a leaf in place (Q1),
+// Cached leaf behind Aliases (Q5), a join that looks a leaf up (Q1),
 // a variable-length path (Q2), an OPTIONAL MATCH whose group predicate and a
 // FilterEmbeddings above it read the parameter, an exists(), and a join that
 // hands its target a key set the parameter decides.
@@ -93,7 +93,7 @@ func TestSharedPlanIsReadOnly(t *testing.T) {
 		}
 		plans += analyzed
 	}
-	for _, shape := range []string{"Alias", "(shared)", "probed in place", "ExpandEmbeddings", "OptionalJoinEmbeddings", "SemiJoinEmbeddings", "FilterEmbeddings", "sip dropped="} {
+	for _, shape := range []string{"Alias", "(shared)", "looked up in place", "ExpandEmbeddings", "OptionalJoinEmbeddings", "SemiJoinEmbeddings", "FilterEmbeddings", "sip dropped="} {
 		if !strings.Contains(plans, shape) {
 			t.Fatalf("no plan has run %s:\n%s", shape, plans)
 		}

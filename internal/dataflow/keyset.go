@@ -127,11 +127,11 @@ func keyCount(b []byte) (int, error) {
 // several - to a partition's and returns them, so a function that walks from
 // an element can keep what it walked for the rest of its partition and no
 // further: a partition's keys are the same whichever process owns it. It is a
-// stage of its own of the Broadcast kind, a collective like CountAll, and it
-// is charged as broadcast charges a replicated input: eight bytes a key
-// shipped, to the network in every owned partition and to the memory governor
-// once, by the owner of partition 0, so that the processes' metrics add up to
-// the job's run in one. Without a transport it reads the local partitions and
+// stage of its own of the Broadcast kind - a collective, which puts bytes on
+// the wire, in a stage of the shuffle kind - and it is charged as broadcast
+// charges a replicated input: eight bytes a key shipped, to the network in
+// every owned partition and to the memory governor once, by the owner of
+// partition 0, so that the processes' metrics add up to the job's run in one. Without a transport it reads the local partitions and
 // puts nothing on the wire. On failure it returns an empty set with the env
 // failed.
 func Keys[T any](d *Dataset[T], newKeys func() func(t T, keys []uint64) []uint64) *KeySet {

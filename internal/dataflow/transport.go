@@ -404,24 +404,6 @@ func (d *Dataset[T]) GlobalCount() int64 {
 	return n
 }
 
-// CountAll is GlobalCount in a stage of its own, for a count an operator takes
-// between two of its inputs rather than a loop between two supersteps. The
-// stage is of the shuffle kind: across processes a count is a collective and
-// puts bytes on the wire, which a report of the job books to the stage they
-// crossed in and takes for a leak in any stage that is not an exchange. It is
-// a Broadcast stage by name, which is what a count is - every partition's
-// size replicated to every process - and what keeps it from being a kind of
-// its own: a stage kind is a telemetry series, and a cluster worker ships
-// every series it has with every job it runs.
-func (d *Dataset[T]) CountAll() int64 {
-	env := d.env
-	if env.Failed() {
-		return 0
-	}
-	env.beginStage("Broadcast", true)
-	return d.GlobalCount()
-}
-
 // GlobalIsEmpty reports whether the dataset is empty across every process.
 // Loop-convergence checks (bulk iteration, variable-length expansion) must
 // use this rather than IsEmpty: a process owning only drained partitions

@@ -134,22 +134,28 @@ func (s *Store) Adjacency(labels []string, in bool) []*Adjacency {
 
 // Positions is a store's vertices by id: their ids in ascending order and
 // each one's position in the vertex array, twelve bytes a vertex, which a walk
-// searches for where a vertex it reaches lies - and so for its label - when
-// the ids are neither dense nor in order.
+// searches for where a vertex it reaches lies - and so for its label - and a
+// join for the vertex of an id it looks up, when the ids are neither dense nor
+// in order.
 type Positions struct {
 	ids []ID
 	pos []int32
 }
 
-// Of returns the position of the vertex with id v in the store's vertex
-// array, false if the store has none. Of two vertices with one id it returns
-// either.
-func (p *Positions) Of(v ID) (int, bool) {
+// Of returns the positions of the vertices with id v in the store's vertex
+// array, in the array's order, none if the store has none: one, unless the
+// input gave two vertices one id. The slice is the store's: read, never
+// written.
+func (p *Positions) Of(v ID) []int32 {
 	i, ok := slices.BinarySearch(p.ids, v)
 	if !ok {
-		return 0, false
+		return nil
 	}
-	return int(p.pos[i]), true
+	j := i + 1
+	for j < len(p.ids) && p.ids[j] == v {
+		j++
+	}
+	return p.pos[i:j]
 }
 
 // Positions returns the store's vertices by id. It is built the first time a
@@ -161,7 +167,9 @@ func (s *Store) Positions() *Positions {
 		for i := range p.pos {
 			p.pos[i] = int32(i)
 		}
-		slices.SortFunc(p.pos, func(a, b int32) int { return cmp.Compare(s.Vertices[a].ID, s.Vertices[b].ID) })
+		slices.SortFunc(p.pos, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(s.Vertices[a].ID, s.Vertices[b].ID), cmp.Compare(a, b))
+		})
 		for i, q := range p.pos {
 			p.ids[i] = s.Vertices[q].ID
 		}

@@ -90,10 +90,11 @@ func TestAdjacencyConcurrentFirstUse(t *testing.T) {
 }
 
 // TestPositions finds every vertex of a store by its id, on ids that are
-// neither dense nor in order, and no id the store does not hold.
+// neither dense nor in order, both vertices of an id the input gave twice, in
+// the array's order, and no id the store does not hold.
 func TestPositions(t *testing.T) {
-	ids := []ID{900, 7, 1 << 40, 12, 3}
-	labels := []string{"Post", "Person", "Post", "Comment", "Person"}
+	ids := []ID{900, 7, 1 << 40, 12, 3, 7}
+	labels := []string{"Post", "Person", "Post", "Comment", "Person", "Comment"}
 	vs := make([]Vertex, len(ids))
 	for i, id := range ids {
 		vs[i] = Vertex{ID: id, Label: labels[i]}
@@ -101,14 +102,22 @@ func TestPositions(t *testing.T) {
 	s := NewStore(GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(2)), "", vs, nil))
 	p := s.Positions()
 	for _, id := range ids {
-		pos, ok := p.Of(id)
-		if !ok || s.Vertices[pos].ID != id {
-			t.Errorf("vertex %d: position %d, %v", id, pos, ok)
+		var want []int32
+		for i, v := range s.Vertices {
+			if v.ID == id {
+				want = append(want, int32(i))
+			}
+		}
+		if got := p.Of(id); !slices.Equal(got, want) {
+			t.Errorf("vertex %d: positions %v, want %v", id, got, want)
 		}
 	}
+	if got := p.Of(7); len(got) != 2 {
+		t.Errorf("vertex 7, given twice: positions %v", got)
+	}
 	for _, id := range []ID{0, 4, 13, 901, 1<<40 + 1} {
-		if pos, ok := p.Of(id); ok {
-			t.Errorf("no vertex %d, found at %d", id, pos)
+		if pos := p.Of(id); len(pos) != 0 {
+			t.Errorf("no vertex %d, found at %v", id, pos)
 		}
 	}
 	if s.Positions() != p {

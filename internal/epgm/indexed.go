@@ -51,35 +51,49 @@ func NewStore(g *LogicalGraph) *Store {
 
 // labelMajor is a counting sort of d's elements by label: count, lay the
 // ranges out in label order, then write every element once into an array
-// allocated at its final size.
+// allocated at its final size. The counting pass looks each element's label up
+// once, numbering the labels as it first sees them, and keeps the number; the
+// placing pass reads it back.
 func labelMajor[T any](d *dataflow.Dataset[T], label func(*T) string) ([]T, []LabelRange) {
-	counts := map[string]int{}
-	for p := 0; p < d.Partitions(); p++ {
-		part := d.Partition(p)
-		for i := range part {
-			counts[label(&part[i])]++
-		}
-	}
-	ranges := make([]LabelRange, 0, len(counts))
-	for l := range counts {
-		ranges = append(ranges, LabelRange{Label: l})
-	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Label < ranges[j].Label })
-	next := make(map[string]int, len(ranges)) // where each label's next element goes
-	total := 0
-	for i := range ranges {
-		r := &ranges[i]
-		r.Lo, r.Hi = total, total+counts[r.Label]
-		next[r.Label] = r.Lo
-		total = r.Hi
-	}
-	out := make([]T, total)
+	index := map[string]int{} // a label's number
+	var labels []string       // by number
+	var counts []int          // by number
+	seen := make([]int32, 0, d.Count())
 	for p := 0; p < d.Partitions(); p++ {
 		part := d.Partition(p)
 		for i := range part {
 			l := label(&part[i])
-			out[next[l]] = part[i]
-			next[l]++
+			k, ok := index[l]
+			if !ok {
+				k = len(labels)
+				index[l] = k
+				labels, counts = append(labels, l), append(counts, 0)
+			}
+			counts[k]++
+			seen = append(seen, int32(k))
+		}
+	}
+	order := make([]int, len(labels)) // numbers in label order
+	for k := range order {
+		order[k] = k
+	}
+	sort.Slice(order, func(i, j int) bool { return labels[order[i]] < labels[order[j]] })
+	ranges := make([]LabelRange, len(order))
+	next := make([]int, len(labels)) // by number: where the label's next element goes
+	total := 0
+	for i, k := range order {
+		ranges[i] = LabelRange{Label: labels[k], Lo: total, Hi: total + counts[k]}
+		next[k] = total
+		total += counts[k]
+	}
+	out := make([]T, total)
+	n := 0
+	for p := 0; p < d.Partitions(); p++ {
+		for _, e := range d.Partition(p) {
+			k := seen[n]
+			n++
+			out[next[k]] = e
+			next[k]++
 		}
 	}
 	return out, ranges

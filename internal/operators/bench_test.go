@@ -143,34 +143,34 @@ func BenchmarkRowJoinProbe(b *testing.B) {
 	b.ReportMetric(bytes/float64(joined), "B/row")
 }
 
-// BenchmarkRowProbeInPlace is a join that broadcasts its selective side - the
-// rows of 64 knows edges - into the scan of the persons of a pinned store: a
-// count, a broadcast and one probe of benchRows vertices, of which the 64 that
-// the edges enter get a row and are merged. The scan builds nothing for the
-// others, so what a step allocates is the four tables over the 64 rows, the
-// slab chunks of the 64 and the stages' own objects. Rows are the elements
-// scanned, for allocs/row and for B/row alike: heap bytes per scanned vertex,
-// where the leaf scan that the join replaces pays B/row for every one of them.
-func BenchmarkRowProbeInPlace(b *testing.B) {
+// BenchmarkRowLookupJoin is a join of the rows of every knows edge of a
+// pinned store with the person leaf of their targets, looked up
+// (JoinEmbeddings.walk): one stage that finds each row's target among the
+// store's vertices by id - benchRows lookups - makes the person's leaf row in
+// the lane's row buffer and merges it with the edge's, into an output
+// allocated once at the vertices the ids hold. What a step allocates is the
+// merged rows' slab chunks, the output and the stage's own objects: no leaf
+// scan, count, broadcast, shuffle or table. Rows are the rows looked up, for
+// allocs/row and for B/row alike.
+func BenchmarkRowLookupJoin(b *testing.B) {
 	env := dataflow.NewEnv(dataflow.DefaultConfig(4))
-	vs, es := benchGraph(env, benchRows)
+	vs, es := benchGraph(env, benchRows/3)
 	idx := epgm.NewStore(epgm.GraphFromSlices(env, "", vs.Collect(), es.Collect())).Index(env)
-	knows := NewFilterAndProjectEdges(knowsEdge("e", "a", "b"))
-	small := materialized{rows: dataflow.FromSlice(env, knows.Evaluate(indexedRun(idx)).Collect()[:64]), meta: knows.Meta(), selective: true}
+	in := materialize(NewFilterAndProjectEdges(knowsEdge("e", "a", "b")), indexedRun(idx))
 	persons := NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Labels: []string{"Person"},
 		Projection: []string{"firstName", "birthday"}})
-	join := NewJoinEmbeddings(small, persons, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
-	scanned := int(persons.scanned(indexedRun(idx)))
+	join := NewJoinEmbeddings(in, persons, Morphism{Vertex: Isomorphism, Edge: Isomorphism}, nil)
+	looked := int(in.rows.Count())
 	env.ResetMetrics()
-	bytes := reportAllocsPerRow(b, scanned, func() {
-		if out := join.Evaluate(indexedRun(idx)).Count(); out != 64 {
-			b.Fatalf("join emitted %d rows", out)
+	bytes := reportAllocsPerRow(b, looked, func() {
+		if out := join.Evaluate(indexedRun(idx)).Count(); int(out) != looked {
+			b.Fatalf("join emitted %d rows, want %d", out, looked)
 		}
 	})
-	if stages := env.Metrics().Stages; stages%3 != 0 {
-		b.Fatalf("%d stages: a step is not a count, a broadcast and a join", stages)
+	if stages := env.Metrics().Stages; stages != int64(b.N+1) {
+		b.Fatalf("%d stages in %d steps: a step is not one stage", stages, b.N+1)
 	}
-	b.ReportMetric(bytes/float64(scanned), "B/row")
+	b.ReportMetric(bytes/float64(looked), "B/row")
 }
 
 // BenchmarkRowWalkJoin is a join of every person of a pinned store with the

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"gradoop/internal/cypher"
@@ -56,17 +55,28 @@ func walkEdge(t testing.TB, v, src, tgt string, types []string, where string) *F
 	return NewFilterAndProjectEdges(qe)
 }
 
-// walkCase is a plan whose join walks an edge leaf over the store: join is the
-// join that walks, root what runs, and prepare, if set, readies a run -
-// installs a key set, evaluates a consumer first - before root runs. walks
-// says whether the join must walk over the store, scanSet whether the leaf's
-// scan would test a key set.
+// walkCase is a plan whose join reads a leaf where the store holds it - walks
+// an edge leaf or looks a vertex leaf up: join is that join, root what runs,
+// and prepare, if set, readies a run - installs a key set, evaluates a
+// consumer first - before root runs. walks says whether the join must read the
+// leaf in place over the store, scanSet whether the leaf's scan would test a
+// key set.
 type walkCase struct {
 	name           string
 	root           Operator
 	join           *JoinEmbeddings
 	walks, scanSet bool
 	prepare        func(t *testing.T, r *Run)
+}
+
+// inPlaceInput is the input a join that reads a leaf in place reads so: an
+// edge leaf on either side first, then a vertex leaf, each the right one
+// first (JoinEmbeddings.walked).
+func inPlaceInput(j *JoinEmbeddings) Operator {
+	if w := j.walks; w[1].leaf == nil || !w[1].edges() && w[0].edges() {
+		return j.Left
+	}
+	return j.Right
 }
 
 func walkCases(t *testing.T, morph Morphism) []walkCase {
@@ -127,7 +137,7 @@ func walkCases(t *testing.T, morph Morphism) []walkCase {
 			src := firstPersons(t, v, 4)
 			s, ok := newKeySet(src, j, []string{v})
 			if !ok || s.scans[1] == nil {
-				t.Fatalf("no set of %s the edge leaf's scan tests", v)
+				t.Fatalf("no set of %s the right leaf's scan tests", v)
 			}
 			r.filters = map[Operator][]made{j: {{KeySet: &s, set: dataflow.Keys(src.Evaluate(r), keysAt([]int{0}))}}}
 		}})
@@ -136,18 +146,50 @@ func walkCases(t *testing.T, morph Morphism) []walkCase {
 	shared := NewCached(walkEdge(t, "x", "s", "t", knows, "")) // an Alias's: the join does not test at its pairs
 	scanSet("scan-set-beside-selective", NewJoinEmbeddings(firstPersons(t, "a", 9), NewAlias(shared, map[string]string{"x": "e", "s": "a", "t": "b"}), morph, nil), "b", true)
 	scanSet("scan-set-beside-all", NewJoinEmbeddings(person("a"), NewAlias(shared, map[string]string{"x": "e1", "s": "a", "t": "b"}), morph, nil), "b", false)
+
+	// A vertex leaf is looked up by the id the other input binds: here the
+	// persons a walk from the persons n <= 5 reaches, on either side, bare,
+	// behind a Cached, behind an Alias of a shared leaf, with a predicate of
+	// its own and without a label.
+	reached := func() *JoinEmbeddings {
+		return NewJoinEmbeddings(firstPersons(t, "a", 5), walkEdge(t, "e", "a", "b", knows, ""), morph, nil)
+	}
+	add("lookup-right", NewJoinEmbeddings(reached(), person("b"), morph, nil))
+	add("lookup-left", NewJoinEmbeddings(person("b"), reached(), morph, nil))
+	add("lookup-cached", NewJoinEmbeddings(reached(), NewCached(person("b")), morph, nil))
+	persons := NewCached(person("x"))
+	add("lookup-alias", NewJoinEmbeddings(reached(), NewAlias(persons, map[string]string{"x": "b"}), morph, nil))
+	add("lookup-predicate", NewJoinEmbeddings(reached(), firstPersons(t, "b", 4), morph, nil))
+	add("lookup-unlabeled", NewJoinEmbeddings(reached(), NewFilterAndProjectVertices(&cypher.QueryVertex{Var: "b", Projection: []string{"n"}}), morph, nil))
+	// Held by the run - a consumer that reads the shared leaf whole ran
+	// first - it is hashed.
+	heldPersons := NewCached(person("x"))
+	wholePersons := NewAlias(heldPersons, map[string]string{"x": "c"})
+	heldLookup := NewJoinEmbeddings(reached(), NewAlias(heldPersons, map[string]string{"x": "b"}), morph, nil)
+	cases = append(cases, walkCase{name: "lookup-held", root: heldLookup, join: heldLookup,
+		prepare: func(t *testing.T, r *Run) { wholePersons.Evaluate(r) }})
+	// A set of b the vertex leaf's scan would test - the leaf is an Alias's,
+	// so the join does not test at its pairs - is tested on every vertex the
+	// lookup reads beside a selective input, and in the scan beside one that
+	// is not.
+	scanSet("lookup-scan-set-beside-selective", NewJoinEmbeddings(reached(), NewAlias(persons, map[string]string{"x": "b"}), morph, nil), "b", true)
+	everyone := NewJoinEmbeddings(person("a"), walkEdge(t, "e", "a", "b", knows, ""), morph, nil)
+	scanSet("lookup-scan-set-beside-all", NewJoinEmbeddings(everyone, NewAlias(persons, map[string]string{"x": "b"}), morph, nil), "b", false)
 	return cases
 }
 
 // TestWalkedJoinIsInvisible: over a pinned store a join whose input is an
-// edge leaf the other input binds an end of walks the store's adjacency
-// instead of running the leaf (DESIGN decision 46). For edges by their source,
-// their target and both, the leaf on either side, an edge predicate, a type
-// alternation, a leaf shared by aliases that the run does not hold yet and one
-// it holds, a key set at the join's pairs, a key set the leaf's scan would
-// test, under every morphism, the rows over the store are the rows over the
-// plain graph, byte for byte as a bag; the join says it walked, and the leaf
-// says how many rows it made and, if the walk tested a set, how many edges it
+// edge leaf the other input binds an end of walks the store's adjacency, and
+// one whose input is a vertex leaf looks it up by id, instead of running the
+// leaf (DESIGN decision 46). For edges by their source, their target and
+// both, the leaf on either side, an edge predicate, a type alternation, a leaf
+// shared by aliases that the run does not hold yet and one it holds, a key set
+// at the join's pairs, a key set the leaf's scan would test, and for a vertex
+// leaf on either side, bare, behind a Cached and an Alias, with a predicate,
+// unlabeled, held, and with a key set its scan would test, under every
+// morphism, the rows over the store are the rows over the plain graph, byte
+// for byte as a bag; the join says it walked or looked up, and the leaf says
+// how many rows it made and, if the walk tested a set, how many elements it
 // tested.
 func TestWalkedJoinIsInvisible(t *testing.T) {
 	store := walkStore()
@@ -182,25 +224,28 @@ func TestWalkedJoinIsInvisible(t *testing.T) {
 				t.Errorf("%s: %d rows walked (%x), %d over the plain graph (%x)", name, len(got), bagHash(got), len(want), bagHash(want))
 			}
 			st, _ := col.Op(c.join)
-			if walked := strings.HasPrefix(st.Note, "walked in place: edges="); walked != c.walks {
-				t.Errorf("%s: the join notes %q, walked %v, want %v", name, st.Note, walked, c.walks)
+			in := inPlaceInput(c.join)
+			read := "walked in place: edges=%d"
+			if _, vertex := Unwrap(in).(*FilterAndProjectVertices); vertex {
+				read = "looked up in place: vertices=%d"
+			}
+			var elements int64
+			_, errJoin := fmt.Sscanf(st.Note, read, &elements)
+			if walked := errJoin == nil; walked != c.walks {
+				t.Errorf("%s: the join notes %q, read in place %v, want %v", name, st.Note, walked, c.walks)
 			}
 			if c.walks {
 				// The leaf's line is the input's the join reads: what the walk
-				// made, one row an edge that passed the leaf's tests.
-				in := c.join.Right
-				if c.join.walks[1].leaf == nil {
-					in = c.join.Left
-				}
+				// made, one row an element that passed the leaf's tests.
 				leaf, ok := col.Op(in)
 				if !ok || leaf.Rows == 0 || leaf.Evaluations != 1 {
 					t.Errorf("%s: the walked leaf is traced %v with %d rows in %d evaluations", name, ok, leaf.Rows, leaf.Evaluations)
 				}
-				// A set the leaf's scan would test is tested on every edge read.
-				var scanned, dropped, edges int64
+				// A set the leaf's scan would test is tested on every element
+				// read.
+				var scanned, dropped int64
 				_, errLeaf := fmt.Sscanf(leaf.Note, "sip scanned=%d dropped=%d", &scanned, &dropped)
-				_, errJoin := fmt.Sscanf(st.Note, "walked in place: edges=%d", &edges)
-				if c.scanSet && (errLeaf != nil || errJoin != nil || scanned != edges) {
+				if c.scanSet && (errLeaf != nil || scanned != elements) {
 					t.Errorf("%s: the walked leaf notes %q, the join %q", name, leaf.Note, st.Note)
 				}
 			}

@@ -77,14 +77,21 @@ func vertexIDs(v epgm.Vertex) [3]epgm.ID { return [3]epgm.ID{v.ID} }
 
 // row is the leaf's Select-Project-Transform of one data vertex for the run's
 // instance qv of its query vertex: its row, if it has one. The scan calls it
-// on every vertex, a join that probes the leaf where it lies (JoinEmbeddings)
-// on those whose id it is looking for.
+// on every vertex; a join that looks the leaf up (JoinEmbeddings.walk) selects
+// the vertices of the ids it looks for the same way and writes their rows
+// into a buffer it reuses.
 func (op *FilterAndProjectVertices) row(sc *scratch, qv *cypher.QueryVertex, v *epgm.Vertex) (embedding.Embedding, bool) {
-	if !cypher.MatchesLabel(v.Label, qv.Labels) || !cypher.EvalElement(qv.Predicates, qv.Var, v.Properties) {
+	if !op.selects(qv, v) {
 		return embedding.Embedding{}, false
 	}
 	ids := [1]epgm.ID{v.ID}
 	return sc.slab.Row(ids[:], sc.project(v.Properties, qv.Projection)), true
+}
+
+// selects reports whether the leaf makes a row of data vertex v for the run's
+// instance qv of its query vertex: its label and its predicates.
+func (op *FilterAndProjectVertices) selects(qv *cypher.QueryVertex, v *epgm.Vertex) bool {
+	return cypher.MatchesLabel(v.Label, qv.Labels) && cypher.EvalElement(qv.Predicates, qv.Var, v.Properties)
 }
 
 // perPart runs eval on every part of a scan and concatenates what it returns

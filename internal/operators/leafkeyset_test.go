@@ -3,7 +3,6 @@ package operators
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -15,22 +14,16 @@ import (
 )
 
 // TestKeySetFiltersTheLeaf gives joins a key set of the persons c with n <= 3
-// and runs them over the plain graph and the pinned store, with the rule that
-// probes a leaf in place at never and at whenever a leaf is eligible. A set is
-// tested in the scans of the input leaves that bind c: the rows are the ones
-// the same set tested at the join's pairs gives, and the ones of the
-// unfiltered join whose c has n <= 3; a scan builds a row for no element it
-// drops; and a leaf shared by two consumers that test the set and one that
-// reads it whole is built whole once, whichever runs first.
+// and runs them over the plain graph and the pinned store. A set is tested in
+// the scans of the input leaves that bind c: the rows are the ones the same
+// set tested at the join's pairs gives, and the ones of the unfiltered join
+// whose c has n <= 3; a scan builds a row for no element it drops; and a leaf
+// shared by two consumers that test the set and one that reads it whole is
+// built whole once, whichever runs first.
 func TestKeySetFiltersTheLeaf(t *testing.T) {
 	store := inplaceStore(20, 3) // 60 knows edges, a->a+1..a+3: three in and three out a person
 	for _, pinned := range []bool{false, true} {
-		for _, scale := range []float64{0, math.Inf(1)} {
-			t.Run(fmt.Sprintf("pinned=%v/scale=%v", pinned, scale), func(t *testing.T) {
-				setProbeScale(t, scale)
-				checkKeySetFiltersTheLeaf(t, store, pinned, scale == 0)
-			})
-		}
+		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) { checkKeySetFiltersTheLeaf(t, store, pinned) })
 	}
 }
 
@@ -54,7 +47,7 @@ func newLeafSetPlan() leafSetPlan {
 	// Both inputs bind c: both scans test the set.
 	p.both = NewJoinEmbeddings(person("c"), NewFilterAndProjectEdges(plainKnows("e1", "b", "c")), Morphism{}, nil)
 	// Only the alias binds c: its scan tests the set, and over the store the
-	// person leaf is probed in place against it.
+	// person leaf is looked up by the ids of the rows it keeps.
 	p.intoB = NewJoinEmbeddings(person("b"), p.aliases[0], Morphism{}, nil)
 	p.fromC = NewJoinEmbeddings(p.aliases[1], person("d"), Morphism{}, nil)
 	// The shared leaf's other consumer reads it whole: over the store it is
@@ -63,7 +56,7 @@ func newLeafSetPlan() leafSetPlan {
 	return p
 }
 
-func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bool) {
+func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned bool) {
 	newRun := func(env *dataflow.Env) *Run {
 		if pinned {
 			return indexedRun(store.Index(env))
@@ -164,17 +157,17 @@ func checkKeySetFiltersTheLeaf(t *testing.T, store *epgm.Store, pinned, probe bo
 			t.Errorf("whole first %v: the shared leaf built %v rows, the joins wrote %d, %d and %d rows, want 60 once and 9, 9 and 180",
 				wholeFirst, observed[leaf], rows[p.intoB], rows[p.fromC], rows[p.whole])
 		}
-		// Over the store, the person leaf of a join whose other input's scan
-		// tests the set is its candidate to probe in place: the count of the
-		// tested side decides, as for a selective one.
+		// Over the store, the person leaf is looked up by the ids of the other
+		// input's rows: the 9 the scan kept or, if the run held the shared
+		// leaf, all 60, whose pairs test the set.
 		wantNote := ""
 		switch {
-		case wholeFirst: // the pairs test the set
+		case pinned && wholeFirst:
+			wantNote = "looked up in place: vertices=60 sip dropped=51"
+		case wholeFirst:
 			wantNote = "sip dropped=51"
-		case pinned && probe:
-			wantNote = "broadcast n=9"
 		case pinned:
-			wantNote = "repartition n=9 m=20"
+			wantNote = "looked up in place: vertices=9"
 		}
 		if st, _ := c.Op(p.intoB); st.Note != wantNote {
 			t.Errorf("whole first %v: %s noted %q, want %q", wholeFirst, p.intoB.Description(), st.Note, wantNote)

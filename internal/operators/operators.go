@@ -98,8 +98,9 @@ type Operator interface {
 // locked.
 type scratch struct {
 	slab embedding.Slab
-	// edge is the row of the edge a walked join merges next (JoinEmbeddings.walk).
-	edge  embedding.RowBuffer
+	// leaf is the row of the element a join that reads a leaf where it lies
+	// merges next (JoinEmbeddings.walk).
+	leaf  embedding.RowBuffer
 	ids   []epgm.ID            // the identifiers of a morphism check, a flipped path
 	props []epgm.PropertyValue // the projected values of a leaf row
 	// via and frames are a walk's path so far and its stack (walker.from).

@@ -91,7 +91,7 @@ func (r *Run) label(op Operator) string {
 }
 
 // vertexScan is what a vertex leaf reads in this run, cut the first time it
-// is asked for: a join that probes the leaf in place asks before the leaf runs.
+// is asked for.
 func (r *Run) vertexScan(op *FilterAndProjectVertices) epgm.Scan[epgm.Vertex] {
 	k, ok := r.kept[op]
 	if !ok {

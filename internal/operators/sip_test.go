@@ -464,7 +464,14 @@ func checkKeySetFiltersAnExpansion(t *testing.T, walked bool) {
 		if tc.endSet && (st.Rows+int64(dropped) != all.Rows) != walked {
 			t.Errorf("%s: %d paths written and %d dropped, %d unfiltered", tc.name, st.Rows, dropped, all.Rows)
 		}
-		if stages != wantStages+int64(sets) {
+		// Over the store the unfiltered join on c looks its vertex leaf up in
+		// one stage; the filtered one, which hands on sets, scans the leaf,
+		// shuffles both inputs and joins them, in four.
+		hashed := int64(0)
+		if walked && tc.endSet {
+			hashed = 3
+		}
+		if stages != wantStages+int64(sets)+hashed {
 			t.Errorf("%s: filtered: %d stages, unfiltered %d: want an all-gather more a set", tc.name, stages, wantStages)
 		}
 	}

@@ -323,8 +323,9 @@ func (w *reach) visit(at hopAt) (first, on bool) {
 		w.below[at] = true
 		return false, true
 	}
-	pos, placed := w.at.Of(at.v)
-	dense := placed && w.least != nil
+	placed := w.at.Of(at.v)
+	pos := memoAt(placed)
+	dense := pos >= 0 && w.least != nil
 	least, seen := w.far[at.v]
 	if dense {
 		least, seen = int(w.least[pos])-1, w.least[pos] > 0
@@ -332,7 +333,7 @@ func (w *reach) visit(at hopAt) (first, on bool) {
 	if seen && least <= at.hops {
 		return false, false
 	}
-	first = !seen && (w.starts == nil || placed && startable(w.starts, pos))
+	first = !seen && (w.starts == nil || startable(w.starts, placed))
 	if dense {
 		w.least[pos] = uint8(at.hops + 1)
 		return first, true
@@ -348,19 +349,30 @@ func (w *reach) visit(at hopAt) (first, on bool) {
 // of the expansion's edges from v reaches a key of the end set in that many
 // hops, if v is not the key itself.
 func (w *reach) within(v epgm.ID, hops int) bool {
-	if pos, placed := w.at.Of(v); placed && w.least != nil {
+	if pos := memoAt(w.at.Of(v)); pos >= 0 && w.least != nil {
 		return w.least[pos] > 0 && int(w.least[pos])-1 <= hops
 	}
 	least, seen := w.far[v]
 	return seen && least <= hops
 }
 
-// startable reports whether the vertex at position pos of the store's vertex
-// array lies in one of ranges.
-func startable(ranges []epgm.LabelRange, pos int) bool {
-	for _, r := range ranges {
-		if r.Lo <= pos && pos < r.Hi {
-			return true
+// memoAt is the position the walk's memo keeps a vertex at, of placed, the
+// positions of its id in the store's vertex array: the first, -1 for none.
+func memoAt(placed []int32) int {
+	if len(placed) == 0 {
+		return -1
+	}
+	return int(placed[0])
+}
+
+// startable reports whether a vertex at one of the positions placed of the
+// store's vertex array lies in one of ranges.
+func startable(ranges []epgm.LabelRange, placed []int32) bool {
+	for _, pos := range placed {
+		for _, r := range ranges {
+			if r.Lo <= int(pos) && int(pos) < r.Hi {
+				return true
+			}
 		}
 	}
 	return false

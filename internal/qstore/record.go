@@ -61,10 +61,11 @@ type OpMetrics struct {
 	// (dataset caching); NotExecuted marks plan subtrees never evaluated.
 	Shared      bool `json:"shared,omitempty"`
 	NotExecuted bool `json:"notExecuted,omitempty"`
-	// Note is what the operator says about how it ran: a join that counted
-	// an input names its strategy and the counts ("broadcast n=387",
-	// "repartition n=8148 m=27000"), a leaf such a join probed in place says
-	// so and how many elements it scanned - its Act is the rows it built.
+	// Note is what the operator says about how it ran: a join that read a
+	// leaf where the store holds it says so and how many elements it read
+	// ("walked in place: edges=194", "looked up in place: vertices=387") -
+	// that leaf's Act is the rows the join made of it - and a join or a
+	// scan that tests a key set what the set dropped ("sip dropped=51").
 	Note string `json:"note,omitempty"`
 }
 

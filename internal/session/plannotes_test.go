@@ -21,8 +21,8 @@ var selfTime = regexp.MustCompile(` self=[^ \]]*`)
 // LDBC graph the benchmark runs on (SF 3, seed 2017, 4 partitions, the pinned
 // store a session binds, result cache off) it serves each of the benchmark's
 // twelve request classes once, traced, and prints its analyzed plan without
-// the wall times: the notes - sip, broadcast, repartition, probed in place,
-// walked in place - and act=, yield=, err= and sim= of every operator. Two
+// the wall times: the notes - sip, walked in place, looked up in place - and
+// act=, yield=, err= and sim= of every operator. Two
 // commits that should run the same plans the same way print the same text, so
 // a change to how a plan runs is a diff of this output against its parent's
 // (copy this file into a checkout of the parent and run the same command
