@@ -79,7 +79,9 @@ func (r *Result) buildProfile() []qstore.OpMetrics {
 			}
 		}
 		om.SimNs = int64(sim)
-		if est, hasEst := r.Plan.Estimates[n.Op]; hasEst {
+		// A leaf a join read in place reports the rows the join made of it,
+		// which its label-sized estimate does not describe.
+		if est, hasEst := r.Plan.Estimates[n.Op]; hasEst && !st.InPlace {
 			om.Est = est
 			om.HasEstimate = true
 			om.QError = qstore.QError(est, st.Rows)

@@ -271,3 +271,58 @@ func checkInplaceMatrix(t *testing.T, partitions []int) {
 		t.Fatalf("leaves were looked up on sides %q: the matrix does not put one on either side of the merge", sides)
 	}
 }
+
+// TestInPlaceLeafHasNoEstimate: a leaf that a join read where the store holds
+// it - here an edge leaf walked and a vertex leaf looked up - reports the rows
+// the join made of it, which its label-sized estimate does not describe. Over
+// the index its line and its Cached's carry no estimate, no q-error and no
+// err=; every other line carries what it carries over the plain graph, where
+// every leaf is scanned and keeps its estimate.
+func TestInPlaceLeafHasNoEstimate(t *testing.T) {
+	g := inplaceGraph(4)
+	const q = `MATCH (a:A)-[e:x]->(b:B) WHERE a.n = 1 RETURN *`
+	analyze := func(cfg core.Config) (*core.Result, []string) {
+		t.Helper()
+		cfg.Trace = trace.NewCollector()
+		res, err := core.Execute(g, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, strings.Split(strings.TrimRight(res.AnalyzedPlan(), "\n"), "\n")
+	}
+	plain, plainLines := analyze(core.Config{})
+	indexed, lines := analyze(core.Config{Access: planner.IndexedAccess{Index: epgm.BuildIndex(g)}})
+	plan := strings.Join(lines, "\n")
+	if !strings.Contains(plan, "walked in place") || !strings.Contains(plan, "looked up in place") {
+		t.Fatalf("the fixture was meant to walk an edge leaf and look a vertex leaf up:\n%s", plan)
+	}
+	nodes, ops, plainOps := indexed.Plan.Nodes(), indexed.AnalyzedOps(), plain.AnalyzedOps()
+	if len(lines) != len(nodes) || len(plainLines) != len(nodes) || len(plainOps) != len(ops) {
+		t.Fatalf("%d plan lines and %d over the plain graph for %d nodes:\n%s", len(lines), len(plainLines), len(nodes), plan)
+	}
+	inPlace := 0
+	for i, n := range nodes {
+		read := false
+		switch leaf := operators.Unwrap(n.Op).(type) {
+		case *operators.FilterAndProjectVertices:
+			read = leaf.Vertex.Var == "b"
+		case *operators.FilterAndProjectEdges:
+			read = leaf.Edge.Var == "e"
+		}
+		if !plainOps[i].HasEstimate || strings.Contains(plainLines[i], "err=") != plainOps[i].HasEstimate {
+			t.Errorf("over the plain graph %q has no estimate or no err=", plainLines[i])
+		}
+		om := ops[i]
+		if read {
+			inPlace++
+			if om.HasEstimate || om.QError != 0 || strings.Contains(lines[i], "err=") {
+				t.Errorf("a leaf read in place carries an estimate: %+v\n%s", om, lines[i])
+			}
+		} else if !om.HasEstimate || om.Est != plainOps[i].Est || !strings.Contains(lines[i], "err=") {
+			t.Errorf("%q lost its estimate: %+v", lines[i], om)
+		}
+	}
+	if inPlace < 2 {
+		t.Fatalf("%d lines of leaves read in place, want the edge leaf's and the vertex leaf's:\n%s", inPlace, plan)
+	}
+}

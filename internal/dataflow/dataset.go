@@ -238,7 +238,7 @@ func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 	if env.Failed() {
 		return Empty[U](env)
 	}
-	env.beginStage("FlatMap", false)
+	env.beginStage(kindFlatMap)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
@@ -292,7 +292,7 @@ func FlatMapPolled[T, U any](d *Dataset[T], newF func(*Lane) func(t T, emit func
 	if env.Failed() {
 		return Empty[U](env)
 	}
-	env.beginStage("FlatMap", false)
+	env.beginStage(kindFlatMap)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
@@ -360,7 +360,7 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 	if env.Failed() {
 		return Empty[U](env)
 	}
-	env.beginStage("MapPartition", false)
+	env.beginStage(kindMapPartition)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		var res []U
@@ -406,7 +406,7 @@ func UnionAll[T any](ds ...*Dataset[T]) *Dataset[T] {
 	if env.Failed() {
 		return Empty[T](env)
 	}
-	env.beginStage("Union", false)
+	env.beginStage(kindUnion)
 	out := make([][]T, len(ds[0].parts))
 	for p := range out {
 		total, nonEmpty := 0, 0
@@ -438,12 +438,9 @@ func UnionAll[T any](ds ...*Dataset[T]) *Dataset[T] {
 		}
 		out[p] = merged
 	}
-	if env.tracer != nil {
-		for p := range out {
-			n := int64(len(out[p]))
-			env.traceRowsIn(p, n)
-			env.traceRowsOut(p, n)
-		}
+	for p := range out {
+		n := int64(len(out[p]))
+		env.charge(p, work{rowsIn: n, rowsOut: n})
 	}
 	return &Dataset[T]{env: env, parts: out, partTag: unionTag(ds)}
 }

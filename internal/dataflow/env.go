@@ -122,16 +122,15 @@ type Env struct {
 
 	// observer publishes continuous telemetry (stage-time histograms,
 	// shuffle/spill bytes, retries) into a process-wide obs.Registry; nil
-	// disables it at the same nil-check cost as a nil tracer. obsKind and
-	// obsStart carry the open stage's wall-clock timing; stage boundaries
-	// run serially on the job's driving goroutine, so they need no lock.
+	// disables it at the same nil-check cost as a nil tracer.
 	observer *Observer
-	obsKind  string
-	obsStart time.Time
-	// curKind publishes the executing stage's interned kind string for
-	// CurrentStage (live /jobs introspection); nil when no stage is open or
-	// no observer is installed.
-	curKind atomic.Pointer[string]
+
+	// kind is the open stage's kind, 0 when no stage is open: published for
+	// CurrentStage (live /jobs introspection). opened is when it began, read
+	// by the observer. Stage boundaries run serially on the job's driving
+	// goroutine, so opened needs no lock.
+	kind   atomic.Uint32
+	opened time.Time
 
 	// governor is the job's memory reservation against the process-wide
 	// govern.Broker; nil disables real memory accounting at the same
@@ -197,7 +196,9 @@ func (e *Env) Config() Config { return e.cfg }
 // Workers returns the configured worker (= partition) count.
 func (e *Env) Workers() int { return e.cfg.Workers }
 
-// Metrics returns a snapshot of the metrics accumulated so far.
+// Metrics returns a snapshot of the metrics accumulated so far: the closed
+// stages' totals plus the open stage's row, so nothing charged is missing
+// from a snapshot taken mid-job or after a failure.
 func (e *Env) Metrics() MetricsSnapshot { return e.metrics.snapshot(e.cfg) }
 
 // ResetMetrics clears all accumulated metrics, e.g. between the load phase
@@ -206,22 +207,24 @@ func (e *Env) Metrics() MetricsSnapshot { return e.metrics.snapshot(e.cfg) }
 // partitions' lanes.
 func (e *Env) ResetMetrics() {
 	e.metrics.init(e.cfg.Workers)
+	e.kind.Store(0)
 	e.lanes = nil
 	e.mu.Lock()
 	e.killsUsed = nil
 	e.mu.Unlock()
 }
 
-// Begin starts a new job on the environment: it installs ctx as the job's
-// cancellation signal (nil means not cancellable), clears any failure left
-// by a previous job and re-arms the fault plan. Metrics are not touched.
+// Begin starts a new job on the environment: it closes a stage the previous
+// job left open, installs ctx as the job's cancellation signal (nil means not
+// cancellable), clears any failure left by a previous job and re-arms the
+// fault plan. Metrics are not reset.
 func (e *Env) Begin(ctx context.Context) {
+	e.closeStage()
 	e.mu.Lock()
 	e.err = nil
 	e.killsUsed = nil
 	e.mu.Unlock()
 	e.failed.Store(false)
-	e.obsKind = ""
 	if ctx == nil {
 		e.ctx, e.done = nil, nil
 		return
@@ -230,18 +233,15 @@ func (e *Env) Begin(ctx context.Context) {
 }
 
 // Finish ends the current job: it detaches the cancellation context,
-// closes the tracer's open span, closes the observer's open stage timing,
-// drops the partitions' lanes - an Env kept for the next job pins nothing of
-// this one - and returns the job's error, if any. A failed environment stays
-// failed — further transformations keep short-circuiting — until the next
-// Begin.
+// closes the open stage - a job that failed or was cancelled mid-stage loses
+// none of its charges - drops the partitions' lanes - an Env kept for the
+// next job pins nothing of this one - and returns the job's error, if any. A
+// failed environment stays failed — further transformations keep
+// short-circuiting — until the next Begin.
 func (e *Env) Finish() error {
 	e.ctx, e.done = nil, nil
 	e.lanes = nil
-	if e.tracer != nil {
-		e.tracer.Finish()
-	}
-	e.obsFinish()
+	e.closeStage()
 	return e.Err()
 }
 
@@ -273,57 +273,108 @@ func (e *Env) MarkIteration(it int) {
 	}
 }
 
-// beginStage counts a new stage in the metrics and, when tracing, opens its
-// span. Every transformation calls it exactly once, immediately before its
-// partitioned run.
-func (e *Env) beginStage(kind string, shuffle bool) {
-	stage := e.metrics.addStage(shuffle)
-	if e.tracer != nil {
-		e.tracer.BeginStage(stage, kind, shuffle, e.cfg.Workers)
-	}
-	e.obsStageBoundary(kind)
-}
+// A stageKind names what a stage does: an index into stageKinds, 0 for no
+// stage, so that publishing the open stage's kind costs no allocation.
+type stageKind uint32
 
-// chargeCPU accounts elements processed by a worker, mirroring the charge
-// into the active trace span.
-func (e *Env) chargeCPU(worker int, elements int64) {
-	e.metrics.addCPU(worker, elements)
-	if e.tracer != nil {
-		e.tracer.CPU(worker, elements)
-	}
-}
+const (
+	kindFlatMap stageKind = iota + 1
+	kindMapPartition
+	kindUnion
+	kindShuffle
+	kindBroadcast
+	kindJoin
+	kindBuild
+	kindProbe
+)
 
-// chargeNet accounts bytes received by a worker over the simulated network.
-func (e *Env) chargeNet(worker int, bytes int64) {
-	e.metrics.addNet(worker, bytes)
+var stageKinds = [...]string{"", "FlatMap", "MapPartition", "Union", "Shuffle", "Broadcast", "Join", "Build", "Probe"}
+
+func (k stageKind) String() string { return stageKinds[k] }
+
+// shuffles reports whether a stage of kind k exchanges data between workers.
+func (k stageKind) shuffles() bool { return k == kindShuffle || k == kindBroadcast }
+
+// beginStage closes the open stage, counts a new one in the metrics, opens
+// its ledger row and, when tracing, its span. Every transformation calls it
+// exactly once, immediately before its partitioned run.
+func (e *Env) beginStage(kind stageKind) {
+	e.closeStage()
+	stage := e.metrics.addStage(kind.shuffles())
+	e.kind.Store(uint32(kind))
 	if e.tracer != nil {
-		e.tracer.Net(worker, bytes)
+		e.tracer.BeginStage(stage, kind.String(), kind.shuffles(), e.cfg.Workers)
 	}
 	if e.observer != nil {
-		e.observer.shuffleBytes.Add(bytes)
+		e.opened = time.Now()
+		e.observer.stages.Inc()
 	}
 }
 
-// chargeSpill accounts bytes spilled to simulated disk by a worker.
-func (e *Env) chargeSpill(worker int, bytes int64) {
-	e.metrics.addSpill(worker, bytes)
+// closeStage closes the open stage, if there is one: its ledger row is read
+// once - folded into the job's totals, handed to the tracer as the span's
+// charges, summed into the observer - and zeroed. A stage counts as retried
+// if a partition was retried in it.
+func (e *Env) closeStage() {
+	kind := stageKind(e.kind.Swap(0))
+	if kind == 0 {
+		return
+	}
+	closed, net, spill, retries := e.metrics.fold()
 	if e.tracer != nil {
-		e.tracer.Spill(worker, bytes)
+		e.tracer.EndStage(closed)
 	}
-	if e.observer != nil {
-		e.observer.spillBytes.Add(bytes)
+	if o := e.observer; o != nil {
+		o.stageTime.With(kind.String()).Observe(int64(time.Since(e.opened)))
+		o.shuffleBytes.Add(net)
+		o.spillBytes.Add(spill)
+		o.retries.Add(retries)
 	}
+}
+
+// CurrentStage reports the stage executing right now, for live job
+// introspection (/jobs): its 1-based number, its kind - "" when no stage is
+// open - and each partition's row of it so far. Safe to call from any
+// goroutine while a job runs.
+func (e *Env) CurrentStage() (stage int64, kind string, parts []trace.PartStats) {
+	k := stageKind(e.kind.Load())
+	if k != 0 {
+		parts = make([]trace.PartStats, len(e.metrics.open))
+		for p := range parts {
+			parts[p] = e.metrics.open[p].stats(load)
+		}
+	}
+	return e.metrics.stageCount(), k.String(), parts
+}
+
+// charge adds what partition p did to its row of the open stage: the one
+// place a charge is written.
+func (e *Env) charge(p int, w work) {
+	r := &e.metrics.open[p]
+	r.cpu.Add(w.cpu)
+	r.net.Add(w.net)
+	r.spill.Add(w.spill)
+	r.rowsIn.Add(w.rowsIn)
+	r.rowsOut.Add(w.rowsOut)
+}
+
+// chargeRetry charges partition p's re-execution after an injected failure
+// to its row: one retry and the simulated redeployment delay d.
+func (e *Env) chargeRetry(p int, d time.Duration) {
+	r := &e.metrics.open[p]
+	r.recovery.Add(int64(d))
+	r.retries.Add(1)
 }
 
 // chargeMem charges n freshly materialized bytes to the job's memory
-// reservation and mirrors them into the metrics. It returns false when the
+// reservation and to partition p's row. It returns false when the
 // governor kills the job — the structured budget error (wrapped in a
 // JobError so it unwinds like any contained partition failure) is recorded
 // and the short-circuit flag raised, so callers return immediately and
 // sibling partitions stop at their next poll. With n == 0 it is a pure
 // cooperative kill check: a reservation killed by another query's shedding
 // still fails it. Without a governor it is a nil check.
-func (e *Env) chargeMem(worker int, n int64) bool {
+func (e *Env) chargeMem(p int, n int64) bool {
 	if e.governor == nil {
 		return true
 	}
@@ -331,30 +382,13 @@ func (e *Env) chargeMem(worker int, n int64) bool {
 		if e.memKilled.CompareAndSwap(false, true) {
 			e.metrics.memKills.Add(1)
 		}
-		e.fail(&JobError{Stage: e.metrics.stageCount(), Partition: worker, Cause: err})
+		e.fail(&JobError{Stage: e.metrics.stageCount(), Partition: p, Cause: err})
 		return false
 	}
 	if n > 0 {
-		e.metrics.addMem(worker, n)
-		if e.tracer != nil {
-			e.tracer.Mem(worker, n)
-		}
+		e.metrics.open[p].mem.Add(n)
 	}
 	return true
-}
-
-// traceRowsIn records a partition's input row count for the active span.
-func (e *Env) traceRowsIn(worker int, rows int64) {
-	if e.tracer != nil {
-		e.tracer.RowsIn(worker, rows)
-	}
-}
-
-// traceRowsOut records a partition's output row count for the active span.
-func (e *Env) traceRowsOut(worker int, rows int64) {
-	if e.tracer != nil {
-		e.tracer.RowsOut(worker, rows)
-	}
 }
 
 // Err returns the first error recorded for the current job (a *JobError for
@@ -434,10 +468,12 @@ func (e *Env) consumeKill(stage int64, partition int) bool {
 	return true
 }
 
-// work is what one partition attempt did, as its body reports it and as
-// runStage - nobody else - charges and traces it.
+// work is what a partition did in a stage, as an attempt's body reports it
+// to runStage, or an exchange what it delivered, and as Env.charge writes it
+// to the partition's row.
 type work struct {
 	cpu     int64 // elements processed: the simulated CPU charge
+	net     int64 // bytes received over the simulated network
 	rowsIn  int64 // rows read
 	rowsOut int64 // rows of the partition the body returned
 	spill   int64 // bytes written to and read back from simulated disk
@@ -445,7 +481,7 @@ type work struct {
 
 // plus adds w2's work to w: two halves of one attempt.
 func (w work) plus(w2 work) work {
-	return work{cpu: w.cpu + w2.cpu, rowsIn: w.rowsIn + w2.rowsIn, rowsOut: w.rowsOut + w2.rowsOut, spill: w.spill + w2.spill}
+	return work{cpu: w.cpu + w2.cpu, net: w.net + w2.net, rowsIn: w.rowsIn + w2.rowsIn, rowsOut: w.rowsOut + w2.rowsOut, spill: w.spill + w2.spill}
 }
 
 // An attempt is one execution of one partition of a stage, as the stage's
@@ -496,7 +532,7 @@ func (a *attempt) flush() bool {
 // parallelism primitive, its fault boundary and the one place a partition
 // attempt is accounted: a body polls and holds through its attempt and
 // returns its output and its work; runStage flushes the held bytes, charges
-// CPU and spill, traces the rows and publishes the output - or, for an
+// the work to the partition's row and publishes the output - or, for an
 // attempt that ends on an aborted job, none of it. Panics inside body are
 // recovered into a JobError, injected worker failures are retried by
 // re-executing the partition from its materialized input (lineage-based
@@ -548,14 +584,7 @@ func runPartition[O any](stage int64, a *attempt, body func(*attempt) (O, work),
 				// Lineage-based recovery: charge the simulated redeployment
 				// (backoff + stage overhead) and loop to re-execute the
 				// partition; the recomputed work re-charges its own CPU.
-				recovery := plan.backoff(n) + e.cfg.StageOverhead
-				e.metrics.addRecovery(p, stage, recovery)
-				if e.tracer != nil {
-					e.tracer.Retry(stage, p, recovery)
-				}
-				if e.observer != nil {
-					e.observer.retries.Inc()
-				}
+				e.chargeRetry(p, plan.backoff(n)+e.cfg.StageOverhead)
 				continue
 			}
 			err = &JobError{
@@ -596,18 +625,15 @@ func runAttempt[O any](stage int64, a *attempt, body func(*attempt) (O, work), o
 	if !a.flush() {
 		return nil
 	}
-	if w.spill > 0 {
-		e.chargeSpill(a.p, w.spill)
-	}
-	e.chargeCPU(a.p, w.cpu)
-	e.traceRowsIn(a.p, w.rowsIn)
-	e.traceRowsOut(a.p, w.rowsOut)
 	*out = res
 	// The injected kill fires after the partition's work: the worker dies
 	// before the stage commits, so recovery must redo the work — the
-	// re-execution cost shows up in the metrics, as on a real cluster.
+	// re-execution cost shows up in the metrics, as on a real cluster — while
+	// the rows it read and wrote count once, for the attempt that commits.
 	if e.cfg.FaultPlan != nil && e.consumeKill(stage, a.p) {
+		e.charge(a.p, work{cpu: w.cpu, spill: w.spill})
 		panic(&workerFailure{stage: stage, partition: a.p})
 	}
+	e.charge(a.p, w)
 	return nil
 }

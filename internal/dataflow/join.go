@@ -87,7 +87,7 @@ func perRowJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint64, 
 	}
 	ls := shuffle(l, lkey)
 	rs := shuffle(r, rkey)
-	env.beginStage("Join", false)
+	env.beginStage(kindJoin)
 	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
 		joiner, row := newJoiner(a.lane)
 		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, joiner, row)
@@ -100,7 +100,7 @@ func repartitionJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uin
 	env := l.env
 	ls := shuffleTagged(l, lkey, tag)
 	rs := shuffleTagged(r, rkey, tag)
-	env.beginStage("Join", false)
+	env.beginStage(kindJoin)
 	out := runStage(env, len(ls.parts), func(a *attempt) ([]U, work) {
 		return hashJoinPartition(a, ls.parts[a.p], rs.parts[a.p], lkey, rkey, newJoiner(a.lane), nil)
 	})
@@ -111,7 +111,7 @@ func broadcastJoin[L, R, U any](l *Dataset[L], r *Dataset[R], lkey func(L) uint6
 	newJoiner func(*Lane) func(L, R, func(U))) *Dataset[U] {
 	env := l.env
 	build := broadcast(l)
-	env.beginStage("Join", false)
+	env.beginStage(kindJoin)
 	out := runStage(env, len(r.parts), func(a *attempt) ([]U, work) {
 		// A non-owned partition's probe side is empty by construction, but the
 		// build side is the full broadcast slice — constructing its hash table
@@ -148,7 +148,7 @@ func Build[L any](l *Dataset[L], key func(L) uint64) *HashBuild[L] {
 	if env.Failed() {
 		return &HashBuild[L]{env: env, rows: ls.parts, tables: make([]joinTable, len(ls.parts))}
 	}
-	env.beginStage("Build", false)
+	env.beginStage(kindBuild)
 	tables := runStage(env, len(ls.parts), func(a *attempt) (joinTable, work) {
 		return buildPartition(a, ls.parts[a.p], key, true)
 	})
@@ -166,7 +166,7 @@ func Probe[L, R, U any](b *HashBuild[L], r *Dataset[R], rkey func(R) uint64,
 		return Empty[U](env)
 	}
 	rs := shuffle(r, rkey)
-	env.beginStage("Probe", false)
+	env.beginStage(kindProbe)
 	out := runStage(env, len(rs.parts), func(a *attempt) ([]U, work) {
 		return probePartition(a, b.rows[a.p], &b.tables[a.p], rs.parts[a.p], rkey, newJoiner(a.lane), nil)
 	})

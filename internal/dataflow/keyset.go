@@ -139,7 +139,7 @@ func Keys[T any](d *Dataset[T], newKeys func() func(t T, keys []uint64) []uint64
 	if env.Failed() {
 		return newKeySet(0)
 	}
-	env.beginStage("Broadcast", true)
+	env.beginStage(kindBroadcast)
 	// The owned partitions' keys go one after another into one array, sized
 	// at one key an element; each partition's are sorted and compacted in
 	// place, and the next one's go behind them.
@@ -202,8 +202,7 @@ func Keys[T any](d *Dataset[T], newKeys func() func(t T, keys []uint64) []uint64
 	}
 	for q := range d.parts {
 		if env.owns(q) {
-			env.chargeNet(q, bytes)
-			env.traceRowsOut(q, int64(shipped))
+			env.charge(q, work{net: bytes, rowsOut: int64(shipped)})
 		}
 	}
 	return set

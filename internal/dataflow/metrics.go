@@ -7,44 +7,74 @@ import (
 	"time"
 
 	"gradoop/internal/field"
+	"gradoop/internal/trace"
 )
 
-// Metrics accumulates the cost drivers of a dataflow job per worker. The
-// per-worker counters are plain atomics — every partition goroutine hits
-// them on its hot path, and a shared mutex there serializes exactly the
-// workers the engine tries to run in parallel. Only the retried-stage set,
-// touched on the rare recovery path, keeps a lock. User code never touches
-// Metrics directly.
+// Metrics is the job's ledger: one row per partition for the open stage,
+// which every charge is written to and nothing else is (Env.charge,
+// chargeMem, chargeRetry), and the totals of the stages closed before it.
+// Rows are atomics - every partition goroutine hits its own on its hot path,
+// and a shared mutex there would serialize exactly the workers the engine
+// tries to run in parallel. When the stage closes its rows are taken once,
+// zeroing them, and folded into the totals (Env.closeStage); mu orders that
+// fold against a snapshot of a running job. User code never touches Metrics
+// directly.
 type Metrics struct {
-	cpuElements   []atomic.Int64     // elements processed, per worker
-	netBytes      []atomic.Int64     // bytes received over the simulated network, per worker
-	spillBytes    []atomic.Int64     // bytes written+read to simulated disk, per worker
-	memBytes      []atomic.Int64     // real materialized bytes reserved with the governor, per worker
-	recoveryNs    []atomic.Int64     // simulated redeployment/backoff nanoseconds, per worker
-	stages        atomic.Int64       // transformations executed
-	shuffles      atomic.Int64       // transformations that required a network exchange
-	retries       atomic.Int64       // partition re-executions after injected failures
-	memKills      atomic.Int64       // jobs killed by the memory budget (latched once per job)
-	mu            sync.Mutex         // guards retriedStages
-	retriedStages map[int64]struct{} // distinct stages that needed ≥1 retry
+	open     []row        // the open stage's charges, per partition
+	stages   atomic.Int64 // transformations executed
+	shuffles atomic.Int64 // transformations that required a network exchange
+	memKills atomic.Int64 // jobs killed by the memory budget (latched once per job)
+
+	mu      sync.Mutex        // guards the three below
+	total   []trace.PartStats // the closed stages' charges, per partition
+	closed  []trace.PartStats // the last stage closed, as it was taken
+	retried int64             // closed stages in which a partition was retried
 }
 
-// init (re)allocates the counters. It must only run between jobs: the
-// slices are swapped wholesale and concurrent writers would update the old
-// ones.
+// A row is one partition's charges in the open stage.
+type row struct {
+	cpu, net, spill, mem, recovery, retries, rowsIn, rowsOut atomic.Int64
+}
+
+// stats reads the row, each counter through read: Load while its partition
+// may still be writing it, Swap to take it when the stage closes.
+func (r *row) stats(read func(*atomic.Int64) int64) trace.PartStats {
+	return trace.PartStats{
+		RowsIn:      read(&r.rowsIn),
+		RowsOut:     read(&r.rowsOut),
+		CPUElements: read(&r.cpu),
+		NetBytes:    read(&r.net),
+		SpillBytes:  read(&r.spill),
+		MemBytes:    read(&r.mem),
+		Recovery:    time.Duration(read(&r.recovery)),
+		Retries:     read(&r.retries),
+	}
+}
+
+func load(v *atomic.Int64) int64 { return v.Load() }
+func take(v *atomic.Int64) int64 { return v.Swap(0) }
+
+// addCharges adds s's charges - not its rows, which are a stage's own - to t.
+func addCharges(t *trace.PartStats, s trace.PartStats) {
+	t.CPUElements += s.CPUElements
+	t.NetBytes += s.NetBytes
+	t.SpillBytes += s.SpillBytes
+	t.MemBytes += s.MemBytes
+	t.Recovery += s.Recovery
+	t.Retries += s.Retries
+}
+
+// init (re)allocates the ledger: the rows, and the totals and the closed
+// stage in one array. It must only run between jobs: the rows are swapped
+// wholesale and concurrent writers would update the old ones.
 func (m *Metrics) init(workers int) {
-	m.cpuElements = make([]atomic.Int64, workers)
-	m.netBytes = make([]atomic.Int64, workers)
-	m.spillBytes = make([]atomic.Int64, workers)
-	m.memBytes = make([]atomic.Int64, workers)
-	m.recoveryNs = make([]atomic.Int64, workers)
+	m.open = make([]row, workers)
+	stats := make([]trace.PartStats, 2*workers)
+	m.total, m.closed = stats[:workers:workers], stats[workers:]
 	m.stages.Store(0)
 	m.shuffles.Store(0)
-	m.retries.Store(0)
 	m.memKills.Store(0)
-	m.mu.Lock()
-	m.retriedStages = nil
-	m.mu.Unlock()
+	m.retried = 0
 }
 
 // addStage counts one transformation and returns its 1-based stage number.
@@ -60,35 +90,25 @@ func (m *Metrics) addStage(shuffle bool) int64 {
 // are counted by addStage immediately before their partitioned run).
 func (m *Metrics) stageCount() int64 { return m.stages.Load() }
 
-func (m *Metrics) addCPU(worker int, elements int64) {
-	m.cpuElements[worker].Add(elements)
-}
-
-func (m *Metrics) addNet(worker int, bytes int64) {
-	m.netBytes[worker].Add(bytes)
-}
-
-func (m *Metrics) addSpill(worker int, bytes int64) {
-	m.spillBytes[worker].Add(bytes)
-}
-
-func (m *Metrics) addMem(worker int, bytes int64) {
-	m.memBytes[worker].Add(bytes)
-}
-
-// addRecovery charges one worker-failure recovery: the simulated
-// redeployment delay d on the failed worker, one retry, and the stage's
-// membership in the retried-stage set. The re-executed work itself
-// re-charges CPU/spill through the normal counters.
-func (m *Metrics) addRecovery(worker int, stage int64, d time.Duration) {
-	m.recoveryNs[worker].Add(int64(d))
-	m.retries.Add(1)
+// fold takes the open stage's rows, zeroing them, adds them into the totals
+// and returns them with the stage's network, spill and retry sums. Only a
+// stage boundary calls it, when no partition of the stage runs any more; what
+// it returns is read before the next stage closes.
+func (m *Metrics) fold() (closed []trace.PartStats, net, spill, retries int64) {
 	m.mu.Lock()
-	if m.retriedStages == nil {
-		m.retriedStages = map[int64]struct{}{}
+	defer m.mu.Unlock()
+	for p := range m.open {
+		s := m.open[p].stats(take)
+		m.closed[p] = s
+		addCharges(&m.total[p], s)
+		net += s.NetBytes
+		spill += s.SpillBytes
+		retries += s.Retries
 	}
-	m.retriedStages[stage] = struct{}{}
-	m.mu.Unlock()
+	if retries > 0 {
+		m.retried++
+	}
+	return m.closed, net, spill, retries
 }
 
 // MetricsSnapshot is an immutable copy of a job's accumulated metrics
@@ -225,39 +245,46 @@ func (s MetricsSnapshot) Clone() MetricsSnapshot {
 	return s
 }
 
+// snapshot is the totals plus the open stage's rows, so a snapshot taken
+// mid-job or after a failure loses no charge.
 func (m *Metrics) snapshot(cfg Config) MetricsSnapshot {
 	m.mu.Lock()
-	retriedStages := int64(len(m.retriedStages))
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	w := len(m.total)
 	s := MetricsSnapshot{
-		Workers:       len(m.cpuElements),
-		CPUElements:   make([]int64, len(m.cpuElements)),
-		NetBytes:      make([]int64, len(m.netBytes)),
-		SpillBytes:    make([]int64, len(m.spillBytes)),
-		MemBytes:      make([]int64, len(m.memBytes)),
+		Workers:       w,
+		CPUElements:   make([]int64, w),
+		NetBytes:      make([]int64, w),
+		SpillBytes:    make([]int64, w),
+		MemBytes:      make([]int64, w),
 		Stages:        m.stages.Load(),
 		Shuffles:      m.shuffles.Load(),
-		Retries:       m.retries.Load(),
-		RetriedStages: retriedStages,
+		RetriedStages: m.retried,
 		MemKills:      m.memKills.Load(),
 	}
 	cost := cfg.Cost()
 	var worst time.Duration
-	for w := range s.CPUElements {
-		s.CPUElements[w] = m.cpuElements[w].Load()
-		s.NetBytes[w] = m.netBytes[w].Load()
-		s.SpillBytes[w] = m.spillBytes[w].Load()
-		s.MemBytes[w] = m.memBytes[w].Load()
-		recovery := time.Duration(m.recoveryNs[w].Load())
-		s.TotalCPU += s.CPUElements[w]
-		s.TotalNet += s.NetBytes[w]
-		s.TotalSpill += s.SpillBytes[w]
-		s.TotalMem += s.MemBytes[w]
-		s.RecoveryTime += recovery
-		if s.CPUElements[w] > s.MaxWorkerCPU {
-			s.MaxWorkerCPU = s.CPUElements[w]
-		}
-		worst = max(worst, cost.Time(s.CPUElements[w], s.NetBytes[w], s.SpillBytes[w], recovery))
+	var openRetries int64
+	for p := range m.total {
+		r := m.open[p].stats(load)
+		openRetries += r.Retries
+		t := m.total[p]
+		addCharges(&t, r)
+		s.CPUElements[p] = t.CPUElements
+		s.NetBytes[p] = t.NetBytes
+		s.SpillBytes[p] = t.SpillBytes
+		s.MemBytes[p] = t.MemBytes
+		s.TotalCPU += t.CPUElements
+		s.TotalNet += t.NetBytes
+		s.TotalSpill += t.SpillBytes
+		s.TotalMem += t.MemBytes
+		s.RecoveryTime += t.Recovery
+		s.Retries += t.Retries
+		s.MaxWorkerCPU = max(s.MaxWorkerCPU, t.CPUElements)
+		worst = max(worst, cost.Time(t.CPUElements, t.NetBytes, t.SpillBytes, t.Recovery))
+	}
+	if openRetries > 0 {
+		s.RetriedStages++
 	}
 	s.SimTime = worst + time.Duration(s.Stages)*cost.StageOverhead
 	return s

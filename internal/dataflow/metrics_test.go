@@ -54,31 +54,34 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrentCounters: the lock-free per-worker counters must
-// accumulate correctly under concurrent hammering from all workers (run
-// with -race this also proves the atomics replaced the mutex soundly).
+// TestMetricsConcurrentCounters: the lock-free ledger rows must accumulate
+// correctly under concurrent hammering from all workers over two stages, the
+// second still open when the snapshot is taken (run with -race this also
+// proves the atomics and the fold under the lock are sound).
 func TestMetricsConcurrentCounters(t *testing.T) {
-	var m Metrics
 	const workers, rounds = 8, 1000
-	m.init(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				m.addCPU(w, 1)
-				m.addNet(w, 2)
-				m.addSpill(w, 3)
-			}
-			m.addRecovery(w, int64(w%2)+1, time.Microsecond)
-		}(w)
+	e := NewEnv(DefaultConfig(workers))
+	for stage := range 2 {
+		e.beginStage(kindFlatMap)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					e.charge(w, work{cpu: 1, net: 2, spill: 3})
+				}
+				if w%2 == stage {
+					e.chargeRetry(w, time.Microsecond)
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	s := m.snapshot(DefaultConfig(workers))
-	if s.TotalCPU != workers*rounds || s.TotalNet != 2*workers*rounds || s.TotalSpill != 3*workers*rounds {
+	s := e.Metrics()
+	if s.TotalCPU != 2*workers*rounds || s.TotalNet != 4*workers*rounds || s.TotalSpill != 6*workers*rounds {
 		t.Errorf("totals = %d/%d/%d, want %d/%d/%d",
-			s.TotalCPU, s.TotalNet, s.TotalSpill, workers*rounds, 2*workers*rounds, 3*workers*rounds)
+			s.TotalCPU, s.TotalNet, s.TotalSpill, 2*workers*rounds, 4*workers*rounds, 6*workers*rounds)
 	}
 	if s.Retries != workers {
 		t.Errorf("retries = %d, want %d", s.Retries, workers)
@@ -88,6 +91,10 @@ func TestMetricsConcurrentCounters(t *testing.T) {
 	}
 	if s.RecoveryTime != time.Duration(workers)*time.Microsecond {
 		t.Errorf("recovery = %v, want %v", s.RecoveryTime, time.Duration(workers)*time.Microsecond)
+	}
+	e.Finish()
+	if after := e.Metrics(); !reflect.DeepEqual(after, s) {
+		t.Errorf("closing the open stage moved the snapshot:\nopen:   %+v\nclosed: %+v", s, after)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gradoop/internal/obs"
 )
@@ -28,6 +29,7 @@ func observedPipeline(o *Observer) ([]int, MetricsSnapshot) {
 		func(_ fatElem, x int, emit func(int)) { emit(x) }, RepartitionHash)
 	out := Distinct(joined).Collect()
 	sort.Ints(out)
+	e.Finish()
 	return out, e.Metrics()
 }
 
@@ -104,6 +106,7 @@ func TestObserverCountsRetries(t *testing.T) {
 	e.SetObserver(NewObserver(r))
 	d := FromSlice(e, ints(100))
 	Map(d, func(x int) int { return x })
+	e.Finish()
 	m := e.Metrics()
 	if m.Retries == 0 {
 		t.Fatal("fault plan injected no retries")
@@ -115,19 +118,27 @@ func TestObserverCountsRetries(t *testing.T) {
 
 // TestDisabledObserverHotPathNoAlloc: with no observer (and no tracer) the
 // engine's telemetry hooks are pure nil checks — zero allocations, the same
-// guarantee the nil trace collector gives.
+// guarantee the nil trace collector gives — and a stage allocates nothing
+// for its ledger: the rows, the totals and the closed stage are the job's,
+// allocated once (two objects), written in place and zeroed when the stage
+// closes.
 func TestDisabledObserverHotPathNoAlloc(t *testing.T) {
 	e := NewEnv(DefaultConfig(2))
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.beginStage("Map", false)
-		e.chargeCPU(0, 10)
-		e.chargeNet(1, 100)
-		e.chargeSpill(0, 50)
-		e.traceRowsIn(0, 5)
-		e.traceRowsOut(0, 5)
+		e.beginStage(kindFlatMap)
+		e.charge(0, work{cpu: 10, rowsIn: 5, rowsOut: 5, spill: 50})
+		e.charge(1, work{net: 100})
+		e.chargeRetry(1, time.Microsecond)
+		e.closeStage()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-telemetry hot path allocated %v per run", allocs)
+	}
+	if m := e.Metrics(); m.TotalCPU == 0 || m.TotalNet == 0 || m.TotalSpill == 0 || m.Retries == 0 || m.RetriedStages != m.Stages {
+		t.Fatalf("the stages charged nothing to the ledger: %+v", m)
+	}
+	if allocs := testing.AllocsPerRun(100, e.ResetMetrics); allocs != 2 {
+		t.Fatalf("a job's ledger is %v objects, want 2", allocs)
 	}
 }
 
@@ -138,11 +149,13 @@ func TestEnabledObserverHotPathNoAlloc(t *testing.T) {
 	r := obs.NewRegistry()
 	e := NewEnv(DefaultConfig(2))
 	e.SetObserver(NewObserver(r))
-	e.beginStage("Map", false) // warm the "Map" histogram child
+	e.beginStage(kindFlatMap) // warm the "FlatMap" histogram child
+	e.closeStage()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.beginStage("Map", false)
-		e.chargeNet(1, 100)
-		e.chargeSpill(0, 50)
+		e.beginStage(kindFlatMap)
+		e.charge(1, work{net: 100})
+		e.charge(0, work{spill: 50})
+		e.closeStage()
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled-telemetry hot path allocated %v per run", allocs)

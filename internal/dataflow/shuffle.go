@@ -46,13 +46,12 @@ func shuffleTagged[T any](d *Dataset[T], key func(T) uint64, tag uint64) *Datase
 	if tag != 0 && d.partTag == tag {
 		return d
 	}
-	env.beginStage("Shuffle", true)
+	env.beginStage(kindShuffle)
 	w := len(d.parts)
 	if w == 1 {
 		// Single worker: nothing moves, but the pass over the data is real.
-		env.chargeCPU(0, int64(len(d.parts[0])))
-		env.traceRowsIn(0, int64(len(d.parts[0])))
-		env.traceRowsOut(0, int64(len(d.parts[0])))
+		n := int64(len(d.parts[0]))
+		env.charge(0, work{cpu: n, rowsIn: n, rowsOut: n})
 		if tag != 0 {
 			tagged := *d
 			tagged.partTag = tag
@@ -216,8 +215,7 @@ func exchange[T any](d *Dataset[T], key func(T) uint64) ([][]T, bool) {
 		if !env.chargeMem(q, mem) {
 			return nil, false
 		}
-		env.chargeNet(q, net)
-		env.traceRowsOut(q, int64(len(out[q])))
+		env.charge(q, work{net: net, rowsOut: int64(len(out[q]))})
 	}
 	return out, true
 }
@@ -279,7 +277,7 @@ func broadcast[T any](d *Dataset[T]) []T {
 	if env.Failed() {
 		return nil
 	}
-	env.beginStage("Broadcast", true)
+	env.beginStage(kindBroadcast)
 	all, ok := gather(d)
 	if !ok {
 		return nil
@@ -299,8 +297,7 @@ func broadcast[T any](d *Dataset[T]) []T {
 		}
 		// Every worker receives the full copy except the share it already had;
 		// approximating as full size keeps the model simple and pessimistic.
-		env.chargeNet(q, bytes)
-		env.traceRowsOut(q, int64(len(all)))
+		env.charge(q, work{net: bytes, rowsOut: int64(len(all))})
 	}
 	return all
 }

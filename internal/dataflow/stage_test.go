@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"gradoop/internal/govern"
+	"gradoop/internal/obs"
 	"gradoop/internal/trace"
 )
 
@@ -250,44 +252,65 @@ func TestRetriedAttemptsAreCountedOnce(t *testing.T) {
 	}
 }
 
-// TestSpanChargesPriceToSnapshot ties the two descriptions of a job together:
+// TestSpanChargesPriceToSnapshot ties the two readers of the ledger together:
 // the spans' per-partition CPU, network, spill and recovery charges sum, per
 // worker, to the snapshot's arrays, and the one pricing function over those
 // sums plus one overhead per stage is the snapshot's SimTime to the
-// nanosecond. The jobs run under a fault plan (so recovery is charged) and
-// with a join memory small enough that the joins spill. The per-stage
-// SimTimes, a maximum each, only bound the job's figure from above.
+// nanosecond. The spans' retries sum to the snapshot's, the stages with a
+// retried partition are its RetriedStages, and the spans' rows are the rows
+// the same job traces without faults. The jobs run under a fault plan (so
+// recovery is charged) and with a join memory small enough that the joins
+// spill. The per-stage SimTimes, a maximum each, only bound the job's figure
+// from above.
 func TestSpanChargesPriceToSnapshot(t *testing.T) {
 	var recovered, spilled bool
 	for _, tc := range stageCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(tc.workers)
 			cfg.MemoryPerWorker = 256
-			env := NewEnv(cfg)
+			run := func(plan *FaultPlan) (*Env, []trace.Span) {
+				env := NewEnv(cfg)
+				env.InjectFaults(plan)
+				col := trace.NewCollector()
+				env.SetTracer(col)
+				tc.run(env)
+				if err := env.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				return env, col.Spans()
+			}
 			plan := &FaultPlan{}
 			for stage := int64(1); stage <= 8; stage++ {
 				plan.Kills = append(plan.Kills, Kill{Stage: stage, Partition: int(stage) % tc.workers})
 			}
-			env.InjectFaults(plan)
-			col := trace.NewCollector()
-			env.SetTracer(col)
-			tc.run(env)
-			if err := env.Finish(); err != nil {
-				t.Fatal(err)
-			}
+			_, clean := run(nil)
+			env, spans := run(plan)
 			snap, cost := env.Metrics(), cfg.Cost()
 
 			cpu, net, spill := make([]int64, tc.workers), make([]int64, tc.workers), make([]int64, tc.workers)
 			recovery := make([]time.Duration, tc.workers)
 			var stages time.Duration
-			for _, s := range col.Spans() {
+			var retries, retriedStages int64
+			for i, s := range spans {
 				stages += s.SimTime(cost)
+				retries += s.Retries()
+				if s.Retries() > 0 {
+					retriedStages++
+				}
 				for w, p := range s.Parts {
 					cpu[w] += p.CPUElements
 					net[w] += p.NetBytes
 					spill[w] += p.SpillBytes
 					recovery[w] += p.Recovery
+					if c := clean[i].Parts[w]; p.RowsIn != c.RowsIn || p.RowsOut != c.RowsOut {
+						t.Errorf("stage %d (%s) partition %d: rows %d in / %d out, %d / %d without faults",
+							s.Stage, s.Kind, w, p.RowsIn, p.RowsOut, c.RowsIn, c.RowsOut)
+					}
 				}
+			}
+			if retries != snap.Retries || retriedStages != snap.RetriedStages {
+				t.Errorf("spans carry %d retries in %d stages, the snapshot %d in %d",
+					retries, retriedStages, snap.Retries, snap.RetriedStages)
 			}
 			if !slices.Equal(cpu, snap.CPUElements) || !slices.Equal(net, snap.NetBytes) || !slices.Equal(spill, snap.SpillBytes) {
 				t.Errorf("spans sum to cpu=%v net=%v spill=%v, the snapshot says %v %v %v",
@@ -394,6 +417,104 @@ func TestAbortedAttemptPublishesNothing(t *testing.T) {
 				if part.RowsIn != 0 || part.RowsOut != 0 || part.CPUElements != 0 {
 					t.Errorf("%s partition %d: an aborted attempt traced %d rows in, %d out, %d CPU",
 						last.Kind, p, part.RowsIn, part.RowsOut, part.CPUElements)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenStageIsNeverLost: a job that dies mid-stage - killed by the memory
+// governor, or cancelled - closes that stage when it finishes, so no reader of
+// the ledger loses it: the snapshot's charges are the sum of the spans' Parts,
+// partition by partition, and the registry's shuffle, spill and retry
+// counters are the snapshot's. Before the dying stage the job shuffles and
+// spills. In the dying stage the fault plan kills partition 0's first attempt
+// after its work, so that stage's row holds charged CPU and a retry whatever
+// the other partitions got to, and the retry dies: it blows the budget up, or
+// cancels the job. A Finish that did not close the open row would leave that
+// CPU and that retry out of the last span and out of the registry.
+func TestOpenStageIsNeverLost(t *testing.T) {
+	const workers, n = 4, 2000
+	prefix := func(e *Env) {
+		build := make([]fatElem, 3) // 3 MiB on one partition against 2 MiB of join memory: it spills
+		Join(FromSlice(e, build), FromSlice(e, ints(n)),
+			func(fatElem) uint64 { return 1 },
+			func(x int) uint64 { return uint64(x % 5) },
+			func(_ fatElem, x int, emit func(int)) { emit(x) }, RepartitionHash).Count()
+	}
+	cfg := DefaultConfig(workers)
+	cfg.MemoryPerWorker = 2 << 20
+	probe := NewEnv(cfg)
+	prefix(probe)
+	cfg.FaultPlan = &FaultPlan{Kills: []Kill{{Stage: probe.Metrics().Stages + 1, Partition: 0}}}
+
+	for _, governed := range []bool{true, false} {
+		t.Run(map[bool]string{true: "governor", false: "cancel"}[governed], func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e := NewEnvContext(ctx, cfg)
+			if governed {
+				r := govern.NewBroker(8<<20, govern.ShedSelf).Begin("test-job")
+				defer r.Release()
+				e.SetGovernor(r)
+			}
+			reg := obs.NewRegistry()
+			e.SetObserver(NewObserver(reg))
+			col := trace.NewCollector()
+			e.SetTracer(col)
+			prefix(e)
+			var calls atomic.Int64
+			FlatMap(FromSlice(e, ints(n)), func(v int, emit func(int)) {
+				if calls.Add(1) <= n { // a first attempt
+					emit(v)
+					return
+				}
+				if !governed {
+					cancel()
+					emit(v)
+					return
+				}
+				for i := range 4096 { // 64 KiB a call: the first poll's flush is over the budget
+					emit(i)
+				}
+			})
+			err := e.Finish()
+			snap := e.Metrics()
+			if governed && snap.MemKills != 1 || !governed && !errors.Is(err, context.Canceled) {
+				t.Fatalf("job error %v with %d budget kills: the retry did not die as it was meant to", err, snap.MemKills)
+			}
+
+			if snap.TotalNet == 0 || snap.TotalSpill == 0 || snap.Retries == 0 {
+				t.Fatalf("net=%d spill=%d retries=%d: the case checks nothing", snap.TotalNet, snap.TotalSpill, snap.Retries)
+			}
+			var recovery time.Duration
+			var retries int64
+			cpu, net, spill, mem := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int64, workers)
+			spans := col.Spans()
+			for _, s := range spans {
+				for w, p := range s.Parts {
+					cpu[w] += p.CPUElements
+					net[w] += p.NetBytes
+					spill[w] += p.SpillBytes
+					mem[w] += p.MemBytes
+					recovery += p.Recovery
+					retries += p.Retries
+				}
+			}
+			if !slices.Equal(cpu, snap.CPUElements) || !slices.Equal(net, snap.NetBytes) ||
+				!slices.Equal(spill, snap.SpillBytes) || !slices.Equal(mem, snap.MemBytes) ||
+				recovery != snap.RecoveryTime || retries != snap.Retries {
+				t.Errorf("spans sum to cpu=%v net=%v spill=%v mem=%v recovery=%v retries=%d, the snapshot says %v %v %v %v %v %d",
+					cpu, net, spill, mem, recovery, retries,
+					snap.CPUElements, snap.NetBytes, snap.SpillBytes, snap.MemBytes, snap.RecoveryTime, snap.Retries)
+			}
+			exp := reg.Exposition()
+			for _, c := range []struct {
+				name string
+				want int64
+			}{{"gradoop_shuffle_bytes_total ", snap.TotalNet}, {"gradoop_spill_bytes_total ", snap.TotalSpill}, {"gradoop_stage_retries_total ", snap.Retries}} {
+				if got := extractSample(t, exp, c.name); got != float64(c.want) {
+					t.Errorf("%sis %v, the snapshot says %d", c.name, got, c.want)
 				}
 			}
 		})

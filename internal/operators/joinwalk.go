@@ -118,9 +118,9 @@ func (op *JoinEmbeddings) atPairs(r *Run) bool {
 // leaf, count, broadcast, shuffle or hash table runs, so there is no
 // collective: rows come out in the other input's partitions, in its order,
 // and carry no partition tag. The leaf is reported to a tracer as evaluated,
-// under the input the join reads, with the rows it made and, if scan tests a
-// set, the elements it tested and dropped; the join notes the elements it
-// read.
+// under the input the join reads, with the rows it made, as read in place
+// and, if scan tests a set, with the elements it tested and dropped; the join
+// notes the elements it read.
 func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embedding.Embedding], pairs, scan *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	w := op.walks[side]
 	store := r.access.Store()
@@ -151,6 +151,7 @@ func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embeddin
 	if c != nil {
 		in := [2]Operator{op.Left, op.Right}[side]
 		c.InOp(in, r.label(w.leaf), jw.counts.made.Load)
+		c.ReadInPlace(in)
 		if scan != nil { // tested on every element read, as a scan tests every element
 			c.Note(in, fmt.Sprintf("sip scanned=%d dropped=%d", jw.counts.read.Load(), scan.dropped.Load()))
 		}

@@ -64,8 +64,9 @@ type OpMetrics struct {
 	// Note is what the operator says about how it ran: a join that read a
 	// leaf where the store holds it says so and how many elements it read
 	// ("walked in place: edges=194", "looked up in place: vertices=387") -
-	// that leaf's Act is the rows the join made of it - and a join or a
-	// scan that tests a key set what the set dropped ("sip dropped=51").
+	// that leaf's Act is the rows the join made of it, and it carries no
+	// estimate - and a join or a scan that tests a key set what the set
+	// dropped ("sip dropped=51").
 	Note string `json:"note,omitempty"`
 }
 

@@ -11,7 +11,8 @@ import (
 
 // job is one live Execute call in the session's in-flight table. The env
 // pointer is published under the table's mutex once the query holds a slot;
-// reading progress from it afterwards is safe (Env metrics are atomics).
+// reading progress from it afterwards is safe (CurrentStage may be called
+// while the job runs).
 type job struct {
 	id      uint64
 	traceID string
@@ -62,7 +63,7 @@ func (t *jobTable) remove(j *job) {
 }
 
 // PartProgress is one partition's live contribution to the current stage of
-// an in-flight query (traced requests only).
+// an in-flight query.
 type PartProgress struct {
 	RowsIn  int64 `json:"rowsIn"`
 	RowsOut int64 `json:"rowsOut"`
@@ -77,21 +78,21 @@ type JobInfo struct {
 	State   string        `json:"state"` // "queued" | "running"
 	Started time.Time     `json:"started"`
 	Elapsed time.Duration `json:"elapsedNs"`
-	// Stage is the 1-based number of the stage currently executing and
-	// Stages the count of stages finished or started so far; Kind names the
-	// running transformation when the session publishes engine telemetry.
+	// Stage is the 1-based number of the stage currently executing and Kind
+	// names the running transformation, both read off the environment.
 	Stage int64  `json:"stage,omitempty"`
 	Kind  string `json:"kind,omitempty"`
-	// Op is the physical-plan operator the current stage belongs to and
-	// Parts its per-partition progress; both are filled for traced requests
-	// only, from the live trace span.
+	// Op is the physical-plan operator the current stage belongs to, filled
+	// for traced requests only, from the trace collector. Parts is the
+	// stage's per-partition progress, read off the environment's open
+	// stage.
 	Op    string         `json:"op,omitempty"`
 	Parts []PartProgress `json:"parts,omitempty"`
 }
 
 // Jobs returns a snapshot of every in-flight query, oldest first. Progress
-// fields are read live from each query's running environment and — for
-// traced requests — its trace collector.
+// fields are read live from each query's running environment and - the
+// operator, for traced requests - its trace collector.
 func (s *Session) Jobs() []JobInfo {
 	s.jobs.mu.Lock()
 	live := make([]*job, 0, len(s.jobs.jobs))
@@ -116,16 +117,17 @@ func (s *Session) Jobs() []JobInfo {
 		if running {
 			info.State = "running"
 			if env != nil {
-				info.Stage, info.Kind = env.CurrentStage()
-			}
-			if col != nil {
-				if span, ok := col.Current(); ok {
-					info.Stage, info.Kind, info.Op = span.Stage, span.Kind, span.Op
-					info.Parts = make([]PartProgress, len(span.Parts))
-					for p, ps := range span.Parts {
+				var parts []trace.PartStats
+				info.Stage, info.Kind, parts = env.CurrentStage()
+				if len(parts) > 0 {
+					info.Parts = make([]PartProgress, len(parts))
+					for p, ps := range parts {
 						info.Parts[p] = PartProgress{RowsIn: ps.RowsIn, RowsOut: ps.RowsOut}
 					}
 				}
+			}
+			if col != nil {
+				info.Op = col.Current()
 			}
 		}
 		out = append(out, info)

@@ -140,62 +140,80 @@ func TestMetricsSnapshotUntorn(t *testing.T) {
 }
 
 // TestJobsLiveView: an in-flight query appears in Jobs() with its canonical
-// query, running state and a live stage; after completion the table is
-// empty again.
+// query, running state and a live stage - its kind and a row of progress per
+// partition, read off the environment, so a query that is neither traced nor
+// run under a registry reports them too; only a traced one names its
+// operator. After completion the table is empty again.
 func TestJobsLiveView(t *testing.T) {
-	s := New(testGraph(2), Options{Metrics: obs.NewRegistry(), NoResultCache: true})
-	if got := s.Jobs(); len(got) != 0 {
-		t.Fatalf("idle session lists %d jobs", len(got))
-	}
-
-	// Stall a traced query inside a UDF-visible stage by holding a lock the
-	// filter parameter binding can't touch — instead, run queries in a loop
-	// in the background and poll Jobs() until we catch one mid-flight.
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, tc := range []struct {
+		name    string
+		traced  bool
+		metrics *obs.Registry
+	}{
+		{"traced", true, obs.NewRegistry()},
+		{"untraced/no-registry", false, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(testGraph(2), Options{Metrics: tc.metrics, NoResultCache: true})
+			if got := s.Jobs(); len(got) != 0 {
+				t.Fatalf("idle session lists %d jobs", len(got))
 			}
-			s.Execute(Request{
-				Query:   `MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`,
-				Trace:   true,
-				Context: obs.WithTraceID(context.Background(), "deadbeef"),
-			})
-		}
-	}()
-	defer func() { close(stop); <-done }()
 
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case <-deadline:
-			t.Fatal("never caught an in-flight job in Jobs()")
-		default:
-		}
-		jobs := s.Jobs()
-		if len(jobs) == 0 {
-			continue
-		}
-		j := jobs[0]
-		if j.Query == "" || !strings.Contains(j.Query, "MATCH") {
-			t.Fatalf("job lost its query text: %+v", j)
-		}
-		if j.TraceID != "deadbeef" {
-			t.Fatalf("job lost its trace ID: %+v", j)
-		}
-		if j.State != "running" && j.State != "queued" {
-			t.Fatalf("unexpected state %q", j.State)
-		}
-		// Keep polling until we see a running job with a live stage: that is
-		// the acceptance criterion — the current stage while it runs.
-		if j.State == "running" && j.Stage > 0 && j.Kind != "" {
-			return
-		}
+			// Run queries in a loop in the background and poll Jobs() until we
+			// catch one mid-flight.
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Execute(Request{
+						Query:   `MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`,
+						Trace:   tc.traced,
+						Context: obs.WithTraceID(context.Background(), "deadbeef"),
+					})
+				}
+			}()
+			defer func() { close(stop); <-done }()
+
+			deadline := time.After(5 * time.Second)
+			for {
+				select {
+				case <-deadline:
+					t.Fatal("never caught an in-flight job in Jobs()")
+				default:
+				}
+				jobs := s.Jobs()
+				if len(jobs) == 0 {
+					continue
+				}
+				j := jobs[0]
+				if j.Query == "" || !strings.Contains(j.Query, "MATCH") {
+					t.Fatalf("job lost its query text: %+v", j)
+				}
+				if j.TraceID != "deadbeef" {
+					t.Fatalf("job lost its trace ID: %+v", j)
+				}
+				if j.State != "running" && j.State != "queued" {
+					t.Fatalf("unexpected state %q", j.State)
+				}
+				if !tc.traced && j.Op != "" {
+					t.Fatalf("an untraced job names an operator: %+v", j)
+				}
+				// Keep polling until we see a running job with a live stage: that
+				// is the acceptance criterion — the current stage while it runs.
+				if j.State == "running" && j.Stage > 0 && j.Kind != "" {
+					if len(j.Parts) == 0 {
+						t.Fatalf("a running %s stage reports no partition: %+v", j.Kind, j)
+					}
+					return
+				}
+			}
+		})
 	}
 }
 

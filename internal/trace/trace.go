@@ -6,6 +6,11 @@
 // retry counts. Failed and retried partition attempts are kept individually,
 // so fault-injected re-executions show up as distinct retry spans.
 //
+// A span's per-partition statistics are the engine's ledger row of the
+// stage: the engine writes each charge once, into that row, and hands the
+// row over in one call when the stage closes (EndStage). The collector adds
+// what only it knows - the operator scope, the wall clock and the attempts.
+//
 // The collector is the engine's only tracing dependency: a nil *Collector
 // disables tracing entirely (the engine guards every call with a nil check),
 // which is the zero-cost path query execution takes by default. The package
@@ -19,19 +24,21 @@ import (
 	"time"
 )
 
-// PartStats aggregates one partition's contribution to a stage.
+// PartStats is one partition's share of a stage: the engine's ledger row
+// for that partition, as it stood when the stage closed.
 type PartStats struct {
 	// RowsIn and RowsOut count the elements entering and leaving the
-	// partition. For shuffles RowsIn is counted on the sending partition and
-	// RowsOut on the receiving one.
+	// partition, for the attempt that committed. For shuffles RowsIn is
+	// counted on the sending partition and RowsOut on the receiving one.
 	RowsIn  int64 `json:"rowsIn"`
 	RowsOut int64 `json:"rowsOut"`
-	// CPUElements mirrors the simulated-cost CPU charge of the partition.
+	// CPUElements is the simulated-cost CPU charge of the partition: the
+	// elements every attempt of it processed.
 	CPUElements int64 `json:"cpuElements"`
-	// NetBytes and SpillBytes mirror the network and disk charges.
+	// NetBytes and SpillBytes are the network and disk charges.
 	NetBytes   int64 `json:"netBytes"`
 	SpillBytes int64 `json:"spillBytes"`
-	// MemBytes mirrors the memory-broker materialization charge: bytes of
+	// MemBytes is the memory-broker materialization charge: bytes of
 	// embeddings this partition reserved against the process budget while
 	// the stage ran.
 	MemBytes int64 `json:"memBytes,omitempty"`
@@ -68,7 +75,7 @@ type Span struct {
 	// or 0 outside iterations.
 	Iteration int `json:"iteration,omitempty"`
 	// Start and End are wall-clock offsets from the collector epoch. End is
-	// closed when the next stage begins or Finish is called.
+	// set when the stage closes (EndStage).
 	Start time.Duration `json:"startNs"`
 	End   time.Duration `json:"endNs"`
 	// Parts holds per-partition statistics, indexed by partition.
@@ -173,6 +180,10 @@ type OpStats struct {
 	// join's strategy and the counts it chose it on, a leaf that was probed
 	// where it lay.
 	Note string `json:"note,omitempty"`
+	// InPlace marks a leaf that a join read where the store holds it instead
+	// of scanning it: its Rows are what the join made of it, not a scan of its
+	// label, so no estimate of the leaf's is comparable with them.
+	InPlace bool `json:"inPlace,omitempty"`
 }
 
 // Collector accumulates spans and operator statistics for one job. It is
@@ -292,15 +303,23 @@ func (c *Collector) Note(token any, note string) {
 	}
 }
 
+// ReadInPlace marks an operator as a leaf that a join read where the store
+// holds it (OpStats.InPlace). The operator must have been in scope.
+func (c *Collector) ReadInPlace(token any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.ops[token]; ok {
+		st.InPlace = true
+	}
+}
+
 // BeginStage opens the span for a new stage, closing the previous one. The
 // span is attributed to the innermost open operator scope.
 func (c *Collector) BeginStage(stage int64, kind string, shuffle bool, parts int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.close()
 	now := c.since()
-	if c.cur != nil {
-		c.cur.End = now
-	}
 	s := &carve(&c.spanChunk, 1, chunkStages)[0]
 	*s = Span{
 		Stage:     stage,
@@ -338,68 +357,16 @@ func (c *Collector) span(stage int64) *Span {
 	return nil
 }
 
-// Finish closes the currently open span. Call it when the job ends.
-func (c *Collector) Finish() {
+// EndStage closes the open span with its partitions' charges, parts[p]
+// being partition p's: the engine's ledger row of the stage, handed over once,
+// when the stage closes.
+func (c *Collector) EndStage(parts []PartStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.cur != nil {
+		copy(c.cur.Parts, parts)
+	}
 	c.close()
-}
-
-// part returns the current span's stats slot for partition p, growing the
-// slice defensively if the engine reports an out-of-range partition.
-func (c *Collector) part(p int) *PartStats {
-	if c.cur == nil {
-		return &PartStats{} // discarded
-	}
-	for p >= len(c.cur.Parts) {
-		c.cur.Parts = append(c.cur.Parts, PartStats{})
-	}
-	return &c.cur.Parts[p]
-}
-
-// RowsIn records the input row count of partition p in the current stage.
-// Re-executed partitions overwrite their previous value, so retried work is
-// not double counted.
-func (c *Collector) RowsIn(p int, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).RowsIn = n
-}
-
-// RowsOut records the output row count of partition p in the current stage.
-func (c *Collector) RowsOut(p int, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).RowsOut = n
-}
-
-// CPU mirrors a CPU-element charge into the current stage.
-func (c *Collector) CPU(p int, elements int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).CPUElements += elements
-}
-
-// Net mirrors a network-byte charge into the current stage.
-func (c *Collector) Net(p int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).NetBytes += bytes
-}
-
-// Spill mirrors a spill-byte charge into the current stage.
-func (c *Collector) Spill(p int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).SpillBytes += bytes
-}
-
-// Mem mirrors a memory-broker materialization charge into the current
-// stage.
-func (c *Collector) Mem(p int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.part(p).MemBytes += bytes
 }
 
 // Attempt records one partition execution attempt of a stage.
@@ -417,22 +384,6 @@ func (c *Collector) Attempt(stage int64, part, n int, start, end time.Time, fail
 		End:    end.Sub(c.epoch),
 		Failed: failed,
 	})
-}
-
-// Retry records a retried partition of a stage along with the simulated
-// recovery delay charged for it.
-func (c *Collector) Retry(stage int64, part int, recovery time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.span(stage)
-	if s == nil {
-		return
-	}
-	for part >= len(s.Parts) {
-		s.Parts = append(s.Parts, PartStats{})
-	}
-	s.Parts[part].Retries++
-	s.Parts[part].Recovery += recovery
 }
 
 // SetIteration marks subsequent stages as belonging to the given 1-based
@@ -486,21 +437,17 @@ func (c *Collector) close() {
 	}
 }
 
-// Current returns a copy of the span of the stage executing right now, with
-// its per-partition progress so far, without closing it — unlike Spans, it
-// is safe to call while the job is still running (live /jobs introspection).
-// ok is false when no stage is open.
-func (c *Collector) Current() (cur Span, ok bool) {
+// Current returns the operator the stage executing right now belongs to: ""
+// when no stage is open or it is outside any operator scope. It is safe to
+// call while the job runs (live /jobs introspection); the stage's number,
+// kind and per-partition progress are the engine's (dataflow.Env.CurrentStage).
+func (c *Collector) Current() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur == nil {
-		return Span{}, false
+		return ""
 	}
-	cur = *c.cur
-	cur.End = c.since()
-	cur.Parts = append([]PartStats(nil), c.cur.Parts...)
-	cur.Attempts = append([]Attempt(nil), c.cur.Attempts...)
-	return cur, true
+	return c.cur.Op
 }
 
 // Op returns the statistics recorded for an operator token.

@@ -17,19 +17,12 @@ func TestCollectorSpansAndAttribution(t *testing.T) {
 	// scope: its stage must be attributed to the child, not the parent.
 	c.pushOp(child, "Leaf")
 	c.BeginStage(1, "FlatMap", false, 2)
-	c.RowsIn(0, 10)
-	c.RowsOut(0, 5)
-	c.RowsIn(1, 20)
-	c.RowsOut(1, 15)
-	c.CPU(0, 10)
-	c.CPU(1, 20)
+	c.EndStage([]PartStats{{RowsIn: 10, RowsOut: 5, CPUElements: 10}, {RowsIn: 20, RowsOut: 15, CPUElements: 20}})
 	c.popOp(child, 20)
 
 	c.BeginStage(2, "Shuffle", true, 2)
-	c.Net(0, 100)
-	c.Net(1, 300)
+	c.EndStage([]PartStats{{NetBytes: 100}, {NetBytes: 300}})
 	c.popOp(parent, 7)
-	c.Finish()
 
 	spans := c.Spans()
 	if len(spans) != 2 {
@@ -44,6 +37,10 @@ func TestCollectorSpansAndAttribution(t *testing.T) {
 	}
 	if in, out := s1.Rows(); in != 30 || out != 20 {
 		t.Errorf("span 1 rows = %d in / %d out, want 30/20", in, out)
+	}
+	if s2.NetBytes() != 400 || s1.Parts[1].CPUElements != 20 {
+		t.Errorf("charges handed over at the close: span 2 net %d, span 1 partition 1 cpu %d, want 400 and 20",
+			s2.NetBytes(), s1.Parts[1].CPUElements)
 	}
 	if s1.End < s1.Start || s2.Start < s1.End {
 		t.Errorf("span times not monotone: s1=[%v,%v] s2 starts %v", s1.Start, s1.End, s2.Start)
@@ -65,28 +62,6 @@ func TestCollectorSpansAndAttribution(t *testing.T) {
 	}
 	if ops := c.Ops(); len(ops) != 2 || ops[0].Label != "Join" || ops[1].Label != "Leaf" {
 		t.Errorf("Ops() = %+v, want [Join Leaf] in first-evaluation order", ops)
-	}
-}
-
-func TestRetriedPartitionOverwritesRows(t *testing.T) {
-	c := NewCollector()
-	c.BeginStage(1, "FlatMap", false, 1)
-	c.RowsIn(0, 10)
-	c.RowsOut(0, 4) // partial output of a failed attempt
-	c.Retry(1, 0, 5*time.Millisecond)
-	c.RowsIn(0, 10)
-	c.RowsOut(0, 8) // the successful re-execution
-	c.Finish()
-
-	s := c.Spans()[0]
-	if in, out := s.Rows(); in != 10 || out != 8 {
-		t.Errorf("rows after retry = %d/%d, want 10/8 (no double count)", in, out)
-	}
-	if s.Retries() != 1 {
-		t.Errorf("retries = %d, want 1", s.Retries())
-	}
-	if s.Parts[0].Recovery != 5*time.Millisecond {
-		t.Errorf("recovery = %v, want 5ms", s.Parts[0].Recovery)
 	}
 }
 
@@ -129,7 +104,7 @@ func TestInOpClosesItsScopeOnPanic(t *testing.T) {
 		return 3
 	})
 	c.BeginStage(2, "Union", false, 1)
-	c.Finish()
+	c.EndStage(nil)
 	spans := c.Spans()
 	if spans[0].Op != "B" || spans[1].Op != "" {
 		t.Errorf("stages attributed to %q and %q, want B and none", spans[0].Op, spans[1].Op)
@@ -148,7 +123,7 @@ func TestChromeTraceExport(t *testing.T) {
 	c.Attempt(1, 0, 0, time.Now(), time.Now().Add(time.Millisecond), false)
 	c.Attempt(1, 1, 0, time.Now(), time.Now().Add(time.Millisecond), true)
 	c.Attempt(1, 1, 1, time.Now(), time.Now().Add(time.Millisecond), false)
-	c.Finish()
+	c.EndStage(nil)
 
 	var buf bytes.Buffer
 	if err := c.WriteChromeTrace(&buf); err != nil {
@@ -180,27 +155,34 @@ func TestChromeTraceExport(t *testing.T) {
 
 // BenchmarkCollectorStage is what a collector costs a job of one stage of
 // four partition attempts: the collector, the stage's span, its partitions'
-// slots and its attempts, and a walk of it - a cluster worker's stage table
-// reads its spans so. `make alloc-guard` pins its allocations: a stage is
-// carved from the collector's chunks, not allocated piece by piece.
+// slots and its attempts, the stage's ledger row handed over in the one call
+// that closes it, and a walk of it - a cluster worker's stage table reads its
+// spans so. `make alloc-guard` pins its allocations: a stage is carved from
+// the collector's chunks, not allocated piece by piece.
 func BenchmarkCollectorStage(b *testing.B) {
 	const parts = 4
 	start := time.Now()
+	row := make([]PartStats, parts)
+	for p := range row {
+		row[p] = PartStats{RowsIn: 10, RowsOut: 5, CPUElements: 10}
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		c := NewCollector()
 		c.BeginStage(1, "FlatMap", false, parts)
 		for p := 0; p < parts; p++ {
-			c.RowsIn(p, 10)
-			c.RowsOut(p, 5)
-			c.CPU(p, 10)
 			c.Attempt(1, p, 0, start, start, false)
 		}
-		c.Finish()
-		n := 0
-		c.Walk(func(s *Span) { n += len(s.Attempts) })
-		if n != parts {
-			b.Fatalf("%d attempts, want %d", n, parts)
+		c.EndStage(row)
+		n, cpu := 0, int64(0)
+		c.Walk(func(s *Span) {
+			n += len(s.Attempts)
+			for _, p := range s.Parts {
+				cpu += p.CPUElements
+			}
+		})
+		if n != parts || cpu != 10*parts {
+			b.Fatalf("%d attempts and %d CPU, want %d and %d", n, cpu, parts, 10*parts)
 		}
 	}
 }
