@@ -63,10 +63,10 @@ func TestKilledPartitionIsInvisibleToTheLane(t *testing.T) {
 	}
 }
 
-// TestJobsOnOneEnvShareNothing: an Env kept between jobs starts every job on
-// empty lanes (dataflow's TestLanesAreDroppedBetweenJobs looks into them), so
-// jobs run one after the other on one Env return the rows each returns on an
-// Env of its own.
+// TestJobsOnOneEnvShareNothing: a job borrows its lanes from the process and
+// gives them back (dataflow's TestLanesAreDroppedBetweenJobs looks into
+// them), so jobs run one after the other on one Env, in lanes the last job
+// gave back, return the rows each returns on an Env of its own.
 func TestJobsOnOneEnvShareNothing(t *testing.T) {
 	kept, common := goldenGraph(4)
 	defer core.DropGraphStats(kept)
@@ -80,30 +80,35 @@ func TestJobsOnOneEnvShareNothing(t *testing.T) {
 	}
 }
 
-// TestConcurrentJobsShareNoLane: lanes never cross Envs. Two jobs on two Envs
-// at 16 partitions, run at the same time - under -race - return what each
-// returns alone.
+// TestConcurrentJobsShareNoLane: at most one Env holds a lane at a time. Eight
+// jobs on eight Envs - every yardstick query, two of them twice - at 4 and
+// at 16 partitions, run at the same time and again three rounds over, each
+// round in lanes the others gave back, return what each returns alone; under
+// -race a lane two jobs held at once is a reported race.
 func TestConcurrentJobsShareNoLane(t *testing.T) {
-	queries := []benchkit.QueryID{benchkit.Q3, benchkit.Q5}
-	graphs := make([]*epgm.LogicalGraph, len(queries))
-	want := make([][]byte, len(queries))
-	var common string
-	for i, q := range queries {
-		graphs[i], common = goldenGraph(16)
-		defer core.DropGraphStats(graphs[i])
-		want[i], _ = laneRun(t, graphs[i], common, q, nil)
-	}
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				if got, _ := laneRun(t, graphs[i], common, q, nil); !bytes.Equal(got, want[i]) {
-					t.Errorf("%s next to another job: rows differ from the job alone", q)
+	queries := []benchkit.QueryID{benchkit.Q1, benchkit.Q2, benchkit.Q3, benchkit.Q4, benchkit.Q5, benchkit.Q6, benchkit.Q3, benchkit.Q5}
+	for _, workers := range []int{4, 16} {
+		src, common := goldenGraph(workers)
+		vs, es := src.Vertices.Collect(), src.Edges.Collect()
+		graphs := make([]*epgm.LogicalGraph, len(queries))
+		want := make([][]byte, len(queries))
+		for i, q := range queries {
+			graphs[i] = epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(workers)), "", vs, es)
+			defer core.DropGraphStats(graphs[i])
+			want[i], _ = laneRun(t, graphs[i], common, q, nil)
+		}
+		var wg sync.WaitGroup
+		for i, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 3; round++ {
+					if got, _ := laneRun(t, graphs[i], common, q, nil); !bytes.Equal(got, want[i]) {
+						t.Errorf("%s at %d partitions next to seven other jobs: rows differ from the job alone", q, workers)
+					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

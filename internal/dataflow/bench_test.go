@@ -120,7 +120,7 @@ func BenchmarkStageAttempt(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			FlatMapWith(d, func(*Lane) func(int, func(int)) {
 				return func(x int, emit func(int)) { emit(x + 1) }
-			}, 1)
+			})
 		}
 	})
 	b.Run("JoinWith", func(b *testing.B) {
@@ -170,5 +170,38 @@ func BenchmarkStageAttempt(b *testing.B) {
 	})
 	if err := e.Err(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkJobOnBorrowedLanes is a job of three steps - a scan (FlatMapWith),
+// a repartition join and a shuffle of its output: five stages - over four
+// partitions, on a new Env every op, Finished, after one warm job. Every op's
+// Env borrows the lanes the last one gave back, so its tables, routes and
+// staging buffers cost no object: what it allocates is the Env and its
+// ledger, the stages' own few and each output partition once. `make
+// alloc-guard` pins it.
+func BenchmarkJobOnBorrowedLanes(b *testing.B) {
+	data := benchData(4096)
+	key := func(x int) uint64 { return uint64(x % 1024) }
+	job := func() {
+		e := NewEnv(DefaultConfig(4))
+		d := FromSlice(e, data)
+		scanned := FlatMapWith(d, func(*Lane) func(int, func(int)) {
+			return func(x int, emit func(int)) {
+				if x%2 == 0 {
+					emit(x)
+				}
+			}
+		})
+		PartitionByKey(Join(scanned, d, key, key, emitSum, RepartitionHash), key)
+		if err := e.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	job()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
 	}
 }

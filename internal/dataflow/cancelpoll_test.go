@@ -76,17 +76,7 @@ var pollRows = []pollRow{
 	{name: "FlatMapWith", run: func(env *Env, hit func()) {
 		FlatMapWith(FromSlice(env, ints(pollN)), func(*Lane) func(int, func(int)) {
 			return func(v int, emit func(int)) { hit(); emit(v) }
-		}, 1)
-	}},
-	// The counting pass comes first and is the loop this row cancels in.
-	{name: "FlatMapCounted", run: func(env *Env, hit func()) {
-		FlatMapCounted(FromSlice(env, ints(pollN)), func(int) bool { hit(); return true },
-			func(*Lane) func(int, func(int)) { return func(v int, emit func(int)) { emit(v) } })
-	}},
-	// The sizing pass comes first and is the loop this row cancels in.
-	{name: "FlatMapSized", run: func(env *Env, hit func()) {
-		FlatMapSized(FromSlice(env, ints(pollN)), func(int) int { hit(); return 1 },
-			func(*Lane) func(int, func(int)) { return func(v int, emit func(int)) { emit(v) } })
+		})
 	}},
 	// One element whose work - a row emitted per unit - is all in the function:
 	// only the function's own poll runs there.
@@ -118,7 +108,7 @@ var pollRows = []pollRow{
 		d := FromSlice(env, ints(pollN))
 		Join(d, d, func(v int) uint64 { hit(); return uint64(v) }, stageKey, emitSum, BroadcastLeft)
 	}},
-	// The count of the matches, which walks the probe side first.
+	// The probe loop, over probe rows without a match.
 	{name: "JoinWith", run: func(env *Env, hit func()) {
 		d := FromSlice(env, ints(pollN))
 		JoinWith(d, d, func(v int) uint64 { return uint64(v) }, func(v int) uint64 { hit(); return uint64(v + pollN) },

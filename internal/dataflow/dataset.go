@@ -158,12 +158,9 @@ func (d *Dataset[T]) Count() int64 {
 // IsEmpty reports whether the dataset has no elements.
 func (d *Dataset[T]) IsEmpty() bool { return d.Count() == 0 }
 
-// Map applies f to every element, preserving partitioning. It is one to
-// one, so every output partition is allocated once, at its input's length.
+// Map applies f to every element, preserving partitioning.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return FlatMapWith(d, func(*Lane) func(T, func(U)) {
-		return func(t T, emit func(U)) { emit(f(t)) }
-	}, 1)
+	return FlatMap(d, func(t T, emit func(U)) { emit(f(t)) })
 }
 
 // Filter keeps the elements for which pred returns true, preserving
@@ -182,7 +179,7 @@ func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 // is the transformation the paper's FilterAndProject operators fuse their
 // Select→Project→Transform steps into (§3.1).
 func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
-	return FlatMapWith(d, func(*Lane) func(T, func(U)) { return f }, 0)
+	return FlatMapWith(d, func(*Lane) func(T, func(U)) { return f })
 }
 
 // FlatMapWith is FlatMap for a row function that keeps state: newF is called
@@ -190,50 +187,14 @@ func FlatMap[T, U any](d *Dataset[T], f func(T, func(U))) *Dataset[U] {
 // returns is called by that attempt's goroutine only. What newF declares is
 // the attempt's own and a retried attempt gets a fresh one; what it keeps in
 // the lane - a slab its output rows are carved from, scratch slices - lasts
-// the job and is the partition's own (Lane). Neither needs a lock. JoinWith,
-// Probe, OuterJoinWith and SemiJoinWith follow the same contract.
+// as long as the lane and is the partition's own while its job holds it
+// (Lane). Neither needs a lock. JoinWith, Probe, OuterJoinWith and
+// SemiJoinWith follow the same contract.
 //
-// perInput is what the caller knows of the function's fan-out: an output
-// partition is allocated once, with room for perInput outputs per input
-// element, before the first row is written. It is a size, not a contract - a
-// function that emits more grows the partition, one that emits less than half
-// has it copied to its length (see publish) - and 0 says nothing is known:
-// the partition grows as rows are emitted, which is right for a selective
-// function.
-func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int) *Dataset[U] {
-	return flatMapWith(d, newF, perInput, nil, nil)
-}
-
-// FlatMapCounted is FlatMapWith for a function that writes at most one output
-// for an element count passes and none for any other: every partition attempt
-// counts what count passes first, then allocates its output once at that
-// count and writes, as a join's probe counts its pairs before it writes them
-// (probePartition). Sized at the input length instead, the output of a
-// function that keeps few would be copied down to its length; grown as
-// emitted, it would be copied up to it. count is a size, not a filter - the
-// function still decides what it writes - and it may be called from several
-// attempts at once. A nil count passes every element: the output is allocated
-// at the input length without a counting pass, as FlatMapWith's with one
-// output per element.
-func FlatMapCounted[T, U any](d *Dataset[T], count func(T) bool, newF func(*Lane) func(T, func(U))) *Dataset[U] {
-	if count == nil {
-		return flatMapWith(d, newF, 1, nil, nil)
-	}
-	return flatMapWith(d, newF, 0, count, nil)
-}
-
-// FlatMapSized is FlatMapWith for a function whose outputs for an element are
-// at most size of it, a bound read off the element before the function runs:
-// every partition attempt sums size over its elements first, then allocates
-// its output once at that sum, but no more than presizeCeiling rows, and
-// writes - as a join's probe counts its pairs (probePartition). A function
-// that writes fewer than half has its output copied to its length (publish).
-// size may be called from several attempts at once.
-func FlatMapSized[T, U any](d *Dataset[T], size func(T) int, newF func(*Lane) func(T, func(U))) *Dataset[U] {
-	return flatMapWith(d, newF, 0, nil, size)
-}
-
-func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), perInput int, count func(T) bool, size func(T) int) *Dataset[U] {
+// Nothing is asked of the function's fan-out: what it emits is staged in the
+// lane as it is emitted, and the output partition is allocated once, at the
+// rows the attempt wrote (publish).
+func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U))) *Dataset[U] {
 	env := d.env
 	if env.Failed() {
 		return Empty[U](env)
@@ -242,36 +203,16 @@ func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
-		n := perInput * len(part)
-		if count != nil || size != nil {
-			for i, t := range part {
-				if !a.tick(i) {
-					return nil, work{}
-				}
-				switch {
-				case count == nil:
-					n += size(t)
-				case count(t):
-					n++
-				}
-			}
-			if size != nil {
-				n = min(n, presizeCeiling)
-			}
-		}
-		var res []U
-		if n > 0 {
-			res = make([]U, 0, n)
-		}
-		emit := emitter(a, &res)
+		res := stagingOf[U](a.lane)
+		emit := emitter(a, res)
 		for i, t := range part {
-			if !a.tick(i) {
+			if a.in = int64(i); !a.tick(i) {
 				return nil, work{}
 			}
 			f(t, emit)
 		}
 		in := int64(len(part))
-		return publish(res), work{cpu: in, rowsIn: in, rowsOut: int64(len(res))}
+		return publish(*res), work{cpu: in, rowsIn: in, rowsOut: int64(len(*res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
@@ -284,8 +225,7 @@ func flatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U)), per
 // flushes the bytes the attempt holds to the governor every cancelCheckMask+1
 // calls, so a runaway element is stopped in the middle. Once poll reports
 // false the attempt is dead: the function returns at once and the stage drops
-// what it wrote. Nothing is known of the fan-out - the output grows as rows
-// are emitted - and the simulated CPU charge is one per element and one per
+// what it wrote. The simulated CPU charge is one per element and one per
 // poll.
 func FlatMapPolled[T, U any](d *Dataset[T], newF func(*Lane) func(t T, emit func(U), poll func() bool)) *Dataset[U] {
 	env := d.env
@@ -296,59 +236,54 @@ func FlatMapPolled[T, U any](d *Dataset[T], newF func(*Lane) func(t T, emit func
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
-		var res []U
-		emit := emitter(a, &res)
+		res := stagingOf[U](a.lane)
+		emit := emitter(a, res)
 		polls := 0
 		poll := func() bool {
 			polls++
 			return a.tick(polls)
 		}
-		for _, t := range part {
-			if !poll() {
+		for i, t := range part {
+			if a.in = int64(i); !poll() {
 				return nil, work{}
 			}
 			if f(t, emit, poll); a.dead {
 				return nil, work{}
 			}
 		}
-		return publish(res), work{cpu: int64(polls), rowsIn: int64(len(part)), rowsOut: int64(len(res))}
+		return publish(*res), work{cpu: int64(polls), rowsIn: int64(len(part)), rowsOut: int64(len(*res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }
 
-// presizeCeiling is the most rows an output partition is allocated at on the
-// strength of a count (probePartition): 2^18 rows, 2 MiB of the one-word
-// headers of embedding rows. It is a constant - nothing sets it but TestPresizeIsInvisible,
-// which is why it is a variable.
-var presizeCeiling = 1 << 18
-
-// publish is the last thing a stage body does to the partition it returns:
-// the partition leaves without spare capacity, so an append to a published
+// publish is the last thing a stage body does to the rows it staged: it
+// copies them to the partition it returns, allocated at exactly their number,
+// so the partition leaves without spare capacity - an append to a published
 // partition copies it and can reach neither a neighbour nor rows written
-// later. A partition sized by an upper bound of which fewer than half the
-// rows survived (a joiner that rejects most candidates, a leaf whose input
-// was not restricted to its label) is copied to its length and gives the
-// rest back; otherwise it is clipped where it stands.
-func publish[U any](res []U) []U {
-	n := len(res)
-	switch {
-	case n == 0:
+// later - and owes nothing to the lane, which the next stage writes again.
+func publish[U any](staged []U) []U {
+	if len(staged) == 0 {
 		return nil
-	case cap(res) > 2*n:
-		return append(make([]U, 0, n), res...) // exactly n: slices.Clone may round up
 	}
-	return slices.Clip(res)
+	out := make([]U, len(staged))
+	copy(out, staged)
+	return out
 }
 
 // emitter returns the emit callback of an attempt that produces rows: it
-// appends to *res and, under a governor, holds every row's accounted bytes.
+// appends to *res, the attempt's staging buffer, counts the row and, under a
+// governor, holds its accounted bytes.
 func emitter[U any](a *attempt, res *[]U) func(U) {
 	if a.env.governor == nil {
-		return func(u U) { *res = append(*res, u) }
+		return func(u U) {
+			*res = append(*res, u)
+			a.out++
+		}
 	}
 	sz := sizingOf[U]()
 	return func(u U) {
 		*res = append(*res, u)
+		a.out++
 		a.hold(sz.of(&(*res)[len(*res)-1]))
 	}
 }
@@ -363,27 +298,28 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 	env.beginStage(kindMapPartition)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
-		var res []U
-		emit := emitter(a, &res)
+		res := stagingOf[U](a.lane)
+		emit := emitter(a, res)
 		if env.governor != nil {
 			// The driver has no per-element loop here — f consumes the whole
 			// partition — so the poll rides on emit: tick every mask+1 outputs
-			// and, once dead, drop the buffer and swallow further emits so a
-			// runaway f cannot keep growing it.
+			// and, once dead, swallow further emits so a runaway f cannot keep
+			// growing the buffer.
 			appendRow := emit
 			emit = func(u U) {
 				if a.dead {
 					return
 				}
 				appendRow(u)
-				if !a.tick(len(res) - 1) {
-					res = nil
-				}
+				a.tick(len(*res) - 1)
 			}
 		}
 		f(part, emit)
+		if a.dead {
+			return nil, work{}
+		}
 		n := int64(len(part))
-		return publish(res), work{cpu: n, rowsIn: n, rowsOut: int64(len(res))}
+		return publish(*res), work{cpu: n, rowsIn: n, rowsOut: int64(len(*res))}
 	})
 	return &Dataset[U]{env: env, parts: out}
 }

@@ -161,9 +161,10 @@ type Env struct {
 	err       error
 	killsUsed map[killKey]int
 
-	// lanes[p] is what partition p works in for the length of a job (Lane).
-	// Allocated by the job's first stage, dropped by Finish and ResetMetrics.
-	lanes []Lane
+	// lanes[p] is what partition p works in for the length of a job (Lane):
+	// borrowed from the process's spare lanes by the job's first stage, given
+	// back by Finish and ResetMetrics.
+	lanes []*Lane
 }
 
 type killKey struct {
@@ -203,12 +204,12 @@ func (e *Env) Metrics() MetricsSnapshot { return e.metrics.snapshot(e.cfg) }
 
 // ResetMetrics clears all accumulated metrics, e.g. between the load phase
 // and the query phase of a benchmark. It also re-arms the fault plan - kill
-// stage numbers refer to the stages executed after the reset - and drops the
-// partitions' lanes.
+// stage numbers refer to the stages executed after the reset - and gives the
+// partitions' lanes back.
 func (e *Env) ResetMetrics() {
 	e.metrics.init(e.cfg.Workers)
 	e.kind.Store(0)
-	e.lanes = nil
+	e.lanes = giveBack(e.lanes)
 	e.mu.Lock()
 	e.killsUsed = nil
 	e.mu.Unlock()
@@ -234,13 +235,13 @@ func (e *Env) Begin(ctx context.Context) {
 
 // Finish ends the current job: it detaches the cancellation context,
 // closes the open stage - a job that failed or was cancelled mid-stage loses
-// none of its charges - drops the partitions' lanes - an Env kept for the
-// next job pins nothing of this one - and returns the job's error, if any. A
-// failed environment stays failed — further transformations keep
+// none of its charges - gives the partitions' lanes back - an Env kept for
+// the next job pins nothing of this one - and returns the job's error, if
+// any. A failed environment stays failed — further transformations keep
 // short-circuiting — until the next Begin.
 func (e *Env) Finish() error {
 	e.ctx, e.done = nil, nil
-	e.lanes = nil
+	e.lanes = giveBack(e.lanes)
 	e.closeStage()
 	return e.Err()
 }
@@ -334,14 +335,18 @@ func (e *Env) closeStage() {
 
 // CurrentStage reports the stage executing right now, for live job
 // introspection (/jobs): its 1-based number, its kind - "" when no stage is
-// open - and each partition's row of it so far. Safe to call from any
-// goroutine while a job runs.
+// open - and each partition's row of it so far, its rows until its attempt
+// commits them those the attempt had read and staged at its last poll. Safe
+// to call from any goroutine while a job runs.
 func (e *Env) CurrentStage() (stage int64, kind string, parts []trace.PartStats) {
 	k := stageKind(e.kind.Load())
 	if k != 0 {
 		parts = make([]trace.PartStats, len(e.metrics.open))
 		for p := range parts {
-			parts[p] = e.metrics.open[p].stats(load)
+			r := &e.metrics.open[p]
+			parts[p] = r.stats(load)
+			parts[p].RowsIn = max(parts[p].RowsIn, r.liveIn.Load())
+			parts[p].RowsOut = max(parts[p].RowsOut, r.liveOut.Load())
 		}
 	}
 	return e.metrics.stageCount(), k.String(), parts
@@ -486,22 +491,25 @@ func (w work) plus(w2 work) work {
 
 // An attempt is one execution of one partition of a stage, as the stage's
 // body sees it: where it polls (tick), where it accounts the bytes it
-// materializes (hold) and the lane it works in. A retried partition gets a
-// fresh one, so nothing a killed attempt held is carried over - the lane is
-// the partition's, not the attempt's, and what is in it is rewritten from
-// empty or never handed out twice (Lane). The handles of a stage share one
-// allocation and are written by one goroutine each, hence the padding to a
-// cache line.
+// materializes (hold), where it counts its progress and the lane it works in.
+// A retried partition gets a fresh one, so nothing a killed attempt held is
+// carried over - the lane is the partition's, not the attempt's, and what is
+// in it is rewritten from empty or never handed out twice (Lane). The handles
+// of a stage share one allocation and are written by one goroutine each,
+// hence the padding to a cache line.
 type attempt struct {
 	env  *Env
 	lane *Lane
 	p    int   // the partition
 	mem  int64 // held since the last flush to the governor
+	// in and out are the rows the attempt has read and staged so far, which
+	// every flush stores as the partition's live progress (CurrentStage).
+	in, out int64
 	// dead: the job was cancelled, failed or killed under this attempt. The
 	// body returns (whatever it returns is dropped) and nothing is charged,
 	// traced or published.
 	dead bool
-	_    [24]byte // the 40 bytes above, padded to 64
+	_    [8]byte // the 56 bytes above, padded to 64
 }
 
 // tick is the poll of a per-element loop, i the loop's index: every
@@ -517,13 +525,18 @@ func (a *attempt) tick(i int) bool {
 // charges them to the governor.
 func (a *attempt) hold(n int64) { a.mem += n }
 
-// flush charges what the attempt holds, unless the job is over.
+// flush charges what the attempt holds, unless the job is over, and stores
+// its progress in the partition's row: stored, not added, so a retried
+// attempt's starts again from zero.
 func (a *attempt) flush() bool {
 	if a.dead || a.env.aborted() || !a.env.chargeMem(a.p, a.mem) {
 		a.dead = true
 		return false
 	}
 	a.mem = 0
+	r := &a.env.metrics.open[a.p]
+	r.liveIn.Store(a.in)
+	r.liveOut.Store(a.out)
 	return true
 }
 
@@ -544,13 +557,13 @@ func runStage[O any](e *Env, n int, body func(a *attempt) (O, work)) []O {
 	}
 	stage := e.metrics.stageCount()
 	if len(e.lanes) < n {
-		e.lanes = make([]Lane, n)
+		e.lanes = borrowLanes(e.lanes, n)
 	}
 	attempts := make([]attempt, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for p := range attempts {
-		attempts[p] = attempt{env: e, lane: &e.lanes[p], p: p}
+		attempts[p] = attempt{env: e, lane: e.lanes[p], p: p}
 		go func() {
 			defer wg.Done()
 			runPartition(stage, &attempts[p], body, &out[p])
@@ -621,6 +634,9 @@ func runAttempt[O any](stage int64, a *attempt, body func(*attempt) (O, work), o
 	if e.aborted() {
 		return nil
 	}
+	r := &e.metrics.open[a.p]
+	r.liveIn.Store(0) // the last attempt's progress is not this one's
+	r.liveOut.Store(0)
 	res, w := body(a)
 	if !a.flush() {
 		return nil

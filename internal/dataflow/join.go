@@ -270,7 +270,7 @@ func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64, kept bool)
 	lsz := sizingOf[L]()
 	var buildBytes int64
 	for i := range left {
-		if !a.tick(i) {
+		if a.in = int64(i); !a.tick(i) {
 			return joinTable{}, work{}
 		}
 		table.keys[i] = lkey(left[i])
@@ -298,14 +298,11 @@ func buildPartition[L any](a *attempt, left []L, lkey func(L) uint64, kept bool)
 // write and read of both sides, and a kept build side is written once and read
 // once per probe (Flink's re-openable hash table).
 //
-// It walks the table twice: once to count the key matches, then - into a
-// partition allocated once at that count, plus the probe rows if row.after may
-// emit one each - to merge them. The count is a second read of three flat
-// arrays and charges nothing (the CPU model bills the probe rows, as before);
-// an append-grown partition would instead copy its row headers 3.6 times
-// over on the way to its final size. A join that only tests its pairs
-// (row.match) has no matches to count for, and leaves a key's chain at the
-// first pair that passes.
+// It walks the table once, writing what the joiner emits into the lane's
+// staging buffer, and publishes a copy of exactly the rows written: the
+// partition is allocated at what the key tests and the joiner let through,
+// not at the pairs that agree on their key. A join that only tests its pairs
+// (row.match) leaves a key's chain at the first pair that passes.
 func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right []R, rkey func(R) uint64,
 	joiner func(L, R, func(U)), row *perRow[L, R, U]) ([]U, work) {
 	w := work{cpu: int64(len(right)), rowsIn: int64(len(right))}
@@ -313,28 +310,15 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 		probeBytes := sizingOf[R]().sum(right)
 		w.spill = table.spilled + 2*int64(table.overflow*float64(probeBytes))
 	}
-	var bound int
-	if joiner != nil {
-		bound = countMatches(a, table, right, rkey)
-		if a.dead {
-			return nil, work{}
-		}
-	}
-	if row != nil {
-		bound += len(right)
-	}
-	var res []U
-	if bound > 0 {
-		res = make([]U, 0, bound)
-	}
-	emit := emitter(a, &res)
+	res := stagingOf[U](a.lane)
+	emit := emitter(a, res)
 	// ops counts probes plus visited pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
 	// The memory flush shares the cadence: a cartesian blowup's output is
 	// charged — and killed — every mask+1 visited pairs.
 	var ops int
-	for _, rv := range right {
-		if !a.tick(ops) {
+	for r, rv := range right {
+		if a.in = int64(r); !a.tick(ops) {
 			return nil, work{}
 		}
 		ops++
@@ -357,33 +341,6 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 			row.after(rv, emit)
 		}
 	}
-	w.rowsOut = int64(len(res))
-	return publish(res), w
-}
-
-// countMatches is the probe loop without the joiner: how many (build row,
-// probe row) pairs agree on their key, which is how many rows a joiner that
-// emits one row per pair will write, and an upper bound for one that rejects
-// some. It stops at presizeCeiling - beyond it the result grows as emitted -
-// so a cartesian product is counted for at most that many chain steps, and
-// what is allocated on the count's word is bounded whatever the inputs. It
-// polls like the probe loop and sets a.dead on an aborted job.
-func countMatches[R any](a *attempt, table *joinTable, right []R, rkey func(R) uint64) int {
-	var n, ops int
-	for _, rv := range right {
-		if !a.tick(ops) {
-			return 0
-		}
-		ops++
-		k := rkey(rv)
-		for i := table.head[table.slot(k)]; i != 0; i = table.next[i-1] {
-			if table.keys[i-1] != k {
-				continue
-			}
-			if n++; n >= presizeCeiling {
-				return n
-			}
-		}
-	}
-	return n
+	w.rowsOut = int64(len(*res))
+	return publish(*res), w
 }

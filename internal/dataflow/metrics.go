@@ -31,9 +31,12 @@ type Metrics struct {
 	retried int64             // closed stages in which a partition was retried
 }
 
-// A row is one partition's charges in the open stage.
+// A row is one partition's charges in the open stage, and the rows its
+// running attempt had read and staged at its last poll, which only
+// CurrentStage reads.
 type row struct {
 	cpu, net, spill, mem, recovery, retries, rowsIn, rowsOut atomic.Int64
+	liveIn, liveOut                                          atomic.Int64
 }
 
 // stats reads the row, each counter through read: Load while its partition
@@ -99,6 +102,8 @@ func (m *Metrics) fold() (closed []trace.PartStats, net, spill, retries int64) {
 	defer m.mu.Unlock()
 	for p := range m.open {
 		s := m.open[p].stats(take)
+		m.open[p].liveIn.Store(0)
+		m.open[p].liveOut.Store(0)
 		m.closed[p] = s
 		addCharges(&m.total[p], s)
 		net += s.NetBytes

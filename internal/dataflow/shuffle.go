@@ -123,7 +123,7 @@ func exchange[T any](d *Dataset[T], key func(T) uint64) ([][]T, bool) {
 		p, part := a.p, d.parts[a.p]
 		r := newRoute(a.lane, len(part), w)
 		for i := range part {
-			if !a.tick(i) {
+			if a.in = int64(i); !a.tick(i) {
 				return route{}, work{}
 			}
 			q := int(mix64(key(part[i])) % uint64(w))

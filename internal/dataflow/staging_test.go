@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,16 +15,7 @@ import (
 	"gradoop/internal/trace"
 )
 
-// lowerCeiling sets presizeCeiling for the rest of the test. The package's
-// tests do not run in parallel, so nothing else sees the lowered value.
-func lowerCeiling(t *testing.T, rows int) {
-	t.Helper()
-	old := presizeCeiling
-	presizeCeiling = rows
-	t.Cleanup(func() { presizeCeiling = old })
-}
-
-// observation is everything about a run that sizing an output must not move:
+// observation is everything about a run that staging an output must not move:
 // the rows in partition order, what every stage traced and charged per
 // partition (rows in and out, CPU, network, spill, governor bytes), and the
 // job's metrics.
@@ -53,13 +46,12 @@ func observe(t *testing.T, cfg Config, run func(env *Env) string) observation {
 	return obs
 }
 
-// presizeCases is what TestPresizeIsInvisible runs at every ceiling: the
-// stage table, the join in one piece and in its two halves over a build side
-// that spills, and a joiner that rejects three candidates in four - so that
-// with the ceilings of the test every way a probe's output comes about is
-// taken: counted and filled, counted and cut off at the ceiling and grown
-// from there, counted as an upper bound and copied down to what survived.
-func presizeCases() map[string]func(t *testing.T) observation {
+// stagingCases is what TestStagingIsInvisible runs: the stage table, the join
+// in one piece and in its two halves over a build side that spills, and a
+// joiner that rejects three candidates in four - outputs of every element
+// type and length the package's tests stage, over tables and routes of every
+// size.
+func stagingCases() map[string]func(t *testing.T) observation {
 	cases := map[string]func(t *testing.T) observation{}
 	for _, tc := range stageCases {
 		cases["stage/"+tc.name] = func(t *testing.T) observation {
@@ -93,61 +85,45 @@ func presizeCases() map[string]func(t *testing.T) observation {
 	return cases
 }
 
-// TestPresizeIsInvisible: counting a probe's matches and allocating its
-// output at the count changes where the rows are written and nothing else.
-// With the ceiling at 1 and at 7 every case gives the rows, the row order,
-// the per-partition work and the governor charges it gives at 2^18.
-func TestPresizeIsInvisible(t *testing.T) {
-	cases := presizeCases()
+// TestStagingIsInvisible: what a lane holds when a job borrows it - the
+// staging buffers, tables and routes other jobs grew and gave back, scribbled
+// over in a race build - changes where the rows are written and nothing
+// else. Every case, run first on a fresh process's lanes and then again on
+// the lanes every case gave back, in the opposite order, gives the same rows
+// in the same order, the same per-partition work and the same governor
+// charges.
+func TestStagingIsInvisible(t *testing.T) {
+	cases := stagingCases()
+	names := slices.Sorted(maps.Keys(cases))
 	want := map[string]observation{}
-	for name, run := range cases {
-		want[name] = run(t)
+	for _, name := range names {
+		freshProcess()
+		want[name] = cases[name](t)
 	}
 	if rows := want["join/rejecting"].rows; len(rows) < 100 {
 		t.Fatalf("the rejecting join emitted %q: it checks nothing", rows)
 	}
-	for _, ceiling := range []int{1, 7} {
-		t.Run(fmt.Sprint("ceiling=", ceiling), func(t *testing.T) {
-			lowerCeiling(t, ceiling)
-			for name, run := range cases {
-				got := run(t)
-				if got.rows != want[name].rows {
-					t.Errorf("%s: rows or their order differ", name)
-				}
-				if !reflect.DeepEqual(got.kinds, want[name].kinds) || !reflect.DeepEqual(got.parts, want[name].parts) {
-					t.Errorf("%s: per-partition work differs:\n got %v\nwant %v", name, got.parts, want[name].parts)
-				}
-				if !reflect.DeepEqual(got.metrics, want[name].metrics) {
-					t.Errorf("%s: metrics differ:\n got %+v\nwant %+v", name, got.metrics, want[name].metrics)
-				}
-			}
-		})
+	for _, name := range names {
+		cases[name](t) // every case's lanes are given back
 	}
-}
-
-// TestCountStopsAtTheCeiling: what a count allocates is bounded by the
-// ceiling whatever the inputs, and a count that fell short of it is exact.
-func TestCountStopsAtTheCeiling(t *testing.T) {
-	lowerCeiling(t, 1000)
-	e := env(1)
-	same := func(int) uint64 { return 1 }
-	out := Join(FromSlice(e, ints(100)), FromSlice(e, ints(100)), same, same, emitSum, RepartitionHash)
-	if got := out.Partition(0); len(got) != 10_000 || cap(got) != len(got) {
-		t.Errorf("over the ceiling: %d rows in room for %d, want 10000 in 10000", len(got), cap(got))
-	}
-	a := &attempt{env: e}
-	table, _ := buildPartition(a, ints(100), same, true)
-	if n := countMatches(a, &table, ints(100), same); n != 1000 {
-		t.Errorf("a 10 000-pair product counted %d matches, want the ceiling, 1000", n)
-	}
-	if n := countMatches(a, &table, ints(9), same); n != 900 {
-		t.Errorf("a 900-pair product counted %d matches", n)
+	slices.Reverse(names)
+	for _, name := range names {
+		got := cases[name](t)
+		if got.rows != want[name].rows {
+			t.Errorf("%s: rows or their order differ", name)
+		}
+		if !reflect.DeepEqual(got.kinds, want[name].kinds) || !reflect.DeepEqual(got.parts, want[name].parts) {
+			t.Errorf("%s: per-partition work differs:\n got %v\nwant %v", name, got.parts, want[name].parts)
+		}
+		if !reflect.DeepEqual(got.metrics, want[name].metrics) {
+			t.Errorf("%s: metrics differ:\n got %+v\nwant %+v", name, got.metrics, want[name].metrics)
+		}
 	}
 }
 
 // TestAppendToPublishedPartitionCopies: a published partition has no spare
-// capacity - whether it was counted (a join), sized by its input and shrunk
-// (a leaf that kept a third), grown as emitted, cut from the caller's slice
+// capacity - whether it was staged (a join, a leaf that kept a third), cut
+// from the caller's slice
 // (FromSlice, whose chunks are neighbours in one array) or is another
 // dataset's partition under a new name (a union with one non-empty operand).
 // So an append to one reallocates, and neither the dataset, its neighbour
@@ -164,12 +140,11 @@ func TestAppendToPublishedPartitionCopies(t *testing.T) {
 	}
 	source := FromSlice(e, ints(600))
 	cases := map[string]*Dataset[int]{
-		"source":     source,
-		"join":       Join(source, source, key, key, emitSum, RepartitionHash),
-		"leaf":       FlatMapWith(source, third, 1),
-		"as-emitted": FlatMapWith(source, third, 0),
-		"grouped":    DistinctBy(source, func(x int) int { return x % 50 }),
-		"union":      UnionAll(Empty[int](e), source, Empty[int](e)),
+		"source":  source,
+		"join":    Join(source, source, key, key, emitSum, RepartitionHash),
+		"leaf":    FlatMapWith(source, third),
+		"grouped": DistinctBy(source, func(x int) int { return x % 50 }),
+		"union":   UnionAll(Empty[int](e), source, Empty[int](e)),
 	}
 	for name, d := range cases {
 		for p := 0; p < d.Partitions(); p++ {
@@ -193,12 +168,12 @@ func TestAppendToPublishedPartitionCopies(t *testing.T) {
 	}
 }
 
-// TestBlowupDiesBeforeItIsSized: counting must not let a cartesian product
-// allocate on the strength of its count. A governed four-way product of
-// 150 elements each - 22 500 pairs, 3.4 million triples, half a billion rows -
+// TestBlowupDiesBeforeItIsSized: nothing is allocated on the strength of a
+// count - a probe stages its rows as it writes them - so a cartesian product
+// dies at the budget in its write loop. A governed four-way product of 150
+// elements each - 22 500 pairs, 3.4 million triples, half a billion rows -
 // under a 1 MiB budget dies in the second join's probe (stage 6) as it always
-// did: the pairs and their shuffled copy fit the budget, the count of the
-// triples stops at the ceiling (6 MiB of 24-byte rows), the governor's flush
+// did: the pairs and their shuffled copy fit the budget, the governor's flush
 // kills the probe some twenty thousand rows in, the third join never starts,
 // and the reservation drains.
 func TestBlowupDiesBeforeItIsSized(t *testing.T) {
@@ -301,34 +276,4 @@ func TestOuterJoinDiesInsideItsKeyGroup(t *testing.T) {
 			t.Errorf("a cancelled group published %d rows", len(out.Partition(0)))
 		}
 	})
-}
-
-// TestCancelLandsInTheCountPass: the count polls like the probe loop, so a
-// cancel while it runs stops the attempt within one tick mask of probe rows
-// and the probe loop never starts. One worker: its shuffles call no key
-// function, so every call of the probe key below is the count's.
-func TestCancelLandsInTheCountPass(t *testing.T) {
-	const n, trigger = 100_000, 10_000
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	env := NewEnvContext(ctx, DefaultConfig(1))
-	var calls, joined atomic.Int64
-	d := FromSlice(env, ints(n))
-	out := Join(d, d, func(x int) uint64 { return uint64(x) },
-		func(x int) uint64 {
-			if calls.Add(1) == trigger {
-				cancel()
-			}
-			return uint64(x)
-		},
-		func(a, b int, emit func(int)) { joined.Add(1); emit(a + b) }, RepartitionHash)
-	if err := env.Finish(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("job error = %v, want context.Canceled", err)
-	}
-	if got := calls.Load(); got > trigger+cancelCheckMask+1 {
-		t.Errorf("the count read %d probe keys, the cancel came at %d: more than one tick mask late", got, trigger)
-	}
-	if joined.Load() != 0 || out.Partition(0) != nil {
-		t.Errorf("a count that was cancelled went on to join %d pairs and publish %d rows", joined.Load(), len(out.Partition(0)))
-	}
 }

@@ -59,13 +59,13 @@ func (c *chunks[T]) alloc(n, lo, hi int) []T {
 // so an append to one reallocates instead of writing into the row's
 // neighbour in the chunk.
 //
-// A slab belongs to one partition of one job: it lives in the partition's
-// dataflow.Lane, whose holder is the only goroutine that touches it, and every
-// stage of the job carves on where the partition's last one stopped. So a
-// chunk may hold rows of two adjacent stages, and what a job leaves unused is
-// the tail of one open chunk per partition, not of one per attempt. No byte is
-// handed out twice: a retried attempt carves on behind what the killed one
-// built and reuses none of it. The slab keeps no list of its chunks: a chunk
+// A slab lives in a dataflow.Lane, which the process lends to one partition of
+// one job at a time and whose holder is the only goroutine that touches it,
+// and every stage carves on where the lane's last one stopped, in this job or
+// the one before. So a chunk may hold rows of two adjacent stages or jobs, and
+// what is left unused is the tail of one open chunk per lane, not of one per
+// attempt or job. No byte is handed out twice: a retried attempt, or the next
+// job, carves on behind what the last one built and reuses none of it. The slab keeps no list of its chunks: a chunk
 // lives exactly as long as some row carved from it is reachable, which also
 // means a consumer that keeps one row in a hundred keeps the whole chunk - and
 // that a row which outlives its stage may keep a neighbour stage's rows with

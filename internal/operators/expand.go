@@ -142,26 +142,18 @@ func (op *ExpandEmbeddings) evaluate(r *Run, in *dataflow.Dataset[embedding.Embe
 			emit(edgeTriple{S: t, E: de.ID, T: s})
 		}
 	}
-	triples := dataflow.FlatMapWith(r.access.Edges(qe.Types).Union(), func(*dataflow.Lane) func(epgm.Edge, func(edgeTriple)) { return selectTriple },
-		leafFanOut(len(qe.Predicates), false, qe.Undirected))
+	triples := dataflow.FlatMap(r.access.Edges(qe.Types).Union(), selectTriple)
 
 	build := dataflow.Build(triples, func(t edgeTriple) uint64 { return uint64(t.S) })
 
 	// An input row whose key is not in a seed set starts no path; without
 	// one, every row does.
 	startCol := op.startCol
-	var seeded func(embedding.Embedding) bool
-	if seeds != nil {
-		seeded = func(e embedding.Embedding) bool { return seeds.has(e, e) }
-	}
-	working := dataflow.FlatMapCounted(in, seeded,
-		func(*dataflow.Lane) func(embedding.Embedding, func(pathState)) {
-			return func(e embedding.Embedding, emit func(pathState)) {
-				if seeds.keeps(e, e) {
-					emit(pathState{base: e, end: e.ID(startCol)})
-				}
-			}
-		})
+	working := dataflow.FlatMap(in, func(e embedding.Embedding, emit func(pathState)) {
+		if seeds.keeps(e, e) {
+			emit(pathState{base: e, end: e.ID(startCol)})
+		}
+	})
 
 	finalize := op.finalizer(ends)
 	var zeroHops *dataflow.Dataset[embedding.Embedding]
@@ -232,25 +224,13 @@ func (op *ExpandEmbeddings) hopAllowed(s pathState, t edgeTriple) bool {
 
 // finalizer returns what turns path states of an admissible length into
 // result embeddings, testing the end sets of ends at their far ends (finish).
-// Where a state may end elsewhere - off the bound vertex of a closing
-// expansion, outside an end set - every partition counts the states that end
-// where they may first and writes no more rows than that; an open expansion
-// without an end set writes a row of nearly every state (hopAllowed pruned
-// the rest).
 func (op *ExpandEmbeddings) finalizer(ends *keyTest) func(*dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
-	bindTarget, endCol := op.bindTarget, op.endCol
-	var count func(pathState) bool
-	if bindTarget || ends != nil {
-		count = func(s pathState) bool {
-			return (!bindTarget || s.base.ID(endCol) == s.end) && ends.hasIDs([3]epgm.ID{s.end})
-		}
-	}
 	newF := func(lane *dataflow.Lane) func(pathState, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		return func(s pathState, emit func(embedding.Embedding)) { op.finish(sc, s, ends, emit) }
 	}
 	return func(states *dataflow.Dataset[pathState]) *dataflow.Dataset[embedding.Embedding] {
-		return dataflow.FlatMapCounted(states, count, newF)
+		return dataflow.FlatMapWith(states, newF)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	_ "unsafe" // go:linkname, below
 
 	"gradoop/internal/baseline"
 	"gradoop/internal/cypher"
@@ -155,28 +154,6 @@ func (c matrixCase) run(t *testing.T, access func(*epgm.LogicalGraph) operators.
 // and order - to what the per-hop-join expansion before the build-once
 // rewrite produced (testdata/expand_matrix.golden, recorded at that commit).
 func TestExpandMatrix(t *testing.T) { checkExpandMatrix(t) }
-
-// presizeCeiling is dataflow's: the most rows a probe's output is allocated
-// at on the strength of its count. It has no setter - it is a constant to
-// everything but two tests - so this test reaches it by name.
-//
-//go:linkname presizeCeiling gradoop/internal/dataflow.presizeCeiling
-var presizeCeiling int
-
-// TestExpandMatrixWithLoweredCeiling: the same 144 expansions with every
-// hop's probe counted only up to 1 row and up to 7 - cut off and grown from
-// there, or counted as an upper bound of which hopAllowed rejects a part -
-// are still the oracle's matches and the golden file's bytes and order.
-func TestExpandMatrixWithLoweredCeiling(t *testing.T) {
-	if presizeCeiling != 1<<18 {
-		t.Fatalf("presizeCeiling reads %d: the name no longer links to dataflow's variable", presizeCeiling)
-	}
-	defer func(old int) { presizeCeiling = old }(presizeCeiling)
-	for _, ceiling := range []int{1, 7} {
-		presizeCeiling = ceiling
-		t.Run(fmt.Sprint("ceiling=", ceiling), checkExpandMatrix)
-	}
-}
 
 func plain(g *epgm.LogicalGraph) operators.GraphAccess { return planner.PlainAccess{Graph: g} }
 

@@ -113,14 +113,13 @@ func (op *JoinEmbeddings) atPairs(r *Run) bool {
 // scan tests it. Each other candidate gets the leaf's row - label,
 // predicates, projection - in the lane's row buffer, which is never carved,
 // and the pair is what join does with it: sameKeys, the key test pairs, the
-// morphism check and Slab.Merge, columns in the plan's order. The output is
-// allocated once, at the candidates the row's lists or positions hold. No
-// leaf, count, broadcast, shuffle or hash table runs, so there is no
-// collective: rows come out in the other input's partitions, in its order,
-// and carry no partition tag. The leaf is reported to a tracer as evaluated,
-// under the input the join reads, with the rows it made, as read in place
-// and, if scan tests a set, with the elements it tested and dropped; the join
-// notes the elements it read.
+// morphism check and Slab.Merge, columns in the plan's order. No leaf,
+// broadcast, shuffle or hash table runs, so there is no collective: rows come
+// out in the other input's partitions, in its order, and carry no partition
+// tag. The leaf is reported to a tracer as evaluated, under the input the join
+// reads, with the rows it made, as read in place and, if scan tests a set,
+// with the elements it tested and dropped; the join notes the elements it
+// read.
 func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embedding.Embedding], pairs, scan *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	w := op.walks[side]
 	store := r.access.Store()
@@ -144,7 +143,7 @@ func (op *JoinEmbeddings) walk(r *Run, side int, rows *dataflow.Dataset[embeddin
 		jw.counts = new(walkCounts)
 	}
 	defer noteDropped(r, op, pairs)
-	out := dataflow.FlatMapSized(rows, jw.size, func(lane *dataflow.Lane) func(embedding.Embedding, func(embedding.Embedding)) {
+	out := dataflow.FlatMapWith(rows, func(lane *dataflow.Lane) func(embedding.Embedding, func(embedding.Embedding)) {
 		sc := scratchOf(lane)
 		return func(o embedding.Embedding, emit func(embedding.Embedding)) { jw.join(sc, o, emit) }
 	})
@@ -191,29 +190,6 @@ type joinWalk struct {
 // walkCounts is what a traced walk counts: the elements it read and the rows
 // it made of them.
 type walkCounts struct{ read, made atomic.Int64 }
-
-// size is the number of candidates of the other input's row o: the vertices
-// of its id, or its edges in the lists, those whose far end is o's if the
-// walk closes.
-func (jw *joinWalk) size(o embedding.Embedding) int {
-	if jw.vertexLeaf != nil {
-		return len(jw.positions.Of(o.ID(jw.at)))
-	}
-	n := 0
-	for _, l := range jw.lists {
-		pos := l.Of(o.ID(jw.at))
-		if jw.closing < 0 {
-			n += len(pos)
-			continue
-		}
-		for _, p := range pos {
-			if jw.store.Edges[p].Target == o.ID(jw.closing) {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // join writes the rows of o, a row of the other input, and its candidates.
 func (jw *joinWalk) join(sc *scratch, o embedding.Embedding, emit func(embedding.Embedding)) {

@@ -56,9 +56,8 @@ func (op *FilterAndProjectVertices) Evaluate(r *Run) *dataflow.Dataset[embedding
 // a key test, of those whose identifier passes it (scanRows).
 func (op *FilterAndProjectVertices) scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	qv := r.vertex(op.Vertex)
-	fanOut := leafFanOut(len(qv.Predicates), false, false)
 	return perPart(r.vertexScan(op), func(part *dataflow.Dataset[epgm.Vertex]) *dataflow.Dataset[embedding.Embedding] {
-		return scanRows(part, fanOut, test, vertexIDs, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
+		return scanRows(part, test, func(lane *dataflow.Lane) func(epgm.Vertex, func(embedding.Embedding)) {
 			sc := scratchOf(lane)
 			return func(v epgm.Vertex, emit func(embedding.Embedding)) {
 				if !test.keepsIDs(vertexIDs(v)) {
@@ -109,36 +108,16 @@ func perPart[T any](in epgm.Scan[T], eval func(*dataflow.Dataset[T]) *dataflow.D
 	return dataflow.UnionAll(rows...)
 }
 
-// scanRows is a leaf's scan of one part of what it reads: newRows makes an
-// attempt's function that writes an element's rows - none for one whose
-// identifiers do not pass the key test, if there is one (keyTest.keepsIDs) -
-// and ids reads an element's identifiers as the leaf's row holds them. Without a
-// test the scan is a FlatMapWith, its output sized at the leaf's known
-// fan-out. With one, as such a leaf writes at most one row an element, the
-// output is allocated once at the count of the elements that pass
-// (dataflow.FlatMapCounted), and the test counts the elements the scan reads.
-func scanRows[T any](part *dataflow.Dataset[T], fanOut int, test *keyTest, ids func(T) [3]epgm.ID,
+// scanRows is a leaf's scan of one part of what it reads, a FlatMapWith:
+// newRows makes an attempt's function that writes an element's rows - none
+// for one whose identifiers do not pass the key test, if there is one
+// (keyTest.keepsIDs). The test counts the elements the scan reads.
+func scanRows[T any](part *dataflow.Dataset[T], test *keyTest,
 	newRows func(*dataflow.Lane) func(T, func(embedding.Embedding))) *dataflow.Dataset[embedding.Embedding] {
-	if test == nil {
-		return dataflow.FlatMapWith(part, newRows, fanOut)
+	if test != nil {
+		test.read += part.Count()
 	}
-	test.read += part.Count()
-	return dataflow.FlatMapCounted(part, func(t T) bool { return test.hasIDs(ids(t)) }, newRows)
-}
-
-// leafFanOut is what a leaf knows of its rows per scanned element before it
-// has scanned any: without predicates every element of its label - which is
-// all its input holds when the scan is served from the label index - makes
-// one row, two for an undirected edge. A predicate or a loop edge keeps few;
-// those leaves say nothing and their output grows as emitted.
-func leafFanOut(predicates int, loop, undirected bool) int {
-	switch {
-	case predicates > 0 || loop:
-		return 0
-	case undirected:
-		return 2
-	}
-	return 1
+	return dataflow.FlatMapWith(part, newRows)
 }
 
 // project collects the values of the projected keys into the attempt's
@@ -207,9 +186,8 @@ func (op *FilterAndProjectEdges) Evaluate(r *Run) *dataflow.Dataset[embedding.Em
 // itself and its target.
 func (op *FilterAndProjectEdges) scan(r *Run, test *keyTest) *dataflow.Dataset[embedding.Embedding] {
 	qe := r.edge(op.Edge)
-	fanOut := leafFanOut(len(qe.Predicates), op.loop, qe.Undirected)
 	return perPart(r.edgeScan(op), func(part *dataflow.Dataset[epgm.Edge]) *dataflow.Dataset[embedding.Embedding] {
-		return scanRows(part, fanOut, test, edgeIDs, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
+		return scanRows(part, test, func(lane *dataflow.Lane) func(epgm.Edge, func(embedding.Embedding)) {
 			sc := scratchOf(lane)
 			return func(de epgm.Edge, emit func(embedding.Embedding)) {
 				if !test.keepsIDs(edgeIDs(de)) {

@@ -90,9 +90,10 @@ type Operator interface {
 	Selective() bool
 }
 
-// scratch is what the row functions of one partition keep, for the length of
-// the job, in the partition's lane: the slab their output rows and via lists
-// are carved from - a stage carves on where the last one stopped - and buffers
+// scratch is what the row functions of one partition keep in the partition's
+// lane, for as long as the lane lives - from job to job, as the process lends
+// it: the slab their output rows and via lists are carved from - a stage
+// carves on where the last one stopped, in this job or the last - and buffers
 // reused from row to row, which whoever takes them rewrites from empty. The
 // lane's holder is the one goroutine that touches it, so nothing in it is
 // locked.
@@ -106,6 +107,13 @@ type scratch struct {
 	// via and frames are a walk's path so far and its stack (walker.from).
 	via    []epgm.ID
 	frames []walkFrame
+}
+
+// Release implements dataflow.Releaser: a lane given back keeps no value a
+// leaf projected and no position of a store's adjacency a walk was at.
+func (sc *scratch) Release() {
+	clear(sc.props[:cap(sc.props)])
+	clear(sc.frames[:cap(sc.frames)])
 }
 
 // scratchOf returns the scratch kept in lane, which the first row function to

@@ -36,7 +36,7 @@ func (op *ExpandEmbeddings) walk(r *Run, qe *cypher.QueryEdge, store *epgm.Store
 	}
 	out := dataflow.FlatMapPolled(in, func(lane *dataflow.Lane) func(embedding.Embedding, func(embedding.Embedding), func() bool) {
 		w := walker{op: op, qe: qe, edges: store.Edges, lists: lists, ends: ends, sc: scratchOf(lane)}
-		// The stack and the via list are the lane's: allocated once a job, deep
+		// The stack and the via list are the lane's: allocated once a lane, deep
 		// enough for a path of up to DefaultMaxHops hops, instead of grown from
 		// empty by the first rows; a deeper walk grows them.
 		if depth := min(qe.MaxHops, cypher.DefaultMaxHops) + 1; cap(w.sc.frames) < depth {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
 	"gradoop/internal/obs"
 )
@@ -215,6 +216,68 @@ func TestJobsLiveView(t *testing.T) {
 			}
 		})
 	}
+
+	// A partition's progress is live: its attempt stores the rows it has read
+	// and staged at every poll, so a partition caught mid-stage has read more
+	// than zero rows and, caught again in the same stage, more than before -
+	// where rows counted only at commit read zero until they read all.
+	t.Run("progress", func(t *testing.T) {
+		s := New(ringGraph(2, 20_000), Options{NoResultCache: true})
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Execute(Request{Query: `MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`})
+			}
+		}()
+		defer func() { close(stop); <-done }()
+		first := map[[3]int64]PartProgress{} // by job, stage and partition
+		deadline := time.After(10 * time.Second)
+		for {
+			select {
+			case <-deadline:
+				t.Fatal("never caught a partition's progress grow within a stage")
+			default:
+			}
+			for _, j := range s.Jobs() {
+				for p, ps := range j.Parts {
+					if ps.RowsIn == 0 {
+						continue
+					}
+					key := [3]int64{int64(j.ID), j.Stage, int64(p)}
+					was, seen := first[key]
+					if !seen {
+						first[key] = ps
+						continue
+					}
+					if ps.RowsIn > was.RowsIn && was.RowsIn > 0 {
+						return
+					}
+				}
+			}
+		}
+	})
+}
+
+// ringGraph is n persons in a ring, each knowing the next one and the one
+// seven on: stages of tens of thousands of rows a partition.
+func ringGraph(workers, n int) *epgm.LogicalGraph {
+	vs := make([]epgm.Vertex, n)
+	for i := range vs {
+		vs[i] = epgm.Vertex{ID: epgm.ID(1 + i), Label: "Person", Properties: epgm.Properties{}.Set("name", epgm.PVString("P"))}
+	}
+	es := make([]epgm.Edge, 0, 2*n)
+	for i := range vs {
+		for _, hop := range []int{1, 7} {
+			es = append(es, epgm.Edge{ID: epgm.ID(1_000_000 + len(es)), Label: "knows", Source: vs[i].ID, Target: vs[(i+hop)%n].ID})
+		}
+	}
+	return epgm.GraphFromSlices(dataflow.NewEnv(dataflow.DefaultConfig(workers)), "", vs, es)
 }
 
 // TestSlowQueryLog: a threshold of 1ns makes every successful query slow;
