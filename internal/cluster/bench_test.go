@@ -145,7 +145,8 @@ func BenchmarkRowFrame(b *testing.B) {
 func BenchmarkWorkerPlanHit(b *testing.B) {
 	g := tinyGraph()
 	st := stats.Collect(g)
-	w := NewWorkerWith("w0", session.NewGraphData(g), WorkerOptions{})
+	data := session.NewGraphData(g)
+	w := NewWorkerWith("w0", data, WorkerOptions{})
 	payload, err := json.Marshal(statsMsg{ID: 1, Stats: st})
 	if err != nil {
 		b.Fatal(err)
@@ -156,7 +157,8 @@ func BenchmarkWorkerPlanHit(b *testing.B) {
 	morph := operators.Morphism{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
 	for _, q := range benchkit.AllQueries {
 		query := session.CanonicalQuery(q.Text())
-		prep, err := core.PrepareWith(st, query, core.Config{Vertex: morph.Vertex, Edge: morph.Edge})
+		// Prepared as the coordinator's session prepares it, for its store.
+		prep, err := core.PrepareWith(st, query, core.Config{Vertex: morph.Vertex, Edge: morph.Edge, Access: data.Access()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -848,8 +848,10 @@ func (w *Worker) bindJob(spec *jobSpec, snap *snapshot, pt *peerTransport, col *
 
 // plan returns the plan of the job's query on the statistics snap from the
 // worker's cache, planning it on a miss: a worker plans a query once per
-// snapshot, semantics and P. The plan is made with no graph access and no
-// tracer, so a cached plan holds no attempt's environment, index or spans.
+// snapshot, semantics and P. The plan is made for the worker's store - whose
+// result reads vertex properties from it, as the coordinator's does - bound
+// to no environment, and with no tracer, so a cached plan holds no attempt's
+// environment, index or spans.
 func (w *Worker) plan(spec *jobSpec, snap *snapshot) (*core.Prepared, error) {
 	if snap.err != nil {
 		return nil, snap.err
@@ -858,6 +860,7 @@ func (w *Worker) plan(spec *jobSpec, snap *snapshot) (*core.Prepared, error) {
 		return core.PrepareWith(snap.stats, spec.Query, core.Config{
 			Vertex: operators.Semantics(spec.Vertex),
 			Edge:   operators.Semantics(spec.Edge),
+			Access: w.data.Access(),
 		})
 	})
 	if err != nil {

@@ -71,6 +71,9 @@ type Result struct {
 	// Config.Trace was not set. AnalyzedPlan and the Chrome export read it.
 	Trace *trace.Collector
 
+	// store is where the result reads the vertex properties its rows do not
+	// carry (QueryPlan.PropertyStore); nil if they carry every one it reads.
+	store *epgm.Store
 	// profile is the per-operator description of the run, built once on
 	// first use (AnalyzedOps).
 	profileOnce sync.Once

@@ -212,13 +212,25 @@ func lookupsAgainstPlain(t *testing.T, g *epgm.LogicalGraph, q string, cfg core.
 	if err != nil {
 		t.Fatalf("%q at %d partitions over the index: %v", q, g.Env().Workers(), err)
 	}
-	if got, want := core.ResultKeys(res, false), core.ResultKeys(plain, false); !slices.Equal(got, want) {
+	// The table, not the ids the rows carry: over the index a row carries
+	// the id of a vertex whose properties the result reads from the store.
+	if got, want := tableRows(res), tableRows(plain); !slices.Equal(got, want) {
 		t.Errorf("%q at %d partitions: %d rows over the index, %d over the plain graph\n%s", q, g.Env().Workers(), len(got), len(want), res.AnalyzedPlan())
 	}
 	if sides := lookedUp(res); sides != "" {
 		return strings.Count(sides, ",") + 1
 	}
 	return 0
+}
+
+// tableRows is the result's table, each row rendered, sorted.
+func tableRows(res *core.Result) []string {
+	var rows []string
+	for _, row := range res.Rows() {
+		rows = append(rows, row.String())
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 func checkInplaceMatrix(t *testing.T, partitions []int) {

@@ -136,9 +136,11 @@ func TestLayoutGolden(t *testing.T) {
 // TestKeepGolden pins, per yardstick query, what each operator that writes
 // rows - a join, a cartesian product, an outer join, an expansion - leaves out
 // of its inputs (testdata/keep.golden: the operator's line of EXPLAIN, which
-// names it, indented by its depth in the plan). A planner change that widens a
-// row, or narrows one, is a diff of that file; on a mismatch the test prints
-// what the file would read now.
+// names it, indented by its depth in the plan), over the plain graph and then,
+// under "store", over a pinned store, whose result reads by id what only it
+// reads of a vertex's properties. A planner change that widens a row, or
+// narrows one, is a diff of that file; on a mismatch the test prints what the
+// file would read now.
 func TestKeepGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/keep.golden")
 	if err != nil {
@@ -147,25 +149,35 @@ func TestKeepGolden(t *testing.T) {
 	g, common := goldenGraph(4)
 	defer core.DropGraphStats(g)
 	var got strings.Builder
-	for _, q := range benchkit.AllQueries {
-		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism}
-		if q.Operational() {
-			cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}
+	for _, access := range []planner.GraphAccess{nil, planner.IndexedAccess{Index: epgm.BuildIndex(g)}} {
+		if access != nil {
+			fmt.Fprintf(&got, "store\n")
 		}
-		plan, err := core.Plan(g, q.Text(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		fmt.Fprintf(&got, "%s\n", q)
-		for _, n := range plan.Nodes() {
-			switch n.Op.(type) {
-			case *operators.JoinEmbeddings, *operators.CartesianProduct, *operators.OptionalJoinEmbeddings, *operators.ExpandEmbeddings:
-				fmt.Fprintf(&got, "%s%s\n", strings.Repeat("  ", n.Depth), n.Op.Description())
-			}
+		for _, q := range benchkit.AllQueries {
+			keepLines(t, &got, g, q, core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Access: access}, common)
 		}
 	}
 	if got.String() != string(want) {
 		t.Errorf("what the operators that write rows leave out moved; testdata/keep.golden would read:\n%s", got.String())
+	}
+}
+
+// keepLines writes q's section of keep.golden, planned for cfg.
+func keepLines(t *testing.T, got *strings.Builder, g *epgm.LogicalGraph, q benchkit.QueryID, cfg core.Config, common string) {
+	t.Helper()
+	if q.Operational() {
+		cfg.Params = map[string]epgm.PropertyValue{"firstName": epgm.PVString(common)}
+	}
+	plan, err := core.Plan(g, q.Text(), cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	fmt.Fprintf(got, "%s\n", q)
+	for _, n := range plan.Nodes() {
+		switch n.Op.(type) {
+		case *operators.JoinEmbeddings, *operators.CartesianProduct, *operators.OptionalJoinEmbeddings, *operators.ExpandEmbeddings:
+			fmt.Fprintf(got, "%s%s\n", strings.Repeat("  ", n.Depth), n.Op.Description())
+		}
 	}
 }
 
@@ -178,14 +190,17 @@ func TestKeepGolden(t *testing.T) {
 // traced over the store's index, and an input tested a set of its target if
 // its analyzed line notes "sip scanned=" and it binds the set's variables. A
 // planner change that moves a set, adds one or drops one, or a run that tests
-// one elsewhere, fails here by name, not only in the bench's bytes.
+// one elsewhere, fails here by name, not only in the bench's bytes. Over the
+// store the result reads what only it reads of a vertex's properties by the
+// vertex's id, so the joins named here keep those ids (keep.golden's store
+// section).
 func TestKeySetsSit(t *testing.T) {
 	g, common := goldenGraph(4)
 	defer core.DropGraphStats(g)
 	idx := epgm.BuildIndex(g)
 	const (
-		q3          = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=p1,__e0,comment,__e1,__e3,__e2)"
-		q3Left      = "JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"
+		q3          = "JoinEmbeddings(on=comment,p1, HOMO/ISO, drop=__e0,comment,__e1,__e3,__e2)"
+		q3Left      = "JoinEmbeddings(on=p2, HOMO/ISO)"
 		hasCreator  = "FilterAndProjectEdges((comment)-[__e1:hasCreator]->(p2), preds=0)"
 		commentLeaf = "FilterAndProjectVertices(comment:Comment, preds=0)"
 	)
@@ -193,8 +208,8 @@ func TestKeySetsSit(t *testing.T) {
 		// Over a pinned store the end set is transferred back across the
 		// replyOf walk to the posts its messages reach, which the Post leaf's
 		// scan tests.
-		benchkit.Q2: {"JoinEmbeddings(on=message, HOMO/ISO, drop=message,__e0,__e1) | left(message) -> " +
-			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false, drop=post), end set, " +
+		benchkit.Q2: {"JoinEmbeddings(on=message, HOMO/ISO, drop=__e0,__e1) | left(message) -> " +
+			"ExpandEmbeddings(__e1:replyOf*0..10, reverse, bindTarget=false), end set, " +
 			"transferred over __e1 to post, scans Cached of FilterAndProjectVertices(post:Post, preds=0)"},
 		benchkit.Q3: {
 			q3 + " | leaf p1(p1) -> JoinEmbeddings(on=post, HOMO/ISO), scans Alias(__e1->__e3, comment->post, p2->p1) of " + hasCreator,
@@ -204,8 +219,8 @@ func TestKeySetsSit(t *testing.T) {
 			// there.
 			q3 + " | right(p1) -> JoinEmbeddings(on=p1, HOMO/ISO)",
 		},
-		benchkit.Q5: {"JoinEmbeddings(on=p1,p3, HOMO/ISO, drop=p3,p1,__e2,__e0,__e1) | left(p1,p3) -> JoinEmbeddings(on=p2, HOMO/ISO, drop=p2)"},
-		benchkit.Q6: {"JoinEmbeddings(on=p2,t1, HOMO/ISO, drop=p2,__e2,t1,__e3,__e1) | left(p2,t1) -> JoinEmbeddings(on=p1, HOMO/ISO, drop=p1,__e0)"},
+		benchkit.Q5: {"JoinEmbeddings(on=p1,p3, HOMO/ISO, drop=__e2,__e0,__e1) | left(p1,p3) -> JoinEmbeddings(on=p2, HOMO/ISO)"},
+		benchkit.Q6: {"JoinEmbeddings(on=p2,t1, HOMO/ISO, drop=p2,__e2,t1,__e3,__e1) | left(p2,t1) -> JoinEmbeddings(on=p1, HOMO/ISO, drop=__e0)"},
 	}
 	for _, q := range benchkit.AllQueries {
 		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism,

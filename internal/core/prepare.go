@@ -155,6 +155,7 @@ func (p *Prepared) Bind(g *epgm.LogicalGraph, cfg Config) (*Result, error) {
 		Plan:       bound,
 		Meta:       bound.Meta(),
 		Env:        access.Env(),
+		store:      bound.PropertyStore(),
 	}, nil
 }
 

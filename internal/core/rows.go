@@ -29,22 +29,28 @@ import (
 type cellKind uint8
 
 const (
-	cellNull cellKind = iota // a variable or property the embeddings do not carry
-	cellID                   // a vertex or edge variable: the bound element id
-	cellPath                 // a path variable: its id list, rendered "[1 2 3]"
-	cellProp                 // variable.key held in propData
-	cellExpr                 // anything else: evaluated per embedding
+	cellNull   cellKind = iota // a variable or property the embeddings do not carry
+	cellID                     // a vertex or edge variable: the bound element id
+	cellPath                   // a path variable: its id list, rendered "[1 2 3]"
+	cellProp                   // variable.key held in propData
+	cellStored                 // variable.key of the vertex the id column binds, read from the store
+	cellExpr                   // anything else: evaluated per embedding
 )
 
 // cell is one RETURN or ORDER BY expression compiled against the result's
 // metadata. value and appendJSON are its two renderings.
 type cell struct {
-	kind cellKind
-	col  int             // id column (cellID, cellPath) or property column (cellProp)
-	expr cypher.Expr     // cellExpr
-	meta *embedding.Meta // cellExpr: resolves the properties expr reads
+	kind  cellKind
+	col   int             // id column (cellID, cellPath, cellStored) or property column (cellProp)
+	key   string          // cellStored
+	expr  cypher.Expr     // cellExpr
+	meta  *embedding.Meta // cellExpr: resolves the properties expr reads
+	store *epgm.Store     // cellStored, cellExpr: the vertices the rows' ids name
 }
 
+// compileCell compiles e against the result: a property its rows carry is
+// read from them, one of a vertex they bind by id alone - over a plan whose
+// result reads the store - from the store.
 func (r *Result) compileCell(e cypher.Expr) cell {
 	switch x := e.(type) {
 	case *cypher.VarRef:
@@ -61,9 +67,22 @@ func (r *Result) compileCell(e cypher.Expr) cell {
 		if pc, ok := r.Meta.PropColumn(x.Var, x.Key); ok {
 			return cell{kind: cellProp, col: pc}
 		}
+		if c, ok := storedColumn(r.Meta, r.store, x.Var); ok {
+			return cell{kind: cellStored, col: c, key: x.Key, store: r.store}
+		}
 		return cell{kind: cellNull}
 	}
-	return cell{kind: cellExpr, expr: e, meta: r.Meta}
+	return cell{kind: cellExpr, expr: e, meta: r.Meta, store: r.store}
+}
+
+// storedColumn returns the id column meta gives vertex variable v, if store
+// is where the result reads the properties of the vertices its rows bind.
+func storedColumn(meta *embedding.Meta, store *epgm.Store, v string) (int, bool) {
+	if store == nil {
+		return 0, false
+	}
+	c, ok := meta.Column(v)
+	return c, ok && meta.Kind(c) == embedding.VertexEntry
 }
 
 // located is an embedding whose property values are found once.
@@ -114,16 +133,34 @@ func (c cell) value(emb *located) epgm.PropertyValue {
 		return epgm.PVString(string(appendPathText(nil, emb.Embedding, c.col)))
 	case cellProp:
 		return emb.prop(c.col)
+	case cellStored:
+		return storedValue(c.store, emb.Embedding, c.col, c.key)
 	case cellExpr:
 		return cypher.EvalValue(c.expr, func(variable, key string) epgm.PropertyValue {
 			if pc, ok := c.meta.PropColumn(variable, key); ok {
 				return emb.prop(pc)
+			}
+			if col, ok := storedColumn(c.meta, c.store, variable); ok {
+				return storedValue(c.store, emb.Embedding, col, key)
 			}
 			return epgm.Null
 		})
 	default:
 		return epgm.Null
 	}
+}
+
+// storedValue returns property key of the vertex whose id emb holds at column
+// col, read from the store; Null for a NULL-bound vertex.
+func storedValue(store *epgm.Store, emb embedding.Embedding, col int, key string) epgm.PropertyValue {
+	if emb.IsNullAt(col) {
+		return epgm.Null
+	}
+	pos := store.Positions().Of(emb.ID(col))
+	if len(pos) == 0 {
+		return epgm.Null
+	}
+	return store.Vertices[pos[0]].Properties.Get(key)
 }
 
 // appendPathText appends the path at column col as its id list, "[1 2 3]".

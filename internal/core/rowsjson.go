@@ -123,6 +123,8 @@ func (c cell) appendJSON(dst []byte, emb *located) []byte {
 		return append(dst, '"')
 	case cellProp:
 		return appendJSONEncoded(dst, emb.propBytes(c.col))
+	case cellStored:
+		return AppendJSONValue(dst, storedValue(c.store, emb.Embedding, c.col, c.key))
 	default:
 		return AppendJSONValue(dst, c.value(emb))
 	}

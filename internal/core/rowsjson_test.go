@@ -14,6 +14,7 @@ import (
 
 	"gradoop/internal/dataflow"
 	"gradoop/internal/epgm"
+	"gradoop/internal/planner"
 )
 
 // boxedValue is the reference the appender replaced: the value boxed for
@@ -309,6 +310,13 @@ func TestClientGoneStopsTheWalk(t *testing.T) {
 // benchRowsResult executes a scan whose rows carry an id, a string, an int,
 // a float and a null cell. With one partition the rows come in id order.
 func benchRowsResult(t testing.TB, n int, firstName func(i int) string) *Result {
+	return benchRowsOver(t, n, firstName, false)
+}
+
+// benchRowsOver is benchRowsResult, over a store of the graph if stored: then
+// the rows carry the id alone and the result reads the four properties from
+// the store.
+func benchRowsOver(t testing.TB, n int, firstName func(i int) string, stored bool) *Result {
 	t.Helper()
 	env := dataflow.NewEnv(dataflow.DefaultConfig(1))
 	vs := make([]epgm.Vertex, n)
@@ -319,11 +327,33 @@ func benchRowsResult(t testing.TB, n int, firstName func(i int) string) *Result 
 			Set("score", epgm.PVFloat(float64(i)/7))}
 	}
 	g := epgm.GraphFromSlices(env, "bench", vs, nil)
-	res, err := Execute(g, `MATCH (a:Person) RETURN a, a.firstName, a.birthday, a.score, a.nick`, Config{})
+	var cfg Config
+	if stored {
+		cfg.Access = planner.IndexedAccess{Index: epgm.BuildIndex(g)}
+	}
+	res, err := Execute(g, `MATCH (a:Person) RETURN a, a.firstName, a.birthday, a.score, a.nick`, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestStoredCellsAreCarriedCells: the body of rows whose cells read the store
+// is, byte for byte, the body of rows that carry the same properties.
+func TestStoredCellsAreCarriedCells(t *testing.T) {
+	name := func(i int) string { return fmt.Sprintf("Alice \"%d\"\n", i) }
+	carried, stored := benchRowsOver(t, 3000, name, false), benchRowsOver(t, 3000, name, true)
+	if stored.store == nil || stored.Meta.PropColumns() != 0 {
+		t.Fatalf("the rows carry %d properties; the result reads store %p", stored.Meta.PropColumns(), stored.store)
+	}
+	var got bytes.Buffer
+	if _, err := stored.WriteRowsJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := builtBody(t, carried); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("over the store %d bytes, carried %d", got.Len(), len(want))
+	}
+	checkStreamed(t, "over the store", stored)
 }
 
 // BenchmarkRowJSON is the output path's kernel of make alloc-guard: the
@@ -333,6 +363,27 @@ func benchRowsResult(t testing.TB, n int, firstName func(i int) string) *Result 
 func BenchmarkRowJSON(b *testing.B) {
 	const rows = 20_000
 	res := benchRowsResult(b, rows, func(int) string { return "Alice \"Al\" Liddell" })
+	size, _ := res.WriteRowsJSON(io.Discard)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := res.WriteRowsJSON(io.Discard); n != size || err != nil {
+			b.Fatalf("wrote %d of %d bytes: %v", n, size, err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.SetBytes(size)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
+}
+
+// BenchmarkRowJSONStored is BenchmarkRowJSON over a store: every property
+// cell reads the store by the row's id (Positions.Of) and appends the value,
+// which must cost no object a row either.
+func BenchmarkRowJSONStored(b *testing.B) {
+	const rows = 20_000
+	res := benchRowsOver(b, rows, func(int) string { return "Alice \"Al\" Liddell" }, true)
 	size, _ := res.WriteRowsJSON(io.Discard)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -45,6 +45,7 @@ func (g *QueryGraph) Bind(params map[string]epgm.PropertyValue) (*Binding, error
 			Labels:     qv.Labels,
 			Predicates: preds,
 			Projection: qv.Projection,
+			Returned:   qv.Returned,
 		}
 		b.Vertices[qv] = nv
 		out.vertexByVar[nv.Var] = nv

@@ -154,8 +154,8 @@ func TestQueryGraphOrderByValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := g.VertexByVar("m")
-	if len(m.Projection) != 1 || m.Projection[0] != "year" {
-		t.Fatalf("projection: %v", m.Projection)
+	if len(m.Projection) != 0 || len(m.Returned) != 1 || m.Returned[0] != "year" {
+		t.Fatalf("projection: %v, returned: %v", m.Projection, m.Returned)
 	}
 }
 

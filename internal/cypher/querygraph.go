@@ -56,9 +56,26 @@ type QueryVertex struct {
 	Anonymous  bool
 	Labels     []string // empty = any label; otherwise an alternation
 	Predicates []Expr   // conjuncts referencing only this variable
-	// Projection lists the property keys of this vertex needed after the
-	// leaf operator: by cross-element predicates or the RETURN clause.
+	// Projection lists the property keys of this vertex that a predicate
+	// reads after the leaf operator: a cross-element WHERE conjunct or an
+	// OPTIONAL MATCH group's. Every row that binds the vertex carries them.
 	Projection []string
+	// Returned lists the keys that only the result reads - RETURN, ORDER BY,
+	// an aggregate's argument - and no predicate after the leaf. Rows carry
+	// them too, unless every run of the plan reads a store that finds a
+	// vertex by its id: then the result reads them there (planner.Plan).
+	Returned []string
+}
+
+// Keys returns every key of the vertex read after the leaf, Projection and
+// Returned merged, sorted: what a row carries when it carries them all.
+func (qv *QueryVertex) Keys() []string {
+	if len(qv.Returned) == 0 {
+		return qv.Projection
+	}
+	keys := append(append(make([]string, 0, len(qv.Projection)+len(qv.Returned)), qv.Projection...), qv.Returned...)
+	sort.Strings(keys)
+	return keys
 }
 
 // QueryEdge is one edge of the query graph, directed from Source to Target
@@ -74,6 +91,9 @@ type QueryEdge struct {
 	MinHops    int
 	MaxHops    int
 	Predicates []Expr
+	// Projection lists every property key of this edge read after the leaf,
+	// by a predicate or by the result: an edge's properties are always
+	// carried, as no store finds an edge by its id.
 	Projection []string
 }
 
@@ -352,13 +372,23 @@ func BuildQueryGraphDeferred(q *Query) (*QueryGraph, error) {
 		g.Optional = append(g.Optional, group)
 	}
 
-	// Validate RETURN and collect per-variable property projections.
-	need := map[string]map[string]struct{}{}
-	addNeed := func(variable, key string) {
-		if need[variable] == nil {
-			need[variable] = map[string]struct{}{}
+	// Validate RETURN and collect per-variable property projections: what
+	// predicates after the leaves read, and what only the result reads of a
+	// vertex. Every predicate is collected before the result.
+	need, result := map[string]map[string]struct{}{}, map[string]map[string]struct{}{}
+	add := func(m map[string]map[string]struct{}, variable, key string) {
+		if m[variable] == nil {
+			m[variable] = map[string]struct{}{}
 		}
-		need[variable][key] = struct{}{}
+		m[variable][key] = struct{}{}
+	}
+	addNeed := func(variable, key string) { add(need, variable, key) }
+	addResult := func(variable, key string) {
+		if _, edge := g.edgeByVar[variable]; edge {
+			add(need, variable, key) // an edge's properties are always carried
+		} else if _, needed := need[variable][key]; !needed {
+			add(result, variable, key)
+		}
 	}
 	for _, conj := range g.Global {
 		CollectPropAccesses(conj, addNeed)
@@ -373,7 +403,7 @@ func BuildQueryGraphDeferred(q *Query) (*QueryGraph, error) {
 			if err := g.validateVars(ExprVars(item.Expr), "RETURN"); err != nil {
 				return nil, err
 			}
-			CollectPropAccesses(item.Expr, addNeed)
+			CollectPropAccesses(item.Expr, addResult)
 		}
 	}
 	aliases := map[string]bool{}
@@ -395,21 +425,31 @@ func BuildQueryGraphDeferred(q *Query) (*QueryGraph, error) {
 		if err := g.validateVars(vars, "ORDER BY"); err != nil {
 			return nil, err
 		}
-		CollectPropAccesses(sortItem.Expr, addNeed)
+		CollectPropAccesses(sortItem.Expr, addResult)
 	}
 	for v, keys := range need {
-		sorted := make([]string, 0, len(keys))
-		for k := range keys {
-			sorted = append(sorted, k)
-		}
-		sort.Strings(sorted)
 		if qv, ok := g.vertexByVar[v]; ok {
-			qv.Projection = sorted
+			qv.Projection = sortedKeys(keys)
 		} else if qe, ok := g.edgeByVar[v]; ok {
-			qe.Projection = sorted
+			qe.Projection = sortedKeys(keys)
+		}
+	}
+	for v, keys := range result {
+		if qv, ok := g.vertexByVar[v]; ok {
+			qv.Returned = sortedKeys(keys)
 		}
 	}
 	return g, nil
+}
+
+// sortedKeys returns the keys of set, sorted.
+func sortedKeys(set map[string]struct{}) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func (g *QueryGraph) validateVars(vars []string, clause string) error {

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"slices"
 	"testing"
 
 	"gradoop/internal/epgm"
@@ -170,14 +171,17 @@ func TestQueryGraphRejectsVertexEdgeClash(t *testing.T) {
 }
 
 func TestQueryGraphReturnProjections(t *testing.T) {
-	g := buildQG(t, `MATCH (p:Person)-[s:studyAt]->(u) WHERE s.classYear > 2014 RETURN p.name, u.name`, nil)
+	g := buildQG(t, `MATCH (p:Person)-[s:studyAt]->(u) WHERE s.classYear > 2014 AND p.age < u.age RETURN p.name, u.name, p.age`, nil)
+	// The result alone reads name; the cross-element predicate reads age,
+	// which the result reads as well.
 	p, _ := g.VertexByVar("p")
-	if len(p.Projection) != 1 || p.Projection[0] != "name" {
-		t.Fatalf("p projection: %v", p.Projection)
+	if !slices.Equal(p.Projection, []string{"age"}) || !slices.Equal(p.Returned, []string{"name"}) ||
+		!slices.Equal(p.Keys(), []string{"age", "name"}) {
+		t.Fatalf("p projection: %v, returned: %v", p.Projection, p.Returned)
 	}
 	u, _ := g.VertexByVar("u")
-	if len(u.Projection) != 1 || u.Projection[0] != "name" {
-		t.Fatalf("u projection: %v", u.Projection)
+	if !slices.Equal(u.Projection, []string{"age"}) || !slices.Equal(u.Returned, []string{"name"}) {
+		t.Fatalf("u projection: %v, returned: %v", u.Projection, u.Returned)
 	}
 	// s.classYear is element-centric: evaluated at the leaf, no projection
 	// needed downstream.

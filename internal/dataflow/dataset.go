@@ -203,8 +203,7 @@ func FlatMapWith[T, U any](d *Dataset[T], newF func(*Lane) func(T, func(U))) *Da
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
-		res := stagingOf[U](a.lane)
-		emit := emitter(a, res)
+		res, emit := stage[U](a)
 		for i, t := range part {
 			if a.in = int64(i); !a.tick(i) {
 				return nil, work{}
@@ -236,8 +235,7 @@ func FlatMapPolled[T, U any](d *Dataset[T], newF func(*Lane) func(t T, emit func
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
 		f := newF(a.lane)
-		res := stagingOf[U](a.lane)
-		emit := emitter(a, res)
+		res, emit := stage[U](a)
 		polls := 0
 		poll := func() bool {
 			polls++
@@ -270,24 +268,6 @@ func publish[U any](staged []U) []U {
 	return out
 }
 
-// emitter returns the emit callback of an attempt that produces rows: it
-// appends to *res, the attempt's staging buffer, counts the row and, under a
-// governor, holds its accounted bytes.
-func emitter[U any](a *attempt, res *[]U) func(U) {
-	if a.env.governor == nil {
-		return func(u U) {
-			*res = append(*res, u)
-			a.out++
-		}
-	}
-	sz := sizingOf[U]()
-	return func(u U) {
-		*res = append(*res, u)
-		a.out++
-		a.hold(sz.of(&(*res)[len(*res)-1]))
-	}
-}
-
 // MapPartition applies f once per partition, giving it the whole partition
 // and an emit callback.
 func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Dataset[U] {
@@ -298,8 +278,7 @@ func MapPartition[T, U any](d *Dataset[T], f func(part []T, emit func(U))) *Data
 	env.beginStage(kindMapPartition)
 	out := runStage(env, len(d.parts), func(a *attempt) ([]U, work) {
 		part := d.parts[a.p]
-		res := stagingOf[U](a.lane)
-		emit := emitter(a, res)
+		res, emit := stage[U](a)
 		if env.governor != nil {
 			// The driver has no per-element loop here — f consumes the whole
 			// partition — so the poll rides on emit: tick every mask+1 outputs

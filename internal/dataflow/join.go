@@ -310,8 +310,7 @@ func probePartition[L, R, U any](a *attempt, left []L, table *joinTable, right [
 		probeBytes := sizingOf[R]().sum(right)
 		w.spill = table.spilled + 2*int64(table.overflow*float64(probeBytes))
 	}
-	res := stagingOf[U](a.lane)
-	emit := emitter(a, res)
+	res, emit := stage[U](a)
 	// ops counts probes plus visited pairs so that both many-small-buckets
 	// and few-huge-buckets probe patterns poll for cancellation promptly.
 	// The memory flush shares the cadence: a cartesian blowup's output is

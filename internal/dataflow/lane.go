@@ -65,31 +65,61 @@ func grown[T any](s []T, n int) []T {
 type stager interface{ release() int64 }
 
 // staging is a lane's output buffer for elements of type U; high is the most
-// rows any use since the last give-back left in it.
+// rows any use since the last give-back left in it. at is the attempt writing
+// into it now, and emit and held its emit callbacks, without and with a
+// governor (stage): made the first time a stage asks for one and kept with
+// the buffer, so that an attempt allocates none.
 type staging[U any] struct {
-	rows []U
-	high int
+	rows       []U
+	high       int
+	at         *attempt
+	emit, held func(U)
 }
 
 func (s *staging[U]) release() int64 {
 	clear(s.rows[:max(s.high, len(s.rows))])
-	s.rows, s.high = s.rows[:0], 0
+	s.rows, s.high, s.at = s.rows[:0], 0, nil
 	return int64(cap(s.rows)) * int64(unsafe.Sizeof(*new(U)))
 }
 
-// stagingOf returns lane's staging buffer for U, empty. A lane holds one per
-// element type a stage has written on it, a handful in all.
-func stagingOf[U any](lane *Lane) *[]U {
+// stage returns the staging buffer for U of a's lane, empty, and the emit
+// callback of a that appends to it: it counts the row and, under a governor,
+// holds its accounted bytes. A lane holds one buffer per element type a stage
+// has written on it, a handful in all.
+func stage[U any](a *attempt) (*[]U, func(U)) {
+	b := stagingOf[U](a.lane)
+	b.high = max(b.high, len(b.rows))
+	b.rows, b.at = b.rows[:0], a
+	if a.env.governor == nil {
+		if b.emit == nil {
+			b.emit = func(u U) {
+				b.rows = append(b.rows, u)
+				b.at.out++
+			}
+		}
+		return &b.rows, b.emit
+	}
+	if b.held == nil {
+		sz := sizingOf[U]()
+		b.held = func(u U) {
+			b.rows = append(b.rows, u)
+			b.at.out++
+			b.at.hold(sz.of(&b.rows[len(b.rows)-1]))
+		}
+	}
+	return &b.rows, b.held
+}
+
+// stagingOf returns lane's staging buffer for U, made on the first call.
+func stagingOf[U any](lane *Lane) *staging[U] {
 	for _, s := range lane.staged {
 		if b, ok := s.(*staging[U]); ok {
-			b.high = max(b.high, len(b.rows))
-			b.rows = b.rows[:0]
-			return &b.rows
+			return b
 		}
 	}
 	b := new(staging[U])
 	lane.staged = append(lane.staged, b)
-	return &b.rows
+	return b
 }
 
 // release empties the lane for the spare list and sets kept. A race build

@@ -134,46 +134,81 @@ func (s *Store) Adjacency(labels []string, in bool) []*Adjacency {
 
 // Positions is a store's vertices by id: their ids in ascending order and
 // each one's position in the vertex array, twelve bytes a vertex, which a walk
-// searches for where a vertex it reaches lies - and so for its label - and a
-// join for the vertex of an id it looks up, when the ids are neither dense nor
-// in order.
+// searches for where a vertex it reaches lies - and so for its label - a join
+// for the vertex of an id it looks up, and a result for the properties of a
+// vertex its rows bind by id alone. Where the ids are dense enough - their
+// span at most denseSpan times the vertex count - a table indexed by id - min
+// finds an id's place in one read, four bytes a slot; elsewhere Of searches.
 type Positions struct {
 	ids []ID
 	pos []int32
+	// at[v-min] is 1 + the index in ids of v's first vertex, 0 for an id no
+	// vertex has; nil when the ids are too sparse for the table.
+	at     []int32
+	min    ID
+	unique bool
 }
+
+// denseSpan is how many times the vertex count the id span may be for
+// Positions to keep its table: at four bytes a slot, the table then costs at
+// most 64 bytes a vertex, beside the twelve of the sorted arrays.
+const denseSpan = 16
 
 // Of returns the positions of the vertices with id v in the store's vertex
 // array, in the array's order, none if the store has none: one, unless the
 // input gave two vertices one id. The slice is the store's: read, never
 // written.
 func (p *Positions) Of(v ID) []int32 {
-	i, ok := slices.BinarySearch(p.ids, v)
-	if !ok {
-		return nil
+	var i int
+	if p.at != nil {
+		if v < p.min || v-p.min >= ID(len(p.at)) || p.at[v-p.min] == 0 {
+			return nil
+		}
+		i = int(p.at[v-p.min] - 1)
+	} else {
+		var ok bool
+		if i, ok = slices.BinarySearch(p.ids, v); !ok {
+			return nil
+		}
 	}
 	j := i + 1
-	for j < len(p.ids) && p.ids[j] == v {
+	for !p.unique && j < len(p.ids) && p.ids[j] == v {
 		j++
 	}
-	return p.pos[i:j]
+	return p.pos[i:j:j]
 }
+
+// Unique reports whether no two vertices of the store share an id: whether
+// an id alone names a vertex.
+func (p *Positions) Unique() bool { return p.unique }
 
 // Positions returns the store's vertices by id. It is built the first time a
 // query asks for it and kept for every later one, as an adjacency is, and is
 // safe for concurrent use.
 func (s *Store) Positions() *Positions {
-	s.positionsOnce.Do(func() {
-		p := &Positions{ids: make([]ID, len(s.Vertices)), pos: make([]int32, len(s.Vertices))}
-		for i := range p.pos {
-			p.pos[i] = int32(i)
-		}
-		slices.SortFunc(p.pos, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(s.Vertices[a].ID, s.Vertices[b].ID), cmp.Compare(a, b))
-		})
-		for i, q := range p.pos {
-			p.ids[i] = s.Vertices[q].ID
-		}
-		s.positions = p
-	})
+	s.positionsOnce.Do(func() { s.positions = newPositions(s.Vertices) })
 	return s.positions
+}
+
+func newPositions(vertices []Vertex) *Positions {
+	p := &Positions{ids: make([]ID, len(vertices)), pos: make([]int32, len(vertices)), unique: true}
+	for i := range p.pos {
+		p.pos[i] = int32(i)
+	}
+	slices.SortFunc(p.pos, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(vertices[a].ID, vertices[b].ID), cmp.Compare(a, b))
+	})
+	for i, q := range p.pos {
+		p.ids[i] = vertices[q].ID
+		if i > 0 && p.ids[i] == p.ids[i-1] {
+			p.unique = false
+		}
+	}
+	if n := len(p.ids); n > 0 && uint64(p.ids[n-1]-p.ids[0]) < uint64(denseSpan*n) {
+		p.min, p.at = p.ids[0], make([]int32, p.ids[n-1]-p.ids[0]+1)
+		for i := n - 1; i >= 0; i-- { // the first of an id's vertices wins
+			p.at[p.ids[i]-p.min] = int32(i + 1)
+		}
+	}
+	return p
 }

@@ -124,3 +124,55 @@ func TestPositions(t *testing.T) {
 		t.Error("a second call built the index again")
 	}
 }
+
+// TestPositionsTableAgreesWithSearch holds Of, which reads a table indexed by
+// id where the ids are dense, to a binary search over the sorted ids: on dense
+// ids, on sparse ones whose span is over the table's limit, and on dense ones
+// the input gives twice, for every id from below the least to past the
+// greatest. Unique says whether an id was given twice.
+func TestPositionsTableAgreesWithSearch(t *testing.T) {
+	const n = 500
+	cases := []struct {
+		name          string
+		id            func(i int) ID
+		table, unique bool
+	}{
+		{"dense", func(i int) ID { return 1000 + ID(i*4) }, true, true},
+		{"sparse", func(i int) ID { return 1000 + ID(i*(denseSpan+1)) }, false, true},
+		{"repeated", func(i int) ID { return 1000 + ID(i/3) }, true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vs := make([]Vertex, n)
+			for i := range vs {
+				vs[i] = Vertex{ID: c.id((i * 7) % n)} // not in id order
+			}
+			p := newPositions(vs)
+			if (p.at != nil) != c.table || p.Unique() != c.unique {
+				t.Fatalf("table %v unique %v, want %v and %v", p.at != nil, p.Unique(), c.table, c.unique)
+			}
+			search := func(v ID) []int32 {
+				i, ok := slices.BinarySearch(p.ids, v)
+				if !ok {
+					return nil
+				}
+				j := i
+				for j < len(p.ids) && p.ids[j] == v {
+					j++
+				}
+				return p.pos[i:j]
+			}
+			for v := c.id(0) - 2; v <= c.id(n-1)+2; v++ {
+				got, want := p.Of(v), search(v)
+				if !slices.Equal(got, want) {
+					t.Fatalf("id %d: Of %v, search %v", v, got, want)
+				}
+				for _, q := range got {
+					if vs[q].ID != v {
+						t.Fatalf("id %d: position %d holds vertex %d", v, q, vs[q].ID)
+					}
+				}
+			}
+		})
+	}
+}

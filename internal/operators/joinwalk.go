@@ -204,7 +204,7 @@ func (jw *joinWalk) join(sc *scratch, o embedding.Embedding, emit func(embedding
 			}
 			m++
 			ids := [1]epgm.ID{v.ID}
-			jw.pair(sc, o, sc.leaf.Row(ids[:], sc.project(v.Properties, qv.Projection)), emit)
+			jw.pair(sc, o, sc.leaf.Row(ids[:], sc.project(v.Properties, jw.vertexLeaf.keys)), emit)
 		}
 	} else {
 		qe, edges := jw.qe, jw.store.Edges

@@ -20,16 +20,25 @@ type FilterAndProjectVertices struct {
 	Vertex *cypher.QueryVertex
 
 	meta *embedding.Meta
+	keys []string // the property keys its rows carry
 }
 
-// NewFilterAndProjectVertices builds the leaf and its output metadata.
+// NewFilterAndProjectVertices builds the leaf and its output metadata: its
+// rows carry every key of the vertex read after the leaf (QueryVertex.Keys).
 func NewFilterAndProjectVertices(qv *cypher.QueryVertex) *FilterAndProjectVertices {
+	return NewVertexLeaf(qv, qv.Keys())
+}
+
+// NewVertexLeaf is NewFilterAndProjectVertices for a leaf whose rows carry
+// keys of the vertex's properties, sorted: a plan whose result reads the
+// others from the store leaves them out.
+func NewVertexLeaf(qv *cypher.QueryVertex, keys []string) *FilterAndProjectVertices {
 	meta := embedding.NewMeta()
 	meta.AddEntry(qv.Var, embedding.VertexEntry)
-	for _, key := range qv.Projection {
+	for _, key := range keys {
 		meta.AddProp(qv.Var, key)
 	}
-	return &FilterAndProjectVertices{Vertex: qv, meta: meta}
+	return &FilterAndProjectVertices{Vertex: qv, meta: meta, keys: keys}
 }
 
 // Meta implements Operator.
@@ -84,7 +93,7 @@ func (op *FilterAndProjectVertices) row(sc *scratch, qv *cypher.QueryVertex, v *
 		return embedding.Embedding{}, false
 	}
 	ids := [1]epgm.ID{v.ID}
-	return sc.slab.Row(ids[:], sc.project(v.Properties, qv.Projection)), true
+	return sc.slab.Row(ids[:], sc.project(v.Properties, op.keys)), true
 }
 
 // selects reports whether the leaf makes a row of data vertex v for the run's

@@ -32,6 +32,11 @@ import (
 // A property column stays while the result or a predicate not applied yet
 // reads it. Leaves write what their element's projection says, as before: a
 // Cached leaf has several consumers.
+//
+// Over a store that finds a vertex by its id, a vertex property only the
+// result reads is in no row at all: its leaf leaves it out, and the result
+// reads it from the store by the vertex's id column, which stays to the
+// root in its place.
 
 // varSet is a set of the variables of one query: member i is liveness.vars[i].
 // The first 64 are one word, so a query of up to 64 variables plans with no
@@ -119,6 +124,10 @@ type liveness struct {
 	props []embedding.PropRef
 	preds []reads // of qg.Global and the OPTIONAL MATCH groups' predicates
 	ret   reads   // the result's
+	// fromStore are the vertex properties the result reads from the store:
+	// the Returned keys of every vertex a match reports, over a store that
+	// finds a vertex by its id.
+	fromStore []embedding.PropRef
 }
 
 type queryVar struct {
@@ -139,13 +148,15 @@ type reads struct {
 func (r reads) union(o reads) reads { return reads{ids: r.ids.union(o.ids), props: r.props | o.props} }
 
 // element is one query vertex or edge as the rule sees it: its variable, its
-// kind and labels, the keys its leaf projects and whether a match reports it
-// (an exists() group's elements are its own).
+// kind and labels, the query vertex (nil for an edge) or the keys the edge's
+// leaf projects, and whether a match reports it (an exists() group's elements
+// are its own).
 type element struct {
 	name       string
 	anonymous  bool
 	kind       embedding.EntryKind
 	labels     []string
+	vertex     *cypher.QueryVertex
 	projection []string
 	bound      bool
 }
@@ -157,7 +168,7 @@ func elements(qg *cypher.QueryGraph) []element {
 	add := func(g *cypher.OptionalGroup, bound bool) {
 		for _, qv := range g.Vertices {
 			elems = append(elems, element{name: qv.Var, anonymous: qv.Anonymous, kind: embedding.VertexEntry,
-				labels: qv.Labels, projection: qv.Projection, bound: bound})
+				labels: qv.Labels, vertex: qv, bound: bound})
 		}
 		for _, qe := range g.Edges {
 			kind := embedding.EdgeEntry
@@ -180,8 +191,9 @@ func elements(qg *cypher.QueryGraph) []element {
 
 // newLiveness indexes qg for planning under morph. graphs plans for the graph
 // collection, which reads every binding of a match, instead of the RETURN
-// clause.
-func newLiveness(qg *cypher.QueryGraph, morph operators.Morphism, graphs bool) *liveness {
+// clause; byID plans for a store that finds a vertex by its id, from which
+// the result reads what only it reads of a vertex's properties.
+func newLiveness(qg *cypher.QueryGraph, morph operators.Morphism, graphs, byID bool) *liveness {
 	elems := elements(qg)
 	slices.SortFunc(elems, func(a, b element) int { return strings.Compare(a.name, b.name) })
 
@@ -198,7 +210,16 @@ func newLiveness(qg *cypher.QueryGraph, morph operators.Morphism, graphs bool) *
 		if a.bound && (graphs || ret.Star && !a.anonymous) {
 			lv.ret.ids = lv.ret.ids.union(only(i))
 		}
-		for _, k := range a.projection {
+		keys := a.projection
+		if qv := a.vertex; qv != nil {
+			if byID && a.bound {
+				for _, k := range qv.Returned {
+					lv.fromStore = append(lv.fromStore, embedding.PropRef{Var: a.name, Key: k})
+				}
+			}
+			keys = lv.leafKeys(qv)
+		}
+		for _, k := range keys {
 			lv.props = append(lv.props, embedding.PropRef{Var: a.name, Key: k})
 		}
 	}
@@ -293,9 +314,15 @@ func (lv *liveness) exprReads(e cypher.Expr) reads {
 
 // resultReads returns what a RETURN or ORDER BY expression reads of a row: the
 // id column of a bare variable, its own or an aggregate's argument, and every
-// property it accesses. Nothing else of an expression reads an id.
+// property it accesses - or, for one read from the store, its vertex's id
+// column. Nothing else of an expression reads an id.
 func (lv *liveness) resultReads(e cypher.Expr) reads {
 	r := lv.exprReads(e)
+	cypher.CollectPropAccesses(e, func(v, k string) {
+		if slices.Contains(lv.fromStore, embedding.PropRef{Var: v, Key: k}) {
+			r.ids = r.ids.union(lv.bit(v))
+		}
+	})
 	if fc, ok := e.(*cypher.FuncCall); ok && fc.Aggregate() && fc.Arg != nil {
 		e = fc.Arg
 	}
@@ -303,6 +330,16 @@ func (lv *liveness) resultReads(e cypher.Expr) reads {
 		r.ids = r.ids.union(lv.bit(ref.Var))
 	}
 	return r
+}
+
+// leafKeys returns the keys the rows of qv's leaf carry: those a predicate
+// after it reads, and, unless the result reads them from the store, those the
+// result reads.
+func (lv *liveness) leafKeys(qv *cypher.QueryVertex) []string {
+	if slices.ContainsFunc(lv.fromStore, func(p embedding.PropRef) bool { return p.Var == qv.Var }) {
+		return qv.Projection
+	}
+	return qv.Keys()
 }
 
 // groupVars returns every variable the groups' vertices and edges name,

@@ -88,8 +88,21 @@ type QueryPlan struct {
 	// one's Description, rendered per evaluation).
 	Labels operators.Labeler
 
-	access  GraphAccess
-	binding *cypher.Binding
+	// storeReads: the result reads vertex properties no row carries from the
+	// store the plan was made for (findsByID), so every run must read one.
+	storeReads bool
+	access     GraphAccess
+	binding    *cypher.Binding
+}
+
+// PropertyStore returns the store the result of a run reads the vertex
+// properties its rows do not carry from, by the vertices' ids; nil if the
+// rows carry every property the result reads.
+func (p *QueryPlan) PropertyStore() *epgm.Store {
+	if !p.storeReads {
+		return nil
+	}
+	return p.access.Store()
 }
 
 // Execute evaluates the plan in a run of its own.
@@ -237,7 +250,7 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool, 
 	if choose != nil {
 		pick = seeded
 	}
-	lv, est := newLiveness(qg, pl.Morph, graphs), map[operators.Operator]float64{}
+	lv, est := newLiveness(qg, pl.Morph, graphs, findsByID(access)), map[operators.Operator]float64{}
 	pn := &planning{Planner: pl, qg: qg, lv: lv, est: est, pending: append([]cypher.Expr(nil), qg.Global...), pick: pick}
 
 	plans, varLength := pn.leaves(qg.Vertices, qg.Edges, !pl.DisableReuse)
@@ -300,7 +313,19 @@ func (pl *Planner) plan(access GraphAccess, qg *cypher.QueryGraph, graphs bool, 
 		est[op] = card
 		root = &partial{op: op, card: card, vars: out}
 	}
-	return &QueryPlan{Root: root.op, Estimates: est, access: access}, nil
+	return &QueryPlan{Root: root.op, Estimates: est, storeReads: len(lv.fromStore) > 0, access: access}, nil
+}
+
+// findsByID reports whether access reads a store that finds a vertex by its
+// id: a pinned store in which no two vertices share one. Over it, a plan's
+// result reads what only it reads of a vertex's properties from the store,
+// by the vertex's id, and no row carries them.
+func findsByID(access GraphAccess) bool {
+	if access == nil {
+		return false
+	}
+	s := access.Store()
+	return s != nil && s.Positions().Unique()
 }
 
 // placeKeySets has every inner join of op's tree, the mandatory pattern's,
@@ -612,8 +637,9 @@ func (pn *planning) leaves(vertices []*cypher.QueryVertex, edges []*cypher.Query
 				first = 3 * e
 			}
 		}
-		add("vertex\x01"+vertexSignature(qv), []string{qv.Var}, first, pn.vertexLeafCard(qv),
-			func() operators.Operator { return operators.NewFilterAndProjectVertices(qv) })
+		keys := pn.lv.leafKeys(qv)
+		add("vertex\x01"+vertexSignature(qv, keys), []string{qv.Var}, first, pn.vertexLeafCard(qv),
+			func() operators.Operator { return operators.NewVertexLeaf(qv, keys) })
 	}
 	for e, qe := range edges {
 		if qe.IsVarLength() {
@@ -630,12 +656,15 @@ func (pn *planning) leaves(vertices []*cypher.QueryVertex, edges []*cypher.Query
 	return plans, varLength
 }
 
-// vertexSignature renders a query vertex's structure with its variable name
-// normalized away, so structurally identical vertices share a leaf.
-func vertexSignature(qv *cypher.QueryVertex) string {
+// vertexSignature renders a query vertex's structure - with every key read
+// after its leaf, and keys, those its leaf projects - with its variable name
+// normalized away, so structurally identical vertices share a leaf. Two
+// vertices the result reads from the store share one only where their rows
+// over the plain graph would: leaving a property in the store moves no leaf.
+func vertexSignature(qv *cypher.QueryVertex, keys []string) string {
 	return strings.Join(qv.Labels, "|") + "\x01" +
 		normalizePreds(qv.Predicates, map[string]string{qv.Var: "\x02"}) + "\x01" +
-		strings.Join(qv.Projection, ",")
+		strings.Join(qv.Keys(), ",") + "\x01" + strings.Join(keys, ",")
 }
 
 // edgeSignature is the edge-side analogue; loop edges ((a)-[e]->(a)) and

@@ -35,6 +35,12 @@ func (p *QueryPlan) Render(labels map[operators.Operator]string) string {
 		}
 		io.WriteString(h, ")")
 	}
+	if p.storeReads {
+		// A plan whose result reads the store differs from one whose rows
+		// carry the properties only in what its leaves project, which no
+		// operator's description says.
+		io.WriteString(h, "store-reads;")
+	}
 	walk(p.Root)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -43,10 +49,28 @@ func (p *QueryPlan) Render(labels map[operators.Operator]string) string {
 // and labels, run over access with the binding's query elements and parameter
 // values in place of the planned ones. The tree is shared by every run of the
 // query and written by none of them, so Rebind builds no operator, and
-// Explain of the plan it returns is the template's.
+// Explain of the plan it returns is the template's. A plan whose result reads
+// the store is bound only to an access whose store finds a vertex by its id;
+// to any other, Rebind returns a *StoreAccessError.
 func Rebind(p *QueryPlan, access GraphAccess, b *cypher.Binding) (*QueryPlan, error) {
 	if access == nil {
 		return nil, errors.New("planner: rebind: no graph access")
 	}
-	return &QueryPlan{Root: p.Root, Estimates: p.Estimates, Labels: p.Labels, access: access, binding: b}, nil
+	if p.storeReads && !findsByID(access) {
+		return nil, &StoreAccessError{Store: access.Store() != nil}
+	}
+	return &QueryPlan{Root: p.Root, Estimates: p.Estimates, Labels: p.Labels, storeReads: p.storeReads, access: access, binding: b}, nil
+}
+
+// StoreAccessError is Rebind's refusal to bind a plan whose result reads
+// vertex properties from the store to an access that cannot answer them:
+// one with no store (Store false) or with a store in which two vertices share
+// an id. The plan must be prepared again for that access.
+type StoreAccessError struct{ Store bool }
+
+func (e *StoreAccessError) Error() string {
+	if e.Store {
+		return "planner: rebind: the plan reads vertex properties from the store by id, and the access's store gives an id to two vertices"
+	}
+	return "planner: rebind: the plan reads vertex properties from the store by id, and the access has no store"
 }

@@ -147,6 +147,12 @@ func (d *GraphData) Bind(env *dataflow.Env) (*epgm.LogicalGraph, planner.GraphAc
 	return idx.ToLogicalGraph(), planner.IndexedAccess{Index: idx}
 }
 
+// Access is the access a plan is prepared for: the store, bound to no
+// environment. Over a store in which no two vertices share an id the plan's
+// result reads what only it reads of a vertex's properties from the store
+// (planner.Plan); Bind gives each run an access of its own.
+func (d *GraphData) Access() planner.GraphAccess { return planner.IndexedAccess{Index: d.Index(nil)} }
+
 // graphState is one pinned graph: its GraphData plus the statistics
 // collected once at load. It is immutable after construction — SwapGraph
 // installs a whole new state.
@@ -396,7 +402,9 @@ type prepareToken struct{}
 func (s *Session) compile(st *graphState, canonical string, col *trace.Collector) (*core.Prepared, bool, error) {
 	build := func() (p *core.Prepared, err error) {
 		prepare := func() int64 {
-			p, err = core.PrepareWith(st.stats, canonical, s.baseConfig())
+			cfg := s.baseConfig()
+			cfg.Access = st.data.Access()
+			p, err = core.PrepareWith(st.stats, canonical, cfg)
 			return 0
 		}
 		if col == nil {

@@ -2,6 +2,7 @@ package session
 
 import (
 	"reflect"
+	"regexp"
 	"runtime"
 	"sort"
 	"testing"
@@ -184,11 +185,13 @@ func BenchmarkBind(b *testing.B) {
 // cluster worker on a miss of its own cache - the first job of a query on a
 // statistics snapshot: core.PrepareWith of each yardstick query, canonical as
 // the coordinator ships it, over the statistics of the benchmark's graph (SF 3,
-// seed 2017). `make alloc-guard` pins its allocations per query.
+// seed 2017), prepared for its store as a session prepares. `make alloc-guard`
+// pins its allocations per query.
 func BenchmarkPrepare(b *testing.B) {
-	st := stats.Collect(ldbcGraph(b, 3))
+	g := ldbcGraph(b, 3)
+	data, st := NewGraphData(g), stats.Collect(g)
 	for _, q := range benchkit.AllQueries {
-		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st}
+		cfg := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st, Access: data.Access()}
 		query := CanonicalQuery(q.Text())
 		b.Run(q.String(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -207,9 +210,11 @@ func BenchmarkPrepare(b *testing.B) {
 // pins it at 0 allocs/op; rendered per call, it is a string for every
 // operator's description.
 func BenchmarkFingerprint(b *testing.B) {
-	st := stats.Collect(ldbcGraph(b, 0.05))
+	g := ldbcGraph(b, 0.05)
+	data, st := NewGraphData(g), stats.Collect(g)
 	for _, q := range benchkit.AllQueries {
-		prep, err := core.PrepareWith(st, CanonicalQuery(q.Text()), core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism})
+		prep, err := core.PrepareWith(st, CanonicalQuery(q.Text()), core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism,
+			Access: data.Access()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,15 +232,15 @@ func BenchmarkFingerprint(b *testing.B) {
 
 // BenchmarkPreparedBind is what a request of each yardstick query pays between
 // a plan-cache hit and its job: a fresh environment, the pinned graph bound to
-// it, and the prepared query bound to that access and the request's
-// parameters. `make alloc-guard` pins its allocations per query: the plan's
+// it, and the prepared query - prepared for the store, as a session prepares
+// it - bound to that access and the request's parameters. `make alloc-guard` pins its allocations per query: the plan's
 // operator tree is shared by every run, so binding builds no operator.
 func BenchmarkPreparedBind(b *testing.B) {
 	g := ldbcGraph(b, 0.05)
 	data, st := NewGraphData(g), stats.Collect(g)
 	cfg := dataflow.DefaultConfig(4)
 	for _, q := range benchkit.AllQueries {
-		base := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st}
+		base := core.Config{Vertex: operators.Homomorphism, Edge: operators.Isomorphism, Stats: st, Access: data.Access()}
 		prep, err := core.PrepareWith(st, CanonicalQuery(q.Text()), base)
 		if err != nil {
 			b.Fatal(err)
@@ -254,5 +259,54 @@ func BenchmarkPreparedBind(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLeavesLeaveTheResultsKeys: a session plans over its store, and over
+// the store of SF 3 (seed 2017) no vertex leaf of Q1-Q6 projects a key that
+// only the result reads - the result reads it from the store by the vertex's
+// id - so no row of theirs carries it, and their plans bind to read the store.
+// Each plan is the plain graph's but for what the joins leave out: leaving a
+// property in the store shares, splits or reorders no leaf.
+func TestLeavesLeaveTheResultsKeys(t *testing.T) {
+	s := New(ldbcGraph(t, 3), Options{Workers: 4})
+	defer s.Close()
+	st := s.snapshot()
+	drops := regexp.MustCompile(`, drop=[^)]*`)
+	for _, q := range benchkit.AllQueries {
+		prep, _, err := s.compile(st, CanonicalQuery(q.Text()), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		plain, err := core.PrepareWith(st.stats, CanonicalQuery(q.Text()), s.baseConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got, want := drops.ReplaceAllString(prep.Plan.Explain(), ""), drops.ReplaceAllString(plain.Plan.Explain(), ""); got != want {
+			t.Errorf("%s: over the store\n%s\nover the plain graph\n%s", q, got, want)
+		}
+		stored := 0
+		for _, n := range prep.Plan.Nodes() {
+			leaf, ok := n.Op.(*operators.FilterAndProjectVertices)
+			if !ok {
+				continue
+			}
+			for _, k := range leaf.Vertex.Returned {
+				stored++
+				if leaf.Meta().HasProp(leaf.Vertex.Var, k) {
+					t.Errorf("%s: the leaf of %s projects %s, which only the result reads", q, leaf.Vertex.Var, k)
+				}
+			}
+		}
+		g, access := st.data.Bind(dataflow.NewEnv(dataflow.DefaultConfig(4)))
+		cfg := core.Config{Access: access, Params: map[string]epgm.PropertyValue{"firstName": epgm.PVString("Jan")}}
+		res, err := prep.Bind(g, cfg)
+		if err != nil {
+			t.Fatalf("%s: bind: %v", q, err)
+		}
+		if stored == 0 || res.Plan.PropertyStore() != st.data.Store {
+			t.Errorf("%s: %d keys only the result reads; the result reads store %p, the session's is %p",
+				q, stored, res.Plan.PropertyStore(), st.data.Store)
+		}
 	}
 }
