@@ -95,31 +95,39 @@ func TestAllocTable(t *testing.T) {
 // fixed costs, then the frames of rows - sent, received by a worker, received
 // by the coordinator - then what is left on the coordinator.
 // The rest is the workers' run of the query. The rules name the functions of
-// this commit and of the ones before protocol version 7 (a telemetry bundle of
-// spans and registry on every job, a JSON done report), so that the table can
-// be run on a parent commit too.
+// this commit and of the ones before it back to protocol version 7 (a
+// telemetry bundle of spans and registry on every job, a JSON done report):
+// until version 10 the registry rode a telemetry bundle of its own, an
+// attempt's report was up to three frames - result, spans, done - and the job
+// spec was JSON. So the table can be run on a parent commit too.
 var jobPhases = []benchkit.Phase{
 	// The worker's registry snapshot, taken and encoded on the worker and
-	// decoded on the coordinator: the heartbeat's bundle, or every job's.
+	// decoded on the coordinator: on a pong, in the heartbeat's bundle, or in
+	// every job's.
 	{Name: "registry snapshot", Rules: [][]string{
+		{"cluster.(*Worker).pong"},
 		{"cluster.(*Worker).shipRegistry"},
 		{"obs.(*Registry).Snapshot", "cluster."},
 		{"obs.(*Snapshot).Layout", "cluster."},
 	}},
-	{Name: "telemetry encode/decode (spans)", Rules: [][]string{
-		{"cluster.(*Worker).shipSpans"},
-		{"cluster.(*Worker).shipTelemetry"},
-		{"cluster.decodeTelemetryBundle"},
-	}},
-	{Name: "done report", Rules: [][]string{
+	// What a worker reports of an attempt but its rows: the stage table, the
+	// spans of a traced request and the metrics, encoded, and decoded and
+	// folded on the coordinator.
+	{Name: "done frame", Rules: [][]string{
 		{"cluster.stageRecords"},
 		{"cluster.encodeJobDone"},
 		{"cluster.decodeJobDone"},
+		{"cluster.doneBody"},
+		{"cluster.(*Worker).shipSpans"},
+		{"cluster.(*Worker).shipTelemetry"},
+		{"cluster.decodeTelemetryBundle"},
 		{"encoding/json.Marshal", "cluster.(*Worker).runJob"},
 		{"encoding/json.Unmarshal", "cluster.(*Coordinator).readMember"},
 		{"cluster.foldStages"},
 	}},
-	{Name: "job spec encode/decode", Rules: [][]string{
+	{Name: "job frame", Rules: [][]string{
+		{"cluster.encodeJobSpec"},
+		{"cluster.decodeJobSpec"},
 		{"encoding/json.Marshal", "cluster.(*Coordinator).launchAttempt"},
 		{"wire.AppendParams", "cluster.(*Coordinator).ExecuteRemote"},
 		{"cluster.(*Worker).serveControl"},
@@ -148,14 +156,17 @@ var jobPhases = []benchkit.Phase{
 	}},
 	// The frames of rows: what the sending side pays, what a worker's peer
 	// links read (shuffles and all-gathers, into the attempt's receive arena
-	// since decision 38), and what the coordinator reads (the results).
+	// since decision 38), and what the coordinator reads (the done frames that
+	// carry the results, the result frames before).
 	{Name: "frames of rows: send", Rules: [][]string{
 		{"cluster.(*peerTransport)."},
 		{"cluster.(*sender).run"},
 		{"cluster.shipResults"},
+		{"cluster.resultBody"},
+		{"cluster.sendDone"},
 	}},
 	{Name: "frames of rows: worker receive", Rules: [][]string{{"cluster.(*jobRuntime).routePeer"}, {"cluster.(*Worker).routeFrame"}}},
-	{Name: "frames of rows: coordinator receive (results)", Rules: [][]string{{"cluster.(*Coordinator).readMember"}}},
+	{Name: "frames of rows: coordinator receive", Rules: [][]string{{"cluster.(*Coordinator).readMember"}}},
 	{Name: "coordinator: session, bind, assembly", Rules: [][]string{
 		{"session.(*Session).Execute"},
 		{"session.(*Response).WriteRows"},

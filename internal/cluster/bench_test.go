@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"time"
 
 	"gradoop/internal/benchkit"
 	"gradoop/internal/core"
@@ -185,11 +186,13 @@ func BenchmarkWorkerPlanHit(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerReport is what the done report of an untraced successful
+// BenchmarkWorkerReport is what the done frame of an untraced successful
 // attempt costs, worker and coordinator together: the stage table read from
-// the attempt's collector in place, the report encoded, and decoded as the
-// coordinator's read loop does. The collector is a run of a two-hop join over
-// tinyGraph on four partitions. `make alloc-guard` pins its allocations.
+// the attempt's collector in place, the report's fields encoded and the frame
+// written with the result behind them, a row at a time, and the frame read,
+// checked and decoded as the coordinator's read loop does. The collector and
+// the result are a run of a two-hop join over tinyGraph on four partitions,
+// which the one worker owns. `make alloc-guard` pins its allocations.
 func BenchmarkWorkerReport(b *testing.B) {
 	g := tinyGraph()
 	prep, err := core.PrepareWith(stats.Collect(g), joinQuery, core.Config{})
@@ -204,11 +207,63 @@ func BenchmarkWorkerReport(b *testing.B) {
 	metrics := res.Env.Metrics()
 	cost := dataflow.DefaultConfig(4).Cost()
 	wireOut := map[int64]int64{}
+	spec := &jobSpec{JobID: 1, Workers: 4, Owner: []int{0, 0, 0, 0}}
+	var socket bytes.Buffer
+	fw := newFrameWriter(&socket)
+	br := bufio.NewReaderSize(&socket, 64<<10)
 	b.ReportAllocs()
 	for b.Loop() {
 		done := jobDone{ElapsedNs: 1, Stages: stageRecords(col, cost, wireOut), Metrics: metrics}
-		if _, err := decodeJobDone(encodeJobDone(&done)); err != nil {
+		result, err := resultBody(spec, res.Embeddings)
+		if err == nil {
+			err = fw.frame(&outFrame{typ: frameJobDone, body: doneBody(&done, result)})
+		}
+		if err == nil {
+			err = fw.bw.Flush()
+		}
+		var payload, body []byte
+		if err == nil {
+			_, payload, err = readFrame(br, nil)
+		}
+		if err == nil {
+			body, err = sealedBody(payload)
+		}
+		if err == nil {
+			_, err = decodeJobDone(body)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkJobFrame is what a job frame's body costs: the coordinator encodes
+// the spec of a Q4 job for one of two workers, and the worker decodes it.
+// `make alloc-guard` pins its allocations.
+func BenchmarkJobFrame(b *testing.B) {
+	spec := q4Spec(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		var got jobSpec
+		if err := decodeJobSpec(encodeJobSpec(spec), &got); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// q4Spec is the spec of a Q4 job as a coordinator of two workers ships it to
+// the second.
+func q4Spec(b *testing.B) *jobSpec {
+	g := tinyGraph()
+	query := session.CanonicalQuery(benchkit.Q4.Text())
+	prep, err := core.PrepareWith(stats.Collect(g), query, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &jobSpec{
+		JobID: 0x9e3779b97f4a7c15, Query: query, Snapshot: 1, Workers: 4, Owner: []int{0, 1, 1, 0},
+		Procs: []procSpec{{Node: "w1", Addr: "127.0.0.1:40001"}, {Node: "w2", Addr: "127.0.0.1:40002"}},
+		Self:  1, Vertex: int(prep.Morph.Vertex), Edge: int(prep.Morph.Edge), Fingerprint: prep.Fingerprint(),
+		TimeoutNs: int64(30 * time.Second), TraceID: "job-9e3779b9",
 	}
 }

@@ -494,12 +494,12 @@ func recoverFrom(t *testing.T, data *session.GraphData, g *epgm.LogicalGraph, qu
 			if typ != cluster.FrameJobDone {
 				return
 			}
-			attempt, text, lost, err := cluster.DoneReport(payload)
+			r, err := cluster.DoneReport(payload)
 			switch {
 			case err != nil:
 				t.Errorf("w%d's done report does not decode: %v", i, err)
-			case strings.Contains(text, cluster.ErrPeerLost.Error()) && (attempt != 0 || !slices.Equal(lost, []int{1})):
-				t.Errorf("w%d's done report of attempt %d fails on a lost peer and names roster indices %v, want [1], the crashed w1", i, attempt, lost)
+			case strings.Contains(r.Error, cluster.ErrPeerLost.Error()) && (r.Attempt != 0 || !slices.Equal(r.Lost, []int{1})):
+				t.Errorf("w%d's done report of attempt %d fails on a lost peer and names roster indices %v, want [1], the crashed w1", i, r.Attempt, r.Lost)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net"
@@ -31,8 +30,8 @@ func tinyGraph() *epgm.LogicalGraph {
 }
 
 // fakeWorker serves one control connection as a worker does, as far as the
-// coordinator can tell: it answers every job frame with one result frame whose
-// body is result(spec) and a clean done report, and every ping with a pong.
+// coordinator can tell: it answers every job frame with a clean done report
+// whose result is result(spec), and every ping with a pong.
 func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -70,12 +69,12 @@ func fakeWorker(t *testing.T, result func(*jobSpec) []segment) string {
 				send.send(framePong, nil, nil)
 			case frameJob:
 				var spec jobSpec
-				if err := json.Unmarshal(payload, &spec); err != nil {
+				if err := decodeJobSpec(payload, &spec); err != nil {
 					t.Error(err)
 					return
 				}
-				send.send(frameResult, spec.head(), result(&spec))
-				send.send(frameJobDone, spec.head(), []segment{{raw: encodeJobDone(&jobDone{})}})
+				done := jobDone{attemptHead: attemptHead{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self}}
+				send.send(frameJobDone, nil, doneBody(&done, result(&spec)))
 			}
 		}
 	}()
@@ -242,7 +241,7 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 		if err := writeJSONFrame(ctrl, frameStats, statsMsg{ID: 1, Stats: st}); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeJSONFrame(ctrl, frameJob, &spec); err != nil {
+		if err := writeFrame(ctrl, frameJob, encodeJobSpec(&spec)); err != nil {
 			t.Fatal(err)
 		}
 		if link == nil {
@@ -305,6 +304,19 @@ func TestControlDropFailsItsJobsOnly(t *testing.T) {
 // closes what it relays: a link a worker dialled through it lives as long as
 // that worker.
 func relay(t *testing.T, addr string, edit func(toWorker bool, typ byte, payload []byte) (byte, []byte)) string {
+	return relayFrames(t, addr, func(toWorker bool, frame []byte) ([]byte, bool) {
+		typ, payload := edit(toWorker, frame[frameHeader-1], frame[frameHeader:])
+		var out bytes.Buffer
+		writeFrame(&out, typ, payload)
+		return out.Bytes(), false
+	})
+}
+
+// relayFrames relays connections to the worker at addr a frame at a time, each
+// frame - length, type and payload - as pass returns it; a pass that reports
+// the frame its last closes both sides of the connection once it has written
+// what it returned.
+func relayFrames(t *testing.T, addr string, pass func(toWorker bool, frame []byte) (out []byte, last bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -325,14 +337,16 @@ func relay(t *testing.T, addr string, edit func(toWorker bool, typ byte, payload
 	pump := func(dst, src net.Conn, toWorker bool) {
 		defer wg.Done()
 		defer dst.Close()
+		defer src.Close()
 		br := bufio.NewReader(src)
 		for {
 			typ, payload, err := readFrame(br, nil)
 			if err != nil {
 				return
 			}
-			typ, payload = edit(toWorker, typ, payload)
-			if err := writeFrame(dst, typ, payload); err != nil {
+			frame := append(binary.BigEndian.AppendUint32(nil, uint32(1+len(payload))), typ)
+			out, last := pass(toWorker, append(frame, payload...))
+			if _, err := dst.Write(out); err != nil || last {
 				return
 			}
 		}
@@ -362,21 +376,21 @@ func relay(t *testing.T, addr string, edit func(toWorker bool, typ byte, payload
 }
 
 // corruptingProxy relays connections to the worker at addr, with the body of
-// every job frame replaced by "{", which is no JSON.
+// every job frame cut to its first byte.
 func corruptingProxy(t *testing.T, addr string) string {
 	return relay(t, addr, func(toWorker bool, typ byte, payload []byte) (byte, []byte) {
 		if toWorker && typ == frameJob {
-			payload = []byte("{")
+			payload = payload[:1]
 		}
 		return typ, payload
 	})
 }
 
-// retypingProxy relays connections to the worker at addr, with every result
+// retypingProxy relays connections to the worker at addr, with every done
 // frame the worker sends re-typed as a ping, which no coordinator reads.
 func retypingProxy(t *testing.T, addr string) string {
 	return relay(t, addr, func(toWorker bool, typ byte, payload []byte) (byte, []byte) {
-		if !toWorker && typ == frameResult {
+		if !toWorker && typ == frameJobDone {
 			typ = framePing
 		}
 		return typ, payload
@@ -401,6 +415,8 @@ func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 		payload []byte
 	}{
 		{"undecodable job", frameJob, []byte("{")},
+		{"job with a trailing byte", frameJob, append(encodeJobSpec(&jobSpec{JobID: 1}), 0)},
+		{"undecodable abort", frameAbort, []byte{0, 0, 0}},
 		{"unread type", framePong, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -470,9 +486,9 @@ func TestUndecodableControlFrameDropsTheConnection(t *testing.T) {
 // TestEveryFrameTypeCrosses: every frame type the protocol declares is sent by
 // the code that speaks it, across a socket. Two workers, each behind a relay
 // that records the type of every frame it passes, run a traced job (hello,
-// welcome, stats, job, data, result, telemetry, done) and a job whose context
-// is cancelled (abort), refuse a hello from another build (reject) and answer
-// the heartbeat (ping, pong). A type no code sends is dead protocol; one its
+// welcome, stats, job, data, done) and a job whose context is cancelled
+// (abort), refuse a hello from another build (reject) and answer the
+// heartbeat (ping, pong). A type no code sends is dead protocol; one its
 // receiver does not take costs a member.
 func TestEveryFrameTypeCrosses(t *testing.T) {
 	g := tinyGraph()

@@ -91,9 +91,8 @@ type member struct {
 	lastPong time.Time
 	jobsDone int64
 	// snap is the worker's most recent metrics-registry snapshot, carried by
-	// the last registry bundle its heartbeat brought - at most one
-	// heartbeatInterval after a job ended; the federated /metrics view serves
-	// it.
+	// the last pong that brought one - at most one heartbeatInterval after a
+	// job ended; the federated /metrics view serves it.
 	snap *obs.Snapshot
 	// stats is the statistics snapshot last queued on the control connection,
 	// under the id statsID (ship).
@@ -117,7 +116,8 @@ func (m *member) ship(spec *jobSpec, st *stats.GraphStatistics) error {
 		m.stats = st
 	}
 	spec.Snapshot = m.statsID
-	return m.send.sendJSON(frameJob, spec)
+	_, err := m.send.send(frameJob, encodeJobSpec(spec), nil)
+	return err
 }
 
 var _ session.RemoteExecutor = (*Coordinator)(nil)
@@ -214,7 +214,7 @@ func (c *Coordinator) ClusterWorkers() []session.WorkerInfo {
 }
 
 // WorkerMetrics returns each worker's most recent registry snapshot (as
-// carried by its heartbeat's latest registry bundle) for the federated
+// carried by the latest pong that brought one) for the federated
 // /metrics view. Workers that have never shipped one are omitted.
 func (c *Coordinator) WorkerMetrics() []session.WorkerMetrics {
 	var out []session.WorkerMetrics
@@ -240,11 +240,11 @@ func (m *member) markPong() {
 	m.mu.Unlock()
 }
 
-// readMember is the control connection's read loop: results and terminal
-// reports route to the attempt they belong to, pongs feed the heartbeat and
-// registry bundles the federated /metrics. A read error, a result or done
-// report that does not decode, or a frame of a type a worker does not send
-// here is the definitive death signal for the member.
+// readMember is the control connection's read loop: done reports route to
+// the attempt they belong to, pongs feed the heartbeat and, with the registry
+// snapshot behind one, the federated /metrics. A read error, a done report
+// that does not decode, or a frame of a type a worker does not send here is
+// the definitive death signal for the member.
 func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 	for {
 		typ, payload, err := readFrame(br, nil)
@@ -255,19 +255,9 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 		switch typ {
 		case framePong:
 			m.markPong()
-		case frameResult:
-			f, body, err := openAttempt(payload)
-			if err == nil {
-				if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil && !st.deliverResult(m.idx, body) {
-					err = errors.New("cluster: a second result frame for one attempt")
-				}
-			}
-			if err != nil {
-				c.memberDown(m, err)
-				return
-			}
+			c.receiveSnapshot(m, payload)
 		case frameJobDone:
-			f, body, err := openAttempt(payload)
+			body, err := sealedBody(payload)
 			var done *jobDone
 			if err == nil {
 				done, err = decodeJobDone(body)
@@ -279,41 +269,41 @@ func (c *Coordinator) readMember(m *member, br *bufio.Reader) {
 			m.mu.Lock()
 			m.jobsDone++
 			m.mu.Unlock()
-			if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
+			if st := c.attempt(jobKey{job: done.JobID, attempt: done.Attempt}); st != nil {
 				st.deliverDone(m.idx, done)
-			}
-		case frameTelemetry:
-			// Telemetry degrades, never fails: a corrupt bundle inside an
-			// intact frame - its header, checksum or encoding - is counted and
-			// skipped (the attempt settles with a partial-telemetry marker),
-			// and a bundle for an attempt no longer pending - a superseded
-			// retry's straggler - is dropped.
-			f, body, err := openAttempt(payload)
-			var bundle *telemetryBundle
-			if err == nil {
-				bundle, err = decodeTelemetryBundle(body)
-			}
-			if err != nil {
-				c.inst.teleDropped.Inc()
-				if c.opts.Logger != nil {
-					c.opts.Logger.Warn("dropping corrupt telemetry bundle", "node", m.node, "err", err)
-				}
-				continue
-			}
-			c.inst.teleFrames.Inc()
-			c.inst.teleBytes.Add(int64(len(payload)))
-			if bundle.Metrics != nil {
-				m.mu.Lock()
-				m.snap = bundle.Metrics
-				m.mu.Unlock()
-			} else if st := c.attempt(jobKey{job: f.JobID, attempt: f.Attempt}); st != nil {
-				st.deliverTelemetry(m.idx, bundle)
 			}
 		default:
 			c.memberDown(m, fmt.Errorf("cluster: a frame of type %d on a control connection", typ))
 			return
 		}
 	}
+}
+
+// receiveSnapshot keeps the registry snapshot a pong carries, if it carries
+// one. The snapshot degrades, never fails: one that fails its checksum or does
+// not decode is counted and skipped, and the pong still counts toward the
+// member's liveness (DESIGN decision 18).
+func (c *Coordinator) receiveSnapshot(m *member, payload []byte) {
+	body, err := sealedBody(payload)
+	if err == nil && len(body) == 0 {
+		return
+	}
+	var snap *obs.Snapshot
+	if err == nil {
+		snap, err = decodeSnapshot(body)
+	}
+	if err != nil {
+		c.inst.teleDropped.Inc()
+		if c.opts.Logger != nil {
+			c.opts.Logger.Warn("dropping a corrupt registry snapshot", "node", m.node, "err", err)
+		}
+		return
+	}
+	c.inst.teleFrames.Inc()
+	c.inst.teleBytes.Add(int64(len(payload)))
+	m.mu.Lock()
+	m.snap = snap
+	m.mu.Unlock()
 }
 
 // memberDown marks a member dead, closes its connection and wakes every
@@ -380,50 +370,36 @@ type attemptState struct {
 	roster []int // participating member indices, in roster order
 	owner  []int // partition -> roster index, as the attempt was launched
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	results   map[int][]byte           // member idx -> its one result body
-	dones     map[int]*jobDone         // member idx -> terminal report
-	telemetry map[int]*telemetryBundle // member idx -> shipped observability
-	down      map[int]bool             // member idx -> died during the attempt
-	err       error                    // external failure (context cancellation)
+	mu    sync.Mutex
+	cond  *sync.Cond
+	dones map[int]*jobDone // member idx -> its report, its result in it
+	down  map[int]bool     // member idx -> died during the attempt
+	err   error            // external failure (context cancellation)
 }
 
 func newAttemptState(key jobKey, roster, owner []int) *attemptState {
 	st := &attemptState{
-		key:       key,
-		roster:    roster,
-		owner:     owner,
-		results:   map[int][]byte{},
-		dones:     map[int]*jobDone{},
-		telemetry: map[int]*telemetryBundle{},
-		down:      map[int]bool{},
+		key:    key,
+		roster: roster,
+		owner:  owner,
+		dones:  map[int]*jobDone{},
+		down:   map[int]bool{},
 	}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
 
-// deliverResult keeps a member's result body and reports whether it is the
-// first: a worker sends one result frame per attempt.
-func (st *attemptState) deliverResult(memberIdx int, body []byte) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, dup := st.results[memberIdx]
-	st.results[memberIdx] = body
-	return !dup
-}
-
-// file files every roster member's result body with splitAllGather against
-// the owner map the attempt was launched with, and returns the result's
-// buckets in partition order. A body that names a partition its sender does
-// not own or names one twice, or a partition no body carries, is an error,
-// with the member to blame for it.
+// file files every roster member's result, the rest of its done report, with
+// splitAllGather against the owner map the attempt was launched with, and
+// returns the result's buckets in partition order. A body that names a
+// partition its sender does not own or names one twice, or a partition no
+// body carries, is an error, with the member to blame for it.
 func (st *attemptState) file() ([][]byte, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	blobs := make([][]byte, len(st.owner))
 	for i, idx := range st.roster {
-		if err := splitAllGather(st.owner, i, st.results[idx], blobs); err != nil {
+		if err := splitAllGather(st.owner, i, st.dones[idx].Result, blobs); err != nil {
 			return nil, idx, err
 		}
 	}
@@ -433,16 +409,6 @@ func (st *attemptState) file() ([][]byte, int, error) {
 		}
 	}
 	return blobs, 0, nil
-}
-
-// deliverTelemetry records a worker's bundle. Telemetry frames are sent
-// strictly before the same attempt's done report on the same ordered
-// connection, so by the time await settles every bundle that will arrive
-// has arrived — no separate wait needed.
-func (st *attemptState) deliverTelemetry(memberIdx int, b *telemetryBundle) {
-	st.mu.Lock()
-	st.telemetry[memberIdx] = b
-	st.mu.Unlock()
 }
 
 func (st *attemptState) deliverDone(memberIdx int, done *jobDone) {
@@ -567,7 +533,7 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 	// The job's trace identity: the caller's context trace ID when present
 	// (so the cluster execution joins the request's existing trace), else a
 	// coordinator-minted one. It rides the job spec to every worker, tags
-	// their spans, logs and bundles, and binds the merged trace document.
+	// their logs, and binds the merged trace document.
 	traceID := obs.TraceIDFrom(cfg.Context)
 	if traceID == "" {
 		traceID = fmt.Sprintf("job-%08x", jobID)
@@ -687,18 +653,16 @@ func (c *Coordinator) ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, c
 		rep.TraceID = traceID
 		if traced {
 			// The caller asked for a trace; merge the winning attempt's
-			// bundles into one document — coordinator lane plus one process
-			// lane per worker that shipped spans.
+			// spans into one document — coordinator lane plus one process
+			// lane per worker, each from its done report.
 			coordSpans = append(coordSpans, trace.Span{
 				Stage: int64(attempt + 1), Op: "assemble", Kind: "assemble",
 				Start: assembleStart, End: time.Since(start),
 			})
-			var lanes []trace.WorkerTrace
+			lanes := make([]trace.WorkerTrace, len(st.roster))
 			st.mu.Lock()
-			for _, idx := range st.roster {
-				if b := st.telemetry[idx]; b != nil {
-					lanes = append(lanes, trace.WorkerTrace{Node: b.Node, Spans: b.Spans})
-				}
+			for i, idx := range st.roster {
+				lanes[i] = trace.WorkerTrace{Node: c.members[idx].node, Spans: st.dones[idx].Spans}
 			}
 			st.mu.Unlock()
 			merged := trace.ClusterChromeTrace(traceID, coordSpans, lanes)
@@ -760,22 +724,22 @@ func (c *Coordinator) abortAttempt(st *attemptState) {
 	for _, idx := range st.roster {
 		m := c.members[idx]
 		if m.isAlive() {
-			m.send.sendJSON(frameAbort, abortMsg{JobID: st.key.job, Attempt: st.key.attempt})
+			abort := attemptHead{JobID: st.key.job, Attempt: st.key.attempt}
+			m.send.send(frameAbort, abort.bytes(), nil)
 		}
 	}
 }
 
 // assemble decodes the result's buckets, as file returned them, into res, the
-// bound Result, as core.Prepared.Execute fills a local run's, and merges the
-// workers' stage records and metrics. traced says whether the request asked
-// for a trace, and with it the workers for their spans.
+// bound Result, as core.Prepared.Execute fills a local run's, and builds the
+// report - the workers' stage records, metrics and one WorkerReport each -
+// from their done reports alone. traced says whether the request asked for a
+// trace, and with it the workers for their spans.
 func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byte, traced bool) (*session.ClusterReport, error) {
 	st.mu.Lock()
 	dones := make([]*jobDone, 0, len(st.roster))
-	bundles := make([]*telemetryBundle, 0, len(st.roster))
 	for _, idx := range st.roster {
 		dones = append(dones, st.dones[idx])
-		bundles = append(bundles, st.telemetry[idx])
 	}
 	st.mu.Unlock()
 
@@ -788,24 +752,17 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 	}
 	res.Embeddings = dataflow.FromSlice(res.Env, flat)
 	rep := &session.ClusterReport{
-		Workers: len(st.roster),
-		Stages:  foldStages(dones),
+		Workers:       len(st.roster),
+		Stages:        foldStages(dones),
+		WorkerReports: make([]session.WorkerReport, len(dones)),
 	}
-	for _, done := range dones {
+	for i, done := range dones {
 		rep.Metrics.MergeProcess(done.Metrics)
-	}
-	for i, idx := range st.roster {
-		done, b := dones[i], bundles[i]
-		wr := session.WorkerReport{Node: c.members[idx].node, WallNs: done.ElapsedNs, Spans: len(done.Stages)}
-		if b != nil {
-			wr.Spans = len(b.Spans)
+		wr := session.WorkerReport{Node: c.members[st.roster[i]].node, WallNs: done.ElapsedNs, Spans: len(done.Stages)}
+		if traced {
+			wr.Spans = len(done.Spans)
 		}
-		// A traced request whose bundle from a worker was corrupt or never
-		// came leaves the report partial. The result is whole either way.
-		if traced && b == nil {
-			rep.PartialTelemetry = true
-		}
-		rep.WorkerReports = append(rep.WorkerReports, wr)
+		rep.WorkerReports[i] = wr
 	}
 	return rep, nil
 }
@@ -817,8 +774,8 @@ func (c *Coordinator) assemble(res *core.Result, st *attemptState, blobs [][]byt
 // framed). WorkerNs[i] is worker i's wall time for the stage - its maximum
 // is the merged Actual by construction - WorkerBytes[i] its framed shuffle
 // bytes, and Skew the straggler factor: the slowest worker's time over the
-// roster mean. All of it comes from the done reports, not the telemetry
-// bundles, so the skew table survives a lost bundle and an untraced request.
+// roster mean. All of it comes from the stage records, not the spans, so an
+// untraced request has the skew table too.
 func foldStages(dones []*jobDone) []session.ClusterStage {
 	n := 0
 	for _, done := range dones {
@@ -871,7 +828,6 @@ type clusterInstruments struct {
 	teleFrames  *obs.Counter
 	teleBytes   *obs.Counter
 	teleDropped *obs.Counter
-	telePartial *obs.Counter
 }
 
 // newClusterInstruments registers the coordinator's instruments. A nil
@@ -899,13 +855,11 @@ func newClusterInstruments(r *obs.Registry) *clusterInstruments {
 		actual: r.NewCounter("gradoop_cluster_stage_actual_ns_total",
 			"Measured stage wall time, summed over stages"),
 		teleFrames: r.NewCounter("gradoop_cluster_telemetry_frames_total",
-			"Worker telemetry bundles received intact"),
+			"Worker registry snapshots received intact on pongs"),
 		teleBytes: r.NewCounter("gradoop_cluster_telemetry_bytes_total",
-			"Encoded telemetry frame bytes received from workers"),
+			"Encoded pong bytes that carried a registry snapshot from a worker"),
 		teleDropped: r.NewCounter("gradoop_cluster_telemetry_dropped_total",
-			"Telemetry bundles dropped for CRC or decode failure"),
-		telePartial: r.NewCounter("gradoop_cluster_partial_telemetry_total",
-			"Successful distributed queries missing at least one worker's bundle"),
+			"Registry snapshots dropped for CRC or decode failure"),
 	}
 }
 
@@ -923,9 +877,6 @@ func (in *clusterInstruments) bindRoster(c *Coordinator) {
 func (in *clusterInstruments) observe(rep *session.ClusterReport, elapsed time.Duration) {
 	in.attempts.Observe(int64(rep.Attempts))
 	in.jobTime.Observe(int64(elapsed))
-	if rep.PartialTelemetry {
-		in.telePartial.Inc()
-	}
 	for _, s := range rep.Stages {
 		in.wireBytes.Add(s.WireBytes)
 		in.predicted.Add(s.Predicted)

@@ -140,9 +140,6 @@ RETURN p1.firstName, p1.lastName, p2.firstName, p2.lastName, post.content`, true
 	if traced.Cluster == nil || traced.Cluster.TraceID == "" {
 		t.Fatal("traced query returned no cluster trace ID")
 	}
-	if traced.Cluster.PartialTelemetry {
-		t.Fatalf("partial telemetry with both workers shipping: %+v", traced.Cluster)
-	}
 	if len(traced.ChromeTrace.TraceEvents) == 0 {
 		t.Fatal("traced query returned no merged Chrome trace")
 	}
@@ -183,7 +180,7 @@ RETURN p1.firstName, p1.lastName, p2.firstName, p2.lastName, post.content`, true
 		"gradoop_cluster_live_workers 2",
 		`gradoop_cluster_worker_jobs_total{worker="w2"}`,
 		`gradoop_cluster_worker_jobs_total{worker="w3"}`,
-		`gradoop_cluster_worker_telemetry_bundles_total{worker="w2"}`,
+		`gradoop_cluster_worker_registry_snapshots_total{worker="w2"}`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("federated /metrics missing %q", want)
@@ -237,9 +234,8 @@ type e2eResponse struct {
 // trace and the report's telemetry fields.
 type e2eTracedResponse struct {
 	Cluster *struct {
-		TraceID          string `json:"traceId"`
-		PartialTelemetry bool   `json:"partialTelemetry"`
-		Stages           []struct {
+		TraceID string `json:"traceId"`
+		Stages  []struct {
 			Stage    int     `json:"stage"`
 			Actual   int64   `json:"actualNs"`
 			WorkerNs []int64 `json:"workerNs"`

@@ -6,23 +6,32 @@ package cluster
 // answer, not a right one by luck.
 func init() { scribbleSpare = true }
 
-// FrameJobDone and FrameTelemetry are the types of a worker's done and
-// telemetry frames, which the tests' proxies read and tamper with.
+// FrameJobDone and FramePong are the types of a worker's done frames and
+// pongs, which the tests' proxies read and tamper with.
 const (
-	FrameJobDone   = frameJobDone
-	FrameTelemetry = frameTelemetry
+	FrameJobDone = frameJobDone
+	FramePong    = framePong
 )
 
-// DoneReport decodes the payload of a done frame: the attempt it reports, its
-// error and the roster indices of the peers it lost.
-func DoneReport(payload []byte) (attempt int, errText string, lost []int, err error) {
-	f, body, err := openAttempt(payload)
+// Report is what a test's proxy reads of a done frame: the attempt it
+// reports, its error, the roster indices of the peers it lost and how many
+// spans it carries.
+type Report struct {
+	Attempt int
+	Error   string
+	Lost    []int
+	Spans   int
+}
+
+// DoneReport decodes the payload of a done frame.
+func DoneReport(payload []byte) (Report, error) {
+	body, err := sealedBody(payload)
 	if err != nil {
-		return 0, "", nil, err
+		return Report{}, err
 	}
 	d, err := decodeJobDone(body)
 	if err != nil {
-		return 0, "", nil, err
+		return Report{}, err
 	}
-	return f.Attempt, d.Error, d.LostPeers, nil
+	return Report{Attempt: d.Attempt, Error: d.Error, Lost: d.LostPeers, Spans: len(d.Spans)}, nil
 }

@@ -16,42 +16,56 @@ import (
 	"gradoop/internal/field"
 )
 
-// FuzzDecodeTelemetryBundle: a bundle arrives off a socket from another
-// process, so any bytes must decode or be an error - never a panic, and never
-// more elements than the input has bytes for, whatever its counts claim. What
-// does decode has exactly one encoding: it re-encodes to the bytes it came
-// from.
-func FuzzDecodeTelemetryBundle(f *testing.F) {
-	golden, _ := hex.DecodeString(goldenBundleHex)
-	f.Add(golden)
-	tb := testBundle()
-	f.Add(encodeTelemetryBundle(&tb))
-	f.Add(encodeTelemetryBundle(&telemetryBundle{}))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0})
+// FuzzDecodeJobDone: a done report arrives off a socket from another
+// process, so any body must decode - its fields, and the rest as the result -
+// or be an error: never a panic, and never more elements than the input has
+// bytes for, whatever its counts claim. What does decode has exactly one
+// encoding: its fields re-encode, with the result behind them, to the bytes
+// it came from.
+func FuzzDecodeJobDone(f *testing.F) {
+	for _, form := range []string{"traced", "failed"} {
+		frame, _ := hex.DecodeString(goldenDoneHex[form])
+		f.Add(frame[frameHeader : len(frame)-crcTrailer])
+	}
+	f.Add(encodeJobDone(&jobDone{}))
+	f.Add(append(make([]byte, 16+4+4+8), 0x80, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		b, err := decodeTelemetryBundle(raw)
+		d, err := decodeJobDone(raw)
 		if err != nil {
 			return
 		}
-		elems := len(b.Spans)
-		for i := range b.Spans {
-			elems += len(b.Spans[i].Parts) + len(b.Spans[i].Attempts)
-		}
-		if b.Metrics != nil {
-			elems += len(b.Metrics.Families)
-			for i := range b.Metrics.Families {
-				fam := &b.Metrics.Families[i]
-				elems += len(fam.Samples)
-				for j := range fam.Samples {
-					elems += len(fam.Samples[j].Labels)
-				}
-			}
+		elems := len(d.LostPeers) + len(d.Stages) + len(d.Spans) + len(d.Metrics.CPUElements) +
+			len(d.Metrics.NetBytes) + len(d.Metrics.SpillBytes) + len(d.Metrics.MemBytes)
+		for i := range d.Spans {
+			elems += len(d.Spans[i].Parts) + len(d.Spans[i].Attempts)
 		}
 		if elems > len(raw) {
 			t.Fatalf("%d bytes decoded to %d elements", len(raw), elems)
 		}
-		if again := encodeTelemetryBundle(b); !bytes.Equal(again, raw) {
-			t.Fatalf("decoded bundle re-encodes differently\n  in %x\n out %x", raw, again)
+		if again := append(encodeJobDone(d), d.Result...); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded report re-encodes differently\n  in %x\n out %x", raw, again)
+		}
+	})
+}
+
+// FuzzDecodeJobSpec: a job frame arrives off a socket, so any body must decode
+// or be an error - never a panic, never more elements than the input has
+// bytes for - and what decodes re-encodes to the bytes it came from.
+func FuzzDecodeJobSpec(f *testing.F) {
+	golden, _ := hex.DecodeString(goldenJobHex)
+	f.Add(golden)
+	f.Add(encodeJobSpec(&jobSpec{}))
+	f.Add(append(make([]byte, 8+4+4+4+8+4), 0x80, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s jobSpec
+		if err := decodeJobSpec(raw, &s); err != nil {
+			return
+		}
+		if elems := len(s.Owner) + len(s.Procs); elems > len(raw) {
+			t.Fatalf("%d bytes decoded to %d elements", len(raw), elems)
+		}
+		if again := encodeJobSpec(&s); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded spec re-encodes differently\n  in %x\n out %x", raw, again)
 		}
 	})
 }
@@ -59,10 +73,10 @@ func FuzzDecodeTelemetryBundle(f *testing.F) {
 // FuzzReadFrame: a frame arrives off a socket from another process, so any
 // bytes must read as a frame or as a structured error - and so must what is
 // done with a frame before a row of it is decoded: the header of its type,
-// the checksum behind its body, the decode of a done report or a telemetry
-// bundle, and the split of a data frame's body into the
-// buckets of an exchange or of an all-gather, and of a result frame's into the
-// partitions the coordinator files. Nothing panics, no bucket
+// the checksum behind its body, the decode of a job spec, an abort, a done
+// report or a pong's snapshot, and the split of a data frame's body into the
+// buckets of an exchange or of an all-gather, and of a done report's result
+// into the partitions the coordinator files. Nothing panics, no bucket
 // reaches past the body, and nothing is allocated but the frame's body, which
 // maxFrame bounds, and a fixed allowance. (An input whose first frame claims
 // more bytes than the input has is a torn frame, TestFrameTorn's: read here,
@@ -73,13 +87,13 @@ func FuzzReadFrame(f *testing.F) {
 	body := [][]byte{[]byte("shuffle "), nil, []byte("bucket bytes")}
 	f.Add(frameBytes(frameData, headBytes(&dataFrame{JobID: 7, Seq: 3, Kind: kindAllGather, From: 1}), body...))
 	rows := bucketOf(wideRows(3))
-	f.Add(framed(&outFrame{typ: frameResult, head: headBytes(&attemptHead{JobID: 7, From: 1}),
-		body: gatherBody(fuzzOwner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})}))
-	tb := testBundle()
-	f.Add(frameBytes(frameTelemetry, headBytes(&attemptHead{JobID: 7}), encodeTelemetryBundle(&tb)))
 	done := goldenDone()
-	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7, From: 1}), encodeJobDone(&done)))
-	f.Add(frameBytes(frameJobDone, headBytes(&attemptHead{JobID: 7}), encodeJobDone(&jobDone{Error: "boom", LostPeers: []int{1}})))
+	f.Add(framed(&outFrame{typ: frameJobDone, body: doneBody(&done, gatherBody(fuzzOwner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)}))}))
+	for _, form := range []string{"traced", "failed"} {
+		frame, _ := hex.DecodeString(goldenDoneHex[form])
+		f.Add(frame)
+	}
+	f.Add(frameBytes(frameJobDone, nil, encodeJobDone(&jobDone{Error: "boom", LostPeers: []int{1}})))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindExchange, From: 1}),
 		body: exchangeBody(fuzzOwner, 1, 0, [][]dataflow.Bucket{nil, {rows, {}, rows, {}}, nil, {rows, {}, rows, {}}})}))
 	f.Add(framed(&outFrame{typ: frameData, head: headBytes(&dataFrame{Kind: kindAllGather, From: 1}),
@@ -90,11 +104,20 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameData})
-	// On a peer link: a frame of an attempt the worker does not run, a result
+	// On a peer link: a frame of an attempt the worker does not run, a done
 	// frame, and a data frame whose head is one byte short.
 	f.Add(frameBytes(frameData, headBytes(&dataFrame{JobID: 8, Seq: 1, From: 1}), []byte("early")))
-	f.Add(frameBytes(frameResult, headBytes(&attemptHead{JobID: 7, From: 1})))
+	f.Add(frameBytes(frameJobDone, nil, encodeJobDone(&jobDone{attemptHead: attemptHead{JobID: 7, From: 1}})))
 	f.Add(frameBytes(frameData, make([]byte, dataHead-1)))
+	// A pong with a snapshot and without, a job and an abort.
+	pong, _ := hex.DecodeString(goldenPongHex)
+	f.Add(pong)
+	f.Add(frameBytes(framePong, nil))
+	spec := goldenSpec()
+	var job bytes.Buffer
+	writeFrame(&job, frameJob, encodeJobSpec(&spec))
+	writeFrame(&job, frameAbort, (&attemptHead{JobID: 42, Attempt: 1}).bytes())
+	f.Add(job.Bytes())
 
 	// The router's worker, with a receive chunk to spare so that a body carved
 	// from one allocates nothing; the runtime a frame makes for an attempt the
@@ -185,12 +208,16 @@ func readAndSplit(t *testing.T, raw []byte) {
 		var h dataFrame
 		c = field.Reader(payload)
 		h.layout(&c)
-	case frameResult, frameJobDone, frameTelemetry:
-		var h attemptHead
+	case frameJobDone, framePong:
 		c = field.Reader(payload)
-		h.layout(&c)
+	case frameJob:
+		var s jobSpec
+		if err := decodeJobSpec(payload, &s); err != nil {
+			structured(t, err)
+		}
+		return
 	default:
-		return // a control frame: JSON
+		return // the handshake or the statistics: JSON, or an abort: an attemptHead
 	}
 	checked, err := checkedBody(&c)
 	if err != nil {
@@ -198,29 +225,37 @@ func readAndSplit(t *testing.T, raw []byte) {
 	}
 	if err == nil {
 		switch typ {
-		case frameTelemetry:
-			_, err = decodeTelemetryBundle(checked)
 		case frameJobDone:
-			_, err = decodeJobDone(checked)
+			var d *jobDone
+			if d, err = decodeJobDone(checked); err == nil {
+				// The result, as the coordinator files it.
+				out := make([][]byte, 4)
+				if err := splitAllGather(fuzzOwner, 1, d.Result, out); err != nil {
+					structured(t, err)
+				}
+				within(t, d.Result, out)
+			}
+		case framePong:
+			if len(checked) > 0 {
+				_, err = decodeSnapshot(checked)
+			}
 		}
 		if err != nil {
 			structured(t, err)
 		}
 	}
-	if typ == frameTelemetry || typ == frameJobDone || c.Err() != nil || len(c.Rest()) < crcTrailer {
+	if typ != frameData || c.Err() != nil || len(c.Rest()) < crcTrailer {
 		return
 	}
 	// The split of a body that failed its checksum too: the checksum is what
 	// stops a corrupt body in production, not what the fuzzer should stop at.
 	body := c.Rest()[:len(c.Rest())-crcTrailer]
-	if typ == frameData {
-		incoming := [][][]byte{make([][]byte, 4), nil, make([][]byte, 4), nil}
-		if err := splitExchange(fuzzOwner, 0, 1, body, incoming); err != nil {
-			structured(t, err)
-		}
-		within(t, body, incoming[0], incoming[2])
+	incoming := [][][]byte{make([][]byte, 4), nil, make([][]byte, 4), nil}
+	if err := splitExchange(fuzzOwner, 0, 1, body, incoming); err != nil {
+		structured(t, err)
 	}
-	// An all-gather's body, and a result's as the coordinator files it.
+	within(t, body, incoming[0], incoming[2])
+	// An all-gather's body.
 	out := make([][]byte, 4)
 	if err := splitAllGather(fuzzOwner, 1, body, out); err != nil {
 		structured(t, err)

@@ -28,6 +28,7 @@ import (
 	"gradoop/internal/field"
 	"gradoop/internal/session"
 	"gradoop/internal/stats"
+	"gradoop/internal/trace"
 )
 
 // Protocol constants. The magic/version pair is verified in both directions
@@ -35,25 +36,9 @@ import (
 // of letting two incompatible builds exchange garbage.
 const (
 	protoMagic = 0x47524450 // "GRDP"
-	// protoVersion 9: the welcome and the done report carry no telemetry
-	// bit, and the done report no lost-peer bit: a worker's lost peers are
-	// the ones it names. 8: a worker dials each peer once, not once per job
-	// attempt, and every job's data frames to the peer share that link; the
-	// peer hello names only the dialling worker's node.
-	// 7: the done report is a sealed binary frame headed like a
-	// result (attemptHead), the welcome carries the worker's telemetry bit, a
-	// job spec says whether its request is traced, and a telemetry bundle
-	// carries either an attempt's spans or the worker's registry, never both.
-	// 6: the statistics snapshot is a frame of its own, sent once
-	// per control connection ahead of the first job that names its id.
-	// 5: an attempt's result is one frame, headed like a telemetry
-	// frame (attemptHead), whose body is a gather of the sender's partitions.
-	// 4: a data, result or telemetry frame carries its checksum behind the
-	// body, which is written from the rows as it is sent (head | body |
-	// crc32). 3: the job spec carries no join hint and no reuse switch
-	// (nothing set them). 2: a row travels as its in-memory buffer behind one
-	// length (embedding.AppendWire), and result frames carry a checksum.
-	protoVersion = 9
+	// protoVersion names the frame layouts below; DESIGN decision 16 keeps
+	// what each version changed.
+	protoVersion = 10
 
 	// maxFrame bounds a frame's declared length. A torn or hostile length
 	// prefix is rejected before any allocation, and a worker holds a frame of
@@ -68,32 +53,24 @@ const (
 	crcTrailer = 4
 )
 
-// Frame types. Control payloads (hello, job, stats, abort) are JSON inside
-// the binary framing — they are rare and small; what a worker sends about an
-// attempt (result, done, telemetry) and the hot path (data) are binary. Every
-// read loop refuses a type it does not handle by dropping the connection, and
+// Frame types. The handshake (hello, welcome, reject) and the statistics
+// snapshot are JSON inside the binary framing: each is sent once per
+// connection. Every other frame is a field.Codec layout: a job and its abort,
+// one of each per worker per attempt; what a worker sends about an attempt,
+// one done frame; a pong; and the rows between workers. Every read loop
+// refuses a type it does not handle by dropping the connection, and
 // TestEveryFrameTypeCrosses sends each type below frameTypes over a socket.
 const (
 	frameHello   byte = iota + 1 // 1: connection opener, both roles
 	frameWelcome                 // 2: handshake accept
 	frameReject                  // 3: handshake refusal, then close
-	frameJob                     // 4: coordinator -> worker: run this job
-	frameJobDone                 // 5: worker -> coordinator: job finished (ok or not)
-	frameResult                  // 6: worker -> coordinator: an attempt's rows, its owned partitions
-	frameAbort                   // 7: coordinator -> worker: stop an attempt
-	framePing                    // 8: coordinator -> worker liveness probe
-	framePong                    // 9: worker -> coordinator liveness answer
+	frameJob                     // 4: coordinator -> worker: run this attempt (jobSpec)
+	frameJobDone                 // 5: worker -> coordinator: the attempt's whole report (jobDone), its rows if it succeeded
+	frameAbort                   // 6: coordinator -> worker: stop an attempt (attemptHead)
+	framePing                    // 7: coordinator -> worker liveness probe
+	framePong                    // 8: worker -> coordinator liveness answer, behind it the worker's registry snapshot when one is due
+	frameStats                   // 9: coordinator -> worker: a statistics snapshot (statsMsg), ahead of the first job that names it
 	frameData                    // 10: worker <-> worker: one collective's buckets
-	// frameTelemetry ships a telemetry bundle: a traced attempt's spans, sent
-	// on the control connection immediately before the attempt's
-	// frameJobDone, so a done report is the guarantee that the bundle - if
-	// the worker ships one - has already arrived; or the worker's registry
-	// snapshot, headed by job 0, sent once a connection is up and then ahead
-	// of the pong to a ping when a job has finished since the last one.
-	frameTelemetry // 11
-	// frameStats ships a statistics snapshot (statsMsg) on a control
-	// connection, ahead of the first job frame that names it.
-	frameStats // 12
 	// frameTypes is one past the last frame type; a new type goes above it.
 	frameTypes
 )
@@ -175,8 +152,13 @@ func dialHello(addr string, h hello) (net.Conn, *bufio.Reader, welcome, error) {
 
 // procSpec is one roster member as the workers see each other.
 type procSpec struct {
-	Node string `json:"node"`
-	Addr string `json:"addr"`
+	Node string
+	Addr string
+}
+
+func layoutProc(p *procSpec, c *field.Codec) {
+	c.String(&p.Node)
+	c.String(&p.Addr)
 }
 
 // statsMsg is the body of a statistics frame: the coordinator's pinned
@@ -189,48 +171,91 @@ type statsMsg struct {
 	Stats *stats.GraphStatistics `json:"stats"`
 }
 
-// jobSpec ships one planned query to a worker. The worker plans the
-// canonical query text against the coordinator's statistics, once per
-// snapshot and query: the planner is deterministic, so every process builds
-// the identical plan, and the expected fingerprint, checked on every job,
-// turns any drift (version skew, divergent stats) into a hard error instead
-// of a wrong answer.
+// jobSpec is the body of a job frame: one planned query for one worker. The
+// worker plans the canonical query text against the coordinator's statistics,
+// once per snapshot and query: the planner is deterministic, so every process
+// builds the identical plan, and the expected fingerprint, checked on every
+// job, turns any drift (version skew, divergent stats) into a hard error
+// instead of a wrong answer.
 type jobSpec struct {
-	JobID   uint64 `json:"jobId"`
-	Attempt int    `json:"attempt"`
-	Query   string `json:"query"`
+	JobID   uint64
+	Attempt int
+	Query   string
 	// Params is the wire.AppendParams encoding of the parameter bindings —
 	// the same bytes the session's result-cache key uses.
-	Params []byte `json:"params,omitempty"`
+	Params []byte
 	// Snapshot names the statistics the worker plans on: the id of the last
 	// statsMsg the job's control connection delivered before it. Workers never
 	// plan on locally collected numbers.
-	Snapshot uint64 `json:"snapshot"`
+	Snapshot uint64
 	// Workers is the logical partition count P (the session's worker
 	// count); Owner maps each partition to a roster index.
-	Workers int   `json:"workers"`
-	Owner   []int `json:"owner"`
+	Workers int
+	Owner   []int
 	// Procs is the attempt's roster; Self is this worker's index in it.
-	Procs []procSpec `json:"procs"`
-	Self  int        `json:"self"`
+	Procs []procSpec
+	Self  int
 	// Planner configuration, mirrored from the coordinator's core.Config.
-	Vertex      int    `json:"vertex"`
-	Edge        int    `json:"edge"`
-	Fingerprint string `json:"fingerprint"`
+	Vertex      int
+	Edge        int
+	Fingerprint string
 	// TimeoutNs bounds the worker-side execution (0 = none).
-	TimeoutNs int64 `json:"timeoutNs,omitempty"`
+	TimeoutNs int64
 	// TraceID is the coordinator's trace identity for the query, stamped
-	// into worker logs and telemetry bundles so every process's records of
-	// one distributed job correlate under a single ID.
-	TraceID string `json:"traceId,omitempty"`
+	// into worker logs so every process's records of one distributed job
+	// correlate under a single ID.
+	TraceID string
 	// Traced is set when the request asked for a trace: only then does the
-	// winning attempt ship its spans.
-	Traced bool `json:"traced,omitempty"`
+	// winning attempt's done report carry its spans.
+	Traced bool
 }
 
-// jobDone is the body of a done report, a worker's terminal report for one
-// attempt: a sealed frame headed by the attempt (attemptHead).
+func (s *jobSpec) layout(c *field.Codec) {
+	c.U64(&s.JobID)
+	c.Int32(&s.Attempt)
+	c.String(&s.Query)
+	c.Blob(&s.Params)
+	c.U64(&s.Snapshot)
+	c.Int32(&s.Workers)
+	field.Slice(c, &s.Owner, 4, func(v *int, c *field.Codec) { c.Int32(v) })
+	field.Slice(c, &s.Procs, 4+4, layoutProc)
+	c.Int32(&s.Self)
+	c.Int32(&s.Vertex)
+	c.Int32(&s.Edge)
+	c.String(&s.Fingerprint)
+	c.I64(&s.TimeoutNs)
+	c.String(&s.TraceID)
+	c.Bool(&s.Traced)
+}
+
+// encodeJobSpec encodes a job frame's body into one buffer, sized for it: the
+// scalars and list counts are under 80 bytes.
+func encodeJobSpec(s *jobSpec) []byte {
+	n := 80 + len(s.Query) + len(s.Params) + 4*len(s.Owner) + len(s.Fingerprint) + len(s.TraceID)
+	for i := range s.Procs {
+		n += 8 + len(s.Procs[i].Node) + len(s.Procs[i].Addr)
+	}
+	c := field.Appender(make([]byte, 0, n))
+	s.layout(&c)
+	return c.Bytes()
+}
+
+// decodeJobSpec decodes a job frame's body, which it must fill.
+func decodeJobSpec(body []byte, s *jobSpec) error {
+	c := field.Reader(body)
+	s.layout(&c)
+	if err := c.End(); err != nil {
+		return fmt.Errorf("cluster: job spec: %w", err)
+	}
+	return nil
+}
+
+// jobDone is a worker's whole report of one attempt, the body of its done
+// frame: a sealed frame whose checksum covers all of it - the attempt it
+// reports and the sender's roster index in it (attemptHead), the report's
+// fields and, behind them, the attempt's result.
 type jobDone struct {
+	attemptHead
 	Error string
 	// LostPeers names the roster indices whose link dropped, when the
 	// attempt failed on a dead peer rather than on the query itself. The
@@ -247,14 +272,26 @@ type jobDone struct {
 	// coordinator fills them when it merges the reports.
 	Stages  []session.ClusterStage
 	Metrics dataflow.MetricsSnapshot
+	// Spans are a traced request's winning attempt's spans (at most
+	// maxShippedSpans of them, times rebased to the attempt's start), nil in
+	// any other report.
+	Spans []trace.Span
+
+	// Result is what follows the fields: the gather body (gatherBody) of the
+	// partitions the worker owns when the attempt succeeded, empty when it
+	// owns none, and nothing when it failed. A decoded report's Result is a
+	// view of the frame body.
+	Result []byte
 }
 
 func (d *jobDone) layout(c *field.Codec) {
+	d.attemptHead.layout(c)
 	c.String(&d.Error)
 	field.Slice(c, &d.LostPeers, 4, func(v *int, c *field.Codec) { c.Int32(v) })
 	c.I64(&d.ElapsedNs)
 	field.Slice(c, &d.Stages, 8+4+4+1+4*8, layoutStage)
 	d.Metrics.Layout(c)
+	trace.LayoutSpans(c, &d.Spans)
 }
 
 // layoutStage lays out what a worker reports of one stage; the per-worker
@@ -270,11 +307,13 @@ func layoutStage(s *session.ClusterStage, c *field.Codec) {
 	c.I64(&s.WireBytes)
 }
 
-// encodeJobDone encodes a done report's body into one buffer, sized for it:
-// a stage record is 49 bytes and its two strings, the metrics snapshot 136
-// bytes and four int64s a worker, the rest under 64 bytes and the error.
+// encodeJobDone encodes a done report's fields into one buffer, sized for an
+// untraced report: a stage record is 49 bytes and its two strings, the
+// metrics snapshot 136 bytes and four int64s a worker, the rest under 80 bytes
+// and the error. The result is not among them: the sender writes it from the
+// rows behind the fields.
 func encodeJobDone(d *jobDone) []byte {
-	n := 64 + len(d.Error) + 4*len(d.LostPeers) + 136 + 32*len(d.Metrics.CPUElements)
+	n := 80 + len(d.Error) + 4*len(d.LostPeers) + 136 + 32*len(d.Metrics.CPUElements)
 	for i := range d.Stages {
 		n += 49 + len(d.Stages[i].Op) + len(d.Stages[i].Kind)
 	}
@@ -283,21 +322,21 @@ func encodeJobDone(d *jobDone) []byte {
 	return c.Bytes()
 }
 
-// decodeJobDone decodes a done report's body, which it must fill.
+// decodeJobDone decodes a done frame's checked body: the report's fields, and
+// what follows them as its Result. A failed attempt's report carries no
+// result.
 func decodeJobDone(body []byte) (*jobDone, error) {
 	d := new(jobDone)
 	c := field.Reader(body)
 	d.layout(&c)
-	if err := c.End(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: done report: %w", err)
 	}
+	d.Result = c.Rest()
+	if d.Error != "" && len(d.Result) > 0 {
+		return nil, fmt.Errorf("cluster: done report: a failed attempt's report carries %d bytes of result", len(d.Result))
+	}
 	return d, nil
-}
-
-// abortMsg tells workers to stop one attempt.
-type abortMsg struct {
-	JobID   uint64 `json:"jobId"`
-	Attempt int    `json:"attempt"`
 }
 
 // writeFrame writes one frame whose payload is given whole: the handshake's,
@@ -409,10 +448,12 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, payload)
 }
 
-// The four checksummed frames - data, result, done, telemetry - share one shape,
-// head | body | crc32: a fixed header, the body, and the CRC32 of the body
-// behind it, because the body is written from the rows as it is sent and its
-// checksum is known only once it has been. Each header has one layout
+// The three checksummed frames - data, done, pong - share one shape,
+// head | body | crc32: a header, the body, and the CRC32 of the body behind
+// it, because the body is written from the rows as it is sent and its
+// checksum is known only once it has been. A data frame's header is read
+// before its body, to route it; a done frame and a pong have none, and a done
+// report's attemptHead is under the checksum. Each header has one layout
 // function naming its fields in wire order, walked by field.Codec in both
 // directions; frameWriter takes the checksum on the way out and checkedBody
 // holds the body to it on the way in.
@@ -420,7 +461,7 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 // sealedFrames marks the checksummed frame types. Marking a type is not
 // reading it: the read loop that takes a sealed frame still needs a case for
 // it, and without one it drops the connection.
-var sealedFrames = [256]bool{frameData: true, frameResult: true, frameJobDone: true, frameTelemetry: true}
+var sealedFrames = [256]bool{frameData: true, frameJobDone: true, framePong: true}
 
 // sealed reports whether a frame type is a checksummed one.
 func sealed(typ byte) bool { return sealedFrames[typ] }
@@ -448,11 +489,9 @@ func (f *dataFrame) layout(c *field.Codec) {
 	c.I64(&f.Stage)
 }
 
-// attemptHead heads what a worker sends the coordinator about one attempt: the
-// attempt and the sender's roster index in it. A result frame's body is
-// gatherBody over the sender's partitions, a done frame's the encoded
-// jobDone, a telemetry frame's the encoded telemetryBundle (job 0: the
-// registry snapshot no attempt owns).
+// attemptHead names one attempt and a roster index in it: it opens the done
+// report a worker sends about the attempt (its own index), and it is the
+// whole body of the coordinator's abort of it (index 0).
 type attemptHead struct {
 	JobID   uint64
 	Attempt int
@@ -465,27 +504,17 @@ func (f *attemptHead) layout(c *field.Codec) {
 	c.Int32(&f.From)
 }
 
-// head is the header of this worker's result, done and telemetry frames of
-// the attempt.
-func (s *jobSpec) head() []byte {
-	f := attemptHead{JobID: s.JobID, Attempt: s.Attempt, From: s.Self}
-	return f.bytes()
-}
-
 func (f *attemptHead) bytes() []byte {
 	c := field.Appender(nil)
 	f.layout(&c)
 	return c.Bytes()
 }
 
-// openAttempt reads the header of a frame a worker sent about one attempt and
-// returns it with the body, once that matches its checksum.
-func openAttempt(payload []byte) (attemptHead, []byte, error) {
-	var f attemptHead
+// sealedBody is the body of a sealed frame with no header - a done frame, a
+// pong - once it matches the checksum behind it.
+func sealedBody(payload []byte) ([]byte, error) {
 	c := field.Reader(payload)
-	f.layout(&c)
-	body, err := checkedBody(&c)
-	return f, body, err
+	return checkedBody(&c)
 }
 
 // checkedBody is the body of the frame whose header c has just read - what is
@@ -507,9 +536,8 @@ func checkedBody(c *field.Codec) ([]byte, error) {
 	return body, nil
 }
 
-// segment is a piece of a frame body: bytes - a bucket's head in a data frame,
-// a telemetry bundle - and then, if it has one, a bucket written from its
-// rows.
+// segment is a piece of a frame body: bytes - a bucket's head, a done
+// report's fields - and then, if it has one, a bucket written from its rows.
 type segment struct {
 	raw    []byte
 	bucket dataflow.Bucket
@@ -767,7 +795,7 @@ func (s *sender) wait(seq uint64) error {
 	return s.err
 }
 
-// sendJSON marshals and enqueues a control frame.
+// sendJSON marshals and enqueues a JSON frame: the statistics snapshot.
 func (s *sender) sendJSON(typ byte, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {

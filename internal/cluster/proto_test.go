@@ -21,12 +21,13 @@ import (
 	"gradoop/internal/field"
 )
 
-// frameHead is any of the three checksummed frame headers. (Tests go through
-// the interface; the protocol calls the layouts directly, which keeps the
-// header, the cursor and the checksum off the heap.)
+// frameHead is a message header: a data frame's, or the attemptHead a done
+// report opens with. (Tests go through the interface; the protocol calls the
+// layouts directly, which keeps the header, the cursor and the checksum off
+// the heap.)
 type frameHead interface{ layout(*field.Codec) }
 
-// headBytes encodes a header whose crc is set.
+// headBytes encodes a header.
 func headBytes(h frameHead) []byte {
 	c := field.Appender(nil)
 	h.layout(&c)
@@ -74,9 +75,8 @@ func bucketOf(rows []embedding.Embedding) dataflow.Bucket {
 
 // encoded is the body of a frame of these segments, as the socket carries it.
 func encoded(body ...segment) []byte {
-	head := headBytes(&attemptHead{})
-	frame := framed(&outFrame{typ: frameResult, head: head, body: body})
-	return frame[frameHeader+len(head) : len(frame)-crcTrailer]
+	frame := framed(&outFrame{typ: frameJobDone, body: body})
+	return frame[frameHeader : len(frame)-crcTrailer]
 }
 
 // TestFrameRoundTrip pins the framing: length prefix, type byte, payload.
@@ -170,46 +170,47 @@ func TestDataFrameCRC(t *testing.T) {
 	}
 }
 
-// TestResultFrameCRC: an attempt's result is one frame, the gather of the
-// sender's partitions, checksummed like a shuffle bucket - a flipped bit
-// anywhere in the body is a structured error, where it used to be a decode
-// error by luck and a wrong row otherwise.
+// TestResultFrameCRC: an attempt's result rides its done frame, the gather
+// of the sender's partitions behind the report's fields, checksummed with
+// them like a shuffle bucket - a flipped bit anywhere in the frame is a
+// structured error, where it used to be a decode error by luck and a wrong
+// row otherwise.
 func TestResultFrameCRC(t *testing.T) {
 	rows := bucketOf([]embedding.Embedding{
 		embedding.Embedding{}.AppendID(1).AppendProps(epgm.PVString("Leipzig")),
 		embedding.Embedding{}.AppendID(2).AppendProps(epgm.PVString("Dresden")),
 	})
 	owner := []int{0, 1, 0, 1}
-	body := gatherBody(owner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})
-	head := headBytes(&attemptHead{JobID: 7, Attempt: 1, From: 1})
-	enc := framed(&outFrame{typ: frameResult, head: head, body: body})[frameHeader:]
-	var f attemptHead
-	got, err := openFrame(&f, enc)
+	result := gatherBody(owner, 1, []dataflow.Bucket{{}, rows, {}, bucketOf(nil)})
+	report := jobDone{attemptHead: attemptHead{JobID: 7, Attempt: 1, From: 1}}
+	enc := framed(&outFrame{typ: frameJobDone, body: doneBody(&report, result)})[frameHeader:]
+	body, err := sealedBody(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeJobDone(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	filed := make([][]byte, len(owner))
-	if f != (attemptHead{JobID: 7, Attempt: 1, From: 1}) || !bytes.Equal(got, encoded(body...)) {
-		t.Fatalf("round trip: %+v, body %x", f, got)
+	if got.attemptHead != report.attemptHead || !bytes.Equal(got.Result, encoded(result...)) {
+		t.Fatalf("round trip: %+v, result %x", got.attemptHead, got.Result)
 	}
-	if err := splitAllGather(owner, f.From, got, filed); err != nil || !bytes.Equal(filed[1], encoded(segment{bucket: rows})) ||
+	if err := splitAllGather(owner, got.From, got.Result, filed); err != nil || !bytes.Equal(filed[1], encoded(segment{bucket: rows})) ||
 		len(filed[3]) != 4 || filed[0] != nil || filed[2] != nil {
-		t.Fatalf("the body files as %x (%v)", filed, err)
+		t.Fatalf("the result files as %x (%v)", filed, err)
 	}
-	for i := len(head); i < len(enc); i++ { // the body and its trailer
+	for i := range enc { // the head, the fields, the result and the trailer
 		enc[i] ^= 0x01
-		if _, err := openFrame(&f, enc); err == nil || !strings.Contains(err.Error(), "CRC") {
+		if _, err := sealedBody(enc); err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("bit flipped at byte %d: got %v, want CRC mismatch", i, err)
 		}
 		enc[i] ^= 0x01
 	}
-	if _, err := openFrame(&f, enc[:len(head)-1]); err == nil {
-		t.Fatal("truncated result header accepted")
-	}
 }
 
-// TestCorruptResultFailsTheMember: the coordinator answers a result frame
-// that fails its checksum by dropping the worker that sent it - the attempt
+// TestCorruptResultFailsTheMember: the coordinator answers a done frame that
+// fails its checksum by dropping the worker that sent it - the attempt
 // settles as a loss and is retried - never by assembling the rows.
 func TestCorruptResultFailsTheMember(t *testing.T) {
 	client, server := net.Pipe()
@@ -223,9 +224,10 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 		c.readMember(m, bufio.NewReader(server))
 		close(read)
 	}()
-	// Partition 0, an empty bucket: the body says one row, the trailer was
+	// Partition 0, an empty bucket: the result says one row, the trailer was
 	// taken over none.
-	frame := frameBytes(frameResult, headBytes(&attemptHead{JobID: 7}), []byte{0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0})
+	report := jobDone{attemptHead: attemptHead{JobID: 7}}
+	frame := frameBytes(frameJobDone, nil, encodeJobDone(&report), []byte{0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0})
 	frame[len(frame)-crcTrailer-1] = 1
 	if _, err := client.Write(frame); err != nil {
 		t.Fatal(err)
@@ -233,10 +235,10 @@ func TestCorruptResultFailsTheMember(t *testing.T) {
 	<-read
 	client.Close()
 	if m.isAlive() {
-		t.Fatal("member survived a corrupt result frame")
+		t.Fatal("member survived a corrupt done frame")
 	}
-	if out := st.classify(); !out.recoverable || len(st.results) != 0 {
-		t.Fatalf("attempt after a corrupt result: %+v with %d bodies delivered", out, len(st.results))
+	if out := st.classify(); !out.recoverable || len(st.dones) != 0 {
+		t.Fatalf("attempt after a corrupt done frame: %+v with %d reports delivered", out, len(st.dones))
 	}
 }
 
@@ -260,7 +262,7 @@ func TestFramesNeverShareBytes(t *testing.T) {
 	} {
 		var wire bytes.Buffer
 		for tag := int64(1); tag <= 2; tag++ {
-			if err := writeFrame(&wire, frameResult, bucket(tag)); err != nil {
+			if err := writeFrame(&wire, frameData, bucket(tag)); err != nil {
 				t.Fatal(err)
 			}
 		}

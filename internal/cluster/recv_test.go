@@ -390,8 +390,11 @@ func TestOversizedFrameIsNeverSent(t *testing.T) {
 		defer remote.Close()
 		ctrl := newSender(local)
 		defer ctrl.abort()
-		err := shipResults(&jobSpec{JobID: 1, Workers: 2, Owner: []int{0, 1}}, big, ctrl)
-		check("a result", err, nil, remote)
+		result, err := resultBody(&jobSpec{JobID: 1, Workers: 2, Owner: []int{0, 1}}, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("a result", sendDone(ctrl, &jobDone{}, result), nil, remote)
 		go ctrl.send(framePong, nil, nil)
 		remote.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if typ, _, err := readFrame(bufio.NewReader(remote), nil); err != nil || typ != framePong {

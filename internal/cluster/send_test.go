@@ -142,7 +142,7 @@ func TestAbortEndsHalfWrittenFrame(t *testing.T) {
 	if _, err := far.Read(make([]byte, 32<<10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSONFrame(ctrl, frameAbort, abortMsg{JobID: 1}); err != nil {
+	if err := writeFrame(ctrl, frameAbort, (&attemptHead{JobID: 1}).bytes()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -222,26 +222,32 @@ func TestSenderAbortReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestFrameSendIsBounded: shipping a result partition of 5 000 and of 50 000
-// rows allocates the same bytes on the sending side - the header, the frame's
-// place in the queue - because a bucket is written from the rows into the
-// connection's buffer, a row at a time, and never built.
+// TestFrameSendIsBounded: sending a done report with a result partition of
+// 5 000 and of 50 000 rows allocates the same bytes on the sending side - the
+// report, the frame's place in the queue - because a bucket is written from
+// the rows into the connection's buffer, a row at a time, and never built.
 func TestFrameSendIsBounded(t *testing.T) {
 	s := newSender(discardConn{})
 	defer s.abort()
 	spec := &jobSpec{JobID: 1, Workers: 1, Owner: []int{0}}
-	sent := func(n int) uint64 {
-		rows := dataflow.FromSlice(dataflow.NewEnv(dataflow.DefaultConfig(1)), wideRows(n))
-		if err := shipResults(spec, rows, s); err != nil { // warm: the writer's buffer exists
+	var report jobDone // the caller's, as runJob's is
+	send := func(rows *dataflow.Dataset[embedding.Embedding]) {
+		result, err := resultBody(spec, rows)
+		if err == nil {
+			err = sendDone(s, &report, result)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	sent := func(n int) uint64 {
+		rows := dataflow.FromSlice(dataflow.NewEnv(dataflow.DefaultConfig(1)), wideRows(n))
+		send(rows) // warm: the writer's buffer exists
 		least := ^uint64(0)
 		for try := 0; try < 3; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if err := shipResults(spec, rows, s); err != nil {
-				t.Fatal(err)
-			}
+			send(rows)
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -272,7 +278,7 @@ func TestWriterHoldsBucketsToTheirSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &outFrame{typ: frameResult, head: headBytes(&attemptHead{}), body: []segment{{bucket: b}}}
+	f := &outFrame{typ: frameJobDone, body: []segment{{bucket: b}}}
 	err = newFrameWriter(discardConn{}).frame(f)
 	if want := "declared 14 bytes and wrote 24"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("got %v, want %q", err, want)

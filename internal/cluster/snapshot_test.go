@@ -233,7 +233,13 @@ func dialControl(t *testing.T, addr string) *control {
 
 func (c *control) send(typ byte, v any) {
 	c.t.Helper()
-	if err := writeJSONFrame(c.conn, typ, v); err != nil {
+	var err error
+	if spec, ok := v.(*jobSpec); ok {
+		err = writeFrame(c.conn, typ, encodeJobSpec(spec))
+	} else {
+		err = writeJSONFrame(c.conn, typ, v)
+	}
+	if err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -251,9 +257,9 @@ func (c *control) run(job uint64, query string, id uint64, fp string) jobDone {
 			c.t.Fatalf("job %d: %v", job, err)
 		}
 		if typ != frameJobDone {
-			continue // the job's result and telemetry frames
+			continue // a pong
 		}
-		f, body, err := openAttempt(payload)
+		body, err := sealedBody(payload)
 		if err != nil {
 			c.t.Fatal(err)
 		}
@@ -261,7 +267,7 @@ func (c *control) run(job uint64, query string, id uint64, fp string) jobDone {
 		if err != nil {
 			c.t.Fatal(err)
 		}
-		if f.JobID == job {
+		if done.JobID == job {
 			return *done
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,9 +82,6 @@ func TestClusterTelemetryReport(t *testing.T) {
 	if rep.TraceID == "" {
 		t.Fatal("report has no trace ID")
 	}
-	if rep.PartialTelemetry {
-		t.Fatalf("partial telemetry with all workers shipping: %+v", rep.WorkerReports)
-	}
 	if len(rep.WorkerReports) != 2 {
 		t.Fatalf("%d worker reports, want 2", len(rep.WorkerReports))
 	}
@@ -137,10 +135,10 @@ func TestClusterTelemetryReport(t *testing.T) {
 
 // TestClusterTelemetryParity is the cost pin's behavioral half: on one
 // two-worker cluster a traced and an untraced request take the same attempts
-// and return the same rows, and their skew tables - derived from the done
-// reports, not the bundles - attribute the same stages to both workers. Only
-// the traced one carries spans, and neither is partial. That the rows are the
-// reference's is internal/conformance's traced cluster mode.
+// and return the same rows, and their skew tables - derived from the stage
+// records, not the spans - attribute the same stages to both workers. Only the
+// traced one carries spans. That the rows are the reference's is
+// internal/conformance's traced cluster mode.
 func TestClusterTelemetryParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -160,9 +158,6 @@ func TestClusterTelemetryParity(t *testing.T) {
 		resp, err := s.Execute(session.Request{Query: twoHop, Trace: traced})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if resp.Cluster.PartialTelemetry {
-			t.Fatalf("traced=%v: report flagged partial: %+v", traced, resp.Cluster.WorkerReports)
 		}
 		return resp
 	}
@@ -188,11 +183,12 @@ func TestClusterTelemetryParity(t *testing.T) {
 	}
 }
 
-// TestClusterTelemetryMixedRoster marks the report partial when only some
-// workers' bundles arrive - the one way that happens is a bundle lost on the
-// way in, which a proxy in front of w1 makes of every telemetry frame by
-// flipping a byte of its body. The coordinator counts the drop, the rows stay
-// whole, and the merged trace renders the lanes that did arrive.
+// TestClusterTelemetryMixedRoster: a registry snapshot lost on the way in - a
+// proxy in front of w1 flips the last byte of every pong body that carries
+// one - degrades the telemetry and nothing else. The coordinator counts each
+// drop and keeps none of w1's series, the pongs still keep w1 alive, and a
+// traced request over both workers has the single-process rows in one
+// attempt and a lane for each worker.
 func TestClusterTelemetryMixedRoster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
@@ -207,8 +203,8 @@ func TestClusterTelemetryMixedRoster(t *testing.T) {
 		return cluster.WorkerOptions{Metrics: obs.NewRegistry()}
 	})
 	addrs[1], _ = proxy(t, addrs[1], func(typ byte, payload []byte) {
-		if typ == cluster.FrameTelemetry {
-			payload[len(payload)-5] ^= 0xff // the body's last byte, ahead of its checksum
+		if typ == cluster.FramePong && len(payload) > 4 {
+			payload[len(payload)-5] ^= 0xff // the snapshot's last byte, ahead of its checksum
 		}
 	})
 	reg := obs.NewRegistry()
@@ -217,24 +213,37 @@ func TestClusterTelemetryMixedRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	dropped := counter(reg, "gradoop_cluster_telemetry_dropped_total")
+	// dropped waits for the coordinator to have dropped n snapshots: the one
+	// w1 opened its connection with, then the one after its job.
+	dropped := func(n float64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); counter(reg, "gradoop_cluster_telemetry_dropped_total") < n; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v corrupt snapshots counted, want %v", counter(reg, "gradoop_cluster_telemetry_dropped_total"), n)
+			}
+		}
+	}
+	dropped(1)
 	resp, err := session.New(d.Graph, session.Options{Workers: 4, Remote: coord}).Execute(session.Request{Query: query, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := resp.Cluster
-	if !rep.PartialTelemetry {
-		t.Fatal("a report missing w1's bundle is not flagged partial")
+	if rep.Attempts != 1 || !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
+		t.Fatalf("%d rows in %d attempts, want the %d single-process rows in one", resp.Count, rep.Attempts, want.Count)
 	}
-	if got := counter(reg, "gradoop_cluster_telemetry_dropped_total"); got <= dropped {
-		t.Fatalf("dropped telemetry bundles %v, %v before the request: the corrupt bundle was not counted", got, dropped)
+	if lanes := processLanes(rep.Trace); len(lanes) != 3 {
+		t.Fatalf("lanes %v, want coordinator + worker w0 + worker w1", lanes)
 	}
-	if !reflect.DeepEqual(resp.Result.Rows(), want.Result.Rows()) || resp.Count != want.Count {
-		t.Fatalf("rows differ from single-process rows (%d vs %d)", resp.Count, want.Count)
+	dropped(2)
+	time.Sleep(600 * time.Millisecond) // a heartbeat more: a pong that only a snapshot failed keeps its member
+	if n := coord.LiveWorkers(); n != 2 {
+		t.Fatalf("%d of 2 members alive: a corrupt snapshot cost its member", n)
 	}
-	lanes := processLanes(rep.Trace)
-	if len(lanes) != 2 || !lanes["coordinator"] || !lanes["worker w0"] {
-		t.Fatalf("lanes %v, want coordinator + worker w0 only", lanes)
+	for _, wm := range coord.WorkerMetrics() {
+		if wm.Node == "w1" {
+			t.Fatal("w1's corrupt snapshot was kept")
+		}
 	}
 }
 
@@ -295,9 +304,6 @@ func TestClusterTelemetryRetryDropsSpans(t *testing.T) {
 	if attempts < 2 {
 		t.Fatalf("coordinator lane shows %d attempt spans, want both", attempts)
 	}
-	if rep.PartialTelemetry {
-		t.Fatal("winning roster all shipped; report flagged partial")
-	}
 }
 
 // counter reads a counter of a worker's registry (0 when it has no sample).
@@ -323,42 +329,62 @@ func federated(coord *cluster.Coordinator) string {
 	return sb.String()
 }
 
-// TestClusterShipsSpansOnRequest: a worker ships an attempt's spans only
-// when the request asked for a trace. An untraced request leaves every
-// worker's bundle counter where it was and still reports every worker's wall
-// time and its stage records; a traced one adds exactly one bundle a worker.
+// TestClusterShipsSpansOnRequest: a worker's done report carries an
+// attempt's spans only when the request asked for a trace. A proxy in front of
+// each worker reads its done reports: an untraced request's carry none and
+// its report still has every worker's wall time and stage records; a traced
+// one's carry a span a stage.
 func TestClusterShipsSpansOnRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP worker meshes")
 	}
 	data, d := testGraph(t)
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	_, addrs := startWorkersWith(t, data, 2, func(i int) cluster.WorkerOptions {
-		return cluster.WorkerOptions{Metrics: regs[i]}
+		return cluster.WorkerOptions{Metrics: obs.NewRegistry()}
 	})
+	var mu sync.Mutex
+	spans := make([][]int, len(addrs)) // per worker, the spans of each done report
+	for i := range addrs {
+		addrs[i], _ = proxy(t, addrs[i], func(typ byte, payload []byte) {
+			if typ != cluster.FrameJobDone {
+				return
+			}
+			r, err := cluster.DoneReport(payload)
+			if err != nil {
+				t.Errorf("w%d's done report does not decode: %v", i, err)
+			}
+			mu.Lock()
+			spans[i] = append(spans[i], r.Spans)
+			mu.Unlock()
+		})
+	}
 	coord, err := cluster.NewCoordinator(addrs, cluster.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	s := session.New(d.Graph, session.Options{Workers: 4, Remote: coord, NoResultCache: true})
-	bundles := func() (n []float64) {
-		for _, r := range regs {
-			n = append(n, counter(r, "gradoop_worker_telemetry_bundles_total"))
+	// shipped is what each worker's done report of the last request carried.
+	shipped := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		var last []int
+		for _, n := range spans {
+			last = append(last, n[len(n)-1])
 		}
-		return n
+		return last
 	}
 
 	resp, err := s.Execute(session.Request{Query: twoHop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bundles(); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("an untraced request shipped %v span bundles, want none", got)
+	if got := shipped(); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("an untraced request's done reports carried %v spans, want none", got)
 	}
 	rep := resp.Cluster
-	if rep.PartialTelemetry || rep.Trace != nil {
-		t.Fatalf("untraced report: partial %v, trace %v", rep.PartialTelemetry, rep.Trace != nil)
+	if rep.Trace != nil {
+		t.Fatal("an untraced request has a merged trace")
 	}
 	for _, wr := range rep.WorkerReports {
 		if wr.WallNs <= 0 || wr.Spans != len(rep.Stages) {
@@ -366,11 +392,12 @@ func TestClusterShipsSpansOnRequest(t *testing.T) {
 		}
 	}
 
-	if _, err := s.Execute(session.Request{Query: twoHop, Trace: true}); err != nil {
+	resp, err = s.Execute(session.Request{Query: twoHop, Trace: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bundles(); got[0] != 1 || got[1] != 1 {
-		t.Fatalf("a traced request shipped %v span bundles, want one a worker", got)
+	if got, stages := shipped(), len(resp.Cluster.Stages); got[0] != stages || got[1] != stages {
+		t.Fatalf("a traced request's done reports carried %v spans, want %d each", got, stages)
 	}
 }
 

@@ -560,11 +560,11 @@ func (c stallConn) Write(p []byte) (int, error) {
 }
 
 // serveControl is the coordinator-facing loop: statistics arrive, jobs start,
-// aborts land, pings answer - behind a registry snapshot when a job has
-// finished since the connection's last one, which it was sent as soon as it
-// was up. When the connection drops every attempt it claimed and is still
-// running fails - an orphaned worker must not keep executing for a
-// coordinator that cannot hear the answer. A job or abort frame that does not
+// aborts land, pings are answered by pongs - one with a registry snapshot
+// when a job has finished since the connection's last one, which it was sent
+// on a pong of its own as soon as it was up. When the connection drops every
+// attempt it claimed and is still running fails - an orphaned worker must not
+// keep executing for a coordinator that cannot hear the answer. A job or abort frame that does not
 // decode, or a frame of a type the coordinator does not send here, drops the
 // connection too: the coordinator would wait for a done report that never
 // comes, and the pongs would keep telling it the worker is alive. A finished
@@ -590,7 +590,7 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 	var slot *snapshot
 	// shipped is w.finished as of the last registry snapshot sent here.
 	shipped := w.finished.Load()
-	w.shipRegistry(send)
+	w.pong(send, true)
 	for {
 		typ, payload, err := readFrame(br, nil)
 		if err != nil {
@@ -598,16 +598,14 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 		}
 		switch typ {
 		case framePing:
-			if n := w.finished.Load(); n != shipped {
-				shipped = n
-				w.shipRegistry(send)
-			}
-			send.send(framePong, nil, nil)
+			n := w.finished.Load()
+			w.pong(send, n != shipped)
+			shipped = n
 		case frameStats:
 			slot = w.receiveStats(payload)
 		case frameJob:
-			var spec jobSpec
-			if err := json.Unmarshal(payload, &spec); err != nil {
+			spec := new(jobSpec)
+			if err := decodeJobSpec(payload, spec); err != nil {
 				w.undecodable("job", err)
 				return
 			}
@@ -616,11 +614,13 @@ func (w *Worker) serveControl(conn net.Conn, br *bufio.Reader) {
 			w.wg.Add(1)
 			go func() {
 				defer w.wg.Done()
-				w.runJob(&spec, snap, rt, send)
+				w.runJob(spec, snap, rt, send)
 			}()
 		case frameAbort:
-			var a abortMsg
-			if err := json.Unmarshal(payload, &a); err != nil {
+			var a attemptHead
+			c := field.Reader(payload)
+			a.layout(&c)
+			if err := c.End(); err != nil {
 				w.undecodable("abort", err)
 				return
 			}
@@ -644,16 +644,17 @@ func (w *Worker) undecodable(what string, err error) {
 	}
 }
 
-// shipRegistry sends the worker's registry snapshot in a bundle headed by job
-// 0, if the worker has a registry.
-func (w *Worker) shipRegistry(ctrl *sender) {
-	if w.metrics == nil {
-		return
+// pong queues a pong, with the worker's registry snapshot behind it when one
+// is due and the worker has a registry.
+func (w *Worker) pong(ctrl *sender, due bool) {
+	var body []segment
+	if due && w.metrics != nil {
+		snap := w.metrics.Snapshot()
+		body = []segment{{raw: encodeSnapshot(&snap)}}
 	}
-	snap := w.metrics.Snapshot()
-	head := attemptHead{}
-	if w.ship(ctrl, head.bytes(), &telemetryBundle{Node: w.node, Metrics: &snap}) {
+	if _, err := ctrl.send(framePong, nil, body); err == nil && body != nil {
 		w.winst.snapshots.Inc()
+		w.winst.teleBytes.Add(int64(len(body[0].raw)))
 	}
 }
 
@@ -702,36 +703,69 @@ func (s *snapshot) named(id uint64) *snapshot {
 	return &snapshot{id: id, err: fmt.Errorf("cluster: the job names statistics snapshot %d, which its control connection has not delivered (the last it delivered is %d)", id, last)}
 }
 
-// runJob executes one shipped job attempt and reports its terminal state in a
-// done report. A traced request's winning attempt ships its spans strictly
-// before the done report (same ordered sender), so the coordinator never has
-// to wait for a bundle after seeing the done. Every other attempt's spans
-// have no reader - the coordinator merges the winning attempt's bundles, and
+// runJob executes one shipped job attempt and reports it in one done frame:
+// the report's fields and, if it succeeded, its result. A traced request's
+// winning attempt carries its spans in the report. Every other attempt's
+// spans have no reader - the coordinator merges the winning attempt's, and
 // only for a trace - so they are never copied out and die with the collector:
 // the stage table is read from the collector in place.
 func (w *Worker) runJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender) {
 	start := time.Now()
-	var done jobDone
 	defer w.dropRuntime(rt)
 	// Workers always trace: the per-stage predicted-vs-actual records the
 	// coordinator publishes are derived from the spans. The collector epoch
 	// is the attempt start, so every span offset is already rebased.
 	col := trace.NewCollector()
 	w.winst.jobs.Inc()
-	wireOut, metrics, err := w.executeJob(spec, snap, rt, ctrl, col)
-	if err != nil {
-		w.failed(&done, spec, rt, err)
-	} else {
-		done.Stages = stageRecords(col, dataflow.DefaultConfig(spec.Workers).Cost(), wireOut)
-		done.Metrics = metrics
+	done := jobDone{attemptHead: attemptHead{JobID: spec.JobID, Attempt: spec.Attempt, From: spec.Self}}
+	var result []segment
+	run, err := w.executeJob(spec, snap, rt, col)
+	if err == nil {
+		done.Stages = stageRecords(col, dataflow.DefaultConfig(spec.Workers).Cost(), run.pt.wireOut)
+		done.Metrics = run.env.Metrics()
 		if spec.Traced {
-			w.shipSpans(spec, ctrl, col.Spans())
+			spans := col.Spans()
+			done.Spans = spans[max(0, len(spans)-maxShippedSpans):]
 		}
+		result, err = resultBody(spec, run.rows)
 	}
 	done.ElapsedNs = int64(time.Since(start))
 	w.winst.jobTime.ObserveSince(start)
 	w.finished.Add(1)
-	ctrl.send(frameJobDone, spec.head(), []segment{{raw: encodeJobDone(&done)}})
+	if err == nil {
+		err = sendDone(ctrl, &done, result)
+	}
+	if err != nil {
+		failed := jobDone{attemptHead: done.attemptHead, ElapsedNs: done.ElapsedNs}
+		w.failed(&failed, spec, rt, err)
+		sendDone(ctrl, &failed, nil)
+	}
+}
+
+// sendDone queues a done frame - the report's fields, then the result - and
+// returns once it has been written into the connection's buffer: the result
+// is written from rows that may be views of the attempt's receive arena, which
+// dropRuntime hands back to the worker (DESIGN decisions 34 and 38). A frame
+// over maxFrame, which the coordinator would take for a lost member, is never
+// queued: it fails with errFrameTooLarge.
+func sendDone(ctrl *sender, done *jobDone, result []segment) error {
+	body := doneBody(done, result)
+	if err := fits(wireSize(nil, body)); err != nil {
+		return err
+	}
+	seq, err := ctrl.send(frameJobDone, nil, body)
+	if err == nil {
+		err = ctrl.wait(seq)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: sending the done report: %w", err)
+	}
+	return nil
+}
+
+// doneBody is the body of a done frame: the report's fields, then the result.
+func doneBody(done *jobDone, result []segment) []segment {
+	return append([]segment{{raw: encodeJobDone(done)}}, result...)
 }
 
 // failed fills the done report of an attempt that ended in err. It touches
@@ -747,58 +781,33 @@ func (w *Worker) failed(done *jobDone, spec *jobSpec, rt *jobRuntime, err error)
 	}
 }
 
-// maxShippedSpans caps the spans one bundle carries: the newest ones of an
-// attempt that ran more stages than that.
+// maxShippedSpans caps the spans one done report carries: the newest ones of
+// an attempt that ran more stages than that.
 const maxShippedSpans = 512
 
-// shipSpans sends a traced request's winning attempt's spans.
-func (w *Worker) shipSpans(spec *jobSpec, ctrl *sender, spans []trace.Span) {
-	if len(spans) > maxShippedSpans {
-		spans = spans[len(spans)-maxShippedSpans:]
-	}
-	if w.ship(ctrl, spec.head(), &telemetryBundle{Node: w.node, TraceID: spec.TraceID, Spans: spans}) {
-		w.winst.shipped.Inc()
-	}
-}
-
-// ship encodes a bundle and queues it under head, and reports whether it was
-// queued: a control connection that is gone takes no bundle, and its done
-// report, if any, fails too.
-func (w *Worker) ship(ctrl *sender, head []byte, b *telemetryBundle) bool {
-	body := encodeTelemetryBundle(b)
-	if _, err := ctrl.send(frameTelemetry, head, []segment{{raw: body}}); err != nil {
-		return false
-	}
-	w.winst.teleBytes.Add(int64(len(head) + len(body) + crcTrailer))
-	return true
-}
-
-// executeJob takes the worker's links to the attempt's peers, runs the
-// planned query over this worker's owned partitions, and ships the owned
-// result partitions. It returns the bytes the transport framed per stage and
-// the job's metrics.
-func (w *Worker) executeJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, ctrl *sender, col *trace.Collector) (map[int64]int64, dataflow.MetricsSnapshot, error) {
-	var zero dataflow.MetricsSnapshot
+// executeJob takes the worker's links to the attempt's peers and runs the
+// planned query over this worker's owned partitions. The run it returns holds
+// the result's rows, the bytes the transport framed per stage and the job's
+// environment.
+func (w *Worker) executeJob(spec *jobSpec, snap *snapshot, rt *jobRuntime, col *trace.Collector) (jobRun, error) {
 	if spec.Workers <= 0 || len(spec.Owner) != spec.Workers || spec.Self < 0 || spec.Self >= len(spec.Procs) {
-		return nil, zero, fmt.Errorf("cluster: malformed job spec (workers=%d owners=%d self=%d procs=%d)",
+		return jobRun{}, fmt.Errorf("cluster: malformed job spec (workers=%d owners=%d self=%d procs=%d)",
 			spec.Workers, len(spec.Owner), spec.Self, len(spec.Procs))
 	}
 	pt, err := w.transport(spec, rt)
 	if err != nil {
-		return nil, zero, err
+		return jobRun{}, err
 	}
 	run, err := w.bindJob(spec, snap, pt, col)
 	if err != nil {
-		return nil, zero, err
+		return run, err
 	}
 	res, err := run.prep.Execute(run.g, run.cfg)
 	if err != nil {
-		return nil, zero, err
+		return run, err
 	}
-	if err := shipResults(spec, res.Embeddings, ctrl); err != nil {
-		return nil, zero, err
-	}
-	return run.pt.wireOut, run.env.Metrics(), nil
+	run.rows = res.Embeddings
+	return run, nil
 }
 
 // jobRun is an attempt ready to run: its plan, and the environment, graph and
@@ -809,6 +818,8 @@ type jobRun struct {
 	pt   *peerTransport
 	g    *epgm.LogicalGraph
 	cfg  core.Config
+	// rows is the result, once the run has been executed.
+	rows *dataflow.Dataset[embedding.Embedding]
 }
 
 // bindJob is what an attempt does between its links and its run: it decodes
@@ -885,14 +896,10 @@ func planKey(spec *jobSpec, snap *snapshot) string {
 	return string(append(append(b, 0), spec.Query...))
 }
 
-// shipResults sends the attempt's result to the coordinator as a gather: one
-// result frame whose body is gatherBody over the partitions this worker owns -
-// empty when it owns none - and returns once the frame has been written into
-// the connection's buffer, since, like a collective's, it is written from the
-// rows (DESIGN decision 34). A result over maxFrame, which the coordinator
-// would take for a lost member, is never queued: the attempt fails with
-// errFrameTooLarge.
-func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctrl *sender) error {
+// resultBody is the attempt's result as the done frame carries it: a gather,
+// gatherBody over the partitions this worker owns - empty when it owns none -
+// whose buckets are written from the rows when the frame is sent.
+func resultBody(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding]) ([]segment, error) {
 	blobs := make([]dataflow.Bucket, spec.Workers)
 	for p := range blobs {
 		if spec.Owner[p] != spec.Self {
@@ -900,21 +907,10 @@ func shipResults(spec *jobSpec, rows *dataflow.Dataset[embedding.Embedding], ctr
 		}
 		var err error
 		if blobs[p], err = rows.Bucket(p); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	head, body := spec.head(), gatherBody(spec.Owner, spec.Self, blobs)
-	if err := fits(wireSize(head, body)); err != nil {
-		return err
-	}
-	seq, err := ctrl.send(frameResult, head, body)
-	if err == nil {
-		err = ctrl.wait(seq)
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: shipping results: %w", err)
-	}
-	return nil
+	return gatherBody(spec.Owner, spec.Self, blobs), nil
 }
 
 // mailKey addresses one peer's contribution to one collective.

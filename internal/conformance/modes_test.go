@@ -298,8 +298,8 @@ func serve(s *session.Session, c *kase, traced bool) outcome {
 		// Nothing fails a worker here: an attempt retried is a frame that
 		// failed, which a recovered result would hide.
 		o.err = fmt.Sprintf("a cluster job ran %d attempts", rep.Attempts)
-	} else if rep != nil && traced && (rep.PartialTelemetry || rep.Trace == nil) {
-		o.err = "a traced cluster job came back without every worker's spans"
+	} else if rep != nil && traced && rep.Trace == nil {
+		o.err = "a traced cluster job came back without a merged trace"
 	}
 	if !resp.FromResultCache {
 		o.job = &resp.Metrics

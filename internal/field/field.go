@@ -153,6 +153,21 @@ func (c *Codec) String(v *string) {
 	}
 }
 
+// Blob is a uint32 length and that many bytes, copied out on the way in; an
+// empty blob decodes to nil.
+func (c *Codec) Blob(v *[]byte) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+	} else if b, ok := c.take(n, "blob"); ok {
+		*v = nil
+		if n > 0 {
+			*v = append([]byte(nil), b...)
+		}
+	}
+}
+
 // Slice is a uint32 count and that many elements, each laid out by elem. An
 // element takes at least minElemBytes on the wire (one or more): a consuming
 // Codec rejects a count the bytes left cannot hold before it allocates. An

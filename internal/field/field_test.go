@@ -31,6 +31,7 @@ type message struct {
 	Value  float64
 	Took   time.Duration
 	Name   string
+	Raw    []byte
 	Leaves []leaf
 }
 
@@ -44,13 +45,14 @@ func (m *message) layout(c *Codec) {
 	c.F64(&m.Value)
 	c.Dur(&m.Took)
 	c.String(&m.Name)
+	c.Blob(&m.Raw)
 	Slice(c, &m.Leaves, 8+4, (*leaf).layout)
 }
 
 func sample() message {
 	return message{
 		Kind: 7, Count: 1 << 31, ID: math.MaxUint64, Delta: -5, Index: 3, On: true,
-		Value: -0.25, Took: 3 * time.Microsecond, Name: "Leip\x00zig",
+		Value: -0.25, Took: 3 * time.Microsecond, Name: "Leip\x00zig", Raw: []byte{0, 0xff},
 		Leaves: []leaf{{ID: 1, Tags: []string{"a", ""}}, {ID: 2}},
 	}
 }
@@ -78,6 +80,8 @@ func TestBytes(t *testing.T) {
 	want = binary.BigEndian.AppendUint32(want, 8)
 	want = append(want, "Leip\x00zig"...)
 	want = binary.BigEndian.AppendUint32(want, 2)
+	want = append(want, 0, 0xff)
+	want = binary.BigEndian.AppendUint32(want, 2)
 	want = binary.BigEndian.AppendUint64(want, 1)
 	want = binary.BigEndian.AppendUint32(want, 2)
 	want = binary.BigEndian.AppendUint32(want, 1)
@@ -97,10 +101,12 @@ func TestBytes(t *testing.T) {
 }
 
 // TestRoundTrip: the one layout function reads back what it wrote, an empty
-// list comes back nil, and the cursor ends on the last byte.
+// list or blob comes back nil, a blob is copied out of the input, and the
+// cursor ends on the last byte.
 func TestRoundTrip(t *testing.T) {
 	m := sample()
-	c := Reader(encode(&m))
+	enc := encode(&m)
+	c := Reader(enc)
 	var got message
 	got.layout(&c)
 	if err := c.End(); err != nil {
@@ -111,6 +117,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Leaves[1].Tags != nil {
 		t.Fatal("an empty list must decode to nil")
+	}
+	clear(enc)
+	if !bytes.Equal(got.Raw, m.Raw) {
+		t.Fatalf("a decoded blob reads %x once its input is cleared", got.Raw)
+	}
+	m.Raw = []byte{}
+	c = Reader(encode(&m))
+	got.layout(&c)
+	if c.Err() != nil || got.Raw != nil {
+		t.Fatalf("an empty blob decodes to %#v (%v)", got.Raw, c.Err())
 	}
 }
 
@@ -158,12 +174,18 @@ func TestHostileCounts(t *testing.T) {
 			t.Fatalf("count %d allocated %d elements", n, len(got.Leaves))
 		}
 	}
-	// The same for a string length.
+	// The same for a string length and a blob length.
 	c := Reader(binary.BigEndian.AppendUint32(nil, math.MaxUint32))
 	var s string
 	c.String(&s)
 	if c.Err() == nil || s != "" {
 		t.Fatalf("hostile string length: %q, %v", s, c.Err())
+	}
+	c = Reader(binary.BigEndian.AppendUint32(nil, math.MaxUint32))
+	var b []byte
+	c.Blob(&b)
+	if c.Err() == nil || b != nil {
+		t.Fatalf("hostile blob length: %x, %v", b, c.Err())
 	}
 }
 

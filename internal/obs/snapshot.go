@@ -10,7 +10,7 @@ import (
 
 // Registry snapshots and the federated exposition. A worker process cannot
 // be scraped directly — it speaks only the cluster's frame protocol — so it
-// ships a Snapshot of its registry inside each telemetry bundle, and the
+// ships a Snapshot of its registry on its heartbeat's pongs, and the
 // coordinator's server renders the latest snapshot of every roster member
 // as one per-worker-labeled section of its own /metrics exposition: a
 // single scrape covers the whole cluster.

@@ -126,7 +126,7 @@ func TestClusterFederatedMetrics(t *testing.T) {
 		"gradoop_cluster_live_workers 2",
 		`gradoop_cluster_worker_jobs_total{worker="w0"}`,
 		`gradoop_cluster_worker_jobs_total{worker="w1"}`,
-		`gradoop_cluster_worker_telemetry_bundles_total{worker="w0"}`,
+		`gradoop_cluster_worker_registry_snapshots_total{worker="w0"}`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("federated exposition missing %q", want)

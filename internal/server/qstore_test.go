@@ -311,7 +311,6 @@ var expositionExempt = map[string]bool{
 	"gradoop_cluster_telemetry_frames_total":   true,
 	"gradoop_cluster_telemetry_bytes_total":    true,
 	"gradoop_cluster_telemetry_dropped_total":  true,
-	"gradoop_cluster_partial_telemetry_total":  true,
 	"gradoop_cluster_live_workers":             true,
 	// Federated worker series: each worker's gradoop_* families re-rooted
 	// under gradoop_cluster_ and labeled per worker by the /metrics
@@ -321,7 +320,6 @@ var expositionExempt = map[string]bool{
 	"gradoop_cluster_worker_job_failures_total":       true,
 	"gradoop_cluster_worker_job_seconds":              true,
 	"gradoop_cluster_worker_telemetry_bytes_total":    true,
-	"gradoop_cluster_worker_telemetry_bundles_total":  true,
 	"gradoop_cluster_worker_registry_snapshots_total": true,
 	"gradoop_cluster_worker_plans_total":              true,
 	"gradoop_cluster_worker_recv_bytes_total":         true,

@@ -248,8 +248,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			out.ChromeTrace = json.RawMessage(buf.Bytes())
 		}
 	} else if res.Cluster != nil && res.Cluster.Trace != nil {
-		// Distributed tracing: the coordinator merged the workers' shipped
-		// span bundles into one document, one process lane per worker.
+		// Distributed tracing: the coordinator merged the spans the workers'
+		// done reports carried into one document, one process lane per worker.
 		if raw, err := json.Marshal(res.Cluster.Trace); err == nil {
 			out.ChromeTrace = json.RawMessage(raw)
 		}

@@ -20,8 +20,8 @@ type RemoteExecutor interface {
 	// the coordinator-side result). The coordinator derives the job's trace
 	// identity from cfg.Context (obs.WithTraceID), propagates it to every
 	// worker, and — when cfg.Trace is non-nil, signalling the caller wants a
-	// trace — merges the workers' shipped span bundles into the report's
-	// cluster-wide Chrome trace, one process lane per worker.
+	// trace — merges the spans the workers' done reports carry into the
+	// report's cluster-wide Chrome trace, one process lane per worker.
 	// The returned Result must be equivalent to prep.Execute's: same rows,
 	// same metadata, assembled on the coordinator.
 	ExecuteRemote(g *epgm.LogicalGraph, prep *core.Prepared, cfg core.Config) (*core.Result, *ClusterReport, error)
@@ -58,13 +58,13 @@ type ClusterStage struct {
 	Skew        float64 `json:"skew,omitempty"`
 }
 
-// WorkerReport is one worker's contribution to a distributed query as seen
-// through its done report and, for a traced request, its telemetry bundle.
+// WorkerReport is one worker's contribution to a distributed query as its
+// done report tells it.
 type WorkerReport struct {
 	// Node is the worker's self-reported node name.
 	Node string `json:"node"`
-	// Spans is how many spans the worker's bundle carried when one arrived,
-	// and else how many stage records its done report carried.
+	// Spans is how many spans the done report carried for a traced request,
+	// and else how many stage records.
 	Spans int `json:"spans"`
 	// WallNs is the winning attempt's wall time on that worker, from its done
 	// report: every request has it.
@@ -85,12 +85,8 @@ type ClusterReport struct {
 	// TraceID is the job's cluster-wide trace identity: the caller's
 	// context trace ID when present, else a coordinator-minted job ID.
 	// Every worker's spans and logs for this query carry it.
-	TraceID string `json:"traceId,omitempty"`
-	// PartialTelemetry is set when the request was traced and at least one
-	// winning-roster worker's bundle did not arrive intact — the result is
-	// complete, the observability is not.
-	PartialTelemetry bool           `json:"partialTelemetry,omitempty"`
-	WorkerReports    []WorkerReport `json:"workerReports,omitempty"`
+	TraceID       string         `json:"traceId,omitempty"`
+	WorkerReports []WorkerReport `json:"workerReports,omitempty"`
 	// Trace is the merged cluster-wide Chrome trace (coordinator lane plus
 	// one process lane per worker), built only when the request asked for a
 	// trace. Not part of the JSON report; the server embeds it in the

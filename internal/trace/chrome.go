@@ -129,7 +129,7 @@ func appendSpanEvents(events []ChromeEvent, pid int, spans []Span) []ChromeEvent
 }
 
 // WorkerTrace is one worker process's contribution to a merged cluster
-// trace: its node name and the spans its telemetry bundle shipped.
+// trace: its node name and the spans its done report shipped.
 type WorkerTrace struct {
 	Node  string
 	Spans []Span
@@ -139,7 +139,7 @@ type WorkerTrace struct {
 // document: process 0 is the coordinator lane (its attempt and assembly
 // spans), and each worker gets its own process lane with the usual driver
 // and per-partition threads. Every process's span offsets are relative to
-// that process's own job start — the bundles ship rebased times, so lanes
+// that process's own job start — the workers ship rebased times, so lanes
 // align on "time since the job began" without trusting any machine's wall
 // clock. The trace ID binds the document to the job's logs and records.
 func ClusterChromeTrace(traceID string, coordinator []Span, workers []WorkerTrace) ChromeTrace {

@@ -3,13 +3,13 @@ package trace
 import "gradoop/internal/field"
 
 // Span wire layout. Workers ship their per-job span set inside the cluster's
-// telemetry bundle and the coordinator merges the bundles into one
+// done report and the coordinator merges the reports' spans into one
 // cluster-wide timeline. Each type below names its fields once, in wire
 // order; field.Codec walks that list in both directions.
 //
 // Span offsets are time.Durations from the collector epoch (the job start
 // on the recording process), so encoded spans are already rebased: two
-// processes' bundles align on "time since my job began" without trusting
+// processes' spans align on "time since my job began" without trusting
 // either machine's wall clock.
 
 // LayoutSpans is a count-prefixed span list.
